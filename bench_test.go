@@ -483,12 +483,11 @@ func BenchmarkAblationQoS(b *testing.B) {
 
 // BenchmarkGuaranteedPublish (A10, end-to-end): the guaranteed QoS path —
 // group-committed ledger append, publish, local consumer ack — under
-// parallel publishers, with and without Sync, group commit vs the
-// per-append-fsync baseline. With Sync on, concurrent publishers share
-// one fsync per committed batch, so "sync/pubs=8/group" must beat
-// "sync/pubs=8/per-append" by a wide margin with fsyncs/msg well under 1
-// (scripts/check.sh asserts the same property via the ledger-level gate).
-// Real disk, real time: the fsync is the quantity under test.
+// parallel publishers, with and without Sync. With Sync on, concurrent
+// publishers share one fsync per committed batch, so "sync=true/pubs=8"
+// reports fsyncs/msg well under 1 (scripts/check.sh asserts the same
+// property via the ledger-level gate). Real disk, real time: the fsync is
+// the quantity under test.
 func BenchmarkGuaranteedPublish(b *testing.B) {
 	netCfg := netsim.DefaultConfig()
 	netCfg.Speedup = 2000
@@ -497,15 +496,14 @@ func BenchmarkGuaranteedPublish(b *testing.B) {
 		RetransmitInterval: 3 * time.Millisecond,
 		HeartbeatInterval:  10 * time.Millisecond,
 	}
-	run := func(b *testing.B, pubs int, syncOn, group bool) {
+	run := func(b *testing.B, pubs int, syncOn bool) {
 		seg := transport.NewSimSegment(netCfg)
 		defer seg.Close()
 		host, err := core.NewHost(seg, "pub", core.HostConfig{
-			Reliable:                 rcfg,
-			LedgerPath:               filepath.Join(b.TempDir(), "bench.ledger"),
-			LedgerSync:               syncOn,
-			LedgerDisableGroupCommit: !group,
-			RetryInterval:            500 * time.Millisecond,
+			Reliable:      rcfg,
+			LedgerPath:    filepath.Join(b.TempDir(), "bench.ledger"),
+			LedgerSync:    syncOn,
+			RetryInterval: 500 * time.Millisecond,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -550,15 +548,9 @@ func BenchmarkGuaranteedPublish(b *testing.B) {
 	}
 	for _, syncOn := range []bool{false, true} {
 		for _, pubs := range []int{1, 8} {
-			for _, group := range []bool{false, true} {
-				mode := "per-append"
-				if group {
-					mode = "group"
-				}
-				b.Run(fmt.Sprintf("sync=%v/pubs=%d/%s", syncOn, pubs, mode), func(b *testing.B) {
-					run(b, pubs, syncOn, group)
-				})
-			}
+			b.Run(fmt.Sprintf("sync=%v/pubs=%d", syncOn, pubs), func(b *testing.B) {
+				run(b, pubs, syncOn)
+			})
 		}
 	}
 }

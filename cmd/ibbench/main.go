@@ -189,9 +189,9 @@ func main() {
 	})
 
 	run("a10", func() error {
-		// A10: the group-commit ledger against the per-append-fsync
-		// baseline. Real filesystem, real time: -speedup does not apply to
-		// this figure (an fsync cannot be simulated faster).
+		// A10: the group-commit ledger under 1..8 concurrent publishers.
+		// Real filesystem, real time: -speedup does not apply to this
+		// figure (an fsync cannot be simulated faster).
 		rows, err := bench.FigureA10([]int{1, 2, 4, 8}, 0)
 		if err != nil {
 			return err
@@ -248,8 +248,8 @@ func main() {
 	run("a15", func() error {
 		// A15: the router's zero-copy data plane. CPU-bound (in-process
 		// pipe transport, no netsim): msgs/s through a 4-segment router
-		// fan-out, decode/re-encode baseline vs the single-copy fast path.
-		// -speedup does not apply; -msgs scales the per-point sample.
+		// fan-out. -speedup does not apply; -msgs scales the per-point
+		// sample.
 		rows, err := bench.FigureA15([]int{64, 512, 4096}, *msgs*20)
 		if err != nil {
 			return err

@@ -15,23 +15,24 @@ import (
 // A10: group-commit ledger. Unlike the figure experiments this one runs
 // against the real filesystem in real time — the quantity under test is
 // the fsync, which the simulated network cannot model. Each row drives N
-// concurrent publishers through Append with Sync on, in either commit
-// mode, and reports the aggregate append rate, the measured fsyncs per
-// message, and the p99 append latency (from the ledger's own histogram).
+// concurrent publishers through Append with Sync on and reports the
+// aggregate append rate, the measured fsyncs per message, and the p99
+// append latency (from the ledger's own histogram). The per-append-fsync
+// baseline this was first measured against is gone from the ledger; its
+// numbers are kept, dated, in EXPERIMENTS.md A10.
 
-// GroupCommitRow is one (publishers, mode) cell of the A10 table.
+// GroupCommitRow is one publisher-count row of the A10 table.
 type GroupCommitRow struct {
 	Publishers   int
-	Mode         string // "per-append" or "group"
 	MsgsPerSec   float64
 	FsyncsPerMsg float64
 	MeanGroup    float64 // messages per committed batch
 	P99Us        float64 // p99 Append latency, microseconds
 }
 
-// MeasureGroupCommit runs one A10 cell: publishers goroutines each append
+// MeasureGroupCommit runs one A10 row: publishers goroutines each append
 // perPublisher 256-byte records to a fresh Sync ledger.
-func MeasureGroupCommit(publishers, perPublisher int, group bool) (GroupCommitRow, error) {
+func MeasureGroupCommit(publishers, perPublisher int) (GroupCommitRow, error) {
 	dir, err := os.MkdirTemp("", "ibbench-ledger-*")
 	if err != nil {
 		return GroupCommitRow{}, err
@@ -39,9 +40,8 @@ func MeasureGroupCommit(publishers, perPublisher int, group bool) (GroupCommitRo
 	defer os.RemoveAll(dir)
 	reg := telemetry.NewRegistry()
 	led, err := ledger.Open(filepath.Join(dir, "bench.ledger"), ledger.Options{
-		Sync:               true,
-		DisableGroupCommit: !group,
-		Metrics:            reg,
+		Sync:    true,
+		Metrics: reg,
 	})
 	if err != nil {
 		return GroupCommitRow{}, err
@@ -85,13 +85,8 @@ func MeasureGroupCommit(publishers, perPublisher int, group bool) (GroupCommitRo
 	if err := led.Close(); err != nil {
 		return GroupCommitRow{}, err
 	}
-	mode := "per-append"
-	if group {
-		mode = "group"
-	}
 	row := GroupCommitRow{
 		Publishers:   publishers,
-		Mode:         mode,
 		MsgsPerSec:   appends / elapsed.Seconds(),
 		FsyncsPerMsg: fsyncs / appends,
 		P99Us:        p99 / 1e3,
@@ -102,38 +97,29 @@ func MeasureGroupCommit(publishers, perPublisher int, group bool) (GroupCommitRo
 	return row, nil
 }
 
-// FigureA10 sweeps publisher counts across both commit modes.
+// FigureA10 sweeps publisher counts.
 func FigureA10(publisherCounts []int, perPublisher int) ([]GroupCommitRow, error) {
 	if perPublisher <= 0 {
 		perPublisher = 300
 	}
 	var rows []GroupCommitRow
 	for _, n := range publisherCounts {
-		for _, group := range []bool{false, true} {
-			row, err := MeasureGroupCommit(n, perPublisher, group)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
+		row, err := MeasureGroupCommit(n, perPublisher)
+		if err != nil {
+			return nil, err
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// PrintFigureA10 renders the group-commit table, pairing each publisher
-// count's baseline with its group-commit row and the resulting speedup.
+// PrintFigureA10 renders the group-commit table.
 func PrintFigureA10(w io.Writer, rows []GroupCommitRow) {
 	fmt.Fprintln(w, "A10: group-commit ledger (Sync appends, real filesystem, 256 B records)")
-	fmt.Fprintf(w, "%6s %11s %12s %11s %11s %11s\n",
-		"pubs", "mode", "msgs/s", "fsyncs/msg", "mean group", "p99 append")
-	base := make(map[int]float64)
+	fmt.Fprintf(w, "%6s %12s %11s %11s %11s\n",
+		"pubs", "msgs/s", "fsyncs/msg", "mean group", "p99 append")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%6d %11s %12.0f %11.3f %11.1f %9.0fµs\n",
-			r.Publishers, r.Mode, r.MsgsPerSec, r.FsyncsPerMsg, r.MeanGroup, r.P99Us)
-		if r.Mode == "per-append" {
-			base[r.Publishers] = r.MsgsPerSec
-		} else if b := base[r.Publishers]; b > 0 {
-			fmt.Fprintf(w, "%6s %11s %11.1fx\n", "", "speedup", r.MsgsPerSec/b)
-		}
+		fmt.Fprintf(w, "%6d %12.0f %11.3f %11.1f %9.0fµs\n",
+			r.Publishers, r.MsgsPerSec, r.FsyncsPerMsg, r.MeanGroup, r.P99Us)
 	}
 }

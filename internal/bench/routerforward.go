@@ -24,20 +24,18 @@ import (
 // "bench.>", then detaches), and then drives publications through the
 // engine with Router.Inject. Egress Publish runs the full reliable send
 // path — window copy, retransmit retention, frame encode — into a segment
-// with no remaining listeners, so the engine's own cost dominates and the
-// slow/fast comparison is not diluted by consumer-side protocol work.
-// The slow mode (DisableFastPath) decodes and re-encodes per egress; the
-// fast mode copies the frame once and bumps the hops byte.
+// with no remaining listeners, so the engine's own cost dominates and is
+// not diluted by consumer-side protocol work. The decode/re-encode engine
+// this was first measured against is gone from the router; its numbers are
+// kept, dated, in EXPERIMENTS.md A15.
 
-// RouterForwardRow is one (mode, payload size) point in the A15 table.
+// RouterForwardRow is one payload-size point in the A15 table.
 type RouterForwardRow struct {
-	Mode         string // "slow" (decode/re-encode) or "fast" (zero-copy)
 	PayloadBytes int
 	Msgs         int // publications injected at the ingress
 	Egresses     int // subscriber-bearing segments fanned out to
 	Elapsed      time.Duration
 	MsgsPerSec   float64 // ingress publications through the engine per second
-	FastShare    float64 // fraction of forwards taken by the fast path
 }
 
 // pipeSegment is the in-process transport: lossless, per-destination FIFO,
@@ -177,17 +175,11 @@ func seedInterest(rt *router.Router, seg *pipeSegment, segName string, relCfg re
 	return nil
 }
 
-// MeasureRouterForward runs one A15 mode: build the rig, seed interest
+// MeasureRouterForward runs one A15 row: build the rig, seed interest
 // over the wire, then time msgs publications through the forwarding engine
 // to every egress.
-func MeasureRouterForward(egresses, payloadBytes, msgs int, disableFast bool) (RouterForwardRow, error) {
-	mode := "fast"
-	if disableFast {
-		mode = "slow"
-	}
-	row := RouterForwardRow{
-		Mode: mode, PayloadBytes: payloadBytes, Msgs: msgs, Egresses: egresses,
-	}
+func MeasureRouterForward(egresses, payloadBytes, msgs int) (RouterForwardRow, error) {
+	row := RouterForwardRow{PayloadBytes: payloadBytes, Msgs: msgs, Egresses: egresses}
 	// Lossless FIFO pipes never NAK or gap-skip, so the protocol timers
 	// only pace interest propagation (join grace, housekeeping ticks).
 	relCfg := reliable.Config{
@@ -209,11 +201,10 @@ func MeasureRouterForward(egresses, payloadBytes, msgs int, disableFast bool) (R
 		atts[i] = router.Attachment{Segment: segs[i], Name: names[i]}
 	}
 	rt, err := router.New(router.Options{
-		Name:            "a15",
-		Reliable:        relCfg,
-		InterestTTL:     5 * time.Minute,
-		RelayInterval:   time.Second,
-		DisableFastPath: disableFast,
+		Name:          "a15",
+		Reliable:      relCfg,
+		InterestTTL:   5 * time.Minute,
+		RelayInterval: time.Second,
 	}, atts...)
 	if err != nil {
 		return row, err
@@ -236,14 +227,14 @@ func MeasureRouterForward(egresses, payloadBytes, msgs int, disableFast bool) (R
 		Kind: busproto.KindPublish, Subject: flow.String(),
 		Payload: make([]byte, payloadBytes),
 	})
-	before := rt.Stats()
+	before := rt.Stats().Forwarded
 	const warm = 2000
 	for i := 0; i < warm; i++ {
 		if err := rt.Inject("ingress", "flowpub", frame); err != nil {
 			return row, err
 		}
 	}
-	if got := rt.Stats().Forwarded - before.Forwarded; got != uint64(warm*egresses) {
+	if got := rt.Stats().Forwarded - before; got != uint64(warm*egresses) {
 		return row, fmt.Errorf("bench: warmup forwarded %d, want %d", got, warm*egresses)
 	}
 
@@ -253,7 +244,7 @@ func MeasureRouterForward(egresses, payloadBytes, msgs int, disableFast bool) (R
 	// budgets' minimum-over-attempts).
 	const reps = 3
 	for rep := 0; rep < reps; rep++ {
-		before = rt.Stats()
+		before = rt.Stats().Forwarded
 		t0 := time.Now()
 		for i := 0; i < msgs; i++ {
 			if err := rt.Inject("ingress", "flowpub", frame); err != nil {
@@ -261,22 +252,19 @@ func MeasureRouterForward(egresses, payloadBytes, msgs int, disableFast bool) (R
 			}
 		}
 		elapsed := time.Since(t0)
-		st := rt.Stats()
-		if got := st.Forwarded - before.Forwarded; got != uint64(msgs*egresses) {
+		if got := rt.Stats().Forwarded - before; got != uint64(msgs*egresses) {
 			return row, fmt.Errorf("bench: forwarded %d, want %d", got, msgs*egresses)
 		}
 		if rep == 0 || elapsed < row.Elapsed {
 			row.Elapsed = elapsed
 			row.MsgsPerSec = float64(msgs) / elapsed.Seconds()
-			row.FastShare = float64(st.FastForwarded-before.FastForwarded) /
-				float64(st.Forwarded-before.Forwarded)
 		}
 	}
 	return row, nil
 }
 
-// FigureA15 measures the decode/re-encode baseline and the zero-copy fast
-// path across payload sizes on the same 4-segment fan-out.
+// FigureA15 measures the forwarding engine across payload sizes on the
+// same 4-segment fan-out.
 func FigureA15(sizes []int, msgs int) ([]RouterForwardRow, error) {
 	if len(sizes) == 0 {
 		sizes = []int{64, 512, 4096}
@@ -287,34 +275,23 @@ func FigureA15(sizes []int, msgs int) ([]RouterForwardRow, error) {
 	const egresses = 3
 	var rows []RouterForwardRow
 	for _, size := range sizes {
-		for _, disableFast := range []bool{true, false} {
-			row, err := MeasureRouterForward(egresses, size, msgs, disableFast)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
+		row, err := MeasureRouterForward(egresses, size, msgs)
+		if err != nil {
+			return nil, err
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// PrintFigureA15 renders the forwarding-throughput table with the fast
-// path's speedup over the decode/re-encode baseline at each payload size.
+// PrintFigureA15 renders the forwarding-throughput table.
 func PrintFigureA15(w io.Writer, rows []RouterForwardRow) {
 	fmt.Fprintln(w, "A15: zero-copy router data plane (4-segment router, ingress -> 3 subscriber")
 	fmt.Fprintln(w, "     egresses; engine-driven, CPU-bound — wall time, not modelled network time)")
-	fmt.Fprintf(w, "%6s %8s %8s %10s %12s %11s %9s\n",
-		"mode", "payload", "msgs", "elapsed", "msgs/s", "fast-share", "vs slow")
-	slowBySize := make(map[int]float64)
+	fmt.Fprintf(w, "%8s %8s %10s %12s %10s\n", "payload", "msgs", "elapsed", "msgs/s", "ns/msg")
 	for _, r := range rows {
-		rel := "-"
-		if r.Mode == "slow" {
-			slowBySize[r.PayloadBytes] = r.MsgsPerSec
-		} else if base := slowBySize[r.PayloadBytes]; base > 0 {
-			rel = fmt.Sprintf("%.2fx", r.MsgsPerSec/base)
-		}
-		fmt.Fprintf(w, "%6s %8d %8d %10s %12.0f %10.0f%% %9s\n",
-			r.Mode, r.PayloadBytes, r.Msgs, r.Elapsed.Round(time.Millisecond),
-			r.MsgsPerSec, r.FastShare*100, rel)
+		fmt.Fprintf(w, "%8d %8d %10s %12.0f %10.0f\n",
+			r.PayloadBytes, r.Msgs, r.Elapsed.Round(time.Millisecond),
+			r.MsgsPerSec, 1e9/r.MsgsPerSec)
 	}
 }

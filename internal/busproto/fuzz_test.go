@@ -44,10 +44,11 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzEnvelopePeek: Peek must agree with Decode on arbitrary bytes — both
-// accept (with identical header fields) or both reject. The router's fast
-// path trusts Peek's validation in place of a full Decode, so any frame
-// the two parsers disagree on is a forwarding bug.
+// FuzzEnvelopePeek: Decode must agree with Peek on arbitrary bytes — both
+// accept (with identical header fields) or both reject. Decode is Peek
+// plus materialization, so this pins the materialize step: routers forward
+// on Peek alone, daemons deliver from Decode, and a frame the two read
+// differently would be routed as one message and delivered as another.
 func FuzzEnvelopePeek(f *testing.F) {
 	f.Add(Encode(Envelope{Kind: KindPublish, Hops: 2, Subject: "a.b", Payload: []byte("x")}))
 	f.Add(Encode(Envelope{Kind: KindGuaranteed, ID: 9, Origin: "o", Subject: "s", Payload: nil}))
@@ -75,6 +76,61 @@ func FuzzEnvelopePeek(f *testing.F) {
 			string(h.Origin) != e.Origin || string(h.Subject) != e.Subject ||
 			string(h.Payload) != string(e.Payload) {
 			t.Fatalf("peek %+v disagrees with decode %+v on % x", h, e, data)
+		}
+	})
+}
+
+// FuzzAppendForward: for every data frame Peek accepts and each edit a
+// router makes — hops only, plus a trace hop, plus a substituted subject,
+// plus both — the splice must equal the codec's own answer (Decode, edit
+// the envelope, AppendEncode), and must itself parse. The format has one
+// encoding per envelope, so the unedited splice is the frame.
+func FuzzAppendForward(f *testing.F) {
+	for _, e := range peekCases() {
+		f.Add(Encode(e))
+	}
+	addCompactSeeds(f)
+	f.Add(Encode(Envelope{Kind: KindPublish, Subject: "empty.payload"}))
+	// The trace cap: a full list forwards without the new hop, one below
+	// takes it and becomes full.
+	for _, n := range []int{MaxTraceHops - 1, MaxTraceHops} {
+		e := Envelope{Kind: KindGuaranteedCompactTraced, Hops: 7, ID: 1 << 40, Origin: "sim:0#tok",
+			Subject: "cap.s", TraceID: 1 << 60, Payload: []byte{1, 2, 3}}
+		for i := 0; i < n; i++ {
+			e.Trace = append(e.Trace, TraceHop{Node: "n", Kind: byte(i % 9), At: int64(i) - 3})
+		}
+		f.Add(Encode(e))
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		h, err := Peek(frame)
+		if err != nil || (h.Base() != KindPublish && h.Base() != KindGuaranteed) {
+			return
+		}
+		if same := AppendForward(nil, h, h.Hops, "", "", 0); string(same) != string(frame) {
+			t.Fatalf("unedited splice % x != frame % x", same, frame)
+		}
+		for _, edit := range []struct{ subject, hopNode string }{
+			{"", ""}, {"", "router:r:out"}, {"west.x", ""}, {"west.x", "router:r:out"},
+		} {
+			const at = 1790000000123456789
+			got := AppendForward([]byte("prefix"), h, h.Hops+1, edit.subject, edit.hopNode, at)[len("prefix"):]
+			env, err := Decode(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.Hops++
+			if edit.subject != "" {
+				env.Subject = edit.subject
+			}
+			if edit.hopNode != "" {
+				env.AppendHop(edit.hopNode, at)
+			}
+			if want := Encode(env); string(got) != string(want) {
+				t.Fatalf("edit %+v of % x:\nsplice % x\ncodec  % x", edit, frame, got, want)
+			}
+			if _, err := Peek(got); err != nil {
+				t.Fatalf("edit %+v of % x: splice % x does not parse: %v", edit, frame, got, err)
+			}
 		}
 	})
 }

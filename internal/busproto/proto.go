@@ -141,20 +141,28 @@ type Envelope struct {
 // Base returns the untraced kind corresponding to e.Kind: traced data
 // kinds map to their plain counterpart, every other kind maps to itself.
 // Dispatch on Base so tracing stays invisible to delivery semantics.
-func (e Envelope) Base() byte {
-	switch e.Kind {
+func (e Envelope) Base() byte { return kindBase(e.Kind) }
+
+// Traced reports whether the envelope carries a hop trace.
+func (e Envelope) Traced() bool { return kindTraced(e.Kind) }
+
+// Compact reports whether the envelope's payload uses the compact
+// dictionary wire format.
+func (e Envelope) Compact() bool { return kindCompact(e.Kind) }
+
+func kindBase(k byte) byte {
+	switch k {
 	case KindPublishTraced, KindPublishCompact, KindPublishCompactTraced:
 		return KindPublish
 	case KindGuaranteedTraced, KindGuaranteedCompact, KindGuaranteedCompactTraced:
 		return KindGuaranteed
 	default:
-		return e.Kind
+		return k
 	}
 }
 
-// Traced reports whether the envelope carries a hop trace.
-func (e Envelope) Traced() bool {
-	switch e.Kind {
+func kindTraced(k byte) bool {
+	switch k {
 	case KindPublishTraced, KindGuaranteedTraced,
 		KindPublishCompactTraced, KindGuaranteedCompactTraced:
 		return true
@@ -162,10 +170,8 @@ func (e Envelope) Traced() bool {
 	return false
 }
 
-// Compact reports whether the envelope's payload uses the compact
-// dictionary wire format.
-func (e Envelope) Compact() bool {
-	switch e.Kind {
+func kindCompact(k byte) bool {
+	switch k {
 	case KindPublishCompact, KindGuaranteedCompact,
 		KindPublishCompactTraced, KindGuaranteedCompactTraced:
 		return true
@@ -251,7 +257,8 @@ func AppendEncode(b []byte, e Envelope) []byte {
 	return b
 }
 
-func appendString(b []byte, s string) []byte {
+// appendString appends a length-prefixed string or byte view.
+func appendString[S string | []byte](b []byte, s S) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
@@ -271,68 +278,74 @@ func appendTrace(b []byte, e Envelope) []byte {
 	return b
 }
 
+// Header is a lazy, zero-copy view of an envelope: the fields a forwarding
+// engine dispatches on (kind, hops, origin/id, subject), the payload tail,
+// and the trace as a raw validated region — all slices aliasing the encoded
+// frame. Nothing is materialized: no trace slice, no pattern slice, no
+// string copies. The views are valid only while the frame's backing array
+// is; callers that retain a field beyond the frame's lifetime must copy it.
+type Header struct {
+	Kind      byte
+	Hops      uint8  // data kinds only
+	TraceHops uint8  // traced kinds only: entries in Trace (<= MaxTraceHops)
+	ID        uint64 // guaranteed kinds and KindGuarAck
+	TraceID   uint64 // traced kinds only
+	Origin    []byte // guaranteed kinds and KindGuarAck; aliases the frame
+	Trace     []byte // traced kinds only: the encoded hop list; aliases the frame
+	Subject   []byte // data kinds only; aliases the frame
+	Payload   []byte // data kinds only; aliases the frame
+}
+
+// Base is Envelope.Base for a peeked header.
+func (h Header) Base() byte { return kindBase(h.Kind) }
+
+// Traced is Envelope.Traced for a peeked header.
+func (h Header) Traced() bool { return kindTraced(h.Kind) }
+
+// Compact is Envelope.Compact for a peeked header.
+func (h Header) Compact() bool { return kindCompact(h.Kind) }
+
 type envReader struct {
 	data []byte
 	pos  int
 }
 
+// uvarint accepts only the minimal encoding of a value (the one
+// AppendEncode writes): a multi-byte varint ending in a zero group is
+// rejected. Every other field of the format already has a single encoding,
+// so an accepted frame re-encodes to exactly itself — which is what lets
+// AppendForward copy regions of the ingress frame instead of re-encoding
+// them, and still emit the bytes Decode → AppendEncode would.
 func (r *envReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.data[r.pos+n-1] == 0) {
 		return 0, ErrEnvelopeCorrupt
 	}
 	r.pos += n
 	return v, nil
 }
 
+// varint is the zigzag decoding of binary.Varint over the minimal-only
+// uvarint.
 func (r *envReader) varint() (int64, error) {
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
+	ux, err := r.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
+
+func (r *envReader) byteVal() (byte, error) {
+	if r.pos >= len(r.data) {
 		return 0, ErrEnvelopeCorrupt
 	}
-	r.pos += n
-	return v, nil
+	c := r.data[r.pos]
+	r.pos++
+	return c, nil
 }
 
-// trace reads a trace id plus a capped hop list.
-func (r *envReader) trace(e *Envelope) error {
-	var err error
-	if e.TraceID, err = r.uvarint(); err != nil {
-		return err
-	}
-	count, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if count > MaxTraceHops {
-		return ErrEnvelopeCorrupt
-	}
-	for i := uint64(0); i < count; i++ {
-		var h TraceHop
-		if h.Kind, err = r.byteVal(); err != nil {
-			return err
-		}
-		if h.Node, err = r.str(maxNodeLen); err != nil {
-			return err
-		}
-		if h.At, err = r.varint(); err != nil {
-			return err
-		}
-		e.Trace = append(e.Trace, h)
-	}
-	return nil
-}
-
-func (r *envReader) str(maxLen int) (string, error) {
-	b, err := r.view(maxLen)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// view reads a length-prefixed byte string as a slice aliasing the frame:
-// the zero-copy counterpart of str, with identical validation.
+// view reads a length-prefixed byte string as a slice aliasing the frame.
 func (r *envReader) view(maxLen int) ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -346,10 +359,22 @@ func (r *envReader) view(maxLen int) ([]byte, error) {
 	return b, nil
 }
 
-// skipTrace walks a trace id plus hop list without materializing it,
-// applying exactly the caps and truncation checks trace applies.
-func (r *envReader) skipTrace() error {
-	if _, err := r.uvarint(); err != nil {
+// hop reads one trace-list entry.
+func (r *envReader) hop() (kind byte, node []byte, at int64, err error) {
+	if kind, err = r.byteVal(); err != nil {
+		return
+	}
+	if node, err = r.view(maxNodeLen); err != nil {
+		return
+	}
+	at, err = r.varint()
+	return
+}
+
+// trace reads a trace id plus a capped hop list into h.
+func (r *envReader) trace(h *Header) error {
+	var err error
+	if h.TraceID, err = r.uvarint(); err != nil {
 		return err
 	}
 	count, err := r.uvarint()
@@ -359,203 +384,41 @@ func (r *envReader) skipTrace() error {
 	if count > MaxTraceHops {
 		return ErrEnvelopeCorrupt
 	}
+	start := r.pos
 	for i := uint64(0); i < count; i++ {
-		if _, err := r.byteVal(); err != nil {
-			return err
-		}
-		if _, err := r.view(maxNodeLen); err != nil {
-			return err
-		}
-		if _, err := r.varint(); err != nil {
+		if _, _, _, err := r.hop(); err != nil {
 			return err
 		}
 	}
+	h.TraceHops, h.Trace = uint8(count), r.data[start:r.pos]
 	return nil
 }
 
-func (r *envReader) byteVal() (byte, error) {
-	if r.pos >= len(r.data) {
-		return 0, ErrEnvelopeCorrupt
-	}
-	c := r.data[r.pos]
-	r.pos++
-	return c, nil
-}
-
-func Decode(data []byte) (Envelope, error) {
-	if len(data) == 0 {
-		return Envelope{}, ErrEnvelopeCorrupt
-	}
-	e := Envelope{Kind: data[0]}
-	r := &envReader{data: data, pos: 1}
-	var err error
-	switch e.Kind {
-	case KindPublish, KindPublishTraced, KindPublishCompact, KindPublishCompactTraced:
-		if e.Hops, err = r.byteVal(); err != nil {
-			return Envelope{}, err
-		}
-		if e.Traced() {
-			if err = r.trace(&e); err != nil {
-				return Envelope{}, err
-			}
-		}
-		if e.Subject, err = r.str(maxSubjectLen); err != nil {
-			return Envelope{}, err
-		}
-		e.Payload = data[r.pos:]
-	case KindGuaranteed, KindGuaranteedTraced, KindGuaranteedCompact, KindGuaranteedCompactTraced:
-		if e.Hops, err = r.byteVal(); err != nil {
-			return Envelope{}, err
-		}
-		if e.ID, err = r.uvarint(); err != nil {
-			return Envelope{}, err
-		}
-		if e.Origin, err = r.str(maxOriginLen); err != nil {
-			return Envelope{}, err
-		}
-		if e.Traced() {
-			if err = r.trace(&e); err != nil {
-				return Envelope{}, err
-			}
-		}
-		if e.Subject, err = r.str(maxSubjectLen); err != nil {
-			return Envelope{}, err
-		}
-		e.Payload = data[r.pos:]
-	case KindGuarAck:
-		if e.ID, err = r.uvarint(); err != nil {
-			return Envelope{}, err
-		}
-		if e.Origin, err = r.str(maxOriginLen); err != nil {
-			return Envelope{}, err
-		}
-		if r.pos != len(data) {
-			return Envelope{}, ErrEnvelopeCorrupt
-		}
-	case KindInterest:
-		count, err := r.uvarint()
-		if err != nil {
-			return Envelope{}, err
-		}
-		if count > maxPatternsLen {
-			return Envelope{}, ErrEnvelopeCorrupt
-		}
-		for i := uint64(0); i < count; i++ {
-			p, err := r.str(maxSubjectLen)
-			if err != nil {
-				return Envelope{}, err
-			}
-			e.Patterns = append(e.Patterns, p)
-		}
-		if r.pos != len(data) {
-			return Envelope{}, ErrEnvelopeCorrupt
-		}
-	default:
-		return Envelope{}, fmt.Errorf("kind %d: %w", e.Kind, ErrEnvelopeCorrupt)
-	}
-	return e, nil
-}
-
-// Header is a lazy, zero-copy view of an envelope: the fields a forwarding
-// engine dispatches on (kind, hops, origin/id, subject) plus the payload
-// tail, all as slices aliasing the encoded frame. Peek validates exactly
-// what Decode validates — same caps, same truncation checks, including a
-// full walk of the trace list and interest patterns — but materializes
-// nothing: no trace slice, no pattern slice, no string copies. The views
-// are valid only while the frame's backing array is; callers that retain
-// a field beyond the frame's lifetime must copy it.
-type Header struct {
-	Kind    byte
-	Hops    uint8  // data kinds only
-	ID      uint64 // guaranteed kinds and KindGuarAck
-	Origin  []byte // guaranteed kinds and KindGuarAck; aliases the frame
-	Subject []byte // data kinds only; aliases the frame
-	Payload []byte // data kinds only; aliases the frame
-}
-
-// Base is Envelope.Base for a peeked header.
-func (h Header) Base() byte {
-	switch h.Kind {
-	case KindPublishTraced, KindPublishCompact, KindPublishCompactTraced:
-		return KindPublish
-	case KindGuaranteedTraced, KindGuaranteedCompact, KindGuaranteedCompactTraced:
-		return KindGuaranteed
-	default:
-		return h.Kind
-	}
-}
-
-// Traced is Envelope.Traced for a peeked header.
-func (h Header) Traced() bool {
-	switch h.Kind {
-	case KindPublishTraced, KindGuaranteedTraced,
-		KindPublishCompactTraced, KindGuaranteedCompactTraced:
-		return true
-	}
-	return false
-}
-
-// Compact is Envelope.Compact for a peeked header.
-func (h Header) Compact() bool {
-	switch h.Kind {
-	case KindPublishCompact, KindGuaranteedCompact,
-		KindPublishCompactTraced, KindGuaranteedCompactTraced:
-		return true
-	}
-	return false
-}
-
-// hopsOffset is the position of the hops byte in every encoded data
-// envelope: the kind byte is first, hops second, for all eight data kinds
-// (see AppendEncode). SetHops relies on this layout invariant.
-const hopsOffset = 1
-
-// SetHops overwrites the hops byte of an encoded DATA envelope in place.
-// The caller must own the frame (routers call it on their pooled copy,
-// never on the inbound buffer, which the transport may share between
-// receivers) and must have validated it as a data kind via Peek — the two
-// non-data kinds (KindGuarAck, KindInterest) carry no hops byte.
-func SetHops(frame []byte, hops uint8) {
-	frame[hopsOffset] = hops
-}
-
-// Peek parses the envelope header without materializing anything. It
-// accepts exactly the frames Decode accepts and rejects exactly the frames
-// Decode rejects (FuzzEnvelopePeek pins the agreement); on success the
-// returned Header's view fields alias data.
-func Peek(data []byte) (Header, error) {
+// Peek is the envelope parser: it validates every length, cap and list of
+// an encoded envelope and returns the Header views aliasing data, without
+// materializing anything. Decode is Peek plus materialization, so the two
+// accept and reject exactly the same frames.
+func Peek(data []byte) (h Header, err error) {
 	if len(data) == 0 {
 		return Header{}, ErrEnvelopeCorrupt
 	}
-	h := Header{Kind: data[0]}
+	h.Kind = data[0]
 	r := &envReader{data: data, pos: 1}
-	var err error
-	switch h.Kind {
-	case KindPublish, KindPublishTraced, KindPublishCompact, KindPublishCompactTraced:
+	switch base := h.Base(); base {
+	case KindPublish, KindGuaranteed:
 		if h.Hops, err = r.byteVal(); err != nil {
 			return Header{}, err
 		}
-		if h.Traced() {
-			if err = r.skipTrace(); err != nil {
+		if base == KindGuaranteed {
+			if h.ID, err = r.uvarint(); err != nil {
+				return Header{}, err
+			}
+			if h.Origin, err = r.view(maxOriginLen); err != nil {
 				return Header{}, err
 			}
 		}
-		if h.Subject, err = r.view(maxSubjectLen); err != nil {
-			return Header{}, err
-		}
-		h.Payload = data[r.pos:]
-	case KindGuaranteed, KindGuaranteedTraced, KindGuaranteedCompact, KindGuaranteedCompactTraced:
-		if h.Hops, err = r.byteVal(); err != nil {
-			return Header{}, err
-		}
-		if h.ID, err = r.uvarint(); err != nil {
-			return Header{}, err
-		}
-		if h.Origin, err = r.view(maxOriginLen); err != nil {
-			return Header{}, err
-		}
 		if h.Traced() {
-			if err = r.skipTrace(); err != nil {
+			if err = r.trace(&h); err != nil {
 				return Header{}, err
 			}
 		}
@@ -593,4 +456,71 @@ func Peek(data []byte) (Header, error) {
 		return Header{}, fmt.Errorf("kind %d: %w", h.Kind, ErrEnvelopeCorrupt)
 	}
 	return h, nil
+}
+
+// Decode parses an envelope into owned fields: Peek, then strings and
+// slices materialized from the header's views. Payload still aliases data.
+func Decode(data []byte) (Envelope, error) {
+	h, err := Peek(data)
+	if err != nil {
+		return Envelope{}, err
+	}
+	e := Envelope{
+		Kind: h.Kind, Hops: h.Hops, ID: h.ID, Origin: string(h.Origin),
+		Subject: string(h.Subject), Payload: h.Payload, TraceID: h.TraceID,
+	}
+	// Peek validated both lists entry by entry, so re-reading them cannot
+	// fail.
+	r := &envReader{data: h.Trace}
+	for i := uint8(0); i < h.TraceHops; i++ {
+		kind, node, at, _ := r.hop()
+		e.Trace = append(e.Trace, TraceHop{Node: string(node), Kind: kind, At: at})
+	}
+	if h.Kind == KindInterest {
+		r = &envReader{data: data, pos: 1}
+		count, _ := r.uvarint()
+		for i := uint64(0); i < count; i++ {
+			p, _ := r.view(maxSubjectLen)
+			e.Patterns = append(e.Patterns, string(p))
+		}
+	}
+	return e, nil
+}
+
+// AppendForward appends to dst the frame a router emits for the data
+// envelope h was peeked from: the same envelope with its hops byte set to
+// hops, its subject replaced when subject is non-empty, and — on a traced
+// kind, when hopNode is non-empty — one HopNode entry (hopNode, at) added to
+// the trace, dropped (the entry, not the message) when the list is already
+// at MaxTraceHops. Origin, existing hop list and payload are copied from
+// h's views of the ingress frame, once; the result is byte-identical to
+// Decode → edit → AppendEncode (FuzzAppendForward), and dst must not alias
+// that frame.
+func AppendForward(dst []byte, h Header, hops uint8, subject, hopNode string, at int64) []byte {
+	dst = append(dst, h.Kind, hops)
+	if h.Base() == KindGuaranteed {
+		dst = binary.AppendUvarint(dst, h.ID)
+		dst = appendString(dst, h.Origin)
+	}
+	if h.Traced() {
+		addHop := hopNode != "" && h.TraceHops < MaxTraceHops
+		n := uint64(h.TraceHops)
+		if addHop {
+			n++
+		}
+		dst = binary.AppendUvarint(dst, h.TraceID)
+		dst = binary.AppendUvarint(dst, n)
+		dst = append(dst, h.Trace...)
+		if addHop {
+			dst = append(dst, HopNode)
+			dst = appendString(dst, hopNode)
+			dst = binary.AppendVarint(dst, at)
+		}
+	}
+	if subject != "" {
+		dst = appendString(dst, subject)
+	} else {
+		dst = appendString(dst, h.Subject)
+	}
+	return append(dst, h.Payload...)
 }

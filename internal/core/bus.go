@@ -165,9 +165,6 @@ type HostConfig struct {
 	// LedgerSegmentBytes is the ledger's segment rotation threshold;
 	// <= 0 selects ledger.DefaultSegmentBytes.
 	LedgerSegmentBytes int64
-	// LedgerDisableGroupCommit reverts the ledger to a write(+fsync) per
-	// record — the measured baseline for experiment A10. Leave it false.
-	LedgerDisableGroupCommit bool
 	// RetryInterval is the base delay before an unacknowledged guaranteed
 	// publication is first retransmitted; further retransmissions back off
 	// exponentially from it. Default 100ms.
@@ -298,11 +295,10 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 	}
 	if cfg.LedgerPath != "" {
 		led, err := ledger.Open(cfg.LedgerPath, ledger.Options{
-			Sync:               cfg.LedgerSync,
-			SegmentBytes:       cfg.LedgerSegmentBytes,
-			DisableGroupCommit: cfg.LedgerDisableGroupCommit,
-			Metrics:            metrics,
-			Recorder:           rec,
+			Sync:         cfg.LedgerSync,
+			SegmentBytes: cfg.LedgerSegmentBytes,
+			Metrics:      metrics,
+			Recorder:     rec,
 		})
 		if err != nil {
 			_ = h.daemon.Close()

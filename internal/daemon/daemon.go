@@ -180,7 +180,7 @@ type Stats struct {
 type counters struct {
 	publishedLocal, inbound, deliveredLocal, noSubscriber *telemetry.Counter
 	guarAcksSent, guarAcksRecv, corruptDropped            *telemetry.Counter
-	traced                                                *telemetry.Counter
+	guarAckDropped, traced                                *telemetry.Counter
 	traceE2E                                              *telemetry.Histogram
 }
 
@@ -276,6 +276,7 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 		noSubscriber:   metrics.Counter("daemon.no_subscriber"),
 		guarAcksSent:   metrics.Counter("daemon.guar_acks_sent"),
 		guarAcksRecv:   metrics.Counter("daemon.guar_acks_recv"),
+		guarAckDropped: metrics.Counter("daemon.guar_ack_dropped"),
 		corruptDropped: metrics.Counter("daemon.corrupt_dropped"),
 		traced:         metrics.Counter("daemon.traced"),
 		traceE2E:       metrics.Histogram("daemon.trace_e2e_ns"),
@@ -1076,12 +1077,21 @@ func (d *Daemon) handleMessage(in *subject.Interner, m reliable.Message) {
 }
 
 // sendGuarAck unicasts a guaranteed-delivery acknowledgement through a
-// pooled buffer (Conn.SendTo copies before returning).
+// pooled buffer (Conn.SendTo copies before returning). An ack the conn
+// refuses (the unicast window to the publisher is full, or the conn is
+// closing) is counted and recorded, not retried: the publisher's next
+// retransmission is re-acknowledged from the dedup ring.
 func (d *Daemon) sendGuarAck(to string, id uint64, origin string) {
 	buf := bufpool.Get(len(origin) + 16)
 	*buf = busproto.AppendEncode((*buf)[:0], busproto.Envelope{Kind: busproto.KindGuarAck, ID: id, Origin: origin})
-	_ = d.conn.SendTo(to, *buf)
+	err := d.conn.SendTo(to, *buf)
 	bufpool.Put(buf)
+	if err != nil {
+		d.ctr.guarAckDropped.Inc()
+		if d.rec != nil {
+			d.rec.Record(telemetry.EventDrop, "guar-ack", 1, 0)
+		}
+	}
 }
 
 // routeLocal fans a delivery out to every matching local client through

@@ -9,6 +9,7 @@ import (
 	"infobus/internal/netsim"
 	"infobus/internal/reliable"
 	"infobus/internal/subject"
+	"infobus/internal/telemetry"
 	"infobus/internal/transport"
 )
 
@@ -420,5 +421,36 @@ func TestInterestDebounceCoalesces(t *testing.T) {
 	}
 	if sent == 0 {
 		t.Error("debounce never advertised at all")
+	}
+}
+
+// TestGuarAckDropCounted: an ack the unicast window refuses (a publisher
+// that stopped acknowledging, here an address nobody listens on) is counted
+// and recorded instead of vanishing.
+func TestGuarAckDropCounted(t *testing.T) {
+	seg := transport.NewSimSegment(netsim.DefaultConfig())
+	defer seg.Close()
+	ep, err := seg.NewEndpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := seg.NewEndpoint("gone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := gone.Addr()
+	_ = gone.Close()
+	rec := telemetry.NewRecorder(8)
+	d := New(ep, reliable.Config{Window: 2, RetransmitInterval: time.Hour}, Options{Recorder: rec})
+	defer d.Close()
+	for id := uint64(1); id <= 3; id++ {
+		d.sendGuarAck(to, id, "sim:9#origin")
+	}
+	if got := d.Metrics().Counter("daemon.guar_ack_dropped").Load(); got != 1 {
+		t.Fatalf("guar_ack_dropped = %d, want 1 (window 2, 3 acks)", got)
+	}
+	evs := rec.Events()
+	if len(evs) != 1 || evs[0].Kind != telemetry.EventDrop || evs[0].Target != "guar-ack" {
+		t.Fatalf("recorder events = %+v, want one guar-ack drop", evs)
 	}
 }

@@ -108,7 +108,7 @@ func (l *Ledger) flushOnce() bool {
 		// Replication hook: the batch is durable but its Append callers
 		// have not woken yet (done closes below), so a publisher returning
 		// from Append can rely on the batch having been mirrored already.
-		// Only the committer touches commitSeq in group mode.
+		// Only the committer touches commitSeq.
 		l.commitSeq++
 		hook(CommitBatch{Seq: l.commitSeq, Records: b.buf, MsgIDs: b.msgIDs})
 	}
@@ -169,25 +169,4 @@ func (l *Ledger) creditBatchLocked(b *batch, seg *segment) {
 			seg.live++
 		}
 	}
-}
-
-// commitBatchLocked is the DisableGroupCommit path: flush the staged
-// batch synchronously under l.mu — one write+fsync per record, the
-// pre-group-commit behaviour kept as the A10 baseline.
-func (l *Ledger) commitBatchLocked(b *batch) error {
-	l.cur = l.newBatchLocked()
-	err := l.writeBatch(l.f, b)
-	if err == nil && l.onCommit != nil && b.recs > 0 {
-		l.commitSeq++
-		l.onCommit(CommitBatch{Seq: l.commitSeq, Records: b.buf, MsgIDs: b.msgIDs})
-	}
-	seg := l.segs[len(l.segs)-1]
-	l.creditBatchLocked(b, seg)
-	if err == nil && seg.size >= l.segMax {
-		err = l.rotateLocked()
-	}
-	l.recycleLocked(b)
-	b.err = err
-	close(b.done)
-	return err
 }

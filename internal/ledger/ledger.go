@@ -104,7 +104,6 @@ type Ledger struct {
 	path      string // segment name prefix: <path>.<seq>.seg
 	dir       string
 	sync      bool
-	group     bool
 	linger    time.Duration
 	ackLinger time.Duration
 	segMax    int64
@@ -174,10 +173,6 @@ type Options struct {
 	// timer, or Close — they are never dropped while the process lives.
 	// Zero selects DefaultAckLinger; negative disables deferral.
 	AckLinger time.Duration
-	// DisableGroupCommit reverts to a write(+fsync) per record under the
-	// ledger lock — the pre-group-commit behaviour, kept as the measured
-	// baseline for experiment A10. Leave it false.
-	DisableGroupCommit bool
 	// Metrics is the telemetry registry the ledger's counters live in
 	// (the host shares its registry here); nil creates a private one.
 	Metrics *telemetry.Registry
@@ -218,7 +213,6 @@ func Open(path string, opts Options) (*Ledger, error) {
 		path:      path,
 		dir:       filepath.Dir(path),
 		sync:      opts.Sync,
-		group:     !opts.DisableGroupCommit,
 		linger:    linger,
 		ackLinger: ackLinger,
 		segMax:    segMax,
@@ -250,10 +244,8 @@ func Open(path string, opts Options) (*Ledger, error) {
 	if opts.Recorder != nil && len(l.pending) > 0 {
 		opts.Recorder.Record(telemetry.EventRecover, "ledger", int64(len(l.pending)), 0)
 	}
-	if l.group {
-		l.wg.Add(1)
-		go l.commitLoop()
-	}
+	l.wg.Add(1)
+	go l.commitLoop()
 	return l, nil
 }
 
@@ -296,13 +288,6 @@ func (l *Ledger) AppendTimed(subject string, payload []byte) (uint64, AppendTimi
 	l.pending[id] = &entryState{e: Entry{ID: id, Subject: subject, Payload: append([]byte(nil), payload...)}}
 	l.ctr.appends.Inc()
 	l.ctr.pending.Set(int64(len(l.pending)))
-	if !l.group {
-		err := l.commitBatchLocked(b)
-		tm.CommitAt, tm.SyncedAt = b.commitAt, b.syncAt
-		l.mu.Unlock()
-		l.ctr.appendNs.Observe(time.Since(start))
-		return id, tm, err
-	}
 	l.mu.Unlock()
 	l.kickCommitter()
 	<-b.done // close(done) orders the committer's stamp writes before these reads
@@ -338,11 +323,6 @@ func (l *Ledger) Ack(id uint64) error {
 	b.recs++
 	l.ctr.acks.Inc()
 	l.ctr.pending.Set(int64(len(l.pending)))
-	if !l.group {
-		err := l.commitBatchLocked(b)
-		l.mu.Unlock()
-		return err
-	}
 	// A batch of nothing but ack records has no waiter: defer its kick so
 	// the acks ride a message batch instead of buying their own fsync.
 	if l.ackLinger > 0 && len(b.msgIDs) == 0 {
@@ -438,10 +418,8 @@ func (l *Ledger) Close() error {
 		l.ackTimer = nil
 	}
 	l.mu.Unlock()
-	if l.group {
-		close(l.stop)
-		l.wg.Wait() // the committer drains staged acks before exiting
-	}
+	close(l.stop)
+	l.wg.Wait() // the committer drains staged acks before exiting
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.f.Close()

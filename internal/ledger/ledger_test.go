@@ -407,44 +407,6 @@ func TestSyncOption(t *testing.T) {
 	}
 }
 
-// TestDirectModeParity pins the DisableGroupCommit baseline to the same
-// semantics as the pipeline: same pending sets, same replay.
-func TestDirectModeParity(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "g.log")
-	l, err := Open(path, Options{DisableGroupCommit: true, Sync: true, SegmentBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []uint64
-	for i := 0; i < 20; i++ {
-		id, err := l.Append("s", make([]byte, 100))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for _, id := range ids[:10] {
-		if err := l.Ack(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if l.Len() != 10 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	_ = l.Close()
-	l2, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.Len() != 10 {
-		t.Fatalf("Len after reopen = %d", l2.Len())
-	}
-}
-
 // TestConcurrentAppendAck races producers against an acking consumer and
 // checks the replayed state matches the in-memory one exactly.
 func TestConcurrentAppendAck(t *testing.T) {

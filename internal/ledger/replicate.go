@@ -62,8 +62,8 @@ type CommitBatch struct {
 // after each non-empty batch is durably written — before any Append staged
 // into it returns — so a caller observing Append's return can rely on the
 // batch having been offered to the hook already. The hook runs on the
-// committer goroutine (under the ledger lock in DisableGroupCommit mode):
-// it must not call back into the ledger and must not retain cb's slices.
+// committer goroutine: it must not call back into the ledger and must not
+// retain cb's slices.
 func (l *Ledger) SetOnCommit(f func(cb CommitBatch)) {
 	l.mu.Lock()
 	l.onCommit = f
@@ -134,11 +134,6 @@ func (l *Ledger) AppendBatch(records []byte) error {
 	if staged == 0 {
 		l.mu.Unlock()
 		return nil // everything was a duplicate; nothing to commit
-	}
-	if !l.group {
-		err := l.commitBatchLocked(b)
-		l.mu.Unlock()
-		return err
 	}
 	l.mu.Unlock()
 	l.kickCommitter()

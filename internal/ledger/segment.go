@@ -340,19 +340,14 @@ func (l *Ledger) Compact() error {
 	return nil
 }
 
-// forceRotate rolls the active segment. With group commit the request
-// rides the pipeline as a rotation marker so the committer (the only
-// writer of l.f) performs it between batches; in direct mode it happens
-// inline.
+// forceRotate rolls the active segment. The request rides the pipeline as
+// a rotation marker so the committer (the only writer of l.f) performs it
+// between batches.
 func (l *Ledger) forceRotate() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed
-	}
-	if !l.group {
-		defer l.mu.Unlock()
-		return l.rotateLocked()
 	}
 	b := l.cur
 	b.rotate = true

@@ -6,7 +6,7 @@
 //
 // The package holds the protocol state machine and the advertisement
 // codec; internal/router drives it (sending and receiving the ads on its
-// attachments) and consults it on the forwarding fast path.
+// attachments) and consults it on the forwarding path.
 //
 // Three advertisement kinds travel as self-describing objects (P2), so
 // ibmon can render the mesh without linking against this package:

@@ -181,7 +181,7 @@ type Conn struct {
 	// window is a ring of the last cfg.Window sent messages, indexed
 	// seq % len(window): sequence numbers are dense and monotone, so the
 	// ring gives retain/lookup in O(1) with no hashing — the map this
-	// replaces was ~18% of the router fast path's forwarding cost.
+	// replaces was ~18% of the router's forwarding cost.
 	window     []*[]byte
 	windowMin  uint64 // smallest seq still retained
 	batch      []msg  // entries alias window buffers; flushed before eviction can reach them
@@ -191,7 +191,7 @@ type Conn struct {
 	// Heartbeat idle detection: the housekeeping tick compares sentSeq
 	// against the value it saw last time (hbSeq) instead of the send path
 	// stamping time.Now() per broadcast — a clock read per send was ~14%
-	// of the router fast path.
+	// of the router's forwarding cost.
 	hbSeq   uint64
 	hbAt    time.Time
 	sendBuf []byte // scratch for frame encoding under mu; transport copies on send

@@ -24,10 +24,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
-	"infobus/internal/bufpool"
 	"infobus/internal/busproto"
 	"infobus/internal/mesh"
 	"infobus/internal/mop"
@@ -69,12 +69,6 @@ type Options struct {
 	// "_sys.dump" probes are answered with the recorder's text dump. Zero
 	// disables the tier.
 	Health telemetry.HealthConfig
-	// DisableFastPath forces every forwarded publication through the full
-	// decode/re-encode slow path. Diagnostic and benchmarking escape
-	// hatch only (the A15 baseline measures against it); the fast path is
-	// byte-for-byte equivalent on the traffic it accepts, so production
-	// routers never need this.
-	DisableFastPath bool
 	// Mesh, when non-nil, makes the router self-organizing: it discovers
 	// peer routers over "_sys.mesh.>", elects into a loop-free spanning
 	// tree (redundant links block instead of duplicating traffic), and
@@ -111,16 +105,25 @@ type Attachment struct {
 	Rules   []Rule
 }
 
-type attachment struct {
-	name  string
-	index int // position in Router.atts == mesh link index
-	conn  *reliable.Conn
-	rules []Rule
+// rule is a Rule compiled at construction: the prefixes parsed once, and
+// rewrite false for a rule that matches without rewriting.
+type rule struct {
+	match    subject.Pattern
+	rewrite  bool
+	from, to subject.Subject
+}
 
-	// fwdBuf is the fast path's egress frame scratch, owned by this
-	// attachment's single receive goroutine (attachmentLoop): the frame is
-	// built here, handed to each egress Publish (which copies before
-	// returning), and reused for the next message — no pool round trip.
+type attachment struct {
+	name    string
+	index   int // position in Router.atts == mesh link index
+	conn    *reliable.Conn
+	rules   []rule
+	hopNode string // trace hop name of an egress through this attachment
+
+	// fwdBuf is the egress frame scratch for traffic arriving on this
+	// attachment, owned by its single receive goroutine (attachmentLoop):
+	// each egress frame is built here, handed to Publish (which copies
+	// before returning), and the buffer reused — no pool round trip.
 	fwdBuf []byte
 
 	mu       sync.Mutex
@@ -157,14 +160,6 @@ type Router struct {
 	// interner caches subject parses on the forwarding path (subjects
 	// repeat far more often than they vary).
 	interner *subject.Interner
-
-	// fastOK gates the zero-copy forwarding fast path at router level:
-	// computed once in New, true when no attachment carries rewrite rules
-	// and per-message logging is off (both would make egress frames differ
-	// from the ingress bytes, or need decoded fields per message). The
-	// remaining per-message conditions — untraced, non-_sys — are checked
-	// in forward off the peeked header.
-	fastOK bool
 
 	// typeCache holds class definitions harvested from def-carrying
 	// compact publications crossing the router, keyed by fingerprint.
@@ -208,7 +203,6 @@ type guarPath struct {
 // Stats counts router events.
 type Stats struct {
 	Forwarded     uint64 // publications re-published on another segment
-	FastForwarded uint64 // subset of Forwarded taken by the zero-copy fast path
 	Suppressed    uint64 // publications with no remote interest
 	LoopDropped   uint64 // publications dropped at the hop limit
 	AcksForwarded uint64
@@ -217,10 +211,10 @@ type Stats struct {
 
 // counters holds the router's telemetry handles.
 type counters struct {
-	forwarded, fastForwarded, suppressed *telemetry.Counter
-	loopDropped                          *telemetry.Counter
-	acksForwarded, transformed           *telemetry.Counter
-	classDefsHarvested, classNaksServed  *telemetry.Counter
+	forwarded, sharedForwarded, suppressed *telemetry.Counter
+	loopDropped, egressDropped             *telemetry.Counter
+	acksForwarded, transformed             *telemetry.Counter
+	classDefsHarvested, classNaksServed    *telemetry.Counter
 }
 
 // New creates a router bridging the given attachments.
@@ -230,6 +224,13 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 	}
 	if opts.InterestTTL <= 0 {
 		opts.InterestTTL = time.Second
+	}
+	rules := make([][]rule, len(atts))
+	for i, a := range atts {
+		var err error
+		if rules[i], err = compileRules(a.Rules); err != nil {
+			return nil, fmt.Errorf("router: attachment %q: %w", a.Name, err)
+		}
 	}
 	metrics := opts.Metrics
 	if metrics == nil {
@@ -257,9 +258,10 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 	}
 	r.ctr = counters{
 		forwarded:          metrics.Counter("router.forwarded"),
-		fastForwarded:      metrics.Counter("router.fastpath_forwarded"),
+		sharedForwarded:    metrics.Counter("router.fastpath_forwarded"),
 		suppressed:         metrics.Counter("router.suppressed"),
 		loopDropped:        metrics.Counter("router.loop_dropped"),
+		egressDropped:      metrics.Counter("router.egress_dropped"),
 		acksForwarded:      metrics.Counter("router.acks_forwarded"),
 		transformed:        metrics.Counter("router.transformed"),
 		classDefsHarvested: metrics.Counter("router.class_defs_harvested"),
@@ -283,7 +285,8 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 			name:     a.Name,
 			index:    len(r.atts),
 			conn:     reliable.New(ep, rcfg),
-			rules:    a.Rules,
+			rules:    rules[len(r.atts)],
+			hopNode:  "router:" + opts.Name + ":" + a.Name,
 			interest: make(map[string]interestEntry),
 		}
 		r.atts = append(r.atts, att)
@@ -299,12 +302,6 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 				Target: a.Name,
 				Raise:  hcfg.RetransmitStormRate,
 			}, rcfg.Metrics.Counter(prefix+".retransmits"))
-		}
-	}
-	r.fastOK = !opts.DisableFastPath && opts.Log == nil
-	for _, att := range r.atts {
-		if len(att.rules) > 0 {
-			r.fastOK = false
 		}
 	}
 	if opts.Mesh != nil {
@@ -358,7 +355,6 @@ func (r *Router) Metrics() *telemetry.Registry { return r.metrics }
 func (r *Router) Stats() Stats {
 	return Stats{
 		Forwarded:     r.ctr.forwarded.Load(),
-		FastForwarded: r.ctr.fastForwarded.Load(),
 		Suppressed:    r.ctr.suppressed.Load(),
 		LoopDropped:   r.ctr.loopDropped.Load(),
 		AcksForwarded: r.ctr.acksForwarded.Load(),
@@ -411,12 +407,11 @@ func (r *Router) attachmentLoop(att *attachment) {
 	}
 }
 
-// handle dispatches one inbound message off a lazy header peek. The
-// common case — a data envelope crossing segments — never fully decodes:
-// every slow-path side handler (mesh link-local, "_sys.dump"/"_sys.history"
-// probes, compact class-def harvest, class requests) keys off the peeked
-// kind/subject/payload views, and only the handlers that genuinely need
-// decoded fields (interest pattern lists, acks) decode.
+// handle dispatches one inbound message off a lazy header peek. Data
+// envelopes and acks never decode: every side handler (mesh link-local,
+// "_sys.dump"/"_sys.history" probes, compact class-def harvest, class
+// requests) keys off the peeked kind/subject/payload views. Only an
+// interest advertisement, whose pattern list the router keeps, decodes.
 func (r *Router) handle(att *attachment, m reliable.Message) {
 	hdr, err := busproto.Peek(m.Payload)
 	if err != nil {
@@ -473,27 +468,24 @@ func (r *Router) handle(att *attachment, m reliable.Message) {
 				r.ctr.classDefsHarvested.Inc()
 			}
 		}
-		r.forward(att, m.From, hdr, m.Payload)
+		r.forward(att, m.From, &hdr)
 	case busproto.KindGuarAck:
-		env, err := busproto.Decode(m.Payload)
-		if err != nil {
-			return
-		}
-		r.forwardAck(att, env)
+		r.forwardAck(att, hdr.Origin, m.Payload)
 	}
 }
 
 // forward re-publishes a data envelope on every other segment with a
-// matching subscription. The common case — untraced envelope, no rewrite
-// rules, ordinary (non-_sys) subject — takes the zero-copy fast path: the
-// egress frame is the ingress bytes with only the hops byte changed, and
-// the same value for every egress, so the router copies the frame ONCE
-// into a pooled buffer and hands that single buffer to every matching
-// attachment (safe: Publish copies into the retransmit window before
-// returning). Traced, transformed, logged, and _sys traffic falls back to
-// the full decode/re-encode path, which stays byte-golden with the fast
-// path on the traffic both could carry.
-func (r *Router) forward(src *attachment, from string, hdr busproto.Header, frame []byte) {
+// matching subscription, without decoding it: each egress frame is spliced
+// out of the ingress bytes (busproto.AppendForward) into the ingress
+// attachment's scratch buffer and handed to the egress Publish, which
+// copies into its retransmit window before returning. When nothing but the
+// hops byte changes — untraced envelope, no rewrite on that egress — the
+// frame is the same for every such egress, so it is built once and the one
+// buffer published on each. A traced envelope takes a trace hop naming the
+// egress attachment, and a rewritten subject differs per egress, so those
+// frames are spliced per egress. A publication nobody wants touches no
+// buffer at all.
+func (r *Router) forward(src *attachment, from string, hdr *busproto.Header) {
 	var m *mesh.Mesh
 	maxHops := uint8(busproto.MaxHops)
 	if r.agent != nil {
@@ -520,24 +512,13 @@ func (r *Router) forward(src *attachment, from string, hdr busproto.Header, fram
 	if hdr.Base() == busproto.KindGuaranteed && len(hdr.Origin) > 0 {
 		r.noteGuarPath(hdr.Origin, src, from)
 	}
-	if r.fastOK && !hdr.Traced() && !subject.IsSys(subj) {
-		r.forwardFast(src, hdr, frame, subj, m)
-		return
+	hops := hdr.Hops + 1
+	var at int64 // trace hop timestamp: one clock read per traced message
+	if hdr.Traced() {
+		at = time.Now().UnixNano()
 	}
-	env, err := busproto.Decode(frame)
-	if err != nil {
-		return
-	}
-	r.forwardSlow(src, env, subj, m)
-}
-
-// forwardFast is the zero-copy fan-out: one copy of the inbound frame with
-// the hops byte bumped, built in the ingress attachment's scratch buffer
-// and published on every wanting egress. The copy is made lazily — a
-// publication nobody wants touches no buffer at all.
-func (r *Router) forwardFast(src *attachment, hdr busproto.Header, frame []byte, subj subject.Subject, m *mesh.Mesh) {
-	copied := false
-	var forwarded uint64
+	shared := false // src.fwdBuf holds the hops-only frame
+	var forwarded, sharedForwarded uint64
 	for _, dst := range r.atts {
 		if dst == src {
 			continue
@@ -545,77 +526,60 @@ func (r *Router) forwardFast(src *attachment, hdr busproto.Header, frame []byte,
 		if m != nil && !m.Forwarding(dst.index) {
 			continue
 		}
-		if !dst.wants(subj, m) {
-			continue
+		outSubj, transformed := subj, false
+		if len(dst.rules) > 0 {
+			outSubj, transformed = r.transform(dst, subj)
 		}
-		if !copied {
-			// The inbound frame may share its backing array with other
-			// receivers on the segment (the transport broadcasts one copy),
-			// so the hops bump happens on the router's own copy — in the
-			// ingress attachment's scratch, which only its receive goroutine
-			// (the caller) touches.
-			src.fwdBuf = append(src.fwdBuf[:0], frame...)
-			busproto.SetHops(src.fwdBuf, hdr.Hops+1)
-			copied = true
-		}
-		// Publish copies into the retransmit window before returning, so
-		// the single buffer is safely handed to every egress in turn.
-		if err := dst.conn.Publish(src.fwdBuf); err != nil {
-			continue
-		}
-		forwarded++
-	}
-	if forwarded > 0 {
-		r.ctr.forwarded.Add(forwarded)
-		r.ctr.fastForwarded.Add(forwarded)
-	} else {
-		r.ctr.suppressed.Inc()
-	}
-}
-
-// forwardSlow is the full decode/re-encode path: per-egress subject
-// transforms, per-egress trace hops, and per-message logging all need
-// decoded fields and a fresh encode per attachment.
-func (r *Router) forwardSlow(src *attachment, env busproto.Envelope, subj subject.Subject, m *mesh.Mesh) {
-	forwardedAnywhere := false
-	for _, dst := range r.atts {
-		if dst == src {
-			continue
-		}
-		if m != nil && !m.Forwarding(dst.index) {
-			continue
-		}
-		outSubj, transformed := dst.transform(subj)
 		if !dst.wants(outSubj, m) {
 			continue
 		}
-		out := env
-		out.Hops++
-		out.Subject = outSubj.String()
-		// Traced publications record the router crossing per egress
-		// attachment (AppendHop copies, so fan-out copies do not alias).
-		out.AppendHop("router:"+r.opts.Name+":"+dst.name, time.Now().UnixNano())
-		// Pooled encode: Publish copies into the retransmit window before
-		// returning, so the buffer goes straight back to the pool.
-		buf := bufpool.Get(len(out.Subject) + len(out.Payload) + 48)
-		*buf = busproto.AppendEncode((*buf)[:0], out)
-		err := dst.conn.Publish(*buf)
-		bufpool.Put(buf)
-		if err != nil {
+		// The inbound frame may share its backing array with other receivers
+		// on the segment (the transport broadcasts one copy), so every egress
+		// frame is built in the router's own buffer.
+		perEgress := transformed || hdr.Traced()
+		switch {
+		case perEgress:
+			newSubj := ""
+			if transformed {
+				newSubj = outSubj.String()
+			}
+			src.fwdBuf = busproto.AppendForward(src.fwdBuf[:0], *hdr, hops, newSubj, dst.hopNode, at)
+			shared = false
+		case !shared:
+			src.fwdBuf = busproto.AppendForward(src.fwdBuf[:0], *hdr, hops, "", "", 0)
+			shared = true
+		}
+		if err := dst.conn.Publish(src.fwdBuf); err != nil {
+			r.egressDropped(dst)
 			continue
 		}
-		forwardedAnywhere = true
+		forwarded++
+		if !perEgress {
+			sharedForwarded++
+		}
 		if transformed {
 			r.ctr.transformed.Inc()
 		}
-		r.ctr.forwarded.Inc()
 		if r.opts.Log != nil {
 			fmt.Fprintf(r.opts.Log, "router %s: %s -> %s subject %s (hops %d)\n",
-				r.opts.Name, src.name, dst.name, out.Subject, out.Hops)
+				r.opts.Name, src.name, dst.name, outSubj, hops)
 		}
 	}
-	if !forwardedAnywhere {
+	if forwarded == 0 {
 		r.ctr.suppressed.Inc()
+		return
+	}
+	r.ctr.forwarded.Add(forwarded)
+	r.ctr.sharedForwarded.Add(sharedForwarded)
+}
+
+// egressDropped accounts a frame an egress attachment refused (its conn is
+// closing, or a unicast window is full): counted and, with the health tier
+// on, recorded — never retried, the reliable layer owns retransmission.
+func (r *Router) egressDropped(dst *attachment) {
+	r.ctr.egressDropped.Inc()
+	if r.rec != nil {
+		r.rec.Record(telemetry.EventDrop, dst.hopNode, 1, 0)
 	}
 }
 
@@ -667,16 +631,18 @@ func (r *Router) serveClassReq(att *attachment, payload []byte) {
 	}
 }
 
-// forwardAck sends a guaranteed-delivery acknowledgement back toward the
-// segment the publication entered from.
-func (r *Router) forwardAck(src *attachment, env busproto.Envelope) {
+// forwardAck relays a guaranteed-delivery acknowledgement, as received,
+// back toward the segment the publication entered from (SendTo copies the
+// frame before returning).
+func (r *Router) forwardAck(src *attachment, origin, frame []byte) {
 	r.mu.RLock()
-	path, ok := r.guar[env.Origin]
+	path, ok := r.guar[string(origin)]
 	r.mu.RUnlock()
 	if !ok || path.att == src {
 		return
 	}
-	if err := path.att.conn.SendTo(path.from, busproto.Encode(env)); err != nil {
+	if err := path.att.conn.SendTo(path.from, frame); err != nil {
+		r.egressDropped(path.att)
 		return
 	}
 	r.ctr.acksForwarded.Inc()
@@ -732,6 +698,8 @@ func (r *Router) interestRelayLoop() {
 				for p := range union {
 					patterns = append(patterns, p)
 				}
+				// Sorted, so the relayed frame is the same bytes every run.
+				slices.Sort(patterns)
 				env := busproto.Encode(busproto.Envelope{Kind: busproto.KindInterest, Patterns: patterns})
 				_ = dst.conn.Publish(env)
 				_ = dst.conn.Flush()
@@ -834,25 +802,46 @@ func (a *attachment) patterns() []string {
 	return out
 }
 
-// transform applies the attachment's first matching rewrite rule.
-func (a *attachment) transform(s subject.Subject) (subject.Subject, bool) {
-	for _, rule := range a.rules {
-		if !rule.Match.IsZero() && !rule.Match.Matches(s) {
+// compileRules parses each rule's prefixes once. A rule with an empty
+// prefix matches without rewriting; a prefix that is not a subject is an
+// error.
+func compileRules(rules []Rule) ([]rule, error) {
+	out := make([]rule, 0, len(rules))
+	for _, ru := range rules {
+		c := rule{match: ru.Match, rewrite: ru.FromPrefix != "" && ru.ToPrefix != ""}
+		if c.rewrite {
+			var err error
+			if c.from, err = subject.Parse(ru.FromPrefix); err != nil {
+				return nil, fmt.Errorf("rule FromPrefix: %w", err)
+			}
+			if c.to, err = subject.Parse(ru.ToPrefix); err != nil {
+				return nil, fmt.Errorf("rule ToPrefix: %w", err)
+			}
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
+// transform applies the attachment's first matching rewrite rule. The
+// rewritten name is assembled on the stack and resolved through the
+// interner, so a repeated subject costs no allocation.
+func (r *Router) transform(a *attachment, s subject.Subject) (subject.Subject, bool) {
+	for i := range a.rules {
+		ru := &a.rules[i]
+		if !ru.match.IsZero() && !ru.match.Matches(s) {
 			continue
 		}
-		if rule.FromPrefix == "" || rule.ToPrefix == "" {
+		if !ru.rewrite {
 			return s, false
 		}
-		fromPat, err := subject.Parse(rule.FromPrefix)
-		if err != nil || !s.HasPrefix(fromPat) {
+		if !s.HasPrefix(ru.from) {
 			continue
 		}
-		rest := s.Elements()[fromPat.Depth():]
-		out := rule.ToPrefix
-		for _, e := range rest {
-			out += "." + e
-		}
-		ns, err := subject.Parse(out)
+		var buf [128]byte
+		out := append(buf[:0], ru.to.String()...)
+		out = append(out, s.String()[len(ru.from.String()):]...)
+		ns, err := r.interner.ParseBytes(out)
 		if err != nil {
 			continue
 		}
@@ -964,8 +953,8 @@ func (r *Router) broadcastSys(env []byte) {
 // match, fan-out, counters). Replay tooling and the A15 benchmark drive
 // the data plane directly with it. Concurrent Injects on the SAME
 // attachment (or an Inject racing live traffic on that attachment) are
-// not allowed: the fast path uses a per-attachment scratch buffer owned
-// by whichever goroutine is delivering for it.
+// not allowed: egress frames are built in a per-attachment scratch buffer
+// owned by whichever goroutine is delivering for it.
 func (r *Router) Inject(segment, from string, frame []byte) error {
 	for _, att := range r.atts {
 		if att.name == segment {
@@ -1003,7 +992,7 @@ func (r *Router) WantsOn(segmentName string, s subject.Subject) bool {
 				return false
 			}
 		}
-		out, _ := att.transform(s)
+		out, _ := r.transform(att, s)
 		return att.wants(out, m)
 	}
 	return false

@@ -32,7 +32,7 @@ go test -run TestPublishDeliverHistoryAllocBudget -count=1 .
 echo "==> alloc gate (guaranteed publish budget)"
 go test -run TestGuaranteedPublishAllocBudget -count=1 .
 
-echo "==> alloc gate (router fast-path forward: 0 allocs/op)"
+echo "==> alloc gate (router forward: 0 allocs/op for plain, guaranteed, traced, transformed, _sys)"
 go test -run TestRouterForwardAllocBudget -count=1 ./internal/router/
 
 echo "==> fsync gate (8 Sync publishers average well under one fsync/message)"
@@ -57,15 +57,13 @@ if [ "$quick" -eq 0 ]; then
     echo "==> history-overhead smoke (tier on vs off must both complete; compare by eye against EXPERIMENTS.md A13)"
     go test -run xxx -bench BenchmarkHistoryOverhead -benchtime 100x -count=1 .
 
-    echo "==> router-forward smoke (fast vs slow must both complete; compare by eye against EXPERIMENTS.md A15)"
-    go test -run xxx -bench BenchmarkRouterForward -benchtime 100x -count=1 ./internal/router/
-
     echo "==> fuzz smoke (5s each)"
     go test -run xxx -fuzz 'FuzzUnmarshal$'        -fuzztime 5s ./internal/wire/
     go test -run xxx -fuzz 'FuzzUnmarshalCompact$' -fuzztime 5s ./internal/wire/
     go test -run xxx -fuzz 'FuzzStreamDecoder$'    -fuzztime 5s ./internal/wire/
     go test -run xxx -fuzz 'FuzzDecode$'           -fuzztime 5s ./internal/busproto/
     go test -run xxx -fuzz 'FuzzEnvelopePeek$'     -fuzztime 5s ./internal/busproto/
+    go test -run xxx -fuzz 'FuzzAppendForward$'    -fuzztime 5s ./internal/busproto/
     go test -run xxx -fuzz 'FuzzParsePattern$'     -fuzztime 5s ./internal/subject/
     go test -run xxx -fuzz 'FuzzParseRecord$'      -fuzztime 5s ./internal/ledger/
     go test -run xxx -fuzz 'FuzzSegmentedReplay$'  -fuzztime 5s ./internal/ledger/
