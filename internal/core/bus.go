@@ -22,8 +22,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"infobus/internal/bufpool"
 	"infobus/internal/busproto"
 	"infobus/internal/daemon"
 	"infobus/internal/ledger"
@@ -50,6 +52,13 @@ type Host struct {
 	typeCache   *wire.TypeCache
 	sendDict    *wire.SendDict
 	nakInterval time.Duration
+	// subjects interns the subjects applications publish on, so a repeated
+	// subject is a map hit, not a strings.Split. The daemon's interners
+	// serve the inbound path and stay its own.
+	subjects *subject.Interner
+	// payloadHint is the size of the last payload marshal encoded: the
+	// capacity its scratch buffer starts from.
+	payloadHint atomic.Int64
 
 	mu      sync.Mutex
 	ledger  *ledger.Ledger
@@ -287,9 +296,12 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 			classDefsHarvested:  metrics.Counter("bus.class_defs_harvested"),
 		},
 		typeCache:   wire.NewTypeCache(0),
+		subjects:    subject.NewInterner(0),
 		nakInterval: cfg.CompactNakInterval,
 		tracing:     cfg.Telemetry.tracePeriod() > 0,
 	}
+	// Table-memo hits are bus.events minus the misses.
+	h.typeCache.CountMemo(metrics.Counter("wire.table_memo_miss"), metrics.Counter("wire.table_memo_full"))
 	if cfg.CompactTypes {
 		h.sendDict = wire.NewSendDict(cfg.CompactResendEvery)
 	}
@@ -647,7 +659,7 @@ func (b *Bus) Publish(subj string, value mop.Value) error {
 	if closed {
 		return ErrClosed
 	}
-	s, err := subject.Parse(subj)
+	s, err := b.host.subjects.Parse(subj)
 	if err != nil {
 		return err
 	}
@@ -671,13 +683,24 @@ func (b *Bus) Publish(subj string, value mop.Value) error {
 
 // marshal encodes a value for the wire: through the host's send
 // dictionary when compact publishing is enabled, self-contained otherwise.
+// The encoder works in pooled scratch — sized by the host's previous
+// payload, so a stream of like-sized objects never regrows it — and the
+// payload returned is one exact-size copy: the daemon's local fan-out hands
+// the payload to subscribers' queues, so the payload itself can never be
+// pooled, but the appends that grow it can.
 func (h *Host) marshal(value mop.Value) (payload []byte, compact bool, err error) {
-	if h.sendDict != nil {
-		p, err := h.sendDict.Marshal(value)
-		return p, true, err
+	scratch := bufpool.Get(int(h.payloadHint.Load()))
+	defer bufpool.Put(scratch)
+	if compact = h.sendDict != nil; compact {
+		*scratch, err = h.sendDict.AppendMarshal(*scratch, value)
+	} else {
+		*scratch, err = wire.AppendMarshal(*scratch, value)
 	}
-	p, err := wire.Marshal(value)
-	return p, false, err
+	if err != nil {
+		return nil, compact, err
+	}
+	h.payloadHint.Store(int64(len(*scratch)))
+	return append(make([]byte, 0, len(*scratch)), *scratch...), compact, nil
 }
 
 // PublishGuaranteed logs the object to the host ledger, then disseminates
@@ -690,7 +713,7 @@ func (b *Bus) PublishGuaranteed(subj string, value mop.Value) (uint64, error) {
 	if closed {
 		return 0, ErrClosed
 	}
-	s, err := subject.Parse(subj)
+	s, err := b.host.subjects.Parse(subj)
 	if err != nil {
 		return 0, err
 	}

@@ -24,18 +24,51 @@ var (
 	ErrNoAttr   = errors.New("mop: no such attribute")
 )
 
+// instantiable reports why t cannot have instances: only classes do.
+func instantiable(t *Type) error {
+	if t == nil {
+		return fmt.Errorf("<nil>: %w", ErrNotClass)
+	}
+	if t.kind != KindClass {
+		return fmt.Errorf("%s: %w", t.Name(), ErrNotClass)
+	}
+	return nil
+}
+
 // New creates an instance of a class with every attribute set to its
 // declared zero value.
 func New(t *Type) (*Object, error) {
-	if t == nil {
-		return nil, fmt.Errorf("<nil>: %w", ErrNotClass)
-	}
-	if t.kind != KindClass {
-		return nil, fmt.Errorf("%s: %w", t.Name(), ErrNotClass)
+	if err := instantiable(t); err != nil {
+		return nil, err
 	}
 	slots := make([]Value, len(t.all))
 	for i, a := range t.all {
 		slots[i] = ZeroValue(a.Type)
+	}
+	return &Object{typ: t, slots: slots}, nil
+}
+
+// NewFrom creates an instance of a class whose slot i holds fill(i), the
+// slots being filled in the order of Type().Attrs(). Every value is checked
+// against its attribute's declared type exactly as SetAt would check it, and
+// the first error — fill's own, returned as is, or a failed check — abandons
+// the object. Decoders use it instead of New followed by SetAt per slot: New
+// fills every slot with a zero value (boxing a time.Time per time attribute)
+// only for the decoder to overwrite it.
+func NewFrom(t *Type, fill func(slot int) (Value, error)) (*Object, error) {
+	if err := instantiable(t); err != nil {
+		return nil, err
+	}
+	slots := make([]Value, len(t.all))
+	for i, a := range t.all {
+		v, err := fill(i)
+		if err != nil {
+			return nil, err
+		}
+		if err := CheckValue(a.Type, v); err != nil {
+			return nil, fmt.Errorf("class %q attribute %q: %w", t.Name(), a.Name, err)
+		}
+		slots[i] = v
 	}
 	return &Object{typ: t, slots: slots}, nil
 }

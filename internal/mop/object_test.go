@@ -57,6 +57,58 @@ func TestNewRejectsNonClass(t *testing.T) {
 	}
 }
 
+// TestNewFrom: the filling constructor builds what New followed by SetAt per
+// slot builds, checks every slot, passes fill's own error through untouched,
+// and boxes no zero value it would only overwrite.
+func TestNewFrom(t *testing.T) {
+	evt := MustNewClass("Evt", nil, []Attr{
+		{Name: "at", Type: Time},
+		{Name: "n", Type: Int},
+		{Name: "tags", Type: ListOf(String)},
+	}, nil)
+	at := time.Unix(749571200, 0).UTC()
+	vals := []Value{at, int64(7), List{"a"}}
+	fill := func(i int) (Value, error) { return vals[i], nil }
+	o, err := NewFrom(evt, fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MustNew(evt).MustSet("at", at).MustSet("n", int64(7)).MustSet("tags", List{"a"})
+	if !o.Equal(want) {
+		t.Fatalf("NewFrom built %v, want %v", o, want)
+	}
+	for _, typ := range []*Type{Int, ListOf(String), nil} {
+		if _, err := NewFrom(typ, fill); !errors.Is(err, ErrNotClass) {
+			t.Errorf("NewFrom(%v) error = %v, want ErrNotClass", typ, err)
+		}
+	}
+	filled := 0
+	_, err = NewFrom(evt, func(i int) (Value, error) {
+		filled++
+		return []Value{at, "seven", List{"a"}}[i], nil
+	})
+	if !errors.Is(err, ErrTypeMismatch) || !strings.Contains(err.Error(), `attribute "n"`) || filled != 2 {
+		t.Errorf("mistyped slot: error %v after %d fills, want ErrTypeMismatch naming n after 2", err, filled)
+	}
+	boom := errors.New("boom")
+	if _, err := NewFrom(evt, func(int) (Value, error) { return nil, boom }); err != boom {
+		t.Errorf("fill error came back as %v, want it untouched", err)
+	}
+	// New boxes a zero time.Time for the at slot; NewFrom must not: with
+	// values that need no box of their own, only the object and its slots
+	// are allocated.
+	small := func(i int) (Value, error) { return []Value{nil, nil, nil}[i], nil }
+	loose := MustNewClass("Loose", nil, []Attr{
+		{Name: "a", Type: Any}, {Name: "b", Type: Any}, {Name: "c", Type: Any}}, nil)
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := NewFrom(loose, small); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2 {
+		t.Errorf("NewFrom allocates %.0f times, want the object and its slots", got)
+	}
+}
+
 func TestSubtypeAssignment(t *testing.T) {
 	story, dj := storyType(t)
 	holder := MustNewClass("Holder", nil, []Attr{{Name: "story", Type: story}}, nil)

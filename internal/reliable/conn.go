@@ -205,6 +205,27 @@ type Conn struct {
 	closed bool
 	ctr    counters
 	rec    *telemetry.Recorder
+
+	// Emission order. Messages reach the application from two goroutines —
+	// recvLoop, and housekeeping when it releases a join-grace buffer or
+	// skips a gap — and must arrive in the order of the state transitions
+	// that made them deliverable. A goroutine with something to deliver takes
+	// the next ticket while it still holds mu and emits when its turn comes,
+	// after unlocking: holding mu (or any lock taken under mu) across the
+	// blocking channel send would deadlock against a consumer that answers
+	// a message with SendTo. emitNext is guarded by mu, emitTurn by emitMu.
+	emitNext uint64
+	emitMu   sync.Mutex
+	emitCond *sync.Cond
+	emitTurn uint64
+
+	// Receive scratch, owned by recvLoop: every datagram is decoded into
+	// rxFrame and its deliverable messages gathered in rxDeliver, both
+	// emitted before the next datagram is read. Nothing retains the slices
+	// past the call — the join buffer and pending hold payloads, which alias
+	// the datagram, never the scratch.
+	rxFrame   dataFrame
+	rxDeliver []Message
 }
 
 // bcastRecv is inbound broadcast-stream state for one sender.
@@ -270,6 +291,8 @@ func New(ep transport.Endpoint, cfg Config) *Conn {
 	c.ctr = newCounters(c.cfg.Metrics, c.cfg.MetricsPrefix)
 	c.rec = cfg.Recorder
 	c.windowMin = 1
+	c.emitCond = sync.NewCond(&c.emitMu)
+	c.emitNext, c.emitTurn = 1, 1
 	c.wg.Add(2)
 	go c.recvLoop()
 	go c.housekeeping()
@@ -313,6 +336,9 @@ func (c *Conn) Close() error {
 	c.closed = true
 	close(c.done)
 	c.mu.Unlock()
+	c.emitMu.Lock()
+	c.emitCond.Broadcast() // emitters waiting for their turn see done
+	c.emitMu.Unlock()
 	_ = c.ep.Close()
 	c.wg.Wait()
 	close(c.out)
@@ -457,26 +483,26 @@ func (c *Conn) recvLoop() {
 }
 
 func (c *Conn) handleDatagram(dg transport.Datagram) {
-	f, err := decodeFrame(dg.Payload)
+	f, err := decodeFrameInto(dg.Payload, &c.rxFrame)
 	if err != nil {
 		return // corrupt datagram: the unreliable layer may hand us garbage
 	}
-	switch {
-	case f.data != nil && f.data.typ == frameData:
+	switch f.typ {
+	case frameData:
 		c.handleBroadcastData(dg.From, f.data)
-	case f.data != nil && f.data.typ == frameUData:
+	case frameUData:
 		c.handleUnicastData(dg.From, f.data)
-	case f.nak != nil:
+	case frameNak:
 		c.handleNak(dg.From, f.nak)
-	case f.ack != nil:
+	case frameUAck:
 		c.handleAck(dg.From, f.ack)
-	case f.heart != nil:
+	case frameHeart:
 		c.handleHeart(dg.From, f.heart)
 	}
 }
 
 func (c *Conn) handleBroadcastData(from string, f *dataFrame) {
-	var deliver []Message
+	deliver := c.rxDeliver[:0]
 	c.mu.Lock()
 	pr := c.bPeers[from]
 	if pr == nil || pr.epoch != f.epoch {
@@ -537,12 +563,14 @@ func (c *Conn) handleBroadcastData(from string, f *dataFrame) {
 		}
 	}
 	c.ctr.delivered.Add(uint64(len(deliver)))
+	ticket := c.emitTicketLocked(len(deliver))
 	c.mu.Unlock()
-	c.emit(deliver)
+	c.emit(ticket, deliver)
+	c.rxDeliver = deliver
 }
 
 // handleHeart processes a publisher's max-sequence advertisement.
-func (c *Conn) handleHeart(from string, f *heartFrame) {
+func (c *Conn) handleHeart(from string, f heartFrame) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pr := c.bPeers[from]
@@ -568,7 +596,7 @@ func (c *Conn) handleHeart(from string, f *heartFrame) {
 }
 
 func (c *Conn) handleUnicastData(from string, f *dataFrame) {
-	var deliver []Message
+	deliver := c.rxDeliver[:0]
 	acks := ackFrame{epoch: f.epoch}
 	c.mu.Lock()
 	ur := c.uPeers[from]
@@ -603,12 +631,14 @@ func (c *Conn) handleUnicastData(from string, f *dataFrame) {
 	acks.cum = ur.next - 1
 	c.ctr.delivered.Add(uint64(len(deliver)))
 	c.ctr.acksSent.Inc()
+	ticket := c.emitTicketLocked(len(deliver))
 	c.mu.Unlock()
 	_ = c.ep.Send(from, encodeAck(acks))
-	c.emit(deliver)
+	c.emit(ticket, deliver)
+	c.rxDeliver = deliver
 }
 
-func (c *Conn) handleNak(from string, f *nakFrame) {
+func (c *Conn) handleNak(from string, f nakFrame) {
 	c.mu.Lock()
 	c.ctr.naksReceived.Inc()
 	if f.epoch != c.epoch {
@@ -638,7 +668,7 @@ func (c *Conn) handleNak(from string, f *nakFrame) {
 	c.mu.Unlock()
 }
 
-func (c *Conn) handleAck(from string, f *ackFrame) {
+func (c *Conn) handleAck(from string, f ackFrame) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if f.epoch != c.epoch {
@@ -656,24 +686,58 @@ func (c *Conn) handleAck(from string, f *ackFrame) {
 	}
 }
 
-// emit hands messages to the application channel, blocking if the consumer
-// is slow (delivery order must be preserved). Delivered-byte accounting
-// lives here because every delivery path funnels through emit.
-func (c *Conn) emit(msgs []Message) {
+// emitTicketLocked reserves the caller's place in the emission order for n
+// messages it is about to deliver; the caller holds c.mu and passes the
+// ticket to emit after unlocking. Ticket 0 (nothing to deliver) needs no
+// turn.
+func (c *Conn) emitTicketLocked(n int) uint64 {
+	if n == 0 {
+		return 0
+	}
+	ticket := c.emitNext
+	c.emitNext++
+	return ticket
+}
+
+// emit hands messages to the application channel when ticket's turn comes,
+// blocking if the consumer is slow (delivery order must be preserved).
+// Delivered-byte accounting lives here because every delivery path funnels
+// through emit.
+func (c *Conn) emit(ticket uint64, msgs []Message) {
+	if ticket == 0 {
+		return
+	}
+	c.emitMu.Lock()
+	for c.emitTurn != ticket && !c.stopped() {
+		c.emitCond.Wait()
+	}
+	c.emitMu.Unlock()
 	var bytes uint64
+sending:
 	for _, m := range msgs {
 		select {
 		case c.out <- m:
 			bytes += uint64(len(m.Payload))
 		case <-c.done:
-			if bytes > 0 {
-				c.ctr.deliveredBytes.Add(bytes)
-			}
-			return
+			break sending
 		}
 	}
 	if bytes > 0 {
 		c.ctr.deliveredBytes.Add(bytes)
+	}
+	c.emitMu.Lock()
+	c.emitTurn = ticket + 1
+	c.emitCond.Broadcast()
+	c.emitMu.Unlock()
+}
+
+// stopped reports whether Close has begun.
+func (c *Conn) stopped() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -840,6 +904,7 @@ func (c *Conn) tick(now time.Time) {
 			frame: encodeData(dataFrame{typ: frameUData, epoch: c.epoch, msgs: msgs}),
 		})
 	}
+	ticket := c.emitTicketLocked(len(deliver))
 	c.mu.Unlock()
 
 	if heartbeat != nil {
@@ -851,7 +916,7 @@ func (c *Conn) tick(now time.Time) {
 	for _, r := range retrs {
 		_ = c.ep.Send(r.addr, r.frame)
 	}
-	c.emit(deliver)
+	c.emit(ticket, deliver)
 }
 
 func minKey(m map[uint64][]byte) uint64 {

@@ -1,6 +1,7 @@
 package reliable
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -424,17 +425,17 @@ func TestFrameDecodeRobustness(t *testing.T) {
 	}
 	// NAK round trip.
 	f, err := decodeFrame(encodeNak(nakFrame{epoch: 3, from: 10, to: 12}))
-	if err != nil || f.nak == nil || f.nak.from != 10 || f.nak.to != 12 || f.nak.epoch != 3 {
+	if err != nil || f.typ != frameNak || f.nak.from != 10 || f.nak.to != 12 || f.nak.epoch != 3 {
 		t.Errorf("nak round trip = %+v, %v", f.nak, err)
 	}
 	// ACK round trip.
 	f, err = decodeFrame(encodeAck(ackFrame{epoch: 9, cum: 42}))
-	if err != nil || f.ack == nil || f.ack.cum != 42 || f.ack.epoch != 9 {
+	if err != nil || f.typ != frameUAck || f.ack.cum != 42 || f.ack.epoch != 9 {
 		t.Errorf("ack round trip = %+v, %v", f.ack, err)
 	}
 	// Heartbeat round trip.
 	f, err = decodeFrame(encodeHeart(heartFrame{epoch: 4, maxSeq: 77}))
-	if err != nil || f.heart == nil || f.heart.maxSeq != 77 || f.heart.epoch != 4 {
+	if err != nil || f.typ != frameHeart || f.heart.maxSeq != 77 || f.heart.epoch != 4 {
 		t.Errorf("heartbeat round trip = %+v, %v", f.heart, err)
 	}
 }
@@ -492,5 +493,100 @@ func TestConfigSeedPlumbed(t *testing.T) {
 	}
 	if c1.epoch != newEpoch(7) {
 		t.Error("Config.Seed not plumbed through to newEpoch")
+	}
+}
+
+// stubEndpoint is a transport endpoint a test feeds by hand: whatever the
+// Conn sends is discarded, what it receives is what inject queued.
+type stubEndpoint struct {
+	addr string
+	in   chan transport.Datagram
+}
+
+func newStubEndpoint(addr string) *stubEndpoint {
+	return &stubEndpoint{addr: addr, in: make(chan transport.Datagram, 4096)}
+}
+
+func (e *stubEndpoint) Addr() string                    { return e.addr }
+func (e *stubEndpoint) Send(string, []byte) error       { return nil }
+func (e *stubEndpoint) Broadcast([]byte) error          { return nil }
+func (e *stubEndpoint) Recv() <-chan transport.Datagram { return e.in }
+func (e *stubEndpoint) Close() error                    { return nil }
+
+func (e *stubEndpoint) inject(from string, frame []byte) {
+	e.in <- transport.Datagram{From: from, Payload: frame}
+}
+
+// TestJoinGraceReleaseKeepsOrder: a new sender's first messages are buffered
+// for JoinGrace and released by the housekeeping goroutine, which blocks in
+// the middle of the release when the consumer is slow; datagrams that arrive
+// meanwhile are deliverable at once on the receive loop. They must still
+// come out after the whole released buffer — per-sender FIFO — which they
+// did not while both goroutines raced for the application channel.
+func TestJoinGraceReleaseKeepsOrder(t *testing.T) {
+	ep := newStubEndpoint("stub:recv")
+	c := New(ep, Config{JoinGrace: 20 * time.Millisecond, NakInterval: 4 * time.Millisecond,
+		GapTimeout: time.Minute, HeartbeatInterval: time.Hour})
+	defer c.Close()
+	const sender, epoch = "stub:sender", 77
+	seqFrame := func(seq uint64) []byte {
+		payload := make([]byte, 8)
+		binary.BigEndian.PutUint64(payload, seq)
+		return encodeData(dataFrame{typ: frameData, epoch: epoch, msgs: []msg{{seq: seq, payload: payload}}})
+	}
+	// More than the application channel holds, all inside the grace window.
+	buffered := uint64(cap(c.out)) + 500
+	for seq := uint64(1); seq <= buffered; seq++ {
+		ep.inject(sender, seqFrame(seq))
+	}
+	// Nobody reads: the release fills the channel and blocks.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(c.out) < cap(c.out) {
+		if time.Now().After(deadline) {
+			t.Fatalf("join-grace release never filled the channel (%d of %d)", len(c.out), cap(c.out))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The stream is synced now, so these are in order and deliverable at once.
+	const late = 20
+	for seq := buffered + 1; seq <= buffered+late; seq++ {
+		ep.inject(sender, seqFrame(seq))
+	}
+	time.Sleep(5 * time.Millisecond) // the receive loop reaches its emit and waits there
+	for want := uint64(1); want <= buffered+late; want++ {
+		select {
+		case m := <-c.Recv():
+			if got := binary.BigEndian.Uint64(m.Payload); got != want {
+				t.Fatalf("delivery %d carries sequence %d: per-sender order broken", want, got)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for sequence %d", want)
+		}
+		if want%64 == 0 {
+			time.Sleep(100 * time.Microsecond) // a slow consumer
+		}
+	}
+}
+
+// TestReceivePathAllocs: decoding a data datagram and delivering its messages
+// uses the connection's own scratch.
+func TestReceivePathAllocs(t *testing.T) {
+	ep := newStubEndpoint("stub:recv")
+	c := New(ep, Config{JoinGrace: time.Millisecond, NakInterval: time.Millisecond, HeartbeatInterval: time.Hour})
+	defer c.Close()
+	payload := make([]byte, 64)
+	frames := make([][]byte, 300)
+	for i := range frames {
+		frames[i] = encodeData(dataFrame{typ: frameData, epoch: 5, msgs: []msg{{seq: uint64(i + 1), payload: payload}}})
+	}
+	next := 0
+	deliver := func() {
+		ep.inject("stub:sender", frames[next])
+		next++
+		<-c.Recv()
+	}
+	deliver() // the join grace, the peer state
+	if got := testing.AllocsPerRun(200, deliver); got > 0 {
+		t.Fatalf("receiving a datagram allocates %.1f times, want 0", got)
 	}
 }

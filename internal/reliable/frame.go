@@ -167,26 +167,36 @@ func (r *frameReader) bytes(n int) ([]byte, error) {
 	return out, nil
 }
 
-// frame is the sum of all decodable frame kinds; exactly one field is
-// non-nil after a successful decode.
+// frame is the sum of all decodable frame kinds: typ says which field a
+// successful decode filled in (data for both frameData and frameUData).
 type frame struct {
+	typ   byte
 	data  *dataFrame
-	nak   *nakFrame
-	ack   *ackFrame
-	heart *heartFrame
+	nak   nakFrame
+	ack   ackFrame
+	heart heartFrame
 }
 
-// decodeFrame parses any frame.
+// decodeFrame parses any frame into freshly allocated storage.
 func decodeFrame(data []byte) (frame, error) {
+	return decodeFrameInto(data, new(dataFrame))
+}
+
+// decodeFrameInto parses any frame. A data frame is decoded into scratch,
+// reusing its msgs from length zero, and returned as frame.data == scratch:
+// the receive loop decodes every datagram into one dataFrame it owns, so a
+// datagram costs no allocation. The message payloads alias data.
+func decodeFrameInto(data []byte, scratch *dataFrame) (frame, error) {
 	if len(data) == 0 {
 		return frame{}, ErrFrameTruncated
 	}
-	r := &frameReader{data: data, pos: 1}
-	switch data[0] {
+	r := frameReader{data: data, pos: 1}
+	f := frame{typ: data[0]}
+	var err error
+	switch f.typ {
 	case frameData, frameUData:
-		f := &dataFrame{typ: data[0]}
-		var err error
-		if f.epoch, err = r.uvarint(); err != nil {
+		scratch.typ, scratch.msgs = f.typ, scratch.msgs[:0]
+		if scratch.epoch, err = r.uvarint(); err != nil {
 			return frame{}, err
 		}
 		count, err := r.uvarint()
@@ -208,49 +218,41 @@ func decodeFrame(data []byte) (frame, error) {
 			if m.payload, err = r.bytes(int(plen)); err != nil {
 				return frame{}, err
 			}
-			f.msgs = append(f.msgs, m)
+			scratch.msgs = append(scratch.msgs, m)
 		}
 		if r.pos != len(data) {
 			return frame{}, ErrFrameCorrupt
 		}
-		return frame{data: f}, nil
+		f.data = scratch
 	case frameNak:
-		f := &nakFrame{}
-		var err error
-		if f.epoch, err = r.uvarint(); err != nil {
+		if f.nak.epoch, err = r.uvarint(); err != nil {
 			return frame{}, err
 		}
-		if f.from, err = r.uvarint(); err != nil {
+		if f.nak.from, err = r.uvarint(); err != nil {
 			return frame{}, err
 		}
-		if f.to, err = r.uvarint(); err != nil {
+		if f.nak.to, err = r.uvarint(); err != nil {
 			return frame{}, err
 		}
-		if f.to < f.from {
+		if f.nak.to < f.nak.from {
 			return frame{}, ErrFrameCorrupt
 		}
-		return frame{nak: f}, nil
 	case frameUAck:
-		f := &ackFrame{}
-		var err error
-		if f.epoch, err = r.uvarint(); err != nil {
+		if f.ack.epoch, err = r.uvarint(); err != nil {
 			return frame{}, err
 		}
-		if f.cum, err = r.uvarint(); err != nil {
+		if f.ack.cum, err = r.uvarint(); err != nil {
 			return frame{}, err
 		}
-		return frame{ack: f}, nil
 	case frameHeart:
-		f := &heartFrame{}
-		var err error
-		if f.epoch, err = r.uvarint(); err != nil {
+		if f.heart.epoch, err = r.uvarint(); err != nil {
 			return frame{}, err
 		}
-		if f.maxSeq, err = r.uvarint(); err != nil {
+		if f.heart.maxSeq, err = r.uvarint(); err != nil {
 			return frame{}, err
 		}
-		return frame{heart: f}, nil
 	default:
 		return frame{}, fmt.Errorf("type %d: %w", data[0], ErrFrameType)
 	}
+	return f, nil
 }

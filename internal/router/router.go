@@ -244,6 +244,7 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 		typeCache: wire.NewTypeCache(0),
 		done:      make(chan struct{}),
 	}
+	r.typeCache.CountMemo(metrics.Counter("wire.table_memo_miss"), metrics.Counter("wire.table_memo_full"))
 	hcfg := opts.Health
 	if hcfg.Enabled() {
 		hcfg = hcfg.WithDefaults()

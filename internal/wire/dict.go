@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -17,8 +18,13 @@ import (
 //     has already put on the medium and thereafter sends only their
 //     fingerprints (fingerprint.go);
 //   - a TypeCache on every receiving side maps fingerprints back to
-//     resolved *mop.Type, so a steady-state message decodes without
-//     touching readTypeTable or the resolver at all;
+//     resolved *mop.Type and remembers, per reference-only table section,
+//     the class table those fingerprints resolve to (the table memo
+//     below), so a steady-state message goes from its header straight to
+//     readValue: no resolver, no per-message table, nothing allocated
+//     before the value. A message that carries inline definitions (the
+//     first, and one in ResendEvery) is parsed and resolved by
+//     readCompactTable as before;
 //   - a receiver missing a fingerprint (late joiner, dropped datagram,
 //     router segment boundary) reports MissingFingerprintsError and the bus
 //     layer NAKs via the reserved _sys.class.req subject; any holder
@@ -90,24 +96,92 @@ func CompactCarriesDefs(data []byte) bool {
 // redefinition (new structure ⇒ new fingerprint) can never hit a stale
 // entry. Safe for concurrent use. A nil *TypeCache behaves as an always-miss,
 // never-install cache.
+//
+// The cache also holds the table memo: the resolved class table of a
+// message's table section, keyed by that section's bytes, for both wire
+// versions (see tableEntry). Everything the cache hands out is immutable
+// once published — a fingerprint keeps the class it was first installed
+// with, a memo entry is never written again — so nothing in it is ever
+// invalidated: whatever would change an entry publishes a copy instead.
 type TypeCache struct {
 	mu  sync.RWMutex
 	m   map[uint64]*mop.Type
 	max int
+	// Table memo. tableBytes is the sum of the key lengths, bounded by
+	// max*memoBytesPerEntry.
+	tables     map[string]*tableEntry
+	tableBytes int
+	// Set once by CountMemo before the cache is shared; nil counts nothing.
+	memoMiss, memoFull Counter
+}
+
+// tableEntry is the resolved class table of one table section — the bytes
+// from a message's version byte to the end of its class table, so the two
+// versions cannot collide. Decoding needs nothing else from the section: a
+// message carrying the same bytes skips them and goes straight to its value.
+//
+// What makes remembering it sound:
+//
+//   - mop.Registry bindings are add-only and immutable (Register refuses a
+//     different class under a taken name), and a fingerprint keeps the class
+//     it was first installed with, so the same section resolves to the same
+//     classes against the same registry for ever. No invalidation exists.
+//   - reg is the registry the entry was resolved against (nil for routers);
+//     a decode against any other registry misses.
+//   - An entry is immutable once published. Version-1 resolution is lazy — a
+//     class the table carries but no value has instantiated yet is neither
+//     checked nor registered — so a decode that has to resolve a further
+//     name works on a copy of names and publishes a grown entry.
+//   - Only what resolved is remembered: a table that conflicts with the
+//     registry, misses a fingerprint or does not parse is resolved again —
+//     and fails again — on every message.
+//   - An entry is stored only if the allocation-free skip over the section
+//     and the parser agree on where the section ends.
+type tableEntry struct {
+	reg *mop.Registry
+	// Compact (version 2) reference-only section: the class table, indexed
+	// by the value's class references. Never nil.
+	table []*mop.Type
+	// Self-describing (version 1) section: the parsed descriptions and the
+	// classes resolved from them so far.
+	defs  map[string]*typeDef
+	names map[string]*mop.Type
 }
 
 // DefaultTypeCacheSize bounds a TypeCache constructed with size <= 0.
 const DefaultTypeCacheSize = 4096
 
-// NewTypeCache returns a cache holding at most size entries (size <= 0
-// selects DefaultTypeCacheSize). When full, new installs are skipped — the
-// inline-fallback resend keeps overflowing classes decodable, matching the
-// skip-on-full policy of the bus's other bounded caches.
+// memoBytesPerEntry scales the table memo's byte budget with the cache
+// size: the keys of a cache of n entries total at most n*memoBytesPerEntry
+// bytes (1 MB at the default size). A Quote-sized version-1 table section
+// is about 100 bytes, a compact one 10 + 8 per class.
+const memoBytesPerEntry = 256
+
+// NewTypeCache returns a cache holding at most size fingerprints and as
+// many memoised class tables (size <= 0 selects DefaultTypeCacheSize). When
+// full, new installs are skipped — the inline-fallback resend keeps
+// overflowing classes decodable, and a table that is not memoised is
+// resolved per message — matching the skip-on-full policy of the bus's
+// other bounded caches.
 func NewTypeCache(size int) *TypeCache {
 	if size <= 0 {
 		size = DefaultTypeCacheSize
 	}
-	return &TypeCache{m: make(map[uint64]*mop.Type), max: size}
+	return &TypeCache{
+		m:      make(map[uint64]*mop.Type),
+		tables: make(map[string]*tableEntry),
+		max:    size,
+	}
+}
+
+// Counter is the one method of a telemetry counter the cache uses.
+type Counter interface{ Inc() }
+
+// CountMemo makes the cache count table-memo misses (decodes that parsed
+// and resolved their class table) and tables it could not remember because
+// the memo was full. Call it before the cache is shared.
+func (c *TypeCache) CountMemo(miss, full Counter) {
+	c.memoMiss, c.memoFull = miss, full
 }
 
 // Lookup returns the resolved class for fp, if cached.
@@ -121,14 +195,15 @@ func (c *TypeCache) Lookup(fp uint64) (*mop.Type, bool) {
 	return t, ok
 }
 
-// Install records a resolved class under fp. Skipped when the cache is full
-// and fp is not already present.
+// Install records a resolved class under fp. Skipped when the cache is
+// full, and when fp is already present: the first class installed under a
+// fingerprint stays, so a memoised table and a fresh lookup always agree.
 func (c *TypeCache) Install(fp uint64, t *mop.Type) {
 	if c == nil || t == nil {
 		return
 	}
 	c.mu.Lock()
-	if _, ok := c.m[fp]; ok || len(c.m) < c.max {
+	if _, ok := c.m[fp]; !ok && len(c.m) < c.max {
 		c.m[fp] = t
 	}
 	c.mu.Unlock()
@@ -142,6 +217,50 @@ func (c *TypeCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.m)
+}
+
+// lookupTable returns the memo entry of a table section resolved against
+// reg, or nil. The probe copies nothing.
+func (c *TypeCache) lookupTable(section []byte, reg *mop.Registry) *tableEntry {
+	if c == nil {
+		return nil
+	}
+	c.mu.RLock()
+	e := c.tables[string(section)]
+	c.mu.RUnlock()
+	if e == nil || e.reg != reg {
+		return nil
+	}
+	return e
+}
+
+// countMiss counts a decode that has to parse and resolve its class table.
+func (c *TypeCache) countMiss() {
+	if c != nil && c.memoMiss != nil {
+		c.memoMiss.Inc()
+	}
+}
+
+// storeTable publishes e as the memo entry of section. old is the entry the
+// decode started from (nil after a miss): a grown copy replaces exactly that
+// entry, so two decodes growing the same entry at once cannot interleave
+// their bindings, and a first entry is added only while the memo has room
+// (skip-on-full).
+func (c *TypeCache) storeTable(section []byte, old, e *tableEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur, present := c.tables[string(section)]
+	switch {
+	case present && cur == old:
+		c.tables[string(section)] = e
+	case present:
+		// Resolved meanwhile by another decode, or held for another registry.
+	case len(c.tables) < c.max && c.tableBytes+len(section) <= c.max*memoBytesPerEntry:
+		c.tables[string(section)] = e
+		c.tableBytes += len(section)
+	case c.memoFull != nil:
+		c.memoFull.Inc()
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -199,8 +318,7 @@ func (s *SendDict) AppendMarshal(dst []byte, v mop.Value) ([]byte, error) {
 
 	// Collect the class closure in dependency order (reusing the scratch
 	// collector) and split it into fresh defs vs already-broadcast refs.
-	clear(s.col.seen)
-	s.col.out = s.col.out[:0]
+	s.col.reset()
 	s.col.value(v)
 	s.defs, s.refs = s.defs[:0], s.refs[:0]
 	clear(s.cidx)
@@ -263,34 +381,78 @@ func (s *SendDict) LookupFP(fp uint64) (*mop.Type, bool) {
 // def-carrying message a node sees warms its dictionary. A compact message
 // referencing fingerprints absent from cache returns
 // *MissingFingerprintsError.
+//
+// With a cache, the class table of either version is resolved once per
+// table section and remembered (see tableEntry); a nil cache resolves it per
+// message, which is also what a memo miss does. The two are
+// indistinguishable to the caller: same value, same error, same classes
+// registered in reg.
 func UnmarshalWith(data []byte, reg *mop.Registry, cache *TypeCache) (mop.Value, error) {
 	r := &reader{data: data}
 	ver, err := readHeaderVer(r)
 	if err != nil {
 		return nil, err
 	}
+	var v mop.Value
 	switch ver {
 	case Version:
-		return unmarshalLegacy(r, reg)
+		v, err = unmarshalLegacy(r, reg, cache)
 	case VersionCompact:
-		res, table, missing, err := readCompactTable(r, reg, cache)
-		if err != nil {
-			return nil, err
-		}
-		if len(missing) > 0 {
-			return nil, &MissingFingerprintsError{FPs: missing}
-		}
-		v, err := readValue(r, res, table, 0)
-		if err != nil {
-			return nil, err
-		}
-		if r.pos != len(r.data) {
-			return nil, fmt.Errorf("%d trailing bytes: %w", len(r.data)-r.pos, ErrCorrupt)
-		}
-		return v, nil
+		v, err = unmarshalCompact(r, reg, cache)
 	default:
 		return nil, fmt.Errorf("version %d: %w", ver, ErrBadVersion)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if r.pos != len(r.data) {
+		return nil, fmt.Errorf("%d trailing bytes: %w", len(r.data)-r.pos, ErrCorrupt)
+	}
+	return v, nil
+}
+
+// unmarshalCompact decodes the body of a VersionCompact message (r is
+// positioned just past the header). A reference-only class table — every
+// message but the first and one in ResendEvery — is looked up in the table
+// memo by its bytes; a hit allocates nothing before the value.
+func unmarshalCompact(r *reader, reg *mop.Registry, cache *TypeCache) (mop.Value, error) {
+	var section []byte
+	end, walked := skipRefTable(r.data, r.pos)
+	if walked {
+		section = r.data[r.pos-1 : end]
+		if e := cache.lookupTable(section, reg); e != nil {
+			r.pos = end
+			return readValue(r, nil, e.table, 0)
+		}
+	}
+	cache.countMiss()
+	res, table, missing, err := readCompactTable(r, reg, cache)
+	if err != nil {
+		return nil, err
+	}
+	if len(missing) > 0 {
+		return nil, &MissingFingerprintsError{FPs: missing}
+	}
+	if cache != nil && walked && r.pos == end {
+		cache.storeTable(section, nil, &tableEntry{reg: reg, table: table})
+	}
+	return readValue(r, res, table, 0)
+}
+
+// skipRefTable returns the offset just past a reference-only compact class
+// table starting at pos — no definitions, then a count and that many
+// fingerprints — or false when the table carries definitions or is cut
+// short.
+func skipRefTable(data []byte, pos int) (end int, ok bool) {
+	if pos >= len(data) || data[pos] != 0 {
+		return 0, false
+	}
+	nrefs, n := binary.Uvarint(data[pos+1:])
+	if n <= 0 || nrefs > maxDictClasses {
+		return 0, false
+	}
+	end = pos + 1 + n + 8*int(nrefs)
+	return end, end <= len(data)
 }
 
 // readCompactTable parses and resolves the def and ref tables of a compact

@@ -285,9 +285,12 @@ func TestTypeCacheBounds(t *testing.T) {
 	b := mop.MustNewClass("B", nil, nil, nil)
 	c.Install(1, a)
 	c.Install(2, b) // full: skipped
-	c.Install(1, a) // present: refresh allowed
+	c.Install(1, b) // present: the first class installed under a fingerprint stays
 	if c.Len() != 1 {
 		t.Fatalf("cache size %d, want 1 (skip-on-full)", c.Len())
+	}
+	if got, _ := c.Lookup(1); got != a {
+		t.Fatal("a cached fingerprint must keep the class it was installed with")
 	}
 	if _, ok := c.Lookup(2); ok {
 		t.Fatal("overflowing install must be skipped")

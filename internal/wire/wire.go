@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"infobus/internal/mop"
@@ -102,11 +103,14 @@ func AppendMarshal(dst []byte, v mop.Value) ([]byte, error) {
 	b.writeByte(Magic1)
 	b.writeByte(Version)
 
-	types := collectTypes(v)
-	b.writeUvarint(uint64(len(types)))
-	for _, t := range types {
+	c := collectors.Get().(*collector)
+	c.value(v)
+	b.writeUvarint(uint64(len(c.out)))
+	for _, t := range c.out {
 		writeTypeDef(&b, t)
 	}
+	c.reset()
+	collectors.Put(c)
 	if err := writeValue(&b, v, nil); err != nil {
 		return nil, err
 	}
@@ -124,21 +128,128 @@ func Unmarshal(data []byte, reg *mop.Registry) (mop.Value, error) {
 }
 
 // unmarshalLegacy decodes the body of a Version-1 message (r is positioned
-// just past the header).
-func unmarshalLegacy(r *reader, reg *mop.Registry) (mop.Value, error) {
-	table, err := readTypeTable(r)
+// just past the header). The type table's extent is found without parsing
+// it and the section looked up in cache's table memo; on a hit the value is
+// decoded with the classes the entry has bound, on a miss (and with a nil
+// cache) the table is parsed and resolved as the value instantiates it, and
+// what resolved is remembered.
+func unmarshalLegacy(r *reader, reg *mop.Registry, cache *TypeCache) (mop.Value, error) {
+	var section []byte
+	var hit *tableEntry
+	end, walked := skipTypeTable(r.data, r.pos)
+	if walked {
+		section = r.data[r.pos-1 : end]
+		hit = cache.lookupTable(section, reg)
+	}
+	res := resolver{reg: reg}
+	if hit != nil {
+		res.defs, res.built, res.shared = hit.defs, hit.names, true
+		r.pos = end
+	} else {
+		cache.countMiss()
+		defs, err := readTypeTable(r)
+		if err != nil {
+			return nil, err
+		}
+		res.defs = defs
+		walked = walked && r.pos == end
+	}
+	v, err := readValue(r, &res, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	res := &resolver{reg: reg, defs: table}
-	v, err := readValue(r, res, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	if r.pos != len(r.data) {
-		return nil, fmt.Errorf("%d trailing bytes: %w", len(r.data)-r.pos, ErrCorrupt)
+	if cache != nil && walked && !res.shared {
+		cache.storeTable(section, hit, &tableEntry{reg: reg, defs: res.defs, names: res.built})
 	}
 	return v, nil
+}
+
+// skipTypeTable returns the offset just past the Version-1 type table that
+// starts at pos, walking varints and string lengths only — no string is
+// materialised, nothing is allocated — under the same length and depth
+// guards as readTypeTable. It reports false for a table readTypeTable would
+// not accept; the caller then parses it to find out why.
+func skipTypeTable(data []byte, pos int) (end int, ok bool) {
+	s := reader{data: data, pos: pos}
+	n, err := s.readUvarint()
+	if err != nil || n > maxLen {
+		return 0, false
+	}
+	for i := uint64(0); i < n; i++ {
+		if !s.skipTypeDef() {
+			return 0, false
+		}
+	}
+	return s.pos, true
+}
+
+// skipTypeDef steps over what readTypeDef parses.
+func (r *reader) skipTypeDef() bool {
+	if !r.skipString() {
+		return false
+	}
+	ns, err := r.readUvarint()
+	if err != nil {
+		return false
+	}
+	for i := uint64(0); i < ns; i++ {
+		if !r.skipString() {
+			return false
+		}
+	}
+	na, err := r.readUvarint()
+	if err != nil {
+		return false
+	}
+	for i := uint64(0); i < na; i++ {
+		if !r.skipString() || !r.skipTypeRef(0) {
+			return false
+		}
+	}
+	no, err := r.readUvarint()
+	if err != nil {
+		return false
+	}
+	for i := uint64(0); i < no; i++ {
+		if !r.skipString() {
+			return false
+		}
+		np, err := r.readUvarint()
+		if err != nil {
+			return false
+		}
+		for j := uint64(0); j < np; j++ {
+			if !r.skipString() || !r.skipTypeRef(0) {
+				return false
+			}
+		}
+		has, err := r.readByte()
+		if err != nil || has != 0 && !r.skipTypeRef(0) {
+			return false
+		}
+	}
+	return true
+}
+
+// skipTypeRef steps over what readTypeRefDepth parses.
+func (r *reader) skipTypeRef(depth int) bool {
+	for ; depth <= maxRefDepth; depth++ {
+		tag, err := r.readByte()
+		if err != nil {
+			return false
+		}
+		switch tag {
+		case refBool, refInt, refFloat, refString, refBytes, refTime, refAny:
+			return true
+		case refList:
+			// the element's reference follows
+		case refClass:
+			return r.skipString()
+		default:
+			return false
+		}
+	}
+	return false
 }
 
 // readHeaderVer validates the magic bytes and returns the version byte,
@@ -183,6 +294,18 @@ func collectTypes(v mop.Value) []*mop.Type {
 type collector struct {
 	seen map[*mop.Type]bool
 	out  []*mop.Type
+}
+
+// collectors holds reset collectors for AppendMarshal, which otherwise
+// allocates one, its map and its output per message.
+var collectors = sync.Pool{New: func() any {
+	return &collector{seen: make(map[*mop.Type]bool)}
+}}
+
+// reset empties the collector for its next value.
+func (c *collector) reset() {
+	clear(c.seen)
+	c.out = c.out[:0]
 }
 
 func (c *collector) value(v mop.Value) {
@@ -465,10 +588,22 @@ type resolver struct {
 	// missing-fingerprint condition — never a silent bind to a local class
 	// that may predate a TDL redefinition.
 	strict bool
+	// shared marks built as the names of a published table-memo entry, which
+	// is immutable: the first class resolved beyond it moves built to a
+	// private copy (and clears shared, which is how the decode knows it has
+	// a grown entry to publish).
+	shared bool
 }
 
 // remember records a resolved class, allocating the memo on first use.
 func (res *resolver) remember(name string, t *mop.Type) {
+	if res.shared {
+		grown := make(map[string]*mop.Type, len(res.built)+4)
+		for n, bt := range res.built {
+			grown[n] = bt
+		}
+		res.built, res.shared = grown, false
+	}
 	if res.built == nil {
 		res.built = make(map[string]*mop.Type, 4)
 	}
@@ -850,29 +985,23 @@ func readValue(r *reader, res *resolver, table []*mop.Type, depth int) (mop.Valu
 			}
 			t = table[idx]
 		} else {
-			name, err := r.readString()
+			name, err := r.viewString()
 			if err != nil {
 				return nil, err
 			}
-			t, err = res.class(name)
-			if err != nil {
-				return nil, err
+			// A class already resolved is found without copying its name.
+			var ok bool
+			if t, ok = res.built[string(name)]; !ok {
+				if t, err = res.class(string(name)); err != nil {
+					return nil, err
+				}
 			}
 		}
-		o, err := mop.New(t)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < t.NumAttrs(); i++ {
-			v, err := readValue(r, res, table, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			if err := o.SetAt(i, v); err != nil {
-				return nil, fmt.Errorf("decoding %q: %w", t.Name(), err)
-			}
-		}
-		return o, nil
+		// NewFrom checks every slot against its declared type as SetAt
+		// would, without first filling the object with zero values.
+		return mop.NewFrom(t, func(int) (mop.Value, error) {
+			return readValue(r, res, table, depth+1)
+		})
 	default:
 		return nil, fmt.Errorf("value tag %d: %w", tag, ErrUnknownTag)
 	}
@@ -963,17 +1092,29 @@ func (r *reader) readBytes(n int) ([]byte, error) {
 }
 
 func (r *reader) readString() (string, error) {
+	b, err := r.viewString()
+	return string(b), err
+}
+
+// viewString reads a length-prefixed string as a view aliasing the message.
+func (r *reader) viewString() ([]byte, error) {
 	n, err := r.readUvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > maxLen {
-		return "", ErrTooLarge
+		return nil, ErrTooLarge
 	}
 	if r.pos+int(n) > len(r.data) {
-		return "", ErrTruncated
+		return nil, ErrTruncated
 	}
-	s := string(r.data[r.pos : r.pos+int(n)])
+	b := r.data[r.pos : r.pos+int(n)]
 	r.pos += int(n)
-	return s, nil
+	return b, nil
+}
+
+// skipString steps over a length-prefixed string.
+func (r *reader) skipString() bool {
+	_, err := r.viewString()
+	return err == nil
 }

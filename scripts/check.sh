@@ -20,6 +20,10 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> nested benchmark module builds and vets (root ./... does not see it)"
+go -C benchmark vet .
+go -C benchmark build -o /dev/null .
+
 echo "==> go test ./..."
 go test ./...
 
@@ -38,8 +42,11 @@ go test -run TestRouterForwardAllocBudget -count=1 ./internal/router/
 echo "==> fsync gate (8 Sync publishers average well under one fsync/message)"
 go test -run TestGroupCommitFsyncBudget -count=1 ./internal/ledger/
 
-echo "==> wire-bytes gate (steady-state dictionary compression >= 40%)"
-go test -run 'TestCompactGoldenBytes|TestSendDictSteadyStateAllocs' -count=1 ./internal/wire/
+echo "==> wire-bytes gate (steady-state dictionary compression >= 40%; both formats byte-golden)"
+go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/wire/
+
+echo "==> alloc gate (steady-state encode 0 allocs; warm decode allocates what it returns, 0 for the table)"
+go test -run 'TestSendDictSteadyStateAllocs|TestUnmarshalSteadyStateAllocs' -count=1 ./internal/wire/
 
 echo "==> quorum-liveness gate (replicated guaranteed delivery reaches quorum)"
 go test -run TestQuorumLiveness -count=1 ./internal/qledger/
@@ -54,10 +61,13 @@ if [ "$quick" -eq 0 ]; then
     echo "==> go test -race ./..."
     go test -race ./...
 
+    echo "==> join-grace release keeps per-sender order (race build, 10 runs)"
+    go test -race -run TestJoinGraceReleaseKeepsOrder -count=10 ./internal/reliable/
+
     echo "==> history-overhead smoke (tier on vs off must both complete; compare by eye against EXPERIMENTS.md A13)"
     go test -run xxx -bench BenchmarkHistoryOverhead -benchtime 100x -count=1 .
 
-    echo "==> fuzz smoke (5s each)"
+    echo "==> fuzz smoke (5s each; the two wire unmarshal fuzzers are differential: memoised vs cold)"
     go test -run xxx -fuzz 'FuzzUnmarshal$'        -fuzztime 5s ./internal/wire/
     go test -run xxx -fuzz 'FuzzUnmarshalCompact$' -fuzztime 5s ./internal/wire/
     go test -run xxx -fuzz 'FuzzStreamDecoder$'    -fuzztime 5s ./internal/wire/
