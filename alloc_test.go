@@ -126,7 +126,7 @@ func TestPublishDeliverHistoryAllocBudget(t *testing.T) {
 		SlowConsumerDepth: hcfg.SlowConsumerDepth,
 	})
 	defer d.Close()
-	// The same series mix the host's historyAgent tracks: counter deltas,
+	// The same series mix a host tracks (core/sys.go): counter deltas,
 	// a computed level, and a histogram's percentile cut, sampled at a
 	// busy 2 ms so dozens of ticks land inside the measured run.
 	hist := telemetry.NewHistory(telemetry.HistoryConfig{Interval: 2 * time.Millisecond})

@@ -10,6 +10,7 @@
 //	ibbench -fig 6 -msgs 3000         # throughput, more samples
 //	ibbench -fig 8 -subjects 10000    # the full 10k-subject sweep
 //	ibbench -fig i1                   # invariant I1
+//	ibbench -fig a10,a15              # several figures in one run
 //	ibbench -speedup 50               # faster run, lower fidelity
 //
 // All reported numbers are in modelled network time, so -speedup trades
@@ -22,20 +23,50 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"infobus/internal/bench"
 	"infobus/internal/telemetry"
 )
 
+// figures are the names -fig accepts besides "all", in run order.
+var figures = []string{"5", "6", "7", "8", "i1", "i2", "a8", "a13", "a9", "a10", "a11", "a12", "a14", "a15"}
+
+// parseFigs turns the -fig value — "all", or a comma-separated list of
+// figure names — into the set of figures to run. A name that is not a
+// figure is an error naming it: a typo must not silently run nothing.
+func parseFigs(arg string) (map[string]bool, error) {
+	want := make(map[string]bool)
+	for _, name := range strings.Split(arg, ",") {
+		switch name = strings.TrimSpace(name); {
+		case name == "all":
+			for _, f := range figures {
+				want[f] = true
+			}
+		case slices.Contains(figures, name):
+			want[name] = true
+		default:
+			return nil, fmt.Errorf("unknown figure %q (known: %s, all)", name, strings.Join(figures, ", "))
+		}
+	}
+	return want, nil
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to run: 5, 6, 7, 8, i1, i2, a8, a9, a10, a11, a12, a13, a14, a15, or all")
+	fig := flag.String("fig", "all", "figures to run, comma-separated: "+strings.Join(figures, ", ")+", or all")
 	consumers := flag.Int("consumers", 14, "number of consumer hosts")
 	speedup := flag.Float64("speedup", 20, "simulation speedup factor")
 	msgs := flag.Int("msgs", 1000, "messages per throughput point")
 	latMsgs := flag.Int("latmsgs", 100, "messages per latency point")
 	subjects := flag.Int("subjects", 10000, "subject count for figure 8")
 	flag.Parse()
+	want, err := parseFigs(*fig)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ibbench: -fig: %v\n", err)
+		os.Exit(2)
+	}
 
 	cfg := bench.DefaultConfig()
 	cfg.Consumers = *consumers
@@ -43,14 +74,14 @@ func main() {
 
 	start := time.Now()
 	run := func(name string, f func() error) {
-		switch *fig {
-		case "all", name:
-			if err := f(); err != nil {
-				fmt.Fprintf(os.Stderr, "ibbench: figure %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			fmt.Println()
+		if !want[name] {
+			return
 		}
+		if err := f(); err != nil {
+			fmt.Fprintf(os.Stderr, "ibbench: figure %s: %v\n", name, err)
+			os.Exit(1)
+		}
+		fmt.Println()
 	}
 
 	run("5", func() error {

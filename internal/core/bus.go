@@ -32,6 +32,7 @@ import (
 	"infobus/internal/mop"
 	"infobus/internal/reliable"
 	"infobus/internal/subject"
+	"infobus/internal/sysagent"
 	"infobus/internal/telemetry"
 	"infobus/internal/transport"
 	"infobus/internal/wire"
@@ -60,15 +61,12 @@ type Host struct {
 	// capacity its scratch buffer starts from.
 	payloadHint atomic.Int64
 
-	mu      sync.Mutex
-	ledger  *ledger.Ledger
-	retry   *guaranteeRetrier
-	sys     *sysExporter
-	health  *healthAgent
-	history *historyAgent
-	csync   *classSync
-	buses   []*Bus
-	closed  bool
+	mu     sync.Mutex
+	ledger *ledger.Ledger
+	retry  *guaranteeRetrier
+	csync  *classSync
+	buses  []*Bus
+	closed bool
 	// guarGate, when set, blocks PublishGuaranteed returns until the
 	// replication tier confirms quorum durability (internal/qledger). Nil —
 	// the default — costs one pointer load under the mutex already taken.
@@ -84,9 +82,20 @@ type Host struct {
 	// daemon and ledger go away underneath them.
 	closeHooks []func()
 
-	// Health tier (nil unless Telemetry.Health.Interval > 0).
+	// Health tier (nil unless Telemetry.Health.Interval > 0) and flight-data
+	// ring (nil unless Telemetry.HistoryInterval > 0), fixed at construction.
 	recorder *telemetry.Recorder
 	engine   *telemetry.Engine
+	hist     *telemetry.History
+
+	// sys publishes every "_sys" telemetry object of this host (sys.go);
+	// guarded by mu because a host with every tier off creates it on its
+	// first trace sidecar. sysClient hears the probes of the enabled tiers
+	// and feeds them to it.
+	sys       *sysagent.Agent
+	sysClient *daemon.Client
+	sysDone   chan struct{}
+	sysWG     sync.WaitGroup
 }
 
 // busCounters are the host's bus-layer telemetry handles.
@@ -319,14 +328,6 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 		h.ledger = led
 		h.retry = newGuaranteeRetrier(h.daemon, led, cfg.RetryInterval, cfg.RetryBackoffCap, h.ctr.guarRetransmits)
 	}
-	if cfg.Telemetry.StatsInterval > 0 {
-		sys, err := startSysExporter(h, cfg.Telemetry.StatsInterval)
-		if err != nil {
-			_ = h.Close()
-			return nil, err
-		}
-		h.sys = sys
-	}
 	if cfg.CompactTypes {
 		// A compact publisher must answer _sys.class.req NAKs from the
 		// start; pure receivers start the agent lazily on the first
@@ -341,24 +342,9 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 	if prefix == "" {
 		prefix = "reliable"
 	}
-	if cfg.Telemetry.HistoryInterval > 0 {
-		// Before the health agent: its alarm sink feeds edges into the
-		// history ring it finds installed here.
-		replicated := cfg.ReplicationFactor > 0 || cfg.ReplicaDir != ""
-		hist, err := startHistoryAgent(h, cfg.Telemetry, replicated, prefix)
-		if err != nil {
-			_ = h.Close()
-			return nil, err
-		}
-		h.history = hist
-	}
-	if engine != nil {
-		agent, err := startHealthAgent(h, engine, rec, hcfg, prefix)
-		if err != nil {
-			_ = h.Close()
-			return nil, err
-		}
-		h.health = agent
+	if err := h.startSys(cfg, hcfg, prefix); err != nil {
+		_ = h.Close()
+		return nil, err
 	}
 	return h, nil
 }
@@ -425,14 +411,7 @@ func (h *Host) HealthEngine() *telemetry.Engine { return h.engine }
 // History returns the host's flight-data recorder, or nil when the tier
 // is disabled (TelemetryConfig.HistoryInterval). Layers above the host
 // may register extra series on it before traffic starts.
-func (h *Host) History() *telemetry.History {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.history == nil {
-		return nil
-	}
-	return h.history.hist
-}
+func (h *Host) History() *telemetry.History { return h.hist }
 
 // SetGuaranteeGate installs (or, with nil, removes) the quorum gate:
 // PublishGuaranteed calls it with the ledger id after local durability and
@@ -479,10 +458,6 @@ func (h *Host) Close() error {
 	buses := append([]*Bus(nil), h.buses...)
 	sys := h.sys
 	h.sys = nil
-	health := h.health
-	h.health = nil
-	history := h.history
-	h.history = nil
 	csync := h.csync
 	h.csync = nil
 	hooks := h.closeHooks
@@ -491,14 +466,13 @@ func (h *Host) Close() error {
 	for i := len(hooks) - 1; i >= 0; i-- {
 		hooks[i]()
 	}
-	if health != nil {
-		health.stop()
-	}
-	if history != nil {
-		history.stop()
+	if h.sysClient != nil {
+		close(h.sysDone)
+		_ = h.sysClient.Close()
+		h.sysWG.Wait()
 	}
 	if sys != nil {
-		sys.stop()
+		sys.Stop()
 	}
 	if csync != nil {
 		csync.stop()
@@ -781,30 +755,6 @@ func (b *Bus) PublishGuaranteed(subj string, value mop.Value) (uint64, error) {
 		}
 	}
 	return id, nil
-}
-
-// publishTraceSidecar emits the late stage of a sampled guaranteed
-// publication — the quorum-ack hop, known only after the envelope has
-// been disseminated — as a SysTrace object on "_sys.trace.<node>". Trace
-// assemblers (ibmon) merge it into the delivery trace by trace id.
-func (h *Host) publishTraceSidecar(traceID uint64, quorumAt int64) {
-	types, err := telemetry.DefineSysTypes(h.reg)
-	if err != nil {
-		return
-	}
-	node := telemetry.SanitizeNode(h.name)
-	obj := types.TraceObject(node, traceID,
-		[]busproto.TraceHop{{Kind: busproto.HopQuorumAck, Node: h.name, At: quorumAt}})
-	payload, err := wire.Marshal(obj)
-	if err != nil {
-		return
-	}
-	s, err := subject.Parse(telemetry.TraceSubject(node))
-	if err != nil {
-		return
-	}
-	_ = h.daemon.Publish(s, payload)
-	_ = h.daemon.Flush()
 }
 
 // Subscribe registers interest in a subject pattern ("news.equity.*",

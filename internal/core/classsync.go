@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"infobus/internal/daemon"
-	"infobus/internal/mop"
 	"infobus/internal/subject"
 	"infobus/internal/telemetry"
 	"infobus/internal/wire"
@@ -207,27 +206,8 @@ func (cs *classSync) recvLoop() {
 // host holds — as origin (send dictionary) or receiver (fingerprint
 // cache).
 func (cs *classSync) serveRequest(dv daemon.Delivery) {
-	v, err := wire.UnmarshalWith(dv.Payload, cs.h.reg, cs.h.typeCache)
-	if err != nil {
-		return
-	}
-	var held []*mop.Type
-	for _, fp := range wire.RequestedFPs(v) {
-		if cs.h.sendDict != nil {
-			if t, ok := cs.h.sendDict.LookupFP(fp); ok {
-				held = append(held, t)
-				continue
-			}
-		}
-		if t, ok := cs.h.typeCache.Lookup(fp); ok {
-			held = append(held, t)
-		}
-	}
-	if len(held) == 0 {
-		return
-	}
-	payload, err := wire.MarshalDefs(held)
-	if err != nil {
+	payload, ok := wire.AnswerClassReq(dv.Payload, cs.h.reg, cs.h.typeCache, cs.h.sendDict)
+	if !ok {
 		return
 	}
 	cs.h.ctr.classNakServed.Inc()

@@ -1,130 +1,188 @@
 package core
 
 import (
-	"sync"
 	"time"
 
-	"infobus/internal/daemon"
-	"infobus/internal/mop"
+	"infobus/internal/busproto"
 	"infobus/internal/subject"
+	"infobus/internal/sysagent"
 	"infobus/internal/telemetry"
-	"infobus/internal/wire"
 )
 
-// sysExporter is the host's self-hosted observability agent: on a timer it
-// publishes the host's metrics snapshot as a self-describing SysStats
-// object on "_sys.stats.<node>", and it answers "_sys.ping" probes with a
-// SysPong plus a fresh snapshot. It publishes through the daemon directly —
-// the internal path — which is why applications going through Bus.Publish
-// can be denied the "_sys.>" space without breaking the export.
-type sysExporter struct {
-	h        *Host
-	types    telemetry.SysTypes
-	client   *daemon.Client
-	interval time.Duration
-	node     string
-	start    time.Time
+// This file is everything host-specific about "_sys" telemetry: which
+// watches and history series a host registers, the one daemon client that
+// hears the probes of its enabled tiers, and how a host publishes. The
+// objects, subjects, cadence and probe answers are internal/sysagent's.
 
-	done chan struct{}
-	wg   sync.WaitGroup
-}
+// historyFamilies bounds the subject-family table published with each
+// SysHistory object (merged across the daemon's per-lane tables).
+const historyFamilies = 16
 
-func startSysExporter(h *Host, interval time.Duration) (*sysExporter, error) {
-	types, err := telemetry.DefineSysTypes(h.reg)
-	if err != nil {
-		return nil, err
-	}
-	client, err := h.daemon.NewClient("_sys-exporter")
-	if err != nil {
-		return nil, err
-	}
-	if err := client.Subscribe(subject.MustParsePattern(telemetry.PingSubject)); err != nil {
-		_ = client.Close()
-		return nil, err
-	}
-	e := &sysExporter{
-		h:        h,
-		types:    types,
-		client:   client,
-		interval: interval,
-		node:     telemetry.SanitizeNode(h.name),
-		start:    time.Now(),
-		done:     make(chan struct{}),
-	}
-	e.wg.Add(2)
-	go e.exportLoop()
-	go e.pingLoop()
-	return e, nil
-}
-
-func (e *sysExporter) stop() {
-	close(e.done)
-	_ = e.client.Close()
-	e.wg.Wait()
-}
-
-func (e *sysExporter) exportLoop() {
-	defer e.wg.Done()
-	ticker := time.NewTicker(e.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.done:
-			return
-		case <-ticker.C:
-			e.publishStats()
-		}
+// sysConfig is the tierless part of the host's agent config.
+func (h *Host) sysConfig() sysagent.Config {
+	return sysagent.Config{
+		Node:      h.name,
+		Registry:  h.reg,
+		TypeCache: h.typeCache,
+		Publish:   h.publishSys,
+		Metrics:   h.metrics,
 	}
 }
 
-// pingLoop answers "_sys.ping" probes. The probe payload may carry a nonce
-// (any integer value, or an object with an integer "nonce" attribute); the
-// pong echoes it so a prober can match answers to its own probe.
-func (e *sysExporter) pingLoop() {
-	defer e.wg.Done()
-	for {
-		dv, ok := e.client.Next(e.done)
-		if !ok {
-			return
-		}
-		var nonce int64
-		if v, err := wire.UnmarshalWith(dv.Payload, e.h.reg, e.h.typeCache); err == nil {
-			switch x := v.(type) {
-			case int64:
-				nonce = x
-			case *mop.Object:
-				if n, err := x.Get("nonce"); err == nil {
-					if i, ok := n.(int64); ok {
-						nonce = i
-					}
-				}
-			}
-		}
-		e.publishPong(nonce)
-		e.publishStats()
-	}
-}
-
-func (e *sysExporter) publishStats() {
-	now := time.Now()
-	obj := e.types.StatsObject(e.node, now, now.Sub(e.start), e.h.metrics.Snapshot())
-	e.publish(telemetry.StatsSubject(e.node), obj)
-}
-
-func (e *sysExporter) publishPong(nonce int64) {
-	e.publish(telemetry.PongSubject(e.node), e.types.PongObject(e.node, time.Now(), nonce))
-}
-
-func (e *sysExporter) publish(subj string, obj *mop.Object) {
+// publishSys is the internal publish path: through the daemon directly,
+// which is why applications going through Bus.Publish can be denied the
+// "_sys.>" space without breaking the export. Best-effort: a closing
+// daemon returns ErrClosed, which is fine.
+func (h *Host) publishSys(subj string, payload []byte) {
 	s, err := subject.Parse(subj)
 	if err != nil {
 		return
 	}
-	payload, err := wire.Marshal(obj)
-	if err != nil {
-		return
+	_ = h.daemon.Publish(s, payload)
+	_ = h.daemon.Flush()
+}
+
+// startSys plugs the host's enabled tiers into its "_sys" agent and
+// subscribes one daemon client to exactly their probe subjects. With every
+// tier off it starts nothing: no agent, no client, no goroutine. On error
+// the caller closes the host, which tears down whatever was started.
+func (h *Host) startSys(cfg HostConfig, hcfg telemetry.HealthConfig, relPrefix string) error {
+	tc := cfg.Telemetry
+	if tc.StatsInterval <= 0 && tc.HistoryInterval <= 0 && h.engine == nil {
+		return nil
 	}
-	// Best-effort: a closing daemon returns ErrClosed, which is fine.
-	_ = e.h.daemon.Publish(s, payload)
-	_ = e.h.daemon.Flush()
+	sc := h.sysConfig()
+	sc.StatsInterval = tc.StatsInterval
+	if tc.HistoryInterval > 0 {
+		h.hist = telemetry.NewHistory(telemetry.HistoryConfig{
+			Interval: tc.HistoryInterval,
+			Slots:    tc.HistorySlots,
+		})
+		h.trackDefaults(cfg.ReplicationFactor > 0 || cfg.ReplicaDir != "", relPrefix)
+		sc.History = h.hist
+		ticks := tc.HistoryDigestTicks
+		if ticks == 0 {
+			ticks = sysagent.DigestSamples
+		}
+		if ticks > 0 {
+			sc.DigestEvery = time.Duration(ticks) * h.hist.Interval()
+		}
+		sc.Families = func() []telemetry.TopKEntry { return h.daemon.TopSubjects(historyFamilies) }
+	}
+	if h.engine != nil {
+		h.watchDefaults(hcfg, relPrefix)
+		sc.Engine, sc.HealthInterval = h.engine, hcfg.Interval
+	}
+	agent, err := sysagent.Start(sc)
+	if err != nil {
+		return err
+	}
+	h.sys = agent
+	h.sysDone = make(chan struct{})
+	client, err := h.daemon.NewClient("_sys")
+	if err != nil {
+		return err
+	}
+	h.sysClient = client
+	for _, p := range agent.ProbeSubjects() {
+		if err := client.Subscribe(subject.MustParsePattern(p)); err != nil {
+			return err
+		}
+	}
+	h.sysWG.Add(1)
+	go func() {
+		defer h.sysWG.Done()
+		for {
+			dv, ok := client.Next(h.sysDone)
+			if !ok {
+				return
+			}
+			agent.Probe([]byte(dv.Subject.String()), dv.Payload)
+		}
+	}()
+	return nil
+}
+
+// watchDefaults registers the host-level alarm watches. The daemon
+// registers its own (per-client queue depth, dedup-ring pressure) because
+// it owns those signals; the host registers the retransmission rate of its
+// reliable stream and the guaranteed-delivery ledger backlog, because those
+// layers only expose gauges and counters, not policy.
+func (h *Host) watchDefaults(hcfg telemetry.HealthConfig, relPrefix string) {
+	// Retransmit storm: the per-second rate of the host's retransmissions —
+	// the reliable stream's plus the guaranteed-delivery retrier's, since
+	// both re-occupy the medium. A lossy segment, a receiver NAK-looping,
+	// or a guaranteed publication with no live consumer drives this;
+	// sustained storms starve the shared medium (the appendix's throughput
+	// figures assume a lightly loaded Ethernet).
+	relRetrans := h.metrics.Counter(relPrefix + ".retransmits")
+	guarRetrans := h.ctr.guarRetransmits
+	h.engine.WatchRateFunc(telemetry.WatchConfig{
+		Kind:  "retransmit-storm",
+		Raise: hcfg.RetransmitStormRate,
+	}, func() int64 { return int64(relRetrans.Load() + guarRetrans.Load()) })
+	if h.ledger != nil {
+		// Ledger backlog: guaranteed publications no consumer has
+		// acknowledged. Growth means the retrier is spinning on a
+		// publication nobody subscribes to, or consumers are gone.
+		h.engine.Watch(telemetry.WatchConfig{
+			Kind:  "ledger-backlog",
+			Raise: hcfg.LedgerBacklog,
+		}, h.metrics.Gauge("ledger.pending").Load)
+	}
+}
+
+// trackDefaults registers the host's standing history series. Instruments
+// are fetched by name from the shared metrics registry, so layers that
+// attach later (the qledger replication agent) feed the same rings.
+func (h *Host) trackDefaults(replicated bool, relPrefix string) {
+	m, hist := h.metrics, h.hist
+	hist.TrackRate("bus.published", m.Counter("bus.published"))
+	hist.TrackRate("bus.events", m.Counter("bus.events"))
+	hist.TrackRate("bus.published_guaranteed", m.Counter("bus.published_guaranteed"))
+	hist.TrackRate("daemon.inbound", m.Counter("daemon.inbound"))
+	hist.TrackRate("daemon.delivered_local", m.Counter("daemon.delivered_local"))
+	hist.TrackRate(relPrefix+".retransmits", m.Counter(relPrefix+".retransmits"))
+	// Aggregate delivery backlog across the daemon's lanes: where a slow
+	// consumer's queue actually sits.
+	hist.TrackLevelFunc("daemon.lane_depth", func() int64 {
+		var sum int64
+		for _, d := range h.daemon.LaneDepths() {
+			sum += d
+		}
+		return sum
+	})
+	if h.ledger != nil {
+		hist.TrackRate("ledger.commits", m.Counter("ledger.commits"))
+		hist.TrackRate("ledger.fsyncs", m.Counter("ledger.fsyncs"))
+		hist.TrackLevel("ledger.pending", m.Gauge("ledger.pending"))
+		hist.TrackHist("ledger.commit_ns", m.Histogram("ledger.commit_ns"))
+	}
+	if replicated {
+		// Registered before the qledger agent attaches; the registry hands
+		// the agent the same instruments by name.
+		hist.TrackRate("qledger.acks_recv", m.Counter("qledger.acks_recv"))
+		hist.TrackLevel("qledger.repl_lag", m.Gauge("qledger.repl_lag"))
+		hist.TrackHist("qledger.quorum_wait_ns", m.Histogram("qledger.quorum_wait_ns"))
+	}
+	if h.tracing {
+		hist.TrackHist("daemon.trace_e2e_ns", m.Histogram("daemon.trace_e2e_ns"))
+	}
+}
+
+// publishTraceSidecar emits the late stage of a sampled guaranteed
+// publication — the quorum-ack hop, known only after the envelope has
+// been disseminated — through the host's agent. A host with every tier off
+// gets a tierless agent (the Sys classes and the publish func, no client,
+// no goroutine) on its first sidecar.
+func (h *Host) publishTraceSidecar(traceID uint64, quorumAt int64) {
+	h.mu.Lock()
+	if h.sys == nil && !h.closed {
+		h.sys, _ = sysagent.Start(h.sysConfig())
+	}
+	sys := h.sys
+	h.mu.Unlock()
+	if sys != nil {
+		sys.Trace(traceID, []busproto.TraceHop{{Kind: busproto.HopQuorumAck, Node: h.name, At: quorumAt}})
+	}
 }

@@ -370,17 +370,17 @@ func TestBlockedPortQuiet(t *testing.T) {
 // TestVectorOrdering pins the priority-vector comparison.
 func TestVectorOrdering(t *testing.T) {
 	cases := []struct {
-		r1 string
-		c1 int64
-		i1 string
-		r2 string
-		c2 int64
-		i2 string
+		r1   string
+		c1   int64
+		i1   string
+		r2   string
+		c2   int64
+		i2   string
 		want bool
 	}{
-		{"a", 5, "z", "b", 0, "a", true},  // lower root wins regardless of cost
-		{"a", 1, "z", "a", 2, "a", true},  // lower cost wins
-		{"a", 1, "b", "a", 1, "c", true},  // lower id breaks the tie
+		{"a", 5, "z", "b", 0, "a", true}, // lower root wins regardless of cost
+		{"a", 1, "z", "a", 2, "a", true}, // lower cost wins
+		{"a", 1, "b", "a", 1, "c", true}, // lower id breaks the tie
 		{"a", 1, "c", "a", 1, "b", false},
 	}
 	for i, tc := range cases {

@@ -113,7 +113,9 @@ func trafficClasses() []trafficClass {
 			Trace:   []busproto.TraceHop{{Node: "sim:0", At: 1}, {Node: "sim:0", Kind: busproto.HopLaneEnqueue, At: 2}},
 			Payload: payload}, false},
 		{"transformed", busproto.Envelope{Kind: busproto.KindPublish, Subject: "bench.xform.data", Payload: payload}, false},
-		{"_sys", busproto.Envelope{Kind: busproto.KindPublish, Subject: "_sys.stats.node", Payload: payload}, true},
+		// Longer than the 32 bytes a non-escaping string(subject) gets on the
+		// stack: the probe dispatch must compare the view, not convert it.
+		{"_sys", busproto.Envelope{Kind: busproto.KindPublish, Subject: "_sys.stats.a-node-name-well-over-32-bytes", Payload: payload}, true},
 	}
 }
 
@@ -127,7 +129,10 @@ func TestRouterForwardAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the budget is pinned by the non-race run in scripts/check.sh")
 	}
-	r := newFanoutRouter(t, Options{Name: "alloc"})
+	// Telemetry tiers on, tickers idle: every "_sys" publication forwarded
+	// also passes through the agent's probe dispatch.
+	r := newFanoutRouter(t, Options{Name: "alloc", StatsInterval: time.Hour,
+		Health: telemetry.HealthConfig{Interval: time.Hour}})
 	sharedCtr := r.Metrics().Counter("router.fastpath_forwarded")
 	for _, tc := range trafficClasses() {
 		m := reliable.Message{From: "pub", Payload: busproto.Encode(tc.env)}

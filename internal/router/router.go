@@ -33,6 +33,7 @@ import (
 	"infobus/internal/mop"
 	"infobus/internal/reliable"
 	"infobus/internal/subject"
+	"infobus/internal/sysagent"
 	"infobus/internal/telemetry"
 	"infobus/internal/transport"
 	"infobus/internal/wire"
@@ -61,7 +62,9 @@ type Options struct {
 	Metrics *telemetry.Registry
 	// StatsInterval enables self-hosted export: the router periodically
 	// publishes its metrics snapshot as a self-describing SysStats object
-	// on "_sys.stats.router-<name>", on every attached segment. 0 disables.
+	// on "_sys.stats.router-<name>", on every attached segment, and answers
+	// "_sys.ping" probes there with a SysPong plus a fresh snapshot, like a
+	// host. 0 disables.
 	StatsInterval time.Duration
 	// Health enables the router's alarm engine and flight recorder:
 	// per-attachment retransmit-storm alarms are published on
@@ -181,11 +184,13 @@ type Router struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	// Health tier (nil/zero unless Options.Health is enabled).
-	engine   *telemetry.Engine
-	rec      *telemetry.Recorder
-	sysTypes telemetry.SysTypes
-	sysNode  string
+	// Health tier (nil unless Options.Health is enabled).
+	engine *telemetry.Engine
+	rec    *telemetry.Recorder
+	// sys publishes every "_sys" telemetry object of this router, on every
+	// attached segment, and answers the probes handle peeks (nil with every
+	// tier off).
+	sys *sysagent.Agent
 
 	// Mesh tier (nil unless Options.Mesh is set).
 	agent *meshAgent
@@ -250,12 +255,6 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 		hcfg = hcfg.WithDefaults()
 		r.rec = telemetry.NewRecorder(hcfg.RecorderSize)
 		r.engine = telemetry.NewEngine("router-"+opts.Name, metrics, r.rec)
-		r.sysNode = r.engine.Node()
-		types, err := telemetry.DefineSysTypes(mop.NewRegistry())
-		if err != nil {
-			return nil, err
-		}
-		r.sysTypes = types
 	}
 	r.ctr = counters{
 		forwarded:          metrics.Counter("router.forwarded"),
@@ -325,8 +324,24 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 			r.hist.TrackRate("mesh.topology_changes", r.agent.topoChanges)
 			r.hist.TrackRate("router.forwarded", r.ctr.forwarded)
 			r.hist.TrackRate("router.suppressed", r.ctr.suppressed)
-			r.hist.Start()
 		}
+	}
+	if opts.StatsInterval > 0 || r.engine != nil {
+		sys, err := sysagent.Start(sysagent.Config{
+			Node:           "router-" + opts.Name,
+			Registry:       mop.NewRegistry(),
+			Publish:        r.publishSys,
+			Metrics:        metrics,
+			StatsInterval:  opts.StatsInterval,
+			Engine:         r.engine,
+			HealthInterval: hcfg.Interval,
+			History:        r.hist,
+		})
+		if err != nil {
+			r.closeAttachments()
+			return nil, err
+		}
+		r.sys = sys
 	}
 	for _, att := range r.atts {
 		r.wg.Add(1)
@@ -337,14 +352,6 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 	}
 	r.wg.Add(1)
 	go r.interestRelayLoop()
-	if opts.StatsInterval > 0 {
-		r.wg.Add(1)
-		go r.statsLoop()
-	}
-	if r.engine != nil {
-		r.engine.SetSink(r.publishAlarm)
-		r.engine.Start(hcfg.Interval)
-	}
 	return r, nil
 }
 
@@ -373,14 +380,11 @@ func (r *Router) Close() error {
 	r.closed = true
 	close(r.done)
 	r.mu.Unlock()
-	if r.engine != nil {
-		r.engine.Stop()
+	if r.sys != nil {
+		r.sys.Stop()
 	}
 	if r.agent != nil {
 		r.agent.stop()
-	}
-	if r.hist != nil {
-		r.hist.Stop()
 	}
 	r.closeAttachments()
 	r.wg.Wait()
@@ -410,8 +414,8 @@ func (r *Router) attachmentLoop(att *attachment) {
 
 // handle dispatches one inbound message off a lazy header peek. Data
 // envelopes and acks never decode: every side handler (mesh link-local,
-// "_sys.dump"/"_sys.history" probes, compact class-def harvest, class
-// requests) keys off the peeked kind/subject/payload views. Only an
+// the "_sys" probes, compact class-def harvest, class requests) keys off
+// the peeked kind/subject/payload views. Only an
 // interest advertisement, whose pattern list the router keeps, decodes.
 func (r *Router) handle(att *attachment, m reliable.Message) {
 	hdr, err := busproto.Peek(m.Payload)
@@ -441,16 +445,12 @@ func (r *Router) handle(att *attachment, m reliable.Message) {
 				}
 				return
 			}
-			if r.engine != nil && hdr.Base() == busproto.KindPublish && string(hdr.Subject) == telemetry.DumpSubject {
-				// A "_sys.dump" probe: answer with this router's flight
-				// recorder on every segment, then forward the probe so hosts
-				// behind other attachments answer too.
-				r.publishDump()
-			}
-			if r.hist != nil && hdr.Base() == busproto.KindPublish && string(hdr.Subject) == telemetry.HistorySubject {
-				// A "_sys.history" probe: answer with the mesh flight-data
-				// window, then forward so hosts answer too.
-				r.publishHistory()
+			if r.sys != nil && hdr.Base() == busproto.KindPublish {
+				// A "_sys.ping" / "_sys.dump" / "_sys.history" probe: the
+				// agent answers for the tiers this router runs, on every
+				// segment; the probe is then forwarded so hosts behind other
+				// attachments answer too. Anything else it ignores.
+				r.sys.Probe(hdr.Subject, hdr.Payload)
 			}
 			if string(hdr.Subject) == telemetry.ClassReqSubject {
 				// Answer on the requester's segment with whatever definitions
@@ -606,21 +606,8 @@ func (r *Router) noteGuarPath(origin []byte, src *attachment, from string) {
 // definitions this router has harvested, published on "_sys.class.def" on
 // the segment the request arrived from.
 func (r *Router) serveClassReq(att *attachment, payload []byte) {
-	v, err := wire.UnmarshalWith(payload, nil, r.typeCache)
-	if err != nil {
-		return
-	}
-	var held []*mop.Type
-	for _, fp := range wire.RequestedFPs(v) {
-		if t, ok := r.typeCache.Lookup(fp); ok {
-			held = append(held, t)
-		}
-	}
-	if len(held) == 0 {
-		return
-	}
-	defs, err := wire.MarshalDefs(held)
-	if err != nil {
+	defs, ok := wire.AnswerClassReq(payload, nil, r.typeCache, nil)
+	if !ok {
 		return
 	}
 	out := busproto.Encode(busproto.Envelope{
@@ -851,97 +838,11 @@ func (r *Router) transform(a *attachment, s subject.Subject) (subject.Subject, b
 	return s, false
 }
 
-// statsLoop is the router's self-hosted stats export: like a host daemon,
-// the router periodically publishes its metrics snapshot as a
-// self-describing SysStats object — on every attached segment, so a
-// monitor anywhere on the bridged bus can observe it. The object's types
-// travel with it (P2); no subscriber needs to link against this package.
-func (r *Router) statsLoop() {
-	defer r.wg.Done()
-	reg := mop.NewRegistry()
-	types, err := telemetry.DefineSysTypes(reg)
-	if err != nil {
-		return
-	}
-	node := telemetry.SanitizeNode("router-" + r.opts.Name)
-	start := time.Now()
-	ticker := time.NewTicker(r.opts.StatsInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case now := <-ticker.C:
-			obj := types.StatsObject(node, now, now.Sub(start), r.metrics.Snapshot())
-			payload, err := wire.Marshal(obj)
-			if err != nil {
-				return
-			}
-			env := busproto.Encode(busproto.Envelope{
-				Kind: busproto.KindPublish, Subject: telemetry.StatsSubject(node), Payload: payload,
-			})
-			for _, att := range r.atts {
-				_ = att.conn.Publish(env)
-				_ = att.conn.Flush()
-			}
-		}
-	}
-}
-
-// publishAlarm is the router engine's sink: one SysAlarm publication per
-// raise/clear edge, broadcast on every attached segment so a monitor
-// anywhere on the bridged bus sees the router's health.
-func (r *Router) publishAlarm(ev telemetry.AlarmEvent) {
-	if r.hist != nil {
-		// Note the edge into the flight-data ring so a "_sys.history" window
-		// shows it aligned with the churn samples that tripped it.
-		r.hist.NoteAlarm(ev)
-	}
-	payload, err := wire.Marshal(r.sysTypes.AlarmObject(ev))
-	if err != nil {
-		return
-	}
-	env := busproto.Encode(busproto.Envelope{
-		Kind: busproto.KindPublish, Subject: telemetry.AlarmSubject(ev.Node, ev.Kind), Payload: payload,
-	})
-	r.broadcastSys(env)
-}
-
-// publishDump answers a "_sys.dump" probe with the router's active alarms
-// and flight-recorder ring.
-func (r *Router) publishDump() {
-	now := time.Now()
-	obj := r.sysTypes.DumpObject(r.sysNode, now, int64(r.rec.Total()), r.engine.DumpText())
-	payload, err := wire.Marshal(obj)
-	if err != nil {
-		return
-	}
-	r.rec.Record(telemetry.EventDump, r.sysNode, 0, 0)
-	env := busproto.Encode(busproto.Envelope{
-		Kind: busproto.KindPublish, Subject: telemetry.DumpedSubject(r.sysNode), Payload: payload,
-	})
-	r.broadcastSys(env)
-}
-
-// publishHistory answers a "_sys.history" probe with the router's mesh
-// flight-data window (churn series plus in-window alarm edges), on every
-// attached segment, like a flight-data host answers for itself.
-func (r *Router) publishHistory() {
-	now := time.Now()
-	obj := r.sysTypes.HistoryObject(r.sysNode, now, r.hist.Snapshot(0), nil)
-	payload, err := wire.Marshal(obj)
-	if err != nil {
-		return
-	}
-	env := busproto.Encode(busproto.Envelope{
-		Kind:    busproto.KindPublish,
-		Subject: telemetry.HistoryNodeSubject(r.sysNode),
-		Payload: payload,
-	})
-	r.broadcastSys(env)
-}
-
-func (r *Router) broadcastSys(env []byte) {
+// publishSys is the router's "_sys" publish path: one envelope, broadcast
+// on every attached segment, so a monitor anywhere on the bridged bus sees
+// the router's telemetry and probe answers.
+func (r *Router) publishSys(subj string, payload []byte) {
+	env := busproto.Encode(busproto.Envelope{Kind: busproto.KindPublish, Subject: subj, Payload: payload})
 	for _, att := range r.atts {
 		_ = att.conn.Publish(env)
 		_ = att.conn.Flush()

@@ -1,0 +1,259 @@
+// Package sysagent is the one publisher and prober of a node's "_sys"
+// telemetry objects. A node — host, router, whatever comes next — hands it
+// what it has (a metrics registry, optionally an alarm engine, optionally a
+// flight-data ring) and a way to publish, and the agent owns the rest: the
+// Sys classes (defined once per node), the periodic "_sys.stats.<node>"
+// export, alarm-edge publication, history digests, the answers to the
+// "_sys.ping" / "_sys.dump" / "_sys.history" probes, the "_sys.trace.<node>"
+// sidecar, and the marshal-then-publish step they all end in.
+//
+// The agent never asks what kind of node it serves: a tier is present or
+// nil, and a nil tier publishes nothing and ignores its probe. The objects
+// stay self-describing (P2) and are built in one place, so a new node kind
+// is observable by supplying tiers and a publish func, never a new loop.
+package sysagent
+
+import (
+	"sync"
+	"time"
+
+	"infobus/internal/busproto"
+	"infobus/internal/mop"
+	"infobus/internal/telemetry"
+	"infobus/internal/wire"
+)
+
+// DigestSamples is how many trailing ticks a periodic history digest
+// carries per series — enough for a monitor's rate/percentile columns
+// without re-shipping the whole window every time.
+const DigestSamples = 8
+
+// Config is what a node plugs into its agent. Node, Registry and Publish
+// are required; each tier is off at its zero value.
+type Config struct {
+	// Node names the node; sanitised, it is the final element of every
+	// per-node subject and the "node" attribute of every object.
+	Node string
+	// Registry receives the Sys classes and resolves probe payloads.
+	Registry *mop.Registry
+	// TypeCache, optional, resolves compact probe payloads (a ping nonce
+	// object from a compact publisher in steady state).
+	TypeCache *wire.TypeCache
+	// Publish disseminates one marshalled object on subject, flushed — an
+	// alarm must not sit in a batch buffer. Best-effort: a closing node
+	// drops it. Called from the agent's goroutine, the engine's tick
+	// goroutine, and whichever goroutine calls Probe or Trace.
+	Publish func(subject string, payload []byte)
+
+	// Stats tier: every StatsInterval the Metrics snapshot goes out as a
+	// SysStats on "_sys.stats.<node>", and a "_sys.ping" is answered with a
+	// SysPong plus a fresh snapshot. 0 disables.
+	Metrics       *telemetry.Registry
+	StatsInterval time.Duration
+
+	// Health tier: the agent runs Engine's tick loop at HealthInterval,
+	// publishes each raise/clear edge as a SysAlarm on
+	// "_sys.alarm.<node>.<kind>", and answers "_sys.dump" with the engine's
+	// active alarms and its recorder's ring (the engine must have one). Nil
+	// disables. Watches are the node's business: it registers them on the
+	// engine, before or after Start.
+	Engine         *telemetry.Engine
+	HealthInterval time.Duration
+
+	// History tier: the agent runs History's sampler, answers
+	// "_sys.history" with the full window as a SysHistory on
+	// "_sys.history.<node>", notes alarm edges into the ring, and every
+	// DigestEvery (0: probe-only) publishes the last DigestSamples ticks
+	// there unprompted. Families, optional, supplies the subject-family
+	// table shipped with each window. Nil History disables. Series are the
+	// node's business: it tracks them before Start.
+	History     *telemetry.History
+	DigestEvery time.Duration
+	Families    func() []telemetry.TopKEntry
+}
+
+// Agent is a node's running "_sys" publisher. With every tier off it is
+// just the node's Sys classes and publish func (Trace still works) and
+// owns no goroutine.
+type Agent struct {
+	cfg   Config
+	node  string
+	types telemetry.SysTypes
+	start time.Time
+
+	done chan struct{}
+	wg   sync.WaitGroup
+}
+
+// Start defines the Sys classes in cfg.Registry and launches the enabled
+// tiers.
+func Start(cfg Config) (*Agent, error) {
+	types, err := telemetry.DefineSysTypes(cfg.Registry)
+	if err != nil {
+		return nil, err
+	}
+	a := &Agent{
+		cfg:   cfg,
+		node:  telemetry.SanitizeNode(cfg.Node),
+		types: types,
+		start: time.Now(),
+		done:  make(chan struct{}),
+	}
+	if cfg.History != nil {
+		cfg.History.Start()
+	}
+	if cfg.Engine != nil {
+		cfg.Engine.SetSink(a.publishAlarm)
+		cfg.Engine.Start(cfg.HealthInterval)
+	}
+	if cfg.StatsInterval > 0 || cfg.DigestEvery > 0 {
+		a.wg.Add(1)
+		go a.loop()
+	}
+	return a, nil
+}
+
+// Stop halts the tiers Start launched. When it returns no agent goroutine
+// is left and the agent publishes nothing more on its own; the node stops
+// calling Probe and Trace.
+func (a *Agent) Stop() {
+	if a.cfg.Engine != nil {
+		a.cfg.Engine.Stop()
+	}
+	close(a.done)
+	if a.cfg.History != nil {
+		a.cfg.History.Stop()
+	}
+	a.wg.Wait()
+}
+
+// ProbeSubjects lists the probe subjects the enabled tiers answer: what a
+// node that does not see all traffic must subscribe to, and nothing more,
+// so a tier that is off advertises no interest.
+func (a *Agent) ProbeSubjects() []string {
+	var out []string
+	if a.cfg.StatsInterval > 0 {
+		out = append(out, telemetry.PingSubject)
+	}
+	if a.cfg.History != nil {
+		out = append(out, telemetry.HistorySubject)
+	}
+	if a.cfg.Engine != nil {
+		out = append(out, telemetry.DumpSubject)
+	}
+	return out
+}
+
+// Probe answers one probe publication; any other subject, or the probe of
+// a tier that is off, is ignored. The subject is a byte view and is only
+// compared, so a node that peeks its traffic (a router, which hands every
+// "_sys" publication it forwards through here) pays no allocation.
+func (a *Agent) Probe(subject, payload []byte) {
+	switch {
+	case string(subject) == telemetry.PingSubject && a.cfg.StatsInterval > 0:
+		a.publish(telemetry.PongSubject(a.node), a.types.PongObject(a.node, time.Now(), a.nonce(payload)))
+		a.publishStats()
+	case string(subject) == telemetry.DumpSubject && a.cfg.Engine != nil:
+		a.publishDump()
+	case string(subject) == telemetry.HistorySubject && a.cfg.History != nil:
+		a.publishHistory(0)
+	}
+}
+
+// Trace publishes stage hops of an already-departed traced envelope (the
+// quorum-ack stamp, known only after dissemination) as a SysTrace sidecar
+// on "_sys.trace.<node>"; trace assemblers merge it by trace id.
+func (a *Agent) Trace(traceID uint64, hops []busproto.TraceHop) {
+	a.publish(telemetry.TraceSubject(a.node), a.types.TraceObject(a.node, traceID, hops))
+}
+
+// loop is the agent's clock: the stats export and the history digest, each
+// on its own ticker (a nil channel for a tier that is off never fires).
+func (a *Agent) loop() {
+	defer a.wg.Done()
+	var stats, digest <-chan time.Time
+	if a.cfg.StatsInterval > 0 {
+		t := time.NewTicker(a.cfg.StatsInterval)
+		defer t.Stop()
+		stats = t.C
+	}
+	if a.cfg.DigestEvery > 0 {
+		t := time.NewTicker(a.cfg.DigestEvery)
+		defer t.Stop()
+		digest = t.C
+	}
+	for {
+		select {
+		case <-a.done:
+			return
+		case <-stats:
+			a.publishStats()
+		case <-digest:
+			a.publishHistory(DigestSamples)
+		}
+	}
+}
+
+// publish is the one marshal-then-publish step. The classes travel with
+// the object (P2); no subscriber needs to link against this package.
+func (a *Agent) publish(subject string, obj *mop.Object) {
+	payload, err := wire.Marshal(obj)
+	if err != nil {
+		return // skip this one; the next tick or probe tries afresh
+	}
+	a.cfg.Publish(subject, payload)
+}
+
+func (a *Agent) publishStats() {
+	now := time.Now()
+	a.publish(telemetry.StatsSubject(a.node),
+		a.types.StatsObject(a.node, now, now.Sub(a.start), a.cfg.Metrics.Snapshot()))
+}
+
+// publishAlarm is the engine sink: one SysAlarm per edge, noted into the
+// flight-data ring too so a "_sys.history" window shows it aligned with
+// the samples that tripped it.
+func (a *Agent) publishAlarm(ev telemetry.AlarmEvent) {
+	if a.cfg.History != nil {
+		a.cfg.History.NoteAlarm(ev)
+	}
+	a.publish(telemetry.AlarmSubject(ev.Node, ev.Kind), a.types.AlarmObject(ev))
+}
+
+func (a *Agent) publishDump() {
+	rec := a.cfg.Engine.Recorder()
+	obj := a.types.DumpObject(a.node, time.Now(), int64(rec.Total()), a.cfg.Engine.DumpText())
+	rec.Record(telemetry.EventDump, a.node, 0, 0)
+	a.publish(telemetry.DumpedSubject(a.node), obj)
+}
+
+// publishHistory renders the flight-data window (maxSamples 0 = full).
+func (a *Agent) publishHistory(maxSamples int) {
+	var fams []telemetry.TopKEntry
+	if a.cfg.Families != nil {
+		fams = a.cfg.Families()
+	}
+	a.publish(telemetry.HistoryNodeSubject(a.node),
+		a.types.HistoryObject(a.node, time.Now(), a.cfg.History.Snapshot(maxSamples), fams))
+}
+
+// nonce extracts a ping's nonce — any integer value, or an object with an
+// integer "nonce" attribute; anything else is 0 — so a prober can match
+// pongs to its own probe.
+func (a *Agent) nonce(payload []byte) int64 {
+	v, err := wire.UnmarshalWith(payload, a.cfg.Registry, a.cfg.TypeCache)
+	if err != nil {
+		return 0
+	}
+	switch x := v.(type) {
+	case int64:
+		return x
+	case *mop.Object:
+		if n, err := x.Get("nonce"); err == nil {
+			if i, ok := n.(int64); ok {
+				return i
+			}
+		}
+	}
+	return 0
+}

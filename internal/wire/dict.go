@@ -595,6 +595,37 @@ func RequestedFPs(v mop.Value) []uint64 {
 	return fps
 }
 
+// AnswerClassReq is the holder side of the class-definition NAK protocol,
+// the same for every node that holds definitions: it decodes a
+// _sys.class.req payload (reg and cache as for UnmarshalWith), collects
+// each requested definition the node holds — as origin, in dict (optional),
+// or because it passed through cache — and returns the MarshalDefs blob to
+// publish on _sys.class.def. ok is false when the request does not decode
+// or none of its fingerprints is held; where to publish is the caller's.
+func AnswerClassReq(req []byte, reg *mop.Registry, cache *TypeCache, dict *SendDict) (defs []byte, ok bool) {
+	v, err := UnmarshalWith(req, reg, cache)
+	if err != nil {
+		return nil, false
+	}
+	var held []*mop.Type
+	for _, fp := range RequestedFPs(v) {
+		if dict != nil {
+			if t, found := dict.LookupFP(fp); found {
+				held = append(held, t)
+				continue
+			}
+		}
+		if t, found := cache.Lookup(fp); found {
+			held = append(held, t)
+		}
+	}
+	if len(held) == 0 {
+		return nil, false
+	}
+	defs, err = MarshalDefs(held)
+	return defs, err == nil
+}
+
 // FPsValue builds the _sys.class.req payload for a set of fingerprints.
 func FPsValue(fps []uint64) mop.Value {
 	list := make(mop.List, 0, len(fps))

@@ -14,6 +14,14 @@ cd "$(dirname "$0")/.."
 quick=0
 [ "${1:-}" = "-q" ] && quick=1
 
+echo "==> gofmt -l (the walk covers the root and the nested benchmark module)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "not gofmt-clean:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -47,6 +55,9 @@ go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/
 
 echo "==> alloc gate (steady-state encode 0 allocs; warm decode allocates what it returns, 0 for the table)"
 go test -run 'TestSendDictSteadyStateAllocs|TestUnmarshalSteadyStateAllocs' -count=1 ./internal/wire/
+
+echo "==> _sys gates (host and router answer every probe alike; published bytes golden against e4d15fb)"
+go test -run 'TestSysProbeParity|TestSysGoldenBytes' -count=1 ./internal/router/
 
 echo "==> quorum-liveness gate (replicated guaranteed delivery reaches quorum)"
 go test -run TestQuorumLiveness -count=1 ./internal/qledger/
