@@ -103,12 +103,12 @@ type Daemon struct {
 	kick   chan struct{} // debounced interest re-advertisement requests
 	wg     sync.WaitGroup
 
-	// Cached, aggregated interest advertisement; recomputed only when the
-	// subscription set changes (a full trie walk is too expensive to run
-	// on every periodic re-advertisement with tens of thousands of
-	// subscriptions).
+	// Cached interest advertisement and the subs.Gen() it was read at, so
+	// the periodic re-advertisement allocates nothing and no mutation of
+	// subs can leave it stale. advWide: the cached set is an aggregate.
 	advCache []string
-	advDirty bool
+	advGen   uint64
+	advWide  bool
 
 	// Guaranteed-delivery duplicate suppression: a publisher retransmits
 	// until acknowledged, so the same (origin, id) may arrive many times;
@@ -149,6 +149,9 @@ type Daemon struct {
 	rec           *telemetry.Recorder
 	slowDepth     int64
 	guarSeenGauge *telemetry.Gauge
+	// interestPatterns is the distinct-pattern count behind the last
+	// advertisement: how close the host is to maxAdvertisedPatterns.
+	interestPatterns *telemetry.Gauge
 }
 
 // guarKey identifies a guaranteed publication: the publisher's origin token
@@ -180,7 +183,7 @@ type Stats struct {
 type counters struct {
 	publishedLocal, inbound, deliveredLocal, noSubscriber *telemetry.Counter
 	guarAcksSent, guarAcksRecv, corruptDropped            *telemetry.Counter
-	guarAckDropped, traced                                *telemetry.Counter
+	guarAckDropped, traced, interestWidened               *telemetry.Counter
 	traceE2E                                              *telemetry.Histogram
 }
 
@@ -254,7 +257,6 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 		guarSeen:    make(map[guarKey]struct{}),
 		guarCap:     guarSeenCap,
 		interner:    subject.NewInterner(0),
-		advDirty:    true,
 		metrics:     metrics,
 		tracePeriod: opts.TracePeriod,
 		traceNode:   opts.Node,
@@ -279,9 +281,12 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 		guarAckDropped: metrics.Counter("daemon.guar_ack_dropped"),
 		corruptDropped: metrics.Counter("daemon.corrupt_dropped"),
 		traced:         metrics.Counter("daemon.traced"),
-		traceE2E:       metrics.Histogram("daemon.trace_e2e_ns"),
+		// Advertised set went from exact to aggregated (maxAdvertisedPatterns).
+		interestWidened: metrics.Counter("daemon.interest_widened"),
+		traceE2E:        metrics.Histogram("daemon.trace_e2e_ns"),
 	}
 	d.guarSeenGauge = metrics.Gauge("daemon.guar_seen")
+	d.interestPatterns = metrics.Gauge("daemon.interest_patterns")
 	if d.health != nil {
 		// Dedup-ring pressure: a ring running near capacity is at risk of
 		// un-seeing a publication still being retransmitted, which would
@@ -756,7 +761,6 @@ func (c *Client) Subscribe(pat subject.Pattern) error {
 	}
 	c.pats[pat.String()] = pat
 	c.d.subs.Add(pat, c)
-	c.d.advDirty = true
 	c.d.kickInterest()
 	return nil
 }
@@ -772,7 +776,6 @@ func (c *Client) Unsubscribe(pat subject.Pattern) error {
 	}
 	delete(c.pats, pat.String())
 	c.d.subs.Remove(pat, c)
-	c.d.advDirty = true
 	c.d.kickInterest()
 	return nil
 }
@@ -875,6 +878,7 @@ func (c *Client) Close() error {
 		c.pats = map[string]subject.Pattern{}
 		c.mu.Unlock()
 		delete(c.d.clients, c)
+		c.d.kickInterest()
 	}
 	c.d.mu.Unlock()
 	// Outside d.mu: removing a raised watch emits a clear edge, and the
@@ -1144,9 +1148,20 @@ func (d *Daemon) AdvertiseInterest() {
 		d.mu.Unlock()
 		return
 	}
-	if d.advDirty {
-		d.advCache = aggregateInterest(d.subs.Patterns(), maxAdvertisedPatterns)
-		d.advDirty = false
+	// Gen is read first: a mutation slipping in after it (there is none
+	// outside d.mu today) would only cost one redundant recomputation.
+	if gen := d.subs.Gen(); gen != d.advGen {
+		d.advGen, d.advCache = gen, d.subs.Aggregate(maxAdvertisedPatterns)
+		n := d.subs.Distinct()
+		d.interestPatterns.Set(int64(n))
+		wide := n > maxAdvertisedPatterns
+		if wide && !d.advWide {
+			d.ctr.interestWidened.Inc()
+			if d.rec != nil {
+				d.rec.Record(telemetry.EventInterest, "widened", int64(n), maxAdvertisedPatterns)
+			}
+		}
+		d.advWide = wide
 	}
 	patterns := d.advCache
 	d.mu.Unlock()
@@ -1158,15 +1173,6 @@ func (d *Daemon) AdvertiseInterest() {
 	_ = d.conn.Publish(*buf)
 	bufpool.Put(buf)
 	_ = d.conn.Flush()
-}
-
-// aggregateInterest collapses an oversized pattern set to first-element
-// wildcard prefixes ("bench.>"), and to a single ">" if even that is too
-// many. Aggregation only widens interest, never narrows it. The algorithm
-// lives in subject.AggregatePatterns so mesh routers apply the exact same
-// widening transitively at every hop.
-func aggregateInterest(patterns []string, cap int) []string {
-	return subject.AggregatePatterns(patterns, cap)
 }
 
 // guarBegin opens the fan-out of a guaranteed publication. seen reports

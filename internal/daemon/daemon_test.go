@@ -3,9 +3,11 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"infobus/internal/busproto"
 	"infobus/internal/netsim"
 	"infobus/internal/reliable"
 	"infobus/internal/subject"
@@ -13,30 +15,38 @@ import (
 	"infobus/internal/transport"
 )
 
-func newPair(t *testing.T) (*Daemon, *Daemon) {
+// newSegment returns a fast simulated segment, closed after the test's other
+// cleanups, and the millisecond-scale protocol timers to run on it.
+func newSegment(t *testing.T) (*transport.SimSegment, reliable.Config) {
 	t.Helper()
 	cfg := netsim.DefaultConfig()
 	cfg.Speedup = 5000
 	seg := transport.NewSimSegment(cfg)
-	rcfg := reliable.Config{
+	t.Cleanup(func() { _ = seg.Close() })
+	return seg, reliable.Config{
 		NakInterval:        2 * time.Millisecond,
 		GapTimeout:         300 * time.Millisecond,
 		RetransmitInterval: 3 * time.Millisecond,
 		HeartbeatInterval:  5 * time.Millisecond,
 	}
-	epA, err := seg.NewEndpoint("a")
+}
+
+func newEndpoint(t *testing.T, seg *transport.SimSegment, name string) transport.Endpoint {
+	t.Helper()
+	ep, err := seg.NewEndpoint(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epB, err := seg.NewEndpoint("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	da, db := New(epA, rcfg, Options{}), New(epB, rcfg, Options{})
+	return ep
+}
+
+func newPair(t *testing.T) (*Daemon, *Daemon) {
+	t.Helper()
+	seg, rcfg := newSegment(t)
+	da, db := New(newEndpoint(t, seg, "a"), rcfg, Options{}), New(newEndpoint(t, seg, "b"), rcfg, Options{})
 	t.Cleanup(func() {
 		_ = da.Close()
 		_ = db.Close()
-		_ = seg.Close()
 	})
 	return da, db
 }
@@ -255,51 +265,6 @@ func TestGuaranteedLateSubscriberStillServed(t *testing.T) {
 	}
 }
 
-func TestAggregateInterest(t *testing.T) {
-	// Small sets pass through unchanged.
-	small := []string{"a.b", "c.>"}
-	got := aggregateInterest(small, 64)
-	if len(got) != 2 || got[0] != "a.b" {
-		t.Errorf("small set = %v", got)
-	}
-	// Oversized sets collapse to first-element prefixes.
-	var big []string
-	for i := 0; i < 1000; i++ {
-		big = append(big, "bench.s"+string(rune('a'+i%26))+".data")
-	}
-	got = aggregateInterest(big, 64)
-	if len(got) != 1 || got[0] != "bench.>" {
-		t.Errorf("aggregated = %v, want [bench.>]", got)
-	}
-	// Too many distinct prefixes collapse to ">".
-	var wide []string
-	for i := 0; i < 200; i++ {
-		wide = append(wide, "p"+string(rune('a'+i%26))+string(rune('a'+i/26))+".x")
-	}
-	got = aggregateInterest(wide, 64)
-	if len(got) != 1 || got[0] != ">" {
-		t.Errorf("wide aggregated = %v, want [>]", got)
-	}
-	// A leading wildcard forces the universal pattern.
-	got = aggregateInterest(append(big, ">"), 64)
-	if len(got) != 1 || got[0] != ">" {
-		t.Errorf("wildcard aggregated = %v", got)
-	}
-	// Aggregation only widens: every original pattern's matches are
-	// covered by some aggregated pattern.
-	agg := aggregateInterest(big, 64)
-	s := subject.MustParse("bench.sa.data")
-	covered := false
-	for _, a := range agg {
-		if subject.MustParsePattern(a).Matches(s) {
-			covered = true
-		}
-	}
-	if !covered {
-		t.Error("aggregation narrowed interest")
-	}
-}
-
 // TestGuarRingEviction pushes the dedup window well past 2x its capacity
 // and checks the fixed-size ring: the set never exceeds the cap, the
 // newest cap keys stay deduplicated, the oldest are forgotten, and
@@ -452,5 +417,125 @@ func TestGuarAckDropCounted(t *testing.T) {
 	evs := rec.Events()
 	if len(evs) != 1 || evs[0].Kind != telemetry.EventDrop || evs[0].Target != "guar-ack" {
 		t.Fatalf("recorder events = %+v, want one guar-ack drop", evs)
+	}
+}
+
+// interestListener is a bare protocol endpoint on the daemon's segment: it
+// sees the interest advertisements a router would.
+func interestListener(t *testing.T, opts Options) (*Daemon, *reliable.Conn) {
+	t.Helper()
+	seg, rcfg := newSegment(t)
+	d, l := New(newEndpoint(t, seg, "host"), rcfg, opts), reliable.New(newEndpoint(t, seg, "listener"), rcfg)
+	t.Cleanup(func() {
+		_ = d.Close()
+		_ = l.Close()
+	})
+	return d, l
+}
+
+// awaitInterest reads advertisements off the listener until one lists
+// exactly want.
+func awaitInterest(t *testing.T, l *reliable.Conn, want ...string) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	var last []string
+	for {
+		select {
+		case m := <-l.Recv():
+			env, err := busproto.Decode(m.Payload)
+			if err != nil || env.Kind != busproto.KindInterest {
+				continue
+			}
+			if last = env.Patterns; slices.Equal(last, want) {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("no advertisement of %v; last was %v", want, last)
+		}
+	}
+}
+
+// TestClosedClientLeavesAdvertisement: a closed application's patterns
+// leave the advertisement with no other subscription change to flush them
+// out (the advertisement used to be served from a cache Close did not
+// invalidate, refreshing the routers' TTL for the dead patterns forever).
+func TestClosedClientLeavesAdvertisement(t *testing.T) {
+	d, l := interestListener(t, Options{})
+	a, _ := d.NewClient("a")
+	b, _ := d.NewClient("b")
+	_ = a.Subscribe(subject.MustParsePattern("gone.x"))
+	_ = a.Subscribe(subject.MustParsePattern("gone.y.>"))
+	_ = b.Subscribe(subject.MustParsePattern("kept.z"))
+	awaitInterest(t, l, "gone.x", "gone.y.>", "kept.z")
+	_ = a.Close()
+	awaitInterest(t, l, "kept.z")
+}
+
+// TestAdvertiseInterestAllocBudget: a subscription change and the
+// advertisement it causes cost the same small number of allocations with
+// 100 subscriptions as with 10 000 — anything that walks the set again
+// (the old Trie.Patterns path cost ~3 allocations per subscription) fails
+// by orders of magnitude. scripts/check.sh runs this as a gate.
+func TestAdvertiseInterestAllocBudget(t *testing.T) {
+	perChange := func(n int) float64 {
+		d, _ := interestListener(t, Options{})
+		c, _ := d.NewClient("app")
+		for i := 0; i < n; i++ {
+			if err := c.Subscribe(subject.MustParsePattern(fmt.Sprintf("load.s%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		churned := subject.MustParsePattern("load.churned")
+		return testing.AllocsPerRun(200, func() {
+			_ = c.Subscribe(churned)
+			_ = c.Unsubscribe(churned)
+			d.AdvertiseInterest()
+		})
+	}
+	small, large := perChange(100), perChange(10000)
+	t.Logf("allocs per subscribe+cancel+advertise: %.1f at 100 subscriptions, %.1f at 10000", small, large)
+	const budget = 40
+	if small > budget || large > budget {
+		t.Errorf("allocs per change = %.1f / %.1f at 100 / 10000 subscriptions, budget %d", small, large, budget)
+	}
+}
+
+// TestInterestWideningObserved: crossing maxAdvertisedPatterns is visible —
+// the gauge follows the distinct-pattern count, and each transition of the
+// advertised set from exact to aggregated counts once and leaves one
+// flight-recorder event.
+func TestInterestWideningObserved(t *testing.T) {
+	rec := telemetry.NewRecorder(8)
+	d, _ := interestListener(t, Options{Recorder: rec})
+	c, _ := d.NewClient("app")
+	pat := func(i int) subject.Pattern { return subject.MustParsePattern(fmt.Sprintf("w.s%d", i)) }
+	expect := func(patterns, widened int64) {
+		t.Helper()
+		d.AdvertiseInterest()
+		if got := d.Metrics().Gauge("daemon.interest_patterns").Load(); got != patterns {
+			t.Errorf("interest_patterns = %d, want %d", got, patterns)
+		}
+		if got := d.Metrics().Counter("daemon.interest_widened").Load(); got != uint64(widened) {
+			t.Errorf("interest_widened = %d, want %d", got, widened)
+		}
+		if evs := rec.Events(); len(evs) != int(widened) {
+			t.Errorf("recorder holds %d events, want %d: %+v", len(evs), widened, evs)
+		}
+	}
+	for i := 0; i < maxAdvertisedPatterns; i++ {
+		_ = c.Subscribe(pat(i))
+	}
+	expect(maxAdvertisedPatterns, 0)
+	_ = c.Subscribe(pat(64))
+	expect(65, 1)
+	_ = c.Subscribe(pat(65))
+	expect(66, 1) // still aggregated: no new transition
+	_ = c.Unsubscribe(pat(64))
+	_ = c.Unsubscribe(pat(65))
+	expect(64, 1)
+	_ = c.Subscribe(pat(64))
+	expect(65, 2)
+	if ev := rec.Events()[0]; ev.Kind != telemetry.EventInterest || ev.A != 65 || ev.B != maxAdvertisedPatterns {
+		t.Errorf("event = %+v", ev)
 	}
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -362,5 +363,33 @@ func TestWantsOnReportsInterest(t *testing.T) {
 	}
 	if r.WantsOn("nonexistent", subj) {
 		t.Error("unknown attachment reported interest")
+	}
+}
+
+// TestOneElementSubjectSurvivesAggregation: a host over the advertisement
+// cap still receives a one-element subject across a router. Aggregation
+// used to advertise the literal "foo" as "foo.>", which does not match the
+// subject "foo", so the router silently stopped forwarding it.
+func TestOneElementSubjectSurvivesAggregation(t *testing.T) {
+	segA, segB := fastSeg(), fastSeg()
+	defer segA.Close()
+	defer segB.Close()
+	newRouter(t, Options{Name: "r1"},
+		Attachment{Segment: segA, Name: "A"},
+		Attachment{Segment: segB, Name: "B"},
+	)
+	pub := newBus(t, segA, "pubhost", core.HostConfig{})
+	con := newBus(t, segB, "conhost", core.HostConfig{})
+	for i := 0; i < 70; i++ {
+		if _, err := con.Subscribe(fmt.Sprintf("bulk.s%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, err := con.Subscribe("foo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := publishUntil(t, pub, "foo", int64(7), sub); ev.Subject.String() != "foo" || ev.Value != int64(7) {
+		t.Fatalf("event = %+v", ev)
 	}
 }

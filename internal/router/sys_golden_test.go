@@ -23,10 +23,12 @@ import (
 // object: the subject, and the SHA-256 and length of the payload after
 // normalisation. Captured by running this same test body at commit e4d15fb,
 // against the three host agents and the router's own publish functions that
-// internal/sysagent replaced.
+// internal/sysagent replaced; host/stats re-captured when the daemon gained
+// daemon.interest_patterns and daemon.interest_widened (two more entries of
+// the same shape, nothing else moved).
 var sysGolden = map[string]string{
 	"host/interest":       "0403095f7379732e64756d700c5f7379732e686973746f7279095f7379732e70696e67",
-	"host/stats":          "_sys.stats.golden-host 4817 8beafa816a9ac38f7e1b509b7fe3cb14f9a789569af560d85611ba7f72c93ce0",
+	"host/stats":          "_sys.stats.golden-host 4986 995740194d5a0982644026408f85e1535e46837b00c38af8dfc4d60336e8a2c7",
 	"host/alarm":          "_sys.alarm.golden-host.golden-alarm 126 01473b4946845e0df97bdceea0f6dce9ce9cb233fba3cddead905c01877bc92c",
 	"host/dump":           "_sys.dumped.golden-host 252 9cdc01381df1e6a6f27dcbbf1acde62afd1d0c377dbed8191a3cea1155608f02",
 	"host/history":        "_sys.history.golden-host 1484 2f4ae75864aa7851d1b2221dd283b9bbbd3a27195bf84351ce3ab375933688bc",

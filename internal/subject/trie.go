@@ -2,6 +2,7 @@ package subject
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -25,6 +26,10 @@ type Trie[V comparable] struct {
 	mu   sync.RWMutex
 	root *trieNode[V]
 	size int // number of (pattern, value) pairs
+	// distinct counts the nodes whose values or rest set is non-empty, one
+	// per distinct registered pattern; Aggregate reads it to know whether
+	// the exact pattern set fits without walking to find out.
+	distinct int
 
 	// Match cache: subject string → matched value set. Publications repeat
 	// subjects far more often than subscriptions change (Figures 6–8 publish
@@ -70,17 +75,13 @@ func (t *Trie[V]) Add(p Pattern, value V) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := t.root
-	for i, e := range p.elements {
+	set := &n.values
+	for _, e := range p.elements {
 		switch e {
 		case WildcardRest:
 			// ">" is validated to be final by ParsePattern.
-			if containsValue(n.rest, value) {
-				return false
-			}
-			n.rest = append(n.rest, value)
-			t.size++
-			t.invalidate()
-			return true
+			set = &n.rest
+			continue
 		case WildcardOne:
 			if n.star == nil {
 				n.star = &trieNode[V]{}
@@ -97,12 +98,15 @@ func (t *Trie[V]) Add(p Pattern, value V) bool {
 			}
 			n = child
 		}
-		_ = i
+		set = &n.values
 	}
-	if containsValue(n.values, value) {
+	if containsValue(*set, value) {
 		return false
 	}
-	n.values = append(n.values, value)
+	if len(*set) == 0 {
+		t.distinct++
+	}
+	*set = append(*set, value)
 	t.size++
 	t.invalidate()
 	return true
@@ -135,16 +139,12 @@ func (t *Trie[V]) Remove(p Pattern, value V) bool {
 
 func (t *Trie[V]) remove(n *trieNode[V], elems []string, value V) bool {
 	if len(elems) == 0 {
-		var ok bool
-		n.values, ok = removeValue(n.values, value)
-		return ok
+		return t.removeValue(&n.values, value)
 	}
 	e := elems[0]
 	switch e {
 	case WildcardRest:
-		var ok bool
-		n.rest, ok = removeValue(n.rest, value)
-		return ok
+		return t.removeValue(&n.rest, value)
 	case WildcardOne:
 		if n.star == nil {
 			return false
@@ -269,39 +269,70 @@ func matchWalk[V comparable](n *trieNode[V], elems []string, collect func([]V)) 
 func (t *Trie[V]) Patterns() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	set := make(map[string]struct{})
-	var walk func(n *trieNode[V], prefix []string)
-	walk = func(n *trieNode[V], prefix []string) {
-		if len(n.values) > 0 {
-			set[joinElems(prefix)] = struct{}{}
-		}
-		if len(n.rest) > 0 {
-			set[joinElems(append(prefix, WildcardRest))] = struct{}{}
-		}
-		for e, child := range n.children {
-			walk(child, append(prefix, e))
-		}
-		if n.star != nil {
-			walk(n.star, append(prefix, WildcardOne))
-		}
-	}
-	walk(t.root, nil)
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
+	return t.patternsLocked()
+}
+
+func (t *Trie[V]) patternsLocked() []string {
+	out := t.root.appendPatterns(make([]string, 0, t.distinct), nil)
 	sort.Strings(out)
 	return out
 }
 
-func joinElems(elems []string) string {
-	out := ""
-	for i, e := range elems {
-		if i > 0 {
-			out += sep
-		}
-		out += e
+// appendPatterns appends the pattern of every occupied node at or below n,
+// whose own path is prefix. Paths are unique, so no pattern repeats.
+func (n *trieNode[V]) appendPatterns(out, prefix []string) []string {
+	if len(n.values) > 0 {
+		out = append(out, strings.Join(prefix, sep))
 	}
+	if len(n.rest) > 0 {
+		out = append(out, strings.Join(append(prefix, WildcardRest), sep))
+	}
+	for e, child := range n.children {
+		out = child.appendPatterns(out, append(prefix, e))
+	}
+	if n.star != nil {
+		out = n.star.appendPatterns(out, append(prefix, WildcardOne))
+	}
+	return out
+}
+
+// Distinct returns the number of distinct registered patterns,
+// len(Patterns()) without the walk.
+func (t *Trie[V]) Distinct() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.distinct
+}
+
+// Aggregate returns AggregatePatterns(t.Patterns(), max), sorted, without
+// walking a set that will not fit. Above max the aggregate is the trie's
+// first level: Remove prunes empty nodes, so every key of root.children
+// heads at least one registered pattern, and a root "*" or ">" slot is
+// occupied only while some pattern starts with that wildcard. The cost is
+// then O(min(len(root.children), max)) however many patterns lie below.
+func (t *Trie[V]) Aggregate(max int) []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	root := t.root
+	if t.distinct <= max {
+		return t.patternsLocked()
+	}
+	if root.star != nil || len(root.rest) > 0 || len(root.children) > max {
+		return []string{WildcardRest}
+	}
+	out := make([]string, 0, len(root.children))
+	for e, child := range root.children {
+		if len(child.values) > 0 {
+			out = append(out, e)
+		}
+		if len(child.children) > 0 || child.star != nil || len(child.rest) > 0 {
+			out = append(out, e+sep+WildcardRest)
+		}
+	}
+	if len(out) > max {
+		return []string{WildcardRest}
+	}
+	sort.Strings(out)
 	return out
 }
 
@@ -314,12 +345,19 @@ func containsValue[V comparable](vs []V, v V) bool {
 	return false
 }
 
-func removeValue[V comparable](vs []V, v V) ([]V, bool) {
+// removeValue deletes v from one node's values or rest set, counting the
+// node's pattern out when the set empties.
+func (t *Trie[V]) removeValue(set *[]V, v V) bool {
+	vs := *set
 	for i, x := range vs {
 		if x == v {
 			copy(vs[i:], vs[i+1:])
-			return vs[:len(vs)-1], true
+			*set = vs[:len(vs)-1]
+			if len(vs) == 1 {
+				t.distinct--
+			}
+			return true
 		}
 	}
-	return vs, false
+	return false
 }

@@ -31,6 +31,7 @@ const (
 	EventDump                            // a _sys.dump probe was answered
 	EventRepl                            // a replication-tier event (quorum timeout, recovery); A=context
 	EventMesh                            // a mesh topology change (re-election, port flip); A=cumulative count
+	EventInterest                        // a host's advertised interest went from exact to aggregated; A=patterns B=cap
 )
 
 func (k EventKind) String() string {
@@ -55,6 +56,8 @@ func (k EventKind) String() string {
 		return "repl"
 	case EventMesh:
 		return "mesh"
+	case EventInterest:
+		return "interest"
 	default:
 		return "event"
 	}

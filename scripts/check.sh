@@ -47,6 +47,12 @@ go test -run TestGuaranteedPublishAllocBudget -count=1 .
 echo "==> alloc gate (router forward: 0 allocs/op for plain, guaranteed, traced, transformed, _sys)"
 go test -run TestRouterForwardAllocBudget -count=1 ./internal/router/
 
+echo "==> alloc gate (subscription change + advertisement: same small constant at 100 and at 10000 subscriptions)"
+go test -run TestAdvertiseInterestAllocBudget -count=1 ./internal/daemon/
+
+echo "==> interest-aggregate gate (Trie.Aggregate == AggregatePatterns(Trie.Patterns()); aggregation only widens)"
+go test -run 'TestTrieAggregateEqualsAggregatePatterns|TestAggregateWidens|TestAggregateKeepsOneElementSubjects' -count=1 ./internal/subject/
+
 echo "==> fsync gate (8 Sync publishers average well under one fsync/message)"
 go test -run TestGroupCommitFsyncBudget -count=1 ./internal/ledger/
 
@@ -86,6 +92,7 @@ if [ "$quick" -eq 0 ]; then
     go test -run xxx -fuzz 'FuzzEnvelopePeek$'     -fuzztime 5s ./internal/busproto/
     go test -run xxx -fuzz 'FuzzAppendForward$'    -fuzztime 5s ./internal/busproto/
     go test -run xxx -fuzz 'FuzzParsePattern$'     -fuzztime 5s ./internal/subject/
+    go test -run xxx -fuzz 'FuzzAggregateWidens$'  -fuzztime 5s ./internal/subject/
     go test -run xxx -fuzz 'FuzzParseRecord$'      -fuzztime 5s ./internal/ledger/
     go test -run xxx -fuzz 'FuzzSegmentedReplay$'  -fuzztime 5s ./internal/ledger/
     go test -run xxx -fuzz 'FuzzReplFrame$'        -fuzztime 5s ./internal/qledger/
