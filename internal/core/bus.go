@@ -234,8 +234,8 @@ type HostConfig struct {
 	// DeliveryLanes shards the daemon's subscription matching and client
 	// delivery queues across this many lanes keyed by subject-prefix hash
 	// (see internal/daemon). 0 — the default — selects min(GOMAXPROCS, 8);
-	// 1 disables sharding (the single-lane path is behaviorally identical
-	// to the pre-lane daemon).
+	// 1 is the same engine with one lane and one inbound worker
+	// (behaviorally identical to the pre-lane daemon).
 	DeliveryLanes int
 }
 

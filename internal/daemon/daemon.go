@@ -80,8 +80,8 @@ type Daemon struct {
 	tokens *tokenSource
 
 	// Delivery lanes (lanes.go): match-cache shards + per-lane telemetry.
-	// Immutable after construction. workers is the inbound pool, nil when
-	// len(lanes) == 1 (the seed path: inline handling on recvLoop).
+	// Immutable after construction. workers is the inbound pool, one per
+	// lane.
 	lanes   []*lane
 	workers []*inWorker
 	inWg    sync.WaitGroup
@@ -127,11 +127,6 @@ type Daemon struct {
 	// recovery replayer's copy can arrive on different workers at once, and
 	// without the claim both would deliver. Lazily allocated.
 	guarInflight map[guarKey]struct{}
-
-	// interner caches subject.Parse results for inbound publications;
-	// workloads repeat subjects heavily, so the per-message split becomes a
-	// map hit.
-	interner *subject.Interner
 
 	metrics     *telemetry.Registry
 	ctr         counters
@@ -219,9 +214,9 @@ type Options struct {
 	SlowConsumerDepth int64
 	// DeliveryLanes shards subscription matching and client delivery
 	// queues across this many lanes keyed by subject-prefix hash (see
-	// lanes.go). 0 — the default — selects min(GOMAXPROCS, 8). 1 disables
-	// sharding: a single cache shard, a single queue column, inline
-	// inbound handling — behaviorally the pre-lane path.
+	// lanes.go). 0 — the default — selects min(GOMAXPROCS, 8). 1 is the
+	// same engine at its smallest: one cache shard, one queue column, one
+	// inbound worker.
 	DeliveryLanes int
 }
 
@@ -256,7 +251,6 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 		kick:        make(chan struct{}, 1),
 		guarSeen:    make(map[guarKey]struct{}),
 		guarCap:     guarSeenCap,
-		interner:    subject.NewInterner(0),
 		metrics:     metrics,
 		tracePeriod: opts.TracePeriod,
 		traceNode:   opts.Node,
@@ -296,20 +290,18 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 			Raise: int64(d.guarCap) * 8 / 10,
 		}, d.guarSeenGauge.Load)
 	}
-	if len(d.lanes) > 1 {
-		// Inbound worker pool, one worker per lane, keyed by sender hash
-		// in recvLoop: a sender's messages always land on one worker, in
-		// arrival order, so per-sender FIFO survives the parallelism.
-		d.workers = make([]*inWorker, len(d.lanes))
-		d.inWg.Add(len(d.workers))
-		for i := range d.workers {
-			w := &inWorker{
-				ch:       make(chan reliable.Message, workerQueueDepth),
-				interner: subject.NewInterner(0),
-			}
-			d.workers[i] = w
-			go d.workerLoop(w)
+	// Inbound worker pool, one worker per lane, keyed by sender hash in
+	// recvLoop: a sender's messages always land on one worker, in arrival
+	// order, so per-sender FIFO survives the parallelism.
+	d.workers = make([]*inWorker, len(d.lanes))
+	d.inWg.Add(len(d.workers))
+	for i := range d.workers {
+		w := &inWorker{
+			ch:       make(chan reliable.Message, workerQueueDepth),
+			interner: subject.NewInterner(0),
 		}
+		d.workers[i] = w
+		go d.workerLoop(w)
 	}
 	d.wg.Add(2)
 	go d.recvLoop()
@@ -938,8 +930,7 @@ func (c *Client) enqueue(ln *lane, dv Delivery) bool {
 // ---------------------------------------------------------------------------
 // Inbound routing
 
-// recvLoop drains the reliable connection. With one lane it handles every
-// message inline (the seed path); with several it dispatches to the
+// recvLoop drains the reliable connection, dispatching each message to the
 // long-lived worker keyed by the sender's address hash, so one sender's
 // messages are always handled by one worker in arrival order — per-sender
 // FIFO survives the parallelism, and the qledger invariant that an ack
@@ -947,18 +938,16 @@ func (c *Client) enqueue(ln *lane, dv Delivery) bool {
 // worker channel blocks this loop (backpressure), never drops or spawns.
 func (d *Daemon) recvLoop() {
 	defer d.wg.Done()
-	if d.workers != nil {
-		// Registered after the wg.Done defer so it runs first (LIFO):
-		// d.wg.Wait() returning means every worker has drained and exited,
-		// which is what lets Close shut clients down without racing a
-		// worker mid-enqueue.
-		defer func() {
-			for _, w := range d.workers {
-				close(w.ch)
-			}
-			d.inWg.Wait()
-		}()
-	}
+	// Registered after the wg.Done defer so it runs first (LIFO):
+	// d.wg.Wait() returning means every worker has drained and exited,
+	// which is what lets Close shut clients down without racing a worker
+	// mid-enqueue.
+	defer func() {
+		for _, w := range d.workers {
+			close(w.ch)
+		}
+		d.inWg.Wait()
+	}()
 	for {
 		select {
 		case <-d.done:
@@ -966,10 +955,6 @@ func (d *Daemon) recvLoop() {
 		case m, ok := <-d.conn.Recv():
 			if !ok {
 				return
-			}
-			if d.workers == nil {
-				d.handleMessage(d.interner, m)
-				continue
 			}
 			d.workers[addrHash(m.From)%uint32(len(d.workers))].ch <- m
 		}

@@ -33,9 +33,8 @@ import (
 //     qledger rule that an ack record never overtakes its message rides on
 //     exactly this).
 //
-// With DeliveryLanes == 1 no workers exist and the daemon runs the seed
-// path: inline handling on the receive goroutine, a single cache shard,
-// a single queue column per client.
+// DeliveryLanes == 1 is the same engine at N = 1: one inbound worker, one
+// cache shard, one queue column per client.
 
 // maxAutoLanes caps the auto-selected lane count (Options.DeliveryLanes
 // == 0 picks min(GOMAXPROCS, maxAutoLanes)). Lanes beyond the point where

@@ -80,9 +80,9 @@ func TestResolveLanes(t *testing.T) {
 	}
 }
 
-// TestLaneWiring checks the structural invariants: lanes > 1 builds one
-// inbound worker per lane, DeliveryLanes == 1 runs the seed path with no
-// worker pool at all, and every client gets one queue column per lane.
+// TestLaneWiring checks the structural invariants: one inbound worker per
+// lane — at DeliveryLanes == 1 too, the same engine at N = 1 — and every
+// client gets one queue column per lane.
 func TestLaneWiring(t *testing.T) {
 	da, _ := newPairLanes(t, 4)
 	if da.Lanes() != 4 || len(da.workers) != 4 {
@@ -97,8 +97,8 @@ func TestLaneWiring(t *testing.T) {
 	}
 
 	ds, _ := newPairLanes(t, 1)
-	if ds.Lanes() != 1 || ds.workers != nil {
-		t.Fatalf("single-lane daemon: lanes=%d workers=%v, want 1/nil", ds.Lanes(), ds.workers)
+	if ds.Lanes() != 1 || len(ds.workers) != 1 {
+		t.Fatalf("single-lane daemon: lanes=%d workers=%d, want 1/1", ds.Lanes(), len(ds.workers))
 	}
 }
 
@@ -176,14 +176,11 @@ func TestCrossLaneLocalFIFO(t *testing.T) {
 }
 
 // TestSingleLaneGoldenEquivalence runs the cross-lane workload on a
-// DeliveryLanes=1 daemon — the seed path — and checks the observable
-// behavior is identical: exact publish order, exact counts, no worker
-// pool. This is the "1 lane behaves like the pre-lane daemon" contract.
+// DeliveryLanes=1 daemon and checks the observable behavior is identical:
+// exact publish order, exact counts. This pins N = 1 of the one engine to
+// the "1 lane behaves like the pre-lane daemon" contract.
 func TestSingleLaneGoldenEquivalence(t *testing.T) {
 	da, db := newPairLanes(t, 1)
-	if da.workers != nil || db.workers != nil {
-		t.Fatal("single-lane daemons must not run inbound workers")
-	}
 	subjects := []subject.Subject{
 		subject.MustParse("lane0.x.data"),
 		subject.MustParse("lane1.x.data"),
