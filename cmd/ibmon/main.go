@@ -32,7 +32,7 @@
 //	ibmon -listen 127.0.0.1:7009 -peers 127.0.0.1:7001 -sys -watch
 //
 // With -sys -mesh it renders the router mesh: each "_sys.mesh.status.<node>"
-// snapshot (routers publish them periodically when the mesh is enabled)
+// snapshot (every router publishes them periodically)
 // becomes one line of spanning-tree state — elected root, hop cost, tree
 // parent, and per-link port state / live peer count / aggregated remote
 // interest. Mesh-flap alarms arrive through the ordinary "_sys.alarm"

@@ -7,14 +7,18 @@
 //	  -b.listen 127.0.0.1:7102 -b.peers 127.0.0.1:8001 \
 //	  -b.rewrite fab5=plants.east.fab5
 //
-// With -mesh the router joins the interest-routed router mesh: routers
-// sharing a segment discover each other over "_sys.mesh.>", elect a
-// spanning tree (lowest -name wins root), and propagate aggregated
-// interest hop by hop, so publications traverse only subscriber-bearing
-// segments. Every router on the bus must agree on -mesh, and -name must be
-// unique per router. Watch the tree with `ibmon -sys -mesh`.
+// Every router runs the mesh protocol: routers sharing a segment hear each
+// other's hellos on "_sys.mesh.hello", elect a spanning tree (lowest -name
+// wins root; a redundant link blocks instead of duplicating traffic), and
+// propagate aggregated interest hop by hop, so publications traverse only
+// subscriber-bearing segments. -name is the router's mesh id and must be
+// unique per router: two routers sharing one forward nothing across the
+// pair and count each other in "mesh.id_conflicts". The default is derived
+// from the host name and -a.listen: unique per process on one machine, and
+// across machines that do not share a host name. Watch the tree with
+// `ibmon -sys -mesh`.
 //
-//	ibrouter -name r-east -mesh -a.listen ... -b.listen ...
+//	ibrouter -name r-east -a.listen ... -b.listen ...
 package main
 
 import (
@@ -26,7 +30,6 @@ import (
 	"time"
 
 	"infobus"
-	"infobus/internal/mesh"
 	"infobus/internal/router"
 	"infobus/internal/subject"
 )
@@ -39,9 +42,14 @@ func main() {
 	bPeers := flag.String("b.peers", "", "side B bus hosts")
 	bRewrite := flag.String("b.rewrite", "", "prefix rewrite applied to traffic forwarded ONTO side B (from=to)")
 	verbose := flag.Bool("v", false, "log every forwarded message")
-	name := flag.String("name", "ibrouter", "router name (mesh id: must be unique per router, lowest becomes root)")
-	meshOn := flag.Bool("mesh", false, "join the router mesh: spanning-tree election + hop-by-hop aggregated interest")
+	name := flag.String("name", "", "router name (mesh id: must be unique per router, lowest becomes root; default ibrouter-<hostname>-<a.listen>)")
 	flag.Parse()
+	if *name == "" {
+		// -a.listen alone collides across machines (every copy of the
+		// README command line listens on 127.0.0.1:7101).
+		host, _ := os.Hostname()
+		*name = "ibrouter-" + host + "-" + *aListen
+	}
 
 	segA := infobus.NewStaticUDPSegment(*aListen, strings.Split(*aPeers, ","))
 	segB := infobus.NewStaticUDPSegment(*bListen, strings.Split(*bPeers, ","))
@@ -49,9 +57,6 @@ func main() {
 	opts := infobus.RouterOptions{Name: *name}
 	if *verbose {
 		opts.Log = os.Stdout
-	}
-	if *meshOn {
-		opts.Mesh = &mesh.Config{} // defaults: 100ms hellos, 50ms debounce
 	}
 	r, err := infobus.NewRouter(opts,
 		infobus.RouterAttachment{Segment: segA, Name: "A", Rules: parseRules(*aRewrite)},
@@ -75,10 +80,9 @@ func main() {
 			return
 		case <-ticker.C:
 			fmt.Printf("ibrouter: stats %+v\n", r.Stats())
-			if st, ok := r.MeshStatus(); ok {
-				fmt.Printf("ibrouter: mesh root=%s cost=%d parent=%q topo-changes=%d\n",
-					st.Root, st.Cost, st.Parent, st.TopoChanges)
-			}
+			st := r.MeshStatus()
+			fmt.Printf("ibrouter: mesh root=%s cost=%d parent=%q topo-changes=%d id-conflicts=%d\n",
+				st.Root, st.Cost, st.Parent, st.TopoChanges, st.IDConflicts)
 		}
 	}
 }

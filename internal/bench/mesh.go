@@ -19,13 +19,13 @@ import (
 // A14: interest locality of the router mesh. A ring of N segments, each
 // bridged to the next by one router, with stub subscriber hosts on every
 // segment and the measured flow's subscribers on only the two segments
-// next to the publisher. Pairwise routers (the pre-mesh baseline) relay
-// interest transitively in both directions around the ring, so the
-// publication floods to every segment inside the envelope hop budget —
-// bounded only by busproto.MaxHops, not by where subscribers are. The mesh
-// elects the ring into a spanning tree and propagates aggregated interest
-// hop by hop with split horizon, so the same publication traverses only
-// the subscriber-bearing segments plus the connecting tree path.
+// next to the publisher. The mesh elects the ring into a spanning tree and
+// propagates aggregated interest hop by hop with split horizon, so the
+// publication traverses only the subscriber-bearing segments plus the
+// connecting tree path. The pairwise interest relay this was first
+// measured against (it flooded 17 of 50 segments, bounded only by the
+// envelope hop budget) is gone from the router; its row is kept, dated, in
+// EXPERIMENTS.md A14.
 //
 // The traversal count is measured on the wire: a raw observer endpoint on
 // each segment counts data frames carrying the flow's payload marker. The
@@ -36,9 +36,8 @@ import (
 // meshMarker tags the measured flow's payload on the wire.
 const meshMarker = "IB-A14-LOCALITY-MARKER"
 
-// MeshLocalityRow is one mode's measurement in the A14 table.
+// MeshLocalityRow is one measurement of the A14 table.
 type MeshLocalityRow struct {
-	Mode              string // "flood" (pairwise relay) or "mesh"
 	Segments          int
 	Hosts             int // stub subscriber hosts across all segments
 	SubscriberSegs    int // segments holding interest in the measured flow
@@ -70,7 +69,7 @@ type adSource struct {
 	env  []byte
 }
 
-func buildMeshRing(netCfg netsim.Config, segments, stubsPerSeg int, meshOn bool) (*meshRing, error) {
+func buildMeshRing(netCfg netsim.Config, segments, stubsPerSeg int) (*meshRing, error) {
 	r := &meshRing{done: make(chan struct{})}
 	ok := false
 	defer func() {
@@ -102,36 +101,28 @@ func buildMeshRing(netCfg netsim.Config, segments, stubsPerSeg int, meshOn bool)
 		RetransmitInterval: 50 * time.Millisecond,
 		HeartbeatInterval:  time.Second,
 	}
-	var mcfg *mesh.Config
-	if meshOn {
-		// Every control frame fans out to every endpoint on its segment,
-		// so the host's delivery budget is frames/s × (stubsPerSeg+3) ×
-		// segments — the full ring is ~5 150 endpoints. Two-second hellos
-		// keep the control plane's global fan-out in the low tens of
-		// thousands of deliveries per second; tree convergence does not
-		// care, because mesh changes trigger immediate hello rounds and
-		// propagate at Debounce speed, not HelloInterval speed.
-		mcfg = &mesh.Config{
-			HelloInterval:   2 * time.Second,
-			Debounce:        100 * time.Millisecond,
-			InterestRefresh: 8 * time.Second,
-			StatusInterval:  -1,
-		}
+	// Every control frame fans out to every endpoint on its segment, so the
+	// host's delivery budget is frames/s × (stubsPerSeg+3) × segments — the
+	// full ring is ~5 150 endpoints. Two-second hellos keep the control
+	// plane's global fan-out in the low tens of thousands of deliveries per
+	// second; tree convergence does not care, because mesh changes trigger
+	// immediate hello rounds and propagate at Debounce speed, not
+	// HelloInterval speed.
+	mcfg := mesh.Config{
+		HelloInterval:   2 * time.Second,
+		Debounce:        100 * time.Millisecond,
+		InterestRefresh: 8 * time.Second,
+		StatusInterval:  -1,
 	}
 	for i := 0; i < segments; i++ {
 		j := (i + 1) % segments
 		rt, err := router.New(router.Options{
 			Name:     fmt.Sprintf("r%02d", i),
 			Reliable: relCfg,
-			// Long TTL + slow relay: the stub population is static, so
-			// interest only needs refreshing against expiry, and the
-			// baseline's pairwise union frames are ~5 KB each — at 200 ms
-			// they alone would oversubscribe the measurement host's
-			// delivery budget. The relay pace changes how fast the flood
-			// spreads (warmup below waits it out), not where it reaches.
-			InterestTTL:   60 * time.Second,
-			RelayInterval: time.Second,
-			Mesh:          mcfg,
+			// Long TTL: the stub population is static, so interest only
+			// needs refreshing against expiry.
+			InterestTTL: 60 * time.Second,
+			Mesh:        mcfg,
 		},
 			router.Attachment{Segment: r.segs[i], Name: segName(i)},
 			router.Attachment{Segment: r.segs[j], Name: segName(j)},
@@ -164,10 +155,9 @@ func buildMeshRing(netCfg netsim.Config, segments, stubsPerSeg int, meshOn bool)
 
 	// Stub hosts: each advertises interest in its own segment-scoped
 	// subjects (nobody publishes them — they are the background population
-	// whose interest the mesh must aggregate and the relay must carry), at
-	// a lazy refresh inside the routers' InterestTTL. The measured flow's
-	// subscribers sit on segments 1 and 2, right next to the publisher's
-	// segment 0.
+	// whose interest the mesh must aggregate), at a lazy refresh inside the
+	// routers' InterestTTL. The measured flow's subscribers sit on segments
+	// 1 and 2, right next to the publisher's segment 0.
 	stubCfg := reliable.Config{
 		NakInterval:        4 * time.Second,
 		GapTimeout:         8 * time.Second,
@@ -196,9 +186,7 @@ func buildMeshRing(netCfg netsim.Config, segments, stubsPerSeg int, meshOn bool)
 	for j := 0; j < segments; j++ {
 		for i := 0; i < stubsPerSeg; i++ {
 			// Eight distinct first-level namespaces per segment: enough
-			// diversity to exercise aggregation, bounded enough that the
-			// baseline's un-aggregated relay union stays under the datagram
-			// cap (its lack of aggregation is part of what A14 indicts).
+			// diversity to exercise aggregation.
 			pat := fmt.Sprintf("seg%02d.h%d.>", j, i%8)
 			if err := newStub(j, fmt.Sprintf("stub%02d-%d", j, i), []string{pat}); err != nil {
 				return nil, err
@@ -336,17 +324,11 @@ func (r *meshRing) publish(n int) error {
 	return nil
 }
 
-// MeasureMeshLocality runs one A14 mode: build the ring, wait until the
-// per-probe traversal stabilizes (tree election and interest propagation in
-// mesh mode; the hop-by-hop relay spread in flood mode), then measure a
-// clean window.
-func MeasureMeshLocality(netCfg netsim.Config, segments, stubsPerSeg, msgs int, meshOn bool) (MeshLocalityRow, error) {
-	mode := "flood"
-	if meshOn {
-		mode = "mesh"
-	}
+// MeasureMeshLocality runs A14: build the ring, wait until the per-probe
+// traversal stabilizes (tree election and interest propagation), then
+// measure a clean window.
+func MeasureMeshLocality(netCfg netsim.Config, segments, stubsPerSeg, msgs int) (MeshLocalityRow, error) {
 	row := MeshLocalityRow{
-		Mode:           mode,
 		Segments:       segments,
 		Hosts:          segments * stubsPerSeg,
 		SubscriberSegs: 2,
@@ -360,25 +342,17 @@ func MeasureMeshLocality(netCfg netsim.Config, segments, stubsPerSeg, msgs int, 
 	if netCfg.Speedup < 500 {
 		netCfg.Speedup = 500
 	}
-	ring, err := buildMeshRing(netCfg, segments, stubsPerSeg, meshOn)
+	ring, err := buildMeshRing(netCfg, segments, stubsPerSeg)
 	if err != nil {
 		return row, err
 	}
 	defer ring.Close()
 
-	// Probe until the traversal footprint stops changing: the flood
-	// baseline grows as relay ticks spread interest hop by hop (with a
-	// multi-second flat start while the routers' reliable streams sync);
-	// the mesh shrinks as the election cuts the ring and interest
-	// converges. Each probe itself waits for the wire to go quiet before
-	// reading, and the warmup floor must outlast the flood's flat start.
-	// The floors cover the paced initial interest walk (~1 ms per stub)
-	// plus, for the flood, the hop-by-hop relay spread: one RelayInterval
-	// per ring hop, so half the ring at 1 s/hop on top of stream sync.
-	warmupFloor := 15 * time.Second
-	if !meshOn {
-		warmupFloor = 45 * time.Second
-	}
+	// Probe until the traversal footprint stops changing: it shrinks as the
+	// election cuts the ring and interest converges. Each probe itself
+	// waits for the wire to go quiet before reading, and the warmup floor
+	// covers the paced initial interest walk (~1 ms per stub).
+	const warmupFloor = 15 * time.Second
 	started := time.Now()
 	last, stable := -1, 0
 	deadline := started.Add(150 * time.Second)
@@ -406,45 +380,12 @@ func MeasureMeshLocality(netCfg netsim.Config, segments, stubsPerSeg, msgs int, 
 	return row, nil
 }
 
-// FigureA14 measures the pairwise-flood baseline and the mesh on the same
-// ring and returns both rows.
-func FigureA14(netCfg netsim.Config, segments, stubsPerSeg, msgs int) ([]MeshLocalityRow, error) {
-	if segments <= 0 {
-		segments = 50
-	}
-	if stubsPerSeg <= 0 {
-		stubsPerSeg = 100
-	}
-	if msgs <= 0 {
-		msgs = 40
-	}
-	var rows []MeshLocalityRow
-	for _, meshOn := range []bool{false, true} {
-		row, err := MeasureMeshLocality(netCfg, segments, stubsPerSeg, msgs, meshOn)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// PrintFigureA14 renders the locality table with the mesh's reduction
-// relative to the flood baseline.
-func PrintFigureA14(w io.Writer, rows []MeshLocalityRow) {
+// PrintFigureA14 renders the locality row.
+func PrintFigureA14(w io.Writer, r MeshLocalityRow) {
 	fmt.Fprintln(w, "A14: interest-routed mesh locality (ring of segments, publisher on s00,")
 	fmt.Fprintln(w, "     flow subscribers on s01+s02 only; wire-observed data-frame footprint)")
-	fmt.Fprintf(w, "%7s %9s %7s %10s %13s %12s %10s\n",
-		"mode", "segments", "hosts", "sub-segs", "seg-traversed", "data-frames", "vs flood")
-	var baseSegs float64
-	for _, r := range rows {
-		rel := "-"
-		if r.Mode == "flood" {
-			baseSegs = float64(r.SegmentsTraversed)
-		} else if baseSegs > 0 && r.SegmentsTraversed > 0 {
-			rel = fmt.Sprintf("%.2fx", baseSegs/float64(r.SegmentsTraversed))
-		}
-		fmt.Fprintf(w, "%7s %9d %7d %10d %13d %12d %10s\n",
-			r.Mode, r.Segments, r.Hosts, r.SubscriberSegs, r.SegmentsTraversed, r.DataFrames, rel)
-	}
+	fmt.Fprintf(w, "%9s %7s %10s %13s %12s\n",
+		"segments", "hosts", "sub-segs", "seg-traversed", "data-frames")
+	fmt.Fprintf(w, "%9d %7d %10d %13d %12d\n",
+		r.Segments, r.Hosts, r.SubscriberSegs, r.SegmentsTraversed, r.DataFrames)
 }

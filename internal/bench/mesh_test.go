@@ -8,15 +8,14 @@ import (
 
 // TestMeshLocalityGate is the CI-scale A14 check: on a 50-segment ring with
 // flow subscribers on only two segments, the mesh must confine the
-// publication to the subscriber-bearing end of the ring. The flood baseline
-// is not run here — its interest spread is paced by fixed relay ticks and
-// takes minutes at test scale — the ≥5× comparison lives in ibbench -fig a14.
+// publication to the subscriber-bearing end of the ring (`ibbench -fig a14`
+// is the same measurement at 5 000 hosts).
 func TestMeshLocalityGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mesh locality gate is seconds-long; skipped in -short")
 	}
 	netCfg := netsim.Config{Speedup: 2000}
-	row, err := MeasureMeshLocality(netCfg, 50, 2, 12, true)
+	row, err := MeasureMeshLocality(netCfg, 50, 2, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,10 +201,9 @@ func MeasureRouterForward(egresses, payloadBytes, msgs int) (RouterForwardRow, e
 		atts[i] = router.Attachment{Segment: segs[i], Name: names[i]}
 	}
 	rt, err := router.New(router.Options{
-		Name:          "a15",
-		Reliable:      relCfg,
-		InterestTTL:   5 * time.Minute,
-		RelayInterval: time.Second,
+		Name:        "a15",
+		Reliable:    relCfg,
+		InterestTTL: 5 * time.Minute,
 	}, atts...)
 	if err != nil {
 		return row, err

@@ -63,13 +63,11 @@ func DataKind(guaranteed, compact, traced bool) byte {
 	}
 }
 
-// MaxHops bounds how many routers a publication may cross.
-const MaxHops = 8
-
 // MaxTraceHops bounds the per-hop trace list: publisher daemon + the
-// guaranteed-path stage hops (lane/ledger/quorum) + up to MaxHops routers +
+// guaranteed-path stage hops (lane/ledger/quorum) + a dozen routers +
 // consumer daemon, with slack for future hop kinds. A traced envelope whose
-// list is full is forwarded without appending.
+// list is full is forwarded without appending (the envelope's hop budget is
+// the routers' own: mesh.Config.MaxHops).
 const MaxTraceHops = 24
 
 // Trace hop kinds. HopNode is the original network hop (a daemon or router

@@ -8,15 +8,9 @@
 // itself as a name service. A subject is mapped to a specific set of
 // servers by allowing the servers to choose themselves."
 //
-// Subject conventions: for a service subject S under prefix P (default
-// "_disc"), queries travel on "P.q.S" and replies on "P.r.S". The query
-// carries a token that replies echo, so concurrent discoveries do not
-// confuse each other.
-//
-// The protocol runs over any publish/subscribe surface (the PubSub
-// interface), not just a core.Bus: information routers speak it on their
-// raw segment attachments under the "_sys.mesh" prefix to bootstrap the
-// router mesh, where no daemon or bus exists at all.
+// Subject conventions: for a service subject S, queries travel on
+// "_disc.q.S" and replies on "_disc.r.S". The query carries a token that
+// replies echo, so concurrent discoveries do not confuse each other.
 package discovery
 
 import (
@@ -28,30 +22,16 @@ import (
 	"infobus/internal/mop"
 )
 
-// DefaultPrefix is the subject prefix of the application discovery
-// conversation.
-const DefaultPrefix = "_disc"
+// Subject prefixes for the discovery conversation.
+const (
+	queryPrefix = "_disc.q."
+	replyPrefix = "_disc.r."
+)
 
-// Event is one publication delivered through a PubSub subscription.
-type Event struct {
-	// Value is the decoded self-describing object.
-	Value mop.Value
-	// From is the transport address the publication arrived from.
-	From string
-}
-
-// PubSub is the minimal conversation surface discovery needs. core.Bus
-// satisfies it via FromBus; the router mesh satisfies it per attachment.
-type PubSub interface {
-	// Identity returns a globally unique participant identity.
-	Identity() string
-	// Publish broadcasts a self-describing object on a subject.
-	Publish(subject string, v mop.Value) error
-	// Flush pushes buffered publications onto the wire.
-	Flush() error
-	// Subscribe registers interest in a pattern, returning the delivery
-	// channel and a cancel function. The channel closes after cancel.
-	Subscribe(pattern string) (<-chan Event, func(), error)
+// identity returns a globally unique participant identity for a bus
+// (distinct even for two participants on the same host).
+func identity(bus *core.Bus) string {
+	return fmt.Sprintf("%s#%d", bus.Host().Addr(), bus.Host().Token())
 }
 
 // Discovery message classes. They travel self-describing like any other
@@ -71,9 +51,6 @@ var (
 	}, nil)
 )
 
-func querySubject(prefix, service string) string { return prefix + ".q." + service }
-func replySubject(prefix, service string) string { return prefix + ".r." + service }
-
 // Found is one discovered participant.
 type Found struct {
 	// Who is the participant's unique identity (distinct even for two
@@ -87,11 +64,10 @@ type Found struct {
 
 // Announcer answers discovery queries for one service subject.
 type Announcer struct {
-	ps      PubSub
+	bus     *core.Bus
 	who     string
 	subject string // reply subject
-	events  <-chan Event
-	cancel  func()
+	sub     *core.Subscription
 	info    func() mop.Value
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -101,28 +77,19 @@ type Announcer struct {
 	closed  bool
 }
 
-// Announce registers a participant that serves the given service subject
-// on a bus, under the default prefix. info is called per query to produce
-// the "I am" state (it may be nil for a bare presence announcement).
+// Announce registers a participant that serves the given service subject.
+// info is called per query to produce the "I am" state (it may be nil for
+// a bare presence announcement).
 func Announce(bus *core.Bus, service string, info func() mop.Value) (*Announcer, error) {
-	return AnnounceOn(FromBus(bus), DefaultPrefix, service, info)
-}
-
-// AnnounceOn is Announce over any PubSub surface and subject prefix.
-func AnnounceOn(ps PubSub, prefix, service string, info func() mop.Value) (*Announcer, error) {
-	if prefix == "" {
-		prefix = DefaultPrefix
-	}
-	events, cancel, err := ps.Subscribe(querySubject(prefix, service))
+	sub, err := bus.Subscribe(queryPrefix + service)
 	if err != nil {
 		return nil, fmt.Errorf("discovery: subscribing to queries for %q: %w", service, err)
 	}
 	a := &Announcer{
-		ps:      ps,
-		who:     ps.Identity(),
-		subject: replySubject(prefix, service),
-		events:  events,
-		cancel:  cancel,
+		bus:     bus,
+		who:     identity(bus),
+		subject: replyPrefix + service,
+		sub:     sub,
 		info:    info,
 		done:    make(chan struct{}),
 	}
@@ -148,7 +115,7 @@ func (a *Announcer) Close() {
 	a.closed = true
 	a.mu.Unlock()
 	close(a.done)
-	a.cancel()
+	a.sub.Cancel()
 	a.wg.Wait()
 }
 
@@ -158,7 +125,7 @@ func (a *Announcer) serve() {
 		select {
 		case <-a.done:
 			return
-		case ev, ok := <-a.events:
+		case ev, ok := <-a.sub.C:
 			if !ok {
 				return
 			}
@@ -179,10 +146,10 @@ func (a *Announcer) serve() {
 				MustSet("token", tok).
 				MustSet("who", a.who).
 				MustSet("info", info)
-			if err := a.ps.Publish(a.subject, reply); err != nil {
+			if err := a.bus.Publish(a.subject, reply); err != nil {
 				continue
 			}
-			_ = a.ps.Flush()
+			_ = a.bus.Flush()
 			a.mu.Lock()
 			a.replies++
 			a.mu.Unlock()
@@ -197,39 +164,28 @@ type Options struct {
 	// Max stops collection early once this many participants replied.
 	// Zero means no cap.
 	Max int
-	// Prefix is the subject prefix of the conversation. Default "_disc";
-	// the router mesh uses "_sys.mesh".
-	Prefix string
 }
 
-// Discover performs one "Who's out there?" round for a service subject on
-// a bus and returns the participants that answered within the window.
+// Discover performs one "Who's out there?" round for a service subject and
+// returns the participants that answered within the window.
 func Discover(bus *core.Bus, service string, opts Options) ([]Found, error) {
-	return DiscoverOn(FromBus(bus), service, opts)
-}
-
-// DiscoverOn is Discover over any PubSub surface.
-func DiscoverOn(ps PubSub, service string, opts Options) ([]Found, error) {
 	if opts.Window <= 0 {
 		opts.Window = 50 * time.Millisecond
 	}
-	if opts.Prefix == "" {
-		opts.Prefix = DefaultPrefix
-	}
 	// Subscribe to replies before asking, so no reply can be missed.
-	events, cancel, err := ps.Subscribe(replySubject(opts.Prefix, service))
+	sub, err := bus.Subscribe(replyPrefix + service)
 	if err != nil {
 		return nil, fmt.Errorf("discovery: subscribing to replies for %q: %w", service, err)
 	}
-	defer cancel()
+	defer sub.Cancel()
 
-	token := ps.Identity()
+	token := identity(bus)
 	query := mop.MustNew(QueryType).MustSet("token", token)
-	qsubj := querySubject(opts.Prefix, service)
-	if err := ps.Publish(qsubj, query); err != nil {
+	qsubj := queryPrefix + service
+	if err := bus.Publish(qsubj, query); err != nil {
 		return nil, fmt.Errorf("discovery: publishing query for %q: %w", service, err)
 	}
-	_ = ps.Flush()
+	_ = bus.Flush()
 
 	var found []Found
 	seen := make(map[string]bool) // dedupe by participant identity
@@ -252,11 +208,11 @@ func DiscoverOn(ps PubSub, service string, opts Options) ([]Found, error) {
 				return found, nil
 			default:
 			}
-			_ = ps.Publish(qsubj, query)
-			_ = ps.Flush()
+			_ = bus.Publish(qsubj, query)
+			_ = bus.Flush()
 		case <-deadline.C:
 			return found, nil
-		case ev, ok := <-events:
+		case ev, ok := <-sub.C:
 			if !ok {
 				return found, nil
 			}
@@ -280,55 +236,4 @@ func DiscoverOn(ps PubSub, service string, opts Options) ([]Found, error) {
 			}
 		}
 	}
-}
-
-// busPubSub adapts a core.Bus to the PubSub interface.
-type busPubSub struct{ bus *core.Bus }
-
-// FromBus wraps a core.Bus as a discovery PubSub.
-func FromBus(bus *core.Bus) PubSub { return busPubSub{bus: bus} }
-
-func (b busPubSub) Identity() string {
-	return fmt.Sprintf("%s#%d", b.bus.Host().Addr(), b.bus.Host().Token())
-}
-
-func (b busPubSub) Publish(subject string, v mop.Value) error {
-	return b.bus.Publish(subject, v)
-}
-
-func (b busPubSub) Flush() error { return b.bus.Flush() }
-
-func (b busPubSub) Subscribe(pattern string) (<-chan Event, func(), error) {
-	sub, err := b.bus.Subscribe(pattern)
-	if err != nil {
-		return nil, nil, err
-	}
-	ch := make(chan Event, 64)
-	quit := make(chan struct{})
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			sub.Cancel()
-			close(quit)
-		})
-	}
-	go func() {
-		defer close(ch)
-		for {
-			select {
-			case ev, ok := <-sub.C:
-				if !ok {
-					return
-				}
-				select {
-				case ch <- Event{Value: ev.Value, From: ev.From}:
-				case <-quit:
-					return
-				}
-			case <-quit:
-				return
-			}
-		}
-	}()
-	return ch, cancel, nil
 }

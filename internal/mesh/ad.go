@@ -1,6 +1,6 @@
 // Package mesh makes a set of information routers self-organizing: routers
-// bridging overlapping segments discover each other over "_sys.mesh.>",
-// elect a loop-free spanning tree over the segment graph, and propagate
+// bridging overlapping segments hear each other's hellos on
+// "_sys.mesh.hello", elect a loop-free spanning tree over the segment graph, and propagate
 // aggregated interest advertisements hop by hop, so a publication traverses
 // only subscriber-bearing segments plus the connecting tree path.
 //
@@ -31,12 +31,10 @@ import (
 	"infobus/internal/wire"
 )
 
-// Subject conventions. The hello/interest conversation and the discovery
-// bootstrap ("_sys.mesh.q.link" / "_sys.mesh.r.link") are link-local:
-// routers process them and never forward them. Status snapshots are not.
+// Subject conventions. The hello/interest conversation is link-local:
+// routers process those two subjects and never forward them. Status
+// snapshots are ordinary publications.
 const (
-	// SubjectPrefix is the reserved subject subtree for the mesh protocol.
-	SubjectPrefix = "_sys.mesh"
 	// HelloSubject carries MeshHello config vectors (link-local).
 	HelloSubject = "_sys.mesh.hello"
 	// InterestSubject carries MeshInterest aggregates (link-local).
@@ -45,12 +43,6 @@ const (
 	// "_sys.mesh.status.<node>". Subscribe "_sys.mesh.status.>" to watch
 	// every router's view of the tree.
 	StatusSubjectPrefix = "_sys.mesh.status"
-	// DiscService is the discovery service name routers announce under, so
-	// a joining router can ask "who's out there?" on a segment and learn
-	// its neighbors' hellos in one round trip instead of waiting out a
-	// hello interval (discovery.AnnounceOn / DiscoverOn with Prefix
-	// SubjectPrefix).
-	DiscService = "link"
 )
 
 // StatusSubject returns the status subject for a (sanitised) router node
@@ -343,13 +335,10 @@ func parseLinks(v mop.Value) []LinkInfo {
 	return out
 }
 
-// ParseHelloObject decodes a MeshHello object. Router and Root must be
+// parseHelloObject decodes a MeshHello object. Router and Root must be
 // present, non-empty, and within the identifier cap; Cost must be
 // non-negative (a negative cost would win every election forever).
-func ParseHelloObject(o *mop.Object) (HelloAd, bool) {
-	if o == nil || o.Type().Name() != "MeshHello" {
-		return HelloAd{}, false
-	}
+func parseHelloObject(o *mop.Object) (HelloAd, bool) {
 	var ad HelloAd
 	var ok bool
 	if ad.Router, ok = token(o, "router"); !ok || ad.Router == "" {
@@ -425,7 +414,7 @@ func ParseAd(payload []byte) (any, error) {
 	}
 	switch o.Type().Name() {
 	case "MeshHello":
-		if ad, ok := ParseHelloObject(o); ok {
+		if ad, ok := parseHelloObject(o); ok {
 			return ad, nil
 		}
 	case "MeshInterest":

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,11 +53,10 @@ type Config struct {
 	// to wildcard prefixes (subject.AggregatePatterns) exactly as host
 	// daemons do at 64. Default 64.
 	MaxPatterns int
-	// MaxHops overrides the envelope hop budget while the mesh is active:
-	// the tree is loop-free, so the budget only bounds the tree diameter
-	// (busproto.MaxHops = 8 assumes today's shallow pairwise bridging).
-	// Default 64, enough for the 50–100 segment target. Capped at 255 by
-	// the envelope's uint8.
+	// MaxHops is the envelope hop budget: the tree is loop-free, so the
+	// budget only bounds the tree diameter and the pathology of a tree
+	// still converging. Default 64, enough for the 50–100 segment target.
+	// Capped at 255 by the envelope's uint8.
 	MaxHops int
 	// StatusInterval is the period between "_sys.mesh.status.<node>"
 	// introspection snapshots. Default 1s; negative disables them.
@@ -112,10 +112,12 @@ type link struct {
 	hellos   map[string]neighborHello    // router id -> freshest hello
 	interest map[string]neighborInterest // router id -> subtree interest
 
-	// compiled flattens every neighbor's patterns for the wants check,
-	// rebuilt on any interest change (changes are ad-rate, checks are
-	// cache-miss-rate).
-	compiled []subject.Pattern
+	// remote matches every neighbor's patterns for the wants check, keyed
+	// (pattern, neighbor id) so one neighbor's set can be replaced. It is
+	// the forwarding path's view of interest: its built-in match cache
+	// answers repeats and is invalidated by the Add/Remove of any interest
+	// change, so a dead subtree stops matching the moment it is pruned.
+	remote *subject.Trie[string]
 
 	// lastAd is the interest set last advertised into this link; adDirty
 	// marks it stale, adDue the debounced send time.
@@ -128,7 +130,7 @@ type link struct {
 // Mesh is one router's view of the self-organizing tree. The router feeds
 // it received ads (HandleHello / HandleInterest / HostInterestChanged),
 // drives its clock (Actions), and consults it when forwarding (Forwarding,
-// WantsRemote, Gen).
+// WantsRemote).
 type Mesh struct {
 	id  string
 	cfg Config
@@ -136,14 +138,9 @@ type Mesh struct {
 	// fwdMask is the hot-path port-state word: bit i set = link i
 	// forwarding. One atomic load decides both ends of a forward.
 	fwdMask atomic.Uint64
-	// gen counts forwarding-relevant changes (topology or remote
-	// interest); the router's per-attachment wants caches invalidate on
-	// mismatch, which is the PR 9 fix for stale entries forwarding into a
-	// dead subtree.
-	gen atomic.Uint64
 
 	mu    sync.Mutex
-	links []*link
+	links []*link // the slice and each link's remote trie are fixed at New
 	// Elected tree state.
 	root     string
 	cost     int64
@@ -155,10 +152,20 @@ type Mesh struct {
 	helloTriggered bool
 	statusDue      time.Time
 
-	// Introspection counters, mirrored into router telemetry by the
-	// driver.
-	topoChanges uint64
-	readverts   uint64
+	ctr Counters
+}
+
+// Counters are the mesh's cumulative introspection counts; the driver
+// mirrors them into router telemetry.
+type Counters struct {
+	// TopoChanges counts tree recomputations that changed something.
+	TopoChanges uint64
+	// Readverts counts interest re-advertisements (the mesh-flap alarm
+	// watches its rate).
+	Readverts uint64
+	// IDConflicts counts ads heard carrying this router's own id: another
+	// router is configured with the same name (see HandleHello).
+	IDConflicts uint64
 }
 
 // New builds the state machine for a router with the given unique id and
@@ -178,6 +185,7 @@ func New(id string, linkNames []string, cfg Config) *Mesh {
 			state:    PortForwarding,
 			hellos:   make(map[string]neighborHello),
 			interest: make(map[string]neighborInterest),
+			remote:   subject.NewTrie[string](),
 		})
 	}
 	m.storeMask()
@@ -187,13 +195,8 @@ func New(id string, linkNames []string, cfg Config) *Mesh {
 // ID returns the router's mesh id.
 func (m *Mesh) ID() string { return m.id }
 
-// MaxHops returns the envelope hop budget to enforce while the mesh is
-// active.
+// MaxHops returns the envelope hop budget to enforce.
 func (m *Mesh) MaxHops() int { return m.cfg.MaxHops }
-
-// Gen returns the forwarding-generation counter; it changes whenever a
-// previously computed wants/forward answer may be stale.
-func (m *Mesh) Gen() uint64 { return m.gen.Load() }
 
 // Forwarding reports whether the link is in the forwarding state. One
 // atomic load, zero allocations: it runs per forwarded publication.
@@ -211,9 +214,6 @@ func (m *Mesh) storeMask() {
 	m.fwdMask.Store(mask)
 }
 
-// bump marks every cached forwarding decision stale.
-func (m *Mesh) bump() { m.gen.Add(1) }
-
 // vector ordering: lower root id, then lower cost, then lower router id —
 // the 802.1D priority vector with the id standing in for both bridge
 // priority and port id (attachment order breaks the final tie).
@@ -229,16 +229,31 @@ func betterVector(root1 string, cost1 int64, id1 string, root2 string, cost2 int
 
 // HandleHello feeds one received hello. It reports whether the tree
 // changed (the driver then knows a triggered hello round is pending).
+//
+// An ad carrying this router's own id is never its own echo — a reliable
+// conn does not hear its own broadcasts — so it is a second router
+// configured with the same id. Neither can elect against the other (each
+// would discard the other's vector as its own), so the ad is dropped and
+// counted: IDConflicts is the operator's signal that the pair forwards
+// nothing across itself until one is renamed.
 func (m *Mesh) HandleHello(li int, ad HelloAd, now time.Time) bool {
-	if ad.Router == m.id {
-		return false
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if ad.Router == m.id {
+		m.ctr.IDConflicts++
+		return false
+	}
 	if li < 0 || li >= len(m.links) {
 		return false
 	}
 	l := m.links[li]
+	if _, known := l.hellos[ad.Router]; !known {
+		// A neighbor heard for the first time learns this router's vector
+		// on the next tick, not at the next periodic hello: a router joining
+		// a running segment converges in a hello round trip whatever
+		// HelloInterval is (even when its arrival changes nothing here).
+		m.helloTriggered = true
+	}
 	l.hellos[ad.Router] = neighborHello{
 		ad:      ad,
 		expires: now.Add(time.Duration(m.cfg.DeadFactor) * m.cfg.HelloInterval),
@@ -248,43 +263,57 @@ func (m *Mesh) HandleHello(li int, ad HelloAd, now time.Time) bool {
 
 // HandleInterest feeds one received interest advertisement.
 func (m *Mesh) HandleInterest(li int, ad InterestAd, now time.Time) {
-	if ad.Router == m.id {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if ad.Router == m.id {
+		m.ctr.IDConflicts++ // see HandleHello
+		return
+	}
 	if li < 0 || li >= len(m.links) {
 		return
 	}
 	l := m.links[li]
 	raw := append([]string(nil), ad.Patterns...)
 	sort.Strings(raw)
+	expires := now.Add(4 * m.cfg.InterestRefresh)
 	prev, had := l.interest[ad.Router]
-	l.interest[ad.Router] = neighborInterest{
-		raw:     raw,
-		expires: now.Add(4 * m.cfg.InterestRefresh),
-	}
 	if had && equalStrings(prev.raw, raw) {
-		return // refresh only: answers unchanged, caches survive
+		// Refresh only: answers unchanged, the match cache survives.
+		prev.expires = expires
+		l.interest[ad.Router] = prev
+		return
 	}
-	m.interestChangedLocked(li, now)
+	l.interest[ad.Router] = neighborInterest{raw: raw, expires: expires}
+	l.setRemote(ad.Router, prev.raw, raw)
+	m.markOthersDirtyLocked(li, now)
+}
+
+// setRemote replaces one neighbor's patterns in the link's wants trie, prev
+// by next (both sorted). The new set goes in before the leftovers of the old
+// come out, so a pattern in both never stops matching — a forward racing
+// the swap must not see a subscribed subject as unwanted.
+func (l *link) setRemote(router string, prev, next []string) {
+	for _, p := range next {
+		if pat, err := subject.ParsePattern(p); err == nil {
+			l.remote.Add(pat, router)
+		}
+	}
+	for _, p := range prev {
+		if _, kept := slices.BinarySearch(next, p); kept {
+			continue
+		}
+		if pat, err := subject.ParsePattern(p); err == nil {
+			l.remote.Remove(pat, router)
+		}
+	}
 }
 
 // HostInterestChanged tells the mesh that the set of host (daemon)
-// interest on a link changed, so ads into the other links are stale. The
-// router's own wants caches handle the local side already.
+// interest on a link changed, so ads into the other links are stale.
 func (m *Mesh) HostInterestChanged(li int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.markOthersDirtyLocked(li, time.Now())
-}
-
-// interestChangedLocked recompiles the link's wants patterns and schedules
-// re-advertisement on every other link.
-func (m *Mesh) interestChangedLocked(li int, now time.Time) {
-	m.recompileLocked(li)
-	m.bump()
-	m.markOthersDirtyLocked(li, now)
 }
 
 func (m *Mesh) markOthersDirtyLocked(except int, now time.Time) {
@@ -297,21 +326,6 @@ func (m *Mesh) markOthersDirtyLocked(except int, now time.Time) {
 			l.adDue = now.Add(m.cfg.Debounce)
 		}
 	}
-}
-
-func (m *Mesh) recompileLocked(li int) {
-	l := m.links[li]
-	var compiled []subject.Pattern
-	for _, ni := range l.interest {
-		for _, p := range ni.raw {
-			pat, err := subject.ParsePattern(p)
-			if err != nil {
-				continue
-			}
-			compiled = append(compiled, pat)
-		}
-	}
-	l.compiled = compiled
 }
 
 // recompute re-runs the election from the current hello tables. Caller
@@ -364,8 +378,7 @@ func (m *Mesh) recompute(now time.Time) bool {
 	}
 	if changed {
 		m.storeMask()
-		m.bump()
-		m.topoChanges++
+		m.ctr.TopoChanges++
 		m.helloTriggered = true
 		// Every link's advertised interest may now be wrong (sources
 		// moved between subtrees): re-advertise everywhere, debounced.
@@ -375,20 +388,14 @@ func (m *Mesh) recompute(now time.Time) bool {
 }
 
 // WantsRemote reports whether any neighbor router on the link advertised
-// subtree interest matching the subject. Runs on the router's wants-cache
-// MISS path only; hits never reach here.
+// subtree interest matching the subject. It runs per forwarded publication
+// and never takes the mesh lock: the link's trie is concurrent, and a
+// repeated subject is a probe of its match cache — no walk, no allocation.
 func (m *Mesh) WantsRemote(li int, s subject.Subject) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if li < 0 || li >= len(m.links) {
 		return false
 	}
-	for _, pat := range m.links[li].compiled {
-		if pat.Matches(s) {
-			return true
-		}
-	}
-	return false
+	return len(m.links[li].remote.Match(s)) > 0
 }
 
 // HelloOut is one hello to broadcast on one link.
@@ -438,11 +445,12 @@ func (m *Mesh) Actions(now time.Time, hostPatterns [][]string) Actions {
 		for id, ni := range l.interest {
 			if now.After(ni.expires) {
 				delete(l.interest, id)
+				l.setRemote(id, ni.raw, nil)
 				pruned = true
 			}
 		}
 		if pruned {
-			m.interestChangedLocked(li, now)
+			m.markOthersDirtyLocked(li, now)
 		}
 	}
 
@@ -481,7 +489,7 @@ func (m *Mesh) Actions(now time.Time, hostPatterns [][]string) Actions {
 		l.lastAd = patterns
 		l.adDirty = false
 		l.refreshDue = now.Add(m.cfg.InterestRefresh)
-		m.readverts++
+		m.ctr.Readverts++
 		out.Interests = append(out.Interests, InterestOut{Link: li, Ad: InterestAd{
 			Router: m.id, Seq: m.seq, Patterns: patterns,
 		}})
@@ -554,28 +562,14 @@ func (m *Mesh) linkInfoLocked(withInterest bool) []LinkInfo {
 	return links
 }
 
-// Hello returns the router's current config vector as it would next be
-// advertised — the discovery bootstrap answers "who's out there?" queries
-// with it, so a joining router converges in one round trip instead of
-// waiting out a hello interval.
-func (m *Mesh) Hello() HelloAd {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return HelloAd{
-		Router: m.id, Root: m.root, Cost: m.cost, Parent: m.parent,
-		Seq: m.seq, Links: m.linkInfoLocked(false),
-	}
-}
-
 // Status is a snapshot of the mesh state for tests and tooling.
 type Status struct {
-	Root        string
-	Cost        int64
-	Parent      string
-	RootPort    int
-	Links       []LinkInfo
-	TopoChanges uint64
-	Readverts   uint64
+	Root     string
+	Cost     int64
+	Parent   string
+	RootPort int
+	Links    []LinkInfo
+	Counters
 }
 
 // Snapshot returns the current tree state.
@@ -584,24 +578,15 @@ func (m *Mesh) Snapshot() Status {
 	defer m.mu.Unlock()
 	return Status{
 		Root: m.root, Cost: m.cost, Parent: m.parent, RootPort: m.rootPort,
-		Links: m.linkInfoLocked(true), TopoChanges: m.topoChanges, Readverts: m.readverts,
+		Links: m.linkInfoLocked(true), Counters: m.ctr,
 	}
 }
 
-// Readverts returns the cumulative count of interest re-advertisements
-// (the mesh-flap alarm watches its rate).
-func (m *Mesh) Readverts() uint64 {
+// Counters returns the cumulative introspection counts.
+func (m *Mesh) Counters() Counters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.readverts
-}
-
-// TopoChanges returns the cumulative count of tree recomputations that
-// changed something.
-func (m *Mesh) TopoChanges() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.topoChanges
+	return m.ctr
 }
 
 // TickInterval is the driver's clock granularity: fine enough that the

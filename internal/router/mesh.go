@@ -1,24 +1,23 @@
 package router
 
 import (
-	"strings"
-	"sync"
 	"time"
 
 	"infobus/internal/bufpool"
 	"infobus/internal/busproto"
-	"infobus/internal/discovery"
 	"infobus/internal/mesh"
-	"infobus/internal/mop"
 	"infobus/internal/telemetry"
-	"infobus/internal/wire"
 )
 
 // This file is the router's half of the self-organizing mesh
 // (internal/mesh): it puts the mesh advertisements on the wire, feeds
-// received ones into the state machine, bootstraps neighbor discovery over
-// "_sys.mesh.>" with internal/discovery, and exports the mesh-flap health
-// watch plus a flight-data history ring for the churn series.
+// received ones into the state machine, prunes expired host interest on
+// the protocol clock, and mirrors the mesh's counters into telemetry (the
+// mesh-flap watch and the flight-data history ring read them there).
+//
+// Routers meet through the hellos alone: the first one leaves on a
+// router's first tick, and a neighbour that learns anything from it
+// answers with a triggered hello on its own next tick.
 
 // meshAgent drives one Router's mesh.Mesh.
 type meshAgent struct {
@@ -32,35 +31,10 @@ type meshAgent struct {
 	// ordinary counters).
 	readverts   *telemetry.Counter
 	topoChanges *telemetry.Counter
+	idConflicts *telemetry.Counter
 	helloSent   *telemetry.Counter
 	adsDropped  *telemetry.Counter
-	lastReadv   uint64
-	lastTopo    uint64
-
-	// Link-local pub/sub dispatch for the discovery bootstrap
-	// ("_sys.mesh.q.link" / "_sys.mesh.r.link" on one attachment).
-	mu   sync.Mutex
-	subs map[*attachment][]*meshSub
-
-	announcers []*discovery.Announcer
-}
-
-type meshSub struct {
-	prefix string // exact subject the subscriber asked for
-	ch     chan discovery.Event
-}
-
-// meshLinkLocal reports whether a subject is part of the link-local mesh
-// conversation: hellos, interest ads, and the discovery bootstrap define
-// ADJACENCY, so forwarding them across segments would wreck the election.
-// Status snapshots ("_sys.mesh.status.<node>") are ordinary publications
-// and cross routers like anything else a monitor subscribes to.
-func meshLinkLocal(subj string) bool {
-	if subj == mesh.HelloSubject || subj == mesh.InterestSubject {
-		return true
-	}
-	return strings.HasPrefix(subj, mesh.SubjectPrefix+".q.") ||
-		strings.HasPrefix(subj, mesh.SubjectPrefix+".r.")
+	last        mesh.Counters
 }
 
 func newMeshAgent(r *Router, cfg mesh.Config) *meshAgent {
@@ -68,77 +42,21 @@ func newMeshAgent(r *Router, cfg mesh.Config) *meshAgent {
 	for i, att := range r.atts {
 		names[i] = att.name
 	}
-	a := &meshAgent{
+	return &meshAgent{
 		r:           r,
 		m:           mesh.New(r.opts.Name, names, cfg),
 		types:       mesh.MustTypes(),
 		node:        telemetry.SanitizeNode("router-" + r.opts.Name),
 		readverts:   r.metrics.Counter("mesh.readvertisements"),
 		topoChanges: r.metrics.Counter("mesh.topology_changes"),
+		idConflicts: r.metrics.Counter("mesh.id_conflicts"),
 		helloSent:   r.metrics.Counter("mesh.hellos_sent"),
 		adsDropped:  r.metrics.Counter("mesh.ads_dropped"),
-		subs:        make(map[*attachment][]*meshSub),
-	}
-	return a
-}
-
-// start launches the protocol loop and the discovery bootstrap.
-func (a *meshAgent) start() {
-	r := a.r
-	for _, att := range r.atts {
-		ps := &attPubSub{agent: a, att: att}
-		ann, err := discovery.AnnounceOn(ps, mesh.SubjectPrefix, mesh.DiscService, func() mop.Value {
-			ad := a.m.Hello()
-			obj := mop.MustNew(a.types.Hello).
-				MustSet("router", ad.Router).
-				MustSet("root", ad.Root).
-				MustSet("cost", ad.Cost).
-				MustSet("parent", ad.Parent).
-				MustSet("seq", ad.Seq).
-				MustSet("links", mop.List{})
-			return obj
-		})
-		if err == nil {
-			a.announcers = append(a.announcers, ann)
-		}
-	}
-	r.wg.Add(1)
-	go a.loop()
-	// One discovery round per attachment seeds the hello tables in a
-	// round trip, so a joining router does not wait out a hello interval
-	// before electing. Best-effort: the periodic hellos converge anyway.
-	for _, att := range r.atts {
-		r.wg.Add(1)
-		go func(att *attachment) {
-			defer r.wg.Done()
-			ps := &attPubSub{agent: a, att: att}
-			found, err := discovery.DiscoverOn(ps, mesh.DiscService, discovery.Options{
-				Prefix: mesh.SubjectPrefix,
-				Window: a.m.TickInterval() * 4,
-			})
-			if err != nil {
-				return
-			}
-			now := time.Now()
-			for _, f := range found {
-				if o, ok := f.Info.(*mop.Object); ok {
-					if ad, ok := mesh.ParseHelloObject(o); ok {
-						a.m.HandleHello(att.index, ad, now)
-					}
-				}
-			}
-		}(att)
 	}
 }
 
-func (a *meshAgent) stop() {
-	for _, ann := range a.announcers {
-		ann.Close()
-	}
-}
-
-// loop is the protocol clock: it gathers host interest, advances the state
-// machine, and broadcasts whatever came due.
+// loop is the protocol clock: it prunes and gathers host interest, advances
+// the state machine, and broadcasts whatever came due.
 func (a *meshAgent) loop() {
 	r := a.r
 	defer r.wg.Done()
@@ -154,7 +72,10 @@ func (a *meshAgent) loop() {
 			// mesh never takes attachment locks, attachments never hold
 			// theirs while asking the mesh, so the order cannot deadlock.
 			for i, att := range r.atts {
-				hostPatterns[i] = att.patterns()
+				var pruned bool
+				if hostPatterns[i], pruned = att.livePatterns(now); pruned {
+					a.m.HostInterestChanged(i)
+				}
 			}
 			acts := a.m.Actions(now, hostPatterns)
 			for _, h := range acts.Hellos {
@@ -177,21 +98,32 @@ func (a *meshAgent) loop() {
 					}
 				}
 			}
-			// Mirror the mesh's counters into the telemetry registry for
-			// the mesh-flap watch and the history ring.
-			if v := a.m.Readverts(); v > a.lastReadv {
-				a.readverts.Add(v - a.lastReadv)
-				a.lastReadv = v
-			}
-			if v := a.m.TopoChanges(); v > a.lastTopo {
-				a.topoChanges.Add(v - a.lastTopo)
-				a.lastTopo = v
-				if r.rec != nil {
-					r.rec.Record(telemetry.EventMesh, "mesh-topology", int64(v), 0)
-				}
-			}
+			a.mirrorCounters()
 		}
 	}
+}
+
+// mirrorCounters adds what the mesh counted since the last tick to the
+// telemetry registry, and records the two events an operator looks for in
+// a dump: a tree change, and the first sighting of a router sharing this
+// one's name (two routers with one id never elect against each other, so
+// nothing crosses the pair until one is renamed).
+func (a *meshAgent) mirrorCounters() {
+	c := a.m.Counters()
+	a.readverts.Add(c.Readverts - a.last.Readverts)
+	if c.TopoChanges > a.last.TopoChanges {
+		a.topoChanges.Add(c.TopoChanges - a.last.TopoChanges)
+		if a.r.rec != nil {
+			a.r.rec.Record(telemetry.EventMesh, "mesh-topology", int64(c.TopoChanges), 0)
+		}
+	}
+	if c.IDConflicts > a.last.IDConflicts {
+		a.idConflicts.Add(c.IDConflicts - a.last.IDConflicts)
+		if a.last.IDConflicts == 0 && a.r.rec != nil {
+			a.r.rec.Record(telemetry.EventMesh, "mesh-id-conflict", int64(c.IDConflicts), 0)
+		}
+	}
+	a.last = c
 }
 
 func (a *meshAgent) broadcast(li int, subj string, payload []byte) {
@@ -209,99 +141,18 @@ func (a *meshAgent) broadcast(li int, subj string, payload []byte) {
 	_ = att.conn.Flush()
 }
 
-// handle consumes one link-local mesh publication received on an
-// attachment, off the peeked subject and payload views (the caller never
-// fully decodes these). Returns without forwarding side effects: the
-// caller already knows these subjects never cross segments.
-func (a *meshAgent) handle(att *attachment, from string, subj string, payload []byte) {
-	switch subj {
-	case mesh.HelloSubject:
-		if v, err := mesh.ParseAd(payload); err == nil {
-			if ad, ok := v.(mesh.HelloAd); ok {
-				a.m.HandleHello(att.index, ad, time.Now())
-			}
-		}
-	case mesh.InterestSubject:
-		if v, err := mesh.ParseAd(payload); err == nil {
-			if ad, ok := v.(mesh.InterestAd); ok {
-				a.m.HandleInterest(att.index, ad, time.Now())
-			}
-		}
-	default:
-		// Discovery bootstrap traffic: deliver to the attachment's
-		// link-local subscribers (drop on a full channel — discovery
-		// re-asks, and the periodic hellos make the round redundant).
-		a.mu.Lock()
-		subs := a.subs[att]
-		var targets []*meshSub
-		for _, s := range subs {
-			if s.prefix == subj {
-				targets = append(targets, s)
-			}
-		}
-		a.mu.Unlock()
-		if len(targets) == 0 {
-			return
-		}
-		v, err := wire.Unmarshal(payload, mop.NewRegistry())
-		if err != nil {
-			return
-		}
-		for _, s := range targets {
-			select {
-			case s.ch <- discovery.Event{Value: v, From: from}:
-			default:
-			}
-		}
-	}
-}
-
-// attPubSub adapts one router attachment to discovery.PubSub: raw
-// envelopes on the segment, no daemon, no bus.
-type attPubSub struct {
-	agent *meshAgent
-	att   *attachment
-}
-
-func (p *attPubSub) Identity() string {
-	return "router:" + p.agent.r.opts.Name + ":" + p.att.name
-}
-
-func (p *attPubSub) Publish(subj string, v mop.Value) error {
-	payload, err := wire.Marshal(v)
+// handle consumes the payload view of one link-local mesh publication
+// (mesh.HelloSubject or mesh.InterestSubject) received on an attachment.
+// The decoded class, not the subject it arrived on, says which it is.
+func (a *meshAgent) handle(att *attachment, payload []byte) {
+	v, err := mesh.ParseAd(payload)
 	if err != nil {
-		return err
+		return
 	}
-	return p.att.conn.Publish(busproto.Encode(busproto.Envelope{
-		Kind: busproto.KindPublish, Subject: subj, Payload: payload,
-	}))
-}
-
-func (p *attPubSub) Flush() error { return p.att.conn.Flush() }
-
-func (p *attPubSub) Subscribe(pattern string) (<-chan discovery.Event, func(), error) {
-	a := p.agent
-	s := &meshSub{prefix: pattern, ch: make(chan discovery.Event, 64)}
-	a.mu.Lock()
-	a.subs[p.att] = append(a.subs[p.att], s)
-	a.mu.Unlock()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			a.mu.Lock()
-			list := a.subs[p.att]
-			for i, have := range list {
-				if have == s {
-					a.subs[p.att] = append(list[:i:i], list[i+1:]...)
-					break
-				}
-			}
-			a.mu.Unlock()
-			// The channel is left open (collected with the subscription):
-			// a dispatch that snapshotted it concurrently may still be
-			// sending, and the discovery loops exit on their own deadline
-			// or done channel rather than on close.
-		})
+	switch ad := v.(type) {
+	case mesh.HelloAd:
+		a.m.HandleHello(att.index, ad, time.Now())
+	case mesh.InterestAd:
+		a.m.HandleInterest(att.index, ad, time.Now())
 	}
-	return s.ch, cancel, nil
 }

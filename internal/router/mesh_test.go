@@ -1,16 +1,22 @@
 package router
 
 import (
+	"bytes"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"infobus/internal/busproto"
 	"infobus/internal/core"
 	"infobus/internal/mesh"
 	"infobus/internal/mop"
 	"infobus/internal/netsim"
+	"infobus/internal/reliable"
 	"infobus/internal/subject"
 	"infobus/internal/telemetry"
 	"infobus/internal/transport"
@@ -36,15 +42,15 @@ func triangle(t *testing.T, cfg mesh.Config) (s1, s2, s3 *transport.SimSegment, 
 	t.Helper()
 	s1, s2, s3 = fastSeg(), fastSeg(), fastSeg()
 	t.Cleanup(func() { s1.Close(); s2.Close(); s3.Close() })
-	ra = newRouter(t, Options{Name: "ra", Mesh: &cfg},
+	ra = newRouter(t, Options{Name: "ra", Mesh: cfg},
 		Attachment{Segment: s1, Name: "S1"},
 		Attachment{Segment: s2, Name: "S2"},
 	)
-	rb = newRouter(t, Options{Name: "rb", Mesh: &cfg},
+	rb = newRouter(t, Options{Name: "rb", Mesh: cfg},
 		Attachment{Segment: s2, Name: "S2"},
 		Attachment{Segment: s3, Name: "S3"},
 	)
-	rc = newRouter(t, Options{Name: "rc", Mesh: &cfg},
+	rc = newRouter(t, Options{Name: "rc", Mesh: cfg},
 		Attachment{Segment: s3, Name: "S3"},
 		Attachment{Segment: s1, Name: "S1"},
 	)
@@ -55,11 +61,7 @@ func triangle(t *testing.T, cfg mesh.Config) (s1, s2, s3 *transport.SimSegment, 
 func blockedPorts(routers ...*Router) int {
 	n := 0
 	for _, r := range routers {
-		st, ok := r.MeshStatus()
-		if !ok {
-			continue
-		}
-		for _, l := range st.Links {
+		for _, l := range r.MeshStatus().Links {
 			if l.State != "forwarding" {
 				n++
 			}
@@ -80,8 +82,7 @@ func waitBlockedPorts(t *testing.T, want int, routers ...*Router) {
 		select {
 		case <-deadline:
 			for _, r := range routers {
-				st, _ := r.MeshStatus()
-				t.Logf("mesh status: %+v", st)
+				t.Logf("mesh status: %+v", r.MeshStatus())
 			}
 			t.Fatalf("mesh never settled at %d blocked ports", want)
 		case <-time.After(5 * time.Millisecond):
@@ -89,11 +90,10 @@ func waitBlockedPorts(t *testing.T, want int, routers ...*Router) {
 	}
 }
 
-// TestMeshTriangleDeliversExactlyOnce: a physical ring of segments is a
-// forwarding loop for pairwise routers (TestParallelRoutersBoundedByHopLimit
-// shows the hop limit merely bounds the copies). With the mesh on, the
-// election cuts the ring into a tree: the subscriber sees exactly ONE copy
-// per publication, and exactly one port in the mesh is blocked.
+// TestMeshTriangleDeliversExactlyOnce: a physical ring of segments would be
+// a forwarding loop; the election cuts the ring into a tree: the subscriber
+// sees exactly ONE copy per publication, and exactly one port in the mesh
+// is blocked.
 func TestMeshTriangleDeliversExactlyOnce(t *testing.T) {
 	s1, _, s3, ra, rb, rc := triangle(t, fastMesh())
 	waitBlockedPorts(t, 1, ra, rb, rc)
@@ -110,19 +110,7 @@ func TestMeshTriangleDeliversExactlyOnce(t *testing.T) {
 	if err := pub.Publish("tri.unique", int64(777)); err != nil {
 		t.Fatal(err)
 	}
-	copies := 0
-	drain := time.After(400 * time.Millisecond)
-	for done := false; !done; {
-		select {
-		case ev := <-sub.C:
-			if ev.Subject.String() == "tri.unique" {
-				copies++
-			}
-		case <-drain:
-			done = true
-		}
-	}
-	if copies != 1 {
+	if copies := countCopies(sub, "tri.unique", 400*time.Millisecond); copies != 1 {
 		t.Fatalf("subscriber saw %d copies across the ring, want exactly 1", copies)
 	}
 	if lost := ra.Stats().LoopDropped + rb.Stats().LoopDropped + rc.Stats().LoopDropped; lost != 0 {
@@ -189,8 +177,7 @@ func TestMeshGuaranteedSurvivesRouterDeath(t *testing.T) {
 		recvInto(20 * time.Millisecond)
 		select {
 		case <-deadline:
-			st, _ := rc.MeshStatus()
-			t.Fatalf("guaranteed loss across re-election: got %v, rc mesh %+v", got, st)
+			t.Fatalf("guaranteed loss across re-election: got %v, rc mesh %+v", got, rc.MeshStatus())
 		default:
 		}
 	}
@@ -249,28 +236,16 @@ func TestMeshPartitionHeal(t *testing.T) {
 	if err := pub.Publish("ph.healed", int64(2)); err != nil {
 		t.Fatal(err)
 	}
-	copies := 0
-	drain := time.After(400 * time.Millisecond)
-	for done := false; !done; {
-		select {
-		case ev := <-sub.C:
-			if ev.Subject.String() == "ph.healed" {
-				copies++
-			}
-		case <-drain:
-			done = true
-		}
-	}
-	if copies != 1 {
+	if copies := countCopies(sub, "ph.healed", 400*time.Millisecond); copies != 1 {
 		t.Fatalf("post-heal publication arrived %d times, want exactly 1", copies)
 	}
 }
 
 // TestMeshWantsCacheInvalidatedOnTopologyChange is the PR 9 regression fix:
-// an attachment's wants memo caches "forward into S2" because a subscriber
-// lives BEHIND that link (mesh remote interest, not local interest). When
-// that subtree dies, nothing on the attachment itself changes — only the
-// mesh generation moves. The stale cache entry must not keep answering yes.
+// the wants answer "forward into S2" is cached because a subscriber lives
+// BEHIND that link (mesh remote interest, not local interest). When that
+// subtree dies, nothing on the attachment itself changes — only the mesh's
+// view of the link does. The cached answer must not keep saying yes.
 func TestMeshWantsCacheInvalidatedOnTopologyChange(t *testing.T) {
 	cfg := fastMesh()
 	s1, s2, s3 := fastSeg(), fastSeg(), fastSeg()
@@ -278,11 +253,11 @@ func TestMeshWantsCacheInvalidatedOnTopologyChange(t *testing.T) {
 	defer s2.Close()
 	defer s3.Close()
 	// A line: S1 --ra-- S2 --rb-- S3, subscriber on the far end.
-	ra := newRouter(t, Options{Name: "ra", Mesh: &cfg},
+	ra := newRouter(t, Options{Name: "ra", Mesh: cfg},
 		Attachment{Segment: s1, Name: "S1"},
 		Attachment{Segment: s2, Name: "S2"},
 	)
-	rb := newRouter(t, Options{Name: "rb", Mesh: &cfg},
+	rb := newRouter(t, Options{Name: "rb", Mesh: cfg},
 		Attachment{Segment: s2, Name: "S2"},
 		Attachment{Segment: s3, Name: "S3"},
 	)
@@ -293,7 +268,7 @@ func TestMeshWantsCacheInvalidatedOnTopologyChange(t *testing.T) {
 	subj := subject.MustParse("inv.leaf")
 	deadline := time.After(15 * time.Second)
 	// The answer comes from rb's hop-propagated interest ad, lands in ra's
-	// mesh state, and gets memoized in the S2 attachment's wants cache.
+	// mesh state, and is cached by the S2 link's wants trie.
 	for !ra.WantsOn("S2", subj) {
 		select {
 		case <-deadline:
@@ -302,8 +277,8 @@ func TestMeshWantsCacheInvalidatedOnTopologyChange(t *testing.T) {
 		}
 	}
 	// Kill the subtree. ra's S2 attachment sees no local interest change
-	// ever (no hosts live on S2) — only the mesh generation moves when rb's
-	// hello and interest expire. The memoized true must flip.
+	// ever (no hosts live on S2) — rb's hello and interest expire in the
+	// mesh. The cached true must flip.
 	_ = rb.Close()
 	for ra.WantsOn("S2", subj) {
 		select {
@@ -315,28 +290,64 @@ func TestMeshWantsCacheInvalidatedOnTopologyChange(t *testing.T) {
 }
 
 // TestMeshForwardDecisionZeroAlloc pins the steady-state forward decision —
-// port-state check plus wants-cache hit — at zero allocations. Pure state
-// machine, no live network: exactly what runs per forwarded publication
-// between envelope decode and encode.
+// port-state check, host-trie miss served from its cache, remote-trie hit
+// served from its cache — at zero allocations: exactly what runs per
+// forwarded publication between envelope peek and splice when the only
+// subscriber is behind another router.
 func TestMeshForwardDecisionZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	m := mesh.New("za", []string{"A", "B"}, mesh.Config{})
-	now := time.Unix(1000, 0)
-	m.HandleInterest(1, mesh.InterestAd{Router: "zb", Seq: 1, Patterns: []string{"za.>"}}, now)
-	att := &attachment{name: "B", index: 1, interest: map[string]interestEntry{}}
+	r := newFanoutRouter(t, Options{Name: "za"})
+	m, att := r.agent.m, r.atts[1]
+	m.HandleInterest(1, mesh.InterestAd{Router: "zb", Seq: 1, Patterns: []string{"za.>"}}, time.Now())
 	subj := subject.MustParse("za.data")
-	if !m.Forwarding(1) || !att.wants(subj, m) {
+	if !m.Forwarding(1) || !r.wants(att, subj) {
 		t.Fatal("precondition: remote interest should match")
 	}
 	allocs := testing.AllocsPerRun(10000, func() {
-		if !m.Forwarding(1) || !att.wants(subj, m) {
+		if !m.Forwarding(1) || !r.wants(att, subj) {
 			t.Fatal("forward decision flipped mid-run")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state forward decision = %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestMeshForwardDecisionPastCacheCap states what the decision costs once a
+// link has seen more distinct subjects than a trie's match cache holds
+// (16 384, skip-on-full, cleared by the next interest change): the subject
+// is walked again each time. A walk that finds nothing, and a host-trie
+// walk (its values are empty), allocate nothing; a remote-trie walk that
+// matches allocates its match set, one small slice per egress.
+func TestMeshForwardDecisionPastCacheCap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	r := newFanoutRouter(t, Options{Name: "za"})
+	m, att := r.agent.m, r.atts[1]
+	m.HandleInterest(1, mesh.InterestAd{Router: "zb", Seq: 1, Patterns: []string{"za.>"}}, time.Now())
+	for i := 0; i < 1<<14+64; i++ { // past subject.Trie's cache cap, on both tries
+		r.wants(att, subject.MustParse("za.fill"+strconv.Itoa(i)))
+		r.wants(att, subject.MustParse("bench.fill"+strconv.Itoa(i)))
+	}
+	for _, tc := range []struct {
+		subj   string
+		wanted bool
+		allocs float64
+	}{
+		{"za.cold", true, 1},    // a neighbor router's interest only
+		{"bench.cold", true, 0}, // host interest on the segment
+		{"nobody.cold", false, 0},
+	} {
+		subj := subject.MustParse(tc.subj)
+		if got := r.wants(att, subj); got != tc.wanted {
+			t.Fatalf("wants(%s) = %v, want %v", tc.subj, got, tc.wanted)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { r.wants(att, subj) }); allocs != tc.allocs {
+			t.Errorf("uncached forward decision for %s = %v allocs/op, want %v", tc.subj, allocs, tc.allocs)
+		}
 	}
 }
 
@@ -395,7 +406,7 @@ func TestMeshFlapAlarm(t *testing.T) {
 	defer s2.Close()
 	r := newRouter(t, Options{
 		Name: "rh",
-		Mesh: &cfg,
+		Mesh: cfg,
 		Health: telemetry.HealthConfig{
 			Interval:     5 * time.Millisecond,
 			MeshFlapRate: 5, // readvertisements/s; flap churn far exceeds it
@@ -412,9 +423,6 @@ func TestMeshFlapAlarm(t *testing.T) {
 	// Synthesize a flapping peer: alternate two interest sets into the mesh
 	// faster than the debounce can fully coalesce. Driving the state
 	// machine directly keeps the churn source deterministic.
-	if _, ok := r.MeshStatus(); !ok {
-		t.Fatal("mesh tier inactive")
-	}
 	go func() {
 		pats := [][]string{{"flap.a"}, {"flap.b"}}
 		for i := 0; i < 400; i++ {
@@ -445,5 +453,196 @@ func TestMeshFlapAlarm(t *testing.T) {
 			t.Fatalf("mesh-flap alarm never raised; readverts=%d",
 				r.agent.readverts.Load())
 		}
+	}
+}
+
+// wireTap is a raw endpoint on a segment that records the subject of every
+// data envelope published there and counts the frames carrying a payload
+// marker: what the medium carried, whoever sent it.
+type wireTap struct {
+	mu       sync.Mutex
+	subjects map[string]int
+	marked   map[string]int // marker -> frames whose bytes contain it
+}
+
+func tapSegment(t *testing.T, seg *transport.SimSegment, markers ...string) *wireTap {
+	t.Helper()
+	ep, err := seg.NewEndpoint("tap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ep.Close() })
+	tap := &wireTap{subjects: map[string]int{}, marked: map[string]int{}}
+	go func() {
+		for dg := range ep.Recv() {
+			tap.mu.Lock()
+			for _, p := range reliable.DecodeDataPayloads(dg.Payload) {
+				if hdr, err := busproto.Peek(p); err == nil && len(hdr.Subject) > 0 {
+					tap.subjects[string(hdr.Subject)]++
+				}
+			}
+			for _, m := range markers {
+				if bytes.Contains(dg.Payload, []byte(m)) {
+					tap.marked[m]++
+				}
+			}
+			tap.mu.Unlock()
+		}
+	}()
+	return tap
+}
+
+func (w *wireTap) saw(marker string) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.marked[marker]
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(15 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestMeshJoinNeedsNoDiscovery: a router started on a segment where another
+// is already running finds it through the hellos alone. The periodic hello
+// is an hour away, so the only frames that can carry the neighbor's vector
+// to the joiner are the joiner's first-tick hello and the answer it
+// triggers (internal/mesh TestJoinConvergesWithinFourTicks counts the
+// ticks: two); and the only mesh subjects the shared segment ever carries
+// are the hello and interest conversations — no "_sys.mesh.q."/".r."
+// discovery round exists any more.
+func TestMeshJoinNeedsNoDiscovery(t *testing.T) {
+	cfg := fastMesh()
+	cfg.HelloInterval = time.Hour
+	s1, s2, s3 := fastSeg(), fastSeg(), fastSeg()
+	t.Cleanup(func() { s1.Close(); s2.Close(); s3.Close() })
+	tap := tapSegment(t, s2)
+	ra := newRouter(t, Options{Name: "ra", Mesh: cfg},
+		Attachment{Segment: s1, Name: "S1"}, Attachment{Segment: s2, Name: "S2"})
+	waitFor(t, "ra's first hello", func() bool { return ra.agent.helloSent.Load() >= 2 })
+
+	started := time.Now()
+	rb := newRouter(t, Options{Name: "rb", Mesh: cfg},
+		Attachment{Segment: s2, Name: "S2"}, Attachment{Segment: s3, Name: "S3"})
+	waitFor(t, "the joiner and its neighbor to agree", func() bool {
+		a, b := ra.MeshStatus(), rb.MeshStatus()
+		return a.Root == "ra" && b.Root == "ra" && b.Parent == "ra" &&
+			a.Links[1].Peers == 1 && b.Links[0].Peers == 1
+	})
+	t.Logf("joined in %v (agent tick %v)", time.Since(started), rb.agent.m.TickInterval())
+
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	if tap.subjects[mesh.HelloSubject] == 0 {
+		t.Fatal("the tap saw no hello: it is not observing the segment")
+	}
+	for subj := range tap.subjects {
+		if strings.HasPrefix(subj, "_sys.mesh.") && subj != mesh.HelloSubject && subj != mesh.InterestSubject {
+			t.Errorf("unexpected mesh subject on the wire: %s", subj)
+		}
+	}
+}
+
+// TestMeshThreeRouterLine is what the pairwise relay's transitive union was
+// for: S1 -ra- S2 -rb- S3 -rc- S4 with the only subscriber on S4. Interest
+// travels three hops up the line, the publication three hops down it, and
+// a subject nobody wants never leaves the publisher's segment.
+func TestMeshThreeRouterLine(t *testing.T) {
+	const wanted, unwanted = "IB-LINE-WANTED", "IB-LINE-UNWANTED"
+	segs := []*transport.SimSegment{fastSeg(), fastSeg(), fastSeg(), fastSeg()}
+	taps := make([]*wireTap, len(segs))
+	for i, seg := range segs {
+		t.Cleanup(func() { seg.Close() })
+		taps[i] = tapSegment(t, seg, wanted, unwanted)
+	}
+	routers := make([]*Router, 3)
+	for i, name := range []string{"ra", "rb", "rc"} {
+		routers[i] = newRouter(t, Options{Name: name, Mesh: fastMesh()},
+			Attachment{Segment: segs[i], Name: fmt.Sprintf("S%d", i+1)},
+			Attachment{Segment: segs[i+1], Name: fmt.Sprintf("S%d", i+2)})
+	}
+	pub := newBus(t, segs[0], "pubhost", core.HostConfig{})
+	con := newBus(t, segs[3], "conhost", core.HostConfig{})
+	sub, err := con.Subscribe("line.>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := publishUntil(t, pub, "line.data", wanted, sub); ev.Value != wanted {
+		t.Fatalf("event = %+v", ev)
+	}
+	for i, tap := range taps {
+		// The subscriber's daemon and the tap hear the same broadcast; the
+		// tap may be a moment behind.
+		waitFor(t, fmt.Sprintf("the wanted publication on S%d", i+1), func() bool { return tap.saw(wanted) > 0 })
+	}
+
+	before := routers[0].Stats().Suppressed
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := pub.Publish("nobody.wants", unwanted); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "ra to turn the unwanted publications away", func() bool {
+		return routers[0].Stats().Suppressed >= before+n
+	})
+	waitFor(t, "the unwanted publication on the publisher's own segment", func() bool { return taps[0].saw(unwanted) > 0 })
+	for i, tap := range taps[1:] {
+		if got := tap.saw(unwanted); got != 0 {
+			t.Errorf("a subject nobody wants crossed S%d (%d frames)", i+2, got)
+		}
+	}
+}
+
+// TestSameNameRoutersDetected: two routers given one name discard each
+// other's mesh ads as their own, so each stays root, neither learns the
+// other's interest, and nothing crosses the pair (the pairwise relay, which
+// knew no names, used to hide this). Both must say so: the
+// "mesh.id_conflicts" counter and one "mesh-id-conflict" recorder event.
+//
+// The counter can only mean a twin if a router never hears its own ads:
+// neither netsim nor the UDP segment delivers a broadcast to its sender, and
+// reliable.Conn adds no loopback. The first half of the test checks that on
+// the wire — a router alone on its segments says hello and counts nothing.
+func TestSameNameRoutersDetected(t *testing.T) {
+	s1, s2, s3 := fastSeg(), fastSeg(), fastSeg()
+	t.Cleanup(func() { s1.Close(); s2.Close(); s3.Close() })
+	health := telemetry.HealthConfig{Interval: time.Hour}
+	conflicts := func(r *Router) uint64 { return r.Metrics().Counter("mesh.id_conflicts").Load() }
+
+	one := newRouter(t, Options{Name: "twin", Mesh: fastMesh(), Health: health},
+		Attachment{Segment: s1, Name: "S1"}, Attachment{Segment: s2, Name: "S2"})
+	waitFor(t, "a few hello rounds", func() bool { return one.agent.helloSent.Load() >= 6 })
+	if got := conflicts(one); got != 0 {
+		t.Fatalf("a router alone on its segments counted %d id conflicts: it hears its own ads", got)
+	}
+
+	two := newRouter(t, Options{Name: "twin", Mesh: fastMesh(), Health: health},
+		Attachment{Segment: s2, Name: "S2"}, Attachment{Segment: s3, Name: "S3"})
+	for _, r := range []*Router{one, two} {
+		waitFor(t, "the id conflict to be counted and recorded", func() bool {
+			return conflicts(r) > 0 && slices.ContainsFunc(r.rec.Events(), func(ev telemetry.Event) bool {
+				return ev.Kind == telemetry.EventMesh && ev.Target == "mesh-id-conflict"
+			})
+		})
+		if st := r.MeshStatus(); st.Root != "twin" || st.Links[0].Peers+st.Links[1].Peers != 0 {
+			t.Errorf("a twin's ads were taken for a neighbor's: %+v", st)
+		}
+	}
+	// Recorded once, however long the twin keeps talking.
+	waitFor(t, "more conflicting ads", func() bool { return conflicts(one) >= 3 })
+	n := 0
+	for _, ev := range one.rec.Events() {
+		if ev.Target == "mesh-id-conflict" {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("%d mesh-id-conflict events recorded, want 1", n)
 	}
 }

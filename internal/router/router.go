@@ -14,17 +14,19 @@
 // it listens to everything, builds an interest table from the daemons'
 // subscription advertisements, and forwards a publication to another
 // segment only when that segment (or a segment behind it) holds a
-// matching subscription. Hop counts in the envelope prevent forwarding
-// loops; the router re-advertises remote interest on each segment so that
-// chains of routers compose. Guaranteed publications are forwarded with
-// their origin token, and their acknowledgements retrace the path back.
+// matching subscription. What lies behind a segment it learns from the
+// other routers there: every router runs the mesh protocol
+// (internal/mesh), which elects the routers sharing segments into a
+// loop-free spanning tree and carries aggregated interest hop by hop along
+// it, so chains of routers compose and redundant links block instead of
+// duplicating traffic. Guaranteed publications are forwarded with their
+// origin token, and their acknowledgements retrace the path back.
 package router
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"time"
 
@@ -41,19 +43,17 @@ import (
 
 // Options tune a router.
 type Options struct {
-	// Name labels the router in logs.
+	// Name labels the router in logs and telemetry and is its mesh router
+	// id. It must be non-empty (New rejects it otherwise) and unique among
+	// the routers that can hear each other: the lowest name becomes the
+	// tree root, and two routers sharing one never exchange interest — each
+	// counts the other's ads in "mesh.id_conflicts" instead.
 	Name string
 	// Reliable tunes each attachment's reliable connection.
 	Reliable reliable.Config
 	// InterestTTL is how long a heard interest advertisement stays valid
 	// without refresh. Default 4x daemon.InterestInterval (1s).
 	InterestTTL time.Duration
-	// RelayInterval is the period of the pairwise interest reflection
-	// (the union re-advertisement that propagates interest transitively
-	// through router chains when no mesh is active) and of expired-entry
-	// pruning. Default 200ms. It paces how fast interest spreads, not
-	// which segments end up carrying traffic.
-	RelayInterval time.Duration
 	// Log, if non-nil, receives a line per forwarded message.
 	Log io.Writer
 	// Metrics is the telemetry registry the router's counters live in
@@ -72,17 +72,10 @@ type Options struct {
 	// "_sys.dump" probes are answered with the recorder's text dump. Zero
 	// disables the tier.
 	Health telemetry.HealthConfig
-	// Mesh, when non-nil, makes the router self-organizing: it discovers
-	// peer routers over "_sys.mesh.>", elects into a loop-free spanning
-	// tree (redundant links block instead of duplicating traffic), and
-	// propagates aggregated interest hop by hop so publications traverse
-	// only subscriber-bearing segments plus the connecting tree path.
-	// Options.Name doubles as the mesh router id and MUST be unique
-	// across the mesh (lowest name becomes the tree root). The zero
-	// mesh.Config takes protocol defaults. When enabled, the legacy
-	// pairwise interest reflection (interestRelayLoop) is off and the
-	// envelope hop budget is Mesh.MaxHops instead of busproto.MaxHops.
-	Mesh *mesh.Config
+	// Mesh tunes the mesh protocol every router runs: hello and interest
+	// cadence, the pattern cap of one advertisement, the envelope hop
+	// budget. The zero value takes the protocol defaults.
+	Mesh mesh.Config
 }
 
 // Rule rewrites subjects crossing from one segment to another ("the router
@@ -98,6 +91,7 @@ type Rule struct {
 // Router errors.
 var (
 	ErrFewSegments = errors.New("router: need at least two attachments")
+	ErrNoName      = errors.New("router: Options.Name is empty (it is the mesh router id and must be unique)")
 )
 
 // Attachment names one segment the router bridges, with optional subject
@@ -129,25 +123,16 @@ type attachment struct {
 	// before returning), and the buffer reused — no pool round trip.
 	fwdBuf []byte
 
+	// hosts matches the live daemon interest heard on this segment. The
+	// forwarding path asks it per message; a repeated subject is a probe of
+	// the trie's match cache, which any change of the pattern SET (not a
+	// refresh) invalidates.
+	hosts *subject.Trie[struct{}]
+	// mu guards interest, which keeps each pattern in hosts beside the time
+	// it lapses unless re-advertised.
 	mu       sync.Mutex
-	interest map[string]interestEntry // pattern -> entry
-	// wantsCache memoizes wants() by subject: the linear scan over the
-	// interest table runs per forwarded message, but interest changes only
-	// on advertisement arrival or expiry. Cleared whenever the interest SET
-	// changes (a refresh of an existing pattern does not). With the mesh
-	// active the memo covers the combined host+mesh answer, and meshGen
-	// pins the mesh generation it was computed against: any topology or
-	// remote-interest change bumps the generation and invalidates the memo
-	// wholesale — a stale entry would otherwise keep forwarding into a
-	// dead subtree (or keep suppressing toward a new one).
-	wantsCache map[string]bool
-	meshGen    uint64
+	interest map[string]interestEntry
 }
-
-// maxWantsCache bounds each attachment's wants memo; when full, further
-// subjects just re-scan the interest table (same skip-on-full policy as
-// the subject trie's match cache).
-const maxWantsCache = 4096
 
 type interestEntry struct {
 	pat     subject.Pattern
@@ -192,9 +177,9 @@ type Router struct {
 	// tier off).
 	sys *sysagent.Agent
 
-	// Mesh tier (nil unless Options.Mesh is set).
+	// agent drives the mesh protocol; agent.m answers the forwarding path.
 	agent *meshAgent
-	// hist is the mesh flight-data ring (health + mesh both on): the
+	// hist is the mesh flight-data ring (health tier on): the
 	// re-advertisement and topology-change rates, with alarm edges noted
 	// in-window, answered on "_sys.history" probes like a host's tier.
 	hist *telemetry.History
@@ -226,6 +211,9 @@ type counters struct {
 func New(opts Options, atts ...Attachment) (*Router, error) {
 	if len(atts) < 2 {
 		return nil, ErrFewSegments
+	}
+	if opts.Name == "" {
+		return nil, ErrNoName
 	}
 	if opts.InterestTTL <= 0 {
 		opts.InterestTTL = time.Second
@@ -287,6 +275,7 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 			conn:     reliable.New(ep, rcfg),
 			rules:    rules[len(r.atts)],
 			hopNode:  "router:" + opts.Name + ":" + a.Name,
+			hosts:    subject.NewTrie[struct{}](),
 			interest: make(map[string]interestEntry),
 		}
 		r.atts = append(r.atts, att)
@@ -304,27 +293,24 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 			}, rcfg.Metrics.Counter(prefix+".retransmits"))
 		}
 	}
-	if opts.Mesh != nil {
-		r.agent = newMeshAgent(r, *opts.Mesh)
-		if r.engine != nil {
-			// Mesh churn watch: a flapping link re-elects and re-advertises
-			// in a tight loop; the readvertisement rate is the symptom every
-			// segment pays for (Figure-8 medium occupancy), so it is the
-			// alarmed signal.
-			r.engine.WatchRate(telemetry.WatchConfig{
-				Kind:   "mesh-flap",
-				Target: "mesh",
-				Raise:  hcfg.MeshFlapRate,
-			}, r.agent.readverts)
-			// Flight-data ring for the mesh churn series: answered on
-			// "_sys.history" probes so a monitor can see a flap window after
-			// the fact, aligned with the alarm edges that fired in it.
-			r.hist = telemetry.NewHistory(telemetry.HistoryConfig{})
-			r.hist.TrackRate("mesh.readvertisements", r.agent.readverts)
-			r.hist.TrackRate("mesh.topology_changes", r.agent.topoChanges)
-			r.hist.TrackRate("router.forwarded", r.ctr.forwarded)
-			r.hist.TrackRate("router.suppressed", r.ctr.suppressed)
-		}
+	r.agent = newMeshAgent(r, opts.Mesh)
+	if r.engine != nil {
+		// Mesh churn watch: a flapping link re-elects and re-advertises in a
+		// tight loop; the readvertisement rate is the symptom every segment
+		// pays for (Figure-8 medium occupancy), so it is the alarmed signal.
+		r.engine.WatchRate(telemetry.WatchConfig{
+			Kind:   "mesh-flap",
+			Target: "mesh",
+			Raise:  hcfg.MeshFlapRate,
+		}, r.agent.readverts)
+		// Flight-data ring for the mesh churn series: answered on
+		// "_sys.history" probes so a monitor can see a flap window after the
+		// fact, aligned with the alarm edges that fired in it.
+		r.hist = telemetry.NewHistory(telemetry.HistoryConfig{})
+		r.hist.TrackRate("mesh.readvertisements", r.agent.readverts)
+		r.hist.TrackRate("mesh.topology_changes", r.agent.topoChanges)
+		r.hist.TrackRate("router.forwarded", r.ctr.forwarded)
+		r.hist.TrackRate("router.suppressed", r.ctr.suppressed)
 	}
 	if opts.StatsInterval > 0 || r.engine != nil {
 		sys, err := sysagent.Start(sysagent.Config{
@@ -347,11 +333,8 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 		r.wg.Add(1)
 		go r.attachmentLoop(att)
 	}
-	if r.agent != nil {
-		r.agent.start()
-	}
 	r.wg.Add(1)
-	go r.interestRelayLoop()
+	go r.agent.loop()
 	return r, nil
 }
 
@@ -382,9 +365,6 @@ func (r *Router) Close() error {
 	r.mu.Unlock()
 	if r.sys != nil {
 		r.sys.Stop()
-	}
-	if r.agent != nil {
-		r.agent.stop()
 	}
 	r.closeAttachments()
 	r.wg.Wait()
@@ -428,7 +408,7 @@ func (r *Router) handle(att *attachment, m reliable.Message) {
 		if err != nil {
 			return
 		}
-		if att.recordInterest(env.Patterns, time.Now().Add(r.opts.InterestTTL)) && r.agent != nil {
+		if att.recordInterest(env.Patterns, time.Now().Add(r.opts.InterestTTL)) {
 			r.agent.m.HostInterestChanged(att.index)
 		}
 	case busproto.KindPublish, busproto.KindGuaranteed:
@@ -437,11 +417,13 @@ func (r *Router) handle(att *attachment, m reliable.Message) {
 		// allocation-free comparison), so plain application traffic pays
 		// one leading-byte test.
 		if len(hdr.Subject) > 0 && hdr.Subject[0] == '_' {
-			if r.agent != nil && meshLinkLocal(string(hdr.Subject)) {
-				// Hello/interest/discovery traffic defines this link's
-				// adjacency; it never crosses to another segment.
+			if string(hdr.Subject) == mesh.HelloSubject || string(hdr.Subject) == mesh.InterestSubject {
+				// Hellos and interest ads define this link's adjacency: they
+				// never cross to another segment. Status snapshots
+				// ("_sys.mesh.status.<node>") are ordinary publications and
+				// cross routers like anything else a monitor subscribes to.
 				if hdr.Base() == busproto.KindPublish {
-					r.agent.handle(att, m.From, string(hdr.Subject), hdr.Payload)
+					r.agent.handle(att, hdr.Payload)
 				}
 				return
 			}
@@ -487,22 +469,17 @@ func (r *Router) handle(att *attachment, m reliable.Message) {
 // frames are spliced per egress. A publication nobody wants touches no
 // buffer at all.
 func (r *Router) forward(src *attachment, from string, hdr *busproto.Header) {
-	var m *mesh.Mesh
-	maxHops := uint8(busproto.MaxHops)
-	if r.agent != nil {
-		// Mesh mode: the spanning tree is loop-free by construction, so the
-		// hop budget only bounds pathology and can cover the tree diameter
-		// (the flat default would truncate long chains of segments).
-		m = r.agent.m
-		maxHops = uint8(m.MaxHops())
-		if !m.Forwarding(src.index) {
-			// A blocked port receives (hellos keep the tree alive) but never
-			// forwards: the redundant link's traffic travels the tree path.
-			r.ctr.suppressed.Inc()
-			return
-		}
+	m := r.agent.m
+	if !m.Forwarding(src.index) {
+		// A blocked port receives (hellos keep the tree alive) but never
+		// forwards: the redundant link's traffic travels the tree path.
+		r.ctr.suppressed.Inc()
+		return
 	}
-	if hdr.Hops >= maxHops {
+	// The spanning tree is loop-free by construction, so the hop budget
+	// covers the tree diameter and only bounds pathology (a tree still
+	// converging, a router whose name is not unique).
+	if int(hdr.Hops) >= m.MaxHops() {
 		r.ctr.loopDropped.Inc()
 		return
 	}
@@ -524,14 +501,14 @@ func (r *Router) forward(src *attachment, from string, hdr *busproto.Header) {
 		if dst == src {
 			continue
 		}
-		if m != nil && !m.Forwarding(dst.index) {
+		if !m.Forwarding(dst.index) {
 			continue
 		}
 		outSubj, transformed := subj, false
 		if len(dst.rules) > 0 {
 			outSubj, transformed = r.transform(dst, subj)
 		}
-		if !dst.wants(outSubj, m) {
+		if !r.wants(dst, outSubj) {
 			continue
 		}
 		// The inbound frame may share its backing array with other receivers
@@ -636,158 +613,57 @@ func (r *Router) forwardAck(src *attachment, origin, frame []byte) {
 	r.ctr.acksForwarded.Inc()
 }
 
-// interestRelayLoop periodically re-advertises, on each segment, the union
-// of interest heard on all OTHER segments, so that chains of routers
-// propagate interest transitively; it also prunes expired entries.
-//
-// With the mesh active the pairwise union reflection is OFF: the mesh
-// propagates aggregated interest hop by hop along the spanning tree with
-// split horizon (internal/mesh), and reflecting raw host patterns here
-// would re-introduce the pairwise flood the tree exists to remove. The
-// loop still prunes expired host interest, notifying the mesh on change.
-func (r *Router) interestRelayLoop() {
-	defer r.wg.Done()
-	interval := r.opts.RelayInterval
-	if interval <= 0 {
-		interval = 200 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case now := <-ticker.C:
-			for _, att := range r.atts {
-				if att.prune(now) && r.agent != nil {
-					r.agent.m.HostInterestChanged(att.index)
-				}
-			}
-			if r.agent != nil {
-				continue
-			}
-			for _, dst := range r.atts {
-				union := make(map[string]struct{})
-				for _, src := range r.atts {
-					if src == dst {
-						continue
-					}
-					for _, p := range src.patterns() {
-						// Remote interest crosses back out through dst; its
-						// subjects will be transformed on the way in, so
-						// advertise the un-transformed remote patterns.
-						union[p] = struct{}{}
-					}
-				}
-				if len(union) == 0 {
-					continue
-				}
-				patterns := make([]string, 0, len(union))
-				for p := range union {
-					patterns = append(patterns, p)
-				}
-				// Sorted, so the relayed frame is the same bytes every run.
-				slices.Sort(patterns)
-				env := busproto.Encode(busproto.Envelope{Kind: busproto.KindInterest, Patterns: patterns})
-				_ = dst.conn.Publish(env)
-				_ = dst.conn.Flush()
-			}
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // attachment helpers
 
+// recordInterest notes one advertisement's patterns as live until expires
+// and reports whether the pattern set (not just an expiry) changed.
 func (a *attachment) recordInterest(patterns []string, expires time.Time) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	changed := false
 	for _, ps := range patterns {
-		if e, ok := a.interest[ps]; ok {
-			// Refresh only: the pattern set (hence wants answers) is
-			// unchanged, so the memo survives.
-			e.expires = expires
-			a.interest[ps] = e
-			continue
-		}
-		pat, err := subject.ParsePattern(ps)
-		if err != nil {
-			continue
-		}
-		a.interest[ps] = interestEntry{pat: pat, expires: expires}
-		changed = true
-	}
-	if changed {
-		clear(a.wantsCache)
-	}
-	return changed
-}
-
-func (a *attachment) prune(now time.Time) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	changed := false
-	for k, e := range a.interest {
-		if now.After(e.expires) {
-			delete(a.interest, k)
+		e, ok := a.interest[ps]
+		if !ok {
+			pat, err := subject.ParsePattern(ps)
+			if err != nil {
+				continue
+			}
+			e.pat = pat
+			a.hosts.Add(pat, struct{}{})
 			changed = true
 		}
-	}
-	if changed {
-		clear(a.wantsCache)
+		e.expires = expires
+		a.interest[ps] = e
 	}
 	return changed
 }
 
-// wants reports whether the subject should be forwarded onto this
-// attachment's segment: a live host interest matches, or (mesh mode, m
-// non-nil) a remote router behind this link advertised matching interest.
-// The answer is memoized per subject; the memo is cleared when the local
-// interest set changes, and — because the mesh half of the answer lives
-// outside the attachment — whenever the mesh generation moves (topology or
-// remote-interest change). The steady-state hit path is one mutex hold,
-// one atomic load, and a map probe: no allocation.
-func (a *attachment) wants(s subject.Subject, m *mesh.Mesh) bool {
+// livePatterns drops the host interest that lapsed before now and returns
+// what is left, and whether anything was dropped.
+func (a *attachment) livePatterns(now time.Time) (live []string, pruned bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if m != nil {
-		if gen := m.Gen(); gen != a.meshGen {
-			clear(a.wantsCache)
-			a.meshGen = gen
+	live = make([]string, 0, len(a.interest))
+	for ps, e := range a.interest {
+		if now.After(e.expires) {
+			delete(a.interest, ps)
+			a.hosts.Remove(e.pat, struct{}{})
+			pruned = true
+			continue
 		}
+		live = append(live, ps)
 	}
-	raw := s.String()
-	if w, ok := a.wantsCache[raw]; ok {
-		return w
-	}
-	w := false
-	for _, e := range a.interest {
-		if e.pat.Matches(s) {
-			w = true
-			break
-		}
-	}
-	if !w && m != nil {
-		w = m.WantsRemote(a.index, s)
-	}
-	if len(a.wantsCache) < maxWantsCache {
-		if a.wantsCache == nil {
-			a.wantsCache = make(map[string]bool)
-		}
-		a.wantsCache[raw] = w
-	}
-	return w
+	return live, pruned
 }
 
-func (a *attachment) patterns() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.interest))
-	for p := range a.interest {
-		out = append(out, p)
-	}
-	return out
+// wants reports whether the subject should be forwarded onto the
+// attachment's segment: a live host interest there matches, or a router
+// behind that link advertised matching interest. Both are answered by a
+// subject trie whose match cache serves a repeated subject without a walk
+// or an allocation and is invalidated by whatever changes the answer.
+func (r *Router) wants(a *attachment, s subject.Subject) bool {
+	return len(a.hosts.Match(s)) > 0 || r.agent.m.WantsRemote(a.index, s)
 }
 
 // compileRules parses each rule's prefixes once. A rule with an empty
@@ -867,16 +743,10 @@ func (r *Router) Inject(segment, from string, frame []byte) error {
 	return fmt.Errorf("router: no attachment %q", segment)
 }
 
-// MeshStatus returns a snapshot of the router's spanning-tree state and
-// true when the mesh tier (Options.Mesh) is active. Tests and operational
-// tooling use it to observe elections and port roles without decoding
-// status publications.
-func (r *Router) MeshStatus() (mesh.Status, bool) {
-	if r.agent == nil {
-		return mesh.Status{}, false
-	}
-	return r.agent.m.Snapshot(), true
-}
+// MeshStatus returns a snapshot of the router's spanning-tree state. Tests
+// and operational tooling use it to observe elections and port roles
+// without decoding status publications.
+func (r *Router) MeshStatus() mesh.Status { return r.agent.m.Snapshot() }
 
 // WantsOn reports whether the named attachment's segment currently holds a
 // subscription matching the subject (after that attachment's transforms).
@@ -887,15 +757,11 @@ func (r *Router) WantsOn(segmentName string, s subject.Subject) bool {
 		if att.name != segmentName {
 			continue
 		}
-		var m *mesh.Mesh
-		if r.agent != nil {
-			m = r.agent.m
-			if !m.Forwarding(att.index) {
-				return false
-			}
+		if !r.agent.m.Forwarding(att.index) {
+			return false
 		}
 		out, _ := r.transform(att, s)
-		return att.wants(out, m)
+		return r.wants(att, out)
 	}
 	return false
 }

@@ -278,8 +278,12 @@ func TestRouterLogging(t *testing.T) {
 func TestNewRouterValidation(t *testing.T) {
 	seg := fastSeg()
 	defer seg.Close()
-	if _, err := New(Options{}, Attachment{Segment: seg, Name: "only"}); err != ErrFewSegments {
+	if _, err := New(Options{Name: "r"}, Attachment{Segment: seg, Name: "only"}); err != ErrFewSegments {
 		t.Errorf("error = %v, want ErrFewSegments", err)
+	}
+	// The name is the mesh router id: an empty one cannot be unique.
+	if _, err := New(Options{}, Attachment{Segment: seg, Name: "a"}, Attachment{Segment: seg, Name: "b"}); err != ErrNoName {
+		t.Errorf("error = %v, want ErrNoName", err)
 	}
 }
 
@@ -287,54 +291,116 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-func TestParallelRoutersBoundedByHopLimit(t *testing.T) {
-	// Two routers bridging the same pair of segments form a forwarding
-	// loop. The hop count must bound the ping-pong: the subscriber sees a
-	// bounded number of copies and the routers report loop drops instead
-	// of spinning forever.
+// TestParallelRoutersElectOneForwarder: two routers bridging the same pair
+// of segments are a forwarding loop waiting to happen — with subscribers on
+// both sides the interest filter does not break it. The election does: the
+// higher-named router blocks one port, the subscriber sees each
+// publication exactly once, and the hop budget never has to fire.
+func TestParallelRoutersElectOneForwarder(t *testing.T) {
 	segA, segB := fastSeg(), fastSeg()
 	defer segA.Close()
 	defer segB.Close()
-	r1 := newRouter(t, Options{Name: "r1"},
+	r1 := newRouter(t, Options{Name: "r1", Mesh: fastMesh()},
 		Attachment{Segment: segA, Name: "A"},
 		Attachment{Segment: segB, Name: "B"},
 	)
-	r2 := newRouter(t, Options{Name: "r2"},
+	r2 := newRouter(t, Options{Name: "r2", Mesh: fastMesh()},
 		Attachment{Segment: segA, Name: "A"},
 		Attachment{Segment: segB, Name: "B"},
 	)
+	waitBlockedPorts(t, 1, r1, r2)
+	pub := newBus(t, segA, "pubhost", core.HostConfig{})
+	con := newBus(t, segB, "conhost", core.HostConfig{})
+	sub, err := con.Subscribe("loop.>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conA := newBus(t, segA, "conhostA", core.HostConfig{})
+	if _, err := conA.Subscribe("loop.>"); err != nil {
+		t.Fatal(err)
+	}
+	publishUntil(t, pub, "loop.warm", int64(0), sub)
+	if err := pub.Publish("loop.unique", int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	if copies := countCopies(sub, "loop.unique", 400*time.Millisecond); copies != 1 {
+		t.Fatalf("subscriber saw %d copies across the parallel pair, want exactly 1", copies)
+	}
+	if lost := r1.Stats().LoopDropped + r2.Stats().LoopDropped; lost != 0 {
+		t.Errorf("hop limit fired %d times on a loop-free tree", lost)
+	}
+}
+
+// TestSameNameParallelRoutersBoundedByHopBudget is the pathology the hop
+// budget exists for: a parallel pair that shares one name never elects
+// (each discards the other's ads as its own and stays root, every port
+// forwarding), and with subscribers on both segments the interest filter
+// does not break the loop. Only the envelope hop budget ends the ping-pong:
+// the subscriber sees a bounded number of copies and the routers count
+// loop drops instead of spinning forever.
+func TestSameNameParallelRoutersBoundedByHopBudget(t *testing.T) {
+	segA, segB := fastSeg(), fastSeg()
+	defer segA.Close()
+	defer segB.Close()
+	cfg := fastMesh()
+	cfg.MaxHops = 8
+	var twins [2]*Router
+	for i := range twins {
+		twins[i] = newRouter(t, Options{Name: "twin", Mesh: cfg},
+			Attachment{Segment: segA, Name: "A"},
+			Attachment{Segment: segB, Name: "B"},
+		)
+	}
 	pub := newBus(t, segA, "pubhost", core.HostConfig{})
 	con := newBus(t, segB, "conhost", core.HostConfig{})
 	sub, err := con.Subscribe("loop.test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Interest on BOTH segments defeats the interest filter's natural
-	// loop suppression, so only the hop count bounds the ping-pong.
 	conA := newBus(t, segA, "conhostA", core.HostConfig{})
 	if _, err := conA.Subscribe("loop.test"); err != nil {
 		t.Fatal(err)
 	}
-	publishUntil(t, pub, "loop.test", int64(1), sub)
-	copies := 1
-	drainDeadline := time.After(500 * time.Millisecond)
-drain:
+	// The loop needs both twins to hold both segments' interest.
+	subj := subject.MustParse("loop.test")
+	waitFor(t, "both twins to hear both subscribers", func() bool {
+		return twins[0].WantsOn("A", subj) && twins[0].WantsOn("B", subj) &&
+			twins[1].WantsOn("A", subj) && twins[1].WantsOn("B", subj)
+	})
+	if err := pub.Publish("loop.test", int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the hop budget to end the ping-pong", func() bool {
+		return twins[0].Stats().LoopDropped+twins[1].Stats().LoopDropped > 0
+	})
+	// One publication reaches B once per twin at every odd hop count
+	// below the budget: 8 copies, and then silence.
+	if copies := countCopies(sub, "loop.test", 300*time.Millisecond); copies == 0 || copies > cfg.MaxHops {
+		t.Errorf("subscriber saw %d copies of one publication, want 1..%d", copies, cfg.MaxHops)
+	}
+	if late := countCopies(sub, "loop.test", 100*time.Millisecond); late != 0 {
+		t.Errorf("%d copies still arriving after the budget fired", late)
+	}
+	if blockedPorts(twins[:]...) != 0 {
+		t.Errorf("same-named routers elected: %+v %+v", twins[0].MeshStatus(), twins[1].MeshStatus())
+	}
+}
+
+// countCopies drains the subscription for the window and counts the
+// deliveries on one subject.
+func countCopies(sub *core.Subscription, subj string, window time.Duration) int {
+	copies := 0
+	drain := time.After(window)
 	for {
 		select {
-		case <-sub.C:
-			copies++
-			if copies > 100 {
-				t.Fatal("unbounded forwarding loop")
+		case ev := <-sub.C:
+			if ev.Subject.String() == subj {
+				copies++
 			}
-		case <-drainDeadline:
-			break drain
+		case <-drain:
+			return copies
 		}
 	}
-	st1, st2 := r1.Stats(), r2.Stats()
-	if st1.LoopDropped+st2.LoopDropped == 0 {
-		t.Errorf("no loop drops recorded: r1=%+v r2=%+v (copies=%d)", st1, st2, copies)
-	}
-	t.Logf("copies=%d r1=%+v r2=%+v", copies, st1, st2)
 }
 
 func TestWantsOnReportsInterest(t *testing.T) {

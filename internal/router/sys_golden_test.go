@@ -12,7 +12,6 @@ import (
 
 	"infobus/internal/busproto"
 	"infobus/internal/core"
-	"infobus/internal/mesh"
 	"infobus/internal/mop"
 	"infobus/internal/reliable"
 	"infobus/internal/telemetry"
@@ -25,19 +24,24 @@ import (
 // against the three host agents and the router's own publish functions that
 // internal/sysagent replaced; host/stats re-captured when the daemon gained
 // daemon.interest_patterns and daemon.interest_widened (two more entries of
-// the same shape, nothing else moved).
+// the same shape, nothing else moved). router/stats was re-derived once, at
+// the commit after 776367a that made the mesh every router's only interest
+// protocol: its five "mesh.*" counters are now in every router's registry,
+// and with those five entries taken out of the decoded object the payload
+// is byte for byte the 3590-byte e4d15fb golden (sha 07672b3c…). The alarm,
+// dump and history goldens did not move; router/history was the mesh
+// router's, which is now the only kind.
 var sysGolden = map[string]string{
-	"host/interest":       "0403095f7379732e64756d700c5f7379732e686973746f7279095f7379732e70696e67",
-	"host/stats":          "_sys.stats.golden-host 4986 995740194d5a0982644026408f85e1535e46837b00c38af8dfc4d60336e8a2c7",
-	"host/alarm":          "_sys.alarm.golden-host.golden-alarm 126 01473b4946845e0df97bdceea0f6dce9ce9cb233fba3cddead905c01877bc92c",
-	"host/dump":           "_sys.dumped.golden-host 252 9cdc01381df1e6a6f27dcbbf1acde62afd1d0c377dbed8191a3cea1155608f02",
-	"host/history":        "_sys.history.golden-host 1484 2f4ae75864aa7851d1b2221dd283b9bbbd3a27195bf84351ce3ab375933688bc",
-	"host/trace":          "_sys.trace.golden-host 158 7655a7a130d54978486c1b1a85a7acb6788363099e48d6111243bdebecc875c5",
-	"router/stats":        "_sys.stats.router-golden 3590 07672b3c84e6b4f30ac2ce53e8b15648bf80cb3636036a20da196c618da84ac9",
-	"router/alarm":        "_sys.alarm.router-golden.golden-alarm 128 48e67d1af0f77077290a990ab210dda5c4640fdcecee3255b285ebaa52025ecd",
-	"router/dump":         "_sys.dumped.router-golden 254 e849777f9878491dee9034a0abe59a89890201766cca8e63727fbbca05abc1b2",
-	"mesh-router/alarm":   "_sys.alarm.router-golden.golden-alarm 128 48e67d1af0f77077290a990ab210dda5c4640fdcecee3255b285ebaa52025ecd",
-	"mesh-router/history": "_sys.history.router-golden 778 4f5e6f110eef700d2cdfc582c0d1806b838ef45a5d25c277bed8f3f66cb462e7",
+	"host/interest":  "0403095f7379732e64756d700c5f7379732e686973746f7279095f7379732e70696e67",
+	"host/stats":     "_sys.stats.golden-host 4986 995740194d5a0982644026408f85e1535e46837b00c38af8dfc4d60336e8a2c7",
+	"host/alarm":     "_sys.alarm.golden-host.golden-alarm 126 01473b4946845e0df97bdceea0f6dce9ce9cb233fba3cddead905c01877bc92c",
+	"host/dump":      "_sys.dumped.golden-host 252 9cdc01381df1e6a6f27dcbbf1acde62afd1d0c377dbed8191a3cea1155608f02",
+	"host/history":   "_sys.history.golden-host 1484 2f4ae75864aa7851d1b2221dd283b9bbbd3a27195bf84351ce3ab375933688bc",
+	"host/trace":     "_sys.trace.golden-host 158 7655a7a130d54978486c1b1a85a7acb6788363099e48d6111243bdebecc875c5",
+	"router/stats":   "_sys.stats.router-golden 3991 0146be021cefd773cecdbb8ddf9cf0b5626ae6006f25702bea67987d8eaae0a6",
+	"router/alarm":   "_sys.alarm.router-golden.golden-alarm 128 48e67d1af0f77077290a990ab210dda5c4640fdcecee3255b285ebaa52025ecd",
+	"router/dump":    "_sys.dumped.router-golden 254 e849777f9878491dee9034a0abe59a89890201766cca8e63727fbbca05abc1b2",
+	"router/history": "_sys.history.router-golden 778 4f5e6f110eef700d2cdfc582c0d1806b838ef45a5d25c277bed8f3f66cb462e7",
 }
 
 // goldenTime is the one instant every clock reading is normalised to, and
@@ -259,7 +263,7 @@ func TestSysGoldenBytes(t *testing.T) {
 		seg := &captureSegment{}
 		opts.Name = "golden"
 		opts.Reliable = quietReliable()
-		opts.InterestTTL, opts.RelayInterval = time.Hour, time.Hour
+		opts.InterestTTL = time.Hour
 		opts.Metrics = goldenMetrics()
 		opts.Health = telemetry.HealthConfig{Interval: time.Hour}
 		r, err := New(opts,
@@ -281,20 +285,6 @@ func TestSysGoldenBytes(t *testing.T) {
 	t.Run("router", func(t *testing.T) {
 		lo := time.Now()
 		r, seg := goldenRouter(t, Options{StatsInterval: 20 * time.Millisecond})
-		checkSysGolden(t, seg, "router/stats", "_sys.stats.router-golden", lo)
-
-		raiseGoldenAlarm(r.engine)
-		checkSysGolden(t, seg, "router/alarm", "_sys.alarm.router-golden.golden-alarm", lo)
-
-		probe(r, telemetry.DumpSubject)
-		checkSysGolden(t, seg, "router/dump", "_sys.dumped.router-golden", lo)
-	})
-
-	t.Run("mesh-router", func(t *testing.T) {
-		lo := time.Now()
-		r, seg := goldenRouter(t, Options{Mesh: &mesh.Config{
-			HelloInterval: time.Hour, Debounce: time.Hour, InterestRefresh: time.Hour, StatusInterval: -1,
-		}})
 		// The router's ring samples every 250 ms; stop it and tick once by
 		// hand. A host stall long enough for it to tick first is not this
 		// test's subject.
@@ -303,12 +293,17 @@ func TestSysGoldenBytes(t *testing.T) {
 			t.Skip("the sampler ticked before the test could stop it")
 		}
 		r.hist.TrackRate("golden.rate", r.metrics.Counter("golden.counter"))
+		checkSysGolden(t, seg, "router/stats", "_sys.stats.router-golden", lo)
+
 		raiseGoldenAlarm(r.engine)
-		checkSysGolden(t, seg, "mesh-router/alarm", "_sys.alarm.router-golden.golden-alarm", lo)
+		checkSysGolden(t, seg, "router/alarm", "_sys.alarm.router-golden.golden-alarm", lo)
+
+		probe(r, telemetry.DumpSubject)
+		checkSysGolden(t, seg, "router/dump", "_sys.dumped.router-golden", lo)
 
 		r.metrics.Counter("golden.counter").Add(8)
 		r.hist.Tick(goldenTime)
 		probe(r, telemetry.HistorySubject)
-		checkSysGolden(t, seg, "mesh-router/history", "_sys.history.router-golden", lo)
+		checkSysGolden(t, seg, "router/history", "_sys.history.router-golden", lo)
 	})
 }

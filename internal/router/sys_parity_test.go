@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"infobus/internal/core"
-	"infobus/internal/mesh"
 	"infobus/internal/mop"
 	"infobus/internal/telemetry"
 )
@@ -21,7 +20,7 @@ func TestSysProbeParity(t *testing.T) {
 	defer segB.Close()
 	// Stats tickers idle: any SysStats seen below is a ping answer.
 	health := telemetry.HealthConfig{Interval: 5 * time.Millisecond}
-	newRouter(t, Options{Name: "r1", StatsInterval: time.Minute, Health: health, Mesh: &mesh.Config{}},
+	newRouter(t, Options{Name: "r1", StatsInterval: time.Minute, Health: health},
 		Attachment{Segment: segA, Name: "A"},
 		Attachment{Segment: segB, Name: "B"},
 	)

@@ -28,6 +28,12 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> one interest protocol (the relay, its option and the discovery bootstrap stay deleted)"
+if grep -rnE 'RelayInterval|interestRelayLoop|AnnounceOn|attPubSub' --include='*.go' --exclude='*_test.go' . ; then
+    echo "the pairwise relay or the mesh discovery bootstrap is back in non-test Go" >&2
+    exit 1
+fi
+
 echo "==> nested benchmark module builds and vets (root ./... does not see it)"
 go -C benchmark vet .
 go -C benchmark build -o /dev/null .
@@ -44,7 +50,7 @@ go test -run TestPublishDeliverHistoryAllocBudget -count=1 .
 echo "==> alloc gate (guaranteed publish budget)"
 go test -run TestGuaranteedPublishAllocBudget -count=1 .
 
-echo "==> alloc gate (router forward: 0 allocs/op for plain, guaranteed, traced, transformed, _sys)"
+echo "==> alloc gate (router forward, mesh agent running: 0 allocs/op for plain, guaranteed, traced, transformed, _sys)"
 go test -run TestRouterForwardAllocBudget -count=1 ./internal/router/
 
 echo "==> alloc gate (subscription change + advertisement: same small constant at 100 and at 10000 subscriptions)"
@@ -62,7 +68,7 @@ go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/
 echo "==> alloc gate (steady-state encode 0 allocs; warm decode allocates what it returns, 0 for the table)"
 go test -run 'TestSendDictSteadyStateAllocs|TestUnmarshalSteadyStateAllocs' -count=1 ./internal/wire/
 
-echo "==> _sys gates (host and router answer every probe alike; published bytes golden against e4d15fb)"
+echo "==> _sys gates (host and router answer every probe alike; published bytes golden against e4d15fb, router stats + the five mesh.* names)"
 go test -run 'TestSysProbeParity|TestSysGoldenBytes' -count=1 ./internal/router/
 
 echo "==> quorum-liveness gate (replicated guaranteed delivery reaches quorum)"
@@ -77,6 +83,10 @@ go test -run TestMeshLocalityGate -count=1 -v ./internal/bench/
 if [ "$quick" -eq 0 ]; then
     echo "==> go test -race ./..."
     go test -race ./...
+
+    echo "==> mesh e2e under race, 5 runs (every router runs this code: heal, router death, flap, cache invalidation, join, line, same-name, parallel pair, same-name loop bounded by the hop budget)"
+    go test -race -count=5 -run 'TestMeshPartitionHeal|TestMeshGuaranteedSurvivesRouterDeath|TestMeshFlapAlarm|TestMeshWantsCacheInvalidatedOnTopologyChange|TestMeshJoinNeedsNoDiscovery|TestMeshThreeRouterLine|TestSameNameRoutersDetected|TestParallelRoutersElectOneForwarder|TestSameNameParallelRoutersBoundedByHopBudget' ./internal/router/
+    go test -race -count=5 -run 'TestJoinConvergesWithinFourTicks|TestSameIDCounted|TestInterestSwapKeepsCommonPatterns' ./internal/mesh/
 
     echo "==> join-grace release keeps per-sender order (race build, 10 runs)"
     go test -race -run TestJoinGraceReleaseKeepsOrder -count=10 ./internal/reliable/
