@@ -10,7 +10,6 @@ package infobus
 
 import (
 	"fmt"
-	"io"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -25,7 +24,6 @@ import (
 	"infobus/internal/netsim"
 	"infobus/internal/reliable"
 	"infobus/internal/subject"
-	"infobus/internal/telemetry"
 	"infobus/internal/transport"
 	"infobus/internal/wire"
 )
@@ -377,8 +375,9 @@ func BenchmarkAblationBatching(b *testing.B) {
 }
 
 // BenchmarkAblationWireFormat (A5): the cost of self-description — every
-// datagram carries type metadata (bus broadcasts) vs a stream dictionary
-// that sends each class once (RMI connections).
+// datagram carries its type metadata (wire.Marshal) vs the per-sender
+// dictionary the bus ships (wire.SendDict in steady state: classes go as
+// 8-byte fingerprints once their definitions have been on the medium).
 func BenchmarkAblationWireFormat(b *testing.B) {
 	group := mop.MustNewClass("BenchGroup", nil, []mop.Attr{
 		{Name: "code", Type: mop.String},
@@ -408,22 +407,23 @@ func BenchmarkAblationWireFormat(b *testing.B) {
 		}
 		b.ReportMetric(float64(bytesOut), "bytes/msg")
 	})
-	b.Run("stream-dictionary", func(b *testing.B) {
+	b.Run("send-dictionary", func(b *testing.B) {
 		b.ReportAllocs()
-		counter := &countingWriter{}
-		enc := wire.NewEncoder(counter)
-		if err := enc.Encode(obj); err != nil { // warm the dictionary
+		// Resend period out of reach: steady state stays reference-only.
+		dict := wire.NewSendDict(1 << 30)
+		if _, err := dict.Marshal(obj); err != nil { // first contact carries the definitions
 			b.Fatal(err)
 		}
-		counter.n = 0
+		var bytesOut int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(obj); err != nil {
+			data, err := dict.Marshal(obj)
+			if err != nil {
 				b.Fatal(err)
 			}
+			bytesOut = len(data)
 		}
-		b.StopTimer()
-		b.ReportMetric(float64(counter.n)/float64(b.N), "bytes/msg")
+		b.ReportMetric(float64(bytesOut), "bytes/msg")
 	})
 }
 
@@ -648,181 +648,3 @@ func BenchmarkFanoutLanes(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDictCompression (A9) measures type-dictionary compression: the
-// self-describing codec against the compact steady state for each A9
-// object shape, reporting wire bytes per message alongside encode and
-// decode cost. The compact decode resolves classes through the receiver's
-// fingerprint cache, skipping the per-message type-table parse entirely.
-func BenchmarkDictCompression(b *testing.B) {
-	for _, shape := range bench.DictShapes() {
-		legacy, err := wire.Marshal(shape.Value)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dict := wire.NewSendDict(1 << 30)
-		first, err := dict.Marshal(shape.Value)
-		if err != nil {
-			b.Fatal(err)
-		}
-		steady, err := dict.Marshal(shape.Value)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]byte, 0, 2*len(legacy))
-
-		b.Run(shape.Name+"/encode/legacy", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := wire.AppendMarshal(buf[:0], shape.Value); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(legacy)), "bytes/msg")
-		})
-		b.Run(shape.Name+"/encode/compact", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := dict.AppendMarshal(buf[:0], shape.Value); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(steady)), "bytes/msg")
-		})
-
-		reg := mop.NewRegistry()
-		cache := wire.NewTypeCache(0)
-		if _, err := wire.UnmarshalWith(first, reg, cache); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(shape.Name+"/decode/legacy", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := wire.Unmarshal(legacy, reg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(shape.Name+"/decode/compact", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := wire.UnmarshalWith(steady, reg, cache); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTelemetryOverhead measures what the observability subsystem
-// costs on the Figure 6 workload (small messages, batching on, full
-// 15-node topology): telemetry off entirely, metrics only (counters are
-// always on — this is the PR's baseline), and metrics plus per-hop tracing
-// at the 1% default sampling and at 100%. The acceptance bar is <5%
-// model-msgs/sec regression at 1% sampling versus off.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	cases := []struct {
-		name     string
-		sampling float64
-	}{
-		{"off", 0},
-		{"trace=1pct", 0.01},
-		{"trace=100pct", 1},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			n := b.N
-			if n < 50 {
-				n = 50
-			}
-			if n > 2000 {
-				n = 2000
-			}
-			cfg := benchConfig(14)
-			cfg.Telemetry = core.TelemetryConfig{TraceSampling: tc.sampling}
-			r, err := bench.MeasureThroughput(cfg, 64, n, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(r.MsgsPerSec, "model-msgs/sec")
-		})
-	}
-}
-
-// BenchmarkHealthOverhead (A8) measures what the health tier costs on the
-// Figure 6 workload when no alarms fire — the common case: every host runs
-// the alarm engine (slow-consumer, dedup-pressure, retransmit-storm, and
-// ledger-backlog watches sampling at 5 ms) and a flight recorder, but all
-// signals stay below their watermarks so the engine only ever reads
-// atomics. The acceptance bar is overhead within run-to-run noise versus
-// off (EXPERIMENTS.md A8 records the measured numbers at Speedup 10 via
-// cmd/ibbench).
-func BenchmarkHealthOverhead(b *testing.B) {
-	cases := []struct {
-		name   string
-		health core.TelemetryConfig
-	}{
-		{"off", core.TelemetryConfig{}},
-		{"on", core.TelemetryConfig{Health: telemetry.HealthConfig{Interval: 5 * time.Millisecond}}},
-	}
-	for _, tc := range cases {
-		b.Run("health="+tc.name, func(b *testing.B) {
-			n := b.N
-			if n < 50 {
-				n = 50
-			}
-			if n > 2000 {
-				n = 2000
-			}
-			cfg := benchConfig(14)
-			cfg.Telemetry = tc.health
-			r, err := bench.MeasureThroughput(cfg, 64, n, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(r.MsgsPerSec, "model-msgs/sec")
-		})
-	}
-}
-
-// BenchmarkHistoryOverhead (A13) measures what the flight-data tier costs
-// on the Figure 6 workload: every host samples its standing rate, level,
-// and percentile series into the history rings (at a 5 ms interval, far
-// busier than the 250 ms production default) while the messages flow. The
-// sampler only reads atomics and writes preallocated seqlock slots, so
-// the acceptance bar is overhead within run-to-run noise versus off —
-// the same bar the health tier met (EXPERIMENTS.md A13 records the
-// measured numbers at Speedup 10 via cmd/ibbench).
-func BenchmarkHistoryOverhead(b *testing.B) {
-	cases := []struct {
-		name string
-		tc   core.TelemetryConfig
-	}{
-		{"off", core.TelemetryConfig{}},
-		{"on", core.TelemetryConfig{HistoryInterval: 5 * time.Millisecond}},
-	}
-	for _, tc := range cases {
-		b.Run("history="+tc.name, func(b *testing.B) {
-			n := b.N
-			if n < 50 {
-				n = 50
-			}
-			if n > 2000 {
-				n = 2000
-			}
-			cfg := benchConfig(14)
-			cfg.Telemetry = tc.tc
-			r, err := bench.MeasureThroughput(cfg, 64, n, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(r.MsgsPerSec, "model-msgs/sec")
-		})
-	}
-}
-
-type countingWriter struct{ n int }
-
-func (w *countingWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
-
-var _ io.Writer = (*countingWriter)(nil)

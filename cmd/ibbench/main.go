@@ -1,7 +1,11 @@
 // Command ibbench regenerates the paper's performance appendix — Figures
 // 5, 6, 7, and 8 — and the two stated invariants (I1: latency independent
 // of consumer count; I2: cumulative throughput proportional to subscriber
-// count) on the simulated 10 Mb/s Ethernet testbed.
+// count) on the simulated 10 Mb/s Ethernet testbed, plus the three
+// experiments no benchmark/ workload answers: A11 (replicated guaranteed
+// delivery), A12 (lane scaling past 2 cores) and A14 (50-segment mesh
+// locality). What anything else costs is a named metric on a
+// BENCHMARK.json workload (benchmark/run.sh), not a figure here.
 //
 // Usage:
 //
@@ -10,7 +14,7 @@
 //	ibbench -fig 6 -msgs 3000         # throughput, more samples
 //	ibbench -fig 8 -subjects 10000    # the full 10k-subject sweep
 //	ibbench -fig i1                   # invariant I1
-//	ibbench -fig a10,a15              # several figures in one run
+//	ibbench -fig a11,a14              # several figures in one run
 //	ibbench -speedup 50               # faster run, lower fidelity
 //
 // All reported numbers are in modelled network time, so -speedup trades
@@ -28,11 +32,10 @@ import (
 	"time"
 
 	"infobus/internal/bench"
-	"infobus/internal/telemetry"
 )
 
 // figures are the names -fig accepts besides "all", in run order.
-var figures = []string{"5", "6", "7", "8", "i1", "i2", "a8", "a13", "a9", "a10", "a11", "a12", "a14", "a15"}
+var figures = []string{"5", "6", "7", "8", "i1", "i2", "a11", "a12", "a14"}
 
 // parseFigs turns the -fig value — "all", or a comma-separated list of
 // figure names — into the set of figures to run. A name that is not a
@@ -149,92 +152,10 @@ func main() {
 		bench.PrintInvariantI2(os.Stdout, rows)
 		return nil
 	})
-	run("a8", func() error {
-		// A8: health-tier overhead on the Figure 6 workload when no alarms
-		// fire. Every host runs the alarm engine (5 ms sampling) and flight
-		// recorder; all signals stay below their watermarks, so the tick
-		// loop only reads atomics. Overhead should be within noise.
-		fmt.Println("A8: health-tier overhead (Figure 6 workload, alarms idle)")
-		fmt.Printf("%10s %18s %18s %9s\n", "size", "off msgs/s", "on msgs/s", "delta")
-		for _, size := range bench.PaperSizes {
-			off, err := bench.MeasureThroughput(cfg, size, *msgs, 1)
-			if err != nil {
-				return err
-			}
-			oncfg := cfg
-			oncfg.Telemetry.Health = telemetry.HealthConfig{Interval: 5 * time.Millisecond}
-			on, err := bench.MeasureThroughput(oncfg, size, *msgs, 1)
-			if err != nil {
-				return err
-			}
-			delta := (on.MsgsPerSec - off.MsgsPerSec) / off.MsgsPerSec * 100
-			fmt.Printf("%10d %18.0f %18.0f %8.1f%%\n", size, off.MsgsPerSec, on.MsgsPerSec, delta)
-		}
-		return nil
-	})
-	run("a13", func() error {
-		// A13: flight-data tier overhead on the Figure 6 workload. Every
-		// host samples its standing rate/level/percentile series into the
-		// history rings at 5 ms (the production default is 250 ms) and
-		// publishes periodic SysHistory digests; the sampler reads atomics
-		// and writes preallocated seqlock slots, so overhead should be
-		// within noise like A8.
-		fmt.Println("A13: flight-data history tier overhead (Figure 6 workload)")
-		fmt.Printf("%10s %18s %18s %9s\n", "size", "off msgs/s", "on msgs/s", "delta")
-		for _, size := range bench.PaperSizes {
-			off, err := bench.MeasureThroughput(cfg, size, *msgs, 1)
-			if err != nil {
-				return err
-			}
-			oncfg := cfg
-			oncfg.Telemetry.HistoryInterval = 5 * time.Millisecond
-			on, err := bench.MeasureThroughput(oncfg, size, *msgs, 1)
-			if err != nil {
-				return err
-			}
-			delta := (on.MsgsPerSec - off.MsgsPerSec) / off.MsgsPerSec * 100
-			fmt.Printf("%10d %18.0f %18.0f %8.1f%%\n", size, off.MsgsPerSec, on.MsgsPerSec, delta)
-		}
-		return nil
-	})
-	run("a9", func() error {
-		// A9: type-dictionary compression. Codec-level wire bytes + CPU,
-		// then the Figure 6 workload with structured objects, dictionary
-		// off vs on.
-		rows, err := bench.MeasureDictCompression(0)
-		if err != nil {
-			return err
-		}
-		bench.PrintFigureA9(os.Stdout, rows)
-		fmt.Println()
-		var trows []bench.DictThroughputRow
-		for _, shape := range bench.DictShapes() {
-			row, err := bench.MeasureDictThroughput(cfg, shape, *msgs)
-			if err != nil {
-				return err
-			}
-			trows = append(trows, row)
-		}
-		bench.PrintFigureA9Throughput(os.Stdout, trows)
-		return nil
-	})
-
-	run("a10", func() error {
-		// A10: the group-commit ledger under 1..8 concurrent publishers.
-		// Real filesystem, real time: -speedup does not apply to this
-		// figure (an fsync cannot be simulated faster).
-		rows, err := bench.FigureA10([]int{1, 2, 4, 8}, 0)
-		if err != nil {
-			return err
-		}
-		bench.PrintFigureA10(os.Stdout, rows)
-		return nil
-	})
-
 	run("a11", func() error {
-		// A11: replicated guaranteed delivery. Like A10 the fsyncs are
-		// real, so wall time dominates; -speedup only accelerates the
-		// simulated network between the publisher and its replicas.
+		// A11: replicated guaranteed delivery. The fsyncs are real, so
+		// wall time dominates; -speedup only accelerates the simulated
+		// network between the publisher and its replicas.
 		rows, err := bench.FigureA11(cfg.Net, 0, 0)
 		if err != nil {
 			return err
@@ -247,8 +168,8 @@ func main() {
 		// A12: the sharded delivery engine. CPU-bound by construction —
 		// the harness pins the simulated wire at a very high speedup so
 		// the medium never throttles local delivery, and -speedup does
-		// not apply (like A10's fsyncs). The lanes-vs-1 ratio is the
-		// published quantity; it only exceeds 1 on a multicore host.
+		// not apply. The lanes-vs-1 ratio is the published quantity; it
+		// only exceeds 1 on a multicore host.
 		laneCounts := []int{1, 2, 4, 8}
 		rows, err := bench.FigureA12(cfg, laneCounts, []int{64, 256, 512}, *msgs)
 		if err != nil {
@@ -272,19 +193,6 @@ func main() {
 			return err
 		}
 		bench.PrintFigureA14(os.Stdout, row)
-		return nil
-	})
-
-	run("a15", func() error {
-		// A15: the router's zero-copy data plane. CPU-bound (in-process
-		// pipe transport, no netsim): msgs/s through a 4-segment router
-		// fan-out. -speedup does not apply; -msgs scales the per-point
-		// sample.
-		rows, err := bench.FigureA15([]int{64, 512, 4096}, *msgs*20)
-		if err != nil {
-			return err
-		}
-		bench.PrintFigureA15(os.Stdout, rows)
 		return nil
 	})
 

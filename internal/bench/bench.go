@@ -37,13 +37,6 @@ type Config struct {
 	// experiment (off for latency, on for throughput), matching the
 	// appendix's use of the batch parameter.
 	Reliable reliable.Config
-	// Telemetry is applied to every host in the topology
-	// (BenchmarkTelemetryOverhead measures its cost; the figure
-	// experiments leave it zero).
-	Telemetry core.TelemetryConfig
-	// Compact enables type-dictionary compression on the publisher host
-	// (experiment A9; the figure experiments leave it off).
-	Compact bool
 }
 
 // DefaultConfig is the paper's topology.
@@ -77,7 +70,7 @@ func buildTopology(cfg Config, patterns []string) (*topology, error) {
 	}
 	seg := transport.NewSimSegment(cfg.Net)
 	tp := &topology{seg: seg}
-	pubHost, err := core.NewHost(seg, "publisher", core.HostConfig{Reliable: cfg.Reliable, Telemetry: cfg.Telemetry, CompactTypes: cfg.Compact})
+	pubHost, err := core.NewHost(seg, "publisher", core.HostConfig{Reliable: cfg.Reliable})
 	if err != nil {
 		seg.Close()
 		return nil, err
@@ -89,7 +82,7 @@ func buildTopology(cfg Config, patterns []string) (*topology, error) {
 		return nil, err
 	}
 	for i := 0; i < cfg.Consumers; i++ {
-		h, err := core.NewHost(seg, fmt.Sprintf("consumer%d", i), core.HostConfig{Reliable: cfg.Reliable, Telemetry: cfg.Telemetry})
+		h, err := core.NewHost(seg, fmt.Sprintf("consumer%d", i), core.HostConfig{Reliable: cfg.Reliable})
 		if err != nil {
 			tp.Close()
 			return nil, err

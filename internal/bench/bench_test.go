@@ -199,46 +199,3 @@ func TestPayloadStamp(t *testing.T) {
 		t.Errorf("minimum payload = %d", len(p))
 	}
 }
-
-func TestMeasureDictCompressionSanity(t *testing.T) {
-	rows, err := MeasureDictCompression(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(DictShapes()) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(DictShapes()))
-	}
-	for _, r := range rows {
-		// Steady state must beat the self-describing format; first contact
-		// carries the defs plus fingerprints, so it may exceed legacy by a
-		// few bytes but never by much.
-		if r.SteadyBytes >= r.LegacyBytes {
-			t.Errorf("%s: steady %dB not smaller than legacy %dB", r.Shape, r.SteadyBytes, r.LegacyBytes)
-		}
-		if r.ReductionPct <= 0 {
-			t.Errorf("%s: reduction %.1f%%, want positive", r.Shape, r.ReductionPct)
-		}
-		if r.LegacyEncNs <= 0 || r.SteadyEncNs <= 0 || r.LegacyDecNs <= 0 || r.SteadyDecNs <= 0 {
-			t.Errorf("%s: non-positive timing in %+v", r.Shape, r)
-		}
-	}
-	// The small-message extreme is where the dictionary matters: the
-	// acceptance floor of the change is 40% on the ~64-byte shape.
-	if rows[0].ReductionPct < 40 {
-		t.Errorf("%s: reduction %.1f%%, want >= 40%%", rows[0].Shape, rows[0].ReductionPct)
-	}
-}
-
-func TestMeasureDictThroughputSanity(t *testing.T) {
-	cfg := quickConfig(3)
-	row, err := MeasureDictThroughput(cfg, DictShapes()[0], 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.MsgsPerSecOff <= 0 || row.MsgsPerSecOn <= 0 {
-		t.Fatalf("non-positive rates: %+v", row)
-	}
-	if row.WireBytesOn >= row.WireBytesOff {
-		t.Errorf("compact steady payload %dB not smaller than legacy %dB", row.WireBytesOn, row.WireBytesOff)
-	}
-}

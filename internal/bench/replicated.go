@@ -21,9 +21,9 @@ import (
 // network, and collect a majority of replica acknowledgements (each a
 // real fsync on the replica's disk) before it returns. Factor 0 is the
 // unmodified single-node path — the baseline the quorum tax is measured
-// against. Like A10 this figure runs wall-clock: the fsync is the
-// dominant cost and cannot be simulated faster; -speedup only accelerates
-// the simulated network in between.
+// against. This figure runs wall-clock: the fsync is the dominant cost
+// and cannot be simulated faster; -speedup only accelerates the simulated
+// network in between.
 
 // ReplicatedRow is one (factor, policy) cell of the A11 table.
 type ReplicatedRow struct {
@@ -190,8 +190,8 @@ func MeasureReplicated(netCfg netsim.Config, factor, publishers, perPublisher in
 // factor-2 lazy row isolating the replica fsync share of the quorum tax.
 func FigureA11(netCfg netsim.Config, publishers, perPublisher int) ([]ReplicatedRow, error) {
 	if publishers <= 0 {
-		// Group commit amortizes fsyncs across concurrent publishers (A10);
-		// the quorum tax is only meaningful at a concurrency where batches
+		// Group commit amortizes fsyncs across concurrent publishers; the
+		// quorum tax is only meaningful at a concurrency where batches
 		// actually form on both the publisher and the replicas. Throughput
 		// saturates near 32 concurrent publishers — beyond that added
 		// concurrency only inflates queueing latency.

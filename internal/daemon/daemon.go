@@ -79,9 +79,9 @@ type Daemon struct {
 	// Token); see lanes.go.
 	tokens *tokenSource
 
-	// Delivery lanes (lanes.go): match-cache shards + per-lane telemetry.
-	// Immutable after construction. workers is the inbound pool, one per
-	// lane.
+	// Delivery lanes (lanes.go): per-lane telemetry; subs has one
+	// match-cache shard per lane. Immutable after construction. workers is
+	// the inbound pool, one per lane.
 	lanes   []*lane
 	workers []*inWorker
 	inWg    sync.WaitGroup
@@ -240,12 +240,13 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 	// (reliable.Config.Seed): a fixed per-host seed makes identities and
 	// trace bases reproducible across netsim runs, zero stays unique.
 	tokens := newTokenSource(cfg.Seed)
+	lanes := newLanes(resolveLanes(opts.DeliveryLanes), metrics)
 	d := &Daemon{
 		conn:        reliable.New(ep, cfg),
 		identity:    fmt.Sprintf("%s#%016x", ep.Addr(), tokens.Next()),
 		tokens:      tokens,
-		lanes:       newLanes(resolveLanes(opts.DeliveryLanes), metrics),
-		subs:        subject.NewTrie[*Client](),
+		lanes:       lanes,
+		subs:        subject.NewShardedTrie[*Client](len(lanes)),
 		clients:     make(map[*Client]struct{}),
 		done:        make(chan struct{}),
 		kick:        make(chan struct{}, 1),
@@ -505,14 +506,14 @@ func (d *Daemon) publishData(subj subject.Subject, payload []byte, kind byte) er
 // ledger id. The caller is responsible for logging before calling and for
 // retransmitting until the ack callback fires (see the bus layer).
 func (d *Daemon) PublishGuaranteed(subj subject.Subject, payload []byte, id uint64) error {
-	_, err := d.publishGuaranteed(subj, payload, id, busproto.KindGuaranteed, nil)
+	_, err := d.publishGuaranteed(subj, payload, id, d.identity, false, nil)
 	return err
 }
 
 // PublishGuaranteedCompact is PublishGuaranteed for a compact-format
 // payload (see PublishCompact).
 func (d *Daemon) PublishGuaranteedCompact(subj subject.Subject, payload []byte, id uint64) error {
-	_, err := d.publishGuaranteed(subj, payload, id, busproto.KindGuaranteedCompact, nil)
+	_, err := d.publishGuaranteed(subj, payload, id, d.identity, true, nil)
 	return err
 }
 
@@ -524,58 +525,7 @@ func (d *Daemon) PublishGuaranteedCompact(subj subject.Subject, payload []byte, 
 // attach late stages — the quorum ack lands after the publish — as a
 // sidecar trace (telemetry.SysTrace).
 func (d *Daemon) PublishGuaranteedTraced(subj subject.Subject, payload []byte, id uint64, compact bool, pre []busproto.TraceHop) (uint64, error) {
-	kind := byte(busproto.KindGuaranteed)
-	if compact {
-		kind = busproto.KindGuaranteedCompact
-	}
-	return d.publishGuaranteed(subj, payload, id, kind, pre)
-}
-
-func (d *Daemon) publishGuaranteed(subj subject.Subject, payload []byte, id uint64, kind byte, pre []busproto.TraceHop) (uint64, error) {
-	e := busproto.Envelope{
-		Kind: kind, ID: id, Origin: d.identity,
-		Subject: subj.String(), Payload: payload,
-	}
-	// Pre-hops are only transmitted when traceSample picks this
-	// publication: it appends the publisher hop after them, and the
-	// untraced encode ignores Trace entirely.
-	e.Trace = pre
-	d.traceSample(&e)
-	if e.TraceID == 0 {
-		e.Trace = nil // unsampled: the local fan-out must not carry pre
-	}
-	buf := bufpool.Get(len(e.Origin) + len(e.Subject) + len(payload) + 32)
-	env := busproto.AppendEncode((*buf)[:0], e)
-	*buf = env
-	defer bufpool.Put(buf)
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return 0, ErrClosed
-	}
-	onAck := d.onAck
-	d.mu.Unlock()
-	d.ctr.publishedLocal.Inc()
-	if err := d.conn.Publish(env); err != nil {
-		return e.TraceID, err
-	}
-	claimed, seen := d.guarBegin(d.identity, id)
-	if seen || !claimed {
-		// A retransmission (already delivered locally — remote daemons that
-		// missed it will take it from the broadcast), or the retrier racing
-		// the original publish mid-delivery.
-		return e.TraceID, nil
-	}
-	delivered := d.routeLocal(Delivery{
-		Subject: subj, Payload: payload, From: d.Addr(), Guaranteed: true, ID: id,
-		TraceID: e.TraceID, Trace: e.Trace,
-	})
-	d.guarEnd(d.identity, id, delivered > 0)
-	if delivered > 0 && onAck != nil {
-		// A local subscriber consumed it: self-acknowledge.
-		onAck(id, d.Addr())
-	}
-	return e.TraceID, nil
+	return d.publishGuaranteed(subj, payload, id, d.identity, compact, pre)
 }
 
 // PublishGuaranteedOrigin re-publishes a guaranteed publication on behalf
@@ -586,16 +536,33 @@ func (d *Daemon) publishGuaranteed(subj subject.Subject, payload []byte, id uint
 // format. Acknowledgements come back to this daemon (acks are unicast to
 // the sender) and are routed through FosterAcks.
 func (d *Daemon) PublishGuaranteedOrigin(subj subject.Subject, payload []byte, id uint64, origin string, compact bool) error {
+	_, err := d.publishGuaranteed(subj, payload, id, origin, compact, nil)
+	return err
+}
+
+// publishGuaranteed is the one guaranteed-publish body. origin is the
+// identity the envelope carries: the daemon's own, or that of a publisher
+// it is replaying for — then the trace gets a recovery-replay hop and the
+// self-acknowledgement goes to the origin's foster callback, not onAck.
+func (d *Daemon) publishGuaranteed(subj subject.Subject, payload []byte, id uint64, origin string, compact bool, pre []busproto.TraceHop) (uint64, error) {
 	kind := byte(busproto.KindGuaranteed)
 	if compact {
 		kind = busproto.KindGuaranteedCompact
 	}
+	replay := origin != d.identity
 	e := busproto.Envelope{
 		Kind: kind, ID: id, Origin: origin,
 		Subject: subj.String(), Payload: payload,
 	}
+	// Pre-hops are only transmitted when traceSample picks this
+	// publication: it appends the publisher hop after them, and the
+	// untraced encode ignores Trace entirely.
+	e.Trace = pre
 	d.traceSample(&e)
-	if e.Traced() {
+	switch {
+	case e.TraceID == 0:
+		e.Trace = nil // unsampled: the local fan-out must not carry pre
+	case replay:
 		// Mark the hop as a recovery replay: the timeline downstream
 		// monitors assemble must distinguish a replayed publication from
 		// the origin's own transmission.
@@ -608,29 +575,34 @@ func (d *Daemon) PublishGuaranteedOrigin(subj subject.Subject, payload []byte, i
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	foster := d.foster[origin]
+	onAck := d.onAck
+	if replay {
+		onAck = d.foster[origin]
+	}
 	d.mu.Unlock()
 	d.ctr.publishedLocal.Inc()
 	if err := d.conn.Publish(env); err != nil {
-		return err
+		return e.TraceID, err
 	}
 	claimed, seen := d.guarBegin(origin, id)
 	if seen || !claimed {
-		return nil
+		// A retransmission (already delivered locally — remote daemons that
+		// missed it will take it from the broadcast), or the retrier racing
+		// the original publish mid-delivery.
+		return e.TraceID, nil
 	}
 	delivered := d.routeLocal(Delivery{
 		Subject: subj, Payload: payload, From: d.Addr(), Guaranteed: true, ID: id,
 		TraceID: e.TraceID, Trace: e.Trace,
 	})
 	d.guarEnd(origin, id, delivered > 0)
-	if delivered > 0 && foster != nil {
-		// A local subscriber consumed it: self-acknowledge to the
-		// fostering replayer.
-		foster(id, d.Addr())
+	if delivered > 0 && onAck != nil {
+		// A local subscriber consumed it: self-acknowledge.
+		onAck(id, d.Addr())
 	}
-	return nil
+	return e.TraceID, nil
 }
 
 // FosterAcks routes guaranteed-delivery acknowledgements addressed to
@@ -1084,10 +1056,10 @@ func (d *Daemon) sendGuarAck(to string, id uint64, origin string) {
 }
 
 // routeLocal fans a delivery out to every matching local client through
-// the delivery lane the subject hashes to: the lane's match-cache shard
-// answers the subscription lookup and the lane's column of each client's
-// queue takes the enqueue, so publications on subjects of different lanes
-// share no locks here at all.
+// the delivery lane the subject hashes to: the trie's match-cache shard of
+// that index answers the subscription lookup and the lane's column of each
+// client's queue takes the enqueue, so publications on subjects of
+// different lanes share no locks here at all.
 func (d *Daemon) routeLocal(dv Delivery) int {
 	ln := d.lanes[dv.Subject.LaneIndex(len(d.lanes))]
 	if dv.TraceID != 0 {
@@ -1095,7 +1067,7 @@ func (d *Daemon) routeLocal(dv Delivery) int {
 		// fan-out below shares the stamped trace.
 		dv.appendHop(busproto.HopLaneEnqueue, d.traceNode, time.Now().UnixNano())
 	}
-	matches := ln.cache.Match(d.subs, dv.Subject)
+	matches := d.subs.Match(dv.Subject)
 	delivered := 0
 	for _, c := range matches {
 		if c.enqueue(ln, dv) {

@@ -14,12 +14,13 @@ import (
 // Delivery lanes.
 //
 // The daemon shards its fan-out state across a fixed pool of lanes keyed
-// by subject-prefix hash (subject.LaneIndex): each lane owns one shard of
-// the trie match cache and one column of every client's head-indexed
-// delivery queue. Publications on subjects hashing to different lanes
-// touch disjoint mutexes end to end, so local publishers on separate
-// goroutines — and the inbound workers below — fan out without sharing a
-// lock.
+// by subject-prefix hash (subject.LaneIndex): each lane has its own shard
+// of the subscription trie's match cache (the trie is built with one shard
+// per lane and picks the shard by the same hash) and one column of every
+// client's head-indexed delivery queue. Publications on subjects hashing
+// to different lanes touch disjoint mutexes end to end, so local
+// publishers on separate goroutines — and the inbound workers below — fan
+// out without sharing a lock.
 //
 // Ordering is NOT entrusted to the lane hash. Per-sender FIFO across
 // subjects on different lanes is preserved by two mechanisms:
@@ -62,11 +63,11 @@ func resolveLanes(n int) int {
 	return n
 }
 
-// lane is one delivery lane: a match-cache shard plus its telemetry. The
-// client queue columns it owns live inside each Client (indexed by idx).
+// lane is one delivery lane's telemetry. The client queue columns it owns
+// live inside each Client, and its match-cache shard inside the
+// subscription trie, both indexed by idx.
 type lane struct {
-	idx   int
-	cache *subject.MatchCache[*Client]
+	idx int
 	// depth gauges the deliveries enqueued via this lane and not yet
 	// consumed, summed over all clients ("daemon.lane<N>.depth"). The
 	// per-client aggregate the slow-consumer alarm watches is Client.depth;
@@ -90,7 +91,6 @@ func newLanes(n int, metrics *telemetry.Registry) []*lane {
 	for i := range lanes {
 		lanes[i] = &lane{
 			idx:       i,
-			cache:     subject.NewMatchCache[*Client](0),
 			depth:     metrics.Gauge(fmt.Sprintf("daemon.lane%d.depth", i)),
 			delivered: metrics.Counter(fmt.Sprintf("daemon.lane%d.delivered", i)),
 			topk:      telemetry.NewTopK(laneTopK),

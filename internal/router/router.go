@@ -728,8 +728,8 @@ func (r *Router) publishSys(subj string, payload []byte) {
 // Inject processes one encoded envelope as if it had been reliably
 // received on the named attachment's segment from sender `from` — the
 // forwarding engine runs exactly as for wire traffic (peek, interest
-// match, fan-out, counters). Replay tooling and the A15 benchmark drive
-// the data plane directly with it. Concurrent Injects on the SAME
+// match, fan-out, counters). The benchmark's per-layer replay drives the
+// data plane directly with it. Concurrent Injects on the SAME
 // attachment (or an Inject racing live traffic on that attachment) are
 // not allowed: egress frames are built in a per-attachment scratch buffer
 // owned by whichever goroutine is delivering for it.

@@ -33,21 +33,34 @@ type Trie[V comparable] struct {
 
 	// Match cache: subject string → matched value set. Publications repeat
 	// subjects far more often than subscriptions change (Figures 6–8 publish
-	// thousands of messages per subject), so the daemon's fan-out path
-	// services repeats from here without walking the trie or allocating.
-	// Entries are immutable snapshots; any Add/Remove bumps gen and clears
-	// the map. gen is read outside mu to detect a mutation that raced a
-	// fill (the stale fill is then discarded).
-	gen     atomic.Uint64
-	cacheMu sync.Mutex
-	cache   map[string][]V
+	// thousands of messages per subject), so the fan-out path services
+	// repeats from here without walking the trie or allocating. Entries are
+	// immutable snapshots. The cache is sharded by Subject.LaneIndex so a
+	// daemon's delivery lanes, which partition subjects the same way, never
+	// contend on one cache mutex; every other trie has one shard.
+	//
+	// Invalidation is lazy: Add/Remove only advance gen, and a shard whose
+	// entries were filled at an older generation is cleared by its next
+	// lookup. gen is read outside mu; a fill that raced a mutation carries
+	// the older generation and never enters a newer shard.
+	gen    atomic.Uint64
+	shards []cacheShard[V]
 }
 
-// maxMatchCache bounds the match cache. When full, new subjects are simply
-// not cached (they re-walk the trie) rather than evicting: a publisher
-// cycling through more subjects than the cap would otherwise defeat the
-// cache entirely — clear-on-overflow has a ~0% hit rate under cyclic
-// access. Sized above Figure 8's 10 000-subject workload.
+// cacheShard is one shard of the match cache: the entries in m were all
+// computed at generation gen.
+type cacheShard[V comparable] struct {
+	mu  sync.Mutex
+	gen uint64
+	m   map[string][]V
+	_   [40]byte // pad to a cache line: neighbouring shards are locked from different cores
+}
+
+// maxMatchCache bounds each shard of the match cache. When full, new
+// subjects are simply not cached (they re-walk the trie) rather than
+// evicting: a publisher cycling through more subjects than the cap would
+// otherwise defeat the cache entirely — clear-on-overflow has a ~0% hit
+// rate under cyclic access. Sized above Figure 8's 10 000-subject workload.
 const maxMatchCache = 16384
 
 type trieNode[V comparable] struct {
@@ -58,8 +71,14 @@ type trieNode[V comparable] struct {
 }
 
 // NewTrie returns an empty trie.
-func NewTrie[V comparable]() *Trie[V] {
-	return &Trie[V]{root: &trieNode[V]{}}
+func NewTrie[V comparable]() *Trie[V] { return NewShardedTrie[V](1) }
+
+// NewShardedTrie returns an empty trie whose match cache has the given
+// number of shards (at least one), each holding up to maxMatchCache
+// subjects. A subject's shard is its LaneIndex(shards): callers that
+// partition their own work the same way match without sharing a lock.
+func NewShardedTrie[V comparable](shards int) *Trie[V] {
+	return &Trie[V]{root: &trieNode[V]{}, shards: make([]cacheShard[V], max(shards, 1))}
 }
 
 // Len returns the number of registered (pattern, value) pairs.
@@ -108,19 +127,8 @@ func (t *Trie[V]) Add(p Pattern, value V) bool {
 	}
 	*set = append(*set, value)
 	t.size++
-	t.invalidate()
-	return true
-}
-
-// invalidate discards the match cache after a mutation. Called with t.mu
-// held for writing, so no Match fill can be walking the trie concurrently;
-// a fill computed before the mutation detects the gen bump and discards
-// itself.
-func (t *Trie[V]) invalidate() {
 	t.gen.Add(1)
-	t.cacheMu.Lock()
-	clear(t.cache)
-	t.cacheMu.Unlock()
+	return true
 }
 
 // Remove unregisters a (pattern, value) pair and reports whether it was
@@ -132,7 +140,7 @@ func (t *Trie[V]) Remove(p Pattern, value V) bool {
 	removed := t.remove(t.root, p.elements, value)
 	if removed {
 		t.size--
-		t.invalidate()
+		t.gen.Add(1)
 	}
 	return removed
 }
@@ -180,68 +188,56 @@ func (n *trieNode[V]) empty() bool {
 // trie mutates afterwards: mutations replace cache entries, they never
 // write through old ones.
 func (t *Trie[V]) Match(s Subject) []V {
-	t.cacheMu.Lock()
-	if vs, ok := t.cache[s.raw]; ok {
-		t.cacheMu.Unlock()
-		return vs
-	}
-	t.cacheMu.Unlock()
-
-	out, gen := t.MatchUncached(s)
-
-	t.cacheMu.Lock()
-	// Discard fills that raced a mutation; skip (don't evict) when full.
-	if t.gen.Load() == gen && len(t.cache) < maxMatchCache {
-		if t.cache == nil {
-			t.cache = make(map[string][]V)
+	sh := &t.shards[s.LaneIndex(len(t.shards))]
+	cur := t.gen.Load()
+	sh.mu.Lock()
+	if sh.gen == cur {
+		if vs, ok := sh.m[s.raw]; ok {
+			sh.mu.Unlock()
+			return vs
 		}
-		t.cache[s.raw] = out
 	}
-	t.cacheMu.Unlock()
-	return out
-}
+	sh.mu.Unlock()
 
-// Gen returns the trie's mutation generation. It advances on every Add and
-// Remove that changes the set; external caches (MatchCache shards) compare
-// it to detect staleness without registering with the trie.
-func (t *Trie[V]) Gen() uint64 { return t.gen.Load() }
-
-// MatchUncached walks the trie for the subject's match set without
-// consulting or filling the built-in cache, and returns the generation the
-// walk was performed at (pinned for the whole walk: mutations take the
-// write lock). External caches store the result keyed by that generation.
-func (t *Trie[V]) MatchUncached(s Subject) ([]V, uint64) {
 	t.mu.RLock()
-	gen := t.gen.Load() // mutation holds mu for writing, so this pins the walk's state
+	gen := t.gen.Load() // mutations hold mu for writing, so this pins the walk's state
 	var out []V
 	seen := make(map[V]struct{})
-	collect := func(vs []V) {
+	matchWalk(t.root, s.elements, func(vs []V) {
 		for _, v := range vs {
 			if _, dup := seen[v]; !dup {
 				seen[v] = struct{}{}
 				out = append(out, v)
 			}
 		}
-	}
-	matchWalk(t.root, s.elements, collect)
+	})
 	t.mu.RUnlock()
-	return out, gen
+
+	sh.mu.Lock()
+	if gen > sh.gen {
+		// First fill at a newer generation: everything cached is stale.
+		clear(sh.m)
+		sh.gen = gen
+	}
+	// gen < sh.gen: a concurrent fill already advanced the shard past this
+	// walk. The result is still a correct answer for the caller (the walk
+	// happened before the newer mutation) but must not enter the map. When
+	// full, skip rather than evict.
+	if gen == sh.gen && len(sh.m) < maxMatchCache {
+		if sh.m == nil {
+			sh.m = make(map[string][]V)
+		}
+		sh.m[s.raw] = out
+	}
+	sh.mu.Unlock()
+	return out
 }
 
-// MatchAny reports whether at least one registered pattern matches the
-// subject, without collecting values. Routers use it on the forwarding fast
-// path ("is anyone over there interested?").
-func (t *Trie[V]) MatchAny(s Subject) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	found := false
-	matchWalk(t.root, s.elements, func(vs []V) {
-		if len(vs) > 0 {
-			found = true
-		}
-	})
-	return found
-}
+// Gen returns the trie's mutation generation. It advances on every Add and
+// Remove that changes the set; state derived from the trie (the daemon's
+// interest advertisement) compares it to detect staleness without
+// registering with the trie.
+func (t *Trie[V]) Gen() uint64 { return t.gen.Load() }
 
 // matchWalk visits every trie node whose path matches the subject elements
 // and hands its terminal value sets to collect.

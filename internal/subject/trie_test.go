@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -129,14 +130,16 @@ func TestTrieRemoveAbsent(t *testing.T) {
 	}
 }
 
+// TestTrieMatchAny: "is anyone over there interested?", asked the way
+// routers and mesh links ask it — a non-empty Match.
 func TestTrieMatchAny(t *testing.T) {
 	tr := NewTrie[string]()
 	tr.Add(MustParsePattern("fab5.>"), "router")
-	if !tr.MatchAny(MustParse("fab5.cc.litho8")) {
-		t.Error("MatchAny should find fab5.>")
+	if len(tr.Match(MustParse("fab5.cc.litho8"))) == 0 {
+		t.Error("fab5.> should match fab5.cc.litho8")
 	}
-	if tr.MatchAny(MustParse("fab6.cc")) {
-		t.Error("MatchAny should not match fab6.cc")
+	if len(tr.Match(MustParse("fab6.cc"))) != 0 {
+		t.Error("nothing should match fab6.cc")
 	}
 }
 
@@ -223,7 +226,6 @@ func TestTrieConcurrency(t *testing.T) {
 				p := MustParsePattern(fmt.Sprintf("load.test.%c", 'a'+i%26))
 				tr.Add(p, w*1000+i)
 				tr.Match(subj)
-				tr.MatchAny(subj)
 				tr.Remove(p, w*1000+i)
 			}
 		}(w)
@@ -278,7 +280,7 @@ func TestTrieMatchCacheInvalidation(t *testing.T) {
 }
 
 // TestTrieMatchCacheConcurrent hammers Match while the subscription set
-// churns; run under -race this guards the gen/cacheMu protocol.
+// churns; run under -race this guards the gen/shard protocol.
 func TestTrieMatchCacheConcurrent(t *testing.T) {
 	tr := NewTrie[int]()
 	tr.Add(MustParsePattern("stable.>"), 0)
@@ -301,6 +303,167 @@ func TestTrieMatchCacheConcurrent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cached reports how many subjects shard i of the trie's match cache holds.
+func cached[V comparable](tr *Trie[V], i int) int {
+	sh := &tr.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.m)
+}
+
+// familyOn returns a two-element subject prefix whose subjects land on
+// shard i of an n-shard trie.
+func familyOn(n, i int) string {
+	for k := 0; ; k++ {
+		if f := fmt.Sprintf("fam%d.x", k); MustParse(f).LaneIndex(n) == i {
+			return f
+		}
+	}
+}
+
+func TestMatchCacheServesAndInvalidates(t *testing.T) {
+	tr := NewTrie[int]()
+	tr.Add(MustParsePattern("a.>"), 1)
+	s := MustParse("a.b")
+
+	got := tr.Match(s)
+	if len(got) != 1 || got[0] != 1 {
+		t.Fatalf("first match = %v", got)
+	}
+	if n := cached(tr, 0); n != 1 {
+		t.Fatalf("cache len = %d after fill", n)
+	}
+	// Served from the cache (same snapshot slice).
+	again := tr.Match(s)
+	if len(again) != 1 || &again[0] != &got[0] {
+		t.Fatal("second match did not come from the cache")
+	}
+
+	// A trie mutation invalidates lazily: the next lookup re-walks and
+	// drops what the shard held.
+	tr.Match(MustParse("a.c"))
+	tr.Add(MustParsePattern("a.b"), 2)
+	got = tr.Match(s)
+	if len(got) != 2 {
+		t.Fatalf("post-mutation match = %v, want 2 values", got)
+	}
+	if n := cached(tr, 0); n != 1 {
+		t.Fatalf("cache len = %d after the post-mutation fill, want 1 (a.c was stale)", n)
+	}
+	tr.Remove(MustParsePattern("a.b"), 2)
+	got = tr.Match(s)
+	if len(got) != 1 || got[0] != 1 {
+		t.Fatalf("post-remove match = %v", got)
+	}
+}
+
+// TestMatchCacheCapSkipsNotEvicts: a full shard stops caching new subjects
+// but keeps serving (and never evicts) the ones it has, and the cap is per
+// shard — a second shard still has all of its room.
+func TestMatchCacheCapSkipsNotEvicts(t *testing.T) {
+	tr := NewShardedTrie[int](2)
+	tr.Add(MustParsePattern(">"), 7)
+	fam := [2]string{familyOn(2, 0), familyOn(2, 1)}
+	first := tr.Match(MustParse(fam[0] + ".s0"))
+	for i := 1; i < maxMatchCache+10; i++ {
+		tr.Match(MustParse(fmt.Sprintf("%s.s%d", fam[0], i)))
+	}
+	if n := cached(tr, 0); n != maxMatchCache {
+		t.Fatalf("shard 0 holds %d subjects, want %d (cap)", n, maxMatchCache)
+	}
+	over := MustParse(fmt.Sprintf("%s.s%d", fam[0], maxMatchCache+5)) // over cap: not cached
+	if got := tr.Match(over); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("uncached subject answered %v", got)
+	}
+	if again := tr.Match(MustParse(fam[0] + ".s0")); &again[0] != &first[0] {
+		t.Fatal("a full shard evicted an entry it held")
+	}
+	tr.Match(MustParse(fam[1] + ".s0"))
+	if n := cached(tr, 1); n != 1 {
+		t.Fatalf("shard 1 holds %d subjects, want 1: shard 0 being full must not stop it caching", n)
+	}
+}
+
+// TestMatchCacheShardsIndependent: the shards of one trie never see each
+// other's entries, and each drops its stale entries on its own next lookup.
+func TestMatchCacheShardsIndependent(t *testing.T) {
+	tr := NewShardedTrie[int](2)
+	tr.Add(MustParsePattern(">"), 1)
+	subj := [2]Subject{MustParse(familyOn(2, 0) + ".a"), MustParse(familyOn(2, 1) + ".a")}
+	tr.Match(subj[0])
+	if a, b := cached(tr, 0), cached(tr, 1); a != 1 || b != 0 {
+		t.Fatalf("shard lens = %d/%d, want 1/0", a, b)
+	}
+	tr.Match(subj[1])
+	tr.Add(MustParsePattern(subj[0].String()), 2)
+	if got := tr.Match(subj[0]); len(got) != 2 {
+		t.Fatalf("shard 0 stale after mutation: %v", got)
+	}
+	if got := tr.Match(subj[1]); len(got) != 1 {
+		t.Fatalf("shard 1 answered %v", got)
+	}
+}
+
+// TestMatchCacheNeverServesOlderThanObserved: lanes matching disjoint
+// subject families, each through its own shard, while another goroutine
+// adds and removes. A matcher that saw Add(k) return must find a value
+// >= k (values only grow and the newest is never removed), and one that saw
+// Remove(k) return must find nothing <= k — a cached set older than the
+// mutation it observed would break one or the other. Run under -race.
+func TestMatchCacheNeverServesOlderThanObserved(t *testing.T) {
+	const lanes, perLane = 4, 3000
+	tr := NewShardedTrie[int](lanes)
+	all := MustParsePattern(">")
+	tr.Add(all, 0)
+	var added, removed atomic.Int64 // highest value whose Add / Remove has returned
+	removed.Store(-1)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for k := 1; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tr.Add(all, k)
+			added.Store(int64(k))
+			tr.Remove(all, k-1)
+			removed.Store(int64(k - 1))
+		}
+	}()
+	var wg sync.WaitGroup
+	for ln := 0; ln < lanes; ln++ {
+		wg.Add(1)
+		go func(ln int) {
+			defer wg.Done()
+			subjects := make([]Subject, 8)
+			for i := range subjects {
+				subjects[i] = MustParse(fmt.Sprintf("lane%d.fam.s%d", ln, i))
+			}
+			for i := 0; i < perLane; i++ {
+				lo, gone := int(added.Load()), int(removed.Load())
+				got := tr.Match(subjects[i%len(subjects)])
+				newest := -1
+				for _, v := range got {
+					if v <= gone {
+						t.Errorf("lane %d: matched %d after Remove(%d) returned", ln, v, gone)
+						return
+					}
+					newest = max(newest, v)
+				}
+				if newest < lo {
+					t.Errorf("lane %d: matched %v after Add(%d) returned", ln, got, lo)
+					return
+				}
+			}
+		}(ln)
+	}
+	wg.Wait()
+	close(stop)
+	<-stopped
 }
 
 func TestInterner(t *testing.T) {

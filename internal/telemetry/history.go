@@ -92,7 +92,6 @@ type series struct {
 	name string
 	kind SeriesKind
 	ctr  *Counter
-	ctrF func() int64 // SeriesRate alternative source (aggregates)
 	gag  *Gauge
 	gagF func() int64 // SeriesLevel alternative source
 	hist *Histogram
@@ -152,19 +151,13 @@ func (h *History) TrackRate(name string, c *Counter) {
 	h.add(&series{name: name, kind: SeriesRate, ctr: c})
 }
 
-// TrackRateFunc samples a cumulative count supplied by f (an aggregate
-// over several counters). f must be safe to call from the sampler
-// goroutine and should not allocate.
-func (h *History) TrackRateFunc(name string, f func() int64) {
-	h.add(&series{name: name, kind: SeriesRate, ctrF: f})
-}
-
 // TrackLevel samples g's level into a SeriesLevel ring.
 func (h *History) TrackLevel(name string, g *Gauge) {
 	h.add(&series{name: name, kind: SeriesLevel, gag: g})
 }
 
-// TrackLevelFunc samples a level supplied by f.
+// TrackLevelFunc samples a level supplied by f, which must be safe to call
+// from the sampler goroutine and should not allocate.
 func (h *History) TrackLevelFunc(name string, f func() int64) {
 	h.add(&series{name: name, kind: SeriesLevel, gagF: f})
 }
@@ -214,12 +207,7 @@ func (h *History) Tick(now time.Time) {
 		sl.seq.Store(tick)
 		switch s.kind {
 		case SeriesRate:
-			var cur uint64
-			if s.ctr != nil {
-				cur = s.ctr.Load()
-			} else {
-				cur = uint64(s.ctrF())
-			}
+			cur := s.ctr.Load()
 			sl.v.Store(int64(cur - s.prevCount))
 			s.prevCount = cur
 		case SeriesLevel:

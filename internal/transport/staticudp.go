@@ -24,7 +24,7 @@ type StaticUDPSegment struct {
 	mu        sync.Mutex
 	boundMain bool
 	closed    bool
-	eps       []*staticUDPEndpoint
+	eps       []*udpEndpoint
 }
 
 // NewStaticUDPSegment creates a segment that listens on listen
@@ -65,15 +65,8 @@ func (s *StaticUDPSegment) NewEndpoint(name string) (Endpoint, error) {
 		return nil, fmt.Errorf("transport: binding %v: %w", bindAddr, err)
 	}
 	s.boundMain = true
-	ep := &staticUDPEndpoint{
-		seg:  s,
-		name: name,
-		conn: conn,
-		out:  make(chan Datagram, 1024),
-		done: make(chan struct{}),
-	}
+	ep := newUDPEndpoint(conn, s.peerList, nil)
 	s.eps = append(s.eps, ep)
-	go ep.readLoop()
 	return ep, nil
 }
 
@@ -85,7 +78,7 @@ func (s *StaticUDPSegment) Close() error {
 		return nil
 	}
 	s.closed = true
-	eps := append([]*staticUDPEndpoint(nil), s.eps...)
+	eps := append([]*udpEndpoint(nil), s.eps...)
 	s.mu.Unlock()
 	for _, ep := range eps {
 		_ = ep.Close()
@@ -93,72 +86,6 @@ func (s *StaticUDPSegment) Close() error {
 	return nil
 }
 
-type staticUDPEndpoint struct {
-	seg       *StaticUDPSegment
-	name      string
-	conn      *net.UDPConn
-	out       chan Datagram
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-func (e *staticUDPEndpoint) Addr() string { return "udp:" + e.conn.LocalAddr().String() }
-
-func (e *staticUDPEndpoint) Send(addr string, payload []byte) error {
-	if len(payload) > maxUDPDatagram {
-		return fmt.Errorf("%d bytes: %w", len(payload), ErrOversize)
-	}
-	host, ok := cutPrefix(addr, "udp:")
-	if !ok {
-		return fmt.Errorf("%q: %w", addr, ErrBadAddr)
-	}
-	udpAddr, err := net.ResolveUDPAddr("udp4", host)
-	if err != nil {
-		return fmt.Errorf("%q: %w", addr, ErrBadAddr)
-	}
-	select {
-	case <-e.done:
-		return ErrClosed
-	default:
-	}
-	_, err = e.conn.WriteToUDP(payload, udpAddr)
-	return err
-}
-
-func (e *staticUDPEndpoint) Broadcast(payload []byte) error {
-	var firstErr error
-	for _, peer := range e.seg.peers {
-		if err := e.Send(peer, payload); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-func (e *staticUDPEndpoint) Recv() <-chan Datagram { return e.out }
-
-func (e *staticUDPEndpoint) Close() error {
-	e.closeOnce.Do(func() {
-		close(e.done)
-		_ = e.conn.Close()
-	})
-	return nil
-}
-
-func (e *staticUDPEndpoint) readLoop() {
-	defer close(e.out)
-	buf := make([]byte, maxUDPDatagram)
-	for {
-		n, from, err := e.conn.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		payload := append([]byte(nil), buf[:n]...)
-		select {
-		case e.out <- Datagram{From: "udp:" + from.String(), Payload: payload}:
-		case <-e.done:
-			return
-		default: // full queue: drop like a kernel socket buffer
-		}
-	}
-}
+// peerList is the configured list as is: a process that names its own
+// listen address hears its own broadcasts.
+func (s *StaticUDPSegment) peerList(string) []string { return s.peers }

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 )
 
@@ -34,15 +35,8 @@ func (s *UDPSegment) NewEndpoint(name string) (Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: binding UDP socket: %w", err)
 	}
-	ep := &udpEndpoint{
-		seg:  s,
-		name: name,
-		conn: conn,
-		out:  make(chan Datagram, 1024),
-		done: make(chan struct{}),
-	}
-	s.members[ep.Addr()] = ep
-	go ep.readLoop()
+	ep := newUDPEndpoint(conn, s.peersOf, s.remove)
+	s.members[ep.addr] = ep
 	return ep, nil
 }
 
@@ -65,12 +59,16 @@ func (s *UDPSegment) Close() error {
 	return nil
 }
 
-func (s *UDPSegment) memberAddrs() []string {
+// peersOf lists every member but self: the broadcast destinations of the
+// endpoint bound to self.
+func (s *UDPSegment) peersOf(self string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.members))
 	for a := range s.members {
-		out = append(out, a)
+		if a != self {
+			out = append(out, a)
+		}
 	}
 	return out
 }
@@ -81,24 +79,43 @@ func (s *UDPSegment) remove(addr string) {
 	s.mu.Unlock()
 }
 
+// udpEndpoint is one bound UDP socket, shared by both UDP segments: the
+// segment supplies who a broadcast reaches and what closing must undo.
 type udpEndpoint struct {
-	seg       *UDPSegment
-	name      string
 	conn      *net.UDPConn
+	addr      string                     // "udp:" + the bound local address
+	peers     func(self string) []string // broadcast destinations, "udp:host:port"
+	onClose   func(self string)          // segment bookkeeping; nil for none
 	out       chan Datagram
 	done      chan struct{}
 	closeOnce sync.Once
 }
 
+// newUDPEndpoint wraps a bound socket and starts its read loop.
+func newUDPEndpoint(conn *net.UDPConn, peers func(self string) []string, onClose func(self string)) *udpEndpoint {
+	ep := &udpEndpoint{
+		conn:    conn,
+		addr:    "udp:" + conn.LocalAddr().String(),
+		peers:   peers,
+		onClose: onClose,
+		// Receive queue, standing in for the kernel socket buffer: when
+		// the reader falls this far behind, datagrams are dropped.
+		out:  make(chan Datagram, 1024),
+		done: make(chan struct{}),
+	}
+	go ep.readLoop()
+	return ep
+}
+
 const maxUDPDatagram = 64 << 10
 
-func (e *udpEndpoint) Addr() string { return "udp:" + e.conn.LocalAddr().String() }
+func (e *udpEndpoint) Addr() string { return e.addr }
 
 func (e *udpEndpoint) Send(addr string, payload []byte) error {
 	if len(payload) > maxUDPDatagram {
 		return fmt.Errorf("%d bytes: %w", len(payload), ErrOversize)
 	}
-	host, ok := cutPrefix(addr, "udp:")
+	host, ok := strings.CutPrefix(addr, "udp:")
 	if !ok {
 		return fmt.Errorf("%q: %w", addr, ErrBadAddr)
 	}
@@ -116,12 +133,8 @@ func (e *udpEndpoint) Send(addr string, payload []byte) error {
 }
 
 func (e *udpEndpoint) Broadcast(payload []byte) error {
-	self := e.Addr()
 	var firstErr error
-	for _, addr := range e.seg.memberAddrs() {
-		if addr == self {
-			continue
-		}
+	for _, addr := range e.peers(e.addr) {
 		if err := e.Send(addr, payload); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -134,7 +147,9 @@ func (e *udpEndpoint) Recv() <-chan Datagram { return e.out }
 func (e *udpEndpoint) Close() error {
 	e.closeOnce.Do(func() {
 		close(e.done)
-		e.seg.remove(e.Addr())
+		if e.onClose != nil {
+			e.onClose(e.addr)
+		}
 		_ = e.conn.Close()
 	})
 	return nil
@@ -157,11 +172,4 @@ func (e *udpEndpoint) readLoop() {
 			// Receive queue full: drop, like a kernel socket buffer.
 		}
 	}
-}
-
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return "", false
 }

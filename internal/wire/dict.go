@@ -9,10 +9,9 @@ import (
 )
 
 // This file implements type-dictionary compression for the anonymous
-// broadcast path. The stream Encoder/Decoder (stream.go) already amortizes
-// class descriptions over a point-to-point connection; a broadcast medium
-// has no connection to hang that state on, so the compact format makes the
-// dictionary content-addressed instead:
+// broadcast path. A broadcast medium has no connection to hang a
+// per-stream dictionary on, so the compact format makes the dictionary
+// content-addressed instead:
 //
 //   - a SendDict on the publishing side tracks which class definitions it
 //     has already put on the medium and thereafter sends only their

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"slices"
 	"testing"
 
@@ -161,41 +160,6 @@ func FuzzUnmarshalCompact(f *testing.F) {
 		}
 		if _, err := NewSendDict(0).Marshal(v); err != nil {
 			t.Fatalf("decoded value failed to re-encode: %v", err)
-		}
-	})
-}
-
-// FuzzStreamDecoder: the frame-stream decoder holds dictionary state across
-// frames; arbitrary byte streams — however they split into frames — must
-// never panic it, corrupt its cross-frame state, or bypass the frame length
-// cap, and every cleanly decoded frame must re-encode.
-func FuzzStreamDecoder(f *testing.F) {
-	_, dj, group := newsTypes(f)
-	story := sampleStory(f, dj, group)
-	var stream bytes.Buffer
-	enc := NewEncoder(&stream)
-	for i := 0; i < 3; i++ { // frame 1 carries defs, 2-3 ride the dictionary
-		if err := enc.Encode(story); err != nil {
-			f.Fatal(err)
-		}
-	}
-	f.Add(stream.Bytes())
-	f.Add([]byte{})
-	// Frame-length field far beyond the payload.
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F, Magic0, Magic1, Version})
-	// One good frame followed by a re-definition of the same class name
-	// (stream.Bytes() truncated mid-second-frame).
-	f.Add(stream.Bytes()[:stream.Len()/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewDecoder(bytes.NewReader(data), mop.NewRegistry())
-		for i := 0; i < 64; i++ {
-			v, err := dec.Decode()
-			if err != nil {
-				return
-			}
-			if _, err := Marshal(v); err != nil {
-				t.Fatalf("frame %d decoded but failed to re-encode: %v", i, err)
-			}
 		}
 	})
 }

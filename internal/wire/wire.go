@@ -5,12 +5,12 @@
 // print, and store the object (principles P2 and P3: receivers adapt to new
 // types at run time without re-programming or re-linking).
 //
-// Two modes are provided:
+// Two written formats are provided, both one datagram per message:
 //
-//   - Marshal/Unmarshal: one self-contained datagram, used by the bus's
-//     connectionless broadcast publications.
-//   - Encoder/Decoder: a stream with a type dictionary, used over RMI
-//     connections; each class description crosses the stream once.
+//   - Marshal/Unmarshal: self-contained, every class description inline;
+//     used by the bus's connectionless broadcast publications and by RMI.
+//   - SendDict/UnmarshalWith (dict.go): the compact format, where a class
+//     the sender has already described travels as its fingerprint.
 //
 // Unmarshal resolves incoming class descriptions against a mop.Registry:
 // already-known classes are reused (preserving local subtype relations);
@@ -267,30 +267,13 @@ func readHeaderVer(r *reader) (byte, error) {
 	return ver, nil
 }
 
-func readHeader(r *reader) error {
-	ver, err := readHeaderVer(r)
-	if err != nil {
-		return err
-	}
-	if ver != Version {
-		return fmt.Errorf("version %d: %w", ver, ErrBadVersion)
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Type collection (encoder side)
 
-// collectTypes gathers every class type reachable from v — through dynamic
-// object values, their declared attribute types, and supertypes — in an
-// order where every class precedes the classes that reference it, so the
-// decoder can build them in one pass.
-func collectTypes(v mop.Value) []*mop.Type {
-	c := &collector{seen: make(map[*mop.Type]bool)}
-	c.value(v)
-	return c.out
-}
-
+// collector gathers every class type reachable from a value — through
+// dynamic object values, their declared attribute types, and supertypes —
+// in an order where every class precedes the classes that reference it, so
+// the decoder can build them in one pass.
 type collector struct {
 	seen map[*mop.Type]bool
 	out  []*mop.Type

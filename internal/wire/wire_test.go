@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 	"testing/quick"
 	"time"
@@ -316,68 +315,6 @@ func TestQuickDecoderRobust(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestStreamDictionaryCompression(t *testing.T) {
-	_, dj, group := newsTypes(t)
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-
-	o := sampleStory(t, dj, group)
-	if err := enc.Encode(o); err != nil {
-		t.Fatal(err)
-	}
-	firstLen := buf.Len()
-	if err := enc.Encode(o); err != nil {
-		t.Fatal(err)
-	}
-	secondLen := buf.Len() - firstLen
-	if secondLen >= firstLen {
-		t.Errorf("second frame (%dB) should be smaller than first (%dB): dictionary not working", secondLen, firstLen)
-	}
-
-	dec := NewDecoder(&buf, mop.NewRegistry())
-	for i := 0; i < 2; i++ {
-		got, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		obj := got.(*mop.Object)
-		if obj.MustGet("djCode") != "GMC" {
-			t.Errorf("frame %d djCode = %v", i, obj.MustGet("djCode"))
-		}
-	}
-	if _, err := dec.Decode(); err != io.EOF {
-		t.Errorf("end of stream error = %v, want io.EOF", err)
-	}
-}
-
-func TestStreamScalarsAndTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	for _, v := range []mop.Value{int64(7), "x", nil} {
-		if err := enc.Encode(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full := buf.Bytes()
-	dec := NewDecoder(bytes.NewReader(full), mop.NewRegistry())
-	for _, want := range []mop.Value{int64(7), "x", nil} {
-		got, err := dec.Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !mop.EqualValues(want, got) {
-			t.Errorf("stream round trip %v -> %v", want, got)
-		}
-	}
-	// A frame cut mid-body yields ErrUnexpectedEOF, not a hang or panic.
-	dec = NewDecoder(bytes.NewReader(full[:len(full)-1]), mop.NewRegistry())
-	_, _ = dec.Decode()
-	_, _ = dec.Decode()
-	if _, err := dec.Decode(); err == nil {
-		t.Error("truncated final frame decoded successfully")
 	}
 }
 
