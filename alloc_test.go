@@ -34,7 +34,7 @@ func TestPublishDeliverAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	hcfg := telemetry.HealthConfig{Interval: time.Hour}.WithDefaults()
-	rec := telemetry.NewRecorder(hcfg.RecorderSize)
+	rec := telemetry.NewRecorder(0)
 	engine := telemetry.NewEngine("allocbudget", telemetry.NewRegistry(), rec)
 	d := daemon.New(ep, reliable.Config{
 		Batching:           true,
@@ -111,7 +111,7 @@ func TestPublishDeliverHistoryAllocBudget(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	hcfg := telemetry.HealthConfig{Interval: time.Hour}.WithDefaults()
-	rec := telemetry.NewRecorder(hcfg.RecorderSize)
+	rec := telemetry.NewRecorder(0)
 	engine := telemetry.NewEngine("histalloc", reg, rec)
 	d := daemon.New(ep, reliable.Config{
 		Batching:           true,

@@ -143,11 +143,9 @@ type TelemetryConfig struct {
 	// fixed-window rings every interval (telemetry.History), answers
 	// "_sys.history" probes with the full window as a SysHistory object on
 	// "_sys.history.<node>", and publishes short digests of the same series
-	// there unprompted. 0 disables the tier.
+	// there unprompted. 0 disables the tier. Each series keeps the telemetry
+	// default of 256 slots (≈ 64 s at a 250 ms interval).
 	HistoryInterval time.Duration
-	// HistorySlots is the per-series ring length; 0 selects the telemetry
-	// default (256 slots ≈ 64 s at the default 250 ms interval).
-	HistorySlots int
 	// HistoryDigestTicks is how many sampler ticks between unsolicited
 	// digests; 0 selects the default (8 — every 2 s at the default
 	// interval), negative disables digests (probe-only).
@@ -180,9 +178,6 @@ type HostConfig struct {
 	// PublishGuaranteed returns. Concurrent publications share one fsync
 	// per group-committed batch.
 	LedgerSync bool
-	// LedgerSegmentBytes is the ledger's segment rotation threshold;
-	// <= 0 selects ledger.DefaultSegmentBytes.
-	LedgerSegmentBytes int64
 	// RetryInterval is the base delay before an unacknowledged guaranteed
 	// publication is first retransmitted; further retransmissions back off
 	// exponentially from it. Default 100ms.
@@ -270,7 +265,7 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 	var rec *telemetry.Recorder
 	if hcfg.Enabled() {
 		hcfg = hcfg.WithDefaults()
-		rec = telemetry.NewRecorder(hcfg.RecorderSize)
+		rec = telemetry.NewRecorder(0)
 		engine = telemetry.NewEngine(name, metrics, rec)
 		if rcfg.Recorder == nil {
 			rcfg.Recorder = rec
@@ -316,10 +311,9 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 	}
 	if cfg.LedgerPath != "" {
 		led, err := ledger.Open(cfg.LedgerPath, ledger.Options{
-			Sync:         cfg.LedgerSync,
-			SegmentBytes: cfg.LedgerSegmentBytes,
-			Metrics:      metrics,
-			Recorder:     rec,
+			Sync:     cfg.LedgerSync,
+			Metrics:  metrics,
+			Recorder: rec,
 		})
 		if err != nil {
 			_ = h.daemon.Close()
@@ -643,14 +637,13 @@ func (b *Bus) Publish(subj string, value mop.Value) error {
 			return fmt.Errorf("%q: %w", subj, ErrReservedSubject)
 		}
 	}
-	payload, compact, err := b.host.marshal(value)
+	payload, err := b.host.marshal(value)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNotDataObject, err)
 	}
 	b.host.ctr.published.Inc()
-	if compact {
+	if b.host.sendDict != nil {
 		b.host.ctr.compactPublished.Inc()
-		return b.host.daemon.PublishCompact(s, payload)
 	}
 	return b.host.daemon.Publish(s, payload)
 }
@@ -662,19 +655,19 @@ func (b *Bus) Publish(subj string, value mop.Value) error {
 // payload returned is one exact-size copy: the daemon's local fan-out hands
 // the payload to subscribers' queues, so the payload itself can never be
 // pooled, but the appends that grow it can.
-func (h *Host) marshal(value mop.Value) (payload []byte, compact bool, err error) {
+func (h *Host) marshal(value mop.Value) (payload []byte, err error) {
 	scratch := bufpool.Get(int(h.payloadHint.Load()))
 	defer bufpool.Put(scratch)
-	if compact = h.sendDict != nil; compact {
+	if h.sendDict != nil {
 		*scratch, err = h.sendDict.AppendMarshal(*scratch, value)
 	} else {
 		*scratch, err = wire.AppendMarshal(*scratch, value)
 	}
 	if err != nil {
-		return nil, compact, err
+		return nil, err
 	}
 	h.payloadHint.Store(int64(len(*scratch)))
-	return append(make([]byte, 0, len(*scratch)), *scratch...), compact, nil
+	return append(make([]byte, 0, len(*scratch)), *scratch...), nil
 }
 
 // PublishGuaranteed logs the object to the host ledger, then disseminates
@@ -701,12 +694,12 @@ func (b *Bus) PublishGuaranteed(subj string, value mop.Value) (uint64, error) {
 	if led == nil {
 		return 0, ErrNoLedger
 	}
-	payload, compact, err := b.host.marshal(value)
+	payload, err := b.host.marshal(value)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrNotDataObject, err)
 	}
 	// Log before sending (§3.1). The ledger stores the payload as
-	// encoded; the retrier re-detects the compact format by its header.
+	// encoded; its header says whether it is in the compact format.
 	id, tm, err := led.AppendTimed(s.String(), payload)
 	if err != nil {
 		return 0, err
@@ -731,10 +724,10 @@ func (b *Bus) PublishGuaranteed(subj string, value mop.Value) (uint64, error) {
 			pre = append(pre, busproto.TraceHop{Kind: busproto.HopReplicaChunk, Node: b.host.name, At: time.Now().UnixNano()})
 		}
 	}
-	if compact {
+	if b.host.sendDict != nil {
 		b.host.ctr.compactPublished.Inc()
 	}
-	traceID, err := b.host.daemon.PublishGuaranteedTraced(s, payload, id, compact, pre)
+	traceID, err := b.host.daemon.PublishGuaranteedTraced(s, payload, id, pre)
 	if err != nil {
 		return id, err
 	}

@@ -211,7 +211,7 @@ func (cs *classSync) serveRequest(dv daemon.Delivery) {
 		return
 	}
 	cs.h.ctr.classNakServed.Inc()
-	_ = cs.h.daemon.PublishCompact(cs.defSubj, payload)
+	_ = cs.h.daemon.Publish(cs.defSubj, payload)
 	_ = cs.h.daemon.Flush()
 }
 

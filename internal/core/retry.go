@@ -8,7 +8,6 @@ import (
 	"infobus/internal/ledger"
 	"infobus/internal/subject"
 	"infobus/internal/telemetry"
-	"infobus/internal/wire"
 )
 
 // guaranteeRetrier re-publishes ledger entries that no consumer has
@@ -145,15 +144,7 @@ func (r *guaranteeRetrier) visitPending(e *ledger.Entry) bool {
 		r.state[e.ID] = st
 		return true
 	}
-	// The ledger stores payloads as encoded; a compact payload must go
-	// back out under a compact envelope kind so receivers route it through
-	// their fingerprint cache.
-	if wire.IsCompact(e.Payload) {
-		err = r.d.PublishGuaranteedCompact(subj, e.Payload, e.ID)
-	} else {
-		err = r.d.PublishGuaranteed(subj, e.Payload, e.ID)
-	}
-	if err != nil {
+	if err := r.d.PublishGuaranteed(subj, e.Payload, e.ID); err != nil {
 		return false
 	}
 	r.retransmits.Inc()

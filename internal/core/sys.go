@@ -18,6 +18,10 @@ import (
 // SysHistory object (merged across the daemon's per-lane tables).
 const historyFamilies = 16
 
+// ledgerBacklogRaise is the ledger pending count at which the
+// "ledger-backlog" alarm raises.
+const ledgerBacklogRaise = 4096
+
 // sysConfig is the tierless part of the host's agent config.
 func (h *Host) sysConfig() sysagent.Config {
 	return sysagent.Config{
@@ -54,10 +58,7 @@ func (h *Host) startSys(cfg HostConfig, hcfg telemetry.HealthConfig, relPrefix s
 	sc := h.sysConfig()
 	sc.StatsInterval = tc.StatsInterval
 	if tc.HistoryInterval > 0 {
-		h.hist = telemetry.NewHistory(telemetry.HistoryConfig{
-			Interval: tc.HistoryInterval,
-			Slots:    tc.HistorySlots,
-		})
+		h.hist = telemetry.NewHistory(telemetry.HistoryConfig{Interval: tc.HistoryInterval})
 		h.trackDefaults(cfg.ReplicationFactor > 0 || cfg.ReplicaDir != "", relPrefix)
 		sc.History = h.hist
 		ticks := tc.HistoryDigestTicks
@@ -127,7 +128,7 @@ func (h *Host) watchDefaults(hcfg telemetry.HealthConfig, relPrefix string) {
 		// publication nobody subscribes to, or consumers are gone.
 		h.engine.Watch(telemetry.WatchConfig{
 			Kind:  "ledger-backlog",
-			Raise: hcfg.LedgerBacklog,
+			Raise: ledgerBacklogRaise,
 		}, h.metrics.Gauge("ledger.pending").Load)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"infobus/internal/subject"
 	"infobus/internal/telemetry"
 	"infobus/internal/transport"
+	"infobus/internal/wire"
 )
 
 // Delivery is one publication handed to a subscribed client.
@@ -80,11 +81,9 @@ type Daemon struct {
 	tokens *tokenSource
 
 	// Delivery lanes (lanes.go): per-lane telemetry; subs has one
-	// match-cache shard per lane. Immutable after construction. workers is
-	// the inbound pool, one per lane.
-	lanes   []*lane
-	workers []*inWorker
-	inWg    sync.WaitGroup
+	// match-cache shard and conn one delivery shard — read by one inbound
+	// worker — per lane. Immutable after construction.
+	lanes []*lane
 	// closedFlag mirrors closed for the publish hot path, which must not
 	// take d.mu (it would serialize concurrent local publishers).
 	closedFlag atomic.Bool
@@ -145,7 +144,7 @@ type Daemon struct {
 	slowDepth     int64
 	guarSeenGauge *telemetry.Gauge
 	// interestPatterns is the distinct-pattern count behind the last
-	// advertisement: how close the host is to maxAdvertisedPatterns.
+	// advertisement: how close the host is to subject.MaxAdvertisedPatterns.
 	interestPatterns *telemetry.Gauge
 }
 
@@ -242,7 +241,7 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 	tokens := newTokenSource(cfg.Seed)
 	lanes := newLanes(resolveLanes(opts.DeliveryLanes), metrics)
 	d := &Daemon{
-		conn:        reliable.New(ep, cfg),
+		conn:        reliable.NewSharded(ep, cfg, len(lanes)),
 		identity:    fmt.Sprintf("%s#%016x", ep.Addr(), tokens.Next()),
 		tokens:      tokens,
 		lanes:       lanes,
@@ -276,7 +275,7 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 		guarAckDropped: metrics.Counter("daemon.guar_ack_dropped"),
 		corruptDropped: metrics.Counter("daemon.corrupt_dropped"),
 		traced:         metrics.Counter("daemon.traced"),
-		// Advertised set went from exact to aggregated (maxAdvertisedPatterns).
+		// Advertised set went from exact to aggregated (subject.MaxAdvertisedPatterns).
 		interestWidened: metrics.Counter("daemon.interest_widened"),
 		traceE2E:        metrics.Histogram("daemon.trace_e2e_ns"),
 	}
@@ -291,21 +290,14 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 			Raise: int64(d.guarCap) * 8 / 10,
 		}, d.guarSeenGauge.Load)
 	}
-	// Inbound worker pool, one worker per lane, keyed by sender hash in
-	// recvLoop: a sender's messages always land on one worker, in arrival
-	// order, so per-sender FIFO survives the parallelism.
-	d.workers = make([]*inWorker, len(d.lanes))
-	d.inWg.Add(len(d.workers))
-	for i := range d.workers {
-		w := &inWorker{
-			ch:       make(chan reliable.Message, workerQueueDepth),
-			interner: subject.NewInterner(0),
-		}
-		d.workers[i] = w
-		go d.workerLoop(w)
+	// Inbound worker pool, one worker per lane, each reading its own shard
+	// of the connection: the conn keys shards by sender address, so a
+	// sender's messages always land on one worker, in arrival order, and
+	// per-sender FIFO survives the parallelism.
+	d.wg.Add(len(d.lanes) + 1)
+	for i := range d.lanes {
+		go d.workerLoop(d.conn.RecvShard(i))
 	}
-	d.wg.Add(2)
-	go d.recvLoop()
 	go d.interestLoop()
 	return d
 }
@@ -467,21 +459,15 @@ func (d *Daemon) traceSample(e *busproto.Envelope) {
 }
 
 // Publish sends an ordinary reliable publication and routes it to local
-// subscribers (network broadcast does not loop back).
+// subscribers (network broadcast does not loop back). The payload says what
+// it is: one in the compact dictionary wire format (wire.SendDict) goes out
+// under the compact envelope kind, which tells receivers and routers that
+// fingerprint resolution may be needed; everything else is identical.
 func (d *Daemon) Publish(subj subject.Subject, payload []byte) error {
-	return d.publishData(subj, payload, busproto.KindPublish)
-}
-
-// PublishCompact sends an ordinary reliable publication whose payload uses
-// the compact dictionary wire format (wire.SendDict). The envelope kind
-// tells receivers and routers that fingerprint resolution may be needed;
-// everything else is identical to Publish.
-func (d *Daemon) PublishCompact(subj subject.Subject, payload []byte) error {
-	return d.publishData(subj, payload, busproto.KindPublishCompact)
-}
-
-func (d *Daemon) publishData(subj subject.Subject, payload []byte, kind byte) error {
-	e := busproto.Envelope{Kind: kind, Subject: subj.String(), Payload: payload}
+	e := busproto.Envelope{
+		Kind:    busproto.DataKind(false, wire.IsCompact(payload), false),
+		Subject: subj.String(), Payload: payload,
+	}
 	d.traceSample(&e)
 	// Pooled encode: Conn.Publish copies the envelope into its retransmit
 	// window before returning, so the buffer can go straight back.
@@ -502,18 +488,17 @@ func (d *Daemon) publishData(subj subject.Subject, payload []byte, kind byte) er
 	return nil
 }
 
+// PublishCompact is Publish; benchmark/replay.go calls it by this name
+// (ROADMAP item 3(f)).
+func (d *Daemon) PublishCompact(subj subject.Subject, payload []byte) error {
+	return d.Publish(subj, payload)
+}
+
 // PublishGuaranteed sends a guaranteed publication carrying the caller's
 // ledger id. The caller is responsible for logging before calling and for
 // retransmitting until the ack callback fires (see the bus layer).
 func (d *Daemon) PublishGuaranteed(subj subject.Subject, payload []byte, id uint64) error {
-	_, err := d.publishGuaranteed(subj, payload, id, d.identity, false, nil)
-	return err
-}
-
-// PublishGuaranteedCompact is PublishGuaranteed for a compact-format
-// payload (see PublishCompact).
-func (d *Daemon) PublishGuaranteedCompact(subj subject.Subject, payload []byte, id uint64) error {
-	_, err := d.publishGuaranteed(subj, payload, id, d.identity, true, nil)
+	_, err := d.publishGuaranteed(subj, payload, id, d.identity, nil)
 	return err
 }
 
@@ -524,19 +509,18 @@ func (d *Daemon) PublishGuaranteedCompact(subj subject.Subject, payload []byte, 
 // reports the assigned trace id (0 when unsampled) so the caller can
 // attach late stages — the quorum ack lands after the publish — as a
 // sidecar trace (telemetry.SysTrace).
-func (d *Daemon) PublishGuaranteedTraced(subj subject.Subject, payload []byte, id uint64, compact bool, pre []busproto.TraceHop) (uint64, error) {
-	return d.publishGuaranteed(subj, payload, id, d.identity, compact, pre)
+func (d *Daemon) PublishGuaranteedTraced(subj subject.Subject, payload []byte, id uint64, pre []busproto.TraceHop) (uint64, error) {
+	return d.publishGuaranteed(subj, payload, id, d.identity, pre)
 }
 
 // PublishGuaranteedOrigin re-publishes a guaranteed publication on behalf
 // of another publisher: the envelope carries origin (the crashed
 // publisher's identity token) instead of this daemon's, so consumer-side
 // (origin, id) dedup treats the replay and any original transmission as
-// one publication. compact marks a payload in the compact dictionary
-// format. Acknowledgements come back to this daemon (acks are unicast to
-// the sender) and are routed through FosterAcks.
-func (d *Daemon) PublishGuaranteedOrigin(subj subject.Subject, payload []byte, id uint64, origin string, compact bool) error {
-	_, err := d.publishGuaranteed(subj, payload, id, origin, compact, nil)
+// one publication. Acknowledgements come back to this daemon (acks are
+// unicast to the sender) and are routed through FosterAcks.
+func (d *Daemon) PublishGuaranteedOrigin(subj subject.Subject, payload []byte, id uint64, origin string) error {
+	_, err := d.publishGuaranteed(subj, payload, id, origin, nil)
 	return err
 }
 
@@ -544,14 +528,10 @@ func (d *Daemon) PublishGuaranteedOrigin(subj subject.Subject, payload []byte, i
 // identity the envelope carries: the daemon's own, or that of a publisher
 // it is replaying for — then the trace gets a recovery-replay hop and the
 // self-acknowledgement goes to the origin's foster callback, not onAck.
-func (d *Daemon) publishGuaranteed(subj subject.Subject, payload []byte, id uint64, origin string, compact bool, pre []busproto.TraceHop) (uint64, error) {
-	kind := byte(busproto.KindGuaranteed)
-	if compact {
-		kind = busproto.KindGuaranteedCompact
-	}
+func (d *Daemon) publishGuaranteed(subj subject.Subject, payload []byte, id uint64, origin string, pre []busproto.TraceHop) (uint64, error) {
 	replay := origin != d.identity
 	e := busproto.Envelope{
-		Kind: kind, ID: id, Origin: origin,
+		Kind: busproto.DataKind(true, wire.IsCompact(payload), false), ID: id, Origin: origin,
 		Subject: subj.String(), Payload: payload,
 	}
 	// Pre-hops are only transmitted when traceSample picks this
@@ -902,43 +882,18 @@ func (c *Client) enqueue(ln *lane, dv Delivery) bool {
 // ---------------------------------------------------------------------------
 // Inbound routing
 
-// recvLoop drains the reliable connection, dispatching each message to the
-// long-lived worker keyed by the sender's address hash, so one sender's
-// messages are always handled by one worker in arrival order — per-sender
-// FIFO survives the parallelism, and the qledger invariant that an ack
-// record never overtakes its message record rides on exactly that. A full
-// worker channel blocks this loop (backpressure), never drops or spawns.
-func (d *Daemon) recvLoop() {
+// workerLoop is one inbound worker: it handles its shard's messages in
+// order until the connection closes the shard. One sender is always handled
+// by one worker — the qledger invariant that an ack record never overtakes
+// its message record rides on exactly that. A worker that falls behind fills
+// its shard and, through the conn's loop, holds up the transport: nothing is
+// dropped or spawned. Each worker has a private subject interner: the shared
+// one is a mutex-guarded map and would re-serialize the pool.
+func (d *Daemon) workerLoop(shard <-chan reliable.Message) {
 	defer d.wg.Done()
-	// Registered after the wg.Done defer so it runs first (LIFO):
-	// d.wg.Wait() returning means every worker has drained and exited,
-	// which is what lets Close shut clients down without racing a worker
-	// mid-enqueue.
-	defer func() {
-		for _, w := range d.workers {
-			close(w.ch)
-		}
-		d.inWg.Wait()
-	}()
-	for {
-		select {
-		case <-d.done:
-			return
-		case m, ok := <-d.conn.Recv():
-			if !ok {
-				return
-			}
-			d.workers[addrHash(m.From)%uint32(len(d.workers))].ch <- m
-		}
-	}
-}
-
-// workerLoop is one inbound worker: it handles its channel's messages in
-// order with a private interner until recvLoop closes the channel.
-func (d *Daemon) workerLoop(w *inWorker) {
-	defer d.inWg.Done()
-	for m := range w.ch {
-		d.handleMessage(w.interner, m)
+	in := subject.NewInterner(0)
+	for m := range shard {
+		d.handleMessage(in, m)
 	}
 }
 
@@ -1067,6 +1022,11 @@ func (d *Daemon) routeLocal(dv Delivery) int {
 		// fan-out below shares the stamped trace.
 		dv.appendHop(busproto.HopLaneEnqueue, d.traceNode, time.Now().UnixNano())
 	}
+	// Per-subject-family accounting, one note per publication routed on this
+	// lane (a map probe under the lane table's own mutex) — before the
+	// fan-out, so a client that answers a delivery by reading TopSubjects
+	// (the "_sys.history" probe) finds the delivery's own family counted.
+	ln.topk.Note(dv.Subject.Family(), len(dv.Payload))
 	matches := d.subs.Match(dv.Subject)
 	delivered := 0
 	for _, c := range matches {
@@ -1080,21 +1040,14 @@ func (d *Daemon) routeLocal(dv Delivery) int {
 		ln.delivered.Add(uint64(delivered))
 		d.ctr.deliveredLocal.Add(uint64(delivered))
 	}
-	// Per-subject-family accounting: one note per publication routed on
-	// this lane, a map probe under the lane table's own mutex.
-	ln.topk.Note(dv.Subject.Family(), len(dv.Payload), delivered < len(matches))
+	if delivered < len(matches) {
+		ln.topk.NoteDrop(dv.Subject.Family())
+	}
 	return delivered
 }
 
 // ---------------------------------------------------------------------------
 // Interest advertisement (consumed by information routers)
-
-// maxAdvertisedPatterns bounds the size of one interest advertisement. A
-// host with thousands of subscriptions (Figure 8 subscribes to 10 000
-// subjects) must not occupy the shared medium with its interest chatter,
-// so large sets are aggregated to wildcard prefixes — routers may then
-// over-forward slightly, which is safe, instead of the wire drowning.
-const maxAdvertisedPatterns = 64
 
 // AdvertiseInterest broadcasts the daemon's aggregate subscription pattern
 // set immediately. It is also called periodically and on every
@@ -1108,14 +1061,14 @@ func (d *Daemon) AdvertiseInterest() {
 	// Gen is read first: a mutation slipping in after it (there is none
 	// outside d.mu today) would only cost one redundant recomputation.
 	if gen := d.subs.Gen(); gen != d.advGen {
-		d.advGen, d.advCache = gen, d.subs.Aggregate(maxAdvertisedPatterns)
+		d.advGen, d.advCache = gen, d.subs.Aggregate(subject.MaxAdvertisedPatterns)
 		n := d.subs.Distinct()
 		d.interestPatterns.Set(int64(n))
-		wide := n > maxAdvertisedPatterns
+		wide := n > subject.MaxAdvertisedPatterns
 		if wide && !d.advWide {
 			d.ctr.interestWidened.Inc()
 			if d.rec != nil {
-				d.rec.Record(telemetry.EventInterest, "widened", int64(n), maxAdvertisedPatterns)
+				d.rec.Record(telemetry.EventInterest, "widened", int64(n), subject.MaxAdvertisedPatterns)
 			}
 		}
 		d.advWide = wide

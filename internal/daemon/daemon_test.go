@@ -13,6 +13,7 @@ import (
 	"infobus/internal/subject"
 	"infobus/internal/telemetry"
 	"infobus/internal/transport"
+	"infobus/internal/wire"
 )
 
 // newSegment returns a fast simulated segment, closed after the test's other
@@ -455,6 +456,39 @@ func awaitInterest(t *testing.T, l *reliable.Conn, want ...string) {
 	}
 }
 
+// TestEnvelopeKindFollowsPayload: the payload says what it is — one that
+// starts with the compact wire header goes out under the compact envelope
+// kind, ordinary or guaranteed, whichever publish entry point carried it;
+// any other goes out under the plain kind.
+func TestEnvelopeKindFollowsPayload(t *testing.T) {
+	d, l := interestListener(t, Options{})
+	s := subject.MustParse("k.x")
+	plain, compact := []byte("plain"), []byte{wire.Magic0, wire.Magic1, wire.VersionCompact, 0, 0, 0}
+	sends := []struct {
+		send func() error
+		want byte
+	}{
+		{func() error { return d.Publish(s, plain) }, busproto.KindPublish},
+		{func() error { return d.Publish(s, compact) }, busproto.KindPublishCompact},
+		{func() error { return d.PublishGuaranteed(s, plain, 1) }, busproto.KindGuaranteed},
+		{func() error { return d.PublishGuaranteed(s, compact, 2) }, busproto.KindGuaranteedCompact},
+		{func() error { return d.PublishGuaranteedOrigin(s, compact, 3, "sim:9#dead") }, busproto.KindGuaranteedCompact},
+	}
+	for i, c := range sends {
+		if err := c.send(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case m := <-l.Recv():
+			if env, err := busproto.Decode(m.Payload); err != nil || env.Kind != c.want {
+				t.Fatalf("send %d: envelope kind %d (%v), want %d", i, env.Kind, err, c.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("send %d never reached the wire", i)
+		}
+	}
+}
+
 // TestClosedClientLeavesAdvertisement: a closed application's patterns
 // leave the advertisement with no other subscription change to flush them
 // out (the advertisement used to be served from a cache Close did not
@@ -500,7 +534,7 @@ func TestAdvertiseInterestAllocBudget(t *testing.T) {
 	}
 }
 
-// TestInterestWideningObserved: crossing maxAdvertisedPatterns is visible —
+// TestInterestWideningObserved: crossing subject.MaxAdvertisedPatterns is visible —
 // the gauge follows the distinct-pattern count, and each transition of the
 // advertised set from exact to aggregated counts once and leaves one
 // flight-recorder event.
@@ -522,10 +556,10 @@ func TestInterestWideningObserved(t *testing.T) {
 			t.Errorf("recorder holds %d events, want %d: %+v", len(evs), widened, evs)
 		}
 	}
-	for i := 0; i < maxAdvertisedPatterns; i++ {
+	for i := 0; i < subject.MaxAdvertisedPatterns; i++ {
 		_ = c.Subscribe(pat(i))
 	}
-	expect(maxAdvertisedPatterns, 0)
+	expect(subject.MaxAdvertisedPatterns, 0)
 	_ = c.Subscribe(pat(64))
 	expect(65, 1)
 	_ = c.Subscribe(pat(65))
@@ -535,7 +569,7 @@ func TestInterestWideningObserved(t *testing.T) {
 	expect(64, 1)
 	_ = c.Subscribe(pat(64))
 	expect(65, 2)
-	if ev := rec.Events()[0]; ev.Kind != telemetry.EventInterest || ev.A != 65 || ev.B != maxAdvertisedPatterns {
+	if ev := rec.Events()[0]; ev.Kind != telemetry.EventInterest || ev.A != 65 || ev.B != subject.MaxAdvertisedPatterns {
 		t.Errorf("event = %+v", ev)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"infobus/internal/reliable"
-	"infobus/internal/subject"
 	"infobus/internal/telemetry"
 )
 
@@ -28,11 +26,12 @@ import (
 //   - every delivery enqueued to a client draws a ticket from the client's
 //     arrival counter, and consumers pop in strict ticket order across the
 //     lane columns (see Client.popLocked);
-//   - inbound traffic is dispatched to a fixed pool of long-lived workers
-//     keyed by *sender* hash, so one sender's messages are always handled
-//     by one worker, in arrival order (no per-delivery goroutines, and the
-//     qledger rule that an ack record never overtakes its message rides on
-//     exactly this).
+//   - inbound traffic is read by a fixed pool of long-lived workers, one
+//     per shard of the reliable connection (reliable.NewSharded), which
+//     keys shards by *sender* address: one sender's messages are always
+//     handled by one worker, in arrival order (no per-delivery goroutines,
+//     and the qledger rule that an ack record never overtakes its message
+//     rides on exactly this).
 //
 // DeliveryLanes == 1 is the same engine at N = 1: one inbound worker, one
 // cache shard, one queue column per client.
@@ -97,32 +96,6 @@ func newLanes(n int, metrics *telemetry.Registry) []*lane {
 		}
 	}
 	return lanes
-}
-
-// inWorker is one inbound-delivery worker. Each worker has a private
-// subject interner: the shared one is a mutex-guarded map and would
-// re-serialize the pool.
-type inWorker struct {
-	ch       chan reliable.Message
-	interner *subject.Interner
-}
-
-// workerQueueDepth bounds each worker's dispatch channel. A full channel
-// blocks the receive loop — backpressure, preserving per-sender FIFO —
-// rather than dropping or spawning.
-const workerQueueDepth = 256
-
-// addrHash is FNV-1a over a transport address, for sender→worker keying.
-func addrHash(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * prime32
-	}
-	return h
 }
 
 // tokenSource is a per-daemon seeded splitmix64 stream replacing draws

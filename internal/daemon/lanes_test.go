@@ -3,6 +3,7 @@ package daemon
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,25 +81,89 @@ func TestResolveLanes(t *testing.T) {
 	}
 }
 
-// TestLaneWiring checks the structural invariants: one inbound worker per
-// lane — at DeliveryLanes == 1 too, the same engine at N = 1 — and every
-// client gets one queue column per lane.
-func TestLaneWiring(t *testing.T) {
-	da, _ := newPairLanes(t, 4)
-	if da.Lanes() != 4 || len(da.workers) != 4 {
-		t.Fatalf("lanes=%d workers=%d, want 4/4", da.Lanes(), len(da.workers))
+// daemonGoroutines counts the live goroutines that daemon.New and the
+// reliable connection's constructor started when the calling goroutine
+// called them: other tests' daemons, still winding down, do not count.
+func daemonGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			stacks := string(buf[:n])
+			self := strings.Fields(stacks)[1] // the caller's trace comes first: "goroutine 7 [running]:"
+			return strings.Count(stacks, "created by infobus/internal/daemon.New in goroutine "+self+"\n") +
+				strings.Count(stacks, "created by infobus/internal/reliable.NewSharded in goroutine "+self+"\n")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
-	c, err := da.NewClient("app")
+}
+
+// TestLaneWiring checks the structural invariants: one inbound worker per
+// lane — at DeliveryLanes == 1 too, the same engine at N = 1 — reading the
+// connection directly (lanes workers + interestLoop + the conn's one loop,
+// no relay goroutine between them, none left by Close), and every client
+// gets one queue column per lane.
+func TestLaneWiring(t *testing.T) {
+	seg, rcfg := newSegment(t)
+	for _, lanes := range []int{4, 1} {
+		d := New(newEndpoint(t, seg, fmt.Sprintf("lanes%d", lanes)), rcfg, Options{DeliveryLanes: lanes})
+		if got := daemonGoroutines(); d.Lanes() != lanes || got != lanes+2 {
+			t.Fatalf("lanes=%d goroutines=%d, want %d/%d", d.Lanes(), got, lanes, lanes+2)
+		}
+		c, err := d.NewClient("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.lanes) != lanes {
+			t.Fatalf("client columns = %d, want %d", len(c.lanes), lanes)
+		}
+		_ = d.Close()
+		// Close has waited for every one of them to finish its work; the
+		// last instructions of a goroutine run after it says so.
+		for deadline := time.Now().Add(5 * time.Second); daemonGoroutines() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("lanes=%d: %d goroutines left after Close", lanes, daemonGoroutines())
+			}
+		}
+	}
+}
+
+// TestCloseDrainsWorkers: Close returns only after every inbound worker has
+// handled what its shard held, and shuts the clients down after that — so
+// no worker finds a client closed under it, and a client still receives, in
+// order, everything enqueued before Close returned.
+func TestCloseDrainsWorkers(t *testing.T) {
+	da, db := newPairLanes(t, 4)
+	cb, err := db.NewClient("app")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.lanes) != 4 {
-		t.Fatalf("client columns = %d, want 4", len(c.lanes))
+	if err := cb.Subscribe(subject.MustParsePattern(">")); err != nil {
+		t.Fatal(err)
 	}
-
-	ds, _ := newPairLanes(t, 1)
-	if ds.Lanes() != 1 || len(ds.workers) != 1 {
-		t.Fatalf("single-lane daemon: lanes=%d workers=%d, want 1/1", ds.Lanes(), len(ds.workers))
+	subjects := lanedSubjects(t, 4, 3)
+	const total = 2000
+	for i := 0; i < total; i++ {
+		if err := da.Publish(subjects[i%len(subjects)], []byte(fmt.Sprintf("%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nextDelivery(t, cb, 10*time.Second) // traffic is flowing; close under it
+	_ = db.Close()
+	st, pending := db.Stats(), cb.Pending()
+	if st.NoSubscriber != 0 || st.DeliveredLocal != st.Inbound || uint64(pending)+1 != st.DeliveredLocal {
+		t.Fatalf("after Close: stats %+v, pending %d: a worker outlived the clients", st, pending)
+	}
+	for i := 1; i <= pending; i++ {
+		dv, ok := cb.Next(nil)
+		if !ok || string(dv.Payload) != fmt.Sprintf("%d", i) {
+			t.Fatalf("delivery %d after Close = %q, %v", i, dv.Payload, ok)
+		}
+	}
+	if _, ok := cb.Next(nil); ok {
+		t.Fatal("delivery beyond what was pending at Close")
+	}
+	if st2 := db.Stats(); st2 != st {
+		t.Fatalf("stats moved after Close returned: %+v -> %+v", st, st2)
 	}
 }
 

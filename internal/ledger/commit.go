@@ -83,10 +83,10 @@ func (l *Ledger) flushOnce() bool {
 	// wake-up can be slower than a small fsync, and flushing before the
 	// cohort lands degenerates the pipeline into near-singleton batches.
 	// So when the previous batch proved contention (cohort > 1), give the
-	// forming batch up to l.linger to reach that size again. Uncontended
+	// forming batch up to linger to reach that size again. Uncontended
 	// appends (cohort <= 1) never wait.
-	if l.linger > 0 && l.lastCohort > 1 && len(b.msgIDs) < l.lastCohort {
-		deadline := time.Now().Add(l.linger)
+	if l.lastCohort > 1 && len(b.msgIDs) < l.lastCohort {
+		deadline := time.Now().Add(linger)
 		for len(b.msgIDs) < l.lastCohort {
 			l.mu.Unlock()
 			runtime.Gosched()

@@ -41,9 +41,12 @@ import (
 // Options.SegmentBytes is zero.
 const DefaultSegmentBytes = 4 << 20
 
-// DefaultLinger is the bounded group-forming wait when Options.Linger is
-// zero. It only ever applies under proven contention; see Options.Linger.
-const DefaultLinger = 100 * time.Microsecond
+// linger bounds the extra wait a commit spends letting a forming group
+// reach the size of the previous one, once contention is proven (the
+// previous batch carried more than one Append). Goroutine wake-up can be
+// slower than a small fsync, so without this the pipeline can degenerate
+// into near-singleton batches. An uncontended Append never waits.
+const linger = 100 * time.Microsecond
 
 // DefaultAckLinger is the deferred-commit window for batches holding only
 // ack records when Options.AckLinger is zero; see Options.AckLinger.
@@ -104,7 +107,6 @@ type Ledger struct {
 	path      string // segment name prefix: <path>.<seq>.seg
 	dir       string
 	sync      bool
-	linger    time.Duration
 	ackLinger time.Duration
 	segMax    int64
 
@@ -156,14 +158,6 @@ type Options struct {
 	// active segment is rolled once it grows past this. <= 0 selects
 	// DefaultSegmentBytes.
 	SegmentBytes int64
-	// Linger bounds the extra wait a commit spends letting a forming group
-	// reach the size of the previous one, once contention is proven (the
-	// previous batch carried more than one Append). Goroutine wake-up can
-	// be slower than a small fsync, so without this the pipeline can
-	// degenerate into near-singleton batches. An uncontended Append never
-	// waits regardless of the setting. Zero selects DefaultLinger;
-	// negative disables lingering entirely.
-	Linger time.Duration
 	// AckLinger defers the commit kick when the staged batch holds only
 	// ack records. Nothing waits on an ack commit and its durability is
 	// advisory (a crash that loses recent acks causes re-deliveries that
@@ -193,12 +187,6 @@ func Open(path string, opts Options) (*Ledger, error) {
 	if segMax <= 0 {
 		segMax = DefaultSegmentBytes
 	}
-	linger := opts.Linger
-	if linger == 0 {
-		linger = DefaultLinger
-	} else if linger < 0 {
-		linger = 0
-	}
 	ackLinger := opts.AckLinger
 	if ackLinger == 0 {
 		ackLinger = DefaultAckLinger
@@ -213,7 +201,6 @@ func Open(path string, opts Options) (*Ledger, error) {
 		path:      path,
 		dir:       filepath.Dir(path),
 		sync:      opts.Sync,
-		linger:    linger,
 		ackLinger: ackLinger,
 		segMax:    segMax,
 		kick:      make(chan struct{}, 1),

@@ -38,9 +38,6 @@ type Config struct {
 	// per link. Topology changes trigger immediate extra hellos, so this
 	// governs failure DETECTION, not convergence. Default 100ms.
 	HelloInterval time.Duration
-	// DeadFactor: a neighbor unheard for DeadFactor hello intervals is
-	// declared dead and the tree re-elects. Default 4.
-	DeadFactor int
 	// Debounce batches interest re-advertisement: after a change, the
 	// router waits this long for further churn before advertising, so a
 	// flapping leaf costs one ad per window per hop instead of one per
@@ -49,10 +46,6 @@ type Config struct {
 	// InterestRefresh is the steady-state re-advertisement period; heard
 	// interest expires after 4 refresh intervals without one. Default 1s.
 	InterestRefresh time.Duration
-	// MaxPatterns caps one interest advertisement, aggregating wider sets
-	// to wildcard prefixes (subject.AggregatePatterns) exactly as host
-	// daemons do at 64. Default 64.
-	MaxPatterns int
 	// MaxHops is the envelope hop budget: the tree is loop-free, so the
 	// budget only bounds the tree diameter and the pathology of a tree
 	// still converging. Default 64, enough for the 50–100 segment target.
@@ -63,21 +56,19 @@ type Config struct {
 	StatusInterval time.Duration
 }
 
+// deadFactor: a neighbor unheard for deadFactor hello intervals is declared
+// dead and the tree re-elects.
+const deadFactor = 4
+
 func (c Config) withDefaults() Config {
 	if c.HelloInterval <= 0 {
 		c.HelloInterval = 100 * time.Millisecond
-	}
-	if c.DeadFactor <= 0 {
-		c.DeadFactor = 4
 	}
 	if c.Debounce <= 0 {
 		c.Debounce = 50 * time.Millisecond
 	}
 	if c.InterestRefresh <= 0 {
 		c.InterestRefresh = time.Second
-	}
-	if c.MaxPatterns <= 0 {
-		c.MaxPatterns = 64
 	}
 	if c.MaxHops <= 0 {
 		c.MaxHops = 64
@@ -256,7 +247,7 @@ func (m *Mesh) HandleHello(li int, ad HelloAd, now time.Time) bool {
 	}
 	l.hellos[ad.Router] = neighborHello{
 		ad:      ad,
-		expires: now.Add(time.Duration(m.cfg.DeadFactor) * m.cfg.HelloInterval),
+		expires: now.Add(deadFactor * m.cfg.HelloInterval),
 	}
 	return m.recompute(now)
 }
@@ -536,7 +527,7 @@ func (m *Mesh) adPatternsLocked(li int, hostPatterns [][]string) []string {
 		patterns = append(patterns, p)
 	}
 	sort.Strings(patterns)
-	return subject.AggregatePatterns(patterns, m.cfg.MaxPatterns)
+	return subject.AggregatePatterns(patterns, subject.MaxAdvertisedPatterns)
 }
 
 func (m *Mesh) linkInfoLocked(withInterest bool) []LinkInfo {
@@ -555,7 +546,7 @@ func (m *Mesh) linkInfoLocked(withInterest bool) []LinkInfo {
 				pats = append(pats, p)
 			}
 			sort.Strings(pats)
-			li.Patterns = subject.AggregatePatterns(pats, m.cfg.MaxPatterns)
+			li.Patterns = subject.AggregatePatterns(pats, subject.MaxAdvertisedPatterns)
 		}
 		links = append(links, li)
 	}

@@ -14,7 +14,6 @@ import (
 func fastCfg() Config {
 	return Config{
 		HelloInterval:   5 * time.Millisecond,
-		DeadFactor:      4,
 		Debounce:        2 * time.Millisecond,
 		InterestRefresh: 20 * time.Millisecond,
 		StatusInterval:  -1,

@@ -6,7 +6,6 @@ import (
 	"infobus/internal/ledger"
 	"infobus/internal/subject"
 	"infobus/internal/telemetry"
-	"infobus/internal/wire"
 )
 
 // Recovery coordination. The replica hosts elect one coordinator through
@@ -214,7 +213,7 @@ func (a *Agent) replay(origin string, entries map[uint64]ledger.Rec, stop chan s
 				delete(entries, id) // unroutable: drop rather than loop forever
 				continue
 			}
-			_ = a.d.PublishGuaranteedOrigin(s, rec.Payload, id, origin, wire.IsCompact(rec.Payload))
+			_ = a.d.PublishGuaranteedOrigin(s, rec.Payload, id, origin)
 			a.ctr.replayedMsgs.Inc()
 		}
 		_ = a.d.Flush()

@@ -162,15 +162,26 @@ var (
 // Conn layers the reliable protocol over one transport endpoint. A Conn
 // carries one outbound broadcast stream (Publish), any number of outbound
 // unicast streams (SendTo), and delivers all reliably received messages —
-// broadcast and unicast — on Recv in per-sender FIFO order.
+// broadcast and unicast — in per-sender FIFO order on its shards (Recv is
+// shard 0, the only one New makes).
+//
+// The receive side has one owner: the goroutine running loop reads the
+// endpoint, runs the timers and is the only sender on the shard channels,
+// so a sender's messages reach the application in the order of the state
+// transitions that made them deliverable, by construction.
 type Conn struct {
-	ep    transport.Endpoint
-	cfg   Config
-	epoch uint64
-	out   chan Message
-	done  chan struct{}
-	wg    sync.WaitGroup
+	ep     transport.Endpoint
+	cfg    Config
+	epoch  uint64
+	done   chan struct{}
+	exited chan struct{} // closed when loop has returned
+	ctr    counters
+	rec    *telemetry.Recorder
 
+	// mu guards what publishers share with the loop: the outbound streams
+	// and the encode scratch. The loop takes it only where it touches those
+	// (NAK replies, acks received, the timer's flush / heartbeat /
+	// retransmission), never around a shard hand-off.
 	mu sync.Mutex
 	// Outbound broadcast stream. Window entries are pooled copies
 	// (bufpool.CopyOf) returned to the pool on eviction, so every frame that
@@ -188,48 +199,47 @@ type Conn struct {
 	batchBytes int
 	batchSince time.Time
 	sentSeq    uint64 // highest seq actually broadcast (batching may lag nextSeq)
-	// Heartbeat idle detection: the housekeeping tick compares sentSeq
-	// against the value it saw last time (hbSeq) instead of the send path
-	// stamping time.Now() per broadcast — a clock read per send was ~14%
-	// of the router's forwarding cost.
+	// Heartbeat idle detection: the tick compares sentSeq against the value
+	// it saw last time (hbSeq) instead of the send path stamping time.Now()
+	// per broadcast — a clock read per send was ~14% of the router's
+	// forwarding cost.
 	hbSeq   uint64
 	hbAt    time.Time
 	sendBuf []byte // scratch for frame encoding under mu; transport copies on send
 	oneMsg  [1]msg // scratch for unbatched single-message sends
-	// Inbound state per remote sender.
-	bPeers map[string]*bcastRecv
-	uPeers map[string]*ucastRecv
 	// Outbound unicast per destination.
-	uSend map[string]*ucastSend
-
+	uSend  map[string]*ucastSend
 	closed bool
-	ctr    counters
-	rec    *telemetry.Recorder
 
-	// Emission order. Messages reach the application from two goroutines —
-	// recvLoop, and housekeeping when it releases a join-grace buffer or
-	// skips a gap — and must arrive in the order of the state transitions
-	// that made them deliverable. A goroutine with something to deliver takes
-	// the next ticket while it still holds mu and emits when its turn comes,
-	// after unlocking: holding mu (or any lock taken under mu) across the
-	// blocking channel send would deadlock against a consumer that answers
-	// a message with SendTo. emitNext is guarded by mu, emitTurn by emitMu.
-	emitNext uint64
-	emitMu   sync.Mutex
-	emitCond *sync.Cond
-	emitTurn uint64
-
-	// Receive scratch, owned by recvLoop: every datagram is decoded into
-	// rxFrame and its deliverable messages gathered in rxDeliver, both
-	// emitted before the next datagram is read. Nothing retains the slices
-	// past the call — the join buffer and pending hold payloads, which alias
-	// the datagram, never the scratch.
-	rxFrame   dataFrame
-	rxDeliver []Message
+	// Owned by loop, never touched under mu or by another goroutine: the
+	// shard channels' sending side, inbound state per remote sender, the
+	// decode scratch (payloads alias the datagram, never the scratch) and
+	// the outbox — in-order messages no shard has taken yet, oldest at
+	// outHead.
+	outs    []chan Message
+	bPeers  map[string]*bcastRecv
+	uPeers  map[string]*ucastRecv
+	rxFrame dataFrame
+	outbox  []outMsg
+	outHead int
 }
+
+// outMsg is one deliverable message and the shard it goes out on.
+type outMsg struct {
+	shard int
+	m     Message
+}
+
+// shardBuffer is the capacity of each shard channel, the one queue between
+// the loop and a consumer. Nothing is dropped when a shard is full: the
+// loop stops reading datagrams (back-pressure on the transport, whose own
+// bounded queue then applies its policy) and keeps ticking. Shards share
+// the loop, so one full shard holds up the others.
+const shardBuffer = 1024
 
 // bcastRecv is inbound broadcast-stream state for one sender.
 type bcastRecv struct {
+	shard     int // fixed when the state is created; see shardOf
 	epoch     uint64
 	next      uint64            // next expected seq (0 while syncing)
 	pending   map[uint64][]byte // out-of-order buffer
@@ -243,6 +253,7 @@ func (pr *bcastRecv) syncing() bool { return !pr.syncUntil.IsZero() }
 
 // ucastRecv is inbound unicast-stream state for one sender.
 type ucastRecv struct {
+	shard   int
 	epoch   uint64
 	next    uint64
 	pending map[uint64][]byte
@@ -275,36 +286,44 @@ func newEpoch(seed uint64) uint64 {
 
 // New layers a reliable connection over ep. The endpoint must not be used
 // directly afterwards.
-func New(ep transport.Endpoint, cfg Config) *Conn {
+func New(ep transport.Endpoint, cfg Config) *Conn { return NewSharded(ep, cfg, 1) }
+
+// NewSharded is New with n delivery shards (RecvShard): every message of
+// one sender address, broadcast and unicast, comes out of the same shard,
+// so n consumers can work in parallel without reordering any sender.
+func NewSharded(ep transport.Endpoint, cfg Config, n int) *Conn {
 	cfg = cfg.withDefaults()
 	c := &Conn{
-		ep:     ep,
-		cfg:    cfg,
-		epoch:  newEpoch(cfg.Seed),
-		out:    make(chan Message, 1024),
-		done:   make(chan struct{}),
-		window: make([]*[]byte, cfg.Window),
-		bPeers: make(map[string]*bcastRecv),
-		uPeers: make(map[string]*ucastRecv),
-		uSend:  make(map[string]*ucastSend),
+		ep:        ep,
+		cfg:       cfg,
+		epoch:     newEpoch(cfg.Seed),
+		done:      make(chan struct{}),
+		exited:    make(chan struct{}),
+		ctr:       newCounters(cfg.Metrics, cfg.MetricsPrefix),
+		rec:       cfg.Recorder,
+		window:    make([]*[]byte, cfg.Window),
+		windowMin: 1,
+		uSend:     make(map[string]*ucastSend),
+		outs:      make([]chan Message, n),
+		bPeers:    make(map[string]*bcastRecv),
+		uPeers:    make(map[string]*ucastRecv),
 	}
-	c.ctr = newCounters(c.cfg.Metrics, c.cfg.MetricsPrefix)
-	c.rec = cfg.Recorder
-	c.windowMin = 1
-	c.emitCond = sync.NewCond(&c.emitMu)
-	c.emitNext, c.emitTurn = 1, 1
-	c.wg.Add(2)
-	go c.recvLoop()
-	go c.housekeeping()
+	for i := range c.outs {
+		c.outs[i] = make(chan Message, shardBuffer)
+	}
+	go c.loop()
 	return c
 }
 
 // Addr returns the underlying endpoint's address.
 func (c *Conn) Addr() string { return c.ep.Addr() }
 
-// Recv returns the channel of reliably delivered messages. It is closed
-// when the connection closes.
-func (c *Conn) Recv() <-chan Message { return c.out }
+// Recv returns the channel of reliably delivered messages (shard 0). It is
+// closed when the connection closes.
+func (c *Conn) Recv() <-chan Message { return c.outs[0] }
+
+// RecvShard returns the channel of shard i of a NewSharded connection.
+func (c *Conn) RecvShard(i int) <-chan Message { return c.outs[i] }
 
 // Stats returns a snapshot of the protocol counters. The counters are
 // monotone atomics read in one pass, so the snapshot is a consistent cut:
@@ -336,12 +355,8 @@ func (c *Conn) Close() error {
 	c.closed = true
 	close(c.done)
 	c.mu.Unlock()
-	c.emitMu.Lock()
-	c.emitCond.Broadcast() // emitters waiting for their turn see done
-	c.emitMu.Unlock()
 	_ = c.ep.Close()
-	c.wg.Wait()
-	close(c.out)
+	<-c.exited
 	return nil
 }
 
@@ -465,21 +480,101 @@ func (c *Conn) SendTo(addr string, payload []byte) error {
 }
 
 // ---------------------------------------------------------------------------
-// Receive path
+// The loop: datagrams, timers and the hand-off to the shards.
 
-func (c *Conn) recvLoop() {
-	defer c.wg.Done()
+// loop is the connection's one goroutine. Each turn it hands the shards
+// what they take without waiting, then waits for the next event. While a
+// shard refuses the outbox head no datagram is read, but the ticker case
+// stays armed: batch flush, heartbeat, NAK, gap skip and unicast
+// retransmission do not wait for a slow consumer, and what a tick makes
+// deliverable queues behind the head.
+func (c *Conn) loop() {
+	defer func() {
+		for _, ch := range c.outs {
+			close(ch)
+		}
+		close(c.exited)
+	}()
+	interval := c.cfg.NakInterval / 4
+	if bd := c.cfg.BatchDelay / 2; c.cfg.Batching && bd < interval {
+		interval = bd
+	}
+	if interval < 200*time.Microsecond {
+		interval = 200 * time.Microsecond
+	}
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	datagrams := c.ep.Recv()
 	for {
+		in := datagrams
+		var head Message
+		var headCh chan Message
+		if o := c.handOff(); o != nil {
+			in, head, headCh = nil, o.m, c.outs[o.shard]
+		}
 		select {
 		case <-c.done:
 			return
-		case dg, ok := <-c.ep.Recv():
+		case dg, ok := <-in:
 			if !ok {
 				return
 			}
 			c.handleDatagram(dg)
+		case now := <-ticker.C:
+			c.tick(now)
+		case headCh <- head:
+			c.outHead++
 		}
 	}
+}
+
+// handOff sends the outbox to the shards, oldest first, until one would
+// block; it returns that entry, or nil with the outbox rewound for reuse.
+func (c *Conn) handOff() *outMsg {
+	for ; c.outHead < len(c.outbox); c.outHead++ {
+		o := &c.outbox[c.outHead]
+		select {
+		case c.outs[o.shard] <- o.m:
+		default:
+			return o
+		}
+	}
+	c.outbox, c.outHead = c.outbox[:0], 0
+	return nil
+}
+
+// deliver queues one in-order message for its shard. Every delivery path
+// funnels through here, hence the accounting.
+func (c *Conn) deliver(shard int, from string, payload []byte) {
+	c.ctr.delivered.Inc()
+	c.ctr.deliveredBytes.Add(uint64(len(payload)))
+	c.outbox = append(c.outbox, outMsg{shard: shard, m: Message{From: from, Payload: payload}})
+}
+
+// deliverPending delivers the buffered messages that follow next without
+// a hole and returns the first sequence number still missing.
+func (c *Conn) deliverPending(shard int, from string, pending map[uint64][]byte, next uint64) uint64 {
+	for {
+		p, ok := pending[next]
+		if !ok {
+			return next
+		}
+		delete(pending, next)
+		c.deliver(shard, from, p)
+		next++
+	}
+}
+
+// shardOf picks the shard for a sender address (FNV-1a). It is called once
+// per stream, when the receive state is created, and is the same function
+// for both kinds of stream: a sender's broadcasts and unicasts share a
+// consumer.
+func (c *Conn) shardOf(addr string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(addr); i++ {
+		h = (h ^ uint32(addr[i])) * 16777619
+	}
+	return int(h % uint32(len(c.outs)))
 }
 
 func (c *Conn) handleDatagram(dg transport.Datagram) {
@@ -502,8 +597,6 @@ func (c *Conn) handleDatagram(dg transport.Datagram) {
 }
 
 func (c *Conn) handleBroadcastData(from string, f *dataFrame) {
-	deliver := c.rxDeliver[:0]
-	c.mu.Lock()
 	pr := c.bPeers[from]
 	if pr == nil || pr.epoch != f.epoch {
 		// New sender, or sender restarted: reset the stream (at-most-once
@@ -514,6 +607,7 @@ func (c *Conn) handleBroadcastData(from string, f *dataFrame) {
 			c.rec.Record(telemetry.EventRestart, from, int64(f.epoch), int64(pr.epoch))
 		}
 		pr = &bcastRecv{
+			shard:     c.shardOf(from),
 			epoch:     f.epoch,
 			pending:   make(map[uint64][]byte),
 			syncUntil: time.Now().Add(c.cfg.JoinGrace),
@@ -536,18 +630,8 @@ func (c *Conn) handleBroadcastData(from string, f *dataFrame) {
 		case m.seq < pr.next:
 			c.ctr.duplicates.Inc()
 		case m.seq == pr.next:
-			deliver = append(deliver, Message{From: from, Payload: m.payload})
-			pr.next++
-			// Drain any now-in-order pending messages.
-			for {
-				p, ok := pr.pending[pr.next]
-				if !ok {
-					break
-				}
-				delete(pr.pending, pr.next)
-				deliver = append(deliver, Message{From: from, Payload: p})
-				pr.next++
-			}
+			c.deliver(pr.shard, from, m.payload)
+			pr.next = c.deliverPending(pr.shard, from, pr.pending, pr.next+1)
 			if len(pr.pending) == 0 && pr.next > pr.maxSeen {
 				pr.gapSince = time.Time{}
 			}
@@ -562,23 +646,17 @@ func (c *Conn) handleBroadcastData(from string, f *dataFrame) {
 			}
 		}
 	}
-	c.ctr.delivered.Add(uint64(len(deliver)))
-	ticket := c.emitTicketLocked(len(deliver))
-	c.mu.Unlock()
-	c.emit(ticket, deliver)
-	c.rxDeliver = deliver
 }
 
 // handleHeart processes a publisher's max-sequence advertisement.
 func (c *Conn) handleHeart(from string, f heartFrame) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	pr := c.bPeers[from]
 	if pr == nil || pr.epoch != f.epoch {
 		// First contact via heartbeat: a late joiner. Expect only future
 		// messages (P4: a new subscriber receives new publications, not
 		// history).
 		c.bPeers[from] = &bcastRecv{
+			shard:   c.shardOf(from),
 			epoch:   f.epoch,
 			next:    f.maxSeq + 1,
 			maxSeen: f.maxSeq,
@@ -596,12 +674,9 @@ func (c *Conn) handleHeart(from string, f heartFrame) {
 }
 
 func (c *Conn) handleUnicastData(from string, f *dataFrame) {
-	deliver := c.rxDeliver[:0]
-	acks := ackFrame{epoch: f.epoch}
-	c.mu.Lock()
 	ur := c.uPeers[from]
 	if ur == nil || ur.epoch != f.epoch {
-		ur = &ucastRecv{epoch: f.epoch, next: 1, pending: make(map[uint64][]byte)}
+		ur = &ucastRecv{shard: c.shardOf(from), epoch: f.epoch, next: 1, pending: make(map[uint64][]byte)}
 		c.uPeers[from] = ur
 	}
 	for _, m := range f.msgs {
@@ -609,17 +684,8 @@ func (c *Conn) handleUnicastData(from string, f *dataFrame) {
 		case m.seq < ur.next:
 			c.ctr.duplicates.Inc()
 		case m.seq == ur.next:
-			deliver = append(deliver, Message{From: from, Payload: m.payload})
-			ur.next++
-			for {
-				p, ok := ur.pending[ur.next]
-				if !ok {
-					break
-				}
-				delete(ur.pending, ur.next)
-				deliver = append(deliver, Message{From: from, Payload: p})
-				ur.next++
-			}
+			c.deliver(ur.shard, from, m.payload)
+			ur.next = c.deliverPending(ur.shard, from, ur.pending, ur.next+1)
 		default:
 			if _, dup := ur.pending[m.seq]; !dup {
 				ur.pending[m.seq] = m.payload
@@ -628,14 +694,8 @@ func (c *Conn) handleUnicastData(from string, f *dataFrame) {
 			}
 		}
 	}
-	acks.cum = ur.next - 1
-	c.ctr.delivered.Add(uint64(len(deliver)))
 	c.ctr.acksSent.Inc()
-	ticket := c.emitTicketLocked(len(deliver))
-	c.mu.Unlock()
-	_ = c.ep.Send(from, encodeAck(acks))
-	c.emit(ticket, deliver)
-	c.rxDeliver = deliver
+	_ = c.ep.Send(from, encodeAck(ackFrame{epoch: f.epoch, cum: ur.next - 1}))
 }
 
 func (c *Conn) handleNak(from string, f nakFrame) {
@@ -686,103 +746,24 @@ func (c *Conn) handleAck(from string, f ackFrame) {
 	}
 }
 
-// emitTicketLocked reserves the caller's place in the emission order for n
-// messages it is about to deliver; the caller holds c.mu and passes the
-// ticket to emit after unlocking. Ticket 0 (nothing to deliver) needs no
-// turn.
-func (c *Conn) emitTicketLocked(n int) uint64 {
-	if n == 0 {
-		return 0
-	}
-	ticket := c.emitNext
-	c.emitNext++
-	return ticket
-}
-
-// emit hands messages to the application channel when ticket's turn comes,
-// blocking if the consumer is slow (delivery order must be preserved).
-// Delivered-byte accounting lives here because every delivery path funnels
-// through emit.
-func (c *Conn) emit(ticket uint64, msgs []Message) {
-	if ticket == 0 {
-		return
-	}
-	c.emitMu.Lock()
-	for c.emitTurn != ticket && !c.stopped() {
-		c.emitCond.Wait()
-	}
-	c.emitMu.Unlock()
-	var bytes uint64
-sending:
-	for _, m := range msgs {
-		select {
-		case c.out <- m:
-			bytes += uint64(len(m.Payload))
-		case <-c.done:
-			break sending
-		}
-	}
-	if bytes > 0 {
-		c.ctr.deliveredBytes.Add(bytes)
-	}
-	c.emitMu.Lock()
-	c.emitTurn = ticket + 1
-	c.emitCond.Broadcast()
-	c.emitMu.Unlock()
-}
-
-// stopped reports whether Close has begun.
-func (c *Conn) stopped() bool {
-	select {
-	case <-c.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Housekeeping: batch flush, NAK scheduling, gap skipping, unicast
-// retransmission.
-
-func (c *Conn) housekeeping() {
-	defer c.wg.Done()
-	interval := c.cfg.NakInterval / 4
-	if bd := c.cfg.BatchDelay / 2; c.cfg.Batching && bd < interval {
-		interval = bd
-	}
-	if interval < 200*time.Microsecond {
-		interval = 200 * time.Microsecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case now := <-ticker.C:
-			c.tick(now)
-		}
-	}
-}
+// The timer: batch flush, heartbeat and unicast retransmission on the send
+// side; join-grace release, NAK scheduling and gap skipping per sender.
 
 func (c *Conn) tick(now time.Time) {
-	type nakOut struct {
-		addr  string
-		frame []byte
+	c.tickSend(now)
+	for addr, pr := range c.bPeers {
+		c.tickPeer(now, addr, pr)
 	}
-	type retrOut struct {
-		addr  string
-		frame []byte
-	}
-	var naks []nakOut
-	var retrs []retrOut
-	var deliver []Message
-	var heartbeat []byte
+}
 
+// tickSend is the timer's share of the outbound streams. The frames are
+// encoded and sent under mu, as Publish and the NAK reply do: the payloads
+// are pooled buffers an ack or an eviction could recycle once mu is free.
+func (c *Conn) tickSend(now time.Time) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	// Batch flush on delay expiry.
@@ -799,99 +780,17 @@ func (c *Conn) tick(now time.Time) {
 			c.hbAt = now
 		} else if now.Sub(c.hbAt) >= c.cfg.HeartbeatInterval {
 			c.hbAt = now
-			heartbeat = encodeHeart(heartFrame{epoch: c.epoch, maxSeq: c.sentSeq})
-		}
-	}
-	// Broadcast stream maintenance per sender.
-	for addr, pr := range c.bPeers {
-		// Complete the join-grace sync: adopt the smallest buffered seq as
-		// the stream start and deliver in order from there.
-		if pr.syncing() {
-			if now.Before(pr.syncUntil) || len(pr.pending) == 0 {
-				continue
-			}
-			pr.syncUntil = time.Time{}
-			pr.next = minKey(pr.pending)
-			for {
-				p, ok := pr.pending[pr.next]
-				if !ok {
-					break
-				}
-				delete(pr.pending, pr.next)
-				deliver = append(deliver, Message{From: addr, Payload: p})
-				c.ctr.delivered.Inc()
-				pr.next++
-			}
-			if len(pr.pending) > 0 || pr.next <= pr.maxSeen {
-				pr.gapSince = now
-			}
-		}
-		// A gap exists if buffered messages wait behind a hole, or a
-		// heartbeat advertised messages we never received.
-		if len(pr.pending) == 0 && pr.next > pr.maxSeen {
-			pr.gapSince = time.Time{}
-			continue
-		}
-		gapEnd := pr.maxSeen // last seq known to exist
-		if len(pr.pending) > 0 {
-			if mp := minKey(pr.pending); mp-1 < gapEnd {
-				gapEnd = mp - 1
-			}
-		}
-		if pr.gapSince.IsZero() {
-			pr.gapSince = now
-		}
-		if now.Sub(pr.gapSince) >= c.cfg.GapTimeout {
-			// Give up on the missing range: skip and deliver what we have
-			// (the at-most-once escape hatch).
-			target := pr.maxSeen + 1
-			if len(pr.pending) > 0 {
-				target = minKey(pr.pending)
-			}
-			c.ctr.skipped.Add(target - pr.next)
-			if c.rec != nil {
-				c.rec.Record(telemetry.EventDrop, addr, int64(target-pr.next), 0)
-			}
-			pr.next = target
-			for {
-				p, ok := pr.pending[pr.next]
-				if !ok {
-					break
-				}
-				delete(pr.pending, pr.next)
-				deliver = append(deliver, Message{From: addr, Payload: p})
-				c.ctr.delivered.Inc()
-				pr.next++
-			}
-			if len(pr.pending) == 0 && pr.next > pr.maxSeen {
-				pr.gapSince = time.Time{}
-			} else {
-				pr.gapSince = now
-			}
-			continue
-		}
-		if now.Sub(pr.lastNak) >= c.cfg.NakInterval && gapEnd >= pr.next {
-			pr.lastNak = now
-			c.ctr.naksSent.Inc()
-			naks = append(naks, nakOut{
-				addr:  addr,
-				frame: encodeNak(nakFrame{epoch: pr.epoch, from: pr.next, to: gapEnd}),
-			})
+			_ = c.ep.Broadcast(encodeHeart(heartFrame{epoch: c.epoch, maxSeq: c.sentSeq}))
 		}
 	}
 	// Unicast retransmission.
 	for addr, us := range c.uSend {
-		if len(us.unacked) == 0 {
-			continue
-		}
-		if now.Sub(us.lastSend) < c.cfg.RetransmitInterval {
+		if len(us.unacked) == 0 || now.Sub(us.lastSend) < c.cfg.RetransmitInterval {
 			continue
 		}
 		us.lastSend = now
 		var msgs []msg
 		for seq, p := range us.unacked {
-			// *p is a pooled buffer; the frame is encoded below, still under
-			// mu, before an ack could recycle it.
 			msgs = append(msgs, msg{seq: seq, payload: *p})
 		}
 		sortMsgs(msgs)
@@ -899,24 +798,58 @@ func (c *Conn) tick(now time.Time) {
 		if c.rec != nil {
 			c.rec.Record(telemetry.EventRetransmit, addr, int64(len(msgs)), 0)
 		}
-		retrs = append(retrs, retrOut{
-			addr:  addr,
-			frame: encodeData(dataFrame{typ: frameUData, epoch: c.epoch, msgs: msgs}),
-		})
+		c.sendBuf = appendData(c.sendBuf[:0], dataFrame{typ: frameUData, epoch: c.epoch, msgs: msgs})
+		_ = c.ep.Send(addr, c.sendBuf)
 	}
-	ticket := c.emitTicketLocked(len(deliver))
-	c.mu.Unlock()
+}
 
-	if heartbeat != nil {
-		_ = c.ep.Broadcast(heartbeat)
+// tickPeer maintains one sender's broadcast stream.
+func (c *Conn) tickPeer(now time.Time, addr string, pr *bcastRecv) {
+	// Complete the join-grace sync: adopt the smallest buffered seq as
+	// the stream start and deliver in order from there.
+	if pr.syncing() {
+		if now.Before(pr.syncUntil) || len(pr.pending) == 0 {
+			return
+		}
+		pr.syncUntil = time.Time{}
+		pr.next = c.deliverPending(pr.shard, addr, pr.pending, minKey(pr.pending))
+		if len(pr.pending) > 0 || pr.next <= pr.maxSeen {
+			pr.gapSince = now
+		}
 	}
-	for _, n := range naks {
-		_ = c.ep.Send(n.addr, n.frame)
+	// A gap exists if buffered messages wait behind a hole, or a
+	// heartbeat advertised messages we never received.
+	if len(pr.pending) == 0 && pr.next > pr.maxSeen {
+		pr.gapSince = time.Time{}
+		return
 	}
-	for _, r := range retrs {
-		_ = c.ep.Send(r.addr, r.frame)
+	gapEnd := pr.maxSeen // last seq known to exist and missing
+	if len(pr.pending) > 0 {
+		gapEnd = minKey(pr.pending) - 1 // every buffered seq is <= maxSeen
 	}
-	c.emit(ticket, deliver)
+	if pr.gapSince.IsZero() {
+		pr.gapSince = now
+	}
+	if now.Sub(pr.gapSince) >= c.cfg.GapTimeout {
+		// Give up on the missing range: skip and deliver what we have
+		// (the at-most-once escape hatch).
+		c.ctr.skipped.Add(gapEnd + 1 - pr.next)
+		if c.rec != nil {
+			c.rec.Record(telemetry.EventDrop, addr, int64(gapEnd+1-pr.next), 0)
+		}
+		pr.next = c.deliverPending(pr.shard, addr, pr.pending, gapEnd+1)
+		if len(pr.pending) == 0 && pr.next > pr.maxSeen {
+			pr.gapSince = time.Time{}
+		} else {
+			pr.gapSince = now
+		}
+		return
+	}
+	if now.Sub(pr.lastNak) >= c.cfg.NakInterval && gapEnd >= pr.next {
+		pr.lastNak = now
+		c.ctr.naksSent.Inc()
+		_ = c.ep.Send(addr, encodeNak(nakFrame{epoch: pr.epoch, from: pr.next, to: gapEnd}))
+	}
 }
 
 func minKey(m map[uint64][]byte) uint64 {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -496,11 +498,13 @@ func TestConfigSeedPlumbed(t *testing.T) {
 	}
 }
 
-// stubEndpoint is a transport endpoint a test feeds by hand: whatever the
-// Conn sends is discarded, what it receives is what inject queued.
+// stubEndpoint is a transport endpoint a test feeds by hand: what the Conn
+// receives is what inject queued, and what it sends is discarded — or, when
+// sent is set, decoded and handed to the test.
 type stubEndpoint struct {
 	addr string
 	in   chan transport.Datagram
+	sent chan frame
 }
 
 func newStubEndpoint(addr string) *stubEndpoint {
@@ -508,63 +512,252 @@ func newStubEndpoint(addr string) *stubEndpoint {
 }
 
 func (e *stubEndpoint) Addr() string                    { return e.addr }
-func (e *stubEndpoint) Send(string, []byte) error       { return nil }
-func (e *stubEndpoint) Broadcast([]byte) error          { return nil }
+func (e *stubEndpoint) Send(_ string, b []byte) error   { return e.Broadcast(b) }
 func (e *stubEndpoint) Recv() <-chan transport.Datagram { return e.in }
 func (e *stubEndpoint) Close() error                    { return nil }
+
+func (e *stubEndpoint) Broadcast(b []byte) error {
+	if e.sent != nil {
+		if f, err := decodeFrame(append([]byte(nil), b...)); err == nil {
+			e.sent <- f
+		}
+	}
+	return nil
+}
 
 func (e *stubEndpoint) inject(from string, frame []byte) {
 	e.in <- transport.Datagram{From: from, Payload: frame}
 }
 
-// TestJoinGraceReleaseKeepsOrder: a new sender's first messages are buffered
-// for JoinGrace and released by the housekeeping goroutine, which blocks in
-// the middle of the release when the consumer is slow; datagrams that arrive
-// meanwhile are deliverable at once on the receive loop. They must still
-// come out after the whole released buffer — per-sender FIFO — which they
-// did not while both goroutines raced for the application channel.
-func TestJoinGraceReleaseKeepsOrder(t *testing.T) {
-	ep := newStubEndpoint("stub:recv")
-	c := New(ep, Config{JoinGrace: 20 * time.Millisecond, NakInterval: 4 * time.Millisecond,
-		GapTimeout: time.Minute, HeartbeatInterval: time.Hour})
-	defer c.Close()
-	const sender, epoch = "stub:sender", 77
-	seqFrame := func(seq uint64) []byte {
-		payload := make([]byte, 8)
-		binary.BigEndian.PutUint64(payload, seq)
-		return encodeData(dataFrame{typ: frameData, epoch: epoch, msgs: []msg{{seq: seq, payload: payload}}})
+// awaitSent waits for the next frame of type typ the Conn sends.
+func (e *stubEndpoint) awaitSent(t *testing.T, typ byte) frame {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case f := <-e.sent:
+			if f.typ == typ {
+				return f
+			}
+		case <-deadline:
+			t.Fatalf("no frame of type %d sent", typ)
+		}
 	}
-	// More than the application channel holds, all inside the grace window.
-	buffered := uint64(cap(c.out)) + 500
-	for seq := uint64(1); seq <= buffered; seq++ {
-		ep.inject(sender, seqFrame(seq))
+}
+
+// seqFrame is a one-message data frame whose payload is its own sequence
+// number, so a receiver's output can be checked for order.
+func seqFrame(typ byte, epoch, seq uint64) []byte {
+	payload := make([]byte, 8)
+	binary.BigEndian.PutUint64(payload, seq)
+	return encodeData(dataFrame{typ: typ, epoch: epoch, msgs: []msg{{seq: seq, payload: payload}}})
+}
+
+// sendersOnShards returns n sender addresses that c delivers on n distinct
+// shards, indexed by shard.
+func sendersOnShards(t *testing.T, c *Conn, n int) []string {
+	t.Helper()
+	out := make([]string, n)
+	for i, found := 0, 0; found < n; i++ {
+		if i == 10000 {
+			t.Fatalf("no senders for %d distinct shards", n)
+		}
+		addr := fmt.Sprintf("stub:sender%d", i)
+		if sh := c.shardOf(addr); sh < n && out[sh] == "" {
+			out[sh] = addr
+			found++
+		}
 	}
-	// Nobody reads: the release fills the channel and blocks.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(c.out) < cap(c.out) {
+	return out
+}
+
+// connGoroutines counts the live goroutines NewSharded started when the
+// calling goroutine called it: other tests' connections, still winding
+// down, do not count.
+func connGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			stacks := string(buf[:n])
+			self := strings.Fields(stacks)[1] // the caller's trace comes first: "goroutine 7 [running]:"
+			return strings.Count(stacks, "created by infobus/internal/reliable.NewSharded in goroutine "+self+"\n")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestOneGoroutinePerConn: the connection is one event loop — New starts
+// exactly one goroutine, Close returns when it has gone.
+func TestOneGoroutinePerConn(t *testing.T) {
+	c := New(newStubEndpoint("stub:one"), Config{})
+	if got := connGoroutines(); got != 1 {
+		t.Errorf("New started %d goroutines, want 1", got)
+	}
+	sharded := NewSharded(newStubEndpoint("stub:four"), Config{}, 4)
+	if got := connGoroutines(); got != 2 {
+		t.Errorf("New and NewSharded(4) started %d goroutines, want 2", got)
+	}
+	_, _ = c.Close(), sharded.Close()
+	// Close has waited for the loops to close their shards; the last
+	// instructions of a goroutine run after it says so.
+	for deadline := time.Now().Add(5 * time.Second); connGoroutines() != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("join-grace release never filled the channel (%d of %d)", len(c.out), cap(c.out))
+			t.Fatalf("%d goroutines left after Close", connGoroutines())
+		}
+	}
+	if _, ok := <-sharded.RecvShard(3); ok {
+		t.Error("shard not closed by Close")
+	}
+}
+
+// TestJoinGraceReleaseKeepsOrder: a new sender's first messages are buffered
+// for JoinGrace and released on a tick, more of them than the shard holds, so
+// the release stalls on a slow consumer; datagrams that arrive meanwhile are
+// deliverable at once. They must still come out after the whole released
+// buffer — per-sender FIFO — which they did not while a timer goroutine and
+// the receive loop raced for the application channel.
+func TestJoinGraceReleaseKeepsOrder(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ep := newStubEndpoint("stub:recv")
+			c := NewSharded(ep, Config{JoinGrace: 20 * time.Millisecond, NakInterval: 4 * time.Millisecond,
+				GapTimeout: time.Minute, HeartbeatInterval: time.Hour}, shards)
+			defer c.Close()
+			const sender, epoch = "stub:sender", 77
+			out := c.outs[c.shardOf(sender)]
+			// More than the application channel holds, all inside the grace window.
+			buffered := uint64(cap(out)) + 500
+			for seq := uint64(1); seq <= buffered; seq++ {
+				ep.inject(sender, seqFrame(frameData, epoch, seq))
+			}
+			// Nobody reads: the release fills the channel and blocks.
+			deadline := time.Now().Add(5 * time.Second)
+			for len(out) < cap(out) {
+				if time.Now().After(deadline) {
+					t.Fatalf("join-grace release never filled the channel (%d of %d)", len(out), cap(out))
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// The stream is synced now, so these are in order and deliverable at once.
+			const late = 20
+			for seq := buffered + 1; seq <= buffered+late; seq++ {
+				ep.inject(sender, seqFrame(frameData, epoch, seq))
+			}
+			time.Sleep(5 * time.Millisecond) // the late datagrams wait behind the stalled release
+			for want := uint64(1); want <= buffered+late; want++ {
+				select {
+				case m := <-out:
+					if got := binary.BigEndian.Uint64(m.Payload); got != want {
+						t.Fatalf("delivery %d carries sequence %d: per-sender order broken", want, got)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("timed out waiting for sequence %d", want)
+				}
+				if want%64 == 0 {
+					time.Sleep(100 * time.Microsecond) // a slow consumer
+				}
+			}
+		})
+	}
+}
+
+// TestTimersRunUnderStalledConsumer: with every shard full and nobody
+// reading, the loop stops taking datagrams but not ticks — a batched Publish
+// still reaches the wire and an idle publisher still heartbeats.
+func TestTimersRunUnderStalledConsumer(t *testing.T) {
+	ep := newStubEndpoint("stub:recv")
+	c := NewSharded(ep, Config{Batching: true, BatchDelay: 2 * time.Millisecond, JoinGrace: time.Millisecond,
+		NakInterval: 4 * time.Millisecond, GapTimeout: time.Minute, HeartbeatInterval: 10 * time.Millisecond}, 2)
+	defer c.Close()
+	senders := sendersOnShards(t, c, 2)
+	// Sync both streams, then fill both shards alternately and leave a
+	// message the loop cannot hand off.
+	for sh, addr := range senders {
+		ep.inject(addr, seqFrame(frameData, 9, 1))
+		collectShard(t, c, sh, 1)
+	}
+	for seq := uint64(2); seq <= shardBuffer+2; seq++ {
+		for _, addr := range senders {
+			ep.inject(addr, seqFrame(frameData, 9, seq))
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(c.outs[0]) < shardBuffer || len(c.outs[1]) < shardBuffer {
+		if time.Now().After(deadline) {
+			t.Fatalf("shards never filled (%d, %d of %d)", len(c.outs[0]), len(c.outs[1]), shardBuffer)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// The stream is synced now, so these are in order and deliverable at once.
-	const late = 20
-	for seq := buffered + 1; seq <= buffered+late; seq++ {
-		ep.inject(sender, seqFrame(seq))
+	ep.sent = make(chan frame, 16)
+	if err := c.Publish([]byte("batched")); err != nil {
+		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond) // the receive loop reaches its emit and waits there
-	for want := uint64(1); want <= buffered+late; want++ {
+	if f := ep.awaitSent(t, frameData); len(f.data.msgs) != 1 || string(f.data.msgs[0].payload) != "batched" {
+		t.Fatalf("flushed batch = %+v", f.data)
+	}
+	if f := ep.awaitSent(t, frameHeart); f.heart.maxSeq != 1 {
+		t.Fatalf("heartbeat advertises seq %d, want 1", f.heart.maxSeq)
+	}
+}
+
+// collectShard reads n messages from one shard.
+func collectShard(t *testing.T, c *Conn, shard, n int) []Message {
+	t.Helper()
+	out := make([]Message, 0, n)
+	for len(out) < n {
 		select {
-		case m := <-c.Recv():
-			if got := binary.BigEndian.Uint64(m.Payload); got != want {
-				t.Fatalf("delivery %d carries sequence %d: per-sender order broken", want, got)
-			}
+		case m := <-c.RecvShard(shard):
+			out = append(out, m)
 		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for sequence %d", want)
+			t.Fatalf("shard %d: timed out with %d of %d messages", shard, len(out), n)
 		}
-		if want%64 == 0 {
-			time.Sleep(100 * time.Microsecond) // a slow consumer
+	}
+	return out
+}
+
+// TestShardedPerSenderOrder: on a 4-shard connection every message of one
+// address — broadcast and unicast, the join-grace release and what follows
+// a skipped gap included — comes out of that address's one shard in
+// sequence order, and senders on different shards are all delivered.
+func TestShardedPerSenderOrder(t *testing.T) {
+	ep := newStubEndpoint("stub:recv")
+	c := NewSharded(ep, Config{JoinGrace: 5 * time.Millisecond, NakInterval: 2 * time.Millisecond,
+		GapTimeout: 20 * time.Millisecond, HeartbeatInterval: time.Hour}, 4)
+	defer c.Close()
+	const bcasts, ucasts, gapFrom, gapTo = 60, 30, 21, 23
+	frameOf := func(typ byte, seq uint64) []byte { // payload: stream kind, then the sequence number
+		payload := binary.BigEndian.AppendUint64([]byte{typ}, seq)
+		return encodeData(dataFrame{typ: typ, epoch: 3, msgs: []msg{{seq: seq, payload: payload}}})
+	}
+	senders := sendersOnShards(t, c, 4)
+	for seq := uint64(1); seq <= bcasts; seq++ {
+		for _, addr := range senders {
+			if seq < gapFrom || seq > gapTo { // lost for good: skipped after GapTimeout
+				ep.inject(addr, frameOf(frameData, seq))
+			}
+			if seq <= ucasts {
+				ep.inject(addr, frameOf(frameUData, (seq-1)^1+1)) // pairwise swapped: 2, 1, 4, 3, ...
+			}
 		}
+	}
+	for sh, addr := range senders {
+		next := map[byte]uint64{frameData: 1, frameUData: 1}
+		for _, m := range collectShard(t, c, sh, bcasts-(gapTo-gapFrom+1)+ucasts) {
+			if m.From != addr {
+				t.Fatalf("shard %d delivered a message of %s, want only %s", sh, m.From, addr)
+			}
+			kind, seq := m.Payload[0], binary.BigEndian.Uint64(m.Payload[1:])
+			if kind == frameData && next[kind] == gapFrom {
+				next[kind] = gapTo + 1
+			}
+			if seq != next[kind] {
+				t.Fatalf("%s: stream %d delivered sequence %d, want %d", addr, kind, seq, next[kind])
+			}
+			next[kind]++
+		}
+	}
+	if got := c.Stats().Skipped; got != 4*(gapTo-gapFrom+1) {
+		t.Errorf("skipped = %d, want %d", got, 4*(gapTo-gapFrom+1))
 	}
 }
 

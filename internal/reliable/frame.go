@@ -20,6 +20,15 @@
 // The appendix's "batch parameter" lives here too: with batching on, small
 // publications are gathered for up to BatchDelay (or until BatchMaxBytes)
 // and sent as one datagram, trading latency for throughput (Figures 5-7).
+//
+// A Conn is one event loop (Conn.loop): a single goroutine reads the
+// endpoint, runs the protocol timers and hands every deliverable message
+// to the consumer, so per-sender order holds by construction. Inbound
+// stream state belongs to that goroutine alone; Conn.mu guards only what
+// Publish, SendTo and Flush share with it (the retransmit window, the batch,
+// the unicast streams, the encode scratch). NewSharded gives the loop
+// several output channels keyed by sender address, so several consumers —
+// the daemon's inbound workers — can read one Conn without a relay.
 package reliable
 
 import (

@@ -35,10 +35,10 @@ type Candidate interface {
 }
 
 // Election enrolls one member (and its Candidate) in the election group
-// for a service. The hand-off window is bounded by BeaconInterval and
-// Lifetime. During a hand-off, clients either reach the old leader (still
-// draining) or re-discover the new one — the continuous-operation story
-// of R1.
+// for a service. The hand-off window is bounded by the member lifetime,
+// four beacon intervals. During a hand-off, clients either reach the old
+// leader (still draining) or re-discover the new one — the
+// continuous-operation story of R1.
 type Election struct {
 	bus     *core.Bus
 	cand    Candidate
@@ -59,9 +59,6 @@ type Election struct {
 type ElectionOptions struct {
 	// BeaconInterval is how often presence is re-published. Default 50ms.
 	BeaconInterval time.Duration
-	// Lifetime is how long a member stays "live" without a fresh beacon.
-	// Default 4x BeaconInterval.
-	Lifetime time.Duration
 }
 
 // beaconType carries one presence announcement.
@@ -76,9 +73,6 @@ var beaconType = mop.MustNewClass("RMIElectionBeacon", nil, []mop.Attr{
 func NewElection(bus *core.Bus, cand Candidate, service string, opts ElectionOptions) (*Election, error) {
 	if opts.BeaconInterval <= 0 {
 		opts.BeaconInterval = 50 * time.Millisecond
-	}
-	if opts.Lifetime <= 0 {
-		opts.Lifetime = 4 * opts.BeaconInterval
 	}
 	subjectName := "_election." + service
 	sub, err := bus.Subscribe(subjectName)
@@ -166,7 +160,9 @@ func (e *Election) listen() {
 				continue
 			}
 			e.mu.Lock()
-			e.members[token] = time.Now().Add(e.opts.Lifetime)
+			// A member stays "live" for four beacon intervals without a
+			// fresh beacon.
+			e.members[token] = time.Now().Add(4 * e.opts.BeaconInterval)
 			e.mu.Unlock()
 		}
 	}

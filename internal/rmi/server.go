@@ -26,9 +26,10 @@ type ServerOptions struct {
 	Standby bool
 	// Reliable tunes the point-to-point channel.
 	Reliable reliable.Config
-	// ReplyCache bounds the exactly-once reply cache. Default 1024.
-	ReplyCache int
 }
+
+// replyCache bounds the exactly-once reply cache (oldest reply evicted).
+const replyCache = 1024
 
 // Server serves method invocations for a service subject.
 type Server struct {
@@ -67,9 +68,6 @@ type cachedReply struct {
 func NewServer(bus *core.Bus, seg transport.Segment, service string, iface *mop.Type, handler Handler, opts ServerOptions) (*Server, error) {
 	if iface == nil || iface.Kind() != mop.KindClass {
 		return nil, fmt.Errorf("rmi: interface must be a class: %w", mop.ErrNotAClass)
-	}
-	if opts.ReplyCache <= 0 {
-		opts.ReplyCache = 1024
 	}
 	ep, err := seg.NewEndpoint("rmi:" + service)
 	if err != nil {
@@ -257,7 +255,7 @@ func (s *Server) handleRequest(m reliable.Message) {
 	s.invoked++
 	s.cache[reqID] = cachedReply{payload: payload, from: m.From}
 	s.cacheFIFO = append(s.cacheFIFO, reqID)
-	for len(s.cacheFIFO) > s.opts.ReplyCache {
+	for len(s.cacheFIFO) > replyCache {
 		delete(s.cache, s.cacheFIFO[0])
 		s.cacheFIFO = s.cacheFIFO[1:]
 	}

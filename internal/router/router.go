@@ -190,6 +190,14 @@ type guarPath struct {
 	from string
 }
 
+// maxGuarPaths bounds the ack-path table: its keys are peer-supplied bytes
+// and a publisher's identity is new at every daemon start, so it cannot be
+// left to grow. When a new origin finds it full the table is reset. An ack
+// for a forgotten origin is dropped and counted like an egress drop; the
+// publisher's next retransmission re-learns the path (at-least-once on the
+// wire already covers a lost ack).
+const maxGuarPaths = 4096
+
 // Stats counts router events.
 type Stats struct {
 	Forwarded     uint64 // publications re-published on another segment
@@ -241,7 +249,7 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 	hcfg := opts.Health
 	if hcfg.Enabled() {
 		hcfg = hcfg.WithDefaults()
-		r.rec = telemetry.NewRecorder(hcfg.RecorderSize)
+		r.rec = telemetry.NewRecorder(0)
 		r.engine = telemetry.NewEngine("router-"+opts.Name, metrics, r.rec)
 	}
 	r.ctr = counters{
@@ -575,6 +583,9 @@ func (r *Router) noteGuarPath(origin []byte, src *attachment, from string) {
 		return
 	}
 	r.mu.Lock()
+	if _, known := r.guar[string(origin)]; !known && len(r.guar) >= maxGuarPaths {
+		clear(r.guar)
+	}
 	r.guar[string(origin)] = guarPath{att: src, from: from}
 	r.mu.Unlock()
 }
@@ -603,7 +614,11 @@ func (r *Router) forwardAck(src *attachment, origin, frame []byte) {
 	r.mu.RLock()
 	path, ok := r.guar[string(origin)]
 	r.mu.RUnlock()
-	if !ok || path.att == src {
+	if !ok {
+		r.egressDropped(src) // path forgotten (maxGuarPaths): recorded where it arrived
+		return
+	}
+	if path.att == src {
 		return
 	}
 	if err := path.att.conn.SendTo(path.from, frame); err != nil {

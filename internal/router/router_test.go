@@ -248,6 +248,62 @@ func TestGuaranteedAcrossRouter(t *testing.T) {
 	}
 }
 
+// TestGuarPathsBounded: the ack-path table never holds more than
+// maxGuarPaths origins however many distinct ones cross the router, an ack
+// whose path was forgotten is counted as dropped, and a live publisher's
+// next publication re-learns its path so its acks cross again.
+func TestGuarPathsBounded(t *testing.T) {
+	segA, segB := fastSeg(), fastSeg()
+	defer segA.Close()
+	defer segB.Close()
+	r := newRouter(t, Options{Name: "r1"},
+		Attachment{Segment: segA, Name: "A"},
+		Attachment{Segment: segB, Name: "B"},
+	)
+	pubBus := newBus(t, segA, "pubhost", core.HostConfig{
+		LedgerPath:    filepath.Join(t.TempDir(), "pub.ledger"),
+		RetryInterval: 20 * time.Millisecond,
+	})
+	con := newBus(t, segB, "conhost", core.HostConfig{})
+	sub, err := con.Subscribe("g.wan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := func(value string) {
+		t.Helper()
+		before := r.Stats().AcksForwarded
+		if _, err := pubBus.PublishGuaranteed("g.wan", value); err != nil {
+			t.Fatal(err)
+		}
+		for ev := recvEvent(t, sub, 15*time.Second); ev.Value != value; {
+			ev = recvEvent(t, sub, 15*time.Second)
+		}
+		deadline := time.Now().Add(15 * time.Second)
+		for len(pubBus.Host().PendingGuaranteed()) > 0 || r.Stats().AcksForwarded == before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%q never acknowledged across the router; stats %+v", value, r.Stats())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	acked("before")
+	for i := 0; i < maxGuarPaths+50; i++ {
+		r.noteGuarPath([]byte(fmt.Sprintf("origin-%d", i)), r.atts[0], "sim:99")
+		if n := len(r.guar); n > maxGuarPaths {
+			t.Fatalf("ack-path table holds %d origins after %d insertions, cap %d", n, i+1, maxGuarPaths)
+		}
+	}
+	if _, kept := r.guar[pubBus.Host().Daemon().Identity()]; kept {
+		t.Fatal("the flood did not reset the table: the test does not exercise the bound")
+	}
+	dropped := r.metrics.Counter("router.egress_dropped").Load()
+	r.forwardAck(r.atts[1], []byte("origin-0"), nil)
+	if got := r.metrics.Counter("router.egress_dropped").Load(); got != dropped+1 {
+		t.Errorf("ack for a forgotten origin: egress_dropped %d -> %d, want +1", dropped, got)
+	}
+	acked("after")
+}
+
 func TestRouterLogging(t *testing.T) {
 	segA, segB := fastSeg(), fastSeg()
 	defer segA.Close()

@@ -5,6 +5,14 @@ import (
 	"strings"
 )
 
+// MaxAdvertisedPatterns bounds one interest advertisement, a host daemon's
+// and a mesh router's alike. A host with thousands of subscriptions
+// (Figure 8 subscribes to 10 000 subjects) must not occupy the shared
+// medium with its interest chatter, so larger sets are aggregated to
+// wildcard prefixes — routers may then over-forward slightly, which is
+// safe, instead of the wire drowning.
+const MaxAdvertisedPatterns = 64
+
 // AggregatePatterns collapses an oversized interest-pattern set to
 // first-element wildcard prefixes ("bench.>"), and to a single ">" if even
 // that is too many. Aggregation only widens interest, never narrows it: a

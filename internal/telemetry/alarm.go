@@ -36,11 +36,6 @@ type HealthConfig struct {
 	// RetransmitStormRate raises "retransmit-storm" when the node's
 	// retransmission rate reaches it (messages/second). Default 500.
 	RetransmitStormRate int64
-	// LedgerBacklog raises "ledger-backlog" when the guaranteed-delivery
-	// ledger's pending count reaches it. Default 4096 entries.
-	LedgerBacklog int64
-	// RecorderSize is the flight-recorder ring capacity. Default 256.
-	RecorderSize int
 	// MeshFlapRate raises "mesh-flap" on a mesh-enabled router when its
 	// interest re-advertisement rate reaches it (ads/second): a healthy
 	// mesh is quiet in steady state, so sustained churn means a flapping
@@ -61,12 +56,6 @@ func (c HealthConfig) WithDefaults() HealthConfig {
 	}
 	if c.RetransmitStormRate <= 0 {
 		c.RetransmitStormRate = 500
-	}
-	if c.LedgerBacklog <= 0 {
-		c.LedgerBacklog = 4096
-	}
-	if c.RecorderSize <= 0 {
-		c.RecorderSize = 256
 	}
 	if c.MeshFlapRate <= 0 {
 		c.MeshFlapRate = 50

@@ -48,10 +48,11 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, items: make(map[string]*topKItem, k)}
 }
 
-// Note records one delivery of a message in family (bytes payload bytes;
-// dropped when the consumer queue refused it). family may be a substring
-// of a longer subject string; the table keys on its content.
-func (t *TopK) Note(family string, bytes int, dropped bool) {
+// Note records one message in family (bytes payload bytes), before it is
+// handed to any consumer: a consumer that reads the table on receipt finds
+// its own message in it. family may be a substring of a longer subject
+// string; the table keys on its content.
+func (t *TopK) Note(family string, bytes int) {
 	t.mu.Lock()
 	it := t.items[family]
 	if it == nil {
@@ -77,7 +78,14 @@ func (t *TopK) Note(family string, bytes int, dropped bool) {
 	}
 	it.msgs++
 	it.bytes += uint64(bytes)
-	if dropped {
+	t.mu.Unlock()
+}
+
+// NoteDrop amends the last Note of family: a consumer queue refused the
+// message. A family evicted in between takes the mark with it.
+func (t *TopK) NoteDrop(family string) {
+	t.mu.Lock()
+	if it := t.items[family]; it != nil {
 		it.drops++
 	}
 	t.mu.Unlock()

@@ -8,16 +8,18 @@ import (
 
 func TestTopKBasic(t *testing.T) {
 	tk := NewTopK(2)
-	tk.Note("a.x", 10, false)
-	tk.Note("a.x", 10, true)
-	tk.Note("b.y", 5, false)
+	tk.Note("a.x", 10)
+	tk.Note("a.x", 10)
+	tk.NoteDrop("a.x")
+	tk.NoteDrop("never.noted")
+	tk.Note("b.y", 5)
 	snap := tk.Snapshot()
 	if len(snap) != 2 || snap[0].Family != "a.x" || snap[0].Msgs != 2 ||
 		snap[0].Bytes != 20 || snap[0].Drops != 1 || snap[0].Err != 0 {
 		t.Fatalf("snapshot: %+v", snap)
 	}
 	// Third family evicts the minimum (b.y) and inherits its count.
-	tk.Note("c.z", 1, false)
+	tk.Note("c.z", 1)
 	snap = tk.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("table grew past k: %+v", snap)
@@ -47,7 +49,7 @@ func TestTopKZipfAccuracy(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		fam := fmt.Sprintf("fam%d.sub", zipf.Uint64())
 		truth[fam]++
-		tk.Note(fam, 64, false)
+		tk.Note(fam, 64)
 	}
 	snap := tk.Snapshot()
 	if len(snap) != k {

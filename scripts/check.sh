@@ -45,6 +45,13 @@ if [ -e internal/wire/stream.go ]; then
     exit 1
 fi
 
+echo "==> one owner per sender (the second emitter, the emit tickets and the daemon's relay goroutine stay deleted)"
+if grep -rnwE 'emitTicketLocked|emitCond|emitTurn|workerQueueDepth|inWg' --include='*.go' --exclude='*_test.go' . ||
+        grep -rnF 'func (d *Daemon) recvLoop' --include='*.go' --exclude='*_test.go' . ; then
+    echo "a second emitter in reliable.Conn or a relay between the conn and the daemon's workers is back in non-test Go" >&2
+    exit 1
+fi
+
 echo "==> nested benchmark module builds and vets (root ./... does not see it)"
 go -C benchmark vet .
 go -C benchmark build -o /dev/null .
@@ -102,8 +109,15 @@ if [ "$quick" -eq 0 ]; then
     echo "==> trie match cache under race, 5 runs (sharded, lazily invalidated: serves, cap skips, shards independent, never older than an observed mutation)"
     go test -race -count=5 -run 'TestMatchCache|TestTrieMatchCache' ./internal/subject/
 
-    echo "==> join-grace release keeps per-sender order (race build, 10 runs)"
-    go test -race -run TestJoinGraceReleaseKeepsOrder -count=10 ./internal/reliable/
+    echo "==> one loop per conn: join-grace release keeps per-sender order at 1 and 4 shards, timers run under a stalled consumer, one shard per sender, one goroutine (race build, 10 runs)"
+    go test -race -run 'TestJoinGraceReleaseKeepsOrder|TestTimersRunUnderStalledConsumer|TestShardedPerSenderOrder|TestOneGoroutinePerConn' -count=10 ./internal/reliable/
+
+    echo "==> _sys goldens under race, 20 runs (a publication is in the family table before any client sees it)"
+    go test -race -run TestSysGoldenBytes -count=20 ./internal/router/
+
+    echo "==> ordering and exactly-once across lanes and under lossy churn (race build, 5 runs)"
+    go test -race -count=5 -run 'TestCrossLaneSenderFIFO|TestCrossLaneLocalFIFO|TestSingleLaneGoldenEquivalence|TestGuaranteedExactlyOnceAcrossLanes|TestLaneWiring|TestCloseDrainsWorkers' ./internal/daemon/
+    go test -race -count=5 -run TestStressLossyChurn ./internal/core/
 
     echo "==> fuzz smoke (5s each; the two wire unmarshal fuzzers are differential: memoised vs cold)"
     go test -run xxx -fuzz 'FuzzUnmarshal$'        -fuzztime 5s ./internal/wire/
