@@ -72,7 +72,7 @@ func main() {
 	replicaAck := flag.Duration("replica-ack-timeout", 0, "how long pubg waits for a write quorum before reporting the guarantee unconfirmed (0 selects the default)")
 	replFsync := flag.String("repl-fsync", "", "replica-side fsync policy: batch (fsync per applied run) or lazy (no fsync); empty selects batch")
 	replicaDir := flag.String("replica-dir", "", "store mirrored peers' replica logs under this directory (enrolls the host as a replica)")
-	deliveryLanes := flag.Int("delivery-lanes", 0, "shard subscription matching and client delivery queues across this many lanes (0 selects min(GOMAXPROCS, 8); 1 is a single lane)")
+	deliveryLanes := flag.Int("delivery-lanes", 0, "delivery lanes: shards of senders, each with its own inbound worker and queue column (0 selects min(GOMAXPROCS, 8); 1 is a single lane)")
 	flag.Parse()
 
 	seg := infobus.NewStaticUDPSegment(*listen, strings.Split(*peers, ","))

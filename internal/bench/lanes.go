@@ -23,13 +23,13 @@ import (
 )
 
 // fanoutGroups is how many distinct subject families the publishers cycle
-// over. Lane assignment hashes the first two subject elements, so 16
-// families spread the load across every lane of any realistic pool size.
+// over: each message fans out to subscribers/fanoutGroups clients, and the
+// trie's match cache (sharded by family) has 16 to spread.
 const fanoutGroups = 16
 
 // fanoutSenders is how many independent publisher daemons drive the
-// receiver. Inbound parallelism is keyed by sender address, so a single
-// sender would serialise the receive side regardless of the lane count.
+// receiver. A lane is a shard of senders (keyed by sender address), so a
+// single sender would use one lane whatever the lane count.
 const fanoutSenders = 4
 
 // FanoutLanesResult is one cell of experiment A12.

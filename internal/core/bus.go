@@ -226,11 +226,11 @@ type HostConfig struct {
 	// ReplicaDir is where this host stores mirrored peers' replica logs.
 	// Non-empty enrolls the host as a replica even with ReplicationFactor 0.
 	ReplicaDir string
-	// DeliveryLanes shards the daemon's subscription matching and client
-	// delivery queues across this many lanes keyed by subject-prefix hash
-	// (see internal/daemon). 0 — the default — selects min(GOMAXPROCS, 8);
-	// 1 is the same engine with one lane and one inbound worker
-	// (behaviorally identical to the pre-lane daemon).
+	// DeliveryLanes is the daemon's lane count (see internal/daemon): a lane
+	// is a shard of senders with its own inbound worker and its own column of
+	// every client's queue. Order holds per sender, never across senders.
+	// 0 — the default — selects min(GOMAXPROCS, 8); 1 is the same engine
+	// with one lane, which also keeps the host's total arrival order.
 	DeliveryLanes int
 }
 
@@ -520,7 +520,7 @@ type Bus struct {
 
 	mu     sync.Mutex
 	subs   *subject.Trie[*Subscription]
-	all    []*Subscription
+	all    []*Subscription // each at its own Subscription.slot
 	closed bool
 
 	// pending holds compact deliveries whose class fingerprints are not
@@ -564,6 +564,7 @@ type Subscription struct {
 
 	pattern subject.Pattern
 	bus     *Bus
+	slot    int // index in bus.all, under bus.mu
 	ch      chan Event
 	done    chan struct{}
 	sendMu  sync.Mutex // held around sends so close never races a sender
@@ -767,7 +768,7 @@ func (b *Bus) Subscribe(pattern string) (*Subscription, error) {
 	// subscriber without making large subscription populations (Figure 8
 	// subscribes to 10 000 subjects per consumer) expensive to keep live.
 	ch := make(chan Event, 32)
-	sub := &Subscription{pattern: pat, bus: b, ch: ch, done: make(chan struct{})}
+	sub := &Subscription{pattern: pat, bus: b, slot: len(b.all), ch: ch, done: make(chan struct{})}
 	sub.C = ch
 	if err := b.client.Subscribe(pat); err != nil {
 		return nil, err
@@ -779,24 +780,18 @@ func (b *Bus) Subscribe(pattern string) (*Subscription, error) {
 
 func (b *Bus) removeSub(s *Subscription) {
 	b.mu.Lock()
+	patterns := b.subs.Distinct()
 	removed := b.subs.Remove(s.pattern, s)
-	if removed {
-		for i, x := range b.all {
-			if x == s {
-				b.all = append(b.all[:i], b.all[i+1:]...)
-				break
-			}
-		}
+	if removed && !b.closed {
+		last := len(b.all) - 1
+		b.all[s.slot] = b.all[last]
+		b.all[s.slot].slot = s.slot
+		b.all[last] = nil
+		b.all = b.all[:last]
 		// Drop the daemon-side subscription only if no other subscription
-		// of this bus uses the same pattern.
-		samePattern := false
-		for _, x := range b.all {
-			if x.pattern.String() == s.pattern.String() {
-				samePattern = true
-				break
-			}
-		}
-		if !samePattern && !b.closed {
+		// of this bus uses the same pattern: the trie counts its distinct
+		// patterns, and the count fell only if s was the last on its own.
+		if b.subs.Distinct() < patterns {
 			_ = b.client.Unsubscribe(s.pattern)
 		}
 	}
@@ -818,7 +813,7 @@ func (b *Bus) Close() error {
 		return nil
 	}
 	b.closed = true
-	subs := append([]*Subscription(nil), b.all...)
+	subs := b.all
 	b.all = nil
 	b.mu.Unlock()
 	close(b.done)

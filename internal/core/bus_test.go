@@ -194,6 +194,38 @@ func TestSubscriptionCancel(t *testing.T) {
 	sub.Cancel()
 }
 
+// TestCancelOneOfTwoOnAPattern: two subscriptions of one bus on one pattern
+// share the daemon-side subscription, which must outlive the first cancel
+// and go with the second.
+func TestCancelOneOfTwoOnAPattern(t *testing.T) {
+	seg := fastSeg()
+	defer seg.Close()
+	h := newHost(t, seg, "h", HostConfig{})
+	pub, _ := h.NewBus("p")
+	con, _ := h.NewBus("c")
+	first, _ := con.Subscribe("a.*")
+	second, _ := con.Subscribe("a.*")
+	other, _ := con.Subscribe("b.>")
+	first.Cancel()
+	if got := con.client.Patterns(); len(got) != 2 {
+		t.Fatalf("daemon-side patterns after the first cancel = %v, want a.* and b.>", got)
+	}
+	if err := pub.Publish("a.b", int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	if ev := recvEvent(t, second, 5*time.Second); ev.Value != int64(1) {
+		t.Fatalf("surviving subscription received %v", ev.Value)
+	}
+	second.Cancel()
+	if got := con.client.Patterns(); len(got) != 1 || got[0] != "b.>" {
+		t.Fatalf("daemon-side patterns after the second cancel = %v, want only b.>", got)
+	}
+	other.Cancel()
+	if got := con.client.Patterns(); len(got) != 0 || len(con.all) != 0 {
+		t.Fatalf("after the last cancel: patterns %v, %d subscriptions", got, len(con.all))
+	}
+}
+
 func TestGuaranteedDeliveryAckAndLedgerDrain(t *testing.T) {
 	seg := fastSeg()
 	defer seg.Close()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"infobus/internal/mop"
-	"infobus/internal/subject"
 	"infobus/internal/telemetry"
 )
 
@@ -124,10 +123,11 @@ publishing:
 
 // TestSlowConsumerAlarmAcrossLanes is the sharded-engine regression for
 // the health tier: with several delivery lanes, a stalled client's backlog
-// spreads over per-lane queue columns, and the slow-consumer watch must
-// trip on the cross-lane AGGREGATE — publishing round-robin over subjects
-// on distinct lanes keeps every single lane's share well below the
-// watermark, so only correct aggregation raises "_sys.alarm.>" here.
+// spreads over per-lane queue columns — one column per shard of senders —
+// and the slow-consumer watch must trip on the cross-lane AGGREGATE:
+// publishing round-robin from hosts on distinct lanes keeps every single
+// lane's share well below the watermark, so only correct aggregation raises
+// "_sys.alarm.>" here.
 func TestSlowConsumerAlarmAcrossLanes(t *testing.T) {
 	seg := fastSeg()
 	defer seg.Close()
@@ -158,20 +158,15 @@ func TestSlowConsumerAlarmAcrossLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Subjects on three distinct lanes of the four-lane receiver.
-	var subjects []string
-	used := make(map[int]bool)
-	for i := 0; len(subjects) < 3 && i < 10000; i++ {
-		raw := fmt.Sprintf("load.g%d.burst", i)
-		if idx := subject.MustParse(raw).LaneIndex(4); !used[idx] {
-			used[idx] = true
-			subjects = append(subjects, raw)
+	// Six publishing hosts: a lane is a shard of senders, so it takes several
+	// senders (the spread assertion below says at least two shards) to put a
+	// share of the backlog on more than one lane of the four-lane receiver.
+	pubBuses := make([]*Bus, 6)
+	for i := range pubBuses {
+		pubBuses[i], err = newHost(t, seg, fmt.Sprintf("genhost%d", i), HostConfig{}).NewBus("generator")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	pubBus, err := mon.NewBus("generator")
-	if err != nil {
-		t.Fatal(err)
 	}
 	var raise Event
 	deadline := time.After(15 * time.Second)
@@ -179,12 +174,14 @@ func TestSlowConsumerAlarmAcrossLanes(t *testing.T) {
 publishing:
 	for {
 		for i := 0; i < 21; i++ {
-			if err := pubBus.Publish(subjects[published%len(subjects)], int64(published)); err != nil {
+			if err := pubBuses[published%len(pubBuses)].Publish("load.burst", int64(published)); err != nil {
 				t.Fatal(err)
 			}
 			published++
 		}
-		_ = pubBus.Flush()
+		for _, b := range pubBuses {
+			_ = b.Flush()
+		}
 		select {
 		case raise = <-alarms.C:
 			break publishing

@@ -80,9 +80,10 @@ type Daemon struct {
 	// Token); see lanes.go.
 	tokens *tokenSource
 
-	// Delivery lanes (lanes.go): per-lane telemetry; subs has one
-	// match-cache shard and conn one delivery shard — read by one inbound
-	// worker — per lane. Immutable after construction.
+	// Delivery lanes (lanes.go): lane i is shard i of conn, the inbound
+	// worker reading it, column i of every client's queue and the telemetry
+	// here. subs has as many match-cache shards, keyed by subject. Immutable
+	// after construction.
 	lanes []*lane
 	// closedFlag mirrors closed for the publish hot path, which must not
 	// take d.mu (it would serialize concurrent local publishers).
@@ -211,11 +212,13 @@ type Options struct {
 	// "slow-consumer" alarm raises. Zero means the telemetry default
 	// (1024).
 	SlowConsumerDepth int64
-	// DeliveryLanes shards subscription matching and client delivery
-	// queues across this many lanes keyed by subject-prefix hash (see
-	// lanes.go). 0 — the default — selects min(GOMAXPROCS, 8). 1 is the
-	// same engine at its smallest: one cache shard, one queue column, one
-	// inbound worker.
+	// DeliveryLanes is the number of delivery lanes (see lanes.go): a lane
+	// is a shard of senders — the inbound worker that handles them, one
+	// column of every client's queue, one set of "daemon.lane<N>" metrics.
+	// A client sees each sender's publications in order; across senders on
+	// different lanes nothing is ordered. 0 — the default — selects
+	// min(GOMAXPROCS, 8). 1 is the same engine at its smallest: one worker,
+	// one queue column, one match-cache shard, and total arrival order.
 	DeliveryLanes int
 }
 
@@ -290,13 +293,11 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 			Raise: int64(d.guarCap) * 8 / 10,
 		}, d.guarSeenGauge.Load)
 	}
-	// Inbound worker pool, one worker per lane, each reading its own shard
-	// of the connection: the conn keys shards by sender address, so a
-	// sender's messages always land on one worker, in arrival order, and
-	// per-sender FIFO survives the parallelism.
+	// One inbound worker per lane, each reading its own shard of the
+	// connection (workerLoop).
 	d.wg.Add(len(d.lanes) + 1)
-	for i := range d.lanes {
-		go d.workerLoop(d.conn.RecvShard(i))
+	for _, ln := range d.lanes {
+		go d.workerLoop(ln)
 	}
 	go d.interestLoop()
 	return d
@@ -330,35 +331,16 @@ func (d *Daemon) TopSubjects(k int) []telemetry.TopKEntry {
 	return telemetry.MergeTopK(k, tables...)
 }
 
-// LaneDepths returns a coherent per-lane snapshot of outstanding
-// deliveries (the "daemon.lane<N>.depth" gauges). The gauges are atomics
-// updated under their lane locks; the pass is repeated until two
-// consecutive reads agree (bounded retries), the same cut discipline as
-// Stats, so a monitor never sees a delivery torn across two lanes.
+// LaneDepths returns the outstanding deliveries per lane (the
+// "daemon.lane<N>.depth" gauges), read in one pass: exact on a quiescent
+// daemon, otherwise it differs from any instant only by events in flight
+// during the call.
 func (d *Daemon) LaneDepths() []int64 {
-	read := func(out []int64) {
-		for i, ln := range d.lanes {
-			out[i] = ln.depth.Load()
-		}
+	out := make([]int64, len(d.lanes))
+	for i, ln := range d.lanes {
+		out[i] = ln.depth.Load()
 	}
-	prev := make([]int64, len(d.lanes))
-	cur := make([]int64, len(d.lanes))
-	read(prev)
-	for attempt := 0; attempt < 3; attempt++ {
-		read(cur)
-		equal := true
-		for i := range cur {
-			if cur[i] != prev[i] {
-				equal = false
-				break
-			}
-		}
-		if equal {
-			return cur
-		}
-		prev, cur = cur, prev
-	}
-	return prev
+	return out
 }
 
 // Addr returns the daemon's transport address (the publisher identity
@@ -368,35 +350,20 @@ func (d *Daemon) Addr() string { return d.conn.Addr() }
 // Conn exposes the underlying reliable connection for protocol statistics.
 func (d *Daemon) Conn() *reliable.Conn { return d.conn }
 
-// Stats returns a snapshot of the daemon counters.
-//
-// The counters live in the telemetry registry as monotone atomics, so the
-// snapshot is taken in the same consistency domain as the counters
-// themselves: all seven are loaded in one pass, and the pass is repeated
-// until two consecutive reads agree (bounded retries). On a quiescent
-// daemon the result is exact; under load it is a consistent cut whose
-// fields differ from any instant only by events in flight during the call.
+// Stats returns a snapshot of the daemon counters, monotone atomics in the
+// telemetry registry loaded in one pass: exact on a quiescent daemon,
+// otherwise it differs from any instant only by events in flight during the
+// call.
 func (d *Daemon) Stats() Stats {
-	read := func() Stats {
-		return Stats{
-			PublishedLocal: d.ctr.publishedLocal.Load(),
-			Inbound:        d.ctr.inbound.Load(),
-			DeliveredLocal: d.ctr.deliveredLocal.Load(),
-			NoSubscriber:   d.ctr.noSubscriber.Load(),
-			GuarAcksSent:   d.ctr.guarAcksSent.Load(),
-			GuarAcksRecv:   d.ctr.guarAcksRecv.Load(),
-			CorruptDropped: d.ctr.corruptDropped.Load(),
-		}
+	return Stats{
+		PublishedLocal: d.ctr.publishedLocal.Load(),
+		Inbound:        d.ctr.inbound.Load(),
+		DeliveredLocal: d.ctr.deliveredLocal.Load(),
+		NoSubscriber:   d.ctr.noSubscriber.Load(),
+		GuarAcksSent:   d.ctr.guarAcksSent.Load(),
+		GuarAcksRecv:   d.ctr.guarAcksRecv.Load(),
+		CorruptDropped: d.ctr.corruptDropped.Load(),
 	}
-	prev := read()
-	for i := 0; i < 3; i++ {
-		cur := read()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev
 }
 
 // OnGuaranteeAck registers the callback invoked when a guaranteed
@@ -426,7 +393,7 @@ func (d *Daemon) Close() error {
 	err := d.conn.Close()
 	d.wg.Wait()
 	for _, c := range clients {
-		c.shutdown()
+		c.shutdown(false)
 	}
 	return err
 }
@@ -459,7 +426,8 @@ func (d *Daemon) traceSample(e *busproto.Envelope) {
 }
 
 // Publish sends an ordinary reliable publication and routes it to local
-// subscribers (network broadcast does not loop back). The payload says what
+// subscribers (network broadcast does not loop back) on lane 0: to its own
+// clients the local daemon is one more sender. The payload says what
 // it is: one in the compact dictionary wire format (wire.SendDict) goes out
 // under the compact envelope kind, which tells receivers and routers that
 // fingerprint resolution may be needed; everything else is identical.
@@ -484,7 +452,7 @@ func (d *Daemon) Publish(subj subject.Subject, payload []byte) error {
 	if err := d.conn.Publish(env); err != nil {
 		return err
 	}
-	d.routeLocal(Delivery{Subject: subj, Payload: payload, From: d.Addr(), TraceID: e.TraceID, Trace: e.Trace})
+	d.routeLocal(d.lanes[0], Delivery{Subject: subj, Payload: payload, From: d.Addr(), TraceID: e.TraceID, Trace: e.Trace})
 	return nil
 }
 
@@ -566,19 +534,13 @@ func (d *Daemon) publishGuaranteed(subj subject.Subject, payload []byte, id uint
 	if err := d.conn.Publish(env); err != nil {
 		return e.TraceID, err
 	}
-	claimed, seen := d.guarBegin(origin, id)
-	if seen || !claimed {
-		// A retransmission (already delivered locally — remote daemons that
-		// missed it will take it from the broadcast), or the retrier racing
-		// the original publish mid-delivery.
-		return e.TraceID, nil
-	}
-	delivered := d.routeLocal(Delivery{
+	// A retransmission (seen) was already delivered locally; remote daemons
+	// that missed it take it from the broadcast.
+	delivered, _ := d.routeGuaranteed(d.lanes[0], origin, Delivery{
 		Subject: subj, Payload: payload, From: d.Addr(), Guaranteed: true, ID: id,
 		TraceID: e.TraceID, Trace: e.Trace,
 	})
-	d.guarEnd(origin, id, delivered > 0)
-	if delivered > 0 && onAck != nil {
+	if delivered && onAck != nil {
 		// A local subscriber consumed it: self-acknowledge.
 		onAck(id, d.Addr())
 	}
@@ -615,26 +577,19 @@ type Client struct {
 	name string
 	d    *Daemon
 	// lanes is the client's delivery queue, one column per daemon lane:
-	// lane workers and local publishers enqueue into the column their
-	// subject hashes to, under that column's lock only. Consumers merge
-	// the columns back into one stream in strict ticket order.
+	// lane i's worker (and, on lane 0, the local publishers) append to
+	// column i under that column's lock only. A sender belongs to one lane,
+	// so each column holds its senders' deliveries in their order and the
+	// consumer may take the columns in any fair order (popLocked).
 	lanes  []clientQueue
 	signal chan struct{}
-
-	// ticket is the client's arrival counter. Every enqueued delivery
-	// draws the next ticket under its column's lock, so tickets are
-	// strictly increasing within a column, hole-free overall, and a
-	// sender's sequential publishes carry increasing tickets even when
-	// their subjects hash to different columns — which is exactly the
-	// per-sender FIFO a merged pop in ticket order preserves.
-	ticket atomic.Uint64
 	closed atomic.Bool
 
-	// mu guards pats and popNext; it serializes concurrent consumers
+	// mu guards pats and cursor; it serializes concurrent consumers
 	// (Next/TryNext) without ever being touched by enqueuers.
-	mu      sync.Mutex
-	pats    map[string]subject.Pattern
-	popNext uint64 // last ticket popped; the next pop takes popNext+1
+	mu     sync.Mutex
+	pats   map[string]subject.Pattern
+	cursor int // column the next pop looks at first
 
 	// depth mirrors the total queued count (all columns) as an atomic so
 	// the alarm engine can watch the client's backlog without locks. It is
@@ -650,18 +605,12 @@ type Client struct {
 // backing array, so a steady consumer costs zero appends after warm-up.
 type clientQueue struct {
 	mu     sync.Mutex
-	queue  []queued
+	queue  []Delivery
 	head   int
 	closed bool
 	// n mirrors len(queue)-head so a pop can skip empty columns without
 	// taking their locks.
 	n atomic.Int32
-}
-
-// queued is one delivery plus its arrival ticket.
-type queued struct {
-	dv   Delivery
-	tick uint64
 }
 
 // NewClient registers a local application with the daemon.
@@ -757,44 +706,44 @@ func (c *Client) Next(stop <-chan struct{}) (Delivery, bool) {
 	}
 }
 
-// popLocked removes and returns the oldest queued delivery: the one
-// holding ticket popNext+1. Tickets are hole-free (drawn under the column
-// lock that also appends) and strictly increasing within each column, so
-// the wanted ticket — if enqueued — is at some column's head; scanning
-// every non-empty column either finds it or proves the client's queue is
-// empty up to tickets still mid-append (whose enqueuer will signal).
-// Popping in strict ticket order is what preserves per-sender FIFO across
-// lanes. The vacated slot is zeroed so a queued payload cannot outlive
-// its delivery; a drained column rewinds to reuse its backing array.
+// popLocked removes and returns the head of the first non-empty column at
+// or after the cursor, and moves the cursor past it: each column is FIFO,
+// which is all per-sender order needs, and the round robin lets no backlog
+// on one column starve another (a waiting head is popped within len(lanes)
+// pops). Nothing orders deliveries of different columns; with one lane the
+// queue is the daemon's total arrival order. The vacated slot is zeroed so
+// a queued payload cannot outlive its delivery; a drained column rewinds to
+// reuse its backing array.
 func (c *Client) popLocked() (Delivery, bool) {
-	want := c.popNext + 1
-	for i := range c.lanes {
+	for k := range c.lanes {
+		i := (c.cursor + k) % len(c.lanes)
 		q := &c.lanes[i]
 		if q.n.Load() == 0 {
 			continue
 		}
 		q.mu.Lock()
-		if q.head < len(q.queue) && q.queue[q.head].tick == want {
-			dv := q.queue[q.head].dv
-			q.queue[q.head] = queued{}
-			q.head++
-			if q.head == len(q.queue) {
-				q.queue = q.queue[:0]
-				q.head = 0
-			}
-			q.n.Add(-1)
-			c.depth.Add(-1)
-			c.d.lanes[i].depth.Add(-1)
-			q.mu.Unlock()
-			c.popNext = want
-			if dv.TraceID != 0 {
-				// The enqueue→pop delta is the lane residency time (client
-				// backlog included); stamped outside the column lock.
-				dv.appendHop(busproto.HopLanePop, c.d.traceNode, time.Now().UnixNano())
-			}
-			return dv, true
+		if q.head == len(q.queue) {
+			q.mu.Unlock() // Close settled the column under us
+			continue
 		}
+		dv := q.queue[q.head]
+		q.queue[q.head] = Delivery{}
+		q.head++
+		if q.head == len(q.queue) {
+			q.queue = q.queue[:0]
+			q.head = 0
+		}
+		q.n.Add(-1)
+		c.depth.Add(-1)
+		c.d.lanes[i].depth.Add(-1)
 		q.mu.Unlock()
+		c.cursor = (i + 1) % len(c.lanes)
+		if dv.TraceID != 0 {
+			// The enqueue→pop delta is the lane residency time (client
+			// backlog included); stamped outside the column lock.
+			dv.appendHop(busproto.HopLanePop, c.d.traceNode, time.Now().UnixNano())
+		}
+		return dv, true
 	}
 	return Delivery{}, false
 }
@@ -811,7 +760,7 @@ func (c *Client) Pending() int {
 	return int(c.depth.Load())
 }
 
-// Close detaches the client from the daemon.
+// Close detaches the client from the daemon and discards its backlog.
 func (c *Client) Close() error {
 	c.d.mu.Lock()
 	if !c.d.closed {
@@ -831,19 +780,27 @@ func (c *Client) Close() error {
 		c.d.health.Unwatch(c.watch)
 		c.watch = nil
 	}
-	c.shutdown()
+	c.shutdown(true)
 	return nil
 }
 
-func (c *Client) shutdown() {
+// shutdown closes every column under its own lock, so nothing is enqueued
+// after it returns. A client shut down by Daemon.Close stays drainable to
+// its last entry; one its application closed (discard) settles what it
+// leaves behind: payloads released, Client.depth and the lane gauges reduced.
+func (c *Client) shutdown(discard bool) {
 	c.closed.Store(true)
-	// Closing every column under its own lock guarantees no enqueue can
-	// draw a ticket after this point, so the queued ticket range stays
-	// hole-free and Next can drain it to exactly the last entry.
 	for i := range c.lanes {
 		q := &c.lanes[i]
 		q.mu.Lock()
 		q.closed = true
+		if discard {
+			left := int64(len(q.queue) - q.head)
+			q.queue, q.head = nil, 0
+			q.n.Store(0)
+			c.depth.Add(-left)
+			c.d.lanes[i].depth.Add(-left)
+		}
 		q.mu.Unlock()
 	}
 	select {
@@ -864,10 +821,7 @@ func (c *Client) enqueue(ln *lane, dv Delivery) bool {
 		q.mu.Unlock()
 		return false
 	}
-	// Ticket draw and append are atomic with respect to poppers (both
-	// under q.mu), so a drawn ticket is visible the moment the lock is
-	// released and column order equals ticket order.
-	q.queue = append(q.queue, queued{dv: dv, tick: c.ticket.Add(1)})
+	q.queue = append(q.queue, dv)
 	q.n.Add(1)
 	c.depth.Add(1)
 	ln.depth.Add(1)
@@ -882,22 +836,23 @@ func (c *Client) enqueue(ln *lane, dv Delivery) bool {
 // ---------------------------------------------------------------------------
 // Inbound routing
 
-// workerLoop is one inbound worker: it handles its shard's messages in
-// order until the connection closes the shard. One sender is always handled
-// by one worker — the qledger invariant that an ack record never overtakes
-// its message record rides on exactly that. A worker that falls behind fills
+// workerLoop is lane ln's inbound worker: it handles its shard's messages in
+// order, delivering through its own lane, until the connection closes the
+// shard. One sender is always handled by one worker — per-sender FIFO at the
+// client and the qledger invariant that an ack record never overtakes its
+// message record both ride on exactly that. A worker that falls behind fills
 // its shard and, through the conn's loop, holds up the transport: nothing is
 // dropped or spawned. Each worker has a private subject interner: the shared
 // one is a mutex-guarded map and would re-serialize the pool.
-func (d *Daemon) workerLoop(shard <-chan reliable.Message) {
+func (d *Daemon) workerLoop(ln *lane) {
 	defer d.wg.Done()
 	in := subject.NewInterner(0)
-	for m := range shard {
-		d.handleMessage(in, m)
+	for m := range d.conn.RecvShard(ln.idx) {
+		d.handleMessage(in, ln, m)
 	}
 }
 
-func (d *Daemon) handleMessage(in *subject.Interner, m reliable.Message) {
+func (d *Daemon) handleMessage(in *subject.Interner, ln *lane, m reliable.Message) {
 	env, err := busproto.Decode(m.Payload)
 	if err != nil {
 		d.ctr.corruptDropped.Inc()
@@ -929,26 +884,6 @@ func (d *Daemon) handleMessage(in *subject.Interner, m reliable.Message) {
 				}
 			}
 		}
-		var claimed bool
-		if guaranteed {
-			var seen bool
-			claimed, seen = d.guarBegin(env.Origin, env.ID)
-			if seen {
-				// Already delivered locally; re-acknowledge in case the
-				// publisher missed our first ack, but do not re-deliver.
-				d.sendGuarAck(m.From, env.ID, env.Origin)
-				return
-			}
-			if !claimed {
-				// Another worker is fanning this very publication out right
-				// now (the origin's retransmission and a recovery replayer's
-				// copy arriving on different workers). Skip both delivery and
-				// ack: if the racing copy delivers, the publisher's next
-				// retransmission is answered from guarSeen; acking here could
-				// confirm a delivery that ends up not happening.
-				return
-			}
-		}
 		dv := Delivery{
 			Subject:    subj,
 			Payload:    env.Payload,
@@ -958,15 +893,19 @@ func (d *Daemon) handleMessage(in *subject.Interner, m reliable.Message) {
 			TraceID:    env.TraceID,
 			Trace:      env.Trace,
 		}
-		delivered := d.routeLocal(dv)
-		if guaranteed {
-			d.guarEnd(env.Origin, env.ID, delivered > 0)
-			if delivered > 0 {
-				// Acknowledge on behalf of our subscribers, unicast to the
-				// publisher.
-				d.ctr.guarAcksSent.Inc()
-				d.sendGuarAck(m.From, env.ID, env.Origin)
-			}
+		if !guaranteed {
+			d.routeLocal(ln, dv)
+			return
+		}
+		delivered, seen := d.routeGuaranteed(ln, env.Origin, dv)
+		if delivered {
+			d.ctr.guarAcksSent.Inc()
+		}
+		if delivered || seen {
+			// Acknowledge on behalf of our subscribers, unicast to the
+			// publisher — again for a retransmission, in case it missed our
+			// first ack.
+			d.sendGuarAck(m.From, env.ID, env.Origin)
 		}
 	case busproto.KindGuarAck:
 		if env.Origin != d.identity {
@@ -1010,13 +949,29 @@ func (d *Daemon) sendGuarAck(to string, id uint64, origin string) {
 	}
 }
 
-// routeLocal fans a delivery out to every matching local client through
-// the delivery lane the subject hashes to: the trie's match-cache shard of
-// that index answers the subscription lookup and the lane's column of each
-// client's queue takes the enqueue, so publications on subjects of
-// different lanes share no locks here at all.
-func (d *Daemon) routeLocal(dv Delivery) int {
-	ln := d.lanes[dv.Subject.LaneIndex(len(d.lanes))]
+// routeGuaranteed is the guaranteed fan-out, the same for an inbound
+// publication and for the daemon's own: claim (origin, id), route, record.
+// delivered: a local subscriber took it and the caller acknowledges. seen: it
+// was delivered before — a retransmission, never re-delivered. Neither: no
+// subscriber yet, or another goroutine holds the claim (guarBegin); acking
+// then could confirm a delivery that ends up not happening, and the
+// publisher's next retransmission is answered from guarSeen.
+func (d *Daemon) routeGuaranteed(ln *lane, origin string, dv Delivery) (delivered, seen bool) {
+	claimed, seen := d.guarBegin(origin, dv.ID)
+	if !claimed {
+		return false, seen
+	}
+	delivered = d.routeLocal(ln, dv) > 0
+	d.guarEnd(origin, dv.ID, delivered)
+	return delivered, false
+}
+
+// routeLocal fans a delivery out to every matching local client through its
+// sender's lane ln — the calling worker's own, lane 0 for the daemon's own
+// publications: ln's column of each client's queue takes the enqueue, so
+// senders on different lanes share no queue lock, and one sender's
+// deliveries reach a client's column from one goroutine, in order.
+func (d *Daemon) routeLocal(ln *lane, dv Delivery) int {
 	if dv.TraceID != 0 {
 		// One lane-enqueue hop per publication (not per subscriber): the
 		// fan-out below shares the stamped trace.

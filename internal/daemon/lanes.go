@@ -11,35 +11,36 @@ import (
 
 // Delivery lanes.
 //
-// The daemon shards its fan-out state across a fixed pool of lanes keyed
-// by subject-prefix hash (subject.LaneIndex): each lane has its own shard
-// of the subscription trie's match cache (the trie is built with one shard
-// per lane and picks the shard by the same hash) and one column of every
-// client's head-indexed delivery queue. Publications on subjects hashing
-// to different lanes touch disjoint mutexes end to end, so local
-// publishers on separate goroutines — and the inbound workers below — fan
-// out without sharing a lock.
+// A lane is a shard of senders, and "lane i" means one thing from the wire
+// to the application's queue: shard i of the reliable connection
+// (reliable.NewSharded keys shards by sender address, once per stream), the
+// one long-lived inbound worker that reads it, column i of every client's
+// head-indexed delivery queue, and the "daemon.lane<i>" gauge, counter and
+// subject-family table below. The daemon's own publications use lane 0: to
+// its clients the local daemon is one more sender.
 //
-// Ordering is NOT entrusted to the lane hash. Per-sender FIFO across
-// subjects on different lanes is preserved by two mechanisms:
+// Per-sender FIFO therefore holds by construction: one sender's deliveries
+// reach one column of a client's queue, appended by one goroutine at a time
+// in arrival order, and a column is popped from its head (no per-delivery
+// goroutines anywhere; the qledger rule that an ack record never overtakes
+// its message rides on the same worker-per-sender fact). Senders on
+// different lanes share no queue lock. What is NOT ordered is the arrival
+// of different senders' publications at one client: the paper promises
+// order per sender only (§3.1), and Client.popLocked takes the columns
+// round-robin.
 //
-//   - every delivery enqueued to a client draws a ticket from the client's
-//     arrival counter, and consumers pop in strict ticket order across the
-//     lane columns (see Client.popLocked);
-//   - inbound traffic is read by a fixed pool of long-lived workers, one
-//     per shard of the reliable connection (reliable.NewSharded), which
-//     keys shards by *sender* address: one sender's messages are always
-//     handled by one worker, in arrival order (no per-delivery goroutines,
-//     and the qledger rule that an ack record never overtakes its message
-//     rides on exactly this).
+// The subscription trie's match cache is the one thing still sharded by
+// subject (subject.NewShardedTrie, one shard per lane): a cache wants a
+// subject's repeats in one place whoever sent them, and no order depends on
+// it.
 //
 // DeliveryLanes == 1 is the same engine at N = 1: one inbound worker, one
-// cache shard, one queue column per client.
+// cache shard, one queue column per client — and so total arrival order.
 
 // maxAutoLanes caps the auto-selected lane count (Options.DeliveryLanes
 // == 0 picks min(GOMAXPROCS, maxAutoLanes)). Lanes beyond the point where
-// per-op fan-out work saturates memory bandwidth only add scan cost to
-// every queue pop.
+// per-op fan-out work saturates memory bandwidth only add columns for a
+// queue pop to look through.
 const maxAutoLanes = 8
 
 // maxLanes bounds an explicit Options.DeliveryLanes.
@@ -48,36 +49,29 @@ const maxLanes = 64
 // resolveLanes turns the configured lane count into the effective one.
 func resolveLanes(n int) int {
 	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > maxAutoLanes {
-			n = maxAutoLanes
-		}
+		n = min(runtime.GOMAXPROCS(0), maxAutoLanes)
 	}
-	if n < 1 {
-		n = 1
-	}
-	if n > maxLanes {
-		n = maxLanes
-	}
-	return n
+	return min(max(n, 1), maxLanes)
 }
 
 // lane is one delivery lane's telemetry. The client queue columns it owns
-// live inside each Client, and its match-cache shard inside the
-// subscription trie, both indexed by idx.
+// live inside each Client and its senders' shard inside the connection,
+// both indexed by idx.
 type lane struct {
 	idx int
 	// depth gauges the deliveries enqueued via this lane and not yet
 	// consumed, summed over all clients ("daemon.lane<N>.depth"). The
 	// per-client aggregate the slow-consumer alarm watches is Client.depth;
-	// these per-lane gauges expose *where* a backlog sits.
+	// these per-lane gauges say which shard of senders a backlog came from
+	// (topk names the subject families).
 	depth *telemetry.Gauge
 	// delivered counts fan-out deliveries routed via this lane
 	// ("daemon.lane<N>.delivered").
 	delivered *telemetry.Counter
 	// topk is the lane's bounded subject-family accounting table
-	// (telemetry.TopK): one Note per publication routed through the lane,
-	// contending only with the lane's own deliveries.
+	// (telemetry.TopK): one Note per publication routed through the lane —
+	// its senders' families — contending only with the lane's own
+	// deliveries. A family several lanes see is summed by TopSubjects.
 	topk *telemetry.TopK
 }
 

@@ -3,63 +3,100 @@ package daemon
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"infobus/internal/netsim"
-	"infobus/internal/reliable"
 	"infobus/internal/subject"
-	"infobus/internal/transport"
 )
+
+// newDaemons starts n daemons with an explicit lane count on one segment.
+func newDaemons(t *testing.T, lanes, n int) []*Daemon {
+	t.Helper()
+	seg, rcfg := newSegment(t)
+	ds := make([]*Daemon, n)
+	for i := range ds {
+		ds[i] = New(newEndpoint(t, seg, fmt.Sprintf("d%d", i)), rcfg, Options{DeliveryLanes: lanes})
+	}
+	t.Cleanup(func() {
+		for _, d := range ds {
+			_ = d.Close()
+		}
+	})
+	return ds
+}
 
 // newPairLanes is newPair with an explicit lane count on both daemons.
 func newPairLanes(t *testing.T, lanes int) (*Daemon, *Daemon) {
 	t.Helper()
-	cfg := netsim.DefaultConfig()
-	cfg.Speedup = 5000
-	seg := transport.NewSimSegment(cfg)
-	rcfg := reliable.Config{
-		NakInterval:        2 * time.Millisecond,
-		GapTimeout:         300 * time.Millisecond,
-		RetransmitInterval: 3 * time.Millisecond,
-		HeartbeatInterval:  5 * time.Millisecond,
-	}
-	epA, err := seg.NewEndpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	epB, err := seg.NewEndpoint("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{DeliveryLanes: lanes}
-	da, db := New(epA, rcfg, opts), New(epB, rcfg, opts)
-	t.Cleanup(func() {
-		_ = da.Close()
-		_ = db.Close()
-		_ = seg.Close()
-	})
-	return da, db
+	ds := newDaemons(t, lanes, 2)
+	return ds[0], ds[1]
 }
 
-// lanedSubjects returns n concrete subjects that land on n distinct lanes
-// of a lanes-wide daemon, so a test can force traffic across every lane.
-func lanedSubjects(t *testing.T, lanes, n int) []subject.Subject {
-	t.Helper()
-	out := make([]subject.Subject, 0, n)
-	used := make(map[int]bool)
-	for i := 0; len(out) < n && i < 10000; i++ {
-		s := subject.MustParse(fmt.Sprintf("lane%d.x.data", i))
-		if idx := s.LaneIndex(lanes); !used[idx] {
-			used[idx] = true
-			out = append(out, s)
-		}
-	}
-	if len(out) < n {
-		t.Fatalf("could not find %d subjects on distinct lanes of %d", n, lanes)
+// familySubjects returns n concrete subjects of n distinct families. Which
+// lane a delivery takes is its sender's business, not its subject's: the
+// ordering tests interleave families because a subject-keyed engine would
+// scatter exactly these.
+func familySubjects(n int) []subject.Subject {
+	out := make([]subject.Subject, n)
+	for i := range out {
+		out[i] = subject.MustParse(fmt.Sprintf("fam%d.x.data", i))
 	}
 	return out
+}
+
+// senderLane reports which lane of recv the sender's publications arrive on,
+// by publishing one probe and reading which lane gauge it moved. c is an idle
+// client of recv subscribed to ">"; the probe is consumed again.
+func senderLane(t *testing.T, recv *Daemon, c *Client, sender *Daemon) int {
+	t.Helper()
+	if err := sender.Publish(subject.MustParse("probe.lane"), nil); err != nil {
+		t.Fatal(err)
+	}
+	_ = sender.Flush()
+	lane := slices.Index(waitDepths(t, recv, c, 1), 1)
+	if _, ok := c.TryNext(); !ok || lane < 0 {
+		t.Fatalf("one probe pending, lane depths %v", recv.LaneDepths())
+	}
+	return lane
+}
+
+// senderLanes is senderLane for every sender — which also makes each of
+// them a stream the receiver has joined, so nothing it sends later can fall
+// before the join — and fails unless they cover at least two lanes.
+func senderLanes(t *testing.T, recv *Daemon, c *Client, senders []*Daemon) []int {
+	t.Helper()
+	lanes := make([]int, len(senders))
+	spread := false
+	for i, s := range senders {
+		lanes[i] = senderLane(t, recv, c, s)
+		spread = spread || lanes[i] != lanes[0]
+	}
+	if !spread {
+		t.Fatalf("all %d senders land on lane %d", len(senders), lanes[0])
+	}
+	return lanes
+}
+
+// waitDepths waits until c holds want deliveries and the lane gauges of d,
+// which move just after the client's own depth, sum to as many; it returns
+// the gauges.
+func waitDepths(t *testing.T, d *Daemon, c *Client, want int) []int64 {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		depths := d.LaneDepths()
+		var sum int64
+		for _, n := range depths {
+			sum += n
+		}
+		if c.Pending() == want && sum == int64(want) {
+			return depths
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pending = %d, lane depths %v, want %d", c.Pending(), depths, want)
+		}
+	}
 }
 
 func TestResolveLanes(t *testing.T) {
@@ -140,7 +177,7 @@ func TestCloseDrainsWorkers(t *testing.T) {
 	if err := cb.Subscribe(subject.MustParsePattern(">")); err != nil {
 		t.Fatal(err)
 	}
-	subjects := lanedSubjects(t, 4, 3)
+	subjects := familySubjects(3)
 	const total = 2000
 	for i := 0; i < total; i++ {
 		if err := da.Publish(subjects[i%len(subjects)], []byte(fmt.Sprintf("%d", i))); err != nil {
@@ -168,15 +205,15 @@ func TestCloseDrainsWorkers(t *testing.T) {
 }
 
 // TestCrossLaneSenderFIFO is the ordering regression for the sharded
-// engine: one sender interleaves publications on subjects that hash to
-// different delivery lanes, and a ">" subscriber on a multi-lane receiver
-// must still see them in exact publish order. The strict-ticket merge in
-// popLocked (plus the sender-keyed inbound worker) is what this pins down;
-// a per-lane pop without the ticket order would interleave arbitrarily.
+// engine: one sender interleaves publications on three subject families,
+// and a ">" subscriber on a multi-lane receiver must still see them in
+// exact publish order. A sender owns one lane from the conn's shard to the
+// client's queue column, which is what this pins down; lanes keyed by
+// subject would interleave the families arbitrarily.
 func TestCrossLaneSenderFIFO(t *testing.T) {
 	const lanes = 4
 	da, db := newPairLanes(t, lanes)
-	subjects := lanedSubjects(t, lanes, 3)
+	subjects := familySubjects(3)
 
 	cb, err := db.NewClient("app")
 	if err != nil {
@@ -213,12 +250,12 @@ func TestCrossLaneSenderFIFO(t *testing.T) {
 }
 
 // TestCrossLaneLocalFIFO is the same ordering pin for the local loopback
-// path: a single local publisher alternating lanes must be observed in
+// path: a single local publisher alternating families must be observed in
 // publish order by a local ">" subscriber.
 func TestCrossLaneLocalFIFO(t *testing.T) {
 	const lanes = 4
 	da, _ := newPairLanes(t, lanes)
-	subjects := lanedSubjects(t, lanes, 3)
+	subjects := familySubjects(3)
 	c, err := da.NewClient("app")
 	if err != nil {
 		t.Fatal(err)
@@ -246,11 +283,7 @@ func TestCrossLaneLocalFIFO(t *testing.T) {
 // the "1 lane behaves like the pre-lane daemon" contract.
 func TestSingleLaneGoldenEquivalence(t *testing.T) {
 	da, db := newPairLanes(t, 1)
-	subjects := []subject.Subject{
-		subject.MustParse("lane0.x.data"),
-		subject.MustParse("lane1.x.data"),
-		subject.MustParse("lane2.x.data"),
-	}
+	subjects := familySubjects(3)
 	cb, err := db.NewClient("app")
 	if err != nil {
 		t.Fatal(err)
@@ -279,53 +312,206 @@ func TestSingleLaneGoldenEquivalence(t *testing.T) {
 }
 
 // TestLaneDepthsCoherent checks the monitoring view of a backlog spread
-// across lanes: with a stalled client, the per-lane depth gauges sum to
-// the client's Pending count, and a full drain returns every gauge to
-// zero (no delivery is ever torn across, or leaked into, a lane gauge).
+// across lanes — by two senders on different shards; one sender's backlog
+// sits on one lane whatever its subjects. With a stalled client, each
+// sender's lane gauge holds that sender's share, the gauges sum to the
+// client's Pending count, and a full drain returns every gauge to zero (no
+// delivery is ever torn across, or leaked into, a lane gauge).
 func TestLaneDepthsCoherent(t *testing.T) {
 	const lanes = 4
-	da, _ := newPairLanes(t, lanes)
-	subjects := lanedSubjects(t, lanes, 3)
-	c, err := da.NewClient("stalled")
+	ds := newDaemons(t, lanes, 7)
+	recv := ds[0]
+	c, err := recv.NewClient("stalled")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Subscribe(subject.MustParsePattern(">")); err != nil {
 		t.Fatal(err)
 	}
-	const total = 90
-	for i := 0; i < total; i++ {
-		if err := da.Publish(subjects[i%len(subjects)], []byte("x")); err != nil {
-			t.Fatal(err)
+	// Two senders on different lanes: the first, and the first that differs.
+	on := senderLanes(t, recv, c, ds[1:])
+	sa, la, sb, lb := ds[1], on[0], ds[1], on[0]
+	for i, l := range on {
+		if l != la {
+			sb, lb = ds[1+i], l
+			break
 		}
 	}
-	depths := da.LaneDepths()
-	var sum int64
-	nonzero := 0
-	for _, d := range depths {
-		sum += d
-		if d > 0 {
-			nonzero++
+	subjects := familySubjects(3)
+	const each = 45
+	for i := 0; i < each; i++ {
+		for _, s := range []*Daemon{sa, sb} {
+			if err := s.Publish(subjects[i%len(subjects)], []byte("x")); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if sum != total || c.Pending() != total {
-		t.Fatalf("lane depth sum = %d, Pending = %d, want %d (depths %v)", sum, c.Pending(), total, depths)
+	_, _ = sa.Flush(), sb.Flush()
+	depths := waitDepths(t, recv, c, 2*each)
+	if depths[la] != each || depths[lb] != each {
+		t.Fatalf("lane depths %v, want %d on each of lanes %d and %d and nothing elsewhere", depths, each, la, lb)
 	}
-	if nonzero < 2 {
-		t.Fatalf("backlog not spread across lanes: %v", depths)
-	}
-	for i := 0; i < total; i++ {
+	for i := 0; i < 2*each; i++ {
 		if _, ok := c.TryNext(); !ok {
 			t.Fatalf("TryNext ran dry at %d", i)
 		}
 	}
-	for i, d := range da.LaneDepths() {
+	for i, d := range recv.LaneDepths() {
 		if d != 0 {
 			t.Fatalf("lane %d depth = %d after drain", i, d)
 		}
 	}
 	if c.Pending() != 0 {
 		t.Fatalf("Pending = %d after drain", c.Pending())
+	}
+}
+
+// TestClientCloseSettlesBacklog: a client closed with deliveries still queued
+// takes them out of the lane gauges and its own depth and lets go of the
+// payloads; nobody will pop them, so nothing else would.
+func TestClientCloseSettlesBacklog(t *testing.T) {
+	da, _ := newPairLanes(t, 4)
+	c, err := da.NewClient("leaving")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Subscribe(subject.MustParsePattern(">")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := da.Publish(subject.MustParse("s.x"), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Pending() != 10 {
+		t.Fatalf("pending = %d before Close, want 10", c.Pending())
+	}
+	_ = c.Close()
+	var sum int64
+	for _, d := range da.LaneDepths() {
+		sum += d
+	}
+	if sum != 0 || c.Pending() != 0 {
+		t.Fatalf("after Close: lane depths sum to %d, Pending = %d, want 0 and 0", sum, c.Pending())
+	}
+	for i := range c.lanes {
+		if q := &c.lanes[i]; q.queue != nil || q.n.Load() != 0 {
+			t.Fatalf("column %d still holds %d entries", i, len(q.queue))
+		}
+	}
+	if _, ok := c.TryNext(); ok {
+		t.Fatal("a closed client still delivers")
+	}
+}
+
+// TestPopNoStarvation: the pop is round-robin over the columns, so a deep
+// backlog on one column cannot keep another column's head waiting for more
+// than len(lanes) pops.
+func TestPopNoStarvation(t *testing.T) {
+	const lanes = 4
+	da, _ := newPairLanes(t, lanes)
+	c, err := da.NewClient("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		c.enqueue(da.lanes[0], Delivery{Payload: []byte("deep")})
+	}
+	c.enqueue(da.lanes[2], Delivery{Payload: []byte("lone")})
+	for pops := 1; ; pops++ {
+		dv, ok := c.TryNext()
+		if !ok || pops > lanes {
+			t.Fatalf("the lone delivery was not among the first %d pops", lanes)
+		}
+		if string(dv.Payload) == "lone" {
+			break
+		}
+	}
+	if depths := da.LaneDepths(); depths[2] != 0 || depths[0] != int64(c.Pending()) {
+		t.Fatalf("lane depths after the pops: %v, pending %d", depths, c.Pending())
+	}
+}
+
+// TestPerSenderFIFOProperty is the contract the lanes keep, as a property:
+// remote senders on at least two different shards and a concurrent local
+// publisher each interleave three subject families, and both a ">"
+// subscriber and a single-family subscriber on the four-lane receiver see
+// every sender's sequence complete and strictly increasing. Nothing is
+// asserted about how the senders interleave: that is not ordered.
+func TestPerSenderFIFOProperty(t *testing.T) {
+	const (
+		lanes   = 4
+		remotes = 6
+		perSend = 300
+	)
+	ds := newDaemons(t, lanes, 1+remotes)
+	recv := ds[0]
+	all, err := recv.NewClient("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := all.Subscribe(subject.MustParsePattern(">")); err != nil {
+		t.Fatal(err)
+	}
+	senderLanes(t, recv, all, ds[1:])
+	one, err := recv.NewClient("one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := one.Subscribe(subject.MustParsePattern("fam1.>")); err != nil {
+		t.Fatal(err)
+	}
+	subjects := familySubjects(3)
+
+	// Sender k publishes "k:0", "k:1", ... ; ds[0], the receiver itself, is
+	// the local publisher.
+	errs := make(chan error, len(ds))
+	for k, d := range ds {
+		go func(k int, d *Daemon) {
+			for i := 0; i < perSend; i++ {
+				if err := d.Publish(subjects[i%len(subjects)], []byte(fmt.Sprintf("%d:%d", k, i))); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- d.Flush()
+		}(k, d)
+	}
+	// check drains want deliveries from c and verifies, per sender, that the
+	// sequence numbers it sees are exactly first, first+step, ...
+	check := func(c *Client, first, step, want int) error {
+		next := make([]int, len(ds))
+		for k := range next {
+			next[k] = first
+		}
+		stop := make(chan struct{})
+		timer := time.AfterFunc(30*time.Second, func() { close(stop) })
+		defer timer.Stop()
+		for n := 0; n < want; n++ {
+			dv, ok := c.Next(stop)
+			if !ok {
+				return fmt.Errorf("%s: %d of %d deliveries, next per sender %v", c.Name(), n, want, next)
+			}
+			var k, i int
+			if _, err := fmt.Sscanf(string(dv.Payload), "%d:%d", &k, &i); err != nil {
+				return fmt.Errorf("%s: payload %q: %v", c.Name(), dv.Payload, err)
+			}
+			if i != next[k] {
+				return fmt.Errorf("%s: sender %d delivered %d, want %d (subject %s)", c.Name(), k, i, next[k], dv.Subject)
+			}
+			next[k] += step
+		}
+		return nil
+	}
+	go func() { errs <- check(all, 0, 1, len(ds)*perSend) }()
+	go func() { errs <- check(one, 1, 3, len(ds)*perSend/3) }()
+	for i := 0; i < len(ds)+2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if all.Pending() != 0 || one.Pending() != 0 {
+		t.Fatalf("pending after both drained: all %d, one %d", all.Pending(), one.Pending())
 	}
 }
 

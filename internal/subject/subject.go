@@ -72,11 +72,11 @@ var (
 type Subject struct {
 	raw      string
 	elements []string
-	// laneKey is a hash of the subject-prefix (the first two elements),
-	// computed once at parse time so delivery-lane selection costs the hot
-	// path nothing. Subjects sharing a two-element prefix share a lane,
-	// which keeps one subject family's match-cache entries on one shard.
-	laneKey uint32
+	// shardKey is a hash of the subject-prefix (the first two elements),
+	// computed once at parse time so picking the trie's match-cache shard
+	// costs the hot path nothing. Subjects sharing a two-element prefix
+	// share a shard, which keeps one subject family's entries together.
+	shardKey uint32
 }
 
 // Pattern is a parsed subscription pattern: a subject that may contain
@@ -101,13 +101,13 @@ func Parse(s string) (Subject, error) {
 			return Subject{}, fmt.Errorf("element %d of %q: %w", i, s, ErrWildcardInName)
 		}
 	}
-	return Subject{raw: s, elements: elems, laneKey: laneHash(elems)}, nil
+	return Subject{raw: s, elements: elems, shardKey: shardHash(elems)}, nil
 }
 
-// laneHash is FNV-1a over the subject-prefix: the first two elements (or
+// shardHash is FNV-1a over the subject-prefix: the first two elements (or
 // the single element of a depth-1 subject), with the separator included so
 // ("a.bc", "ab.c") hash differently.
-func laneHash(elems []string) uint32 {
+func shardHash(elems []string) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -128,14 +128,14 @@ func laneHash(elems []string) uint32 {
 	return h
 }
 
-// LaneIndex maps the subject onto one of n delivery lanes by its
-// precomputed prefix hash. Deterministic: the same subject always lands on
-// the same lane, and all subjects sharing a two-element prefix share one.
-func (s Subject) LaneIndex(n int) int {
+// shardIndex maps the subject onto one of a trie's n match-cache shards by
+// its precomputed prefix hash. Deterministic: the same subject always lands
+// on the same shard, and all subjects sharing a two-element prefix share one.
+func (s Subject) shardIndex(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(s.laneKey % uint32(n))
+	return int(s.shardKey % uint32(n))
 }
 
 // MustParse is like Parse but panics on error. It is intended for
@@ -222,8 +222,8 @@ func (s Subject) Elements() []string { return s.elements }
 func (s Subject) Depth() int { return len(s.elements) }
 
 // Family returns the subject's two-element prefix ("fab5.cc" for
-// "fab5.cc.litho8.thick"), the same grouping laneHash keys delivery lanes
-// by. The result is a substring of the canonical form — no allocation —
+// "fab5.cc.litho8.thick"), the same grouping shardHash keys the match
+// cache by. The result is a substring of the canonical form — no allocation —
 // so per-message accounting (telemetry top-K tables) can key on it from
 // the delivery hot path.
 func (s Subject) Family() string {

@@ -301,50 +301,52 @@ func pick(parts []uint8, i int) uint8 {
 	return parts[i%len(parts)]
 }
 
+// The three TestLaneIndex* tests pin shardIndex, the trie's match-cache shard
+// key.
 func TestLaneIndexDeterministicAndBounded(t *testing.T) {
 	for _, raw := range []string{"a", "a.b", "a.b.c", "fab5.cc.litho8.thick"} {
 		s := MustParse(raw)
 		for _, n := range []int{1, 2, 4, 7, 64} {
-			i := s.LaneIndex(n)
+			i := s.shardIndex(n)
 			if i < 0 || i >= n {
-				t.Fatalf("LaneIndex(%q, %d) = %d out of range", raw, n, i)
+				t.Fatalf("shardIndex(%q, %d) = %d out of range", raw, n, i)
 			}
-			if j := MustParse(raw).LaneIndex(n); j != i {
-				t.Fatalf("LaneIndex(%q, %d) not deterministic: %d vs %d", raw, n, i, j)
+			if j := MustParse(raw).shardIndex(n); j != i {
+				t.Fatalf("shardIndex(%q, %d) not deterministic: %d vs %d", raw, n, i, j)
 			}
 		}
-		if s.LaneIndex(1) != 0 || s.LaneIndex(0) != 0 {
-			t.Fatalf("LaneIndex(%q) with <=1 lanes must be 0", raw)
+		if s.shardIndex(1) != 0 || s.shardIndex(0) != 0 {
+			t.Fatalf("shardIndex(%q) with <=1 shards must be 0", raw)
 		}
 	}
 }
 
 // TestLaneIndexPrefixFamily: subjects sharing a two-element prefix land on
-// one lane (their match-cache entries stay on one shard); the third
-// element does not matter.
+// one shard (their match-cache entries stay together); the third element
+// does not matter.
 func TestLaneIndexPrefixFamily(t *testing.T) {
-	base := MustParse("fan.grp.a").LaneIndex(8)
+	base := MustParse("fan.grp.a").shardIndex(8)
 	for _, raw := range []string{"fan.grp.b", "fan.grp.zzz", "fan.grp.a.b.c"} {
-		if got := MustParse(raw).LaneIndex(8); got != base {
-			t.Errorf("%q lane %d, want %d (shared two-element prefix)", raw, got, base)
+		if got := MustParse(raw).shardIndex(8); got != base {
+			t.Errorf("%q shard %d, want %d (shared two-element prefix)", raw, got, base)
 		}
 	}
 }
 
 // TestLaneIndexSpreads: distinct two-element prefixes must not collapse
-// onto a single lane — the whole point of the hash is spreading subject
-// families across the delivery lanes.
+// onto a single shard — the whole point of the hash is spreading subject
+// families across the cache shards.
 func TestLaneIndexSpreads(t *testing.T) {
 	used := make(map[int]bool)
 	for i := 0; i < 64; i++ {
-		used[MustParse(fmt.Sprintf("fam%d.x.data", i)).LaneIndex(8)] = true
+		used[MustParse(fmt.Sprintf("fam%d.x.data", i)).shardIndex(8)] = true
 	}
 	if len(used) < 4 {
-		t.Fatalf("64 prefixes hit only %d of 8 lanes", len(used))
+		t.Fatalf("64 prefixes hit only %d of 8 shards", len(used))
 	}
 	// Separator is part of the hash: "a.bc" and "ab.c" are different
 	// prefixes (they may still collide mod n, so compare the raw keys).
-	if laneHash([]string{"a", "bc"}) == laneHash([]string{"ab", "c"}) {
-		t.Error(`laneHash("a"."bc") == laneHash("ab"."c")`)
+	if shardHash([]string{"a", "bc"}) == shardHash([]string{"ab", "c"}) {
+		t.Error(`shardHash("a"."bc") == shardHash("ab"."c")`)
 	}
 }

@@ -35,9 +35,9 @@ type Trie[V comparable] struct {
 	// subjects far more often than subscriptions change (Figures 6–8 publish
 	// thousands of messages per subject), so the fan-out path services
 	// repeats from here without walking the trie or allocating. Entries are
-	// immutable snapshots. The cache is sharded by Subject.LaneIndex so a
-	// daemon's delivery lanes, which partition subjects the same way, never
-	// contend on one cache mutex; every other trie has one shard.
+	// immutable snapshots. The cache is sharded by subject family
+	// (Subject.shardIndex) so a daemon's inbound workers rarely meet on one
+	// cache mutex; every other trie has one shard.
 	//
 	// Invalidation is lazy: Add/Remove only advance gen, and a shard whose
 	// entries were filled at an older generation is cleared by its next
@@ -75,8 +75,8 @@ func NewTrie[V comparable]() *Trie[V] { return NewShardedTrie[V](1) }
 
 // NewShardedTrie returns an empty trie whose match cache has the given
 // number of shards (at least one), each holding up to maxMatchCache
-// subjects. A subject's shard is its LaneIndex(shards): callers that
-// partition their own work the same way match without sharing a lock.
+// subjects. A subject's shard is picked by its two-element prefix, so
+// concurrent matches on different subject families seldom share a lock.
 func NewShardedTrie[V comparable](shards int) *Trie[V] {
 	return &Trie[V]{root: &trieNode[V]{}, shards: make([]cacheShard[V], max(shards, 1))}
 }
@@ -188,7 +188,7 @@ func (n *trieNode[V]) empty() bool {
 // trie mutates afterwards: mutations replace cache entries, they never
 // write through old ones.
 func (t *Trie[V]) Match(s Subject) []V {
-	sh := &t.shards[s.LaneIndex(len(t.shards))]
+	sh := &t.shards[s.shardIndex(len(t.shards))]
 	cur := t.gen.Load()
 	sh.mu.Lock()
 	if sh.gen == cur {

@@ -317,7 +317,7 @@ func cached[V comparable](tr *Trie[V], i int) int {
 // shard i of an n-shard trie.
 func familyOn(n, i int) string {
 	for k := 0; ; k++ {
-		if f := fmt.Sprintf("fam%d.x", k); MustParse(f).LaneIndex(n) == i {
+		if f := fmt.Sprintf("fam%d.x", k); MustParse(f).shardIndex(n) == i {
 			return f
 		}
 	}

@@ -52,6 +52,13 @@ if grep -rnwE 'emitTicketLocked|emitCond|emitTurn|workerQueueDepth|inWg' --inclu
     exit 1
 fi
 
+echo "==> one shard key (a lane is a sender shard: the subject-keyed lanes, the arrival tickets and the strict merged pop stay deleted)"
+if grep -rnwE 'popNext|LaneIndex' --include='*.go' --exclude='*_test.go' --exclude-dir=subject --exclude-dir=benchmark . ||
+        grep -nwE 'ticket|tick:' internal/daemon/daemon.go internal/daemon/lanes.go ; then
+    echo "client queues or per-lane state are keyed by subject again, or an arrival ticket repairs their order, in non-test Go" >&2
+    exit 1
+fi
+
 echo "==> nested benchmark module builds and vets (root ./... does not see it)"
 go -C benchmark vet .
 go -C benchmark build -o /dev/null .
@@ -115,8 +122,8 @@ if [ "$quick" -eq 0 ]; then
     echo "==> _sys goldens under race, 20 runs (a publication is in the family table before any client sees it)"
     go test -race -run TestSysGoldenBytes -count=20 ./internal/router/
 
-    echo "==> ordering and exactly-once across lanes and under lossy churn (race build, 5 runs)"
-    go test -race -count=5 -run 'TestCrossLaneSenderFIFO|TestCrossLaneLocalFIFO|TestSingleLaneGoldenEquivalence|TestGuaranteedExactlyOnceAcrossLanes|TestLaneWiring|TestCloseDrainsWorkers' ./internal/daemon/
+    echo "==> per-sender order as a property, exactly-once, no starved column and a settled close across lanes, and lossy churn (race build, 5 runs)"
+    go test -race -count=5 -run 'TestCrossLaneSenderFIFO|TestCrossLaneLocalFIFO|TestSingleLaneGoldenEquivalence|TestGuaranteedExactlyOnceAcrossLanes|TestLaneWiring|TestCloseDrainsWorkers|TestPerSenderFIFOProperty|TestPopNoStarvation|TestClientCloseSettlesBacklog|TestLaneDepthsCoherent' ./internal/daemon/
     go test -race -count=5 -run TestStressLossyChurn ./internal/core/
 
     echo "==> fuzz smoke (5s each; the two wire unmarshal fuzzers are differential: memoised vs cold)"
