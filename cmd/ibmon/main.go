@@ -34,9 +34,9 @@
 // With -sys -mesh it renders the router mesh: each "_sys.mesh.status.<node>"
 // snapshot (every router publishes them periodically)
 // becomes one line of spanning-tree state — elected root, hop cost, tree
-// parent, and per-link port state / live peer count / aggregated remote
-// interest. Mesh-flap alarms arrive through the ordinary "_sys.alarm"
-// rendering.
+// parent, and per-link port state / live peer count / aggregated interest
+// heard on the link, from the hosts there and the routers behind it alike.
+// Mesh-flap alarms arrive through the ordinary "_sys.alarm" rendering.
 //
 //	ibmon -listen 127.0.0.1:7009 -peers 127.0.0.1:7001 -sys -mesh
 package main
@@ -309,8 +309,8 @@ func (m *monitor) historyLine(v infobus.Value) (string, bool) {
 
 // meshLine renders one MeshStatus snapshot as a spanning-tree row: the
 // elected root, this router's hop cost and tree parent, then one cell per
-// link with its port state, live peer count, and the aggregated remote
-// interest heard there (first few prefixes). The ad is self-describing —
+// link with its port state, live peer count, and the aggregated interest
+// heard there, hosts included (first few prefixes). The ad is self-describing —
 // the decoder walks the generic object, so a monitor built before a field
 // was added still renders the rest.
 func (m *monitor) meshLine(v infobus.Value) (string, bool) {
@@ -326,7 +326,7 @@ func (m *monitor) meshLine(v infobus.Value) (string, bool) {
 	if !m.meshHeader {
 		m.meshHeader = true
 		b.WriteString(fmt.Sprintf("%-12s %-10s %4s %-10s  %s\n",
-			"router", "root", "cost", "parent", "links (state/peers/remote-interest)"))
+			"router", "root", "cost", "parent", "links (state/peers/interest heard, hosts included)"))
 	}
 	parent := ad.Parent
 	if parent == "" {

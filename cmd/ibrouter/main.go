@@ -12,8 +12,9 @@
 // wins root; a redundant link blocks instead of duplicating traffic), and
 // propagate aggregated interest hop by hop, so publications traverse only
 // subscriber-bearing segments. -name is the router's mesh id and must be
-// unique per router: two routers sharing one forward nothing across the
-// pair and count each other in "mesh.id_conflicts". The default is derived
+// unique per router: two routers sharing one cannot elect against each
+// other, so a cycle through the pair is cut only by the hop budget, and
+// count each other's hellos in "mesh.id_conflicts". The default is derived
 // from the host name and -a.listen: unique per process on one machine, and
 // across machines that do not share a host name. Watch the tree with
 // `ibmon -sys -mesh`.

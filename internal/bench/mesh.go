@@ -109,10 +109,9 @@ func buildMeshRing(netCfg netsim.Config, segments, stubsPerSeg int) (*meshRing, 
 	// immediate hello rounds and propagate at Debounce speed, not
 	// HelloInterval speed.
 	mcfg := mesh.Config{
-		HelloInterval:   2 * time.Second,
-		Debounce:        100 * time.Millisecond,
-		InterestRefresh: 8 * time.Second,
-		StatusInterval:  -1,
+		HelloInterval:  2 * time.Second,
+		Debounce:       100 * time.Millisecond,
+		StatusInterval: -1,
 	}
 	for i := 0; i < segments; i++ {
 		j := (i + 1) % segments
@@ -120,7 +119,8 @@ func buildMeshRing(netCfg netsim.Config, segments, stubsPerSeg int) (*meshRing, 
 			Name:     fmt.Sprintf("r%02d", i),
 			Reliable: relCfg,
 			// Long TTL: the stub population is static, so interest only
-			// needs refreshing against expiry.
+			// needs refreshing against expiry (the stubs every 30 s, the
+			// routers every TTL/4).
 			InterestTTL: 60 * time.Second,
 			Mesh:        mcfg,
 		},

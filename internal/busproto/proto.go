@@ -67,7 +67,7 @@ func DataKind(guaranteed, compact, traced bool) byte {
 // guaranteed-path stage hops (lane/ledger/quorum) + a dozen routers +
 // consumer daemon, with slack for future hop kinds. A traced envelope whose
 // list is full is forwarded without appending (the envelope's hop budget is
-// the routers' own: mesh.Config.MaxHops).
+// the routers' own: mesh.MaxHops).
 const MaxTraceHops = 24
 
 // Trace hop kinds. HopNode is the original network hop (a daemon or router

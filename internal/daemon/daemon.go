@@ -106,9 +106,11 @@ type Daemon struct {
 	// Cached interest advertisement and the subs.Gen() it was read at, so
 	// the periodic re-advertisement allocates nothing and no mutation of
 	// subs can leave it stale. advWide: the cached set is an aggregate.
+	// advSent: the last advertisement sent was not empty.
 	advCache []string
 	advGen   uint64
 	advWide  bool
+	advSent  bool
 
 	// Guaranteed-delivery duplicate suppression: a publisher retransmits
 	// until acknowledged, so the same (origin, id) may arrive many times;
@@ -1006,7 +1008,10 @@ func (d *Daemon) routeLocal(ln *lane, dv Delivery) int {
 
 // AdvertiseInterest broadcasts the daemon's aggregate subscription pattern
 // set immediately. It is also called periodically and on every
-// subscription change.
+// subscription change. A daemon that wants nothing says so once, when the
+// empty set replaces a non-empty one — a router then drops the host's entry
+// at that advertisement instead of at its TTL — and is otherwise silent:
+// never periodically, never at start-up.
 func (d *Daemon) AdvertiseInterest() {
 	d.mu.Lock()
 	if d.closed {
@@ -1029,8 +1034,10 @@ func (d *Daemon) AdvertiseInterest() {
 		d.advWide = wide
 	}
 	patterns := d.advCache
+	send := len(patterns) > 0 || d.advSent
+	d.advSent = len(patterns) > 0
 	d.mu.Unlock()
-	if len(patterns) == 0 {
+	if !send {
 		return
 	}
 	buf := bufpool.Get(256)

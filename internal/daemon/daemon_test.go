@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -503,6 +504,88 @@ func TestClosedClientLeavesAdvertisement(t *testing.T) {
 	awaitInterest(t, l, "gone.x", "gone.y.>", "kept.z")
 	_ = a.Close()
 	awaitInterest(t, l, "kept.z")
+}
+
+// adTap is a transport endpoint that hears nothing and records, in order,
+// the pattern list of every interest advertisement its daemon broadcasts.
+// A conn sends synchronously, so an advertisement is recorded before
+// AdvertiseInterest returns.
+type adTap struct {
+	recv chan transport.Datagram
+	mu   sync.Mutex
+	ads  [][]string
+}
+
+func (e *adTap) Addr() string                    { return "tap" }
+func (e *adTap) Send(string, []byte) error       { return nil }
+func (e *adTap) Recv() <-chan transport.Datagram { return e.recv }
+func (e *adTap) Close() error                    { return nil }
+
+func (e *adTap) Broadcast(frame []byte) error {
+	for _, p := range reliable.DecodeDataPayloads(frame) {
+		if env, err := busproto.Decode(p); err == nil && env.Kind == busproto.KindInterest {
+			e.mu.Lock()
+			e.ads = append(e.ads, env.Patterns)
+			e.mu.Unlock()
+		}
+	}
+	return nil
+}
+
+// distinct returns the advertisements recorded so far with immediate
+// repeats folded: the daemon's own debounce and ticker may say again what
+// the test's direct call just said, never anything else.
+func (e *adTap) distinct() [][]string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var out [][]string
+	for _, ad := range e.ads {
+		if len(out) == 0 || !slices.Equal(out[len(out)-1], ad) {
+			out = append(out, ad)
+		}
+	}
+	return out
+}
+
+// TestLastUnsubscribeAdvertisesEmptySet: a daemon that wants nothing says
+// so once, when the empty set replaces a non-empty one, so a router drops
+// the host's entry at that advertisement instead of at its TTL. It never
+// says it at start-up and never again while the set stays empty.
+func TestLastUnsubscribeAdvertisesEmptySet(t *testing.T) {
+	tap := &adTap{recv: make(chan transport.Datagram)}
+	d := New(tap, reliable.Config{HeartbeatInterval: time.Hour}, Options{})
+	defer d.Close()
+	empties := func() (n int) {
+		tap.mu.Lock()
+		defer tap.mu.Unlock()
+		for _, ad := range tap.ads {
+			if len(ad) == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	d.AdvertiseInterest()
+	if got := tap.distinct(); len(got) != 0 {
+		t.Fatalf("a daemon with no subscription advertised %v at start-up", got)
+	}
+	c, _ := d.NewClient("app")
+	for round := 1; round <= 2; round++ {
+		pat := subject.MustParsePattern(fmt.Sprintf("only.r%d", round))
+		_ = c.Subscribe(pat)
+		d.AdvertiseInterest()
+		_ = c.Unsubscribe(pat)
+		for i := 0; i < 3; i++ {
+			d.AdvertiseInterest()
+		}
+		if got := empties(); got != round {
+			t.Fatalf("round %d: %d empty advertisements so far, want one per last unsubscribe: %v", round, got, tap.distinct())
+		}
+	}
+	want := [][]string{{"only.r1"}, nil, {"only.r2"}, nil}
+	if got := tap.distinct(); !slices.EqualFunc(got, want, func(a, b []string) bool { return slices.Equal(a, b) }) {
+		t.Fatalf("advertised %v, want %v", got, want)
+	}
 }
 
 // TestAdvertiseInterestAllocBudget: a subscription change and the

@@ -8,15 +8,16 @@
 // codec; internal/router drives it (sending and receiving the ads on its
 // attachments) and consults it on the forwarding path.
 //
-// Three advertisement kinds travel as self-describing objects (P2), so
-// ibmon can render the mesh without linking against this package:
+// Interest has no format of its own: a router asks a segment for what lies
+// behind it with the busproto.KindInterest envelope a host daemon sends, and
+// keeps what it hears from either kind of node in one table per link
+// (Mesh.HandleInterest). Two advertisement kinds travel as self-describing
+// objects (P2), so ibmon can render the mesh without linking against this
+// package:
 //
 //   - MeshHello on "_sys.mesh.hello": the spanning-tree config vector
 //     (root, cost, sender), sent per segment. Link-local: routers never
 //     forward it, since hearing one defines adjacency.
-//   - MeshInterest on "_sys.mesh.interest": the aggregated interest of
-//     everything reachable through the sender away from this segment.
-//     Link-local for the same reason.
 //   - MeshStatus on "_sys.mesh.status.<node>": a periodic introspection
 //     snapshot (links, port states, tree parent, interest tables). This
 //     one is an ordinary publication and crosses routers like any other
@@ -31,14 +32,12 @@ import (
 	"infobus/internal/wire"
 )
 
-// Subject conventions. The hello/interest conversation is link-local:
-// routers process those two subjects and never forward them. Status
-// snapshots are ordinary publications.
+// Subject conventions. The hello conversation is link-local: routers
+// process that subject and never forward it. Status snapshots are ordinary
+// publications.
 const (
 	// HelloSubject carries MeshHello config vectors (link-local).
 	HelloSubject = "_sys.mesh.hello"
-	// InterestSubject carries MeshInterest aggregates (link-local).
-	InterestSubject = "_sys.mesh.interest"
 	// StatusSubjectPrefix prefixes the per-router introspection snapshots:
 	// "_sys.mesh.status.<node>". Subscribe "_sys.mesh.status.>" to watch
 	// every router's view of the tree.
@@ -55,9 +54,11 @@ func StatusSubject(node string) string { return StatusSubjectPrefix + "." + node
 // object. Oversized lists are truncated (never grown), oversized strings
 // rejected.
 const (
-	// MaxAdPatterns bounds the patterns in one MeshInterest. It is far
-	// above the aggregation target (64): a router that receives more than
-	// the cap truncates, which only narrows what it forwards, never loops.
+	// MaxAdPatterns bounds the patterns a link's interest table keeps per
+	// sender (and the pattern list of one status row). It is far above what
+	// daemons and routers send (subject.MaxAdvertisedPatterns, 64): a router
+	// that receives more than the cap truncates, which only narrows what it
+	// forwards, never loops.
 	MaxAdPatterns = 256
 	// MaxAdLinks bounds the links enumerated by one hello or status ad.
 	MaxAdLinks = 64
@@ -82,8 +83,8 @@ type LinkInfo struct {
 	// Peers counts the live neighbor routers heard on the link (status
 	// ads; hellos leave it zero).
 	Peers int64
-	// Patterns is the aggregated remote interest heard on the link
-	// (status ads only).
+	// Patterns is the aggregated interest heard on the link, from hosts
+	// and neighbor routers alike (status ads only).
 	Patterns []string
 }
 
@@ -99,15 +100,6 @@ type HelloAd struct {
 	Links  []LinkInfo
 }
 
-// InterestAd is one router's aggregated remote interest advertised into a
-// segment: the union of everything reachable through the sender AWAY from
-// that segment, re-aggregated at each hop (subject.AggregatePatterns).
-type InterestAd struct {
-	Router   string
-	Seq      int64
-	Patterns []string
-}
-
 // StatusAd is the periodic introspection snapshot.
 type StatusAd struct {
 	Node   string // sanitised router node name ("router-a")
@@ -121,10 +113,9 @@ type StatusAd struct {
 
 // Types is the registered mesh advertisement class family.
 type Types struct {
-	Link     *mop.Type // MeshLink: one attachment row
-	Hello    *mop.Type // MeshHello: spanning-tree config vector
-	Interest *mop.Type // MeshInterest: hop-aggregated interest
-	Status   *mop.Type // MeshStatus: introspection snapshot
+	Link   *mop.Type // MeshLink: one attachment row
+	Hello  *mop.Type // MeshHello: spanning-tree config vector
+	Status *mop.Type // MeshStatus: introspection snapshot
 }
 
 // DefineTypes builds and registers the mesh classes in a registry,
@@ -168,13 +159,6 @@ func DefineTypes(reg *mop.Registry) (Types, error) {
 			{Name: "parent", Type: mop.String},
 			{Name: "seq", Type: mop.Int},
 			{Name: "links", Type: mop.ListOf(mt.Link)},
-		}, nil)
-	})
-	mt.Interest = ensure("MeshInterest", func() *mop.Type {
-		return mop.MustNewClass("MeshInterest", nil, []mop.Attr{
-			{Name: "router", Type: mop.String},
-			{Name: "seq", Type: mop.Int},
-			{Name: "patterns", Type: mop.ListOf(mop.String)},
 		}, nil)
 	})
 	mt.Status = ensure("MeshStatus", func() *mop.Type {
@@ -228,19 +212,6 @@ func MarshalHello(mt Types, ad HelloAd) ([]byte, error) {
 		MustSet("parent", ad.Parent).
 		MustSet("seq", ad.Seq).
 		MustSet("links", linkList(mt, ad.Links))
-	return wire.Marshal(obj)
-}
-
-// MarshalInterest renders an InterestAd as a self-describing wire payload.
-func MarshalInterest(mt Types, ad InterestAd) ([]byte, error) {
-	pats := make(mop.List, 0, len(ad.Patterns))
-	for _, p := range ad.Patterns {
-		pats = append(pats, p)
-	}
-	obj := mop.MustNew(mt.Interest).
-		MustSet("router", ad.Router).
-		MustSet("seq", ad.Seq).
-		MustSet("patterns", pats)
 	return wire.Marshal(obj)
 }
 
@@ -358,23 +329,6 @@ func parseHelloObject(o *mop.Object) (HelloAd, bool) {
 	return ad, true
 }
 
-// ParseInterestObject decodes a MeshInterest object.
-func ParseInterestObject(o *mop.Object) (InterestAd, bool) {
-	if o == nil || o.Type().Name() != "MeshInterest" {
-		return InterestAd{}, false
-	}
-	var ad InterestAd
-	var ok bool
-	if ad.Router, ok = token(o, "router"); !ok || ad.Router == "" {
-		return InterestAd{}, false
-	}
-	ad.Seq, _ = intAttr(o, "seq")
-	if pv, err := o.Get("patterns"); err == nil {
-		ad.Patterns = parsePatterns(pv)
-	}
-	return ad, true
-}
-
 // ParseStatusObject decodes a MeshStatus object (ibmon's decoder).
 func ParseStatusObject(o *mop.Object) (StatusAd, bool) {
 	if o == nil || o.Type().Name() != "MeshStatus" {
@@ -397,9 +351,9 @@ func ParseStatusObject(o *mop.Object) (StatusAd, bool) {
 }
 
 // ParseAd decodes one mesh advertisement payload from the wire: a
-// self-describing wire message holding a MeshHello, MeshInterest, or
-// MeshStatus. It never panics on arbitrary input (FuzzMeshAd) and returns
-// ErrBadAd for anything that does not pass the caps above.
+// self-describing wire message holding a MeshHello or a MeshStatus. It
+// never panics on arbitrary input (FuzzMeshAd) and returns ErrBadAd for
+// anything that does not pass the caps above.
 func ParseAd(payload []byte) (any, error) {
 	if len(payload) > maxAdBytes {
 		return nil, ErrBadAd
@@ -415,10 +369,6 @@ func ParseAd(payload []byte) (any, error) {
 	switch o.Type().Name() {
 	case "MeshHello":
 		if ad, ok := parseHelloObject(o); ok {
-			return ad, nil
-		}
-	case "MeshInterest":
-		if ad, ok := ParseInterestObject(o); ok {
 			return ad, nil
 		}
 	case "MeshStatus":

@@ -34,23 +34,6 @@ func TestHelloAdRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInterestAdRoundTrip(t *testing.T) {
-	mt := MustTypes()
-	in := InterestAd{Router: "rc", Seq: 7, Patterns: []string{"mkt.>", "news.us.*"}}
-	payload, err := MarshalInterest(mt, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := ParseAd(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, ok := v.(InterestAd)
-	if !ok || out.Router != "rc" || out.Seq != 7 || len(out.Patterns) != 2 {
-		t.Fatalf("round trip: %+v (%T)", v, v)
-	}
-}
-
 func TestStatusAdRoundTrip(t *testing.T) {
 	mt := MustTypes()
 	in := StatusAd{
@@ -73,7 +56,9 @@ func TestStatusAdRoundTrip(t *testing.T) {
 
 // TestParseAdCaps: oversized pattern lists truncate (narrowing is safe),
 // invalid patterns drop without poisoning siblings, and bad structural
-// shapes reject.
+// shapes reject. The pattern list is a status row's: interest itself
+// arrives as a busproto.KindInterest envelope, whose caps
+// TestInterestTableCaps checks where the table applies them.
 func TestParseAdCaps(t *testing.T) {
 	mt := MustTypes()
 	var pats []string
@@ -82,7 +67,7 @@ func TestParseAdCaps(t *testing.T) {
 	}
 	pats[3] = "bad..pattern"
 	pats[5] = strings.Repeat("x", 600) // over subject.MaxLength
-	payload, err := MarshalInterest(mt, InterestAd{Router: "r", Patterns: pats})
+	payload, err := MarshalStatus(mt, StatusAd{Router: "r", Links: []LinkInfo{{Name: "S1", Patterns: pats}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,18 +75,18 @@ func TestParseAdCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := v.(InterestAd)
-	if len(out.Patterns) > MaxAdPatterns {
-		t.Fatalf("pattern cap not enforced: %d", len(out.Patterns))
+	out := v.(StatusAd).Links[0].Patterns
+	if len(out) == 0 || len(out) > MaxAdPatterns {
+		t.Fatalf("pattern cap not enforced: %d", len(out))
 	}
-	for _, p := range out.Patterns {
+	for _, p := range out {
 		if p == "bad..pattern" || len(p) > 500 {
 			t.Fatalf("invalid pattern survived: %q", p)
 		}
 	}
 
 	// Missing router id rejects.
-	bad, err := MarshalInterest(mt, InterestAd{Router: ""})
+	bad, err := MarshalStatus(mt, StatusAd{Router: ""})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +119,11 @@ func FuzzMeshAd(f *testing.F) {
 		Router: "rb", Root: "ra", Cost: 3, Parent: "ra", Seq: 42,
 		Links: []LinkInfo{{Name: "S1", State: "forwarding", Peers: 2}},
 	})
-	seedInterest, _ := MarshalInterest(mt, InterestAd{
-		Router: "rc", Seq: 7, Patterns: []string{"mkt.>", "news.us.*"},
-	})
 	seedStatus, _ := MarshalStatus(mt, StatusAd{
 		Node: "router-a", Router: "ra", Root: "ra", Seq: 9,
 		Links: []LinkInfo{{Name: "S1", State: "forwarding", Patterns: []string{"a.>"}}},
 	})
 	f.Add(seedHello)
-	f.Add(seedInterest)
 	f.Add(seedStatus)
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
@@ -158,10 +139,6 @@ func FuzzMeshAd(f *testing.F) {
 			}
 			if len(ad.Links) > MaxAdLinks {
 				t.Fatalf("link cap breached: %d", len(ad.Links))
-			}
-		case InterestAd:
-			if ad.Router == "" || len(ad.Patterns) > MaxAdPatterns {
-				t.Fatalf("accepted invalid interest %+v", ad)
 			}
 		case StatusAd:
 			if ad.Router == "" || len(ad.Links) > MaxAdLinks {

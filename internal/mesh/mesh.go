@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,8 +14,9 @@ type PortState uint8
 
 const (
 	// PortBlocked suppresses a redundant link: the router neither forwards
-	// data across it nor advertises interest into it. Hellos still flow,
-	// so the link re-activates the moment the tree needs it.
+	// data across it nor asks anything of it (it withdraws, once, what it
+	// asked while the link forwarded). Hellos still flow, so the link
+	// re-activates the moment the tree needs it.
 	PortBlocked PortState = iota
 	// PortForwarding carries data: the link is the router's root port or
 	// the router is the designated router on that segment.
@@ -31,8 +31,9 @@ func (s PortState) String() string {
 }
 
 // Config tunes the mesh protocol. Zero values take the documented
-// defaults. All timers are wall-clock; tests on the simulated network use
-// millisecond-scale values (like the reliable-protocol helpers).
+// defaults. The state machine reads no clock: every entry point takes the
+// caller's now, so tests drive it on virtual time with millisecond-scale
+// values (like the reliable-protocol helpers).
 type Config struct {
 	// HelloInterval is the steady-state period between hello broadcasts
 	// per link. Topology changes trigger immediate extra hellos, so this
@@ -43,14 +44,6 @@ type Config struct {
 	// flapping leaf costs one ad per window per hop instead of one per
 	// flap (the Figure 8 constraint, applied per hop). Default 50ms.
 	Debounce time.Duration
-	// InterestRefresh is the steady-state re-advertisement period; heard
-	// interest expires after 4 refresh intervals without one. Default 1s.
-	InterestRefresh time.Duration
-	// MaxHops is the envelope hop budget: the tree is loop-free, so the
-	// budget only bounds the tree diameter and the pathology of a tree
-	// still converging. Default 64, enough for the 50–100 segment target.
-	// Capped at 255 by the envelope's uint8.
-	MaxHops int
 	// StatusInterval is the period between "_sys.mesh.status.<node>"
 	// introspection snapshots. Default 1s; negative disables them.
 	StatusInterval time.Duration
@@ -60,21 +53,28 @@ type Config struct {
 // dead and the tree re-elects.
 const deadFactor = 4
 
+// MaxHops is the envelope hop budget a router enforces, and the largest
+// root cost the election accepts: the tree is loop-free, so the budget only
+// bounds the tree diameter and the pathology of a tree still converging (or
+// of two routers sharing a name). Enough for the 50–100 segment target.
+const MaxHops = 64
+
+// maxLinkSenders bounds the senders one link's interest table holds (A14
+// runs ~103 per segment). A new sender is refused while the link is full;
+// the ones already heard keep refreshing.
+const maxLinkSenders = 1024
+
+// refreshDivisor: a router re-advertises every InterestTTL/refreshDivisor,
+// the ratio daemon.InterestInterval has to the default TTL, so one lost or
+// late advertisement never lapses an entry.
+const refreshDivisor = 4
+
 func (c Config) withDefaults() Config {
 	if c.HelloInterval <= 0 {
 		c.HelloInterval = 100 * time.Millisecond
 	}
 	if c.Debounce <= 0 {
 		c.Debounce = 50 * time.Millisecond
-	}
-	if c.InterestRefresh <= 0 {
-		c.InterestRefresh = time.Second
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 64
-	}
-	if c.MaxHops > 255 {
-		c.MaxHops = 255
 	}
 	if c.StatusInterval == 0 {
 		c.StatusInterval = time.Second
@@ -89,26 +89,31 @@ type neighborHello struct {
 	expires time.Time
 }
 
-// neighborInterest is one neighbor router's advertised subtree interest on
-// one link.
-type neighborInterest struct {
-	raw     []string // sorted pattern strings, for ad recomputation
-	expires time.Time
+// heardAd is what one sender on a link last advertised: a host daemon's
+// subscriptions or a neighbor router's subtree interest — the table does
+// not know which, and does not need to.
+type heardAd struct {
+	patterns []string // valid, sorted, distinct
+	expires  time.Time
 }
 
 type link struct {
 	name  string
 	state PortState
 
-	hellos   map[string]neighborHello    // router id -> freshest hello
-	interest map[string]neighborInterest // router id -> subtree interest
+	hellos map[string]neighborHello // router id -> freshest hello
 
-	// remote matches every neighbor's patterns for the wants check, keyed
-	// (pattern, neighbor id) so one neighbor's set can be replaced. It is
-	// the forwarding path's view of interest: its built-in match cache
-	// answers repeats and is invalidated by the Add/Remove of any interest
-	// change, so a dead subtree stops matching the moment it is pruned.
-	remote *subject.Trie[string]
+	// heard is the link's one interest table, keyed by the sender's
+	// transport address so a sender's next advertisement replaces its last.
+	// refs counts the senders behind each distinct pattern, and wants holds
+	// each distinct pattern once: it is the forwarding path's view of the
+	// table. Its built-in match cache answers repeats and is invalidated by
+	// the Add/Remove of a pattern entering or leaving the link — not by a
+	// refresh, and not by a second sender of a pattern already there — so a
+	// dead subtree stops matching the moment it is pruned.
+	heard map[string]heardAd
+	refs  map[string]int
+	wants *subject.Trie[struct{}]
 
 	// lastAd is the interest set last advertised into this link; adDirty
 	// marks it stale, adDue the debounced send time.
@@ -119,12 +124,14 @@ type link struct {
 }
 
 // Mesh is one router's view of the self-organizing tree. The router feeds
-// it received ads (HandleHello / HandleInterest / HostInterestChanged),
-// drives its clock (Actions), and consults it when forwarding (Forwarding,
-// WantsRemote).
+// it what it hears (HandleHello, HandleInterest), drives its clock
+// (Actions), and consults it when forwarding (Forwarding, Wants).
 type Mesh struct {
 	id  string
 	cfg Config
+	// ttl is the one lifetime rule of the interest tables: an entry lapses
+	// ttl after its sender's last advertisement.
+	ttl time.Duration
 
 	// fwdMask is the hot-path port-state word: bit i set = link i
 	// forwarding. One atomic load decides both ends of a forward.
@@ -154,29 +161,35 @@ type Counters struct {
 	// Readverts counts interest re-advertisements (the mesh-flap alarm
 	// watches its rate).
 	Readverts uint64
-	// IDConflicts counts ads heard carrying this router's own id: another
+	// IDConflicts counts hellos heard carrying this router's own id: another
 	// router is configured with the same name (see HandleHello).
 	IDConflicts uint64
+	// InterestCapped counts advertisements a table bound cut short: one
+	// truncated at MaxAdPatterns, or a new sender refused by a full link.
+	InterestCapped uint64
 }
 
 // New builds the state machine for a router with the given unique id and
-// one link per attachment, in attachment order. Initially the router
+// one link per attachment, in attachment order; interestTTL is how long a
+// heard advertisement lives without a refresh. Initially the router
 // believes itself root with every port forwarding — the first hello
 // exchange corrects it.
-func New(id string, linkNames []string, cfg Config) *Mesh {
+func New(id string, linkNames []string, interestTTL time.Duration, cfg Config) *Mesh {
 	m := &Mesh{
 		id:       id,
 		cfg:      cfg.withDefaults(),
+		ttl:      interestTTL,
 		root:     id,
 		rootPort: -1,
 	}
 	for _, name := range linkNames {
 		m.links = append(m.links, &link{
-			name:     name,
-			state:    PortForwarding,
-			hellos:   make(map[string]neighborHello),
-			interest: make(map[string]neighborInterest),
-			remote:   subject.NewTrie[string](),
+			name:   name,
+			state:  PortForwarding,
+			hellos: make(map[string]neighborHello),
+			heard:  make(map[string]heardAd),
+			refs:   make(map[string]int),
+			wants:  subject.NewTrie[struct{}](),
 		})
 	}
 	m.storeMask()
@@ -185,9 +198,6 @@ func New(id string, linkNames []string, cfg Config) *Mesh {
 
 // ID returns the router's mesh id.
 func (m *Mesh) ID() string { return m.id }
-
-// MaxHops returns the envelope hop budget to enforce.
-func (m *Mesh) MaxHops() int { return m.cfg.MaxHops }
 
 // Forwarding reports whether the link is in the forwarding state. One
 // atomic load, zero allocations: it runs per forwarded publication.
@@ -252,59 +262,78 @@ func (m *Mesh) HandleHello(li int, ad HelloAd, now time.Time) bool {
 	return m.recompute(now)
 }
 
-// HandleInterest feeds one received interest advertisement.
-func (m *Mesh) HandleInterest(li int, ad InterestAd, now time.Time) {
+// HandleInterest feeds the pattern list of one busproto.KindInterest
+// envelope heard on link li from transport address from — a host daemon's
+// advertisement or a neighbor router's, alike. It replaces what from
+// advertised before; an empty list withdraws the sender. An advertisement
+// that changes nothing only pushes the entry's expiry out and leaves the
+// link's trie (and its match cache) alone. Unparsable patterns are dropped,
+// a list over MaxAdPatterns is truncated (which only narrows forwarding),
+// and a sender the full table has not heard before is refused; both bounds
+// count in InterestCapped.
+func (m *Mesh) HandleInterest(li int, from string, patterns []string, now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ad.Router == m.id {
-		m.ctr.IDConflicts++ // see HandleHello
-		return
-	}
 	if li < 0 || li >= len(m.links) {
 		return
 	}
 	l := m.links[li]
-	raw := append([]string(nil), ad.Patterns...)
-	sort.Strings(raw)
-	expires := now.Add(4 * m.cfg.InterestRefresh)
-	prev, had := l.interest[ad.Router]
-	if had && equalStrings(prev.raw, raw) {
-		// Refresh only: answers unchanged, the match cache survives.
-		prev.expires = expires
-		l.interest[ad.Router] = prev
+	if len(patterns) > MaxAdPatterns {
+		patterns = patterns[:MaxAdPatterns]
+		m.ctr.InterestCapped++
+	}
+	prev, had := l.heard[from]
+	if had && slices.Equal(patterns, prev.patterns) {
+		// The steady state, a sender's periodic refresh: nothing to parse.
+		prev.expires = now.Add(m.ttl)
+		l.heard[from] = prev
 		return
 	}
-	l.interest[ad.Router] = neighborInterest{raw: raw, expires: expires}
-	l.setRemote(ad.Router, prev.raw, raw)
-	m.markOthersDirtyLocked(li, now)
+	next := make([]string, 0, len(patterns))
+	for _, p := range patterns {
+		if _, err := subject.ParsePattern(p); err == nil {
+			next = append(next, p)
+		}
+	}
+	slices.Sort(next)
+	next = slices.Compact(next)
+	switch {
+	case len(next) == 0:
+		if !had {
+			return
+		}
+		delete(l.heard, from)
+	case !had && len(l.heard) >= maxLinkSenders:
+		m.ctr.InterestCapped++
+		return
+	default:
+		l.heard[from] = heardAd{patterns: next, expires: now.Add(m.ttl)}
+	}
+	if l.swap(prev.patterns, next) {
+		m.markOthersDirtyLocked(li, now)
+	}
 }
 
-// setRemote replaces one neighbor's patterns in the link's wants trie, prev
-// by next (both sorted). The new set goes in before the leftovers of the old
-// come out, so a pattern in both never stops matching — a forward racing
-// the swap must not see a subscribed subject as unwanted.
-func (l *link) setRemote(router string, prev, next []string) {
+// swap replaces one sender's contribution to the link, prev by next (both
+// sorted and distinct), and reports whether the link's distinct pattern set
+// changed. The new set is counted in before the old is counted out, so a
+// pattern in both never leaves the trie — a forward racing the swap must
+// not see a subscribed subject as unwanted.
+func (l *link) swap(prev, next []string) (changed bool) {
 	for _, p := range next {
-		if pat, err := subject.ParsePattern(p); err == nil {
-			l.remote.Add(pat, router)
+		if l.refs[p]++; l.refs[p] == 1 {
+			l.wants.Add(subject.MustParsePattern(p), struct{}{})
+			changed = true
 		}
 	}
 	for _, p := range prev {
-		if _, kept := slices.BinarySearch(next, p); kept {
-			continue
-		}
-		if pat, err := subject.ParsePattern(p); err == nil {
-			l.remote.Remove(pat, router)
+		if l.refs[p]--; l.refs[p] == 0 {
+			delete(l.refs, p)
+			l.wants.Remove(subject.MustParsePattern(p), struct{}{})
+			changed = true
 		}
 	}
-}
-
-// HostInterestChanged tells the mesh that the set of host (daemon)
-// interest on a link changed, so ads into the other links are stale.
-func (m *Mesh) HostInterestChanged(li int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.markOthersDirtyLocked(li, time.Now())
+	return changed
 }
 
 func (m *Mesh) markOthersDirtyLocked(except int, now time.Time) {
@@ -328,7 +357,7 @@ func (m *Mesh) recompute(now time.Time) bool {
 	// bounce between survivors with the cost inflating one hop per
 	// exchange (distance-vector count-to-infinity); the cap turns that
 	// into fast termination, after which the true new root wins.
-	maxCost := int64(m.cfg.MaxHops)
+	const maxCost = int64(MaxHops)
 	root, cost, parent, rootPort := m.id, int64(0), "", -1
 	for i, l := range m.links {
 		for _, nh := range l.hellos {
@@ -378,15 +407,16 @@ func (m *Mesh) recompute(now time.Time) bool {
 	return changed
 }
 
-// WantsRemote reports whether any neighbor router on the link advertised
-// subtree interest matching the subject. It runs per forwarded publication
-// and never takes the mesh lock: the link's trie is concurrent, and a
-// repeated subject is a probe of its match cache — no walk, no allocation.
-func (m *Mesh) WantsRemote(li int, s subject.Subject) bool {
+// Wants reports whether any sender on the link — a host there, or a router
+// speaking for what lies behind it — holds a live advertisement matching
+// the subject. It runs per forwarded publication and never takes the mesh
+// lock: the link's trie is concurrent, and a repeated subject is a probe of
+// its match cache — no walk, no allocation.
+func (m *Mesh) Wants(li int, s subject.Subject) bool {
 	if li < 0 || li >= len(m.links) {
 		return false
 	}
-	return len(m.links[li].remote.Match(s)) > 0
+	return len(m.links[li].wants.Match(s)) > 0
 }
 
 // HelloOut is one hello to broadcast on one link.
@@ -395,10 +425,12 @@ type HelloOut struct {
 	Ad   HelloAd
 }
 
-// InterestOut is one interest advertisement to broadcast on one link.
+// InterestOut is one interest advertisement to broadcast on one link, as
+// the pattern list of a busproto.KindInterest envelope: what a host daemon
+// sends. An empty list withdraws what the router last asked of the link.
 type InterestOut struct {
-	Link int
-	Ad   InterestAd
+	Link     int
+	Patterns []string
 }
 
 // Actions is what the driver must put on the wire after a clock tick.
@@ -408,12 +440,9 @@ type Actions struct {
 	Status    *StatusAd
 }
 
-// Actions advances the protocol clock: expires dead neighbors and stale
+// Actions advances the protocol clock: expires dead neighbors and lapsed
 // interest, and returns the due hello/interest/status advertisements.
-// hostPatterns[i] is the current host (daemon) interest on link i — the
-// driver gathers it BEFORE calling, so the mesh lock never nests inside an
-// attachment lock.
-func (m *Mesh) Actions(now time.Time, hostPatterns [][]string) Actions {
+func (m *Mesh) Actions(now time.Time) Actions {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out Actions
@@ -433,11 +462,10 @@ func (m *Mesh) Actions(now time.Time, hostPatterns [][]string) Actions {
 	}
 	for li, l := range m.links {
 		pruned := false
-		for id, ni := range l.interest {
-			if now.After(ni.expires) {
-				delete(l.interest, id)
-				l.setRemote(id, ni.raw, nil)
-				pruned = true
+		for from, ad := range l.heard {
+			if !now.Before(ad.expires) {
+				delete(l.heard, from)
+				pruned = l.swap(ad.patterns, nil) || pruned
 			}
 		}
 		if pruned {
@@ -459,31 +487,30 @@ func (m *Mesh) Actions(now time.Time, hostPatterns [][]string) Actions {
 		}
 	}
 
-	// Interest: debounced on change, periodic refresh otherwise; only into
-	// forwarding links, and only sourced from the other forwarding links
-	// (a blocked subtree is served by its own designated router).
+	// Interest: debounced on change, refreshed periodically while there is
+	// something to keep alive. A router asks only of forwarding links, and
+	// only for the other forwarding links (a blocked subtree is served by its
+	// own designated router); of a blocked link, or one it has nothing to ask
+	// of, it wants the empty set, which is said once — when it replaces a
+	// non-empty one — and never refreshed.
 	for li, l := range m.links {
-		if l.state != PortForwarding {
-			l.adDirty = false
+		refresh := len(l.lastAd) > 0 && !now.Before(l.refreshDue)
+		changeDue := l.adDirty && !now.Before(l.adDue)
+		if !refresh && !changeDue {
 			continue
 		}
-		due := (l.adDirty && !now.Before(l.adDue)) || !now.Before(l.refreshDue)
-		if !due {
-			continue
+		l.adDirty = false
+		var patterns []string
+		if l.state == PortForwarding {
+			patterns = m.adPatternsLocked(li)
 		}
-		patterns := m.adPatternsLocked(li, hostPatterns)
-		refresh := !now.Before(l.refreshDue)
-		if !refresh && equalStrings(patterns, l.lastAd) {
-			l.adDirty = false
+		if !refresh && slices.Equal(patterns, l.lastAd) {
 			continue // debounced churn cancelled itself out: stay quiet
 		}
 		l.lastAd = patterns
-		l.adDirty = false
-		l.refreshDue = now.Add(m.cfg.InterestRefresh)
+		l.refreshDue = now.Add(m.ttl / refreshDivisor)
 		m.ctr.Readverts++
-		out.Interests = append(out.Interests, InterestOut{Link: li, Ad: InterestAd{
-			Router: m.id, Seq: m.seq, Patterns: patterns,
-		}})
+		out.Interests = append(out.Interests, InterestOut{Link: li, Patterns: patterns})
 	}
 
 	// Status snapshot.
@@ -499,35 +526,19 @@ func (m *Mesh) Actions(now time.Time, hostPatterns [][]string) Actions {
 }
 
 // adPatternsLocked computes the interest to advertise into link li: the
-// union of host and neighbor-subtree interest on every OTHER forwarding
-// link, re-aggregated under the pattern cap. Split horizon: interest heard
-// on li never goes back into li.
-func (m *Mesh) adPatternsLocked(li int, hostPatterns [][]string) []string {
-	set := make(map[string]struct{})
+// union of what every OTHER forwarding link's table holds, each read off
+// its trie already aggregated (Trie.Aggregate: no walk of a set over the
+// cap) and the union re-aggregated under the same cap. Split horizon:
+// interest heard on li never goes back into li.
+func (m *Mesh) adPatternsLocked(li int) []string {
+	var patterns []string
 	for i, l := range m.links {
-		if i == li || l.state != PortForwarding {
-			continue
-		}
-		if i < len(hostPatterns) {
-			for _, p := range hostPatterns[i] {
-				set[p] = struct{}{}
-			}
-		}
-		for _, ni := range l.interest {
-			for _, p := range ni.raw {
-				set[p] = struct{}{}
-			}
+		if i != li && l.state == PortForwarding {
+			patterns = append(patterns, l.wants.Aggregate(subject.MaxAdvertisedPatterns)...)
 		}
 	}
-	if len(set) == 0 {
-		return nil
-	}
-	patterns := make([]string, 0, len(set))
-	for p := range set {
-		patterns = append(patterns, p)
-	}
-	sort.Strings(patterns)
-	return subject.AggregatePatterns(patterns, subject.MaxAdvertisedPatterns)
+	slices.Sort(patterns)
+	return subject.AggregatePatterns(slices.Compact(patterns), subject.MaxAdvertisedPatterns)
 }
 
 func (m *Mesh) linkInfoLocked(withInterest bool) []LinkInfo {
@@ -535,18 +546,7 @@ func (m *Mesh) linkInfoLocked(withInterest bool) []LinkInfo {
 	for _, l := range m.links {
 		li := LinkInfo{Name: l.name, State: l.state.String(), Peers: int64(len(l.hellos))}
 		if withInterest {
-			set := make(map[string]struct{})
-			for _, ni := range l.interest {
-				for _, p := range ni.raw {
-					set[p] = struct{}{}
-				}
-			}
-			pats := make([]string, 0, len(set))
-			for p := range set {
-				pats = append(pats, p)
-			}
-			sort.Strings(pats)
-			li.Patterns = subject.AggregatePatterns(pats, subject.MaxAdvertisedPatterns)
+			li.Patterns = l.wants.Aggregate(subject.MaxAdvertisedPatterns)
 		}
 		links = append(links, li)
 	}
@@ -592,16 +592,4 @@ func (m *Mesh) TickInterval() time.Duration {
 		t = 25 * time.Millisecond
 	}
 	return t
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

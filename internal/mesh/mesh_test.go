@@ -3,6 +3,7 @@ package mesh
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,12 +14,15 @@ import (
 // simulated exchange below advances a fake clock in 1ms steps.
 func fastCfg() Config {
 	return Config{
-		HelloInterval:   5 * time.Millisecond,
-		Debounce:        2 * time.Millisecond,
-		InterestRefresh: 20 * time.Millisecond,
-		StatusInterval:  -1,
+		HelloInterval:  5 * time.Millisecond,
+		Debounce:       2 * time.Millisecond,
+		StatusInterval: -1,
 	}
 }
+
+// fastTTL is the interest lifetime the tests run with: a router refreshes
+// every 20 steps of the fake clock and an unrefreshed entry lapses at 80.
+const fastTTL = 80 * time.Millisecond
 
 // fabric wires Mesh state machines together by segment name and pumps
 // their advertisements synchronously: a deterministic stand-in for the
@@ -26,7 +30,7 @@ func fastCfg() Config {
 type fabric struct {
 	members map[string][]fabricPort // segment name -> attached ports
 	meshes  map[string]*Mesh
-	hosts   map[string][][]string // mesh id -> per-link host interest
+	hosts   map[fabricPort][]string // host daemon heard on one port -> its interest
 	now     time.Time
 	down    map[string]bool            // mesh id -> stopped (death)
 	cut     map[string]map[string]bool // segment -> mesh ids partitioned off it
@@ -41,7 +45,7 @@ func newFabric() *fabric {
 	return &fabric{
 		members: map[string][]fabricPort{},
 		meshes:  map[string]*Mesh{},
-		hosts:   map[string][][]string{},
+		hosts:   map[fabricPort][]string{},
 		now:     time.Unix(1000, 0),
 		down:    map[string]bool{},
 		cut:     map[string]map[string]bool{},
@@ -53,18 +57,23 @@ func (f *fabric) add(id string, segments ...string) *Mesh {
 }
 
 func (f *fabric) addCfg(id string, cfg Config, segments ...string) *Mesh {
-	m := New(id, segments, cfg)
+	m := New(id, segments, fastTTL, cfg)
 	f.meshes[id] = m
-	f.hosts[id] = make([][]string, len(segments))
 	for li, seg := range segments {
 		f.members[seg] = append(f.members[seg], fabricPort{mesh: m, link: li})
 	}
 	return m
 }
 
+// setHost stands one host daemon on one mesh's link (that mesh alone hears
+// it, which lets a test say whose table an answer came from). Like a daemon
+// it advertises at once and then every step, and says the empty set once.
 func (f *fabric) setHost(id string, link int, patterns ...string) {
-	f.hosts[id][link] = patterns
-	f.meshes[id].HostInterestChanged(link)
+	port := fabricPort{mesh: f.meshes[id], link: link}
+	port.mesh.HandleInterest(link, "host", patterns, f.now)
+	if f.hosts[port] = patterns; len(patterns) == 0 {
+		delete(f.hosts, port)
+	}
 }
 
 // partition severs one mesh's port on one segment (netsim's partition
@@ -93,7 +102,7 @@ func (f *fabric) step() {
 		if f.down[id] {
 			continue
 		}
-		acts := m.Actions(f.now, f.hosts[id])
+		acts := m.Actions(f.now)
 		collect := func(link int, v any) {
 			seg := segmentOf(f, m, link)
 			if f.cut[seg][id] {
@@ -110,16 +119,19 @@ func (f *fabric) step() {
 			collect(h.Link, h.Ad)
 		}
 		for _, i := range acts.Interests {
-			collect(i.Link, i.Ad)
+			collect(i.Link, i.Patterns)
 		}
 	}
 	for _, d := range deliveries {
 		switch ad := d.v.(type) {
 		case HelloAd:
 			d.to.mesh.HandleHello(d.to.link, ad, f.now)
-		case InterestAd:
-			d.to.mesh.HandleInterest(d.to.link, ad, f.now)
+		case []string:
+			d.to.mesh.HandleInterest(d.to.link, "router:"+d.from, ad, f.now)
 		}
+	}
+	for port, patterns := range f.hosts {
+		port.mesh.HandleInterest(port.link, "host", patterns, f.now)
 	}
 }
 
@@ -251,23 +263,24 @@ func TestInterestPropagatesHopByHop(t *testing.T) {
 	f.run(40)
 
 	s := subject.MustParse("mkt.nyse.ibm")
-	if !a.WantsRemote(1, s) {
+	if !a.Wants(1, s) {
 		t.Fatal("ra should have learned S3's interest through rb's ad on S2")
 	}
-	if a.WantsRemote(0, s) {
+	if a.Wants(0, s) {
 		t.Fatal("split horizon: nothing on S1 advertised this interest")
 	}
-	if b.WantsRemote(1, s) {
-		t.Fatal("rb must not hear its own hosts' interest back as remote interest")
+	if n := len(b.links[1].heard); !b.Wants(1, s) || n != 1 {
+		t.Fatalf("rb's S3 table holds %d senders, want the host alone: nobody may echo its interest back", n)
 	}
 
-	// Withdrawal: when the host interest goes away, rb's next ad replaces
-	// the set upstream, and the answer the wants trie had cached for the
-	// subject (the WantsRemote above) goes with it.
+	// Withdrawal: when the host interest goes away, rb's next ad — the
+	// empty set — removes its entry upstream, and the answer the wants trie
+	// had cached for the subject (the Wants above) goes with it, one
+	// debounce later and not at the TTL.
 	f.setHost("rb", 1)
-	f.run(120)
-	if a.WantsRemote(1, s) {
-		t.Fatal("withdrawn interest must stop matching upstream")
+	f.run(4)
+	if a.Wants(1, s) || b.Wants(1, s) {
+		t.Fatal("withdrawn interest must stop matching, at the host's router and upstream")
 	}
 }
 
@@ -303,7 +316,7 @@ func TestInterestAggregatedTransitively(t *testing.T) {
 			t.Fatalf("aggregated ad leaked a specific pattern %q", p)
 		}
 	}
-	if !a.WantsRemote(1, subject.MustParse("fam123.leaf.123")) {
+	if !a.Wants(1, subject.MustParse("fam123.leaf.123")) {
 		t.Fatal("aggregation must only widen: the original subject still matches")
 	}
 }
@@ -354,7 +367,7 @@ func TestBlockedPortQuiet(t *testing.T) {
 	// ra hears the same daemons). Here interest was injected as rc's host
 	// table only, so rb must NOT know it.
 	f.run(20)
-	if f.meshes["rb"].WantsRemote(1, s) {
+	if f.meshes["rb"].Wants(1, s) {
 		t.Fatal("blocked rc leaked interest into S3")
 	}
 }
@@ -394,17 +407,17 @@ func TestJoinConvergesWithinFourTicks(t *testing.T) {
 // operator finds out.
 func TestSameIDCounted(t *testing.T) {
 	// Two twins sharing S2 (the fabric keys meshes by id, so by hand).
-	a := New("twin", []string{"S1", "S2"}, fastCfg())
-	b := New("twin", []string{"S2", "S3"}, fastCfg())
+	a := New("twin", []string{"S1", "S2"}, fastTTL, fastCfg())
+	b := New("twin", []string{"S2", "S3"}, fastTTL, fastCfg())
 	now := time.Unix(1000, 0)
 	for i := 0; i < 40; i++ {
 		now = now.Add(time.Millisecond)
-		for _, h := range b.Actions(now, make([][]string, 2)).Hellos {
+		for _, h := range b.Actions(now).Hellos {
 			if h.Link == 0 {
 				a.HandleHello(1, h.Ad, now)
 			}
 		}
-		for _, h := range a.Actions(now, make([][]string, 2)).Hellos {
+		for _, h := range a.Actions(now).Hellos {
 			if h.Link == 1 {
 				b.HandleHello(0, h.Ad, now)
 			}
@@ -421,27 +434,269 @@ func TestSameIDCounted(t *testing.T) {
 	}
 }
 
-// TestInterestSwapKeepsCommonPatterns: replacing a neighbor's advertised
-// set never passes through a state where a pattern in both the old and the
-// new set does not match, and drops exactly the patterns that left.
+// TestInterestSwapKeepsCommonPatterns: a sender's new advertisement
+// replaces its old one, drops exactly the patterns that left, and never
+// passes through a state where a pattern in both does not match — a
+// forwarding goroutine probes the lock-free Wants all through the swaps.
 func TestInterestSwapKeepsCommonPatterns(t *testing.T) {
-	m := New("ra", []string{"S1", "S2"}, fastCfg())
+	m := New("ra", []string{"S1", "S2"}, fastTTL, fastCfg())
 	now := time.Unix(1000, 0)
 	keep, gone, came := subject.MustParse("keep.x"), subject.MustParse("gone.x"), subject.MustParse("came.x")
-	m.HandleInterest(1, InterestAd{Router: "rb", Patterns: []string{"keep.>", "gone.>"}}, now)
-	if !m.WantsRemote(1, keep) || !m.WantsRemote(1, gone) || m.WantsRemote(1, came) {
+	m.HandleInterest(1, "rb", []string{"keep.>", "gone.>"}, now)
+	if !m.Wants(1, keep) || !m.Wants(1, gone) || m.Wants(1, came) {
 		t.Fatal("first ad not reflected")
 	}
-	m.HandleInterest(1, InterestAd{Router: "rb", Patterns: []string{"came.>", "keep.>"}}, now)
-	if !m.WantsRemote(1, keep) || m.WantsRemote(1, gone) || !m.WantsRemote(1, came) {
+	m.HandleInterest(1, "rb", []string{"came.>", "keep.>"}, now)
+	if !m.Wants(1, keep) || m.Wants(1, gone) || !m.Wants(1, came) {
 		t.Fatal("second ad must replace the first: keep and came match, gone does not")
 	}
-	// A second neighbor wanting the same pattern keeps it alive when the
-	// first withdraws.
-	m.HandleInterest(1, InterestAd{Router: "rc", Patterns: []string{"keep.>"}}, now)
-	m.HandleInterest(1, InterestAd{Router: "rb", Patterns: nil}, now)
-	if !m.WantsRemote(1, keep) || m.WantsRemote(1, came) {
-		t.Fatal("rb's withdrawal must not take rc's interest with it")
+
+	stop, dropped := make(chan struct{}), false
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if !m.Wants(1, keep) {
+					dropped = true
+				}
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		m.HandleInterest(1, "rb", [][]string{{"gone.>", "keep.>"}, {"came.>", "keep.>"}}[i%2], now)
+	}
+	close(stop)
+	wg.Wait()
+	if dropped {
+		t.Fatal("a pattern in both the old and the new set stopped matching mid-swap")
+	}
+}
+
+// TestRefreshLeavesTrieAlone: an advertisement that changes nothing — the
+// same set again (a host's 250 ms cadence), the same set unsorted or with a
+// duplicate, or a second sender of a pattern the link already holds — does
+// not touch the link's trie, so the match cache the forwarding path reads
+// survives it, and re-advertises nothing.
+func TestRefreshLeavesTrieAlone(t *testing.T) {
+	m := New("ra", []string{"S1", "S2"}, fastTTL, fastCfg())
+	now := time.Unix(1000, 0)
+	m.HandleInterest(1, "h1", []string{"a.>", "b.x"}, now)
+	m.Actions(now.Add(fastCfg().Debounce)) // the ad into S1 goes out; nothing is dirty
+	gen := m.links[1].wants.Gen()
+	for i, ad := range [][]string{{"a.>", "b.x"}, {"b.x", "a.>"}, {"a.>", "b.x", "a.>"}} {
+		m.HandleInterest(1, "h1", ad, now.Add(time.Duration(i)*time.Millisecond))
+	}
+	m.HandleInterest(1, "h2", []string{"b.x"}, now)
+	if got := m.links[1].wants.Gen(); got != gen {
+		t.Fatalf("trie generation moved %d -> %d on advertisements that changed no answer", gen, got)
+	}
+	if m.links[0].adDirty {
+		t.Fatal("an unchanged link marked the ad into the other link stale")
+	}
+	if n := m.links[1].wants.Distinct(); n != 2 || m.links[1].refs["b.x"] != 2 {
+		t.Fatalf("trie holds %d patterns, b.x counted %d times; want 2 patterns, each once in the trie", n, m.links[1].refs["b.x"])
+	}
+}
+
+// TestInterestLapsesAtTTL: one lifetime rule — an entry lapses InterestTTL
+// after its sender's last advertisement, exactly, and not while refreshed.
+func TestInterestLapsesAtTTL(t *testing.T) {
+	m := New("ra", []string{"S1", "S2"}, fastTTL, fastCfg())
+	t0 := time.Unix(1000, 0)
+	s := subject.MustParse("ttl.x")
+	m.HandleInterest(1, "h", []string{"ttl.>"}, t0)
+	m.Actions(t0.Add(fastTTL - time.Millisecond))
+	if !m.Wants(1, s) {
+		t.Fatal("lapsed before its TTL")
+	}
+	t1 := t0.Add(fastTTL - time.Millisecond)
+	m.HandleInterest(1, "h", []string{"ttl.>"}, t1) // refreshed just in time
+	m.Actions(t0.Add(fastTTL))
+	m.Actions(t1.Add(fastTTL - time.Millisecond))
+	if !m.Wants(1, s) {
+		t.Fatal("lapsed while refreshed: the TTL runs from the last advertisement")
+	}
+	acts := m.Actions(t1.Add(fastTTL))
+	if m.Wants(1, s) {
+		t.Fatal("still matching at last advertisement + InterestTTL")
+	}
+	if len(m.links[1].heard)+len(m.links[1].refs) != 0 {
+		t.Fatalf("lapsed entry left state behind: %+v %+v", m.links[1].heard, m.links[1].refs)
+	}
+	// What the router asked of S1 on the entry's behalf goes with it: one
+	// empty advertisement, a debounce after the lapse.
+	acts.Interests = append(acts.Interests, m.Actions(t1.Add(fastTTL+fastCfg().Debounce)).Interests...)
+	if len(acts.Interests) != 1 || acts.Interests[0].Link != 0 || len(acts.Interests[0].Patterns) != 0 {
+		t.Fatalf("after the lapse the router sent %+v, want one empty ad into S1", acts.Interests)
+	}
+}
+
+// TestTwoSendersOnePattern: the link keeps a pattern while any sender holds
+// it — one leaving (by saying so, or by lapsing) keeps it, both leaving
+// drops it.
+func TestTwoSendersOnePattern(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s, other := subject.MustParse("both.x"), subject.MustParse("mine.x")
+	for _, leave := range []string{"empty ad", "lapse"} {
+		m := New("ra", []string{"S1", "S2"}, fastTTL, fastCfg())
+		m.HandleInterest(1, "h1", []string{"both.>", "mine.>"}, now)
+		m.HandleInterest(1, "h2", []string{"both.>"}, now.Add(10*time.Millisecond))
+		if leave == "empty ad" {
+			m.HandleInterest(1, "h1", nil, now.Add(20*time.Millisecond))
+		} else {
+			m.Actions(now.Add(fastTTL)) // h1's entry is due, h2's has 10 ms left
+		}
+		if !m.Wants(1, s) || m.Wants(1, other) {
+			t.Fatalf("%s: h1 left: want both.> kept for h2 and mine.> gone", leave)
+		}
+		if leave == "empty ad" {
+			m.HandleInterest(1, "h2", []string{}, now.Add(30*time.Millisecond))
+		} else {
+			m.Actions(now.Add(fastTTL + 10*time.Millisecond))
+		}
+		if m.Wants(1, s) {
+			t.Fatalf("%s: both senders left and the pattern still matches", leave)
+		}
+	}
+}
+
+// TestHostInterestSplitHorizonAndBlockedSource: host interest travels like
+// a neighbor router's, because it is kept like one. It is advertised into
+// every other forwarding link and never back into the link it was heard on,
+// and a blocked link is no source: its hosts are served by the segment's
+// designated router.
+func TestHostInterestSplitHorizonAndBlockedSource(t *testing.T) {
+	f := newFabric()
+	a := f.add("ra", "S1", "S2")
+	b := f.add("rb", "S2", "S3")
+	c := f.add("rc", "S3", "S1")
+	f.run(60)
+	if c.Forwarding(0) {
+		t.Fatalf("precondition: rc S3 blocked, got %s", states(c))
+	}
+	// A host on S2, heard by rb alone: rb asks S3 for it, never S2.
+	f.setHost("rb", 0, "horizon.>")
+	// A host on S3, heard by rc alone — on rc's blocked port.
+	f.setHost("rc", 0, "blocked.>")
+	f.run(20)
+	if got := b.links[1].lastAd; len(got) != 1 || got[0] != "horizon.>" {
+		t.Fatalf("rb advertised %v into S3, want the S2 host's interest", got)
+	}
+	if got := b.links[0].lastAd; len(got) != 0 {
+		t.Fatalf("rb advertised %v back into S2, the link it heard the host on", got)
+	}
+	if a.Wants(1, subject.MustParse("horizon.x")) {
+		t.Fatal("ra heard the S2 host's interest on S2 from a router: split horizon broken")
+	}
+	if !c.Wants(0, subject.MustParse("blocked.x")) {
+		t.Fatal("rc's S3 table should hold the host it heard there")
+	}
+	if got := c.links[1].lastAd; len(got) != 0 {
+		t.Fatalf("rc sourced %v from its blocked S3 port into S1", got)
+	}
+	if a.Wants(0, subject.MustParse("blocked.x")) {
+		t.Fatal("interest heard on a blocked port reached ra")
+	}
+}
+
+// TestInterestTableCaps: a peer cannot make a link's table grow without
+// bound. One sender's list is truncated at MaxAdPatterns (narrowing only);
+// a sender a full link has not heard before is refused while the ones it
+// holds keep replacing and refreshing; both count in InterestCapped.
+func TestInterestTableCaps(t *testing.T) {
+	m := New("ra", []string{"S1", "S2"}, fastTTL, fastCfg())
+	now := time.Unix(1000, 0)
+	var big []string
+	for i := 0; i < MaxAdPatterns+50; i++ {
+		big = append(big, fmt.Sprintf("p%04d.>", i))
+	}
+	m.HandleInterest(1, "greedy", big, now)
+	if n := len(m.links[1].heard["greedy"].patterns); n != MaxAdPatterns {
+		t.Fatalf("kept %d patterns of one advertisement, cap %d", n, MaxAdPatterns)
+	}
+	if !m.Wants(1, subject.MustParse("p0000.x")) || m.Wants(1, subject.MustParse(fmt.Sprintf("p%04d.x", MaxAdPatterns))) {
+		t.Fatal("truncation must keep the head of the list and drop the tail")
+	}
+	if got := m.Counters().InterestCapped; got != 1 {
+		t.Fatalf("InterestCapped = %d after one truncated ad, want 1", got)
+	}
+	m.HandleInterest(1, "greedy", nil, now)
+
+	for i := 0; i < maxLinkSenders; i++ {
+		m.HandleInterest(1, fmt.Sprintf("h%d", i), []string{"shared.>"}, now)
+	}
+	m.HandleInterest(1, "late", []string{"late.>"}, now)
+	if len(m.links[1].heard) != maxLinkSenders || m.Wants(1, subject.MustParse("late.x")) {
+		t.Fatalf("a full link took a new sender: %d entries", len(m.links[1].heard))
+	}
+	if got := m.Counters().InterestCapped; got != 2 {
+		t.Fatalf("InterestCapped = %d after one refused sender, want 2", got)
+	}
+	if n := m.links[1].wants.Distinct(); n != 1 {
+		t.Fatalf("%d senders of one pattern put %d patterns in the trie, want 1", maxLinkSenders, n)
+	}
+	// A sender the table holds is not new: it may change its mind.
+	m.HandleInterest(1, "h0", []string{"changed.>"}, now)
+	if !m.Wants(1, subject.MustParse("changed.x")) {
+		t.Fatal("a full link refused an update from a sender it already holds")
+	}
+	// And a place freed is a place to take.
+	m.HandleInterest(1, "h1", nil, now)
+	m.HandleInterest(1, "late", []string{"late.>"}, now)
+	if !m.Wants(1, subject.MustParse("late.x")) || m.Counters().InterestCapped != 2 {
+		t.Fatal("a freed place was not given to the next new sender")
+	}
+	// The other link: its own table, its own bound.
+	m.HandleInterest(0, "elsewhere", []string{"else.>"}, now)
+	if !m.Wants(0, subject.MustParse("else.x")) {
+		t.Fatal("one link's full table refused a sender on another link")
+	}
+}
+
+// TestEmptyAdSaidOnce: a router asks nothing of a link at start-up and says
+// nothing; once it has asked, it refreshes every InterestTTL/4; when it
+// wants nothing any more it says so once — the empty set — and goes quiet.
+func TestEmptyAdSaidOnce(t *testing.T) {
+	m := New("ra", []string{"S1", "S2"}, fastTTL, fastCfg())
+	now := time.Unix(1000, 0)
+	var sent [][]string
+	run := func(steps int, host []string) {
+		for i := 0; i < steps; i++ {
+			now = now.Add(time.Millisecond)
+			if host != nil {
+				m.HandleInterest(1, "h", host, now)
+			}
+			for _, out := range m.Actions(now).Interests {
+				if out.Link != 0 {
+					t.Fatalf("ad into link %d, where the only interest was heard", out.Link)
+				}
+				sent = append(sent, out.Patterns)
+			}
+		}
+	}
+	run(2*int(fastTTL/time.Millisecond), nil)
+	if len(sent) != 0 {
+		t.Fatalf("a router with nothing to ask advertised %v", sent)
+	}
+	run(int(fastTTL/time.Millisecond), []string{"want.>"})
+	if n := len(sent); n < refreshDivisor || n > refreshDivisor+1 {
+		t.Fatalf("%d ads in one TTL of steady interest, want the first and a refresh every TTL/%d", n, refreshDivisor)
+	}
+	for _, ad := range sent {
+		if len(ad) != 1 || ad[0] != "want.>" {
+			t.Fatalf("advertised %v", ad)
+		}
+	}
+	sent = nil
+	m.HandleInterest(1, "h", nil, now)
+	run(3*int(fastTTL/time.Millisecond), nil)
+	if len(sent) != 1 || len(sent[0]) != 0 {
+		t.Fatalf("after the last interest left the router sent %v, want the empty set once", sent)
 	}
 }
 
@@ -470,11 +725,11 @@ func TestVectorOrdering(t *testing.T) {
 
 // TestTickInterval pins the driver clock bounds.
 func TestTickInterval(t *testing.T) {
-	m := New("x", []string{"a", "b"}, Config{Debounce: 100 * time.Millisecond})
+	m := New("x", []string{"a", "b"}, fastTTL, Config{Debounce: 100 * time.Millisecond})
 	if got := m.TickInterval(); got != 25*time.Millisecond {
 		t.Fatalf("tick = %v", got)
 	}
-	m = New("x", []string{"a"}, Config{Debounce: time.Millisecond})
+	m = New("x", []string{"a"}, fastTTL, Config{Debounce: time.Millisecond})
 	if got := m.TickInterval(); got != time.Millisecond {
 		t.Fatalf("tick floor = %v", got)
 	}

@@ -87,11 +87,16 @@ func newFanoutRouter(t testing.TB, opts Options) *Router {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = r.Close() })
-	expiry := time.Now().Add(time.Hour)
 	for _, att := range r.atts[1:] {
-		att.recordInterest([]string{"bench.>", "west.bench.>", "_sys.>"}, expiry)
+		hearInterest(r, att, "bench.>", "west.bench.>", "_sys.>")
 	}
 	return r
+}
+
+// hearInterest feeds the router one host's advertisement on an attachment,
+// as handle does for a busproto.KindInterest envelope from that sender.
+func hearInterest(r *Router, att *attachment, patterns ...string) {
+	r.agent.m.HandleInterest(att.index, "host", patterns, time.Now())
 }
 
 // trafficClass is one kind of traffic the forwarding loop serves; shared
@@ -218,7 +223,7 @@ func TestRouterEgressGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.atts[1].recordInterest([]string{"golden.>"}, time.Now().Add(time.Hour))
+	hearInterest(r, r.atts[1], "golden.>")
 	t0 := time.Now().UnixNano()
 	for _, tc := range cases {
 		r.handle(r.atts[0], reliable.Message{From: "pub", Payload: busproto.Encode(tc.env)})
@@ -292,12 +297,13 @@ func (s *captureSegment) payloads() [][]byte {
 }
 
 // dataPayloads is payloads without the router's own link-local mesh
-// conversation (every router says hello on its first tick): what is left
-// is what the forwarding engine put on the segment.
+// conversation (every router says hello on its first tick, and asks the
+// segment for what its other attachments want): what is left is what the
+// forwarding engine put on the segment.
 func (s *captureSegment) dataPayloads() [][]byte {
 	return slices.DeleteFunc(s.payloads(), func(p []byte) bool {
 		hdr, err := busproto.Peek(p)
-		return err == nil && (string(hdr.Subject) == mesh.HelloSubject || string(hdr.Subject) == mesh.InterestSubject)
+		return err == nil && (string(hdr.Subject) == mesh.HelloSubject || hdr.Kind == busproto.KindInterest)
 	})
 }
 
@@ -337,7 +343,7 @@ func TestWantsOnHonoursTransforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.atts[1].recordInterest([]string{"west.bench.>"}, time.Now().Add(time.Hour))
+	hearInterest(r, r.atts[1], "west.bench.>")
 	s := subject.MustParse("bench.x")
 	if !r.WantsOn("out", s) {
 		t.Fatal("WantsOn must match interest (west.bench.>) against the rewritten subject")
@@ -375,17 +381,16 @@ func TestNewRejectsUnparsableRulePrefix(t *testing.T) {
 // budget is forwarded with its hops byte incremented; a frame at the budget
 // is dropped, counted in router.loop_dropped, and puts nothing on the wire.
 func TestHopBudgetBoundsForwarding(t *testing.T) {
-	const budget = 5
+	const budget = mesh.MaxHops
 	seg := &captureSegment{}
-	r, err := New(Options{Name: "hops", Reliable: quietReliable(), InterestTTL: time.Hour,
-		Mesh: mesh.Config{MaxHops: budget}},
+	r, err := New(Options{Name: "hops", Reliable: quietReliable(), InterestTTL: time.Hour},
 		Attachment{Segment: &nullSegment{}, Name: "in"},
 		Attachment{Segment: seg, Name: "out"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.atts[1].recordInterest([]string{"hop.>"}, time.Now().Add(time.Hour))
+	hearInterest(r, r.atts[1], "hop.>")
 	for _, kind := range []byte{busproto.KindPublish, busproto.KindGuaranteed, busproto.KindPublishTraced} {
 		before := r.Stats()
 		wire := len(seg.dataPayloads())

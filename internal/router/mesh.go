@@ -10,10 +10,12 @@ import (
 )
 
 // This file is the router's half of the self-organizing mesh
-// (internal/mesh): it puts the mesh advertisements on the wire, feeds
-// received ones into the state machine, prunes expired host interest on
-// the protocol clock, and mirrors the mesh's counters into telemetry (the
-// mesh-flap watch and the flight-data history ring read them there).
+// (internal/mesh): it puts what the state machine decides on the wire —
+// hellos and status snapshots as self-describing objects, interest as the
+// busproto.KindInterest envelope a host daemon sends — feeds received
+// hellos in, ticks the protocol clock, and mirrors the mesh's counters into
+// telemetry (the mesh-flap watch and the flight-data history ring read them
+// there).
 //
 // Routers meet through the hellos alone: the first one leaves on a
 // router's first tick, and a neighbour that learns anything from it
@@ -32,6 +34,7 @@ type meshAgent struct {
 	readverts   *telemetry.Counter
 	topoChanges *telemetry.Counter
 	idConflicts *telemetry.Counter
+	capped      *telemetry.Counter
 	helloSent   *telemetry.Counter
 	adsDropped  *telemetry.Counter
 	last        mesh.Counters
@@ -44,57 +47,47 @@ func newMeshAgent(r *Router, cfg mesh.Config) *meshAgent {
 	}
 	return &meshAgent{
 		r:           r,
-		m:           mesh.New(r.opts.Name, names, cfg),
+		m:           mesh.New(r.opts.Name, names, r.opts.InterestTTL, cfg),
 		types:       mesh.MustTypes(),
 		node:        telemetry.SanitizeNode("router-" + r.opts.Name),
 		readverts:   r.metrics.Counter("mesh.readvertisements"),
 		topoChanges: r.metrics.Counter("mesh.topology_changes"),
 		idConflicts: r.metrics.Counter("mesh.id_conflicts"),
+		capped:      r.metrics.Counter("mesh.interest_capped"),
 		helloSent:   r.metrics.Counter("mesh.hellos_sent"),
 		adsDropped:  r.metrics.Counter("mesh.ads_dropped"),
 	}
 }
 
-// loop is the protocol clock: it prunes and gathers host interest, advances
-// the state machine, and broadcasts whatever came due.
+// loop is the protocol clock: it advances the state machine and broadcasts
+// whatever came due.
 func (a *meshAgent) loop() {
 	r := a.r
 	defer r.wg.Done()
 	ticker := time.NewTicker(a.m.TickInterval())
 	defer ticker.Stop()
-	hostPatterns := make([][]string, len(r.atts))
 	for {
 		select {
 		case <-r.done:
 			return
 		case now := <-ticker.C:
-			// Host interest snapshot BEFORE entering the mesh lock: the
-			// mesh never takes attachment locks, attachments never hold
-			// theirs while asking the mesh, so the order cannot deadlock.
-			for i, att := range r.atts {
-				var pruned bool
-				if hostPatterns[i], pruned = att.livePatterns(now); pruned {
-					a.m.HostInterestChanged(i)
-				}
-			}
-			acts := a.m.Actions(now, hostPatterns)
+			acts := a.m.Actions(now)
 			for _, h := range acts.Hellos {
 				if payload, err := mesh.MarshalHello(a.types, h.Ad); err == nil {
-					a.broadcast(h.Link, mesh.HelloSubject, payload)
+					a.broadcast(h.Link, busproto.Envelope{Kind: busproto.KindPublish, Subject: mesh.HelloSubject, Payload: payload})
 					a.helloSent.Inc()
 				}
 			}
 			for _, i := range acts.Interests {
-				if payload, err := mesh.MarshalInterest(a.types, i.Ad); err == nil {
-					a.broadcast(i.Link, mesh.InterestSubject, payload)
-				}
+				a.broadcast(i.Link, busproto.Envelope{Kind: busproto.KindInterest, Patterns: i.Patterns})
 			}
 			if acts.Status != nil {
 				st := *acts.Status
 				st.Node = a.node
 				if payload, err := mesh.MarshalStatus(a.types, st); err == nil {
+					env := busproto.Envelope{Kind: busproto.KindPublish, Subject: mesh.StatusSubject(a.node), Payload: payload}
 					for li := range r.atts {
-						a.broadcast(li, mesh.StatusSubject(a.node), payload)
+						a.broadcast(li, env)
 					}
 				}
 			}
@@ -104,10 +97,11 @@ func (a *meshAgent) loop() {
 }
 
 // mirrorCounters adds what the mesh counted since the last tick to the
-// telemetry registry, and records the two events an operator looks for in
-// a dump: a tree change, and the first sighting of a router sharing this
-// one's name (two routers with one id never elect against each other, so
-// nothing crosses the pair until one is renamed).
+// telemetry registry, and records the three events an operator looks for in
+// a dump: a tree change, the first sighting of a router sharing this one's
+// name (two routers with one id never elect against each other, so a cycle
+// through the pair stays uncut until one is renamed), and the first
+// advertisement an interest-table bound cut short.
 func (a *meshAgent) mirrorCounters() {
 	c := a.m.Counters()
 	a.readverts.Add(c.Readverts - a.last.Readverts)
@@ -117,21 +111,23 @@ func (a *meshAgent) mirrorCounters() {
 			a.r.rec.Record(telemetry.EventMesh, "mesh-topology", int64(c.TopoChanges), 0)
 		}
 	}
-	if c.IDConflicts > a.last.IDConflicts {
-		a.idConflicts.Add(c.IDConflicts - a.last.IDConflicts)
-		if a.last.IDConflicts == 0 && a.r.rec != nil {
-			a.r.rec.Record(telemetry.EventMesh, "mesh-id-conflict", int64(c.IDConflicts), 0)
+	recordedOnce := func(ctr *telemetry.Counter, now, last uint64, event string) {
+		if now > last {
+			ctr.Add(now - last)
+			if last == 0 && a.r.rec != nil {
+				a.r.rec.Record(telemetry.EventMesh, event, int64(now), 0)
+			}
 		}
 	}
+	recordedOnce(a.idConflicts, c.IDConflicts, a.last.IDConflicts, "mesh-id-conflict")
+	recordedOnce(a.capped, c.InterestCapped, a.last.InterestCapped, "mesh-interest-capped")
 	a.last = c
 }
 
-func (a *meshAgent) broadcast(li int, subj string, payload []byte) {
+func (a *meshAgent) broadcast(li int, env busproto.Envelope) {
 	att := a.r.atts[li]
-	buf := bufpool.Get(len(subj) + len(payload) + 48)
-	*buf = busproto.AppendEncode((*buf)[:0], busproto.Envelope{
-		Kind: busproto.KindPublish, Subject: subj, Payload: payload,
-	})
+	buf := bufpool.Get(len(env.Subject) + len(env.Payload) + 16*len(env.Patterns) + 48)
+	*buf = busproto.AppendEncode((*buf)[:0], env)
 	err := att.conn.Publish(*buf)
 	bufpool.Put(buf)
 	if err != nil {
@@ -141,18 +137,12 @@ func (a *meshAgent) broadcast(li int, subj string, payload []byte) {
 	_ = att.conn.Flush()
 }
 
-// handle consumes the payload view of one link-local mesh publication
-// (mesh.HelloSubject or mesh.InterestSubject) received on an attachment.
-// The decoded class, not the subject it arrived on, says which it is.
-func (a *meshAgent) handle(att *attachment, payload []byte) {
-	v, err := mesh.ParseAd(payload)
-	if err != nil {
-		return
-	}
-	switch ad := v.(type) {
-	case mesh.HelloAd:
-		a.m.HandleHello(att.index, ad, time.Now())
-	case mesh.InterestAd:
-		a.m.HandleInterest(att.index, ad, time.Now())
+// handleHello consumes the payload view of one publication received on
+// mesh.HelloSubject; anything that does not decode to a hello is ignored.
+func (a *meshAgent) handleHello(att *attachment, payload []byte) {
+	if v, err := mesh.ParseAd(payload); err == nil {
+		if ad, ok := v.(mesh.HelloAd); ok {
+			a.m.HandleHello(att.index, ad, time.Now())
+		}
 	}
 }

@@ -24,13 +24,13 @@ import (
 
 // fastMesh scales the mesh protocol timers down to the simulated network's
 // pace, like fastReliable does for the stream protocol: detection within
-// tens of milliseconds, interest expiry within a few hundred.
+// tens of milliseconds. Interest expiry is the router's InterestTTL
+// (newRouter: 2 s, eight of a host's advertisement periods).
 func fastMesh() mesh.Config {
 	return mesh.Config{
-		HelloInterval:   10 * time.Millisecond,
-		Debounce:        4 * time.Millisecond,
-		InterestRefresh: 60 * time.Millisecond,
-		StatusInterval:  -1,
+		HelloInterval:  10 * time.Millisecond,
+		Debounce:       4 * time.Millisecond,
+		StatusInterval: -1,
 	}
 }
 
@@ -243,9 +243,10 @@ func TestMeshPartitionHeal(t *testing.T) {
 
 // TestMeshWantsCacheInvalidatedOnTopologyChange is the PR 9 regression fix:
 // the wants answer "forward into S2" is cached because a subscriber lives
-// BEHIND that link (mesh remote interest, not local interest). When that
-// subtree dies, nothing on the attachment itself changes — only the mesh's
-// view of the link does. The cached answer must not keep saying yes.
+// BEHIND that link (a neighbour router's advertisement, not a host's). When
+// that subtree dies, no host on the segment says anything — the router's
+// entry in the link's table lapses. The cached answer must not keep saying
+// yes.
 func TestMeshWantsCacheInvalidatedOnTopologyChange(t *testing.T) {
 	cfg := fastMesh()
 	s1, s2, s3 := fastSeg(), fastSeg(), fastSeg()
@@ -276,9 +277,9 @@ func TestMeshWantsCacheInvalidatedOnTopologyChange(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	// Kill the subtree. ra's S2 attachment sees no local interest change
-	// ever (no hosts live on S2) — rb's hello and interest expire in the
-	// mesh. The cached true must flip.
+	// Kill the subtree. ra's S2 link hears no host ever (none lives on S2)
+	// — rb's hello and then its interest entry lapse in the mesh. The
+	// cached true must flip.
 	_ = rb.Close()
 	for ra.WantsOn("S2", subj) {
 		select {
@@ -290,23 +291,22 @@ func TestMeshWantsCacheInvalidatedOnTopologyChange(t *testing.T) {
 }
 
 // TestMeshForwardDecisionZeroAlloc pins the steady-state forward decision —
-// port-state check, host-trie miss served from its cache, remote-trie hit
-// served from its cache — at zero allocations: exactly what runs per
-// forwarded publication between envelope peek and splice when the only
-// subscriber is behind another router.
+// port-state check, one trie probe served from its match cache — at zero
+// allocations: exactly what runs per forwarded publication between envelope
+// peek and splice when the only subscriber is behind another router.
 func TestMeshForwardDecisionZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	r := newFanoutRouter(t, Options{Name: "za"})
-	m, att := r.agent.m, r.atts[1]
-	m.HandleInterest(1, mesh.InterestAd{Router: "zb", Seq: 1, Patterns: []string{"za.>"}}, time.Now())
+	m := r.agent.m
+	m.HandleInterest(1, "router:zb", []string{"za.>"}, time.Now())
 	subj := subject.MustParse("za.data")
-	if !m.Forwarding(1) || !r.wants(att, subj) {
+	if !m.Forwarding(1) || !m.Wants(1, subj) {
 		t.Fatal("precondition: remote interest should match")
 	}
 	allocs := testing.AllocsPerRun(10000, func() {
-		if !m.Forwarding(1) || !r.wants(att, subj) {
+		if !m.Forwarding(1) || !m.Wants(1, subj) {
 			t.Fatal("forward decision flipped mid-run")
 		}
 	})
@@ -316,38 +316,67 @@ func TestMeshForwardDecisionZeroAlloc(t *testing.T) {
 }
 
 // TestMeshForwardDecisionPastCacheCap states what the decision costs once a
-// link has seen more distinct subjects than a trie's match cache holds
+// link has seen more distinct subjects than its trie's match cache holds
 // (16 384, skip-on-full, cleared by the next interest change): the subject
-// is walked again each time. A walk that finds nothing, and a host-trie
-// walk (its values are empty), allocate nothing; a remote-trie walk that
-// matches allocates its match set, one small slice per egress.
+// is walked again each time. The link's trie holds each pattern once with
+// an empty value, so a walk allocates nothing whether it finds a host's
+// interest, a neighbour router's or nobody's (the neighbour's cost one small
+// slice per egress while it had a trie of its own, keyed by router id).
 func TestMeshForwardDecisionPastCacheCap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	r := newFanoutRouter(t, Options{Name: "za"})
-	m, att := r.agent.m, r.atts[1]
-	m.HandleInterest(1, mesh.InterestAd{Router: "zb", Seq: 1, Patterns: []string{"za.>"}}, time.Now())
-	for i := 0; i < 1<<14+64; i++ { // past subject.Trie's cache cap, on both tries
-		r.wants(att, subject.MustParse("za.fill"+strconv.Itoa(i)))
-		r.wants(att, subject.MustParse("bench.fill"+strconv.Itoa(i)))
+	m := r.agent.m
+	m.HandleInterest(1, "router:zb", []string{"za.>"}, time.Now())
+	for i := 0; i < 1<<14+64; i++ { // past subject.Trie's cache cap
+		m.Wants(1, subject.MustParse("za.fill"+strconv.Itoa(i)))
 	}
 	for _, tc := range []struct {
 		subj   string
 		wanted bool
-		allocs float64
 	}{
-		{"za.cold", true, 1},    // a neighbor router's interest only
-		{"bench.cold", true, 0}, // host interest on the segment
-		{"nobody.cold", false, 0},
+		{"za.cold", true},    // a neighbor router's interest only
+		{"bench.cold", true}, // host interest on the segment
+		{"nobody.cold", false},
 	} {
 		subj := subject.MustParse(tc.subj)
-		if got := r.wants(att, subj); got != tc.wanted {
-			t.Fatalf("wants(%s) = %v, want %v", tc.subj, got, tc.wanted)
+		if got := m.Wants(1, subj); got != tc.wanted {
+			t.Fatalf("Wants(%s) = %v, want %v", tc.subj, got, tc.wanted)
 		}
-		if allocs := testing.AllocsPerRun(1000, func() { r.wants(att, subj) }); allocs != tc.allocs {
-			t.Errorf("uncached forward decision for %s = %v allocs/op, want %v", tc.subj, allocs, tc.allocs)
+		if allocs := testing.AllocsPerRun(1000, func() { m.Wants(1, subj) }); allocs != 0 {
+			t.Errorf("uncached forward decision for %s = %v allocs/op, want 0", tc.subj, allocs)
 		}
+	}
+}
+
+// TestInterestCapCountedAndRecorded: an advertisement the table cuts short
+// reaches the operator — "mesh.interest_capped" counts every one, the
+// flight recorder keeps one "mesh-interest-capped" event however many
+// follow — and what was kept is the head of the list.
+func TestInterestCapCountedAndRecorded(t *testing.T) {
+	r := newFanoutRouter(t, Options{Name: "cap", Mesh: fastMesh(), Health: telemetry.HealthConfig{Interval: time.Hour}})
+	var pats []string
+	for i := 0; i <= mesh.MaxAdPatterns; i++ {
+		pats = append(pats, fmt.Sprintf("cap.p%03d", i))
+	}
+	ad := busproto.Encode(busproto.Envelope{Kind: busproto.KindInterest, Patterns: pats})
+	capped := r.Metrics().Counter("mesh.interest_capped")
+	for n := uint64(1); n <= 2; n++ {
+		r.handle(r.atts[1], reliable.Message{From: "greedy", Payload: ad})
+		waitFor(t, "the capped advertisement to be counted", func() bool { return capped.Load() == n })
+	}
+	events := 0
+	for _, ev := range r.rec.Events() {
+		if ev.Kind == telemetry.EventMesh && ev.Target == "mesh-interest-capped" {
+			events++
+		}
+	}
+	if events != 1 {
+		t.Errorf("%d mesh-interest-capped events recorded, want 1", events)
+	}
+	if !r.WantsOn("a", subject.MustParse(pats[0])) || r.WantsOn("a", subject.MustParse(pats[mesh.MaxAdPatterns])) {
+		t.Error("truncation must keep the head of the advertisement and drop its tail")
 	}
 }
 
@@ -426,9 +455,7 @@ func TestMeshFlapAlarm(t *testing.T) {
 	go func() {
 		pats := [][]string{{"flap.a"}, {"flap.b"}}
 		for i := 0; i < 400; i++ {
-			r.agent.m.HandleInterest(0, mesh.InterestAd{
-				Router: "zz-flapper", Seq: int64(i), Patterns: pats[i%2],
-			}, time.Now())
+			r.agent.m.HandleInterest(0, "zz-flapper", pats[i%2], time.Now())
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -513,9 +540,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // is an hour away, so the only frames that can carry the neighbor's vector
 // to the joiner are the joiner's first-tick hello and the answer it
 // triggers (internal/mesh TestJoinConvergesWithinFourTicks counts the
-// ticks: two); and the only mesh subjects the shared segment ever carries
-// are the hello and interest conversations — no "_sys.mesh.q."/".r."
-// discovery round exists any more.
+// ticks: two); and the only mesh subject the shared segment ever carries
+// is the hello conversation — no "_sys.mesh.q."/".r." discovery round
+// exists any more, and interest travels as the host's envelope, on no
+// subject at all.
 func TestMeshJoinNeedsNoDiscovery(t *testing.T) {
 	cfg := fastMesh()
 	cfg.HelloInterval = time.Hour
@@ -542,7 +570,7 @@ func TestMeshJoinNeedsNoDiscovery(t *testing.T) {
 		t.Fatal("the tap saw no hello: it is not observing the segment")
 	}
 	for subj := range tap.subjects {
-		if strings.HasPrefix(subj, "_sys.mesh.") && subj != mesh.HelloSubject && subj != mesh.InterestSubject {
+		if strings.HasPrefix(subj, "_sys.mesh.") && subj != mesh.HelloSubject {
 			t.Errorf("unexpected mesh subject on the wire: %s", subj)
 		}
 	}
@@ -600,9 +628,9 @@ func TestMeshThreeRouterLine(t *testing.T) {
 }
 
 // TestSameNameRoutersDetected: two routers given one name discard each
-// other's mesh ads as their own, so each stays root, neither learns the
-// other's interest, and nothing crosses the pair (the pairwise relay, which
-// knew no names, used to hide this). Both must say so: the
+// other's hellos as their own, so each stays root with every port
+// forwarding and a cycle through the pair is never cut (the pairwise relay,
+// which knew no names, used to hide this). Both must say so: the
 // "mesh.id_conflicts" counter and one "mesh-id-conflict" recorder event.
 //
 // The counter can only mean a twin if a router never hears its own ads:

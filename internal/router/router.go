@@ -11,16 +11,18 @@
 // illusion of a single, large bus."
 //
 // A Router attaches to two or more network segments. On each attachment
-// it listens to everything, builds an interest table from the daemons'
-// subscription advertisements, and forwards a publication to another
+// it listens to everything, keeps one interest table of the subscription
+// advertisements it hears there, and forwards a publication to another
 // segment only when that segment (or a segment behind it) holds a
 // matching subscription. What lies behind a segment it learns from the
-// other routers there: every router runs the mesh protocol
-// (internal/mesh), which elects the routers sharing segments into a
-// loop-free spanning tree and carries aggregated interest hop by hop along
-// it, so chains of routers compose and redundant links block instead of
-// duplicating traffic. Guaranteed publications are forwarded with their
-// origin token, and their acknowledgements retrace the path back.
+// other routers there, which advertise it as a host advertises its own
+// subscriptions — the same envelope, into the same table: every router
+// runs the mesh protocol (internal/mesh), which elects the routers sharing
+// segments into a loop-free spanning tree and carries aggregated interest
+// hop by hop along it, so chains of routers compose and redundant links
+// block instead of duplicating traffic. Guaranteed publications are
+// forwarded with their origin token, and their acknowledgements retrace
+// the path back.
 package router
 
 import (
@@ -46,13 +48,16 @@ type Options struct {
 	// Name labels the router in logs and telemetry and is its mesh router
 	// id. It must be non-empty (New rejects it otherwise) and unique among
 	// the routers that can hear each other: the lowest name becomes the
-	// tree root, and two routers sharing one never exchange interest — each
-	// counts the other's ads in "mesh.id_conflicts" instead.
+	// tree root, and two routers sharing one cannot elect against each other
+	// — each counts the other's hellos in "mesh.id_conflicts" instead, and a
+	// cycle through the pair is cut only by the hop budget.
 	Name string
 	// Reliable tunes each attachment's reliable connection.
 	Reliable reliable.Config
-	// InterestTTL is how long a heard interest advertisement stays valid
-	// without refresh. Default 4x daemon.InterestInterval (1s).
+	// InterestTTL is how long a heard interest advertisement — a host's or
+	// a neighbour router's — stays valid without refresh; the router
+	// refreshes its own every InterestTTL/4. Default 4x
+	// daemon.InterestInterval (1s).
 	InterestTTL time.Duration
 	// Log, if non-nil, receives a line per forwarded message.
 	Log io.Writer
@@ -72,9 +77,9 @@ type Options struct {
 	// "_sys.dump" probes are answered with the recorder's text dump. Zero
 	// disables the tier.
 	Health telemetry.HealthConfig
-	// Mesh tunes the mesh protocol every router runs: hello and interest
-	// cadence, the pattern cap of one advertisement, the envelope hop
-	// budget. The zero value takes the protocol defaults.
+	// Mesh tunes the mesh protocol every router runs: hello cadence, the
+	// re-advertisement debounce, the status period. The zero value takes the
+	// protocol defaults.
 	Mesh mesh.Config
 }
 
@@ -122,21 +127,6 @@ type attachment struct {
 	// each egress frame is built here, handed to Publish (which copies
 	// before returning), and the buffer reused — no pool round trip.
 	fwdBuf []byte
-
-	// hosts matches the live daemon interest heard on this segment. The
-	// forwarding path asks it per message; a repeated subject is a probe of
-	// the trie's match cache, which any change of the pattern SET (not a
-	// refresh) invalidates.
-	hosts *subject.Trie[struct{}]
-	// mu guards interest, which keeps each pattern in hosts beside the time
-	// it lapses unless re-advertised.
-	mu       sync.Mutex
-	interest map[string]interestEntry
-}
-
-type interestEntry struct {
-	pat     subject.Pattern
-	expires time.Time
 }
 
 // Router bridges segments.
@@ -278,13 +268,11 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 			rcfg.Recorder = r.rec
 		}
 		att := &attachment{
-			name:     a.Name,
-			index:    len(r.atts),
-			conn:     reliable.New(ep, rcfg),
-			rules:    rules[len(r.atts)],
-			hopNode:  "router:" + opts.Name + ":" + a.Name,
-			hosts:    subject.NewTrie[struct{}](),
-			interest: make(map[string]interestEntry),
+			name:    a.Name,
+			index:   len(r.atts),
+			conn:    reliable.New(ep, rcfg),
+			rules:   rules[len(r.atts)],
+			hopNode: "router:" + opts.Name + ":" + a.Name,
 		}
 		r.atts = append(r.atts, att)
 		if r.engine != nil {
@@ -403,8 +391,9 @@ func (r *Router) attachmentLoop(att *attachment) {
 // handle dispatches one inbound message off a lazy header peek. Data
 // envelopes and acks never decode: every side handler (mesh link-local,
 // the "_sys" probes, compact class-def harvest, class requests) keys off
-// the peeked kind/subject/payload views. Only an
-// interest advertisement, whose pattern list the router keeps, decodes.
+// the peeked kind/subject/payload views. Only an interest advertisement,
+// whose pattern list the link's table keeps, decodes — a host's and a
+// neighbour router's alike; which of the two sent it the router never asks.
 func (r *Router) handle(att *attachment, m reliable.Message) {
 	hdr, err := busproto.Peek(m.Payload)
 	if err != nil {
@@ -416,22 +405,20 @@ func (r *Router) handle(att *attachment, m reliable.Message) {
 		if err != nil {
 			return
 		}
-		if att.recordInterest(env.Patterns, time.Now().Add(r.opts.InterestTTL)) {
-			r.agent.m.HostInterestChanged(att.index)
-		}
+		r.agent.m.HandleInterest(att.index, m.From, env.Patterns, time.Now())
 	case busproto.KindPublish, busproto.KindGuaranteed:
 		// System traffic: every check below compares the subject view
 		// against a constant ([]byte==const string compiles to an
 		// allocation-free comparison), so plain application traffic pays
 		// one leading-byte test.
 		if len(hdr.Subject) > 0 && hdr.Subject[0] == '_' {
-			if string(hdr.Subject) == mesh.HelloSubject || string(hdr.Subject) == mesh.InterestSubject {
-				// Hellos and interest ads define this link's adjacency: they
-				// never cross to another segment. Status snapshots
+			if string(hdr.Subject) == mesh.HelloSubject {
+				// Hellos define this link's adjacency: they never cross to
+				// another segment. Status snapshots
 				// ("_sys.mesh.status.<node>") are ordinary publications and
 				// cross routers like anything else a monitor subscribes to.
 				if hdr.Base() == busproto.KindPublish {
-					r.agent.handle(att, hdr.Payload)
+					r.agent.handleHello(att, hdr.Payload)
 				}
 				return
 			}
@@ -487,7 +474,7 @@ func (r *Router) forward(src *attachment, from string, hdr *busproto.Header) {
 	// The spanning tree is loop-free by construction, so the hop budget
 	// covers the tree diameter and only bounds pathology (a tree still
 	// converging, a router whose name is not unique).
-	if int(hdr.Hops) >= m.MaxHops() {
+	if hdr.Hops >= mesh.MaxHops {
 		r.ctr.loopDropped.Inc()
 		return
 	}
@@ -516,7 +503,7 @@ func (r *Router) forward(src *attachment, from string, hdr *busproto.Header) {
 		if len(dst.rules) > 0 {
 			outSubj, transformed = r.transform(dst, subj)
 		}
-		if !r.wants(dst, outSubj) {
+		if !m.Wants(dst.index, outSubj) {
 			continue
 		}
 		// The inbound frame may share its backing array with other receivers
@@ -631,56 +618,6 @@ func (r *Router) forwardAck(src *attachment, origin, frame []byte) {
 // ---------------------------------------------------------------------------
 // attachment helpers
 
-// recordInterest notes one advertisement's patterns as live until expires
-// and reports whether the pattern set (not just an expiry) changed.
-func (a *attachment) recordInterest(patterns []string, expires time.Time) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	changed := false
-	for _, ps := range patterns {
-		e, ok := a.interest[ps]
-		if !ok {
-			pat, err := subject.ParsePattern(ps)
-			if err != nil {
-				continue
-			}
-			e.pat = pat
-			a.hosts.Add(pat, struct{}{})
-			changed = true
-		}
-		e.expires = expires
-		a.interest[ps] = e
-	}
-	return changed
-}
-
-// livePatterns drops the host interest that lapsed before now and returns
-// what is left, and whether anything was dropped.
-func (a *attachment) livePatterns(now time.Time) (live []string, pruned bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	live = make([]string, 0, len(a.interest))
-	for ps, e := range a.interest {
-		if now.After(e.expires) {
-			delete(a.interest, ps)
-			a.hosts.Remove(e.pat, struct{}{})
-			pruned = true
-			continue
-		}
-		live = append(live, ps)
-	}
-	return live, pruned
-}
-
-// wants reports whether the subject should be forwarded onto the
-// attachment's segment: a live host interest there matches, or a router
-// behind that link advertised matching interest. Both are answered by a
-// subject trie whose match cache serves a repeated subject without a walk
-// or an allocation and is invalidated by whatever changes the answer.
-func (r *Router) wants(a *attachment, s subject.Subject) bool {
-	return len(a.hosts.Match(s)) > 0 || r.agent.m.WantsRemote(a.index, s)
-}
-
 // compileRules parses each rule's prefixes once. A rule with an empty
 // prefix matches without rewriting; a prefix that is not a subject is an
 // error.
@@ -776,7 +713,7 @@ func (r *Router) WantsOn(segmentName string, s subject.Subject) bool {
 			return false
 		}
 		out, _ := r.transform(att, s)
-		return r.wants(att, out)
+		return r.agent.m.Wants(att.index, out)
 	}
 	return false
 }

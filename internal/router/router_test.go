@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"infobus/internal/core"
+	"infobus/internal/mesh"
 	"infobus/internal/netsim"
 	"infobus/internal/reliable"
 	"infobus/internal/subject"
@@ -389,20 +390,18 @@ func TestParallelRoutersElectOneForwarder(t *testing.T) {
 
 // TestSameNameParallelRoutersBoundedByHopBudget is the pathology the hop
 // budget exists for: a parallel pair that shares one name never elects
-// (each discards the other's ads as its own and stays root, every port
-// forwarding), and with subscribers on both segments the interest filter
-// does not break the loop. Only the envelope hop budget ends the ping-pong:
+// (each discards the other's hellos as its own and stays root, every port
+// forwarding), and the interest filter does not break the loop — each twin
+// asks either segment for what it hears on the other. Only the envelope hop budget ends the ping-pong:
 // the subscriber sees a bounded number of copies and the routers count
 // loop drops instead of spinning forever.
 func TestSameNameParallelRoutersBoundedByHopBudget(t *testing.T) {
 	segA, segB := fastSeg(), fastSeg()
 	defer segA.Close()
 	defer segB.Close()
-	cfg := fastMesh()
-	cfg.MaxHops = 8
 	var twins [2]*Router
 	for i := range twins {
-		twins[i] = newRouter(t, Options{Name: "twin", Mesh: cfg},
+		twins[i] = newRouter(t, Options{Name: "twin", Mesh: fastMesh()},
 			Attachment{Segment: segA, Name: "A"},
 			Attachment{Segment: segB, Name: "B"},
 		)
@@ -430,9 +429,9 @@ func TestSameNameParallelRoutersBoundedByHopBudget(t *testing.T) {
 		return twins[0].Stats().LoopDropped+twins[1].Stats().LoopDropped > 0
 	})
 	// One publication reaches B once per twin at every odd hop count
-	// below the budget: 8 copies, and then silence.
-	if copies := countCopies(sub, "loop.test", 300*time.Millisecond); copies == 0 || copies > cfg.MaxHops {
-		t.Errorf("subscriber saw %d copies of one publication, want 1..%d", copies, cfg.MaxHops)
+	// below the budget: mesh.MaxHops copies, and then silence.
+	if copies := countCopies(sub, "loop.test", 300*time.Millisecond); copies == 0 || copies > mesh.MaxHops {
+		t.Errorf("subscriber saw %d copies of one publication, want 1..%d", copies, mesh.MaxHops)
 	}
 	if late := countCopies(sub, "loop.test", 100*time.Millisecond); late != 0 {
 		t.Errorf("%d copies still arriving after the budget fired", late)
@@ -485,6 +484,50 @@ func TestWantsOnReportsInterest(t *testing.T) {
 	}
 	if r.WantsOn("nonexistent", subj) {
 		t.Error("unknown attachment reported interest")
+	}
+}
+
+// TestUnsubscribeStopsForwardingAtNextAd: a host's advertisement replaces
+// its last one, so a pattern a live daemon has unsubscribed stops crossing
+// the router at the daemon's next advertisement (a ~2 ms debounce after the
+// cancel) — not an InterestTTL later, which here is an hour. First with
+// another subscription left on the host (the new set replaces the old), then
+// with none (the daemon says the empty set once and its entry goes).
+func TestUnsubscribeStopsForwardingAtNextAd(t *testing.T) {
+	segA, segB := fastSeg(), fastSeg()
+	defer segA.Close()
+	defer segB.Close()
+	r := newRouter(t, Options{Name: "r1", InterestTTL: time.Hour},
+		Attachment{Segment: segA, Name: "A"},
+		Attachment{Segment: segB, Name: "B"},
+	)
+	pub := newBus(t, segA, "pubhost", core.HostConfig{})
+	con := newBus(t, segB, "conhost", core.HostConfig{})
+	var subs []*core.Subscription
+	subjects := []string{"first.x", "last.x"}
+	for _, subj := range subjects {
+		sub, err := con.Subscribe(strings.TrimSuffix(subj, "x") + ">")
+		if err != nil {
+			t.Fatal(err)
+		}
+		publishUntil(t, pub, subj, int64(1), sub)
+		subs = append(subs, sub)
+	}
+	for i, subj := range subjects {
+		subs[i].Cancel()
+		waitFor(t, "the router to stop wanting "+subj+" on B", func() bool {
+			return !r.WantsOn("B", subject.MustParse(subj))
+		})
+		before := r.Stats()
+		if err := pub.Publish(subj, int64(2)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the publication after the cancel to be suppressed", func() bool {
+			return r.Stats().Suppressed == before.Suppressed+1
+		})
+		if got := r.Stats().Forwarded; got != before.Forwarded {
+			t.Errorf("%s: forwarded %d publications after the cancel", subj, got-before.Forwarded)
+		}
 	}
 }
 

@@ -59,6 +59,13 @@ if grep -rnwE 'popNext|LaneIndex' --include='*.go' --exclude='*_test.go' --exclu
     exit 1
 fi
 
+echo "==> one interest table (a router link keeps host and router interest alike: the per-attachment host table, the second trie, the MeshInterest format and its refresh option stay deleted)"
+if grep -rnwE 'recordInterest|livePatterns|HostInterestChanged|WantsRemote|MarshalInterest|ParseInterestObject|InterestRefresh' \
+        --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . ; then
+    echo "a second interest table, probe or wire format is back in non-test Go" >&2
+    exit 1
+fi
+
 echo "==> nested benchmark module builds and vets (root ./... does not see it)"
 go -C benchmark vet .
 go -C benchmark build -o /dev/null .
@@ -93,7 +100,7 @@ go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/
 echo "==> alloc gate (steady-state encode 0 allocs; warm decode allocates what it returns, 0 for the table)"
 go test -run 'TestSendDictSteadyStateAllocs|TestUnmarshalSteadyStateAllocs' -count=1 ./internal/wire/
 
-echo "==> _sys gates (host and router answer every probe alike; published bytes golden against e4d15fb, router stats + the five mesh.* names)"
+echo "==> _sys gates (host and router answer every probe alike; published bytes golden against e4d15fb, router stats + the six mesh.* names)"
 go test -run 'TestSysProbeParity|TestSysGoldenBytes' -count=1 ./internal/router/
 
 echo "==> quorum-liveness gate (replicated guaranteed delivery reaches quorum)"
@@ -109,9 +116,11 @@ if [ "$quick" -eq 0 ]; then
     echo "==> go test -race ./..."
     go test -race ./...
 
-    echo "==> mesh e2e under race, 5 runs (every router runs this code: heal, router death, flap, cache invalidation, join, line, same-name, parallel pair, same-name loop bounded by the hop budget)"
-    go test -race -count=5 -run 'TestMeshPartitionHeal|TestMeshGuaranteedSurvivesRouterDeath|TestMeshFlapAlarm|TestMeshWantsCacheInvalidatedOnTopologyChange|TestMeshJoinNeedsNoDiscovery|TestMeshThreeRouterLine|TestSameNameRoutersDetected|TestParallelRoutersElectOneForwarder|TestSameNameParallelRoutersBoundedByHopBudget' ./internal/router/
-    go test -race -count=5 -run 'TestJoinConvergesWithinFourTicks|TestSameIDCounted|TestInterestSwapKeepsCommonPatterns' ./internal/mesh/
+    echo "==> mesh e2e under race, 5 runs (every router runs this code: heal, router death, flap, cache invalidation, join, line, same-name, parallel pair, same-name loop bounded by the hop budget, unsubscribe stops forwarding at the next ad)"
+    go test -race -count=5 -run 'TestMeshPartitionHeal|TestMeshGuaranteedSurvivesRouterDeath|TestMeshFlapAlarm|TestMeshWantsCacheInvalidatedOnTopologyChange|TestMeshJoinNeedsNoDiscovery|TestMeshThreeRouterLine|TestSameNameRoutersDetected|TestParallelRoutersElectOneForwarder|TestSameNameParallelRoutersBoundedByHopBudget|TestUnsubscribeStopsForwardingAtNextAd|TestInterestCapCountedAndRecorded' ./internal/router/
+    echo "==> the one interest table on virtual time under race, 5 runs (replace, refresh, lapse, two senders, split horizon, caps, the empty ad)"
+    go test -race -count=5 -run 'TestJoinConvergesWithinFourTicks|TestSameIDCounted|TestInterestSwapKeepsCommonPatterns|TestRefreshLeavesTrieAlone|TestInterestLapsesAtTTL|TestTwoSendersOnePattern|TestHostInterestSplitHorizonAndBlockedSource|TestInterestTableCaps|TestEmptyAdSaidOnce' ./internal/mesh/
+    go test -race -count=5 -run TestLastUnsubscribeAdvertisesEmptySet ./internal/daemon/
 
     echo "==> trie match cache under race, 5 runs (sharded, lazily invalidated: serves, cap skips, shards independent, never older than an observed mutation)"
     go test -race -count=5 -run 'TestMatchCache|TestTrieMatchCache' ./internal/subject/
