@@ -18,8 +18,11 @@
 // lane hops — with per-stage latency percentiles, printed on exit (and
 // periodically with -traces); SysTrace sidecars on "_sys.trace.>" (the
 // quorum-ack stamp of replicated guaranteed publications) merge into the
-// assembled routes by trace id. The stats render through the same generic
-// print path — ibmon links no telemetry schema.
+// assembled routes by trace id. The kinds ibmon knows (stats, alarm, dump,
+// trace, history, mesh status) it reads into the structs their publishers
+// declare them with (telemetry.Schema, mesh.Schema), by attribute name, so a
+// node of another build still renders what both know; every other object,
+// "_sys" or not, renders through the generic print path.
 //
 //	ibmon -listen 127.0.0.1:7009 -peers 127.0.0.1:7001 -sys
 //	ibmon -listen 127.0.0.1:7009 -peers 127.0.0.1:7001 -sys -dump
@@ -179,11 +182,10 @@ func (m *monitor) handle(ev infobus.Event) {
 	switch {
 	case strings.HasPrefix(subj, infobus.SysTracePrefix+"."):
 		// Trace sidecar: late stage hops (quorum ack) merging by trace id.
-		if o, ok := ev.Value.(*mop.Object); ok {
-			if _, id, hops, ok := telemetry.ParseTraceObject(o); ok {
-				m.asm.AddSidecar(id, hops)
-				return
-			}
+		var tr telemetry.Trace
+		if telemetry.SysTrace.Read(object(ev.Value), &tr) {
+			m.asm.AddSidecar(tr.TraceID, tr.BusHops())
+			return
 		}
 	case strings.HasPrefix(subj, mesh.StatusSubjectPrefix+"."):
 		if m.mesh {
@@ -231,12 +233,8 @@ func (m *monitor) handle(ev infobus.Event) {
 // window, the delivery-lane backlog, commit and quorum latency p95s, and
 // the heaviest subject families.
 func (m *monitor) historyLine(v infobus.Value) (string, bool) {
-	o, ok := v.(*mop.Object)
-	if !ok {
-		return "", false
-	}
-	d, ok := telemetry.ParseHistoryObject(o)
-	if !ok {
+	var d telemetry.HistorySnapshot
+	if !telemetry.SysHistory.Read(object(v), &d) {
 		return "", false
 	}
 	var b strings.Builder
@@ -246,7 +244,7 @@ func (m *monitor) historyLine(v infobus.Value) (string, bool) {
 			"node", "pub/s", "in/s", "dlv/s", "depth", "commit p95", "quorum p95", "top families"))
 	}
 	rate := func(name string) string {
-		for _, s := range d.Snapshot.Series {
+		for _, s := range d.Series {
 			if s.Name != name || len(s.Samples) == 0 {
 				continue
 			}
@@ -254,13 +252,13 @@ func (m *monitor) historyLine(v infobus.Value) (string, bool) {
 			for _, smp := range s.Samples {
 				sum += smp.V
 			}
-			per := d.Snapshot.RatePerSec(sum) / float64(len(s.Samples))
+			per := d.RatePerSec(sum) / float64(len(s.Samples))
 			return fmt.Sprintf("%.0f", per)
 		}
 		return "-"
 	}
 	level := func(name string) string {
-		for _, s := range d.Snapshot.Series {
+		for _, s := range d.Series {
 			if s.Name != name || len(s.Samples) == 0 {
 				continue
 			}
@@ -269,7 +267,7 @@ func (m *monitor) historyLine(v infobus.Value) (string, bool) {
 		return "-"
 	}
 	p95 := func(name string) string {
-		for _, s := range d.Snapshot.Series {
+		for _, s := range d.Series {
 			if s.Name != name || len(s.Samples) == 0 {
 				continue
 			}
@@ -295,14 +293,13 @@ func (m *monitor) historyLine(v infobus.Value) (string, bool) {
 		rate("daemon.delivered_local"), level("daemon.lane_depth"),
 		p95("ledger.commit_ns"), p95("qledger.quorum_wait_ns"),
 		strings.Join(fams, " ")))
-	for _, a := range d.Snapshot.Alarms {
+	for _, a := range d.Alarms {
 		edge := "CLEAR"
 		if a.Raised {
 			edge = "RAISE"
 		}
 		b.WriteString(fmt.Sprintf("\n[alarm edge %s] %s %s:%s value=%d at %s",
-			d.Node, edge, a.Kind, a.Target, a.Value,
-			time.Unix(0, a.At).Format("15:04:05.000")))
+			d.Node, edge, a.Kind, a.Target, a.Value, a.At.Format("15:04:05.000")))
 	}
 	return b.String(), true
 }
@@ -310,15 +307,11 @@ func (m *monitor) historyLine(v infobus.Value) (string, bool) {
 // meshLine renders one MeshStatus snapshot as a spanning-tree row: the
 // elected root, this router's hop cost and tree parent, then one cell per
 // link with its port state, live peer count, and the aggregated interest
-// heard there, hosts included (first few prefixes). The ad is self-describing —
-// the decoder walks the generic object, so a monitor built before a field
-// was added still renders the rest.
+// heard there, hosts included (first few prefixes). The ad is self-describing
+// and read by attribute name, so a monitor built before a field was added
+// still renders the rest.
 func (m *monitor) meshLine(v infobus.Value) (string, bool) {
-	o, ok := v.(*mop.Object)
-	if !ok {
-		return "", false
-	}
-	ad, ok := mesh.ParseStatusObject(o)
+	ad, ok := mesh.ReadStatus(object(v))
 	if !ok {
 		return "", false
 	}
@@ -357,30 +350,15 @@ func (m *monitor) meshLine(v infobus.Value) (string, bool) {
 // routers), bytes/s from the reliable streams' delivered-byte counters,
 // retransmits/s from their retransmission counters.
 func (m *monitor) statsLine(v infobus.Value) (string, bool) {
-	o, ok := v.(*mop.Object)
-	if !ok {
+	var st telemetry.Stats
+	if !telemetry.SysStats.Read(object(v), &st) || st.Node == "" || st.At.IsZero() {
 		return "", false
 	}
-	node, _ := getString(o, "node")
-	at, _ := getTime(o, "at")
-	if node == "" || at.IsZero() {
-		return "", false
-	}
-	cur := &snapshot{at: at, counters: make(map[string]int64)}
-	if list, err := o.Get("metrics"); err == nil {
-		if metrics, ok := list.(mop.List); ok {
-			for _, mv := range metrics {
-				mo, ok := mv.(*mop.Object)
-				if !ok {
-					continue
-				}
-				name, _ := getString(mo, "name")
-				kind, _ := getString(mo, "kind")
-				val, _ := getInt(mo, "value")
-				if kind == "counter" || kind == "gauge" {
-					cur.counters[name] = val
-				}
-			}
+	node := st.Node
+	cur := &snapshot{at: st.At, counters: make(map[string]int64)}
+	for _, mt := range st.Metrics {
+		if mt.Kind == telemetry.KindCounter || mt.Kind == telemetry.KindGauge {
+			cur.counters[mt.Name] = mt.Value
 		}
 	}
 	prev := m.rates[node]
@@ -414,53 +392,36 @@ func (m *monitor) statsLine(v infobus.Value) (string, bool) {
 // alarmLine renders a SysAlarm edge: RAISE in the caller's face, clear
 // quietly symmetric.
 func alarmLine(v infobus.Value) (string, bool) {
-	o, ok := v.(*mop.Object)
-	if !ok {
+	var ev telemetry.AlarmEvent
+	if !telemetry.SysAlarm.Read(object(v), &ev) {
 		return "", false
 	}
-	node, ok1 := getString(o, "node")
-	kind, ok2 := getString(o, "kind")
-	if !ok1 || !ok2 {
-		return "", false
-	}
-	target, _ := getString(o, "target")
-	raised := false
-	if rv, err := o.Get("raised"); err == nil {
-		raised, _ = rv.(bool)
-	}
-	value, _ := getInt(o, "value")
-	threshold, _ := getInt(o, "threshold")
 	edge := "CLEAR"
-	if raised {
+	if ev.Raised {
 		edge = "RAISE"
 	}
 	at := ""
-	if t, ok := getTime(o, "at"); ok {
-		at = " at " + t.Format("15:04:05.000")
+	if !ev.At.IsZero() {
+		at = " at " + ev.At.Format("15:04:05.000")
 	}
-	if target != "" {
-		kind += ":" + target
+	kind := ev.Kind
+	if ev.Target != "" {
+		kind += ":" + ev.Target
 	}
 	return fmt.Sprintf("[alarm %s] %s %s value=%d threshold=%d%s",
-		node, edge, kind, value, threshold, at), true
+		ev.Node, edge, kind, ev.Value, ev.Threshold, at), true
 }
 
 // dumpText renders a SysDump answer: a header plus the node's verbatim
 // flight-recorder text, indented so interleaved dumps stay readable.
 func dumpText(v infobus.Value) (string, bool) {
-	o, ok := v.(*mop.Object)
-	if !ok {
+	var d telemetry.Dump
+	if !telemetry.SysDump.Read(object(v), &d) {
 		return "", false
 	}
-	node, ok1 := getString(o, "node")
-	text, ok2 := getString(o, "text")
-	if !ok1 || !ok2 {
-		return "", false
-	}
-	events, _ := getInt(o, "events")
 	var b strings.Builder
-	fmt.Fprintf(&b, "[dump %s] %d events recorded\n", node, events)
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+	fmt.Fprintf(&b, "[dump %s] %d events recorded\n", d.Node, d.Events)
+	for _, line := range strings.Split(strings.TrimRight(d.Text, "\n"), "\n") {
 		b.WriteString("  ")
 		b.WriteString(line)
 		b.WriteByte('\n')
@@ -468,31 +429,10 @@ func dumpText(v infobus.Value) (string, bool) {
 	return b.String(), true
 }
 
-func getString(o *mop.Object, name string) (string, bool) {
-	v, err := o.Get(name)
-	if err != nil {
-		return "", false
-	}
-	s, ok := v.(string)
-	return s, ok
-}
-
-func getInt(o *mop.Object, name string) (int64, bool) {
-	v, err := o.Get(name)
-	if err != nil {
-		return 0, false
-	}
-	n, ok := v.(int64)
-	return n, ok
-}
-
-func getTime(o *mop.Object, name string) (time.Time, bool) {
-	v, err := o.Get(name)
-	if err != nil {
-		return time.Time{}, false
-	}
-	t, ok := v.(time.Time)
-	return t, ok
+// object returns v as an object, or nil (which no kind reads).
+func object(v infobus.Value) *mop.Object {
+	o, _ := v.(*mop.Object)
+	return o
 }
 
 func fmtBytes(b float64) string {

@@ -146,9 +146,6 @@ type (
 	// over a host's rates, depths, and latency percentiles
 	// (TelemetryConfig.HistoryInterval, Host.History()).
 	History = telemetry.History
-	// HistoryDigest is a decoded SysHistory publication
-	// (telemetry.ParseHistoryObject); ibmon -sys -watch renders these.
-	HistoryDigest = telemetry.HistoryDigest
 	// TopKEntry is one subject family's accounting row in the daemon's
 	// bounded per-lane tables (published with every SysHistory object).
 	TopKEntry = telemetry.TopKEntry

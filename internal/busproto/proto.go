@@ -86,29 +86,38 @@ const (
 	HopRecoveryReplay = 8 // entry re-published by the recovery coordinator (qledger)
 )
 
+// hopKindNames is the one hop-kind vocabulary, indexed by kind: HopKindName
+// and HopKindByName both read it, so a kind added here prints and parses.
+var hopKindNames = [...]string{
+	HopNode:           "node",
+	HopLaneEnqueue:    "lane-enq",
+	HopLanePop:        "lane-pop",
+	HopLedgerStage:    "ledger-stage",
+	HopGroupCommit:    "group-commit",
+	HopFsync:          "fsync",
+	HopReplicaChunk:   "repl-chunk",
+	HopQuorumAck:      "quorum-ack",
+	HopRecoveryReplay: "recovery-replay",
+}
+
 // HopKindName renders a hop kind for monitors; unknown kinds print as node
 // hops so newer producers stay readable on older monitors.
 func HopKindName(k byte) string {
-	switch k {
-	case HopLaneEnqueue:
-		return "lane-enq"
-	case HopLanePop:
-		return "lane-pop"
-	case HopLedgerStage:
-		return "ledger-stage"
-	case HopGroupCommit:
-		return "group-commit"
-	case HopFsync:
-		return "fsync"
-	case HopReplicaChunk:
-		return "repl-chunk"
-	case HopQuorumAck:
-		return "quorum-ack"
-	case HopRecoveryReplay:
-		return "recovery-replay"
-	default:
-		return "node"
+	if int(k) < len(hopKindNames) {
+		return hopKindNames[k]
 	}
+	return hopKindNames[HopNode]
+}
+
+// HopKindByName inverts HopKindName; unknown names become HopNode, so a
+// newer node's stage kinds still merge positionally into a trace.
+func HopKindByName(name string) byte {
+	for k, n := range hopKindNames {
+		if n == name {
+			return byte(k)
+		}
+	}
+	return HopNode
 }
 
 // TraceHop is one recorded hop of a traced publication: which node touched

@@ -110,8 +110,18 @@ func TestTracedHelpers(t *testing.T) {
 			t.Errorf("HopKindName(%d) fell through to node", k)
 		}
 	}
+	// One table, both directions: every kind it names parses back to itself
+	// (a kind added to the table is covered without touching this loop).
+	for k := range hopKindNames {
+		if name := HopKindName(byte(k)); name == "" || HopKindByName(name) != byte(k) {
+			t.Errorf("HopKindByName(HopKindName(%d) = %q) = %d", k, name, HopKindByName(name))
+		}
+	}
 	if HopKindName(HopNode) != "node" || HopKindName(99) != "node" {
 		t.Error("HopKindName default must be node")
+	}
+	if HopKindByName("a-kind-from-the-future") != HopNode || HopKindByName("") != HopNode {
+		t.Error("HopKindByName default must be HopNode")
 	}
 	// AppendHop must not alias a shared slice (router fan-out).
 	shared := Envelope{Kind: KindPublishTraced, Trace: make([]TraceHop, 1, 8)}

@@ -78,7 +78,7 @@ publishing:
 	// Give the sampler a few more ticks past the alarm, then probe. The
 	// probe subject is the third user-publishable "_sys.>" name.
 	time.Sleep(20 * time.Millisecond)
-	var digest telemetry.HistoryDigest
+	var digest telemetry.HistorySnapshot
 	probeDeadline := time.After(15 * time.Second)
 	for {
 		if err := monBus.Publish(telemetry.HistorySubject, int64(1)); err != nil {
@@ -92,8 +92,7 @@ publishing:
 			if !ok || obj.Type().Name() != "SysHistory" {
 				t.Fatalf("history answer = %v", ev.Value)
 			}
-			digest, got = telemetry.ParseHistoryObject(obj)
-			if !got {
+			if got = telemetry.SysHistory.Read(obj, &digest); !got {
 				t.Fatalf("unparseable SysHistory %v", obj)
 			}
 		case <-probeDeadline:
@@ -108,11 +107,11 @@ publishing:
 	if digest.Node != "slowhost" {
 		t.Fatalf("digest node = %q", digest.Node)
 	}
-	if digest.Snapshot.IntervalNs != (2 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("interval_ns = %d", digest.Snapshot.IntervalNs)
+	if digest.IntervalNs != (2 * time.Millisecond).Nanoseconds() {
+		t.Fatalf("interval_ns = %d", digest.IntervalNs)
 	}
 	series := map[string]telemetry.SeriesSnapshot{}
-	for _, s := range digest.Snapshot.Series {
+	for _, s := range digest.Series {
 		series[s.Name] = s
 	}
 	// The standing series are present, and the inbound/delivery rates saw
@@ -120,7 +119,7 @@ publishing:
 	for _, name := range []string{"bus.published", "daemon.inbound",
 		"daemon.delivered_local", "daemon.lane_depth"} {
 		if _, ok := series[name]; !ok {
-			t.Fatalf("series %q missing (have %v)", name, digest.Snapshot.Series)
+			t.Fatalf("series %q missing (have %v)", name, digest.Series)
 		}
 	}
 	nonzero := false
@@ -139,13 +138,13 @@ publishing:
 
 	// The alarm raise edge rode along.
 	sawRaise := false
-	for _, e := range digest.Snapshot.Alarms {
+	for _, e := range digest.Alarms {
 		if e.Kind == "slow-consumer" && e.Raised {
 			sawRaise = true
 		}
 	}
-	if !sawRaise || digest.Snapshot.AlarmTotal == 0 {
-		t.Fatalf("history window missing the slow-consumer raise: %+v", digest.Snapshot.Alarms)
+	if !sawRaise || digest.AlarmTotal == 0 {
+		t.Fatalf("history window missing the slow-consumer raise: %+v", digest.Alarms)
 	}
 
 	// Per-subject-family accounting: the burst subject's two-element family

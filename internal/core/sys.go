@@ -175,7 +175,9 @@ func (h *Host) trackDefaults(replicated bool, relPrefix string) {
 // publication — the quorum-ack hop, known only after the envelope has
 // been disseminated — through the host's agent. A host with every tier off
 // gets a tierless agent (the Sys classes and the publish func, no client,
-// no goroutine) on its first sidecar.
+// no goroutine) on its first sidecar. By then h.reg has been harvesting
+// peers' classes: if one of them is a stranger under a Sys name the agent
+// does not start (sysagent.Start) and the sidecar is skipped.
 func (h *Host) publishTraceSidecar(traceID uint64, quorumAt int64) {
 	h.mu.Lock()
 	if h.sys == nil && !h.closed {

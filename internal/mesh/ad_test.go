@@ -7,7 +7,6 @@ import (
 )
 
 func TestHelloAdRoundTrip(t *testing.T) {
-	mt := MustTypes()
 	in := HelloAd{
 		Router: "rb", Root: "ra", Cost: 3, Parent: "ra", Seq: 42,
 		Links: []LinkInfo{
@@ -15,7 +14,7 @@ func TestHelloAdRoundTrip(t *testing.T) {
 			{Name: "S2", State: "blocked", Peers: 1},
 		},
 	}
-	payload, err := MarshalHello(mt, in)
+	payload, err := MarshalHello(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +34,11 @@ func TestHelloAdRoundTrip(t *testing.T) {
 }
 
 func TestStatusAdRoundTrip(t *testing.T) {
-	mt := MustTypes()
 	in := StatusAd{
 		Node: "router-a", Router: "ra", Root: "ra", Cost: 0, Seq: 9,
 		Links: []LinkInfo{{Name: "S1", State: "forwarding", Peers: 1, Patterns: []string{"a.>"}}},
 	}
-	payload, err := MarshalStatus(mt, in)
+	payload, err := MarshalStatus(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +58,13 @@ func TestStatusAdRoundTrip(t *testing.T) {
 // arrives as a busproto.KindInterest envelope, whose caps
 // TestInterestTableCaps checks where the table applies them.
 func TestParseAdCaps(t *testing.T) {
-	mt := MustTypes()
 	var pats []string
 	for i := 0; i < MaxAdPatterns+50; i++ {
 		pats = append(pats, fmt.Sprintf("p%d.>", i))
 	}
 	pats[3] = "bad..pattern"
 	pats[5] = strings.Repeat("x", 600) // over subject.MaxLength
-	payload, err := MarshalStatus(mt, StatusAd{Router: "r", Links: []LinkInfo{{Name: "S1", Patterns: pats}}})
+	payload, err := MarshalStatus(&StatusAd{Router: "r", Links: []LinkInfo{{Name: "S1", Patterns: pats}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +83,7 @@ func TestParseAdCaps(t *testing.T) {
 	}
 
 	// Missing router id rejects.
-	bad, err := MarshalStatus(mt, StatusAd{Router: ""})
+	bad, err := MarshalStatus(&StatusAd{Router: ""})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +91,7 @@ func TestParseAdCaps(t *testing.T) {
 		t.Fatal("empty router id must reject")
 	}
 	// Negative cost rejects (it would win every election forever).
-	badHello, err := MarshalHello(mt, HelloAd{Router: "r", Root: "r", Cost: -1})
+	badHello, err := MarshalHello(&HelloAd{Router: "r", Root: "r", Cost: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +107,67 @@ func TestParseAdCaps(t *testing.T) {
 	}
 }
 
+// TestDeclaredCapsBite: the link and identifier caps are `max=` bounds in the
+// struct tags; this ties those literals to the constants that document them.
+// A link list over MaxAdLinks is cut to it, an identifier of maxTokenLen
+// reads, one byte more reads as absent — which rejects the ad when the
+// identifier is required and drops the link when it is the link's name.
+func TestDeclaredCapsBite(t *testing.T) {
+	parse := func(ad any) (any, error) {
+		var payload []byte
+		var err error
+		switch ad := ad.(type) {
+		case HelloAd:
+			payload, err = MarshalHello(&ad)
+		case StatusAd:
+			payload, err = MarshalStatus(&ad)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ParseAd(payload)
+	}
+	var links []LinkInfo
+	for i := 0; i < MaxAdLinks+10; i++ {
+		links = append(links, LinkInfo{Name: fmt.Sprintf("S%d", i)})
+	}
+	v, err := parse(HelloAd{Router: "r", Root: "r", Links: links})
+	if err != nil || len(v.(HelloAd).Links) != MaxAdLinks {
+		t.Fatalf("link cap: %v, %d links", err, len(v.(HelloAd).Links))
+	}
+	fits, over := strings.Repeat("x", maxTokenLen), strings.Repeat("x", maxTokenLen+1)
+	if v, err := parse(HelloAd{Router: fits, Root: fits, Parent: fits}); err != nil || v.(HelloAd).Parent != fits {
+		t.Fatalf("identifiers at the cap must read: %v", err)
+	}
+	if _, err := parse(HelloAd{Router: over, Root: "r"}); err == nil {
+		t.Fatal("oversized router id must reject")
+	}
+	if _, err := parse(HelloAd{Router: "r", Root: over}); err == nil {
+		t.Fatal("oversized root id must reject")
+	}
+	if _, err := parse(StatusAd{Router: over}); err == nil {
+		t.Fatal("oversized status router id must reject")
+	}
+	v, err = parse(StatusAd{Router: "r", Node: over, Parent: over,
+		Links: []LinkInfo{{Name: over}, {Name: "S1", State: over}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := v.(StatusAd)
+	if st.Node != "" || st.Parent != "" || len(st.Links) != 1 || st.Links[0].Name != "S1" || st.Links[0].State != "" {
+		t.Fatalf("oversized optional identifiers must read as absent: %+v", st)
+	}
+}
+
 // FuzzMeshAd: the mesh advertisement codec is network input on every
 // segment a router attaches to; arbitrary bytes must never panic, and
 // anything accepted must be within the documented caps.
 func FuzzMeshAd(f *testing.F) {
-	mt := MustTypes()
-	seedHello, _ := MarshalHello(mt, HelloAd{
+	seedHello, _ := MarshalHello(&HelloAd{
 		Router: "rb", Root: "ra", Cost: 3, Parent: "ra", Seq: 42,
 		Links: []LinkInfo{{Name: "S1", State: "forwarding", Peers: 2}},
 	})
-	seedStatus, _ := MarshalStatus(mt, StatusAd{
+	seedStatus, _ := MarshalStatus(&StatusAd{
 		Node: "router-a", Router: "ra", Root: "ra", Seq: 9,
 		Links: []LinkInfo{{Name: "S1", State: "forwarding", Patterns: []string{"a.>"}}},
 	})

@@ -81,10 +81,11 @@ func TestReplicatedTraceChain(t *testing.T) {
 			if !ok {
 				t.Fatalf("sidecar value = %T", ev.Value)
 			}
-			node, id, hops, ok := telemetry.ParseTraceObject(obj)
-			if !ok {
+			var side telemetry.Trace
+			if !telemetry.SysTrace.Read(obj, &side) {
 				t.Fatalf("unparseable sidecar %v", obj)
 			}
+			node, id, hops := side.Node, side.TraceID, side.BusHops()
 			if node != "pub" || id == 0 {
 				t.Fatalf("sidecar node=%q id=%d", node, id)
 			}

@@ -168,7 +168,7 @@ func (r *frameReader) uvarint() (uint64, error) {
 }
 
 func (r *frameReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.data) {
+	if n < 0 || n > len(r.data)-r.pos { // not r.pos+n: a crafted length overflows it
 		return nil, ErrFrameTruncated
 	}
 	out := r.data[r.pos : r.pos+n]

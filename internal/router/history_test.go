@@ -55,21 +55,21 @@ func TestHistoryProbeAcrossRouter(t *testing.T) {
 			if !ok || obj.Type().Name() != "SysHistory" {
 				t.Fatalf("answer value = %v", ev.Value)
 			}
-			digest, ok := telemetry.ParseHistoryObject(obj)
-			if !ok {
+			var digest telemetry.HistorySnapshot
+			if !telemetry.SysHistory.Read(obj, &digest) {
 				t.Fatalf("unparseable SysHistory %v", obj)
 			}
 			if digest.Node != "flighthost" {
 				t.Fatalf("digest node = %q", digest.Node)
 			}
-			if digest.Snapshot.IntervalNs != (5 * time.Millisecond).Nanoseconds() {
-				t.Fatalf("interval_ns = %d", digest.Snapshot.IntervalNs)
+			if digest.IntervalNs != (5 * time.Millisecond).Nanoseconds() {
+				t.Fatalf("interval_ns = %d", digest.IntervalNs)
 			}
-			if len(digest.Snapshot.Series) == 0 {
+			if len(digest.Series) == 0 {
 				t.Fatal("no series in the round-tripped window")
 			}
 			names := map[string]bool{}
-			for _, s := range digest.Snapshot.Series {
+			for _, s := range digest.Series {
 				names[s.Name] = true
 			}
 			if !names["daemon.inbound"] || !names["bus.published"] {

@@ -23,10 +23,9 @@ import (
 
 // meshAgent drives one Router's mesh.Mesh.
 type meshAgent struct {
-	r     *Router
-	m     *mesh.Mesh
-	types mesh.Types
-	node  string // sanitised node name for status subjects
+	r    *Router
+	m    *mesh.Mesh
+	node string // sanitised node name for status subjects
 
 	// Telemetry mirrors of the mesh's internal counters (monotone; the
 	// loop adds deltas each tick so WatchRate and the history ring see
@@ -48,7 +47,6 @@ func newMeshAgent(r *Router, cfg mesh.Config) *meshAgent {
 	return &meshAgent{
 		r:           r,
 		m:           mesh.New(r.opts.Name, names, r.opts.InterestTTL, cfg),
-		types:       mesh.MustTypes(),
 		node:        telemetry.SanitizeNode("router-" + r.opts.Name),
 		readverts:   r.metrics.Counter("mesh.readvertisements"),
 		topoChanges: r.metrics.Counter("mesh.topology_changes"),
@@ -72,8 +70,9 @@ func (a *meshAgent) loop() {
 			return
 		case now := <-ticker.C:
 			acts := a.m.Actions(now)
-			for _, h := range acts.Hellos {
-				if payload, err := mesh.MarshalHello(a.types, h.Ad); err == nil {
+			for i := range acts.Hellos {
+				h := &acts.Hellos[i] // the binder reads through the pointer: no copy to the heap per hello
+				if payload, err := mesh.MarshalHello(&h.Ad); err == nil {
 					a.broadcast(h.Link, busproto.Envelope{Kind: busproto.KindPublish, Subject: mesh.HelloSubject, Payload: payload})
 					a.helloSent.Inc()
 				}
@@ -82,9 +81,8 @@ func (a *meshAgent) loop() {
 				a.broadcast(i.Link, busproto.Envelope{Kind: busproto.KindInterest, Patterns: i.Patterns})
 			}
 			if acts.Status != nil {
-				st := *acts.Status
-				st.Node = a.node
-				if payload, err := mesh.MarshalStatus(a.types, st); err == nil {
+				acts.Status.Node = a.node
+				if payload, err := mesh.MarshalStatus(acts.Status); err == nil {
 					env := busproto.Envelope{Kind: busproto.KindPublish, Subject: mesh.StatusSubject(a.node), Payload: payload}
 					for li := range r.atts {
 						a.broadcast(li, env)

@@ -402,7 +402,7 @@ func TestMeshStatusAdObservable(t *testing.T) {
 			if !ok {
 				t.Fatalf("status ad decoded to %T, want *mop.Object", ev.Value)
 			}
-			st, ok := mesh.ParseStatusObject(obj)
+			st, ok := mesh.ReadStatus(obj)
 			if !ok {
 				t.Fatalf("unparseable status ad %v", obj)
 			}

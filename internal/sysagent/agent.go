@@ -2,15 +2,17 @@
 // telemetry objects. A node — host, router, whatever comes next — hands it
 // what it has (a metrics registry, optionally an alarm engine, optionally a
 // flight-data ring) and a way to publish, and the agent owns the rest: the
-// Sys classes (defined once per node), the periodic "_sys.stats.<node>"
-// export, alarm-edge publication, history digests, the answers to the
-// "_sys.ping" / "_sys.dump" / "_sys.history" probes, the "_sys.trace.<node>"
-// sidecar, and the marshal-then-publish step they all end in.
+// Sys classes (telemetry.Schema, defined in the node's registry), the
+// periodic "_sys.stats.<node>" export, alarm-edge publication, history
+// digests, the answers to the "_sys.ping" / "_sys.dump" / "_sys.history"
+// probes, the "_sys.trace.<node>" sidecar, and the marshal-then-publish step
+// they all end in.
 //
 // The agent never asks what kind of node it serves: a tier is present or
 // nil, and a nil tier publishes nothing and ignores its probe. The objects
-// stay self-describing (P2) and are built in one place, so a new node kind
-// is observable by supplying tiers and a publish func, never a new loop.
+// stay self-describing (P2) and are built from the one declaration of each
+// kind (telemetry.Schema), so a new node kind is observable by supplying
+// tiers and a publish func, never a new loop.
 package sysagent
 
 import (
@@ -78,7 +80,6 @@ type Config struct {
 type Agent struct {
 	cfg   Config
 	node  string
-	types telemetry.SysTypes
 	start time.Time
 
 	done chan struct{}
@@ -86,16 +87,16 @@ type Agent struct {
 }
 
 // Start defines the Sys classes in cfg.Registry and launches the enabled
-// tiers.
+// tiers. A registry that already holds a differently shaped class under a
+// Sys name (a peer on another build got there first) is an error wrapping
+// mop.ErrTypeExists, and nothing is started.
 func Start(cfg Config) (*Agent, error) {
-	types, err := telemetry.DefineSysTypes(cfg.Registry)
-	if err != nil {
+	if err := telemetry.Schema.Define(cfg.Registry); err != nil {
 		return nil, err
 	}
 	a := &Agent{
 		cfg:   cfg,
 		node:  telemetry.SanitizeNode(cfg.Node),
-		types: types,
 		start: time.Now(),
 		done:  make(chan struct{}),
 	}
@@ -151,7 +152,8 @@ func (a *Agent) ProbeSubjects() []string {
 func (a *Agent) Probe(subject, payload []byte) {
 	switch {
 	case string(subject) == telemetry.PingSubject && a.cfg.StatsInterval > 0:
-		a.publish(telemetry.PongSubject(a.node), a.types.PongObject(a.node, time.Now(), a.nonce(payload)))
+		a.publish(telemetry.PongSubject(a.node),
+			telemetry.SysPong.Object(&telemetry.Pong{Node: a.node, At: time.Now(), Nonce: a.nonce(payload)}))
 		a.publishStats()
 	case string(subject) == telemetry.DumpSubject && a.cfg.Engine != nil:
 		a.publishDump()
@@ -164,7 +166,8 @@ func (a *Agent) Probe(subject, payload []byte) {
 // quorum-ack stamp, known only after dissemination) as a SysTrace sidecar
 // on "_sys.trace.<node>"; trace assemblers merge it by trace id.
 func (a *Agent) Trace(traceID uint64, hops []busproto.TraceHop) {
-	a.publish(telemetry.TraceSubject(a.node), a.types.TraceObject(a.node, traceID, hops))
+	t := telemetry.NewTrace(a.node, traceID, hops)
+	a.publish(telemetry.TraceSubject(a.node), telemetry.SysTrace.Object(&t))
 }
 
 // loop is the agent's clock: the stats export and the history digest, each
@@ -206,8 +209,8 @@ func (a *Agent) publish(subject string, obj *mop.Object) {
 
 func (a *Agent) publishStats() {
 	now := time.Now()
-	a.publish(telemetry.StatsSubject(a.node),
-		a.types.StatsObject(a.node, now, now.Sub(a.start), a.cfg.Metrics.Snapshot()))
+	a.publish(telemetry.StatsSubject(a.node), telemetry.SysStats.Object(&telemetry.Stats{
+		Node: a.node, At: now, Uptime: now.Sub(a.start), Metrics: a.cfg.Metrics.Snapshot()}))
 }
 
 // publishAlarm is the engine sink: one SysAlarm per edge, noted into the
@@ -217,24 +220,26 @@ func (a *Agent) publishAlarm(ev telemetry.AlarmEvent) {
 	if a.cfg.History != nil {
 		a.cfg.History.NoteAlarm(ev)
 	}
-	a.publish(telemetry.AlarmSubject(ev.Node, ev.Kind), a.types.AlarmObject(ev))
+	a.publish(telemetry.AlarmSubject(ev.Node, ev.Kind), telemetry.SysAlarm.Object(&ev))
 }
 
 func (a *Agent) publishDump() {
 	rec := a.cfg.Engine.Recorder()
-	obj := a.types.DumpObject(a.node, time.Now(), int64(rec.Total()), a.cfg.Engine.DumpText())
+	obj := telemetry.SysDump.Object(&telemetry.Dump{
+		Node: a.node, At: time.Now(), Events: int64(rec.Total()), Text: a.cfg.Engine.DumpText()})
 	rec.Record(telemetry.EventDump, a.node, 0, 0)
 	a.publish(telemetry.DumpedSubject(a.node), obj)
 }
 
-// publishHistory renders the flight-data window (maxSamples 0 = full).
+// publishHistory renders the flight-data window (maxSamples 0 = full) plus
+// the merged subject-family table.
 func (a *Agent) publishHistory(maxSamples int) {
-	var fams []telemetry.TopKEntry
+	snap := a.cfg.History.Snapshot(maxSamples)
+	snap.Node, snap.At = a.node, time.Now()
 	if a.cfg.Families != nil {
-		fams = a.cfg.Families()
+		snap.Families = a.cfg.Families()
 	}
-	a.publish(telemetry.HistoryNodeSubject(a.node),
-		a.types.HistoryObject(a.node, time.Now(), a.cfg.History.Snapshot(maxSamples), fams))
+	a.publish(telemetry.HistoryNodeSubject(a.node), telemetry.SysHistory.Object(&snap))
 }
 
 // nonce extracts a ping's nonce — any integer value, or an object with an

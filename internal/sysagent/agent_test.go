@@ -1,12 +1,14 @@
 package sysagent
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"infobus/internal/busproto"
 	"infobus/internal/mop"
 	"infobus/internal/telemetry"
 	"infobus/internal/wire"
@@ -172,5 +174,32 @@ func TestStopLeavesNothingRunning(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after Stop, %d before Start", runtime.NumGoroutine(), before)
 		}
+	}
+}
+
+// TestStrangerUnderSysNameRefusedAtStart: a registry that has harvested a
+// differently shaped class under a Sys name (a peer on another build
+// published "_sys.trace" first; a host starts its agent lazily, on its first
+// sidecar) makes Start fail with mop.ErrTypeExists. Before the kinds were
+// bound declarations Start took whatever class held the name and the first
+// sidecar panicked on the publish path, setting an attribute it lacks.
+func TestStrangerUnderSysNameRefusedAtStart(t *testing.T) {
+	reg := mop.NewRegistry()
+	stranger := mop.MustNewClass("SysTraceHop", nil, []mop.Attr{{Name: "kind", Type: mop.String}}, nil)
+	if err := reg.Register(stranger); err != nil {
+		t.Fatal(err)
+	}
+	bus := &fakeBus{}
+	a, err := Start(Config{Node: "n", Registry: reg, Publish: bus.publish, Metrics: telemetry.NewRegistry()})
+	if err == nil {
+		a.Trace(9, []busproto.TraceHop{{Kind: busproto.HopQuorumAck, Node: "n", At: 1}})
+		a.Stop()
+		t.Fatal("Start accepted a registry holding a one-attribute SysTraceHop")
+	}
+	if !errors.Is(err, mop.ErrTypeExists) || a != nil {
+		t.Errorf("Start = %v, %v; want nil and an error wrapping mop.ErrTypeExists", a, err)
+	}
+	if got, _ := reg.Lookup("SysTraceHop"); got != stranger {
+		t.Error("the refused start replaced the class it refused")
 	}
 }

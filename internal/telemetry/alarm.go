@@ -63,15 +63,15 @@ func (c HealthConfig) WithDefaults() HealthConfig {
 	return c
 }
 
-// AlarmEvent is one raise or clear edge.
+// AlarmEvent is one raise or clear edge (the SysAlarm kind).
 type AlarmEvent struct {
-	Node      string // sanitised node name of the detecting process
-	Kind      string // alarm kind: "slow-consumer", "retransmit-storm", ...
-	Target    string // the specific entity (client name, peer address); may be ""
-	Raised    bool   // true = raise edge, false = clear edge
-	Value     int64  // the sampled value at the edge
-	Threshold int64  // the threshold that was crossed (Raise or Clear)
-	At        time.Time
+	Node      string    `mop:"node"`      // sanitised node name of the detecting process
+	Kind      string    `mop:"kind"`      // alarm kind: "slow-consumer", "retransmit-storm", ...
+	Target    string    `mop:"target"`    // the specific entity (client name, peer address); may be ""
+	Raised    bool      `mop:"raised"`    // true = raise edge, false = clear edge
+	Value     int64     `mop:"value"`     // the sampled value at the edge
+	Threshold int64     `mop:"threshold"` // the threshold that was crossed (Raise or Clear)
+	At        time.Time `mop:"at"`
 }
 
 // WatchConfig describes one watched signal.

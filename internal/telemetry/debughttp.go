@@ -39,7 +39,7 @@ func DebugHandler(reg *Registry, rec *Recorder, hist *History) http.Handler {
 		out := make([]jsonMetric, 0, len(snap))
 		for _, m := range snap {
 			out = append(out, jsonMetric{
-				Name: m.Name, Kind: m.Kind.String(), Value: m.Value,
+				Name: m.Name, Kind: string(m.Kind), Value: m.Value,
 				Count: m.Count, MeanNs: m.MeanNs,
 				P50Ns: m.P50Ns, P95Ns: m.P95Ns, P99Ns: m.P99Ns,
 			})
@@ -106,7 +106,7 @@ func DebugHandler(reg *Registry, rec *Recorder, hist *History) http.Handler {
 			AlarmTotal: snap.AlarmTotal,
 		}
 		for _, s := range snap.Series {
-			js := jsonSeries{Name: s.Name, Kind: s.Kind.String(),
+			js := jsonSeries{Name: s.Name, Kind: string(s.Kind),
 				Samples: make([]jsonSample, 0, len(s.Samples))}
 			for _, smp := range s.Samples {
 				js.Samples = append(js.Samples, jsonSample{
@@ -118,7 +118,7 @@ func DebugHandler(reg *Registry, rec *Recorder, hist *History) http.Handler {
 		}
 		for _, a := range snap.Alarms {
 			out.Alarms = append(out.Alarms, jsonAlarm{
-				At: a.At, Kind: a.Kind, Target: a.Target,
+				At: a.At.UnixNano(), Kind: a.Kind, Target: a.Target,
 				Raised: a.Raised, Value: a.Value,
 			})
 		}

@@ -22,33 +22,20 @@ import (
 // a monitor reading "_sys.history" sees the edge aligned with the metric
 // window that tripped it.
 
-// Series kinds.
-type SeriesKind uint8
+// Series kinds, as a SysSeries carries them on the wire.
+type SeriesKind string
 
 const (
 	// SeriesRate samples a counter: each slot's V is the count delta over
 	// that tick window (rate = V / Interval).
-	SeriesRate SeriesKind = iota + 1
+	SeriesRate SeriesKind = "rate"
 	// SeriesLevel samples a gauge: each slot's V is the level at tick time.
-	SeriesLevel
+	SeriesLevel SeriesKind = "level"
 	// SeriesPercentile samples a histogram: each slot holds the windowed
 	// observation count (V) and interpolated P50/P95/P99 of observations
 	// that arrived during that tick window (bucket-snapshot diffing).
-	SeriesPercentile
+	SeriesPercentile SeriesKind = "percentile"
 )
-
-func (k SeriesKind) String() string {
-	switch k {
-	case SeriesRate:
-		return "rate"
-	case SeriesLevel:
-		return "level"
-	case SeriesPercentile:
-		return "percentile"
-	default:
-		return "unknown"
-	}
-}
 
 // HistoryConfig sizes the flight-data tier.
 type HistoryConfig struct {
@@ -102,15 +89,6 @@ type series struct {
 	prevBkt   [histBuckets]uint64
 }
 
-// AlarmEdge is one alarm raise/clear event as kept by the history ring.
-type AlarmEdge struct {
-	At     int64 // unix nanoseconds
-	Kind   string
-	Target string
-	Raised bool
-	Value  int64
-}
-
 // History is the flight-data recorder: call Track* once per signal at
 // wiring time, then Start (or drive Tick directly in tests).
 type History struct {
@@ -122,7 +100,7 @@ type History struct {
 	ticks  atomic.Uint64 // completed ticks; slot index = (tick-1) % Slots
 	tickAt []atomic.Int64
 
-	alarms     []AlarmEdge
+	alarms     []AlarmEvent
 	alarmNext  int
 	alarmTotal uint64
 
@@ -136,7 +114,7 @@ func NewHistory(cfg HistoryConfig) *History {
 	return &History{
 		cfg:    cfg,
 		tickAt: make([]atomic.Int64, cfg.Slots),
-		alarms: make([]AlarmEdge, 0, cfg.AlarmSlots),
+		alarms: make([]AlarmEvent, 0, cfg.AlarmSlots),
 	}
 }
 
@@ -176,15 +154,16 @@ func (h *History) add(s *series) {
 }
 
 // NoteAlarm records an alarm edge into the bounded edge ring. Safe from
-// any goroutine; allocation-free (the strings are the engine's own).
+// any goroutine; allocation-free (the strings are the engine's own). The
+// window keeps what happened, not how the watch was configured: Threshold
+// is 0 in every edge a SysHistory carries.
 func (h *History) NoteAlarm(ev AlarmEvent) {
+	ev.Threshold = 0
 	h.mu.Lock()
-	e := AlarmEdge{At: ev.At.UnixNano(), Kind: ev.Kind, Target: ev.Target,
-		Raised: ev.Raised, Value: ev.Value}
 	if len(h.alarms) < cap(h.alarms) {
-		h.alarms = append(h.alarms, e)
+		h.alarms = append(h.alarms, ev)
 	} else {
-		h.alarms[h.alarmNext] = e
+		h.alarms[h.alarmNext] = ev
 		h.alarmNext = (h.alarmNext + 1) % cap(h.alarms)
 	}
 	h.alarmTotal++
@@ -280,33 +259,37 @@ func (h *History) Stop() {
 	<-done
 }
 
-// Sample is one tick's values for a series; field meaning depends on the
-// series kind (see SeriesKind).
+// Sample is one tick's values for a series (the SysSample kind); field
+// meaning depends on the series kind (see SeriesKind).
 type Sample struct {
-	Tick int64 // tick sequence, 1-based
-	At   int64 // unix nanoseconds of the tick
-	V    int64
-	P50  int64
-	P95  int64
-	P99  int64
+	Tick int64 `mop:"tick"` // tick sequence, 1-based
+	At   int64 `mop:"at"`   // unix nanoseconds of the tick
+	V    int64 `mop:"value"`
+	P50  int64 `mop:"p50"`
+	P95  int64 `mop:"p95"`
+	P99  int64 `mop:"p99"`
 }
 
-// SeriesSnapshot is one series' readable window.
+// SeriesSnapshot is one series' readable window (the SysSeries kind).
 type SeriesSnapshot struct {
-	Name    string
-	Kind    SeriesKind
-	Samples []Sample // oldest first
+	Name    string     `mop:"name"`
+	Kind    SeriesKind `mop:"kind"`
+	Samples []Sample   `mop:"samples"` // oldest first
 }
 
 // HistorySnapshot is a consistent-enough view of the whole tier: each
 // sample is individually consistent (seq-validated), the window is the
-// last ≤Slots ticks at the time of the call.
+// last ≤Slots ticks at the time of the call. It is the SysHistory kind:
+// History.Snapshot fills the window, the publishing node the rest.
 type HistorySnapshot struct {
-	IntervalNs int64
-	Ticks      uint64
-	Series     []SeriesSnapshot
-	Alarms     []AlarmEdge // oldest first
-	AlarmTotal uint64      // lifetime edge count (ring may have dropped some)
+	Node       string           `mop:"node"` // set by the publisher
+	At         time.Time        `mop:"at"`   // set by the publisher
+	IntervalNs int64            `mop:"interval_ns"`
+	Ticks      uint64           `mop:"ticks"`
+	Series     []SeriesSnapshot `mop:"series"`
+	Alarms     []AlarmEvent     `mop:"alarms"`      // oldest first
+	AlarmTotal uint64           `mop:"alarm_total"` // lifetime edge count (ring may have dropped some)
+	Families   []TopKEntry      `mop:"families"`    // set by the publisher
 }
 
 // Snapshot copies the readable window of every series plus the alarm-edge
@@ -316,7 +299,7 @@ func (h *History) Snapshot(maxSamples int) HistorySnapshot {
 	h.mu.Lock()
 	ss := make([]*series, len(h.series))
 	copy(ss, h.series)
-	alarms := append([]AlarmEdge(nil), h.alarms[h.alarmNext:]...)
+	alarms := append([]AlarmEvent(nil), h.alarms[h.alarmNext:]...)
 	alarms = append(alarms, h.alarms[:h.alarmNext]...)
 	alarmTotal := h.alarmTotal
 	h.mu.Unlock()

@@ -24,28 +24,16 @@ import (
 	"sync/atomic"
 )
 
-// Kind discriminates metric kinds in snapshots.
-type Kind uint8
+// Kind discriminates metric kinds in snapshots. It is the string a SysMetric
+// carries on the wire, so a kind from a newer node reads back as itself.
+type Kind string
 
 // Metric kinds.
 const (
-	KindCounter Kind = iota + 1
-	KindGauge
-	KindHistogram
+	KindCounter   Kind = "counter"
+	KindGauge     Kind = "gauge"
+	KindHistogram Kind = "histogram"
 )
-
-func (k Kind) String() string {
-	switch k {
-	case KindCounter:
-		return "counter"
-	case KindGauge:
-		return "gauge"
-	case KindHistogram:
-		return "histogram"
-	default:
-		return "unknown"
-	}
-}
 
 // Counter is a monotonically increasing event count. The zero value is
 // unusable; obtain counters from a Registry.
@@ -125,15 +113,17 @@ func lookup[T any](r *Registry, name string, mk func() T) T {
 	return t
 }
 
-// Metric is one metric's value in a snapshot.
+// Metric is one metric's value in a snapshot, and the SysMetric kind.
 type Metric struct {
-	Name  string
-	Kind  Kind
-	Value int64 // counter count (as int64) or gauge level
+	Name  string `mop:"name"`
+	Kind  Kind   `mop:"kind"`
+	Value int64  `mop:"value"` // counter count (as int64) or gauge level
 	// Histogram summary; zero for counters and gauges.
-	Count               uint64
-	MeanNs              float64
-	P50Ns, P95Ns, P99Ns float64
+	Count  uint64  `mop:"count"`
+	MeanNs float64 `mop:"mean_ns"`
+	P50Ns  float64 `mop:"p50_ns"`
+	P95Ns  float64 `mop:"p95_ns"`
+	P99Ns  float64 `mop:"p99_ns"`
 }
 
 // String renders one metric as a console line.

@@ -108,437 +108,85 @@ func TraceSubject(node string) string { return TraceSubjectPrefix + "." + node }
 // node name.
 func HistoryNodeSubject(node string) string { return HistorySubjectPrefix + "." + node }
 
-// SysTypes is the registered system-telemetry class family.
-type SysTypes struct {
-	Metric   *mop.Type // SysMetric: one metric value
-	Stats    *mop.Type // SysStats: one node's snapshot
-	Pong     *mop.Type // SysPong: answer to a _sys.ping probe
-	Alarm    *mop.Type // SysAlarm: one health alarm raise/clear edge
-	Dump     *mop.Type // SysDump: answer to a _sys.dump probe
-	TraceHop *mop.Type // SysTraceHop: one stage hop of a trace sidecar
-	Trace    *mop.Type // SysTrace: trace sidecar (out-of-band hops by id)
-	Sample   *mop.Type // SysSample: one history tick of one series
-	Series   *mop.Type // SysSeries: one history series window
-	Family   *mop.Type // SysFamily: one subject-family accounting row
-	History  *mop.Type // SysHistory: answer to a _sys.history probe / digest
+// Schema is the "_sys" class family. A kind is stated once, as a tagged Go
+// struct; mop.Bind derives its class, its object builder and its by-name
+// reader from that declaration, so adding an attribute is adding a tagged
+// field. The kinds a node publishes on a subject of its own are named; the
+// rest travel inside them. A kind that lists another is bound after it.
+// Monitors never need Schema.Define: the classes travel self-describing
+// with every "_sys.>" publication (P2).
+var Schema = new(mop.Schema)
+
+var (
+	_          = mop.Bind[Metric](Schema, "SysMetric")
+	SysStats   = mop.Bind[Stats](Schema, "SysStats")
+	SysPong    = mop.Bind[Pong](Schema, "SysPong")
+	SysAlarm   = mop.Bind[AlarmEvent](Schema, "SysAlarm")
+	SysDump    = mop.Bind[Dump](Schema, "SysDump")
+	_          = mop.Bind[TraceHop](Schema, "SysTraceHop")
+	SysTrace   = mop.Bind[Trace](Schema, "SysTrace")
+	_          = mop.Bind[Sample](Schema, "SysSample")
+	_          = mop.Bind[SeriesSnapshot](Schema, "SysSeries")
+	_          = mop.Bind[TopKEntry](Schema, "SysFamily")
+	SysHistory = mop.Bind[HistorySnapshot](Schema, "SysHistory")
+)
+
+// Stats is one node's registry snapshot, published on StatsSubject(node).
+type Stats struct {
+	Node    string        `mop:"node"`
+	At      time.Time     `mop:"at"`
+	Uptime  time.Duration `mop:"uptime_ns"`
+	Metrics []Metric      `mop:"metrics"`
 }
 
-// DefineSysTypes builds and registers the system-telemetry classes in a
-// registry. Calling it twice with the same registry returns the registered
-// types; a registry holding an older subset of the family (from a peer's
-// self-describing publication, say) gains only the missing classes.
-// Monitors never need to call it: the classes travel self-describing with
-// every "_sys.>" publication (P2).
-func DefineSysTypes(reg *mop.Registry) (SysTypes, error) {
-	var firstErr error
-	ensure := func(name string, build func() *mop.Type) *mop.Type {
-		if firstErr != nil {
-			return nil
-		}
-		if reg.Has(name) {
-			t, err := reg.Lookup(name)
-			if err != nil {
-				firstErr = err
-				return nil
-			}
-			return t
-		}
-		t := build()
-		if err := reg.Register(t); err != nil {
-			firstErr = err
-			return nil
-		}
-		return t
-	}
-	var st SysTypes
-	st.Metric = ensure("SysMetric", func() *mop.Type {
-		return mop.MustNewClass("SysMetric", nil, []mop.Attr{
-			{Name: "name", Type: mop.String},
-			{Name: "kind", Type: mop.String},
-			{Name: "value", Type: mop.Int},
-			{Name: "count", Type: mop.Int},
-			{Name: "mean_ns", Type: mop.Float},
-			{Name: "p50_ns", Type: mop.Float},
-			{Name: "p95_ns", Type: mop.Float},
-			{Name: "p99_ns", Type: mop.Float},
-		}, nil)
-	})
-	st.Stats = ensure("SysStats", func() *mop.Type {
-		return mop.MustNewClass("SysStats", nil, []mop.Attr{
-			{Name: "node", Type: mop.String},
-			{Name: "at", Type: mop.Time},
-			{Name: "uptime_ns", Type: mop.Int},
-			{Name: "metrics", Type: mop.ListOf(st.Metric)},
-		}, nil)
-	})
-	st.Pong = ensure("SysPong", func() *mop.Type {
-		return mop.MustNewClass("SysPong", nil, []mop.Attr{
-			{Name: "node", Type: mop.String},
-			{Name: "at", Type: mop.Time},
-			{Name: "nonce", Type: mop.Int},
-		}, nil)
-	})
-	st.Alarm = ensure("SysAlarm", func() *mop.Type {
-		return mop.MustNewClass("SysAlarm", nil, []mop.Attr{
-			{Name: "node", Type: mop.String},
-			{Name: "kind", Type: mop.String},
-			{Name: "target", Type: mop.String},
-			{Name: "raised", Type: mop.Bool},
-			{Name: "value", Type: mop.Int},
-			{Name: "threshold", Type: mop.Int},
-			{Name: "at", Type: mop.Time},
-		}, nil)
-	})
-	st.Dump = ensure("SysDump", func() *mop.Type {
-		return mop.MustNewClass("SysDump", nil, []mop.Attr{
-			{Name: "node", Type: mop.String},
-			{Name: "at", Type: mop.Time},
-			{Name: "events", Type: mop.Int},
-			{Name: "text", Type: mop.String},
-		}, nil)
-	})
-	st.TraceHop = ensure("SysTraceHop", func() *mop.Type {
-		return mop.MustNewClass("SysTraceHop", nil, []mop.Attr{
-			{Name: "kind", Type: mop.String},
-			{Name: "node", Type: mop.String},
-			{Name: "at", Type: mop.Int},
-		}, nil)
-	})
-	st.Trace = ensure("SysTrace", func() *mop.Type {
-		return mop.MustNewClass("SysTrace", nil, []mop.Attr{
-			{Name: "node", Type: mop.String},
-			{Name: "trace_id", Type: mop.Int}, // uint64 trace id, bit-cast
-			{Name: "hops", Type: mop.ListOf(st.TraceHop)},
-		}, nil)
-	})
-	st.Sample = ensure("SysSample", func() *mop.Type {
-		return mop.MustNewClass("SysSample", nil, []mop.Attr{
-			{Name: "tick", Type: mop.Int},
-			{Name: "at", Type: mop.Int}, // unix nanoseconds
-			{Name: "value", Type: mop.Int},
-			{Name: "p50", Type: mop.Int},
-			{Name: "p95", Type: mop.Int},
-			{Name: "p99", Type: mop.Int},
-		}, nil)
-	})
-	st.Series = ensure("SysSeries", func() *mop.Type {
-		return mop.MustNewClass("SysSeries", nil, []mop.Attr{
-			{Name: "name", Type: mop.String},
-			{Name: "kind", Type: mop.String},
-			{Name: "samples", Type: mop.ListOf(st.Sample)},
-		}, nil)
-	})
-	st.Family = ensure("SysFamily", func() *mop.Type {
-		return mop.MustNewClass("SysFamily", nil, []mop.Attr{
-			{Name: "family", Type: mop.String},
-			{Name: "msgs", Type: mop.Int},
-			{Name: "bytes", Type: mop.Int},
-			{Name: "drops", Type: mop.Int},
-			{Name: "err", Type: mop.Int}, // space-saving overestimate bound
-		}, nil)
-	})
-	st.History = ensure("SysHistory", func() *mop.Type {
-		return mop.MustNewClass("SysHistory", nil, []mop.Attr{
-			{Name: "node", Type: mop.String},
-			{Name: "at", Type: mop.Time},
-			{Name: "interval_ns", Type: mop.Int},
-			{Name: "ticks", Type: mop.Int},
-			{Name: "series", Type: mop.ListOf(st.Series)},
-			{Name: "alarms", Type: mop.ListOf(st.Alarm)},
-			{Name: "alarm_total", Type: mop.Int},
-			{Name: "families", Type: mop.ListOf(st.Family)},
-		}, nil)
-	})
-	if firstErr != nil {
-		return SysTypes{}, firstErr
-	}
-	return st, nil
+// Pong answers a PingSubject probe on PongSubject(node), echoing its nonce.
+type Pong struct {
+	Node  string    `mop:"node"`
+	At    time.Time `mop:"at"`
+	Nonce int64     `mop:"nonce"`
 }
 
-// StatsObject renders a registry snapshot as a self-describing SysStats
-// object, ready for wire.Marshal and publication on
-// StatsSubjectPrefix.<node>.
-func (st SysTypes) StatsObject(node string, at time.Time, uptime time.Duration, snap []Metric) *mop.Object {
-	metrics := make(mop.List, 0, len(snap))
-	for _, m := range snap {
-		o := mop.MustNew(st.Metric).
-			MustSet("name", m.Name).
-			MustSet("kind", m.Kind.String()).
-			MustSet("value", m.Value).
-			MustSet("count", int64(m.Count)).
-			MustSet("mean_ns", m.MeanNs).
-			MustSet("p50_ns", m.P50Ns).
-			MustSet("p95_ns", m.P95Ns).
-			MustSet("p99_ns", m.P99Ns)
-		metrics = append(metrics, o)
-	}
-	return mop.MustNew(st.Stats).
-		MustSet("node", node).
-		MustSet("at", at).
-		MustSet("uptime_ns", int64(uptime)).
-		MustSet("metrics", metrics)
+// Dump answers a DumpSubject probe on DumpedSubject(node): how many events
+// the flight recorder has seen, and its ring and the active alarms as text.
+type Dump struct {
+	Node   string    `mop:"node"`
+	At     time.Time `mop:"at"`
+	Events int64     `mop:"events"`
+	Text   string    `mop:"text"`
 }
 
-// PongObject renders a ping answer.
-func (st SysTypes) PongObject(node string, at time.Time, nonce int64) *mop.Object {
-	return mop.MustNew(st.Pong).
-		MustSet("node", node).
-		MustSet("at", at).
-		MustSet("nonce", nonce)
+// TraceHop is a busproto.TraceHop as a sidecar carries it: the kind by name
+// (busproto.HopKindName), so a monitor reads hops of kinds newer than itself.
+type TraceHop struct {
+	Kind string `mop:"kind"`
+	Node string `mop:"node"`
+	At   int64  `mop:"at"`
 }
 
-// AlarmObject renders one alarm edge as a self-describing SysAlarm
-// object, ready for publication on AlarmSubject(ev.Node, ev.Kind).
-func (st SysTypes) AlarmObject(ev AlarmEvent) *mop.Object {
-	return mop.MustNew(st.Alarm).
-		MustSet("node", ev.Node).
-		MustSet("kind", ev.Kind).
-		MustSet("target", ev.Target).
-		MustSet("raised", ev.Raised).
-		MustSet("value", ev.Value).
-		MustSet("threshold", ev.Threshold).
-		MustSet("at", ev.At)
+// Trace is a trace sidecar, published on TraceSubject(node): stage hops of an
+// already-departed traced envelope (the quorum-ack stamp, typically), keyed
+// by the trace id so monitors can merge them into the delivered trace.
+type Trace struct {
+	Node    string     `mop:"node"`
+	TraceID uint64     `mop:"trace_id"`
+	Hops    []TraceHop `mop:"hops"`
 }
 
-// DumpObject renders a flight-recorder dump answer.
-func (st SysTypes) DumpObject(node string, at time.Time, events int64, text string) *mop.Object {
-	return mop.MustNew(st.Dump).
-		MustSet("node", node).
-		MustSet("at", at).
-		MustSet("events", events).
-		MustSet("text", text)
+// NewTrace states busproto hops as a sidecar.
+func NewTrace(node string, traceID uint64, hops []busproto.TraceHop) Trace {
+	t := Trace{Node: node, TraceID: traceID, Hops: make([]TraceHop, len(hops))}
+	for i, h := range hops {
+		t.Hops[i] = TraceHop{Kind: busproto.HopKindName(h.Kind), Node: h.Node, At: h.At}
+	}
+	return t
 }
 
-// TraceObject renders a trace sidecar: stage hops of an already-departed
-// traced envelope (the quorum-ack stamp, typically), keyed by the trace id
-// so monitors can merge them into the delivered trace. The uint64 id is
-// bit-cast through mop's int64.
-func (st SysTypes) TraceObject(node string, traceID uint64, hops []busproto.TraceHop) *mop.Object {
-	list := make(mop.List, 0, len(hops))
-	for _, h := range hops {
-		list = append(list, mop.MustNew(st.TraceHop).
-			MustSet("kind", busproto.HopKindName(h.Kind)).
-			MustSet("node", h.Node).
-			MustSet("at", h.At))
+// BusHops returns the sidecar's hops as busproto states them. Unknown kind
+// names fold to HopNode (busproto.HopKindByName).
+func (t Trace) BusHops() []busproto.TraceHop {
+	hops := make([]busproto.TraceHop, len(t.Hops))
+	for i, h := range t.Hops {
+		hops[i] = busproto.TraceHop{Kind: busproto.HopKindByName(h.Kind), Node: h.Node, At: h.At}
 	}
-	return mop.MustNew(st.Trace).
-		MustSet("node", node).
-		MustSet("trace_id", int64(traceID)).
-		MustSet("hops", list)
-}
-
-// ParseTraceObject decodes a SysTrace sidecar back into busproto hops.
-// Unknown kind names fold to HopNode (forward compatibility: a newer
-// node's stage kinds still merge positionally).
-func ParseTraceObject(o *mop.Object) (node string, traceID uint64, hops []busproto.TraceHop, ok bool) {
-	if o == nil || o.Type().Name() != "SysTrace" {
-		return "", 0, nil, false
-	}
-	node, _ = objString(o, "node")
-	id, idOK := objInt(o, "trace_id")
-	lv, err := o.Get("hops")
-	if !idOK || err != nil {
-		return "", 0, nil, false
-	}
-	list, _ := lv.(mop.List)
-	hops = make([]busproto.TraceHop, 0, len(list))
-	for _, hv := range list {
-		ho, isObj := hv.(*mop.Object)
-		if !isObj {
-			continue
-		}
-		kind, _ := objString(ho, "kind")
-		hnode, _ := objString(ho, "node")
-		at, _ := objInt(ho, "at")
-		hops = append(hops, busproto.TraceHop{Kind: hopKindByName(kind), Node: hnode, At: at})
-	}
-	return node, uint64(id), hops, true
-}
-
-// hopKindByName inverts busproto.HopKindName; unknown names become
-// HopNode.
-func hopKindByName(name string) byte {
-	for k := byte(0); k <= busproto.HopRecoveryReplay; k++ {
-		if busproto.HopKindName(k) == name {
-			return k
-		}
-	}
-	return busproto.HopNode
-}
-
-// HistoryObject renders a flight-data window — a HistorySnapshot plus the
-// merged subject-family table — as a self-describing SysHistory object,
-// ready for publication on HistoryNodeSubject(node).
-func (st SysTypes) HistoryObject(node string, at time.Time, snap HistorySnapshot, families []TopKEntry) *mop.Object {
-	series := make(mop.List, 0, len(snap.Series))
-	for _, s := range snap.Series {
-		samples := make(mop.List, 0, len(s.Samples))
-		for _, smp := range s.Samples {
-			samples = append(samples, mop.MustNew(st.Sample).
-				MustSet("tick", smp.Tick).
-				MustSet("at", smp.At).
-				MustSet("value", smp.V).
-				MustSet("p50", smp.P50).
-				MustSet("p95", smp.P95).
-				MustSet("p99", smp.P99))
-		}
-		series = append(series, mop.MustNew(st.Series).
-			MustSet("name", s.Name).
-			MustSet("kind", s.Kind.String()).
-			MustSet("samples", samples))
-	}
-	alarms := make(mop.List, 0, len(snap.Alarms))
-	for _, e := range snap.Alarms {
-		alarms = append(alarms, mop.MustNew(st.Alarm).
-			MustSet("node", node).
-			MustSet("kind", e.Kind).
-			MustSet("target", e.Target).
-			MustSet("raised", e.Raised).
-			MustSet("value", e.Value).
-			MustSet("threshold", int64(0)).
-			MustSet("at", time.Unix(0, e.At)))
-	}
-	fams := make(mop.List, 0, len(families))
-	for _, f := range families {
-		fams = append(fams, mop.MustNew(st.Family).
-			MustSet("family", f.Family).
-			MustSet("msgs", int64(f.Msgs)).
-			MustSet("bytes", int64(f.Bytes)).
-			MustSet("drops", int64(f.Drops)).
-			MustSet("err", int64(f.Err)))
-	}
-	return mop.MustNew(st.History).
-		MustSet("node", node).
-		MustSet("at", at).
-		MustSet("interval_ns", snap.IntervalNs).
-		MustSet("ticks", int64(snap.Ticks)).
-		MustSet("series", series).
-		MustSet("alarms", alarms).
-		MustSet("alarm_total", int64(snap.AlarmTotal)).
-		MustSet("families", fams)
-}
-
-// HistoryDigest is the monitor-side decoding of a SysHistory object.
-type HistoryDigest struct {
-	Node       string
-	At         time.Time
-	Snapshot   HistorySnapshot
-	Families   []TopKEntry
-	AlarmNodes []string // per snapshot alarm, the publishing node (all equal)
-}
-
-// ParseHistoryObject decodes a SysHistory publication. Monitors use it to
-// render rate/percentile columns without linking the sampler itself.
-func ParseHistoryObject(o *mop.Object) (HistoryDigest, bool) {
-	if o == nil || o.Type().Name() != "SysHistory" {
-		return HistoryDigest{}, false
-	}
-	var d HistoryDigest
-	d.Node, _ = objString(o, "node")
-	if v, err := o.Get("at"); err == nil {
-		d.At, _ = v.(time.Time)
-	}
-	d.Snapshot.IntervalNs, _ = objInt(o, "interval_ns")
-	ticks, _ := objInt(o, "ticks")
-	d.Snapshot.Ticks = uint64(ticks)
-	alarmTotal, _ := objInt(o, "alarm_total")
-	d.Snapshot.AlarmTotal = uint64(alarmTotal)
-	if lv, err := o.Get("series"); err == nil {
-		list, _ := lv.(mop.List)
-		for _, sv := range list {
-			so, isObj := sv.(*mop.Object)
-			if !isObj {
-				continue
-			}
-			ss := SeriesSnapshot{}
-			ss.Name, _ = objString(so, "name")
-			kind, _ := objString(so, "kind")
-			switch kind {
-			case "rate":
-				ss.Kind = SeriesRate
-			case "level":
-				ss.Kind = SeriesLevel
-			case "percentile":
-				ss.Kind = SeriesPercentile
-			}
-			if sl, err := so.Get("samples"); err == nil {
-				samples, _ := sl.(mop.List)
-				for _, smv := range samples {
-					smo, isObj := smv.(*mop.Object)
-					if !isObj {
-						continue
-					}
-					var smp Sample
-					smp.Tick, _ = objInt(smo, "tick")
-					smp.At, _ = objInt(smo, "at")
-					smp.V, _ = objInt(smo, "value")
-					smp.P50, _ = objInt(smo, "p50")
-					smp.P95, _ = objInt(smo, "p95")
-					smp.P99, _ = objInt(smo, "p99")
-					ss.Samples = append(ss.Samples, smp)
-				}
-			}
-			d.Snapshot.Series = append(d.Snapshot.Series, ss)
-		}
-	}
-	if lv, err := o.Get("alarms"); err == nil {
-		list, _ := lv.(mop.List)
-		for _, av := range list {
-			ao, isObj := av.(*mop.Object)
-			if !isObj {
-				continue
-			}
-			var e AlarmEdge
-			e.Kind, _ = objString(ao, "kind")
-			e.Target, _ = objString(ao, "target")
-			if rv, err := ao.Get("raised"); err == nil {
-				e.Raised, _ = rv.(bool)
-			}
-			e.Value, _ = objInt(ao, "value")
-			if tv, err := ao.Get("at"); err == nil {
-				if t, isTime := tv.(time.Time); isTime {
-					e.At = t.UnixNano()
-				}
-			}
-			node, _ := objString(ao, "node")
-			d.AlarmNodes = append(d.AlarmNodes, node)
-			d.Snapshot.Alarms = append(d.Snapshot.Alarms, e)
-		}
-	}
-	if lv, err := o.Get("families"); err == nil {
-		list, _ := lv.(mop.List)
-		for _, fv := range list {
-			fo, isObj := fv.(*mop.Object)
-			if !isObj {
-				continue
-			}
-			var e TopKEntry
-			e.Family, _ = objString(fo, "family")
-			msgs, _ := objInt(fo, "msgs")
-			bytes, _ := objInt(fo, "bytes")
-			drops, _ := objInt(fo, "drops")
-			errv, _ := objInt(fo, "err")
-			e.Msgs, e.Bytes, e.Drops, e.Err = uint64(msgs), uint64(bytes), uint64(drops), uint64(errv)
-			d.Families = append(d.Families, e)
-		}
-	}
-	return d, true
-}
-
-func objString(o *mop.Object, name string) (string, bool) {
-	v, err := o.Get(name)
-	if err != nil {
-		return "", false
-	}
-	s, ok := v.(string)
-	return s, ok
-}
-
-func objInt(o *mop.Object, name string) (int64, bool) {
-	v, err := o.Get(name)
-	if err != nil {
-		return 0, false
-	}
-	n, ok := v.(int64)
-	return n, ok
+	return hops
 }

@@ -31,13 +31,13 @@ type topKItem struct {
 	err    uint64 // inherited overestimate at insertion
 }
 
-// TopKEntry is one family's accounting in a snapshot.
+// TopKEntry is one family's accounting in a snapshot (the SysFamily kind).
 type TopKEntry struct {
-	Family string
-	Msgs   uint64 // delivery count (overestimate bounded by Err)
-	Bytes  uint64
-	Drops  uint64 // deliveries dropped (slow consumer)
-	Err    uint64 // max overcount inherited from the evicted minimum
+	Family string `mop:"family"`
+	Msgs   uint64 `mop:"msgs"` // delivery count (overestimate bounded by Err)
+	Bytes  uint64 `mop:"bytes"`
+	Drops  uint64 `mop:"drops"` // deliveries dropped (slow consumer)
+	Err    uint64 `mop:"err"`   // max overcount inherited from the evicted minimum
 }
 
 // NewTopK creates a table bounded to k families (minimum 1).

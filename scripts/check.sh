@@ -100,6 +100,9 @@ go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/
 echo "==> alloc gate (steady-state encode 0 allocs; warm decode allocates what it returns, 0 for the table)"
 go test -run 'TestSendDictSteadyStateAllocs|TestUnmarshalSteadyStateAllocs' -count=1 ./internal/wire/
 
+echo "==> alloc gate (a SysStats built from its one declaration costs no more than the hand-written builder did)"
+go test -run TestStatsObjectAllocBudget -count=1 ./internal/telemetry/
+
 echo "==> _sys gates (host and router answer every probe alike; published bytes golden against e4d15fb, router stats + the six mesh.* names)"
 go test -run 'TestSysProbeParity|TestSysGoldenBytes' -count=1 ./internal/router/
 
@@ -147,6 +150,8 @@ if [ "$quick" -eq 0 ]; then
     go test -run xxx -fuzz 'FuzzSegmentedReplay$'  -fuzztime 5s ./internal/ledger/
     go test -run xxx -fuzz 'FuzzReplFrame$'        -fuzztime 5s ./internal/qledger/
     go test -run xxx -fuzz 'FuzzMeshAd$'           -fuzztime 5s ./internal/mesh/
+    go test -run xxx -fuzz 'FuzzSysRead$'          -fuzztime 5s ./cmd/ibmon/
+    go test -run xxx -fuzz 'FuzzDecodeFrame$'      -fuzztime 5s ./internal/reliable/
 fi
 
 echo "==> all checks passed"
