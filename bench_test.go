@@ -359,12 +359,7 @@ func BenchmarkAblationBatching(b *testing.B) {
 			if batching {
 				r, err = bench.MeasureThroughput(cfg, 64, n, 1)
 			} else {
-				// MeasureLatency runs with batching off but measures
-				// latency; for throughput-without-batching reuse the
-				// throughput harness with batching disabled via a
-				// zero-delay batch (flushed per message).
-				cfg.Reliable.BatchMaxBytes = 1 // forces per-message flush
-				r, err = bench.MeasureThroughput(cfg, 64, n, 1)
+				r, err = bench.MeasureThroughputUnbatched(cfg, 64, n, 1)
 			}
 			if err != nil {
 				b.Fatal(err)

@@ -252,13 +252,22 @@ type ThroughputResult struct {
 // over that many distinct subjects and every consumer subscribes to all of
 // them.
 func MeasureThroughput(cfg Config, msgSize, nMsgs, nSubjects int) (ThroughputResult, error) {
+	cfg.Reliable.Batching = true // the appendix turns batching on for throughput
+	return measureThroughput(cfg, msgSize, nMsgs, nSubjects)
+}
+
+// MeasureThroughputUnbatched is MeasureThroughput with the batch parameter
+// off, one datagram per message: the other arm of the batching ablation.
+func MeasureThroughputUnbatched(cfg Config, msgSize, nMsgs, nSubjects int) (ThroughputResult, error) {
+	cfg.Reliable.Batching = false
+	return measureThroughput(cfg, msgSize, nMsgs, nSubjects)
+}
+
+func measureThroughput(runCfg Config, msgSize, nMsgs, nSubjects int) (ThroughputResult, error) {
 	if nSubjects < 1 {
 		nSubjects = 1
 	}
-	rcfg := cfg.Reliable
-	rcfg.Batching = true // the appendix turns batching on for throughput
-	runCfg := cfg
-	runCfg.Reliable = rcfg
+	cfg := runCfg
 
 	subjects := make([]string, nSubjects)
 	for i := range subjects {

@@ -175,7 +175,6 @@ func TestHistoryDisabledByDefault(t *testing.T) {
 // interval and slot count give a window of at least 60 seconds.
 func TestHistoryDefaultWindow(t *testing.T) {
 	h := telemetry.NewHistory(telemetry.HistoryConfig{})
-	defer h.Stop()
 	if window := time.Duration(h.Slots()) * h.Interval(); window < 60*time.Second {
 		t.Fatalf("default window = %v, want >= 60s", window)
 	}

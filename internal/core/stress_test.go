@@ -19,9 +19,13 @@ import (
 //
 //   - no duplicates (values strictly increase);
 //   - FIFO order (never a smaller value after a larger one);
-//   - subscribers that existed for the whole run receive a prefix-free
-//     complete suffix (no interior gaps once the stream started, because
-//     nothing here exceeds the retransmission window).
+//   - subscribers that existed for the whole run converge to every
+//     stream's final value.
+//
+// That such a subscriber also sees no interior gap is asserted where it can
+// be, on virtual time (reliable.TestSoakLossyChurn): here a gap is one
+// scheduler stall longer than the wall-clock GapTimeout away, which is how
+// this test flaked under -race.
 func TestStressLossyChurn(t *testing.T) {
 	netCfg := netsim.DefaultConfig()
 	netCfg.Speedup = 5000
@@ -43,7 +47,6 @@ func TestStressLossyChurn(t *testing.T) {
 	type tracker struct {
 		mu   sync.Mutex
 		last map[string]int64 // publisher addr -> last value seen
-		gaps int
 	}
 	var trackers []*tracker
 	for i := 0; i < nStable; i++ {
@@ -76,9 +79,6 @@ func TestStressLossyChurn(t *testing.T) {
 					tr.mu.Unlock()
 					return
 				default:
-					if v != last+1 {
-						tr.gaps += int(v - last - 1)
-					}
 					tr.last[ev.From] = v
 				}
 				tr.mu.Unlock()
@@ -159,13 +159,9 @@ func TestStressLossyChurn(t *testing.T) {
 					doneStreams++
 				}
 			}
-			gaps := tr.gaps
 			total := len(tr.last)
 			tr.mu.Unlock()
 			if total == nPublishers && doneStreams == nPublishers {
-				if gaps != 0 {
-					t.Errorf("stable subscriber saw %d interior gaps", gaps)
-				}
 				break
 			}
 			select {

@@ -18,17 +18,23 @@
 // are detected by a per-connection epoch.
 //
 // The appendix's "batch parameter" lives here too: with batching on, small
-// publications are gathered for up to BatchDelay (or until BatchMaxBytes)
-// and sent as one datagram, trading latency for throughput (Figures 5-7).
+// publications are gathered for up to BatchDelay (or until 32 KB) and sent
+// as one datagram, trading latency for throughput (Figures 5-7).
 //
-// A Conn is one event loop (Conn.loop): a single goroutine reads the
-// endpoint, runs the protocol timers and hands every deliverable message
-// to the consumer, so per-sender order holds by construction. Inbound
-// stream state belongs to that goroutine alone; Conn.mu guards only what
-// Publish, SendTo and Flush share with it (the retransmit window, the batch,
-// the unicast streams, the encode scratch). NewSharded gives the loop
-// several output channels keyed by sender address, so several consumers —
-// the daemon's inbound workers — can read one Conn without a relay.
+// The package is two halves. Machine (machine.go) is the protocol: all the
+// state and every transition as a function of its inputs and the time it is
+// told, with no goroutine, ticker, socket or clock read of its own — which
+// is what lets the test suite run any number of machines over a simulated
+// segment on virtual time, single-threaded and repeatable to the byte. Conn
+// (conn.go) is the driver that runs one machine in wall-clock time: a single
+// goroutine (Conn.loop) reads the endpoint, ticks the machine and hands
+// every deliverable message to the consumer, so per-sender order holds by
+// construction. Inbound stream state belongs to that goroutine alone;
+// Machine.mu guards only what Publish, SendTo and Flush share with it (the
+// retransmit window, the batch, the unicast streams, the encode scratch).
+// NewSharded gives the loop several output channels keyed by sender address,
+// so several consumers — the daemon's inbound workers — can read one Conn
+// without a relay.
 package reliable
 
 import (
@@ -93,10 +99,6 @@ func appendUvarint(b []byte, v uint64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], v)
 	return append(b, tmp[:n]...)
-}
-
-func encodeData(f dataFrame) []byte {
-	return appendData(nil, f)
 }
 
 // appendData appends the frame's encoding to dst and returns the extended

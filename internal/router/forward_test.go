@@ -59,7 +59,6 @@ func quietReliable() reliable.Config {
 		GapTimeout:         time.Hour,
 		RetransmitInterval: time.Hour,
 		HeartbeatInterval:  time.Hour,
-		JoinGrace:          time.Millisecond,
 	}
 }
 

@@ -287,15 +287,17 @@ func TestSysGoldenBytes(t *testing.T) {
 
 	t.Run("router", func(t *testing.T) {
 		lo := time.Now()
-		r, seg := goldenRouter(t, Options{StatsInterval: 20 * time.Millisecond})
-		// The router's ring samples every 250 ms; stop it and tick once by
-		// hand. A host stall long enough for it to tick first is not this
-		// test's subject.
-		r.hist.Stop()
+		r, seg := goldenRouter(t, Options{StatsInterval: time.Hour})
+		// The agent would sample the router's ring every 250 ms; stop its
+		// clock and tick by hand what each golden needs — the probes need
+		// no goroutine. A host stall long enough for the ring to be sampled
+		// first is not this test's subject.
+		r.sys.Stop()
 		if r.hist.Snapshot(0).Ticks != 0 {
-			t.Skip("the sampler ticked before the test could stop it")
+			t.Skip("the agent sampled the ring before the test could stop it")
 		}
 		r.hist.TrackRate("golden.rate", r.metrics.Counter("golden.counter"))
+		probe(r, telemetry.PingSubject) // a pong, and the same SysStats a stats tick exports
 		checkSysGolden(t, seg, "router/stats", "_sys.stats.router-golden", lo)
 
 		raiseGoldenAlarm(r.engine)

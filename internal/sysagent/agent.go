@@ -12,7 +12,9 @@
 // nil, and a nil tier publishes nothing and ignores its probe. The objects
 // stay self-describing (P2) and are built from the one declaration of each
 // kind (telemetry.Schema), so a new node kind is observable by supplying
-// tiers and a publish func, never a new loop.
+// tiers and a publish func, never a new loop: the agent's one goroutine is
+// the only clock a node's telemetry has — it exports the stats, publishes
+// the digests, ticks the alarm engine and samples the flight-data ring.
 package sysagent
 
 import (
@@ -43,8 +45,8 @@ type Config struct {
 	TypeCache *wire.TypeCache
 	// Publish disseminates one marshalled object on subject, flushed — an
 	// alarm must not sit in a batch buffer. Best-effort: a closing node
-	// drops it. Called from the agent's goroutine, the engine's tick
-	// goroutine, and whichever goroutine calls Probe or Trace.
+	// drops it. Called from the agent's goroutine and whichever goroutine
+	// calls Probe or Trace.
 	Publish func(subject string, payload []byte)
 
 	// Stats tier: every StatsInterval the Metrics snapshot goes out as a
@@ -53,7 +55,7 @@ type Config struct {
 	Metrics       *telemetry.Registry
 	StatsInterval time.Duration
 
-	// Health tier: the agent runs Engine's tick loop at HealthInterval,
+	// Health tier: the agent ticks Engine every HealthInterval,
 	// publishes each raise/clear edge as a SysAlarm on
 	// "_sys.alarm.<node>.<kind>", and answers "_sys.dump" with the engine's
 	// active alarms and its recorder's ring (the engine must have one). Nil
@@ -62,8 +64,8 @@ type Config struct {
 	Engine         *telemetry.Engine
 	HealthInterval time.Duration
 
-	// History tier: the agent runs History's sampler, answers
-	// "_sys.history" with the full window as a SysHistory on
+	// History tier: the agent ticks History every History.Interval(),
+	// answers "_sys.history" with the full window as a SysHistory on
 	// "_sys.history.<node>", notes alarm edges into the ring, and every
 	// DigestEvery (0: probe-only) publishes the last DigestSamples ticks
 	// there unprompted. Families, optional, supplies the subject-family
@@ -74,15 +76,16 @@ type Config struct {
 	Families    func() []telemetry.TopKEntry
 }
 
-// Agent is a node's running "_sys" publisher. With every tier off it is
-// just the node's Sys classes and publish func (Trace still works) and
-// owns no goroutine.
+// Agent is a node's running "_sys" publisher: one goroutine, whatever the
+// tiers. With every tier off it is just the node's Sys classes and publish
+// func (Trace still works) and owns none.
 type Agent struct {
 	cfg   Config
 	node  string
 	start time.Time
 
 	done chan struct{}
+	stop sync.Once
 	wg   sync.WaitGroup
 }
 
@@ -100,31 +103,27 @@ func Start(cfg Config) (*Agent, error) {
 		start: time.Now(),
 		done:  make(chan struct{}),
 	}
+	var health, sample time.Duration // what the loop ticks; zero for a tier that is off
 	if cfg.History != nil {
-		cfg.History.Start()
+		sample = cfg.History.Interval()
 	}
 	if cfg.Engine != nil {
 		cfg.Engine.SetSink(a.publishAlarm)
-		cfg.Engine.Start(cfg.HealthInterval)
+		health = cfg.HealthInterval
 	}
-	if cfg.StatsInterval > 0 || cfg.DigestEvery > 0 {
+	if cfg.StatsInterval > 0 || cfg.DigestEvery > 0 || health > 0 || sample > 0 {
 		a.wg.Add(1)
-		go a.loop()
+		go a.loop(health, sample)
 	}
 	return a, nil
 }
 
-// Stop halts the tiers Start launched. When it returns no agent goroutine
-// is left and the agent publishes nothing more on its own; the node stops
-// calling Probe and Trace.
+// Stop halts the agent's clock; calling it again is harmless. When it
+// returns the agent's goroutine is gone and nothing is published, ticked or
+// sampled on the agent's own account; the node stops calling Probe and
+// Trace.
 func (a *Agent) Stop() {
-	if a.cfg.Engine != nil {
-		a.cfg.Engine.Stop()
-	}
-	close(a.done)
-	if a.cfg.History != nil {
-		a.cfg.History.Stop()
-	}
+	a.stop.Do(func() { close(a.done) })
 	a.wg.Wait()
 }
 
@@ -170,21 +169,27 @@ func (a *Agent) Trace(traceID uint64, hops []busproto.TraceHop) {
 	a.publish(telemetry.TraceSubject(a.node), telemetry.SysTrace.Object(&t))
 }
 
-// loop is the agent's clock: the stats export and the history digest, each
-// on its own ticker (a nil channel for a tier that is off never fires).
-func (a *Agent) loop() {
+// loop is the agent's clock: the stats export, the history digest, the
+// alarm engine's tick and the flight-data ring's sample, each on its own
+// ticker (a nil channel, for a tier that is off, never fires).
+func (a *Agent) loop(healthEvery, sampleEvery time.Duration) {
 	defer a.wg.Done()
-	var stats, digest <-chan time.Time
-	if a.cfg.StatsInterval > 0 {
-		t := time.NewTicker(a.cfg.StatsInterval)
-		defer t.Stop()
-		stats = t.C
+	var tickers []*time.Ticker
+	defer func() {
+		for _, t := range tickers {
+			t.Stop()
+		}
+	}()
+	every := func(d time.Duration) <-chan time.Time {
+		if d <= 0 {
+			return nil
+		}
+		t := time.NewTicker(d)
+		tickers = append(tickers, t)
+		return t.C
 	}
-	if a.cfg.DigestEvery > 0 {
-		t := time.NewTicker(a.cfg.DigestEvery)
-		defer t.Stop()
-		digest = t.C
-	}
+	stats, digest := every(a.cfg.StatsInterval), every(a.cfg.DigestEvery)
+	health, sample := every(healthEvery), every(sampleEvery)
 	for {
 		select {
 		case <-a.done:
@@ -193,6 +198,10 @@ func (a *Agent) loop() {
 			a.publishStats()
 		case <-digest:
 			a.publishHistory(DigestSamples)
+		case now := <-health:
+			a.cfg.Engine.Tick(now)
+		case now := <-sample:
+			a.cfg.History.Tick(now)
 		}
 	}
 }

@@ -132,8 +132,9 @@ func TestPingEchoesNonce(t *testing.T) {
 }
 
 // TestStopLeavesNothingRunning: with every tier ticking at 1 ms — stats,
-// digests, and an alarm that raises on the first engine tick — Stop returns
-// with no goroutine left and nothing is published after it.
+// digests, the ring's sampler and an alarm that raises on the first engine
+// tick — the agent is one goroutine, and Stop (twice) returns with none left,
+// nothing published and nothing sampled after it.
 func TestStopLeavesNothingRunning(t *testing.T) {
 	before := runtime.NumGoroutine()
 	bus := &fakeBus{}
@@ -151,6 +152,9 @@ func TestStopLeavesNothingRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := runtime.NumGoroutine() - before; got != 1 {
+		t.Errorf("an agent with every tier on runs %d goroutines, want 1", got)
+	}
 	// Wait until every unprompted kind has gone out at least once.
 	want := map[string]bool{"_sys.stats.n SysStats": true, "_sys.alarm.n.always SysAlarm": true, "_sys.history.n SysHistory": true}
 	for deadline := time.Now().Add(10 * time.Second); len(want) > 0; time.Sleep(time.Millisecond) {
@@ -161,14 +165,19 @@ func TestStopLeavesNothingRunning(t *testing.T) {
 			delete(want, p)
 		}
 	}
-	if snap := hist.Snapshot(0); snap.AlarmTotal != 1 {
-		t.Errorf("history ring noted %d alarm edges, want the one raise", snap.AlarmTotal)
+	if snap := hist.Snapshot(0); snap.AlarmTotal != 1 || snap.Ticks == 0 {
+		t.Errorf("history ring noted %d alarm edges in %d ticks, want the one raise and a tick", snap.AlarmTotal, snap.Ticks)
 	}
 	a.Stop()
+	a.Stop()
 	bus.take()
+	ticks := hist.Snapshot(0).Ticks
 	time.Sleep(20 * time.Millisecond)
 	if late := bus.take(); len(late) > 0 {
 		t.Errorf("published after Stop: %v", late)
+	}
+	if got := hist.Snapshot(0).Ticks; got != ticks {
+		t.Errorf("ring sampled after Stop: %d -> %d ticks", ticks, got)
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

@@ -135,8 +135,8 @@ type Watch struct {
 	raiseAt    time.Time
 }
 
-// Engine evaluates a set of Watches on a fixed tick. Tick may be driven
-// by the embedded Start loop or called directly (tests).
+// Engine evaluates a set of Watches each time its owner calls Tick: the
+// node's sysagent on the health interval, a test whenever it likes.
 type Engine struct {
 	node string
 	rec  *Recorder
@@ -148,9 +148,6 @@ type Engine struct {
 
 	mu      sync.Mutex
 	watches []*Watch
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // NewEngine creates an engine for a node. reg and rec may be nil (no
@@ -172,8 +169,8 @@ func (e *Engine) Node() string { return e.node }
 func (e *Engine) Recorder() *Recorder { return e.rec }
 
 // SetSink installs the edge callback. It is invoked outside the engine
-// lock, from the tick goroutine, once per raise/clear edge. Set it before
-// Start.
+// lock, from the goroutine that called Tick, once per raise/clear edge. Set
+// it before the first Tick.
 func (e *Engine) SetSink(f func(AlarmEvent)) { e.sink = f }
 
 // Watch registers a level watch. sample must be lock-free (an atomic
@@ -362,36 +359,4 @@ func (e *Engine) DumpText() string {
 		b.WriteString(e.rec.Dump())
 	}
 	return b.String()
-}
-
-// Start runs the tick loop at the given interval until Stop.
-func (e *Engine) Start(interval time.Duration) {
-	if interval <= 0 || e.stop != nil {
-		return
-	}
-	e.stop = make(chan struct{})
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case now := <-t.C:
-				e.Tick(now)
-			case <-e.stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts the tick loop started by Start.
-func (e *Engine) Stop() {
-	if e.stop == nil {
-		return
-	}
-	close(e.stop)
-	e.wg.Wait()
-	e.stop = nil
 }

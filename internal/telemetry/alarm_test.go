@@ -209,25 +209,6 @@ func TestEngineDumpText(t *testing.T) {
 	}
 }
 
-func TestEngineStartStop(t *testing.T) {
-	e := NewEngine("n1", nil, nil)
-	var level atomic.Int64
-	var fired atomic.Int64
-	e.SetSink(func(AlarmEvent) { fired.Add(1) })
-	e.Watch(WatchConfig{Kind: "k", Raise: 1}, level.Load)
-	level.Store(5)
-	e.Start(time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for fired.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	e.Stop()
-	e.Stop() // idempotent
-	if fired.Load() != 1 {
-		t.Fatalf("tick loop fired %d edges, want 1", fired.Load())
-	}
-}
-
 func TestSanitizedNodeAndAlarmSubject(t *testing.T) {
 	e := NewEngine("127.0.0.1:7001", nil, nil)
 	if strings.ContainsAny(e.Node(), ".*>") {

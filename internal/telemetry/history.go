@@ -90,7 +90,8 @@ type series struct {
 }
 
 // History is the flight-data recorder: call Track* once per signal at
-// wiring time, then Start (or drive Tick directly in tests).
+// wiring time, then have one goroutine call Tick every Interval (the node's
+// sysagent does; tests step it by hand).
 type History struct {
 	cfg HistoryConfig
 
@@ -103,12 +104,9 @@ type History struct {
 	alarms     []AlarmEvent
 	alarmNext  int
 	alarmTotal uint64
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-// NewHistory creates an idle history tier (no sampler running).
+// NewHistory creates a history tier with nothing sampled yet.
 func NewHistory(cfg HistoryConfig) *History {
 	cfg = cfg.WithDefaults()
 	return &History{
@@ -170,10 +168,9 @@ func (h *History) NoteAlarm(ev AlarmEvent) {
 	h.mu.Unlock()
 }
 
-// Tick performs one sampling pass at the given time. Normally driven by
-// the Start goroutine; exposed so tests and external tickers can step the
-// clock deterministically. Not safe for concurrent Tick calls (single
-// writer), but safe against concurrent readers and Track/NoteAlarm.
+// Tick performs one sampling pass at the given time. Not safe for
+// concurrent Tick calls (single writer), but safe against concurrent
+// readers and Track/NoteAlarm.
 func (h *History) Tick(now time.Time) {
 	tick := h.ticks.Load() + 1
 	slot := int((tick - 1) % uint64(h.cfg.Slots))
@@ -218,45 +215,6 @@ func (h *History) Tick(now time.Time) {
 		sl.settledSeq.Store(tick)
 	}
 	h.ticks.Store(tick)
-}
-
-// Start launches the sampler goroutine. Stop tears it down.
-func (h *History) Start() {
-	h.mu.Lock()
-	if h.stop != nil {
-		h.mu.Unlock()
-		return
-	}
-	h.stop = make(chan struct{})
-	h.done = make(chan struct{})
-	stop, done := h.stop, h.done
-	h.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(h.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case now := <-t.C:
-				h.Tick(now)
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts the sampler. Idempotent.
-func (h *History) Stop() {
-	h.mu.Lock()
-	stop, done := h.stop, h.done
-	h.stop, h.done = nil, nil
-	h.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }
 
 // Sample is one tick's values for a series (the SysSample kind); field

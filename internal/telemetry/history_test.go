@@ -176,29 +176,6 @@ func TestHistoryAlarmRing(t *testing.T) {
 	}
 }
 
-func TestHistoryStartStop(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("n")
-	h := NewHistory(HistoryConfig{Interval: 2 * time.Millisecond, Slots: 16})
-	h.TrackRate("n", c)
-	h.Start()
-	h.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for h.Snapshot(0).Ticks < 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("sampler did not tick")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	h.Stop()
-	h.Stop() // idempotent
-	ticks := h.Snapshot(0).Ticks
-	time.Sleep(10 * time.Millisecond)
-	if got := h.Snapshot(0).Ticks; got != ticks {
-		t.Fatalf("sampler still ticking after Stop: %d -> %d", ticks, got)
-	}
-}
-
 // BenchmarkHistoryTick measures one sampling pass over a realistic series
 // population; the steady-state tick must not allocate.
 func BenchmarkHistoryTick(b *testing.B) {

@@ -3,120 +3,72 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
+	"time"
 
 	"infobus/internal/netsim"
 )
 
 // SimSegment adapts a netsim.Network to the Segment interface. Addresses
-// have the form "sim:<node-id>".
+// have the form "sim:<node-id>". The adapter holds no state and starts no
+// goroutine: an endpoint is a netsim.Node, its Recv channel the node's
+// receive queue.
 type SimSegment struct {
 	net *netsim.Network
-
-	mu     sync.Mutex
-	closed bool
-	eps    []*simEndpoint
 }
 
-// NewSimSegment creates a segment over a fresh simulated network with the
-// given configuration.
+// NewSimSegment creates a segment over a fresh simulated network running in
+// wall-clock time scaled by cfg.Speedup.
 func NewSimSegment(cfg netsim.Config) *SimSegment {
 	return &SimSegment{net: netsim.NewNetwork(cfg)}
 }
 
+// NewManualSimSegment creates a segment over a fresh simulated network on
+// virtual time: its clock reads start until the caller moves it with
+// Network().AdvanceTo, and nothing arrives in between.
+func NewManualSimSegment(cfg netsim.Config, start time.Time) *SimSegment {
+	return &SimSegment{net: netsim.NewManual(cfg, start)}
+}
+
 // Network exposes the underlying simulator for fault injection (partitions,
-// background load) and statistics in tests and benchmarks.
+// background load), statistics and, on a manual segment, the clock.
 func (s *SimSegment) Network() *netsim.Network { return s.net }
 
 // NewEndpoint attaches a simulated host.
-func (s *SimSegment) NewEndpoint(name string) (Endpoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+func (s *SimSegment) NewEndpoint(string) (Endpoint, error) {
+	node, err := s.net.NewNode()
+	if err != nil {
+		return nil, mapSimErr(err)
 	}
-	node := s.net.NewNode(name)
-	ep := &simEndpoint{node: node, out: make(chan Datagram, 1024), done: make(chan struct{})}
-	go ep.pump()
-	s.eps = append(s.eps, ep)
-	return ep, nil
+	return simEndpoint{node}, nil
 }
 
 // Close shuts down the simulated network.
 func (s *SimSegment) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
 	s.net.Close()
 	return nil
 }
 
-type simEndpoint struct {
-	node      *netsim.Node
-	out       chan Datagram
-	done      chan struct{}
-	closeOnce sync.Once
-}
+type simEndpoint struct{ node *netsim.Node }
 
-func simAddr(id netsim.NodeID) string { return "sim:" + strconv.Itoa(int(id)) }
+func (e simEndpoint) Addr() string { return e.node.Addr() }
 
-func parseSimAddr(addr string) (netsim.NodeID, error) {
-	rest, ok := strings.CutPrefix(addr, "sim:")
+func (e simEndpoint) Send(addr string, payload []byte) error {
+	id, ok := netsim.ParseAddr(addr)
 	if !ok {
-		return 0, fmt.Errorf("%q: %w", addr, ErrBadAddr)
-	}
-	id, err := strconv.Atoi(rest)
-	if err != nil {
-		return 0, fmt.Errorf("%q: %w", addr, ErrBadAddr)
-	}
-	return netsim.NodeID(id), nil
-}
-
-func (e *simEndpoint) Addr() string { return simAddr(e.node.ID()) }
-
-func (e *simEndpoint) Send(addr string, payload []byte) error {
-	id, err := parseSimAddr(addr)
-	if err != nil {
-		return err
+		return fmt.Errorf("%q: %w", addr, ErrBadAddr)
 	}
 	return mapSimErr(e.node.Send(id, payload))
 }
 
-func (e *simEndpoint) Broadcast(payload []byte) error {
+func (e simEndpoint) Broadcast(payload []byte) error {
 	return mapSimErr(e.node.SendBroadcast(payload))
 }
 
-func (e *simEndpoint) Recv() <-chan Datagram { return e.out }
+func (e simEndpoint) Recv() <-chan Datagram { return e.node.Recv() }
 
-func (e *simEndpoint) Close() error {
-	e.closeOnce.Do(func() { close(e.done) })
+func (e simEndpoint) Close() error {
+	e.node.Close()
 	return nil
-}
-
-// pump converts netsim packets into Datagrams.
-func (e *simEndpoint) pump() {
-	defer close(e.out)
-	for {
-		select {
-		case <-e.done:
-			return
-		case pkt, ok := <-e.node.Recv():
-			if !ok {
-				return
-			}
-			select {
-			case e.out <- Datagram{From: simAddr(pkt.From), Payload: pkt.Payload}:
-			case <-e.done:
-				return
-			}
-		}
-	}
 }
 
 func mapSimErr(err error) error {

@@ -3,8 +3,9 @@
 // Ethernet broadcast; this package provides that datagram service behind an
 // interface with two implementations:
 //
-//   - Segment backed by the netsim simulated Ethernet (deterministic tests
-//     and the appendix benchmarks), and
+//   - Segment backed by the netsim simulated Ethernet (the appendix figures
+//     on its wall-clock driver, deterministic protocol tests on its manual
+//     one), and
 //   - Segment backed by real UDP sockets on the loopback interface, which
 //     exercises the identical protocol stack over the kernel's network path
 //     (broadcast emulated by unicast fan-out, as the paper's information
@@ -16,15 +17,16 @@ package transport
 
 import (
 	"errors"
+
+	"infobus/internal/netsim"
 )
 
-// Datagram is one received unreliable datagram.
-type Datagram struct {
-	// From is the sender's point-to-point address.
-	From string
-	// Payload is the datagram body. The receiver owns it.
-	Payload []byte
-}
+// Datagram is one received unreliable datagram: From is the sender's
+// point-to-point address, Payload the datagram body, which the receiver
+// owns. The type is the simulator's so that a simulated node's receive
+// queue is the endpoint's Recv channel, with no goroutine converting
+// between the two.
+type Datagram = netsim.Datagram
 
 // Endpoint is one host's attachment to a network segment. Datagrams may be
 // lost, duplicated, reordered, or dropped on overflow; they are never

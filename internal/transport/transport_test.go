@@ -203,9 +203,9 @@ func TestSimSegmentFaultInjection(t *testing.T) {
 	a, _ := seg.NewEndpoint("a")
 	b, _ := seg.NewEndpoint("b")
 	// Partition through the exposed simulator.
-	idB, err := parseSimAddr(b.Addr())
-	if err != nil {
-		t.Fatal(err)
+	idB, ok := netsim.ParseAddr(b.Addr())
+	if !ok {
+		t.Fatalf("bad sim address %q", b.Addr())
 	}
 	seg.Network().Partition(idB)
 	if err := a.Send(b.Addr(), []byte("x")); err != nil {

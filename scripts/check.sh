@@ -45,10 +45,10 @@ if [ -e internal/wire/stream.go ]; then
     exit 1
 fi
 
-echo "==> one owner per sender (the second emitter, the emit tickets and the daemon's relay goroutine stay deleted)"
-if grep -rnwE 'emitTicketLocked|emitCond|emitTurn|workerQueueDepth|inWg' --include='*.go' --exclude='*_test.go' . ||
+echo "==> one owner per sender (the daemon's relay goroutine stays deleted)"
+if grep -rnwE 'workerQueueDepth|inWg' --include='*.go' --exclude='*_test.go' . ||
         grep -rnF 'func (d *Daemon) recvLoop' --include='*.go' --exclude='*_test.go' . ; then
-    echo "a second emitter in reliable.Conn or a relay between the conn and the daemon's workers is back in non-test Go" >&2
+    echo "a relay between the conn and the daemon's workers is back in non-test Go" >&2
     exit 1
 fi
 
@@ -128,8 +128,9 @@ if [ "$quick" -eq 0 ]; then
     echo "==> trie match cache under race, 5 runs (sharded, lazily invalidated: serves, cap skips, shards independent, never older than an observed mutation)"
     go test -race -count=5 -run 'TestMatchCache|TestTrieMatchCache' ./internal/subject/
 
-    echo "==> one loop per conn: join-grace release keeps per-sender order at 1 and 4 shards, timers run under a stalled consumer, one shard per sender, one goroutine (race build, 10 runs)"
-    go test -race -run 'TestJoinGraceReleaseKeepsOrder|TestTimersRunUnderStalledConsumer|TestShardedPerSenderOrder|TestOneGoroutinePerConn' -count=10 ./internal/reliable/
+    echo "==> the conn driver: one goroutine, timers and order under a stalled consumer, close and flush, the wall-clock smoke (race build, 10 runs; the protocol suite is single-threaded on virtual time and runs once, above)"
+    go test -race -run 'TestOneGoroutinePerConn|TestTimersRunUnderStalledConsumer|TestClosedConnErrors|TestCloseFlushesBatch|TestConnEndToEnd' -count=10 ./internal/reliable/
+    go test -race -run 'TestWallClockDelivery|TestConcurrentSenders|TestSendBound|TestOneGoroutinePerNetwork|TestCloseIdempotentAndRejectsSends' -count=10 ./internal/netsim/
 
     echo "==> _sys goldens under race, 20 runs (a publication is in the family table before any client sees it)"
     go test -race -run TestSysGoldenBytes -count=20 ./internal/router/
