@@ -50,9 +50,8 @@ type Host struct {
 	// Type-dictionary compression (wire/dict.go). typeCache is always
 	// live — any host may receive compact publications; sendDict is set
 	// only when HostConfig.CompactTypes enables compact publishing.
-	typeCache   *wire.TypeCache
-	sendDict    *wire.SendDict
-	nakInterval time.Duration
+	typeCache *wire.TypeCache
+	sendDict  *wire.SendDict
 	// subjects interns the subjects applications publish on, so a repeated
 	// subject is a map hit, not a strings.Split. The daemon's interners
 	// serve the inbound path and stay its own.
@@ -63,10 +62,14 @@ type Host struct {
 
 	mu     sync.Mutex
 	ledger *ledger.Ledger
-	retry  *guaranteeRetrier
-	csync  *classSync
 	buses  []*Bus
 	closed bool
+	// The host's periodic duties are parts ticked by one loop (loop.go):
+	// retry (nil without a ledger) and csync are fixed at construction; loop
+	// is nil until a part needs the clock or the bus, and guarded by mu.
+	retry *guaranteeRetrier
+	csync classSync
+	loop  *hostLoop
 	// guarGate, when set, blocks PublishGuaranteed returns until the
 	// replication tier confirms quorum durability (internal/qledger). Nil —
 	// the default — costs one pointer load under the mutex already taken.
@@ -90,12 +93,8 @@ type Host struct {
 
 	// sys publishes every "_sys" telemetry object of this host (sys.go);
 	// guarded by mu because a host with every tier off creates it on its
-	// first trace sidecar. sysClient hears the probes of the enabled tiers
-	// and feeds them to it.
-	sys       *sysagent.Agent
-	sysClient *daemon.Client
-	sysDone   chan struct{}
-	sysWG     sync.WaitGroup
+	// first trace sidecar.
+	sys *sysagent.Agent
 }
 
 // busCounters are the host's bus-layer telemetry handles.
@@ -180,12 +179,8 @@ type HostConfig struct {
 	LedgerSync bool
 	// RetryInterval is the base delay before an unacknowledged guaranteed
 	// publication is first retransmitted; further retransmissions back off
-	// exponentially from it. Default 100ms.
+	// exponentially from it, to DefaultRetryBackoffCap. Default 100ms.
 	RetryInterval time.Duration
-	// RetryBackoffCap bounds the exponential backoff between
-	// retransmissions of one unacknowledged publication. Default 5s (and
-	// never below RetryInterval).
-	RetryBackoffCap time.Duration
 	// Registry lets several hosts share one type universe (common in
 	// tests). Nil creates a fresh registry.
 	Registry *mop.Registry
@@ -299,15 +294,23 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 			classNakServed:      metrics.Counter("bus.class_nak_served"),
 			classDefsHarvested:  metrics.Counter("bus.class_defs_harvested"),
 		},
-		typeCache:   wire.NewTypeCache(0),
-		subjects:    subject.NewInterner(0),
-		nakInterval: cfg.CompactNakInterval,
-		tracing:     cfg.Telemetry.tracePeriod() > 0,
+		typeCache: wire.NewTypeCache(0),
+		subjects:  subject.NewInterner(0),
+		tracing:   cfg.Telemetry.tracePeriod() > 0,
 	}
 	// Table-memo hits are bus.events minus the misses.
 	h.typeCache.CountMemo(metrics.Counter("wire.table_memo_miss"), metrics.Counter("wire.table_memo_full"))
 	if cfg.CompactTypes {
 		h.sendDict = wire.NewSendDict(cfg.CompactResendEvery)
+	}
+	h.csync = classSync{
+		reg: reg, cache: h.typeCache, dict: h.sendDict, ctr: &h.ctr,
+		interval: cfg.CompactNakInterval,
+		publish:  h.publishSys,
+		want:     make(map[uint64]bool),
+	}
+	if h.csync.interval <= 0 {
+		h.csync.interval = 50 * time.Millisecond
 	}
 	if cfg.LedgerPath != "" {
 		led, err := ledger.Open(cfg.LedgerPath, ledger.Options{
@@ -320,23 +323,22 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 			return nil, err
 		}
 		h.ledger = led
-		h.retry = newGuaranteeRetrier(h.daemon, led, cfg.RetryInterval, cfg.RetryBackoffCap, h.ctr.guarRetransmits)
-	}
-	if cfg.CompactTypes {
-		// A compact publisher must answer _sys.class.req NAKs from the
-		// start; pure receivers start the agent lazily on the first
-		// fingerprint miss instead, so legacy topologies advertise no
-		// extra interest.
-		if _, err := h.ensureClassSync(); err != nil {
-			_ = h.Close()
-			return nil, err
-		}
+		h.retry = newGuaranteeRetrier(led, cfg.RetryInterval, h.ctr.guarRetransmits, h.daemon.PublishGuaranteed)
+		h.daemon.OnGuaranteeAck(func(id uint64, _ string) { _ = led.Ack(id) })
 	}
 	prefix := rcfg.MetricsPrefix
 	if prefix == "" {
 		prefix = "reliable"
 	}
-	if err := h.startSys(cfg, hcfg, prefix); err != nil {
+	err = h.startSys(cfg, hcfg, prefix)
+	if err == nil && (h.sys != nil || h.retry != nil || cfg.CompactTypes) {
+		// A compact publisher must answer _sys.class.req NAKs from the
+		// start; pure receivers hear the class subjects from their first
+		// fingerprint miss instead, so legacy topologies advertise no extra
+		// interest.
+		_, err = h.ensureLoop(cfg.CompactTypes)
+	}
+	if err != nil {
 		_ = h.Close()
 		return nil, err
 	}
@@ -441,7 +443,7 @@ func (h *Host) PendingGuaranteed() []ledger.Entry {
 	return h.ledger.Pending()
 }
 
-// Close shuts down the host: its buses, daemon, retrier, and ledger.
+// Close shuts down the host: its loop, buses, daemon, and ledger.
 func (h *Host) Close() error {
 	h.mu.Lock()
 	if h.closed {
@@ -450,32 +452,21 @@ func (h *Host) Close() error {
 	}
 	h.closed = true
 	buses := append([]*Bus(nil), h.buses...)
-	sys := h.sys
+	loop := h.loop
 	h.sys = nil
-	csync := h.csync
-	h.csync = nil
 	hooks := h.closeHooks
 	h.closeHooks = nil
 	h.mu.Unlock()
 	for i := len(hooks) - 1; i >= 0; i-- {
 		hooks[i]()
 	}
-	if h.sysClient != nil {
-		close(h.sysDone)
-		_ = h.sysClient.Close()
-		h.sysWG.Wait()
-	}
-	if sys != nil {
-		sys.Stop()
-	}
-	if csync != nil {
-		csync.stop()
+	if loop != nil {
+		close(loop.done)
+		<-loop.exited
+		_ = loop.client.Close()
 	}
 	for _, b := range buses {
 		_ = b.Close()
-	}
-	if h.retry != nil {
-		h.retry.stop()
 	}
 	err := h.daemon.Close()
 	if h.ledger != nil {
@@ -502,6 +493,7 @@ func (h *Host) NewBus(appName string) (*Bus, error) {
 		host:   h,
 		client: client,
 		done:   make(chan struct{}),
+		redo:   make(chan struct{}, 1),
 		subs:   subject.NewTrie[*Subscription](),
 	}
 	go b.dispatchLoop()
@@ -517,6 +509,7 @@ type Bus struct {
 	host   *Host
 	client *daemon.Client
 	done   chan struct{}
+	redo   chan struct{} // class definitions arrived: retry the stash
 
 	mu     sync.Mutex
 	subs   *subject.Trie[*Subscription]
@@ -527,9 +520,8 @@ type Bus struct {
 	// resolved yet; they are retried when _sys.class.def replies land
 	// (classSync). Bounded: beyond maxPendingDecodes the oldest entry is
 	// dropped — the guaranteed-delivery retrier or the publisher's inline
-	// fallback will carry the data again.
-	pendingMu sync.Mutex
-	pending   []daemon.Delivery
+	// fallback will carry the data again. Owned by dispatchLoop.
+	pending []daemon.Delivery
 }
 
 // maxPendingDecodes bounds the per-bus stash of undecodable compact
@@ -690,7 +682,7 @@ func (b *Bus) PublishGuaranteed(subj string, value mop.Value) (uint64, error) {
 		return 0, fmt.Errorf("%q: %w", subj, ErrReservedSubject)
 	}
 	b.host.mu.Lock()
-	led, retry, gate := b.host.ledger, b.host.retry, b.host.guarGate
+	led, gate := b.host.ledger, b.host.guarGate
 	b.host.mu.Unlock()
 	if led == nil {
 		return 0, ErrNoLedger
@@ -732,7 +724,7 @@ func (b *Bus) PublishGuaranteed(subj string, value mop.Value) (uint64, error) {
 	if err != nil {
 		return id, err
 	}
-	_ = retry // the retrier re-publishes on its timer until the ack lands
+	// The retrier re-publishes from here on until the ack lands.
 	if gate != nil {
 		// Replicated mode: hold the publisher until a majority of replicas
 		// acknowledged the commit batch carrying this id. On error the entry
@@ -825,20 +817,27 @@ func (b *Bus) Close() error {
 }
 
 // dispatchLoop decodes daemon deliveries and fans them out to matching
-// subscriptions.
+// subscriptions. It is the only goroutine that hands this bus's events to
+// its subscribers: the stash is retried here too, so a subscriber that does
+// not drain its channel holds up this bus and nothing else.
 func (b *Bus) dispatchLoop() {
 	for {
-		dv, ok := b.client.Next(b.done)
-		if !ok {
-			return
+		for dv, ok := b.client.TryNext(); ok; dv, ok = b.client.TryNext() {
+			b.dispatch(dv)
 		}
-		b.dispatch(dv)
+		select {
+		case <-b.done:
+			return
+		case <-b.client.Ready():
+		case <-b.redo:
+			b.retryPending()
+		}
 	}
 }
 
 // dispatch decodes one delivery and fans it out. A compact delivery whose
 // class fingerprints are not cached yet is stashed and NAKed instead of
-// dropped; classSync retries it once the definitions arrive.
+// dropped; it is retried once classSync has harvested the definitions.
 func (b *Bus) dispatch(dv daemon.Delivery) {
 	compact := wire.IsCompact(dv.Payload)
 	value, err := wire.UnmarshalWith(dv.Payload, b.host.reg, b.host.typeCache)
@@ -874,26 +873,20 @@ func (b *Bus) dispatch(dv daemon.Delivery) {
 }
 
 func (b *Bus) stashPending(dv daemon.Delivery) {
-	b.pendingMu.Lock()
 	if len(b.pending) >= maxPendingDecodes {
 		b.host.ctr.undecodableDropped.Inc()
 		copy(b.pending, b.pending[1:])
 		b.pending = b.pending[:len(b.pending)-1]
 	}
 	b.pending = append(b.pending, dv)
-	b.pendingMu.Unlock()
 }
 
 // retryPending re-dispatches stashed deliveries after new class
 // definitions were installed; still-unresolved ones re-stash themselves.
 func (b *Bus) retryPending() {
-	b.pendingMu.Lock()
 	stash := b.pending
 	b.pending = nil
-	b.pendingMu.Unlock()
 	for _, dv := range stash {
 		b.dispatch(dv)
 	}
 }
-
-// The guaranteed-delivery retrier lives in retry.go.

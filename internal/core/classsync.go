@@ -4,21 +4,21 @@ import (
 	"sync"
 	"time"
 
-	"infobus/internal/daemon"
-	"infobus/internal/subject"
+	"infobus/internal/mop"
 	"infobus/internal/telemetry"
 	"infobus/internal/wire"
 )
 
-// classSync is the host's class-definition synchronization agent for the
+// classSync is the host's class-definition synchronization part for the
 // compact dictionary format (wire/dict.go). It plays both sides of the
 // NAK protocol:
 //
 //   - requester: when a bus on this host stashes a compact delivery it
-//     cannot decode (unknown fingerprints), the agent publishes the
-//     fingerprint list on "_sys.class.req", re-publishing on a timer
-//     until the definitions arrive — the request or the reply may be
-//     lost, or cross a router that has not yet learned our interest;
+//     cannot decode (unknown fingerprints), the part publishes the
+//     fingerprint list on "_sys.class.req" at the host loop's next tick, and
+//     again every interval until the definitions arrive — the request or the
+//     reply may be lost, or cross a router that has not yet learned our
+//     interest;
 //   - holder: requests from other hosts are answered on "_sys.class.def"
 //     with a wire.MarshalDefs blob when this host holds any requested
 //     definition, either as the origin (send dictionary) or because the
@@ -27,108 +27,64 @@ import (
 // Replies are broadcast: fingerprints are content-addressed, so every
 // host harvests every reply it sees, whoever asked.
 //
-// The agent is started eagerly on compact publishers (they must answer
-// NAKs) and lazily on the first fingerprint miss everywhere else, so
-// hosts on legacy topologies advertise no extra interest patterns.
+// The host loop's client hears the two subjects from the start on compact
+// publishers (they must answer NAKs) and from the first fingerprint miss
+// everywhere else (Host.ensureLoop), so hosts on legacy topologies
+// advertise no extra interest patterns.
 type classSync struct {
-	h        *Host
-	client   *daemon.Client
+	reg      *mop.Registry
+	cache    *wire.TypeCache
+	dict     *wire.SendDict // nil unless the host publishes compact
+	ctr      *busCounters
 	interval time.Duration
-	reqSubj  subject.Subject
-	defSubj  subject.Subject
+	publish  func(subj string, payload []byte) // Host.publishSys
 
 	mu   sync.Mutex
 	want map[uint64]bool // outstanding fingerprints
-
-	kick chan struct{}
-	done chan struct{}
-	wg   sync.WaitGroup
+	asap bool            // a miss since the last request
+	due  time.Time       // the next re-request, while anything is wanted
 }
 
 // maxWantedFPs bounds the outstanding-request set; beyond it new misses
 // rely on the publisher's inline fallback alone.
 const maxWantedFPs = 1024
 
-// ensureClassSync returns the host's class-sync agent, starting it on
-// first use.
-func (h *Host) ensureClassSync() (*classSync, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return nil, ErrClosed
-	}
-	if h.csync != nil {
-		return h.csync, nil
-	}
-	cs, err := startClassSync(h)
-	if err != nil {
-		return nil, err
-	}
-	h.csync = cs
-	return cs, nil
-}
-
-// requestClasses records missing fingerprints and triggers a NAK. Called
-// from bus dispatch on a fingerprint miss.
+// requestClasses records missing fingerprints and has the host loop NAK
+// them. Called from bus dispatch on a fingerprint miss.
 func (h *Host) requestClasses(fps []uint64) {
-	cs, err := h.ensureClassSync()
-	if err != nil {
+	if !h.csync.request(fps) {
 		return
 	}
-	cs.request(fps)
+	if l, err := h.ensureLoop(true); err == nil {
+		kick(l.wake)
+	}
 }
 
-// retryPendingDecodes re-dispatches every bus's stashed deliveries after
-// new definitions were installed into the host's fingerprint cache.
+// kick signals a one-slot channel without blocking: a signal already
+// waiting covers this one.
+func kick(ch chan<- struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// retryPendingDecodes has every bus re-dispatch its stashed deliveries, on
+// its own dispatcher, after new definitions were installed into the host's
+// fingerprint cache.
 func (h *Host) retryPendingDecodes() {
 	h.mu.Lock()
-	buses := append([]*Bus(nil), h.buses...)
-	h.mu.Unlock()
-	for _, b := range buses {
-		b.retryPending()
+	defer h.mu.Unlock()
+	for _, b := range h.buses {
+		kick(b.redo)
 	}
 }
 
-func startClassSync(h *Host) (*classSync, error) {
-	client, err := h.daemon.NewClient("_sys-classsync")
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range []string{telemetry.ClassReqSubject, telemetry.ClassDefSubject} {
-		if err := client.Subscribe(subject.MustParsePattern(p)); err != nil {
-			_ = client.Close()
-			return nil, err
-		}
-	}
-	interval := h.nakInterval
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	cs := &classSync{
-		h:        h,
-		client:   client,
-		interval: interval,
-		reqSubj:  subject.MustParse(telemetry.ClassReqSubject),
-		defSubj:  subject.MustParse(telemetry.ClassDefSubject),
-		want:     make(map[uint64]bool),
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-	}
-	cs.wg.Add(2)
-	go cs.recvLoop()
-	go cs.requestLoop()
-	return cs, nil
-}
-
-func (cs *classSync) stop() {
-	close(cs.done)
-	_ = cs.client.Close()
-	cs.wg.Wait()
-}
-
-// request queues fingerprints for NAKing and kicks the request loop.
-func (cs *classSync) request(fps []uint64) {
+// request queues fingerprints for NAKing at the next tick and reports
+// whether any was new.
+func (cs *classSync) request(fps []uint64) bool {
 	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	added := false
 	for _, fp := range fps {
 		if len(cs.want) >= maxWantedFPs {
@@ -139,100 +95,62 @@ func (cs *classSync) request(fps []uint64) {
 			added = true
 		}
 	}
-	cs.mu.Unlock()
-	if added {
-		select {
-		case cs.kick <- struct{}{}:
-		default:
-		}
-	}
+	cs.asap = cs.asap || added
+	return added
 }
 
-// requestLoop publishes the outstanding fingerprint list — immediately on
-// a kick, then on a timer while anything stays unresolved (the request or
-// its reply may be lost, or a router may still be learning our interest
-// in "_sys.class.def").
-func (cs *classSync) requestLoop() {
-	defer cs.wg.Done()
-	ticker := time.NewTicker(cs.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-cs.done:
-			return
-		case <-cs.kick:
-		case <-ticker.C:
-		}
-		cs.publishRequest()
-	}
-}
-
-func (cs *classSync) publishRequest() {
+// tick publishes the outstanding fingerprint list when a miss has been
+// queued since the last request, or the interval has passed with anything
+// still unresolved, and returns when it next wants to: zero with nothing
+// wanted.
+func (cs *classSync) tick(now time.Time) time.Time {
 	cs.mu.Lock()
+	if len(cs.want) == 0 {
+		cs.mu.Unlock()
+		return time.Time{}
+	}
+	if !cs.asap && now.Before(cs.due) {
+		defer cs.mu.Unlock()
+		return cs.due
+	}
+	cs.asap, cs.due = false, now.Add(cs.interval)
 	fps := make([]uint64, 0, len(cs.want))
 	for fp := range cs.want {
 		fps = append(fps, fp)
 	}
 	cs.mu.Unlock()
-	if len(fps) == 0 {
-		return
+	if payload, err := wire.Marshal(wire.FPsValue(fps)); err == nil {
+		cs.ctr.classNakSent.Inc()
+		cs.publish(telemetry.ClassReqSubject, payload)
 	}
-	payload, err := wire.Marshal(wire.FPsValue(fps))
-	if err != nil {
-		return
-	}
-	cs.h.ctr.classNakSent.Inc()
-	_ = cs.h.daemon.Publish(cs.reqSubj, payload)
-	_ = cs.h.daemon.Flush()
-}
-
-func (cs *classSync) recvLoop() {
-	defer cs.wg.Done()
-	for {
-		dv, ok := cs.client.Next(cs.done)
-		if !ok {
-			return
-		}
-		switch dv.Subject.String() {
-		case telemetry.ClassReqSubject:
-			cs.serveRequest(dv)
-		case telemetry.ClassDefSubject:
-			cs.harvestReply(dv)
-		}
-	}
+	return now.Add(cs.interval)
 }
 
 // serveRequest answers a fingerprint request with every definition this
 // host holds — as origin (send dictionary) or receiver (fingerprint
 // cache).
-func (cs *classSync) serveRequest(dv daemon.Delivery) {
-	payload, ok := wire.AnswerClassReq(dv.Payload, cs.h.reg, cs.h.typeCache, cs.h.sendDict)
-	if !ok {
-		return
+func (cs *classSync) serveRequest(req []byte) {
+	if payload, ok := wire.AnswerClassReq(req, cs.reg, cs.cache, cs.dict); ok {
+		cs.ctr.classNakServed.Inc()
+		cs.publish(telemetry.ClassDefSubject, payload)
 	}
-	cs.h.ctr.classNakServed.Inc()
-	_ = cs.h.daemon.Publish(cs.defSubj, payload)
-	_ = cs.h.daemon.Flush()
 }
 
-// harvestReply installs the definitions a reply carries and, if any
-// outstanding fingerprint resolved, retries the buses' stashed
-// deliveries.
-func (cs *classSync) harvestReply(dv daemon.Delivery) {
-	if err := wire.HarvestDefs(dv.Payload, cs.h.reg, cs.h.typeCache); err != nil {
-		return
+// harvestReply installs the definitions a reply carries and reports whether
+// any outstanding fingerprint resolved: the buses' stashed deliveries are
+// then worth retrying.
+func (cs *classSync) harvestReply(defs []byte) (resolved bool) {
+	if err := wire.HarvestDefs(defs, cs.reg, cs.cache); err != nil {
+		return false
 	}
-	cs.h.ctr.classDefsHarvested.Inc()
+	cs.ctr.classDefsHarvested.Inc()
 	cs.mu.Lock()
-	resolved := false
+	defer cs.mu.Unlock()
 	for fp := range cs.want {
-		if _, ok := cs.h.typeCache.Lookup(fp); ok {
+		if _, ok := cs.cache.Lookup(fp); ok {
 			delete(cs.want, fp)
 			resolved = true
 		}
 	}
-	cs.mu.Unlock()
-	if resolved {
-		cs.h.retryPendingDecodes()
-	}
+	return resolved
 }

@@ -75,9 +75,8 @@ publishing:
 		}
 	}
 
-	// Give the sampler a few more ticks past the alarm, then probe. The
-	// probe subject is the third user-publishable "_sys.>" name.
-	time.Sleep(20 * time.Millisecond)
+	// Probe until the answer shows the sampler a few ticks past the alarm.
+	// The probe subject is the third user-publishable "_sys.>" name.
 	var digest telemetry.HistorySnapshot
 	probeDeadline := time.After(15 * time.Second)
 	for {
@@ -92,9 +91,10 @@ publishing:
 			if !ok || obj.Type().Name() != "SysHistory" {
 				t.Fatalf("history answer = %v", ev.Value)
 			}
-			if got = telemetry.SysHistory.Read(obj, &digest); !got {
+			if !telemetry.SysHistory.Read(obj, &digest) {
 				t.Fatalf("unparseable SysHistory %v", obj)
 			}
+			got = digest.Ticks >= 4
 		case <-probeDeadline:
 			t.Fatal("no history answer")
 		case <-time.After(20 * time.Millisecond):

@@ -4,15 +4,14 @@ import (
 	"time"
 
 	"infobus/internal/busproto"
-	"infobus/internal/subject"
 	"infobus/internal/sysagent"
 	"infobus/internal/telemetry"
 )
 
 // This file is everything host-specific about "_sys" telemetry: which
-// watches and history series a host registers, the one daemon client that
-// hears the probes of its enabled tiers, and how a host publishes. The
-// objects, subjects, cadence and probe answers are internal/sysagent's.
+// watches and history series a host registers and how a host publishes. The
+// objects, subjects, cadences and probe answers are internal/sysagent's; the
+// host loop (loop.go) hears the probes and hands the agent the time.
 
 // historyFamilies bounds the subject-family table published with each
 // SysHistory object (merged across the daemon's per-lane tables).
@@ -38,7 +37,7 @@ func (h *Host) sysConfig() sysagent.Config {
 // "_sys.>" space without breaking the export. Best-effort: a closing
 // daemon returns ErrClosed, which is fine.
 func (h *Host) publishSys(subj string, payload []byte) {
-	s, err := subject.Parse(subj)
+	s, err := h.subjects.Parse(subj)
 	if err != nil {
 		return
 	}
@@ -46,10 +45,8 @@ func (h *Host) publishSys(subj string, payload []byte) {
 	_ = h.daemon.Flush()
 }
 
-// startSys plugs the host's enabled tiers into its "_sys" agent and
-// subscribes one daemon client to exactly their probe subjects. With every
-// tier off it starts nothing: no agent, no client, no goroutine. On error
-// the caller closes the host, which tears down whatever was started.
+// startSys plugs the host's enabled tiers into its "_sys" agent. With every
+// tier off there is none.
 func (h *Host) startSys(cfg HostConfig, hcfg telemetry.HealthConfig, relPrefix string) error {
 	tc := cfg.Telemetry
 	if tc.StatsInterval <= 0 && tc.HistoryInterval <= 0 && h.engine == nil {
@@ -74,34 +71,9 @@ func (h *Host) startSys(cfg HostConfig, hcfg telemetry.HealthConfig, relPrefix s
 		h.watchDefaults(hcfg, relPrefix)
 		sc.Engine, sc.HealthInterval = h.engine, hcfg.Interval
 	}
-	agent, err := sysagent.Start(sc)
-	if err != nil {
-		return err
-	}
-	h.sys = agent
-	h.sysDone = make(chan struct{})
-	client, err := h.daemon.NewClient("_sys")
-	if err != nil {
-		return err
-	}
-	h.sysClient = client
-	for _, p := range agent.ProbeSubjects() {
-		if err := client.Subscribe(subject.MustParsePattern(p)); err != nil {
-			return err
-		}
-	}
-	h.sysWG.Add(1)
-	go func() {
-		defer h.sysWG.Done()
-		for {
-			dv, ok := client.Next(h.sysDone)
-			if !ok {
-				return
-			}
-			agent.Probe([]byte(dv.Subject.String()), dv.Payload)
-		}
-	}()
-	return nil
+	var err error
+	h.sys, err = sysagent.New(sc)
+	return err
 }
 
 // watchDefaults registers the host-level alarm watches. The daemon
@@ -174,14 +146,14 @@ func (h *Host) trackDefaults(replicated bool, relPrefix string) {
 // publishTraceSidecar emits the late stage of a sampled guaranteed
 // publication — the quorum-ack hop, known only after the envelope has
 // been disseminated — through the host's agent. A host with every tier off
-// gets a tierless agent (the Sys classes and the publish func, no client,
-// no goroutine) on its first sidecar. By then h.reg has been harvesting
-// peers' classes: if one of them is a stranger under a Sys name the agent
-// does not start (sysagent.Start) and the sidecar is skipped.
+// gets a tierless agent (the Sys classes and the publish func, nothing to
+// tick) on its first sidecar. By then h.reg has been harvesting peers'
+// classes: if one of them is a stranger under a Sys name there is no agent
+// (sysagent.New) and the sidecar is skipped.
 func (h *Host) publishTraceSidecar(traceID uint64, quorumAt int64) {
 	h.mu.Lock()
 	if h.sys == nil && !h.closed {
-		h.sys, _ = sysagent.Start(h.sysConfig())
+		h.sys, _ = sysagent.New(h.sysConfig())
 	}
 	sys := h.sys
 	h.mu.Unlock()

@@ -690,12 +690,9 @@ func (c *Client) Patterns() []string {
 // false after close once the queue is drained.
 func (c *Client) Next(stop <-chan struct{}) (Delivery, bool) {
 	for {
-		c.mu.Lock()
-		if dv, ok := c.popLocked(); ok {
-			c.mu.Unlock()
+		if dv, ok := c.TryNext(); ok {
 			return dv, true
 		}
-		c.mu.Unlock()
 		if c.closed.Load() {
 			// Drained (the pop above found nothing) and closed.
 			return Delivery{}, false
@@ -749,6 +746,10 @@ func (c *Client) popLocked() (Delivery, bool) {
 	}
 	return Delivery{}, false
 }
+
+// Ready is signalled when a delivery may be waiting, or the client closed:
+// a consumer that also watches a timer selects on it and drains with TryNext.
+func (c *Client) Ready() <-chan struct{} { return c.signal }
 
 // TryNext returns a pending delivery without blocking.
 func (c *Client) TryNext() (Delivery, bool) {

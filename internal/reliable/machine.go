@@ -263,7 +263,8 @@ type bcastRecv struct {
 	pending   map[uint64][]byte // out-of-order buffer
 	maxSeen   uint64            // highest seq observed (data or heartbeat)
 	syncUntil time.Time         // join-grace deadline; zero once synced
-	gapSince  time.Time
+	gapSince  time.Time         // when the gap opened, or its head last moved
+	gapHead   uint64            // next, as of gapSince
 	lastNak   time.Time
 	quiet     // heard: data or a heartbeat
 }
@@ -635,7 +636,7 @@ func (m *Machine) handleBroadcastData(from string, f *dataFrame) {
 			}
 			pr.pending[in.seq] = in.payload
 			if pr.gapSince.IsZero() {
-				pr.gapSince = m.now()
+				pr.gapSince, pr.gapHead = m.now(), pr.next
 			}
 		}
 	}
@@ -658,7 +659,7 @@ func (m *Machine) handleHeart(from string, f heartFrame) {
 	}
 	if !pr.syncing() && pr.next <= pr.maxSeen && pr.gapSince.IsZero() {
 		// Tail loss: the heartbeat reveals messages we never saw.
-		pr.gapSince = m.now()
+		pr.gapSince, pr.gapHead = m.now(), pr.next
 	}
 }
 
@@ -852,9 +853,6 @@ func (m *Machine) tickPeer(now time.Time, pr *bcastRecv) bool {
 		}
 		pr.syncUntil = time.Time{}
 		pr.next = m.deliverPending(pr.shard, pr.addr, pr.pending, minKey(pr.pending))
-		if len(pr.pending) > 0 || pr.next <= pr.maxSeen {
-			pr.gapSince = now
-		}
 	}
 	// A gap exists if buffered messages wait behind a hole, or a
 	// heartbeat advertised messages we never received.
@@ -866,8 +864,11 @@ func (m *Machine) tickPeer(now time.Time, pr *bcastRecv) bool {
 	if len(pr.pending) > 0 {
 		gapEnd = minKey(pr.pending) - 1 // every buffered seq is <= maxSeen
 	}
-	if pr.gapSince.IsZero() {
-		pr.gapSince = now
+	if pr.gapSince.IsZero() || pr.gapHead != pr.next {
+		// A new gap, or the head of the old one moved: the sender is
+		// answering, so the timeout runs from that progress — not from the
+		// first of many holes — and the new head is asked for at once.
+		pr.gapSince, pr.gapHead, pr.lastNak = now, pr.next, time.Time{}
 	}
 	if now.Sub(pr.gapSince) >= m.cfg.GapTimeout {
 		// Give up on the missing range: skip and deliver what we have
@@ -880,7 +881,7 @@ func (m *Machine) tickPeer(now time.Time, pr *bcastRecv) bool {
 		if len(pr.pending) == 0 && pr.next > pr.maxSeen {
 			pr.gapSince = time.Time{}
 		} else {
-			pr.gapSince = now
+			pr.gapSince, pr.gapHead = now, pr.next
 		}
 		return true
 	}

@@ -182,10 +182,7 @@ func TestLossRecoveryViaNak(t *testing.T) {
 	netCfg := netsim.DefaultConfig()
 	netCfg.LossProb = 0.25
 	netCfg.Seed = 99
-	// A receiver asks for one hole per NakInterval and gives up on all of
-	// them GapTimeout after the first opened: a burst that loses fifty
-	// messages needs more rounds than the default 25.
-	w := newWorld(t, 2, netCfg, Config{NakInterval: 2 * time.Millisecond})
+	w := newWorld(t, 2, netCfg, Config{})
 	pub, sub := w.hosts[0], w.hosts[1]
 	// The subscriber meets the publisher first, by this message or by the
 	// heartbeat after it: the lost head of a stream nobody knew is not a gap.

@@ -144,6 +144,7 @@ type labNode struct {
 	m       *Machine
 	got     []string
 	capture *[][]byte // when set, broadcasts are kept here instead of sent
+	gone    bool      // frames posted to it vanish
 }
 
 const labLatency = 100 * time.Microsecond
@@ -164,6 +165,9 @@ func (n *labNode) Broadcast(data []byte) error {
 func (l *lab) now() time.Time { return virtualStart.Add(l.elapsed) }
 
 func (l *lab) post(at time.Duration, to *labNode, from string, data []byte) {
+	if to.gone {
+		return
+	}
 	l.posted++
 	l.flights = append(l.flights, flight{at, l.posted, to, from, append([]byte(nil), data...)})
 }
@@ -264,6 +268,71 @@ func TestExhaustiveFates(t *testing.T) {
 					window, combo, r.got, r.m.Stats().Skipped, want, skipped)
 			}
 		}
+	}
+}
+
+// TestScatteredLossAtDefaultTimers: 200 messages, every fourth lost, the
+// default Config. Each hole is asked for as soon as the one before it is
+// filled and the gap's timeout runs from that progress, so fifty holes are
+// fifty round trips — not fifty NakIntervals against one GapTimeout, which
+// skipped messages whose retransmissions all arrived. A sender that goes
+// away in the middle is still given up on GapTimeout after it last answered.
+func TestScatteredLossAtDefaultTimers(t *testing.T) {
+	const msgs = 200
+	lossy := func() *lab {
+		l := newLab(0)
+		s, r := &l.sender, &l.receiver
+		if err := s.m.Publish([]byte("p")); err != nil {
+			t.Fatal(err)
+		}
+		l.run(2 * r.m.cfg.NakInterval)
+		var burst [][]byte
+		s.capture = &burst
+		for i := 0; i < msgs; i++ {
+			if err := s.m.Publish([]byte(fmt.Sprintf("m%03d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.capture = nil
+		for i, data := range burst {
+			if i%4 != 1 {
+				l.post(l.elapsed+time.Duration(i)*10*time.Microsecond, r, s.addr, data)
+			}
+		}
+		return l
+	}
+
+	l := lossy()
+	r := &l.receiver
+	l.run(r.m.cfg.GapTimeout + time.Second)
+	want := []string{"p"}
+	for i := 0; i < msgs; i++ {
+		want = append(want, fmt.Sprintf("m%03d", i))
+	}
+	if st := r.m.Stats(); fmt.Sprint(r.got) != fmt.Sprint(want) || st.Skipped != 0 || st.NaksSent < msgs/4 {
+		t.Fatalf("delivered %d of %d in order, skipped %d, %d NAKs; want all, 0, >= %d",
+			len(r.got), len(want), st.Skipped, st.NaksSent, msgs/4)
+	}
+
+	l = lossy()
+	r = &l.receiver
+	tick := r.m.TickInterval()
+	for len(r.got) < 1+msgs/2 { // half recovered
+		l.run(tick)
+	}
+	l.sender.gone = true
+	l.flights = nil
+	progress, got := l.elapsed, len(r.got)
+	for r.m.Stats().Skipped == 0 {
+		if l.run(tick); len(r.got) > got && r.m.Stats().Skipped == 0 {
+			progress, got = l.elapsed, len(r.got)
+		}
+		if l.elapsed > progress+2*r.m.cfg.GapTimeout {
+			t.Fatal("a sender that is gone was never given up on")
+		}
+	}
+	if waited := l.elapsed - progress; waited < r.m.cfg.GapTimeout || waited > r.m.cfg.GapTimeout+2*tick {
+		t.Errorf("gave up %v after the sender's last answer, want GapTimeout (%v)", waited, r.m.cfg.GapTimeout)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"infobus/internal/bufpool"
 	"infobus/internal/busproto"
 	"infobus/internal/mesh"
+	"infobus/internal/sysagent"
 	"infobus/internal/telemetry"
 )
 
@@ -23,9 +24,10 @@ import (
 
 // meshAgent drives one Router's mesh.Mesh.
 type meshAgent struct {
-	r    *Router
-	m    *mesh.Mesh
-	node string // sanitised node name for status subjects
+	r     *Router
+	m     *mesh.Mesh
+	every sysagent.Every // the protocol clock's cadence: Mesh.TickInterval
+	node  string         // sanitised node name for status subjects
 
 	// Telemetry mirrors of the mesh's internal counters (monotone; the
 	// loop adds deltas each tick so WatchRate and the history ring see
@@ -44,9 +46,11 @@ func newMeshAgent(r *Router, cfg mesh.Config) *meshAgent {
 	for i, att := range r.atts {
 		names[i] = att.name
 	}
+	m := mesh.New(r.opts.Name, names, r.opts.InterestTTL, cfg)
 	return &meshAgent{
 		r:           r,
-		m:           mesh.New(r.opts.Name, names, r.opts.InterestTTL, cfg),
+		m:           m,
+		every:       sysagent.Every{D: m.TickInterval()},
 		node:        telemetry.SanitizeNode("router-" + r.opts.Name),
 		readverts:   r.metrics.Counter("mesh.readvertisements"),
 		topoChanges: r.metrics.Counter("mesh.topology_changes"),
@@ -57,41 +61,56 @@ func newMeshAgent(r *Router, cfg mesh.Config) *meshAgent {
 	}
 }
 
-// loop is the protocol clock: it advances the state machine and broadcasts
-// whatever came due.
+// loop is the router's one housekeeping goroutine: it hands the mesh and
+// the "_sys" agent the time (sysagent's package comment) and sleeps until
+// the earlier of their deadlines.
 func (a *meshAgent) loop() {
 	r := a.r
 	defer r.wg.Done()
-	ticker := time.NewTicker(a.m.TickInterval())
-	defer ticker.Stop()
+	timer := time.NewTimer(0) // the first pass arms the deadlines
+	defer timer.Stop()
 	for {
 		select {
 		case <-r.done:
 			return
-		case now := <-ticker.C:
-			acts := a.m.Actions(now)
-			for i := range acts.Hellos {
-				h := &acts.Hellos[i] // the binder reads through the pointer: no copy to the heap per hello
-				if payload, err := mesh.MarshalHello(&h.Ad); err == nil {
-					a.broadcast(h.Link, busproto.Envelope{Kind: busproto.KindPublish, Subject: mesh.HelloSubject, Payload: payload})
-					a.helloSent.Inc()
-				}
+		case now := <-timer.C:
+			next := a.tick(now)
+			if r.sys != nil {
+				next = sysagent.Earliest(next, r.sys.Tick(now))
 			}
-			for _, i := range acts.Interests {
-				a.broadcast(i.Link, busproto.Envelope{Kind: busproto.KindInterest, Patterns: i.Patterns})
-			}
-			if acts.Status != nil {
-				acts.Status.Node = a.node
-				if payload, err := mesh.MarshalStatus(acts.Status); err == nil {
-					env := busproto.Envelope{Kind: busproto.KindPublish, Subject: mesh.StatusSubject(a.node), Payload: payload}
-					for li := range r.atts {
-						a.broadcast(li, env)
-					}
-				}
-			}
-			a.mirrorCounters()
+			timer.Reset(time.Until(next))
 		}
 	}
+}
+
+// tick is the protocol clock, a part like the agent: every TickInterval it
+// advances the state machine and broadcasts whatever came due.
+func (a *meshAgent) tick(now time.Time) time.Time {
+	if !a.every.Due(now) {
+		return a.every.At
+	}
+	acts := a.m.Actions(now)
+	for i := range acts.Hellos {
+		h := &acts.Hellos[i] // the binder reads through the pointer: no copy to the heap per hello
+		if payload, err := mesh.MarshalHello(&h.Ad); err == nil {
+			a.broadcast(h.Link, busproto.Envelope{Kind: busproto.KindPublish, Subject: mesh.HelloSubject, Payload: payload})
+			a.helloSent.Inc()
+		}
+	}
+	for _, i := range acts.Interests {
+		a.broadcast(i.Link, busproto.Envelope{Kind: busproto.KindInterest, Patterns: i.Patterns})
+	}
+	if acts.Status != nil {
+		acts.Status.Node = a.node
+		if payload, err := mesh.MarshalStatus(acts.Status); err == nil {
+			env := busproto.Envelope{Kind: busproto.KindPublish, Subject: mesh.StatusSubject(a.node), Payload: payload}
+			for li := range a.r.atts {
+				a.broadcast(li, env)
+			}
+		}
+	}
+	a.mirrorCounters()
+	return a.every.At
 }
 
 // mirrorCounters adds what the mesh counted since the last tick to the

@@ -164,7 +164,7 @@ type Router struct {
 	rec    *telemetry.Recorder
 	// sys publishes every "_sys" telemetry object of this router, on every
 	// attached segment, and answers the probes handle peeks (nil with every
-	// tier off).
+	// tier off). The mesh loop ticks it.
 	sys *sysagent.Agent
 
 	// agent drives the mesh protocol; agent.m answers the forwarding path.
@@ -309,7 +309,7 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 		r.hist.TrackRate("router.suppressed", r.ctr.suppressed)
 	}
 	if opts.StatsInterval > 0 || r.engine != nil {
-		sys, err := sysagent.Start(sysagent.Config{
+		sys, err := sysagent.New(sysagent.Config{
 			Node:           "router-" + opts.Name,
 			Registry:       mop.NewRegistry(),
 			Publish:        r.publishSys,
@@ -359,9 +359,6 @@ func (r *Router) Close() error {
 	r.closed = true
 	close(r.done)
 	r.mu.Unlock()
-	if r.sys != nil {
-		r.sys.Stop()
-	}
 	r.closeAttachments()
 	r.wg.Wait()
 	return nil

@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"infobus/internal/netsim"
 	"infobus/internal/reliable"
 	"infobus/internal/subject"
+	"infobus/internal/telemetry"
 	"infobus/internal/transport"
 )
 
@@ -556,5 +558,53 @@ func TestOneElementSubjectSurvivesAggregation(t *testing.T) {
 	}
 	if ev := publishUntil(t, pub, "foo", int64(7), sub); ev.Subject.String() != "foo" || ev.Value != int64(7) {
 		t.Fatalf("event = %+v", ev)
+	}
+}
+
+// routerGoroutines counts the live goroutines router.New started when the
+// calling goroutine called it, and everything else that goroutine's calls
+// started (the attachments' conns): other tests' routers do not count.
+func routerGoroutines() (own, all int) {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			stacks := string(buf[:n])
+			self := " in goroutine " + strings.Fields(stacks)[1] + "\n" // the caller's trace comes first
+			return strings.Count(stacks, "created by infobus/internal/router.New"+self), strings.Count(stacks, self)
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestOneLoopPerRouter: with the stats and health tiers on a router runs one
+// goroutine per attachment and one housekeeping loop — the mesh's, which
+// also hands the "_sys" agent the time — beside its conns' own, and Close
+// leaves none.
+func TestOneLoopPerRouter(t *testing.T) {
+	const attachments = 3
+	atts := make([]Attachment, attachments)
+	for i := range atts {
+		atts[i] = Attachment{Segment: &nullSegment{}, Name: fmt.Sprintf("seg%d", i)}
+	}
+	r, err := New(Options{
+		Name: "counted", Reliable: quietReliable(), StatsInterval: time.Second,
+		Health: telemetry.HealthConfig{Interval: time.Second},
+	}, atts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own, all := routerGoroutines(); own != attachments+1 || all != 2*attachments+1 {
+		t.Errorf("router.New started %d goroutines of %d in all, want %d (attachments + 1) of %d (a conn loop each)",
+			own, all, attachments+1, 2*attachments+1)
+	}
+	_ = r.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		_, all := routerGoroutines()
+		if all == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after Close", all)
+		}
 	}
 }

@@ -288,13 +288,19 @@ func TestSysGoldenBytes(t *testing.T) {
 	t.Run("router", func(t *testing.T) {
 		lo := time.Now()
 		r, seg := goldenRouter(t, Options{StatsInterval: time.Hour})
-		// The agent would sample the router's ring every 250 ms; stop its
-		// clock and tick by hand what each golden needs — the probes need
-		// no goroutine. A host stall long enough for the ring to be sampled
-		// first is not this test's subject.
-		r.sys.Stop()
+		// The mesh loop would sample the router's ring every 250 ms; stop
+		// the router's goroutines (the conns stay open) and tick by hand
+		// what each golden needs — handle needs no goroutine. A host stall
+		// long enough for the ring to be sampled first is not this test's
+		// subject.
+		r.mu.Lock()
+		r.closed = true
+		close(r.done)
+		r.mu.Unlock()
+		r.wg.Wait()
+		t.Cleanup(r.closeAttachments)
 		if r.hist.Snapshot(0).Ticks != 0 {
-			t.Skip("the agent sampled the ring before the test could stop it")
+			t.Skip("the mesh loop sampled the ring before the test could stop it")
 		}
 		r.hist.TrackRate("golden.rate", r.metrics.Counter("golden.counter"))
 		probe(r, telemetry.PingSubject) // a pong, and the same SysStats a stats tick exports

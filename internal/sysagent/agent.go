@@ -12,13 +12,16 @@
 // nil, and a nil tier publishes nothing and ignores its probe. The objects
 // stay self-describing (P2) and are built from the one declaration of each
 // kind (telemetry.Schema), so a new node kind is observable by supplying
-// tiers and a publish func, never a new loop: the agent's one goroutine is
-// the only clock a node's telemetry has — it exports the stats, publishes
-// the digests, ticks the alarm engine and samples the flight-data ring.
+// tiers and a publish func, never a new loop.
+//
+// The agent is a part of its node, with no goroutine or timer of its own.
+// A node's periodic duty is a part with Tick(now) next: it does what has
+// come due by the time it is handed and says when it next wants the clock
+// (zero: not until woken), and the node's one housekeeping loop — a host's,
+// a router's mesh loop — ticks whichever part is due.
 package sysagent
 
 import (
-	"sync"
 	"time"
 
 	"infobus/internal/busproto"
@@ -45,8 +48,7 @@ type Config struct {
 	TypeCache *wire.TypeCache
 	// Publish disseminates one marshalled object on subject, flushed — an
 	// alarm must not sit in a batch buffer. Best-effort: a closing node
-	// drops it. Called from the agent's goroutine and whichever goroutine
-	// calls Probe or Trace.
+	// drops it. Called from whichever goroutine calls Tick, Probe or Trace.
 	Publish func(subject string, payload []byte)
 
 	// Stats tier: every StatsInterval the Metrics snapshot goes out as a
@@ -55,76 +57,115 @@ type Config struct {
 	Metrics       *telemetry.Registry
 	StatsInterval time.Duration
 
-	// Health tier: the agent ticks Engine every HealthInterval,
+	// Health tier: Tick ticks Engine every HealthInterval,
 	// publishes each raise/clear edge as a SysAlarm on
 	// "_sys.alarm.<node>.<kind>", and answers "_sys.dump" with the engine's
 	// active alarms and its recorder's ring (the engine must have one). Nil
 	// disables. Watches are the node's business: it registers them on the
-	// engine, before or after Start.
+	// engine, before or after New.
 	Engine         *telemetry.Engine
 	HealthInterval time.Duration
 
-	// History tier: the agent ticks History every History.Interval(),
+	// History tier: Tick ticks History every History.Interval(),
 	// answers "_sys.history" with the full window as a SysHistory on
 	// "_sys.history.<node>", notes alarm edges into the ring, and every
 	// DigestEvery (0: probe-only) publishes the last DigestSamples ticks
 	// there unprompted. Families, optional, supplies the subject-family
 	// table shipped with each window. Nil History disables. Series are the
-	// node's business: it tracks them before Start.
+	// node's business: it tracks them before the first Tick.
 	History     *telemetry.History
 	DigestEvery time.Duration
 	Families    func() []telemetry.TopKEntry
 }
 
-// Agent is a node's running "_sys" publisher: one goroutine, whatever the
-// tiers. With every tier off it is just the node's Sys classes and publish
-// func (Trace still works) and owns none.
+// Every is a ticker on the time it is handed: one cadence of a part.
+type Every struct {
+	D  time.Duration // the period; <= 0 is off: never due, no deadline
+	At time.Time     // the deadline; zero while off or not yet armed
+}
+
+// Due reports whether a beat has come due by now and, when one has, moves
+// the deadline one period on from the last — from now if that is already
+// past: a late caller drops the beats it missed, as a time.Ticker does. The
+// first call arms the deadline, one period out.
+func (e *Every) Due(now time.Time) bool {
+	switch {
+	case e.D <= 0:
+		return false
+	case e.At.IsZero():
+		e.At = now.Add(e.D)
+		return false
+	case now.Before(e.At):
+		return false
+	}
+	if e.At = e.At.Add(e.D); !e.At.After(now) {
+		e.At = now.Add(e.D)
+	}
+	return true
+}
+
+// Earliest returns the earlier of two deadlines, zero meaning none.
+func Earliest(a, b time.Time) time.Time {
+	if a.IsZero() || (!b.IsZero() && b.Before(a)) {
+		return b
+	}
+	return a
+}
+
+// Agent is a node's "_sys" publisher. With every tier off it is just the
+// node's Sys classes and publish func (Trace still works) and has no
+// deadline.
 type Agent struct {
 	cfg   Config
 	node  string
 	start time.Time
-
-	done chan struct{}
-	stop sync.Once
-	wg   sync.WaitGroup
+	// One cadence per periodic duty, off with its tier: Tick's alone, while
+	// Probe and Trace may run beside it.
+	stats, digest, health, sample Every
 }
 
-// Start defines the Sys classes in cfg.Registry and launches the enabled
-// tiers. A registry that already holds a differently shaped class under a
-// Sys name (a peer on another build got there first) is an error wrapping
-// mop.ErrTypeExists, and nothing is started.
-func Start(cfg Config) (*Agent, error) {
+// New defines the Sys classes in cfg.Registry and binds the enabled tiers.
+// A registry that already holds a differently shaped class under a Sys name
+// (a peer on another build got there first) is an error wrapping
+// mop.ErrTypeExists.
+func New(cfg Config) (*Agent, error) {
 	if err := telemetry.Schema.Define(cfg.Registry); err != nil {
 		return nil, err
 	}
 	a := &Agent{
-		cfg:   cfg,
-		node:  telemetry.SanitizeNode(cfg.Node),
-		start: time.Now(),
-		done:  make(chan struct{}),
+		cfg:    cfg,
+		node:   telemetry.SanitizeNode(cfg.Node),
+		start:  time.Now(),
+		stats:  Every{D: cfg.StatsInterval},
+		digest: Every{D: cfg.DigestEvery},
 	}
-	var health, sample time.Duration // what the loop ticks; zero for a tier that is off
 	if cfg.History != nil {
-		sample = cfg.History.Interval()
+		a.sample.D = cfg.History.Interval()
 	}
 	if cfg.Engine != nil {
 		cfg.Engine.SetSink(a.publishAlarm)
-		health = cfg.HealthInterval
-	}
-	if cfg.StatsInterval > 0 || cfg.DigestEvery > 0 || health > 0 || sample > 0 {
-		a.wg.Add(1)
-		go a.loop(health, sample)
+		a.health.D = cfg.HealthInterval
 	}
 	return a, nil
 }
 
-// Stop halts the agent's clock; calling it again is harmless. When it
-// returns the agent's goroutine is gone and nothing is published, ticked or
-// sampled on the agent's own account; the node stops calling Probe and
-// Trace.
-func (a *Agent) Stop() {
-	a.stop.Do(func() { close(a.done) })
-	a.wg.Wait()
+// Tick does what has come due by now — the stats export, the history
+// digest, the alarm engine's tick, the flight-data ring's sample — and
+// returns the earliest deadline left, zero with every tier off.
+func (a *Agent) Tick(now time.Time) time.Time {
+	if a.stats.Due(now) {
+		a.publishStats(now)
+	}
+	if a.digest.Due(now) {
+		a.publishHistory(DigestSamples, now)
+	}
+	if a.health.Due(now) {
+		a.cfg.Engine.Tick(now)
+	}
+	if a.sample.Due(now) {
+		a.cfg.History.Tick(now)
+	}
+	return Earliest(Earliest(a.stats.At, a.digest.At), Earliest(a.health.At, a.sample.At))
 }
 
 // ProbeSubjects lists the probe subjects the enabled tiers answer: what a
@@ -153,11 +194,11 @@ func (a *Agent) Probe(subject, payload []byte) {
 	case string(subject) == telemetry.PingSubject && a.cfg.StatsInterval > 0:
 		a.publish(telemetry.PongSubject(a.node),
 			telemetry.SysPong.Object(&telemetry.Pong{Node: a.node, At: time.Now(), Nonce: a.nonce(payload)}))
-		a.publishStats()
+		a.publishStats(time.Now())
 	case string(subject) == telemetry.DumpSubject && a.cfg.Engine != nil:
 		a.publishDump()
 	case string(subject) == telemetry.HistorySubject && a.cfg.History != nil:
-		a.publishHistory(0)
+		a.publishHistory(0, time.Now())
 	}
 }
 
@@ -167,43 +208,6 @@ func (a *Agent) Probe(subject, payload []byte) {
 func (a *Agent) Trace(traceID uint64, hops []busproto.TraceHop) {
 	t := telemetry.NewTrace(a.node, traceID, hops)
 	a.publish(telemetry.TraceSubject(a.node), telemetry.SysTrace.Object(&t))
-}
-
-// loop is the agent's clock: the stats export, the history digest, the
-// alarm engine's tick and the flight-data ring's sample, each on its own
-// ticker (a nil channel, for a tier that is off, never fires).
-func (a *Agent) loop(healthEvery, sampleEvery time.Duration) {
-	defer a.wg.Done()
-	var tickers []*time.Ticker
-	defer func() {
-		for _, t := range tickers {
-			t.Stop()
-		}
-	}()
-	every := func(d time.Duration) <-chan time.Time {
-		if d <= 0 {
-			return nil
-		}
-		t := time.NewTicker(d)
-		tickers = append(tickers, t)
-		return t.C
-	}
-	stats, digest := every(a.cfg.StatsInterval), every(a.cfg.DigestEvery)
-	health, sample := every(healthEvery), every(sampleEvery)
-	for {
-		select {
-		case <-a.done:
-			return
-		case <-stats:
-			a.publishStats()
-		case <-digest:
-			a.publishHistory(DigestSamples)
-		case now := <-health:
-			a.cfg.Engine.Tick(now)
-		case now := <-sample:
-			a.cfg.History.Tick(now)
-		}
-	}
 }
 
 // publish is the one marshal-then-publish step. The classes travel with
@@ -216,8 +220,7 @@ func (a *Agent) publish(subject string, obj *mop.Object) {
 	a.cfg.Publish(subject, payload)
 }
 
-func (a *Agent) publishStats() {
-	now := time.Now()
+func (a *Agent) publishStats(now time.Time) {
 	a.publish(telemetry.StatsSubject(a.node), telemetry.SysStats.Object(&telemetry.Stats{
 		Node: a.node, At: now, Uptime: now.Sub(a.start), Metrics: a.cfg.Metrics.Snapshot()}))
 }
@@ -242,9 +245,9 @@ func (a *Agent) publishDump() {
 
 // publishHistory renders the flight-data window (maxSamples 0 = full) plus
 // the merged subject-family table.
-func (a *Agent) publishHistory(maxSamples int) {
+func (a *Agent) publishHistory(maxSamples int, now time.Time) {
 	snap := a.cfg.History.Snapshot(maxSamples)
-	snap.Node, snap.At = a.node, time.Now()
+	snap.Node, snap.At = a.node, now
 	if a.cfg.Families != nil {
 		snap.Families = a.cfg.Families()
 	}

@@ -72,11 +72,10 @@ func TestNilTierIsSilent(t *testing.T) {
 			bus := &fakeBus{}
 			cfg := Config{Node: "n.1", Registry: mop.NewRegistry(), Publish: bus.publish, Metrics: telemetry.NewRegistry()}
 			tc.tiers(&cfg)
-			a, err := Start(cfg)
+			a, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer a.Stop()
 			if got := a.ProbeSubjects(); !reflect.DeepEqual(got, tc.subjects) {
 				t.Errorf("ProbeSubjects = %v, want %v", got, tc.subjects)
 			}
@@ -101,7 +100,7 @@ func TestNilTierIsSilent(t *testing.T) {
 func TestPingEchoesNonce(t *testing.T) {
 	var pongs []int64
 	reg := mop.NewRegistry()
-	a, err := Start(Config{Node: "n", Registry: reg, Metrics: telemetry.NewRegistry(), StatsInterval: time.Hour,
+	a, err := New(Config{Node: "n", Registry: reg, Metrics: telemetry.NewRegistry(), StatsInterval: time.Hour,
 		Publish: func(subject string, payload []byte) {
 			if subject != "_sys.pong.n" {
 				return
@@ -116,7 +115,6 @@ func TestPingEchoesNonce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Stop()
 	probe := mop.MustNewClass("Probe", nil, []mop.Attr{{Name: "nonce", Type: mop.Int}}, nil)
 	for _, v := range []mop.Value{int64(99), mop.MustNew(probe).MustSet("nonce", int64(7)), "not a nonce"} {
 		payload, err := wire.Marshal(v)
@@ -131,66 +129,108 @@ func TestPingEchoesNonce(t *testing.T) {
 	}
 }
 
-// TestStopLeavesNothingRunning: with every tier ticking at 1 ms — stats,
-// digests, the ring's sampler and an alarm that raises on the first engine
-// tick — the agent is one goroutine, and Stop (twice) returns with none left,
-// nothing published and nothing sampled after it.
-func TestStopLeavesNothingRunning(t *testing.T) {
+// virtualStart is where every clock in this file begins.
+var virtualStart = time.Unix(1000, 0)
+
+// drive is a node's loop on virtual time: it ticks the agent at each
+// deadline it returns, for d, and returns what was published per subject.
+func drive(t *testing.T, a *Agent, bus *fakeBus, d time.Duration) map[string]int {
+	t.Helper()
+	end := virtualStart.Add(d)
+	for now := virtualStart; !now.After(end); {
+		next := a.Tick(now)
+		if next.IsZero() {
+			break
+		}
+		if !next.After(now) {
+			t.Fatalf("Tick(%v) returned a deadline that is not in the future: %v", now, next)
+		}
+		now = next
+	}
+	counts := map[string]int{}
+	for _, p := range bus.take() {
+		counts[p]++
+	}
+	return counts
+}
+
+// TestCadencesOnVirtualTime: over ten virtual seconds the agent publishes,
+// ticks and samples exactly as often as four tickers started with it would
+// have fired — each cadence advances from its own previous deadline — and an
+// alarm raised by the first engine tick goes out once and is noted in the
+// ring. No goroutine, no sleep.
+func TestCadencesOnVirtualTime(t *testing.T) {
 	before := runtime.NumGoroutine()
 	bus := &fakeBus{}
 	metrics := telemetry.NewRegistry()
 	engine := telemetry.NewEngine("n", metrics, telemetry.NewRecorder(8))
-	engine.Watch(telemetry.WatchConfig{Kind: "always", Raise: 1}, func() int64 { return 1 })
-	hist := telemetry.NewHistory(telemetry.HistoryConfig{Interval: time.Millisecond})
+	engineTicks := 0
+	engine.Watch(telemetry.WatchConfig{Kind: "always", Raise: 1}, func() int64 { engineTicks++; return 1 })
+	hist := telemetry.NewHistory(telemetry.HistoryConfig{Interval: 250 * time.Millisecond})
 	hist.TrackRate("c", metrics.Counter("c"))
-	a, err := Start(Config{
+	a, err := New(Config{
 		Node: "n", Registry: mop.NewRegistry(), Publish: bus.publish,
-		Metrics: metrics, StatsInterval: time.Millisecond,
-		Engine: engine, HealthInterval: time.Millisecond,
-		History: hist, DigestEvery: time.Millisecond,
+		Metrics: metrics, StatsInterval: time.Second,
+		Engine: engine, HealthInterval: 300 * time.Millisecond,
+		History: hist, DigestEvery: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runtime.NumGoroutine() - before; got != 1 {
-		t.Errorf("an agent with every tier on runs %d goroutines, want 1", got)
+	got := drive(t, a, bus, 10*time.Second)
+	want := map[string]int{"_sys.stats.n SysStats": 10, "_sys.history.n SysHistory": 5, "_sys.alarm.n.always SysAlarm": 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("published %v, want %v", got, want)
 	}
-	// Wait until every unprompted kind has gone out at least once.
-	want := map[string]bool{"_sys.stats.n SysStats": true, "_sys.alarm.n.always SysAlarm": true, "_sys.history.n SysHistory": true}
-	for deadline := time.Now().Add(10 * time.Second); len(want) > 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("never published: %v", want)
-		}
-		for _, p := range bus.take() {
-			delete(want, p)
-		}
+	if engineTicks != 33 {
+		t.Errorf("the engine was ticked %d times in 10 s at 300 ms, want 33", engineTicks)
 	}
-	if snap := hist.Snapshot(0); snap.AlarmTotal != 1 || snap.Ticks == 0 {
-		t.Errorf("history ring noted %d alarm edges in %d ticks, want the one raise and a tick", snap.AlarmTotal, snap.Ticks)
+	if snap := hist.Snapshot(0); snap.Ticks != 40 || snap.AlarmTotal != 1 {
+		t.Errorf("the ring took %d samples and noted %d alarm edges, want 40 and 1", snap.Ticks, snap.AlarmTotal)
 	}
-	a.Stop()
-	a.Stop()
-	bus.take()
-	ticks := hist.Snapshot(0).Ticks
-	time.Sleep(20 * time.Millisecond)
-	if late := bus.take(); len(late) > 0 {
-		t.Errorf("published after Stop: %v", late)
+	// A caller that comes late drops the beats it missed, as a ticker does.
+	late := virtualStart.Add(time.Minute)
+	if next := a.Tick(late); !next.After(late) || next.After(late.Add(250*time.Millisecond)) {
+		t.Errorf("after a minute's stall the next deadline is %v, want within a sample interval of %v", next, late)
 	}
-	if got := hist.Snapshot(0).Ticks; got != ticks {
-		t.Errorf("ring sampled after Stop: %d -> %d ticks", ticks, got)
+	if got := bus.take(); len(got) != 2 { // one stats export, one digest
+		t.Errorf("a late tick published %v, want one stats export and one digest", got)
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Stop, %d before Start", runtime.NumGoroutine(), before)
-		}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines, %d before New: the agent must start none", n, before)
+	}
+}
+
+// TestOffTierHasNoDeadline: a tier that is off contributes no deadline; with
+// every tier off Tick returns zero and the node's loop never wakes for it.
+func TestOffTierHasNoDeadline(t *testing.T) {
+	bus := &fakeBus{}
+	base := Config{Node: "n", Registry: mop.NewRegistry(), Publish: bus.publish, Metrics: telemetry.NewRegistry()}
+	a, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next := a.Tick(virtualStart); !next.IsZero() {
+		t.Errorf("a tierless agent wants the clock at %v", next)
+	}
+	stats := base
+	stats.StatsInterval = 3 * time.Second
+	if a, err = New(stats); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := drive(t, a, bus, 10*time.Second), map[string]int{"_sys.stats.n SysStats": 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("stats only: published %v, want %v", got, want)
+	}
+	if next := a.Tick(virtualStart.Add(10 * time.Second)); !next.Equal(virtualStart.Add(12 * time.Second)) {
+		t.Errorf("stats only: next deadline %v, want the fourth beat at +12 s", next)
 	}
 }
 
 // TestStrangerUnderSysNameRefusedAtStart: a registry that has harvested a
 // differently shaped class under a Sys name (a peer on another build
 // published "_sys.trace" first; a host starts its agent lazily, on its first
-// sidecar) makes Start fail with mop.ErrTypeExists. Before the kinds were
-// bound declarations Start took whatever class held the name and the first
+// sidecar) makes New fail with mop.ErrTypeExists. Before the kinds were
+// bound declarations it took whatever class held the name and the first
 // sidecar panicked on the publish path, setting an attribute it lacks.
 func TestStrangerUnderSysNameRefusedAtStart(t *testing.T) {
 	reg := mop.NewRegistry()
@@ -199,14 +239,13 @@ func TestStrangerUnderSysNameRefusedAtStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	bus := &fakeBus{}
-	a, err := Start(Config{Node: "n", Registry: reg, Publish: bus.publish, Metrics: telemetry.NewRegistry()})
+	a, err := New(Config{Node: "n", Registry: reg, Publish: bus.publish, Metrics: telemetry.NewRegistry()})
 	if err == nil {
 		a.Trace(9, []busproto.TraceHop{{Kind: busproto.HopQuorumAck, Node: "n", At: 1}})
-		a.Stop()
-		t.Fatal("Start accepted a registry holding a one-attribute SysTraceHop")
+		t.Fatal("New accepted a registry holding a one-attribute SysTraceHop")
 	}
 	if !errors.Is(err, mop.ErrTypeExists) || a != nil {
-		t.Errorf("Start = %v, %v; want nil and an error wrapping mop.ErrTypeExists", a, err)
+		t.Errorf("New = %v, %v; want nil and an error wrapping mop.ErrTypeExists", a, err)
 	}
 	if got, _ := reg.Lookup("SysTraceHop"); got != stranger {
 		t.Error("the refused start replaced the class it refused")

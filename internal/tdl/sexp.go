@@ -249,8 +249,12 @@ func looksNumeric(tok string) bool {
 	return c == '-' || c == '+' || c == '.' || (c >= '0' && c <= '9')
 }
 
-// FormatSexp renders a parsed expression back to source-ish text, mainly
-// for error messages and the REPL.
+// stringEscaper writes a string literal's content with the four escapes
+// the reader knows; every other byte stands for itself there.
+var stringEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`)
+
+// FormatSexp renders a parsed expression back to source, mainly for error
+// messages and the REPL: what it prints reads to the same tree (FuzzRead).
 func FormatSexp(e Sexp) string {
 	switch x := e.(type) {
 	case nil:
@@ -258,17 +262,24 @@ func FormatSexp(e Sexp) string {
 	case Symbol:
 		return string(x)
 	case string:
-		return strconv.Quote(x)
+		return `"` + stringEscaper.Replace(x) + `"`
 	case int64:
 		return strconv.FormatInt(x, 10)
 	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
+		s := strconv.FormatFloat(x, 'g', -1, 64)
+		if !strings.ContainsAny(s, ".eIN") {
+			s += ".0" // an integral float stays a float when read back
+		}
+		return s
 	case bool:
 		if x {
 			return "#t"
 		}
 		return "#f"
 	case Quoted:
+		if x.X == nil {
+			return "nil" // the atom reads as Quoted{nil}
+		}
 		return "'" + FormatSexp(x.X)
 	case []Sexp:
 		parts := make([]string, len(x))

@@ -45,13 +45,6 @@ if [ -e internal/wire/stream.go ]; then
     exit 1
 fi
 
-echo "==> one owner per sender (the daemon's relay goroutine stays deleted)"
-if grep -rnwE 'workerQueueDepth|inWg' --include='*.go' --exclude='*_test.go' . ||
-        grep -rnF 'func (d *Daemon) recvLoop' --include='*.go' --exclude='*_test.go' . ; then
-    echo "a relay between the conn and the daemon's workers is back in non-test Go" >&2
-    exit 1
-fi
-
 echo "==> one shard key (a lane is a sender shard: the subject-keyed lanes, the arrival tickets and the strict merged pop stay deleted)"
 if grep -rnwE 'popNext|LaneIndex' --include='*.go' --exclude='*_test.go' --exclude-dir=subject --exclude-dir=benchmark . ||
         grep -nwE 'ticket|tick:' internal/daemon/daemon.go internal/daemon/lanes.go ; then
@@ -132,12 +125,10 @@ if [ "$quick" -eq 0 ]; then
     go test -race -run 'TestOneGoroutinePerConn|TestTimersRunUnderStalledConsumer|TestClosedConnErrors|TestCloseFlushesBatch|TestConnEndToEnd' -count=10 ./internal/reliable/
     go test -race -run 'TestWallClockDelivery|TestConcurrentSenders|TestSendBound|TestOneGoroutinePerNetwork|TestCloseIdempotentAndRejectsSends' -count=10 ./internal/netsim/
 
-    echo "==> _sys goldens under race, 20 runs (a publication is in the family table before any client sees it)"
-    go test -race -run TestSysGoldenBytes -count=20 ./internal/router/
-
-    echo "==> per-sender order as a property, exactly-once, no starved column and a settled close across lanes, and lossy churn (race build, 5 runs)"
+    echo "==> per-sender order as a property, exactly-once, no starved column and a settled close across lanes, lossy churn, one housekeeping loop per node and the _sys bytes it publishes (race build, 5 runs)"
     go test -race -count=5 -run 'TestCrossLaneSenderFIFO|TestCrossLaneLocalFIFO|TestSingleLaneGoldenEquivalence|TestGuaranteedExactlyOnceAcrossLanes|TestLaneWiring|TestCloseDrainsWorkers|TestPerSenderFIFOProperty|TestPopNoStarvation|TestClientCloseSettlesBacklog|TestLaneDepthsCoherent' ./internal/daemon/
-    go test -race -count=5 -run TestStressLossyChurn ./internal/core/
+    go test -race -count=5 -run 'TestStressLossyChurn|TestOneLoopPerHost|TestStalledSubscriberDoesNotStopTheLoop' ./internal/core/
+    go test -race -count=5 -run 'TestOneLoopPerRouter|TestSysGoldenBytes' ./internal/router/
 
     echo "==> fuzz smoke (5s each; the two wire unmarshal fuzzers are differential: memoised vs cold)"
     go test -run xxx -fuzz 'FuzzUnmarshal$'        -fuzztime 5s ./internal/wire/
@@ -153,6 +144,7 @@ if [ "$quick" -eq 0 ]; then
     go test -run xxx -fuzz 'FuzzMeshAd$'           -fuzztime 5s ./internal/mesh/
     go test -run xxx -fuzz 'FuzzSysRead$'          -fuzztime 5s ./cmd/ibmon/
     go test -run xxx -fuzz 'FuzzDecodeFrame$'      -fuzztime 5s ./internal/reliable/
+    go test -run xxx -fuzz 'FuzzRead$'             -fuzztime 5s ./internal/tdl/
 fi
 
 echo "==> all checks passed"
