@@ -533,7 +533,10 @@ const maxPendingDecodes = 64
 type Event struct {
 	// Subject the object was published under.
 	Subject subject.Subject
-	// Value is the decoded data object (any mop.Value).
+	// Value is the decoded data object (any mop.Value). It is private to the
+	// receiving Bus: no other application on the host, however many got the
+	// same publication, can see what this one does to it. Subscriptions of
+	// one Bus that match the same publication share the one Value.
 	Value mop.Value
 	// From is the transport address of the publishing host's daemon; note
 	// that applications normally ignore it (P4: anonymous communication).
@@ -835,12 +838,18 @@ func (b *Bus) dispatchLoop() {
 	}
 }
 
-// dispatch decodes one delivery and fans it out. A compact delivery whose
+// dispatch takes one delivery's value and fans it out. The value comes
+// through the delivery's slot: of the buses on this host one publication
+// reached, the first decodes and the others are handed clones, so each bus
+// gets an object no other bus can see. A compact delivery whose
 // class fingerprints are not cached yet is stashed and NAKed instead of
-// dropped; it is retried once classSync has harvested the definitions.
+// dropped; it is retried, through the same slot, once classSync has harvested
+// the definitions.
 func (b *Bus) dispatch(dv daemon.Delivery) {
 	compact := wire.IsCompact(dv.Payload)
-	value, err := wire.UnmarshalWith(dv.Payload, b.host.reg, b.host.typeCache)
+	value, err := dv.Slot.Take(func() (mop.Value, error) {
+		return wire.UnmarshalWith(dv.Payload, b.host.reg, b.host.typeCache)
+	}, mop.CloneValue)
 	if err != nil {
 		var missing *wire.MissingFingerprintsError
 		if errors.As(err, &missing) {
@@ -849,8 +858,8 @@ func (b *Bus) dispatch(dv daemon.Delivery) {
 			b.host.requestClasses(missing.FPs)
 			return
 		}
-		b.host.ctr.undecodableDropped.Inc()
-		return // undecodable object: drop (foreign/corrupt payload)
+		b.host.dropUndecodable("undecodable-payload") // foreign or corrupt object
+		return
 	}
 	b.host.ctr.events.Inc()
 	if compact {
@@ -872,9 +881,18 @@ func (b *Bus) dispatch(dv daemon.Delivery) {
 	}
 }
 
+// dropUndecodable accounts a delivery a bus gives up on: counted and, with
+// the health tier on, recorded under the reason.
+func (h *Host) dropUndecodable(why string) {
+	h.ctr.undecodableDropped.Inc()
+	if h.recorder != nil {
+		h.recorder.Record(telemetry.EventDrop, why, 1, 0)
+	}
+}
+
 func (b *Bus) stashPending(dv daemon.Delivery) {
 	if len(b.pending) >= maxPendingDecodes {
-		b.host.ctr.undecodableDropped.Inc()
+		b.host.dropUndecodable("decode-stash-full")
 		copy(b.pending, b.pending[1:])
 		b.pending = b.pending[:len(b.pending)-1]
 	}

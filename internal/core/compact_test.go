@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"infobus/internal/mop"
+	"infobus/internal/transport"
 )
 
 // compactCfg is the host configuration for compact publishers in these
@@ -13,6 +14,28 @@ import (
 // fastReliable).
 func compactCfg() HostConfig {
 	return HostConfig{CompactTypes: true, CompactNakInterval: 3 * time.Millisecond}
+}
+
+// warmPublisher starts a compact publisher and has it publish one instance
+// of class wt before any other host exists: the class definitions ride that
+// publication and reach nobody, so what a host attached afterwards receives
+// of wt is reference-only.
+func warmPublisher(t *testing.T, seg transport.Segment, cfg HostConfig, wt *mop.Type) (*Host, *Bus) {
+	t.Helper()
+	pubHost := newHost(t, seg, "fab-pub", cfg)
+	pubBus, err := pubHost.NewBus("sensor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pubBus.Publish("fab5.cc.litho8.thick",
+		mop.MustNew(wt).MustSet("station", "litho8").MustSet("microns", 1.0)); err != nil {
+		t.Fatal(err)
+	}
+	// The frame must leave the medium before the late host attaches —
+	// otherwise it is not late, it just receives the defs directly.
+	_ = pubBus.Flush()
+	time.Sleep(30 * time.Millisecond)
+	return pubHost, pubBus
 }
 
 func TestCompactPublishSubscribe(t *testing.T) {
@@ -78,23 +101,8 @@ func TestCompactLateSubscriberNak(t *testing.T) {
 	defer seg.Close()
 	cfg := compactCfg()
 	cfg.CompactResendEvery = 1 << 30 // never fall back inline
-	pubHost := newHost(t, seg, "fab-pub", cfg)
-	pubBus, err := pubHost.NewBus("sensor")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm the send dictionary before the subscriber exists: this defs-
-	// carrying publication reaches nobody.
 	wt := thicknessType()
-	if err := pubBus.Publish("fab5.cc.litho8.thick",
-		mop.MustNew(wt).MustSet("station", "litho8").MustSet("microns", 1.0)); err != nil {
-		t.Fatal(err)
-	}
-	// The frame must leave the medium before the late host attaches —
-	// otherwise it is not late, it just receives the defs directly.
-	_ = pubBus.Flush()
-	time.Sleep(30 * time.Millisecond)
+	pubHost, pubBus := warmPublisher(t, seg, cfg, wt)
 
 	subHost := newHost(t, seg, "fab-late", HostConfig{})
 	subBus, err := subHost.NewBus("monitor")
@@ -132,6 +140,67 @@ func TestCompactLateSubscriberNak(t *testing.T) {
 	}
 }
 
+// TestClassNakThroughTheSlot: a reference-only publication fanned out to two
+// buses of a host that holds none of its classes. Both stash their delivery,
+// the host asks for the classes once (classSync keeps one wanted set per
+// host, and with the re-request interval out of reach a second request would
+// be a second miss), and once the definitions arrive each bus delivers the
+// event exactly once, out of the one slot the two deliveries share.
+func TestClassNakThroughTheSlot(t *testing.T) {
+	seg := fastSeg()
+	defer seg.Close()
+	cfg := compactCfg()
+	cfg.CompactResendEvery = 1 << 30 // never fall back inline
+	wt := thicknessType()
+	_, pubBus := warmPublisher(t, seg, cfg, wt)
+
+	late := newHost(t, seg, "fab-late", HostConfig{CompactNakInterval: time.Hour})
+	var subs []*Subscription
+	for _, app := range []string{"monitor", "logger"} {
+		bus, err := late.NewBus(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := bus.Subscribe("fab5.cc.litho8.thick")
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	time.Sleep(50 * time.Millisecond)
+
+	for i, microns := range []float64{2.0, 3.0} {
+		if err := pubBus.Publish("fab5.cc.litho8.thick",
+			mop.MustNew(wt).MustSet("station", "litho8").MustSet("microns", microns)); err != nil {
+			t.Fatal(err)
+		}
+		var got []*mop.Object
+		for _, sub := range subs {
+			got = append(got, recvEvent(t, sub, 5*time.Second).Value.(*mop.Object))
+		}
+		if got[0].MustGet("microns") != microns || !got[0].Equal(got[1]) || got[0] == got[1] {
+			t.Fatalf("publication %d: the two buses got %v and %v (same object: %v)", i, got[0], got[1], got[0] == got[1])
+		}
+	}
+	for _, sub := range subs {
+		select {
+		case ev := <-sub.C:
+			t.Fatalf("an event was delivered twice: %v", ev.Value)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	for name, want := range map[string]uint64{
+		"bus.decode_deferred": 2, // the first publication, once per bus
+		"bus.class_nak_sent":  1,
+		"bus.events":          4,
+		"bus.compact_events":  4,
+	} {
+		if n := late.Metrics().Counter(name).Load(); n != want {
+			t.Errorf("%s = %d, want %d", name, n, want)
+		}
+	}
+}
+
 // TestCompactInlineFallback proves progress without the NAK path: with a
 // small resend period, a late joiner decodes as soon as the next inline
 // re-send of the definitions comes around, even though its earlier
@@ -142,18 +211,8 @@ func TestCompactInlineFallback(t *testing.T) {
 	cfg := compactCfg()
 	cfg.CompactResendEvery = 2
 	cfg.CompactNakInterval = time.Hour // NAKs effectively disabled
-	pubHost := newHost(t, seg, "fab-pub", cfg)
-	pubBus, err := pubHost.NewBus("sensor")
-	if err != nil {
-		t.Fatal(err)
-	}
 	wt := thicknessType()
-	if err := pubBus.Publish("fab5.cc.litho8.thick",
-		mop.MustNew(wt).MustSet("station", "litho8").MustSet("microns", 1.0)); err != nil {
-		t.Fatal(err)
-	}
-	_ = pubBus.Flush()
-	time.Sleep(30 * time.Millisecond)
+	_, pubBus := warmPublisher(t, seg, cfg, wt)
 
 	subHost := newHost(t, seg, "fab-late", HostConfig{})
 	subBus, err := subHost.NewBus("monitor")

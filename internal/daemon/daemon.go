@@ -47,6 +47,53 @@ type Delivery struct {
 	// followed by the intra-daemon stage hops (lane enqueue, lane pop).
 	TraceID uint64
 	Trace   []busproto.TraceHop
+	// Slot is shared by the deliveries of one publication fanned out to more
+	// than one client, so its payload is decoded once per host; nil when a
+	// single client matched. Take through it either way.
+	Slot *Slot
+}
+
+// Slot is where the clients one publication was fanned out to share the
+// work of decoding it. The daemon never decodes and never looks at a value:
+// routeLocal only counts the deliveries that may come to take one, and the
+// takers bring the codec.
+type Slot struct {
+	mu      sync.Mutex
+	takers  int  // deliveries that have not been handed a value yet
+	decoded bool // master is set; a decoded value may itself be nil
+	master  any  // referenced by no taker while it is here
+}
+
+// Take returns a value of the publication's payload that is the caller's
+// alone. The first taker decodes and leaves the result behind as the master;
+// every taker is handed clone(master), except the last one outstanding, who
+// is handed the master itself. The count can only err towards cloning: a
+// delivery that is never taken (a closed client, an evicted stash entry, a
+// refused enqueue) keeps the master in the slot for good. A failed decode
+// stores nothing and uses up no turn, so the same delivery may take again.
+// Takers of one slot wait for each other's decode, which is the point. A nil
+// Slot decodes.
+func (s *Slot) Take(decode func() (any, error), clone func(any) any) (any, error) {
+	if s == nil {
+		return decode()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.decoded {
+		v, err := decode()
+		if err != nil {
+			return nil, err
+		}
+		s.master, s.decoded = v, true
+	}
+	if s.takers--; s.takers == 0 {
+		// Hand the master over and forget it: a taker the count did not
+		// foresee would decode again, never share.
+		v := s.master
+		s.master, s.decoded = nil, false
+		return v, nil
+	}
+	return clone(s.master), nil
 }
 
 // appendHop records an intra-node stage hop on a traced delivery, with
@@ -855,24 +902,31 @@ func (d *Daemon) workerLoop(ln *lane) {
 	}
 }
 
+// handleMessage routes one inbound message. It peeks: the subject is interned
+// from the frame's own bytes and the payload stays a view of the frame, so an
+// ordinary publication materializes nothing. Only the kinds that need an owned
+// origin or hop list (guaranteed, traced, acks) are decoded.
 func (d *Daemon) handleMessage(in *subject.Interner, ln *lane, m reliable.Message) {
-	env, err := busproto.Decode(m.Payload)
+	h, err := busproto.Peek(m.Payload)
 	if err != nil {
-		d.ctr.corruptDropped.Inc()
-		if d.rec != nil {
-			d.rec.Record(telemetry.EventDrop, "corrupt-envelope", 1, 0)
-		}
+		d.dropCorrupt("corrupt-envelope")
 		return
 	}
-	switch env.Base() {
+	switch h.Base() {
 	case busproto.KindPublish, busproto.KindGuaranteed:
-		subj, err := in.Parse(env.Subject)
+		subj, err := in.ParseBytes(h.Subject)
 		if err != nil {
-			d.ctr.corruptDropped.Inc()
+			d.dropCorrupt("bad-subject")
 			return
 		}
 		d.ctr.inbound.Inc()
-		guaranteed := env.Base() == busproto.KindGuaranteed
+		dv := Delivery{Subject: subj, Payload: h.Payload, From: m.From}
+		guaranteed := h.Base() == busproto.KindGuaranteed
+		if !guaranteed && !h.Traced() {
+			d.routeLocal(ln, dv)
+			return
+		}
+		env, _ := busproto.Decode(m.Payload) // accepts exactly what Peek accepted
 		if env.Traced() {
 			// Record the consumer-daemon hop and, with the publisher's
 			// first-hop stamp, the end-to-end network+daemon latency (all
@@ -887,15 +941,7 @@ func (d *Daemon) handleMessage(in *subject.Interner, ln *lane, m reliable.Messag
 				}
 			}
 		}
-		dv := Delivery{
-			Subject:    subj,
-			Payload:    env.Payload,
-			From:       m.From,
-			Guaranteed: guaranteed,
-			ID:         env.ID,
-			TraceID:    env.TraceID,
-			Trace:      env.Trace,
-		}
+		dv.Guaranteed, dv.ID, dv.TraceID, dv.Trace = guaranteed, env.ID, env.TraceID, env.Trace
 		if !guaranteed {
 			d.routeLocal(ln, dv)
 			return
@@ -911,6 +957,7 @@ func (d *Daemon) handleMessage(in *subject.Interner, ln *lane, m reliable.Messag
 			d.sendGuarAck(m.From, env.ID, env.Origin)
 		}
 	case busproto.KindGuarAck:
+		env, _ := busproto.Decode(m.Payload)
 		if env.Origin != d.identity {
 			// Not ours — but it may belong to a crashed publisher this
 			// daemon is replaying for (the acker unicasts to whoever
@@ -931,6 +978,15 @@ func (d *Daemon) handleMessage(in *subject.Interner, ln *lane, m reliable.Messag
 		if onAck != nil {
 			onAck(env.ID, m.From)
 		}
+	}
+}
+
+// dropCorrupt accounts an inbound message the daemon cannot route: counted
+// and, with the health tier on, recorded under what was wrong with it.
+func (d *Daemon) dropCorrupt(what string) {
+	d.ctr.corruptDropped.Inc()
+	if d.rec != nil {
+		d.rec.Record(telemetry.EventDrop, what, 1, 0)
 	}
 }
 
@@ -973,7 +1029,8 @@ func (d *Daemon) routeGuaranteed(ln *lane, origin string, dv Delivery) (delivere
 // sender's lane ln — the calling worker's own, lane 0 for the daemon's own
 // publications: ln's column of each client's queue takes the enqueue, so
 // senders on different lanes share no queue lock, and one sender's
-// deliveries reach a client's column from one goroutine, in order.
+// deliveries reach a client's column from one goroutine, in order. A fan-out
+// to several clients costs one allocation, the Slot they decode through.
 func (d *Daemon) routeLocal(ln *lane, dv Delivery) int {
 	if dv.TraceID != 0 {
 		// One lane-enqueue hop per publication (not per subscriber): the
@@ -986,6 +1043,11 @@ func (d *Daemon) routeLocal(ln *lane, dv Delivery) int {
 	// (the "_sys.history" probe) finds the delivery's own family counted.
 	ln.topk.Note(dv.Subject.Family(), len(dv.Payload))
 	matches := d.subs.Match(dv.Subject)
+	if len(matches) > 1 {
+		// Counted before the first enqueue: a client may take while the
+		// fan-out is still running.
+		dv.Slot = &Slot{takers: len(matches)}
+	}
 	delivered := 0
 	for _, c := range matches {
 		if c.enqueue(ln, dv) {

@@ -75,6 +75,9 @@ go test -run TestPublishDeliverHistoryAllocBudget -count=1 .
 echo "==> alloc gate (guaranteed publish budget)"
 go test -run TestGuaranteedPublishAllocBudget -count=1 .
 
+echo "==> alloc gate (one host, four applications, one publication: one decode, one slot, a clone each)"
+go test -run TestHostFanoutDecodeAllocBudget -count=1 .
+
 echo "==> alloc gate (router forward, mesh agent running: 0 allocs/op for plain, guaranteed, traced, transformed, _sys)"
 go test -run TestRouterForwardAllocBudget -count=1 ./internal/router/
 
@@ -125,9 +128,9 @@ if [ "$quick" -eq 0 ]; then
     go test -race -run 'TestOneGoroutinePerConn|TestTimersRunUnderStalledConsumer|TestClosedConnErrors|TestCloseFlushesBatch|TestConnEndToEnd' -count=10 ./internal/reliable/
     go test -race -run 'TestWallClockDelivery|TestConcurrentSenders|TestSendBound|TestOneGoroutinePerNetwork|TestCloseIdempotentAndRejectsSends' -count=10 ./internal/netsim/
 
-    echo "==> per-sender order as a property, exactly-once, no starved column and a settled close across lanes, lossy churn, one housekeeping loop per node and the _sys bytes it publishes (race build, 5 runs)"
-    go test -race -count=5 -run 'TestCrossLaneSenderFIFO|TestCrossLaneLocalFIFO|TestSingleLaneGoldenEquivalence|TestGuaranteedExactlyOnceAcrossLanes|TestLaneWiring|TestCloseDrainsWorkers|TestPerSenderFIFOProperty|TestPopNoStarvation|TestClientCloseSettlesBacklog|TestLaneDepthsCoherent' ./internal/daemon/
-    go test -race -count=5 -run 'TestStressLossyChurn|TestOneLoopPerHost|TestStalledSubscriberDoesNotStopTheLoop' ./internal/core/
+    echo "==> per-sender order as a property, exactly-once, no starved column and a settled close across lanes, lossy churn, one housekeeping loop per node and the _sys bytes it publishes, one decode per host and a private value per application (race build, 5 runs)"
+    go test -race -count=5 -run 'TestCrossLaneSenderFIFO|TestCrossLaneLocalFIFO|TestSingleLaneGoldenEquivalence|TestGuaranteedExactlyOnceAcrossLanes|TestLaneWiring|TestCloseDrainsWorkers|TestPerSenderFIFOProperty|TestPopNoStarvation|TestClientCloseSettlesBacklog|TestLaneDepthsCoherent|TestSlotConcurrentTakers' ./internal/daemon/
+    go test -race -count=5 -run 'TestStressLossyChurn|TestOneLoopPerHost|TestStalledSubscriberDoesNotStopTheLoop|TestEventValueIsPrivateToItsBus|TestClassNakThroughTheSlot' ./internal/core/
     go test -race -count=5 -run 'TestOneLoopPerRouter|TestSysGoldenBytes' ./internal/router/
 
     echo "==> fuzz smoke (5s each; the two wire unmarshal fuzzers are differential: memoised vs cold)"
