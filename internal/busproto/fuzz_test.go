@@ -1,6 +1,9 @@
 package busproto
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzDecode: arbitrary bytes never panic; decodable envelopes round-trip.
 func FuzzDecode(f *testing.F) {
@@ -21,6 +24,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{KindPublishTraced, 0, 1, MaxTraceHops + 1, 1, 'n', 2})
 	f.Add([]byte{KindPublishTraced, 0, 1, 5, 1, 'n', 2})
 	f.Add([]byte{KindGuaranteedTraced, 0, 9, 1, 'o', 1, 1, 0xff, 0xff, 0x03})
+	addAckSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := Decode(data)
 		if err != nil {
@@ -30,8 +34,12 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if got.Kind != e.Kind || got.Subject != e.Subject || got.ID != e.ID || got.Origin != e.Origin {
+		if got.Kind != e.Kind || got.Subject != e.Subject || got.ID != e.ID || got.Origin != e.Origin ||
+			!slices.Equal(got.Acked, e.Acked) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", e, got)
+		}
+		if e.Kind == KindGuarAck && string(Encode(e)) != string(data) {
+			t.Fatalf("ack % x re-encodes to % x", data, Encode(e))
 		}
 		if got.TraceID != e.TraceID || len(got.Trace) != len(e.Trace) {
 			t.Fatalf("trace round trip mismatch: %+v vs %+v", e, got)
@@ -63,6 +71,7 @@ func FuzzEnvelopePeek(f *testing.F) {
 	f.Add([]byte{KindPublishTraced, 0, 1, MaxTraceHops + 1, 1, 'n', 2})
 	f.Add([]byte{KindPublishTraced, 0, 1, 5, 1, 'n', 2})
 	f.Add([]byte{KindGuaranteedTraced, 0, 9, 1, 'o', 1, 1, 0xff, 0xff, 0x03})
+	addAckSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, perr := Peek(data)
 		e, derr := Decode(data)
@@ -77,7 +86,28 @@ func FuzzEnvelopePeek(f *testing.F) {
 			string(h.Payload) != string(e.Payload) {
 			t.Fatalf("peek %+v disagrees with decode %+v on % x", h, e, data)
 		}
+		if h.Kind == KindGuarAck {
+			n, want := 0, max(len(e.Acked), 1)
+			h.EachAcked(func(uint64) { n++ })
+			if n > MaxAckIDs || n != want {
+				t.Fatalf("ack % x names %d ids, decoded %v", data, n, e.Acked)
+			}
+		}
 	})
+}
+
+// Ack seeds: one id, several runs, the cap, and the spellings Peek rejects.
+func addAckSeeds(f *testing.F) {
+	f.Add(AppendAck(nil, "o", []uint64{9}))
+	f.Add(AppendAck(nil, "sim:0#tok", []uint64{1, 2, 3, 7, 9, 10, 1 << 40}))
+	ids := make([]uint64, MaxAckIDs)
+	for i := range ids {
+		ids[i] = uint64(3 * i)
+	}
+	f.Add(AppendAck(nil, "o", ids))
+	for _, bad := range badAckTails() {
+		f.Add(bad)
+	}
 }
 
 // FuzzAppendForward: for every data frame Peek accepts and each edit a

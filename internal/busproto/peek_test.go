@@ -2,7 +2,9 @@ package busproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -22,6 +24,7 @@ func peekCases() []Envelope {
 		{Kind: KindGuaranteedCompactTraced, ID: 1, Origin: "o2", Subject: "s.s.s", TraceID: 3,
 			Trace: []TraceHop{{Node: "a", At: 1}, {Node: "b", At: 2}}},
 		{Kind: KindGuarAck, ID: 11, Origin: "sim:9#def"},
+		{Kind: KindGuarAck, ID: 11, Origin: "sim:9#def", Acked: []uint64{11, 12, 13, 40, 42, 43}},
 		{Kind: KindInterest, Patterns: []string{"a.>", "b.*", "c"}},
 		{Kind: KindInterest},
 	}
@@ -46,8 +49,20 @@ func TestPeekAgreesWithDecode(t *testing.T) {
 			int(h.TraceHops) != len(d.Trace) {
 			t.Errorf("peek %+v disagrees with decode %+v", h, d)
 		}
-		if !reflect.DeepEqual(d.Trace, e.Trace) || !reflect.DeepEqual(d.Patterns, e.Patterns) {
+		if !reflect.DeepEqual(d.Trace, e.Trace) || !reflect.DeepEqual(d.Patterns, e.Patterns) ||
+			!reflect.DeepEqual(d.Acked, e.Acked) {
 			t.Errorf("decode materialized %+v from %+v", d, e)
+		}
+		if e.Kind == KindGuarAck {
+			var acked []uint64
+			h.EachAcked(func(id uint64) { acked = append(acked, id) })
+			want := e.Acked
+			if want == nil {
+				want = []uint64{e.ID}
+			}
+			if !slices.Equal(acked, want) {
+				t.Errorf("ack %+v: EachAcked named %v, want %v", e, acked, want)
+			}
 		}
 		if h.Base() != d.Base() || h.Traced() != d.Traced() || h.Compact() != d.Compact() {
 			t.Errorf("kind %d: helper disagreement peek(%d,%t,%t) decode(%d,%t,%t)",
@@ -87,12 +102,12 @@ func TestPeekRejectsWhatDecodeRejects(t *testing.T) {
 		{KindPublishTraced, 0, 1, MaxTraceHops + 1, 1, 'n', 2},
 		{KindPublishTraced, 0, 1, 5, 1, 'n', 2},
 		{KindGuaranteedTraced, 0, 9, 1, 'o', 1, 1, 0xff, 0xff, 0x03},
-		append(Encode(Envelope{Kind: KindGuarAck, ID: 9, Origin: "o"}), 1),
 		// Non-minimal varints (subject length 1 as 0x81 0x00, ack id 0 as
 		// 0x80 0x00): one encoding per envelope, see envReader.uvarint.
 		{KindPublish, 0, 0x81, 0x00, 's'},
 		{KindGuarAck, 0x80, 0x00, 1, 'o'},
 	}
+	bad = append(bad, badAckTails()...)
 	for _, data := range bad {
 		if _, err := Peek(data); err == nil {
 			t.Errorf("peek accepted % x", data)
@@ -114,6 +129,34 @@ func TestPeekRejectsWhatDecodeRejects(t *testing.T) {
 	}
 }
 
+// badAckTails are acks for id 9 from "o" whose run list is not the one
+// spelling AppendAck writes, or names too much.
+func badAckTails() [][]byte {
+	head := []byte{KindGuarAck, 9, 1, 'o'}
+	over := binary.AppendUvarint(nil, MaxAckIDs) // a first run of MaxAckIDs+1 ids
+	var many []byte                              // MaxAckIDs+1 single-id runs
+	many = append(many, 0)
+	for i := 0; i < MaxAckIDs; i++ {
+		many = append(many, 1, 0)
+	}
+	var out [][]byte
+	for _, tail := range [][]byte{
+		{0},          // the one-id ack's second spelling
+		{1, 0, 0},    // a zero-length gap: two runs that touch
+		{1, 1},       // a gap without its length
+		{0x81, 0x00}, // a non-minimal run length
+		{0, 0x81, 0x00, 0},
+		over,
+		many,
+		{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0}, // a gap past 2^64-1
+	} {
+		out = append(out, append(slices.Clip(head), tail...))
+	}
+	// A run past 2^64-1: 2^64-2 plus three more.
+	out = append(out, append(append([]byte{KindGuarAck}, binary.AppendUvarint(nil, ^uint64(0)-1)...), 1, 'o', 2))
+	return out
+}
+
 // TestPeekZeroAlloc pins the router data plane's foundation: peeking a
 // data envelope allocates nothing.
 func TestPeekZeroAlloc(t *testing.T) {
@@ -122,6 +165,7 @@ func TestPeekZeroAlloc(t *testing.T) {
 		Encode(Envelope{Kind: KindGuaranteed, Hops: 1, ID: 99, Origin: "sim:0#x", Subject: "g.s", Payload: make([]byte, 64)}),
 		Encode(Envelope{Kind: KindPublishTraced, Subject: "t", TraceID: 4,
 			Trace: []TraceHop{{Node: "n", At: 1}, {Node: "m", At: 2}}, Payload: []byte{1}}),
+		AppendAck(nil, "sim:0#x", []uint64{1, 2, 3, 7, 9, 10}),
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		for _, f := range frames {

@@ -14,13 +14,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Envelope kinds carried inside reliable messages.
 const (
 	KindPublish    = 1 // ordinary reliable publication
 	KindGuaranteed = 2 // guaranteed publication (expects acknowledgement)
-	KindGuarAck    = 3 // guaranteed-delivery acknowledgement
+	KindGuarAck    = 3 // guaranteed-delivery acknowledgement of one id or a run list (AppendAck)
 	KindInterest   = 4 // aggregate subscription advertisement (for routers)
 	// Traced variants of the two data kinds: identical semantics plus a
 	// trace id and per-hop timestamp list for the telemetry subsystem.
@@ -135,11 +136,15 @@ type TraceHop struct {
 type Envelope struct {
 	Kind     byte
 	Hops     uint8  // KindPublish, KindGuaranteed
-	ID       uint64 // KindGuaranteed, KindGuarAck: ledger id at the origin
+	ID       uint64 // KindGuaranteed, KindGuarAck: ledger id at the origin (an ack's lowest)
 	Origin   string // KindGuaranteed, KindGuarAck: origin daemon identity
 	Subject  string
 	Payload  []byte
 	Patterns []string // KindInterest
+	// Acked is every id a KindGuarAck naming more than one acknowledges,
+	// ascending and without repeats; nil for an ack of ID alone. Encode
+	// takes it in place of ID when it is set.
+	Acked []uint64
 	// Tracing (KindPublishTraced, KindGuaranteedTraced only).
 	TraceID uint64
 	Trace   []TraceHop
@@ -228,6 +233,12 @@ func Encode(e Envelope) []byte { return AppendEncode(nil, e) }
 // pooled buffer so steady-state encoding allocates nothing; the result is
 // byte-identical to Encode.
 func AppendEncode(b []byte, e Envelope) []byte {
+	if e.Kind == KindGuarAck {
+		if len(e.Acked) > 0 {
+			return AppendAck(b, e.Origin, e.Acked)
+		}
+		return AppendAck(b, e.Origin, []uint64{e.ID})
+	}
 	b = append(b, e.Kind)
 	switch e.Kind {
 	case KindPublish, KindPublishCompact:
@@ -252,14 +263,45 @@ func AppendEncode(b []byte, e Envelope) []byte {
 		b = appendTrace(b, e)
 		b = appendString(b, e.Subject)
 		b = append(b, e.Payload...)
-	case KindGuarAck:
-		b = binary.AppendUvarint(b, e.ID)
-		b = appendString(b, e.Origin)
 	case KindInterest:
 		b = binary.AppendUvarint(b, uint64(len(e.Patterns)))
 		for _, p := range e.Patterns {
 			b = appendString(b, p)
 		}
+	}
+	return b
+}
+
+// MaxAckIDs bounds the ids one KindGuarAck may name: Peek rejects a run
+// list that adds up to more, so a crafted frame cannot make a receiver walk
+// 2^64 acknowledgements.
+const MaxAckIDs = 1024
+
+// AppendAck appends the KindGuarAck frame acknowledging ids, ascending,
+// without repeats, at most MaxAckIDs and at least one, on behalf of origin.
+// The header's ID is the first id. The tail lists the ids as runs of
+// consecutive ids: the first run's length less one, then for each further
+// run the count of ids skipped since the previous run (at least one: runs
+// never touch) and its length less one. An ack of one id is the header
+// alone: a tail naming a single run of one id is never written, and Peek
+// rejects it.
+func AppendAck(b []byte, origin string, ids []uint64) []byte {
+	b = append(b, KindGuarAck)
+	b = binary.AppendUvarint(b, ids[0])
+	b = appendString(b, origin)
+	if len(ids) == 1 {
+		return b
+	}
+	start := 0
+	for i := 1; i <= len(ids); i++ {
+		if i < len(ids) && ids[i] == ids[i-1]+1 {
+			continue
+		}
+		if start > 0 {
+			b = binary.AppendUvarint(b, ids[start]-ids[start-1]-1)
+		}
+		b = binary.AppendUvarint(b, uint64(i-1-start))
+		start = i
 	}
 	return b
 }
@@ -301,6 +343,7 @@ type Header struct {
 	Trace     []byte // traced kinds only: the encoded hop list; aliases the frame
 	Subject   []byte // data kinds only; aliases the frame
 	Payload   []byte // data kinds only; aliases the frame
+	Runs      []byte // KindGuarAck only: the run list after ID (AppendAck), validated; aliases the frame
 }
 
 // Base is Envelope.Base for a peeked header.
@@ -401,6 +444,44 @@ func (r *envReader) trace(h *Header) error {
 	return nil
 }
 
+// runs reads an ack's run list, the rest of the frame, starting at id first,
+// and returns it. What AppendAck writes is the only spelling accepted: every
+// further run is a complete (gap, length) pair, a gap is at least one, and a
+// list naming first alone — the tail a one-id ack never has — is corrupt.
+// No id may pass 2^64-1, and at most MaxAckIDs ids may be named in all.
+func (r *envReader) runs(first uint64) ([]byte, error) {
+	start := r.pos
+	if start == len(r.data) {
+		return nil, nil
+	}
+	var last, named uint64
+	for r.pos < len(r.data) {
+		if r.pos > start {
+			gap, err := r.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			if gap == 0 || last == math.MaxUint64 || gap > math.MaxUint64-last-1 {
+				return nil, ErrEnvelopeCorrupt
+			}
+			first = last + 1 + gap
+		}
+		ext, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		named += ext + 1
+		if ext >= MaxAckIDs || named > MaxAckIDs || ext > math.MaxUint64-first {
+			return nil, ErrEnvelopeCorrupt
+		}
+		last = first + ext
+	}
+	if named == 1 {
+		return nil, ErrEnvelopeCorrupt
+	}
+	return r.data[start:], nil
+}
+
 // Peek is the envelope parser: it validates every length, cap and list of
 // an encoded envelope and returns the Header views aliasing data, without
 // materializing anything. Decode is Peek plus materialization, so the two
@@ -440,8 +521,8 @@ func Peek(data []byte) (h Header, err error) {
 		if h.Origin, err = r.view(maxOriginLen); err != nil {
 			return Header{}, err
 		}
-		if r.pos != len(data) {
-			return Header{}, ErrEnvelopeCorrupt
+		if h.Runs, err = r.runs(h.ID); err != nil {
+			return Header{}, err
 		}
 	case KindInterest:
 		count, err := r.uvarint()
@@ -477,6 +558,27 @@ func (h Header) AppendTrace(dst []TraceHop) []TraceHop {
 	return dst
 }
 
+// EachAcked calls f with every id a KindGuarAck header names, ascending.
+// Peek validated the run list, so re-reading it cannot fail.
+func (h Header) EachAcked(f func(id uint64)) {
+	if len(h.Runs) == 0 {
+		f(h.ID)
+		return
+	}
+	id, r := h.ID, &envReader{data: h.Runs}
+	for {
+		ext, _ := r.uvarint()
+		for i := uint64(0); i <= ext; i++ {
+			f(id + i)
+		}
+		if r.pos == len(r.data) {
+			return
+		}
+		gap, _ := r.uvarint()
+		id += ext + 1 + gap
+	}
+}
+
 // Decode parses an envelope into owned fields: Peek, then strings and
 // slices materialized from the header's views. Payload still aliases data.
 func Decode(data []byte) (Envelope, error) {
@@ -489,6 +591,9 @@ func Decode(data []byte) (Envelope, error) {
 		Subject: string(h.Subject), Payload: h.Payload, TraceID: h.TraceID,
 	}
 	e.Trace = h.AppendTrace(nil)
+	if len(h.Runs) > 0 {
+		h.EachAcked(func(id uint64) { e.Acked = append(e.Acked, id) })
+	}
 	if h.Kind == KindInterest {
 		// Peek validated the list entry by entry, so re-reading it cannot
 		// fail.

@@ -1,7 +1,9 @@
 package busproto
 
 import (
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -199,11 +201,69 @@ func TestEnvelopeCorrupt(t *testing.T) {
 			t.Errorf("truncated ack envelope of %d bytes decoded", i)
 		}
 	}
-	// Trailing garbage on fixed-layout kinds is rejected.
-	if _, err := Decode(append(good, 1)); !errors.Is(err, ErrEnvelopeCorrupt) {
-		t.Errorf("trailing bytes error = %v", err)
+	// What follows an ack's origin is a run list, and only its one spelling
+	// decodes: a lone 00 names the header's id a second way, and a gap must
+	// come with a length.
+	for _, tail := range [][]byte{{0}, {0, 1}, {1, 2}} {
+		if _, err := Decode(append(good[:len(good):len(good)], tail...)); !errors.Is(err, ErrEnvelopeCorrupt) {
+			t.Errorf("ack tail % x error = %v", tail, err)
+		}
 	}
 }
+
+// TestGuarAckRuns: an ack names its ids as runs — one encoding per id set,
+// read back id by id — and an ack of one id is the header alone, pinned
+// byte for byte.
+func TestGuarAckRuns(t *testing.T) {
+	one := Encode(Envelope{Kind: KindGuarAck, ID: 9, Origin: "o"})
+	if want := []byte{KindGuarAck, 9, 1, 'o'}; string(one) != string(want) ||
+		string(AppendAck(nil, "o", []uint64{9})) != string(want) {
+		t.Fatalf("one-id ack % x, want % x", one, want)
+	}
+	const top = ^uint64(0)
+	for _, c := range []struct {
+		ids  []uint64
+		tail []byte
+	}{
+		{[]uint64{3, 4, 5, 9, 11, 12}, []byte{2, 3, 0, 1, 1}},
+		{[]uint64{7, 8}, []byte{1}},
+		{[]uint64{1, 3}, []byte{0, 1, 0}},
+		{[]uint64{0, top}, append(append([]byte{0}, binaryUvarint(top-1)...), 0)},
+		{[]uint64{top - 1, top}, []byte{1}},
+	} {
+		frame := AppendAck(nil, "org", c.ids)
+		head := AppendAck(nil, "org", c.ids[:1])
+		if string(frame[len(head):]) != string(c.tail) || string(frame[:len(head)]) != string(head) {
+			t.Errorf("ids %v: frame % x, want % x then tail % x", c.ids, frame, head, c.tail)
+		}
+		e, err := Decode(frame)
+		if err != nil {
+			t.Fatalf("ids %v: %v", c.ids, err)
+		}
+		if e.ID != c.ids[0] || !slices.Equal(e.Acked, c.ids) || e.Origin != "org" {
+			t.Errorf("ids %v: decoded %+v", c.ids, e)
+		}
+		if again := Encode(e); string(again) != string(frame) {
+			t.Errorf("ids %v: re-encoded % x, want % x", c.ids, again, frame)
+		}
+	}
+	// The cap: MaxAckIDs ids parse, one more does not, in one run or in many.
+	dense := make([]uint64, MaxAckIDs+1)
+	sparse := make([]uint64, MaxAckIDs+1)
+	for i := range dense {
+		dense[i], sparse[i] = uint64(i), uint64(2*i)
+	}
+	for _, ids := range [][]uint64{dense, sparse} {
+		if _, err := Peek(AppendAck(nil, "o", ids[:MaxAckIDs])); err != nil {
+			t.Errorf("%d ids up to %d: %v", MaxAckIDs, ids[MaxAckIDs-1], err)
+		}
+		if _, err := Peek(AppendAck(nil, "o", ids)); !errors.Is(err, ErrEnvelopeCorrupt) {
+			t.Errorf("%d ids up to %d: error %v", MaxAckIDs+1, ids[MaxAckIDs], err)
+		}
+	}
+}
+
+func binaryUvarint(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 
 // Property: Decode never panics on arbitrary input, and Encode/Decode
 // round-trips arbitrary publish envelopes.

@@ -899,21 +899,65 @@ func (c *Client) enqueue(ln *lane, dv Delivery) bool {
 // client and the qledger invariant that an ack record never overtakes its
 // message record both ride on exactly that. A worker that falls behind fills
 // its shard and, through the conn's loop, holds up the transport: nothing is
-// dropped or spawned. Each worker has a private subject interner: the shared
-// one is a mutex-guarded map and would re-serialize the pool.
+// dropped or spawned. Whenever the shard holds nothing more, the worker sends
+// the guaranteed-delivery acknowledgements it has gathered (acks.go).
 func (d *Daemon) workerLoop(ln *lane) {
 	defer d.wg.Done()
-	in := subject.NewInterner(0)
-	for m := range d.conn.RecvShard(ln.idx) {
-		d.handleMessage(in, ln, m)
+	w := d.newWorker(ln)
+	shard := d.conn.RecvShard(ln.idx)
+	for m := range shard {
+		d.handleMessage(w, m)
+		if len(shard) == 0 {
+			w.acks.flush()
+		}
 	}
+}
+
+// worker is what one lane's inbound worker owns alone: a subject interner
+// (the shared one is a mutex-guarded map and would re-serialize the pool),
+// the origin tokens of the guaranteed publications it has handled, and the
+// acknowledgements it has yet to send.
+type worker struct {
+	ln       *lane
+	subjects *subject.Interner
+	origins  map[string]string
+	acks     ackSet
+}
+
+// maxOrigins bounds a worker's origin table. At the bound the table starts
+// over: a daemon's identity is new at every start, so the tokens of
+// publishers that restarted are never heard again.
+const maxOrigins = 256
+
+func (d *Daemon) newWorker(ln *lane) *worker {
+	return &worker{
+		ln:       ln,
+		subjects: subject.NewInterner(0),
+		origins:  make(map[string]string),
+		acks:     newAckSet(d.conn.SendTo, d.dropAck),
+	}
+}
+
+// origin returns the origin token b names as a string, allocating only the
+// first time the worker sees it.
+func (w *worker) origin(b []byte) string {
+	if s, ok := w.origins[string(b)]; ok {
+		return s
+	}
+	if len(w.origins) >= maxOrigins {
+		clear(w.origins)
+	}
+	s := string(b)
+	w.origins[s] = s
+	return s
 }
 
 // handleMessage routes one inbound message off one parse (busproto.Peek): the
 // subject is interned from the frame's own bytes and the payload stays a view
-// of the frame, so an ordinary publication materializes nothing. A guaranteed
-// publication materializes its origin, a traced one its hop list.
-func (d *Daemon) handleMessage(in *subject.Interner, ln *lane, m reliable.Message) {
+// of the frame, so an ordinary publication materializes nothing, nor does a
+// guaranteed one from an origin the worker knows. A traced publication
+// materializes its hop list.
+func (d *Daemon) handleMessage(w *worker, m reliable.Message) {
 	h, err := busproto.Peek(m.Payload)
 	if err != nil {
 		d.dropCorrupt("corrupt-envelope")
@@ -921,7 +965,7 @@ func (d *Daemon) handleMessage(in *subject.Interner, ln *lane, m reliable.Messag
 	}
 	switch h.Base() {
 	case busproto.KindPublish, busproto.KindGuaranteed:
-		subj, err := in.ParseBytes(h.Subject)
+		subj, err := w.subjects.ParseBytes(h.Subject)
 		if err != nil {
 			d.dropCorrupt("bad-subject")
 			return
@@ -932,42 +976,42 @@ func (d *Daemon) handleMessage(in *subject.Interner, ln *lane, m reliable.Messag
 			d.traceArrival(&dv, h)
 		}
 		if h.Base() != busproto.KindGuaranteed {
-			d.routeLocal(ln, dv, false)
+			d.routeLocal(w.ln, dv, false)
 			return
 		}
 		dv.Guaranteed = true
-		origin := string(h.Origin)
-		delivered, seen := d.routeGuaranteed(ln, origin, dv, false)
+		origin := w.origin(h.Origin)
+		delivered, seen := d.routeGuaranteed(w.ln, origin, dv, false)
 		if delivered {
 			d.ctr.guarAcksSent.Inc()
 		}
 		if delivered || seen {
-			// Acknowledge on behalf of our subscribers, unicast to the
-			// publisher — again for a retransmission, in case it missed our
-			// first ack.
-			d.sendGuarAck(m.From, h.ID, origin)
+			// Acknowledge on behalf of our subscribers, to the publisher —
+			// again for a retransmission, in case it missed our first ack —
+			// once the lane drains.
+			w.acks.add(m.From, origin, h.ID)
 		}
 	case busproto.KindGuarAck:
-		if string(h.Origin) != d.identity {
-			// Not ours — but it may belong to a crashed publisher this
-			// daemon is replaying for (the acker unicasts to whoever
-			// retransmitted, which is us).
-			d.mu.Lock()
-			foster := d.foster[string(h.Origin)]
-			d.mu.Unlock()
-			if foster != nil {
-				d.ctr.guarAcksRecv.Inc()
-				foster(h.ID, m.From)
-			}
-			return
-		}
-		d.ctr.guarAcksRecv.Inc()
+		// Ours, or a crashed publisher's this daemon is replaying for (the
+		// acker answers whoever retransmitted, which is us).
+		ours := string(h.Origin) == d.identity
 		d.mu.Lock()
 		onAck := d.onAck
-		d.mu.Unlock()
-		if onAck != nil {
-			onAck(h.ID, m.From)
+		if !ours {
+			onAck = d.foster[string(h.Origin)]
 		}
+		d.mu.Unlock()
+		if !ours && onAck == nil {
+			return
+		}
+		n := 0
+		h.EachAcked(func(id uint64) {
+			n++
+			if onAck != nil {
+				onAck(id, m.From)
+			}
+		})
+		d.ctr.guarAcksRecv.Add(uint64(n))
 	}
 }
 
@@ -999,21 +1043,13 @@ func (d *Daemon) dropCorrupt(what string) {
 	}
 }
 
-// sendGuarAck unicasts a guaranteed-delivery acknowledgement through a
-// pooled buffer (Conn.SendTo copies before returning). An ack the conn
-// refuses (the unicast window to the publisher is full, or the conn is
-// closing) is counted and recorded, not retried: the publisher's next
-// retransmission is re-acknowledged from the dedup ring.
-func (d *Daemon) sendGuarAck(to string, id uint64, origin string) {
-	buf := bufpool.Get(len(origin) + 16)
-	*buf = busproto.AppendEncode((*buf)[:0], busproto.Envelope{Kind: busproto.KindGuarAck, ID: id, Origin: origin})
-	err := d.conn.SendTo(to, *buf)
-	bufpool.Put(buf)
-	if err != nil {
-		d.ctr.guarAckDropped.Inc()
-		if d.rec != nil {
-			d.rec.Record(telemetry.EventDrop, "guar-ack", 1, 0)
-		}
+// dropAck accounts an acknowledgement a full pending set discarded
+// (acks.go): counted and recorded. The publisher's next retransmission is
+// acknowledged again from the dedup ring.
+func (d *Daemon) dropAck() {
+	d.ctr.guarAckDropped.Inc()
+	if d.rec != nil {
+		d.rec.Record(telemetry.EventDrop, "guar-ack", 1, 0)
 	}
 }
 

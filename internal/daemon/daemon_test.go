@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -424,34 +425,194 @@ func TestInterestDebounceCoalesces(t *testing.T) {
 	}
 }
 
-// TestGuarAckDropCounted: an ack the unicast window refuses (a publisher
-// that stopped acknowledging, here an address nobody listens on) is counted
-// and recorded instead of vanishing.
+// muteSends is an endpoint whose unicast sends vanish while muted. On a
+// publisher, that silences its reliable layer's acknowledgements of the ack
+// frames consumers send it, so a consumer's unicast window to it stays full.
+type muteSends struct {
+	transport.Endpoint
+	muted atomic.Bool
+}
+
+func (e *muteSends) Send(addr string, frame []byte) error {
+	if e.muted.Load() {
+		return nil
+	}
+	return e.Endpoint.Send(addr, frame)
+}
+
+// ackLog collects the ids a publisher's OnGuaranteeAck callback is handed.
+type ackLog struct {
+	ch  chan uint64
+	got map[uint64]int
+}
+
+func newAckLog(d *Daemon) *ackLog {
+	l := &ackLog{ch: make(chan uint64, 1024), got: make(map[uint64]int)}
+	d.OnGuaranteeAck(func(id uint64, _ string) { l.ch <- id })
+	return l
+}
+
+// await reads acks until id has been acknowledged or within has passed, and
+// reports whether it was.
+func (l *ackLog) await(id uint64, within time.Duration) bool {
+	deadline := time.After(within)
+	for l.got[id] == 0 {
+		select {
+		case a := <-l.ch:
+			l.got[a]++
+		case <-deadline:
+			return false
+		}
+	}
+	return true
+}
+
+// settle reads whatever acks are still arriving for a while.
+func (l *ackLog) settle() {
+	for {
+		select {
+		case a := <-l.ch:
+			l.got[a]++
+		case <-time.After(30 * time.Millisecond):
+			return
+		}
+	}
+}
+
+// TestGuarAckDropCounted: an acknowledgement the conn refuses is kept, not
+// dropped. The consumer's unicast window holds two frames and the
+// publisher's reliable layer cannot acknowledge them, so the third flush is
+// refused; once the window frees, the next flush carries the refused id,
+// every id reaches onAck exactly once with no publisher retransmission, and
+// nothing is counted or recorded as dropped.
 func TestGuarAckDropCounted(t *testing.T) {
-	seg := transport.NewSimSegment(netsim.DefaultConfig())
-	defer seg.Close()
-	ep, err := seg.NewEndpoint("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone, err := seg.NewEndpoint("gone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	to := gone.Addr()
-	_ = gone.Close()
+	seg, rcfg := newSegment(t)
+	pubEp := &muteSends{Endpoint: newEndpoint(t, seg, "pub")}
+	ccfg := rcfg
+	ccfg.Window = 2
 	rec := telemetry.NewRecorder(8)
-	d := New(ep, reliable.Config{Window: 2, RetransmitInterval: time.Hour}, Options{Recorder: rec})
-	defer d.Close()
-	for id := uint64(1); id <= 3; id++ {
-		d.sendGuarAck(to, id, "sim:9#origin")
+	da, db := New(pubEp, rcfg, Options{}), New(newEndpoint(t, seg, "sub"), ccfg, Options{Recorder: rec})
+	t.Cleanup(func() {
+		_ = da.Close()
+		_ = db.Close()
+	})
+	acks := newAckLog(da)
+	c, _ := db.NewClient("app")
+	_ = c.Subscribe(subject.MustParsePattern("g.>"))
+	subj := subject.MustParse("g.x")
+	publish := func(id uint64) {
+		t.Helper()
+		if err := da.PublishGuaranteed(subj, []byte("v"), id); err != nil {
+			t.Fatal(err)
+		}
+		if dv := nextDelivery(t, c, 5*time.Second); dv.ID != id {
+			t.Fatalf("delivered id %d, want %d", dv.ID, id)
+		}
 	}
-	if got := d.Metrics().Counter("daemon.guar_ack_dropped").Load(); got != 1 {
-		t.Fatalf("guar_ack_dropped = %d, want 1 (window 2, 3 acks)", got)
+	pubEp.muted.Store(true)
+	for id := uint64(1); id <= 2; id++ {
+		publish(id)
+		if !acks.await(id, 5*time.Second) {
+			t.Fatalf("id %d never acknowledged", id)
+		}
 	}
-	evs := rec.Events()
-	if len(evs) != 1 || evs[0].Kind != telemetry.EventDrop || evs[0].Target != "guar-ack" {
-		t.Fatalf("recorder events = %+v, want one guar-ack drop", evs)
+	publish(3)
+	time.Sleep(20 * time.Millisecond) // the consumer's third flush: refused
+	pubEp.muted.Store(false)
+	last := uint64(3)
+	for !acks.await(3, 20*time.Millisecond) {
+		if last == 40 {
+			t.Fatal("the refused acknowledgement of id 3 never went out")
+		}
+		last++
+		publish(last) // new ids, not retransmissions: each flushes the lane
+	}
+	for id := uint64(1); id <= last; id++ {
+		if !acks.await(id, 5*time.Second) {
+			t.Fatalf("id %d never acknowledged", id)
+		}
+	}
+	acks.settle()
+	for id := uint64(1); id <= last; id++ {
+		if acks.got[id] != 1 {
+			t.Errorf("id %d acknowledged %d times", id, acks.got[id])
+		}
+	}
+	if got := db.Metrics().Counter("daemon.guar_ack_dropped").Load(); got != 0 {
+		t.Errorf("guar_ack_dropped = %d, want 0", got)
+	}
+	for _, ev := range rec.Events() { // the reliable layer's retransmissions share the recorder
+		if ev.Kind == telemetry.EventDrop && ev.Target == "guar-ack" {
+			t.Errorf("recorded %+v", ev)
+		}
+	}
+}
+
+// ackTap is an endpoint that records the distinct guaranteed-ack frames its
+// daemon sends: a retransmission of a frame is the same frame.
+type ackTap struct {
+	transport.Endpoint
+	mu     sync.Mutex
+	frames map[string]bool
+}
+
+func (e *ackTap) Send(addr string, frame []byte) error {
+	for _, p := range reliable.DecodeDataPayloads(frame) {
+		if h, err := busproto.Peek(p); err == nil && h.Kind == busproto.KindGuarAck {
+			e.mu.Lock()
+			e.frames[string(p)] = true
+			e.mu.Unlock()
+		}
+	}
+	return e.Endpoint.Send(addr, frame)
+}
+
+// TestGuarAcksCoalesce: a batch of guaranteed publications to a remote
+// daemon is acknowledged id by id, each exactly once, in fewer ack frames
+// than publications.
+func TestGuarAcksCoalesce(t *testing.T) {
+	seg, rcfg := newSegment(t)
+	pcfg := rcfg
+	pcfg.Batching = true
+	tap := &ackTap{Endpoint: newEndpoint(t, seg, "sub"), frames: make(map[string]bool)}
+	da, db := New(newEndpoint(t, seg, "pub"), pcfg, Options{}), New(tap, rcfg, Options{})
+	t.Cleanup(func() {
+		_ = da.Close()
+		_ = db.Close()
+	})
+	acks := newAckLog(da)
+	c, _ := db.NewClient("app")
+	_ = c.Subscribe(subject.MustParsePattern("g.>"))
+	const n = 64
+	for id := uint64(1); id <= n; id++ {
+		if err := da.PublishGuaranteed(subject.MustParse(fmt.Sprintf("g.s%d", id%5)), []byte("v"), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = da.Flush()
+	for id := uint64(1); id <= n; id++ {
+		if !acks.await(id, 5*time.Second) {
+			t.Fatalf("id %d never acknowledged", id)
+		}
+	}
+	acks.settle()
+	for id := uint64(1); id <= n; id++ {
+		if acks.got[id] != 1 {
+			t.Errorf("id %d acknowledged %d times", id, acks.got[id])
+		}
+	}
+	tap.mu.Lock()
+	frames := len(tap.frames)
+	tap.mu.Unlock()
+	t.Logf("%d publications, %d ack frames", n, frames)
+	if frames >= n {
+		t.Errorf("%d ack frames for %d publications, want fewer", frames, n)
+	}
+	if got := db.Stats().GuarAcksSent; got != n {
+		t.Errorf("guar_acks_sent = %d, want %d: it counts ids, not frames", got, n)
+	}
+	if got := da.Stats().GuarAcksRecv; got != n {
+		t.Errorf("guar_acks_recv = %d, want %d: it counts ids, not frames", got, n)
 	}
 }
 

@@ -236,7 +236,7 @@ func TestInboundDropsCountedAndRecorded(t *testing.T) {
 	rec := telemetry.NewRecorder(8)
 	d := New(newEndpoint(t, seg, "host"), rcfg, Options{Recorder: rec})
 	defer d.Close()
-	in := subject.NewInterner(0)
+	w := d.newWorker(d.lanes[0])
 	for i, tc := range []struct {
 		frame []byte
 		want  string
@@ -245,7 +245,7 @@ func TestInboundDropsCountedAndRecorded(t *testing.T) {
 		{busproto.Encode(busproto.Envelope{Kind: busproto.KindPublish, Subject: "bad..subject", Payload: []byte("p")}), "bad-subject"},
 		{busproto.Encode(busproto.Envelope{Kind: busproto.KindGuaranteed, ID: 1, Origin: "o", Subject: "", Payload: []byte("p")}), "bad-subject"},
 	} {
-		d.handleMessage(in, d.lanes[0], reliable.Message{From: "peer", Payload: tc.frame})
+		d.handleMessage(w, reliable.Message{From: "peer", Payload: tc.frame})
 		if got := d.Stats().CorruptDropped; got != uint64(i+1) {
 			t.Fatalf("%s: corrupt_dropped = %d, want %d", tc.want, got, i+1)
 		}

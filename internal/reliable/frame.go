@@ -116,26 +116,26 @@ func appendData(dst []byte, f dataFrame) []byte {
 	return b
 }
 
-func encodeNak(f nakFrame) []byte {
-	b := []byte{frameNak}
+// The control frames append to a scratch buffer too: a Wire copies before it
+// returns, so the machine reuses one per half.
+
+func appendNak(dst []byte, f nakFrame) []byte {
+	b := append(dst, frameNak)
 	b = appendUvarint(b, f.epoch)
 	b = appendUvarint(b, f.from)
-	b = appendUvarint(b, f.to)
-	return b
+	return appendUvarint(b, f.to)
 }
 
-func encodeAck(f ackFrame) []byte {
-	b := []byte{frameUAck}
+func appendAck(dst []byte, f ackFrame) []byte {
+	b := append(dst, frameUAck)
 	b = appendUvarint(b, f.epoch)
-	b = appendUvarint(b, f.cum)
-	return b
+	return appendUvarint(b, f.cum)
 }
 
-func encodeHeart(f heartFrame) []byte {
-	b := []byte{frameHeart}
+func appendHeart(dst []byte, f heartFrame) []byte {
+	b := append(dst, frameHeart)
 	b = appendUvarint(b, f.epoch)
-	b = appendUvarint(b, f.maxSeq)
-	return b
+	return appendUvarint(b, f.maxSeq)
 }
 
 // DecodeDataPayloads extracts the message payloads from one encoded data

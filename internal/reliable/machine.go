@@ -250,6 +250,7 @@ type Machine struct {
 	uPeers  map[string]*ucastRecv
 	uSwept  time.Time // last inbound-unicast expiry sweep
 	rxFrame dataFrame
+	ctlBuf  []byte // scratch for the receive half's acks and NAKs; the wire copies on send
 	outbox  []Delivery
 	outHead int
 }
@@ -686,7 +687,8 @@ func (m *Machine) handleUnicastData(from string, f *dataFrame) {
 		}
 	}
 	m.ctr.acksSent.Inc()
-	_ = m.w.Send(from, encodeAck(ackFrame{epoch: f.epoch, cum: ur.next - 1}))
+	m.ctlBuf = appendAck(m.ctlBuf[:0], ackFrame{epoch: f.epoch, cum: ur.next - 1})
+	_ = m.w.Send(from, m.ctlBuf)
 }
 
 func (m *Machine) handleNak(from string, f nakFrame) {
@@ -792,7 +794,8 @@ func (m *Machine) tickSend(now time.Time) {
 			m.hbAt = now
 		} else if now.Sub(m.hbAt) >= m.cfg.HeartbeatInterval {
 			m.hbAt = now
-			_ = m.w.Broadcast(encodeHeart(heartFrame{epoch: m.epoch, maxSeq: m.sentSeq}))
+			m.sendBuf = appendHeart(m.sendBuf[:0], heartFrame{epoch: m.epoch, maxSeq: m.sentSeq})
+			_ = m.w.Broadcast(m.sendBuf)
 		}
 	}
 	live := m.uList[:0]
@@ -888,7 +891,8 @@ func (m *Machine) tickPeer(now time.Time, pr *bcastRecv) bool {
 	if now.Sub(pr.lastNak) >= m.cfg.NakInterval && gapEnd >= pr.next {
 		pr.lastNak = now
 		m.ctr.naksSent.Inc()
-		_ = m.w.Send(pr.addr, encodeNak(nakFrame{epoch: pr.epoch, from: pr.next, to: gapEnd}))
+		m.ctlBuf = appendNak(m.ctlBuf[:0], nakFrame{epoch: pr.epoch, from: pr.next, to: gapEnd})
+		_ = m.w.Send(pr.addr, m.ctlBuf)
 	}
 	return true
 }

@@ -513,7 +513,10 @@ func take(m *Machine) []Delivery {
 	return out
 }
 
-func encodeData(f dataFrame) []byte { return appendData(nil, f) }
+func encodeData(f dataFrame) []byte   { return appendData(nil, f) }
+func encodeNak(f nakFrame) []byte     { return appendNak(nil, f) }
+func encodeAck(f ackFrame) []byte     { return appendAck(nil, f) }
+func encodeHeart(f heartFrame) []byte { return appendHeart(nil, f) }
 
 // seqFrame is a one-message data frame whose payload is its own sequence
 // number, so a receiver's output can be checked for order.
@@ -643,15 +646,28 @@ func TestShardedPerSenderOrder(t *testing.T) {
 	}
 }
 
+// frameCounter is a Wire that keeps nothing and allocates nothing: it counts
+// the frames written, by type.
+type frameCounter [frameHeart + 1]int
+
+func (c *frameCounter) Send(_ string, frame []byte) error { c[frame[0]]++; return nil }
+func (c *frameCounter) Broadcast(frame []byte) error      { return c.Send("", frame) }
+
 // TestReceivePathAllocs: decoding a data datagram and delivering its messages
-// uses the machine's own scratch.
+// uses the machine's own scratch, and so does the acknowledgement a unicast
+// data datagram is answered with.
 func TestReceivePathAllocs(t *testing.T) {
 	var b stub
-	m := NewMachine(&b, Config{HeartbeatInterval: time.Hour}, 1, b.now)
+	var wire frameCounter
+	m := NewMachine(&wire, Config{HeartbeatInterval: time.Hour}, 1, b.now)
 	payload := make([]byte, 64)
-	frames := make([][]byte, 300)
+	frames := make([][]byte, 600)
 	for i := range frames {
-		frames[i] = encodeData(dataFrame{typ: frameData, epoch: 5, msgs: []msg{{seq: uint64(i + 1), payload: payload}}})
+		typ := byte(frameData)
+		if i%2 == 1 {
+			typ = frameUData
+		}
+		frames[i] = encodeData(dataFrame{typ: typ, epoch: 5, msgs: []msg{{seq: uint64(i/2 + 1), payload: payload}}})
 	}
 	next := 0
 	deliver := func() {
@@ -663,14 +679,19 @@ func TestReceivePathAllocs(t *testing.T) {
 		m.Pop()
 		m.Next() // the consumer finds the outbox empty, which rewinds it
 	}
-	m.OnDatagram("stub:sender", frames[next]) // the join grace, the peer state
-	next++
+	// The join grace and the peer state of both streams.
+	m.OnDatagram("stub:sender", frames[0])
+	m.OnDatagram("stub:sender", frames[1])
+	next = 2
 	b.tickThrough(m, m.cfg.NakInterval)
-	if len(take(m)) != 1 {
-		t.Fatal("first message not released")
+	if len(take(m)) != 2 || wire[frameUAck] != 1 {
+		t.Fatalf("first messages not released, or %d acks sent", wire[frameUAck])
 	}
-	if got := testing.AllocsPerRun(200, deliver); got > 0 {
-		t.Fatalf("receiving a datagram allocates %.1f times, want 0", got)
+	if got := testing.AllocsPerRun(200, func() { deliver(); deliver() }); got > 0 {
+		t.Fatalf("receiving a broadcast and a unicast datagram, and acknowledging the unicast, allocates %.1f times, want 0", got)
+	}
+	if wire[frameUAck] != next/2 {
+		t.Fatalf("%d unicast datagrams, %d acks", next/2, wire[frameUAck])
 	}
 }
 
