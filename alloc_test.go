@@ -141,7 +141,7 @@ func TestPublishDeliverHistoryAllocBudget(t *testing.T) {
 	// The same series mix a host tracks (core/sys.go): counter deltas,
 	// a computed level, and a histogram's percentile cut, sampled every
 	// 512 publications so hundreds of ticks land inside the measured run.
-	hist := telemetry.NewHistory(telemetry.HistoryConfig{})
+	hist := telemetry.NewHistory(250 * time.Millisecond)
 	hist.TrackRate("daemon.inbound", reg.Counter("daemon.inbound"))
 	hist.TrackRate("daemon.delivered_local", reg.Counter("daemon.delivered_local"))
 	hist.TrackLevelFunc("daemon.lane_depth", func() int64 {

@@ -20,11 +20,14 @@
 //	quit
 //
 // With -ledger <path> the host logs guaranteed publications (pubg) to a
-// write-ahead log. -replication N mirrors committed batches to N peer
-// replicas and acknowledges pubg at majority durability; peers started
-// with -replica-dir <dir> store those mirrors and elect a recovery
-// coordinator if the publisher dies (-replica-ack-timeout and -repl-fsync
-// tune the quorum wait and replica durability).
+// write-ahead log. -replication N or -replica-dir <dir> attaches the quorum
+// ledger tier on top of the host (infobus.Replicate): -replication N
+// mirrors committed batches to N peer replicas and acknowledges pubg at
+// majority durability; peers started with -replica-dir store those mirrors
+// and elect a recovery coordinator, which replays a dead publisher's
+// pending entries through the same retrier a host runs over its own ledger
+// (-replica-ack-timeout and -repl-fsync tune the quorum wait and replica
+// durability).
 //
 // With -health <interval> the host runs the health tier: slow-consumer /
 // retransmit-storm / dedup-pressure / ledger-backlog alarms publish on
@@ -77,14 +80,10 @@ func main() {
 
 	seg := infobus.NewStaticUDPSegment(*listen, strings.Split(*peers, ","))
 	host, err := infobus.NewHost(seg, *name, infobus.HostConfig{
-		CompactTypes:      *compact,
-		LedgerPath:        *ledgerPath,
-		LedgerSync:        *ledgerPath != "",
-		ReplicationFactor: *replication,
-		ReplicaAckTimeout: *replicaAck,
-		ReplFsyncPolicy:   *replFsync,
-		ReplicaDir:        *replicaDir,
-		DeliveryLanes:     *deliveryLanes,
+		CompactTypes:  *compact,
+		LedgerPath:    *ledgerPath,
+		LedgerSync:    *ledgerPath != "",
+		DeliveryLanes: *deliveryLanes,
 		Telemetry: infobus.TelemetryConfig{
 			StatsInterval:   *statsEvery,
 			TraceSampling:   *sampling,
@@ -92,6 +91,16 @@ func main() {
 			HistoryInterval: *historyEvery,
 		},
 	})
+	if err == nil && (*replication > 0 || *replicaDir != "") {
+		if err = infobus.Replicate(host, infobus.ReplicationConfig{
+			Factor:      *replication,
+			AckTimeout:  *replicaAck,
+			FsyncPolicy: *replFsync,
+			Dir:         *replicaDir,
+		}); err != nil {
+			_ = host.Close()
+		}
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "busd: %v\n", err)
 		os.Exit(1)

@@ -52,6 +52,9 @@ type (
 	// HostConfig tunes a host (reliable protocol, guaranteed-delivery
 	// ledger, shared type registry).
 	HostConfig = core.HostConfig
+	// ReplicationConfig tunes the quorum ledger tier Replicate attaches
+	// (replication factor, quorum timeout, replica directory).
+	ReplicationConfig = qledger.Config
 	// Bus is an application's handle on the Information Bus.
 	Bus = core.Bus
 	// Event is one received publication.
@@ -187,8 +190,8 @@ const (
 var ErrReservedSubject = core.ErrReservedSubject
 
 // ErrQuorumTimeout: a guaranteed publication on a replicated host
-// (HostConfig.ReplicationFactor > 0) did not reach majority durability
-// within ReplicaAckTimeout. The entry is still durable locally and
+// (ReplicationConfig.Factor > 0) did not reach majority durability within
+// ReplicationConfig.AckTimeout. The entry is still durable locally and
 // retransmitted; only the quorum guarantee is unconfirmed.
 var ErrQuorumTimeout = qledger.ErrQuorumTimeout
 
@@ -219,30 +222,20 @@ func NewStaticUDPSegment(listen string, peers []string) *transport.StaticUDPSegm
 	return transport.NewStaticUDPSegment(listen, peers)
 }
 
-// NewHost attaches a workstation to a segment. When the HostConfig's
-// replication fields are set (ReplicationFactor > 0 and/or ReplicaDir),
-// the quorum ledger tier (internal/qledger) is attached on top: committed
-// guaranteed-delivery batches mirror to peer replicas, PublishGuaranteed
-// acknowledges at majority durability, and the replica hosts elect a
-// recovery coordinator that replays a dead publisher's pending entries.
+// NewHost attaches a workstation to a segment.
 func NewHost(seg Segment, name string, cfg HostConfig) (*Host, error) {
-	h, err := core.NewHost(seg, name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ReplicationFactor > 0 || cfg.ReplicaDir != "" {
-		_, err := qledger.Attach(h, qledger.Config{
-			Factor:      cfg.ReplicationFactor,
-			AckTimeout:  cfg.ReplicaAckTimeout,
-			FsyncPolicy: cfg.ReplFsyncPolicy,
-			Dir:         cfg.ReplicaDir,
-		})
-		if err != nil {
-			_ = h.Close()
-			return nil, err
-		}
-	}
-	return h, nil
+	return core.NewHost(seg, name, cfg)
+}
+
+// Replicate attaches the quorum ledger tier (internal/qledger) to a host,
+// before it carries traffic. With Factor > 0 (the host needs a LedgerPath)
+// committed guaranteed-delivery batches mirror to Factor peer replicas and
+// PublishGuaranteed acknowledges at majority durability; with Dir set the
+// host is a replica, and the replicas elect a recovery coordinator that
+// replays a dead publisher's pending entries. Host.Close detaches the tier.
+func Replicate(h *Host, cfg ReplicationConfig) error {
+	_, err := qledger.Attach(h, cfg)
+	return err
 }
 
 // NewRegistry creates an empty type registry.

@@ -2,9 +2,12 @@ package infobus
 
 import (
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"infobus/internal/telemetry"
 )
 
 // TestPublicAPIOverSimSegment exercises the README quick-start path.
@@ -134,6 +137,82 @@ func TestPublicTDLAndDiscovery(t *testing.T) {
 	}
 	if len(found) != 1 || found[0].Info != "alive" {
 		t.Fatalf("found = %+v", found)
+	}
+}
+
+// TestPublicReplicate composes a replicated host through the facade:
+// NewHost, then Replicate. The publisher reaches quorum with one replica,
+// and its "_sys.history" answer carries the series the replication tier
+// registered on the host's history tier.
+func TestPublicReplicate(t *testing.T) {
+	netCfg := DefaultNetConfig()
+	netCfg.Speedup = 2000
+	seg := NewSimSegment(netCfg)
+	defer seg.Close()
+	dir := t.TempDir()
+
+	pub, err := NewHost(seg, "pub", HostConfig{
+		LedgerPath: filepath.Join(dir, "pub.ledger"),
+		Telemetry:  TelemetryConfig{HistoryInterval: 2 * time.Millisecond, HistoryDigestTicks: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	if err := Replicate(pub, ReplicationConfig{Factor: 1, AckTimeout: 5 * time.Second, FsyncPolicy: "lazy"}); err != nil {
+		t.Fatal(err)
+	}
+	replica, err := NewHost(seg, "replica", HostConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	if err := Replicate(replica, ReplicationConfig{Dir: filepath.Join(dir, "replica"), DisableRecovery: true}); err != nil {
+		t.Fatal(err)
+	}
+
+	pubBus, _ := pub.NewBus("producer")
+	if _, err := pubBus.PublishGuaranteed("orders.new", "o-1"); err != nil {
+		t.Fatalf("publish with the replica up: %v", err)
+	}
+
+	mon, err := NewHost(seg, "mon", HostConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	monBus, _ := mon.NewBus("monitor")
+	answers, err := monBus.Subscribe(SysHistoryPrefix + ".pub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"qledger.acks_recv", "qledger.repl_lag", "qledger.quorum_wait_ns"}
+	deadline := time.After(10 * time.Second)
+	for {
+		if err := monBus.Publish(SysHistorySubject, int64(1)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case ev := <-answers.C:
+			obj, ok := ev.Value.(*Object)
+			var snap telemetry.HistorySnapshot
+			if !ok || !telemetry.SysHistory.Read(obj, &snap) {
+				t.Fatalf("history answer = %v", ev.Value)
+			}
+			have := map[string]bool{}
+			for _, s := range snap.Series {
+				have[s.Name] = true
+			}
+			for _, name := range want {
+				if !have[name] {
+					t.Fatalf("history answer lacks %s (series %v)", name, have)
+				}
+			}
+			return
+		case <-deadline:
+			t.Fatal("no _sys.history answer")
+		case <-time.After(50 * time.Millisecond):
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ type Host struct {
 	// The host's periodic duties are parts ticked by one loop (loop.go):
 	// retry (nil without a ledger) and csync are fixed at construction; loop
 	// is nil until a part needs the clock or the bus, and guarded by mu.
-	retry *guaranteeRetrier
+	retry *Retrier
 	csync classSync
 	loop  *hostLoop
 	// guarGate, when set, blocks PublishGuaranteed returns until the
@@ -194,33 +194,6 @@ type HostConfig struct {
 	// by every daemon, which resolves fingerprints through its cache and
 	// NAKs unknown ones on "_sys.class.req".
 	CompactTypes bool
-	// CompactResendEvery is the inline fallback period: a class whose
-	// definition has ridden as a fingerprint for this many consecutive
-	// publications gets its full definition re-sent, so progress never
-	// depends on the NAK path. <= 0 selects wire.DefaultResendEvery.
-	CompactResendEvery int
-	// CompactNakInterval is how often outstanding class-definition
-	// requests are re-published while undecoded compact deliveries are
-	// pending. Default 50ms.
-	CompactNakInterval time.Duration
-	// ReplicationFactor enables the quorum ledger tier (internal/qledger,
-	// wired by infobus.NewHost): each committed ledger batch is mirrored to
-	// this many peer replicas and PublishGuaranteed returns only once a
-	// majority of the replication group is durable. 0 — the default — keeps
-	// the single-node guaranteed path byte-for-byte unchanged. The core
-	// package itself only carries the value; it never reads it.
-	ReplicationFactor int
-	// ReplicaAckTimeout bounds how long a guaranteed publication waits for
-	// quorum acknowledgement before failing with qledger.ErrQuorumTimeout.
-	// 0 selects the qledger default.
-	ReplicaAckTimeout time.Duration
-	// ReplFsyncPolicy selects replica-side durability: "batch" (default —
-	// fsync each applied batch, the paper-faithful quorum) or "lazy" (write
-	// without fsync; quorum means process-crash durability only).
-	ReplFsyncPolicy string
-	// ReplicaDir is where this host stores mirrored peers' replica logs.
-	// Non-empty enrolls the host as a replica even with ReplicationFactor 0.
-	ReplicaDir string
 	// DeliveryLanes is the daemon's lane count (see internal/daemon): a lane
 	// is a shard of senders with its own inbound worker and its own column of
 	// every client's queue. Order holds per sender, never across senders.
@@ -301,16 +274,13 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 	// Table-memo hits are bus.events minus the misses.
 	h.typeCache.CountMemo(metrics.Counter("wire.table_memo_miss"), metrics.Counter("wire.table_memo_full"))
 	if cfg.CompactTypes {
-		h.sendDict = wire.NewSendDict(cfg.CompactResendEvery)
+		h.sendDict = wire.NewSendDict(0)
 	}
 	h.csync = classSync{
 		reg: reg, cache: h.typeCache, dict: h.sendDict, ctr: &h.ctr,
-		interval: cfg.CompactNakInterval,
+		interval: classNakInterval,
 		publish:  h.publishSys,
 		want:     make(map[uint64]bool),
-	}
-	if h.csync.interval <= 0 {
-		h.csync.interval = 50 * time.Millisecond
 	}
 	if cfg.LedgerPath != "" {
 		led, err := ledger.Open(cfg.LedgerPath, ledger.Options{
@@ -325,7 +295,7 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 		h.ledger = led
 		// The payload is the ledger's pending entry, lent like every payload
 		// a daemon publishes: no local subscriber holds a view of it.
-		h.retry = newGuaranteeRetrier(led, cfg.RetryInterval, h.ctr.guarRetransmits, h.daemon.PublishGuaranteed)
+		h.retry = NewRetrier(led, cfg.RetryInterval, h.ctr.guarRetransmits, h.daemon.PublishGuaranteed)
 		h.daemon.OnGuaranteeAck(func(id uint64, _ string) { _ = led.Ack(id) })
 	}
 	prefix := rcfg.MetricsPrefix

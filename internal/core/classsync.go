@@ -49,6 +49,10 @@ type classSync struct {
 // rely on the publisher's inline fallback alone.
 const maxWantedFPs = 1024
 
+// classNakInterval is how often outstanding class-definition requests are
+// re-published while undecoded compact deliveries are pending.
+const classNakInterval = 50 * time.Millisecond
+
 // requestClasses records missing fingerprints and has the host loop NAK
 // them. Called from bus dispatch on a fingerprint miss.
 func (h *Host) requestClasses(fps []uint64) {

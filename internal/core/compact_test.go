@@ -7,22 +7,38 @@ import (
 
 	"infobus/internal/mop"
 	"infobus/internal/transport"
+	"infobus/internal/wire"
 )
 
 // compactCfg is the host configuration for compact publishers in these
-// tests: millisecond NAK timers to match the netsim speedup (see
-// fastReliable).
-func compactCfg() HostConfig {
-	return HostConfig{CompactTypes: true, CompactNakInterval: 3 * time.Millisecond}
+// tests.
+func compactCfg() HostConfig { return HostConfig{CompactTypes: true} }
+
+// inlineEvery makes compact publisher h re-send a class's full definitions
+// every n publications instead of every wire.DefaultResendEvery. Call it
+// before h publishes anything.
+func inlineEvery(h *Host, n int) {
+	d := wire.NewSendDict(n)
+	h.sendDict, h.csync.dict = d, d
 }
 
-// warmPublisher starts a compact publisher and has it publish one instance
-// of class wt before any other host exists: the class definitions ride that
-// publication and reach nobody, so what a host attached afterwards receives
-// of wt is reference-only.
-func warmPublisher(t *testing.T, seg transport.Segment, cfg HostConfig, wt *mop.Type) (*Host, *Bus) {
+// nakEvery sets how often h re-requests class definitions it still lacks
+// (classNakInterval otherwise).
+func nakEvery(h *Host, d time.Duration) {
+	h.csync.mu.Lock()
+	h.csync.interval = d
+	h.csync.mu.Unlock()
+}
+
+// warmPublisher starts a compact publisher that re-inlines definitions every
+// inline publications and has it publish one instance of class wt before
+// any other host exists: the class definitions ride that publication and
+// reach nobody, so what a host attached afterwards receives of wt is
+// reference-only.
+func warmPublisher(t *testing.T, seg transport.Segment, inline int, wt *mop.Type) (*Host, *Bus) {
 	t.Helper()
-	pubHost := newHost(t, seg, "fab-pub", cfg)
+	pubHost := newHost(t, seg, "fab-pub", compactCfg())
+	inlineEvery(pubHost, inline)
 	pubBus, err := pubHost.NewBus("sensor")
 	if err != nil {
 		t.Fatal(err)
@@ -99,10 +115,8 @@ func TestCompactPublishSubscribe(t *testing.T) {
 func TestCompactLateSubscriberNak(t *testing.T) {
 	seg := fastSeg()
 	defer seg.Close()
-	cfg := compactCfg()
-	cfg.CompactResendEvery = 1 << 30 // never fall back inline
 	wt := thicknessType()
-	pubHost, pubBus := warmPublisher(t, seg, cfg, wt)
+	pubHost, pubBus := warmPublisher(t, seg, 1<<30, wt) // never fall back inline
 
 	subHost := newHost(t, seg, "fab-late", HostConfig{})
 	subBus, err := subHost.NewBus("monitor")
@@ -149,12 +163,11 @@ func TestCompactLateSubscriberNak(t *testing.T) {
 func TestClassNakThroughTheSlot(t *testing.T) {
 	seg := fastSeg()
 	defer seg.Close()
-	cfg := compactCfg()
-	cfg.CompactResendEvery = 1 << 30 // never fall back inline
 	wt := thicknessType()
-	_, pubBus := warmPublisher(t, seg, cfg, wt)
+	_, pubBus := warmPublisher(t, seg, 1<<30, wt) // never fall back inline
 
-	late := newHost(t, seg, "fab-late", HostConfig{CompactNakInterval: time.Hour})
+	late := newHost(t, seg, "fab-late", HostConfig{})
+	nakEvery(late, time.Hour)
 	var subs []*Subscription
 	for _, app := range []string{"monitor", "logger"} {
 		bus, err := late.NewBus(app)
@@ -208,11 +221,8 @@ func TestClassNakThroughTheSlot(t *testing.T) {
 func TestCompactInlineFallback(t *testing.T) {
 	seg := fastSeg()
 	defer seg.Close()
-	cfg := compactCfg()
-	cfg.CompactResendEvery = 2
-	cfg.CompactNakInterval = time.Hour // NAKs effectively disabled
 	wt := thicknessType()
-	_, pubBus := warmPublisher(t, seg, cfg, wt)
+	_, pubBus := warmPublisher(t, seg, 2, wt)
 
 	subHost := newHost(t, seg, "fab-late", HostConfig{})
 	subBus, err := subHost.NewBus("monitor")

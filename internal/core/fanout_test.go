@@ -136,9 +136,9 @@ func TestUndecodableDropsCountedAndRecorded(t *testing.T) {
 	seg := fastSeg()
 	defer seg.Close()
 	host := newHost(t, seg, "desk", HostConfig{
-		CompactNakInterval: time.Hour,
-		Telemetry:          TelemetryConfig{Health: telemetry.HealthConfig{Interval: time.Hour}},
+		Telemetry: TelemetryConfig{Health: telemetry.HealthConfig{Interval: time.Hour}},
 	})
+	nakEvery(host, time.Hour)
 	var subs []*Subscription
 	for _, app := range []string{"A", "B"} {
 		bus, err := host.NewBus(app)

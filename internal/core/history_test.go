@@ -171,10 +171,10 @@ func TestHistoryDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestHistoryDefaultWindow pins the paper-facing sizing claim: the default
-// interval and slot count give a window of at least 60 seconds.
+// TestHistoryDefaultWindow pins the paper-facing sizing claim: the usual
+// 250 ms interval and the slot count give a window of at least 60 seconds.
 func TestHistoryDefaultWindow(t *testing.T) {
-	h := telemetry.NewHistory(telemetry.HistoryConfig{})
+	h := telemetry.NewHistory(250 * time.Millisecond)
 	if window := time.Duration(h.Slots()) * h.Interval(); window < 60*time.Second {
 		t.Fatalf("default window = %v, want >= 60s", window)
 	}

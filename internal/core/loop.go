@@ -87,7 +87,7 @@ func (h *Host) housekeep(l *hostLoop, agent *sysagent.Agent) {
 		now := time.Now()
 		next := h.csync.tick(now)
 		if h.retry != nil {
-			next = sysagent.Earliest(next, h.retry.tick(now))
+			next = sysagent.Earliest(next, h.retry.Tick(now))
 		}
 		if agent != nil {
 			next = sysagent.Earliest(next, agent.Tick(now))

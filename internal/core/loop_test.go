@@ -106,9 +106,8 @@ func TestOneLoopPerHost(t *testing.T) {
 func TestStalledSubscriberDoesNotStopTheLoop(t *testing.T) {
 	seg := fastSeg()
 	defer seg.Close()
-	cfg := compactCfg()
-	cfg.CompactResendEvery = 1 << 30 // definitions travel once, then only by NAK
-	pub := newHost(t, seg, "pub", cfg)
+	pub := newHost(t, seg, "pub", compactCfg())
+	inlineEvery(pub, 1<<30) // definitions travel once, then only by NAK
 	rcv := newHost(t, seg, "rcv", HostConfig{Telemetry: TelemetryConfig{StatsInterval: time.Hour}})
 	pubBus, err := pub.NewBus("sensor")
 	if err != nil {

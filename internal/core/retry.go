@@ -9,9 +9,11 @@ import (
 	"infobus/internal/telemetry"
 )
 
-// guaranteeRetrier re-publishes ledger entries that no consumer has
-// acknowledged yet — including entries recovered from the ledger after a
-// crash ("regardless of failures", §3.1).
+// Retrier re-publishes ledger entries that no consumer has acknowledged
+// yet — including entries recovered from the ledger after a crash
+// ("regardless of failures", §3.1). It is the one retransmission policy for
+// guaranteed delivery: a host runs one over its own ledger, and a qledger
+// recovery coordinator runs one over a dead publisher's fostered entries.
 //
 // Each pending entry carries its own next-retry deadline with exponential
 // backoff: the first retransmission happens one RetryInterval after the
@@ -21,24 +23,25 @@ import (
 // per cap period instead of re-occupying the medium on every tick, while
 // the common case (ack arrives before the first deadline) costs nothing.
 //
-// The retrier is a part of the host (sysagent's package comment): the host
-// loop calls tick, which walks the ledger once per RetryInterval. The walk
-// is allocation-free: the ledger's ForEachPending iterator reuses its
+// The retrier is a part (sysagent's package comment): its driver calls
+// Tick, which walks the ledger once per interval. The walk is
+// allocation-free: the ledger's ForEachPending iterator reuses its
 // snapshot buffer, the visit callback is prebound at construction, and
-// per-entry retry state lives in a map only tick touches (no locking). State
+// per-entry retry state lives in a map only Tick touches (no locking). State
 // for acked entries is swept by generation stamping: every visit marks the
 // entry with the current walk's generation, and whatever the walk did not
 // touch is deleted afterwards.
-type guaranteeRetrier struct {
+type Retrier struct {
 	led *ledger.Ledger
-	// publish re-disseminates one entry (daemon.PublishGuaranteed); an
-	// error is a refusal: the walk stops there and the next one resumes.
+	// publish re-disseminates one entry (daemon.PublishGuaranteed, or
+	// PublishGuaranteedAs for a fostered origin); an error is a refusal:
+	// the walk stops there and the next one resumes.
 	publish     func(s subject.Subject, payload []byte, id uint64) error
 	every       sysagent.Every // the walk's cadence: RetryInterval
 	cap         time.Duration
 	retransmits *telemetry.Counter
 
-	// Owned by tick, which is never called concurrently.
+	// Owned by Tick, which is never called concurrently.
 	state   map[uint64]retryState
 	gen     uint64
 	now     time.Time
@@ -58,12 +61,15 @@ type retryState struct {
 // retry interval).
 const DefaultRetryBackoffCap = 5 * time.Second
 
-func newGuaranteeRetrier(led *ledger.Ledger, interval time.Duration, retransmits *telemetry.Counter,
-	publish func(subject.Subject, []byte, uint64) error) *guaranteeRetrier {
+// NewRetrier returns a retrier over led that walks every interval (100ms
+// when <= 0), counts each retransmission in retransmits, and re-disseminates
+// through publish.
+func NewRetrier(led *ledger.Ledger, interval time.Duration, retransmits *telemetry.Counter,
+	publish func(subject.Subject, []byte, uint64) error) *Retrier {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
-	r := &guaranteeRetrier{
+	r := &Retrier{
 		led:         led,
 		publish:     publish,
 		every:       sysagent.Every{D: interval},
@@ -75,12 +81,12 @@ func newGuaranteeRetrier(led *ledger.Ledger, interval time.Duration, retransmits
 	return r
 }
 
-// tick runs one walk when one is due: visit every pending entry
+// Tick runs one walk when one is due: visit every pending entry
 // (retransmitting the due ones), then sweep retry state whose entry is no
 // longer pending — unless the walk was cut short, when what it did not reach
 // keeps its schedule. It returns when the next walk is due. A walk that
 // finds nothing pending, or nothing due, allocates nothing.
-func (r *guaranteeRetrier) tick(now time.Time) time.Time {
+func (r *Retrier) Tick(now time.Time) time.Time {
 	if !r.every.Due(now) {
 		return r.every.At
 	}
@@ -99,7 +105,7 @@ func (r *guaranteeRetrier) tick(now time.Time) time.Time {
 
 // visitPending handles one pending entry during a walk. Returning false
 // aborts the walk (daemon closed or backpressured; the next walk retries).
-func (r *guaranteeRetrier) visitPending(e *ledger.Entry) bool {
+func (r *Retrier) visitPending(e *ledger.Entry) bool {
 	st, seen := r.state[e.ID]
 	switch {
 	case !seen:

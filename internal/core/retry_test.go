@@ -21,7 +21,7 @@ var virtualStart = time.Unix(1000, 0)
 // retry interval at a time.
 type retrierLab struct {
 	led     *ledger.Ledger
-	r       *guaranteeRetrier
+	r       *Retrier
 	now     time.Time
 	sent    []string // "id@elapsed" per retransmission
 	refuse  func(id uint64) bool
@@ -36,14 +36,14 @@ func newRetrierLab(t *testing.T, interval time.Duration) *retrierLab {
 	}
 	t.Cleanup(func() { _ = led.Close() })
 	l := &retrierLab{led: led, now: virtualStart, retrans: telemetry.NewRegistry().Counter("bus.guar_retransmits")}
-	l.r = newGuaranteeRetrier(led, interval, l.retrans, func(_ subject.Subject, _ []byte, id uint64) error {
+	l.r = NewRetrier(led, interval, l.retrans, func(_ subject.Subject, _ []byte, id uint64) error {
 		if l.refuse != nil && l.refuse(id) {
 			return errors.New("refused")
 		}
 		l.sent = append(l.sent, fmt.Sprintf("%d@%v", id, l.now.Sub(virtualStart)))
 		return nil
 	})
-	l.r.tick(l.now) // arms the cadence, as the host loop's first pass does
+	l.r.Tick(l.now) // arms the cadence, as the host loop's first pass does
 	return l
 }
 
@@ -55,7 +55,7 @@ func (l *retrierLab) walk(t *testing.T) {
 		t.Fatalf("deadline %v is not after %v", next, l.now)
 	}
 	l.now = next
-	if got := l.r.tick(l.now); !got.Equal(l.now.Add(l.r.every.D)) {
+	if got := l.r.Tick(l.now); !got.Equal(l.now.Add(l.r.every.D)) {
 		t.Fatalf("tick(%v) = %v, want one interval on", l.now, got)
 	}
 }

@@ -56,8 +56,8 @@ func (h *Host) startSys(cfg HostConfig, hcfg telemetry.HealthConfig, relPrefix s
 	sc := h.sysConfig()
 	sc.StatsInterval = tc.StatsInterval
 	if tc.HistoryInterval > 0 {
-		h.hist = telemetry.NewHistory(telemetry.HistoryConfig{Interval: tc.HistoryInterval})
-		h.trackDefaults(cfg.ReplicationFactor > 0 || cfg.ReplicaDir != "", relPrefix)
+		h.hist = telemetry.NewHistory(tc.HistoryInterval)
+		h.trackDefaults(relPrefix)
 		sc.History = h.hist
 		ticks := tc.HistoryDigestTicks
 		if ticks == 0 {
@@ -106,10 +106,9 @@ func (h *Host) watchDefaults(hcfg telemetry.HealthConfig, relPrefix string) {
 	}
 }
 
-// trackDefaults registers the host's standing history series. Instruments
-// are fetched by name from the shared metrics registry, so layers that
-// attach later (the qledger replication agent) feed the same rings.
-func (h *Host) trackDefaults(replicated bool, relPrefix string) {
+// trackDefaults registers the host's standing history series. Layers above
+// the host register their own on Host.History.
+func (h *Host) trackDefaults(relPrefix string) {
 	m, hist := h.metrics, h.hist
 	hist.TrackRate("bus.published", m.Counter("bus.published"))
 	hist.TrackRate("bus.events", m.Counter("bus.events"))
@@ -131,13 +130,6 @@ func (h *Host) trackDefaults(replicated bool, relPrefix string) {
 		hist.TrackRate("ledger.fsyncs", m.Counter("ledger.fsyncs"))
 		hist.TrackLevel("ledger.pending", m.Gauge("ledger.pending"))
 		hist.TrackHist("ledger.commit_ns", m.Histogram("ledger.commit_ns"))
-	}
-	if replicated {
-		// Registered before the qledger agent attaches; the registry hands
-		// the agent the same instruments by name.
-		hist.TrackRate("qledger.acks_recv", m.Counter("qledger.acks_recv"))
-		hist.TrackLevel("qledger.repl_lag", m.Gauge("qledger.repl_lag"))
-		hist.TrackHist("qledger.quorum_wait_ns", m.Histogram("qledger.quorum_wait_ns"))
 	}
 	if h.tracing {
 		hist.TrackHist("daemon.trace_e2e_ns", m.Histogram("daemon.trace_e2e_ns"))

@@ -49,7 +49,7 @@ func FuzzSegmentedReplay(f *testing.F) {
 		if err := os.WriteFile(segPath(base, 2), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := Open(base, Options{SegmentBytes: 1 << 16})
+		l, err := Open(base, Options{})
 		if err != nil {
 			return // rejected as corrupt: fine, as long as it didn't panic
 		}
@@ -64,7 +64,7 @@ func FuzzSegmentedReplay(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		l2, err := Open(base, Options{SegmentBytes: 1 << 16})
+		l2, err := Open(base, Options{})
 		if err != nil {
 			t.Fatalf("reopen after clean close: %v", err)
 		}

@@ -37,8 +37,8 @@ import (
 	"infobus/internal/telemetry"
 )
 
-// DefaultSegmentBytes is the segment rotation threshold when
-// Options.SegmentBytes is zero.
+// DefaultSegmentBytes is the segment rotation threshold: the active segment
+// is rolled once it grows past this.
 const DefaultSegmentBytes = 4 << 20
 
 // linger bounds the extra wait a commit spends letting a forming group
@@ -48,8 +48,13 @@ const DefaultSegmentBytes = 4 << 20
 // into near-singleton batches. An uncontended Append never waits.
 const linger = 100 * time.Microsecond
 
-// DefaultAckLinger is the deferred-commit window for batches holding only
-// ack records when Options.AckLinger is zero; see Options.AckLinger.
+// DefaultAckLinger defers the commit kick when the staged batch holds only
+// ack records. Nothing waits on an ack commit and its durability is
+// advisory (a crash that loses recent acks causes re-deliveries that
+// consumers dedup), but under a steady ack trickle an immediate kick buys
+// each ack its own fsync and starves message appends of cohort partners.
+// Deferred acks ride the next message batch, the deferral timer, or Close —
+// they are never dropped while the process lives.
 const DefaultAckLinger = 2 * time.Millisecond
 
 // Entry is one logged, possibly unacknowledged message.
@@ -107,8 +112,8 @@ type Ledger struct {
 	path      string // segment name prefix: <path>.<seq>.seg
 	dir       string
 	sync      bool
-	ackLinger time.Duration
-	segMax    int64
+	ackLinger time.Duration // DefaultAckLinger; in-package tests set it
+	segMax    int64         // DefaultSegmentBytes; in-package tests set it
 
 	kick chan struct{} // committer wake-up (buffered, non-blocking send)
 	stop chan struct{}
@@ -119,7 +124,7 @@ type Ledger struct {
 	onCommit   func(cb CommitBatch) // replication hook; see SetOnCommit
 	commitSeq  uint64               // batches committed so far (hook's Seq)
 	lastCohort int                  // appenders woken by the previous flush (linger target)
-	ackTimer   *time.Timer          // pending deferred-ack kick; see Options.AckLinger
+	ackTimer   *time.Timer          // pending deferred-ack kick; see DefaultAckLinger
 	nextID     uint64
 	pending    map[uint64]*entryState
 	segs       []*segment
@@ -154,19 +159,6 @@ type Options struct {
 	// ledger still survives process crashes. Group commit coalesces
 	// concurrent appends so the cost is per batch, not per message.
 	Sync bool
-	// SegmentBytes is the rotation threshold for one segment file; the
-	// active segment is rolled once it grows past this. <= 0 selects
-	// DefaultSegmentBytes.
-	SegmentBytes int64
-	// AckLinger defers the commit kick when the staged batch holds only
-	// ack records. Nothing waits on an ack commit and its durability is
-	// advisory (a crash that loses recent acks causes re-deliveries that
-	// consumers dedup), but under a steady ack trickle an immediate kick
-	// buys each ack its own fsync and starves message appends of cohort
-	// partners. Deferred acks ride the next message batch, the deferral
-	// timer, or Close — they are never dropped while the process lives.
-	// Zero selects DefaultAckLinger; negative disables deferral.
-	AckLinger time.Duration
 	// Metrics is the telemetry registry the ledger's counters live in
 	// (the host shares its registry here); nil creates a private one.
 	Metrics *telemetry.Registry
@@ -183,16 +175,6 @@ type Options struct {
 // mid-commit) is truncated away; corruption anywhere earlier is reported
 // as ErrCorrupt.
 func Open(path string, opts Options) (*Ledger, error) {
-	segMax := opts.SegmentBytes
-	if segMax <= 0 {
-		segMax = DefaultSegmentBytes
-	}
-	ackLinger := opts.AckLinger
-	if ackLinger == 0 {
-		ackLinger = DefaultAckLinger
-	} else if ackLinger < 0 {
-		ackLinger = 0
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -201,8 +183,8 @@ func Open(path string, opts Options) (*Ledger, error) {
 		path:      path,
 		dir:       filepath.Dir(path),
 		sync:      opts.Sync,
-		ackLinger: ackLinger,
-		segMax:    segMax,
+		ackLinger: DefaultAckLinger,
+		segMax:    DefaultSegmentBytes,
 		kick:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		pending:   make(map[uint64]*entryState),

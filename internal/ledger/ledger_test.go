@@ -308,17 +308,34 @@ func TestCompact(t *testing.T) {
 	}
 }
 
+// setSegMax sets an open ledger's segment rotation threshold
+// (DefaultSegmentBytes otherwise).
+func setSegMax(l *Ledger, n int64) {
+	l.mu.Lock()
+	l.segMax = n
+	l.mu.Unlock()
+}
+
+// setAckLinger sets an open ledger's deferred-ack window (DefaultAckLinger
+// otherwise).
+func setAckLinger(l *Ledger, d time.Duration) {
+	l.mu.Lock()
+	l.ackLinger = d
+	l.mu.Unlock()
+}
+
 // TestSegmentRotationDropsAcked drives the log across many small
 // segments and acks everything: rotation must unlink the fully-acked
 // leading segments without any explicit Compact call.
 func TestSegmentRotationDropsAcked(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
 	reg := telemetry.NewRegistry()
-	l, err := Open(path, Options{SegmentBytes: 2048, Metrics: reg})
+	l, err := Open(path, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	setSegMax(l, 2048)
 	for i := 0; i < 200; i++ {
 		id, err := l.Append("s", make([]byte, 128))
 		if err != nil {
@@ -411,10 +428,11 @@ func TestSyncOption(t *testing.T) {
 // checks the replayed state matches the in-memory one exactly.
 func TestConcurrentAppendAck(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
-	l, err := Open(path, Options{SegmentBytes: 4096})
+	l, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	setSegMax(l, 4096)
 	const workers, per = 8, 50
 	acked := make(map[uint64]bool)
 	var ackedMu sync.Mutex
@@ -696,10 +714,11 @@ func TestAckLingerDefersCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	l, err := Open(path, Options{Metrics: reg, AckLinger: time.Hour})
+	l, err := Open(path, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	setAckLinger(l, time.Hour)
 	base := reg.Counter("ledger.commits").Load()
 	if err := l.Ack(id); err != nil {
 		t.Fatal(err)
@@ -744,10 +763,11 @@ func TestAckLingerDefersCommit(t *testing.T) {
 func TestAckLingerTimerFlush(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
 	reg := telemetry.NewRegistry()
-	l, err := Open(path, Options{Metrics: reg, AckLinger: 5 * time.Millisecond})
+	l, err := Open(path, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	setAckLinger(l, 5*time.Millisecond)
 	defer l.Close()
 	id, err := l.Append("fab5.wip", []byte("lot-47"))
 	if err != nil {

@@ -25,8 +25,7 @@ func TestReplAlarmWatches(t *testing.T) {
 	qcfg.ReplLagRaise = 20 * time.Millisecond
 	qcfg.QuorumStallRaise = 1
 	pub, _ := newReplHost(t, seg, "pub", core.HostConfig{
-		LedgerPath:        filepath.Join(dir, "pub.ledger"),
-		ReplicationFactor: 1, // the facade sets this; the history agent keys its qledger series on it
+		LedgerPath: filepath.Join(dir, "pub.ledger"),
 		Telemetry: core.TelemetryConfig{
 			Health:             telemetry.HealthConfig{Interval: 2 * time.Millisecond},
 			HistoryInterval:    2 * time.Millisecond,

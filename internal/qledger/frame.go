@@ -4,13 +4,15 @@
 // returns only once a majority of the replication group holds the batch
 // durably. When a publisher dies, an elected recovery coordinator
 // (internal/rmi election over the bus itself) reads a majority of the
-// replicas, unions their pending sets, and replays the unacknowledged
-// publications preserving the original (origin, id) identity — so
-// consumer-side dedup absorbs the replay and delivery stays exactly-once
-// under normal operation.
+// replicas, stores the union of their pending sets, and replays the
+// unacknowledged publications through the host's retrier (core.Retrier),
+// preserving the original (origin, id) identity — so consumer-side dedup
+// absorbs the replay and delivery stays exactly-once under normal
+// operation.
 //
-// With ReplicationFactor 0 the package is never attached and the
-// single-node guaranteed path is untouched.
+// The tier is a layer on a core.Host: Attach (infobus.Replicate) composes
+// it, and a host it is never attached to keeps the single-node guaranteed
+// path untouched.
 package qledger
 
 import (

@@ -45,9 +45,9 @@ func fastRepl(factor int, dir string) Config {
 	}
 }
 
-// newReplHost builds a host with the replication tier attached — the same
-// wiring infobus.NewHost performs, done by hand because this internal
-// package cannot import the facade.
+// newReplHost builds a host with the replication tier attached — the
+// wiring infobus.NewHost then infobus.Replicate perform, done by hand
+// because this internal package cannot import the facade.
 func newReplHost(t *testing.T, seg transport.Segment, name string, hcfg core.HostConfig, qcfg Config) (*core.Host, *Agent) {
 	t.Helper()
 	hcfg.Reliable = fastReliable()
@@ -202,7 +202,7 @@ func TestQuorumLiveness(t *testing.T) {
 }
 
 // TestCrashRecoveryExactlyOnce is the acceptance scenario: a publisher
-// with ReplicationFactor 2 crashes with 10 majority-acked publications a
+// with replication factor 2 crashes with 10 majority-acked publications a
 // partitioned consumer never saw. After the partition heals, the elected
 // recovery coordinator majority-reads the replicas and replays under the
 // dead publisher's identity: the consumer ends with exactly one copy of

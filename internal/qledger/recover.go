@@ -1,8 +1,10 @@
 package qledger
 
 import (
+	"sync"
 	"time"
 
+	"infobus/internal/core"
 	"infobus/internal/ledger"
 	"infobus/internal/subject"
 	"infobus/internal/telemetry"
@@ -14,11 +16,12 @@ import (
 // publishers that stopped beating while replicas still hold pending
 // entries for them, then runs the majority-read-and-replay protocol: read
 // the pending set from a read quorum of replicas (any set that must
-// intersect every write quorum), union the entries, and re-publish each
-// with PublishGuaranteedAs so it travels under the dead publisher's
-// (origin, id) identity — consumers that already received the original
-// dedup the replay, consumers that never did get it now, and delivery
-// stays exactly-once either way.
+// intersect every write quorum), store the union in its own replica log for
+// the origin, and re-publish from that log through the host's retrier
+// (core.Retrier) with PublishGuaranteedAs, so each entry travels under the
+// dead publisher's (origin, id) identity — consumers that already received
+// the original dedup the replay, consumers that never did get it now, and
+// delivery stays exactly-once either way.
 
 // Promote makes this agent the recovery coordinator (rmi.Candidate).
 func (a *Agent) Promote() error {
@@ -29,7 +32,7 @@ func (a *Agent) Promote() error {
 }
 
 // Retire steps down from coordinating (rmi.Candidate). In-flight
-// recoveries finish their current replay round and stop.
+// recoveries send their last release and stop.
 func (a *Agent) Retire() {
 	a.scanMu.Lock()
 	defer a.scanMu.Unlock()
@@ -84,7 +87,9 @@ func (a *Agent) scanForCrashed() {
 	}
 }
 
-// recoverOrigin fosters one dead publisher's pending entries.
+// recoverOrigin fosters one dead publisher's pending entries: it stores the
+// majority-read union in this replica's own log for the origin, then
+// replays from that log.
 func (a *Agent) recoverOrigin(origin string, stop chan struct{}) {
 	defer a.wg.Done()
 	defer func() {
@@ -96,19 +101,20 @@ func (a *Agent) recoverOrigin(origin string, stop chan struct{}) {
 		a.heard[origin] = time.Now()
 		a.mu.Unlock()
 	}()
-	entries, ok := a.majorityRead(origin, stop)
-	if !ok || len(entries) == 0 {
+	ol, err := a.store.open(origin)
+	if err != nil || !a.majorityRead(origin, ol.led, stop) {
 		return
 	}
-	a.replay(origin, entries, stop)
+	a.replay(origin, ol.led, stop)
 }
 
 // majorityRead collects the pending set for origin from a read quorum of
 // replicas (this host's own store answers over the same broadcast path as
-// everyone else's). Rounds repeat until the quorum is reached or the
-// coordinator stops.
-func (a *Agent) majorityRead(origin string, stop chan struct{}) (map[uint64]ledger.Rec, bool) {
-	entries := make(map[uint64]ledger.Rec)
+// everyone else's) and applies each reply to led: the coordinator stores
+// before it acts. AppendBatch validates a reply's records and skips the
+// ones led already holds, so led ends up holding the union. Rounds repeat
+// until the quorum is reached or the coordinator stops.
+func (a *Agent) majorityRead(origin string, led *ledger.Ledger, stop chan struct{}) bool {
 	for {
 		a.mu.Lock()
 		a.round++
@@ -123,53 +129,37 @@ func (a *Agent) majorityRead(origin string, stop chan struct{}) (map[uint64]ledg
 		seen := make(map[string]bool)
 		timer := time.NewTimer(a.cfg.ReadTimeout)
 	collect:
-		for {
+		for len(seen) < a.readQ {
 			select {
 			case f := <-ch:
 				if f.Origin != origin || f.Replica == "" || seen[f.Replica] {
 					continue
 				}
 				seen[f.Replica] = true
-				for recs := f.Records; len(recs) > 0; {
-					rec, n, err := ledger.NextRecord(recs)
-					if err != nil {
-						break
-					}
-					recs = recs[n:]
-					if rec.Ack {
-						delete(entries, rec.ID)
-						continue
-					}
-					if _, dup := entries[rec.ID]; !dup {
-						entries[rec.ID] = rec
-					}
-				}
-				if len(seen) >= a.readQ {
-					break collect
-				}
+				_ = led.AppendBatch(f.Records)
 			case <-timer.C:
 				break collect
 			case <-stop:
 				timer.Stop()
 				a.dropRound(round)
-				return nil, false
+				return false
 			case <-a.done:
 				timer.Stop()
 				a.dropRound(round)
-				return nil, false
+				return false
 			}
 		}
 		timer.Stop()
 		a.dropRound(round)
 		if len(seen) >= a.readQ {
-			return entries, true
+			return true
 		}
 		select {
 		case <-time.After(a.cfg.RetryInterval):
 		case <-stop:
-			return nil, false
+			return false
 		case <-a.done:
-			return nil, false
+			return false
 		}
 	}
 }
@@ -180,67 +170,58 @@ func (a *Agent) dropRound(round uint64) {
 	a.mu.Unlock()
 }
 
-// replay re-publishes the fostered entries under the dead publisher's
-// identity until consumers acknowledge each one, releasing the replicas'
-// copies as acks land.
-func (a *Agent) replay(origin string, entries map[uint64]ledger.Rec, stop chan struct{}) {
-	ackC := make(chan uint64, len(entries)+16)
-	a.d.FosterAcks(origin, func(id uint64, from string) {
-		select {
-		case ackC <- id:
-		default:
+// replay re-publishes the entries in led under the dead publisher's
+// identity through a core.Retrier — the host's own retransmission policy,
+// backoff included — until consumers have acknowledged every one. Each
+// acknowledgement is applied to led and rides the next FrameRelease, which
+// every replica (this host's own store included, via loopback) applies to
+// trim its copy. The loop stops ticking before its last release goes out,
+// so the release retiring led cannot happen under a walk; a release that
+// retires led earlier leaves it closed and empty, which ends the loop too.
+func (a *Agent) replay(origin string, led *ledger.Ledger, stop chan struct{}) {
+	var mu sync.Mutex
+	var acked []byte // ack records for the next FrameRelease
+	release := func() {
+		mu.Lock()
+		records := acked
+		acked = nil
+		mu.Unlock()
+		if len(records) > 0 {
+			_ = a.d.Publish(subjRelease, AppendFrame(nil, Frame{Type: FrameRelease, Origin: origin, Records: records}))
+			_ = a.d.Flush()
 		}
+	}
+	defer release()
+	a.d.FosterAcks(origin, func(id uint64, _ string) {
+		if led.Ack(id) != nil {
+			return // retired under us: the release that did it covered the id
+		}
+		mu.Lock()
+		acked = ledger.AppendAckRecord(acked, id)
+		mu.Unlock()
 	})
-	defer a.d.DropFosterAcks(origin)
+	defer a.d.DropFosterAcks(origin) // before the last release
 
-	var ackedRecords []byte
-	flushReleases := func() {
-		if len(ackedRecords) == 0 {
+	r := core.NewRetrier(led, a.cfg.RetryInterval, a.ctr.replayedMsgs, func(s subject.Subject, payload []byte, id uint64) error {
+		_, err := a.d.PublishGuaranteedAs(s, payload, id, origin, nil)
+		return err
+	})
+	timer := time.NewTimer(0) // the first tick arms the retrier's cadence
+	defer timer.Stop()
+	for {
+		select {
+		case <-timer.C:
+		case <-stop:
+			return
+		case <-a.done:
 			return
 		}
-		rel := AppendFrame(nil, Frame{Type: FrameRelease, Origin: origin, Records: ackedRecords})
-		ackedRecords = nil
-		// Broadcast: every replica (this host's own store included, via
-		// loopback) trims the recovered entries.
-		_ = a.d.Publish(subjRelease, rel)
-		_ = a.d.Flush()
-	}
-
-	for len(entries) > 0 {
-		for id, rec := range entries {
-			s, err := subject.Parse(rec.Subject)
-			if err != nil {
-				delete(entries, id) // unroutable: drop rather than loop forever
-				continue
-			}
-			_, _ = a.d.PublishGuaranteedAs(s, rec.Payload, id, origin, nil)
-			a.ctr.replayedMsgs.Inc()
+		now := time.Now()
+		next := r.Tick(now)
+		if led.Len() == 0 {
+			return
 		}
-		_ = a.d.Flush()
-		timer := time.NewTimer(a.cfg.RetryInterval)
-	drain:
-		for {
-			select {
-			case id := <-ackC:
-				if _, ok := entries[id]; ok {
-					delete(entries, id)
-					ackedRecords = ledger.AppendAckRecord(ackedRecords, id)
-				}
-				if len(entries) == 0 {
-					break drain
-				}
-			case <-timer.C:
-				break drain
-			case <-stop:
-				timer.Stop()
-				flushReleases()
-				return
-			case <-a.done:
-				timer.Stop()
-				return
-			}
-		}
-		timer.Stop()
-		flushReleases()
+		release()
+		timer.Reset(next.Sub(now))
 	}
 }

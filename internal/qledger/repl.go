@@ -38,9 +38,8 @@ var (
 	ErrClosed = errors.New("qledger: closed")
 )
 
-// Config tunes a replication agent. The zero value is not valid — use
-// core.HostConfig's replication fields through infobus.NewHost, or fill
-// Factor/Dir explicitly in tests.
+// Config tunes a replication agent (infobus.ReplicationConfig). The zero
+// value is not valid: set Factor, Dir, or both.
 type Config struct {
 	// Factor is the number of peer replicas each committed batch is
 	// mirrored to; the replication group is this host plus Factor
@@ -65,8 +64,8 @@ type Config struct {
 	// ReadTimeout bounds one majority-read round during recovery. Default
 	// 500ms.
 	ReadTimeout time.Duration
-	// RetryInterval paces chunk retransmission and recovery replay.
-	// Default 100ms.
+	// RetryInterval paces chunk retransmission, and is the base interval of
+	// the recovery coordinator's retrier (core.Retrier). Default 100ms.
 	RetryInterval time.Duration
 	// GatherDelay is the replica-side group-commit window: on receiving a
 	// mirrored chunk the replica waits this long for trailing chunks so a
@@ -286,6 +285,11 @@ func Attach(h *core.Host, cfg Config) (*Agent, error) {
 	if cfg.Factor > 0 {
 		led.SetOnCommit(a.onCommit)
 		h.SetGuaranteeGate(a.Gate)
+		if hist := h.History(); hist != nil {
+			hist.TrackRate("qledger.acks_recv", a.ctr.acksRecv)
+			hist.TrackLevel("qledger.repl_lag", a.lag)
+			hist.TrackHist("qledger.quorum_wait_ns", a.ctr.quorumWait)
+		}
 		if eng := h.HealthEngine(); eng != nil {
 			eng.Watch(telemetry.WatchConfig{Kind: "quorum-lost", Raise: 1},
 				a.lost.Load)

@@ -14,7 +14,7 @@ import (
 )
 
 // TestReplicatedTraceChain is the causal-tracing acceptance path at
-// ReplicationFactor 2: every guaranteed publication is traced
+// replication factor 2: every guaranteed publication is traced
 // (TraceSampling 1), so a monitor that feeds the delivered envelopes plus
 // the "_sys.trace.<node>" quorum sidecars into a TraceAssembler
 // reconstructs the full stage chain — ledger stage, group commit, replica

@@ -2,16 +2,16 @@ package router
 
 import (
 	"testing"
-	"time"
 
 	"infobus/internal/core"
 	"infobus/internal/mop"
 )
 
 // TestCompactAcrossRouter drives the dictionary format over a segment
-// boundary: the publisher's class definitions may never cross the router
-// inline (the fallback period is pushed out of reach), so consumers on the
-// far segment can only decode through the _sys.class.req NAK protocol.
+// boundary: the publisher's class definitions never cross the router inline
+// (the test publishes fewer than wire.DefaultResendEvery messages, so the
+// fallback period never comes round), so consumers on the far segment can
+// only decode through the _sys.class.req NAK protocol.
 // The router harvests every defs-carrying compact payload it forwards, so
 // once the first reply has crossed, the router itself answers later NAKs
 // from its own cache.
@@ -23,12 +23,8 @@ func TestCompactAcrossRouter(t *testing.T) {
 		Attachment{Segment: segA, Name: "A"},
 		Attachment{Segment: segB, Name: "B"},
 	)
-	pub := newBus(t, segA, "pubhost", core.HostConfig{
-		CompactTypes:       true,
-		CompactResendEvery: 1 << 30, // decoding must go through the NAK path
-		CompactNakInterval: 3 * time.Millisecond,
-	})
-	con := newBus(t, segB, "conhost", core.HostConfig{CompactNakInterval: 3 * time.Millisecond})
+	pub := newBus(t, segA, "pubhost", core.HostConfig{CompactTypes: true})
+	con := newBus(t, segB, "conhost", core.HostConfig{})
 	sub, err := con.Subscribe("fab5.>")
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +53,7 @@ func TestCompactAcrossRouter(t *testing.T) {
 	// A second late consumer on segment B: its NAK is answered on the
 	// arriving segment by the router (it holds the definitions), not only
 	// by the origin across the boundary.
-	con2 := newBus(t, segB, "conhost2", core.HostConfig{CompactNakInterval: 3 * time.Millisecond})
+	con2 := newBus(t, segB, "conhost2", core.HostConfig{})
 	sub2, err := con2.Subscribe("fab5.>")
 	if err != nil {
 		t.Fatal(err)

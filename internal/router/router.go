@@ -302,7 +302,7 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 		// Flight-data ring for the mesh churn series: answered on
 		// "_sys.history" probes so a monitor can see a flap window after the
 		// fact, aligned with the alarm edges that fired in it.
-		r.hist = telemetry.NewHistory(telemetry.HistoryConfig{})
+		r.hist = telemetry.NewHistory(250 * time.Millisecond)
 		r.hist.TrackRate("mesh.readvertisements", r.agent.readverts)
 		r.hist.TrackRate("mesh.topology_changes", r.agent.topoChanges)
 		r.hist.TrackRate("router.forwarded", r.ctr.forwarded)

@@ -63,7 +63,7 @@ func TestNilTierIsSilent(t *testing.T) {
 		},
 			[]string{telemetry.DumpSubject},
 			map[string][]string{telemetry.DumpSubject: {"_sys.dumped.n-1 SysDump"}}},
-		{"history", func(c *Config) { c.History = telemetry.NewHistory(telemetry.HistoryConfig{Interval: time.Hour}) },
+		{"history", func(c *Config) { c.History = telemetry.NewHistory(time.Hour) },
 			[]string{telemetry.HistorySubject},
 			map[string][]string{telemetry.HistorySubject: {"_sys.history.n-1 SysHistory"}}},
 	}
@@ -166,7 +166,7 @@ func TestCadencesOnVirtualTime(t *testing.T) {
 	engine := telemetry.NewEngine("n", metrics, telemetry.NewRecorder(8))
 	engineTicks := 0
 	engine.Watch(telemetry.WatchConfig{Kind: "always", Raise: 1}, func() int64 { engineTicks++; return 1 })
-	hist := telemetry.NewHistory(telemetry.HistoryConfig{Interval: 250 * time.Millisecond})
+	hist := telemetry.NewHistory(250 * time.Millisecond)
 	hist.TrackRate("c", metrics.Counter("c"))
 	a, err := New(Config{
 		Node: "n", Registry: mop.NewRegistry(), Publish: bus.publish,

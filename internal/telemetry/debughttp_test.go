@@ -73,7 +73,7 @@ func TestDebugHandlerDump(t *testing.T) {
 
 func TestDebugHandlerHistory(t *testing.T) {
 	reg := NewRegistry()
-	hist := NewHistory(HistoryConfig{Interval: time.Hour})
+	hist := NewHistory(time.Hour)
 	ctr := reg.Counter("daemon.inbound")
 	hist.TrackRate("daemon.inbound", ctr)
 	hist.TrackLevelFunc("daemon.lane_depth", func() int64 { return 7 })

@@ -9,8 +9,8 @@ import (
 // The flight-data tier: fixed-window time-series history over the live
 // registry instruments. A single sampler goroutine ticks every Interval
 // and snapshots each tracked counter/gauge/histogram into a per-series
-// ring of Slots samples (the defaults, 250 ms × 256 slots, keep ≈64 s of
-// history per series). Rings are single-writer and read lock-free: every
+// ring of historySlots samples (≈64 s of history per series at 250 ms).
+// Rings are single-writer and read lock-free: every
 // slot carries the tick sequence that wrote it, so readers detect and
 // skip slots the sampler is concurrently recycling instead of locking it
 // out. The steady-state tick performs no allocation — all ring and
@@ -37,29 +37,11 @@ const (
 	SeriesPercentile SeriesKind = "percentile"
 )
 
-// HistoryConfig sizes the flight-data tier.
-type HistoryConfig struct {
-	// Interval is the sampling tick. Default 250 ms.
-	Interval time.Duration
-	// Slots is the ring length per series. Default 256 (≈64 s at 250 ms).
-	Slots int
-	// AlarmSlots bounds the alarm-edge ring. Default 64.
-	AlarmSlots int
-}
+// historySlots is the ring length per series: ≈64 s at a 250 ms interval.
+const historySlots = 256
 
-// WithDefaults fills zero fields.
-func (c HistoryConfig) WithDefaults() HistoryConfig {
-	if c.Interval <= 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.Slots <= 0 {
-		c.Slots = 256
-	}
-	if c.AlarmSlots <= 0 {
-		c.AlarmSlots = 64
-	}
-	return c
-}
+// historyAlarmSlots bounds the alarm-edge ring.
+const historyAlarmSlots = 64
 
 // histSlot is one ring sample. seq is the 1-based tick that wrote it;
 // readers reload seq after reading the values and discard the slot when it
@@ -93,12 +75,12 @@ type series struct {
 // wiring time, then have one goroutine call Tick every Interval (the node's
 // sysagent does; tests step it by hand).
 type History struct {
-	cfg HistoryConfig
+	interval time.Duration
 
 	mu     sync.Mutex // guards series registration and the alarm ring
 	series []*series
 
-	ticks  atomic.Uint64 // completed ticks; slot index = (tick-1) % Slots
+	ticks  atomic.Uint64 // completed ticks; slot index = (tick-1) % historySlots
 	tickAt []atomic.Int64
 
 	alarms     []AlarmEvent
@@ -106,21 +88,21 @@ type History struct {
 	alarmTotal uint64
 }
 
-// NewHistory creates a history tier with nothing sampled yet.
-func NewHistory(cfg HistoryConfig) *History {
-	cfg = cfg.WithDefaults()
+// NewHistory creates a history tier sampled every interval, with nothing
+// tracked yet.
+func NewHistory(interval time.Duration) *History {
 	return &History{
-		cfg:    cfg,
-		tickAt: make([]atomic.Int64, cfg.Slots),
-		alarms: make([]AlarmEvent, 0, cfg.AlarmSlots),
+		interval: interval,
+		tickAt:   make([]atomic.Int64, historySlots),
+		alarms:   make([]AlarmEvent, 0, historyAlarmSlots),
 	}
 }
 
 // Interval returns the sampling tick.
-func (h *History) Interval() time.Duration { return h.cfg.Interval }
+func (h *History) Interval() time.Duration { return h.interval }
 
 // Slots returns the ring length.
-func (h *History) Slots() int { return h.cfg.Slots }
+func (h *History) Slots() int { return historySlots }
 
 // TrackRate samples c's per-tick delta into a SeriesRate ring.
 func (h *History) TrackRate(name string, c *Counter) {
@@ -145,7 +127,7 @@ func (h *History) TrackHist(name string, hist *Histogram) {
 }
 
 func (h *History) add(s *series) {
-	s.ring = make([]histSlot, h.cfg.Slots)
+	s.ring = make([]histSlot, historySlots)
 	h.mu.Lock()
 	h.series = append(h.series, s)
 	h.mu.Unlock()
@@ -173,7 +155,7 @@ func (h *History) NoteAlarm(ev AlarmEvent) {
 // readers and Track/NoteAlarm.
 func (h *History) Tick(now time.Time) {
 	tick := h.ticks.Load() + 1
-	slot := int((tick - 1) % uint64(h.cfg.Slots))
+	slot := int((tick - 1) % historySlots)
 	h.tickAt[slot].Store(now.UnixNano())
 	h.mu.Lock()
 	ss := h.series
@@ -237,7 +219,7 @@ type SeriesSnapshot struct {
 
 // HistorySnapshot is a consistent-enough view of the whole tier: each
 // sample is individually consistent (seq-validated), the window is the
-// last ≤Slots ticks at the time of the call. It is the SysHistory kind:
+// last ≤historySlots ticks at the time of the call. It is the SysHistory kind:
 // History.Snapshot fills the window, the publishing node the rest.
 type HistorySnapshot struct {
 	Node       string           `mop:"node"` // set by the publisher
@@ -263,15 +245,12 @@ func (h *History) Snapshot(maxSamples int) HistorySnapshot {
 	h.mu.Unlock()
 
 	out := HistorySnapshot{
-		IntervalNs: int64(h.cfg.Interval),
+		IntervalNs: int64(h.interval),
 		Ticks:      h.ticks.Load(),
 		Alarms:     alarms,
 		AlarmTotal: alarmTotal,
 	}
-	n := int(out.Ticks)
-	if n > h.cfg.Slots {
-		n = h.cfg.Slots
-	}
+	n := min(int(out.Ticks), historySlots)
 	if maxSamples > 0 && n > maxSamples {
 		n = maxSamples
 	}
@@ -280,7 +259,7 @@ func (h *History) Snapshot(maxSamples int) HistorySnapshot {
 	for _, s := range ss {
 		snap := SeriesSnapshot{Name: s.name, Kind: s.kind, Samples: make([]Sample, 0, n)}
 		for tick := first; tick <= out.Ticks; tick++ {
-			slot := &s.ring[(tick-1)%uint64(h.cfg.Slots)]
+			slot := &s.ring[(tick-1)%historySlots]
 			// Seqlock read: settledSeq==tick means tick's write finished;
 			// re-checking seq==tick afterwards means no later lap began
 			// before the value loads, so the sample is untorn.
@@ -289,7 +268,7 @@ func (h *History) Snapshot(maxSamples int) HistorySnapshot {
 			}
 			smp := Sample{
 				Tick: int64(tick),
-				At:   h.tickAt[(tick-1)%uint64(h.cfg.Slots)].Load(),
+				At:   h.tickAt[(tick-1)%historySlots].Load(),
 				V:    slot.v.Load(),
 				P50:  slot.p50.Load(),
 				P95:  slot.p95.Load(),

@@ -11,7 +11,7 @@ func TestHistoryRateLevelPercentile(t *testing.T) {
 	c := reg.Counter("msgs")
 	g := reg.Gauge("depth")
 	hi := reg.Histogram("lat")
-	h := NewHistory(HistoryConfig{Interval: 100 * time.Millisecond, Slots: 8})
+	h := NewHistory(100 * time.Millisecond)
 	h.TrackRate("msgs", c)
 	h.TrackLevel("depth", g)
 	h.TrackHist("lat", hi)
@@ -66,17 +66,18 @@ func TestHistoryRateLevelPercentile(t *testing.T) {
 func TestHistoryWraparound(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("n")
-	h := NewHistory(HistoryConfig{Interval: time.Millisecond, Slots: 4})
+	h := NewHistory(time.Millisecond)
 	h.TrackRate("n", c)
 	now := time.Unix(0, 0)
-	for i := 0; i < 10; i++ {
+	const ticks = historySlots + 6
+	for i := 0; i < ticks; i++ {
 		c.Inc()
 		h.Tick(now.Add(time.Duration(i) * time.Millisecond))
 	}
 	snap := h.Snapshot(0)
 	s := snap.Series[0]
-	// Only the last 4 ticks (7,8,9,10) survive, oldest first.
-	if snap.Ticks != 10 || len(s.Samples) != 4 {
+	// Only the last historySlots ticks (7 .. ticks) survive, oldest first.
+	if snap.Ticks != ticks || len(s.Samples) != historySlots {
 		t.Fatalf("wraparound: ticks=%d samples=%d", snap.Ticks, len(s.Samples))
 	}
 	for i, smp := range s.Samples {
@@ -88,7 +89,7 @@ func TestHistoryWraparound(t *testing.T) {
 		}
 	}
 	// maxSamples clamps the window further.
-	if got := h.Snapshot(2).Series[0].Samples; len(got) != 2 || got[0].Tick != 9 {
+	if got := h.Snapshot(2).Series[0].Samples; len(got) != 2 || got[0].Tick != ticks-1 {
 		t.Fatalf("maxSamples window: %+v", got)
 	}
 }
@@ -100,7 +101,7 @@ func TestHistoryConcurrentSnapshot(t *testing.T) {
 	c := reg.Counter("n")
 	g := reg.Gauge("g")
 	hi := reg.Histogram("h")
-	h := NewHistory(HistoryConfig{Interval: time.Millisecond, Slots: 4})
+	h := NewHistory(time.Millisecond)
 	h.TrackRate("n", c)
 	h.TrackLevel("g", g)
 	h.TrackHist("h", hi)
@@ -155,17 +156,18 @@ func TestHistoryConcurrentSnapshot(t *testing.T) {
 }
 
 func TestHistoryAlarmRing(t *testing.T) {
-	h := NewHistory(HistoryConfig{Interval: time.Millisecond, Slots: 4, AlarmSlots: 3})
+	h := NewHistory(time.Millisecond)
 	at := time.Unix(50, 0)
-	for i := 0; i < 5; i++ {
+	const notes = historyAlarmSlots + 2
+	for i := 0; i < notes; i++ {
 		h.NoteAlarm(AlarmEvent{Kind: "slow-consumer", Target: "c", Raised: i%2 == 0,
 			Value: int64(i), At: at.Add(time.Duration(i) * time.Second)})
 	}
 	snap := h.Snapshot(0)
-	if snap.AlarmTotal != 5 || len(snap.Alarms) != 3 {
+	if snap.AlarmTotal != notes || len(snap.Alarms) != historyAlarmSlots {
 		t.Fatalf("alarm ring: total=%d len=%d", snap.AlarmTotal, len(snap.Alarms))
 	}
-	// Oldest-first and the ring kept the last three (values 2,3,4).
+	// Oldest-first and the ring kept the last historyAlarmSlots (values 2 ..).
 	for i, e := range snap.Alarms {
 		if e.Value != int64(2+i) {
 			t.Fatalf("alarm %d: %+v", i, e)
@@ -180,7 +182,7 @@ func TestHistoryAlarmRing(t *testing.T) {
 // population; the steady-state tick must not allocate.
 func BenchmarkHistoryTick(b *testing.B) {
 	reg := NewRegistry()
-	h := NewHistory(HistoryConfig{})
+	h := NewHistory(250 * time.Millisecond)
 	for i := 0; i < 8; i++ {
 		name := "ctr" + string(rune('a'+i))
 		h.TrackRate(name, reg.Counter(name))

@@ -136,6 +136,9 @@ if [ "$quick" -eq 0 ]; then
     go test -race -count=5 -run 'TestStressLossyChurn|TestOneLoopPerHost|TestStalledSubscriberDoesNotStopTheLoop|TestEventValueIsPrivateToItsBus|TestClassNakThroughTheSlot' ./internal/core/
     go test -race -count=5 -run 'TestOneLoopPerRouter|TestSysGoldenBytes' ./internal/router/
 
+    echo "==> crash recovery through the host's one retrier: exactly-once after a publisher crash, and a fostered entry nobody acknowledges backs off (race build, 3 runs)"
+    go test -race -count=3 -run 'TestCrashRecoveryExactlyOnce|TestFosteredEntriesBackOff' ./internal/qledger/
+
     echo "==> delivered []byte are views of a payload nobody else holds: per-host datagrams, capped views, lent local publications (race build, 20 runs)"
     go test -race -count=20 -run 'TestDeliveredBytesArePrivateToTheirHost|TestAppendToAViewLeavesTheNextMessageAlone|TestRetransmissionIgnoresLocalScribbles' ./internal/core/
 
