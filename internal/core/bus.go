@@ -64,12 +64,12 @@ type Host struct {
 	ledger *ledger.Ledger
 	buses  []*Bus
 	closed bool
-	// The host's periodic duties are parts ticked by one loop (loop.go):
-	// retry (nil without a ledger) and csync are fixed at construction; loop
-	// is nil until a part needs the clock or the bus, and guarded by mu.
-	retry *Retrier
-	csync classSync
-	loop  *hostLoop
+	// The host's periodic duties are parts on one loop (loop.go), nil until
+	// the first part is added: the guaranteed retrier, the "_sys" agent, the
+	// class-NAK part csync once classesOn, and the layers above the host.
+	csync     classSync
+	classesOn bool
+	loop      *hostLoop
 	// guarGate, when set, blocks PublishGuaranteed returns until the
 	// replication tier confirms quorum durability (internal/qledger). Nil —
 	// the default — costs one pointer load under the mutex already taken.
@@ -280,8 +280,10 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 		reg: reg, cache: h.typeCache, dict: h.sendDict, ctr: &h.ctr,
 		interval: classNakInterval,
 		publish:  h.publishSys,
+		resolved: h.retryPendingDecodes,
 		want:     make(map[uint64]bool),
 	}
+	var retry *Retrier
 	if cfg.LedgerPath != "" {
 		led, err := ledger.Open(cfg.LedgerPath, ledger.Options{
 			Sync:     cfg.LedgerSync,
@@ -295,7 +297,7 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 		h.ledger = led
 		// The payload is the ledger's pending entry, lent like every payload
 		// a daemon publishes: no local subscriber holds a view of it.
-		h.retry = NewRetrier(led, cfg.RetryInterval, h.ctr.guarRetransmits, h.daemon.PublishGuaranteed)
+		retry = NewRetrier(led, cfg.RetryInterval, h.ctr.guarRetransmits, h.daemon.PublishGuaranteed)
 		h.daemon.OnGuaranteeAck(func(id uint64, _ string) { _ = led.Ack(id) })
 	}
 	prefix := rcfg.MetricsPrefix
@@ -303,12 +305,19 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 		prefix = "reliable"
 	}
 	err = h.startSys(cfg, hcfg, prefix)
-	if err == nil && (h.sys != nil || h.retry != nil || cfg.CompactTypes) {
+	if err == nil && retry != nil {
+		_, err = h.AddPart(retry)
+	}
+	if err == nil && h.sys != nil {
+		_, err = h.AddPart(h.sys, h.sys.ProbeSubjects()...)
+	}
+	if err == nil && cfg.CompactTypes {
 		// A compact publisher must answer _sys.class.req NAKs from the
 		// start; pure receivers hear the class subjects from their first
 		// fingerprint miss instead, so legacy topologies advertise no extra
 		// interest.
-		_, err = h.ensureLoop(cfg.CompactTypes)
+		h.classesOn = true
+		err = h.addClassSync()
 	}
 	if err != nil {
 		_ = h.Close()

@@ -27,9 +27,9 @@ import (
 // Replies are broadcast: fingerprints are content-addressed, so every
 // host harvests every reply it sees, whoever asked.
 //
-// The host loop's client hears the two subjects from the start on compact
-// publishers (they must answer NAKs) and from the first fingerprint miss
-// everywhere else (Host.ensureLoop), so hosts on legacy topologies
+// The part joins the host loop, hearing the two subjects, from the start on
+// compact publishers (they must answer NAKs) and from the first fingerprint
+// miss everywhere else (requestClasses), so hosts on legacy topologies
 // advertise no extra interest patterns.
 type classSync struct {
 	reg      *mop.Registry
@@ -38,6 +38,7 @@ type classSync struct {
 	ctr      *busCounters
 	interval time.Duration
 	publish  func(subj string, payload []byte) // Host.publishSys
+	resolved func()                            // Host.retryPendingDecodes
 
 	mu   sync.Mutex
 	want map[uint64]bool // outstanding fingerprints
@@ -54,23 +55,28 @@ const maxWantedFPs = 1024
 const classNakInterval = 50 * time.Millisecond
 
 // requestClasses records missing fingerprints and has the host loop NAK
-// them. Called from bus dispatch on a fingerprint miss.
+// them, putting the part on the loop at the first miss. Called from bus
+// dispatch on a fingerprint miss.
 func (h *Host) requestClasses(fps []uint64) {
 	if !h.csync.request(fps) {
 		return
 	}
-	if l, err := h.ensureLoop(true); err == nil {
+	h.mu.Lock()
+	l, on := h.loop, h.classesOn
+	h.classesOn = true
+	h.mu.Unlock()
+	switch {
+	case !on:
+		_ = h.addClassSync()
+	case l != nil: // nil: the first miss's AddPart has yet to start the loop
 		kick(l.wake)
 	}
 }
 
-// kick signals a one-slot channel without blocking: a signal already
-// waiting covers this one.
-func kick(ch chan<- struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
+// addClassSync puts the class-NAK part on the host loop.
+func (h *Host) addClassSync() error {
+	_, err := h.AddPart(&h.csync, telemetry.ClassReqSubject, telemetry.ClassDefSubject)
+	return err
 }
 
 // retryPendingDecodes has every bus re-dispatch its stashed deliveries, on
@@ -103,11 +109,11 @@ func (cs *classSync) request(fps []uint64) bool {
 	return added
 }
 
-// tick publishes the outstanding fingerprint list when a miss has been
+// Tick publishes the outstanding fingerprint list when a miss has been
 // queued since the last request, or the interval has passed with anything
 // still unresolved, and returns when it next wants to: zero with nothing
 // wanted.
-func (cs *classSync) tick(now time.Time) time.Time {
+func (cs *classSync) Tick(now time.Time) time.Time {
 	cs.mu.Lock()
 	if len(cs.want) == 0 {
 		cs.mu.Unlock()
@@ -128,6 +134,19 @@ func (cs *classSync) tick(now time.Time) time.Time {
 		cs.publish(telemetry.ClassReqSubject, payload)
 	}
 	return now.Add(cs.interval)
+}
+
+// Hear serves a request from another host, or harvests a reply and, when it
+// resolves something, has the buses retry their stashes.
+func (cs *classSync) Hear(subj, payload []byte) {
+	switch string(subj) {
+	case telemetry.ClassReqSubject:
+		cs.serveRequest(payload)
+	case telemetry.ClassDefSubject:
+		if cs.harvestReply(payload) {
+			cs.resolved()
+		}
+	}
 }
 
 // serveRequest answers a fingerprint request with every definition this

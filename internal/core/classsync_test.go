@@ -27,6 +27,7 @@ func newClassSyncLab(dict *wire.SendDict) *classSyncLab {
 		},
 		interval: 50 * time.Millisecond,
 		publish:  func(subj string, payload []byte) { l.sent[subj] = append(l.sent[subj], payload) },
+		resolved: func() {},
 		want:     map[uint64]bool{},
 	}
 	return l
@@ -50,7 +51,7 @@ func TestClassNakOnVirtualTime(t *testing.T) {
 	holder, asker := newClassSyncLab(dict), newClassSyncLab(nil)
 
 	now := virtualStart
-	if next := asker.cs.tick(now); !next.IsZero() || len(asker.sent) != 0 {
+	if next := asker.cs.Tick(now); !next.IsZero() || len(asker.sent) != 0 {
 		t.Fatalf("with nothing wanted tick = %v and published %v, want no deadline and nothing", next, asker.sent)
 	}
 	var missing *wire.MissingFingerprintsError
@@ -61,14 +62,14 @@ func TestClassNakOnVirtualTime(t *testing.T) {
 		t.Fatal("request reports a new fingerprint exactly once")
 	}
 	reqs := func() int { return len(asker.sent[telemetry.ClassReqSubject]) }
-	if next := asker.cs.tick(now); reqs() != 1 || !next.Equal(now.Add(50*time.Millisecond)) {
+	if next := asker.cs.Tick(now); reqs() != 1 || !next.Equal(now.Add(50*time.Millisecond)) {
 		t.Fatalf("the tick after a miss: %d requests, next %v; want 1 at once and the re-request an interval on", reqs(), next)
 	}
 	for _, step := range []struct {
 		after time.Duration
 		reqs  int
 	}{{10 * time.Millisecond, 1}, {49 * time.Millisecond, 1}, {50 * time.Millisecond, 2}, {99 * time.Millisecond, 2}, {100 * time.Millisecond, 3}} {
-		if asker.cs.tick(virtualStart.Add(step.after)); reqs() != step.reqs {
+		if asker.cs.Tick(virtualStart.Add(step.after)); reqs() != step.reqs {
 			t.Fatalf("%v after the miss: %d requests, want %d", step.after, reqs(), step.reqs)
 		}
 	}
@@ -83,7 +84,7 @@ func TestClassNakOnVirtualTime(t *testing.T) {
 	if first, again := asker.cs.harvestReply(defs[0]), asker.cs.harvestReply(defs[0]); !first || again || len(asker.cs.want) != 0 {
 		t.Fatalf("harvest resolved %v then %v leaving %d wanted, want true, false and none", first, again, len(asker.cs.want))
 	}
-	if next := asker.cs.tick(virtualStart.Add(time.Second)); !next.IsZero() || reqs() != 3 || len(asker.sent[telemetry.ClassDefSubject]) != 0 {
+	if next := asker.cs.Tick(virtualStart.Add(time.Second)); !next.IsZero() || reqs() != 3 || len(asker.sent[telemetry.ClassDefSubject]) != 0 {
 		t.Fatalf("after the harvest: next %v, %d requests; want no deadline and no fourth request", next, reqs())
 	}
 	if v, err := wire.UnmarshalWith(refsOnly, asker.cs.reg, asker.cs.cache); err != nil || v.(*mop.Object).MustGet("microns") != 2.0 {
@@ -105,7 +106,7 @@ func TestClassNakWantedSetBounded(t *testing.T) {
 	if l.cs.request(fps[maxWantedFPs:]) {
 		t.Error("a request beyond the cap reported something new")
 	}
-	l.cs.tick(virtualStart)
+	l.cs.Tick(virtualStart)
 	v, err := wire.UnmarshalWith(l.sent[telemetry.ClassReqSubject][0], mop.NewRegistry(), nil)
 	if err != nil || len(wire.RequestedFPs(v)) != maxWantedFPs {
 		t.Errorf("the request names %d fingerprints (%v), want %d", len(wire.RequestedFPs(v)), err, maxWantedFPs)

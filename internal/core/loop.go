@@ -1,69 +1,113 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"infobus/internal/daemon"
 	"infobus/internal/subject"
 	"infobus/internal/sysagent"
-	"infobus/internal/telemetry"
 )
 
-// hostLoop is the host's only housekeeping goroutine. The guaranteed
-// retrier, the class-NAK part and the "_sys" agent are parts (sysagent's
-// package comment): the loop hands each the time, sleeps until the earliest
-// deadline they return, and feeds them what its one daemon client hears.
-// One loop is enough because no part blocks on an application (a bus
-// retries its own stash) or is called from a publish or delivery path.
-type hostLoop struct {
-	client  *daemon.Client // "_sys": the agent's probe subjects
-	classes bool           // ... and the two class-NAK subjects (under Host.mu)
-	wake    chan struct{}  // a part wants the clock before its deadline
-	done    chan struct{}
-	exited  chan struct{}
+// Part is a periodic duty of a host, driven by the host's one loop
+// (Host.AddPart). Tick does what has come due by now and returns when the
+// part next wants the clock (zero: not until it hears something or the loop
+// is woken). Hear is handed each delivery on a subject the part was added
+// with; the subject is lent for the call, the payload is the delivery's. Both
+// run on the loop's goroutine, one call at a time, and neither may block on
+// an application or on the network: a replica's group-commit fsync, which
+// waits on its own disk, is the one wait a part may make.
+type Part interface {
+	Tick(now time.Time) time.Time
+	Hear(subject, payload []byte)
 }
 
-// ensureLoop returns the host's loop, starting it — client and goroutine —
-// on first use; classes puts the class-NAK subjects on its client. A host
-// with no tier, no ledger and no compact traffic never calls it.
-func (h *Host) ensureLoop(classes bool) (*hostLoop, error) {
+// hostLoop is the host's only housekeeping goroutine: it hands every part
+// the time, sleeps until the earliest deadline they return, and feeds each
+// part what its one daemon client hears on the part's subjects. One loop is
+// enough because no part blocks on an application (a bus retries its own
+// stash) or is called from a publish or delivery path.
+type hostLoop struct {
+	client *daemon.Client      // "_sys": subscribed to every part's patterns
+	hear   *subject.Trie[Part] // pattern -> the parts that hear it
+	parts  []Part              // under Host.mu
+	pass   sync.Mutex          // held for one pass: a removal waits it out
+	subj   []byte              // the subject being heard, lent to Hear
+	wake   chan struct{}       // a part wants the clock before its deadline
+	done   chan struct{}
+	exited chan struct{}
+}
+
+// AddPart puts p on the host's loop, starting the loop — its goroutine and
+// its "_sys" daemon client — if the host has none. From then on the loop
+// ticks p and hands it every delivery on a subject one of patterns matches.
+// The returned func takes p off the loop and returns once the loop is no
+// longer inside it; a part must not call it.
+func (h *Host) AddPart(p Part, patterns ...string) (remove func(), err error) {
+	pats := make([]subject.Pattern, len(patterns))
+	for i, s := range patterns {
+		if pats[i], err = subject.ParsePattern(s); err != nil {
+			return nil, err
+		}
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return nil, ErrClosed
 	}
 	l := h.loop
-	var hear []string
 	if l == nil {
 		client, err := h.daemon.NewClient("_sys")
 		if err != nil {
 			return nil, err
 		}
-		l = &hostLoop{client: client, wake: make(chan struct{}, 1), done: make(chan struct{}), exited: make(chan struct{})}
+		l = &hostLoop{client: client, hear: subject.NewTrie[Part](),
+			wake: make(chan struct{}, 1), done: make(chan struct{}), exited: make(chan struct{})}
 		h.loop = l
-		go h.housekeep(l, h.sys)
-		if h.sys != nil {
-			hear = h.sys.ProbeSubjects()
-		}
+		go h.housekeep(l)
 	}
-	if classes && !l.classes {
-		l.classes = true
-		hear = append(hear, telemetry.ClassReqSubject, telemetry.ClassDefSubject)
-	}
-	for _, p := range hear {
-		if err := l.client.Subscribe(subject.MustParsePattern(p)); err != nil {
+	for _, pat := range pats {
+		if err := l.client.Subscribe(pat); err != nil {
 			return nil, err
 		}
+		l.hear.Add(pat, p)
 	}
-	return l, nil
+	l.parts = append(l.parts, p)
+	kick(l.wake) // the new part's first tick
+	return func() { h.removePart(l, p, pats) }, nil
 }
 
-// housekeep drains the client, ticks every part and sleeps until the
-// earliest deadline — until woken, when no part has one.
-func (h *Host) housekeep(l *hostLoop, agent *sysagent.Agent) {
+// removePart takes p and its patterns off the loop, dropping the client's
+// subscription to a pattern no other part hears, then waits out a pass in
+// flight.
+func (h *Host) removePart(l *hostLoop, p Part, pats []subject.Pattern) {
+	h.mu.Lock()
+	for i, q := range l.parts {
+		if q == p {
+			l.parts = append(l.parts[:i], l.parts[i+1:]...)
+			break
+		}
+	}
+	for _, pat := range pats {
+		distinct := l.hear.Distinct()
+		if l.hear.Remove(pat, p) && l.hear.Distinct() < distinct {
+			_ = l.client.Unsubscribe(pat)
+		}
+	}
+	h.mu.Unlock()
+	// An empty critical section: the pass that may still hold p ends first.
+	l.pass.Lock()
+	l.pass.Unlock()
+}
+
+// housekeep drains the client to the parts that hear each subject, ticks
+// every part and sleeps until the earliest deadline — until woken, when no
+// part has one.
+func (h *Host) housekeep(l *hostLoop) {
 	defer close(l.exited)
 	timer := time.NewTimer(0) // the first pass arms the parts' deadlines
 	defer timer.Stop()
+	var parts []Part
 	for {
 		select {
 		case <-l.done:
@@ -72,30 +116,35 @@ func (h *Host) housekeep(l *hostLoop, agent *sysagent.Agent) {
 		case <-l.wake:
 		case <-timer.C:
 		}
+		l.pass.Lock()
 		for dv, ok := l.client.TryNext(); ok; dv, ok = l.client.TryNext() {
-			switch subj := dv.Subject.String(); subj {
-			case telemetry.ClassReqSubject:
-				h.csync.serveRequest(dv.Payload)
-			case telemetry.ClassDefSubject:
-				if h.csync.harvestReply(dv.Payload) {
-					h.retryPendingDecodes()
-				}
-			default: // a probe: only an agent's subjects are subscribed
-				agent.Probe([]byte(subj), dv.Payload)
+			l.subj = append(l.subj[:0], dv.Subject.String()...)
+			for _, p := range l.hear.Match(dv.Subject) {
+				p.Hear(l.subj, dv.Payload)
 			}
 		}
+		h.mu.Lock()
+		parts = append(parts[:0], l.parts...)
+		h.mu.Unlock()
 		now := time.Now()
-		next := h.csync.tick(now)
-		if h.retry != nil {
-			next = sysagent.Earliest(next, h.retry.Tick(now))
+		var next time.Time
+		for _, p := range parts {
+			next = sysagent.Earliest(next, p.Tick(now))
 		}
-		if agent != nil {
-			next = sysagent.Earliest(next, agent.Tick(now))
-		}
+		l.pass.Unlock()
 		// An expiry already in timer.C survives the Stop and costs one pass
 		// in which nothing is due.
 		if timer.Stop(); !next.IsZero() {
 			timer.Reset(next.Sub(now))
 		}
+	}
+}
+
+// kick signals a one-slot channel without blocking: a signal already
+// waiting covers this one.
+func kick(ch chan<- struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }

@@ -71,7 +71,7 @@ func TestOneLoopPerHost(t *testing.T) {
 		}
 	}
 	by, total := spawned()
-	if want := lanes + 2 + 1 + 1 + buses; total != want || by["infobus/internal/core.(*Host).ensureLoop"] != 1 {
+	if want := lanes + 2 + 1 + 1 + buses; total != want || by["infobus/internal/core.(*Host).AddPart"] != 1 {
 		t.Errorf("a fully configured host runs %d goroutines, want %d (lanes + 2, the loop, the committer, one per Bus): %v", total, want, by)
 	}
 	if got := daemonClients(h); got != buses+1 {

@@ -23,8 +23,8 @@ import (
 // per cap period instead of re-occupying the medium on every tick, while
 // the common case (ack arrives before the first deadline) costs nothing.
 //
-// The retrier is a part (sysagent's package comment): its driver calls
-// Tick, which walks the ledger once per interval. The walk is
+// The retrier is a Part: the host loop, or the part fostering an origin,
+// calls Tick, which walks the ledger once per interval. The walk is
 // allocation-free: the ledger's ForEachPending iterator reuses its
 // snapshot buffer, the visit callback is prebound at construction, and
 // per-entry retry state lives in a map only Tick touches (no locking). State
@@ -102,6 +102,9 @@ func (r *Retrier) Tick(now time.Time) time.Time {
 	}
 	return r.every.At
 }
+
+// Hear does nothing: a retrier hears no subject.
+func (r *Retrier) Hear(_, _ []byte) {}
 
 // visitPending handles one pending entry during a walk. Returning false
 // aborts the walk (daemon closed or backpressured; the next walk retries).

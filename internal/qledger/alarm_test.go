@@ -45,7 +45,6 @@ func TestReplAlarmWatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond) // interest propagation
 
 	pbus, err := pub.NewBus("producer")
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"infobus/internal/core"
 	"infobus/internal/netsim"
 	"infobus/internal/reliable"
-	"infobus/internal/rmi"
 	"infobus/internal/transport"
 )
 
@@ -37,11 +36,9 @@ func fastRepl(factor int, dir string) Config {
 		AckTimeout:    2 * time.Second,
 		FsyncPolicy:   "lazy",
 		Dir:           dir,
-		BeatInterval:  5 * time.Millisecond,
-		CrashTimeout:  40 * time.Millisecond,
+		BeatInterval:  10 * time.Millisecond,
 		ReadTimeout:   150 * time.Millisecond,
 		RetryInterval: 5 * time.Millisecond,
-		Election:      rmi.ElectionOptions{BeaconInterval: 5 * time.Millisecond},
 	}
 }
 
@@ -122,7 +119,6 @@ func TestQuorumAckAndTrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond) // interest propagation
 
 	pbus, err := pub.NewBus("producer")
 	if err != nil {
@@ -237,7 +233,6 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 			}
 		}
 	}()
-	time.Sleep(30 * time.Millisecond) // interest propagation
 
 	pbus, err := pub.NewBus("producer")
 	if err != nil {

@@ -1,7 +1,7 @@
 package qledger
 
 import (
-	"sync"
+	"slices"
 	"time"
 
 	"infobus/internal/core"
@@ -17,211 +17,181 @@ import (
 // entries for them, then runs the majority-read-and-replay protocol: read
 // the pending set from a read quorum of replicas (any set that must
 // intersect every write quorum), store the union in its own replica log for
-// the origin, and re-publish from that log through the host's retrier
-// (core.Retrier) with PublishGuaranteedAs, so each entry travels under the
-// dead publisher's (origin, id) identity — consumers that already received
-// the original dedup the replay, consumers that never did get it now, and
-// delivery stays exactly-once either way.
+// the origin, and re-publish from that log through a core.Retrier with
+// PublishGuaranteedAs, so each entry travels under the dead publisher's
+// (origin, id) identity — consumers that already received the original
+// dedup the replay, consumers that never did get it now, and delivery stays
+// exactly-once either way. Every step is a state of the coordinator's Tick.
+
+// recovery is one origin the coordinator fosters: a read round until a read
+// quorum of replicas has answered it, then a replay until the log drains.
+type recovery struct {
+	led   *ledger.Ledger
+	round uint64          // the read round in flight; 0 once replaying
+	seen  map[string]bool // the replicas that answered it
+	due   time.Time       // when the round times out
+	retry *core.Retrier   // the replay; nil while reading
+	acked []byte          // ack records for the next FrameRelease, under Agent.mu
+}
 
 // Promote makes this agent the recovery coordinator (rmi.Candidate).
 func (a *Agent) Promote() error {
-	a.scanMu.Lock()
-	defer a.scanMu.Unlock()
-	a.scanStop = make(chan struct{})
+	a.leading = true
 	return nil
 }
 
-// Retire steps down from coordinating (rmi.Candidate). In-flight
-// recoveries send their last release and stop.
+// Retire steps down from coordinating (rmi.Candidate). Every recovery sends
+// its last release and ends.
 func (a *Agent) Retire() {
-	a.scanMu.Lock()
-	defer a.scanMu.Unlock()
-	if a.scanStop != nil {
-		close(a.scanStop)
-		a.scanStop = nil
+	a.leading = false
+	for origin, r := range a.recovering {
+		a.finish(origin, r)
 	}
 }
 
-// coordinatorDone returns the channel that cancels coordinator work, or
-// nil when not leading.
-func (a *Agent) coordinatorDone() chan struct{} {
-	a.scanMu.Lock()
-	defer a.scanMu.Unlock()
-	return a.scanStop
-}
-
-// scanForCrashed runs on the beat tick while leading: any origin with
-// pending replicated entries that has not been heard from for
-// CrashTimeout gets a recovery goroutine. First sight of an origin only
-// starts its silence clock — a coordinator elected after a crash must
-// still wait out the timeout before declaring the publisher dead.
-func (a *Agent) scanForCrashed() {
-	stop := a.coordinatorDone()
-	if stop == nil {
+// scan runs at beat cadence on an agent with a store. It starts the
+// silence clock of each origin heard since the last scan and forgets the
+// origins the store does not hold once they have been silent for the crash
+// timeout. On the coordinator it then fosters every held origin silent that
+// long. First sight of a held origin only starts its clock: a coordinator
+// elected after a crash must still wait out the timeout before declaring
+// the publisher dead.
+func (a *Agent) scan(now time.Time) {
+	held := a.store.Origins() // sorted
+	for origin, last := range a.heard {
+		switch {
+		case last.IsZero():
+			a.heard[origin] = now
+		case now.Sub(last) >= a.crashTimeout:
+			if _, ok := slices.BinarySearch(held, origin); !ok {
+				delete(a.heard, origin)
+			}
+		}
+	}
+	if !a.leading {
 		return
 	}
-	now := time.Now()
-	for _, origin := range a.store.Origins() {
-		if origin == a.origin {
+	for _, origin := range held {
+		if origin == a.origin || a.recovering[origin] != nil {
 			continue
 		}
-		a.mu.Lock()
 		last, known := a.heard[origin]
-		if !known {
+		switch {
+		case !known:
 			a.heard[origin] = now
-		}
-		busy := a.recovering[origin]
-		start := known && !busy && now.Sub(last) >= a.cfg.CrashTimeout
-		if start {
-			a.recovering[origin] = true
-		}
-		a.mu.Unlock()
-		if start {
-			a.ctr.recoveries.Inc()
-			if a.rec != nil {
-				a.rec.Record(telemetry.EventRepl, "recover:"+origin, int64(a.store.PendingCount(origin)), 0)
-			}
-			a.wg.Add(1)
-			go a.recoverOrigin(origin, stop)
+		case now.Sub(last) >= a.crashTimeout:
+			a.foster(origin, now)
 		}
 	}
 }
 
-// recoverOrigin fosters one dead publisher's pending entries: it stores the
-// majority-read union in this replica's own log for the origin, then
-// replays from that log.
-func (a *Agent) recoverOrigin(origin string, stop chan struct{}) {
-	defer a.wg.Done()
-	defer func() {
-		a.mu.Lock()
-		delete(a.recovering, origin)
-		// Restart the silence clock: if entries remain (capped read reply,
-		// replay interrupted by retirement), the next scan re-fosters after
-		// another CrashTimeout instead of spinning.
-		a.heard[origin] = time.Now()
-		a.mu.Unlock()
-	}()
+// foster starts recovering a silent origin with its first read round.
+func (a *Agent) foster(origin string, now time.Time) {
 	ol, err := a.store.open(origin)
-	if err != nil || !a.majorityRead(origin, ol.led, stop) {
+	if err != nil {
 		return
 	}
-	a.replay(origin, ol.led, stop)
+	a.ctr.recoveries.Inc()
+	if a.rec != nil {
+		a.rec.Record(telemetry.EventRepl, "recover:"+origin, int64(a.store.PendingCount(origin)), 0)
+	}
+	r := &recovery{led: ol.led}
+	a.recovering[origin] = r
+	a.read(origin, r, now)
 }
 
-// majorityRead collects the pending set for origin from a read quorum of
-// replicas (this host's own store answers over the same broadcast path as
-// everyone else's) and applies each reply to led: the coordinator stores
-// before it acts. AppendBatch validates a reply's records and skips the
-// ones led already holds, so led ends up holding the union. Rounds repeat
-// until the quorum is reached or the coordinator stops.
-func (a *Agent) majorityRead(origin string, led *ledger.Ledger, stop chan struct{}) bool {
-	for {
-		a.mu.Lock()
-		a.round++
-		round := a.round
-		ch := make(chan Frame, a.cfg.Factor+4)
-		a.readReps[round] = ch
-		a.mu.Unlock()
-		req := AppendFrame(nil, Frame{Type: FrameReadReq, Origin: origin, Round: round})
-		_ = a.d.Publish(subjRead, req)
-		_ = a.d.Flush()
+// read starts a majority-read round: every replica — this host's own store
+// included, over the same broadcast path — answers with its pending set for
+// the origin, and handleReadRep applies each answer to the recovery's log:
+// the coordinator stores before it acts.
+func (a *Agent) read(origin string, r *recovery, now time.Time) {
+	a.round++
+	r.round, r.seen, r.due = a.round, make(map[string]bool), now.Add(a.cfg.ReadTimeout)
+	_ = a.d.Publish(subjRead, AppendFrame(nil, Frame{Type: FrameReadReq, Origin: origin, Round: r.round}))
+	_ = a.d.Flush()
+}
 
-		seen := make(map[string]bool)
-		timer := time.NewTimer(a.cfg.ReadTimeout)
-	collect:
-		for len(seen) < a.readQ {
-			select {
-			case f := <-ch:
-				if f.Origin != origin || f.Replica == "" || seen[f.Replica] {
-					continue
-				}
-				seen[f.Replica] = true
-				_ = led.AppendBatch(f.Records)
-			case <-timer.C:
-				break collect
-			case <-stop:
-				timer.Stop()
-				a.dropRound(round)
-				return false
-			case <-a.done:
-				timer.Stop()
-				a.dropRound(round)
-				return false
-			}
-		}
-		timer.Stop()
-		a.dropRound(round)
-		if len(seen) >= a.readQ {
-			return true
-		}
-		select {
-		case <-time.After(a.cfg.RetryInterval):
-		case <-stop:
-			return false
-		case <-a.done:
-			return false
+// handleReadRep applies a reply to the round in flight to the recovery's
+// log at once. AppendBatch validates the records and skips the ones the log
+// already holds, so the log ends up holding the union.
+func (a *Agent) handleReadRep(f Frame) {
+	r := a.recovering[f.Origin]
+	if r == nil || r.round == 0 || f.Round != r.round || f.Replica == "" || r.seen[f.Replica] {
+		return
+	}
+	r.seen[f.Replica] = true
+	_ = r.led.AppendBatch(f.Records)
+}
+
+// advance moves one recovery on and returns when it next wants the clock.
+// A round that reached the read quorum starts the replay; one that timed
+// out short of it repeats. A replay sends the release of what consumers
+// acknowledged since the last tick, ticks its retrier, and ends when the
+// log holds nothing pending — drained by acknowledgements, or retired and
+// closed by a release.
+func (a *Agent) advance(origin string, r *recovery, now time.Time) time.Time {
+	if r.retry == nil {
+		switch {
+		case len(r.seen) >= a.readQ:
+			a.replay(origin, r)
+		case now.Before(r.due):
+			return r.due
+		default:
+			a.read(origin, r, now)
+			return r.due
 		}
 	}
-}
-
-func (a *Agent) dropRound(round uint64) {
-	a.mu.Lock()
-	delete(a.readReps, round)
-	a.mu.Unlock()
-}
-
-// replay re-publishes the entries in led under the dead publisher's
-// identity through a core.Retrier — the host's own retransmission policy,
-// backoff included — until consumers have acknowledged every one. Each
-// acknowledgement is applied to led and rides the next FrameRelease, which
-// every replica (this host's own store included, via loopback) applies to
-// trim its copy. The loop stops ticking before its last release goes out,
-// so the release retiring led cannot happen under a walk; a release that
-// retires led earlier leaves it closed and empty, which ends the loop too.
-func (a *Agent) replay(origin string, led *ledger.Ledger, stop chan struct{}) {
-	var mu sync.Mutex
-	var acked []byte // ack records for the next FrameRelease
-	release := func() {
-		mu.Lock()
-		records := acked
-		acked = nil
-		mu.Unlock()
-		if len(records) > 0 {
-			_ = a.d.Publish(subjRelease, AppendFrame(nil, Frame{Type: FrameRelease, Origin: origin, Records: records}))
-			_ = a.d.Flush()
-		}
+	a.release(origin, r)
+	next := r.retry.Tick(now)
+	if r.led.Len() == 0 {
+		a.finish(origin, r)
+		return time.Time{}
 	}
-	defer release()
+	return next
+}
+
+// replay re-publishes the entries in the recovery's log under the dead
+// publisher's identity through a core.Retrier — the host's own
+// retransmission policy, backoff included. Each acknowledgement is applied
+// to the log and rides the next FrameRelease, which every replica (this
+// host's own store included, via loopback) applies to trim its copy.
+func (a *Agent) replay(origin string, r *recovery) {
+	r.round, r.seen = 0, nil
 	a.d.FosterAcks(origin, func(id uint64, _ string) {
-		if led.Ack(id) != nil {
+		if r.led.Ack(id) != nil {
 			return // retired under us: the release that did it covered the id
 		}
-		mu.Lock()
-		acked = ledger.AppendAckRecord(acked, id)
-		mu.Unlock()
+		a.mu.Lock()
+		r.acked = ledger.AppendAckRecord(r.acked, id)
+		a.mu.Unlock()
 	})
-	defer a.d.DropFosterAcks(origin) // before the last release
-
-	r := core.NewRetrier(led, a.cfg.RetryInterval, a.ctr.replayedMsgs, func(s subject.Subject, payload []byte, id uint64) error {
+	r.retry = core.NewRetrier(r.led, a.cfg.RetryInterval, a.ctr.replayedMsgs, func(s subject.Subject, payload []byte, id uint64) error {
 		_, err := a.d.PublishGuaranteedAs(s, payload, id, origin, nil)
 		return err
 	})
-	timer := time.NewTimer(0) // the first tick arms the retrier's cadence
-	defer timer.Stop()
-	for {
-		select {
-		case <-timer.C:
-		case <-stop:
-			return
-		case <-a.done:
-			return
-		}
-		now := time.Now()
-		next := r.Tick(now)
-		if led.Len() == 0 {
-			return
-		}
-		release()
-		timer.Reset(next.Sub(now))
+}
+
+// finish ends a recovery — its log drained, or the coordinator retiring —
+// and sends its last release once acks stop reaching it. The origin's
+// silence clock restarts at the next scan: if entries remain (a capped
+// read reply, a replay cut short), a later scan fosters it again after
+// another crash timeout instead of spinning.
+func (a *Agent) finish(origin string, r *recovery) {
+	a.d.DropFosterAcks(origin)
+	a.release(origin, r)
+	delete(a.recovering, origin)
+	a.heard[origin] = time.Time{}
+}
+
+// release publishes the ack records gathered for origin since the last
+// release, if any.
+func (a *Agent) release(origin string, r *recovery) {
+	a.mu.Lock()
+	records := r.acked
+	r.acked = nil
+	a.mu.Unlock()
+	if len(records) > 0 {
+		_ = a.d.Publish(subjRelease, AppendFrame(nil, Frame{Type: FrameRelease, Origin: origin, Records: records}))
+		_ = a.d.Flush()
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"infobus/internal/ledger"
 	"infobus/internal/rmi"
 	"infobus/internal/subject"
+	"infobus/internal/sysagent"
 	"infobus/internal/telemetry"
 )
 
@@ -23,9 +24,10 @@ var (
 	subjRead    = subject.MustParse("_sys.repl.read")
 	subjReadRep = subject.MustParse("_sys.repl.readrep")
 	subjRelease = subject.MustParse("_sys.repl.release")
-
-	replPattern = subject.MustParsePattern("_sys.repl.>")
 )
+
+// replPattern is what the agent hears on its host's loop.
+const replPattern = "_sys.repl.>"
 
 // Agent errors.
 var (
@@ -54,27 +56,23 @@ type Config struct {
 	// Dir enables the replica role: mirrored batches from other
 	// publishers are stored in per-origin ledgers under it.
 	Dir string
-	// BeatInterval is the publisher's liveness beacon period. Default
-	// 250ms.
+	// BeatInterval is the publisher's liveness beacon period, and the
+	// recovery-coordinator election's: a publisher silent for four beats is
+	// presumed crashed, as an election member is. Default 250ms.
 	BeatInterval time.Duration
-	// CrashTimeout is how long a replica-side coordinator waits without
-	// hearing a publisher before fostering its pending entries. Default
-	// 4x BeatInterval.
-	CrashTimeout time.Duration
 	// ReadTimeout bounds one majority-read round during recovery. Default
 	// 500ms.
 	ReadTimeout time.Duration
 	// RetryInterval paces chunk retransmission, and is the base interval of
 	// the recovery coordinator's retrier (core.Retrier). Default 100ms.
 	RetryInterval time.Duration
-	// GatherDelay is the replica-side group-commit window: on receiving a
-	// mirrored chunk the replica waits this long for trailing chunks so a
-	// single fsync (and a single ack round) covers the whole run. Without
-	// it a steady trickle of staggered publishers settles into one fsync
-	// per chunk — each ack releases one publisher, whose next commit
-	// arrives alone, so batches never re-form anywhere in the pipeline.
-	// Costs its value in quorum latency when traffic is sparse. 0
-	// disables (the default).
+	// GatherDelay is the replica-side group-commit window: the chunks heard
+	// within it of the first one are applied together, so a single fsync
+	// (and a single ack round) covers the whole run. Without it a steady
+	// trickle of staggered publishers settles into one fsync per chunk —
+	// each ack releases one publisher, whose next commit arrives alone, so
+	// batches never re-form anywhere in the pipeline. Costs its value in
+	// quorum latency when traffic is sparse. 0 disables (the default).
 	GatherDelay time.Duration
 	// ReplLagRaise is the replica-ack latency watermark: the "repl-lag"
 	// alarm raises when the oldest outstanding (not yet at quorum) chunk
@@ -85,8 +83,6 @@ type Config struct {
 	// "quorum-stall" alarm raises when this many chunks sit in the outbox
 	// awaiting replica acks. Default 64; negative disables the watch.
 	QuorumStallRaise int64
-	// Election tunes the recovery-coordinator election.
-	Election rmi.ElectionOptions
 	// DisableRecovery keeps this replica out of the coordinator election
 	// (it still stores and acks batches).
 	DisableRecovery bool
@@ -98,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BeatInterval <= 0 {
 		c.BeatInterval = 250 * time.Millisecond
-	}
-	if c.CrashTimeout <= 0 {
-		c.CrashTimeout = 4 * c.BeatInterval
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 500 * time.Millisecond
@@ -145,43 +138,51 @@ type chunk struct {
 // Agent is one host's replication tier: the publisher side mirrors ledger
 // commits and gates PublishGuaranteed on quorum acks; the replica side
 // stores peers' batches and takes part in the recovery-coordinator
-// election. Attach wires it; the host's Close tears it down.
+// election. It is a part on its host's loop (core.Part) hearing
+// "_sys.repl.>", and so is its election: no goroutine, timer or daemon
+// client of its own. Attach wires it; the host's Close tears it down.
 type Agent struct {
-	h      *core.Host
-	d      *daemon.Daemon
-	cfg    Config
-	client *daemon.Client
-	store  *Store // nil without Config.Dir
+	h     *core.Host
+	d     *daemon.Daemon
+	cfg   Config
+	store *Store // nil without Config.Dir
 
 	origin  string // this host's publisher identity (daemon token)
 	replica string // stable replica identity (store token)
 	need    int    // replica acks for a write quorum
 	readQ   int    // distinct replicas for a read quorum
+	// crashTimeout is how long the coordinator waits without hearing a
+	// publisher before fostering its pending entries: four beats, the
+	// election's member lifetime.
+	crashTimeout time.Duration
 
 	lag  *telemetry.Gauge // chunks mirrored but not yet at quorum
 	lost *telemetry.Gauge // 1 while the last quorum wait timed out
 	ctr  counters
 	rec  *telemetry.Recorder
 
-	mu         sync.Mutex
-	nextSeq    uint64
-	outbox     map[uint64]*chunk
-	idSeq      map[uint64]uint64 // ledger id -> chunk seq, until quorum
-	recentQ    map[uint64]int64  // ledger id -> quorum stamp, for gates arriving after the ack
-	ackBuf     []byte            // deferred ack records, piggybacked on the next chunk
-	heard      map[string]time.Time
-	recovering map[string]bool
-	readReps   map[uint64]chan Frame
-	round      uint64
-	closed     bool
+	// Shared with the ledger committer, Gate callers and foster-ack
+	// callbacks.
+	mu      sync.Mutex
+	nextSeq uint64
+	outbox  map[uint64]*chunk
+	idSeq   map[uint64]uint64 // ledger id -> chunk seq, until quorum
+	recentQ map[uint64]int64  // ledger id -> quorum stamp, for gates arriving after the ack
+	ackBuf  []byte            // deferred ack records, piggybacked on the next chunk
+	closed  bool
 
-	done     chan struct{}
-	wg       sync.WaitGroup
+	// Owned by the loop: Tick, Hear, Promote and Retire.
+	retry, beat sysagent.Every // chunk retransmission; the beat and the coordinator's scan
+	beatFrame   []byte
+	batches     []Frame              // heard and not yet applied: one group commit
+	gather      time.Time            // when the batches are applied (GatherDelay)
+	heard       map[string]time.Time // origin -> last heard; zero: heard since the last scan
+	recovering  map[string]*recovery
+	round       uint64
+	leading     bool
+
 	election *rmi.Election
-	ebus     *core.Bus
-
-	scanMu   sync.Mutex
-	scanStop chan struct{}
+	remove   func() // takes the agent off its host's loop
 }
 
 type counters struct {
@@ -197,6 +198,51 @@ type counters struct {
 // Dir set the host stores peers' batches. The agent registers itself as a
 // host close hook, so a plain Host.Close tears everything down in order.
 func Attach(h *core.Host, cfg Config) (*Agent, error) {
+	a, err := newAgent(h, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if a.remove, err = h.AddPart(a, replPattern); err != nil {
+		_ = a.closeStore()
+		return nil, err
+	}
+	if a.store != nil && !a.cfg.DisableRecovery {
+		if a.election, err = rmi.NewElection(h, a, "_qrecover", a.cfg.BeatInterval); err != nil {
+			a.remove()
+			_ = a.closeStore()
+			return nil, err
+		}
+	}
+	if a.cfg.Factor > 0 {
+		h.Ledger().SetOnCommit(a.onCommit)
+		h.SetGuaranteeGate(a.Gate)
+		if hist := h.History(); hist != nil {
+			hist.TrackRate("qledger.acks_recv", a.ctr.acksRecv)
+			hist.TrackLevel("qledger.repl_lag", a.lag)
+			hist.TrackHist("qledger.quorum_wait_ns", a.ctr.quorumWait)
+		}
+		if eng := h.HealthEngine(); eng != nil {
+			eng.Watch(telemetry.WatchConfig{Kind: "quorum-lost", Raise: 1},
+				a.lost.Load)
+			if a.cfg.ReplLagRaise > 0 {
+				// Replica-ack latency watermark: the engine's default clear
+				// threshold (Raise/2) gives the edge hysteresis.
+				eng.Watch(telemetry.WatchConfig{Kind: "repl-lag",
+					Raise: a.cfg.ReplLagRaise.Milliseconds()}, a.oldestOutstandingMs)
+			}
+			if a.cfg.QuorumStallRaise > 0 {
+				eng.Watch(telemetry.WatchConfig{Kind: "quorum-stall",
+					Raise: a.cfg.QuorumStallRaise}, a.lag.Load)
+			}
+		}
+	}
+	h.AddCloseHook(a.Close)
+	return a, nil
+}
+
+// newAgent builds the agent — its counters and replica store — without
+// putting it on the host's loop.
+func newAgent(h *core.Host, cfg Config) (*Agent, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Factor < 0 {
 		return nil, fmt.Errorf("qledger: negative replication factor %d", cfg.Factor)
@@ -209,25 +255,28 @@ func Attach(h *core.Host, cfg Config) (*Agent, error) {
 	default:
 		return nil, fmt.Errorf("qledger: unknown fsync policy %q", cfg.FsyncPolicy)
 	}
-	led := h.Ledger()
-	if cfg.Factor > 0 && led == nil {
+	if cfg.Factor > 0 && h.Ledger() == nil {
 		return nil, errors.New("qledger: replication requires a ledger (set LedgerPath)")
 	}
 	a := &Agent{
-		h:          h,
-		d:          h.Daemon(),
-		cfg:        cfg,
-		origin:     h.Daemon().Identity(),
-		need:       (cfg.Factor + 1) / 2,
-		readQ:      cfg.Factor + 1 - (cfg.Factor+1)/2,
-		outbox:     make(map[uint64]*chunk),
-		idSeq:      make(map[uint64]uint64),
-		recentQ:    make(map[uint64]int64),
-		heard:      make(map[string]time.Time),
-		recovering: make(map[string]bool),
-		readReps:   make(map[uint64]chan Frame),
-		done:       make(chan struct{}),
-		rec:        h.Recorder(),
+		h:            h,
+		d:            h.Daemon(),
+		cfg:          cfg,
+		origin:       h.Daemon().Identity(),
+		need:         (cfg.Factor + 1) / 2,
+		readQ:        cfg.Factor + 1 - (cfg.Factor+1)/2,
+		crashTimeout: 4 * cfg.BeatInterval,
+		outbox:       make(map[uint64]*chunk),
+		idSeq:        make(map[uint64]uint64),
+		recentQ:      make(map[uint64]int64),
+		retry:        sysagent.Every{D: cfg.RetryInterval},
+		beat:         sysagent.Every{D: cfg.BeatInterval},
+		heard:        make(map[string]time.Time),
+		recovering:   make(map[string]*recovery),
+		rec:          h.Recorder(),
+	}
+	if cfg.Factor > 0 {
+		a.beatFrame = AppendFrame(nil, Frame{Type: FrameBeat, Origin: a.origin})
 	}
 	m := h.Metrics()
 	a.lag = m.Gauge("qledger.repl_lag")
@@ -255,60 +304,6 @@ func Attach(h *core.Host, cfg Config) (*Agent, error) {
 		}
 		a.store, a.replica = store, tok
 	}
-	client, err := a.d.NewClient("_qledger")
-	if err != nil {
-		_ = a.closeStore()
-		return nil, err
-	}
-	a.client = client
-	if err := client.Subscribe(replPattern); err != nil {
-		_ = client.Close()
-		_ = a.closeStore()
-		return nil, err
-	}
-	if a.store != nil && !cfg.DisableRecovery {
-		ebus, err := h.NewBus("_qledger")
-		if err != nil {
-			_ = client.Close()
-			_ = a.closeStore()
-			return nil, err
-		}
-		election, err := rmi.NewElection(ebus, a, "_qrecover", cfg.Election)
-		if err != nil {
-			_ = ebus.Close()
-			_ = client.Close()
-			_ = a.closeStore()
-			return nil, err
-		}
-		a.ebus, a.election = ebus, election
-	}
-	if cfg.Factor > 0 {
-		led.SetOnCommit(a.onCommit)
-		h.SetGuaranteeGate(a.Gate)
-		if hist := h.History(); hist != nil {
-			hist.TrackRate("qledger.acks_recv", a.ctr.acksRecv)
-			hist.TrackLevel("qledger.repl_lag", a.lag)
-			hist.TrackHist("qledger.quorum_wait_ns", a.ctr.quorumWait)
-		}
-		if eng := h.HealthEngine(); eng != nil {
-			eng.Watch(telemetry.WatchConfig{Kind: "quorum-lost", Raise: 1},
-				a.lost.Load)
-			if cfg.ReplLagRaise > 0 {
-				// Replica-ack latency watermark: the engine's default clear
-				// threshold (Raise/2) gives the edge hysteresis.
-				eng.Watch(telemetry.WatchConfig{Kind: "repl-lag",
-					Raise: cfg.ReplLagRaise.Milliseconds()}, a.oldestOutstandingMs)
-			}
-			if cfg.QuorumStallRaise > 0 {
-				eng.Watch(telemetry.WatchConfig{Kind: "quorum-stall",
-					Raise: cfg.QuorumStallRaise}, a.lag.Load)
-			}
-		}
-	}
-	a.wg.Add(2)
-	go a.recvLoop()
-	go a.tickLoop()
-	h.AddCloseHook(a.Close)
 	return a, nil
 }
 
@@ -331,8 +326,9 @@ func (a *Agent) Leading() bool {
 	return a.election != nil && a.election.Leading()
 }
 
-// Close detaches the tier: retire from the election, stop the loops,
-// close the replica store. Idempotent; also runs as the host close hook.
+// Close detaches the tier: unblock the quorum gates, leave the loop and the
+// election (a coordinator's recoveries send their last release), close the
+// replica store. Idempotent; also runs as the host close hook.
 func (a *Agent) Close() {
 	a.mu.Lock()
 	if a.closed {
@@ -354,16 +350,85 @@ func (a *Agent) Close() {
 		}
 		a.h.SetGuaranteeGate(nil)
 	}
+	if a.remove != nil {
+		a.remove()
+	}
 	if a.election != nil {
 		a.election.Close()
 	}
-	close(a.done)
-	if a.ebus != nil {
-		_ = a.ebus.Close()
-	}
-	_ = a.client.Close()
-	a.wg.Wait()
 	_ = a.closeStore()
+}
+
+// Tick does the agent's periodic work: chunk retransmission every
+// RetryInterval; every BeatInterval the idle ack flush, the beat and the
+// replica's scan; the heard batches once the gather window closes; and each
+// recovery the coordinator runs.
+func (a *Agent) Tick(now time.Time) time.Time {
+	var next time.Time
+	if a.cfg.Factor > 0 {
+		if a.retry.Due(now) {
+			a.resend(now)
+		}
+		next = a.retry.At
+	}
+	if a.beat.Due(now) {
+		if a.cfg.Factor > 0 {
+			a.publishBeat()
+		}
+		if a.store != nil {
+			a.scan(now)
+		}
+	}
+	next = sysagent.Earliest(next, a.beat.At)
+	if len(a.batches) > 0 {
+		if a.gather.IsZero() {
+			a.gather = now.Add(a.cfg.GatherDelay)
+		}
+		if now.Before(a.gather) {
+			next = sysagent.Earliest(next, a.gather)
+		} else {
+			a.applyBatches()
+		}
+	}
+	for origin, r := range a.recovering {
+		next = sysagent.Earliest(next, a.advance(origin, r, now))
+	}
+	return next
+}
+
+// Hear takes one replication frame, in arrival order. A batch frame queues
+// for the next group commit; any other frame first applies the batches
+// heard before it, so a release or a read never overtakes a batch it
+// follows.
+func (a *Agent) Hear(_, payload []byte) {
+	f, err := ParseFrame(payload)
+	if err != nil {
+		return // foreign or corrupt frame: drop, never crash
+	}
+	if f.Type == FrameBatch {
+		if a.store != nil && f.Origin != a.origin {
+			a.noteHeard(f.Origin)
+			if a.batches = append(a.batches, f); len(a.batches) >= maxDrain {
+				a.applyBatches()
+			}
+		}
+		return
+	}
+	a.applyBatches()
+	switch f.Type {
+	case FrameAck:
+		a.handleAck(f)
+	case FrameBeat:
+		a.noteHeard(f.Origin)
+	case FrameReadReq:
+		a.handleReadReq(f)
+	case FrameReadRep:
+		a.handleReadRep(f)
+	case FrameRelease:
+		if a.store != nil && f.Origin != "" && len(f.Records) > 0 {
+			_ = a.store.Release(f.Origin, f.Records)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -374,7 +439,7 @@ func (a *Agent) Close() {
 // are deferred: they only drive replica-side trimming, and a frame per
 // consumer acknowledgement would double the chunk (and replica fsync)
 // rate, so they ride along in front of the next data chunk, or go out on
-// the beat tick when the publisher is idle. The hook must not retain cb's
+// the beat when the publisher is idle. The hook must not retain cb's
 // slices (the ledger recycles them), so everything is copied here.
 func (a *Agent) onCommit(cb ledger.CommitBatch) {
 	var msgs, acks []byte
@@ -409,13 +474,19 @@ func (a *Agent) onCommit(cb ledger.CommitBatch) {
 	}
 	a.lag.Set(int64(len(a.outbox)))
 	a.mu.Unlock()
-	for _, f := range frames {
-		_ = a.d.Publish(subjBatch, f)
-		a.ctr.batchesSent.Inc()
-	}
-	if len(frames) > 0 {
+	if a.broadcast(frames, a.ctr.batchesSent) {
 		_ = a.d.Flush()
 	}
+}
+
+// broadcast publishes chunk frames, counting each in ctr, and reports
+// whether there were any.
+func (a *Agent) broadcast(frames [][]byte, ctr *telemetry.Counter) bool {
+	for _, f := range frames {
+		_ = a.d.Publish(subjBatch, f)
+		ctr.Inc()
+	}
+	return len(frames) > 0
 }
 
 // buildChunksLocked cuts a validated record run into outbox chunks at
@@ -464,10 +535,11 @@ func (a *Agent) buildChunksLocked(records []byte) [][]byte {
 
 // Gate blocks a PublishGuaranteed caller until the chunk carrying its
 // ledger id reaches quorum, the timeout passes, or the agent closes. It
-// is installed as the host's guarantee gate. On success it reports when
-// the write quorum was reached (unix ns; 0 when the stamp is unknown —
-// e.g. the id was never replicated), which the bus layer turns into the
-// trace timeline's HopQuorumAck hop.
+// is installed as the host's guarantee gate, and runs on the publishing
+// caller, never on the loop. On success it reports when the write quorum
+// was reached (unix ns; 0 when the stamp is unknown — e.g. the id was never
+// replicated), which the bus layer turns into the trace timeline's
+// HopQuorumAck hop.
 func (a *Agent) Gate(id uint64) (int64, error) {
 	a.mu.Lock()
 	seq, ok := a.idSeq[id]
@@ -488,7 +560,7 @@ func (a *Agent) Gate(id uint64) (int64, error) {
 	timer := time.NewTimer(a.cfg.AckTimeout)
 	defer timer.Stop()
 	select {
-	case <-c.done:
+	case <-c.done: // at quorum, or the agent closed
 		a.mu.Lock()
 		closed := a.closed
 		delete(a.recentQ, id) // collected via the chunk below
@@ -497,8 +569,6 @@ func (a *Agent) Gate(id uint64) (int64, error) {
 			return 0, ErrClosed
 		}
 		return c.quorumAt, nil
-	case <-a.done:
-		return 0, ErrClosed
 	case <-timer.C:
 		a.lost.Set(1)
 		a.ctr.quorumTimeouts.Inc()
@@ -579,193 +649,96 @@ func (a *Agent) handleAck(f Frame) {
 	}
 }
 
-// tickLoop drives publisher-side time: chunk retransmission every
-// RetryInterval and liveness beats every BeatInterval; on the replica
-// side, the coordinator's crash scan piggybacks on the beat tick.
-func (a *Agent) tickLoop() {
-	defer a.wg.Done()
-	retry := time.NewTicker(a.cfg.RetryInterval)
-	defer retry.Stop()
-	beat := time.NewTicker(a.cfg.BeatInterval)
-	defer beat.Stop()
-	var beatFrame []byte
-	if a.cfg.Factor > 0 {
-		beatFrame = AppendFrame(nil, Frame{Type: FrameBeat, Origin: a.origin})
-	}
-	for {
-		select {
-		case <-a.done:
-			return
-		case now := <-retry.C:
-			// Retransmit only chunks that have gone a full RetryInterval
-			// without an ack. Reflooding the whole outbox every tick would
-			// congest the medium exactly when the replicas are behind.
-			a.mu.Lock()
-			frames := make([][]byte, 0, len(a.outbox))
-			for _, c := range a.outbox {
-				if now.Sub(c.sent) < a.cfg.RetryInterval {
-					continue
-				}
-				c.sent = now
-				frames = append(frames, c.frame)
-			}
-			a.mu.Unlock()
-			for _, f := range frames {
-				_ = a.d.Publish(subjBatch, f)
-				a.ctr.retransms.Inc()
-			}
-			if len(frames) > 0 {
-				_ = a.d.Flush()
-			}
-		case <-beat.C:
-			if beatFrame != nil {
-				// Idle flush for deferred ack records: with no data chunks
-				// to ride on, replica trimming proceeds at beat cadence.
-				a.mu.Lock()
-				var frames [][]byte
-				if len(a.ackBuf) > 0 && !a.closed {
-					records := a.ackBuf
-					a.ackBuf = nil
-					frames = a.buildChunksLocked(records)
-				}
-				a.mu.Unlock()
-				for _, f := range frames {
-					_ = a.d.Publish(subjBatch, f)
-					a.ctr.batchesSent.Inc()
-				}
-				_ = a.d.Publish(subjBeat, beatFrame)
-				_ = a.d.Flush()
-			}
-			if a.store != nil && a.Leading() {
-				a.scanForCrashed()
-			}
+// resend retransmits the chunks that have gone a full RetryInterval without
+// reaching quorum. Reflooding the whole outbox every tick would congest the
+// medium exactly when the replicas are behind.
+func (a *Agent) resend(now time.Time) {
+	var frames [][]byte
+	a.mu.Lock()
+	for _, c := range a.outbox {
+		if now.Sub(c.sent) < a.cfg.RetryInterval {
+			continue
 		}
+		c.sent = now
+		frames = append(frames, c.frame)
 	}
+	a.mu.Unlock()
+	if a.broadcast(frames, a.ctr.retransms) {
+		_ = a.d.Flush()
+	}
+}
+
+// publishBeat beats, first flushing the deferred ack records: with no data
+// chunk to ride on, replica trimming proceeds at beat cadence.
+func (a *Agent) publishBeat() {
+	var frames [][]byte
+	a.mu.Lock()
+	if len(a.ackBuf) > 0 && !a.closed {
+		records := a.ackBuf
+		a.ackBuf = nil
+		frames = a.buildChunksLocked(records)
+	}
+	a.mu.Unlock()
+	a.broadcast(frames, a.ctr.batchesSent)
+	_ = a.d.Publish(subjBeat, a.beatFrame)
+	_ = a.d.Flush()
 }
 
 // ---------------------------------------------------------------------------
 // Replica side
 
-// maxDrain caps how many queued batch frames the recv loop folds into one
-// replica group commit.
+// maxDrain caps how many heard batch frames one replica group commit
+// applies.
 const maxDrain = 256
 
-// recvLoop dispatches replication frames from the daemon client. Batch
-// frames are the hot path: when one arrives, every batch frame already
-// queued behind it is drained and applied in a single ledger append — the
-// replica-side half of the fsync amortization. Draining stops at the
-// first non-batch frame so global FIFO order is preserved exactly.
-func (a *Agent) recvLoop() {
-	defer a.wg.Done()
-	for {
-		dv, ok := a.client.Next(a.done)
-		if !ok {
-			return
-		}
-		f, err := ParseFrame(dv.Payload)
-		if err != nil {
-			continue // foreign or corrupt frame: drop, never crash
-		}
-		if f.Type != FrameBatch {
-			a.dispatch(f)
-			continue
-		}
-		if a.cfg.GatherDelay > 0 {
-			// Replica-side linger: let the chunks behind this one land
-			// before the group commit below cuts the batch.
-			time.Sleep(a.cfg.GatherDelay)
-		}
-		batch := []Frame{f}
-		var tail []Frame
-		for len(batch) < maxDrain {
-			dv, ok := a.client.TryNext()
-			if !ok {
-				break
-			}
-			g, err := ParseFrame(dv.Payload)
-			if err != nil {
-				continue
-			}
-			if g.Type != FrameBatch {
-				tail = append(tail, g)
-				break
-			}
-			batch = append(batch, g)
-		}
-		a.handleBatches(batch)
-		for _, g := range tail {
-			a.dispatch(g)
-		}
+// applyBatches applies the batch frames heard since the last group commit.
+func (a *Agent) applyBatches() {
+	if len(a.batches) == 0 {
+		return
 	}
+	a.handleBatches(a.batches)
+	clear(a.batches) // the frames are views of their deliveries
+	a.batches, a.gather = a.batches[:0], time.Time{}
 }
 
-// dispatch handles one non-batch replication frame.
-func (a *Agent) dispatch(f Frame) {
-	switch f.Type {
-	case FrameAck:
-		a.handleAck(f)
-	case FrameBeat:
-		a.noteHeard(f.Origin)
-	case FrameReadReq:
-		a.handleReadReq(f)
-	case FrameReadRep:
-		a.routeReadRep(f)
-	case FrameRelease:
-		if a.store != nil && f.Origin != "" && len(f.Records) > 0 {
-			_ = a.store.Release(f.Origin, f.Records)
-		}
-	}
-}
-
+// noteHeard restarts origin's silence clock at the next scan. Only an agent
+// with a store, which may come to foster the origin, keeps one.
 func (a *Agent) noteHeard(origin string) {
-	if origin == "" || origin == a.origin {
+	if a.store == nil || origin == "" || origin == a.origin {
 		return
 	}
-	a.mu.Lock()
-	a.heard[origin] = time.Now()
-	a.mu.Unlock()
+	a.heard[origin] = time.Time{}
 }
 
-// handleBatches stores a drained run of mirrored chunks — one ledger
-// append (one fsync) per origin — and acks them. In the common in-order
-// case one ack frame per origin covers the whole run via the contiguous
-// high-water mark; chunks applied above a gap get an exact-seq ack each.
-// Duplicates (retransmissions) skip the disk but still ack — the content
-// is already durable here.
+// handleBatches stores a run of mirrored chunks — one ledger append (one
+// fsync) per origin — and acks them. In the common in-order case one ack
+// frame per origin covers the whole run via the contiguous high-water
+// mark; chunks applied above a gap get an exact-seq ack each. Duplicates
+// (retransmissions) skip the disk but still ack — the content is already
+// durable here.
 func (a *Agent) handleBatches(frames []Frame) {
-	if a.store == nil {
-		return
-	}
-	type run struct {
-		seqs []uint64
-		recs [][]byte
-	}
 	var order []string
-	runs := make(map[string]*run)
+	seqs := make(map[string][]uint64)
+	recs := make(map[string][][]byte)
 	for _, f := range frames {
-		if f.Origin == "" || f.Origin == a.origin || f.Seq == 0 {
+		if f.Origin == "" || f.Seq == 0 {
 			continue
 		}
-		a.noteHeard(f.Origin)
-		r := runs[f.Origin]
-		if r == nil {
-			r = &run{}
-			runs[f.Origin] = r
+		if _, ok := seqs[f.Origin]; !ok {
 			order = append(order, f.Origin)
 		}
-		r.seqs = append(r.seqs, f.Seq)
-		r.recs = append(r.recs, f.Records)
+		seqs[f.Origin] = append(seqs[f.Origin], f.Seq)
+		recs[f.Origin] = append(recs[f.Origin], f.Records)
 	}
 	sent := 0
 	for _, origin := range order {
-		r := runs[origin]
-		contig, err := a.store.ApplyRun(origin, r.seqs, r.recs)
+		contig, err := a.store.ApplyRun(origin, seqs[origin], recs[origin])
 		if err != nil {
 			continue // disk trouble: withhold the acks, the publisher retries
 		}
-		a.ctr.batchesStored.Add(uint64(len(r.seqs)))
+		a.ctr.batchesStored.Add(uint64(len(seqs[origin])))
 		acked := make(map[uint64]bool)
-		for _, seq := range r.seqs {
+		for _, seq := range seqs[origin] {
 			if seq <= contig || acked[seq] {
 				continue // covered by the closing high-water ack below
 			}
@@ -804,21 +777,4 @@ func (a *Agent) handleReadReq(f Frame) {
 	})
 	_ = a.d.Publish(subjReadRep, rep)
 	_ = a.d.Flush()
-}
-
-// routeReadRep hands a read reply to the recovery waiting on its round.
-func (a *Agent) routeReadRep(f Frame) {
-	a.mu.Lock()
-	ch := a.readReps[f.Round]
-	a.mu.Unlock()
-	if ch == nil {
-		return
-	}
-	// Records aliases the delivery buffer; the recovery goroutine retains
-	// it across the channel, so copy here.
-	f.Records = append([]byte(nil), f.Records...)
-	select {
-	case ch <- f:
-	default:
-	}
 }

@@ -49,7 +49,6 @@ func TestReplicatedTraceChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond) // interest propagation
 
 	pbus, err := pub.NewBus("producer")
 	if err != nil {

@@ -6,7 +6,11 @@ import (
 	"time"
 
 	"infobus/internal/core"
+	"infobus/internal/daemon"
 	"infobus/internal/mop"
+	"infobus/internal/subject"
+	"infobus/internal/sysagent"
+	"infobus/internal/wire"
 )
 
 // The election in this file implements the server-side multiple-server
@@ -35,30 +39,26 @@ type Candidate interface {
 }
 
 // Election enrolls one member (and its Candidate) in the election group
-// for a service. The hand-off window is bounded by the member lifetime,
+// for a service. It is a part on its host's loop (core.Part): the beacon
+// follows its cadence, heard members expire in Tick, and Promote and Retire
+// run on the loop. The hand-off window is bounded by the member lifetime,
 // four beacon intervals. During a hand-off, clients either reach the old
 // leader (still draining) or re-discover the new one — the
 // continuous-operation story of R1.
 type Election struct {
-	bus     *core.Bus
+	d       *daemon.Daemon
+	reg     *mop.Registry
 	cand    Candidate
-	subject string
+	subject subject.Subject
 	token   string
-	opts    ElectionOptions
+	beacon  []byte         // the marshalled RMIElectionBeacon, the same every time
+	every   sysagent.Every // the beacon's cadence
+	remove  func()
 
 	mu      sync.Mutex
-	members map[string]time.Time // token -> last heard
+	members map[string]time.Time // other live members' tokens -> expiry; zero: heard since the last Tick
 	leading bool
 	closed  bool
-	done    chan struct{}
-	wg      sync.WaitGroup
-	sub     *core.Subscription
-}
-
-// ElectionOptions tune the election timing.
-type ElectionOptions struct {
-	// BeaconInterval is how often presence is re-published. Default 50ms.
-	BeaconInterval time.Duration
 }
 
 // beaconType carries one presence announcement.
@@ -66,34 +66,38 @@ var beaconType = mop.MustNewClass("RMIElectionBeacon", nil, []mop.Attr{
 	{Name: "token", Type: mop.String},
 }, nil)
 
-// NewElection enrolls a candidate in the election group for its service.
-// An *rmi.Server candidate should be constructed with Standby: true; the
-// election decides who answers discovery. Close the election before
-// closing the candidate.
-func NewElection(bus *core.Bus, cand Candidate, service string, opts ElectionOptions) (*Election, error) {
-	if opts.BeaconInterval <= 0 {
-		opts.BeaconInterval = 50 * time.Millisecond
+// NewElection enrolls a candidate in the election group for its service on
+// host h, beaconing every interval (50ms when <= 0). An *rmi.Server
+// candidate should be constructed with Standby: true; the election decides
+// who answers discovery. Close the election before closing the candidate.
+func NewElection(h *core.Host, cand Candidate, service string, interval time.Duration) (*Election, error) {
+	if interval <= 0 {
+		interval = 50 * time.Millisecond
 	}
-	subjectName := "_election." + service
-	sub, err := bus.Subscribe(subjectName)
+	subj, err := subject.Parse("_election." + service)
+	if err != nil {
+		return nil, err
+	}
+	token := fmt.Sprintf("%016x-%s", h.Token(), h.Addr())
+	// Marshalled self-contained (v1), not through the host's send
+	// dictionary: any member decodes it without the sender's definitions.
+	beacon, err := wire.Marshal(mop.MustNew(beaconType).MustSet("token", token))
 	if err != nil {
 		return nil, err
 	}
 	e := &Election{
-		bus:     bus,
+		d:       h.Daemon(),
+		reg:     h.Registry(),
 		cand:    cand,
-		subject: subjectName,
-		token:   fmt.Sprintf("%016x-%s", bus.Host().Token(), bus.Host().Addr()),
-		opts:    opts,
+		subject: subj,
+		token:   token,
+		beacon:  beacon,
+		every:   sysagent.Every{D: interval},
 		members: make(map[string]time.Time),
-		done:    make(chan struct{}),
-		sub:     sub,
 	}
-	// A member is always live to itself.
-	e.members[e.token] = time.Now().Add(365 * 24 * time.Hour)
-	e.wg.Add(2)
-	go e.listen()
-	go e.beaconLoop()
+	if e.remove, err = h.AddPart(e, subj.String()); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
@@ -112,17 +116,10 @@ func (e *Election) Leading() bool {
 func (e *Election) Members() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := time.Now()
-	n := 0
-	for _, seen := range e.members {
-		if seen.After(now) {
-			n++
-		}
-	}
-	return n
+	return len(e.members) + 1
 }
 
-// Close withdraws from the election (retiring the server if leading).
+// Close withdraws from the election (retiring the candidate if leading).
 func (e *Election) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -130,86 +127,64 @@ func (e *Election) Close() {
 		return
 	}
 	e.closed = true
-	wasLeading := e.leading
 	e.mu.Unlock()
-	close(e.done)
-	e.sub.Cancel()
-	e.wg.Wait()
+	e.remove()
+	e.mu.Lock()
+	wasLeading := e.leading
+	e.leading = false
+	e.mu.Unlock()
 	if wasLeading {
 		e.cand.Retire()
 	}
 }
 
-func (e *Election) listen() {
-	defer e.wg.Done()
-	for {
-		select {
-		case <-e.done:
-			return
-		case ev, ok := <-e.sub.C:
-			if !ok {
-				return
-			}
-			obj, isObj := ev.Value.(*mop.Object)
-			if !isObj || obj.Type().Name() != beaconType.Name() {
-				continue
-			}
-			tokenV, _ := obj.Get("token")
-			token, _ := tokenV.(string)
-			if token == "" || token == e.token {
-				continue
-			}
-			e.mu.Lock()
-			// A member stays "live" for four beacon intervals without a
-			// fresh beacon.
-			e.members[token] = time.Now().Add(4 * e.opts.BeaconInterval)
-			e.mu.Unlock()
-		}
+// Hear notes another member's beacon: it stays live for four beacon
+// intervals from the next Tick.
+func (e *Election) Hear(_, payload []byte) {
+	v, err := wire.UnmarshalWith(payload, e.reg, nil)
+	obj, isObj := v.(*mop.Object)
+	if err != nil || !isObj || obj.Type().Name() != beaconType.Name() {
+		return
 	}
+	tokenV, _ := obj.Get("token")
+	token, _ := tokenV.(string)
+	if token == "" || token == e.token {
+		return
+	}
+	e.mu.Lock()
+	e.members[token] = time.Time{}
+	e.mu.Unlock()
 }
 
-func (e *Election) beaconLoop() {
-	defer e.wg.Done()
-	ticker := time.NewTicker(e.opts.BeaconInterval)
-	defer ticker.Stop()
-	for {
-		beacon := mop.MustNew(beaconType).MustSet("token", e.token)
-		_ = e.bus.Publish(e.subject, beacon)
-		_ = e.bus.Flush()
-		e.evaluate()
-		select {
-		case <-e.done:
-			return
-		case <-ticker.C:
-		}
+// Tick publishes the beacon when it is due (and on the first tick), expires
+// members not heard for four beacon intervals, and promotes or retires the
+// candidate when leadership changes hands.
+func (e *Election) Tick(now time.Time) time.Time {
+	if first := e.every.At.IsZero(); e.every.Due(now) || first {
+		_ = e.d.Publish(e.subject, e.beacon)
+		_ = e.d.Flush()
 	}
-}
-
-// evaluate recomputes leadership from the live-member set and promotes or
-// retires the server on transitions.
-func (e *Election) evaluate() {
-	now := time.Now()
 	e.mu.Lock()
 	smallest := e.token
-	for token, seen := range e.members {
-		if seen.Before(now) {
+	for token, expiry := range e.members {
+		switch {
+		case expiry.IsZero():
+			e.members[token] = now.Add(4 * e.every.D)
+		case expiry.Before(now):
 			delete(e.members, token)
 			continue
 		}
-		if token < smallest {
-			smallest = token
-		}
+		smallest = min(smallest, token)
 	}
-	shouldLead := smallest == e.token
-	transition := shouldLead != e.leading
-	e.leading = shouldLead
+	lead := smallest == e.token
+	changed := lead != e.leading
+	e.leading = lead
 	e.mu.Unlock()
-	if !transition {
-		return
-	}
-	if shouldLead {
+	switch {
+	case changed && lead:
 		_ = e.cand.Promote()
-	} else {
+	case changed:
 		e.cand.Retire()
 	}
+	return e.every.At
 }

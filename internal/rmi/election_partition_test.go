@@ -28,7 +28,6 @@ func (c *testCandidate) Retire()        { c.retires.Add(1) }
 func TestElectionPartitionHeal(t *testing.T) {
 	seg := fastSeg()
 	defer seg.Close()
-	eopts := ElectionOptions{BeaconInterval: 5 * time.Millisecond}
 	const n = 3
 	cands := make([]*testCandidate, n)
 	elections := make([]*Election, n)
@@ -41,7 +40,7 @@ func TestElectionPartitionHeal(t *testing.T) {
 		}
 		nodeIDs[i] = netsim.NodeID(id)
 		cands[i] = &testCandidate{}
-		e, err := NewElection(bus, cands[i], "part.svc", eopts)
+		e, err := NewElection(bus.Host(), cands[i], "part.svc", 5*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -579,7 +579,6 @@ func TestTDLBackedService(t *testing.T) {
 func TestElectionSingleLeader(t *testing.T) {
 	seg := fastSeg()
 	defer seg.Close()
-	eopts := ElectionOptions{BeaconInterval: 10 * time.Millisecond}
 	var servers []*Server
 	var elections []*Election
 	for i := 0; i < 3; i++ {
@@ -590,7 +589,7 @@ func TestElectionSingleLeader(t *testing.T) {
 			t.Fatal(err)
 		}
 		servers = append(servers, s)
-		e, err := NewElection(bus, s, "svc.calc", eopts)
+		e, err := NewElection(bus.Host(), s, "svc.calc", 10*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}

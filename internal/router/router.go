@@ -424,7 +424,7 @@ func (r *Router) handle(att *attachment, m reliable.Message) {
 				// agent answers for the tiers this router runs, on every
 				// segment; the probe is then forwarded so hosts behind other
 				// attachments answer too. Anything else it ignores.
-				r.sys.Probe(hdr.Subject, hdr.Payload)
+				r.sys.Hear(hdr.Subject, hdr.Payload)
 			}
 			if string(hdr.Subject) == telemetry.ClassReqSubject {
 				// Answer on the requester's segment with whatever definitions

@@ -48,7 +48,7 @@ type Config struct {
 	TypeCache *wire.TypeCache
 	// Publish disseminates one marshalled object on subject, flushed — an
 	// alarm must not sit in a batch buffer. Best-effort: a closing node
-	// drops it. Called from whichever goroutine calls Tick, Probe or Trace.
+	// drops it. Called from whichever goroutine calls Tick, Hear or Trace.
 	Publish func(subject string, payload []byte)
 
 	// Stats tier: every StatsInterval the Metrics snapshot goes out as a
@@ -120,7 +120,7 @@ type Agent struct {
 	node  string
 	start time.Time
 	// One cadence per periodic duty, off with its tier: Tick's alone, while
-	// Probe and Trace may run beside it.
+	// Hear and Trace may run beside it.
 	stats, digest, health, sample Every
 }
 
@@ -185,11 +185,11 @@ func (a *Agent) ProbeSubjects() []string {
 	return out
 }
 
-// Probe answers one probe publication; any other subject, or the probe of
+// Hear answers one probe publication; any other subject, or the probe of
 // a tier that is off, is ignored. The subject is a byte view and is only
 // compared, so a node that peeks its traffic (a router, which hands every
 // "_sys" publication it forwards through here) pays no allocation.
-func (a *Agent) Probe(subject, payload []byte) {
+func (a *Agent) Hear(subject, payload []byte) {
 	switch {
 	case string(subject) == telemetry.PingSubject && a.cfg.StatsInterval > 0:
 		a.publish(telemetry.PongSubject(a.node),

@@ -81,9 +81,9 @@ func TestNilTierIsSilent(t *testing.T) {
 			}
 			payload, _ := wire.Marshal(int64(5))
 			for _, probe := range append(allProbes, "_sys.stats.other", "fab5.cc.temp") {
-				a.Probe([]byte(probe), payload)
+				a.Hear([]byte(probe), payload)
 				if got := bus.take(); !reflect.DeepEqual(got, tc.answers[probe]) {
-					t.Errorf("Probe(%s) published %v, want %v", probe, got, tc.answers[probe])
+					t.Errorf("Hear(%s) published %v, want %v", probe, got, tc.answers[probe])
 				}
 			}
 			// The sidecar needs no tier: the classes and the publish func.
@@ -121,9 +121,9 @@ func TestPingEchoesNonce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.Probe([]byte(telemetry.PingSubject), payload)
+		a.Hear([]byte(telemetry.PingSubject), payload)
 	}
-	a.Probe([]byte(telemetry.PingSubject), []byte("not a wire message"))
+	a.Hear([]byte(telemetry.PingSubject), []byte("not a wire message"))
 	if want := []int64{99, 7, 0, 0}; !reflect.DeepEqual(pongs, want) {
 		t.Errorf("pong nonces = %v, want %v", pongs, want)
 	}

@@ -108,6 +108,9 @@ go test -run 'TestSysProbeParity|TestSysGoldenBytes' -count=1 ./internal/router/
 echo "==> quorum-liveness gate (replicated guaranteed delivery reaches quorum)"
 go test -run TestQuorumLiveness -count=1 ./internal/qledger/
 
+echo "==> the quorum tier on the host's one loop (no goroutine or daemon client of its own), and its recovery, backoff, retirement, heard-origin bound and frame order on virtual time"
+go test -run 'TestNoLoopOfItsOwn|TestRecoveryOnVirtualTime|TestFosteredEntriesBackOff|TestCoordinatorRetiresMidReplay|TestReplayAndRetireInEitherOrder|TestHeardOriginsBounded|TestReleaseHeardAfterBatches' -count=1 ./internal/qledger/
+
 echo "==> lane-scaling gate (sharded delivery >= 3x at 8 cores; skips below 4 cores)"
 go test -run TestLaneScalingGate -count=1 -v ./internal/bench/
 
