@@ -64,8 +64,8 @@ type Host struct {
 	ledger *ledger.Ledger
 	buses  []*Bus
 	closed bool
-	// The host's periodic duties are parts on one loop (loop.go), nil until
-	// the first part is added: the guaranteed retrier, the "_sys" agent, the
+	// The host's periodic duties are parts on its one loop (loop.go): the
+	// daemon's interest policy, the guaranteed retrier, the "_sys" agent, the
 	// class-NAK part csync once classesOn, and the layers above the host.
 	csync     classSync
 	classesOn bool
@@ -276,6 +276,10 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 	if cfg.CompactTypes {
 		h.sendDict = wire.NewSendDict(0)
 	}
+	client, _ := h.daemon.NewClient("_sys") // a daemon just started is open
+	h.loop = &hostLoop{client: client, hear: subject.NewTrie[Part](), parts: []Part{interest{h.daemon}},
+		wake: make(chan struct{}, 1), done: make(chan struct{}), exited: make(chan struct{})}
+	go h.housekeep(h.loop)
 	h.csync = classSync{
 		reg: reg, cache: h.typeCache, dict: h.sendDict, ctr: &h.ctr,
 		interval: classNakInterval,
@@ -291,7 +295,7 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 			Recorder: rec,
 		})
 		if err != nil {
-			_ = h.daemon.Close()
+			_ = h.Close()
 			return nil, err
 		}
 		h.ledger = led
@@ -433,7 +437,6 @@ func (h *Host) Close() error {
 	}
 	h.closed = true
 	buses := append([]*Bus(nil), h.buses...)
-	loop := h.loop
 	h.sys = nil
 	hooks := h.closeHooks
 	h.closeHooks = nil
@@ -441,11 +444,9 @@ func (h *Host) Close() error {
 	for i := len(hooks) - 1; i >= 0; i-- {
 		hooks[i]()
 	}
-	if loop != nil {
-		close(loop.done)
-		<-loop.exited
-		_ = loop.client.Close()
-	}
+	close(h.loop.done)
+	<-h.loop.exited
+	_ = h.loop.client.Close()
 	for _, b := range buses {
 		_ = b.Close()
 	}

@@ -62,15 +62,13 @@ func (h *Host) requestClasses(fps []uint64) {
 		return
 	}
 	h.mu.Lock()
-	l, on := h.loop, h.classesOn
+	on := h.classesOn
 	h.classesOn = true
 	h.mu.Unlock()
-	switch {
-	case !on:
+	if !on {
 		_ = h.addClassSync()
-	case l != nil: // nil: the first miss's AddPart has yet to start the loop
-		kick(l.wake)
 	}
+	kick(h.loop.wake)
 }
 
 // addClassSync puts the class-NAK part on the host loop.

@@ -22,11 +22,11 @@ type Part interface {
 	Hear(subject, payload []byte)
 }
 
-// hostLoop is the host's only housekeeping goroutine: it hands every part
-// the time, sleeps until the earliest deadline they return, and feeds each
-// part what its one daemon client hears on the part's subjects. One loop is
-// enough because no part blocks on an application (a bus retries its own
-// stash) or is called from a publish or delivery path.
+// hostLoop is the host's only housekeeping goroutine, started by NewHost: it
+// ticks every part, sleeps until their earliest deadline or a subscription
+// change, and feeds each part what its "_sys" client hears on its subjects.
+// One loop is enough because no part blocks on an application (a bus retries
+// its own stash) or is called from a publish or delivery path.
 type hostLoop struct {
 	client *daemon.Client      // "_sys": subscribed to every part's patterns
 	hear   *subject.Trie[Part] // pattern -> the parts that hear it
@@ -38,9 +38,14 @@ type hostLoop struct {
 	exited chan struct{}
 }
 
-// AddPart puts p on the host's loop, starting the loop — its goroutine and
-// its "_sys" daemon client — if the host has none. From then on the loop
-// ticks p and hands it every delivery on a subject one of patterns matches.
+// interest is the daemon's interest policy (daemon.TickInterest) as a part.
+type interest struct{ d *daemon.Daemon }
+
+func (p interest) Tick(now time.Time) time.Time { return p.d.TickInterest(now) }
+func (interest) Hear(_, _ []byte)               {}
+
+// AddPart puts p on the host's loop. From then on the loop ticks p and hands
+// it every delivery on a subject one of patterns matches.
 // The returned func takes p off the loop and returns once the loop is no
 // longer inside it; a part must not call it.
 func (h *Host) AddPart(p Part, patterns ...string) (remove func(), err error) {
@@ -55,26 +60,15 @@ func (h *Host) AddPart(p Part, patterns ...string) (remove func(), err error) {
 	if h.closed {
 		return nil, ErrClosed
 	}
-	l := h.loop
-	if l == nil {
-		client, err := h.daemon.NewClient("_sys")
-		if err != nil {
-			return nil, err
-		}
-		l = &hostLoop{client: client, hear: subject.NewTrie[Part](),
-			wake: make(chan struct{}, 1), done: make(chan struct{}), exited: make(chan struct{})}
-		h.loop = l
-		go h.housekeep(l)
-	}
 	for _, pat := range pats {
-		if err := l.client.Subscribe(pat); err != nil {
+		if err := h.loop.client.Subscribe(pat); err != nil {
 			return nil, err
 		}
-		l.hear.Add(pat, p)
+		h.loop.hear.Add(pat, p)
 	}
-	l.parts = append(l.parts, p)
-	kick(l.wake) // the new part's first tick
-	return func() { h.removePart(l, p, pats) }, nil
+	h.loop.parts = append(h.loop.parts, p)
+	kick(h.loop.wake) // the new part's first tick
+	return func() { h.removePart(h.loop, p, pats) }, nil
 }
 
 // removePart takes p and its patterns off the loop, dropping the client's
@@ -114,6 +108,7 @@ func (h *Host) housekeep(l *hostLoop) {
 			return
 		case <-l.client.Ready():
 		case <-l.wake:
+		case <-h.daemon.InterestChanged():
 		case <-timer.C:
 		}
 		l.pass.Lock()

@@ -43,11 +43,11 @@ func daemonClients(h *Host) int {
 	return reflect.ValueOf(h.Daemon()).Elem().FieldByName("clients").Len()
 }
 
-// TestOneLoopPerHost: a host with the ledger, compact publishing and every
-// telemetry tier on runs the daemon's lanes + 2 goroutines, the ledger's
-// committer, one dispatcher per Bus and one housekeeping loop with one
-// internal daemon client — not a goroutine per periodic duty — and Close
-// leaves none. A host with none of them starts no loop and no client.
+// TestOneLoopPerHost: every host runs the daemon's lane workers, the conn's
+// loop and one housekeeping loop, started by NewHost, with one internal
+// daemon client. A host with the ledger, compact publishing and every
+// telemetry tier on adds the ledger's committer and one dispatcher per Bus —
+// not a goroutine per periodic duty — and Close leaves none.
 func TestOneLoopPerHost(t *testing.T) {
 	seg := transport.NewManualSimSegment(netsim.DefaultConfig(), virtualStart) // no goroutine of its own
 	defer seg.Close()
@@ -71,8 +71,8 @@ func TestOneLoopPerHost(t *testing.T) {
 		}
 	}
 	by, total := spawned()
-	if want := lanes + 2 + 1 + 1 + buses; total != want || by["infobus/internal/core.(*Host).AddPart"] != 1 {
-		t.Errorf("a fully configured host runs %d goroutines, want %d (lanes + 2, the loop, the committer, one per Bus): %v", total, want, by)
+	if want := lanes + 2 + 1 + buses; total != want || by["infobus/internal/core.NewHost"] != 1 {
+		t.Errorf("a fully configured host runs %d goroutines, want %d (lanes + 2, the committer, one per Bus): %v", total, want, by)
 	}
 	if got := daemonClients(h); got != buses+1 {
 		t.Errorf("the daemon holds %d clients, want %d: one per Bus and \"_sys\"", got, buses+1)
@@ -92,9 +92,9 @@ func TestOneLoopPerHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bare.Close()
-	if by, total := spawned(); total != lanes+2 || bare.loop != nil || daemonClients(bare) != 0 {
-		t.Errorf("a host with every tier off runs %d goroutines (%v), loop %v, %d clients; want the daemon's %d and nothing else",
-			total, by, bare.loop != nil, daemonClients(bare), lanes+2)
+	if by, total := spawned(); total != lanes+2 || by["infobus/internal/core.NewHost"] != 1 || daemonClients(bare) != 1 {
+		t.Errorf("a host with every tier off runs %d goroutines (%v) and %d clients; want %d (lanes + 2: the loop among them) and \"_sys\"",
+			total, by, daemonClients(bare), lanes+2)
 	}
 }
 

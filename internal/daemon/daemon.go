@@ -11,8 +11,8 @@
 // receive matching publications — whether they originated remotely or from
 // another application on the same host. The daemon also participates in
 // the guaranteed-delivery handshake: it acknowledges guaranteed messages
-// that it delivered to at least one local subscriber, and it periodically
-// advertises its aggregate subscription interest for information routers.
+// that it delivered to at least one local subscriber, and it advertises its
+// aggregate subscription interest for information routers (TickInterest).
 package daemon
 
 import (
@@ -127,9 +127,13 @@ var (
 )
 
 // InterestInterval is how often a daemon re-broadcasts its aggregate
-// subscription interest for information routers. Advertisements are also
-// sent immediately on every subscription change.
-const InterestInterval = 250 * time.Millisecond
+// subscription interest for information routers; interestSettle is how long
+// a burst of subscription changes must be quiet before the advertisement
+// covering it goes out.
+const (
+	InterestInterval = 250 * time.Millisecond
+	interestSettle   = 2 * time.Millisecond
+)
 
 // Daemon routes publications between the network and local clients.
 type Daemon struct {
@@ -158,18 +162,21 @@ type Daemon struct {
 	// untouched daemon nothing.
 	foster map[string]func(id uint64, from string)
 	closed bool
-	done   chan struct{}
-	kick   chan struct{} // debounced interest re-advertisement requests
+	kick   chan struct{} // a subscription change since the owner last looked
 	wg     sync.WaitGroup
 
 	// Cached interest advertisement and the subs.Gen() it was read at, so
 	// the periodic re-advertisement allocates nothing and no mutation of
 	// subs can leave it stale. advWide: the cached set is an aggregate.
-	// advSent: the last advertisement sent was not empty.
-	advCache []string
-	advGen   uint64
-	advWide  bool
-	advSent  bool
+	// advSent: the last advertisement sent was not empty. The rest is
+	// TickInterest's (advDue zero: no burst pending).
+	advCache   []string
+	advGen     uint64
+	advWide    bool
+	advSent    bool
+	advChanged bool
+	advDue     time.Time
+	advRefresh time.Time
 
 	// Guaranteed-delivery duplicate suppression: a publisher retransmits
 	// until acknowledged, so the same (origin, id) may arrive many times;
@@ -311,7 +318,6 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 		lanes:       lanes,
 		subs:        subject.NewShardedTrie[*Client](len(lanes)),
 		clients:     make(map[*Client]struct{}),
-		done:        make(chan struct{}),
 		kick:        make(chan struct{}, 1),
 		guarSeen:    make(map[guarKey]struct{}),
 		guarCap:     guarSeenCap,
@@ -355,12 +361,11 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 		}, d.guarSeenGauge.Load)
 	}
 	// One inbound worker per lane, each reading its own shard of the
-	// connection (workerLoop).
-	d.wg.Add(len(d.lanes) + 1)
+	// connection (workerLoop): the daemon's only goroutines.
+	d.wg.Add(len(d.lanes))
 	for _, ln := range d.lanes {
 		go d.workerLoop(ln)
 	}
-	go d.interestLoop()
 	return d
 }
 
@@ -445,7 +450,6 @@ func (d *Daemon) Close() error {
 	}
 	d.closed = true
 	d.closedFlag.Store(true)
-	close(d.done)
 	clients := make([]*Client, 0, len(d.clients))
 	for c := range d.clients {
 		clients = append(clients, c)
@@ -1122,11 +1126,11 @@ func (d *Daemon) routeLocal(ln *lane, dv Delivery, local bool) int {
 // Interest advertisement (consumed by information routers)
 
 // AdvertiseInterest broadcasts the daemon's aggregate subscription pattern
-// set immediately. It is also called periodically and on every
-// subscription change. A daemon that wants nothing says so once, when the
-// empty set replaces a non-empty one — a router then drops the host's entry
-// at that advertisement instead of at its TTL — and is otherwise silent:
-// never periodically, never at start-up.
+// set immediately; TickInterest calls it when the policy says so. A daemon
+// that wants nothing says so once, when the empty set replaces a non-empty
+// one — a router then drops the host's entry at that advertisement instead
+// of at its TTL — and is otherwise silent: never periodically, never at
+// start-up.
 func (d *Daemon) AdvertiseInterest() {
 	d.mu.Lock()
 	if d.closed {
@@ -1222,43 +1226,46 @@ func (d *Daemon) guarRecordLocked(key guarKey) {
 	d.guarSeenGauge.Set(int64(len(d.guarSeen)))
 }
 
-// kickInterest schedules a prompt advertisement without blocking the
-// caller; bursts of subscription changes collapse into one broadcast.
+// kickInterest notes a subscription change, under d.mu, and signals
+// InterestChanged without blocking: a signal already waiting covers this one.
 func (d *Daemon) kickInterest() {
+	d.advChanged = true
 	select {
 	case d.kick <- struct{}{}:
 	default:
 	}
 }
 
-func (d *Daemon) interestLoop() {
-	defer d.wg.Done()
-	ticker := time.NewTicker(InterestInterval)
-	defer ticker.Stop()
-	debounce := time.NewTimer(time.Hour)
-	debounce.Stop()
-	for {
-		select {
-		case <-d.done:
-			return
-		case <-d.kick:
-			// Let a burst of Subscribe calls settle briefly, then send one
-			// advertisement covering them all. Stop-and-drain before Reset:
-			// if the timer fired between our last receive and this kick, the
-			// stale expiry sits in debounce.C and would otherwise make the
-			// reset fire immediately, defeating the debounce (this loop is
-			// the only reader, so the non-blocking drain cannot race).
-			if !debounce.Stop() {
-				select {
-				case <-debounce.C:
-				default:
-				}
-			}
-			debounce.Reset(2 * time.Millisecond)
-		case <-debounce.C:
-			d.AdvertiseInterest()
-		case <-ticker.C:
-			d.AdvertiseInterest()
-		}
+// InterestChanged is signalled by a subscription change; TickInterest stamps it.
+func (d *Daemon) InterestChanged() <-chan struct{} { return d.kick }
+
+// TickInterest is the interest policy on its owner's clock: it advertises
+// interestSettle after the last change of a burst — even a burst that left
+// the set as it was — and every InterestInterval, and returns when it next
+// wants the clock. A host's loop calls it then and whenever InterestChanged
+// is signalled; a daemon nobody ticks advertises only when its owner calls.
+func (d *Daemon) TickInterest(now time.Time) time.Time {
+	d.mu.Lock()
+	if d.advChanged {
+		d.advChanged, d.advDue = false, now.Add(interestSettle)
 	}
+	if d.advRefresh.IsZero() {
+		d.advRefresh = now.Add(InterestInterval)
+	}
+	send := !d.advDue.IsZero() && !now.Before(d.advDue)
+	if send {
+		d.advDue = time.Time{}
+	}
+	if !now.Before(d.advRefresh) {
+		d.advRefresh, send = now.Add(InterestInterval), true
+	}
+	next := d.advRefresh
+	if !d.advDue.IsZero() && d.advDue.Before(next) {
+		next = d.advDue
+	}
+	d.mu.Unlock()
+	if send {
+		d.AdvertiseInterest()
+	}
+	return next
 }

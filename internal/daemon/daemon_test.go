@@ -399,32 +399,6 @@ func TestGuaranteedLateSubscriberAfterEviction(t *testing.T) {
 	}
 }
 
-// TestInterestDebounceCoalesces drives the interestLoop's live debounce
-// path: a burst of subscription changes must collapse into a small number
-// of interest broadcasts, not one per change (the timer is stopped and
-// drained before each reset, so a stale expiry cannot defeat the 2ms
-// settle window).
-func TestInterestDebounceCoalesces(t *testing.T) {
-	_, db := newPair(t)
-	c, _ := db.NewClient("bursty")
-	base := db.Conn().Stats().Published
-	for i := 0; i < 40; i++ {
-		if err := c.Subscribe(subject.MustParsePattern(fmt.Sprintf("burst.s%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(60 * time.Millisecond) // let the debounce fire and settle
-	sent := db.Conn().Stats().Published - base
-	// One advertisement per change would be ~40; the debounce plus the
-	// 250ms periodic tick should keep it to a handful.
-	if sent > 10 {
-		t.Errorf("burst of 40 subscriptions caused %d broadcasts, want <= 10", sent)
-	}
-	if sent == 0 {
-		t.Error("debounce never advertised at all")
-	}
-}
-
 // muteSends is an endpoint whose unicast sends vanish while muted. On a
 // publisher, that silences its reliable layer's acknowledgements of the ack
 // frames consumers send it, so a consumer's unicast window to it stays full.
@@ -698,8 +672,10 @@ func TestClosedClientLeavesAdvertisement(t *testing.T) {
 	_ = a.Subscribe(subject.MustParsePattern("gone.x"))
 	_ = a.Subscribe(subject.MustParsePattern("gone.y.>"))
 	_ = b.Subscribe(subject.MustParsePattern("kept.z"))
+	d.AdvertiseInterest()
 	awaitInterest(t, l, "gone.x", "gone.y.>", "kept.z")
 	_ = a.Close()
+	d.AdvertiseInterest()
 	awaitInterest(t, l, "kept.z")
 }
 
@@ -729,19 +705,96 @@ func (e *adTap) Broadcast(frame []byte) error {
 	return nil
 }
 
-// distinct returns the advertisements recorded so far with immediate
-// repeats folded: the daemon's own debounce and ticker may say again what
-// the test's direct call just said, never anything else.
-func (e *adTap) distinct() [][]string {
+// sent returns the advertisements recorded so far, in order.
+func (e *adTap) sent() [][]string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var out [][]string
-	for _, ad := range e.ads {
-		if len(out) == 0 || !slices.Equal(out[len(out)-1], ad) {
-			out = append(out, ad)
+	return slices.Clone(e.ads)
+}
+
+func newAdTap(t *testing.T) (*Daemon, *adTap) {
+	tap := &adTap{recv: make(chan transport.Datagram)}
+	d := New(tap, reliable.Config{HeartbeatInterval: time.Hour}, Options{})
+	t.Cleanup(func() { _ = d.Close() })
+	return d, tap
+}
+
+// virtualStart is where tests on virtual time start the clock.
+var virtualStart = time.Unix(1000, 0)
+
+// TestInterestOnVirtualTime: the interest policy, ticked as a host's loop
+// ticks it. A burst of changes is advertised once, interestSettle after its
+// last change, holding the whole burst; a refresh follows every
+// InterestInterval; a subscribe+cancel inside one window still sends (a
+// churning client waits for that advertisement); the last unsubscribe says
+// the empty set once, and then nothing is sent.
+func TestInterestOnVirtualTime(t *testing.T) {
+	d, tap := newAdTap(t)
+	c, _ := d.NewClient("app")
+	now := virtualStart
+	tick := func(dt time.Duration) time.Time {
+		now = now.Add(dt)
+		return d.TickInterest(now)
+	}
+	expect := func(what string, ads ...[]string) {
+		t.Helper()
+		if got := tap.sent(); !slices.EqualFunc(got, ads, slices.Equal) {
+			t.Fatalf("%s: advertised %v, want %v", what, got, ads)
 		}
 	}
-	return out
+	var burst []string
+	for i := 0; i < 40; i++ {
+		burst = append(burst, fmt.Sprintf("burst.s%02d", i))
+		_ = c.Subscribe(subject.MustParsePattern(burst[i]))
+	}
+	select {
+	case <-d.InterestChanged():
+	default:
+		t.Fatal("a subscription change did not signal InterestChanged")
+	}
+	if next := tick(0); !next.Equal(virtualStart.Add(interestSettle)) {
+		t.Fatalf("next tick at +%v, want +%v", next.Sub(virtualStart), interestSettle)
+	}
+	tick(time.Millisecond)
+	expect("1 ms after the burst")
+	if next := tick(time.Millisecond); !next.Equal(virtualStart.Add(InterestInterval)) {
+		t.Fatalf("after the burst's advertisement, next tick at +%v, want the refresh at +%v", next.Sub(virtualStart), InterestInterval)
+	}
+	expect("2 ms after the burst", burst)
+
+	ads := [][]string{burst}
+	for i := 1; i <= 3; i++ {
+		refresh := virtualStart.Add(time.Duration(i) * InterestInterval)
+		tick(refresh.Sub(now) - time.Nanosecond)
+		expect(fmt.Sprintf("just before refresh %d", i), ads...)
+		tick(time.Nanosecond)
+		ads = append(ads, burst)
+		expect(fmt.Sprintf("at refresh %d", i), ads...)
+	}
+
+	churned := subject.MustParsePattern("churned")
+	_ = c.Subscribe(churned)
+	tick(0)
+	tick(time.Millisecond)
+	_ = c.Unsubscribe(churned)
+	tick(0)
+	tick(time.Millisecond)
+	expect("1 ms after the cancel", ads...)
+	tick(time.Millisecond)
+	ads = append(ads, burst)
+	expect("2 ms after the cancel: the set is as it was, and still sent", ads...)
+
+	for _, p := range burst {
+		_ = c.Unsubscribe(subject.MustParsePattern(p))
+	}
+	tick(0)
+	tick(interestSettle)
+	ads = append(ads, nil)
+	expect("after the last unsubscribe", ads...)
+	for i := 0; i < 4; i++ {
+		tick(InterestInterval)
+	}
+	expect("four intervals later", ads...)
 }
 
 // TestLastUnsubscribeAdvertisesEmptySet: a daemon that wants nothing says
@@ -749,13 +802,9 @@ func (e *adTap) distinct() [][]string {
 // the host's entry at that advertisement instead of at its TTL. It never
 // says it at start-up and never again while the set stays empty.
 func TestLastUnsubscribeAdvertisesEmptySet(t *testing.T) {
-	tap := &adTap{recv: make(chan transport.Datagram)}
-	d := New(tap, reliable.Config{HeartbeatInterval: time.Hour}, Options{})
-	defer d.Close()
+	d, tap := newAdTap(t)
 	empties := func() (n int) {
-		tap.mu.Lock()
-		defer tap.mu.Unlock()
-		for _, ad := range tap.ads {
+		for _, ad := range tap.sent() {
 			if len(ad) == 0 {
 				n++
 			}
@@ -763,7 +812,7 @@ func TestLastUnsubscribeAdvertisesEmptySet(t *testing.T) {
 		return n
 	}
 	d.AdvertiseInterest()
-	if got := tap.distinct(); len(got) != 0 {
+	if got := tap.sent(); len(got) != 0 {
 		t.Fatalf("a daemon with no subscription advertised %v at start-up", got)
 	}
 	c, _ := d.NewClient("app")
@@ -776,11 +825,11 @@ func TestLastUnsubscribeAdvertisesEmptySet(t *testing.T) {
 			d.AdvertiseInterest()
 		}
 		if got := empties(); got != round {
-			t.Fatalf("round %d: %d empty advertisements so far, want one per last unsubscribe: %v", round, got, tap.distinct())
+			t.Fatalf("round %d: %d empty advertisements so far, want one per last unsubscribe: %v", round, got, tap.sent())
 		}
 	}
 	want := [][]string{{"only.r1"}, nil, {"only.r2"}, nil}
-	if got := tap.distinct(); !slices.EqualFunc(got, want, func(a, b []string) bool { return slices.Equal(a, b) }) {
+	if got := tap.sent(); !slices.EqualFunc(got, want, slices.Equal) {
 		t.Fatalf("advertised %v, want %v", got, want)
 	}
 }
@@ -800,10 +849,13 @@ func TestAdvertiseInterestAllocBudget(t *testing.T) {
 			}
 		}
 		churned := subject.MustParsePattern("load.churned")
+		now := virtualStart
 		return testing.AllocsPerRun(200, func() {
 			_ = c.Subscribe(churned)
 			_ = c.Unsubscribe(churned)
-			d.AdvertiseInterest()
+			d.TickInterest(now) // stamps the change
+			now = now.Add(interestSettle)
+			d.TickInterest(now) // advertises
 		})
 	}
 	small, large := perChange(100), perChange(10000)

@@ -136,15 +136,15 @@ func daemonGoroutines() int {
 
 // TestLaneWiring checks the structural invariants: one inbound worker per
 // lane — at DeliveryLanes == 1 too, the same engine at N = 1 — reading the
-// connection directly (lanes workers + interestLoop + the conn's one loop,
-// no relay goroutine between them, none left by Close), and every client
-// gets one queue column per lane.
+// connection directly (lanes workers + the conn's one loop, no relay
+// goroutine between them and no timer loop beside them, none left by Close),
+// and every client gets one queue column per lane.
 func TestLaneWiring(t *testing.T) {
 	seg, rcfg := newSegment(t)
 	for _, lanes := range []int{4, 1} {
 		d := New(newEndpoint(t, seg, fmt.Sprintf("lanes%d", lanes)), rcfg, Options{DeliveryLanes: lanes})
-		if got := daemonGoroutines(); d.Lanes() != lanes || got != lanes+2 {
-			t.Fatalf("lanes=%d goroutines=%d, want %d/%d", d.Lanes(), got, lanes, lanes+2)
+		if got := daemonGoroutines(); d.Lanes() != lanes || got != lanes+1 {
+			t.Fatalf("lanes=%d goroutines=%d, want %d/%d", d.Lanes(), got, lanes, lanes+1)
 		}
 		c, err := d.NewClient("app")
 		if err != nil {

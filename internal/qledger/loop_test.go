@@ -45,8 +45,7 @@ func daemonClients(h *core.Host) int {
 // TestNoLoopOfItsOwn: the replication tier and its coordinator election are
 // parts on the host's one loop. A replicated host runs the goroutines and
 // daemon clients of the same host unreplicated, plus one ledger committer
-// per origin its store holds, plus the loop and its "_sys" client where the
-// host had no loop; Close leaves none.
+// per origin its store holds; Close leaves none.
 func TestNoLoopOfItsOwn(t *testing.T) {
 	seg := transport.NewManualSimSegment(netsim.DefaultConfig(), virtualStart) // no goroutine of its own
 	defer seg.Close()
@@ -67,10 +66,9 @@ func TestNoLoopOfItsOwn(t *testing.T) {
 		name   string
 		ledger bool
 		factor int
-		loop   int // the loop and its client, when the host had none
 	}{
-		{"publisher and replica", true, 1, 0},
-		{"replica", false, 0, 1},
+		{"publisher and replica", true, 1},
+		{"replica", false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -109,12 +107,12 @@ func TestNoLoopOfItsOwn(t *testing.T) {
 				t.Fatal(err)
 			}
 			by, total := spawned()
-			if want := goroutines + 1 + tc.loop; total != want {
-				t.Errorf("a replicated host runs %d goroutines, want %d (the host's %d, one committer, %d loop): %v",
-					total, want, goroutines, tc.loop, by)
+			if want := goroutines + 1; total != want {
+				t.Errorf("a replicated host runs %d goroutines, want %d (the host's %d, one committer): %v",
+					total, want, goroutines, by)
 			}
-			if got, want := daemonClients(repl), clients+tc.loop; got != want {
-				t.Errorf("the daemon of a replicated host holds %d clients, want %d", got, want)
+			if got := daemonClients(repl); got != clients {
+				t.Errorf("the daemon of a replicated host holds %d clients, want %d", got, clients)
 			}
 			closed(repl)
 		})

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"infobus/internal/core"
-	"infobus/internal/daemon"
 	"infobus/internal/mop"
 	"infobus/internal/subject"
 	"infobus/internal/sysagent"
@@ -46,14 +45,13 @@ type Candidate interface {
 // leader (still draining) or re-discover the new one — the
 // continuous-operation story of R1.
 type Election struct {
-	d       *daemon.Daemon
-	reg     *mop.Registry
-	cand    Candidate
-	subject subject.Subject
-	token   string
-	beacon  []byte         // the marshalled RMIElectionBeacon, the same every time
-	every   sysagent.Every // the beacon's cadence
-	remove  func()
+	reg    *mop.Registry
+	cand   Candidate
+	token  string
+	beacon []byte              // the marshalled RMIElectionBeacon, the same every time
+	send   func(beacon []byte) // publishes the beacon on the election subject
+	every  sysagent.Every      // the beacon's cadence
+	remove func()
 
 	mu      sync.Mutex
 	members map[string]time.Time // other live members' tokens -> expiry; zero: heard since the last Tick
@@ -71,29 +69,17 @@ var beaconType = mop.MustNewClass("RMIElectionBeacon", nil, []mop.Attr{
 // candidate should be constructed with Standby: true; the election decides
 // who answers discovery. Close the election before closing the candidate.
 func NewElection(h *core.Host, cand Candidate, service string, interval time.Duration) (*Election, error) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
 	subj, err := subject.Parse("_election." + service)
 	if err != nil {
 		return nil, err
 	}
-	token := fmt.Sprintf("%016x-%s", h.Token(), h.Addr())
-	// Marshalled self-contained (v1), not through the host's send
-	// dictionary: any member decodes it without the sender's definitions.
-	beacon, err := wire.Marshal(mop.MustNew(beaconType).MustSet("token", token))
+	d := h.Daemon()
+	e, err := newElection(h.Registry(), cand, fmt.Sprintf("%016x-%s", h.Token(), h.Addr()), interval, func(beacon []byte) {
+		_ = d.Publish(subj, beacon)
+		_ = d.Flush()
+	})
 	if err != nil {
 		return nil, err
-	}
-	e := &Election{
-		d:       h.Daemon(),
-		reg:     h.Registry(),
-		cand:    cand,
-		subject: subj,
-		token:   token,
-		beacon:  beacon,
-		every:   sysagent.Every{D: interval},
-		members: make(map[string]time.Time),
 	}
 	if e.remove, err = h.AddPart(e, subj.String()); err != nil {
 		return nil, err
@@ -101,8 +87,21 @@ func NewElection(h *core.Host, cand Candidate, service string, interval time.Dur
 	return e, nil
 }
 
-// Token returns this member's election identity.
-func (e *Election) Token() string { return e.token }
+// newElection is a member on no loop: it beacons through send and hears
+// only what it is handed.
+func newElection(reg *mop.Registry, cand Candidate, token string, interval time.Duration, send func(beacon []byte)) (*Election, error) {
+	if interval <= 0 {
+		interval = 50 * time.Millisecond
+	}
+	// Marshalled self-contained (v1), not through the host's send
+	// dictionary: any member decodes it without the sender's definitions.
+	beacon, err := wire.Marshal(mop.MustNew(beaconType).MustSet("token", token))
+	if err != nil {
+		return nil, err
+	}
+	return &Election{reg: reg, cand: cand, token: token, beacon: beacon, send: send,
+		every: sysagent.Every{D: interval}, members: make(map[string]time.Time)}, nil
+}
 
 // Leading reports whether this member currently holds leadership.
 func (e *Election) Leading() bool {
@@ -161,8 +160,7 @@ func (e *Election) Hear(_, payload []byte) {
 // candidate when leadership changes hands.
 func (e *Election) Tick(now time.Time) time.Time {
 	if first := e.every.At.IsZero(); e.every.Due(now) || first {
-		_ = e.d.Publish(e.subject, e.beacon)
-		_ = e.d.Flush()
+		e.send(e.beacon)
 	}
 	e.mu.Lock()
 	smallest := e.token

@@ -87,6 +87,10 @@ go test -run TestRouterForwardAllocBudget -count=1 ./internal/router/
 echo "==> alloc gate (subscription change + advertisement: same small constant at 100 and at 10000 subscriptions)"
 go test -run TestAdvertiseInterestAllocBudget -count=1 ./internal/daemon/
 
+echo "==> the daemon's interest policy and the rmi election on virtual time (ticked directly: no loop, no segment, no sleep)"
+go test -run TestInterestOnVirtualTime -count=1 ./internal/daemon/
+go test -run 'TestElectionPartitionHeal|TestElectionLeaderExpiry' -count=1 ./internal/rmi/
+
 echo "==> interest-aggregate gate (Trie.Aggregate == AggregatePatterns(Trie.Patterns()); aggregation only widens)"
 go test -run 'TestTrieAggregateEqualsAggregatePatterns|TestAggregateWidens|TestAggregateKeepsOneElementSubjects' -count=1 ./internal/subject/
 
