@@ -89,7 +89,8 @@ func (h *Host) retryPendingDecodes() {
 }
 
 // request queues fingerprints for NAKing at the next tick and reports
-// whether any was new.
+// whether any was new. A fingerprint the cache has learned since the miss
+// (another bus's request was answered meanwhile) is not asked for again.
 func (cs *classSync) request(fps []uint64) bool {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -97,6 +98,9 @@ func (cs *classSync) request(fps []uint64) bool {
 	for _, fp := range fps {
 		if len(cs.want) >= maxWantedFPs {
 			break
+		}
+		if _, ok := cs.cache.Lookup(fp); ok {
+			continue
 		}
 		if !cs.want[fp] {
 			cs.want[fp] = true

@@ -182,10 +182,23 @@ func TestClassNakThroughTheSlot(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 
+	deferred := late.Metrics().Counter("bus.decode_deferred")
 	for i, microns := range []float64{2.0, 3.0} {
+		if i == 0 {
+			// Hold the class request until both buses have missed: were
+			// the definitions to arrive between the two decodes, the
+			// second bus would decode and never stash.
+			late.csync.mu.Lock()
+		}
 		if err := pubBus.Publish("fab5.cc.litho8.thick",
 			mop.MustNew(wt).MustSet("station", "litho8").MustSet("microns", microns)); err != nil {
 			t.Fatal(err)
+		}
+		if i == 0 {
+			for deadline := time.Now().Add(5 * time.Second); deferred.Load() < 2 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			late.csync.mu.Unlock()
 		}
 		var got []*mop.Object
 		for _, sub := range subs {

@@ -73,7 +73,11 @@ var timeType = reflect.TypeFor[time.Time]()
 // found at its initialisation): an unsupported field type, an unexported
 // tagged field, a malformed tag, a []S whose S is not yet bound.
 func Bind[T any](s *Schema, class string) Binding[T] {
-	gt := reflect.TypeFor[T]()
+	return Binding[T]{s.bind(reflect.TypeFor[T](), class)}
+}
+
+// bind is Bind for the struct type gt.
+func (s *Schema) bind(gt reflect.Type, class string) *Bound {
 	k := &Bound{goType: gt}
 	var attrs []Attr
 	for i := 0; i < gt.NumField(); i++ {
@@ -123,7 +127,7 @@ func Bind[T any](s *Schema, class string) Binding[T] {
 	}
 	s.kinds = append(s.kinds, k)
 	s.byGo[gt] = k
-	return Binding[T]{k}
+	return k
 }
 
 // Kinds returns the schema's kinds in binding order, not to be modified.
@@ -192,21 +196,21 @@ func (b Binding[T]) Read(o *Object, v *T) bool { return b.kind.read(o, reflect.V
 // object boxes each field through its typed getter, so a small integer or
 // an empty string costs no allocation, exactly as a hand-written Set would.
 func (k *Bound) object(v reflect.Value) *Object {
-	slots := make([]Value, len(k.fields))
+	o := alloc(k.typ, len(k.fields))
 	for i, f := range k.fields {
 		switch fv := v.Field(f.index); fv.Kind() {
 		case reflect.String:
-			slots[i] = fv.String()
+			o.slots[i] = fv.String()
 		case reflect.Bool:
-			slots[i] = fv.Bool()
+			o.slots[i] = fv.Bool()
 		case reflect.Float64:
-			slots[i] = fv.Float()
+			o.slots[i] = fv.Float()
 		case reflect.Int, reflect.Int64:
-			slots[i] = fv.Int()
+			o.slots[i] = fv.Int()
 		case reflect.Uint64:
-			slots[i] = int64(fv.Uint())
+			o.slots[i] = int64(fv.Uint())
 		case reflect.Struct:
-			slots[i] = fv.Interface() // a time.Time: Bind admits no other struct
+			o.slots[i] = fv.Interface() // a time.Time: Bind admits no other struct
 		case reflect.Slice:
 			list := make(List, fv.Len())
 			for j := range list {
@@ -216,10 +220,10 @@ func (k *Bound) object(v reflect.Value) *Object {
 					list[j] = fv.Index(j).String()
 				}
 			}
-			slots[i] = list
+			o.slots[i] = list
 		}
 	}
-	return &Object{typ: k.typ, slots: slots}
+	return o
 }
 
 func (k *Bound) read(o *Object, v reflect.Value) bool {

@@ -41,11 +41,11 @@ func New(t *Type) (*Object, error) {
 	if err := instantiable(t); err != nil {
 		return nil, err
 	}
-	slots := make([]Value, len(t.all))
+	o := alloc(t, len(t.all))
 	for i, a := range t.all {
-		slots[i] = ZeroValue(a.Type)
+		o.slots[i] = ZeroValue(a.Type)
 	}
-	return &Object{typ: t, slots: slots}, nil
+	return o, nil
 }
 
 // NewFrom creates an instance of a class whose slot i holds fill(i), the
@@ -53,13 +53,12 @@ func New(t *Type) (*Object, error) {
 // against its attribute's declared type exactly as SetAt would check it, and
 // the first error — fill's own, returned as is, or a failed check — abandons
 // the object. Decoders use it instead of New followed by SetAt per slot: New
-// fills every slot with a zero value (boxing a time.Time per time attribute)
-// only for the decoder to overwrite it.
+// fills every slot with a zero value only for the decoder to overwrite it.
 func NewFrom(t *Type, fill func(slot int) (Value, error)) (*Object, error) {
 	if err := instantiable(t); err != nil {
 		return nil, err
 	}
-	slots := make([]Value, len(t.all))
+	o := alloc(t, len(t.all))
 	for i, a := range t.all {
 		v, err := fill(i)
 		if err != nil {
@@ -68,9 +67,61 @@ func NewFrom(t *Type, fill func(slot int) (Value, error)) (*Object, error) {
 		if err := CheckValue(a.Type, v); err != nil {
 			return nil, fmt.Errorf("class %q attribute %q: %w", t.Name(), a.Name, err)
 		}
-		slots[i] = v
+		o.slots[i] = v
 	}
-	return &Object{typ: t, slots: slots}, nil
+	return o, nil
+}
+
+// alloc returns an object of class t with n nil slots. Up to 16 slots, the
+// object and its slots are one allocation, a block sized for exactly n; a
+// larger class pays a second one for its slots.
+func alloc(t *Type, n int) *Object {
+	switch n {
+	case 1:
+		return carve(t, func(a *[1]Value) []Value { return a[:] })
+	case 2:
+		return carve(t, func(a *[2]Value) []Value { return a[:] })
+	case 3:
+		return carve(t, func(a *[3]Value) []Value { return a[:] })
+	case 4:
+		return carve(t, func(a *[4]Value) []Value { return a[:] })
+	case 5:
+		return carve(t, func(a *[5]Value) []Value { return a[:] })
+	case 6:
+		return carve(t, func(a *[6]Value) []Value { return a[:] })
+	case 7:
+		return carve(t, func(a *[7]Value) []Value { return a[:] })
+	case 8:
+		return carve(t, func(a *[8]Value) []Value { return a[:] })
+	case 9:
+		return carve(t, func(a *[9]Value) []Value { return a[:] })
+	case 10:
+		return carve(t, func(a *[10]Value) []Value { return a[:] })
+	case 11:
+		return carve(t, func(a *[11]Value) []Value { return a[:] })
+	case 12:
+		return carve(t, func(a *[12]Value) []Value { return a[:] })
+	case 13:
+		return carve(t, func(a *[13]Value) []Value { return a[:] })
+	case 14:
+		return carve(t, func(a *[14]Value) []Value { return a[:] })
+	case 15:
+		return carve(t, func(a *[15]Value) []Value { return a[:] })
+	case 16:
+		return carve(t, func(a *[16]Value) []Value { return a[:] })
+	}
+	return &Object{typ: t, slots: make([]Value, n)}
+}
+
+// carve allocates an object and its slot array A together and points the
+// object's slots at the array.
+func carve[A any](t *Type, slots func(*A) []Value) *Object {
+	b := new(struct {
+		o Object
+		a A
+	})
+	b.o = Object{typ: t, slots: slots(&b.a)}
+	return &b.o
 }
 
 // MustNew is New that panics on error.
@@ -147,11 +198,11 @@ func (o *Object) Clone() *Object {
 	if o == nil {
 		return nil
 	}
-	slots := make([]Value, len(o.slots))
+	c := alloc(o.typ, len(o.slots))
 	for i, v := range o.slots {
-		slots[i] = CloneValue(v)
+		c.slots[i] = CloneValue(v)
 	}
-	return &Object{typ: o.typ, slots: slots}
+	return c
 }
 
 // Equal reports whether two objects have the identical class and equal

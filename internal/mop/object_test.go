@@ -2,6 +2,8 @@ package mop
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -94,9 +96,8 @@ func TestNewFrom(t *testing.T) {
 	if _, err := NewFrom(evt, func(int) (Value, error) { return nil, boom }); err != boom {
 		t.Errorf("fill error came back as %v, want it untouched", err)
 	}
-	// New boxes a zero time.Time for the at slot; NewFrom must not: with
-	// values that need no box of their own, only the object and its slots
-	// are allocated.
+	// With values that need no box of their own, the object and its slots
+	// are the one allocation.
 	small := func(i int) (Value, error) { return []Value{nil, nil, nil}[i], nil }
 	loose := MustNewClass("Loose", nil, []Attr{
 		{Name: "a", Type: Any}, {Name: "b", Type: Any}, {Name: "c", Type: Any}}, nil)
@@ -104,8 +105,91 @@ func TestNewFrom(t *testing.T) {
 		if _, err := NewFrom(loose, small); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 2 {
-		t.Errorf("NewFrom allocates %.0f times, want the object and its slots", got)
+	}); got > 1 {
+		t.Errorf("NewFrom allocates %.0f times, want one block for the object and its slots", got)
+	}
+}
+
+// TestObjectIsOneAllocation: every constructor — New, NewFrom, Clone and a
+// bound kind's Object — builds an object whose header and slots are one
+// block up to 16 slots and two above, holds the values it was given, and
+// owns its slots: a clone's SetAt shows in neither its original nor a
+// sibling clone. Slot i is an int, string, float, bool or time by i mod 5.
+func TestObjectIsOneAllocation(t *testing.T) {
+	kinds := []reflect.Type{reflect.TypeFor[int64](), reflect.TypeFor[string](),
+		reflect.TypeFor[float64](), reflect.TypeFor[bool](), reflect.TypeFor[time.Time]()}
+	value := func(i int) Value {
+		return []Value{int64(1000 + i), fmt.Sprint("v", i), float64(i) + 0.5, true, time.Unix(int64(i), 0).UTC()}[i%5]
+	}
+	sizes := []int{40}
+	for n := 20; n >= 0; n-- {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		fields := make([]reflect.StructField, n)
+		for i := range fields {
+			fields[i] = reflect.StructField{Name: fmt.Sprint("F", i), Type: kinds[i%5], Tag: reflect.StructTag(fmt.Sprintf(`mop:"f%d"`, i))}
+		}
+		var schema Schema
+		k := schema.bind(reflect.StructOf(fields), fmt.Sprint("Slots", n))
+		cls := k.Type()
+
+		zero := MustNew(cls)
+		full, err := NewFrom(cls, func(i int) (Value, error) { return value(i), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := k.New()
+		for i := 0; i < n; i++ {
+			reflect.ValueOf(p).Elem().Field(i).Set(reflect.ValueOf(value(i)))
+		}
+		bound := k.ObjectOf(p)
+		c1, c2 := full.Clone(), full.Clone()
+		for i := 0; i < n; i++ {
+			if v := zero.GetAt(i); !EqualValues(v, ZeroValue(cls.Attrs()[i].Type)) {
+				t.Errorf("%d slots: New's slot %d = %v, want the zero value", n, i, v)
+			}
+			for name, o := range map[string]*Object{"NewFrom": full, "Object": bound, "Clone": c1} {
+				if v := o.GetAt(i); !EqualValues(v, value(i)) {
+					t.Errorf("%d slots: %s's slot %d = %v, want %v", n, name, i, v, value(i))
+				}
+			}
+			if err := c1.SetAt(i, value(i+5)); err != nil {
+				t.Fatal(err)
+			}
+			if !EqualValues(full.GetAt(i), value(i)) || !EqualValues(c2.GetAt(i), value(i)) {
+				t.Errorf("%d slots: a clone's SetAt(%d) shows in its original or its sibling", n, i)
+			}
+		}
+		if back := k.New(); !k.ReadInto(bound, back) || !reflect.DeepEqual(back, p) {
+			t.Errorf("%d slots: the bound object reads back as %+v, want %+v", n, back, p)
+		}
+
+		if raceEnabled {
+			continue // race-detector instrumentation allocates
+		}
+		want := 1.0
+		if n > 16 {
+			want = 2
+		}
+		zeroFill := func(i int) (Value, error) { return ZeroValue(cls.Attrs()[i].Type), nil }
+		// A bound kind boxes a time.Time field through reflect, one
+		// allocation each on top of the block.
+		times := float64(n / 5)
+		zp := k.New()
+		for name, c := range map[string]struct {
+			want float64
+			f    func()
+		}{
+			"New":     {want, func() { MustNew(cls) }},
+			"NewFrom": {want, func() { _, _ = NewFrom(cls, zeroFill) }},
+			"Clone":   {want, func() { zero.Clone() }},
+			"Object":  {want + times, func() { k.ObjectOf(zp) }},
+		} {
+			if got := testing.AllocsPerRun(100, c.f); got != c.want {
+				t.Errorf("%d slots: %s allocates %.0f times, want %.0f", n, name, got, c.want)
+			}
+		}
 	}
 }
 

@@ -155,8 +155,13 @@ func mismatch(t *Type, v Value) error {
 	return fmt.Errorf("value of dynamic type %T does not conform to %q: %w", v, t.Name(), ErrTypeMismatch)
 }
 
+// zeroTime is the zero time.Time boxed once: a Value is immutable, so every
+// caller of ZeroValue shares it.
+var zeroTime Value = time.Time{}
+
 // ZeroValue returns the zero value for a declared type: false, 0, 0.0, "",
-// the zero time, and nil for bytes, lists, classes, and any.
+// the zero time, and nil for bytes, lists, classes, and any. No result costs
+// an allocation.
 func ZeroValue(t *Type) Value {
 	switch t.kind {
 	case KindBool:
@@ -168,7 +173,7 @@ func ZeroValue(t *Type) Value {
 	case KindString:
 		return ""
 	case KindTime:
-		return time.Time{}
+		return zeroTime
 	default:
 		return nil
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"unsafe"
@@ -55,16 +56,41 @@ func checkCacheOptional(t *testing.T, setup func(*mop.Registry), data []byte) {
 // writing into the input.
 func checkViews(t *testing.T, v mop.Value, data []byte) {
 	t.Helper()
-	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
 	eachBytes(v, func(b []byte) {
 		if len(b) == 0 {
 			return
 		}
-		if p := uintptr(unsafe.Pointer(&b[0])); p < lo || p+uintptr(len(b)) > lo+uintptr(len(data)) {
+		if !inside(b, data) {
 			t.Fatalf("a decoded []byte of %d bytes is not a view of the input", len(b))
 		}
 		if cap(b) != len(b) {
 			t.Fatalf("a decoded view has cap %d > len %d: an append would write into the input", cap(b), len(b))
+		}
+	})
+}
+
+// inside reports whether the non-empty b lies within data's memory.
+func inside(b, data []byte) bool {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	p := uintptr(unsafe.Pointer(&b[0]))
+	return p >= lo && p+uintptr(len(b)) <= lo+uintptr(len(data))
+}
+
+// checkClone: a deep copy of v, decoded from data and encoded as enc, equals
+// v, encodes to the same bytes, and holds no view of data. Every object in it
+// is built by Object.Clone, whatever its class's slot count.
+func checkClone(t *testing.T, v mop.Value, enc, data []byte, encode func(mop.Value) ([]byte, error)) {
+	t.Helper()
+	c := mop.CloneValue(v)
+	if !mop.EqualValues(c, v) {
+		t.Fatalf("clone %v differs from the decoded %v", c, v)
+	}
+	if got, err := encode(c); err != nil || !bytes.Equal(got, enc) {
+		t.Fatalf("clone encodes to %x (%v), the decoded value to %x", got, err, enc)
+	}
+	eachBytes(c, func(b []byte) {
+		if len(b) > 0 && inside(b, data) {
+			t.Fatalf("a cloned []byte of %d bytes is a view of the input", len(b))
 		}
 	})
 }
@@ -102,7 +128,8 @@ func eachBytes(v mop.Value, f func([]byte)) {
 // table section is decoded against an entry another message published), and
 // every way must yield the same value or error and register the same classes
 // as a decoder that resolves every table per message. Every decoded []byte is
-// a capped view of the input (checkViews).
+// a capped view of the input (checkViews), and a clone of the value is equal,
+// encodes alike and views nothing of the input (checkClone).
 func FuzzUnmarshal(f *testing.F) {
 	_, dj, group := newsTypes(f)
 	seed, err := Marshal(sampleStory(f, dj, group))
@@ -147,9 +174,11 @@ func FuzzUnmarshal(f *testing.F) {
 			return
 		}
 		checkViews(t, v, data)
-		if _, err := Marshal(v); err != nil {
+		enc, err := Marshal(v)
+		if err != nil {
 			t.Fatalf("decoded value failed to re-encode: %v", err)
 		}
+		checkClone(t, v, enc, data, Marshal)
 	})
 }
 
@@ -159,7 +188,9 @@ func FuzzUnmarshal(f *testing.F) {
 // decodes must re-encode through a SendDict, and the table memo must be
 // invisible (see FuzzUnmarshal; here the primed cache holds a def-carrying
 // message between reference-only ones, as one in ResendEvery is). Every
-// decoded []byte is a capped view of the input (checkViews).
+// decoded []byte is a capped view of the input (checkViews), and a clone of
+// the value is equal, encodes alike and views nothing of the input
+// (checkClone).
 func FuzzUnmarshalCompact(f *testing.F) {
 	_, dj, group := newsTypes(f)
 	story := sampleStory(f, dj, group)
@@ -215,8 +246,10 @@ func FuzzUnmarshalCompact(f *testing.F) {
 			return
 		}
 		checkViews(t, v, data)
-		if _, err := NewSendDict(0).Marshal(v); err != nil {
+		enc, err := NewSendDict(0).Marshal(v)
+		if err != nil {
 			t.Fatalf("decoded value failed to re-encode: %v", err)
 		}
+		checkClone(t, v, enc, data, func(c mop.Value) ([]byte, error) { return NewSendDict(0).Marshal(c) })
 	})
 }

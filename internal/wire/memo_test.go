@@ -106,8 +106,9 @@ func nilValued(t testing.TB, msg []byte) []byte {
 // TestUnmarshalSteadyStateAllocs holds the receive-side budget (scripts/
 // check.sh runs it by name): once a host has resolved a class table, a
 // message carrying the same table allocates only what the decode returns —
-// the object, its slots, and one box per scalar that does not fit an
-// interface word — and nothing at all for the table.
+// the object with its slots in one block, and one box per scalar that does
+// not fit an interface word — and nothing at all for the table: 8 for the
+// compact Tick, 12 for the self-describing Quote.
 func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 	tick, quote := tickType(), quoteType()
 	dict := NewSendDict(1 << 30) // no inline fallback during the run
@@ -127,8 +128,8 @@ func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 		msg    []byte
 		budget float64
 	}{
-		{"compact Tick", first, steady, 10},
-		{"self-describing Quote", legacy, legacy, 18},
+		{"compact Tick", first, steady, 8},
+		{"self-describing Quote", legacy, legacy, 12},
 	} {
 		reg, cache := mop.NewRegistry(), NewTypeCache(0)
 		for _, m := range [][]byte{tc.warmup, tc.msg} {

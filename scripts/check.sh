@@ -103,8 +103,11 @@ go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/
 echo "==> alloc gate (steady-state encode 0 allocs; warm decode allocates what it returns, 0 for the table)"
 go test -run 'TestSendDictSteadyStateAllocs|TestUnmarshalSteadyStateAllocs' -count=1 ./internal/wire/
 
-echo "==> alloc gate (a SysStats built from its one declaration costs no more than the hand-written builder did)"
+echo "==> alloc gate (a SysStats built from its one declaration: one block per object, 586 in all)"
 go test -run TestStatsObjectAllocBudget -count=1 ./internal/telemetry/
+
+echo "==> alloc gate (a data object is one allocation up to 16 slots: New, NewFrom, Clone and a bound kind's Object)"
+go test -run TestObjectIsOneAllocation -count=1 ./internal/mop/
 
 echo "==> _sys gates (host and router answer every probe alike; published bytes golden against e4d15fb, router stats + the six mesh.* names)"
 go test -run 'TestSysProbeParity|TestSysGoldenBytes' -count=1 ./internal/router/
