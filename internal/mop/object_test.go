@@ -121,11 +121,11 @@ func TestObjectIsOneAllocation(t *testing.T) {
 	value := func(i int) Value {
 		return []Value{int64(1000 + i), fmt.Sprint("v", i), float64(i) + 0.5, true, time.Unix(int64(i), 0).UTC()}[i%5]
 	}
-	sizes := []int{40}
-	for n := 20; n >= 0; n-- {
+	var sizes []int
+	for n := 0; n <= 20; n++ {
 		sizes = append(sizes, n)
 	}
-	for _, n := range sizes {
+	for _, n := range append(sizes, 40) {
 		fields := make([]reflect.StructField, n)
 		for i := range fields {
 			fields[i] = reflect.StructField{Name: fmt.Sprint("F", i), Type: kinds[i%5], Tag: reflect.StructTag(fmt.Sprintf(`mop:"f%d"`, i))}
