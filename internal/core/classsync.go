@@ -58,7 +58,14 @@ const classNakInterval = 50 * time.Millisecond
 // them, putting the part on the loop at the first miss. Called from bus
 // dispatch on a fingerprint miss.
 func (h *Host) requestClasses(fps []uint64) {
-	if !h.csync.request(fps) {
+	added, cached := h.csync.request(fps)
+	if cached {
+		// The cache learned a class after the miss, from another bus's
+		// inline definitions or reply, and no harvest will retry this
+		// stash: retry it now.
+		h.retryPendingDecodes()
+	}
+	if !added {
 		return
 	}
 	h.mu.Lock()
@@ -89,18 +96,18 @@ func (h *Host) retryPendingDecodes() {
 }
 
 // request queues fingerprints for NAKing at the next tick and reports
-// whether any was new. A fingerprint the cache has learned since the miss
-// (another bus's request was answered meanwhile) is not asked for again.
-func (cs *classSync) request(fps []uint64) bool {
+// whether any was new, and whether any is already cached: one the cache
+// learned since the miss is not asked for again.
+func (cs *classSync) request(fps []uint64) (added, cached bool) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	added := false
 	for _, fp := range fps {
+		if _, ok := cs.cache.Lookup(fp); ok {
+			cached = true
+			continue
+		}
 		if len(cs.want) >= maxWantedFPs {
 			break
-		}
-		if _, ok := cs.cache.Lookup(fp); ok {
-			continue
 		}
 		if !cs.want[fp] {
 			cs.want[fp] = true
@@ -108,7 +115,7 @@ func (cs *classSync) request(fps []uint64) bool {
 		}
 	}
 	cs.asap = cs.asap || added
-	return added
+	return added, cached
 }
 
 // Tick publishes the outstanding fingerprint list when a miss has been

@@ -58,8 +58,9 @@ func TestClassNakOnVirtualTime(t *testing.T) {
 	if _, err := wire.UnmarshalWith(refsOnly, asker.cs.reg, asker.cs.cache); !errors.As(err, &missing) {
 		t.Fatalf("decoding a reference-only message on a cold cache: %v", err)
 	}
-	if !asker.cs.request(missing.FPs) || asker.cs.request(missing.FPs) {
-		t.Fatal("request reports a new fingerprint exactly once")
+	first, _ := asker.cs.request(missing.FPs)
+	if again, cached := asker.cs.request(missing.FPs); !first || again || cached {
+		t.Fatal("request reports a new fingerprint exactly once, and not as cached")
 	}
 	reqs := func() int { return len(asker.sent[telemetry.ClassReqSubject]) }
 	if next := asker.cs.Tick(now); reqs() != 1 || !next.Equal(now.Add(50*time.Millisecond)) {
@@ -90,6 +91,11 @@ func TestClassNakOnVirtualTime(t *testing.T) {
 	if v, err := wire.UnmarshalWith(refsOnly, asker.cs.reg, asker.cs.cache); err != nil || v.(*mop.Object).MustGet("microns") != 2.0 {
 		t.Fatalf("the stashed message still does not decode: %v, %v", v, err)
 	}
+	// A bus that missed before the harvest and asks after it: nothing is
+	// wanted again, and the caller learns the class is cached.
+	if added, cached := asker.cs.request(missing.FPs); added || !cached || len(asker.cs.want) != 0 {
+		t.Fatalf("a late request: added %v, cached %v, %d wanted; want false, true and none", added, cached, len(asker.cs.want))
+	}
 }
 
 // TestClassNakWantedSetBounded: the outstanding set stops growing at
@@ -100,10 +106,10 @@ func TestClassNakWantedSetBounded(t *testing.T) {
 	for i := range fps {
 		fps[i] = uint64(i + 1)
 	}
-	if !l.cs.request(fps) || len(l.cs.want) != maxWantedFPs {
+	if added, _ := l.cs.request(fps); !added || len(l.cs.want) != maxWantedFPs {
 		t.Fatalf("%d fingerprints wanted, want the cap %d", len(l.cs.want), maxWantedFPs)
 	}
-	if l.cs.request(fps[maxWantedFPs:]) {
+	if added, _ := l.cs.request(fps[maxWantedFPs:]); added {
 		t.Error("a request beyond the cap reported something new")
 	}
 	l.cs.Tick(virtualStart)

@@ -227,6 +227,58 @@ func TestClassNakThroughTheSlot(t *testing.T) {
 	}
 }
 
+// TestClassLearnedBeforeTheRequest: a bus misses a class, and the host's
+// cache learns it before the bus asks for it, from definitions that reach the
+// cache without a harvest of the NAK part, as another bus's inline decode
+// would. No request goes out, and the stashed delivery is still delivered.
+func TestClassLearnedBeforeTheRequest(t *testing.T) {
+	seg := fastSeg()
+	defer seg.Close()
+	wt := thicknessType()
+	_, pubBus := warmPublisher(t, seg, 1<<30, wt) // never fall back inline
+
+	late := newHost(t, seg, "fab-late", HostConfig{})
+	bus, err := late.NewBus("monitor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := bus.Subscribe("fab5.cc.litho8.thick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+
+	// The bus's request waits on the part's lock, after its miss.
+	late.csync.mu.Lock()
+	err = pubBus.Publish("fab5.cc.litho8.thick",
+		mop.MustNew(wt).MustSet("station", "litho8").MustSet("microns", 2.0))
+	deferred := late.Metrics().Counter("bus.decode_deferred")
+	for deadline := time.Now().Add(5 * time.Second); err == nil && deferred.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	var defs []byte
+	if err == nil {
+		defs, err = wire.MarshalDefs([]*mop.Type{wt})
+	}
+	if err == nil {
+		err = wire.HarvestDefs(defs, late.reg, late.typeCache)
+	}
+	late.csync.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deferred.Load() != 1 {
+		t.Fatalf("bus.decode_deferred = %d, want 1", deferred.Load())
+	}
+
+	if got := recvEvent(t, sub, 5*time.Second).Value.(*mop.Object); got.MustGet("microns") != 2.0 {
+		t.Fatalf("the stashed delivery decoded as %v", got)
+	}
+	if n := late.Metrics().Counter("bus.class_nak_sent").Load(); n != 0 {
+		t.Errorf("bus.class_nak_sent = %d, want 0", n)
+	}
+}
+
 // TestCompactInlineFallback proves progress without the NAK path: with a
 // small resend period, a late joiner decodes as soon as the next inline
 // re-send of the definitions comes around, even though its earlier
