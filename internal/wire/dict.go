@@ -391,7 +391,9 @@ func (s *SendDict) LookupFP(fp uint64) (*mop.Type, bool) {
 // an append reallocates. The caller hands data over to the value: the value
 // keeps all of data alive, and a write through a view is a write to data.
 func UnmarshalWith(data []byte, reg *mop.Registry, cache *TypeCache) (mop.Value, error) {
-	r := &reader{data: data}
+	strs := strBlocks.Get().(*strBlock)
+	defer strBlocks.Put(strs)
+	r := &reader{data: data, strs: strs}
 	ver, err := readHeaderVer(r)
 	if err != nil {
 		return nil, err
@@ -478,7 +480,7 @@ func readCompactTable(r *reader, reg *mop.Registry, cache *TypeCache) (*resolver
 		fp  uint64
 		def *typeDef
 	}
-	defs := make([]fpDef, 0, min(int(ndefs), 256))
+	defs := make([]fpDef, 0, r.prealloc(ndefs))
 	res := &resolver{reg: reg, strict: true}
 	for i := uint64(0); i < ndefs; i++ {
 		fp, err := r.readUint64()
@@ -491,7 +493,7 @@ func readCompactTable(r *reader, reg *mop.Registry, cache *TypeCache) (*resolver
 		}
 		defs = append(defs, fpDef{fp: fp, def: def})
 		if res.defs == nil {
-			res.defs = make(map[string]*typeDef, min(int(ndefs), 256))
+			res.defs = make(map[string]*typeDef, cap(defs))
 		}
 		res.defs[def.name] = def
 	}
@@ -502,7 +504,7 @@ func readCompactTable(r *reader, reg *mop.Registry, cache *TypeCache) (*resolver
 	if nrefs > maxDictClasses {
 		return nil, nil, nil, fmt.Errorf("ref table of %d: %w", nrefs, ErrTooLarge)
 	}
-	refs := make([]*mop.Type, 0, min(int(nrefs), 256))
+	refs := make([]*mop.Type, 0, r.prealloc(nrefs))
 	var missing []uint64
 	for i := uint64(0); i < nrefs; i++ {
 		fp, err := r.readUint64()

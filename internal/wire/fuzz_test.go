@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -102,21 +103,58 @@ func bytesValue() mop.Value {
 	return mop.List{[]byte("top"), []byte{}, mop.MustNew(blob).MustSet("data", []byte("nested"))}
 }
 
+// checkStrings: no string of v, decoded from data, shares a byte with data.
+// Every string is recorded, data is overwritten, and every string must still
+// read as recorded. data must be the caller's own copy of the input.
+func checkStrings(t *testing.T, v mop.Value, data []byte) {
+	t.Helper()
+	record := eachString(v)
+	for i := range data {
+		data[i] ^= 0xFF
+	}
+	for i, s := range eachString(v) {
+		if s != record[i] {
+			t.Fatalf("decoded string %d reads %q after the input was overwritten, %q before", i, s, record[i])
+		}
+	}
+}
+
+// eachString returns a copy of every string in v, in encoding order.
+func eachString(v mop.Value) []string {
+	var out []string
+	eachLeaf(v, func(x mop.Value) {
+		if s, ok := x.(string); ok {
+			out = append(out, strings.Clone(s))
+		}
+	})
+	return out
+}
+
 // eachBytes calls f on every []byte in v, however deeply listed or nested.
 func eachBytes(v mop.Value, f func([]byte)) {
+	eachLeaf(v, func(x mop.Value) {
+		if b, ok := x.([]byte); ok {
+			f(b)
+		}
+	})
+}
+
+// eachLeaf calls f on every value in v that is neither a list nor an
+// object, however deeply listed or nested, in encoding order.
+func eachLeaf(v mop.Value, f func(mop.Value)) {
 	switch x := v.(type) {
-	case []byte:
-		f(x)
 	case mop.List:
 		for _, e := range x {
-			eachBytes(e, f)
+			eachLeaf(e, f)
 		}
 	case *mop.Object:
 		if x != nil {
 			for i := range x.Type().Attrs() {
-				eachBytes(x.GetAt(i), f)
+				eachLeaf(x.GetAt(i), f)
 			}
 		}
+	default:
+		f(x)
 	}
 }
 
@@ -128,8 +166,9 @@ func eachBytes(v mop.Value, f func([]byte)) {
 // table section is decoded against an entry another message published), and
 // every way must yield the same value or error and register the same classes
 // as a decoder that resolves every table per message. Every decoded []byte is
-// a capped view of the input (checkViews), and a clone of the value is equal,
-// encodes alike and views nothing of the input (checkClone).
+// a capped view of the input (checkViews), a clone of the value is equal,
+// encodes alike and views nothing of the input (checkClone), and no decoded
+// string shares a byte with the input (checkStrings).
 func FuzzUnmarshal(f *testing.F) {
 	_, dj, group := newsTypes(f)
 	seed, err := Marshal(sampleStory(f, dj, group))
@@ -169,16 +208,18 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkCacheOptional(t, setup, data)
 		checkMemoTransparent(t, setup, append(primers[:len(primers):len(primers)], data, data)...)
-		v, err := UnmarshalWith(data, mop.NewRegistry(), nil)
+		in := bytes.Clone(data)
+		v, err := UnmarshalWith(in, mop.NewRegistry(), nil)
 		if err != nil {
 			return
 		}
-		checkViews(t, v, data)
+		checkViews(t, v, in)
 		enc, err := Marshal(v)
 		if err != nil {
 			t.Fatalf("decoded value failed to re-encode: %v", err)
 		}
-		checkClone(t, v, enc, data, Marshal)
+		checkClone(t, v, enc, in, Marshal)
+		checkStrings(t, v, in)
 	})
 }
 
@@ -188,9 +229,9 @@ func FuzzUnmarshal(f *testing.F) {
 // decodes must re-encode through a SendDict, and the table memo must be
 // invisible (see FuzzUnmarshal; here the primed cache holds a def-carrying
 // message between reference-only ones, as one in ResendEvery is). Every
-// decoded []byte is a capped view of the input (checkViews), and a clone of
-// the value is equal, encodes alike and views nothing of the input
-// (checkClone).
+// decoded []byte is a capped view of the input (checkViews), a clone of the
+// value is equal, encodes alike and views nothing of the input (checkClone),
+// and no decoded string shares a byte with the input (checkStrings).
 func FuzzUnmarshalCompact(f *testing.F) {
 	_, dj, group := newsTypes(f)
 	story := sampleStory(f, dj, group)
@@ -241,15 +282,17 @@ func FuzzUnmarshalCompact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkCacheOptional(t, setup, data)
 		checkMemoTransparent(t, setup, append(primers[:len(primers):len(primers)], data, data, steady)...)
-		v, err := UnmarshalWith(data, mop.NewRegistry(), NewTypeCache(0))
+		in := bytes.Clone(data)
+		v, err := UnmarshalWith(in, mop.NewRegistry(), NewTypeCache(0))
 		if err != nil {
 			return
 		}
-		checkViews(t, v, data)
+		checkViews(t, v, in)
 		enc, err := NewSendDict(0).Marshal(v)
 		if err != nil {
 			t.Fatalf("decoded value failed to re-encode: %v", err)
 		}
-		checkClone(t, v, enc, data, func(c mop.Value) ([]byte, error) { return NewSendDict(0).Marshal(c) })
+		checkClone(t, v, enc, in, func(c mop.Value) ([]byte, error) { return NewSendDict(0).Marshal(c) })
+		checkStrings(t, v, in)
 	})
 }

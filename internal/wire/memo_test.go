@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,6 +69,39 @@ func sampleQuote(quote *mop.Type) *mop.Object {
 		MustSet("depth", []byte{0, 1, 2, 3, 0xfe, 0xff})
 }
 
+// benchStory has the shape of the benchmark's self-describing Story: the
+// three integer header slots, a 64-byte headline, an 8 KB body, eight
+// keywords and a nested Source of three strings — twelve strings in all.
+func benchStory() *mop.Object {
+	source := mop.MustNewClass("Source", nil, []mop.Attr{
+		{Name: "agency", Type: mop.String},
+		{Name: "desk", Type: mop.String},
+		{Name: "region", Type: mop.String},
+	}, nil)
+	story := mop.MustNewClass("Story", nil, []mop.Attr{
+		{Name: "pub", Type: mop.Int},
+		{Name: "seq", Type: mop.Int},
+		{Name: "sum", Type: mop.Int},
+		{Name: "headline", Type: mop.String},
+		{Name: "body", Type: mop.Bytes},
+		{Name: "keywords", Type: mop.ListOf(mop.String)},
+		{Name: "source", Type: source},
+	}, nil)
+	keywords := make(mop.List, 8)
+	for i := range keywords {
+		keywords[i] = fmt.Sprintf("keyword%d", i)
+	}
+	return mop.MustNew(story).
+		MustSet("pub", int64(1)).
+		MustSet("seq", int64(4711)).
+		MustSet("sum", int64(3735928559)).
+		MustSet("headline", strings.Repeat("headline ", 8)[:64]).
+		MustSet("body", bytes.Repeat([]byte("body of the story "), 456)[:8192]).
+		MustSet("keywords", keywords).
+		MustSet("source", mop.MustNew(source).
+			MustSet("agency", "DOWJONES").MustSet("desk", "detroit").MustSet("region", "USMW"))
+}
+
 // TestLegacyGoldenBytes pins the self-describing encoding of one Quote-shaped
 // message, byte for byte, as captured at commit 3ea2519 (before the encoder
 // pooled its collector and the publish path encoded into scratch).
@@ -106,9 +141,10 @@ func nilValued(t testing.TB, msg []byte) []byte {
 // TestUnmarshalSteadyStateAllocs holds the receive-side budget (scripts/
 // check.sh runs it by name): once a host has resolved a class table, a
 // message carrying the same table allocates only what the decode returns —
-// the object with its slots in one block, and one box per scalar that does
-// not fit an interface word — and nothing at all for the table: 8 for the
-// compact Tick, 12 for the self-describing Quote.
+// the object with its slots in one block, one box per value that does not
+// fit an interface word, a list's elements, and a string's bytes only when
+// its shared block is full — and nothing at all for the table: 7 for the
+// compact Tick, 10 for the self-describing Quote, 20 for the Story.
 func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 	tick, quote := tickType(), quoteType()
 	dict := NewSendDict(1 << 30) // no inline fallback during the run
@@ -121,6 +157,7 @@ func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacy := marshalLegacy(t, sampleQuote(quote))
+	story := marshalLegacy(t, benchStory())
 
 	for _, tc := range []struct {
 		name   string
@@ -128,8 +165,9 @@ func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 		msg    []byte
 		budget float64
 	}{
-		{"compact Tick", first, steady, 8},
-		{"self-describing Quote", legacy, legacy, 12},
+		{"compact Tick", first, steady, 7},
+		{"self-describing Quote", legacy, legacy, 10},
+		{"self-describing Story", story, story, 20},
 	} {
 		reg, cache := mop.NewRegistry(), NewTypeCache(0)
 		for _, m := range [][]byte{tc.warmup, tc.msg} {
@@ -142,6 +180,7 @@ func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		t.Logf("%s: %.2f allocs/op", tc.name, got)
 		if got > tc.budget {
 			t.Errorf("%s: warm decode allocates %.1f times/op, budget %.0f", tc.name, got, tc.budget)
 		}

@@ -1,0 +1,7 @@
+//go:build race
+
+package wire
+
+// raceEnabled reports whether the race detector is instrumenting this
+// binary; see race_off_test.go for the counterpart.
+const raceEnabled = true

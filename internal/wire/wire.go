@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -425,7 +426,7 @@ func readTypeTable(r *reader) (map[string]*typeDef, error) {
 	if n > maxLen {
 		return nil, fmt.Errorf("type table of %d: %w", n, ErrTooLarge)
 	}
-	table := make(map[string]*typeDef, min(int(n), 1024))
+	table := make(map[string]*typeDef, r.prealloc(n))
 	for i := uint64(0); i < n; i++ {
 		def, err := readTypeDef(r)
 		if err != nil {
@@ -917,7 +918,11 @@ func readValue(r *reader, res *resolver, table []*mop.Type, depth int) (mop.Valu
 		}
 		return math.Float64frombits(u), nil
 	case tagString:
-		return r.readString()
+		b, err := r.viewString()
+		if err != nil {
+			return nil, err
+		}
+		return r.strs.string(b), nil
 	case tagBytes:
 		n, err := r.readUvarint()
 		if err != nil {
@@ -938,7 +943,7 @@ func readValue(r *reader, res *resolver, table []*mop.Type, depth int) (mop.Valu
 		if n > maxLen {
 			return nil, fmt.Errorf("list of %d: %w", n, ErrTooLarge)
 		}
-		out := make(mop.List, 0, min(int(n), 4096))
+		out := make(mop.List, 0, r.prealloc(n))
 		for i := uint64(0); i < n; i++ {
 			e, err := readValue(r, res, table, depth+1)
 			if err != nil {
@@ -1015,6 +1020,25 @@ func (b *buffer) writeString(s string) {
 type reader struct {
 	data []byte
 	pos  int
+	// allotted is how many items the decode has preallocated room for so
+	// far (see prealloc).
+	allotted int
+	// strs is the block value strings are carved from (see strBlock); nil
+	// outside UnmarshalWith, which is the only reader of values.
+	strs *strBlock
+}
+
+// prealloc returns how many of n announced items (list elements, table
+// entries) to make room for before reading them. Every item takes at least
+// one byte, so the counts of a well-formed message sum to no more than its
+// length: whatever its counts claim, a decode preallocates at most that
+// many items in all, and never more than the bytes left could hold. A
+// count beyond that is a lie the decode will find; until then the items
+// grow by append.
+func (r *reader) prealloc(n uint64) int {
+	k := int(min(n, uint64(len(r.data)-r.pos), uint64(len(r.data)-r.allotted)))
+	r.allotted += k
+	return k
 }
 
 func (r *reader) readByte() (byte, error) {
@@ -1086,6 +1110,41 @@ func (r *reader) viewString() ([]byte, error) {
 	b := r.data[r.pos : r.pos+int(n)]
 	r.pos += int(n)
 	return b, nil
+}
+
+// Value strings are carved from shared blocks instead of being allocated
+// one by one. A block is a strings.Builder grown once to strBlockSize; a
+// string is appended to it and returned as a slice of the builder's
+// String(). A Builder never writes below its length and a full block is
+// dropped, never reset, so a returned string is immutable and shares no
+// byte with the message. A string longer than strMaxShared is allocated on
+// its own, so a block wastes at most an eighth of itself and a large string
+// never keeps its neighbours alive; a small one that is kept keeps its whole
+// block alive. Class, attribute and operation names are never carved: the
+// registry keeps them for the life of the process.
+const (
+	strBlockSize = 1 << 10
+	strMaxShared = strBlockSize / 8
+)
+
+// strBlock is the current block of one decode; UnmarshalWith takes it from
+// strBlocks and puts it back when it returns.
+type strBlock struct{ b strings.Builder }
+
+var strBlocks = sync.Pool{New: func() any { return new(strBlock) }}
+
+// string returns a string equal to view, carved from the block.
+func (s *strBlock) string(view []byte) string {
+	if len(view) == 0 || len(view) > strMaxShared {
+		return string(view)
+	}
+	if s.b.Cap()-s.b.Len() < len(view) {
+		s.b = strings.Builder{}
+		s.b.Grow(strBlockSize)
+	}
+	n := s.b.Len()
+	s.b.Write(view)
+	return s.b.String()[n:]
 }
 
 // skipString steps over a length-prefixed string.
