@@ -222,6 +222,9 @@ func decodeFrameInto(data []byte, scratch *dataFrame) (frame, error) {
 			if m.seq, err = r.uvarint(); err != nil {
 				return frame{}, err
 			}
+			if m.seq == 0 { // no sender numbers a message 0: a stream starts at 1
+				return frame{}, fmt.Errorf("sequence 0: %w", ErrFrameCorrupt)
+			}
 			plen, err := r.uvarint()
 			if err != nil {
 				return frame{}, err

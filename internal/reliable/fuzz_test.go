@@ -7,8 +7,9 @@ import (
 
 // FuzzDecodeFrame: decodeFrameInto is the first parser every datagram meets.
 // Arbitrary bytes never panic it; an accepted data frame holds no message
-// longer than its input (payloads alias the datagram); and every accepted
-// frame survives its own encoding: decode(encode(f)) == f.
+// longer than its input (payloads alias the datagram) and no sequence below 1,
+// the first any stream numbers; and every accepted frame survives its own
+// encoding: decode(encode(f)) == f.
 func FuzzDecodeFrame(f *testing.F) {
 	data := encodeData(dataFrame{typ: frameData, epoch: 7, msgs: []msg{{seq: 1, payload: []byte("x")}}})
 	f.Add(data)
@@ -19,6 +20,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(encodeNak(nakFrame{epoch: 3, from: 10, to: 12}))
 	f.Add(encodeAck(ackFrame{epoch: 9, cum: 42}))
 	f.Add(encodeHeart(heartFrame{epoch: 4, maxSeq: 77}))
+	f.Add(encodeData(dataFrame{typ: frameData, epoch: 7, msgs: []msg{{seq: 0, payload: []byte("x")}}}))
 	f.Add([]byte{99, 1, 2})
 	// One message whose length, added to the read position, overflows an int.
 	f.Add([]byte{frameData, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
@@ -37,6 +39,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			total := 0
 			for _, m := range got.data.msgs {
 				total += len(m.payload)
+				if m.seq == 0 {
+					t.Fatalf("data frame accepted with sequence 0: %+v", got.data)
+				}
 			}
 			if total > len(in) || len(got.data.msgs) > len(in) {
 				t.Fatalf("%d messages of %d bytes from a %d-byte datagram", len(got.data.msgs), total, len(in))

@@ -27,9 +27,10 @@ type Config struct {
 	// companions. Default 2ms.
 	BatchDelay time.Duration
 	// NakInterval is the cadence for re-sending gap reports, and how long a
-	// receiver buffers the messages of a sender it has not seen before (the
+	// receiver buffers the messages of a sender first heard mid-stream (the
 	// join grace), so that network reordering around the first observed
-	// message cannot misorder the stream. Default 20ms.
+	// message cannot misorder the stream. A stream whose sequence 1 arrives
+	// starts there at once. Default 20ms.
 	NakInterval time.Duration
 	// GapTimeout is how long a receiver waits for a missing message before
 	// skipping it (the at-most-once escape hatch). Default 500ms. A stream
@@ -602,9 +603,9 @@ func (m *Machine) resetPeer(from string, epoch uint64) *bcastRecv {
 func (m *Machine) handleBroadcastData(from string, f *dataFrame) {
 	pr := m.bPeers[from]
 	if pr == nil || pr.epoch != f.epoch {
-		// The stream starts in the syncing state: we buffer briefly so
-		// network reordering around our first sighting cannot make us skip
-		// the true earliest message.
+		// The stream starts in the syncing state: unless its sequence 1 is
+		// in hand, we buffer briefly so network reordering around our first
+		// sighting cannot make us skip the true earliest message.
 		pr = m.resetPeer(from, f.epoch)
 		pr.syncUntil = m.now().Add(m.cfg.NakInterval)
 	}
@@ -612,6 +613,11 @@ func (m *Machine) handleBroadcastData(from string, f *dataFrame) {
 	for _, in := range f.msgs {
 		if in.seq > pr.maxSeen {
 			pr.maxSeen = in.seq
+		}
+		if pr.syncing() && in.seq == 1 {
+			// The stream's first message: the grace would adopt the smallest
+			// buffered sequence, and none is below 1, so it starts here.
+			pr.syncUntil, pr.next = time.Time{}, 1
 		}
 		if pr.syncing() {
 			if _, dup := pr.pending[in.seq]; dup {

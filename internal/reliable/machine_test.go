@@ -544,18 +544,18 @@ func sendersOnShards(t *testing.T, m *Machine, n int) []string {
 	return out
 }
 
-// TestJoinGraceReleaseKeepsOrder: a new sender's first messages are buffered
-// for the join grace and released on a tick; datagrams that arrive after
-// the release are deliverable at once. They come out after the whole
-// released buffer — per-sender FIFO — however long the consumer leaves the
-// release unread.
+// TestJoinGraceReleaseKeepsOrder: the first messages of a sender first heard
+// mid-stream are buffered for the join grace and released on a tick;
+// datagrams that arrive after the release are deliverable at once. They come
+// out after the whole released buffer — per-sender FIFO — however long the
+// consumer leaves the release unread.
 func TestJoinGraceReleaseKeepsOrder(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			var b stub
 			m := NewMachine(&b, Config{GapTimeout: time.Minute, HeartbeatInterval: time.Hour}, shards, b.now)
-			const sender, epoch, buffered, late = "stub:sender", 77, 1500, 20
-			for seq := uint64(1); seq <= buffered; seq++ {
+			const sender, epoch, first, buffered, late = "stub:sender", 77, 1001, 1500, 20
+			for seq := uint64(first); seq < first+buffered; seq++ {
 				m.OnDatagram(sender, seqFrame(frameData, epoch, seq))
 			}
 			grace := m.cfg.NakInterval
@@ -565,7 +565,7 @@ func TestJoinGraceReleaseKeepsOrder(t *testing.T) {
 			}
 			b.tickThrough(m, m.TickInterval())
 			// The stream is synced now; nobody has read the release yet.
-			for seq := uint64(buffered + 1); seq <= buffered+late; seq++ {
+			for seq := uint64(first + buffered); seq < first+buffered+late; seq++ {
 				m.OnDatagram(sender, seqFrame(frameData, epoch, seq))
 			}
 			got := take(m)
@@ -573,11 +573,135 @@ func TestJoinGraceReleaseKeepsOrder(t *testing.T) {
 				t.Fatalf("%d delivered, want %d", len(got), buffered+late)
 			}
 			for i, d := range got {
-				if seq := binary.BigEndian.Uint64(d.Message.Payload); seq != uint64(i+1) || d.Shard != m.shardOf(sender) {
+				if seq := binary.BigEndian.Uint64(d.Message.Payload); seq != uint64(first+i) || d.Shard != m.shardOf(sender) {
 					t.Fatalf("delivery %d carries sequence %d on shard %d: per-sender order broken", i+1, seq, d.Shard)
 				}
 			}
 		})
+	}
+}
+
+// seqs returns the sequence numbers the deliveries carry (seqFrame payloads).
+func seqs(ds []Delivery) []uint64 {
+	var out []uint64
+	for _, d := range ds {
+		out = append(out, binary.BigEndian.Uint64(d.Message.Payload))
+	}
+	return out
+}
+
+// TestFirstMessageStartsTheStream: a stream's sequence 1 is deliverable the
+// moment it arrives, with no tick — from a new sender, and from one that
+// restarted under a new epoch. No grace could release anything before it.
+func TestFirstMessageStartsTheStream(t *testing.T) {
+	var b stub
+	m := NewMachine(&b, Config{HeartbeatInterval: time.Hour}, 1, b.now)
+	const sender = "stub:sender"
+	m.OnDatagram(sender, seqFrame(frameData, 77, 1))
+	if got := seqs(take(m)); fmt.Sprint(got) != "[1]" {
+		t.Fatalf("a new sender's sequence 1 delivered %v with no tick, want [1]", got)
+	}
+	m.OnDatagram(sender, seqFrame(frameData, 77, 2))
+	m.OnDatagram(sender, seqFrame(frameData, 77, 3))
+	b.tickThrough(m, time.Millisecond)
+	m.OnDatagram(sender, seqFrame(frameData, 79, 1)) // the sender restarted
+	m.OnDatagram(sender, seqFrame(frameData, 79, 2))
+	if got := seqs(take(m)); fmt.Sprint(got) != "[2 3 1 2]" {
+		t.Fatalf("delivered %v with no tick after the restart, want [2 3 1 2]", got)
+	}
+	if st := m.Stats(); st.Duplicates != 0 || st.Skipped != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestJoinArrivalOrders: sequences 1-5 of a new sender arrive a millisecond
+// apart, well inside the join grace, in each of their 120 orders. Nothing
+// comes out before sequence 1 arrives; from then on what has come out is
+// always the longest run 1..k that has arrived, so the last arrival
+// completes 1..5 without waiting for the grace.
+func TestJoinArrivalOrders(t *testing.T) {
+	var orders [][]uint64
+	var permute func(prefix, rest []uint64)
+	permute = func(prefix, rest []uint64) {
+		if len(rest) == 0 {
+			orders = append(orders, prefix)
+			return
+		}
+		for i := range rest {
+			others := append(append([]uint64(nil), rest[:i]...), rest[i+1:]...)
+			permute(append(append([]uint64(nil), prefix...), rest[i]), others)
+		}
+	}
+	permute(nil, []uint64{1, 2, 3, 4, 5})
+	if len(orders) != 120 {
+		t.Fatalf("%d orders", len(orders))
+	}
+	for _, order := range orders {
+		var b stub
+		m := NewMachine(&b, Config{HeartbeatInterval: time.Hour}, 1, b.now)
+		arrived := map[uint64]bool{}
+		var got []uint64
+		for _, seq := range order {
+			m.OnDatagram("stub:sender", seqFrame(frameData, 77, seq))
+			arrived[seq] = true
+			got = append(got, seqs(take(m))...)
+			var want []uint64
+			for k := uint64(1); arrived[k]; k++ {
+				want = append(want, k)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("order %v: after %d at %v, delivered %v, want %v", order, seq, b.elapsed, got, want)
+			}
+			b.elapsed += time.Millisecond
+			m.Tick(b.now())
+		}
+		if b.elapsed >= m.cfg.NakInterval || len(got) != 5 {
+			t.Fatalf("order %v: %v delivered by %v", order, got, b.elapsed)
+		}
+	}
+}
+
+// TestMidStreamJoinWaitsTheGrace: a sender first heard at sequence 2, whose
+// sequence 1 never arrives, is buffered for the whole join grace and then
+// starts at the smallest sequence it buffered (P4: no history is owed).
+func TestMidStreamJoinWaitsTheGrace(t *testing.T) {
+	var b stub
+	m := NewMachine(&b, Config{HeartbeatInterval: time.Hour}, 1, b.now)
+	m.OnDatagram("stub:sender", seqFrame(frameData, 77, 3))
+	m.OnDatagram("stub:sender", seqFrame(frameData, 77, 2))
+	b.tickThrough(m, m.cfg.NakInterval-m.TickInterval())
+	if got := seqs(take(m)); len(got) != 0 {
+		t.Fatalf("delivered %v %v into a join grace of %v", got, b.elapsed, m.cfg.NakInterval)
+	}
+	b.tickThrough(m, m.TickInterval())
+	if got := seqs(take(m)); fmt.Sprint(got) != "[2 3]" {
+		t.Fatalf("the grace released %v, want [2 3]", got)
+	}
+	if st := m.Stats(); st.Skipped != 0 || st.NaksSent != 0 {
+		t.Errorf("the head no grace owes counted as a gap: %+v", st)
+	}
+}
+
+// TestSequenceZeroRejected: no sender numbers a message 0, so a data frame
+// that carries one is corrupt. Taken in, it would be delivered as a message
+// nobody sent, or sit below next where the gap skip's arithmetic underflows.
+func TestSequenceZeroRejected(t *testing.T) {
+	for _, typ := range []byte{frameData, frameUData} {
+		zero := encodeData(dataFrame{typ: typ, epoch: 7, msgs: []msg{{seq: 1}, {seq: 0}}})
+		if _, err := decodeFrame(zero); !errors.Is(err, ErrFrameCorrupt) {
+			t.Errorf("frame type %d with sequence 0: error = %v, want ErrFrameCorrupt", typ, err)
+		}
+	}
+	var b stub
+	m := NewMachine(&b, Config{HeartbeatInterval: time.Hour}, 1, b.now)
+	for _, seq := range []uint64{0, 1, 2} {
+		m.OnDatagram("stub:sender", seqFrame(frameData, 77, seq))
+	}
+	b.tickThrough(m, m.cfg.GapTimeout)
+	m.OnDatagram("stub:sender", seqFrame(frameData, 77, 3))
+	b.tickThrough(m, m.cfg.GapTimeout)
+	if got := seqs(take(m)); fmt.Sprint(got) != "[1 2 3]" || m.Stats().Skipped != 0 {
+		t.Fatalf("delivered %v, skipped %d; want [1 2 3], 0", got, m.Stats().Skipped)
 	}
 }
 
@@ -679,13 +803,11 @@ func TestReceivePathAllocs(t *testing.T) {
 		m.Pop()
 		m.Next() // the consumer finds the outbox empty, which rewinds it
 	}
-	// The join grace and the peer state of both streams.
-	m.OnDatagram("stub:sender", frames[0])
-	m.OnDatagram("stub:sender", frames[1])
-	next = 2
-	b.tickThrough(m, m.cfg.NakInterval)
-	if len(take(m)) != 2 || wire[frameUAck] != 1 {
-		t.Fatalf("first messages not released, or %d acks sent", wire[frameUAck])
+	// The peer state of both streams.
+	deliver()
+	deliver()
+	if wire[frameUAck] != 1 {
+		t.Fatalf("%d acks sent for the first unicast datagram", wire[frameUAck])
 	}
 	if got := testing.AllocsPerRun(200, func() { deliver(); deliver() }); got > 0 {
 		t.Fatalf("receiving a broadcast and a unicast datagram, and acknowledging the unicast, allocates %.1f times, want 0", got)

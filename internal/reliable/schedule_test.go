@@ -143,8 +143,9 @@ type labNode struct {
 	peer    *labNode
 	m       *Machine
 	got     []string
-	capture *[][]byte // when set, broadcasts are kept here instead of sent
-	gone    bool      // frames posted to it vanish
+	gotAt   []time.Duration // when each of got was delivered
+	capture *[][]byte       // when set, broadcasts are kept here instead of sent
+	gone    bool            // frames posted to it vanish
 }
 
 const labLatency = 100 * time.Microsecond
@@ -205,7 +206,27 @@ func (l *lab) run(d time.Duration) {
 		}
 		for _, d := range take(l.receiver.m) {
 			l.receiver.got = append(l.receiver.got, string(d.Message.Payload))
+			l.receiver.gotAt = append(l.receiver.gotAt, l.elapsed)
 		}
+	}
+}
+
+// TestFirstPublicationWithinOneTransit: on the default Config a host's first
+// publication is delivered by its peer at the instant the datagram lands,
+// not when a join grace of NakInterval has run out.
+func TestFirstPublicationWithinOneTransit(t *testing.T) {
+	w := newWorld(t, 2, netsim.DefaultConfig(), Config{})
+	pub, sub := w.hosts[0], w.hosts[1]
+	pub.publish("first")
+	for w.net.Stats().Delivered == 0 { // event by event, to the landing
+		at, ok := w.net.NextEvent()
+		if !ok {
+			t.Fatal("the publication never landed")
+		}
+		w.run(at.Sub(w.net.Now()))
+	}
+	if transit := w.net.Now().Sub(virtualStart); len(sub.got) != 1 || transit >= sub.m.TickInterval() {
+		t.Fatalf("%d delivered when the datagram landed, %v after the publish", len(sub.got), transit)
 	}
 }
 
@@ -223,52 +244,106 @@ const (
 // and retransmissions running over a wire that loses nothing else. Every
 // message is delivered once and in order, except that one dropped after it
 // has left the window is skipped, and counted.
+//
+// The burst runs behind a prologue that establishes the stream, and again as
+// the stream's first four messages (the join). A join delivers what the join
+// grace releases: with sequence 1, as behind a prologue; without it, from the
+// smallest sequence that survives, for the head lost before the receiver
+// heard of the sender is not history anyone owes it (P4) and is not counted.
+// That content is the grace's, and so holds however long the grace lasts;
+// the timing half checks that a join whose sequence 1 survives delivers at
+// the instant sequence 1 arrives.
 func TestExhaustiveFates(t *testing.T) {
 	const msgs = 4
-	for _, window := range []int{4, 2} {
-		for combo := 0; combo < 1<<(2*msgs); combo++ {
-			l := newLab(window)
-			s, r := &l.sender, &l.receiver
-			// A prologue establishes the stream: the burst is not a join.
-			if err := s.m.Publish([]byte("p")); err != nil {
-				t.Fatal(err)
-			}
-			l.run(2 * r.m.cfg.NakInterval)
-			var burst [][]byte
-			s.capture = &burst
-			for i := 0; i < msgs; i++ {
-				if err := s.m.Publish([]byte{'m', byte('1' + i)}); err != nil {
-					t.Fatal(err)
+	type fateRun struct {
+		window, combo         int
+		got, want             []string
+		skipped, wantSkipped  uint64
+		seq1At, firstDelivery time.Duration // after the burst started; -1 for never
+	}
+	runFates := func(t *testing.T, prologue bool) []fateRun {
+		var runs []fateRun
+		for _, window := range []int{4, 2} {
+			for combo := 0; combo < 1<<(2*msgs); combo++ {
+				l := newLab(window)
+				s, r := &l.sender, &l.receiver
+				var want []string
+				if prologue {
+					if err := s.m.Publish([]byte("p")); err != nil {
+						t.Fatal(err)
+					}
+					l.run(2 * r.m.cfg.NakInterval)
+					want = []string{"p"}
 				}
-			}
-			s.capture = nil
-			want, skipped := []string{"p"}, uint64(0)
-			const spacing = 200 * time.Microsecond
-			for i, data := range burst {
-				at := l.elapsed + time.Duration(i)*spacing
-				fate := combo >> (2 * i) % fates
-				switch fate {
-				case fateDeliver:
-					l.post(at, r, s.addr, data)
-				case fateDuplicate:
-					l.post(at, r, s.addr, data)
-					l.post(at+spacing/10, r, s.addr, data)
-				case fateDelay:
-					l.post(at+spacing+spacing/2, r, s.addr, data)
+				var burst [][]byte
+				s.capture = &burst
+				for i := 0; i < msgs; i++ {
+					if err := s.m.Publish([]byte{'m', byte('1' + i)}); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if fate == fateDrop && i < msgs-window {
-					skipped++ // gone from the window before anyone can ask
-				} else {
-					want = append(want, string([]byte{'m', byte('1' + i)}))
+				s.capture = nil
+				run := fateRun{window: window, combo: combo, seq1At: -1, firstDelivery: -1}
+				const spacing = 200 * time.Microsecond
+				start, head := l.elapsed, len(r.got)
+				survived := prologue // the stream has started by the time message i arrives
+				for i, data := range burst {
+					at := start + time.Duration(i)*spacing
+					fate := combo >> (2 * i) % fates
+					switch fate {
+					case fateDeliver:
+						l.post(at, r, s.addr, data)
+					case fateDuplicate:
+						l.post(at, r, s.addr, data)
+						l.post(at+spacing/10, r, s.addr, data)
+					case fateDelay:
+						at += spacing + spacing/2
+						l.post(at, r, s.addr, data)
+					}
+					switch {
+					case fate == fateDrop && !survived:
+						// the head of a stream nobody knew: not owed
+					case fate == fateDrop && i < msgs-window:
+						run.wantSkipped++ // gone from the window before anyone can ask
+					default:
+						survived = true
+						want = append(want, string([]byte{'m', byte('1' + i)}))
+					}
+					if i == 0 && fate != fateDrop {
+						run.seq1At = at - start
+					}
 				}
+				l.run(r.m.cfg.GapTimeout + time.Second)
+				run.got, run.want, run.skipped = r.got, want, r.m.Stats().Skipped
+				if len(r.gotAt) > head {
+					run.firstDelivery = r.gotAt[head] - start
+				}
+				runs = append(runs, run)
 			}
-			l.run(r.m.cfg.GapTimeout + time.Second)
-			if fmt.Sprint(r.got) != fmt.Sprint(want) || r.m.Stats().Skipped != skipped {
+		}
+		return runs
+	}
+	checkContent := func(t *testing.T, runs []fateRun) {
+		for _, run := range runs {
+			if fmt.Sprint(run.got) != fmt.Sprint(run.want) || run.skipped != run.wantSkipped {
 				t.Fatalf("window %d, fates %08b: delivered %v (skipped %d), want %v (skipped %d)",
-					window, combo, r.got, r.m.Stats().Skipped, want, skipped)
+					run.window, run.combo, run.got, run.skipped, run.want, run.wantSkipped)
 			}
 		}
 	}
+	t.Run("prologue", func(t *testing.T) { checkContent(t, runFates(t, true)) })
+	t.Run("join", func(t *testing.T) {
+		runs := runFates(t, false)
+		t.Run("content", func(t *testing.T) { checkContent(t, runs) })
+		t.Run("timing", func(t *testing.T) {
+			for _, run := range runs {
+				if run.seq1At >= 0 && run.firstDelivery != run.seq1At {
+					t.Fatalf("window %d, fates %08b: sequence 1 arrived at +%v, first delivery at +%v",
+						run.window, run.combo, run.seq1At, run.firstDelivery)
+				}
+			}
+		})
+	})
 }
 
 // TestScatteredLossAtDefaultTimers: 200 messages, every fourth lost, the
@@ -408,12 +483,18 @@ func TestExpiryAcrossMachines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	delivered := func() string {
-		var out []string
+	// Each stream is checked on its own: order across a sender's broadcast
+	// and unicast streams is not promised.
+	delivered := func() (bcast, ucast string) {
+		var bs, us []string
 		for _, m := range b.got {
-			out = append(out, string(m.Payload))
+			if string(m.Payload) == "hello" {
+				bs = append(bs, string(m.Payload))
+			} else {
+				us = append(us, string(m.Payload))
+			}
 		}
-		return strings.Join(out, " ")
+		return strings.Join(bs, " "), strings.Join(us, " ")
 	}
 	a.publish("hello")
 	send("one")
@@ -439,8 +520,8 @@ func TestExpiryAcrossMachines(t *testing.T) {
 	w.net.Heal()
 	send("three")
 	w.until(time.Second, "delivery after the partition", b.received(4))
-	if got := delivered(); got != "one hello two three" || b.m.Stats().Duplicates != 0 {
-		t.Errorf("delivered %q with %d duplicates", got, b.m.Stats().Duplicates)
+	if bcast, ucast := delivered(); bcast != "hello" || ucast != "one two three" || b.m.Stats().Duplicates != 0 {
+		t.Errorf("delivered %q broadcast and %q unicast with %d duplicates", bcast, ucast, b.m.Stats().Duplicates)
 	}
 	a.leave()
 	w.run(2*b.m.expiry + 2*time.Second)

@@ -91,6 +91,9 @@ echo "==> the daemon's interest policy and the rmi election on virtual time (tic
 go test -run TestInterestOnVirtualTime -count=1 ./internal/daemon/
 go test -run 'TestElectionPartitionHeal|TestElectionLeaderExpiry' -count=1 ./internal/rmi/
 
+echo "==> the join on virtual time (sequence 1 starts a stream at once, a mid-stream joiner waits the grace, every fate of a first burst, sequence 0 refused)"
+go test -run 'TestFirstMessageStartsTheStream|TestJoinArrivalOrders|TestMidStreamJoinWaitsTheGrace|TestFirstPublicationWithinOneTransit|TestSequenceZeroRejected|TestExhaustiveFates' -count=1 ./internal/reliable/
+
 echo "==> interest-aggregate gate (Trie.Aggregate == AggregatePatterns(Trie.Patterns()); aggregation only widens)"
 go test -run 'TestTrieAggregateEqualsAggregatePatterns|TestAggregateWidens|TestAggregateKeepsOneElementSubjects' -count=1 ./internal/subject/
 
