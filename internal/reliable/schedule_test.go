@@ -286,7 +286,7 @@ func TestExhaustiveFates(t *testing.T) {
 				run := fateRun{window: window, combo: combo, seq1At: -1, firstDelivery: -1}
 				const spacing = 200 * time.Microsecond
 				start, head := l.elapsed, len(r.got)
-				survived := prologue // the stream has started by the time message i arrives
+				survived := prologue // something before message i arrived: its drop is a gap, not the head
 				for i, data := range burst {
 					at := start + time.Duration(i)*spacing
 					fate := combo >> (2 * i) % fates
