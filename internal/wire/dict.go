@@ -391,9 +391,14 @@ func (s *SendDict) LookupFP(fp uint64) (*mop.Type, bool) {
 // an append reallocates. The caller hands data over to the value: the value
 // keeps all of data alive, and a write through a view is a write to data.
 func UnmarshalWith(data []byte, reg *mop.Registry, cache *TypeCache) (mop.Value, error) {
-	strs := strBlocks.Get().(*strBlock)
-	defer strBlocks.Put(strs)
-	r := &reader{data: data, strs: strs}
+	vals := valueBlocks.Get().(*valueBlock)
+	defer valueBlocks.Put(vals)
+	return unmarshal(data, reg, cache, vals)
+}
+
+// unmarshal is UnmarshalWith carving values from vals.
+func unmarshal(data []byte, reg *mop.Registry, cache *TypeCache, vals *valueBlock) (mop.Value, error) {
+	r := &reader{data: data, vals: vals}
 	ver, err := readHeaderVer(r)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"infobus/internal/mop"
@@ -103,20 +104,64 @@ func bytesValue() mop.Value {
 	return mop.List{[]byte("top"), []byte{}, mop.MustNew(blob).MustSet("data", []byte("nested"))}
 }
 
-// checkStrings: no string of v, decoded from data, shares a byte with data.
-// Every string is recorded, data is overwritten, and every string must still
-// read as recorded. data must be the caller's own copy of the input.
-func checkStrings(t *testing.T, v mop.Value, data []byte) {
+// checkCarved: no scalar, time or string of v, decoded from data through
+// vb, shares a byte with data or with anything vb hands out later. Every
+// such value is recorded, data is overwritten, a second message is decoded
+// through vb, and every value must still read as recorded. data must be the
+// caller's own copy of the input.
+func checkCarved(t *testing.T, v mop.Value, data []byte, vb *valueBlock) {
 	t.Helper()
-	record := eachString(v)
+	record := eachCarved(v)
 	for i := range data {
 		data[i] ^= 0xFF
 	}
-	for i, s := range eachString(v) {
-		if s != record[i] {
-			t.Fatalf("decoded string %d reads %q after the input was overwritten, %q before", i, s, record[i])
+	if _, err := unmarshal(scribble, mop.NewRegistry(), nil, vb); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range eachCarved(v) {
+		if !sameValue(x, record[i]) {
+			t.Fatalf("decoded value %d reads %v after the input was overwritten and another message decoded, %v before", i, x, record[i])
 		}
 	}
+}
+
+// scribble is a message of enough ints, floats, times and strings to take a
+// fresh slot of every chunk and a fresh string block, whatever is left in
+// them.
+var scribble = func() []byte {
+	var l mop.List
+	for i := 0; i < 2*max(wordChunk, timeChunk, strChunk); i++ {
+		l = append(l, int64(-1<<40-i), -float64(i)-0.25, time.Unix(int64(-i), int64(i)).UTC(),
+			strings.Repeat("~", 1+i%strMaxShared))
+	}
+	data, err := Marshal(l)
+	if err != nil {
+		panic(err)
+	}
+	return data
+}()
+
+// eachCarved returns a copy of every value in v but a []byte view, in
+// encoding order; the copies share no memory with v: a string is cloned,
+// and a scalar or time, asserted to its type, is boxed anew by Go.
+func eachCarved(v mop.Value) []mop.Value {
+	var out []mop.Value
+	eachLeaf(v, func(x mop.Value) {
+		switch x := x.(type) {
+		case []byte:
+		case string:
+			out = append(out, strings.Clone(x))
+		case int64:
+			out = append(out, x)
+		case float64:
+			out = append(out, x)
+		case time.Time:
+			out = append(out, x)
+		default:
+			out = append(out, x)
+		}
+	})
+	return out
 }
 
 // eachString returns a copy of every string in v, in encoding order.
@@ -168,7 +213,8 @@ func eachLeaf(v mop.Value, f func(mop.Value)) {
 // as a decoder that resolves every table per message. Every decoded []byte is
 // a capped view of the input (checkViews), a clone of the value is equal,
 // encodes alike and views nothing of the input (checkClone), and no decoded
-// string shares a byte with the input (checkStrings).
+// scalar, time or string shares a byte with the input or with a later
+// decode through the same block (checkCarved).
 func FuzzUnmarshal(f *testing.F) {
 	_, dj, group := newsTypes(f)
 	seed, err := Marshal(sampleStory(f, dj, group))
@@ -208,8 +254,8 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkCacheOptional(t, setup, data)
 		checkMemoTransparent(t, setup, append(primers[:len(primers):len(primers)], data, data)...)
-		in := bytes.Clone(data)
-		v, err := UnmarshalWith(in, mop.NewRegistry(), nil)
+		in, vb := bytes.Clone(data), new(valueBlock)
+		v, err := unmarshal(in, mop.NewRegistry(), nil, vb)
 		if err != nil {
 			return
 		}
@@ -219,7 +265,7 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("decoded value failed to re-encode: %v", err)
 		}
 		checkClone(t, v, enc, in, Marshal)
-		checkStrings(t, v, in)
+		checkCarved(t, v, in, vb)
 	})
 }
 
@@ -231,7 +277,8 @@ func FuzzUnmarshal(f *testing.F) {
 // message between reference-only ones, as one in ResendEvery is). Every
 // decoded []byte is a capped view of the input (checkViews), a clone of the
 // value is equal, encodes alike and views nothing of the input (checkClone),
-// and no decoded string shares a byte with the input (checkStrings).
+// and no decoded scalar, time or string shares a byte with the input or
+// with a later decode through the same block (checkCarved).
 func FuzzUnmarshalCompact(f *testing.F) {
 	_, dj, group := newsTypes(f)
 	story := sampleStory(f, dj, group)
@@ -282,8 +329,8 @@ func FuzzUnmarshalCompact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkCacheOptional(t, setup, data)
 		checkMemoTransparent(t, setup, append(primers[:len(primers):len(primers)], data, data, steady)...)
-		in := bytes.Clone(data)
-		v, err := UnmarshalWith(in, mop.NewRegistry(), NewTypeCache(0))
+		in, vb := bytes.Clone(data), new(valueBlock)
+		v, err := unmarshal(in, mop.NewRegistry(), NewTypeCache(0), vb)
 		if err != nil {
 			return
 		}
@@ -293,6 +340,6 @@ func FuzzUnmarshalCompact(f *testing.F) {
 			t.Fatalf("decoded value failed to re-encode: %v", err)
 		}
 		checkClone(t, v, enc, in, func(c mop.Value) ([]byte, error) { return NewSendDict(0).Marshal(c) })
-		checkStrings(t, v, in)
+		checkCarved(t, v, in, vb)
 	})
 }

@@ -141,10 +141,11 @@ func nilValued(t testing.TB, msg []byte) []byte {
 // TestUnmarshalSteadyStateAllocs holds the receive-side budget (scripts/
 // check.sh runs it by name): once a host has resolved a class table, a
 // message carrying the same table allocates only what the decode returns —
-// the object with its slots in one block, one box per value that does not
-// fit an interface word, a list's elements, and a string's bytes only when
-// its shared block is full — and nothing at all for the table: 7 for the
-// compact Tick, 10 for the self-describing Quote, 20 for the Story.
+// the object with its slots in one block, a list's elements and the boxes
+// of a []byte view and a list; an int, float, time or short string is
+// carved from the decode's block, which costs a chunk or a block only when
+// the last is full — and nothing at all for the table: 1 for the compact
+// Tick, 2 for the self-describing Quote, 5 for the Story.
 func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 	tick, quote := tickType(), quoteType()
 	dict := NewSendDict(1 << 30) // no inline fallback during the run
@@ -165,9 +166,9 @@ func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 		msg    []byte
 		budget float64
 	}{
-		{"compact Tick", first, steady, 7},
-		{"self-describing Quote", legacy, legacy, 10},
-		{"self-describing Story", story, story, 20},
+		{"compact Tick", first, steady, 1},
+		{"self-describing Quote", legacy, legacy, 2},
+		{"self-describing Story", story, story, 5},
 	} {
 		reg, cache := mop.NewRegistry(), NewTypeCache(0)
 		for _, m := range [][]byte{tc.warmup, tc.msg} {
@@ -181,7 +182,10 @@ func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("%s: %.2f allocs/op", tc.name, got)
-		if got > tc.budget {
+		// Under the race detector sync.Pool drops a quarter of the blocks put
+		// back, and a lost block costs its chunks anew; the budget is pinned
+		// by the non-race run in scripts/check.sh.
+		if got > tc.budget && !raceEnabled {
 			t.Errorf("%s: warm decode allocates %.1f times/op, budget %.0f", tc.name, got, tc.budget)
 		}
 		table := nilValued(t, tc.msg)

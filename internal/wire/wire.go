@@ -26,6 +26,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"infobus/internal/mop"
 )
@@ -910,19 +911,29 @@ func readValue(r *reader, res *resolver, table []*mop.Type, depth int) (mop.Valu
 		}
 		return bb != 0, nil
 	case tagInt:
-		return r.readVarint()
+		i, err := r.readVarint()
+		if err != nil {
+			return nil, err
+		}
+		if uint64(i) < 256 {
+			return i, nil // Go boxes these without allocating
+		}
+		return r.vals.word(int64Type, uint64(i)), nil
 	case tagFloat:
 		u, err := r.readUint64()
 		if err != nil {
 			return nil, err
 		}
-		return math.Float64frombits(u), nil
+		if u < 256 {
+			return math.Float64frombits(u), nil
+		}
+		return r.vals.word(float64Type, u), nil
 	case tagString:
 		b, err := r.viewString()
 		if err != nil {
 			return nil, err
 		}
-		return r.strs.string(b), nil
+		return r.vals.string(b), nil
 	case tagBytes:
 		n, err := r.readUvarint()
 		if err != nil {
@@ -934,7 +945,7 @@ func readValue(r *reader, res *resolver, table []*mop.Type, depth int) (mop.Valu
 		if err != nil {
 			return nil, err
 		}
-		return time.Unix(0, ns).UTC(), nil
+		return r.vals.time(time.Unix(0, ns).UTC()), nil
 	case tagList:
 		n, err := r.readUvarint()
 		if err != nil {
@@ -1023,9 +1034,9 @@ type reader struct {
 	// allotted is how many items the decode has preallocated room for so
 	// far (see prealloc).
 	allotted int
-	// strs is the block value strings are carved from (see strBlock); nil
-	// outside UnmarshalWith, which is the only reader of values.
-	strs *strBlock
+	// vals is the block decoded values are carved from (see valueBlock);
+	// nil outside UnmarshalWith, which is the only reader of values.
+	vals *valueBlock
 }
 
 // prealloc returns how many of n announced items (list elements, table
@@ -1112,39 +1123,113 @@ func (r *reader) viewString() ([]byte, error) {
 	return b, nil
 }
 
-// Value strings are carved from shared blocks instead of being allocated
-// one by one. A block is a strings.Builder grown once to strBlockSize; a
+// Decoded values are carved from the decode's pooled valueBlock instead of
+// being allocated one by one.
+//
+// Strings. A block is a strings.Builder grown once to strBlockSize; a
 // string is appended to it and returned as a slice of the builder's
 // String(). A Builder never writes below its length and a full block is
 // dropped, never reset, so a returned string is immutable and shares no
 // byte with the message. A string longer than strMaxShared is allocated on
 // its own, so a block wastes at most an eighth of itself and a large string
-// never keeps its neighbours alive; a small one that is kept keeps its whole
-// block alive. Class, attribute and operation names are never carved: the
-// registry keeps them for the life of the process.
+// never keeps its neighbours alive. Class, attribute and operation names
+// are never carved: the registry keeps them for the life of the process.
+//
+// Boxes. A value in a mop.Value interface whose data word cannot hold it
+// lives in a box the interface points to, which Go allocates per value. A
+// carved string, an int64, a float64 and a time.Time are instead appended to
+// a typed chunk of the block, and the interface points at their slot
+// (boxAt). Chunks follow the strings' rule: a slot below a chunk's length is
+// never written and a full chunk is dropped, never reset, so a box is
+// immutable and no two decodes share a slot. Go still boxes a bool, an int
+// or float whose bits are below 256, and "", which cost it no allocation;
+// a string over strMaxShared, so a kept one pins nothing else; and a []byte
+// view or a List, whose headers point into datagrams and element arrays: in
+// a shared chunk, one kept value would pin its neighbours' datagrams.
+//
+// Retention. A header chunk starts fresh whenever the string block does, so
+// a kept short string pins its 1 KB block and its own 512 B header chunk,
+// and no other block. A kept int, float or time pins one chunk of at most
+// 768 B that holds no pointer, and never a datagram. A chunk of a type with
+// pointers is at most 512 B, the largest the allocator gives no type header.
 const (
 	strBlockSize = 1 << 10
 	strMaxShared = strBlockSize / 8
+	strChunk     = 512 / 16 // string headers
+	wordChunk    = 768 / 8  // int64 and float64 bits
+	timeChunk    = 512 / 24 // time.Time, whose loc is a pointer (nil in UTC)
 )
 
-// strBlock is the current block of one decode; UnmarshalWith takes it from
-// strBlocks and puts it back when it returns.
-type strBlock struct{ b strings.Builder }
+// valueBlock is the current block and chunks of one decode; UnmarshalWith
+// takes it from valueBlocks and puts it back when it returns.
+type valueBlock struct {
+	b     strings.Builder
+	strs  []string
+	words []uint64
+	times []time.Time
+}
 
-var strBlocks = sync.Pool{New: func() any { return new(strBlock) }}
+var valueBlocks = sync.Pool{New: func() any { return new(valueBlock) }}
 
-// string returns a string equal to view, carved from the block.
-func (s *strBlock) string(view []byte) string {
+// The dynamic types boxAt gives carved slots, each read from a sample value.
+var (
+	int64Type   any = int64(math.MaxInt64)
+	float64Type any = math.MaxFloat64
+	stringType  any = "string"
+	timeType    any = time.Time{}
+)
+
+// string returns a value equal to string(view), carved from the block.
+func (vb *valueBlock) string(view []byte) mop.Value {
 	if len(view) == 0 || len(view) > strMaxShared {
 		return string(view)
 	}
-	if s.b.Cap()-s.b.Len() < len(view) {
-		s.b = strings.Builder{}
-		s.b.Grow(strBlockSize)
+	if vb.b.Cap()-vb.b.Len() < len(view) {
+		vb.b = strings.Builder{}
+		vb.b.Grow(strBlockSize)
+		vb.strs = nil
 	}
-	n := s.b.Len()
-	s.b.Write(view)
-	return s.b.String()[n:]
+	if len(vb.strs) == cap(vb.strs) {
+		vb.strs = make([]string, 0, strChunk)
+	}
+	n := vb.b.Len()
+	vb.b.Write(view)
+	vb.strs = append(vb.strs, vb.b.String()[n:])
+	return boxAt(stringType, &vb.strs[len(vb.strs)-1])
+}
+
+// word returns an int64 (sample int64Type) or a float64 (float64Type) with
+// bits u.
+func (vb *valueBlock) word(sample any, u uint64) mop.Value {
+	if len(vb.words) == cap(vb.words) {
+		vb.words = make([]uint64, 0, wordChunk)
+	}
+	vb.words = append(vb.words, u)
+	return boxAt(sample, &vb.words[len(vb.words)-1])
+}
+
+// time returns t.
+func (vb *valueBlock) time(t time.Time) mop.Value {
+	if len(vb.times) == cap(vb.times) {
+		vb.times = make([]time.Time, 0, timeChunk)
+	}
+	vb.times = append(vb.times, t)
+	return boxAt(timeType, &vb.times[len(vb.times)-1])
+}
+
+// boxAt returns an interface with sample's dynamic type whose data word is
+// slot: a box that Go did not allocate. It is the package's one use of
+// unsafe, and it is sound because every caller keeps two invariants:
+//
+//   - T has the pointer layout of sample's dynamic type (T is that type, or
+//     uint64 for int64 and float64), so the GC scans the chunk that holds
+//     the slot as it would scan the box;
+//   - nothing writes through a box: the slot was written before boxAt hands
+//     out its address and is never written again (see valueBlock).
+func boxAt[T any](sample any, slot *T) any {
+	words := (*[2]unsafe.Pointer)(unsafe.Pointer(&sample))
+	words[1] = unsafe.Pointer(slot)
+	return sample
 }
 
 // skipString steps over a length-prefixed string.

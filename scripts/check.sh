@@ -106,8 +106,11 @@ go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/
 echo "==> alloc gate (steady-state encode 0 allocs; warm decode allocates what it returns, 0 for the table)"
 go test -run 'TestSendDictSteadyStateAllocs|TestUnmarshalSteadyStateAllocs' -count=1 ./internal/wire/
 
-echo "==> alloc gate (decoded strings share a block: a string costs its box; a decode's counts preallocate O(payload))"
+echo "==> alloc gate (decoded strings share a block; a decode's counts preallocate O(payload))"
 go test -run 'TestDecodedStringsShareABlock|TestCountsPreallocateInProportionToPayload' -count=1 ./internal/wire/
+
+echo "==> alloc gate (a decoded int, float, time or short string costs no box: it is carved from the decode's block and behaves as a value Go boxed)"
+go test -run 'TestCarvedBoxIsAnOrdinaryValue/(kinds|allocs)' -count=1 ./internal/wire/
 
 echo "==> alloc gate (a SysStats built from its one declaration: one block per object, 586 in all)"
 go test -run TestStatsObjectAllocBudget -count=1 ./internal/telemetry/
@@ -161,7 +164,11 @@ if [ "$quick" -eq 0 ]; then
     echo "==> decoded strings from shared blocks, 8 goroutines decoding and checking at once (race build, 10 runs)"
     go test -race -count=10 -run 'TestDecodedStringsShareABlock/concurrent' ./internal/wire/
 
-    echo "==> fuzz smoke (5s each; the two wire unmarshal fuzzers are differential, memoised vs cold, and check every decoded []byte is a capped view of the input and no decoded string shares a byte with it)"
+    echo "==> carved values survive collections with checkptr on, and pin their chunk, never a datagram or a second string block (race build, 10 runs)"
+    go test -race -count=10 -run 'TestCarvedBoxIsAnOrdinaryValue/gc' ./internal/wire/
+    go test -race -count=10 -run 'TestCarvedValueRetention' ./internal/wire/
+
+    echo "==> fuzz smoke (5s each; the two wire unmarshal fuzzers are differential, memoised vs cold, and check every decoded []byte is a capped view of the input and no decoded scalar, time or string shares a byte with it or with a later decode through the same block)"
     go test -run xxx -fuzz 'FuzzUnmarshal$'        -fuzztime 5s ./internal/wire/
     go test -run xxx -fuzz 'FuzzUnmarshalCompact$' -fuzztime 5s ./internal/wire/
     go test -run xxx -fuzz 'FuzzDecode$'           -fuzztime 5s ./internal/busproto/
