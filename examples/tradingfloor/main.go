@@ -115,7 +115,7 @@ func main() {
 	// --- Figure 4: the Keyword Generator comes on-line mid-run ----------
 	fmt.Println("\n=== keyword generator comes on-line (nothing restarts) ===")
 	kwBus := newBus("kw-host", "keyword-generator")
-	kw, err := keyword.New(kwBus, seg, keyword.DefaultCategories(), keyword.Options{NoBrowse: true})
+	kw, err := keyword.New(kwBus, nil, keyword.DefaultCategories())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -265,18 +265,15 @@ func (wa *WIPAdapter) loop() {
 				wa.mu.Lock()
 				wa.errs++
 				wa.mu.Unlock()
-				continue
 			}
-			wa.mu.Lock()
-			wa.moves++
-			wa.mu.Unlock()
 		}
 	}
 }
 
 // applyMove drives the terminal like a human operator: menu selection, lot
 // id, station, read the confirmation, then runs the query screen to read
-// authoritative state back and publishes it.
+// authoritative state back and publishes it. The move counts once the
+// terminal confirms it, so Moves covers it before anyone can see its status.
 func (wa *WIPAdapter) applyMove(v mop.Value) error {
 	cmd, ok := v.(*mop.Object)
 	if !ok || !cmd.Type().IsSubtypeOf(WIPMoveType) && cmd.Type().Name() != WIPMoveType.Name() {
@@ -303,6 +300,9 @@ func (wa *WIPAdapter) applyMove(v mop.Value) error {
 	if !strings.Contains(screen, "- OK") {
 		return fmt.Errorf("move screen said %q: %w", firstLine(screen), ErrLegacyRejected)
 	}
+	wa.mu.Lock()
+	wa.moves++
+	wa.mu.Unlock()
 	wa.session.SendLine("") // acknowledge confirmation
 
 	// Read back through the query screen (the legacy system is the source

@@ -181,9 +181,6 @@ type HostConfig struct {
 	// publication is first retransmitted; further retransmissions back off
 	// exponentially from it, to DefaultRetryBackoffCap. Default 100ms.
 	RetryInterval time.Duration
-	// Registry lets several hosts share one type universe (common in
-	// tests). Nil creates a fresh registry.
-	Registry *mop.Registry
 	// Telemetry tunes metrics, tracing, and the "_sys.>" stats export.
 	Telemetry TelemetryConfig
 	// CompactTypes enables type-dictionary compression for this host's
@@ -216,10 +213,7 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 	if err != nil {
 		return nil, err
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = mop.NewRegistry()
-	}
+	reg := mop.NewRegistry()
 	metrics := cfg.Telemetry.Registry
 	if metrics == nil {
 		metrics = telemetry.NewRegistry()

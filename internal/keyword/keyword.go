@@ -44,7 +44,6 @@ func DefaultCategories() Categories {
 // Generator is the running keyword service.
 type Generator struct {
 	bus  *core.Bus
-	sub  *core.Subscription
 	rmiS *rmi.Server
 
 	mu        sync.Mutex
@@ -66,28 +65,23 @@ var BrowseInterface = mop.MustNewClass("KeywordBrowser", nil, nil, []mop.Operati
 	}, Result: mop.Bool},
 })
 
-// Options configure New.
-type Options struct {
-	// Subjects are the story subjects to scan. Default "news.>".
-	Subjects []string
-	// Service is the RMI service subject of the browse interface.
-	// Default "svc.keywords". Empty string "" uses the default; set
-	// NoBrowse to disable the interface.
-	Service  string
-	NoBrowse bool
-	// RMI tunes the browse server.
-	RMI rmi.ServerOptions
-}
+// The story subjects the generator scans, and the RMI service subject of its
+// browse interface.
+const (
+	storySubjects = "news.>"
+	browseService = "svc.keywords"
+)
 
 // New starts a keyword generator on the bus. seg is needed only for the
-// browse interface's point-to-point endpoint (pass nil with NoBrowse).
-func New(bus *core.Bus, seg transport.Segment, cats Categories, opts Options) (*Generator, error) {
-	if len(opts.Subjects) == 0 {
-		opts.Subjects = []string{"news.>"}
-	}
-	if opts.Service == "" {
-		opts.Service = "svc.keywords"
-	}
+// browse interface's point-to-point endpoint: with seg nil the generator
+// serves no browse interface.
+func New(bus *core.Bus, seg transport.Segment, cats Categories) (*Generator, error) {
+	return newGenerator(bus, seg, cats, browseService, rmi.ServerOptions{})
+}
+
+// newGenerator is New with the browse server's service subject and options,
+// which in-package tests choose.
+func newGenerator(bus *core.Bus, seg transport.Segment, cats Categories, service string, ropts rmi.ServerOptions) (*Generator, error) {
 	if cats == nil {
 		cats = Categories{}
 	}
@@ -95,22 +89,14 @@ func New(bus *core.Bus, seg transport.Segment, cats Categories, opts Options) (*
 	if err := bus.Registry().Register(adapter.PropertyType); err != nil {
 		return nil, err
 	}
-	for _, s := range opts.Subjects {
-		sub, err := bus.Subscribe(s)
-		if err != nil {
-			g.Close()
-			return nil, err
-		}
-		g.wg.Add(1)
-		go g.scanLoop(sub)
-		g.mu.Lock()
-		if g.sub == nil {
-			g.sub = sub
-		}
-		g.mu.Unlock()
+	sub, err := bus.Subscribe(storySubjects)
+	if err != nil {
+		return nil, err
 	}
-	if !opts.NoBrowse {
-		srv, err := rmi.NewServer(bus, seg, opts.Service, BrowseInterface, g.browse, opts.RMI)
+	g.wg.Add(1)
+	go g.scanLoop(sub)
+	if seg != nil {
+		srv, err := rmi.NewServer(bus, seg, service, BrowseInterface, g.browse, ropts)
 		if err != nil {
 			g.Close()
 			return nil, err

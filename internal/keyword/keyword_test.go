@@ -1,6 +1,7 @@
 package keyword
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -72,7 +73,7 @@ func TestPropertyPublishedOnSameSubject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kw, err := New(kwBus, seg, DefaultCategories(), Options{NoBrowse: true})
+	kw, err := New(kwBus, nil, DefaultCategories()) // no segment: no browse interface
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +143,13 @@ func TestPropertyPublishedOnSameSubject(t *testing.T) {
 	if kw.Processed() != 2 {
 		t.Errorf("Processed = %d, want 2", kw.Processed())
 	}
+	// Without a segment the generator answers no discovery of its service.
+	if _, err := rmi.Dial(obsBus, seg, browseService, rmi.DialOptions{
+		DiscoveryWindow: 200 * time.Millisecond,
+		Reliable:        fastReliable(),
+	}); !errors.Is(err, rmi.ErrNoServer) {
+		t.Errorf("Dial %s = %v, want ErrNoServer", browseService, err)
+	}
 }
 
 func TestBrowseInterface(t *testing.T) {
@@ -149,10 +157,8 @@ func TestBrowseInterface(t *testing.T) {
 	defer seg.Close()
 	kwBus := newBus(t, seg, "kw")
 	clientBus := newBus(t, seg, "client")
-	kw, err := New(kwBus, seg, DefaultCategories(), Options{
-		Service: "svc.kw.test",
-		RMI:     rmi.ServerOptions{Reliable: fastReliable()},
-	})
+	kw, err := newGenerator(kwBus, seg, DefaultCategories(), "svc.kw.test",
+		rmi.ServerOptions{Reliable: fastReliable()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@ import (
 	"infobus/internal/telemetry"
 )
 
-// DefaultSegmentBytes is the segment rotation threshold: the active segment
+// defaultSegmentBytes is the segment rotation threshold: the active segment
 // is rolled once it grows past this.
-const DefaultSegmentBytes = 4 << 20
+const defaultSegmentBytes = 4 << 20
 
 // linger bounds the extra wait a commit spends letting a forming group
 // reach the size of the previous one, once contention is proven (the
@@ -48,14 +48,14 @@ const DefaultSegmentBytes = 4 << 20
 // into near-singleton batches. An uncontended Append never waits.
 const linger = 100 * time.Microsecond
 
-// DefaultAckLinger defers the commit kick when the staged batch holds only
+// defaultAckLinger defers the commit kick when the staged batch holds only
 // ack records. Nothing waits on an ack commit and its durability is
 // advisory (a crash that loses recent acks causes re-deliveries that
 // consumers dedup), but under a steady ack trickle an immediate kick buys
 // each ack its own fsync and starves message appends of cohort partners.
 // Deferred acks ride the next message batch, the deferral timer, or Close —
 // they are never dropped while the process lives.
-const DefaultAckLinger = 2 * time.Millisecond
+const defaultAckLinger = 2 * time.Millisecond
 
 // Entry is one logged, possibly unacknowledged message.
 type Entry struct {
@@ -112,8 +112,8 @@ type Ledger struct {
 	path      string // segment name prefix: <path>.<seq>.seg
 	dir       string
 	sync      bool
-	ackLinger time.Duration // DefaultAckLinger; in-package tests set it
-	segMax    int64         // DefaultSegmentBytes; in-package tests set it
+	ackLinger time.Duration // defaultAckLinger; in-package tests set it
+	segMax    int64         // defaultSegmentBytes; in-package tests set it
 
 	kick chan struct{} // committer wake-up (buffered, non-blocking send)
 	stop chan struct{}
@@ -124,7 +124,7 @@ type Ledger struct {
 	onCommit   func(cb CommitBatch) // replication hook; see SetOnCommit
 	commitSeq  uint64               // batches committed so far (hook's Seq)
 	lastCohort int                  // appenders woken by the previous flush (linger target)
-	ackTimer   *time.Timer          // pending deferred-ack kick; see DefaultAckLinger
+	ackTimer   *time.Timer          // pending deferred-ack kick; see defaultAckLinger
 	nextID     uint64
 	pending    map[uint64]*entryState
 	segs       []*segment
@@ -183,8 +183,8 @@ func Open(path string, opts Options) (*Ledger, error) {
 		path:      path,
 		dir:       filepath.Dir(path),
 		sync:      opts.Sync,
-		ackLinger: DefaultAckLinger,
-		segMax:    DefaultSegmentBytes,
+		ackLinger: defaultAckLinger,
+		segMax:    defaultSegmentBytes,
 		kick:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		pending:   make(map[uint64]*entryState),

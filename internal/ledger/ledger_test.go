@@ -309,14 +309,14 @@ func TestCompact(t *testing.T) {
 }
 
 // setSegMax sets an open ledger's segment rotation threshold
-// (DefaultSegmentBytes otherwise).
+// (defaultSegmentBytes otherwise).
 func setSegMax(l *Ledger, n int64) {
 	l.mu.Lock()
 	l.segMax = n
 	l.mu.Unlock()
 }
 
-// setAckLinger sets an open ledger's deferred-ack window (DefaultAckLinger
+// setAckLinger sets an open ledger's deferred-ack window (defaultAckLinger
 // otherwise).
 func setAckLinger(l *Ledger, d time.Duration) {
 	l.mu.Lock()

@@ -167,7 +167,7 @@ func TestKeywordGeneratorEnrichesMonitor(t *testing.T) {
 	}
 
 	// The Keyword Generator comes on-line (new service, nothing restarts).
-	kw, err := keyword.New(kwBus, seg, keyword.DefaultCategories(), keyword.Options{NoBrowse: true})
+	kw, err := keyword.New(kwBus, nil, keyword.DefaultCategories())
 	if err != nil {
 		t.Fatal(err)
 	}

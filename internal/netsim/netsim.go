@@ -11,8 +11,6 @@
 //     number of subscribers" invariant);
 //   - per-fragment overhead mirroring Ethernet/UDP framing, so small
 //     messages are overhead-dominated (Figure 6's msgs/sec curve);
-//   - collision-style degradation under unrelated load (the dip between
-//     5 KB and 10 KB in Figure 7);
 //   - unreliable datagram semantics: loss, duplication, reordering, and
 //     bounded receive buffers that drop on overflow, exactly the failure
 //     model §2 assumes; plus link partitions.
@@ -66,28 +64,29 @@ const (
 // counts it in Stats.LostOverflow, as a full interface queue would.
 const sendBound = 4096
 
-// Config describes the simulated network.
-type Config struct {
-	// BandwidthBPS is the shared medium's capacity in bits per second.
-	// The paper's network: 10 Mb/s Ethernet.
-	BandwidthBPS float64
-	// BaseLatency is the fixed per-hop propagation plus kernel/daemon cost
+// The paper's Ethernet, fixed: every network has these bounds.
+const (
+	// bandwidthBPS is the shared medium's capacity: 10 Mb/s Ethernet.
+	bandwidthBPS = 10e6
+	// baseLatency is the fixed per-hop propagation plus kernel/daemon cost
 	// added to each delivery.
-	BaseLatency time.Duration
-	// JitterLatency is the maximum uniform random addition to BaseLatency.
-	JitterLatency time.Duration
-	// LossProb, DupProb, ReorderProb are per-delivery probabilities in
-	// [0, 1]. Reordered packets are delayed by up to 4x BaseLatency.
-	LossProb, DupProb, ReorderProb float64
-	// BackgroundLoad in [0, 1) models unrelated traffic occupying the
-	// medium: effective bandwidth shrinks and, above ~30%, collision-style
-	// loss and delay variance appear (the Figure 7 dip).
-	BackgroundLoad float64
-	// RecvBuffer is the capacity of each node's receive queue, the one
+	baseLatency = 200 * time.Microsecond
+	// jitterLatency is the maximum uniform random addition to baseLatency.
+	jitterLatency = 100 * time.Microsecond
+	// recvBuffer is the capacity of each node's receive queue, the one
 	// queue between the medium and whoever reads Node.Recv: a datagram
 	// arriving at a full queue is dropped, like a UDP socket buffer.
-	// Default 1536.
-	RecvBuffer int
+	recvBuffer = 1536
+)
+
+// Config describes what varies between simulated networks: the fault model,
+// the driver's pace and the seed. The zero value is the paper's lightly
+// loaded Ethernet with no faults.
+type Config struct {
+	// LossProb, DupProb, ReorderProb are per-delivery probabilities in
+	// [0, 1]. Reordered packets are delayed by up to 4x the base latency
+	// plus its jitter.
+	LossProb, DupProb, ReorderProb float64
 	// Speedup divides all simulated durations on a wall-clock network: 10
 	// means the simulation runs 10x faster than the modelled network.
 	// Values <= 0 default to 1. A manual network ignores it.
@@ -96,19 +95,10 @@ type Config struct {
 	Seed int64
 }
 
-const defaultRecvBuffer = 1536
-
 // DefaultConfig returns the paper's testbed: lightly loaded 10 Mb/s
-// Ethernet, sub-millisecond base latency.
+// Ethernet, sub-millisecond base latency, in real time.
 func DefaultConfig() Config {
-	return Config{
-		BandwidthBPS:  10e6,
-		BaseLatency:   200 * time.Microsecond,
-		JitterLatency: 100 * time.Microsecond,
-		RecvBuffer:    defaultRecvBuffer,
-		Speedup:       1,
-		Seed:          1,
-	}
+	return Config{Speedup: 1, Seed: 1}
 }
 
 // Datagram is one received datagram: the sender's address (Node.Addr) and
@@ -124,7 +114,6 @@ type Stats struct {
 	Sent            uint64 // datagrams handed to the medium
 	Delivered       uint64 // datagram copies placed in receive queues
 	LostRandom      uint64 // dropped by the loss model
-	LostCollision   uint64 // dropped by collision under background load
 	LostOverflow    uint64 // dropped at a full receive queue (or, manual mode, at the send bound)
 	LostPartition   uint64 // suppressed across a partition
 	Duplicated      uint64 // extra copies injected
@@ -139,15 +128,13 @@ type Stats struct {
 func (s Stats) WireTime() time.Duration { return time.Duration(s.WireTimeNanos) }
 
 // event is one entry of the heap. With dst nil it is a frame leaving the
-// medium (fan out to its destinations, or vanish if a collision took it);
-// otherwise one copy arriving at dst.
+// medium, to fan out to its destinations; otherwise one copy arriving at dst.
 type event struct {
 	at      time.Duration // virtual time since the network started
 	seq     uint64        // push order: FIFO among events of one instant
 	from    *Node
 	dst     *Node
 	to      NodeID // departure only
-	lost    bool   // departure only: collided, occupies the medium and is gone
 	given   bool   // departure only: one arrival has the payload, the rest copy it
 	payload []byte
 }
@@ -168,6 +155,11 @@ type Network struct {
 	events    []event       // binary heap on (at, seq); container/heap would box every push
 	seq       uint64
 
+	// jitter and recvCap are jitterLatency and recvBuffer; in-package tests
+	// set them before sending or adding nodes.
+	jitter  time.Duration
+	recvCap int
+
 	base time.Time // virtual zero: the wall instant of creation, or NewManual's start
 
 	// The wall-clock driver; all nil on a manual network.
@@ -187,13 +179,8 @@ func newNetwork(cfg Config, base time.Time) *Network {
 	if cfg.Speedup <= 0 {
 		cfg.Speedup = 1
 	}
-	if cfg.BandwidthBPS <= 0 {
-		cfg.BandwidthBPS = 10e6
-	}
-	if cfg.RecvBuffer <= 0 {
-		cfg.RecvBuffer = defaultRecvBuffer
-	}
-	return &Network{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), base: base}
+	return &Network{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), base: base,
+		jitter: jitterLatency, recvCap: recvBuffer}
 }
 
 // NewNetwork starts a network that runs in wall-clock time scaled by
@@ -294,7 +281,7 @@ func (n *Network) NewNode() (*Node, error) {
 		return nil, ErrClosed
 	}
 	id := len(n.nodes)
-	nd := &Node{id: NodeID(id), net: n, addr: "sim:" + strconv.Itoa(id), inbox: make(chan Datagram, n.cfg.RecvBuffer)}
+	nd := &Node{id: NodeID(id), net: n, addr: "sim:" + strconv.Itoa(id), inbox: make(chan Datagram, n.recvCap)}
 	n.nodes = append(n.nodes, nd)
 	return nd, nil
 }
@@ -369,46 +356,31 @@ func (n *Network) send(from *Node, to NodeID, payload []byte) error {
 	}
 	n.stats.Sent++
 	n.stats.BytesOnWire += uint64(len(cp))
-	occupancy := n.transmissionTime(len(cp))
+	occupancy := transmissionTime(len(cp))
 	n.stats.WireTimeNanos += uint64(occupancy)
-	// Collision model: under background load, some frames are lost and
-	// retransmission jitter stretches occupancy. Kicks in softly above
-	// ~30% unrelated utilisation.
-	lost := false
-	if bl := n.cfg.BackgroundLoad; bl > 0.3 && n.chance((bl-0.3)*0.5) {
-		occupancy += time.Duration(n.rng.Float64() * float64(occupancy))
-		lost = n.chance(0.5)
-	}
 	n.busyUntil = max(n.clock(), n.busyUntil) + occupancy
 	n.queued++
-	n.push(event{at: n.busyUntil, from: from, to: to, lost: lost, payload: cp})
+	n.push(event{at: n.busyUntil, from: from, to: to, payload: cp})
 	return nil
 }
 
 // transmissionTime models the medium occupancy of one datagram, including
-// IP fragmentation and Ethernet framing overhead, shrunk by background
-// load.
-func (n *Network) transmissionTime(size int) time.Duration {
+// IP fragmentation and Ethernet framing overhead.
+func transmissionTime(size int) time.Duration {
 	frags := (size + fragPayload - 1) / fragPayload
 	if frags == 0 {
 		frags = 1
 	}
 	bits := float64(size+frags*(ipUDPHeader+frameOverhead)) * 8
-	bw := n.cfg.BandwidthBPS * (1 - n.cfg.BackgroundLoad)
-	return time.Duration(bits / bw * float64(time.Second))
+	return time.Duration(bits / bandwidthBPS * float64(time.Second))
 }
 
-// depart takes a frame off the medium and, unless a collision took it,
-// schedules its arrivals: at every other node of the sender's partition
+// depart takes a frame off the medium and schedules its arrivals: at every other node of the sender's partition
 // group in id order, or at the one addressed.
 func (n *Network) depart(ev event) {
 	n.queued--
 	if !n.manual() {
 		n.space.Broadcast()
-	}
-	if ev.lost {
-		n.stats.LostCollision++
-		return
 	}
 	if ev.to != Broadcast {
 		if ev.to >= 0 && int(ev.to) < len(n.nodes) {
@@ -447,12 +419,9 @@ func (n *Network) carry(ev *event, dst *Node) {
 		n.stats.Duplicated++
 	}
 	for ; copies > 0; copies-- {
-		at := ev.at + n.cfg.BaseLatency
-		if n.cfg.JitterLatency > 0 {
-			at += time.Duration(n.rng.Float64() * float64(n.cfg.JitterLatency))
-		}
+		at := ev.at + baseLatency + time.Duration(n.rng.Float64()*float64(n.jitter))
 		if n.cfg.ReorderProb > 0 && n.chance(n.cfg.ReorderProb) {
-			at += time.Duration(n.rng.Float64() * 4 * float64(n.cfg.BaseLatency+n.cfg.JitterLatency))
+			at += time.Duration(n.rng.Float64() * 4 * float64(baseLatency+n.jitter))
 			n.stats.Reordered++
 		} else {
 			at = max(at, dst.lastArrive)
@@ -624,14 +593,6 @@ func (n *Network) Partition(isolated ...NodeID) {
 
 // Heal removes all partitions.
 func (n *Network) Heal() { n.Partition() }
-
-// SetBackgroundLoad adjusts the unrelated-traffic model at run time, used
-// by the Figure 7 collision-dip experiment.
-func (n *Network) SetBackgroundLoad(load float64) {
-	n.mu.Lock()
-	n.cfg.BackgroundLoad = load
-	n.mu.Unlock()
-}
 
 // Stats returns a snapshot of the cumulative counters.
 func (n *Network) Stats() Stats {

@@ -58,30 +58,34 @@ func drain(nd *Node) []Datagram {
 	}
 }
 
+// TestUnicastDelivery runs on DefaultConfig and on the zero Config: both
+// are the paper's Ethernet.
 func TestUnicastDelivery(t *testing.T) {
-	net := manual(t, DefaultConfig())
-	nd := nodes(t, net, 2)
-	a, b := nd[0], nd[1]
-	if err := a.Send(b.ID(), []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if got := drain(b); len(got) != 0 {
-		t.Fatalf("delivered before time moved: %+v", got)
-	}
-	settle(net)
-	got := drain(b)
-	if len(got) != 1 || string(got[0].Payload) != "hello" || got[0].From != a.Addr() {
-		t.Errorf("b received %+v", got)
-	}
-	if stray := drain(a); len(stray) != 0 {
-		t.Errorf("sender received %+v", stray)
-	}
-	if id, ok := ParseAddr(a.Addr()); !ok || id != a.ID() {
-		t.Errorf("ParseAddr(%q) = %d, %v", a.Addr(), id, ok)
-	}
-	// 5 bytes + one fragment's framing at 10 Mb/s, then at least BaseLatency.
-	if min := t0.Add(net.transmissionTime(5) + DefaultConfig().BaseLatency); net.Now().Before(min) {
-		t.Errorf("arrived at %v, before occupancy + latency (%v)", net.Now(), min)
+	for _, cfg := range []Config{DefaultConfig(), {}} {
+		net := manual(t, cfg)
+		nd := nodes(t, net, 2)
+		a, b := nd[0], nd[1]
+		if err := a.Send(b.ID(), []byte("hello")); err != nil {
+			t.Fatal(err)
+		}
+		if got := drain(b); len(got) != 0 {
+			t.Fatalf("%+v: delivered before time moved: %+v", cfg, got)
+		}
+		settle(net)
+		got := drain(b)
+		if len(got) != 1 || string(got[0].Payload) != "hello" || got[0].From != a.Addr() {
+			t.Errorf("%+v: b received %+v", cfg, got)
+		}
+		if stray := drain(a); len(stray) != 0 {
+			t.Errorf("%+v: sender received %+v", cfg, stray)
+		}
+		if id, ok := ParseAddr(a.Addr()); !ok || id != a.ID() {
+			t.Errorf("ParseAddr(%q) = %d, %v", a.Addr(), id, ok)
+		}
+		// 5 bytes + one fragment's framing at 10 Mb/s, then at least baseLatency.
+		if min := t0.Add(transmissionTime(5) + baseLatency); net.Now().Before(min) {
+			t.Errorf("%+v: arrived at %v, before occupancy + latency (%v)", cfg, net.Now(), min)
+		}
 	}
 }
 
@@ -259,16 +263,14 @@ func TestPartitionAndHeal(t *testing.T) {
 	}
 }
 
-// TestReceiveBufferOverflow: the receive queue holds exactly RecvBuffer
+// TestReceiveBufferOverflow: the receive queue holds exactly recvCap
 // datagrams nobody has read; the next arrival is dropped and counted.
 func TestReceiveBufferOverflow(t *testing.T) {
-	for _, capacity := range []int{2, 0} { // 0: the documented default
-		cfg := DefaultConfig()
-		cfg.RecvBuffer = capacity
-		if capacity == 0 {
-			capacity = 1536
+	for _, capacity := range []int{2, 1536} { // 1536: the default, left as it is
+		net := manual(t, DefaultConfig())
+		if capacity != 1536 {
+			net.recvCap = capacity
 		}
-		net := manual(t, cfg)
 		nd := nodes(t, net, 2)
 		for i := 0; i < capacity+5; i++ {
 			if err := nd[0].Send(nd[1].ID(), []byte{byte(i)}); err != nil {
@@ -287,9 +289,8 @@ func TestReceiveBufferOverflow(t *testing.T) {
 }
 
 func TestTransmissionTimeModel(t *testing.T) {
-	net := manual(t, Config{BandwidthBPS: 10e6})
-	small := net.transmissionTime(100)
-	big := net.transmissionTime(10000)
+	small := transmissionTime(100)
+	big := transmissionTime(10000)
 	if big <= small {
 		t.Errorf("transmission time not increasing: %v vs %v", small, big)
 	}
@@ -302,16 +303,6 @@ func TestTransmissionTimeModel(t *testing.T) {
 	want := time.Duration(withOverhead * float64(time.Second))
 	if big != want {
 		t.Errorf("occupancy = %v, want %v", big, want)
-	}
-}
-
-func TestBackgroundLoadShrinksBandwidth(t *testing.T) {
-	net := manual(t, Config{BandwidthBPS: 10e6})
-	idle := net.transmissionTime(5000)
-	net.SetBackgroundLoad(0.5)
-	loaded := net.transmissionTime(5000)
-	if loaded <= idle {
-		t.Errorf("background load should stretch occupancy: %v vs %v", loaded, idle)
 	}
 }
 
@@ -347,7 +338,8 @@ func TestCloseIdempotentAndRejectsSends(t *testing.T) {
 func TestSharedMediumSerialises(t *testing.T) {
 	// Two senders share the medium: the last arrival is no earlier than the
 	// sum of their occupancy — the bandwidth ceiling.
-	net := manual(t, Config{BandwidthBPS: 10e6, RecvBuffer: 64, Seed: 7})
+	net := manual(t, Config{Seed: 7})
+	net.recvCap = 64
 	nd := nodes(t, net, 3)
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -361,31 +353,12 @@ func TestSharedMediumSerialises(t *testing.T) {
 	if got := drain(nd[2]); len(got) != 2*n {
 		t.Fatalf("received %d of %d", len(got), 2*n)
 	}
-	want := 2 * n * net.transmissionTime(1000) // 40 KB at 10 Mb/s: ~34 ms
+	want := 2 * n * transmissionTime(1000) // 40 KB at 10 Mb/s: ~34 ms
 	if elapsed := net.Now().Sub(t0); elapsed < want {
 		t.Errorf("40 frames crossed in %v, want >= %v", elapsed, want)
 	}
 	if st := net.Stats(); st.WireTime() != want {
 		t.Errorf("wire occupancy = %v, want %v", st.WireTime(), want)
-	}
-}
-
-func TestCollisionModelUnderBackgroundLoad(t *testing.T) {
-	net := manual(t, Config{BandwidthBPS: 10e6, BackgroundLoad: 0.9, Seed: 3, RecvBuffer: 256})
-	nd := nodes(t, net, 2)
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := nd[0].Send(nd[1].ID(), make([]byte, 500)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	settle(net)
-	st := net.Stats()
-	if st.Delivered+st.LostCollision != n {
-		t.Fatalf("packets unaccounted for: %+v", st)
-	}
-	if st.LostCollision == 0 {
-		t.Errorf("no collision losses at 90%% background load: %+v", st)
 	}
 }
 
@@ -444,9 +417,9 @@ func TestPerDestinationFIFO(t *testing.T) {
 	// they drew — the property the reliable protocol's stream sync depends
 	// on — except the ones the reorder model picked.
 	cfg := DefaultConfig()
-	cfg.JitterLatency = 300 * time.Microsecond // far above a small frame's occupancy
 	cfg.ReorderProb = 0.1
 	net := manual(t, cfg)
+	net.jitter = 300 * time.Microsecond // far above a small frame's occupancy
 	nd := nodes(t, net, 2)
 	const n = 300
 	for i := 0; i < n; i++ {
@@ -507,8 +480,9 @@ func TestExplicitReorderingBypassesFIFO(t *testing.T) {
 // drops the next and counts it; a wall-clock one holds the sender until a
 // frame has left the wire.
 func TestSendBound(t *testing.T) {
-	cfg := Config{BandwidthBPS: 10e6, RecvBuffer: 2 * sendBound}
+	var cfg Config
 	net := manual(t, cfg)
+	net.recvCap = 2 * sendBound
 	nd := nodes(t, net, 2)
 	for i := 0; i < sendBound+3; i++ {
 		if err := nd[0].Send(nd[1].ID(), []byte("x")); err != nil {
@@ -523,6 +497,7 @@ func TestSendBound(t *testing.T) {
 	cfg.Speedup = 50
 	wall := NewNetwork(cfg)
 	defer wall.Close()
+	wall.recvCap = 2 * sendBound
 	nd = nodes(t, wall, 2)
 	start := time.Now()
 	const extra = 200
@@ -532,7 +507,7 @@ func TestSendBound(t *testing.T) {
 		}
 	}
 	// The last send returned once `extra` frames were off the wire.
-	if min := time.Duration(float64(extra*wall.transmissionTime(1)) / cfg.Speedup); time.Since(start) < min {
+	if min := time.Duration(float64(extra*transmissionTime(1)) / cfg.Speedup); time.Since(start) < min {
 		t.Errorf("%d sends past the bound returned in %v, want >= %v", extra, time.Since(start), min)
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestReplAlarmWatches: partitioning the only replica of a factor-1 group
-// makes the outstanding chunk age past ReplLagRaise and the outbox exceed
-// QuorumStallRaise, so the health engine raises both
+// makes the outstanding chunk age past replLagRaise and the outbox exceed
+// quorumStallRaise, so the health engine raises both
 // "_sys.alarm.pub.repl-lag" and "_sys.alarm.pub.quorum-stall"; healing the
 // partition lets the ack land, the gate release, and both alarms clear —
 // and every edge also lands in the flight-data history ring.
@@ -22,8 +22,8 @@ func TestReplAlarmWatches(t *testing.T) {
 	dir := t.TempDir()
 	qcfg := fastRepl(1, "")
 	qcfg.AckTimeout = 30 * time.Second // the heal, not the timeout, releases the gate
-	qcfg.ReplLagRaise = 20 * time.Millisecond
-	qcfg.QuorumStallRaise = 1
+	qcfg.replLagRaise = 20 * time.Millisecond
+	qcfg.quorumStallRaise = 1
 	pub, _ := newReplHost(t, seg, "pub", core.HostConfig{
 		LedgerPath: filepath.Join(dir, "pub.ledger"),
 		Telemetry: core.TelemetryConfig{

@@ -37,7 +37,7 @@ func fastRepl(factor int, dir string) Config {
 		FsyncPolicy:   "lazy",
 		Dir:           dir,
 		BeatInterval:  10 * time.Millisecond,
-		ReadTimeout:   150 * time.Millisecond,
+		readTimeout:   150 * time.Millisecond,
 		RetryInterval: 5 * time.Millisecond,
 	}
 }

@@ -106,7 +106,7 @@ func (a *Agent) foster(origin string, now time.Time) {
 // the coordinator stores before it acts.
 func (a *Agent) read(origin string, r *recovery, now time.Time) {
 	a.round++
-	r.round, r.seen, r.due = a.round, make(map[string]bool), now.Add(a.cfg.ReadTimeout)
+	r.round, r.seen, r.due = a.round, make(map[string]bool), now.Add(a.cfg.readTimeout)
 	_ = a.d.Publish(subjRead, AppendFrame(nil, Frame{Type: FrameReadReq, Origin: origin, Round: r.round}))
 	_ = a.d.Flush()
 }

@@ -122,7 +122,7 @@ func TestRecoveryOnVirtualTime(t *testing.T) {
 	}
 
 	a.Hear(nil, readReply(a, 1, "r-self")) // one of two
-	tick(a.cfg.ReadTimeout - time.Millisecond)
+	tick(a.cfg.readTimeout - time.Millisecond)
 	if reqs := published(probe, FrameReadReq); len(reqs) != 0 {
 		t.Fatalf("a second round before the first timed out: %+v", reqs)
 	}

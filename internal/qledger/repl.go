@@ -60,9 +60,6 @@ type Config struct {
 	// recovery-coordinator election's: a publisher silent for four beats is
 	// presumed crashed, as an election member is. Default 250ms.
 	BeatInterval time.Duration
-	// ReadTimeout bounds one majority-read round during recovery. Default
-	// 500ms.
-	ReadTimeout time.Duration
 	// RetryInterval paces chunk retransmission, and is the base interval of
 	// the recovery coordinator's retrier (core.Retrier). Default 100ms.
 	RetryInterval time.Duration
@@ -74,18 +71,22 @@ type Config struct {
 	// batches never re-form anywhere in the pipeline. Costs its value in
 	// quorum latency when traffic is sparse. 0 disables (the default).
 	GatherDelay time.Duration
-	// ReplLagRaise is the replica-ack latency watermark: the "repl-lag"
-	// alarm raises when the oldest outstanding (not yet at quorum) chunk
-	// is older than this, and clears with the engine's hysteresis once the
-	// age halves. Default AckTimeout / 2; negative disables the watch.
-	ReplLagRaise time.Duration
-	// QuorumStallRaise is the quorum-pending backlog watermark: the
-	// "quorum-stall" alarm raises when this many chunks sit in the outbox
-	// awaiting replica acks. Default 64; negative disables the watch.
-	QuorumStallRaise int64
 	// DisableRecovery keeps this replica out of the coordinator election
 	// (it still stores and acks batches).
 	DisableRecovery bool
+
+	// Fixed except by in-package tests:
+	//   - readTimeout bounds one majority-read round during recovery: 500ms;
+	//   - replLagRaise is the replica-ack latency watermark: the "repl-lag"
+	//     alarm raises when the oldest outstanding (not yet at quorum) chunk
+	//     is older than this, and clears with the engine's hysteresis once
+	//     the age halves: AckTimeout / 2;
+	//   - quorumStallRaise is the quorum-pending backlog watermark: the
+	//     "quorum-stall" alarm raises when this many chunks sit in the
+	//     outbox awaiting replica acks: 64.
+	readTimeout      time.Duration
+	replLagRaise     time.Duration
+	quorumStallRaise int64
 }
 
 func (c Config) withDefaults() Config {
@@ -95,17 +96,17 @@ func (c Config) withDefaults() Config {
 	if c.BeatInterval <= 0 {
 		c.BeatInterval = 250 * time.Millisecond
 	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 500 * time.Millisecond
+	if c.readTimeout <= 0 {
+		c.readTimeout = 500 * time.Millisecond
 	}
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = 100 * time.Millisecond
 	}
-	if c.ReplLagRaise == 0 {
-		c.ReplLagRaise = c.AckTimeout / 2
+	if c.replLagRaise <= 0 {
+		c.replLagRaise = c.AckTimeout / 2
 	}
-	if c.QuorumStallRaise == 0 {
-		c.QuorumStallRaise = 64
+	if c.quorumStallRaise <= 0 {
+		c.quorumStallRaise = 64
 	}
 	return c
 }
@@ -224,16 +225,12 @@ func Attach(h *core.Host, cfg Config) (*Agent, error) {
 		if eng := h.HealthEngine(); eng != nil {
 			eng.Watch(telemetry.WatchConfig{Kind: "quorum-lost", Raise: 1},
 				a.lost.Load)
-			if a.cfg.ReplLagRaise > 0 {
-				// Replica-ack latency watermark: the engine's default clear
-				// threshold (Raise/2) gives the edge hysteresis.
-				eng.Watch(telemetry.WatchConfig{Kind: "repl-lag",
-					Raise: a.cfg.ReplLagRaise.Milliseconds()}, a.oldestOutstandingMs)
-			}
-			if a.cfg.QuorumStallRaise > 0 {
-				eng.Watch(telemetry.WatchConfig{Kind: "quorum-stall",
-					Raise: a.cfg.QuorumStallRaise}, a.lag.Load)
-			}
+			// Replica-ack latency watermark: the engine's clear threshold
+			// (Raise/2) gives the edge hysteresis.
+			eng.Watch(telemetry.WatchConfig{Kind: "repl-lag",
+				Raise: a.cfg.replLagRaise.Milliseconds()}, a.oldestOutstandingMs)
+			eng.Watch(telemetry.WatchConfig{Kind: "quorum-stall",
+				Raise: a.cfg.quorumStallRaise}, a.lag.Load)
 		}
 	}
 	h.AddCloseHook(a.Close)

@@ -61,10 +61,6 @@ type Options struct {
 	InterestTTL time.Duration
 	// Log, if non-nil, receives a line per forwarded message.
 	Log io.Writer
-	// Metrics is the telemetry registry the router's counters live in
-	// (each attachment's reliable-protocol counters are folded in under
-	// "reliable.<attachment>."). Nil creates a private registry.
-	Metrics *telemetry.Registry
 	// StatsInterval enables self-hosted export: the router periodically
 	// publishes its metrics snapshot as a self-describing SysStats object
 	// on "_sys.stats.router-<name>", on every attached segment, and answers
@@ -81,6 +77,12 @@ type Options struct {
 	// re-advertisement debounce, the status period. The zero value takes the
 	// protocol defaults.
 	Mesh mesh.Config
+
+	// metrics is the telemetry registry the router's counters live in (each
+	// attachment's reliable-protocol counters are folded in under
+	// "reliable.<attachment>."): a private one unless an in-package test
+	// sets it.
+	metrics *telemetry.Registry
 }
 
 // Rule rewrites subjects crossing from one segment to another ("the router
@@ -223,7 +225,7 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 			return nil, fmt.Errorf("router: attachment %q: %w", a.Name, err)
 		}
 	}
-	metrics := opts.Metrics
+	metrics := opts.metrics
 	if metrics == nil {
 		metrics = telemetry.NewRegistry()
 	}

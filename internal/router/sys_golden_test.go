@@ -267,7 +267,7 @@ func TestSysGoldenBytes(t *testing.T) {
 		opts.Name = "golden"
 		opts.Reliable = quietReliable()
 		opts.InterestTTL = time.Hour
-		opts.Metrics = goldenMetrics()
+		opts.metrics = goldenMetrics()
 		opts.Health = telemetry.HealthConfig{Interval: time.Hour}
 		r, err := New(opts,
 			Attachment{Segment: &nullSegment{}, Name: "in"},

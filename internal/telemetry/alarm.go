@@ -9,13 +9,12 @@ import (
 
 // Alarm engine: turns the registry's levels (gauges, counter rates) into
 // *edges* a monitor can trust. Each Watch samples one signal on every
-// engine tick and compares it against a raise threshold and a (lower)
-// clear threshold; an alarm is raised only after the signal has held at or
-// above Raise for RaiseHold consecutive ticks, and clears only after it
-// has held at or below Clear for ClearHold consecutive ticks. The
-// raise/clear asymmetry (hysteresis) is the point: a consumer hovering
-// around the watermark produces one raise and one clear, not a square
-// wave of alarm traffic on the medium.
+// engine tick and compares it against a raise threshold and a clear
+// threshold of half of it; an alarm is raised as soon as the signal is at
+// or above Raise, and clears only after it has held at or below Raise/2 for
+// two consecutive ticks. The raise/clear asymmetry (hysteresis) is the
+// point: a consumer hovering around the watermark produces one raise and
+// one clear, not a square wave of alarm traffic on the medium.
 //
 // Sample functions run with the engine lock held and must therefore be
 // lock-free — in practice they are atomic loads of the gauges the hot
@@ -70,7 +69,7 @@ type AlarmEvent struct {
 	Target    string    `mop:"target"`    // the specific entity (client name, peer address); may be ""
 	Raised    bool      `mop:"raised"`    // true = raise edge, false = clear edge
 	Value     int64     `mop:"value"`     // the sampled value at the edge
-	Threshold int64     `mop:"threshold"` // the threshold that was crossed (Raise or Clear)
+	Threshold int64     `mop:"threshold"` // the threshold that was crossed (Raise or Raise/2)
 	At        time.Time `mop:"at"`
 }
 
@@ -83,30 +82,20 @@ type WatchConfig struct {
 	Target string
 	// Raise is the level at or above which the alarm raises. Required.
 	Raise int64
-	// Clear is the level at or below which a raised alarm clears.
-	// Default Raise/2.
-	Clear int64
-	// RaiseHold is how many consecutive ticks the signal must hold at or
-	// above Raise before the raise edge fires. Default 1 (raise on first
-	// sight; depth watermarks are already integrated signals).
-	RaiseHold int
-	// ClearHold is how many consecutive ticks the signal must hold at or
-	// below Clear before the clear edge fires. Default 2.
-	ClearHold int
+
+	// raiseHold is how many consecutive ticks the signal must hold at or
+	// above Raise before the raise edge fires: 1 (raise on first sight;
+	// depth watermarks are already integrated signals). In-package tests
+	// set it.
+	raiseHold int
 }
 
-func (c WatchConfig) withDefaults() WatchConfig {
-	if c.Clear <= 0 || c.Clear > c.Raise {
-		c.Clear = c.Raise / 2
-	}
-	if c.RaiseHold <= 0 {
-		c.RaiseHold = 1
-	}
-	if c.ClearHold <= 0 {
-		c.ClearHold = 2
-	}
-	return c
-}
+// clearHold is how many consecutive ticks a raised signal must hold at or
+// below its clear level before the clear edge fires.
+const clearHold = 2
+
+// clearLevel is the level at or below which a raised alarm clears.
+func (c WatchConfig) clearLevel() int64 { return c.Raise / 2 }
 
 // Watch is one registered signal. Its state belongs to the engine.
 type Watch struct {
@@ -123,7 +112,7 @@ type Watch struct {
 
 	raised bool
 	above  int // consecutive ticks at/above Raise
-	below  int // consecutive ticks at/below Clear
+	below  int // consecutive ticks at/below Raise/2
 	value  int64
 
 	// raiseValue and raiseAt freeze the raise edge so Active can report
@@ -194,7 +183,9 @@ func (e *Engine) WatchRateFunc(cfg WatchConfig, sample func() int64) *Watch {
 }
 
 func (e *Engine) register(cfg WatchConfig, sample func() int64, rate bool) *Watch {
-	cfg = cfg.withDefaults()
+	if cfg.raiseHold <= 0 {
+		cfg.raiseHold = 1
+	}
 	w := &Watch{cfg: cfg, sample: sample, rate: rate, label: cfg.Kind}
 	if cfg.Target != "" {
 		w.label = cfg.Kind + ":" + cfg.Target
@@ -224,7 +215,7 @@ func (e *Engine) Unwatch(w *Watch) {
 				fire = true
 				ev = AlarmEvent{
 					Node: e.node, Kind: w.cfg.Kind, Target: w.cfg.Target,
-					Raised: false, Value: w.value, Threshold: w.cfg.Clear,
+					Raised: false, Value: w.value, Threshold: w.cfg.clearLevel(),
 					At: time.Now(),
 				}
 			}
@@ -266,13 +257,13 @@ func (e *Engine) Tick(now time.Time) {
 		case v >= w.cfg.Raise:
 			w.above++
 			w.below = 0
-		case v <= w.cfg.Clear:
+		case v <= w.cfg.clearLevel():
 			w.below++
 			w.above = 0
 		default:
 			w.above, w.below = 0, 0
 		}
-		if !w.raised && w.above >= w.cfg.RaiseHold {
+		if !w.raised && w.above >= w.cfg.raiseHold {
 			w.raised = true
 			w.raiseValue, w.raiseAt = v, now
 			fired = append(fired, w)
@@ -280,12 +271,12 @@ func (e *Engine) Tick(now time.Time) {
 				Node: e.node, Kind: w.cfg.Kind, Target: w.cfg.Target,
 				Raised: true, Value: v, Threshold: w.cfg.Raise, At: now,
 			})
-		} else if w.raised && w.below >= w.cfg.ClearHold {
+		} else if w.raised && w.below >= clearHold {
 			w.raised = false
 			fired = append(fired, w)
 			events = append(events, AlarmEvent{
 				Node: e.node, Kind: w.cfg.Kind, Target: w.cfg.Target,
-				Raised: false, Value: v, Threshold: w.cfg.Clear, At: now,
+				Raised: false, Value: v, Threshold: w.cfg.clearLevel(), At: now,
 			})
 		}
 	}

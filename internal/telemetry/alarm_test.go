@@ -97,12 +97,12 @@ func TestAlarmHysteresis(t *testing.T) {
 func TestAlarmRaiseHold(t *testing.T) {
 	te := newTickEngine(t)
 	var level atomic.Int64
-	te.Watch(WatchConfig{Kind: "k", Raise: 10, RaiseHold: 3}, level.Load)
+	te.Watch(WatchConfig{Kind: "k", Raise: 10, raiseHold: 3}, level.Load)
 	level.Store(10)
 	te.tick()
 	te.tick()
 	if len(te.events) != 0 {
-		t.Fatalf("fired before RaiseHold: %+v", te.events)
+		t.Fatalf("fired before raiseHold: %+v", te.events)
 	}
 	te.tick()
 	if len(te.events) != 1 || !te.events[0].Raised {
@@ -111,7 +111,7 @@ func TestAlarmRaiseHold(t *testing.T) {
 	// A dip below Raise resets the hold.
 	level.Store(3)
 	te.tick()
-	te.tick() // clear (ClearHold default 2)
+	te.tick() // clear (clearHold 2)
 	level.Store(10)
 	te.tick()
 	te.tick()

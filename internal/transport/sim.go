@@ -29,8 +29,8 @@ func NewManualSimSegment(cfg netsim.Config, start time.Time) *SimSegment {
 	return &SimSegment{net: netsim.NewManual(cfg, start)}
 }
 
-// Network exposes the underlying simulator for fault injection (partitions,
-// background load), statistics and, on a manual segment, the clock.
+// Network exposes the underlying simulator for fault injection
+// (partitions), statistics and, on a manual segment, the clock.
 func (s *SimSegment) Network() *netsim.Network { return s.net }
 
 // NewEndpoint attaches a simulated host.

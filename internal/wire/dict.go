@@ -147,8 +147,8 @@ type tableEntry struct {
 	names map[string]*mop.Type
 }
 
-// DefaultTypeCacheSize bounds a TypeCache constructed with size <= 0.
-const DefaultTypeCacheSize = 4096
+// defaultTypeCacheSize bounds a TypeCache constructed with size <= 0.
+const defaultTypeCacheSize = 4096
 
 // memoBytesPerEntry scales the table memo's byte budget with the cache
 // size: the keys of a cache of n entries total at most n*memoBytesPerEntry
@@ -157,14 +157,14 @@ const DefaultTypeCacheSize = 4096
 const memoBytesPerEntry = 256
 
 // NewTypeCache returns a cache holding at most size fingerprints and as
-// many memoised class tables (size <= 0 selects DefaultTypeCacheSize). When
+// many memoised class tables (size <= 0 selects defaultTypeCacheSize). When
 // full, new installs are skipped — the inline-fallback resend keeps
 // overflowing classes decodable, and a table that is not memoised is
 // resolved per message — matching the skip-on-full policy of the bus's
 // other bounded caches.
 func NewTypeCache(size int) *TypeCache {
 	if size <= 0 {
-		size = DefaultTypeCacheSize
+		size = defaultTypeCacheSize
 	}
 	return &TypeCache{
 		m:      make(map[uint64]*mop.Type),

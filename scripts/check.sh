@@ -66,6 +66,9 @@ go -C benchmark build -o /dev/null .
 echo "==> go test ./..."
 go test ./...
 
+echo "==> knob budget (exported Config/Options structs and fields under internal/)"
+go test -run TestKnobBudget -count=1 .
+
 echo "==> alloc gate (publish->deliver budget)"
 go test -run TestPublishDeliverAllocBudget -count=1 .
 
