@@ -820,10 +820,13 @@ func (b *Bus) dispatchLoop() {
 
 // dispatch takes one delivery's value and fans it out. The value comes
 // through the delivery's slot: of the buses on this host one publication
-// reached, the first decodes and the others are handed clones, so each bus
-// gets an object no other bus can see. The decoded value's []byte are views
-// of the payload, which belongs to this publication's deliveries alone
-// (daemon.Delivery), and the slot hands that value to one bus. A compact
+// reached, the first decodes and every bus is handed mop.ShareValue of it.
+// A decoded object is frozen, so a value of objects, scalars and strings is
+// one object for every bus; only a value with a []byte or List part, which
+// no bus may see another write, is copied per bus, its objects frozen too.
+// The decoded value's []byte are views of the payload, which belongs to this
+// publication's deliveries alone (daemon.Delivery), and the slot hands that
+// value to one bus. A compact
 // delivery whose class fingerprints are not cached yet is stashed and NAKed
 // instead of dropped; it is retried, through the same slot, once classSync
 // has harvested the definitions.
@@ -831,7 +834,7 @@ func (b *Bus) dispatch(dv daemon.Delivery) {
 	compact := wire.IsCompact(dv.Payload)
 	value, err := dv.Slot.Take(func() (mop.Value, error) {
 		return wire.UnmarshalWith(dv.Payload, b.host.reg, b.host.typeCache)
-	}, mop.CloneValue)
+	}, mop.ShareValue)
 	if err != nil {
 		var missing *wire.MissingFingerprintsError
 		if errors.As(err, &missing) {

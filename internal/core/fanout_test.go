@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,41 +14,89 @@ import (
 	"infobus/internal/wire"
 )
 
-// TestEventValueIsPrivateToItsBus: the applications of one host share the
-// decode of a publication and nothing else. Three buses subscribe to "x.>";
-// bus A overwrites every slot, byte, list element and nested slot of what it
-// receives while B and C read theirs (run under -race), and B and C see what
-// was published. Two subscriptions of one bus do share: they receive the
-// identical object, as they always have.
-func TestEventValueIsPrivateToItsBus(t *testing.T) {
+// TestDeliveredObjectIsFrozen: the applications of one host share the decode
+// of a publication, and what they are handed cannot be written. Three buses
+// subscribe to "x.>". Bus A tries Set and SetAt on what it receives and on
+// its nested part, which fail with ErrFrozen; edits a Clone of it; and
+// overwrites every byte and list element, which Go cannot freeze. B and C
+// read theirs meanwhile (run under -race) and see what was published. A
+// class without a []byte or List part is one object for every bus; a class
+// with one is a frozen copy per bus, whichever bus is handed the master. Two
+// subscriptions of one bus receive the identical object, as they always have.
+func TestDeliveredObjectIsFrozen(t *testing.T) {
+	for _, withBytes := range []bool{false, true} {
+		name := "shared"
+		if withBytes {
+			name = "bytes"
+		}
+		t.Run(name, func(t *testing.T) { deliveredObjectIsFrozen(t, withBytes) })
+	}
+}
+
+func deliveredObjectIsFrozen(t *testing.T, withBytes bool) {
 	seg := fastSeg()
 	defer seg.Close()
 	host := newHost(t, seg, "desk", HostConfig{})
 
-	part := mop.MustNewClass("IsoPart", nil, []mop.Attr{
-		{Name: "name", Type: mop.String},
-		{Name: "blob", Type: mop.Bytes},
-	}, nil)
-	whole := mop.MustNewClass("IsoWhole", nil, []mop.Attr{
+	partAttrs := []mop.Attr{{Name: "name", Type: mop.String}}
+	wholeAttrs := []mop.Attr{
 		{Name: "n", Type: mop.Int},
 		{Name: "s", Type: mop.String},
-		{Name: "blob", Type: mop.Bytes},
-		{Name: "items", Type: mop.ListOf(mop.Any)},
-		{Name: "part", Type: part},
-	}, nil)
+		{Name: "at", Type: mop.Time},
+	}
+	if withBytes {
+		partAttrs = append(partAttrs, mop.Attr{Name: "blob", Type: mop.Bytes})
+		wholeAttrs = append(wholeAttrs,
+			mop.Attr{Name: "blob", Type: mop.Bytes},
+			mop.Attr{Name: "items", Type: mop.ListOf(mop.Any)})
+	}
+	part := mop.MustNewClass("IsoPart", nil, partAttrs, nil)
+	whole := mop.MustNewClass("IsoWhole", nil, append(wholeAttrs, mop.Attr{Name: "part", Type: part}), nil)
 	// Registered up front, so a decoded IsoWhole is of this very class and
 	// Object.Equal can compare it with a fresh one.
 	if err := host.Registry().Register(whole); err != nil {
 		t.Fatal(err)
 	}
 	published := func(i int) *mop.Object {
-		return mop.MustNew(whole).
-			MustSet("n", int64(i)).MustSet("s", "published").MustSet("blob", []byte("published bytes")).
-			MustSet("items", mop.List{int64(i), "item", []byte("item bytes")}).
-			MustSet("part", mop.MustNew(part).MustSet("name", "part").MustSet("blob", []byte("part bytes")))
+		o := mop.MustNew(whole).MustSet("n", int64(i)).MustSet("s", "published").
+			MustSet("at", time.Unix(1_700_000_000, int64(i)).UTC())
+		p := mop.MustNew(part).MustSet("name", "part")
+		if withBytes {
+			o.MustSet("blob", []byte("published bytes")).
+				MustSet("items", mop.List{int64(i), "item", []byte("item bytes")})
+			p.MustSet("blob", []byte("part bytes"))
+		}
+		return o.MustSet("part", p)
 	}
-	scribble := func(o *mop.Object) {
-		o.MustSet("n", int64(-1)).MustSet("s", "scribbled")
+	// frozen checks that o and its part refuse every write; the first
+	// failure is reported as an error string.
+	frozen := func(o *mop.Object) string {
+		p := o.MustGet("part").(*mop.Object)
+		for what, err := range map[string]error{
+			"Set":        o.Set("n", int64(-1)),
+			"SetAt":      o.SetAt(1, "scribbled"),
+			"part Set":   p.Set("name", "scribbled"),
+			"part SetAt": p.SetAt(0, "scribbled"),
+		} {
+			if !errors.Is(err, mop.ErrFrozen) {
+				return fmt.Sprintf("%s on a delivered %s = %v, want ErrFrozen", what, o.Type().Name(), err)
+			}
+		}
+		return ""
+	}
+	// edit clones o, edits the clone throughout and overwrites o's bytes
+	// and list elements.
+	edit := func(o *mop.Object) string {
+		c := o.Clone()
+		if err := c.Set("n", int64(-1)); err != nil {
+			return fmt.Sprintf("Set on a clone: %v", err)
+		}
+		if err := c.MustGet("part").(*mop.Object).SetAt(0, "scribbled"); err != nil {
+			return fmt.Sprintf("SetAt on a clone's part: %v", err)
+		}
+		if !withBytes {
+			return ""
+		}
 		for _, blob := range [][]byte{
 			o.MustGet("blob").([]byte),
 			o.MustGet("items").(mop.List)[2].([]byte),
@@ -60,7 +110,7 @@ func TestEventValueIsPrivateToItsBus(t *testing.T) {
 		for i := range items {
 			items[i] = "scribbled"
 		}
-		o.MustGet("part").(*mop.Object).MustSet("name", "scribbled").MustSet("blob", []byte("scribbled"))
+		return ""
 	}
 
 	const rounds = 50
@@ -91,8 +141,13 @@ func TestEventValueIsPrivateToItsBus(t *testing.T) {
 				select {
 				case ev := <-sub.C:
 					o := ev.Value.(*mop.Object)
+					if msg := frozen(o); msg != "" {
+						t.Errorf("subscription %d, round %d: %s", i, round, msg)
+					}
 					if i == 0 {
-						scribble(o)
+						if msg := edit(o); msg != "" {
+							t.Errorf("round %d: %s", round, msg)
+						}
 					} else if want := published(round); !o.Equal(want) {
 						t.Errorf("subscription %d, round %d: got %v, want %v", i, round, o, want)
 					}
@@ -118,7 +173,10 @@ func TestEventValueIsPrivateToItsBus(t *testing.T) {
 		if b1 != b2 {
 			t.Fatalf("round %d: two subscriptions of one bus got different objects", round)
 		}
-		if a == b1 || a == c || b1 == c {
+		if shared := a == b1 && b1 == c; shared == withBytes {
+			t.Fatalf("round %d: one object for every bus is %v, want %v", round, shared, !withBytes)
+		}
+		if withBytes && (a == c || b1 == c) {
 			t.Fatalf("round %d: two buses got the same object", round)
 		}
 		// Read again now that A is done with every round.

@@ -66,26 +66,28 @@ type Slot struct {
 	mu      sync.Mutex
 	takers  int  // deliveries that have not been handed a value yet
 	decoded bool // master is set; a decoded value may itself be nil
-	master  any  // referenced by no taker while it is here
+	master  any  // what share is applied to; the last taker is handed it
 }
 
-// Take returns a value of the publication's payload that is the caller's
-// alone. The first taker decodes and leaves the result behind as the master;
-// every taker is handed clone(master), except the last one outstanding, who
-// is handed the master itself. The count can only err towards cloning: a
+// Take returns a value of the publication's payload for the caller. The
+// first taker decodes and leaves the result behind as the master; every
+// taker is handed share(master), except the last one outstanding, who is
+// handed the master itself. The count can only err towards sharing: a
 // delivery that is never taken (a closed client, an evicted stash entry, a
 // refused enqueue) keeps the master in the slot for good. A failed decode
 // stores nothing and uses up no turn, so the same delivery may take again.
 // Takers of one slot wait for each other's decode, which is the point. A nil
 // Slot decodes.
 //
-// decode's value may alias the payload, and clone must copy whatever may, so
-// only the value handed over uncloned holds views: one per payload. A take
-// after the master was handed over cannot happen — each delivery takes until
-// it succeeds, once — but would decode again and, the count being below zero
-// by then, be handed a clone: the payload would still have one holder of
-// views in application hands, never two.
-func (s *Slot) Take(decode func() (any, error), clone func(any) any) (any, error) {
+// share may return the master itself when no taker can write into it (a
+// frozen object of scalars and strings), and must copy whatever a taker can
+// write or what may alias the payload: decode's value may, so only the
+// value handed over unshared holds views, one per payload. A take after the
+// master was handed over cannot happen — each delivery takes until it
+// succeeds, once — but would decode again and, the count being below zero
+// by then, be handed share's value: the payload would still have one holder
+// of views in application hands, never two.
+func (s *Slot) Take(decode func() (any, error), share func(any) any) (any, error) {
 	if s == nil {
 		return decode()
 	}
@@ -100,12 +102,12 @@ func (s *Slot) Take(decode func() (any, error), clone func(any) any) (any, error
 	}
 	if s.takers--; s.takers == 0 {
 		// Hand the master over and forget it: a taker the count did not
-		// foresee would decode again and take a clone, never share.
+		// foresee would decode again and take share's value.
 		v := s.master
 		s.master, s.decoded = nil, false
 		return v, nil
 	}
-	return clone(s.master), nil
+	return share(s.master), nil
 }
 
 // appendHop records an intra-node stage hop on a traced delivery, with

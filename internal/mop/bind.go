@@ -236,7 +236,7 @@ func (k *Bound) read(o *Object, v reflect.Value) bool {
 			continue
 		}
 		fv := v.Field(f.index)
-		switch x := o.slots[slot].(type) {
+		switch x := o.all()[slot].(type) {
 		case string:
 			if fv.Kind() == reflect.String && (f.max == 0 || len(x) <= f.max) {
 				fv.SetString(x)

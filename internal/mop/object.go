@@ -11,8 +11,15 @@ import (
 // introspective iteration costs a slice walk.
 //
 // An Object is not internally synchronised; like the paper's data objects it
-// is a value that is copied, marshalled, and transmitted. Share between
-// goroutines only after Clone or by convention of ownership transfer.
+// is a value that is copied, marshalled, and transmitted. A frozen object
+// (NewFrozen: what the wire decoder returns) refuses Set and SetAt and may
+// be read by any number of goroutines; Clone returns an editable copy. Share
+// an editable object between goroutines only after Clone or by convention of
+// ownership transfer.
+//
+// The freeze mark costs no field: a frozen object's slots have length 0 and
+// their full capacity, so every read goes through all and every write checks
+// writable first.
 type Object struct {
 	typ   *Type
 	slots []Value
@@ -22,6 +29,7 @@ type Object struct {
 var (
 	ErrNotClass = errors.New("mop: type is not a class")
 	ErrNoAttr   = errors.New("mop: no such attribute")
+	ErrFrozen   = errors.New("mop: object is frozen")
 )
 
 // instantiable reports why t cannot have instances: only classes do.
@@ -69,6 +77,17 @@ func NewFrom(t *Type, fill func(slot int) (Value, error)) (*Object, error) {
 		}
 		o.slots[i] = v
 	}
+	return o, nil
+}
+
+// NewFrozen is NewFrom whose object is frozen: Set and SetAt on it fail
+// with ErrFrozen. Objects fill stores in it keep their own mark.
+func NewFrozen(t *Type, fill func(slot int) (Value, error)) (*Object, error) {
+	o, err := NewFrom(t, fill)
+	if err != nil {
+		return nil, err
+	}
+	o.slots = o.slots[:0]
 	return o, nil
 }
 
@@ -137,13 +156,28 @@ func MustNew(t *Type) *Object {
 // meta-object protocol for this instance).
 func (o *Object) Type() *Type { return o.typ }
 
+// frozen reports whether the object refuses Set and SetAt. An object of a
+// class without attributes has nothing to set and is never marked.
+func (o *Object) frozen() bool { return len(o.slots) < cap(o.slots) }
+
+// all returns every slot, frozen or not.
+func (o *Object) all() []Value { return o.slots[:cap(o.slots)] }
+
+// writable reports ErrFrozen for a frozen object.
+func (o *Object) writable() error {
+	if o.frozen() {
+		return fmt.Errorf("class %q: %w", o.typ.Name(), ErrFrozen)
+	}
+	return nil
+}
+
 // Get returns the value of the named attribute.
 func (o *Object) Get(name string) (Value, error) {
 	i := o.typ.AttrIndex(name)
 	if i < 0 {
 		return nil, fmt.Errorf("class %q attribute %q: %w", o.typ.Name(), name, ErrNoAttr)
 	}
-	return o.slots[i], nil
+	return o.all()[i], nil
 }
 
 // MustGet is Get that panics on unknown attribute; for attributes the
@@ -157,11 +191,14 @@ func (o *Object) MustGet(name string) Value {
 }
 
 // Set stores a value into the named attribute after checking it against the
-// attribute's declared type.
+// attribute's declared type. A frozen object refuses with ErrFrozen.
 func (o *Object) Set(name string, v Value) error {
 	i := o.typ.AttrIndex(name)
 	if i < 0 {
 		return fmt.Errorf("class %q attribute %q: %w", o.typ.Name(), name, ErrNoAttr)
+	}
+	if err := o.writable(); err != nil {
+		return err
 	}
 	if err := CheckValue(o.typ.all[i].Type, v); err != nil {
 		return fmt.Errorf("class %q attribute %q: %w", o.typ.Name(), name, err)
@@ -179,12 +216,16 @@ func (o *Object) MustSet(name string, v Value) *Object {
 }
 
 // GetAt returns the value in slot i (the order of Type().Attrs()).
-func (o *Object) GetAt(i int) Value { return o.slots[i] }
+func (o *Object) GetAt(i int) Value { return o.all()[i] }
 
-// SetAt stores into slot i with type checking.
+// SetAt stores into slot i with type checking. A frozen object refuses with
+// ErrFrozen.
 func (o *Object) SetAt(i int, v Value) error {
-	if i < 0 || i >= len(o.slots) {
+	if i < 0 || i >= cap(o.slots) {
 		return fmt.Errorf("class %q slot %d: %w", o.typ.Name(), i, ErrNoAttr)
+	}
+	if err := o.writable(); err != nil {
+		return err
 	}
 	if err := CheckValue(o.typ.all[i].Type, v); err != nil {
 		return fmt.Errorf("class %q attribute %q: %w", o.typ.Name(), o.typ.all[i].Name, err)
@@ -193,13 +234,14 @@ func (o *Object) SetAt(i int, v Value) error {
 	return nil
 }
 
-// Clone returns a deep copy of the object.
+// Clone returns a deep copy of the object, editable throughout even when o
+// or a part of it is frozen.
 func (o *Object) Clone() *Object {
 	if o == nil {
 		return nil
 	}
-	c := alloc(o.typ, len(o.slots))
-	for i, v := range o.slots {
+	c := alloc(o.typ, cap(o.slots))
+	for i, v := range o.all() {
 		c.slots[i] = CloneValue(v)
 	}
 	return c
@@ -214,8 +256,9 @@ func (o *Object) Equal(p *Object) bool {
 	if o.typ != p.typ {
 		return false
 	}
-	for i := range o.slots {
-		if !EqualValues(o.slots[i], p.slots[i]) {
+	ps := p.all()
+	for i, v := range o.all() {
+		if !EqualValues(v, ps[i]) {
 			return false
 		}
 	}
@@ -233,7 +276,7 @@ func (o *Object) String() string {
 		if i > 0 {
 			s += " "
 		}
-		s += fmt.Sprintf("%s:%v", a.Name, o.slots[i])
+		s += fmt.Sprintf("%s:%v", a.Name, o.all()[i])
 	}
 	return s + "}"
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestObjectLifecycle(t *testing.T) {
@@ -110,11 +112,13 @@ func TestNewFrom(t *testing.T) {
 	}
 }
 
-// TestObjectIsOneAllocation: every constructor — New, NewFrom, Clone and a
-// bound kind's Object — builds an object whose header and slots are one
-// block up to 16 slots and two above, holds the values it was given, and
-// owns its slots: a clone's SetAt shows in neither its original nor a
+// TestObjectIsOneAllocation: every constructor — New, NewFrom, NewFrozen,
+// Clone and a bound kind's Object — builds an object whose header and slots
+// are one block up to 16 slots and two above, holds the values it was given,
+// and owns its slots: a clone's SetAt shows in neither its original nor a
 // sibling clone. Slot i is an int, string, float, bool or time by i mod 5.
+// The freeze mark costs no byte: the header stays 32 B, and a frozen 7-slot
+// object (a decoded Tick) is one 144-B block, a size class of its own.
 func TestObjectIsOneAllocation(t *testing.T) {
 	kinds := []reflect.Type{reflect.TypeFor[int64](), reflect.TypeFor[string](),
 		reflect.TypeFor[float64](), reflect.TypeFor[bool](), reflect.TypeFor[time.Time]()}
@@ -139,6 +143,10 @@ func TestObjectIsOneAllocation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		frozen, err := NewFrozen(cls, func(i int) (Value, error) { return value(i), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
 		p := k.New()
 		for i := 0; i < n; i++ {
 			reflect.ValueOf(p).Elem().Field(i).Set(reflect.ValueOf(value(i)))
@@ -149,7 +157,7 @@ func TestObjectIsOneAllocation(t *testing.T) {
 			if v := zero.GetAt(i); !EqualValues(v, ZeroValue(cls.Attrs()[i].Type)) {
 				t.Errorf("%d slots: New's slot %d = %v, want the zero value", n, i, v)
 			}
-			for name, o := range map[string]*Object{"NewFrom": full, "Object": bound, "Clone": c1} {
+			for name, o := range map[string]*Object{"NewFrom": full, "NewFrozen": frozen, "Object": bound, "Clone": c1} {
 				if v := o.GetAt(i); !EqualValues(v, value(i)) {
 					t.Errorf("%d slots: %s's slot %d = %v, want %v", n, name, i, v, value(i))
 				}
@@ -181,16 +189,206 @@ func TestObjectIsOneAllocation(t *testing.T) {
 			want float64
 			f    func()
 		}{
-			"New":     {want, func() { MustNew(cls) }},
-			"NewFrom": {want, func() { _, _ = NewFrom(cls, zeroFill) }},
-			"Clone":   {want, func() { zero.Clone() }},
-			"Object":  {want + times, func() { k.ObjectOf(zp) }},
+			"New":       {want, func() { MustNew(cls) }},
+			"NewFrom":   {want, func() { _, _ = NewFrom(cls, zeroFill) }},
+			"NewFrozen": {want, func() { _, _ = NewFrozen(cls, zeroFill) }},
+			"Clone":     {want, func() { zero.Clone() }},
+			"Object":    {want + times, func() { k.ObjectOf(zp) }},
 		} {
 			if got := testing.AllocsPerRun(100, c.f); got != c.want {
 				t.Errorf("%d slots: %s allocates %.0f times, want %.0f", n, name, got, c.want)
 			}
 		}
+		if n == 7 {
+			if got := bytesPerRun(1000, func() { sink, _ = NewFrozen(cls, zeroFill) }); got != 144 {
+				t.Errorf("a frozen 7-slot object allocates %.1f B, want one 144-B block", got)
+			}
+		}
 	}
+	if size := unsafe.Sizeof(Object{}); size != 32 {
+		t.Errorf("unsafe.Sizeof(Object{}) = %d, want 32: a field more moves every decoded class up a size class", size)
+	}
+}
+
+// sink keeps what bytesPerRun measures on the heap.
+var sink *Object
+
+// bytesPerRun returns the bytes f allocates per call, averaged over runs.
+func bytesPerRun(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestFrozenObject: a frozen object refuses Set and SetAt with ErrFrozen and
+// keeps its values; every read, Equal, String, Print and a bound kind's Read
+// see them as on an editable object; Clone is editable throughout and its
+// edits do not show in the original.
+func TestFrozenObject(t *testing.T) {
+	part := MustNewClass("FrozenPart", nil, []Attr{{Name: "name", Type: String}}, nil)
+	whole := MustNewClass("FrozenWhole", nil, []Attr{
+		{Name: "n", Type: Int}, {Name: "s", Type: String}, {Name: "part", Type: part}}, nil)
+	decode := func(cls *Type, vals ...Value) *Object {
+		o, err := NewFrozen(cls, func(i int) (Value, error) { return vals[i], nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	p := decode(part, "p")
+	o := decode(whole, int64(7), "s", p)
+	editable := MustNew(whole).MustSet("n", int64(7)).MustSet("s", "s").
+		MustSet("part", MustNew(part).MustSet("name", "p"))
+
+	if !o.frozen() || !p.frozen() || editable.frozen() {
+		t.Fatalf("Frozen = %v, %v, %v; want true, true, false", o.frozen(), p.frozen(), editable.frozen())
+	}
+	for what, err := range map[string]error{
+		"Set":        o.Set("n", int64(8)),
+		"SetAt":      o.SetAt(1, "x"),
+		"part Set":   p.Set("name", "x"),
+		"part SetAt": p.SetAt(0, "x"),
+	} {
+		if !errors.Is(err, ErrFrozen) {
+			t.Errorf("%s on a frozen object = %v, want ErrFrozen", what, err)
+		}
+	}
+	if err := o.Set("nope", int64(1)); !errors.Is(err, ErrNoAttr) {
+		t.Errorf("Set of an unknown attribute = %v, want ErrNoAttr", err)
+	}
+	if err := o.SetAt(3, int64(1)); !errors.Is(err, ErrNoAttr) {
+		t.Errorf("SetAt past the last slot = %v, want ErrNoAttr", err)
+	}
+	if !o.Equal(editable) || !editable.Equal(o) || o.String() != editable.String() ||
+		o.MustGet("s") != "s" || o.GetAt(0) != int64(7) || o.GetAt(2) != p {
+		t.Fatalf("frozen %v reads differently from editable %v", o, editable)
+	}
+	var fp, ep strings.Builder
+	Print(&fp, o)
+	Print(&ep, editable)
+	if fp.String() != ep.String() {
+		t.Errorf("Print: frozen %q, editable %q", fp.String(), ep.String())
+	}
+
+	c := o.Clone()
+	cp := c.MustGet("part").(*Object)
+	if c.frozen() || cp.frozen() || cp == p {
+		t.Fatalf("Clone: frozen %v, part frozen %v, part shared %v", c.frozen(), cp.frozen(), cp == p)
+	}
+	c.MustSet("n", int64(8))
+	cp.MustSet("name", "x")
+	if o.MustGet("n") != int64(7) || p.MustGet("name") != "p" {
+		t.Errorf("a clone's edits show in the frozen original: %v", o)
+	}
+
+	type frozenPart struct {
+		Name string `mop:"name"`
+	}
+	var back frozenPart
+	if !Bind[frozenPart](new(Schema), "FrozenPart").Read(p, &back) || back.Name != "p" {
+		t.Errorf("Binding.Read of a frozen object = %+v", back)
+	}
+}
+
+// TestShareValue: a value nothing can write into is shared as is; one with a
+// []byte or List part, or an editable object, is copied with every object of
+// the copy frozen and every immutable part shared, not copied.
+func TestShareValue(t *testing.T) {
+	part := MustNewClass("SharePart", nil, []Attr{{Name: "name", Type: String}}, nil)
+	blobPart := MustNewClass("ShareBlobPart", nil, []Attr{{Name: "blob", Type: Bytes}}, nil)
+	whole := MustNewClass("ShareWhole", nil, []Attr{
+		{Name: "n", Type: Int}, {Name: "part", Type: part},
+		{Name: "extra", Type: Any}}, nil)
+	frozen := func(cls *Type, vals ...Value) *Object {
+		o, err := NewFrozen(cls, func(i int) (Value, error) { return vals[i], nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	p := frozen(part, "p")
+	for _, v := range []Value{nil, true, int64(1), 2.5, "s", time.Unix(1, 0), []byte(nil), List(nil),
+		(*Object)(nil), p, frozen(whole, int64(1), p, nil), frozen(whole, int64(1), nil, frozen(part, "q"))} {
+		if got := ShareValue(v); !sameValue(got, v) {
+			t.Errorf("ShareValue(%v) copied a value nothing can write into", v)
+		}
+	}
+
+	editable := MustNew(part).MustSet("name", "e")
+	blob := frozen(blobPart, []byte("blob"))
+	for _, v := range []Value{
+		editable,
+		frozen(whole, int64(1), p, []byte("bytes")),
+		frozen(whole, int64(1), p, List{"a", p}),
+		frozen(whole, int64(1), p, blob),
+		frozen(whole, int64(1), p, List{blob}),
+		List{p, []byte("x")},
+	} {
+		got := ShareValue(v)
+		if sameValue(got, v) || !EqualValues(got, v) {
+			t.Errorf("ShareValue(%v) = %v, want an equal copy", v, got)
+			continue
+		}
+		checkShared(t, got, v)
+	}
+}
+
+// checkShared walks a copy ShareValue made next to its original: every
+// object of the copy is frozen, every []byte and List is new, and every part
+// that nothing could write into is the original's.
+func checkShared(t *testing.T, got, orig Value) {
+	t.Helper()
+	switch x := got.(type) {
+	case []byte:
+		if len(x) > 0 && &x[0] == &orig.([]byte)[0] {
+			t.Errorf("%q is the original's bytes", x)
+		}
+	case List:
+		o := orig.(List)
+		if len(x) > 0 && &x[0] == &o[0] {
+			t.Errorf("%v is the original's list", x)
+		}
+		for i := range x {
+			checkShared(t, x[i], o[i])
+		}
+	case *Object:
+		o := orig.(*Object)
+		if x == nil {
+			return
+		}
+		if immutable(o) != (x == o) {
+			t.Errorf("%v: shared %v, immutable %v", o, x == o, immutable(o))
+		}
+		if !x.frozen() {
+			t.Errorf("%v: the copy is editable", x)
+		}
+		if x != o {
+			for i := range x.all() {
+				checkShared(t, x.GetAt(i), o.GetAt(i))
+			}
+		}
+	}
+}
+
+// sameValue reports whether a and b are one value: the same object, list or
+// bytes, or equal scalars.
+func sameValue(a, b Value) bool {
+	switch x := a.(type) {
+	case []byte:
+		y, ok := b.([]byte)
+		return ok && len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
+	case List:
+		y, ok := b.(List)
+		return ok && len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
+	case *Object:
+		y, ok := b.(*Object)
+		return ok && x == y
+	}
+	return EqualValues(a, b)
 }
 
 func TestSubtypeAssignment(t *testing.T) {

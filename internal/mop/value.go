@@ -254,3 +254,59 @@ func CloneValue(v Value) Value {
 		return v
 	}
 }
+
+// ShareValue returns a value that any number of readers may hold at once
+// together with v. It is v itself when no part of v can be written: scalars,
+// strings, times, and frozen objects whose parts are such too. Otherwise it
+// is a copy in which every []byte and List is new, since Go cannot freeze
+// them, and every object is frozen; a part that could be returned itself is
+// shared, not copied.
+func ShareValue(v Value) Value {
+	if immutable(v) {
+		return v
+	}
+	switch x := v.(type) {
+	case []byte:
+		return append([]byte(nil), x...)
+	case List:
+		out := make(List, len(x))
+		for i, e := range x {
+			out[i] = ShareValue(e)
+		}
+		return out
+	case *Object:
+		c := alloc(x.typ, cap(x.slots))
+		for i, e := range x.all() {
+			c.slots[i] = ShareValue(e)
+		}
+		c.slots = c.slots[:0]
+		return c
+	}
+	return v
+}
+
+// immutable reports whether no part of v can be written. A []byte or List
+// that has room for an element can; an object that is neither frozen nor
+// empty can.
+func immutable(v Value) bool {
+	switch x := v.(type) {
+	case []byte:
+		return cap(x) == 0
+	case List:
+		return cap(x) == 0
+	case *Object:
+		if x == nil {
+			return true
+		}
+		if len(x.slots) > 0 {
+			return false
+		}
+		for _, e := range x.all() {
+			if !immutable(e) {
+				return false
+			}
+		}
+		return true
+	}
+	return true
+}

@@ -115,6 +115,7 @@ func checkSysGolden(t *testing.T, seg *captureSegment, key, subj string, lo time
 	if again, err := wire.Marshal(o); err != nil || string(again) != string(payload) {
 		t.Fatalf("%s: payload is not the encoding of its own decoding (%v)", key, err)
 	}
+	o = o.Clone() // a decoded object is frozen; normalise an editable copy
 	clock := func(o *mop.Object) {
 		at, _ := o.MustGet("at").(time.Time)
 		if at.Before(lo) || at.After(hi) {

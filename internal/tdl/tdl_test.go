@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"infobus/internal/mop"
+	"infobus/internal/wire"
 )
 
 func evalOK(t *testing.T, in *Interp, src string) mop.Value {
@@ -268,6 +269,36 @@ func TestMakeInstanceAndSlots(t *testing.T) {
 	}
 	if _, err := in.EvalString("(make-instance 'Story 'nope 1)"); !errors.Is(err, mop.ErrNoAttr) {
 		t.Errorf("make-instance bad slot error = %v", err)
+	}
+}
+
+// TestSetSlotOnADecodedObject: an object off the wire is frozen, so
+// set-slot! on it fails with an error wrapping mop.ErrFrozen and leaves it
+// as it was; (clone o) is editable.
+func TestSetSlotOnADecodedObject(t *testing.T) {
+	in := New(nil, nil)
+	evalOK(t, in, newsProgram)
+	story := evalOK(t, in, `(make-instance 'DowJonesStory 'headline "GM soars" 'djCode "GMC")`)
+	payload, err := wire.Marshal(story)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := wire.UnmarshalWith(payload, in.Registry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Define("d", decoded)
+	if _, err := in.EvalString(`(set-slot! d 'headline "updated")`); !errors.Is(err, mop.ErrFrozen) {
+		t.Errorf("set-slot! on a decoded object = %v, want ErrFrozen", err)
+	}
+	if got := evalOK(t, in, "(slot-value d 'headline)"); got != "GM soars" {
+		t.Errorf("after a refused set-slot! the headline is %v", got)
+	}
+	if got := evalOK(t, in, `(define c (clone d)) (set-slot! c 'headline "updated") (slot-value c 'headline)`); got != "updated" {
+		t.Errorf("set-slot! on a clone = %v", got)
+	}
+	if got := evalOK(t, in, "(slot-value d 'headline)"); got != "GM soars" {
+		t.Errorf("a clone's set-slot! shows in the decoded object: %v", got)
 	}
 }
 

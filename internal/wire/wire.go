@@ -987,9 +987,10 @@ func readValue(r *reader, res *resolver, table []*mop.Type, depth int) (mop.Valu
 				}
 			}
 		}
-		// NewFrom checks every slot against its declared type as SetAt
-		// would, without first filling the object with zero values.
-		return mop.NewFrom(t, func(int) (mop.Value, error) {
+		// NewFrozen checks every slot against its declared type as SetAt
+		// would, without first filling the object with zero values, and
+		// returns a frozen object: the buses of a host share one decode.
+		return mop.NewFrozen(t, func(int) (mop.Value, error) {
 			return readValue(r, res, table, depth+1)
 		})
 	default:

@@ -78,8 +78,11 @@ go test -run TestPublishDeliverHistoryAllocBudget -count=1 .
 echo "==> alloc gate (guaranteed publish budget)"
 go test -run TestGuaranteedPublishAllocBudget -count=1 .
 
-echo "==> alloc gate (one host, four applications, one publication: one decode, one slot, a clone each)"
+echo "==> alloc gate (one host, four applications, one publication: one decode, one slot, no clone)"
 go test -run TestHostFanoutDecodeAllocBudget -count=1 .
+
+echo "==> a delivered object is frozen (Set/SetAt fail with ErrFrozen, Clone edits; shared by every bus, or a frozen copy each with a []byte or List part)"
+go test -run TestDeliveredObjectIsFrozen -count=1 ./internal/core/
 
 echo "==> alloc gate (an 8 KB Story, publish -> remote receive: one payload-sized allocation, the medium's)"
 go test -run TestStoryPayloadBytesBudget -count=1 .
@@ -153,9 +156,9 @@ if [ "$quick" -eq 0 ]; then
     go test -race -run 'TestOneGoroutinePerConn|TestTimersRunUnderStalledConsumer|TestClosedConnErrors|TestCloseFlushesBatch|TestConnEndToEnd' -count=10 ./internal/reliable/
     go test -race -run 'TestWallClockDelivery|TestConcurrentSenders|TestSendBound|TestOneGoroutinePerNetwork|TestCloseIdempotentAndRejectsSends' -count=10 ./internal/netsim/
 
-    echo "==> per-sender order as a property, exactly-once, no starved column and a settled close across lanes, lossy churn, one housekeeping loop per node and the _sys bytes it publishes, one decode per host and a private value per application (race build, 5 runs)"
+    echo "==> per-sender order as a property, exactly-once, no starved column and a settled close across lanes, lossy churn, one housekeeping loop per node and the _sys bytes it publishes, one decode per host and a frozen value for every application (race build, 5 runs)"
     go test -race -count=5 -run 'TestCrossLaneSenderFIFO|TestCrossLaneLocalFIFO|TestSingleLaneGoldenEquivalence|TestGuaranteedExactlyOnceAcrossLanes|TestLaneWiring|TestCloseDrainsWorkers|TestPerSenderFIFOProperty|TestPopNoStarvation|TestClientCloseSettlesBacklog|TestLaneDepthsCoherent|TestSlotConcurrentTakers' ./internal/daemon/
-    go test -race -count=5 -run 'TestStressLossyChurn|TestOneLoopPerHost|TestStalledSubscriberDoesNotStopTheLoop|TestEventValueIsPrivateToItsBus|TestClassNakThroughTheSlot' ./internal/core/
+    go test -race -count=5 -run 'TestStressLossyChurn|TestOneLoopPerHost|TestStalledSubscriberDoesNotStopTheLoop|TestDeliveredObjectIsFrozen|TestClassNakThroughTheSlot' ./internal/core/
     go test -race -count=5 -run 'TestOneLoopPerRouter|TestSysGoldenBytes' ./internal/router/
 
     echo "==> crash recovery through the host's one retrier: exactly-once after a publisher crash, and a fostered entry nobody acknowledges backs off (race build, 3 runs)"
