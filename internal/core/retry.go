@@ -81,15 +81,17 @@ func NewRetrier(led *ledger.Ledger, interval time.Duration, retransmits *telemet
 	return r
 }
 
-// Tick runs one walk when one is due: visit every pending entry
-// (retransmitting the due ones), then sweep retry state whose entry is no
-// longer pending — unless the walk was cut short, when what it did not reach
-// keeps its schedule. It returns when the next walk is due. A walk that
-// finds nothing pending, or nothing due, allocates nothing.
+// Tick runs one walk when one is due: flush the ledger's staged acks,
+// visit every pending entry (retransmitting the due ones), then sweep
+// retry state whose entry is no longer pending — unless the walk was cut
+// short, when what it did not reach keeps its schedule. It returns when the
+// next walk is due. A walk that finds nothing pending, or nothing due,
+// allocates nothing.
 func (r *Retrier) Tick(now time.Time) time.Time {
 	if !r.every.Due(now) {
 		return r.every.At
 	}
+	r.led.Flush()
 	r.gen++
 	r.now, r.refused = now, false
 	r.led.ForEachPending(r.visit)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -240,5 +241,43 @@ func TestRetrierStatePruned(t *testing.T) {
 	l.walk(t)
 	if len(l.r.state) != 3 {
 		t.Fatalf("state = %d entries after acking 7 of 10, want 3", len(l.r.state))
+	}
+}
+
+// TestRetrierTickFlushesAcks: the ledger only stages an ack; a due walk
+// commits it, so a host's acks reach its disk, and its replicas, with no
+// append to carry them.
+func TestRetrierTickFlushesAcks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.log")
+	led, err := ledger.Open(path, ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := led.Append("g.s", []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopened, the ledger's committer has not been kicked: the only
+	// commit can be the one the walk asks for.
+	reg := telemetry.NewRegistry()
+	if led, err = ledger.Open(path, ledger.Options{Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	commits := reg.Counter("ledger.commits")
+	const interval = time.Second
+	r := NewRetrier(led, interval, reg.Counter("bus.guar_retransmits"), func(subject.Subject, []byte, uint64) error { return nil })
+	r.Tick(virtualStart) // arms the cadence
+	if err := led.Ack(id); err != nil {
+		t.Fatal(err)
+	}
+	r.Tick(virtualStart.Add(interval))
+	for deadline := time.Now().Add(10 * time.Second); commits.Load() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("a due walk did not commit the staged ack")
+		}
 	}
 }

@@ -46,13 +46,6 @@ func (l *Ledger) recycleLocked(b *batch) {
 	b.buf, b.msgIDs = nil, nil
 }
 
-func (l *Ledger) kickCommitter() {
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
-}
-
 func (l *Ledger) commitLoop() {
 	defer l.wg.Done()
 	for {
@@ -74,7 +67,7 @@ func (l *Ledger) commitLoop() {
 func (l *Ledger) flushOnce() bool {
 	l.mu.Lock()
 	b := l.cur
-	if b.recs == 0 && !b.rotate {
+	if b.recs == 0 {
 		l.mu.Unlock()
 		return false
 	}
@@ -101,10 +94,13 @@ func (l *Ledger) flushOnce() bool {
 	f := l.f
 	seg := l.segs[len(l.segs)-1]
 	hook := l.onCommit
+	err := l.broken // nothing is committed behind bytes that could not be rewound
 	l.mu.Unlock()
 
-	err := l.writeBatch(f, b)
-	if err == nil && hook != nil && b.recs > 0 {
+	if err == nil {
+		err = l.writeBatch(f, b)
+	}
+	if err == nil && hook != nil {
 		// Replication hook: the batch is durable but its Append callers
 		// have not woken yet (done closes below), so a publisher returning
 		// from Append can rely on the batch having been mirrored already.
@@ -114,11 +110,12 @@ func (l *Ledger) flushOnce() bool {
 	}
 
 	l.mu.Lock()
-	l.creditBatchLocked(b, seg)
-	needRotate := err == nil && (b.rotate || seg.size >= l.segMax)
-	if needRotate {
-		if rerr := l.rotateLocked(); rerr != nil {
-			err = rerr
+	if err != nil {
+		l.dropBatchLocked(b, seg)
+	} else {
+		l.creditBatchLocked(b, seg)
+		if seg.size-seg.carried >= l.segMax {
+			err = l.rotateLocked()
 		}
 	}
 	l.recycleLocked(b)
@@ -133,9 +130,6 @@ func (l *Ledger) flushOnce() bool {
 // when Sync is on. No ledger lock is held — this is the window in which
 // the next group forms.
 func (l *Ledger) writeBatch(f *os.File, b *batch) error {
-	if len(b.buf) == 0 {
-		return nil // rotation-only batch
-	}
 	start := time.Now()
 	var err error
 	if _, err = f.Write(b.buf); err != nil {
@@ -168,5 +162,34 @@ func (l *Ledger) creditBatchLocked(b *batch, seg *segment) {
 			st.seg = seg.seq
 			seg.live++
 		}
+	}
+}
+
+// dropBatchLocked undoes a batch whose write failed: its messages leave
+// the pending set (their Append callers get the error, so the retrier must
+// not publish them, and a retransmitted replication chunk must be stored
+// anew), and the segment is rewound to its credited size.
+func (l *Ledger) dropBatchLocked(b *batch, seg *segment) {
+	for _, id := range b.msgIDs {
+		if st, ok := l.pending[id]; ok && st.seg == 0 {
+			delete(l.pending, id)
+		}
+	}
+	l.ctr.pending.Set(int64(len(l.pending)))
+	l.rewindLocked(seg)
+}
+
+// rewindLocked truncates the active segment back to its credited size,
+// removing whatever part of a failed write reached the file; the segment
+// is opened O_APPEND, so the next write lands right after. If even the
+// truncation fails the ledger is broken: every later Append, AppendBatch
+// and Ack returns the error, because a record committed behind torn bytes
+// would be cut away by replay.
+func (l *Ledger) rewindLocked(seg *segment) {
+	if l.broken != nil {
+		return
+	}
+	if err := os.Truncate(seg.path, seg.size); err != nil {
+		l.broken = fmt.Errorf("ledger: rewinding %s after a failed commit: %w", seg.path, err)
 	}
 }

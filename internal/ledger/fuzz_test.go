@@ -41,6 +41,11 @@ func FuzzSegmentedReplay(f *testing.F) {
 	f.Add(seg1[:len(seg1)-3], []byte{})         // torn tail in the middle segment
 	f.Add([]byte{}, seg2[:len(seg2)-1])         // torn tail in the newest segment
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 0}, seg2) // bad crc up front
+	// A carry: message 0 copied into the next segment, then still pending
+	// or acked after the copy.
+	carried := appendRecord(nil, record{typ: recMessage, id: 0, subject: "a.b", payload: []byte("m0")})
+	f.Add(seg1, carried)
+	f.Add(seg1, appendRecord(carried, record{typ: recAck, id: 0}))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		base := filepath.Join(t.TempDir(), "g.log")
 		if err := os.WriteFile(segPath(base, 1), a, 0o644); err != nil {

@@ -16,14 +16,18 @@
 // flushed that batch with a single write (and, with Sync, a single fsync).
 // Under contention the fsync cost is paid once per batch instead of once
 // per message; an uncontended Append commits immediately with no added
-// linger. Ack records ride the same pipeline but never block the caller:
-// losing an unflushed ack in a crash only means the message is
-// retransmitted once more, and consumers' (origin, id) dedup absorbs it.
+// linger. Ack only stages its record: it rides the next batch, a Flush
+// (the retrier kicks one every walk), or Close. Losing an unflushed ack in
+// a crash only means the message is retransmitted once more, and
+// consumers' (origin, id) dedup absorbs it. A commit that fails leaves no
+// trace: its messages leave the pending set and the segment is truncated
+// back to what was committed before.
 //
-// Compaction is incremental: fully-acknowledged leading segments are
-// unlinked as soon as the log rotates past them, and Compact rewrites only
-// the oldest partially-acknowledged segment — appends keep flowing to the
-// active segment throughout.
+// Space is reclaimed at rotation, the way a log-structured file system's
+// cleaner does it: fully-acknowledged leading segments are unlinked, and
+// the oldest segments' pending messages are carried (copied from memory)
+// into the new active segment, so the next rotation can unlink those too.
+// The disk holds about three segments plus the pending messages.
 package ledger
 
 import (
@@ -47,15 +51,6 @@ const defaultSegmentBytes = 4 << 20
 // slower than a small fsync, so without this the pipeline can degenerate
 // into near-singleton batches. An uncontended Append never waits.
 const linger = 100 * time.Microsecond
-
-// defaultAckLinger defers the commit kick when the staged batch holds only
-// ack records. Nothing waits on an ack commit and its durability is
-// advisory (a crash that loses recent acks causes re-deliveries that
-// consumers dedup), but under a steady ack trickle an immediate kick buys
-// each ack its own fsync and starves message appends of cohort partners.
-// Deferred acks ride the next message batch, the deferral timer, or Close —
-// they are never dropped while the process lives.
-const defaultAckLinger = 2 * time.Millisecond
 
 // Entry is one logged, possibly unacknowledged message.
 type Entry struct {
@@ -81,10 +76,11 @@ type entryState struct {
 // segment is one log file. segs[len-1] is the active (append) segment;
 // live counts the pending messages whose records it holds.
 type segment struct {
-	seq  uint64
-	path string
-	size int64
-	live int
+	seq     uint64
+	path    string
+	size    int64
+	carried int64 // bytes of size the carry wrote; they do not count toward rotation
+	live    int
 }
 
 // batch is one group-commit unit: the staged record bytes of every caller
@@ -94,7 +90,6 @@ type batch struct {
 	buf    []byte
 	msgIDs []uint64 // ids of recMessage records staged in this batch
 	recs   int
-	rotate bool // a Compact waiter asked for rotation after this batch
 	err    error
 	done   chan struct{}
 	// Stage timestamps (unix nanoseconds), written by writeBatch before
@@ -109,11 +104,10 @@ type batch struct {
 // Ledger is a crash-safe append-only message log. It is safe for
 // concurrent use.
 type Ledger struct {
-	path      string // segment name prefix: <path>.<seq>.seg
-	dir       string
-	sync      bool
-	ackLinger time.Duration // defaultAckLinger; in-package tests set it
-	segMax    int64         // defaultSegmentBytes; in-package tests set it
+	path   string // segment name prefix: <path>.<seq>.seg
+	dir    string
+	sync   bool
+	segMax int64 // defaultSegmentBytes; in-package tests set it
 
 	kick chan struct{} // committer wake-up (buffered, non-blocking send)
 	stop chan struct{}
@@ -124,21 +118,15 @@ type Ledger struct {
 	onCommit   func(cb CommitBatch) // replication hook; see SetOnCommit
 	commitSeq  uint64               // batches committed so far (hook's Seq)
 	lastCohort int                  // appenders woken by the previous flush (linger target)
-	ackTimer   *time.Timer          // pending deferred-ack kick; see defaultAckLinger
+	broken     error                // a failed commit that could not be rewound; see rewindLocked
 	nextID     uint64
 	pending    map[uint64]*entryState
 	segs       []*segment
-	f          *os.File // active segment, append position at EOF
+	f          *os.File // active segment, opened O_APPEND
 	cur        *batch
 	bufFree    [][]byte
 	idsFree    [][]uint64
 	iterBuf    []Entry
-	compacting bool
-
-	// compactHold, when non-nil, blocks Compact between writing the
-	// rewritten segment and swapping it in — a test seam proving Append
-	// never waits on a compaction in progress.
-	compactHold chan struct{}
 
 	ctr counters
 }
@@ -180,14 +168,13 @@ func Open(path string, opts Options) (*Ledger, error) {
 		reg = telemetry.NewRegistry()
 	}
 	l := &Ledger{
-		path:      path,
-		dir:       filepath.Dir(path),
-		sync:      opts.Sync,
-		ackLinger: defaultAckLinger,
-		segMax:    defaultSegmentBytes,
-		kick:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		pending:   make(map[uint64]*entryState),
+		path:    path,
+		dir:     filepath.Dir(path),
+		sync:    opts.Sync,
+		segMax:  defaultSegmentBytes,
+		kick:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		pending: make(map[uint64]*entryState),
 	}
 	l.ctr = counters{
 		appends:     reg.Counter("ledger.appends"),
@@ -244,9 +231,9 @@ func (l *Ledger) AppendTimed(subject string, payload []byte) (uint64, AppendTimi
 	start := time.Now()
 	tm := AppendTimings{StagedAt: start.UnixNano()}
 	l.mu.Lock()
-	if l.closed {
+	if err := l.refuseLocked(); err != nil {
 		l.mu.Unlock()
-		return 0, tm, ErrClosed
+		return 0, tm, err
 	}
 	id := l.nextID
 	l.nextID++
@@ -258,7 +245,7 @@ func (l *Ledger) AppendTimed(subject string, payload []byte) (uint64, AppendTimi
 	l.ctr.appends.Inc()
 	l.ctr.pending.Set(int64(len(l.pending)))
 	l.mu.Unlock()
-	l.kickCommitter()
+	l.Flush()
 	<-b.done // close(done) orders the committer's stamp writes before these reads
 	tm.CommitAt, tm.SyncedAt = b.commitAt, b.syncAt
 	l.ctr.appendNs.Observe(time.Since(start))
@@ -266,19 +253,19 @@ func (l *Ledger) AppendTimed(subject string, payload []byte) (uint64, AppendTimi
 }
 
 // Ack records that the message with the given ID was acknowledged; it
-// will not be reported as pending after a restart. The ack record rides
-// the commit pipeline asynchronously: Ack never waits for the disk. If a
-// crash loses an unflushed ack, the message is retransmitted once more
-// after replay and the consumer-side (origin, id) dedup absorbs it.
+// will not be reported as pending after a restart. Ack only stages the
+// ack record: it never waits for the disk and kicks no commit. The record
+// rides the next batch, a Flush or Close. If a crash loses an unflushed
+// ack, the message is retransmitted once more after replay and the
+// consumer-side (origin, id) dedup absorbs it.
 func (l *Ledger) Ack(id uint64) error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
+	defer l.mu.Unlock()
+	if err := l.refuseLocked(); err != nil {
+		return err
 	}
 	st, ok := l.pending[id]
 	if !ok {
-		l.mu.Unlock()
 		return nil // duplicate ack: idempotent
 	}
 	delete(l.pending, id)
@@ -292,23 +279,17 @@ func (l *Ledger) Ack(id uint64) error {
 	b.recs++
 	l.ctr.acks.Inc()
 	l.ctr.pending.Set(int64(len(l.pending)))
-	// A batch of nothing but ack records has no waiter: defer its kick so
-	// the acks ride a message batch instead of buying their own fsync.
-	if l.ackLinger > 0 && len(b.msgIDs) == 0 {
-		if l.ackTimer == nil {
-			l.ackTimer = time.AfterFunc(l.ackLinger, func() {
-				l.mu.Lock()
-				l.ackTimer = nil
-				l.mu.Unlock()
-				l.kickCommitter()
-			})
-		}
-		l.mu.Unlock()
-		return nil
-	}
-	l.mu.Unlock()
-	l.kickCommitter()
 	return nil
+}
+
+// Flush wakes the committer to commit whatever is staged; outside the
+// ledger that is the ack records no append has carried yet. It does not
+// wait.
+func (l *Ledger) Flush() {
+	select {
+	case l.kick <- struct{}{}:
+	default:
+	}
 }
 
 // Pending returns every logged-but-unacknowledged message, oldest first.
@@ -382,16 +363,20 @@ func (l *Ledger) Close() error {
 		return nil
 	}
 	l.closed = true
-	if l.ackTimer != nil {
-		l.ackTimer.Stop() // a late firing is harmless; the drain below covers it
-		l.ackTimer = nil
-	}
 	l.mu.Unlock()
 	close(l.stop)
 	l.wg.Wait() // the committer drains staged acks before exiting
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.f.Close()
+}
+
+// refuseLocked returns why the ledger takes no more records, or nil.
+func (l *Ledger) refuseLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.broken
 }
 
 func (l *Ledger) segBySeqLocked(seq uint64) *segment {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -22,24 +23,6 @@ func openTemp(t *testing.T) (*Ledger, string) {
 	}
 	t.Cleanup(func() { _ = l.Close() })
 	return l, path
-}
-
-// diskSize sums the on-disk size of every segment of the ledger at base.
-func diskSize(t *testing.T, base string) int64 {
-	t.Helper()
-	seqs, err := scanSegments(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, seq := range seqs {
-		fi, err := os.Stat(segPath(base, seq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
-	}
-	return total
 }
 
 func TestAppendAckPending(t *testing.T) {
@@ -262,52 +245,6 @@ func TestTornMiddleSegmentIsCorrupt(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "g.log")
-	l, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var keep uint64
-	for i := 0; i < 100; i++ {
-		id, err := l.Append("s", make([]byte, 100))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 50 {
-			keep = id
-		} else if err := l.Ack(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := diskSize(t, path)
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after := diskSize(t, path)
-	if after >= before {
-		t.Errorf("compaction did not shrink the log: %d -> %d", before, after)
-	}
-	pending := l.Pending()
-	if len(pending) != 1 || pending[0].ID != keep {
-		t.Fatalf("pending after compact = %+v", pending)
-	}
-	// Ledger still usable after compaction; state survives reopen.
-	if _, err := l.Append("s", []byte("post-compact")); err != nil {
-		t.Fatal(err)
-	}
-	_ = l.Close()
-	l2, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.Len() != 2 {
-		t.Errorf("Len after reopen = %d, want 2", l2.Len())
-	}
-}
-
 // setSegMax sets an open ledger's segment rotation threshold
 // (defaultSegmentBytes otherwise).
 func setSegMax(l *Ledger, n int64) {
@@ -316,17 +253,9 @@ func setSegMax(l *Ledger, n int64) {
 	l.mu.Unlock()
 }
 
-// setAckLinger sets an open ledger's deferred-ack window (defaultAckLinger
-// otherwise).
-func setAckLinger(l *Ledger, d time.Duration) {
-	l.mu.Lock()
-	l.ackLinger = d
-	l.mu.Unlock()
-}
-
 // TestSegmentRotationDropsAcked drives the log across many small
 // segments and acks everything: rotation must unlink the fully-acked
-// leading segments without any explicit Compact call.
+// leading segments.
 func TestSegmentRotationDropsAcked(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
 	reg := telemetry.NewRegistry()
@@ -403,9 +332,6 @@ func TestClosedErrors(t *testing.T) {
 	}
 	if err := l.Ack(0); !errors.Is(err, ErrClosed) {
 		t.Errorf("Ack after close = %v", err)
-	}
-	if err := l.Compact(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Compact after close = %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Errorf("double close = %v", err)
@@ -525,69 +451,6 @@ func TestGroupCommitFsyncBudget(t *testing.T) {
 	}
 }
 
-// TestCompactDoesNotBlockAppend holds a compaction at its slowest point
-// (via the test seam) and proves Append still completes: the rewrite
-// touches only the oldest segment while appends flow to the active one.
-func TestCompactDoesNotBlockAppend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "g.log")
-	l, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var ids []uint64
-	for i := 0; i < 50; i++ {
-		id, err := l.Append("s", make([]byte, 200))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for _, id := range ids[:25] {
-		if err := l.Ack(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hold := make(chan struct{})
-	l.mu.Lock()
-	l.compactHold = hold
-	l.mu.Unlock()
-	compactDone := make(chan error, 1)
-	go func() { compactDone <- l.Compact() }()
-
-	// Appends (and acks) must complete while the compaction is stalled.
-	appended := make(chan error, 1)
-	go func() {
-		for i := 0; i < 10; i++ {
-			if _, err := l.Append("s", []byte("during-compact")); err != nil {
-				appended <- err
-				return
-			}
-		}
-		appended <- nil
-	}()
-	select {
-	case err := <-appended:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Append blocked behind a compaction in progress")
-	}
-	select {
-	case err := <-compactDone:
-		t.Fatalf("compaction finished before the hold was released: %v", err)
-	default:
-	}
-	close(hold)
-	if err := <-compactDone; err != nil {
-		t.Fatal(err)
-	}
-	if l.Len() != 35 {
-		t.Fatalf("Len = %d, want 35", l.Len())
-	}
-}
-
 func TestForEachPending(t *testing.T) {
 	l, _ := openTemp(t)
 	// Empty: callback never runs.
@@ -686,102 +549,452 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAckLingerDefersCommit proves the deferred-ack pipeline: a lone ack
-// record does not buy its own commit inside the linger window, rides the
-// next message batch when one forms, and is never lost across Close. No
-// assertion depends on how long the host stalls this test:
-//
-//   - the window is an hour, so the clock cannot close it — the only commit
-//     that can carry the ack is the append's sweep (the deferral timer has
-//     its own test below);
-//   - the ack is staged on a freshly reopened ledger, whose committer has
-//     never been kicked and is therefore parked. Right after an Append
-//     returns the committer is still draining (it looks for a next batch
-//     once more before parking) and legitimately sweeps an ack staged in
-//     that instant, which is what made the eager-commit assertion fail
-//     about one -race run in thirty.
-func TestAckLingerDefersCommit(t *testing.T) {
+// copyLedger copies every segment of the ledger at base into a fresh
+// directory — what a crash at this instant would leave on disk — and
+// returns the copy's base path.
+func copyLedger(t *testing.T, base string) string {
+	t.Helper()
+	seqs, err := scanSegments(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(t.TempDir(), filepath.Base(base))
+	for _, seq := range seqs {
+		data, err := os.ReadFile(segPath(base, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(segPath(dst, seq), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// reopenPending opens the ledger at base and returns its pending set.
+func reopenPending(t *testing.T, base string) []Entry {
+	t.Helper()
+	l, err := Open(base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Pending()
+}
+
+// messageRecords counts the message records for id in every segment of
+// the ledger at base.
+func messageRecords(t *testing.T, base string, id uint64) int {
+	t.Helper()
+	seqs, err := scanSegments(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, seq := range seqs {
+		data, err := os.ReadFile(segPath(base, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(data); {
+			rec, size, err := parseRecord(data[off:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.typ == recMessage && rec.id == id {
+				n++
+			}
+			off += size
+		}
+	}
+	return n
+}
+
+// TestStuckMessageCarried: one message nobody acknowledges must not pin
+// every later segment on disk. Rotation carries it forward, so the acked
+// traffic behind it is reclaimed, and it survives a restart intact.
+func TestStuckMessageCarried(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
+	l, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	setSegMax(l, 4096)
+	stuck, err := l.Append("s.stuck", []byte("never acked"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		id, err := l.Append("s", make([]byte, 128))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Ack(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seqs, err := scanSegments(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seqs) > 3 {
+		t.Errorf("%d segment files on disk after 5000 acked appends; want at most 3", len(seqs))
+	}
+	pending := reopenPending(t, path)
+	if len(pending) != 1 || pending[0].ID != stuck || pending[0].Subject != "s.stuck" ||
+		string(pending[0].Payload) != "never acked" {
+		t.Fatalf("pending after reopen = %+v, want the stuck message alone", pending)
+	}
+}
+
+// TestStuckTrickleCarried: a steady trickle of messages nobody
+// acknowledges (a subject with no subscriber) leaves some in nearly every
+// segment, more than a segment's worth in all. The carry gathers them, so
+// the disk still holds at most three segments and every one survives a
+// restart. Carried copies do not count toward rotation: the log rotates
+// once per segment of records its callers wrote, as with nothing pending.
+func TestStuckTrickleCarried(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.log")
+	reg := telemetry.NewRegistry()
+	l, err := Open(path, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	setSegMax(l, 4096)
+	var stuck []uint64
+	written := 0 // bytes of the records Append and Ack stage
+	for i := 0; i < 5000; i++ {
+		payload := make([]byte, 128)
+		id, err := l.Append("s", payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written += len(encodeRecord(record{typ: recMessage, id: id, subject: "s", payload: payload}))
+		if i%50 == 0 {
+			stuck = append(stuck, id)
+			continue
+		}
+		if err := l.Ack(id); err != nil {
+			t.Fatal(err)
+		}
+		written += len(encodeRecord(record{typ: recAck, id: id}))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Counter("ledger.rotations").Load(), uint64(written/4096); got > want {
+		t.Errorf("%d rotations for %d bytes of records at 4 KiB segments; want at most %d", got, written, want)
+	}
+	if seqs, err := scanSegments(path); err != nil || len(seqs) > 3 {
+		t.Errorf("%d segment files on disk (%v); want at most 3", len(seqs), err)
+	}
+	var got []uint64
+	for _, e := range reopenPending(t, path) {
+		got = append(got, e.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(stuck) {
+		t.Fatalf("pending after reopen = %v, want %v", got, stuck)
+	}
+}
+
+// TestCarryClearsBacklog: a log an older build left, twenty segments each
+// holding a message nobody acknowledged, is down to three segments two
+// rotations after it is reopened, with every message still pending.
+func TestCarryClearsBacklog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.log")
+	var stuck []uint64
+	for seq := uint64(1); seq <= 20; seq++ {
+		id := seq * 100
+		seg := appendRecord(nil, record{typ: recMessage, id: id, subject: "s", payload: []byte("old")})
+		seg = appendRecord(seg, record{typ: recMessage, id: id + 1, subject: "s", payload: make([]byte, 1024)})
+		seg = appendRecord(seg, record{typ: recAck, id: id + 1})
+		if err := os.WriteFile(segPath(path, seq), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stuck = append(stuck, id)
+	}
+	reg := telemetry.NewRegistry()
+	l, err := Open(path, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	setSegMax(l, 1024)
+	for rotations := reg.Counter("ledger.rotations"); rotations.Load() < 2; {
+		id, err := l.Append("s", make([]byte, 128))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Ack(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seqs, err := scanSegments(path); err != nil || len(seqs) > 3 {
+		t.Errorf("%d segment files on disk (%v) two rotations after reopening a 20-segment backlog; want at most 3", len(seqs), err)
+	}
+	var got []uint64
+	for _, e := range l.Pending() {
+		got = append(got, e.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(stuck) {
+		t.Fatalf("pending = %v, want %v", got, stuck)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(reopenPending(t, path)); n != len(stuck) {
+		t.Fatalf("%d pending after reopen, want %d", n, len(stuck))
+	}
+}
+
+// TestCarryCrashState opens what a crash would leave at two instants.
+// Between a carry and the next rotation the stuck message is on disk twice
+// and pending once; after the next rotation the segment it was carried out
+// of is gone and it is still pending once.
+func TestCarryCrashState(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.log")
+	reg := telemetry.NewRegistry()
+	l, err := Open(path, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	setSegMax(l, 1024)
+	stuck, err := l.Append("s.stuck", []byte("never acked"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Acked traffic: each message rides one batch with its own ack, so
+	// every commit is one the test waits for and none lands while the
+	// files are being copied.
+	next := stuck + 1
+	ackedUntil := func(c *telemetry.Counter) {
+		t.Helper()
+		for from := c.Load(); c.Load() == from; next++ {
+			if next > 1000 {
+				t.Fatal("no carry or rotation after 1000 acked messages at 1 KiB segments")
+			}
+			chunk := AppendAckRecord(AppendMessageRecord(nil, next, "s", make([]byte, 128)), next)
+			if err := l.AppendBatch(chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(base string, copies int) {
+		t.Helper()
+		if n := messageRecords(t, base, stuck); n != copies {
+			t.Errorf("%d records of the stuck message on disk, want %d", n, copies)
+		}
+		pending := reopenPending(t, base)
+		if len(pending) != 1 || pending[0].ID != stuck || string(pending[0].Payload) != "never acked" {
+			t.Fatalf("pending = %+v, want the stuck message once", pending)
+		}
+	}
+
+	ackedUntil(reg.Counter("ledger.compactions"))
+	check(copyLedger(t, path), 2)
+	ackedUntil(reg.Counter("ledger.rotations"))
+	if _, err := os.Stat(segPath(path, 1)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("segment 1 still on disk after the rotation that follows its carry: %v", err)
+	}
+	check(copyLedger(t, path), 1)
+}
+
+// swapClosedFile makes the committer's writes fail, as a full or failing
+// disk would, by swapping the active segment's handle for a closed file.
+// The returned func puts the real handle back.
+func swapClosedFile(t *testing.T, l *Ledger) (restore func()) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "closed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Close()
+	l.mu.Lock()
+	real := l.f
+	l.f = f
+	l.mu.Unlock()
+	return func() {
+		l.mu.Lock()
+		l.f = real
+		l.mu.Unlock()
+	}
+}
+
+// TestFailedAppendLeavesNoTrace: an Append whose commit failed returned an
+// error to its publisher, so the message must not stay pending — the
+// retrier would publish it — and what the failed write left in the segment
+// must go before anything else is written behind it.
+func TestFailedAppendLeavesNoTrace(t *testing.T) {
+	l, path := openTemp(t)
+	if _, err := l.Append("s", []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	restore := swapClosedFile(t, l)
+	// A write that fails midway leaves part of its record behind.
+	torn := encodeRecord(record{typ: recMessage, id: 1, subject: "s", payload: []byte("lost")})
+	f, err := os.OpenFile(segPath(path, 1), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Close()
+	if _, err := l.Append("s", []byte("lost")); err == nil {
+		t.Fatal("Append succeeded on a failing disk")
+	}
+	if n := l.Len(); n != 1 {
+		t.Fatalf("Len after a failed Append = %d, want 1", n)
+	}
+	restore()
+	if _, err := l.Append("s", []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range reopenPending(t, path) {
+		got = append(got, string(e.Payload))
+	}
+	if fmt.Sprint(got) != "[before kept]" {
+		t.Fatalf("pending payloads after reopen = %q, want the two committed messages", got)
+	}
+}
+
+// TestFailedAppendBatchLeavesNoTrace: a replica whose write of a mirrored
+// chunk failed must store the retransmitted chunk, not skip it as already
+// applied and acknowledge a chunk it never stored.
+func TestFailedAppendBatchLeavesNoTrace(t *testing.T) {
+	l, path := openTemp(t)
+	chunk := AppendMessageRecord(nil, 7, "s", []byte("chunk"))
+	restore := swapClosedFile(t, l)
+	if err := l.AppendBatch(chunk); err == nil {
+		t.Fatal("AppendBatch succeeded on a failing disk")
+	}
+	restore()
+	if err := l.AppendBatch(chunk); err != nil {
+		t.Fatalf("retransmitted chunk: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pending := reopenPending(t, path); len(pending) != 1 || pending[0].ID != 7 {
+		t.Fatalf("pending after reopen = %+v, want the retransmitted chunk's message", pending)
+	}
+}
+
+// TestFailedRewindBreaksLedger: when the segment cannot be truncated back
+// after a failed write, torn bytes may remain, and replay cuts away
+// whatever follows them. So the ledger refuses every later record, even
+// once the disk works again.
+func TestFailedRewindBreaksLedger(t *testing.T) {
+	l, _ := openTemp(t)
+	id, err := l.Append("s", []byte("before"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := swapClosedFile(t, l)
+	l.mu.Lock()
+	active := l.segs[len(l.segs)-1]
+	realPath := active.path
+	active.path = filepath.Join(t.TempDir(), "missing", "g.seg")
+	l.mu.Unlock()
+	if _, err := l.Append("s", []byte("torn")); err == nil {
+		t.Fatal("Append succeeded on a failing disk")
+	}
+	restore()
+	l.mu.Lock()
+	active.path = realPath
+	l.mu.Unlock()
+	if _, err := l.Append("s", []byte("after")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("Append after a failed rewind = %v, want the rewind's error", err)
+	}
+	if err := l.AppendBatch(AppendMessageRecord(nil, 99, "s", nil)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("AppendBatch after a failed rewind = %v, want the rewind's error", err)
+	}
+	if err := l.Ack(id); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("Ack after a failed rewind = %v, want the rewind's error", err)
+	}
+}
+
+// reopenWithStagedAck logs one message and reopens the ledger, whose
+// committer nothing has kicked yet, then acks the message there: the ack
+// record is staged and nothing else is, so every commit the test sees is
+// one it caused.
+func reopenWithStagedAck(t *testing.T) (l *Ledger, path string, id uint64, commits *telemetry.Counter) {
+	t.Helper()
+	path = filepath.Join(t.TempDir(), "g.log")
 	l0, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := l0.Append("fab5.wip", []byte("lot-44"))
-	if err != nil {
+	if id, err = l0.Append("fab5.wip", []byte("lot-44")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l0.Close(); err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	l, err := Open(path, Options{Metrics: reg})
-	if err != nil {
+	if l, err = Open(path, Options{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
-	setAckLinger(l, time.Hour)
-	base := reg.Counter("ledger.commits").Load()
+	t.Cleanup(func() { _ = l.Close() })
 	if err := l.Ack(id); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // time for an eager commit to show itself
-	if got := reg.Counter("ledger.commits").Load(); got != base {
-		t.Fatalf("ack committed eagerly: %d commits (was %d)", got, base)
-	}
-	// A message append sweeps the staged ack along with it.
-	if _, err := l.Append("fab5.wip", []byte("lot-45")); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("ledger.commits").Load(); got != base+1 {
-		t.Fatalf("message batch did not sweep the ack: %d commits", got)
-	}
-	// Close drains a deferred ack staged moments earlier; a reopen must
-	// not resurrect the acked message.
-	id2 := uint64(0)
-	if id2, err = l.Append("fab5.wip", []byte("lot-46")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Ack(id2); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	for _, e := range l2.Pending() {
-		if e.ID == id2 {
-			t.Fatal("deferred ack lost across Close: message resurrected")
+	return l, path, id, reg.Counter("ledger.commits")
+}
+
+// notPending fails the test if id is pending in the ledger at base.
+func notPending(t *testing.T, base string, id uint64) {
+	t.Helper()
+	for _, e := range reopenPending(t, base) {
+		if e.ID == id {
+			t.Fatalf("acked message %d pending after reopen", id)
 		}
 	}
 }
 
-// TestAckLingerTimerFlush proves a deferred ack reaches disk on its own
-// once the linger timer expires, without any later append to ride.
-func TestAckLingerTimerFlush(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "g.log")
-	reg := telemetry.NewRegistry()
-	l, err := Open(path, Options{Metrics: reg})
-	if err != nil {
+// TestAckRidesNextAppend: a staged ack buys no commit of its own; the next
+// Append's batch carries it to disk.
+func TestAckRidesNextAppend(t *testing.T) {
+	l, path, id, commits := reopenWithStagedAck(t)
+	base := commits.Load()
+	if _, err := l.Append("fab5.wip", []byte("lot-45")); err != nil {
 		t.Fatal(err)
 	}
-	setAckLinger(l, 5*time.Millisecond)
-	defer l.Close()
-	id, err := l.Append("fab5.wip", []byte("lot-47"))
-	if err != nil {
-		t.Fatal(err)
+	if got := commits.Load(); got != base+1 {
+		t.Fatalf("ack and append took %d commits, want 1", got-base)
 	}
-	base := reg.Counter("ledger.commits").Load()
-	if err := l.Ack(id); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for reg.Counter("ledger.commits").Load() == base {
+	notPending(t, copyLedger(t, path), id)
+}
+
+// TestFlushCommitsStagedAck: Flush commits a staged ack with no append to
+// carry it.
+func TestFlushCommitsStagedAck(t *testing.T) {
+	l, path, id, commits := reopenWithStagedAck(t)
+	base := commits.Load()
+	l.Flush()
+	for deadline := time.Now().Add(10 * time.Second); commits.Load() == base; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatal("deferred ack never committed after the linger window")
+			t.Fatal("Flush did not commit the staged ack")
 		}
-		time.Sleep(time.Millisecond)
 	}
+	notPending(t, copyLedger(t, path), id)
+}
+
+// TestCloseDrainsStagedAck: Close commits a staged ack before it returns.
+func TestCloseDrainsStagedAck(t *testing.T) {
+	l, path, id, _ := reopenWithStagedAck(t)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	notPending(t, path, id)
 }

@@ -92,9 +92,9 @@ func (l *Ledger) AppendBatch(records []byte) error {
 		return nil
 	}
 	l.mu.Lock()
-	if l.closed {
+	if err := l.refuseLocked(); err != nil {
 		l.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	b := l.cur
 	staged := 0
@@ -136,7 +136,7 @@ func (l *Ledger) AppendBatch(records []byte) error {
 		return nil // everything was a duplicate; nothing to commit
 	}
 	l.mu.Unlock()
-	l.kickCommitter()
+	l.Flush()
 	<-b.done
 	return b.err
 }

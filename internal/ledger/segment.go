@@ -1,9 +1,9 @@
 package ledger
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,11 +16,13 @@ import (
 // is sequence order. A pre-segmentation ledger (a monolithic file at
 // exactly path) is adopted as the oldest segment on first open.
 //
-// Crash-safety rule: every rename, create, and unlink in this file is
-// followed by an fsync of the containing directory. os.Rename alone only
-// orders the change in the page cache — without the directory sync a
-// crash can resurrect a pre-compaction file or lose a freshly created
-// segment, and replay would then double-count or drop pending messages.
+// Crash-safety rules. Every rename, create, and unlink in this file is
+// followed by an fsync of the containing directory: without it a crash can
+// resurrect an unlinked segment or lose a freshly created one. And a
+// segment is unlinked only once every pending message it held has a synced
+// copy in a later segment — the carry writes the copies, the rotation that
+// unlinks fsyncs them first. Replay keeps the last copy of a repeated id,
+// so a crash between the two leaves each pending message pending once.
 
 func segPath(base string, seq uint64) string {
 	return fmt.Sprintf("%s.%08d.seg", base, seq)
@@ -92,7 +94,7 @@ func (l *Ledger) openSegments() error {
 		seqs = []uint64{1}
 	}
 	if len(seqs) == 0 {
-		f, err := os.OpenFile(segPath(l.path, 1), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		f, err := os.OpenFile(segPath(l.path, 1), os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
 			return fmt.Errorf("ledger: creating %s: %w", segPath(l.path, 1), err)
 		}
@@ -127,7 +129,7 @@ func (l *Ledger) openSegments() error {
 		}
 	}
 	active := l.segs[len(l.segs)-1]
-	f, err := os.OpenFile(active.path, os.O_RDWR, 0o644)
+	f, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("ledger: reopening %s: %w", active.path, err)
 	}
@@ -151,10 +153,6 @@ func (l *Ledger) openSegments() error {
 			_ = f.Close()
 			return err
 		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		_ = f.Close()
-		return err
 	}
 	l.f = f
 	return nil
@@ -193,8 +191,9 @@ func (l *Ledger) replaySegment(seq uint64, data []byte, newest bool) (int, error
 
 // rotateLocked rolls the active segment: fsync it (so a non-newest
 // segment is always complete on disk, whatever Options.Sync says), open
-// the next sequence number, fsync the directory, and drop any leading
-// fully-acked segments that rotation has made removable.
+// the next sequence number, fsync the directory, drop any leading
+// fully-acked segments that rotation has made removable, and carry the
+// oldest remaining segments' pending messages forward.
 func (l *Ledger) rotateLocked() error {
 	old := l.f
 	if err := old.Sync(); err != nil {
@@ -203,7 +202,7 @@ func (l *Ledger) rotateLocked() error {
 	l.ctr.fsyncs.Inc()
 	seq := l.segs[len(l.segs)-1].seq + 1
 	path := segPath(l.path, seq)
-	nf, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("ledger: creating %s: %w", path, err)
 	}
@@ -216,14 +215,16 @@ func (l *Ledger) rotateLocked() error {
 	l.segs = append(l.segs, &segment{seq: seq, path: path})
 	l.ctr.rotations.Inc()
 	l.dropAckedLocked()
+	l.carryLocked()
 	l.ctr.segments.Set(int64(len(l.segs)))
 	return nil
 }
 
 // dropAckedLocked unlinks leading segments with no pending messages left.
 // Their ack records can only reference their own (or earlier, already
-// dropped) messages, so removing the whole file preserves the replayed
-// pending set exactly.
+// dropped) messages, and the carry has copied forward every message they
+// still held, so removing the whole file preserves the replayed pending
+// set exactly.
 func (l *Ledger) dropAckedLocked() {
 	dropped := false
 	for len(l.segs) > 1 && l.segs[0].live == 0 {
@@ -234,125 +235,54 @@ func (l *Ledger) dropAckedLocked() {
 	}
 	if dropped {
 		_ = fsyncDir(l.dir)
-		l.ctr.segments.Set(int64(len(l.segs)))
 	}
 }
 
-// Compact runs one incremental compaction pass: rotate the active segment
-// (so every record logged so far becomes compactable), unlink leading
-// fully-acked segments, and rewrite the oldest partially-acked segment
-// keeping only its pending messages. Appends are never blocked for the
-// rewrite — they flow to the active segment throughout; only the brief
-// metadata swaps take the ledger lock.
-func (l *Ledger) Compact() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
+// carryLocked copies pending messages from memory into the new active
+// segment — same id, subject and payload — and moves their live counts
+// there, so the next rotation, which fsyncs the active segment first,
+// unlinks the segments they came from. It takes the oldest segment, then
+// each next one while the copies are smaller than a segment, but never the
+// segment just closed. So a small pending set is rewritten once every two
+// rotations and leaves at most three segments on disk, and a large one
+// costs about a segment of copies per rotation. The copies are not offered
+// to the commit hook (replicas hold those ids already) and do not count
+// toward rotation. A failed write is rewound and retried next rotation.
+func (l *Ledger) carryLocked() {
+	n := len(l.segs)
+	if n < 3 { // dropAckedLocked left nothing older than the segment just closed
+		return
 	}
-	if l.compacting {
-		l.mu.Unlock()
-		return nil // one pass at a time; the running one covers this call
-	}
-	l.compacting = true
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		l.compacting = false
-		l.mu.Unlock()
-	}()
-
-	if err := l.forceRotate(); err != nil {
-		return err
-	}
-
-	// Snapshot the oldest segment's pending entries under the lock...
-	l.mu.Lock()
-	hold := l.compactHold
-	var target *segment
-	if len(l.segs) > 1 && l.segs[0] != l.segs[len(l.segs)-1] {
-		target = l.segs[0]
-	}
-	var entries []Entry
-	if target != nil {
-		for _, st := range l.pending {
-			if st.seg == target.seq {
-				entries = append(entries, st.e)
-			}
+	closed, active := l.segs[n-2], l.segs[n-1]
+	var old []*entryState
+	for _, st := range l.pending {
+		if st.seg != 0 && st.seg < closed.seq {
+			old = append(old, st)
 		}
 	}
-	l.mu.Unlock()
-	if target == nil {
-		l.ctr.compactions.Inc()
-		return nil
-	}
-	slices.SortFunc(entries, func(a, b Entry) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-
-	// ...and rewrite it with no ledger lock held. An entry acked during
-	// the rewrite is still written as a message here, but its ack record
-	// already rides a later segment, so replay nets the pair out.
-	tmpPath := target.path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("ledger: creating %s: %w", tmpPath, err)
-	}
+	slices.SortFunc(old, func(a, b *entryState) int { return cmp.Compare(a.seg, b.seg) })
 	var buf []byte
-	for _, e := range entries {
-		buf = appendRecord(buf[:0], record{typ: recMessage, id: e.ID, subject: e.Subject, payload: e.Payload})
-		if _, err := tmp.Write(buf); err != nil {
-			_ = tmp.Close()
-			return fmt.Errorf("ledger: rewriting %s: %w", target.path, err)
+	k := 0
+	for k < len(old) && (k == 0 || int64(len(buf)) < l.segMax) {
+		for seq := old[k].seg; k < len(old) && old[k].seg == seq; k++ {
+			e := &old[k].e
+			buf = appendRecord(buf, record{typ: recMessage, id: e.ID, subject: e.Subject, payload: e.Payload})
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
+	if _, err := l.f.Write(buf); err != nil {
+		l.rewindLocked(active)
+		return
 	}
-	l.ctr.fsyncs.Inc()
-	size, err := tmp.Seek(0, io.SeekEnd)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
+	for _, s := range l.segs[:n-2] {
+		if k > 0 && s.seq <= old[k-1].seg {
+			s.live = 0
+		}
 	}
-	if err != nil {
-		return err
+	for _, st := range old[:k] {
+		st.seg = active.seq
 	}
-	if hold != nil {
-		<-hold // test seam: prove appends proceed while compaction stalls
-	}
-	if err := os.Rename(tmpPath, target.path); err != nil {
-		return fmt.Errorf("ledger: swapping compacted segment: %w", err)
-	}
-	if err := fsyncDir(l.dir); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	target.size = size
-	l.mu.Unlock()
+	active.size += int64(len(buf))
+	active.carried += int64(len(buf))
+	active.live += k
 	l.ctr.compactions.Inc()
-	return nil
-}
-
-// forceRotate rolls the active segment. The request rides the pipeline as
-// a rotation marker so the committer (the only writer of l.f) performs it
-// between batches.
-func (l *Ledger) forceRotate() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	b := l.cur
-	b.rotate = true
-	l.mu.Unlock()
-	l.kickCommitter()
-	<-b.done
-	return b.err
 }
