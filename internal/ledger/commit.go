@@ -8,7 +8,7 @@ import (
 )
 
 // Group-commit pipeline. Append and Ack stage encoded records into l.cur
-// under l.mu and kick the committer; the committer swaps in a fresh batch,
+// under l.mu and kick the committer; the committer swaps in the next batch,
 // releases the lock, and flushes the taken batch with one write and (with
 // Sync) one fsync. Every caller that staged into the batch becomes
 // durable together — the leader/follower pattern with the committer
@@ -17,33 +17,28 @@ import (
 // contention by itself: an uncontended Append commits alone with no added
 // wait, and N publishers racing a slow disk share one fsync per flush.
 
-// newBatchLocked builds the next staging batch, reusing recycled buffer
-// backing arrays. Caller holds l.mu (or is the only ledger reference, in
-// Open).
+// newBatchLocked returns the next staging batch, from the free list when
+// it has one. Caller holds l.mu (or is the only ledger reference, in Open).
 func (l *Ledger) newBatchLocked() *batch {
-	b := &batch{done: make(chan struct{})}
-	if n := len(l.bufFree); n > 0 {
-		b.buf = l.bufFree[n-1]
-		l.bufFree = l.bufFree[:n-1]
+	if n := len(l.free); n > 0 {
+		b := l.free[n-1]
+		l.free = l.free[:n-1]
+		return b
 	}
-	if n := len(l.idsFree); n > 0 {
-		b.msgIDs = l.idsFree[n-1]
-		l.idsFree = l.idsFree[:n-1]
-	}
+	b := &batch{}
+	b.cond.L = &l.mu
 	return b
 }
 
-// recycleLocked returns a flushed batch's backing arrays to the free
-// lists. The batch struct itself is not reused: late waiters may still be
-// reading err after done closes.
-func (l *Ledger) recycleLocked(b *batch) {
-	if cap(b.buf) > 0 && len(l.bufFree) < 4 {
-		l.bufFree = append(l.bufFree, b.buf[:0])
+// freeLocked empties a flushed batch nobody waits on any more and puts it,
+// with its buffers, on the free list if there is room.
+func (l *Ledger) freeLocked(b *batch) {
+	if len(l.free) == maxFreeBatches {
+		return
 	}
-	if cap(b.msgIDs) > 0 && len(l.idsFree) < 4 {
-		l.idsFree = append(l.idsFree, b.msgIDs[:0])
-	}
-	b.buf, b.msgIDs = nil, nil
+	b.buf, b.msgIDs, b.recs = b.buf[:0], b.msgIDs[:0], 0
+	b.flushed, b.commitAt, b.syncAt = false, 0, 0
+	l.free = append(l.free, b)
 }
 
 func (l *Ledger) commitLoop() {
@@ -71,8 +66,8 @@ func (l *Ledger) flushOnce() bool {
 		l.mu.Unlock()
 		return false
 	}
-	// Bounded linger: closing the previous batch's done channel woke its
-	// cohort of appenders, who are re-staging right now — but goroutine
+	// Bounded linger: flushing the previous batch woke its cohort of
+	// appenders, who are re-staging right now — but goroutine
 	// wake-up can be slower than a small fsync, and flushing before the
 	// cohort lands degenerates the pipeline into near-singleton batches.
 	// So when the previous batch proved contention (cohort > 1), give the
@@ -102,7 +97,7 @@ func (l *Ledger) flushOnce() bool {
 	}
 	if err == nil && hook != nil {
 		// Replication hook: the batch is durable but its Append callers
-		// have not woken yet (done closes below), so a publisher returning
+		// have not woken yet (flushed is set below), so a publisher returning
 		// from Append can rely on the batch having been mirrored already.
 		// Only the committer touches commitSeq.
 		l.commitSeq++
@@ -118,11 +113,13 @@ func (l *Ledger) flushOnce() bool {
 			err = l.rotateLocked()
 		}
 	}
-	l.recycleLocked(b)
+	b.err, b.flushed = err, true
+	if b.waiters == 0 {
+		l.freeLocked(b)
+	} else {
+		b.cond.Broadcast()
+	}
 	l.mu.Unlock()
-
-	b.err = err
-	close(b.done)
 	return true
 }
 
@@ -160,6 +157,7 @@ func (l *Ledger) creditBatchLocked(b *batch, seg *segment) {
 	for _, id := range b.msgIDs {
 		if st, ok := l.pending[id]; ok && st.seg == 0 {
 			st.seg = seg.seq
+			l.pending[id] = st
 			seg.live++
 		}
 	}

@@ -23,14 +23,21 @@
 // trace: its messages leave the pending set and the segment is truncated
 // back to what was committed before.
 //
+// After warm-up the append path allocates nothing. A flushed batch goes
+// back on a small free list with its buffers once its last waiter has read
+// the outcome, and a kept payload is copied into a shared 8 KB block (see
+// keepLocked), which the pending set holds by value.
+//
 // Space is reclaimed at rotation, the way a log-structured file system's
 // cleaner does it: fully-acknowledged leading segments are unlinked, and
 // the oldest segments' pending messages are carried (copied from memory)
 // into the new active segment, so the next rotation can unlink those too.
-// The disk holds about three segments plus the pending messages.
+// The disk holds about three segments plus the pending messages. A carried
+// payload is kept anew, so a stuck message stops pinning its first block.
 package ledger
 
 import (
+	"cmp"
 	"errors"
 	"os"
 	"path/filepath"
@@ -51,6 +58,15 @@ const defaultSegmentBytes = 4 << 20
 // slower than a small fsync, so without this the pipeline can degenerate
 // into near-singleton batches. An uncontended Append never waits.
 const linger = 100 * time.Microsecond
+
+// Kept payloads are carved from shared blocks of blockSize bytes; one over
+// maxShared gets an allocation of its own. At most maxFreeBatches flushed
+// batches wait on the free list for reuse.
+const (
+	blockSize      = 8 << 10
+	maxShared      = 2 << 10
+	maxFreeBatches = 4
+)
 
 // Entry is one logged, possibly unacknowledged message.
 type Entry struct {
@@ -84,19 +100,25 @@ type segment struct {
 }
 
 // batch is one group-commit unit: the staged record bytes of every caller
-// that arrived while the previous batch was being flushed. done is closed
-// once the batch is durable (err set first).
+// that arrived while the previous batch was being flushed. Batches are
+// reused: once the committer has set err and flushed, each of the waiters
+// (the Append and AppendBatch callers that staged into it) reads the
+// outcome under l.mu, and the last one puts the batch, buffers and all, on
+// the ledger's free list. The committer frees a batch nobody waits on (one
+// holding only acks) itself.
 type batch struct {
-	buf    []byte
-	msgIDs []uint64 // ids of recMessage records staged in this batch
-	recs   int
-	err    error
-	done   chan struct{}
+	buf     []byte
+	msgIDs  []uint64 // ids of recMessage records staged in this batch
+	recs    int
+	waiters int
+	flushed bool
+	err     error
+	cond    sync.Cond // L is the ledger's mu; broadcast once flushed
 	// Stage timestamps (unix nanoseconds), written by writeBatch before
-	// done closes so AppendTimed waiters read them race-free: commitAt
-	// after the segment write, syncAt after the fsync (0 without Sync).
-	// They feed the guaranteed-path trace hops (busproto.HopGroupCommit,
-	// HopFsync); cost is two clock reads per batch, not per record.
+	// flushed is set, so waiters read them under l.mu: commitAt after the
+	// segment write, syncAt after the fsync (0 without Sync). They feed
+	// the guaranteed-path trace hops (busproto.HopGroupCommit, HopFsync);
+	// cost is two clock reads per batch, not per record.
 	commitAt int64
 	syncAt   int64
 }
@@ -120,13 +142,13 @@ type Ledger struct {
 	lastCohort int                  // appenders woken by the previous flush (linger target)
 	broken     error                // a failed commit that could not be rewound; see rewindLocked
 	nextID     uint64
-	pending    map[uint64]*entryState
+	pending    map[uint64]entryState
 	segs       []*segment
 	f          *os.File // active segment, opened O_APPEND
 	cur        *batch
-	bufFree    [][]byte
-	idsFree    [][]uint64
-	iterBuf    []Entry
+	free       []*batch // flushed batches for reuse, at most maxFreeBatches
+	block      []byte   // the shared block kept payloads are carved from
+	iterBuf    []Entry  // ForEachPending's buffer; nil while a walk holds it
 
 	ctr counters
 }
@@ -174,7 +196,7 @@ func Open(path string, opts Options) (*Ledger, error) {
 		segMax:  defaultSegmentBytes,
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
-		pending: make(map[uint64]*entryState),
+		pending: make(map[uint64]entryState),
 	}
 	l.ctr = counters{
 		appends:     reg.Counter("ledger.appends"),
@@ -241,15 +263,51 @@ func (l *Ledger) AppendTimed(subject string, payload []byte) (uint64, AppendTimi
 	b.buf = appendRecord(b.buf, record{typ: recMessage, id: id, subject: subject, payload: payload})
 	b.msgIDs = append(b.msgIDs, id)
 	b.recs++
-	l.pending[id] = &entryState{e: Entry{ID: id, Subject: subject, Payload: append([]byte(nil), payload...)}}
+	b.waiters++
+	l.pending[id] = entryState{e: Entry{ID: id, Subject: subject, Payload: l.keepLocked(payload)}}
 	l.ctr.appends.Inc()
 	l.ctr.pending.Set(int64(len(l.pending)))
 	l.mu.Unlock()
 	l.Flush()
-	<-b.done // close(done) orders the committer's stamp writes before these reads
-	tm.CommitAt, tm.SyncedAt = b.commitAt, b.syncAt
+	err := l.await(b, &tm)
 	l.ctr.appendNs.Observe(time.Since(start))
-	return id, tm, b.err
+	return id, tm, err
+}
+
+// await blocks one of b's waiters until the committer has flushed b, and
+// returns the batch's error (and, with tm, its stamps). The last waiter
+// frees the batch.
+func (l *Ledger) await(b *batch, tm *AppendTimings) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for !b.flushed {
+		b.cond.Wait()
+	}
+	err := b.err
+	if tm != nil {
+		tm.CommitAt, tm.SyncedAt = b.commitAt, b.syncAt
+	}
+	if b.waiters--; b.waiters == 0 {
+		l.freeLocked(b)
+	}
+	return err
+}
+
+// keepLocked returns the ledger's own copy of a payload it keeps pending.
+// Copies up to maxShared bytes are carved from the current shared block;
+// a full block is dropped, never reused, and lives while a payload carved
+// from it is pending. The copy's capacity ends at its length, so a
+// caller's append cannot write into the next payload.
+func (l *Ledger) keepLocked(p []byte) []byte {
+	if len(p) > maxShared {
+		return append([]byte(nil), p...)
+	}
+	if len(l.block)+len(p) > cap(l.block) {
+		l.block = make([]byte, 0, blockSize)
+	}
+	n := len(l.block)
+	l.block = append(l.block, p...)
+	return l.block[n:len(l.block):len(l.block)]
 }
 
 // Ack records that the message with the given ID was acknowledged; it
@@ -294,7 +352,8 @@ func (l *Ledger) Flush() {
 
 // Pending returns every logged-but-unacknowledged message, oldest first.
 // The returned payload slices are the ledger's own; callers must not
-// mutate them.
+// mutate them. Their capacity ends at their length, so an append to one
+// copies it.
 func (l *Ledger) Pending() []Entry {
 	l.mu.Lock()
 	out := make([]Entry, 0, len(l.pending))
@@ -302,15 +361,7 @@ func (l *Ledger) Pending() []Entry {
 		out = append(out, st.e)
 	}
 	l.mu.Unlock()
-	slices.SortFunc(out, func(a, b Entry) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, byID)
 	return out
 }
 
@@ -319,7 +370,8 @@ func (l *Ledger) Pending() []Entry {
 // the lock, then f runs with no ledger lock held (so it may Ack, Append,
 // or publish). f returns false to stop early. The *Entry and its payload
 // are only valid during the call; an entry acked concurrently may still
-// be visited once (guaranteed delivery is at-least-once).
+// be visited once (guaranteed delivery is at-least-once). Concurrent walks
+// are safe: one takes the buffer, the others build their own.
 func (l *Ledger) ForEachPending(f func(e *Entry) bool) {
 	l.mu.Lock()
 	if len(l.pending) == 0 {
@@ -327,26 +379,26 @@ func (l *Ledger) ForEachPending(f func(e *Entry) bool) {
 		return
 	}
 	buf := l.iterBuf[:0]
+	l.iterBuf = nil
 	for _, st := range l.pending {
 		buf = append(buf, st.e)
 	}
-	l.iterBuf = buf
 	l.mu.Unlock()
-	slices.SortFunc(buf, func(a, b Entry) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(buf, byID)
 	for i := range buf {
 		if !f(&buf[i]) {
-			return
+			break
 		}
 	}
+	clear(buf) // a walked entry pins no payload block
+	l.mu.Lock()
+	if l.iterBuf == nil {
+		l.iterBuf = buf
+	}
+	l.mu.Unlock()
 }
+
+func byID(a, b Entry) int { return cmp.Compare(a.ID, b.ID) }
 
 // Len returns the number of pending (unacknowledged) messages.
 func (l *Ledger) Len() int {

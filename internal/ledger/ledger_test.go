@@ -998,3 +998,197 @@ func TestCloseDrainsStagedAck(t *testing.T) {
 	}
 	notPending(t, path, id)
 }
+
+// TestAppendSteadyStateAllocs: after warm-up an Append and its Ack
+// allocate nothing. The pending set holds entries by value, the payload is
+// carved from a shared block (one 8 KB block per 40 of these payloads,
+// under one allocation per pair), and the flushed batch is reused.
+func TestAppendSteadyStateAllocs(t *testing.T) {
+	l, _ := openTemp(t)
+	payload := make([]byte, 200)
+	pair := func() {
+		id, err := l.Append("gate.s", payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Ack(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		pair()
+	}
+	got := testing.AllocsPerRun(1000, pair)
+	if raceEnabled {
+		t.Logf("Append+Ack = %.1f allocs/op under the race detector; not compared", got)
+		return
+	}
+	if got > 0 {
+		t.Fatalf("Append+Ack = %.1f allocs/op, want 0", got)
+	}
+}
+
+// TestBatchOutcomeStaysWithItsWaiters: a reused batch reports each use's
+// outcome to that use's waiters. Two appends staged into a batch whose
+// write fails both get the error, and the same struct, reused, reports nil
+// to its next waiter.
+func TestBatchOutcomeStaysWithItsWaiters(t *testing.T) {
+	l, _ := openTemp(t)
+	id, err := l.Append("s", []byte("m0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	l.SetOnCommit(func(CommitBatch) {
+		held <- struct{}{}
+		<-release
+	})
+	// The ack's batch has no waiter: the committer frees it, so the batch
+	// the two appends stage into is the one the next clean append reuses.
+	if err := l.Ack(id); err != nil {
+		t.Fatal(err)
+	}
+	l.Flush()
+	<-held
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := l.Append("s", []byte("lost"))
+			errs <- err
+		}()
+	}
+	var failing *batch
+	for deadline := time.Now().Add(10 * time.Second); failing == nil; runtime.Gosched() {
+		l.mu.Lock()
+		if len(l.cur.msgIDs) == 2 {
+			failing = l.cur
+		}
+		l.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("the two appends never staged into one batch")
+		}
+	}
+	restore := swapClosedFile(t, l)
+	l.SetOnCommit(nil)
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err == nil {
+			t.Error("an append staged into the failed batch returned nil")
+		}
+	}
+	restore()
+	if _, err := l.Append("s", []byte("clean")); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	reused := l.cur == failing
+	l.mu.Unlock()
+	if !reused {
+		t.Fatal("the failed batch was not reused")
+	}
+	if _, err := l.Append("s", []byte("reused")); err != nil {
+		t.Fatalf("append staged into the reused batch: %v", err)
+	}
+}
+
+// TestPendingPayloadIsCapped: pending payloads share a block, so each must
+// end at its own length; an append to one copies it instead of writing
+// over the next.
+func TestPendingPayloadIsCapped(t *testing.T) {
+	l, _ := openTemp(t)
+	for _, p := range []string{"first", "second"} {
+		if _, err := l.Append("s", []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = append(l.Pending()[0].Payload, "XXXXXX"...)
+	if got := string(l.Pending()[1].Payload); got != "second" {
+		t.Fatalf("next pending payload = %q after an append to the one before, want %q", got, "second")
+	}
+}
+
+// TestCarryReleasesBlocks: the carry keeps each payload it carries anew,
+// so a stuck message stops pinning the block it was first carved from,
+// and the acked payloads around it are collected.
+func TestCarryReleasesBlocks(t *testing.T) {
+	l, _ := openTemp(t)
+	setSegMax(l, 4096)
+	freed := make(chan struct{})
+	stuck, err := l.Append("s.stuck", []byte("never acked"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		// The ledger's first kept payload starts its first block.
+		runtime.SetFinalizer(&l.pending[stuck].e.Payload[0], func(*byte) { close(freed) })
+	}()
+	carried := func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.pending[stuck].seg > 2
+	}
+	// 100 payloads of 512 B fill the first block, so the ledger carves
+	// from it no more.
+	for i := 0; !carried() || i < 100; i++ {
+		if i == 10000 {
+			t.Fatal("the stuck message was never carried")
+		}
+		id, err := l.Append("s", make([]byte, 512))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Ack(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		runtime.GC()
+		select {
+		case <-freed:
+			if p := l.Pending(); len(p) != 1 || string(p[0].Payload) != "never acked" {
+				t.Fatalf("pending after the carry = %+v, want the stuck message", p)
+			}
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the stuck message's first block is still reachable after its carry")
+		}
+	}
+}
+
+// TestForEachPendingConcurrent: walks from two goroutines at once share no
+// buffer (run it under -race).
+func TestForEachPendingConcurrent(t *testing.T) {
+	l, _ := openTemp(t)
+	for i := 0; i < 64; i++ {
+		if _, err := l.Append("s", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				var n int
+				var last uint64
+				l.ForEachPending(func(e *Entry) bool {
+					if n > 0 && e.ID <= last {
+						t.Errorf("walk visited %d after %d", e.ID, last)
+					}
+					n, last = n+1, e.ID
+					return true
+				})
+				if n != 64 {
+					t.Errorf("walk visited %d entries, want 64", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

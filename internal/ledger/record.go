@@ -59,8 +59,10 @@ func encodeRecord(r record) []byte {
 }
 
 // parseRecord decodes one record from the front of data, returning the
-// bytes consumed. errTorn means the data ends mid-record (a crashed
-// append); other errors mean real corruption.
+// bytes consumed. The payload is a view of data, capped at its length; the
+// ledger copies only what it keeps pending (keepLocked). errTorn means the
+// data ends mid-record (a crashed append); other errors mean real
+// corruption.
 func parseRecord(data []byte) (record, int, error) {
 	if len(data) < 8 {
 		return record{}, 0, errTorn
@@ -105,7 +107,7 @@ func parseRecord(data []byte) (record, int, error) {
 			return record{}, 0, ErrCorrupt
 		}
 		pos += n
-		r.payload = append([]byte(nil), body[pos:pos+int(plen)]...)
+		r.payload = body[pos:len(body):len(body)]
 	default:
 		return record{}, 0, fmt.Errorf("type %d: %w", r.typ, ErrCorrupt)
 	}

@@ -33,7 +33,8 @@ func AppendAckRecord(dst []byte, id uint64) []byte {
 }
 
 // NextRecord parses one record from the front of data, returning it and
-// the bytes consumed. Errors are ErrCorrupt-wrapped (a truncated record
+// the bytes consumed. Its Payload is a view of data (capacity capped at its
+// length), valid as long as data is. Errors are ErrCorrupt-wrapped (a truncated record
 // included: replication frames are never legitimately torn, unlike a
 // crashed segment tail).
 func NextRecord(data []byte) (Rec, int, error) {
@@ -51,7 +52,8 @@ type CommitBatch struct {
 	// identity, so replication seq spaces never collide).
 	Seq uint64
 	// Records is the batch's raw record bytes, exactly as written to the
-	// segment. Valid only during the hook call — the buffer is recycled.
+	// segment. Valid only during the hook call — the batch, buffers and
+	// all, is reused.
 	Records []byte
 	// MsgIDs lists the ids of the message records in the batch (ack
 	// records are not listed). Valid only during the hook call.
@@ -108,7 +110,7 @@ func (l *Ledger) AppendBatch(records []byte) error {
 			b.msgIDs = append(b.msgIDs, r.id)
 			b.recs++
 			staged++
-			l.pending[r.id] = &entryState{e: Entry{ID: r.id, Subject: r.subject, Payload: r.payload}}
+			l.pending[r.id] = entryState{e: Entry{ID: r.id, Subject: r.subject, Payload: l.keepLocked(r.payload)}}
 			l.ctr.appends.Inc()
 		case recAck:
 			st, ok := l.pending[r.id]
@@ -135,8 +137,8 @@ func (l *Ledger) AppendBatch(records []byte) error {
 		l.mu.Unlock()
 		return nil // everything was a duplicate; nothing to commit
 	}
+	b.waiters++
 	l.mu.Unlock()
 	l.Flush()
-	<-b.done
-	return b.err
+	return l.await(b, nil)
 }

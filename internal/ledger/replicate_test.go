@@ -203,3 +203,27 @@ func TestTornTailTruncateFsync(t *testing.T) {
 		t.Fatalf("clean open fsynced %d times; recovery fsync must be tear-only", got)
 	}
 }
+
+// TestNextRecordPayloadIsAView: parsing a message record copies only its
+// subject; the payload is a capped view of the input.
+func TestNextRecordPayloadIsAView(t *testing.T) {
+	data := AppendMessageRecord(nil, 42, "fab5.wip.lot", make([]byte, 250))
+	if len(data) < 265 || len(data) > 275 {
+		t.Fatalf("the message record is %d B, want about 270", len(data))
+	}
+	payloadAt := len(data) - 250
+	data = AppendAckRecord(data, 42)
+	var rec Rec
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if rec, _, err = NextRecord(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if &rec.Payload[0] != &data[payloadAt] || cap(rec.Payload) != 250 {
+		t.Fatal("Payload is not a capped view of the record")
+	}
+	if !raceEnabled && allocs > 1 {
+		t.Fatalf("NextRecord = %.0f allocs/op, want at most 1 (the subject)", allocs)
+	}
+}

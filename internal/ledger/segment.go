@@ -174,8 +174,8 @@ func (l *Ledger) replaySegment(seq uint64, data []byte, newest bool) (int, error
 		}
 		switch rec.typ {
 		case recMessage:
-			l.pending[rec.id] = &entryState{
-				e:   Entry{ID: rec.id, Subject: rec.subject, Payload: rec.payload},
+			l.pending[rec.id] = entryState{
+				e:   Entry{ID: rec.id, Subject: rec.subject, Payload: l.keepLocked(rec.payload)},
 				seg: seq,
 			}
 		case recAck:
@@ -248,19 +248,21 @@ func (l *Ledger) dropAckedLocked() {
 // costs about a segment of copies per rotation. The copies are not offered
 // to the commit hook (replicas hold those ids already) and do not count
 // toward rotation. A failed write is rewound and retried next rotation.
+// Each carried payload is kept anew, so it no longer pins the block it was
+// first carved from.
 func (l *Ledger) carryLocked() {
 	n := len(l.segs)
 	if n < 3 { // dropAckedLocked left nothing older than the segment just closed
 		return
 	}
 	closed, active := l.segs[n-2], l.segs[n-1]
-	var old []*entryState
+	var old []entryState
 	for _, st := range l.pending {
 		if st.seg != 0 && st.seg < closed.seq {
 			old = append(old, st)
 		}
 	}
-	slices.SortFunc(old, func(a, b *entryState) int { return cmp.Compare(a.seg, b.seg) })
+	slices.SortFunc(old, func(a, b entryState) int { return cmp.Compare(a.seg, b.seg) })
 	var buf []byte
 	k := 0
 	for k < len(old) && (k == 0 || int64(len(buf)) < l.segMax) {
@@ -280,6 +282,8 @@ func (l *Ledger) carryLocked() {
 	}
 	for _, st := range old[:k] {
 		st.seg = active.seq
+		st.e.Payload = l.keepLocked(st.e.Payload)
+		l.pending[st.e.ID] = st
 	}
 	active.size += int64(len(buf))
 	active.carried += int64(len(buf))

@@ -103,8 +103,8 @@ go test -run 'TestFirstMessageStartsTheStream|TestJoinArrivalOrders|TestMidStrea
 echo "==> interest-aggregate gate (Trie.Aggregate == AggregatePatterns(Trie.Patterns()); aggregation only widens)"
 go test -run 'TestTrieAggregateEqualsAggregatePatterns|TestAggregateWidens|TestAggregateKeepsOneElementSubjects' -count=1 ./internal/subject/
 
-echo "==> ledger gate (8 Sync publishers average well under one fsync/message; a stuck message leaves at most 3 segments; a failed commit leaves no trace)"
-go test -run 'TestGroupCommitFsyncBudget|TestStuckMessageCarried|TestFailedAppendLeavesNoTrace|TestFailedAppendBatchLeavesNoTrace' -count=1 ./internal/ledger/
+echo "==> ledger gate (8 Sync publishers average well under one fsync/message; a stuck message leaves at most 3 segments; a failed commit leaves no trace; Append+Ack allocates nothing; a reused batch reports each outcome to its own waiters)"
+go test -run 'TestGroupCommitFsyncBudget|TestStuckMessageCarried|TestFailedAppendLeavesNoTrace|TestFailedAppendBatchLeavesNoTrace|TestAppendSteadyStateAllocs|TestBatchOutcomeStaysWithItsWaiters' -count=1 ./internal/ledger/
 
 echo "==> wire-bytes gate (steady-state dictionary compression >= 40%; both formats byte-golden)"
 go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/wire/
@@ -160,6 +160,9 @@ if [ "$quick" -eq 0 ]; then
     go test -race -count=5 -run 'TestCrossLaneSenderFIFO|TestCrossLaneLocalFIFO|TestSingleLaneGoldenEquivalence|TestGuaranteedExactlyOnceAcrossLanes|TestLaneWiring|TestCloseDrainsWorkers|TestPerSenderFIFOProperty|TestPopNoStarvation|TestClientCloseSettlesBacklog|TestLaneDepthsCoherent|TestSlotConcurrentTakers' ./internal/daemon/
     go test -race -count=5 -run 'TestStressLossyChurn|TestOneLoopPerHost|TestStalledSubscriberDoesNotStopTheLoop|TestDeliveredObjectIsFrozen|TestClassNakThroughTheSlot' ./internal/core/
     go test -race -count=5 -run 'TestOneLoopPerRouter|TestSysGoldenBytes' ./internal/router/
+
+    echo "==> the ledger's reused batches, concurrent walks and released payload blocks (race build, 5 runs)"
+    go test -race -count=5 -run 'TestConcurrentAppendAck|TestGroupCommitFsyncBudget|TestForEachPendingConcurrent|TestBatchOutcomeStaysWithItsWaiters|TestCarryReleasesBlocks' ./internal/ledger/
 
     echo "==> crash recovery through the host's one retrier: exactly-once after a publisher crash, and a fostered entry nobody acknowledges backs off (race build, 3 runs)"
     go test -race -count=3 -run 'TestCrashRecoveryExactlyOnce|TestFosteredEntriesBackOff' ./internal/qledger/
