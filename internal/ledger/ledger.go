@@ -23,10 +23,12 @@
 // trace: its messages leave the pending set and the segment is truncated
 // back to what was committed before.
 //
-// After warm-up the append path allocates nothing. A flushed batch goes
+// After warm-up the append path allocates only the blocks its payloads are
+// kept in: one 8 KB block per 8 KB of kept payload. A flushed batch goes
 // back on a small free list with its buffers once its last waiter has read
-// the outcome, and a kept payload is copied into a shared 8 KB block (see
-// keepLocked), which the pending set holds by value.
+// the outcome, and a kept payload is copied into a shared block (see
+// keepLocked), which the pending set holds by value. Replay keeps only
+// the payloads still pending after the last segment.
 //
 // Space is reclaimed at rotation, the way a log-structured file system's
 // cleaner does it: fully-acknowledged leading segments are unlinked, and
@@ -59,12 +61,11 @@ const defaultSegmentBytes = 4 << 20
 // into near-singleton batches. An uncontended Append never waits.
 const linger = 100 * time.Microsecond
 
-// Kept payloads are carved from shared blocks of blockSize bytes; one over
-// maxShared gets an allocation of its own. At most maxFreeBatches flushed
+// Kept payloads are carved from shared blocks of blockSize bytes (a larger
+// payload starts a block of its own size). At most maxFreeBatches flushed
 // batches wait on the free list for reuse.
 const (
 	blockSize      = 8 << 10
-	maxShared      = 2 << 10
 	maxFreeBatches = 4
 )
 
@@ -294,16 +295,14 @@ func (l *Ledger) await(b *batch, tm *AppendTimings) error {
 }
 
 // keepLocked returns the ledger's own copy of a payload it keeps pending.
-// Copies up to maxShared bytes are carved from the current shared block;
-// a full block is dropped, never reused, and lives while a payload carved
-// from it is pending. The copy's capacity ends at its length, so a
-// caller's append cannot write into the next payload.
+// The copy is carved from the current shared block; a payload that does
+// not fit starts a new block of blockSize bytes, or of its own size if it
+// is larger. A full block is dropped, never reused, and lives while a
+// payload carved from it is pending. The copy's capacity ends at its
+// length, so a caller's append cannot write into the next payload.
 func (l *Ledger) keepLocked(p []byte) []byte {
-	if len(p) > maxShared {
-		return append([]byte(nil), p...)
-	}
 	if len(l.block)+len(p) > cap(l.block) {
-		l.block = make([]byte, 0, blockSize)
+		l.block = make([]byte, 0, max(blockSize, len(p)))
 	}
 	n := len(l.block)
 	l.block = append(l.block, p...)

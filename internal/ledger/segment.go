@@ -122,8 +122,12 @@ func (l *Ledger) openSegments() error {
 		}
 		l.segs = append(l.segs, &segment{seq: seq, path: path, size: int64(validEnd)})
 	}
-	// Live counts: attribute each surviving pending entry to its segment.
-	for _, st := range l.pending {
+	// Keep each surviving payload (replay left views into the segment
+	// buffers, which are dropped here), so a reopened ledger holds only its
+	// pending bytes, and attribute the entry to its segment's live count.
+	for id, st := range l.pending {
+		st.e.Payload = l.keepLocked(st.e.Payload)
+		l.pending[id] = st
 		if s := l.segBySeqLocked(st.seg); s != nil {
 			s.live++
 		}
@@ -159,7 +163,8 @@ func (l *Ledger) openSegments() error {
 }
 
 // replaySegment applies one segment's records to the pending set and
-// returns the byte length of the valid prefix. A torn trailing record is
+// returns the byte length of the valid prefix. Pending payloads are views
+// of data until openSegments keeps the survivors. A torn trailing record is
 // tolerated only in the newest segment (a crash mid-commit); anywhere
 // earlier the log was rotated past it, so the tear is real corruption.
 func (l *Ledger) replaySegment(seq uint64, data []byte, newest bool) (int, error) {
@@ -175,7 +180,7 @@ func (l *Ledger) replaySegment(seq uint64, data []byte, newest bool) (int, error
 		switch rec.typ {
 		case recMessage:
 			l.pending[rec.id] = entryState{
-				e:   Entry{ID: rec.id, Subject: rec.subject, Payload: l.keepLocked(rec.payload)},
+				e:   Entry{ID: rec.id, Subject: rec.subject, Payload: rec.payload},
 				seg: seq,
 			}
 		case recAck:

@@ -103,8 +103,8 @@ go test -run 'TestFirstMessageStartsTheStream|TestJoinArrivalOrders|TestMidStrea
 echo "==> interest-aggregate gate (Trie.Aggregate == AggregatePatterns(Trie.Patterns()); aggregation only widens)"
 go test -run 'TestTrieAggregateEqualsAggregatePatterns|TestAggregateWidens|TestAggregateKeepsOneElementSubjects' -count=1 ./internal/subject/
 
-echo "==> ledger gate (8 Sync publishers average well under one fsync/message; a stuck message leaves at most 3 segments; a failed commit leaves no trace; Append+Ack allocates nothing; a reused batch reports each outcome to its own waiters)"
-go test -run 'TestGroupCommitFsyncBudget|TestStuckMessageCarried|TestFailedAppendLeavesNoTrace|TestFailedAppendBatchLeavesNoTrace|TestAppendSteadyStateAllocs|TestBatchOutcomeStaysWithItsWaiters' -count=1 ./internal/ledger/
+echo "==> ledger gate (8 Sync publishers average well under one fsync/message; a stuck message leaves at most 3 segments; a failed commit leaves no trace; Append+Ack allocates only its payload blocks; a reused batch reports each outcome to its own waiters; a reopened ledger keeps only its pending payloads)"
+go test -run 'TestGroupCommitFsyncBudget|TestStuckMessageCarried|TestFailedAppendLeavesNoTrace|TestFailedAppendBatchLeavesNoTrace|TestAppendSteadyStateAllocs|TestBatchOutcomeStaysWithItsWaiters|TestReopenKeepsOnlyPending' -count=1 ./internal/ledger/
 
 echo "==> wire-bytes gate (steady-state dictionary compression >= 40%; both formats byte-golden)"
 go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/wire/
