@@ -54,7 +54,9 @@ type Delivery struct {
 	Trace   []busproto.TraceHop
 	// Slot is shared by the deliveries of one publication fanned out to more
 	// than one client, so its payload is decoded once per host; nil when a
-	// single client matched. Take through it either way.
+	// single client matched. Take through it either way. It is carved from
+	// its lane's chunk of slots (lane.newSlot), which a queued delivery keeps
+	// alive.
 	Slot *Slot
 }
 
@@ -72,12 +74,12 @@ type Slot struct {
 // Take returns a value of the publication's payload for the caller. The
 // first taker decodes and leaves the result behind as the master; every
 // taker is handed share(master), except the last one outstanding, who is
-// handed the master itself. The count can only err towards sharing: a
-// delivery that is never taken (a closed client, an evicted stash entry, a
-// refused enqueue) keeps the master in the slot for good. A failed decode
-// stores nothing and uses up no turn, so the same delivery may take again.
-// Takers of one slot wait for each other's decode, which is the point. A nil
-// Slot decodes.
+// handed the master itself. The count is exact, except an evicted stash
+// entry: a refused enqueue and a backlog its client discarded give their
+// turns back (drop), while a stash entry evicted untaken keeps the master in
+// the slot for good, erring towards sharing. A failed decode stores nothing
+// and uses up no turn, so the same delivery may take again. Takers of one
+// slot wait for each other's decode, which is the point. A nil Slot decodes.
 //
 // share may return the master itself when no taker can write into it (a
 // frozen object of scalars and strings), and must copy whatever a taker can
@@ -108,6 +110,20 @@ func (s *Slot) Take(decode func() (any, error), share func(any) any) (any, error
 		return v, nil
 	}
 	return share(s.master), nil
+}
+
+// drop gives back the turn of a delivery that will never take: one its
+// client's column refused, or one its client's backlog discarded. The last
+// turn given back lets the master go. A nil Slot has no turns.
+func (s *Slot) drop() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if s.takers--; s.takers == 0 {
+		s.master, s.decoded = nil, false
+	}
+	s.mu.Unlock()
 }
 
 // appendHop records an intra-node stage hop on a traced delivery, with
@@ -850,7 +866,9 @@ func (c *Client) Close() error {
 // shutdown closes every column under its own lock, so nothing is enqueued
 // after it returns. A client shut down by Daemon.Close stays drainable to
 // its last entry; one its application closed (discard) settles what it
-// leaves behind: payloads released, Client.depth and the lane gauges reduced.
+// leaves behind: payloads released, slot turns given back (the column's lock
+// is taken before a slot's, never after), Client.depth and the lane gauges
+// reduced.
 func (c *Client) shutdown(discard bool) {
 	c.closed.Store(true)
 	for i := range c.lanes {
@@ -858,6 +876,9 @@ func (c *Client) shutdown(discard bool) {
 		q.mu.Lock()
 		q.closed = true
 		if discard {
+			for _, dv := range q.queue[q.head:] {
+				dv.Slot.drop()
+			}
 			left := int64(len(q.queue) - q.head)
 			q.queue, q.head = nil, 0
 			q.n.Store(0)
@@ -1081,11 +1102,13 @@ func (d *Daemon) routeGuaranteed(ln *lane, origin string, dv Delivery, local boo
 // publications: ln's column of each client's queue takes the enqueue, so
 // senders on different lanes share no queue lock, and one sender's
 // deliveries reach a client's column from one goroutine, in order. A fan-out
-// to several clients costs one allocation, the Slot they decode through.
-// local says the delivery is the daemon's own publication, whose payload the
-// publisher only lends: it costs one more allocation, the copy the
-// deliveries share, and only when some client matches. An inbound payload is
-// a view of a datagram that is this publication's alone, delivered as it is.
+// to several clients shares one Slot to decode through, carved from ln's
+// chunk: one allocation per 64 such fan-outs on the lane. A delivery a
+// client's column refuses gives its slot turn back. local says the delivery
+// is the daemon's own publication, whose payload the publisher only lends:
+// it costs one allocation, the copy the deliveries share, and only when some
+// client matches. An inbound payload is a view of a datagram that is this
+// publication's alone, delivered as it is.
 func (d *Daemon) routeLocal(ln *lane, dv Delivery, local bool) int {
 	if dv.TraceID != 0 {
 		// One lane-enqueue hop per publication (not per subscriber): the
@@ -1104,12 +1127,14 @@ func (d *Daemon) routeLocal(ln *lane, dv Delivery, local bool) int {
 	if len(matches) > 1 {
 		// Counted before the first enqueue: a client may take while the
 		// fan-out is still running.
-		dv.Slot = &Slot{takers: len(matches)}
+		dv.Slot = ln.newSlot(len(matches))
 	}
 	delivered := 0
 	for _, c := range matches {
 		if c.enqueue(ln, dv) {
 			delivered++
+		} else {
+			dv.Slot.drop()
 		}
 	}
 	if delivered == 0 {

@@ -3,6 +3,7 @@ package daemon
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -73,6 +74,29 @@ type lane struct {
 	// its senders' families — contending only with the lane's own
 	// deliveries. A family several lanes see is summed by TopSubjects.
 	topk *telemetry.TopK
+	// slots is the chunk this lane's fan-outs carve their Slots from
+	// (newSlot). slotMu guards it: lane 0 is shared by its inbound worker
+	// and every local publisher.
+	slotMu sync.Mutex
+	slots  []Slot
+}
+
+// slotChunk is the number of Slots a lane carves from one allocation.
+const slotChunk = 64
+
+// newSlot carves a Slot for n takers from the lane's chunk. A full chunk is
+// dropped, never reset (the rule wire's value blocks follow): no slot is
+// reused, and a chunk lives while any delivery still holds one of its slots.
+func (ln *lane) newSlot(n int) *Slot {
+	ln.slotMu.Lock()
+	defer ln.slotMu.Unlock()
+	if len(ln.slots) == cap(ln.slots) {
+		ln.slots = make([]Slot, 0, slotChunk)
+	}
+	ln.slots = ln.slots[:len(ln.slots)+1]
+	s := &ln.slots[len(ln.slots)-1]
+	s.takers = n
+	return s
 }
 
 // laneTopK bounds each lane's subject-family table. Families beyond the

@@ -2,6 +2,9 @@ package daemon
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -256,5 +259,201 @@ func TestInboundDropsCountedAndRecorded(t *testing.T) {
 	}
 	if got := d.Stats().Inbound; got != 0 {
 		t.Fatalf("inbound = %d, want 0: a dropped frame is not a publication", got)
+	}
+}
+
+// fanoutHost is one daemon on one lane with n clients subscribed to pat, and
+// a worker state for lane 0: handleMessage on it is what the lane's inbound
+// worker does with a datagram.
+func fanoutHost(t *testing.T, n int, pat string) (*Daemon, *worker, []*Client) {
+	t.Helper()
+	seg, rcfg := newSegment(t)
+	d := New(newEndpoint(t, seg, "host"), rcfg, Options{DeliveryLanes: 1})
+	t.Cleanup(func() { _ = d.Close() })
+	clients := make([]*Client, n)
+	for i := range clients {
+		c, err := d.NewClient(fmt.Sprintf("app%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Subscribe(subject.MustParsePattern(pat)); err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	return d, d.newWorker(d.lanes[0]), clients
+}
+
+// inbound is a datagram carrying one publication from a peer.
+func inbound(subj, payload string) reliable.Message {
+	return reliable.Message{From: "peer", Payload: busproto.Encode(busproto.Envelope{
+		Kind: busproto.KindPublish, Subject: subj, Payload: []byte(payload)})}
+}
+
+// TestSlotTurnsGivenBack: a slot's count is exact. A delivery its client's
+// column refuses gives its turn back, so the last real taker is handed the
+// master itself and share runs once for three matches, not twice; a backlog
+// its client discards gives its turns back, so the slot lets the master go.
+func TestSlotTurnsGivenBack(t *testing.T) {
+	d, w, clients := fanoutHost(t, 3, "turns.>")
+	shares := 0
+	share := func(v any) any { shares++; return slices.Clone(v.([]byte)) }
+	take := func(dv Delivery) {
+		t.Helper()
+		decode := func() (any, error) { return slices.Clone(dv.Payload), nil }
+		if v, err := dv.Slot.Take(decode, share); err != nil || string(v.([]byte)) != string(dv.Payload) {
+			t.Fatalf("take = %q, %v; want %q", v, err, dv.Payload)
+		}
+	}
+
+	// The third client's columns close between the match and the enqueue,
+	// as when its Close races the fan-out.
+	clients[2].shutdown(false)
+	d.handleMessage(w, inbound("turns.refused", "refused"))
+	for _, c := range clients[:2] {
+		dv, ok := c.TryNext()
+		if !ok || dv.Slot == nil {
+			t.Fatal("no fanned-out delivery")
+		}
+		take(dv)
+	}
+	if shares != 1 {
+		t.Fatalf("share ran %d times for two real takers, want 1: the last is handed the master", shares)
+	}
+
+	d, w, clients = fanoutHost(t, 3, "turns.>")
+	d.handleMessage(w, inbound("turns.discarded", "discarded"))
+	dv, ok := clients[0].TryNext()
+	if !ok || dv.Slot == nil {
+		t.Fatal("no fanned-out delivery")
+	}
+	take(dv)
+	for _, c := range clients[1:] {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dv.Slot.mu.Lock()
+	defer dv.Slot.mu.Unlock()
+	if dv.Slot.takers != 0 || dv.Slot.master != nil {
+		t.Fatalf("after the other two backlogs were discarded: %d takers, master %v; want 0 and nil",
+			dv.Slot.takers, dv.Slot.master)
+	}
+}
+
+// TestSlotCarveConcurrent (run under -race): lane 0's slot chunk is carved
+// at once by four local publishers and by the lane's inbound work, while
+// three clients take what they are handed. Every delivery reaches each
+// client once, through a slot of its own publication, and every value is
+// intact.
+func TestSlotCarveConcurrent(t *testing.T) {
+	const publishers, per, nclients = 4, 300, 3
+	d, w, clients := fanoutHost(t, nclients, "carve.>")
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			subj := subject.MustParse(fmt.Sprintf("carve.local%d", p))
+			for i := 0; i < per; i++ {
+				if err := d.Publish(subj, []byte(fmt.Sprintf("local%d-%d", p, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < per; i++ {
+			d.handleMessage(w, inbound("carve.inbound", fmt.Sprintf("inbound-%d", i)))
+		}
+	}()
+
+	const want = (publishers + 1) * per
+	slots := make([]map[*Slot]string, nclients)
+	stop := make(chan struct{})
+	timer := time.AfterFunc(20*time.Second, func() { close(stop) })
+	defer timer.Stop()
+	var consumers sync.WaitGroup
+	for k, c := range clients {
+		slots[k] = make(map[*Slot]string, want)
+		consumers.Add(1)
+		go func(k int, c *Client) {
+			defer consumers.Done()
+			seen := make(map[string]bool, want)
+			for len(seen) < want {
+				dv, ok := c.Next(stop)
+				if !ok {
+					t.Errorf("client %d: %d of %d deliveries", k, len(seen), want)
+					return
+				}
+				decode := func() (any, error) { return slices.Clone(dv.Payload), nil }
+				v, err := dv.Slot.Take(decode, func(v any) any { return slices.Clone(v.([]byte)) })
+				if err != nil || string(v.([]byte)) != string(dv.Payload) {
+					t.Errorf("client %d: took %q, %v from a delivery of %q", k, v, err, dv.Payload)
+					return
+				}
+				if seen[string(dv.Payload)] {
+					t.Errorf("client %d: %q delivered twice", k, dv.Payload)
+					return
+				}
+				seen[string(dv.Payload)] = true
+				slots[k][dv.Slot] = string(dv.Payload)
+			}
+		}(k, c)
+	}
+	wg.Wait()
+	consumers.Wait()
+	if t.Failed() {
+		return
+	}
+	for k := range slots {
+		if len(slots[k]) != want {
+			t.Fatalf("client %d took through %d slots, want one for each of %d publications", k, len(slots[k]), want)
+		}
+		for s, payload := range slots[k] {
+			if slots[0][s] != payload {
+				t.Fatalf("slot of %q at client 0 is the slot of %q at client %d", slots[0][s], payload, k)
+			}
+			if s.takers != 0 || s.master != nil {
+				t.Fatalf("slot of %q: %d takers left, master %v; want 0 and nil", payload, s.takers, s.master)
+			}
+		}
+	}
+}
+
+// TestFanoutCarvesSlots: once warm, an inbound publication fanned out to
+// four clients allocates nothing of its own — its slot is carved from the
+// lane's chunk — so 6 400 fan-outs make one chunk per 64 and a few
+// allocations of slack. Counted by MemStats.Mallocs: AllocsPerRun would
+// truncate the 1/64 per fan-out to 0.
+func TestFanoutCarvesSlots(t *testing.T) {
+	d, w, clients := fanoutHost(t, 4, "fan.>")
+	m := inbound("fan.x", "payload")
+	fanout := func() {
+		d.handleMessage(w, m)
+		for _, c := range clients {
+			if dv, ok := c.TryNext(); !ok || dv.Slot == nil {
+				t.Fatal("no fanned-out delivery")
+			}
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		fanout()
+	}
+	const n = 6400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		fanout()
+	}
+	runtime.ReadMemStats(&after)
+	got, budget := after.Mallocs-before.Mallocs, uint64(n/slotChunk+8)
+	t.Logf("%d fan-outs to four clients: %d mallocs", n, got)
+	if got > budget {
+		t.Fatalf("%d fan-outs to four clients made %d mallocs, budget %d: one slot chunk per %d, +8",
+			n, got, budget, slotChunk)
 	}
 }

@@ -9,10 +9,12 @@ import (
 
 	"infobus/internal/busproto"
 	"infobus/internal/mesh"
+	"infobus/internal/mop"
 	"infobus/internal/reliable"
 	"infobus/internal/subject"
 	"infobus/internal/telemetry"
 	"infobus/internal/transport"
+	"infobus/internal/wire"
 )
 
 // nullSegment is a transport.Segment whose endpoints swallow every
@@ -109,6 +111,13 @@ type trafficClass struct {
 
 func trafficClasses() []trafficClass {
 	payload := make([]byte, 256)
+	// A compact publication that carries its class definitions, as the first
+	// one and one in wire.DefaultResendEvery do: the router harvests them.
+	tick := mop.MustNewClass("Tick", nil, []mop.Attr{{Name: "seq", Type: mop.Int}, {Name: "symbol", Type: mop.String}}, nil)
+	resend, err := wire.NewSendDict(0).Marshal(mop.MustNew(tick).MustSet("seq", int64(1)).MustSet("symbol", "ABCD"))
+	if err != nil || !wire.CompactCarriesDefs(resend) {
+		panic("no compact resend payload")
+	}
 	return []trafficClass{
 		{"plain", busproto.Envelope{Kind: busproto.KindPublish, Subject: "bench.alloc.data", Payload: payload}, true},
 		{"guaranteed", busproto.Envelope{Kind: busproto.KindGuaranteed, ID: 7, Origin: "sim:0#orig",
@@ -120,6 +129,7 @@ func trafficClasses() []trafficClass {
 		// Longer than the 32 bytes a non-escaping string(subject) gets on the
 		// stack: the probe dispatch must compare the view, not convert it.
 		{"_sys", busproto.Envelope{Kind: busproto.KindPublish, Subject: "_sys.stats.a-node-name-well-over-32-bytes", Payload: payload}, true},
+		{"compact resend", busproto.Envelope{Kind: busproto.KindPublishCompact, Subject: "bench.alloc.compact", Payload: resend}, true},
 	}
 }
 
@@ -128,8 +138,10 @@ func trafficClasses() []trafficClass {
 // the mesh agent running as it does in every router: peek, link-local
 // check on the subject view, interner hit, rule scan, wants-trie cache hit,
 // egress frames spliced into the attachment's scratch, three egress
-// publishes into pooled retransmit windows. scripts/check.sh runs this as a gate; if it fails, the router
-// data plane gained per-message garbage.
+// publishes into pooled retransmit windows; for a compact publication that
+// carries class definitions, a harvest the table memo answers.
+// scripts/check.sh runs this as a gate; if it fails, the router data plane
+// gained per-message garbage.
 func TestRouterForwardAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the budget is pinned by the non-race run in scripts/check.sh")

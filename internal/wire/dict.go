@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -17,13 +16,14 @@ import (
 //     has already put on the medium and thereafter sends only their
 //     fingerprints (fingerprint.go);
 //   - a TypeCache on every receiving side maps fingerprints back to
-//     resolved *mop.Type and remembers, per reference-only table section,
-//     the class table those fingerprints resolve to (the table memo
-//     below), so a steady-state message goes from its header straight to
+//     resolved *mop.Type and remembers, per class table section, the class
+//     table it resolves to (the table memo below), so a message whose
+//     section the host has seen goes from its header straight to
 //     readValue: no resolver, no per-message table, nothing allocated
-//     before the value. A message that carries inline definitions (the
-//     first, and one in ResendEvery) is parsed and resolved by
-//     readCompactTable as before;
+//     before the value. That holds for a section carrying inline
+//     definitions (the first message, and one in ResendEvery) as for a
+//     reference-only one: resolving a section again would install nothing
+//     new, since a fingerprint keeps the class it was first installed with;
 //   - a receiver missing a fingerprint (late joiner, dropped datagram,
 //     router segment boundary) reports MissingFingerprintsError and the bus
 //     layer NAKs via the reserved _sys.class.req subject; any holder
@@ -138,8 +138,8 @@ type TypeCache struct {
 //     and the parser agree on where the section ends.
 type tableEntry struct {
 	reg *mop.Registry
-	// Compact (version 2) reference-only section: the class table, indexed
-	// by the value's class references. Never nil.
+	// Compact (version 2) section: the class table, definitions then
+	// references, indexed by the value's class references. Never nil.
 	table []*mop.Type
 	// Self-describing (version 1) section: the parsed descriptions and the
 	// classes resolved from them so far.
@@ -176,9 +176,9 @@ func NewTypeCache(size int) *TypeCache {
 // Counter is the one method of a telemetry counter the cache uses.
 type Counter interface{ Inc() }
 
-// CountMemo makes the cache count table-memo misses (decodes that parsed
-// and resolved their class table) and tables it could not remember because
-// the memo was full. Call it before the cache is shared.
+// CountMemo makes the cache count table-memo misses (decodes and harvests
+// that parsed and resolved their class table) and tables it could not
+// remember because the memo was full. Call it before the cache is shared.
 func (c *TypeCache) CountMemo(miss, full Counter) {
 	c.memoMiss, c.memoFull = miss, full
 }
@@ -233,7 +233,8 @@ func (c *TypeCache) lookupTable(section []byte, reg *mop.Registry) *tableEntry {
 	return e
 }
 
-// countMiss counts a decode that has to parse and resolve its class table.
+// countMiss counts a decode or harvest that has to parse and resolve its
+// class table.
 func (c *TypeCache) countMiss() {
 	if c != nil && c.memoMiss != nil {
 		c.memoMiss.Inc()
@@ -422,46 +423,62 @@ func unmarshal(data []byte, reg *mop.Registry, cache *TypeCache, vals *valueBloc
 }
 
 // unmarshalCompact decodes the body of a VersionCompact message (r is
-// positioned just past the header). A reference-only class table — every
-// message but the first and one in ResendEvery — is looked up in the table
-// memo by its bytes; a hit allocates nothing before the value.
+// positioned just past the header).
 func unmarshalCompact(r *reader, reg *mop.Registry, cache *TypeCache) (mop.Value, error) {
-	var section []byte
-	end, walked := skipRefTable(r.data, r.pos)
-	if walked {
-		section = r.data[r.pos-1 : end]
-		if e := cache.lookupTable(section, reg); e != nil {
-			r.pos = end
-			return readValue(r, nil, e.table, 0)
-		}
-	}
-	cache.countMiss()
-	res, table, missing, err := readCompactTable(r, reg, cache)
+	table, missing, err := compactTable(r, reg, cache)
 	if err != nil {
 		return nil, err
 	}
 	if len(missing) > 0 {
 		return nil, &MissingFingerprintsError{FPs: missing}
 	}
-	if cache != nil && walked && r.pos == end {
-		cache.storeTable(section, nil, &tableEntry{reg: reg, table: table})
-	}
-	return readValue(r, res, table, 0)
+	return readValue(r, nil, table, 0)
 }
 
-// skipRefTable returns the offset just past a reference-only compact class
-// table starting at pos — no definitions, then a count and that many
-// fingerprints — or false when the table carries definitions or is cut
-// short.
-func skipRefTable(data []byte, pos int) (end int, ok bool) {
-	if pos >= len(data) || data[pos] != 0 {
+// compactTable returns the class table of the compact message r is
+// positioned in (just past the header), leaving r at the value. The table
+// section is looked up in the table memo by its bytes, definitions or not; a
+// hit allocates nothing and has nothing left to install. A miss is parsed
+// and resolved by readCompactTable, and remembered when it resolved in full.
+func compactTable(r *reader, reg *mop.Registry, cache *TypeCache) (table []*mop.Type, missing []uint64, err error) {
+	var section []byte
+	end, walked := skipCompactTable(r.data, r.pos)
+	if walked {
+		section = r.data[r.pos-1 : end]
+		if e := cache.lookupTable(section, reg); e != nil {
+			r.pos = end
+			return e.table, nil, nil
+		}
+	}
+	cache.countMiss()
+	table, missing, err = readCompactTable(r, reg, cache)
+	if err == nil && len(missing) == 0 && cache != nil && walked && r.pos == end {
+		cache.storeTable(section, nil, &tableEntry{reg: reg, table: table})
+	}
+	return table, missing, err
+}
+
+// skipCompactTable returns the offset just past the compact class table
+// that starts at pos — a count and that many (fingerprint, definition)
+// pairs, then a count and that many fingerprints — walking varints and
+// string lengths only, or false when the table is cut short or over a
+// count cap.
+func skipCompactTable(data []byte, pos int) (end int, ok bool) {
+	s := reader{data: data, pos: pos}
+	ndefs, err := s.readUvarint()
+	if err != nil || ndefs > maxDictClasses {
 		return 0, false
 	}
-	nrefs, n := binary.Uvarint(data[pos+1:])
-	if n <= 0 || nrefs > maxDictClasses {
+	for i := uint64(0); i < ndefs; i++ {
+		if _, err := s.readUint64(); err != nil || !s.skipTypeDef() {
+			return 0, false
+		}
+	}
+	nrefs, err := s.readUvarint()
+	if err != nil || nrefs > maxDictClasses {
 		return 0, false
 	}
-	end = pos + 1 + n + 8*int(nrefs)
+	end = s.pos + 8*int(nrefs)
 	return end, end <= len(data)
 }
 
@@ -473,13 +490,13 @@ func skipRefTable(data []byte, pos int) (end int, ok bool) {
 // whose resolution depends on a missing ref are skipped (and their table
 // slots left nil) — harmless because the caller does not decode the value
 // when missing is non-empty.
-func readCompactTable(r *reader, reg *mop.Registry, cache *TypeCache) (*resolver, []*mop.Type, []uint64, error) {
+func readCompactTable(r *reader, reg *mop.Registry, cache *TypeCache) ([]*mop.Type, []uint64, error) {
 	ndefs, err := r.readUvarint()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if ndefs > maxDictClasses {
-		return nil, nil, nil, fmt.Errorf("def table of %d: %w", ndefs, ErrTooLarge)
+		return nil, nil, fmt.Errorf("def table of %d: %w", ndefs, ErrTooLarge)
 	}
 	type fpDef struct {
 		fp  uint64
@@ -490,11 +507,11 @@ func readCompactTable(r *reader, reg *mop.Registry, cache *TypeCache) (*resolver
 	for i := uint64(0); i < ndefs; i++ {
 		fp, err := r.readUint64()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		def, err := readTypeDef(r)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		defs = append(defs, fpDef{fp: fp, def: def})
 		if res.defs == nil {
@@ -504,17 +521,17 @@ func readCompactTable(r *reader, reg *mop.Registry, cache *TypeCache) (*resolver
 	}
 	nrefs, err := r.readUvarint()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if nrefs > maxDictClasses {
-		return nil, nil, nil, fmt.Errorf("ref table of %d: %w", nrefs, ErrTooLarge)
+		return nil, nil, fmt.Errorf("ref table of %d: %w", nrefs, ErrTooLarge)
 	}
 	refs := make([]*mop.Type, 0, r.prealloc(nrefs))
 	var missing []uint64
 	for i := uint64(0); i < nrefs; i++ {
 		fp, err := r.readUint64()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if t, ok := cache.Lookup(fp); ok {
 			refs = append(refs, t)
@@ -535,7 +552,7 @@ func readCompactTable(r *reader, reg *mop.Registry, cache *TypeCache) (*resolver
 			// resolve; install what we can and let the NAK path fill the
 			// rest. With the full closure present, failure is a real error.
 			if len(missing) == 0 {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			table = append(table, nil)
 			continue
@@ -544,7 +561,7 @@ func readCompactTable(r *reader, reg *mop.Registry, cache *TypeCache) (*resolver
 		table = append(table, t)
 	}
 	table = append(table, refs...)
-	return res, table, missing, nil
+	return table, missing, nil
 }
 
 // MarshalDefs encodes the full definitions (closures included) of the given
@@ -579,13 +596,14 @@ func MarshalDefs(types []*mop.Type) ([]byte, error) {
 // become _sys.class.req answerers for definitions that crossed their
 // segment; daemons use it on _sys.class.def replies. Messages that carry no
 // definitions (or are not compact) are ignored. Unresolvable references are
-// not an error — harvesting is best-effort by design.
+// not an error — harvesting is best-effort by design. A table section the
+// cache has memoised was harvested before, so harvesting it again costs a
+// lookup and allocates nothing.
 func HarvestDefs(data []byte, reg *mop.Registry, cache *TypeCache) error {
 	if !IsCompact(data) {
 		return nil
 	}
-	r := &reader{data: data, pos: 3}
-	_, _, _, err := readCompactTable(r, reg, cache)
+	_, _, err := compactTable(&reader{data: data, pos: 3}, reg, cache)
 	return err
 }
 

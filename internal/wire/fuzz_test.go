@@ -313,7 +313,22 @@ func FuzzUnmarshalCompact(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// first with one byte of its first definition (the class name's first
+	// letter) flipped: another table section, which must miss the memo that
+	// first's section is in.
+	flipped := bytes.Clone(first)
+	flipped[3+1+8+1] ^= 0x20
+	var miss countingCounter
+	memoReg, memo := mop.NewRegistry(), NewTypeCache(0)
+	memo.CountMemo(&miss, nil)
+	for _, m := range [][]byte{first, first, flipped} {
+		_, _ = UnmarshalWith(m, memoReg, memo)
+	}
+	if miss.n.Load() != 2 {
+		f.Fatalf("%d memo misses for first, first again and a flipped first; want 2", miss.n.Load())
+	}
 	f.Add(first)
+	f.Add(flipped)
 	f.Add(steady)
 	f.Add(withBytes)
 	f.Add(defsOnly)

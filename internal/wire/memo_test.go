@@ -128,7 +128,7 @@ func nilValued(t testing.TB, msg []byte) []byte {
 	var end int
 	var ok bool
 	if IsCompact(msg) {
-		end, ok = skipRefTable(msg, 3)
+		end, ok = skipCompactTable(msg, 3)
 	} else {
 		end, ok = skipTypeTable(msg, 3)
 	}
@@ -144,8 +144,9 @@ func nilValued(t testing.TB, msg []byte) []byte {
 // the object with its slots in one block, a list's elements and the boxes
 // of a []byte view and a list; an int, float, time or short string is
 // carved from the decode's block, which costs a chunk or a block only when
-// the last is full — and nothing at all for the table: 1 for the compact
-// Tick, 2 for the self-describing Quote, 5 for the Story.
+// the last is full — and nothing at all for the table, whether it carries
+// definitions or references only: 1 for the compact Tick either way, 2 for
+// the self-describing Quote, 5 for the Story.
 func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 	tick, quote := tickType(), quoteType()
 	dict := NewSendDict(1 << 30) // no inline fallback during the run
@@ -167,6 +168,7 @@ func TestUnmarshalSteadyStateAllocs(t *testing.T) {
 		budget float64
 	}{
 		{"compact Tick", first, steady, 1},
+		{"compact Tick with definitions", first, first, 1},
 		{"self-describing Quote", legacy, legacy, 2},
 		{"self-describing Story", story, story, 5},
 	} {
@@ -440,8 +442,13 @@ func TestMemoConflictNeverMemoised(t *testing.T) {
 	// Compact: the redefinition arrives as a def under a new fingerprint and
 	// conflicts; its reference-only successor misses a fingerprint for ever.
 	reg, cache = checkMemoTransparent(t, nil, compact...)
-	if len(cache.tables) != 1 {
-		t.Fatalf("%d compact tables memoised, want the old version's alone", len(cache.tables))
+	if len(cache.tables) != 2 {
+		t.Fatalf("%d compact tables memoised, want the old version's two sections alone", len(cache.tables))
+	}
+	for _, m := range compact[2:4] {
+		if cache.tables[sectionOf(t, m)] != nil {
+			t.Fatal("a redefinition's table was memoised")
+		}
 	}
 	if _, err := UnmarshalWith(compact[4], reg, cache); err != nil {
 		t.Fatalf("old-version publisher after the redefinition: %v", err)
@@ -478,10 +485,11 @@ func TestMemoRegistryIdentity(t *testing.T) {
 	}
 }
 
-// TestMemoCompactDefsBetweenRefs: one message in ResendEvery carries its
-// definitions again; it is parsed, and the reference-only ones around it
-// keep hitting.
-func TestMemoCompactDefsBetweenRefs(t *testing.T) {
+// TestMemoCompactSectionsMissOnce: one message in ResendEvery carries its
+// definitions again, in the bytes the first one carried them in; each of the
+// two table sections is parsed once, the first time it is seen, and hits
+// from then on.
+func TestMemoCompactSectionsMissOnce(t *testing.T) {
 	tick := tickType()
 	dict := NewSendDict(3)
 	var seq [][]byte
@@ -507,8 +515,8 @@ func TestMemoCompactDefsBetweenRefs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := miss.n.Load(); got != 4 { // 3 with defs + the first reference-only one
-		t.Fatalf("%d memo misses over 9 messages, want 4", got)
+	if got := miss.n.Load(); got != 2 { // the first with defs + the first reference-only one
+		t.Fatalf("%d memo misses over 9 messages, want 2", got)
 	}
 	checkMemoTransparent(t, nil, seq...)
 }

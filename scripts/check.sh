@@ -78,7 +78,7 @@ go test -run TestPublishDeliverHistoryAllocBudget -count=1 .
 echo "==> alloc gate (guaranteed publish budget)"
 go test -run TestGuaranteedPublishAllocBudget -count=1 .
 
-echo "==> alloc gate (one host, four applications, one publication: one decode, one slot, no clone)"
+echo "==> alloc gate (one host, four applications, one publication: one decode, no slot allocation, no clone)"
 go test -run TestHostFanoutDecodeAllocBudget -count=1 .
 
 echo "==> a delivered object is frozen (Set/SetAt fail with ErrFrozen, Clone edits; shared by every bus, or a frozen copy each with a []byte or List part)"
@@ -109,7 +109,7 @@ go test -run 'TestGroupCommitFsyncBudget|TestStuckMessageCarried|TestFailedAppen
 echo "==> wire-bytes gate (steady-state dictionary compression >= 40%; both formats byte-golden)"
 go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/wire/
 
-echo "==> alloc gate (steady-state encode 0 allocs; warm decode allocates what it returns, 0 for the table)"
+echo "==> alloc gate (steady-state encode 0 allocs; warm decode allocates what it returns, 0 for any table, definitions or not)"
 go test -run 'TestSendDictSteadyStateAllocs|TestUnmarshalSteadyStateAllocs' -count=1 ./internal/wire/
 
 echo "==> alloc gate (decoded strings share a block; a decode's counts preallocate O(payload))"
@@ -160,6 +160,9 @@ if [ "$quick" -eq 0 ]; then
     go test -race -count=5 -run 'TestCrossLaneSenderFIFO|TestCrossLaneLocalFIFO|TestSingleLaneGoldenEquivalence|TestGuaranteedExactlyOnceAcrossLanes|TestLaneWiring|TestCloseDrainsWorkers|TestPerSenderFIFOProperty|TestPopNoStarvation|TestClientCloseSettlesBacklog|TestLaneDepthsCoherent|TestSlotConcurrentTakers' ./internal/daemon/
     go test -race -count=5 -run 'TestStressLossyChurn|TestOneLoopPerHost|TestStalledSubscriberDoesNotStopTheLoop|TestDeliveredObjectIsFrozen|TestClassNakThroughTheSlot' ./internal/core/
     go test -race -count=5 -run 'TestOneLoopPerRouter|TestSysGoldenBytes' ./internal/router/
+
+    echo "==> slots carved from lane 0's chunk by local publishers and its inbound work at once, and turns given back exactly (race build, 5 runs)"
+    go test -race -count=5 -run 'TestSlotCarveConcurrent|TestSlotTurnsGivenBack' ./internal/daemon/
 
     echo "==> the ledger's reused batches, concurrent walks and released payload blocks (race build, 5 runs)"
     go test -race -count=5 -run 'TestConcurrentAppendAck|TestGroupCommitFsyncBudget|TestForEachPendingConcurrent|TestBatchOutcomeStaysWithItsWaiters|TestCarryReleasesBlocks' ./internal/ledger/
