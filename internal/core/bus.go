@@ -52,10 +52,6 @@ type Host struct {
 	// only when HostConfig.CompactTypes enables compact publishing.
 	typeCache *wire.TypeCache
 	sendDict  *wire.SendDict
-	// subjects interns the subjects applications publish on, so a repeated
-	// subject is a map hit, not a strings.Split. The daemon's interners
-	// serve the inbound path and stay its own.
-	subjects *subject.Interner
 	// payloadHint is the size of the last payload marshal encoded: the
 	// capacity its scratch buffer starts from.
 	payloadHint atomic.Int64
@@ -262,7 +258,6 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 			classDefsHarvested:  metrics.Counter("bus.class_defs_harvested"),
 		},
 		typeCache: wire.NewTypeCache(0),
-		subjects:  subject.NewInterner(0),
 		tracing:   cfg.Telemetry.tracePeriod() > 0,
 	}
 	// Table-memo hits are bus.events minus the misses.
@@ -601,7 +596,7 @@ func (b *Bus) Publish(subj string, value mop.Value) error {
 	if closed {
 		return ErrClosed
 	}
-	s, err := b.host.subjects.Parse(subj)
+	s, err := subject.Parse(subj)
 	if err != nil {
 		return err
 	}
@@ -654,7 +649,7 @@ func (b *Bus) PublishGuaranteed(subj string, value mop.Value) (uint64, error) {
 	if closed {
 		return 0, ErrClosed
 	}
-	s, err := b.host.subjects.Parse(subj)
+	s, err := subject.Parse(subj)
 	if err != nil {
 		return 0, err
 	}

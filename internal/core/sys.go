@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"infobus/internal/busproto"
+	"infobus/internal/subject"
 	"infobus/internal/sysagent"
 	"infobus/internal/telemetry"
 )
@@ -38,7 +39,7 @@ func (h *Host) sysConfig() sysagent.Config {
 // daemon returns ErrClosed, which is fine. The payload is lent, as every
 // publication a host originates is.
 func (h *Host) publishSys(subj string, payload []byte) {
-	s, err := h.subjects.Parse(subj)
+	s, err := subject.Parse(subj)
 	if err != nil {
 		return
 	}

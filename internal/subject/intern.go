@@ -2,11 +2,11 @@ package subject
 
 import "sync"
 
-// Interner caches Parse results by raw string. Daemons and routers parse
-// the subject of every inbound publication; workloads repeat subjects
-// heavily (the paper's Figure 6/7 runs publish thousands of messages per
-// subject), so interning turns the per-message strings.Split allocation
-// into a map hit. Safe for concurrent use.
+// Interner caches Parse results by raw bytes. Daemons and routers parse the
+// subject of every inbound frame; Parse allocates nothing, so interning
+// saves only the string copy of the bytes. Workloads repeat subjects heavily
+// (the paper's Figure 6/7 runs publish thousands of messages per subject),
+// so most frames are a map hit. Safe for concurrent use.
 //
 // The cache is bounded: when full, new subjects are parsed but not cached
 // (no eviction bookkeeping, and no clear-on-overflow churn — a workload
@@ -32,39 +32,30 @@ func NewInterner(max int) *Interner {
 	return &Interner{max: max, m: make(map[string]Subject)}
 }
 
-// Parse is Subject Parse with caching: repeated raws return the identical
-// Subject value without re-splitting.
-func (in *Interner) Parse(raw string) (Subject, error) {
-	in.mu.Lock()
-	if s, ok := in.m[raw]; ok {
-		in.mu.Unlock()
-		return s, nil
-	}
-	in.mu.Unlock()
-	s, err := Parse(raw)
-	if err != nil {
-		return Subject{}, err
-	}
-	in.mu.Lock()
-	if len(in.m) < in.max {
-		in.m[raw] = s
-	}
-	in.mu.Unlock()
-	return s, nil
-}
+// Parse is Subject Parse. A subject that is already a string has no copy
+// to save, so it is neither looked up nor cached.
+func (in *Interner) Parse(raw string) (Subject, error) { return Parse(raw) }
 
 // ParseBytes is Parse for a subject that arrived as a byte slice (a
 // busproto.Header view aliasing a wire frame). On a cache hit — the
 // steady state of a forwarding engine — it allocates nothing: the map
-// probe uses the compiler's zero-copy []byte→string lookup. Only a miss
-// pays the string conversion, and the interned key copies the bytes, so
-// the cache never aliases the caller's frame.
+// probe uses the compiler's zero-copy []byte→string lookup. A miss probes
+// once, then copies the bytes (its one allocation), parses the copy and
+// inserts it, so the cache never aliases the caller's frame.
 func (in *Interner) ParseBytes(raw []byte) (Subject, error) {
 	in.mu.Lock()
-	if s, ok := in.m[string(raw)]; ok {
-		in.mu.Unlock()
+	s, ok := in.m[string(raw)]
+	in.mu.Unlock()
+	if ok {
 		return s, nil
 	}
-	in.mu.Unlock()
-	return in.Parse(string(raw))
+	s, err := Parse(string(raw))
+	if err == nil {
+		in.mu.Lock()
+		if len(in.m) < in.max {
+			in.m[s.raw] = s
+		}
+		in.mu.Unlock()
+	}
+	return s, err
 }

@@ -17,6 +17,10 @@
 //
 // Subject comparisons are case-sensitive and byte-wise; the bus never
 // interprets element content.
+//
+// A Subject is its canonical string, depth and prefix hash: Parse allocates
+// nothing, matching walks the string, only Subject.Elements splits (and
+// allocates). Trie.Match may return one node's own value set.
 package subject
 
 import (
@@ -51,7 +55,7 @@ const SysPrefix = "_sys"
 
 // IsSys reports whether the subject lies in the reserved "_sys.>" space.
 func IsSys(s Subject) bool {
-	return len(s.elements) > 0 && s.elements[0] == SysPrefix
+	return s.raw == SysPrefix || strings.HasPrefix(s.raw, SysPrefix+sep)
 }
 
 // Common validation errors. Parse and ParsePattern wrap these with position
@@ -68,10 +72,11 @@ var (
 )
 
 // Subject is a parsed, validated, concrete (wildcard-free) subject name.
-// The zero value is invalid; construct via Parse or MustParse.
+// The zero value is invalid; construct via Parse or MustParse. Its elements
+// are not kept: the walks that need them cut them from raw.
 type Subject struct {
-	raw      string
-	elements []string
+	raw   string
+	depth int32
 	// shardKey is a hash of the subject-prefix (the first two elements),
 	// computed once at parse time so picking the trie's match-cache shard
 	// costs the hot path nothing. Subjects sharing a two-element prefix
@@ -88,42 +93,31 @@ type Pattern struct {
 	hasRest  bool
 }
 
-// Parse validates and parses a concrete subject name. Wildcard characters
+// Parse validates and parses a concrete subject name. Wildcard elements
 // are rejected: concrete subjects label published data objects and must
-// identify exactly one point in the subject hierarchy.
+// identify exactly one point in the subject hierarchy. It allocates nothing.
 func Parse(s string) (Subject, error) {
-	elems, err := split(s)
+	depth, family, wild, err := scan(s)
 	if err != nil {
 		return Subject{}, err
 	}
-	for i, e := range elems {
-		if e == WildcardOne || e == WildcardRest {
-			return Subject{}, fmt.Errorf("element %d of %q: %w", i, s, ErrWildcardInName)
-		}
+	if wild >= 0 {
+		return Subject{}, fmt.Errorf("element %d of %q: %w", wild, s, ErrWildcardInName)
 	}
-	return Subject{raw: s, elements: elems, shardKey: shardHash(elems)}, nil
+	return Subject{raw: s, depth: int32(depth), shardKey: shardHash(s[:family])}, nil
 }
 
 // shardHash is FNV-1a over the subject-prefix: the first two elements (or
-// the single element of a depth-1 subject), with the separator included so
-// ("a.bc", "ab.c") hash differently.
-func shardHash(elems []string) uint32 {
+// the single element of a depth-1 subject) as they stand in the canonical
+// form, separator included, so "a.bc" and "ab.c" hash differently.
+func shardHash(prefix string) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
 	)
 	h := uint32(offset32)
-	n := len(elems)
-	if n > 2 {
-		n = 2
-	}
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			h = (h ^ '.') * prime32
-		}
-		for j := 0; j < len(elems[i]); j++ {
-			h = (h ^ uint32(elems[i][j])) * prime32
-		}
+	for i := 0; i < len(prefix); i++ {
+		h = (h ^ uint32(prefix[i])) * prime32
 	}
 	return h
 }
@@ -151,10 +145,10 @@ func MustParse(s string) Subject {
 // ParsePattern validates and parses a subscription pattern. "*" must occupy
 // a whole element; ">" must occupy the final element.
 func ParsePattern(s string) (Pattern, error) {
-	elems, err := split(s)
-	if err != nil {
+	if _, _, _, err := scan(s); err != nil {
 		return Pattern{}, err
 	}
+	elems := strings.Split(s, sep)
 	p := Pattern{raw: s, elements: elems}
 	for i, e := range elems {
 		switch e {
@@ -184,42 +178,63 @@ func MustParsePattern(s string) Pattern {
 	return p
 }
 
-// split validates the shared lexical structure of subjects and patterns and
-// returns the elements.
-func split(s string) ([]string, error) {
+// scan validates the lexical structure subjects and patterns share in one
+// pass over the bytes of s, reporting length, then depth, then the first
+// faulty element. It returns the element count, the byte length of the
+// two-element prefix and the index of the first wildcard element, or -1.
+func scan(s string) (depth, family, wild int, err error) {
 	if s == "" {
-		return nil, ErrEmpty
+		return 0, 0, -1, ErrEmpty
 	}
 	if len(s) > MaxLength {
-		return nil, fmt.Errorf("%q (%d bytes): %w", s[:32]+"...", len(s), ErrTooLong)
+		return 0, 0, -1, fmt.Errorf("%q (%d bytes): %w", s[:32]+"...", len(s), ErrTooLong)
 	}
-	elems := strings.Split(s, sep)
-	if len(elems) > MaxElements {
-		return nil, fmt.Errorf("%q (%d elements): %w", s, len(elems), ErrTooDeep)
-	}
-	for i, e := range elems {
-		if e == "" {
-			return nil, fmt.Errorf("element %d of %q: %w", i, s, ErrEmptyElement)
-		}
-		for _, r := range e {
+	var bad error // the first faulty element's fault, at element badAt
+	badAt, start, family, wild := 0, 0, len(s), -1
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) && s[i] != '.' {
 			// Control characters and whitespace would make subjects
-			// unprintable in monitoring tools and ambiguous in logs.
-			if r < 0x21 || r == 0x7f {
-				return nil, fmt.Errorf("element %d of %q: %w", i, s, ErrIllegalChar)
+			// unprintable in monitoring tools and ambiguous in logs. Every
+			// byte of a multi-byte rune is 0x80 or above, so bytes stand
+			// for runes.
+			if c := s[i]; (c < 0x21 || c == 0x7f) && bad == nil {
+				bad, badAt = ErrIllegalChar, depth
 			}
+			continue
 		}
+		switch e := s[start:i]; {
+		case e == "" && bad == nil:
+			bad, badAt = ErrEmptyElement, depth
+		case (e == WildcardOne || e == WildcardRest) && wild < 0:
+			wild = depth
+		}
+		if depth++; depth == 2 {
+			family = i
+		}
+		start = i + 1
 	}
-	return elems, nil
+	if depth > MaxElements {
+		return 0, 0, -1, fmt.Errorf("%q (%d elements): %w", s, depth, ErrTooDeep)
+	}
+	if bad != nil {
+		return 0, 0, -1, fmt.Errorf("element %d of %q: %w", badAt, s, bad)
+	}
+	return depth, family, wild, nil
 }
 
 // String returns the canonical dotted form.
 func (s Subject) String() string { return s.raw }
 
-// Elements returns the subject's elements. The slice must not be modified.
-func (s Subject) Elements() []string { return s.elements }
+// Elements returns the subject's elements, split on every call: it allocates.
+func (s Subject) Elements() []string {
+	if s.raw == "" {
+		return nil
+	}
+	return strings.Split(s.raw, sep)
+}
 
 // Depth returns the number of elements.
-func (s Subject) Depth() int { return len(s.elements) }
+func (s Subject) Depth() int { return int(s.depth) }
 
 // Family returns the subject's two-element prefix ("fab5.cc" for
 // "fab5.cc.litho8.thick"), the same grouping shardHash keys the match
@@ -227,41 +242,27 @@ func (s Subject) Depth() int { return len(s.elements) }
 // so per-message accounting (telemetry top-K tables) can key on it from
 // the delivery hot path.
 func (s Subject) Family() string {
-	if len(s.elements) <= 2 {
-		return s.raw
+	if i := strings.IndexByte(s.raw, '.'); i >= 0 {
+		if j := strings.IndexByte(s.raw[i+1:], '.'); j >= 0 {
+			return s.raw[:i+1+j]
+		}
 	}
-	return s.raw[:len(s.elements[0])+1+len(s.elements[1])]
+	return s.raw
 }
 
 // IsZero reports whether s is the (invalid) zero Subject.
-func (s Subject) IsZero() bool { return len(s.elements) == 0 }
-
-// Child returns the subject extended by one element, e.g.
-// MustParse("fab5.cc").Child("litho8") == "fab5.cc.litho8".
-func (s Subject) Child(element string) (Subject, error) {
-	return Parse(s.raw + sep + element)
-}
+func (s Subject) IsZero() bool { return s.raw == "" }
 
 // HasPrefix reports whether p is an ancestor of (or equal to) s in the
 // subject hierarchy, element-wise: "fab5.cc" is a prefix of
 // "fab5.cc.litho8" but not of "fab5.ccx".
 func (s Subject) HasPrefix(p Subject) bool {
-	if len(p.elements) > len(s.elements) {
-		return false
-	}
-	for i, e := range p.elements {
-		if s.elements[i] != e {
-			return false
-		}
-	}
-	return true
+	rest, ok := strings.CutPrefix(s.raw, p.raw)
+	return ok && (rest == "" || rest[0] == '.' || p.raw == "")
 }
 
 // String returns the canonical dotted form of the pattern.
 func (p Pattern) String() string { return p.raw }
-
-// Elements returns the pattern's elements. The slice must not be modified.
-func (p Pattern) Elements() []string { return p.elements }
 
 // IsZero reports whether p is the (invalid) zero Pattern.
 func (p Pattern) IsZero() bool { return len(p.elements) == 0 }
@@ -276,43 +277,20 @@ func (p Pattern) IsLiteral() bool { return !p.hasWild }
 // consumes one or more trailing elements. A pattern without wildcards
 // matches only the identical subject.
 func (p Pattern) Matches(s Subject) bool {
-	pe, se := p.elements, s.elements
-	for i, e := range pe {
-		switch e {
-		case WildcardRest:
-			// ">" requires at least one remaining subject element.
-			return len(se) > i
-		case WildcardOne:
-			if i >= len(se) {
-				return false
-			}
-		default:
-			if i >= len(se) || se[i] != e {
-				return false
-			}
-		}
-	}
-	return len(pe) == len(se)
-}
-
-// Overlaps reports whether two patterns can both match some subject. It is
-// used by information routers to decide whether a remote subscription makes
-// forwarding a local subscription's traffic necessary.
-func (p Pattern) Overlaps(q Pattern) bool {
-	i, j := 0, 0
-	for i < len(p.elements) && j < len(q.elements) {
-		a, b := p.elements[i], q.elements[j]
-		if a == WildcardRest || b == WildcardRest {
-			return true
-		}
-		if a != b && a != WildcardOne && b != WildcardOne {
+	rest := s.raw // the subject's elements not yet consumed; "" when none are left
+	for _, e := range p.elements {
+		if rest == "" {
 			return false
 		}
-		i++
-		j++
+		if e == WildcardRest {
+			// ">" requires at least one remaining subject element.
+			return true
+		}
+		var se string
+		se, rest, _ = strings.Cut(rest, sep)
+		if e != WildcardOne && e != se {
+			return false
+		}
 	}
-	// Both exhausted simultaneously: a common subject exists. Otherwise the
-	// longer pattern needs elements the shorter cannot supply, unless the
-	// shorter ends in ">" (handled above).
-	return i == len(p.elements) && j == len(q.elements)
+	return rest == ""
 }

@@ -1,6 +1,7 @@
 package subject
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -63,6 +64,8 @@ type cacheShard[V comparable] struct {
 // rate under cyclic access. Sized above Figure 8's 10 000-subject workload.
 const maxMatchCache = 16384
 
+// trieNode's value sets are never written below their length (Add appends,
+// Remove builds a new slice), so a set Match handed out never changes.
 type trieNode[V comparable] struct {
 	children map[string]*trieNode[V]
 	star     *trieNode[V] // "*" child
@@ -183,10 +186,11 @@ func (n *trieNode[V]) empty() bool {
 // Order is unspecified but deterministic for a fixed trie state.
 //
 // Ownership: the returned slice is an immutable snapshot shared with the
-// trie's match cache — callers may iterate it freely (including
-// concurrently) but must not modify it. It stays consistent even if the
-// trie mutates afterwards: mutations replace cache entries, they never
-// write through old ones.
+// trie's match cache, and may be one node's own value set (see union) —
+// callers may iterate it freely (including concurrently) but must not
+// modify it. It stays consistent even if the trie mutates afterwards:
+// mutations replace cache entries and node sets, they never write through
+// old ones.
 func (t *Trie[V]) Match(s Subject) []V {
 	sh := &t.shards[s.shardIndex(len(t.shards))]
 	cur := t.gen.Load()
@@ -201,16 +205,8 @@ func (t *Trie[V]) Match(s Subject) []V {
 
 	t.mu.RLock()
 	gen := t.gen.Load() // mutations hold mu for writing, so this pins the walk's state
-	var out []V
-	seen := make(map[V]struct{})
-	matchWalk(t.root, s.elements, func(vs []V) {
-		for _, v := range vs {
-			if _, dup := seen[v]; !dup {
-				seen[v] = struct{}{}
-				out = append(out, v)
-			}
-		}
-	})
+	var buf [8][]V
+	out := union(matchWalk(t.root, s.raw, buf[:0]))
 	t.mu.RUnlock()
 
 	sh.mu.Lock()
@@ -239,24 +235,53 @@ func (t *Trie[V]) Match(s Subject) []V {
 // registering with the trie.
 func (t *Trie[V]) Gen() uint64 { return t.gen.Load() }
 
-// matchWalk visits every trie node whose path matches the subject elements
-// and hands its terminal value sets to collect.
-func matchWalk[V comparable](n *trieNode[V], elems []string, collect func([]V)) {
-	// A ">" registered at this level matches any subject with at least one
-	// further element.
-	if len(elems) > 0 {
-		collect(n.rest)
+// matchWalk appends to sets the non-empty value sets of every trie node
+// whose path matches rest, the subject's elements not yet consumed. A ">"
+// registered at n matches when one or more elements remain.
+func matchWalk[V comparable](n *trieNode[V], rest string, sets [][]V) [][]V {
+	vs := n.rest
+	if rest == "" {
+		vs = n.values
 	}
-	if len(elems) == 0 {
-		collect(n.values)
-		return
+	if len(vs) > 0 {
+		sets = append(sets, vs)
 	}
-	if child, ok := n.children[elems[0]]; ok {
-		matchWalk(child, elems[1:], collect)
+	if rest == "" {
+		return sets
+	}
+	e, tail, _ := strings.Cut(rest, sep)
+	if child, ok := n.children[e]; ok {
+		sets = matchWalk(child, tail, sets)
 	}
 	if n.star != nil {
-		matchWalk(n.star, elems[1:], collect)
+		sets = matchWalk(n.star, tail, sets)
 	}
+	return sets
+}
+
+// union returns the distinct values of sets, capped: the largest set itself
+// when it holds every value of the others (always so when one node
+// contributed); else a copy. Dedup scans: a trie's sets are a host's
+// clients or an application's subscriptions, a handful.
+func union[V comparable](sets [][]V) []V {
+	if len(sets) == 0 {
+		return nil
+	}
+	big := 0
+	for i, vs := range sets {
+		if len(vs) > len(sets[big]) {
+			big = i
+		}
+	}
+	out := slices.Clip(sets[big])
+	for i, vs := range sets {
+		for _, v := range vs {
+			if i != big && !containsValue(out, v) {
+				out = append(out, v)
+			}
+		}
+	}
+	return slices.Clip(out)
 }
 
 // Patterns returns the canonical strings of all registered patterns, sorted,
@@ -342,15 +367,17 @@ func containsValue[V comparable](vs []V, v V) bool {
 }
 
 // removeValue deletes v from one node's values or rest set, counting the
-// node's pattern out when the set empties.
+// node's pattern out when the set empties. The rest goes to a new slice:
+// the old one may be a Match answer.
 func (t *Trie[V]) removeValue(set *[]V, v V) bool {
 	vs := *set
 	for i, x := range vs {
 		if x == v {
-			copy(vs[i:], vs[i+1:])
-			*set = vs[:len(vs)-1]
+			*set = nil
 			if len(vs) == 1 {
 				t.distinct--
+			} else {
+				*set = slices.Concat(vs[:i], vs[i+1:])
 			}
 			return true
 		}

@@ -3,6 +3,8 @@ package subject
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,7 +12,7 @@ import (
 )
 
 func matchStrings(t *Trie[string], subj string) []string {
-	out := t.Match(MustParse(subj))
+	out := slices.Clone(t.Match(MustParse(subj))) // the answer may be a node's own set
 	sort.Strings(out)
 	return out
 }
@@ -377,7 +379,7 @@ func TestMatchCacheCapSkipsNotEvicts(t *testing.T) {
 	if got := tr.Match(over); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("uncached subject answered %v", got)
 	}
-	if again := tr.Match(MustParse(fam[0] + ".s0")); &again[0] != &first[0] {
+	if _, ok := tr.shards[0].m[fam[0]+".s0"]; !ok || tr.Match(MustParse(fam[0] + ".s0"))[0] != first[0] {
 		t.Fatal("a full shard evicted an entry it held")
 	}
 	tr.Match(MustParse(fam[1] + ".s0"))
@@ -520,4 +522,120 @@ func TestInternerParseBytes(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ParseBytes cache hit allocates %.1f, want 0", allocs)
 	}
+	// A miss probes once and copies the bytes: one allocation. At the cap
+	// nothing is inserted, so the count is exact; below it the map's own
+	// occasional growth is a fraction AllocsPerRun's integer mean drops.
+	full := NewInterner(1)
+	if _, err := full.ParseBytes([]byte("fill.it")); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, 1001) // AllocsPerRun calls once more than it counts
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("miss.%d.subject", i))
+	}
+	for _, c := range []struct {
+		name string
+		in   *Interner
+	}{{"full", full}, {"below the cap", NewInterner(len(keys))}} {
+		i := 0
+		allocs := testing.AllocsPerRun(len(keys)-1, func() {
+			if s, err := c.in.ParseBytes(keys[i]); err != nil || s.String() != string(keys[i]) {
+				t.Fatalf("ParseBytes(%q) = %v, %v", keys[i], s, err)
+			}
+			i++
+		})
+		if allocs != 1 {
+			t.Errorf("ParseBytes miss (%s) allocates %.1f, want 1", c.name, allocs)
+		}
+	}
+}
+
+// TestMatchMissAllocs: after a real trie mutation (so the next Match misses
+// the cache and walks), a miss answered by one node's set allocates
+// nothing, also when a second node holds the same single value; only a true
+// union of different sets is copied out, in one allocation.
+func TestMatchMissAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cases := []struct {
+		name   string
+		pats   []string
+		vals   []int
+		want   []int
+		allocs uint64
+	}{
+		{"one node", []string{"a.b"}, []int{1}, []int{1}, 0},
+		{"two nodes, one value", []string{"a.b", "a.>"}, []int{1, 1}, []int{1}, 0},
+		{"union", []string{"a.b", "a.>"}, []int{1, 2}, []int{1, 2}, 1},
+	}
+	s, other := MustParse("a.b"), MustParsePattern("z.z")
+	for _, c := range cases {
+		tr := NewTrie[int]()
+		for i, p := range c.pats {
+			tr.Add(MustParsePattern(p), c.vals[i])
+		}
+		tr.Match(s) // the shard's map exists from here on
+		const runs = 100
+		var mallocs uint64
+		var before, after runtime.MemStats
+		for range runs {
+			tr.Add(other, 9)
+			tr.Remove(other, 9)
+			runtime.ReadMemStats(&before)
+			got := tr.Match(s)
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+			if !slices.Equal(sortedCopy(got), c.want) {
+				t.Fatalf("%s: Match = %v, want %v", c.name, got, c.want)
+			}
+			if sh := &tr.shards[0]; sh.gen != tr.gen.Load() {
+				t.Fatalf("%s: the Match after a mutation did not refill the shard", c.name)
+			}
+		}
+		if mallocs/runs != c.allocs || mallocs%runs != 0 {
+			t.Errorf("%s: a miss allocates %d/%d, want %d", c.name, mallocs, runs, c.allocs)
+		}
+	}
+}
+
+// TestMatchResultSurvivesRemove: a held Match answer never changes while
+// another goroutine removes values from the node it came from and adds
+// them back. The answers alternate between that node's own set and a copied
+// union (hold.* holds a value hold.x sometimes lacks). Run under -race: a
+// write below a set's length would be reported as a race as well.
+func TestMatchResultSurvivesRemove(t *testing.T) {
+	tr := NewTrie[int]()
+	p := MustParsePattern("hold.x")
+	for v := range 8 {
+		tr.Add(p, v)
+	}
+	tr.Add(MustParsePattern("hold.*"), 3)
+	s := MustParse("hold.x")
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tr.Remove(p, k%8)
+			tr.Add(p, k%8)
+		}
+	}()
+	var held [8]struct{ got, want []int }
+	for i := range 5000 {
+		got := tr.Match(s)
+		if len(got) != cap(got) {
+			t.Fatalf("Match answered len %d cap %d: an append would reach the trie's spare room", len(got), cap(got))
+		}
+		held[i%len(held)].got, held[i%len(held)].want = got, slices.Clone(got)
+		for _, h := range held {
+			if !slices.Equal(h.got, h.want) {
+				t.Fatalf("a held answer changed: %v, was %v", h.got, h.want)
+			}
+		}
+	}
+	close(stop)
+	<-stopped
 }

@@ -100,6 +100,9 @@ go test -run 'TestElectionPartitionHeal|TestElectionLeaderExpiry' -count=1 ./int
 echo "==> the join on virtual time (sequence 1 starts a stream at once, a mid-stream joiner waits the grace, every fate of a first burst, sequence 0 refused)"
 go test -run 'TestFirstMessageStartsTheStream|TestJoinArrivalOrders|TestMidStreamJoinWaitsTheGrace|TestFirstPublicationWithinOneTransit|TestSequenceZeroRejected|TestExhaustiveFates' -count=1 ./internal/reliable/
 
+echo "==> alloc gate (a subject parses with 0 allocations; a match-cache miss answered by one node's set 0, a true union 1; ParseBytes 0 on a hit, 1 on a miss)"
+go test -run 'TestParseAllocatesNothing|TestMatchMissAllocs|TestInternerParseBytes' -count=1 ./internal/subject/
+
 echo "==> interest-aggregate gate (Trie.Aggregate == AggregatePatterns(Trie.Patterns()); aggregation only widens)"
 go test -run 'TestTrieAggregateEqualsAggregatePatterns|TestAggregateWidens|TestAggregateKeepsOneElementSubjects' -count=1 ./internal/subject/
 
@@ -149,8 +152,8 @@ if [ "$quick" -eq 0 ]; then
     go test -race -count=5 -run 'TestJoinConvergesWithinFourTicks|TestSameIDCounted|TestInterestSwapKeepsCommonPatterns|TestRefreshLeavesTrieAlone|TestInterestLapsesAtTTL|TestTwoSendersOnePattern|TestHostInterestSplitHorizonAndBlockedSource|TestInterestTableCaps|TestEmptyAdSaidOnce' ./internal/mesh/
     go test -race -count=5 -run TestLastUnsubscribeAdvertisesEmptySet ./internal/daemon/
 
-    echo "==> trie match cache under race, 5 runs (sharded, lazily invalidated: serves, cap skips, shards independent, never older than an observed mutation)"
-    go test -race -count=5 -run 'TestMatchCache|TestTrieMatchCache' ./internal/subject/
+    echo "==> trie match cache under race, 5 runs (sharded, lazily invalidated: serves, cap skips, shards independent, never older than an observed mutation; a held answer survives Remove/Add on its node)"
+    go test -race -count=5 -run 'TestMatchCache|TestTrieMatchCache|TestMatchResultSurvivesRemove' ./internal/subject/
 
     echo "==> the conn driver: one goroutine, timers and order under a stalled consumer, close and flush, the wall-clock smoke (race build, 10 runs; the protocol suite is single-threaded on virtual time and runs once, above)"
     go test -race -run 'TestOneGoroutinePerConn|TestTimersRunUnderStalledConsumer|TestClosedConnErrors|TestCloseFlushesBatch|TestConnEndToEnd' -count=10 ./internal/reliable/
@@ -188,6 +191,8 @@ if [ "$quick" -eq 0 ]; then
     go test -run xxx -fuzz 'FuzzAppendForward$'    -fuzztime 5s ./internal/busproto/
     go test -run xxx -fuzz 'FuzzParsePattern$'     -fuzztime 5s ./internal/subject/
     go test -run xxx -fuzz 'FuzzAggregateWidens$'  -fuzztime 5s ./internal/subject/
+    go test -run xxx -fuzz 'FuzzParse$'            -fuzztime 5s ./internal/subject/
+    go test -run xxx -fuzz 'FuzzTrieMatch$'        -fuzztime 5s ./internal/subject/
     go test -run xxx -fuzz 'FuzzParseRecord$'      -fuzztime 5s ./internal/ledger/
     go test -run xxx -fuzz 'FuzzSegmentedReplay$'  -fuzztime 5s ./internal/ledger/
     go test -run xxx -fuzz 'FuzzReplFrame$'        -fuzztime 5s ./internal/qledger/
