@@ -196,7 +196,7 @@ func (b Binding[T]) Read(o *Object, v *T) bool { return b.kind.read(o, reflect.V
 // object boxes each field through its typed getter, so a small integer or
 // an empty string costs no allocation, exactly as a hand-written Set would.
 func (k *Bound) object(v reflect.Value) *Object {
-	o := alloc(k.typ, len(k.fields))
+	o, _ := alloc(k.typ, 0)
 	for i, f := range k.fields {
 		switch fv := v.Field(f.index); fv.Kind() {
 		case reflect.String:

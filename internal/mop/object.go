@@ -3,6 +3,7 @@ package mop
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // Object is a dynamic instance of a class type: the data objects the bus
@@ -49,26 +50,36 @@ func New(t *Type) (*Object, error) {
 	if err := instantiable(t); err != nil {
 		return nil, err
 	}
-	o := alloc(t, len(t.all))
+	o, _ := alloc(t, 0)
 	for i, a := range t.all {
 		o.slots[i] = ZeroValue(a.Type)
 	}
 	return o, nil
 }
 
-// NewFrom creates an instance of a class whose slot i holds fill(i), the
-// slots being filled in the order of Type().Attrs(). Every value is checked
-// against its attribute's declared type exactly as SetAt would check it, and
-// the first error — fill's own, returned as is, or a failed check — abandons
-// the object. Decoders use it instead of New followed by SetAt per slot: New
+// NewFrozen creates a frozen instance of a class — Set and SetAt on it fail
+// with ErrFrozen — whose slot i holds fill(i, cell), the slots being filled
+// in the order of Type().Attrs(). Every value is checked against its
+// attribute's declared type exactly as SetAt would check it, and the first
+// error — fill's own, returned as is, or a failed check — abandons the
+// object. Decoders use it instead of New followed by SetAt per slot: New
 // fills every slot with a zero value only for the decoder to overwrite it.
-func NewFrom(t *Type, fill func(slot int) (Value, error)) (*Object, error) {
+//
+// cell is the slot's header cell for an attribute declared Bytes or
+// ListOf(...), nil for any other: fill may return cell.Bytes or cell.List
+// of its value, which then costs no box of its own. Objects fill stores in
+// the object keep their own mark.
+func NewFrozen(t *Type, fill func(slot int, cell *Cell) (Value, error)) (*Object, error) {
 	if err := instantiable(t); err != nil {
 		return nil, err
 	}
-	o := alloc(t, len(t.all))
+	o, cells := alloc(t, t.cells)
 	for i, a := range t.all {
-		v, err := fill(i)
+		var c *Cell
+		if hasCell(a.Type) {
+			c, cells = &cells[0], cells[1:]
+		}
+		v, err := fill(i, c)
 		if err != nil {
 			return nil, err
 		}
@@ -77,70 +88,169 @@ func NewFrom(t *Type, fill func(slot int) (Value, error)) (*Object, error) {
 		}
 		o.slots[i] = v
 	}
-	return o, nil
-}
-
-// NewFrozen is NewFrom whose object is frozen: Set and SetAt on it fail
-// with ErrFrozen. Objects fill stores in it keep their own mark.
-func NewFrozen(t *Type, fill func(slot int) (Value, error)) (*Object, error) {
-	o, err := NewFrom(t, fill)
-	if err != nil {
-		return nil, err
-	}
 	o.slots = o.slots[:0]
 	return o, nil
 }
 
-// alloc returns an object of class t with n nil slots. Up to 16 slots, the
-// object and its slots are one allocation, a block sized for exactly n; a
-// larger class pays a second one for its slots.
-func alloc(t *Type, n int) *Object {
-	switch n {
-	case 1:
-		return carve(t, func(a *[1]Value) []Value { return a[:] })
-	case 2:
-		return carve(t, func(a *[2]Value) []Value { return a[:] })
-	case 3:
-		return carve(t, func(a *[3]Value) []Value { return a[:] })
-	case 4:
-		return carve(t, func(a *[4]Value) []Value { return a[:] })
-	case 5:
-		return carve(t, func(a *[5]Value) []Value { return a[:] })
-	case 6:
-		return carve(t, func(a *[6]Value) []Value { return a[:] })
-	case 7:
-		return carve(t, func(a *[7]Value) []Value { return a[:] })
-	case 8:
-		return carve(t, func(a *[8]Value) []Value { return a[:] })
-	case 9:
-		return carve(t, func(a *[9]Value) []Value { return a[:] })
-	case 10:
-		return carve(t, func(a *[10]Value) []Value { return a[:] })
-	case 11:
-		return carve(t, func(a *[11]Value) []Value { return a[:] })
-	case 12:
-		return carve(t, func(a *[12]Value) []Value { return a[:] })
-	case 13:
-		return carve(t, func(a *[13]Value) []Value { return a[:] })
-	case 14:
-		return carve(t, func(a *[14]Value) []Value { return a[:] })
-	case 15:
-		return carve(t, func(a *[15]Value) []Value { return a[:] })
-	case 16:
-		return carve(t, func(a *[16]Value) []Value { return a[:] })
-	}
-	return &Object{typ: t, slots: make([]Value, n)}
+// Cell is the header of the []byte or List value of one attribute, carved
+// with a frozen object: NewFrozen hands one to fill, and ShareValue's copy
+// uses them, for each attribute declared Bytes or ListOf(...). A cell has
+// the {ptr, len, cap} layout of both, so the slot's interface can point at
+// it (BoxAt) instead of at a box of its own. A cell is written once, by the
+// fill it was handed to, before the value is stored; an interface copies a
+// header out of its cell on every read and never hands out the cell's
+// address, so nothing writes it again.
+type Cell struct {
+	ptr      unsafe.Pointer
+	len, cap int
 }
 
-// carve allocates an object and its slot array A together and points the
-// object's slots at the array.
-func carve[A any](t *Type, slots func(*A) []Value) *Object {
+// The dynamic types a cell's value takes, each read from a sample value.
+var (
+	bytesType Value = []byte(nil)
+	listType  Value = List(nil)
+)
+
+// Bytes stores b in the cell and returns it as a Value whose data word is
+// the cell. A nil cell returns b boxed by Go.
+func (c *Cell) Bytes(b []byte) Value {
+	if c == nil {
+		return b
+	}
+	*c = Cell{unsafe.Pointer(unsafe.SliceData(b)), len(b), cap(b)}
+	return BoxAt(bytesType, c)
+}
+
+// List stores l in the cell and returns it as a Value whose data word is
+// the cell. A nil cell returns l boxed by Go.
+func (c *Cell) List(l List) Value {
+	if c == nil {
+		return l
+	}
+	*c = Cell{unsafe.Pointer(unsafe.SliceData(l)), len(l), cap(l)}
+	return BoxAt(listType, c)
+}
+
+// hasCell reports whether a slot of declared type t gets a header cell.
+func hasCell(t *Type) bool { return t.kind == KindBytes || t.kind == KindList }
+
+// BoxAt returns an interface with sample's dynamic type whose data word is
+// slot: a box that Go did not allocate. It is the module's one unsafe
+// interface construction, and it is sound because every caller keeps two
+// invariants:
+//
+//   - T has the pointer layout of sample's dynamic type (T is that type,
+//     uint64 for int64 and float64, or Cell for []byte and List), so the GC
+//     scans the memory that holds the slot as it would scan the box;
+//   - nothing writes through a box: the slot was written before BoxAt
+//     hands out its address and is never written again (a wire decoder's
+//     chunks, a frozen object's cells).
+func BoxAt[T any](sample Value, slot *T) Value {
+	words := (*[2]unsafe.Pointer)(unsafe.Pointer(&sample))
+	words[1] = unsafe.Pointer(slot)
+	return sample
+}
+
+// alloc returns an object of class t with nil slots and the given number of
+// header cells. Up to 16 slots, the object, its slots and its cells are one
+// allocation, a block sized for exactly them; a larger class pays a second
+// one for its slots and a third for its cells. Only a frozen object asks
+// for cells: an editable one is handed values Go has boxed already.
+func alloc(t *Type, cells int) (*Object, []Cell) {
+	switch n := len(t.all); n {
+	case 1:
+		return carve(t, cells, func(a *[1]Value) []Value { return a[:] })
+	case 2:
+		return carve(t, cells, func(a *[2]Value) []Value { return a[:] })
+	case 3:
+		return carve(t, cells, func(a *[3]Value) []Value { return a[:] })
+	case 4:
+		return carve(t, cells, func(a *[4]Value) []Value { return a[:] })
+	case 5:
+		return carve(t, cells, func(a *[5]Value) []Value { return a[:] })
+	case 6:
+		return carve(t, cells, func(a *[6]Value) []Value { return a[:] })
+	case 7:
+		return carve(t, cells, func(a *[7]Value) []Value { return a[:] })
+	case 8:
+		return carve(t, cells, func(a *[8]Value) []Value { return a[:] })
+	case 9:
+		return carve(t, cells, func(a *[9]Value) []Value { return a[:] })
+	case 10:
+		return carve(t, cells, func(a *[10]Value) []Value { return a[:] })
+	case 11:
+		return carve(t, cells, func(a *[11]Value) []Value { return a[:] })
+	case 12:
+		return carve(t, cells, func(a *[12]Value) []Value { return a[:] })
+	case 13:
+		return carve(t, cells, func(a *[13]Value) []Value { return a[:] })
+	case 14:
+		return carve(t, cells, func(a *[14]Value) []Value { return a[:] })
+	case 15:
+		return carve(t, cells, func(a *[15]Value) []Value { return a[:] })
+	case 16:
+		return carve(t, cells, func(a *[16]Value) []Value { return a[:] })
+	default:
+		return &Object{typ: t, slots: make([]Value, n)}, make([]Cell, cells)
+	}
+}
+
+// carve allocates an object with its slot array A and k cells together.
+func carve[A any](t *Type, k int, slots func(*A) []Value) (*Object, []Cell) {
+	switch k {
+	case 0:
+		// Not a block with a [0]Cell: a zero-size last field pads a struct.
+		b := new(struct {
+			o Object
+			a A
+		})
+		b.o = Object{typ: t, slots: slots(&b.a)}
+		return &b.o, nil
+	case 1:
+		return block(t, slots, func(c *[1]Cell) []Cell { return c[:] })
+	case 2:
+		return block(t, slots, func(c *[2]Cell) []Cell { return c[:] })
+	case 3:
+		return block(t, slots, func(c *[3]Cell) []Cell { return c[:] })
+	case 4:
+		return block(t, slots, func(c *[4]Cell) []Cell { return c[:] })
+	case 5:
+		return block(t, slots, func(c *[5]Cell) []Cell { return c[:] })
+	case 6:
+		return block(t, slots, func(c *[6]Cell) []Cell { return c[:] })
+	case 7:
+		return block(t, slots, func(c *[7]Cell) []Cell { return c[:] })
+	case 8:
+		return block(t, slots, func(c *[8]Cell) []Cell { return c[:] })
+	case 9:
+		return block(t, slots, func(c *[9]Cell) []Cell { return c[:] })
+	case 10:
+		return block(t, slots, func(c *[10]Cell) []Cell { return c[:] })
+	case 11:
+		return block(t, slots, func(c *[11]Cell) []Cell { return c[:] })
+	case 12:
+		return block(t, slots, func(c *[12]Cell) []Cell { return c[:] })
+	case 13:
+		return block(t, slots, func(c *[13]Cell) []Cell { return c[:] })
+	case 14:
+		return block(t, slots, func(c *[14]Cell) []Cell { return c[:] })
+	case 15:
+		return block(t, slots, func(c *[15]Cell) []Cell { return c[:] })
+	default:
+		return block(t, slots, func(c *[16]Cell) []Cell { return c[:] })
+	}
+}
+
+// block allocates an object, its slot array A and its cell array C as one
+// struct and points the object's slots at the array.
+func block[A, C any](t *Type, slots func(*A) []Value, cells func(*C) []Cell) (*Object, []Cell) {
 	b := new(struct {
 		o Object
 		a A
+		c C
 	})
 	b.o = Object{typ: t, slots: slots(&b.a)}
-	return &b.o
+	return &b.o, cells(&b.c)
 }
 
 // MustNew is New that panics on error.
@@ -240,7 +350,7 @@ func (o *Object) Clone() *Object {
 	if o == nil {
 		return nil
 	}
-	c := alloc(o.typ, cap(o.slots))
+	c, _ := alloc(o.typ, 0)
 	for i, v := range o.all() {
 		c.slots[i] = CloneValue(v)
 	}

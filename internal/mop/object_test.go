@@ -61,10 +61,11 @@ func TestNewRejectsNonClass(t *testing.T) {
 	}
 }
 
-// TestNewFrom: the filling constructor builds what New followed by SetAt per
-// slot builds, checks every slot, passes fill's own error through untouched,
-// and boxes no zero value it would only overwrite.
-func TestNewFrom(t *testing.T) {
+// TestNewFrozen: the filling constructor builds what New followed by SetAt
+// per slot builds, frozen, checks every slot, passes fill's own error
+// through untouched, boxes no zero value it would only overwrite, and hands
+// fill a cell of its own exactly for each slot declared Bytes or ListOf(...).
+func TestNewFrozen(t *testing.T) {
 	evt := MustNewClass("Evt", nil, []Attr{
 		{Name: "at", Type: Time},
 		{Name: "n", Type: Int},
@@ -72,22 +73,22 @@ func TestNewFrom(t *testing.T) {
 	}, nil)
 	at := time.Unix(749571200, 0).UTC()
 	vals := []Value{at, int64(7), List{"a"}}
-	fill := func(i int) (Value, error) { return vals[i], nil }
-	o, err := NewFrom(evt, fill)
+	fill := func(i int, _ *Cell) (Value, error) { return vals[i], nil }
+	o, err := NewFrozen(evt, fill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := MustNew(evt).MustSet("at", at).MustSet("n", int64(7)).MustSet("tags", List{"a"})
-	if !o.Equal(want) {
-		t.Fatalf("NewFrom built %v, want %v", o, want)
+	if !o.Equal(want) || !o.frozen() {
+		t.Fatalf("NewFrozen built %v (frozen %v), want %v frozen", o, o.frozen(), want)
 	}
 	for _, typ := range []*Type{Int, ListOf(String), nil} {
-		if _, err := NewFrom(typ, fill); !errors.Is(err, ErrNotClass) {
-			t.Errorf("NewFrom(%v) error = %v, want ErrNotClass", typ, err)
+		if _, err := NewFrozen(typ, fill); !errors.Is(err, ErrNotClass) {
+			t.Errorf("NewFrozen(%v) error = %v, want ErrNotClass", typ, err)
 		}
 	}
 	filled := 0
-	_, err = NewFrom(evt, func(i int) (Value, error) {
+	_, err = NewFrozen(evt, func(i int, _ *Cell) (Value, error) {
 		filled++
 		return []Value{at, "seven", List{"a"}}[i], nil
 	})
@@ -95,30 +96,56 @@ func TestNewFrom(t *testing.T) {
 		t.Errorf("mistyped slot: error %v after %d fills, want ErrTypeMismatch naming n after 2", err, filled)
 	}
 	boom := errors.New("boom")
-	if _, err := NewFrom(evt, func(int) (Value, error) { return nil, boom }); err != boom {
+	if _, err := NewFrozen(evt, func(int, *Cell) (Value, error) { return nil, boom }); err != boom {
 		t.Errorf("fill error came back as %v, want it untouched", err)
 	}
 	// With values that need no box of their own, the object and its slots
 	// are the one allocation.
-	small := func(i int) (Value, error) { return []Value{nil, nil, nil}[i], nil }
+	small := func(i int, _ *Cell) (Value, error) { return []Value{nil, nil, nil}[i], nil }
 	loose := MustNewClass("Loose", nil, []Attr{
 		{Name: "a", Type: Any}, {Name: "b", Type: Any}, {Name: "c", Type: Any}}, nil)
 	if got := testing.AllocsPerRun(100, func() {
-		if _, err := NewFrom(loose, small); err != nil {
+		if _, err := NewFrozen(loose, small); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 1 {
-		t.Errorf("NewFrom allocates %.0f times, want one block for the object and its slots", got)
+		t.Errorf("NewFrozen allocates %.0f times, want one block for the object and its slots", got)
+	}
+	// Cells: one per Bytes or List slot, none for an Any slot that may
+	// hold either, each distinct.
+	mixed := MustNewClass("Mixed", nil, []Attr{
+		{Name: "a", Type: Any}, {Name: "body", Type: Bytes}, {Name: "n", Type: Int},
+		{Name: "tags", Type: ListOf(String)}, {Name: "more", Type: Bytes}}, nil)
+	cells := map[*Cell]int{}
+	if _, err := NewFrozen(mixed, func(i int, c *Cell) (Value, error) {
+		if c != nil {
+			cells[c] = i
+		}
+		return ZeroValue(mixed.Attrs()[i].Type), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 3 {
+		t.Errorf("fill was handed %d distinct cells for slots %v, want 3 for slots 1, 3 and 4", len(cells), cells)
+	}
+	for _, i := range cells {
+		if !hasCell(mixed.Attrs()[i].Type) {
+			t.Errorf("slot %d (%s) was handed a cell", i, mixed.Attrs()[i].Type.Name())
+		}
 	}
 }
 
-// TestObjectIsOneAllocation: every constructor — New, NewFrom, NewFrozen,
-// Clone and a bound kind's Object — builds an object whose header and slots
-// are one block up to 16 slots and two above, holds the values it was given,
-// and owns its slots: a clone's SetAt shows in neither its original nor a
+// TestObjectIsOneAllocation: every constructor — New, NewFrozen, Clone and
+// a bound kind's Object — builds an object whose header and slots are one
+// block up to 16 slots and two above, holds the values it was given, and
+// owns its slots: a clone's SetAt shows in neither its original nor a
 // sibling clone. Slot i is an int, string, float, bool or time by i mod 5.
 // The freeze mark costs no byte: the header stays 32 B, and a frozen 7-slot
-// object (a decoded Tick) is one 144-B block, a size class of its own.
+// object (a decoded Tick) is one 144-B block, a size class of its own. A
+// class with Bytes and List attributes (cells below) adds a header cell per
+// such attribute to a frozen object's block, and a []byte or List stored in
+// its cell costs no allocation: still one block up to 16 slots, and three
+// above (header, slots, cells).
 func TestObjectIsOneAllocation(t *testing.T) {
 	kinds := []reflect.Type{reflect.TypeFor[int64](), reflect.TypeFor[string](),
 		reflect.TypeFor[float64](), reflect.TypeFor[bool](), reflect.TypeFor[time.Time]()}
@@ -139,11 +166,7 @@ func TestObjectIsOneAllocation(t *testing.T) {
 		cls := k.Type()
 
 		zero := MustNew(cls)
-		full, err := NewFrom(cls, func(i int) (Value, error) { return value(i), nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		frozen, err := NewFrozen(cls, func(i int) (Value, error) { return value(i), nil })
+		frozen, err := NewFrozen(cls, func(i int, _ *Cell) (Value, error) { return value(i), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,12 +175,12 @@ func TestObjectIsOneAllocation(t *testing.T) {
 			reflect.ValueOf(p).Elem().Field(i).Set(reflect.ValueOf(value(i)))
 		}
 		bound := k.ObjectOf(p)
-		c1, c2 := full.Clone(), full.Clone()
+		c1, c2 := frozen.Clone(), frozen.Clone()
 		for i := 0; i < n; i++ {
 			if v := zero.GetAt(i); !EqualValues(v, ZeroValue(cls.Attrs()[i].Type)) {
 				t.Errorf("%d slots: New's slot %d = %v, want the zero value", n, i, v)
 			}
-			for name, o := range map[string]*Object{"NewFrom": full, "NewFrozen": frozen, "Object": bound, "Clone": c1} {
+			for name, o := range map[string]*Object{"NewFrozen": frozen, "Object": bound, "Clone": c1} {
 				if v := o.GetAt(i); !EqualValues(v, value(i)) {
 					t.Errorf("%d slots: %s's slot %d = %v, want %v", n, name, i, v, value(i))
 				}
@@ -165,22 +188,35 @@ func TestObjectIsOneAllocation(t *testing.T) {
 			if err := c1.SetAt(i, value(i+5)); err != nil {
 				t.Fatal(err)
 			}
-			if !EqualValues(full.GetAt(i), value(i)) || !EqualValues(c2.GetAt(i), value(i)) {
+			if !EqualValues(frozen.GetAt(i), value(i)) || !EqualValues(c2.GetAt(i), value(i)) {
 				t.Errorf("%d slots: a clone's SetAt(%d) shows in its original or its sibling", n, i)
 			}
 		}
 		if back := k.New(); !k.ReadInto(bound, back) || !reflect.DeepEqual(back, p) {
 			t.Errorf("%d slots: the bound object reads back as %+v, want %+v", n, back, p)
 		}
+		cells, fillCells := cellClass(n)
+		withCells, err := NewFrozen(cells, fillCells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if v, _ := fillCells(i, nil); !EqualValues(withCells.GetAt(i), v) {
+				t.Errorf("%d slots with cells: slot %d = %v, want %v", n, i, withCells.GetAt(i), v)
+			}
+		}
+		if c := withCells.Clone(); !c.Equal(withCells) || c.frozen() {
+			t.Errorf("%d slots with cells: the clone %v is not an editable equal of %v", n, c, withCells)
+		}
 
 		if raceEnabled {
 			continue // race-detector instrumentation allocates
 		}
-		want := 1.0
+		want, cellsWant := 1.0, 1.0
 		if n > 16 {
-			want = 2
+			want, cellsWant = 2, 3
 		}
-		zeroFill := func(i int) (Value, error) { return ZeroValue(cls.Attrs()[i].Type), nil }
+		zeroFill := func(i int, _ *Cell) (Value, error) { return ZeroValue(cls.Attrs()[i].Type), nil }
 		// A bound kind boxes a time.Time field through reflect, one
 		// allocation each on top of the block.
 		times := float64(n / 5)
@@ -189,12 +225,15 @@ func TestObjectIsOneAllocation(t *testing.T) {
 			want float64
 			f    func()
 		}{
-			"New":       {want, func() { MustNew(cls) }},
-			"NewFrom":   {want, func() { _, _ = NewFrom(cls, zeroFill) }},
-			"NewFrozen": {want, func() { _, _ = NewFrozen(cls, zeroFill) }},
-			"Clone":     {want, func() { zero.Clone() }},
-			"Object":    {want + times, func() { k.ObjectOf(zp) }},
+			"New":             {want, func() { MustNew(cls) }},
+			"NewFrozen":       {want, func() { _, _ = NewFrozen(cls, zeroFill) }},
+			"Clone":           {want, func() { zero.Clone() }},
+			"Object":          {want + times, func() { k.ObjectOf(zp) }},
+			"NewFrozen cells": {cellsWant, func() { _, _ = NewFrozen(cells, fillCells) }},
 		} {
+			if n < 2 && name == "NewFrozen cells" {
+				continue // no Bytes or List attribute: no cell
+			}
 			if got := testing.AllocsPerRun(100, c.f); got != c.want {
 				t.Errorf("%d slots: %s allocates %.0f times, want %.0f", n, name, got, c.want)
 			}
@@ -203,10 +242,37 @@ func TestObjectIsOneAllocation(t *testing.T) {
 			if got := bytesPerRun(1000, func() { sink, _ = NewFrozen(cls, zeroFill) }); got != 144 {
 				t.Errorf("a frozen 7-slot object allocates %.1f B, want one 144-B block", got)
 			}
+			// Slots 1, 2, 4 and 5 have cells: 32 + 7*16 + 4*24 = 240 B, a
+			// size class of its own.
+			if got := bytesPerRun(1000, func() { sink, _ = NewFrozen(cells, fillCells) }); got != 240 {
+				t.Errorf("a frozen 7-slot object with 4 cells allocates %.1f B, want one 240-B block", got)
+			}
 		}
 	}
 	if size := unsafe.Sizeof(Object{}); size != 32 {
 		t.Errorf("unsafe.Sizeof(Object{}) = %d, want 32: a field more moves every decoded class up a size class", size)
+	}
+}
+
+// cellClass returns a class of n attributes, slot i declared Int, Bytes or
+// ListOf(String) by i mod 3, and a fill for NewFrozen that stores a []byte
+// and a List built once in their cells; called with a nil cell it returns
+// the value Go boxes.
+func cellClass(n int) (*Type, func(int, *Cell) (Value, error)) {
+	types := []*Type{Int, Bytes, ListOf(String)}
+	attrs := make([]Attr, n)
+	for i := range attrs {
+		attrs[i] = Attr{Name: fmt.Sprint("c", i), Type: types[i%3]}
+	}
+	blob, tags := []byte("a view of a datagram"), List{"k1", "k2"}
+	return MustNewClass(fmt.Sprint("Cells", n), nil, attrs, nil), func(i int, c *Cell) (Value, error) {
+		switch i % 3 {
+		case 1:
+			return c.Bytes(blob[i%4:]), nil
+		case 2:
+			return c.List(tags[:i%2+1]), nil
+		}
+		return int64(i), nil
 	}
 }
 
@@ -233,7 +299,7 @@ func TestFrozenObject(t *testing.T) {
 	whole := MustNewClass("FrozenWhole", nil, []Attr{
 		{Name: "n", Type: Int}, {Name: "s", Type: String}, {Name: "part", Type: part}}, nil)
 	decode := func(cls *Type, vals ...Value) *Object {
-		o, err := NewFrozen(cls, func(i int) (Value, error) { return vals[i], nil })
+		o, err := NewFrozen(cls, func(i int, _ *Cell) (Value, error) { return vals[i], nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +370,7 @@ func TestShareValue(t *testing.T) {
 		{Name: "n", Type: Int}, {Name: "part", Type: part},
 		{Name: "extra", Type: Any}}, nil)
 	frozen := func(cls *Type, vals ...Value) *Object {
-		o, err := NewFrozen(cls, func(i int) (Value, error) { return vals[i], nil })
+		o, err := NewFrozen(cls, func(i int, _ *Cell) (Value, error) { return vals[i], nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,6 +400,68 @@ func TestShareValue(t *testing.T) {
 			continue
 		}
 		checkShared(t, got, v)
+	}
+}
+
+// TestShareValueCopyAllocs: the frozen copy ShareValue makes for a host's
+// second and later bus stores each copied []byte or List attribute value in
+// the copy's header cells, so it costs no box: a Quote-shaped object (one
+// Bytes attribute) copies in 2 allocations, its block and its bytes, and a
+// Story-shaped one (a Bytes and a ListOf(String) attribute and a frozen
+// part, which is shared) in 3, its block, its body and its keyword array.
+// With a Go box per copied value they were 3 and 5.
+func TestShareValueCopyAllocs(t *testing.T) {
+	quote := MustNewClass("ShareQuote", nil, []Attr{
+		{Name: "pub", Type: Int}, {Name: "seq", Type: Int}, {Name: "sum", Type: Int},
+		{Name: "symbol", Type: String}, {Name: "bid", Type: Float}, {Name: "ask", Type: Float},
+		{Name: "size", Type: Int}, {Name: "at", Type: Time}, {Name: "venue", Type: String},
+		{Name: "depth", Type: Bytes}}, nil)
+	source := MustNewClass("ShareSource", nil, []Attr{
+		{Name: "agency", Type: String}, {Name: "desk", Type: String}, {Name: "region", Type: String}}, nil)
+	story := MustNewClass("ShareStory", nil, []Attr{
+		{Name: "pub", Type: Int}, {Name: "seq", Type: Int}, {Name: "sum", Type: Int},
+		{Name: "headline", Type: String}, {Name: "body", Type: Bytes},
+		{Name: "keywords", Type: ListOf(String)}, {Name: "source", Type: source}}, nil)
+	// decoded builds a frozen object as the wire decoder does, each []byte
+	// and List in its cell.
+	decoded := func(cls *Type, vals ...Value) *Object {
+		o, err := NewFrozen(cls, func(i int, c *Cell) (Value, error) {
+			switch v := vals[i].(type) {
+			case []byte:
+				return c.Bytes(v), nil
+			case List:
+				return c.List(v), nil
+			}
+			return vals[i], nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	at := time.Unix(1_700_000_000, 500).UTC()
+	keywords := List{"kw0", "kw1", "kw2", "kw3", "kw4", "kw5", "kw6", "kw7"}
+	for _, tc := range []struct {
+		name string
+		v    *Object
+		want float64
+	}{
+		{"Quote", decoded(quote, int64(1), int64(4711), int64(3735928559), "IBM", 101.25, 101.5,
+			int64(300), at, "NYSE", make([]byte, 104)), 2},
+		{"Story", decoded(story, int64(1), int64(4711), int64(3735928559), strings.Repeat("h", 64),
+			make([]byte, 8192), keywords, decoded(source, "DOWJONES", "detroit", "USMW")), 3},
+	} {
+		got := ShareValue(tc.v)
+		if sameValue(got, tc.v) || !EqualValues(got, tc.v) {
+			t.Fatalf("%s: ShareValue = %v, want an equal copy", tc.name, got)
+		}
+		checkShared(t, got, tc.v)
+		if raceEnabled {
+			continue // race-detector instrumentation allocates
+		}
+		if n := testing.AllocsPerRun(100, func() { ShareValue(tc.v) }); n != tc.want {
+			t.Errorf("%s: a frozen copy allocates %.0f times, want %.0f", tc.name, n, tc.want)
+		}
 	}
 }
 

@@ -111,6 +111,7 @@ type Type struct {
 	supers []*Type
 	own    []Attr // attributes declared by this class
 	all    []Attr // flattened: inherited first, then own; slot order
+	cells  int    // attributes in all declared Bytes or ListOf(...) (see Cell)
 	ops    []Operation
 	index  map[string]int // attribute name -> slot index in all
 	opIdx  map[string]int
@@ -218,6 +219,11 @@ func NewClass(name string, supers []*Type, attrs []Attr, ops []Operation) (*Type
 		}
 		t.index[a.Name] = len(t.all)
 		t.all = append(t.all, a)
+	}
+	for _, a := range t.all {
+		if hasCell(a.Type) {
+			t.cells++
+		}
 	}
 	return t, nil
 }

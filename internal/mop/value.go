@@ -260,24 +260,32 @@ func CloneValue(v Value) Value {
 // strings, times, and frozen objects whose parts are such too. Otherwise it
 // is a copy in which every []byte and List is new, since Go cannot freeze
 // them, and every object is frozen; a part that could be returned itself is
-// shared, not copied.
-func ShareValue(v Value) Value {
+// shared, not copied. A copied object's []byte and List attributes sit in
+// its header cells, as a decoded object's do.
+func ShareValue(v Value) Value { return share(v, nil) }
+
+// share is ShareValue storing a copied []byte or List in cell.
+func share(v Value, cell *Cell) Value {
 	if immutable(v) {
 		return v
 	}
 	switch x := v.(type) {
 	case []byte:
-		return append([]byte(nil), x...)
+		return cell.Bytes(append([]byte(nil), x...))
 	case List:
 		out := make(List, len(x))
 		for i, e := range x {
-			out[i] = ShareValue(e)
+			out[i] = share(e, nil)
 		}
-		return out
+		return cell.List(out)
 	case *Object:
-		c := alloc(x.typ, cap(x.slots))
+		c, cells := alloc(x.typ, x.typ.cells)
 		for i, e := range x.all() {
-			c.slots[i] = ShareValue(e)
+			var cell *Cell
+			if hasCell(x.typ.all[i].Type) {
+				cell, cells = &cells[0], cells[1:]
+			}
+			c.slots[i] = share(e, cell)
 		}
 		c.slots = c.slots[:0]
 		return c

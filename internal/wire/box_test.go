@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"runtime"
@@ -20,33 +21,92 @@ func dataWord(v any) unsafe.Pointer {
 	return (*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1]
 }
 
-// carvedSample is one decoded value the decoder carves from its block.
+// carvedSample is one decoded value the decoder carves from its block, or,
+// when holder is set, decodes as the one attribute of an object of a class
+// of that name, whose header cell holds it.
 type carvedSample struct {
-	name string
-	v    mop.Value // Go-boxed, as a caller builds it
-	kind *mop.Type
+	name   string
+	v      mop.Value // Go-boxed, as a caller builds it
+	kind   *mop.Type
+	holder string
+	// allocs is what a decode allocates for the sample on its own, chunks
+	// and blocks aside: the holder's block, and for a list that is not
+	// carved its array and a box per []byte or list element, and a long
+	// string's bytes and box.
+	allocs int
 }
 
 func carvedSamples() []carvedSample {
 	at := func(sec, nsec int64) time.Time { return time.Unix(sec, nsec).UTC() }
-	return []carvedSample{
-		{"int 256", int64(256), mop.Int},
-		{"int 3735928559", int64(3735928559), mop.Int},
-		{"int max", int64(math.MaxInt64), mop.Int},
-		{"int -1", int64(-1), mop.Int},
-		{"int min", int64(math.MinInt64), mop.Int},
-		{"float 42.125", 42.125, mop.Float},
-		{"float NaN", math.NaN(), mop.Float},
-		{"float -0", math.Copysign(0, -1), mop.Float},
-		{"float +Inf", math.Inf(1), mop.Float},
-		{"float -Inf", math.Inf(-1), mop.Float},
-		{"time", at(749571200, 500), mop.Time},
-		{"time epoch", at(0, 0), mop.Time},
-		{"time before epoch", at(-1_000_000_000, 1), mop.Time},
-		{"string 1 B", "k", mop.String},
-		{"string 8 B", "keyword7", mop.String},
-		{"string 128 B", strings.Repeat("0123456789abcdef", 8), mop.String},
+	words := func(n int) mop.List {
+		l := make(mop.List, n)
+		for i := range l {
+			l[i] = fmt.Sprintf("keyword%d", i)
+		}
+		return l
 	}
+	strs, anys := mop.ListOf(mop.String), mop.ListOf(mop.Any)
+	return []carvedSample{
+		{"int 256", int64(256), mop.Int, "", 0},
+		{"int 3735928559", int64(3735928559), mop.Int, "", 0},
+		{"int max", int64(math.MaxInt64), mop.Int, "", 0},
+		{"int -1", int64(-1), mop.Int, "", 0},
+		{"int min", int64(math.MinInt64), mop.Int, "", 0},
+		{"float 42.125", 42.125, mop.Float, "", 0},
+		{"float NaN", math.NaN(), mop.Float, "", 0},
+		{"float -0", math.Copysign(0, -1), mop.Float, "", 0},
+		{"float +Inf", math.Inf(1), mop.Float, "", 0},
+		{"float -Inf", math.Inf(-1), mop.Float, "", 0},
+		{"time", at(749571200, 500), mop.Time, "", 0},
+		{"time epoch", at(0, 0), mop.Time, "", 0},
+		{"time before epoch", at(-1_000_000_000, 1), mop.Time, "", 0},
+		{"string 1 B", "k", mop.String, "", 0},
+		{"string 8 B", "keyword7", mop.String, "", 0},
+		{"string 128 B", strings.Repeat("0123456789abcdef", 8), mop.String, "", 0},
+		{"bytes 104 B", bytes.Repeat([]byte{0xA5, 0x5A, 0}, 35)[:104], mop.Bytes, "BytesHolder", 1},
+		{"bytes 8 KB", bytes.Repeat([]byte("body of the story "), 456)[:8192], mop.Bytes, "BytesHolder", 1},
+		{"bytes empty", []byte{}, mop.Bytes, "BytesHolder", 1},
+		{"list empty", mop.List{}, strs, "StringsHolder", 1},
+		{"list of 8 strings", words(8), strs, "StringsHolder", 1},
+		{"list of listChunk strings", words(listChunk), strs, "StringsHolder", 1},
+		{"list of listChunk+1 strings", words(listChunk + 1), strs, "StringsHolder", 2},
+		{"list of scalars", mop.List{int64(7), int64(4711), 2.5, math.Inf(-1), true, at(749571200, 1), "", "s",
+			strings.Repeat("x", strMaxShared)}, anys, "AnyListHolder", 1},
+		{"list with a long string", mop.List{"s", strings.Repeat("x", strMaxShared+1)}, anys, "AnyListHolder", 4},
+		{"list with bytes", mop.List{"s", []byte("a view")}, anys, "AnyListHolder", 3},
+		{"list with a list", mop.List{"s", mop.List{"t"}}, anys, "AnyListHolder", 3},
+	}
+}
+
+// message returns the sample's encoding: the value itself, or a holder
+// object with the value as its one attribute.
+func (s carvedSample) message(t *testing.T) []byte {
+	if s.holder == "" {
+		return marshalLegacy(t, s.v)
+	}
+	holder := mop.MustNewClass(s.holder, nil, []mop.Attr{{Name: "v", Type: s.kind}}, nil)
+	return marshalLegacy(t, mop.MustNew(holder).MustSet("v", s.v))
+}
+
+// carvedList reports whether the decoder gives list l an array in its
+// element chunk: 1 to listChunk bools, ints, floats, times and strings of
+// at most strMaxShared bytes.
+func carvedList(l mop.List) bool {
+	if len(l) == 0 || len(l) > listChunk {
+		return false
+	}
+	for _, e := range l {
+		switch e := e.(type) {
+		case bool, int64, float64, time.Time:
+		case string:
+			if len(e) > strMaxShared {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // sameValue reports whether got is want, comparing floats by their bits so
@@ -68,7 +128,7 @@ func sameValue(got, want mop.Value) bool {
 func TestCarvedBoxIsAnOrdinaryValue(t *testing.T) {
 	t.Run("kinds", func(t *testing.T) {
 		for _, tc := range carvedSamples() {
-			msg := marshalLegacy(t, tc.v)
+			msg := tc.message(t)
 			vb := new(valueBlock)
 			v, err := unmarshal(bytes.Clone(msg), mop.NewRegistry(), nil, vb)
 			if err != nil {
@@ -82,9 +142,23 @@ func TestCarvedBoxIsAnOrdinaryValue(t *testing.T) {
 				slot = unsafe.Pointer(&vb.times[len(vb.times)-1])
 			case mop.String:
 				slot = unsafe.Pointer(&vb.strs[len(vb.strs)-1])
+			default:
+				// The holder's one cell follows its header and one slot.
+				o := v.(*mop.Object)
+				v = o.GetAt(0)
+				slot = unsafe.Add(unsafe.Pointer(o), unsafe.Sizeof(mop.Object{})+unsafe.Sizeof(v))
 			}
 			if dataWord(v) != slot {
-				t.Fatalf("%s: the decoded value is not in its chunk's last slot", tc.name)
+				t.Fatalf("%s: the decoded value is not in its chunk's last slot or its object's cell", tc.name)
+			}
+			if l, ok := v.(mop.List); ok && len(l) > 0 {
+				inChunk := len(vb.elems) >= len(l) && unsafe.SliceData(l) == &vb.elems[len(vb.elems)-len(l)]
+				if want := carvedList(l); inChunk != want {
+					t.Errorf("%s: the list's array is in the element chunk: %t, want %t", tc.name, inChunk, want)
+				}
+				if cap(l) != len(l) {
+					t.Errorf("%s: the list has cap %d > len %d: an append would write past it", tc.name, cap(l), len(l))
+				}
 			}
 
 			switch x := v.(type) {
@@ -92,15 +166,21 @@ func TestCarvedBoxIsAnOrdinaryValue(t *testing.T) {
 				if !sameValue(x, tc.v) {
 					t.Errorf("%s: type switch gives %v", tc.name, x)
 				}
+			case []byte, mop.List:
+				if !mop.EqualValues(x, tc.v) {
+					t.Errorf("%s: type switch gives %v", tc.name, x)
+				}
 			default:
 				t.Errorf("%s: type switch gives %T", tc.name, x)
 			}
-			if (v == tc.v) != (tc.v == tc.v) || !sameValue(v, tc.v) {
-				t.Errorf("%s: decoded %v, == %v is %t", tc.name, v, tc.v, v == tc.v)
-			}
-			if tc.v == tc.v {
-				if m := map[any]int{tc.v: 1}; m[v] != 1 {
-					t.Errorf("%s: the decoded value does not find its Go-boxed equal as a map key", tc.name)
+			if tc.holder == "" { // a []byte or List is not comparable
+				if (v == tc.v) != (tc.v == tc.v) || !sameValue(v, tc.v) {
+					t.Errorf("%s: decoded %v, == %v is %t", tc.name, v, tc.v, v == tc.v)
+				}
+				if tc.v == tc.v {
+					if m := map[any]int{tc.v: 1}; m[v] != 1 {
+						t.Errorf("%s: the decoded value does not find its Go-boxed equal as a map key", tc.name)
+					}
 				}
 			}
 			if got, want := reflect.TypeOf(v), reflect.TypeOf(tc.v); got != want {
@@ -118,11 +198,11 @@ func TestCarvedBoxIsAnOrdinaryValue(t *testing.T) {
 			if got, want := mop.EqualValues(v, tc.v), mop.EqualValues(tc.v, tc.v); got != want {
 				t.Errorf("%s: EqualValues with its Go-boxed equal %t, want %t", tc.name, got, want)
 			}
-			if c := mop.CloneValue(v); !sameValue(c, tc.v) {
+			if c := mop.CloneValue(v); tc.holder == "" && !sameValue(c, tc.v) || tc.holder != "" && !mop.EqualValues(c, tc.v) {
 				t.Errorf("%s: CloneValue gives %v", tc.name, c)
 			}
-			if enc := marshalLegacy(t, v); !bytes.Equal(enc, msg) {
-				t.Errorf("%s: re-marshals to %x, want %x", tc.name, enc, msg)
+			if enc, want := marshalLegacy(t, v), marshalLegacy(t, tc.v); !bytes.Equal(enc, want) {
+				t.Errorf("%s: re-marshals to %x, want %x", tc.name, enc, want)
 			}
 		}
 	})
@@ -131,26 +211,55 @@ func TestCarvedBoxIsAnOrdinaryValue(t *testing.T) {
 		if raceEnabled {
 			t.Skip("race-detector instrumentation allocates and sync.Pool drops blocks; the budget is pinned by the non-race run in scripts/check.sh")
 		}
-		// n decodes of one value: a chunk per chunk's worth of values, a
-		// string block per 1 KB of strings, and slack for a block the pool
-		// lost to a collection.
+		// n decodes of one value: what the sample allocates on its own per
+		// decode, a chunk per chunk's worth of values, a string block per
+		// 1 KB of strings, and slack for a block the pool lost to a
+		// collection.
 		const n = 1000
 		limit := func(s carvedSample) int {
-			switch s.kind {
-			case mop.Int, mop.Float:
-				return n/wordChunk + 8
-			case mop.Time:
-				return n/timeChunk + 8
-			default:
-				perBlock := strBlockSize / len(s.v.(string))
-				blocks := n / perBlock
-				return blocks + max(n/strChunk, blocks) + 8
+			var strBytes, strs, words, times, elems int
+			eachLeaf(s.v, func(x mop.Value) {
+				switch x := x.(type) {
+				case string:
+					if len(x) > 0 && len(x) <= strMaxShared {
+						strs, strBytes = strs+1, strBytes+len(x)
+					}
+				case int64:
+					if uint64(x) >= 256 {
+						words++
+					}
+				case float64:
+					if math.Float64bits(x) >= 256 {
+						words++
+					}
+				case time.Time:
+					times++
+				}
+			})
+			var carved func(v mop.Value)
+			carved = func(v mop.Value) {
+				if l, ok := v.(mop.List); ok {
+					if carvedList(l) {
+						elems += len(l)
+					}
+					for _, e := range l {
+						carved(e)
+					}
+				}
 			}
+			carved(s.v)
+			lists := 0
+			if elems > 0 { // a decode's lists take at most one chunk: never split
+				lists = n / (listChunk / elems)
+			}
+			// A header chunk starts afresh with each string block.
+			blocks := n * strBytes / strBlockSize
+			return n*s.allocs + blocks + n*strs/strChunk + blocks + n*words/wordChunk + n*times/timeChunk + lists + 8
 		}
 		reg, cache := mop.NewRegistry(), NewTypeCache(0)
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		for _, tc := range carvedSamples() {
-			msg := marshalLegacy(t, tc.v)
+			msg := tc.message(t)
 			if _, err := UnmarshalWith(msg, reg, cache); err != nil {
 				t.Fatal(err)
 			}
@@ -221,6 +330,56 @@ func TestCarvedBoxIsAnOrdinaryValue(t *testing.T) {
 				if !sameValue(got[j], want) {
 					t.Fatalf("decode %d value %d reads %v after three collections, want %v", i, j, got[j], want)
 				}
+			}
+		}
+
+		// Stories: the body and keywords of one in 50 are kept as the
+		// interfaces the decoded object holds, whose data words are the
+		// object's cells, and the object is dropped; the body is a view of
+		// its datagram, the keywords' array is in an element chunk.
+		const stories, keepStory = 10000, 50
+		story := benchStory()
+		sums := func(body, keywords mop.Value) [2]uint32 {
+			return [2]uint32{crc32.ChecksumIEEE(body.([]byte)),
+				crc32.ChecksumIEEE([]byte(fmt.Sprint(keywords.(mop.List)...)))}
+		}
+		type keptStory struct {
+			body, keywords mop.Value
+			want           [2]uint32
+		}
+		var keptStories []keptStory
+		for i := 0; i < stories; i++ {
+			o := story.Clone()
+			keywords := make(mop.List, 8)
+			for j := range keywords {
+				keywords[j] = fmt.Sprintf("kw%d-%d", j, i)
+			}
+			o.MustSet("body", bytes.Repeat([]byte(fmt.Sprintf("%07d ", i)), 1024)).MustSet("keywords", keywords)
+			v, err := UnmarshalWith(marshalLegacy(t, o), reg, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%keepStory == 0 {
+				d := v.(*mop.Object)
+				body, kw := d.MustGet("body"), d.MustGet("keywords")
+				keptStories = append(keptStories, keptStory{body, kw, sums(o.MustGet("body"), keywords)})
+			}
+		}
+		for round := 0; round < 2; round++ {
+			runtime.GC()
+			var sink []any
+			for j := 0; j < 200; j++ {
+				junk := make(mop.List, listChunk)
+				for k := range junk {
+					junk[k] = strings.Repeat("#", k+1)
+				}
+				sink = append(sink, junk, bytes.Repeat([]byte{0xEE}, 8704), make([]uint64, 24))
+			}
+			runtime.KeepAlive(sink)
+		}
+		for i, k := range keptStories {
+			if got := sums(k.body, k.keywords); got != k.want {
+				t.Fatalf("story %d: body and keywords sum to %x after two collections, want %x", i*keepStory, got, k.want)
 			}
 		}
 	})

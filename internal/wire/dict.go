@@ -432,7 +432,7 @@ func unmarshalCompact(r *reader, reg *mop.Registry, cache *TypeCache) (mop.Value
 	if len(missing) > 0 {
 		return nil, &MissingFingerprintsError{FPs: missing}
 	}
-	return readValue(r, nil, table, 0)
+	return readValue(r, nil, table, 0, nil)
 }
 
 // compactTable returns the class table of the compact message r is

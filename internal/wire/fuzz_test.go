@@ -97,6 +97,39 @@ func checkClone(t *testing.T, v mop.Value, enc, data []byte, encode func(mop.Val
 	})
 }
 
+// checkLists: every list of v, decoded through vb, is capped, so an append
+// reallocates instead of writing into a neighbour's slots, and no slot of
+// vb's element chunk holds a []byte, a list or an object: an element chunk
+// never points into a datagram.
+func checkLists(t *testing.T, v mop.Value, vb *valueBlock) {
+	t.Helper()
+	var walk func(v mop.Value)
+	walk = func(v mop.Value) {
+		switch x := v.(type) {
+		case mop.List:
+			if cap(x) != len(x) {
+				t.Fatalf("a decoded list has cap %d > len %d", cap(x), len(x))
+			}
+			for _, e := range x {
+				walk(e)
+			}
+		case *mop.Object:
+			if x != nil {
+				for i := range x.Type().Attrs() {
+					walk(x.GetAt(i))
+				}
+			}
+		}
+	}
+	walk(v)
+	for i, e := range vb.elems {
+		switch e.(type) {
+		case []byte, mop.List, *mop.Object:
+			t.Fatalf("element chunk slot %d holds a %T", i, e)
+		}
+	}
+}
+
 // bytesValue is a seed for checkViews: []byte at the top of a list, empty,
 // and in a nested object's slot.
 func bytesValue() mop.Value {
@@ -125,14 +158,14 @@ func checkCarved(t *testing.T, v mop.Value, data []byte, vb *valueBlock) {
 	}
 }
 
-// scribble is a message of enough ints, floats, times and strings to take a
-// fresh slot of every chunk and a fresh string block, whatever is left in
-// them.
+// scribble is a message of enough ints, floats, times, strings and short
+// lists of them to take a fresh slot of every chunk and a fresh string
+// block, whatever is left in them.
 var scribble = func() []byte {
 	var l mop.List
-	for i := 0; i < 2*max(wordChunk, timeChunk, strChunk); i++ {
+	for i := 0; i < 2*max(wordChunk, timeChunk, strChunk, listChunk); i++ {
 		l = append(l, int64(-1<<40-i), -float64(i)-0.25, time.Unix(int64(-i), int64(i)).UTC(),
-			strings.Repeat("~", 1+i%strMaxShared))
+			strings.Repeat("~", 1+i%strMaxShared), mop.List{int64(-1 << 41), "~"})
 	}
 	data, err := Marshal(l)
 	if err != nil {
@@ -211,10 +244,11 @@ func eachLeaf(v mop.Value, f func(mop.Value)) {
 // table section is decoded against an entry another message published), and
 // every way must yield the same value or error and register the same classes
 // as a decoder that resolves every table per message. Every decoded []byte is
-// a capped view of the input (checkViews), a clone of the value is equal,
-// encodes alike and views nothing of the input (checkClone), and no decoded
-// scalar, time or string shares a byte with the input or with a later
-// decode through the same block (checkCarved).
+// a capped view of the input (checkViews), every list is capped and no
+// element chunk holds a []byte, list or object (checkLists), a clone of the
+// value is equal, encodes alike and views nothing of the input
+// (checkClone), and no decoded scalar, time or string shares a byte with
+// the input or with a later decode through the same block (checkCarved).
 func FuzzUnmarshal(f *testing.F) {
 	_, dj, group := newsTypes(f)
 	seed, err := Marshal(sampleStory(f, dj, group))
@@ -247,6 +281,22 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(withBytes)
+	// Lists on either side of the carve: short strings and scalars (carved),
+	// the same with a []byte view among them (not carved), and an object
+	// whose List attribute mixes both kinds.
+	mixedHolder := mop.MustNewClass("Mixed", nil, []mop.Attr{
+		{Name: "tags", Type: mop.ListOf(mop.Any)}, {Name: "blob", Type: mop.Bytes}}, nil)
+	for _, v := range []mop.Value{
+		mop.List{"a", "bc", int64(300), true},
+		mop.List{"a", []byte("view"), "bc", mop.List{"d"}},
+		mop.MustNew(mixedHolder).MustSet("tags", mop.List{"s", []byte("b"), "t"}).MustSet("blob", []byte("x")),
+	} {
+		mixed, err := Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(mixed)
+	}
 	f.Add([]byte{Magic0, Magic1, Version, 0, 0})
 	f.Add([]byte{})
 	f.Add([]byte{Magic0, Magic1, Version, 0, tagList, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
@@ -260,6 +310,7 @@ func FuzzUnmarshal(f *testing.F) {
 			return
 		}
 		checkViews(t, v, in)
+		checkLists(t, v, vb)
 		enc, err := Marshal(v)
 		if err != nil {
 			t.Fatalf("decoded value failed to re-encode: %v", err)
@@ -275,8 +326,9 @@ func FuzzUnmarshal(f *testing.F) {
 // decodes must re-encode through a SendDict, and the table memo must be
 // invisible (see FuzzUnmarshal; here the primed cache holds a def-carrying
 // message between reference-only ones, as one in ResendEvery is). Every
-// decoded []byte is a capped view of the input (checkViews), a clone of the
-// value is equal, encodes alike and views nothing of the input (checkClone),
+// decoded []byte is a capped view of the input (checkViews), every list is
+// capped and no element chunk holds a []byte, list or object (checkLists),
+// a clone of the value is equal, encodes alike and views nothing of the input (checkClone),
 // and no decoded scalar, time or string shares a byte with the input or
 // with a later decode through the same block (checkCarved).
 func FuzzUnmarshalCompact(f *testing.F) {
@@ -350,6 +402,7 @@ func FuzzUnmarshalCompact(f *testing.F) {
 			return
 		}
 		checkViews(t, v, in)
+		checkLists(t, v, vb)
 		enc, err := NewSendDict(0).Marshal(v)
 		if err != nil {
 			t.Fatalf("decoded value failed to re-encode: %v", err)

@@ -26,7 +26,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unsafe"
 
 	"infobus/internal/mop"
 )
@@ -147,7 +146,7 @@ func unmarshalLegacy(r *reader, reg *mop.Registry, cache *TypeCache) (mop.Value,
 		res.defs = defs
 		walked = walked && r.pos == end
 	}
-	v, err := readValue(r, &res, nil, 0)
+	v, err := readValue(r, &res, nil, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -892,8 +891,10 @@ func writeValue(b *buffer, v mop.Value, cidx map[*mop.Type]int) error {
 
 // readValue decodes a tagged value. When table is non-nil (compact
 // dictionary mode) objects name their class by index into table; otherwise
-// by name, resolved through res.
-func readValue(r *reader, res *resolver, table []*mop.Type, depth int) (mop.Value, error) {
+// by name, resolved through res. cell is the header cell of the object slot
+// the value is decoded for, nil for any other value: a []byte or List is
+// stored in it instead of a box of its own.
+func readValue(r *reader, res *resolver, table []*mop.Type, depth int, cell *mop.Cell) (mop.Value, error) {
 	if depth > maxValueDepth {
 		return nil, ErrTooDeep
 	}
@@ -939,7 +940,11 @@ func readValue(r *reader, res *resolver, table []*mop.Type, depth int) (mop.Valu
 		if err != nil {
 			return nil, err
 		}
-		return r.readBytes(int(n))
+		b, err := r.readBytes(int(n))
+		if err != nil {
+			return nil, err
+		}
+		return cell.Bytes(b), nil
 	case tagTime:
 		ns, err := r.readVarint()
 		if err != nil {
@@ -954,15 +959,20 @@ func readValue(r *reader, res *resolver, table []*mop.Type, depth int) (mop.Valu
 		if n > maxLen {
 			return nil, fmt.Errorf("list of %d: %w", n, ErrTooLarge)
 		}
-		out := make(mop.List, 0, r.prealloc(n))
+		var out mop.List
+		if n > 0 && n <= listChunk && r.scalars(int(n)) {
+			out = r.vals.list(int(n))
+		} else {
+			out = make(mop.List, 0, r.prealloc(n))
+		}
 		for i := uint64(0); i < n; i++ {
-			e, err := readValue(r, res, table, depth+1)
+			e, err := readValue(r, res, table, depth+1, nil)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, e)
 		}
-		return out, nil
+		return cell.List(out[:len(out):len(out)]), nil
 	case tagObject:
 		var t *mop.Type
 		if table != nil {
@@ -990,8 +1000,8 @@ func readValue(r *reader, res *resolver, table []*mop.Type, depth int) (mop.Valu
 		// NewFrozen checks every slot against its declared type as SetAt
 		// would, without first filling the object with zero values, and
 		// returns a frozen object: the buses of a host share one decode.
-		return mop.NewFrozen(t, func(int) (mop.Value, error) {
-			return readValue(r, res, table, depth+1)
+		return mop.NewFrozen(t, func(_ int, cell *mop.Cell) (mop.Value, error) {
+			return readValue(r, res, table, depth+1, cell)
 		})
 	default:
 		return nil, fmt.Errorf("value tag %d: %w", tag, ErrUnknownTag)
@@ -1140,25 +1150,44 @@ func (r *reader) viewString() ([]byte, error) {
 // lives in a box the interface points to, which Go allocates per value. A
 // carved string, an int64, a float64 and a time.Time are instead appended to
 // a typed chunk of the block, and the interface points at their slot
-// (boxAt). Chunks follow the strings' rule: a slot below a chunk's length is
-// never written and a full chunk is dropped, never reset, so a box is
-// immutable and no two decodes share a slot. Go still boxes a bool, an int
-// or float whose bits are below 256, and "", which cost it no allocation;
-// a string over strMaxShared, so a kept one pins nothing else; and a []byte
-// view or a List, whose headers point into datagrams and element arrays: in
-// a shared chunk, one kept value would pin its neighbours' datagrams.
+// (mop.BoxAt). Chunks follow the strings' rule: a slot below a chunk's
+// length is never written and a full chunk is dropped, never reset, so a box
+// is immutable and no two decodes share a slot. A []byte view or a List in
+// an object's slot declared Bytes or ListOf(...) goes in the object's own
+// header cell (mop.Cell), never in a shared chunk: its header points into a
+// datagram or an element array, and one kept value would pin its
+// neighbours'. Go still boxes a bool, an int or float whose bits are below
+// 256, and "", which cost it no allocation; a string over strMaxShared, so a
+// kept one pins nothing else; and a []byte or List that is not an object's
+// attribute value (a list element, an Any slot, the whole message).
+//
+// Lists. A list of 1 to listChunk elements that are all bools, ints, floats,
+// times or strings of at most strMaxShared bytes (scalars: their encodings
+// are read ahead before any is decoded) takes its element array from a
+// chunk of the block: the decode reserves exactly its length, appends its
+// elements to the reservation and returns it capped, so an append
+// reallocates. A slot is written once, by the list it was reserved for,
+// before the list is returned, and a full chunk is dropped. Every element
+// of such a list is carved, so no chunk ever points into a datagram; a list
+// holding a []byte, a list or an object allocates its own array.
 //
 // Retention. A header chunk starts fresh whenever the string block does, so
 // a kept short string pins its 1 KB block and its own 512 B header chunk,
 // and no other block. A kept int, float or time pins one chunk of at most
-// 768 B that holds no pointer, and never a datagram. A chunk of a type with
-// pointers is at most 512 B, the largest the allocator gives no type header.
+// 768 B that holds no pointer, and never a datagram. A kept []byte or List
+// attribute value pins its object's block (at most 16 slots and their
+// cells), which a kept object pins anyway; a []byte pins its datagram as
+// before. A kept scalar list pins its 512 B element chunk and what the
+// chunk's other lists hold: carved strings, chunks and blocks of this
+// valueBlock, never a datagram. A chunk of a type with pointers is at most
+// 512 B, the largest the allocator gives no type header.
 const (
 	strBlockSize = 1 << 10
 	strMaxShared = strBlockSize / 8
 	strChunk     = 512 / 16 // string headers
 	wordChunk    = 768 / 8  // int64 and float64 bits
 	timeChunk    = 512 / 24 // time.Time, whose loc is a pointer (nil in UTC)
+	listChunk    = 512 / 16 // list elements
 )
 
 // valueBlock is the current block and chunks of one decode; UnmarshalWith
@@ -1168,11 +1197,13 @@ type valueBlock struct {
 	strs  []string
 	words []uint64
 	times []time.Time
+	elems mop.List
 }
 
 var valueBlocks = sync.Pool{New: func() any { return new(valueBlock) }}
 
-// The dynamic types boxAt gives carved slots, each read from a sample value.
+// The dynamic types mop.BoxAt gives carved slots, each read from a sample
+// value.
 var (
 	int64Type   any = int64(math.MaxInt64)
 	float64Type any = math.MaxFloat64
@@ -1196,7 +1227,7 @@ func (vb *valueBlock) string(view []byte) mop.Value {
 	n := vb.b.Len()
 	vb.b.Write(view)
 	vb.strs = append(vb.strs, vb.b.String()[n:])
-	return boxAt(stringType, &vb.strs[len(vb.strs)-1])
+	return mop.BoxAt(stringType, &vb.strs[len(vb.strs)-1])
 }
 
 // word returns an int64 (sample int64Type) or a float64 (float64Type) with
@@ -1206,7 +1237,7 @@ func (vb *valueBlock) word(sample any, u uint64) mop.Value {
 		vb.words = make([]uint64, 0, wordChunk)
 	}
 	vb.words = append(vb.words, u)
-	return boxAt(sample, &vb.words[len(vb.words)-1])
+	return mop.BoxAt(sample, &vb.words[len(vb.words)-1])
 }
 
 // time returns t.
@@ -1215,22 +1246,50 @@ func (vb *valueBlock) time(t time.Time) mop.Value {
 		vb.times = make([]time.Time, 0, timeChunk)
 	}
 	vb.times = append(vb.times, t)
-	return boxAt(timeType, &vb.times[len(vb.times)-1])
+	return mop.BoxAt(timeType, &vb.times[len(vb.times)-1])
 }
 
-// boxAt returns an interface with sample's dynamic type whose data word is
-// slot: a box that Go did not allocate. It is the package's one use of
-// unsafe, and it is sound because every caller keeps two invariants:
-//
-//   - T has the pointer layout of sample's dynamic type (T is that type, or
-//     uint64 for int64 and float64), so the GC scans the chunk that holds
-//     the slot as it would scan the box;
-//   - nothing writes through a box: the slot was written before boxAt hands
-//     out its address and is never written again (see valueBlock).
-func boxAt[T any](sample any, slot *T) any {
-	words := (*[2]unsafe.Pointer)(unsafe.Pointer(&sample))
-	words[1] = unsafe.Pointer(slot)
-	return sample
+// list reserves n of the element chunk's slots, 0 < n <= listChunk, and
+// returns them as an empty list of capacity n for its caller to append n
+// carved scalars to.
+func (vb *valueBlock) list(n int) mop.List {
+	if cap(vb.elems)-len(vb.elems) < n {
+		vb.elems = make(mop.List, 0, listChunk)
+	}
+	k := len(vb.elems)
+	vb.elems = vb.elems[:k+n]
+	return vb.elems[k : k : k+n]
+}
+
+// scalars reports whether the n values at r's position are all ones a
+// carved list may hold (see Lists above), reading ahead without decoding.
+func (r *reader) scalars(n int) bool {
+	s := reader{data: r.data, pos: r.pos}
+	for i := 0; i < n; i++ {
+		tag, err := s.readByte()
+		if err != nil {
+			return false
+		}
+		switch tag {
+		case tagBool:
+			_, err = s.readByte()
+		case tagInt, tagTime:
+			_, err = s.readVarint()
+		case tagFloat:
+			_, err = s.readUint64()
+		case tagString:
+			var b []byte
+			if b, err = s.viewString(); len(b) > strMaxShared {
+				return false
+			}
+		default:
+			return false
+		}
+		if err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // skipString steps over a length-prefixed string.

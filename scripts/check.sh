@@ -112,20 +112,20 @@ go test -run 'TestGroupCommitFsyncBudget|TestStuckMessageCarried|TestFailedAppen
 echo "==> wire-bytes gate (steady-state dictionary compression >= 40%; both formats byte-golden)"
 go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/wire/
 
-echo "==> alloc gate (steady-state encode 0 allocs; warm decode allocates what it returns, 0 for any table, definitions or not)"
+echo "==> alloc gate (steady-state encode 0 allocs; warm decode: one block per object, no box for any value; 0 for any table, definitions or not)"
 go test -run 'TestSendDictSteadyStateAllocs|TestUnmarshalSteadyStateAllocs' -count=1 ./internal/wire/
 
 echo "==> alloc gate (decoded strings share a block; a decode's counts preallocate O(payload))"
 go test -run 'TestDecodedStringsShareABlock|TestCountsPreallocateInProportionToPayload' -count=1 ./internal/wire/
 
-echo "==> alloc gate (a decoded int, float, time or short string costs no box: it is carved from the decode's block and behaves as a value Go boxed)"
+echo "==> alloc gate (a decoded int, float, time or short string costs no box: it is carved from the decode's block; a []byte or List attribute sits in its object's header cell, a list of scalars in an element chunk; each behaves as a value Go boxed)"
 go test -run 'TestCarvedBoxIsAnOrdinaryValue/(kinds|allocs)' -count=1 ./internal/wire/
 
 echo "==> alloc gate (a SysStats built from its one declaration: one block per object, 586 in all)"
 go test -run TestStatsObjectAllocBudget -count=1 ./internal/telemetry/
 
-echo "==> alloc gate (a data object is one allocation up to 16 slots: New, NewFrom, Clone and a bound kind's Object)"
-go test -run TestObjectIsOneAllocation -count=1 ./internal/mop/
+echo "==> alloc gate (a data object is one allocation up to 16 slots: New, NewFrozen with its header cells, Clone and a bound kind's Object; a frozen copy for a second bus boxes no []byte or List)"
+go test -run 'TestObjectIsOneAllocation|TestShareValueCopyAllocs' -count=1 ./internal/mop/
 
 echo "==> _sys gates (host and router answer every probe alike; published bytes golden against e4d15fb, router stats + the six mesh.* names)"
 go test -run 'TestSysProbeParity|TestSysGoldenBytes' -count=1 ./internal/router/
@@ -179,7 +179,7 @@ if [ "$quick" -eq 0 ]; then
     echo "==> decoded strings from shared blocks, 8 goroutines decoding and checking at once (race build, 10 runs)"
     go test -race -count=10 -run 'TestDecodedStringsShareABlock/concurrent' ./internal/wire/
 
-    echo "==> carved values survive collections with checkptr on, and pin their chunk, never a datagram or a second string block (race build, 10 runs)"
+    echo "==> carved values, and a Story's body and keywords kept through its header cells, survive collections with checkptr on, and pin their chunk, never a datagram or a second string block (race build, 10 runs)"
     go test -race -count=10 -run 'TestCarvedBoxIsAnOrdinaryValue/gc' ./internal/wire/
     go test -race -count=10 -run 'TestCarvedValueRetention' ./internal/wire/
 
