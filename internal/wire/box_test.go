@@ -120,11 +120,14 @@ func sameValue(got, want mop.Value) bool {
 }
 
 // TestCarvedBoxIsAnOrdinaryValue: an int64, float64, time.Time or short
-// string that the decoder carves from its block, with no box of its own,
-// behaves as a value Go boxed itself, stays intact through garbage
-// collections, and costs no allocation of its own. The alloc half is a gate
-// in scripts/check.sh and fails where every value is boxed on its own; the
-// gc half runs in the race tier, where checkptr is on.
+// string that the decoder carves from its block, and a []byte or List that
+// it stores in its object's header cell, with no box of its own, behaves as
+// a value Go boxed itself, stays intact through garbage collections, and
+// costs no allocation of its own; a list of scalars takes its array from
+// the element chunk, a list holding anything else does not. The alloc half
+// is a gate in scripts/check.sh and fails where every value is boxed on its
+// own; the gc half, which also keeps the body and keywords of decoded
+// Stories without the Stories, runs in the race tier, where checkptr is on.
 func TestCarvedBoxIsAnOrdinaryValue(t *testing.T) {
 	t.Run("kinds", func(t *testing.T) {
 		for _, tc := range carvedSamples() {
