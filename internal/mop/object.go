@@ -196,6 +196,9 @@ func alloc(t *Type, cells int) (*Object, []Cell) {
 }
 
 // carve allocates an object with its slot array A and k cells together.
+// k <= len(A), since a class has at most one cell per slot; the switch
+// still instantiates block for every k up to 16 with every A, about half of
+// them pairs that never run, so extend neither bound without reason.
 func carve[A any](t *Type, k int, slots func(*A) []Value) (*Object, []Cell) {
 	switch k {
 	case 0:

@@ -255,9 +255,16 @@ func TestCarvedBoxIsAnOrdinaryValue(t *testing.T) {
 			if elems > 0 { // a decode's lists take at most one chunk: never split
 				lists = n / (listChunk / elems)
 			}
-			// A header chunk starts afresh with each string block.
+			// A header chunk starts afresh with each string block. One
+			// string a decode fills blocks and header chunks in step, so
+			// whichever runs out first sets the count; strings of mixed
+			// lengths may start a block mid-chunk, a chunk more per block.
 			blocks := n * strBytes / strBlockSize
-			return n*s.allocs + blocks + n*strs/strChunk + blocks + n*words/wordChunk + n*times/timeChunk + lists + 8
+			headers := max(n*strs/strChunk, blocks)
+			if s.holder != "" {
+				headers = n*strs/strChunk + blocks
+			}
+			return n*s.allocs + blocks + headers + n*words/wordChunk + n*times/timeChunk + lists + 8
 		}
 		reg, cache := mop.NewRegistry(), NewTypeCache(0)
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -388,41 +395,80 @@ func TestCarvedBoxIsAnOrdinaryValue(t *testing.T) {
 	})
 }
 
+// decodeWatched decodes a private copy of msg, the datagram, and returns
+// the value and a channel closed once the datagram is collected.
+func decodeWatched(t *testing.T, msg []byte) (mop.Value, <-chan struct{}) {
+	t.Helper()
+	freed := make(chan struct{})
+	datagram := bytes.Clone(msg)
+	runtime.SetFinalizer(&datagram[0], func(*byte) { close(freed) })
+	v, err := UnmarshalWith(datagram, mop.NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, freed
+}
+
+// waitFreed collects until freed is closed, failing after 5 s.
+func waitFreed(t *testing.T, freed <-chan struct{}, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the datagram is still reachable through %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestCarvedValueRetention: a carved value pins its chunk, never the
 // datagram it was decoded from, and a short string's header chunk never
-// holds strings of two blocks, so a kept string pins one block.
+// holds strings of two blocks, so a kept string pins one block. A kept List
+// attribute value pins its object's block, whose Bytes cells are views of
+// the datagram, until it is dropped or cloned.
 func TestCarvedValueRetention(t *testing.T) {
 	t.Run("datagram", func(t *testing.T) {
 		want := mop.List{int64(4711), time.Unix(749571200, 500).UTC(), "keyword7"}
-		msg := marshalLegacy(t, append(want[:len(want):len(want)], []byte("a view of the datagram")))
-		freed := make(chan struct{})
-		kept := func() mop.List {
-			datagram := bytes.Clone(msg)
-			runtime.SetFinalizer(&datagram[0], func(*byte) { close(freed) })
-			v, err := UnmarshalWith(datagram, mop.NewRegistry(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return append(mop.List(nil), v.(mop.List)[:len(want)]...)
-		}()
-		deadline := time.Now().Add(5 * time.Second)
-	wait:
-		for {
-			runtime.GC()
-			select {
-			case <-freed:
-				break wait
-			default:
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("the datagram is still reachable through the values kept from it")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		v, freed := decodeWatched(t, marshalLegacy(t, append(want[:len(want):len(want)], []byte("a view of the datagram"))))
+		kept := append(mop.List(nil), v.(mop.List)[:len(want)]...)
+		v = nil
+		waitFreed(t, freed, "the values kept from it")
 		for i := range want {
 			if !sameValue(kept[i], want[i]) {
 				t.Errorf("kept value %d reads %v after its datagram was freed, want %v", i, kept[i], want[i])
 			}
+		}
+	})
+
+	t.Run("list attribute", func(t *testing.T) {
+		page := mop.MustNewClass("Page", nil, []mop.Attr{
+			{Name: "body", Type: mop.Bytes},
+			{Name: "keywords", Type: mop.ListOf(mop.String)},
+		}, nil)
+		want := mop.List{"alpha", "beta"}
+		msg := marshalLegacy(t, mop.MustNew(page).MustSet("body", bytes.Repeat([]byte("body "), 200)).MustSet("keywords", want))
+		v, freed := decodeWatched(t, msg)
+		kept := v.(*mop.Object).MustGet("keywords")
+		v = nil
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+		select {
+		case <-freed:
+			t.Fatal("the datagram was collected while the List attribute value, which pins its object's block, was kept")
+		default:
+		}
+		clone := mop.CloneValue(kept)
+		kept = nil
+		waitFreed(t, freed, "a clone of the List attribute value")
+		if !mop.EqualValues(clone, want) {
+			t.Errorf("the clone reads %v after the datagram was freed, want %v", clone, want)
 		}
 	})
 

@@ -959,20 +959,11 @@ func readValue(r *reader, res *resolver, table []*mop.Type, depth int, cell *mop
 		if n > maxLen {
 			return nil, fmt.Errorf("list of %d: %w", n, ErrTooLarge)
 		}
-		var out mop.List
-		if n > 0 && n <= listChunk && r.scalars(int(n)) {
-			out = r.vals.list(int(n))
-		} else {
-			out = make(mop.List, 0, r.prealloc(n))
+		out, err := readList(r, res, table, depth, int(n))
+		if err != nil {
+			return nil, err
 		}
-		for i := uint64(0); i < n; i++ {
-			e, err := readValue(r, res, table, depth+1, nil)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, e)
-		}
-		return cell.List(out[:len(out):len(out)]), nil
+		return cell.List(out), nil
 	case tagObject:
 		var t *mop.Type
 		if table != nil {
@@ -1006,6 +997,48 @@ func readValue(r *reader, res *resolver, table []*mop.Type, depth int, cell *mop
 	default:
 		return nil, fmt.Errorf("value tag %d: %w", tag, ErrUnknownTag)
 	}
+}
+
+// readList decodes the n elements of a list at depth and returns them
+// capped, so an append reallocates. A list of at most listChunk elements is
+// decoded into buf and then copied to a reservation in the element chunk if
+// every element is a carved scalar (see Lists), or to an array of its own.
+func readList(r *reader, res *resolver, table []*mop.Type, depth, n int) (mop.List, error) {
+	if n == 0 || n > listChunk {
+		out := make(mop.List, 0, r.prealloc(uint64(n)))
+		for i := 0; i < n; i++ {
+			e, err := readValue(r, res, table, depth+1, nil)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, e)
+		}
+		return out[:len(out):len(out)], nil
+	}
+	var buf [listChunk]mop.Value
+	scalars := true
+	for i := range buf[:n] {
+		e, err := readValue(r, res, table, depth+1, nil)
+		if err != nil {
+			return nil, err
+		}
+		switch e := e.(type) {
+		case bool, int64, float64, time.Time:
+		case string:
+			scalars = scalars && len(e) <= strMaxShared
+		default:
+			scalars = false
+		}
+		buf[i] = e
+	}
+	var out mop.List
+	if scalars {
+		out = r.vals.list(n)
+	} else {
+		out = make(mop.List, n)
+	}
+	copy(out, buf[:n])
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1162,25 +1195,27 @@ func (r *reader) viewString() ([]byte, error) {
 // attribute value (a list element, an Any slot, the whole message).
 //
 // Lists. A list of 1 to listChunk elements that are all bools, ints, floats,
-// times or strings of at most strMaxShared bytes (scalars: their encodings
-// are read ahead before any is decoded) takes its element array from a
-// chunk of the block: the decode reserves exactly its length, appends its
-// elements to the reservation and returns it capped, so an append
+// times or strings of at most strMaxShared bytes (scalars) takes its
+// element array from a chunk of the block: its elements are decoded into a
+// buffer on the stack, and the decode then reserves exactly their number of
+// slots, copies them in and returns the reservation capped, so an append
 // reallocates. A slot is written once, by the list it was reserved for,
 // before the list is returned, and a full chunk is dropped. Every element
 // of such a list is carved, so no chunk ever points into a datagram; a list
-// holding a []byte, a list or an object allocates its own array.
+// holding a []byte, a list or an object is copied to an array of its own.
 //
 // Retention. A header chunk starts fresh whenever the string block does, so
 // a kept short string pins its 1 KB block and its own 512 B header chunk,
 // and no other block. A kept int, float or time pins one chunk of at most
 // 768 B that holds no pointer, and never a datagram. A kept []byte or List
 // attribute value pins its object's block (at most 16 slots and their
-// cells), which a kept object pins anyway; a []byte pins its datagram as
-// before. A kept scalar list pins its 512 B element chunk and what the
-// chunk's other lists hold: carved strings, chunks and blocks of this
-// valueBlock, never a datagram. A chunk of a type with pointers is at most
-// 512 B, the largest the allocator gives no type header.
+// cells), which a kept object pins anyway, and through the block's Bytes
+// cells their datagram: a kept List attribute of an object that also has a
+// []byte one pins the datagram until mop.CloneValue copies it out. A kept
+// scalar list pins its 512 B element chunk and what the chunk's other lists
+// hold: carved strings, chunks and blocks of this valueBlock, never a
+// datagram. A chunk of a type with pointers is at most 512 B, the largest
+// the allocator gives no type header.
 const (
 	strBlockSize = 1 << 10
 	strMaxShared = strBlockSize / 8
@@ -1250,46 +1285,15 @@ func (vb *valueBlock) time(t time.Time) mop.Value {
 }
 
 // list reserves n of the element chunk's slots, 0 < n <= listChunk, and
-// returns them as an empty list of capacity n for its caller to append n
-// carved scalars to.
+// returns them as a list of length and capacity n for its caller to copy n
+// carved scalars into.
 func (vb *valueBlock) list(n int) mop.List {
 	if cap(vb.elems)-len(vb.elems) < n {
 		vb.elems = make(mop.List, 0, listChunk)
 	}
 	k := len(vb.elems)
 	vb.elems = vb.elems[:k+n]
-	return vb.elems[k : k : k+n]
-}
-
-// scalars reports whether the n values at r's position are all ones a
-// carved list may hold (see Lists above), reading ahead without decoding.
-func (r *reader) scalars(n int) bool {
-	s := reader{data: r.data, pos: r.pos}
-	for i := 0; i < n; i++ {
-		tag, err := s.readByte()
-		if err != nil {
-			return false
-		}
-		switch tag {
-		case tagBool:
-			_, err = s.readByte()
-		case tagInt, tagTime:
-			_, err = s.readVarint()
-		case tagFloat:
-			_, err = s.readUint64()
-		case tagString:
-			var b []byte
-			if b, err = s.viewString(); len(b) > strMaxShared {
-				return false
-			}
-		default:
-			return false
-		}
-		if err != nil {
-			return false
-		}
-	}
-	return true
+	return vb.elems[k : k+n : k+n]
 }
 
 // skipString steps over a length-prefixed string.
