@@ -266,7 +266,7 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 		h.sendDict = wire.NewSendDict(0)
 	}
 	client, _ := h.daemon.NewClient("_sys") // a daemon just started is open
-	h.loop = &hostLoop{client: client, hear: subject.NewTrie[Part](), parts: []Part{interest{h.daemon}},
+	h.loop = &hostLoop{client: client, hear: subject.NewTrie[Part](), parts: []Part{daemonPart{h.daemon}},
 		wake: make(chan struct{}, 1), done: make(chan struct{}), exited: make(chan struct{})}
 	go h.housekeep(h.loop)
 	h.csync = classSync{

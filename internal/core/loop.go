@@ -23,8 +23,9 @@ type Part interface {
 }
 
 // hostLoop is the host's only housekeeping goroutine, started by NewHost: it
-// ticks every part, sleeps until their earliest deadline or a subscription
-// change, and feeds each part what its "_sys" client hears on its subjects.
+// ticks every part, sleeps until their earliest deadline or until the daemon
+// kicks it (a subscription change, an acknowledgement set going on the
+// clock), and feeds each part what its "_sys" client hears on its subjects.
 // One loop is enough because no part blocks on an application (a bus retries
 // its own stash) or is called from a publish or delivery path.
 type hostLoop struct {
@@ -38,11 +39,15 @@ type hostLoop struct {
 	exited chan struct{}
 }
 
-// interest is the daemon's interest policy (daemon.TickInterest) as a part.
-type interest struct{ d *daemon.Daemon }
+// daemonPart is the daemon's two policies on the host's clock as one part:
+// its interest advertisements (daemon.TickInterest) and its deferred
+// guaranteed-delivery acknowledgements (daemon.TickAcks).
+type daemonPart struct{ d *daemon.Daemon }
 
-func (p interest) Tick(now time.Time) time.Time { return p.d.TickInterest(now) }
-func (interest) Hear(_, _ []byte)               {}
+func (p daemonPart) Tick(now time.Time) time.Time {
+	return sysagent.Earliest(p.d.TickInterest(now), p.d.TickAcks(now))
+}
+func (daemonPart) Hear(_, _ []byte) {}
 
 // AddPart puts p on the host's loop. From then on the loop ticks p and hands
 // it every delivery on a subject one of patterns matches.
@@ -108,7 +113,7 @@ func (h *Host) housekeep(l *hostLoop) {
 			return
 		case <-l.client.Ready():
 		case <-l.wake:
-		case <-h.daemon.InterestChanged():
+		case <-h.daemon.Kicked():
 		case <-timer.C:
 		}
 		l.pass.Lock()

@@ -11,8 +11,9 @@
 // receive matching publications — whether they originated remotely or from
 // another application on the same host. The daemon also participates in
 // the guaranteed-delivery handshake: it acknowledges guaranteed messages
-// that it delivered to at least one local subscriber, and it advertises its
-// aggregate subscription interest for information routers (TickInterest).
+// that it delivered to at least one local subscriber (TickAcks), and it
+// advertises its aggregate subscription interest for information routers
+// (TickInterest).
 package daemon
 
 import (
@@ -180,7 +181,7 @@ type Daemon struct {
 	// untouched daemon nothing.
 	foster map[string]func(id uint64, from string)
 	closed bool
-	kick   chan struct{} // a subscription change since the owner last looked
+	kick   chan struct{} // the owner's tick is wanted sooner than it last said (Kicked)
 	wg     sync.WaitGroup
 
 	// Cached interest advertisement and the subs.Gen() it was read at, so
@@ -369,6 +370,9 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 	}
 	d.guarSeenGauge = metrics.Gauge("daemon.guar_seen")
 	d.interestPatterns = metrics.Gauge("daemon.interest_patterns")
+	for _, ln := range d.lanes {
+		ln.acks = newAckSet(d.conn.SendTo, d.dropAck, d.wake)
+	}
 	if d.health != nil {
 		// Dedup-ring pressure: a ring running near capacity is at risk of
 		// un-seeing a publication still being retransmitted, which would
@@ -459,7 +463,9 @@ func (d *Daemon) OnGuaranteeAck(f func(id uint64, from string)) {
 	d.mu.Unlock()
 }
 
-// Close shuts the daemon and all its clients down.
+// Close shuts the daemon and all its clients down. The acknowledgements its
+// lanes still owe go out before the connection closes: a clean shutdown
+// leaves no publisher to its retransmission.
 func (d *Daemon) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -473,6 +479,9 @@ func (d *Daemon) Close() error {
 		clients = append(clients, c)
 	}
 	d.mu.Unlock()
+	for _, ln := range d.lanes {
+		ln.acks.sendAll()
+	}
 	err := d.conn.Close()
 	d.wg.Wait()
 	for _, c := range clients {
@@ -927,7 +936,8 @@ func (c *Client) enqueue(ln *lane, dv Delivery) bool {
 // message record both ride on exactly that. A worker that falls behind fills
 // its shard and, through the conn's loop, holds up the transport: nothing is
 // dropped or spawned. Whenever the shard holds nothing more, the worker sends
-// the guaranteed-delivery acknowledgements it has gathered (acks.go).
+// the lane's quick acknowledgement sets; the sets on the clock wait for
+// TickAcks (acks.go).
 func (d *Daemon) workerLoop(ln *lane) {
 	defer d.wg.Done()
 	w := d.newWorker(ln)
@@ -935,20 +945,18 @@ func (d *Daemon) workerLoop(ln *lane) {
 	for m := range shard {
 		d.handleMessage(w, m)
 		if len(shard) == 0 {
-			w.acks.flush()
+			ln.acks.flush()
 		}
 	}
 }
 
 // worker is what one lane's inbound worker owns alone: a subject interner
-// (the shared one is a mutex-guarded map and would re-serialize the pool),
-// the origin tokens of the guaranteed publications it has handled, and the
-// acknowledgements it has yet to send.
+// (the shared one is a mutex-guarded map and would re-serialize the pool)
+// and the origin tokens of the guaranteed publications it has handled.
 type worker struct {
 	ln       *lane
 	subjects *subject.Interner
 	origins  map[string]string
-	acks     ackSet
 }
 
 // maxOrigins bounds a worker's origin table. At the bound the table starts
@@ -961,7 +969,6 @@ func (d *Daemon) newWorker(ln *lane) *worker {
 		ln:       ln,
 		subjects: subject.NewInterner(0),
 		origins:  make(map[string]string),
-		acks:     newAckSet(d.conn.SendTo, d.dropAck),
 	}
 }
 
@@ -1015,8 +1022,8 @@ func (d *Daemon) handleMessage(w *worker, m reliable.Message) {
 		if delivered || seen {
 			// Acknowledge on behalf of our subscribers, to the publisher —
 			// again for a retransmission, in case it missed our first ack —
-			// once the lane drains.
-			w.acks.add(m.From, origin, h.ID)
+			// once the lane drains or the set's due tick comes.
+			w.ln.acks.add(m.From, origin, h.ID)
 		}
 	case busproto.KindGuarAck:
 		// Ours, or a crashed publisher's this daemon is replaying for (the
@@ -1253,24 +1260,32 @@ func (d *Daemon) guarRecordLocked(key guarKey) {
 	d.guarSeenGauge.Set(int64(len(d.guarSeen)))
 }
 
-// kickInterest notes a subscription change, under d.mu, and signals
-// InterestChanged without blocking: a signal already waiting covers this one.
+// kickInterest notes a subscription change, under d.mu, and signals Kicked.
 func (d *Daemon) kickInterest() {
 	d.advChanged = true
+	d.wake()
+}
+
+// wake signals Kicked without blocking: a signal already waiting covers this
+// one.
+func (d *Daemon) wake() {
 	select {
 	case d.kick <- struct{}{}:
 	default:
 	}
 }
 
-// InterestChanged is signalled by a subscription change; TickInterest stamps it.
-func (d *Daemon) InterestChanged() <-chan struct{} { return d.kick }
+// Kicked is signalled when the daemon wants its owner's tick sooner than the
+// last TickInterest or TickAcks said: by a subscription change, which
+// TickInterest stamps, and by an acknowledgement set going on the clock,
+// which TickAcks stamps.
+func (d *Daemon) Kicked() <-chan struct{} { return d.kick }
 
 // TickInterest is the interest policy on its owner's clock: it advertises
 // interestSettle after the last change of a burst — even a burst that left
 // the set as it was — and every InterestInterval, and returns when it next
-// wants the clock. A host's loop calls it then and whenever InterestChanged
-// is signalled; a daemon nobody ticks advertises only when its owner calls.
+// wants the clock. A host's loop calls it then and whenever Kicked is
+// signalled; a daemon nobody ticks advertises only when its owner calls.
 func (d *Daemon) TickInterest(now time.Time) time.Time {
 	d.mu.Lock()
 	if d.advChanged {
@@ -1293,6 +1308,21 @@ func (d *Daemon) TickInterest(now time.Time) time.Time {
 	d.mu.Unlock()
 	if send {
 		d.AdvertiseInterest()
+	}
+	return next
+}
+
+// TickAcks is the acknowledgement policy on its owner's clock (acks.go): it
+// sends every lane's sets that are due at now and returns when it next wants
+// the clock, zero when no set is on it. A host's loop calls it then and
+// whenever Kicked is signalled; until the first call no set goes on the clock
+// and every set is sent when its lane drains.
+func (d *Daemon) TickAcks(now time.Time) time.Time {
+	var next time.Time
+	for _, ln := range d.lanes {
+		if due := ln.acks.tick(now); !due.IsZero() && (next.IsZero() || due.Before(next)) {
+			next = due
+		}
 	}
 	return next
 }

@@ -679,22 +679,24 @@ func TestClosedClientLeavesAdvertisement(t *testing.T) {
 	awaitInterest(t, l, "kept.z")
 }
 
-// adTap is a transport endpoint that hears nothing and records, in order,
-// the pattern list of every interest advertisement its daemon broadcasts.
-// A conn sends synchronously, so an advertisement is recorded before
-// AdvertiseInterest returns.
-type adTap struct {
-	recv chan transport.Datagram
-	mu   sync.Mutex
-	ads  [][]string
+// tap is a transport endpoint that hears nothing and records, in order, the
+// pattern list of every interest advertisement its daemon broadcasts and the
+// ids of every guaranteed-ack frame it sends — or refuses the send while
+// refuse is set, as a full unicast window would. A conn sends synchronously,
+// so a frame is recorded before the call that sent it returns.
+type tap struct {
+	recv   chan transport.Datagram
+	mu     sync.Mutex
+	refuse bool
+	ads    [][]string
+	acks   [][]uint64
 }
 
-func (e *adTap) Addr() string                    { return "tap" }
-func (e *adTap) Send(string, []byte) error       { return nil }
-func (e *adTap) Recv() <-chan transport.Datagram { return e.recv }
-func (e *adTap) Close() error                    { return nil }
+func (e *tap) Addr() string                    { return "tap" }
+func (e *tap) Recv() <-chan transport.Datagram { return e.recv }
+func (e *tap) Close() error                    { return nil }
 
-func (e *adTap) Broadcast(frame []byte) error {
+func (e *tap) Broadcast(frame []byte) error {
 	for _, p := range reliable.DecodeDataPayloads(frame) {
 		if env, err := busproto.Decode(p); err == nil && env.Kind == busproto.KindInterest {
 			e.mu.Lock()
@@ -705,18 +707,54 @@ func (e *adTap) Broadcast(frame []byte) error {
 	return nil
 }
 
-// sent returns the advertisements recorded so far, in order.
-func (e *adTap) sent() [][]string {
+func (e *tap) Send(_ string, frame []byte) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.refuse {
+		return errors.New("window full")
+	}
+	for _, p := range reliable.DecodeDataPayloads(frame) {
+		if env, err := busproto.Decode(p); err == nil && env.Kind == busproto.KindGuarAck {
+			ids := env.Acked
+			if ids == nil {
+				ids = []uint64{env.ID}
+			}
+			e.acks = append(e.acks, ids)
+		}
+	}
+	return nil
+}
+
+// sentAds returns the advertisements recorded so far, in order.
+func (e *tap) sentAds() [][]string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return slices.Clone(e.ads)
 }
 
-func newAdTap(t *testing.T) (*Daemon, *adTap) {
-	tap := &adTap{recv: make(chan transport.Datagram)}
-	d := New(tap, reliable.Config{HeartbeatInterval: time.Hour}, Options{})
+// sentAcks returns the ack frames recorded so far, in order.
+func (e *tap) sentAcks() [][]uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return slices.Clone(e.acks)
+}
+
+func (e *tap) setRefuse(v bool) {
+	e.mu.Lock()
+	e.refuse = v
+	e.mu.Unlock()
+}
+
+// newTapped is a one-lane daemon on a tap. No protocol timer of its conn
+// comes due within a test, so every frame the tap records is one the daemon
+// sent, and none of the daemon's goroutines wakes unless the test hands it
+// work.
+func newTapped(t *testing.T) (*Daemon, *tap) {
+	tp := &tap{recv: make(chan transport.Datagram)}
+	quiet := reliable.Config{NakInterval: time.Hour, HeartbeatInterval: time.Hour, RetransmitInterval: time.Hour}
+	d := New(tp, quiet, Options{DeliveryLanes: 1})
 	t.Cleanup(func() { _ = d.Close() })
-	return d, tap
+	return d, tp
 }
 
 // virtualStart is where tests on virtual time start the clock.
@@ -729,7 +767,7 @@ var virtualStart = time.Unix(1000, 0)
 // churning client waits for that advertisement); the last unsubscribe says
 // the empty set once, and then nothing is sent.
 func TestInterestOnVirtualTime(t *testing.T) {
-	d, tap := newAdTap(t)
+	d, tap := newTapped(t)
 	c, _ := d.NewClient("app")
 	now := virtualStart
 	tick := func(dt time.Duration) time.Time {
@@ -738,7 +776,7 @@ func TestInterestOnVirtualTime(t *testing.T) {
 	}
 	expect := func(what string, ads ...[]string) {
 		t.Helper()
-		if got := tap.sent(); !slices.EqualFunc(got, ads, slices.Equal) {
+		if got := tap.sentAds(); !slices.EqualFunc(got, ads, slices.Equal) {
 			t.Fatalf("%s: advertised %v, want %v", what, got, ads)
 		}
 	}
@@ -748,9 +786,9 @@ func TestInterestOnVirtualTime(t *testing.T) {
 		_ = c.Subscribe(subject.MustParsePattern(burst[i]))
 	}
 	select {
-	case <-d.InterestChanged():
+	case <-d.Kicked():
 	default:
-		t.Fatal("a subscription change did not signal InterestChanged")
+		t.Fatal("a subscription change did not signal Kicked")
 	}
 	if next := tick(0); !next.Equal(virtualStart.Add(interestSettle)) {
 		t.Fatalf("next tick at +%v, want +%v", next.Sub(virtualStart), interestSettle)
@@ -802,9 +840,9 @@ func TestInterestOnVirtualTime(t *testing.T) {
 // the host's entry at that advertisement instead of at its TTL. It never
 // says it at start-up and never again while the set stays empty.
 func TestLastUnsubscribeAdvertisesEmptySet(t *testing.T) {
-	d, tap := newAdTap(t)
+	d, tap := newTapped(t)
 	empties := func() (n int) {
-		for _, ad := range tap.sent() {
+		for _, ad := range tap.sentAds() {
 			if len(ad) == 0 {
 				n++
 			}
@@ -812,7 +850,7 @@ func TestLastUnsubscribeAdvertisesEmptySet(t *testing.T) {
 		return n
 	}
 	d.AdvertiseInterest()
-	if got := tap.sent(); len(got) != 0 {
+	if got := tap.sentAds(); len(got) != 0 {
 		t.Fatalf("a daemon with no subscription advertised %v at start-up", got)
 	}
 	c, _ := d.NewClient("app")
@@ -825,11 +863,11 @@ func TestLastUnsubscribeAdvertisesEmptySet(t *testing.T) {
 			d.AdvertiseInterest()
 		}
 		if got := empties(); got != round {
-			t.Fatalf("round %d: %d empty advertisements so far, want one per last unsubscribe: %v", round, got, tap.sent())
+			t.Fatalf("round %d: %d empty advertisements so far, want one per last unsubscribe: %v", round, got, tap.sentAds())
 		}
 	}
 	want := [][]string{{"only.r1"}, nil, {"only.r2"}, nil}
-	if got := tap.sent(); !slices.EqualFunc(got, want, slices.Equal) {
+	if got := tap.sentAds(); !slices.EqualFunc(got, want, slices.Equal) {
 		t.Fatalf("advertised %v, want %v", got, want)
 	}
 }

@@ -79,6 +79,11 @@ type lane struct {
 	// and every local publisher.
 	slotMu sync.Mutex
 	slots  []Slot
+	// acks is the guaranteed-delivery acknowledgements the lane's senders
+	// are owed (acks.go), shared by the lane's worker, which records and
+	// sends on drain, and the daemon's TickAcks, which sends what is on the
+	// clock.
+	acks *ackSet
 }
 
 // slotChunk is the number of Slots a lane carves from one allocation.

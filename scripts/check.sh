@@ -90,11 +90,11 @@ go test -run TestStoryPayloadBytesBudget -count=1 .
 echo "==> alloc gate (router forward, mesh agent running: 0 allocs/op for plain, guaranteed, traced, transformed, _sys)"
 go test -run TestRouterForwardAllocBudget -count=1 ./internal/router/
 
-echo "==> alloc gate (subscription change + advertisement: same small constant at 100 and at 10000 subscriptions)"
-go test -run TestAdvertiseInterestAllocBudget -count=1 ./internal/daemon/
+echo "==> alloc gate (subscription change + advertisement: same small constant at 100 and at 10000 subscriptions; a loop pass with only the ack tick due: 0)"
+go test -run 'TestAdvertiseInterestAllocBudget|TestAckTickAllocatesNothing' -count=1 ./internal/daemon/
 
-echo "==> the daemon's interest policy and the rmi election on virtual time (ticked directly: no loop, no segment, no sleep)"
-go test -run TestInterestOnVirtualTime -count=1 ./internal/daemon/
+echo "==> the daemon's interest and acknowledgement policies and the rmi election on virtual time (ticked directly: no loop, no segment, no sleep)"
+go test -run 'TestInterestOnVirtualTime|TestAcksOnVirtualTime' -count=1 ./internal/daemon/
 go test -run 'TestElectionPartitionHeal|TestElectionLeaderExpiry' -count=1 ./internal/rmi/
 
 echo "==> the join on virtual time (sequence 1 starts a stream at once, a mid-stream joiner waits the grace, every fate of a first burst, sequence 0 refused)"
@@ -151,6 +151,9 @@ if [ "$quick" -eq 0 ]; then
     echo "==> the one interest table on virtual time under race, 5 runs (replace, refresh, lapse, two senders, split horizon, caps, the empty ad)"
     go test -race -count=5 -run 'TestJoinConvergesWithinFourTicks|TestSameIDCounted|TestInterestSwapKeepsCommonPatterns|TestRefreshLeavesTrieAlone|TestInterestLapsesAtTTL|TestTwoSendersOnePattern|TestHostInterestSplitHorizonAndBlockedSource|TestInterestTableCaps|TestEmptyAdSaidOnce' ./internal/mesh/
     go test -race -count=5 -run TestLastUnsubscribeAdvertisesEmptySet ./internal/daemon/
+
+    echo "==> a lane's worker recording and draining acknowledgements while the loop's tick sends the same sets (race build, 5 runs)"
+    go test -race -count=5 -run TestAckTickRacesWorker ./internal/daemon/
 
     echo "==> trie match cache under race, 5 runs (sharded, lazily invalidated: serves, cap skips, shards independent, never older than an observed mutation; a held answer survives Remove/Add on its node)"
     go test -race -count=5 -run 'TestMatchCache|TestTrieMatchCache|TestMatchResultSurvivesRemove' ./internal/subject/
