@@ -321,7 +321,6 @@ func TestAckTickRacesWorker(t *testing.T) {
 		select {
 		case <-done:
 			running = false
-		case <-g.d.Kicked():
 		default:
 		}
 		now = now.Add(AckDelay / 2)
