@@ -80,8 +80,8 @@ const (
 	HopLaneEnqueue    = 1 // delivery lane accepted the message (daemon routeLocal)
 	HopLanePop        = 2 // client queue popped the delivery (daemon)
 	HopLedgerStage    = 3 // record staged into the group-commit batch (ledger Append)
-	HopGroupCommit    = 4 // batch write completed (ledger committer)
-	HopFsync          = 5 // batch fsync completed (ledger committer, Sync mode)
+	HopGroupCommit    = 4 // batch write completed (ledger, on the commit's leader)
+	HopFsync          = 5 // batch fsync completed (ledger, on the commit's leader, Sync mode)
 	HopReplicaChunk   = 6 // committed batch mirrored as replication chunk (qledger)
 	HopQuorumAck      = 7 // write quorum of replica acks reached (qledger)
 	HopRecoveryReplay = 8 // entry re-published by the recovery coordinator (qledger)

@@ -15,8 +15,10 @@ import (
 // is woken). Hear is handed each delivery on a subject the part was added
 // with; the subject is lent for the call, the payload is the delivery's. Both
 // run on the loop's goroutine, one call at a time, and neither may block on
-// an application or on the network: a replica's group-commit fsync, which
-// waits on its own disk, is the one wait a part may make.
+// an application or on the network. Waits on the node's own disk are the
+// one exception: a replica's group-commit fsync, and, with LedgerSync, the
+// retry walk's Ledger.Flush, which writes and fsyncs the staged acks on the
+// loop at most once per RetryInterval.
 type Part interface {
 	Tick(now time.Time) time.Time
 	Hear(subject, payload []byte)

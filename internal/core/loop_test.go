@@ -46,8 +46,9 @@ func daemonClients(h *Host) int {
 // TestOneLoopPerHost: every host runs the daemon's lane workers, the conn's
 // loop and one housekeeping loop, started by NewHost, with one internal
 // daemon client. A host with the ledger, compact publishing and every
-// telemetry tier on adds the ledger's committer and one dispatcher per Bus —
-// not a goroutine per periodic duty — and Close leaves none.
+// telemetry tier on adds one dispatcher per Bus — not a goroutine per
+// periodic duty, and none for the ledger, which commits on its callers'
+// threads — and Close leaves none.
 func TestOneLoopPerHost(t *testing.T) {
 	seg := transport.NewManualSimSegment(netsim.DefaultConfig(), virtualStart) // no goroutine of its own
 	defer seg.Close()
@@ -71,8 +72,8 @@ func TestOneLoopPerHost(t *testing.T) {
 		}
 	}
 	by, total := spawned()
-	if want := lanes + 2 + 1 + buses; total != want || by["infobus/internal/core.NewHost"] != 1 {
-		t.Errorf("a fully configured host runs %d goroutines, want %d (lanes + 2, the committer, one per Bus): %v", total, want, by)
+	if want := lanes + 2 + buses; total != want || by["infobus/internal/core.NewHost"] != 1 {
+		t.Errorf("a fully configured host runs %d goroutines, want %d (lanes + 2, one per Bus): %v", total, want, by)
 	}
 	if got := daemonClients(h); got != buses+1 {
 		t.Errorf("the daemon holds %d clients, want %d: one per Bus and \"_sys\"", got, buses+1)

@@ -7,15 +7,18 @@ import (
 	"time"
 )
 
-// Group-commit pipeline. Append and Ack stage encoded records into l.cur
-// under l.mu and kick the committer; the committer swaps in the next batch,
-// releases the lock, and flushes the taken batch with one write and (with
-// Sync) one fsync. Every caller that staged into the batch becomes
-// durable together — the leader/follower pattern with the committer
-// goroutine as the permanent leader. While a flush is in progress new
-// callers stage into the next batch, so the group size adapts to
-// contention by itself: an uncontended Append commits alone with no added
-// wait, and N publishers racing a slow disk share one fsync per flush.
+// Group-commit pipeline, leader/follower style with no thread of its own
+// (the classic form is the MySQL binlog group commit). Append, AppendBatch
+// and Ack stage encoded records into l.cur under l.mu. An appender that
+// finds no commit in flight leads: it takes the forming batch, swaps in the
+// next one, releases the lock, and writes the taken batch with one write
+// and (with Sync) one fsync on its own thread. Every caller that staged into
+// the batch becomes durable together. Callers that arrive meanwhile stage
+// into the next batch and wait on it; when the write returns, the leader
+// wakes one of them to lead that batch, and returns. So the group size
+// adapts to contention by itself: an uncontended Append commits alone with
+// no added wait, and N publishers racing a slow disk share one fsync per
+// commit.
 
 // newBatchLocked returns the next staging batch, from the free list when
 // it has one. Caller holds l.mu (or is the only ledger reference, in Open).
@@ -41,47 +44,26 @@ func (l *Ledger) freeLocked(b *batch) {
 	l.free = append(l.free, b)
 }
 
-func (l *Ledger) commitLoop() {
-	defer l.wg.Done()
-	for {
-		select {
-		case <-l.kick:
-		case <-l.stop:
-			for l.flushOnce() {
-			}
-			return
-		}
-		for l.flushOnce() {
-		}
-	}
-}
-
-// flushOnce commits the currently staged batch, if any. It reports
-// whether there was one (so the committer drains back-to-back batches
-// without waiting for another kick).
-func (l *Ledger) flushOnce() bool {
-	l.mu.Lock()
+// commitLocked leads one commit: it takes the forming batch, writes it
+// with l.mu released, then credits or drops it, wakes its waiters, and
+// wakes one waiter of the batch that formed meanwhile to lead that one.
+// Caller holds l.mu and has seen no commit in flight; l.mu is held again on
+// return. An empty batch (a Close with nothing staged) is not written.
+func (l *Ledger) commitLocked() {
+	l.committing = true
 	b := l.cur
-	if b.recs == 0 {
-		l.mu.Unlock()
-		return false
-	}
-	// Bounded linger: flushing the previous batch woke its cohort of
-	// appenders, who are re-staging right now — but goroutine
-	// wake-up can be slower than a small fsync, and flushing before the
-	// cohort lands degenerates the pipeline into near-singleton batches.
-	// So when the previous batch proved contention (cohort > 1), give the
-	// forming batch up to linger to reach that size again. Uncontended
-	// appends (cohort <= 1) never wait.
-	if l.lastCohort > 1 && len(b.msgIDs) < l.lastCohort {
+	// Bounded linger, with Sync only, where a larger group saves an fsync:
+	// the previous commit woke its cohort of appenders, who are re-staging
+	// right now, but goroutine wake-up can be slower than a small fsync, and
+	// committing before the cohort lands degenerates into near-singleton
+	// batches. So when the previous batch proved contention (cohort > 1),
+	// give the forming batch up to linger to reach that size again.
+	if l.sync && l.lastCohort > 1 && len(b.msgIDs) < l.lastCohort {
 		deadline := time.Now().Add(linger)
-		for len(b.msgIDs) < l.lastCohort {
+		for len(b.msgIDs) < l.lastCohort && time.Now().Before(deadline) {
 			l.mu.Unlock()
 			runtime.Gosched()
 			l.mu.Lock()
-			if time.Now().After(deadline) {
-				break
-			}
 		}
 	}
 	l.lastCohort = len(b.msgIDs)
@@ -92,16 +74,15 @@ func (l *Ledger) flushOnce() bool {
 	err := l.broken // nothing is committed behind bytes that could not be rewound
 	l.mu.Unlock()
 
-	if err == nil {
-		err = l.writeBatch(f, b)
-	}
-	if err == nil && hook != nil {
-		// Replication hook: the batch is durable but its Append callers
-		// have not woken yet (flushed is set below), so a publisher returning
-		// from Append can rely on the batch having been mirrored already.
-		// Only the committer touches commitSeq.
-		l.commitSeq++
-		hook(CommitBatch{Seq: l.commitSeq, Records: b.buf, MsgIDs: b.msgIDs})
+	if err == nil && b.recs > 0 {
+		if err = l.writeBatch(f, b); err == nil && hook != nil {
+			// Replication hook: the batch is durable but its Append callers
+			// have not woken yet (flushed is set below), so a publisher
+			// returning from Append can rely on the batch having been
+			// mirrored already. Only the leader touches commitSeq.
+			l.commitSeq++
+			hook(CommitBatch{Seq: l.commitSeq, Records: b.buf, MsgIDs: b.msgIDs})
+		}
 	}
 
 	l.mu.Lock()
@@ -114,13 +95,15 @@ func (l *Ledger) flushOnce() bool {
 		}
 	}
 	b.err, b.flushed = err, true
+	l.committing = false
 	if b.waiters == 0 {
 		l.freeLocked(b)
 	} else {
 		b.cond.Broadcast()
 	}
-	l.mu.Unlock()
-	return true
+	if l.cur.waiters > 0 {
+		l.cur.cond.Signal()
+	}
 }
 
 // writeBatch puts one batch on disk: a single write, then a single fsync

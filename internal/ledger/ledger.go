@@ -11,13 +11,14 @@
 // but never acknowledged — exactly the set a restarted publisher must
 // retransmit.
 //
-// Durability is group-committed: concurrent Append callers stage records
-// into the current batch and block only until a committer goroutine has
-// flushed that batch with a single write (and, with Sync, a single fsync).
-// Under contention the fsync cost is paid once per batch instead of once
-// per message; an uncontended Append commits immediately with no added
-// linger. Ack only stages its record: it rides the next batch, a Flush
-// (the retrier kicks one every walk), or Close. Losing an unflushed ack in
+// Durability is group-committed on the callers' own threads: concurrent
+// Append callers stage records into the current batch, and the first that
+// finds no commit in flight writes the batch with a single write (and, with
+// Sync, a single fsync) while the others wait for it. The ledger runs no
+// goroutine. Under contention the fsync cost is paid once per batch instead
+// of once per message; an uncontended Append commits at once with no added
+// wait. Ack only stages its record: it rides the next batch, a Flush (the
+// retrier calls one every walk), or Close. Losing an unflushed ack in
 // a crash only means the message is retransmitted once more, and
 // consumers' (origin, id) dedup absorbs it. A commit that fails leaves no
 // trace: its messages leave the pending set and the segment is truncated
@@ -54,11 +55,13 @@ import (
 // is rolled once it grows past this.
 const defaultSegmentBytes = 4 << 20
 
-// linger bounds the extra wait a commit spends letting a forming group
-// reach the size of the previous one, once contention is proven (the
-// previous batch carried more than one Append). Goroutine wake-up can be
-// slower than a small fsync, so without this the pipeline can degenerate
-// into near-singleton batches. An uncontended Append never waits.
+// linger bounds the extra wait a Sync commit's leader spends letting a
+// forming group reach the size of the previous one, once contention is
+// proven (the previous batch carried more than one Append). Goroutine
+// wake-up can be slower than a small fsync, so without this the groups can
+// degenerate into near-singleton batches and pay an fsync each. Without
+// Sync a larger group saves no fsync, so no commit lingers; an uncontended
+// Append never waits.
 const linger = 100 * time.Microsecond
 
 // Kept payloads are carved from shared blocks of blockSize bytes (a larger
@@ -101,12 +104,12 @@ type segment struct {
 }
 
 // batch is one group-commit unit: the staged record bytes of every caller
-// that arrived while the previous batch was being flushed. Batches are
-// reused: once the committer has set err and flushed, each of the waiters
-// (the Append and AppendBatch callers that staged into it) reads the
-// outcome under l.mu, and the last one puts the batch, buffers and all, on
-// the ledger's free list. The committer frees a batch nobody waits on (one
-// holding only acks) itself.
+// that arrived while the previous batch was being committed. Batches are
+// reused: once the commit's leader has set err and flushed, each of the
+// waiters (the Append and AppendBatch callers that staged into it) reads
+// the outcome under l.mu, and the last one puts the batch, buffers and all,
+// on the ledger's free list. The leader frees a batch nobody waits on (one
+// holding only acks, committed by Flush) itself.
 type batch struct {
 	buf     []byte
 	msgIDs  []uint64 // ids of recMessage records staged in this batch
@@ -114,7 +117,7 @@ type batch struct {
 	waiters int
 	flushed bool
 	err     error
-	cond    sync.Cond // L is the ledger's mu; broadcast once flushed
+	cond    sync.Cond // L is the ledger's mu; broadcast once flushed, signalled to hand over the lead
 	// Stage timestamps (unix nanoseconds), written by writeBatch before
 	// flushed is set, so waiters read them under l.mu: commitAt after the
 	// segment write, syncAt after the fsync (0 without Sync). They feed
@@ -125,22 +128,20 @@ type batch struct {
 }
 
 // Ledger is a crash-safe append-only message log. It is safe for
-// concurrent use.
+// concurrent use, and runs no goroutine of its own: each commit runs on the
+// thread of a caller that waits for it (see commitLocked).
 type Ledger struct {
 	path   string // segment name prefix: <path>.<seq>.seg
 	dir    string
 	sync   bool
 	segMax int64 // defaultSegmentBytes; in-package tests set it
 
-	kick chan struct{} // committer wake-up (buffered, non-blocking send)
-	stop chan struct{}
-	wg   sync.WaitGroup
-
 	mu         sync.Mutex
 	closed     bool
+	committing bool                 // a leader is committing a batch taken from cur
 	onCommit   func(cb CommitBatch) // replication hook; see SetOnCommit
 	commitSeq  uint64               // batches committed so far (hook's Seq)
-	lastCohort int                  // appenders woken by the previous flush (linger target)
+	lastCohort int                  // messages in the previous commit (Sync's linger target)
 	broken     error                // a failed commit that could not be rewound; see rewindLocked
 	nextID     uint64
 	pending    map[uint64]entryState
@@ -195,8 +196,6 @@ func Open(path string, opts Options) (*Ledger, error) {
 		dir:     filepath.Dir(path),
 		sync:    opts.Sync,
 		segMax:  defaultSegmentBytes,
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
 		pending: make(map[uint64]entryState),
 	}
 	l.ctr = counters{
@@ -223,15 +222,14 @@ func Open(path string, opts Options) (*Ledger, error) {
 	if opts.Recorder != nil && len(l.pending) > 0 {
 		opts.Recorder.Record(telemetry.EventRecover, "ledger", int64(len(l.pending)), 0)
 	}
-	l.wg.Add(1)
-	go l.commitLoop()
 	return l, nil
 }
 
 // Append logs a message before transmission and returns its ledger ID. It
 // returns once the record is committed — with Sync, once it is on disk —
 // sharing the write and fsync with every other Append staged into the
-// same batch.
+// same batch. The commit may run on this caller's thread, and with it the
+// commit hook (SetOnCommit).
 func (l *Ledger) Append(subject string, payload []byte) (uint64, error) {
 	id, _, err := l.AppendTimed(subject, payload)
 	return id, err
@@ -268,20 +266,23 @@ func (l *Ledger) AppendTimed(subject string, payload []byte) (uint64, AppendTimi
 	l.pending[id] = entryState{e: Entry{ID: id, Subject: subject, Payload: l.keepLocked(payload)}}
 	l.ctr.appends.Inc()
 	l.ctr.pending.Set(int64(len(l.pending)))
+	err := l.awaitLocked(b, &tm)
 	l.mu.Unlock()
-	l.Flush()
-	err := l.await(b, &tm)
 	l.ctr.appendNs.Observe(time.Since(start))
 	return id, tm, err
 }
 
-// await blocks one of b's waiters until the committer has flushed b, and
-// returns the batch's error (and, with tm, its stamps). The last waiter
-// frees the batch.
-func (l *Ledger) await(b *batch, tm *AppendTimings) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// awaitLocked blocks one of b's waiters until b is flushed, and returns
+// the batch's error (and, with tm, its stamps). A waiter that finds no
+// commit in flight leads one; b is then the forming batch, since a batch
+// taken by a leader is flushed before the lead is given up. The last
+// waiter frees the batch. Caller holds l.mu.
+func (l *Ledger) awaitLocked(b *batch, tm *AppendTimings) error {
 	for !b.flushed {
+		if !l.committing {
+			l.commitLocked()
+			continue
+		}
 		b.cond.Wait()
 	}
 	err := b.err
@@ -311,7 +312,7 @@ func (l *Ledger) keepLocked(p []byte) []byte {
 
 // Ack records that the message with the given ID was acknowledged; it
 // will not be reported as pending after a restart. Ack only stages the
-// ack record: it never waits for the disk and kicks no commit. The record
+// ack record: it never waits for the disk and starts no commit. The record
 // rides the next batch, a Flush or Close. If a crash loses an unflushed
 // ack, the message is retransmitted once more after replay and the
 // consumer-side (origin, id) dedup absorbs it.
@@ -339,14 +340,16 @@ func (l *Ledger) Ack(id uint64) error {
 	return nil
 }
 
-// Flush wakes the committer to commit whatever is staged; outside the
-// ledger that is the ack records no append has carried yet. It does not
-// wait.
+// Flush commits whatever is staged on the caller's thread; outside the
+// ledger that is the ack records no append has carried yet. If a commit is
+// already in flight it returns at once, and the staged records ride the
+// next batch, a later Flush or Close. With Options.Sync the commit fsyncs.
 func (l *Ledger) Flush() {
-	select {
-	case l.kick <- struct{}{}:
-	default:
+	l.mu.Lock()
+	if !l.committing && l.cur.recs > 0 {
+		l.commitLocked()
 	}
+	l.mu.Unlock()
 }
 
 // Pending returns every logged-but-unacknowledged message, oldest first.
@@ -406,19 +409,18 @@ func (l *Ledger) Len() int {
 	return len(l.pending)
 }
 
-// Close flushes staged records and releases the active segment.
+// Close waits for the commit in flight, commits what is still staged
+// itself, and releases the active segment.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
-	l.closed = true
-	l.mu.Unlock()
-	close(l.stop)
-	l.wg.Wait() // the committer drains staged acks before exiting
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.closed = true // nothing stages into cur from here on
+	b := l.cur
+	b.waiters++
+	_ = l.awaitLocked(b, nil)
 	return l.f.Close()
 }
 

@@ -807,7 +807,7 @@ func TestCarryCrashState(t *testing.T) {
 	check(copyLedger(t, path), 1)
 }
 
-// swapClosedFile makes the committer's writes fail, as a full or failing
+// swapClosedFile makes the ledger's commit writes fail, as a full or failing
 // disk would, by swapping the active segment's handle for a closed file.
 // The returned func puts the real handle back.
 func swapClosedFile(t *testing.T, l *Ledger) (restore func()) {
@@ -926,10 +926,10 @@ func TestFailedRewindBreaksLedger(t *testing.T) {
 	}
 }
 
-// reopenWithStagedAck logs one message and reopens the ledger, whose
-// committer nothing has kicked yet, then acks the message there: the ack
-// record is staged and nothing else is, so every commit the test sees is
-// one it caused.
+// reopenWithStagedAck logs one message and reopens the ledger, which
+// commits nothing until a caller asks, then acks the message there: the
+// ack record is staged and nothing else is, so every commit the test sees
+// is one it caused.
 func reopenWithStagedAck(t *testing.T) (l *Ledger, path string, id uint64, commits *telemetry.Counter) {
 	t.Helper()
 	path = filepath.Join(t.TempDir(), "g.log")
@@ -978,16 +978,14 @@ func TestAckRidesNextAppend(t *testing.T) {
 	notPending(t, copyLedger(t, path), id)
 }
 
-// TestFlushCommitsStagedAck: Flush commits a staged ack with no append to
-// carry it.
+// TestFlushCommitsStagedAck: Flush commits a staged ack, with no append to
+// carry it, before it returns.
 func TestFlushCommitsStagedAck(t *testing.T) {
 	l, path, id, commits := reopenWithStagedAck(t)
 	base := commits.Load()
 	l.Flush()
-	for deadline := time.Now().Add(10 * time.Second); commits.Load() == base; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatal("Flush did not commit the staged ack")
-		}
+	if got := commits.Load(); got != base+1 {
+		t.Fatalf("Flush took %d commits, want 1", got-base)
 	}
 	notPending(t, copyLedger(t, path), id)
 }
@@ -1024,6 +1022,7 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 	}
 	const pairs = 4000
 	var before, after runtime.MemStats
+	runtime.GC() // a collection's own allocations land in the window less often
 	runtime.ReadMemStats(&before)
 	for i := 0; i < pairs; i++ {
 		pair()
@@ -1056,12 +1055,14 @@ func TestBatchOutcomeStaysWithItsWaiters(t *testing.T) {
 		held <- struct{}{}
 		<-release
 	})
-	// The ack's batch has no waiter: the committer frees it, so the batch
-	// the two appends stage into is the one the next clean append reuses.
+	// The ack's batch has no waiter: its leader frees it, so the batch the
+	// two appends stage into is the one the next clean append reuses. Flush
+	// leads that commit on its caller's thread, and so runs the held hook
+	// there: it gets a goroutine of its own, or the test would block in it.
 	if err := l.Ack(id); err != nil {
 		t.Fatal(err)
 	}
-	l.Flush()
+	go l.Flush()
 	<-held
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -1101,6 +1102,96 @@ func TestBatchOutcomeStaysWithItsWaiters(t *testing.T) {
 	}
 	if _, err := l.Append("s", []byte("reused")); err != nil {
 		t.Fatalf("append staged into the reused batch: %v", err)
+	}
+}
+
+// stageAndWait appends one message and reports the outcome: the goroutine
+// of a test appender, named so a commit hook can tell from its stack that
+// it runs on one.
+func stageAndWait(l *Ledger, payload string, errs chan<- error) {
+	_, err := l.Append("s", []byte(payload))
+	errs <- err
+}
+
+// TestLeaderLeadsOnlyItsOwnBatch: an appender that leads a commit returns
+// once its own batch is flushed. The batch that formed while it wrote is
+// led by one of that batch's own appenders, not by the old leader, and not
+// by a goroutine of the ledger's: there is none.
+func TestLeaderLeadsOnlyItsOwnBatch(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	l, err := Open(filepath.Join(t.TempDir(), "g.log"), Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	commits := reg.Counter("ledger.commits")
+	base := commits.Load()
+	// A failing run leaves a hook waiting; done lets it go, so the deferred
+	// Close, which waits for the commit in flight, returns.
+	held, release, done := make(chan string), make(chan struct{}), make(chan struct{})
+	defer close(done)
+	l.SetOnCommit(func(CommitBatch) {
+		stack := make([]byte, 4096)
+		select {
+		case held <- string(stack[:runtime.Stack(stack, false)]):
+			select {
+			case <-release:
+			case <-done:
+			}
+		case <-done:
+		}
+	})
+	ledErr := make(chan error, 1)
+	go func() {
+		_, err := l.Append("s", []byte("leader"))
+		ledErr <- err
+	}()
+	first := <-held
+	if strings.Contains(first, "stageAndWait") {
+		t.Fatalf("the first commit ran on a later appender:\n%s", first)
+	}
+	errs := make(chan error, 2)
+	go stageAndWait(l, "a", errs)
+	go stageAndWait(l, "b", errs)
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		l.mu.Lock()
+		staged := len(l.cur.msgIDs)
+		l.mu.Unlock()
+		if staged == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the two appends never staged into one batch")
+		}
+	}
+	release <- struct{}{}
+	// The second commit's hook blocks until it is received from held: the
+	// first leader must return without waiting for it.
+	select {
+	case err := <-ledErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first leader did not return while the second commit's hook was held")
+	}
+	var second string
+	select {
+	case second = <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("nobody led the batch that formed during the first commit")
+	}
+	if !strings.Contains(second, "stageAndWait") {
+		t.Errorf("the second commit did not run on one of its own appenders:\n%s", second)
+	}
+	release <- struct{}{}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := commits.Load() - base; got != 2 {
+		t.Fatalf("three appends took %d commits, want 2", got)
 	}
 }
 

@@ -64,8 +64,9 @@ type CommitBatch struct {
 // after each non-empty batch is durably written — before any Append staged
 // into it returns — so a caller observing Append's return can rely on the
 // batch having been offered to the hook already. The hook runs on the
-// committer goroutine: it must not call back into the ledger and must not
-// retain cb's slices.
+// thread that leads the commit: an Append, AppendBatch, Flush or Close
+// caller, whichever found no commit in flight. It must not call back into
+// the ledger (that caller is inside it) and must not retain cb's slices.
 func (l *Ledger) SetOnCommit(f func(cb CommitBatch)) {
 	l.mu.Lock()
 	l.onCommit = f
@@ -138,7 +139,6 @@ func (l *Ledger) AppendBatch(records []byte) error {
 		return nil // everything was a duplicate; nothing to commit
 	}
 	b.waiters++
-	l.mu.Unlock()
-	l.Flush()
-	return l.await(b, nil)
+	defer l.mu.Unlock()
+	return l.awaitLocked(b, nil)
 }

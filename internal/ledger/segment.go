@@ -74,7 +74,7 @@ func scanSegments(base string) ([]uint64, error) {
 // openSegments discovers (or creates) the segment files, replays them in
 // order rebuilding the pending set, truncates a torn tail off the newest
 // segment, and leaves l.f open at the append position. Called from Open
-// before the committer starts, so no locking.
+// before the ledger is shared, so no locking.
 func (l *Ledger) openSegments() error {
 	seqs, err := scanSegments(l.path)
 	if err != nil {

@@ -43,9 +43,10 @@ func daemonClients(h *core.Host) int {
 }
 
 // TestNoLoopOfItsOwn: the replication tier and its coordinator election are
-// parts on the host's one loop. A replicated host runs the goroutines and
-// daemon clients of the same host unreplicated, plus one ledger committer
-// per origin its store holds; Close leaves none.
+// parts on the host's one loop, and a ledger commits on its callers'
+// threads. A replicated host runs the goroutines and daemon clients of the
+// same host unreplicated, however many origins its store holds; Close
+// leaves none.
 func TestNoLoopOfItsOwn(t *testing.T) {
 	seg := transport.NewManualSimSegment(netsim.DefaultConfig(), virtualStart) // no goroutine of its own
 	defer seg.Close()
@@ -86,14 +87,16 @@ func TestNoLoopOfItsOwn(t *testing.T) {
 			clients := daemonClients(plain)
 			closed(plain)
 
-			// The store holds one origin: its ledger has a committer.
+			// The store holds two origins, a ledger each.
 			store := filepath.Join(dir, "store")
 			s, err := OpenStore(store, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Apply(deadOrigin, 1, twoEntries); err != nil {
-				t.Fatal(err)
+			for _, origin := range []string{deadOrigin, deadOrigin + "2"} {
+				if _, err := s.Apply(origin, 1, twoEntries); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -107,9 +110,9 @@ func TestNoLoopOfItsOwn(t *testing.T) {
 				t.Fatal(err)
 			}
 			by, total := spawned()
-			if want := goroutines + 1; total != want {
-				t.Errorf("a replicated host runs %d goroutines, want %d (the host's %d, one committer): %v",
-					total, want, goroutines, by)
+			if total != goroutines {
+				t.Errorf("a replicated host runs %d goroutines, want the unreplicated host's %d: %v",
+					total, goroutines, by)
 			}
 			if got := daemonClients(repl); got != clients {
 				t.Errorf("the daemon of a replicated host holds %d clients, want %d", got, clients)

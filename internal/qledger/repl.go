@@ -162,8 +162,8 @@ type Agent struct {
 	ctr  counters
 	rec  *telemetry.Recorder
 
-	// Shared with the ledger committer, Gate callers and foster-ack
-	// callbacks.
+	// Shared with the ledger's commit hook (on whichever thread leads a
+	// commit), Gate callers and foster-ack callbacks.
 	mu      sync.Mutex
 	nextSeq uint64
 	outbox  map[uint64]*chunk
@@ -431,8 +431,11 @@ func (a *Agent) Hear(_, payload []byte) {
 // ---------------------------------------------------------------------------
 // Publisher side
 
-// onCommit runs on the ledger committer for every durable batch. Message
-// records mirror immediately — a publisher is gated on them. Ack records
+// onCommit runs for every durable batch, on the thread that led the
+// ledger's commit: a PublishGuaranteed caller, the host loop's retry walk
+// flushing staged acks, or the ledger's Close. It takes a.mu, so nothing
+// may call into the ledger holding a.mu. Message records mirror
+// immediately — a publisher is gated on them. Ack records
 // are deferred: they only drive replica-side trimming, and a frame per
 // consumer acknowledgement would double the chunk (and replica fsync)
 // rate, so they ride along in front of the next data chunk, or go out on
@@ -443,7 +446,7 @@ func (a *Agent) onCommit(cb ledger.CommitBatch) {
 	for off := 0; off < len(cb.Records); {
 		rec, n, err := ledger.NextRecord(cb.Records[off:])
 		if err != nil {
-			// The committer just wrote these bytes; a parse failure here is
+			// The ledger just wrote these bytes; a parse failure here is
 			// a programming error, not runtime input.
 			panic(fmt.Sprintf("qledger: commit batch does not re-parse: %v", err))
 		}

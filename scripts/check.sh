@@ -106,8 +106,8 @@ go test -run 'TestParseAllocatesNothing|TestMatchMissAllocs|TestInternerParseByt
 echo "==> interest-aggregate gate (Trie.Aggregate == AggregatePatterns(Trie.Patterns()); aggregation only widens)"
 go test -run 'TestTrieAggregateEqualsAggregatePatterns|TestAggregateWidens|TestAggregateKeepsOneElementSubjects' -count=1 ./internal/subject/
 
-echo "==> ledger gate (8 Sync publishers average well under one fsync/message; a stuck message leaves at most 3 segments; a failed commit leaves no trace; Append+Ack allocates only its payload blocks; a reused batch reports each outcome to its own waiters; a reopened ledger keeps only its pending payloads)"
-go test -run 'TestGroupCommitFsyncBudget|TestStuckMessageCarried|TestFailedAppendLeavesNoTrace|TestFailedAppendBatchLeavesNoTrace|TestAppendSteadyStateAllocs|TestBatchOutcomeStaysWithItsWaiters|TestReopenKeepsOnlyPending' -count=1 ./internal/ledger/
+echo "==> ledger gate (8 Sync publishers average well under one fsync/message; a stuck message leaves at most 3 segments; a failed commit leaves no trace; Append+Ack allocates only its payload blocks; a reused batch reports each outcome to its own waiters; a commit's leader commits only its own batch; a reopened ledger keeps only its pending payloads)"
+go test -run 'TestGroupCommitFsyncBudget|TestStuckMessageCarried|TestFailedAppendLeavesNoTrace|TestFailedAppendBatchLeavesNoTrace|TestAppendSteadyStateAllocs|TestBatchOutcomeStaysWithItsWaiters|TestLeaderLeadsOnlyItsOwnBatch|TestReopenKeepsOnlyPending' -count=1 ./internal/ledger/
 
 echo "==> wire-bytes gate (steady-state dictionary compression >= 40%; both formats byte-golden)"
 go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/wire/
@@ -170,8 +170,8 @@ if [ "$quick" -eq 0 ]; then
     echo "==> slots carved from lane 0's chunk by local publishers and its inbound work at once, and turns given back exactly (race build, 5 runs)"
     go test -race -count=5 -run 'TestSlotCarveConcurrent|TestSlotTurnsGivenBack' ./internal/daemon/
 
-    echo "==> the ledger's reused batches, concurrent walks and released payload blocks (race build, 5 runs)"
-    go test -race -count=5 -run 'TestConcurrentAppendAck|TestGroupCommitFsyncBudget|TestForEachPendingConcurrent|TestBatchOutcomeStaysWithItsWaiters|TestCarryReleasesBlocks' ./internal/ledger/
+    echo "==> the ledger's reused batches, the hand-off of a commit's lead, concurrent walks and released payload blocks (race build, 5 runs)"
+    go test -race -count=5 -run 'TestConcurrentAppendAck|TestGroupCommitFsyncBudget|TestForEachPendingConcurrent|TestBatchOutcomeStaysWithItsWaiters|TestLeaderLeadsOnlyItsOwnBatch|TestCarryReleasesBlocks' ./internal/ledger/
 
     echo "==> crash recovery through the host's one retrier: exactly-once after a publisher crash, and a fostered entry nobody acknowledges backs off (race build, 3 runs)"
     go test -race -count=3 -run 'TestCrashRecoveryExactlyOnce|TestFosteredEntriesBackOff' ./internal/qledger/
