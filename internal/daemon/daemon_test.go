@@ -748,10 +748,13 @@ func (e *tap) setRefuse(v bool) {
 // newTapped is a one-lane daemon on a tap. No protocol timer of its conn
 // comes due within a test, so every frame the tap records is one the daemon
 // sent, and none of the daemon's goroutines wakes unless the test hands it
-// work.
+// work. The tap never acknowledges a unicast frame, so the conn's window
+// holds more frames than a test sends (TestAckTickRacesWorker sends up to
+// one per id): with the default 1 024 a fast tick filled it, and the sends
+// it then refused looked like ids never acknowledged.
 func newTapped(t *testing.T) (*Daemon, *tap) {
 	tp := &tap{recv: make(chan transport.Datagram)}
-	quiet := reliable.Config{NakInterval: time.Hour, HeartbeatInterval: time.Hour, RetransmitInterval: time.Hour}
+	quiet := reliable.Config{NakInterval: time.Hour, HeartbeatInterval: time.Hour, RetransmitInterval: time.Hour, Window: 4096}
 	d := New(tp, quiet, Options{DeliveryLanes: 1})
 	t.Cleanup(func() { _ = d.Close() })
 	return d, tp
