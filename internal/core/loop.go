@@ -16,9 +16,12 @@ import (
 // with; the subject is lent for the call, the payload is the delivery's. Both
 // run on the loop's goroutine, one call at a time, and neither may block on
 // an application or on the network. Waits on the node's own disk are the
-// one exception: a replica's group-commit fsync, and, with LedgerSync, the
-// retry walk's Ledger.Flush, which writes and fsyncs the staged acks on the
-// loop at most once per RetryInterval.
+// one exception: a replica's group-commit fsync, and the retry walk's
+// Ledger.Flush, at most once per RetryInterval. That Flush commits whatever
+// is staged, acks and, when it takes the lock just as a commit hands over
+// its lead, the message records of waiting PublishGuaranteed callers; with
+// LedgerSync it fsyncs them, and a replicated publisher's commit hook
+// builds and broadcasts their chunks on the loop.
 type Part interface {
 	Tick(now time.Time) time.Time
 	Hear(subject, payload []byte)

@@ -49,24 +49,26 @@ func (l *Ledger) freeLocked(b *batch) {
 // wakes one waiter of the batch that formed meanwhile to lead that one.
 // Caller holds l.mu and has seen no commit in flight; l.mu is held again on
 // return. An empty batch (a Close with nothing staged) is not written.
-func (l *Ledger) commitLocked() {
+func (l *Ledger) commitLocked(mayLinger bool) {
 	l.committing = true
 	b := l.cur
-	// Bounded linger, with Sync only, where a larger group saves an fsync:
-	// the previous commit woke its cohort of appenders, who are re-staging
-	// right now, but goroutine wake-up can be slower than a small fsync, and
-	// committing before the cohort lands degenerates into near-singleton
-	// batches. So when the previous batch proved contention (cohort > 1),
-	// give the forming batch up to linger to reach that size again.
-	if l.sync && l.lastCohort > 1 && len(b.msgIDs) < l.lastCohort {
+	// Where a larger group saves work (see linger), an appender that leads
+	// yields once, so appenders woken together (a quorum ack releases a
+	// burst of publishers) join its batch, then lingers while the group is
+	// short of the previous one's size. Flush (!mayLinger; it may run on the
+	// host loop) and a closed ledger (nothing more can stage) commit at once.
+	if mayLinger && !l.closed && (l.sync || l.onCommit != nil) {
 		deadline := time.Now().Add(linger)
-		for len(b.msgIDs) < l.lastCohort && time.Now().Before(deadline) {
+		for {
 			l.mu.Unlock()
 			runtime.Gosched()
 			l.mu.Lock()
+			if l.lastCohort <= 1 || b.waiters >= l.lastCohort || !time.Now().Before(deadline) {
+				break
+			}
 		}
 	}
-	l.lastCohort = len(b.msgIDs)
+	l.lastCohort = b.waiters
 	l.cur = l.newBatchLocked()
 	f := l.f
 	seg := l.segs[len(l.segs)-1]

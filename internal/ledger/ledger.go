@@ -55,13 +55,13 @@ import (
 // is rolled once it grows past this.
 const defaultSegmentBytes = 4 << 20
 
-// linger bounds the extra wait a Sync commit's leader spends letting a
-// forming group reach the size of the previous one, once contention is
-// proven (the previous batch carried more than one Append). Goroutine
-// wake-up can be slower than a small fsync, so without this the groups can
-// degenerate into near-singleton batches and pay an fsync each. Without
-// Sync a larger group saves no fsync, so no commit lingers; an uncontended
-// Append never waits.
+// linger bounds the extra wait a commit's leader spends letting a forming
+// group reach the size of the previous one, once contention is proven (more
+// than one Append or AppendBatch caller waited on the previous batch).
+// Goroutine wake-up can be slower than a small fsync, so without this the
+// groups degenerate into near-singleton batches that pay an fsync each with
+// Sync, or a replication chunk each with a commit hook. With neither, a
+// leader commits at once.
 const linger = 100 * time.Microsecond
 
 // Kept payloads are carved from shared blocks of blockSize bytes (a larger
@@ -141,7 +141,7 @@ type Ledger struct {
 	committing bool                 // a leader is committing a batch taken from cur
 	onCommit   func(cb CommitBatch) // replication hook; see SetOnCommit
 	commitSeq  uint64               // batches committed so far (hook's Seq)
-	lastCohort int                  // messages in the previous commit (Sync's linger target)
+	lastCohort int                  // appenders waiting on the previous commit (linger target)
 	broken     error                // a failed commit that could not be rewound; see rewindLocked
 	nextID     uint64
 	pending    map[uint64]entryState
@@ -280,7 +280,7 @@ func (l *Ledger) AppendTimed(subject string, payload []byte) (uint64, AppendTimi
 func (l *Ledger) awaitLocked(b *batch, tm *AppendTimings) error {
 	for !b.flushed {
 		if !l.committing {
-			l.commitLocked()
+			l.commitLocked(true)
 			continue
 		}
 		b.cond.Wait()
@@ -347,7 +347,7 @@ func (l *Ledger) Ack(id uint64) error {
 func (l *Ledger) Flush() {
 	l.mu.Lock()
 	if !l.committing && l.cur.recs > 0 {
-		l.commitLocked()
+		l.commitLocked(false)
 	}
 	l.mu.Unlock()
 }

@@ -453,6 +453,43 @@ func TestGroupCommitFsyncBudget(t *testing.T) {
 	}
 }
 
+// TestGroupCommitHookBudget is the fsync budget's twin for a ledger
+// without Sync but with a commit hook, which qledger turns into one
+// replication chunk per batch: contended appenders must still share
+// batches, so the hook runs well under once per message.
+func TestGroupCommitHookBudget(t *testing.T) {
+	l, err := Open(filepath.Join(t.TempDir(), "h.log"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var hooks int
+	l.SetOnCommit(func(cb CommitBatch) { hooks++ }) // leaders run one at a time
+	const workers, per = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload := make([]byte, 256)
+			for i := 0; i < per; i++ {
+				if _, err := l.Append("gate.h", payload); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	l.mu.Lock()
+	ratio := float64(hooks) / (workers * per)
+	l.mu.Unlock()
+	t.Logf("hooks=%d hooks/msg=%.3f mean-group=%.1f", hooks, ratio, 1/ratio)
+	if ratio > 0.75 {
+		t.Fatalf("hooks/msg = %.3f; group commit must average well under one hook call per message", ratio)
+	}
+}
+
 func TestForEachPending(t *testing.T) {
 	l, _ := openTemp(t)
 	// Empty: callback never runs.

@@ -146,6 +146,31 @@ func TestAppendBatch(t *testing.T) {
 	}
 }
 
+// TestAppendBatchIsOneAppender: a replica's AppendBatch of several message
+// records is one caller, so the commit it leads proves no contention and
+// the next AppendBatch on the host loop does not linger for appenders that
+// never come.
+func TestAppendBatchIsOneAppender(t *testing.T) {
+	l, err := Open(filepath.Join(t.TempDir(), "replica.log"), Options{Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var frame []byte
+	for id := uint64(1); id <= 5; id++ {
+		frame = AppendMessageRecord(frame, id, "q.a", []byte("x"))
+	}
+	if err := l.AppendBatch(frame); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	cohort := l.lastCohort
+	l.mu.Unlock()
+	if cohort != 1 {
+		t.Fatalf("a 5-record AppendBatch set the linger target to %d appenders, want 1", cohort)
+	}
+}
+
 // TestTornTailTruncateFsync is the regression test for recovery-time
 // durability: truncating a torn trailing record during replay must itself
 // be fsynced (file and directory), like every other on-disk mutation.

@@ -433,14 +433,16 @@ func (a *Agent) Hear(_, payload []byte) {
 
 // onCommit runs for every durable batch, on the thread that led the
 // ledger's commit: a PublishGuaranteed caller, the host loop's retry walk
-// flushing staged acks, or the ledger's Close. It takes a.mu, so nothing
-// may call into the ledger holding a.mu. Message records mirror
-// immediately — a publisher is gated on them. Ack records
-// are deferred: they only drive replica-side trimming, and a frame per
-// consumer acknowledgement would double the chunk (and replica fsync)
-// rate, so they ride along in front of the next data chunk, or go out on
-// the beat when the publisher is idle. The hook must not retain cb's
-// slices (the ledger recycles them), so everything is copied here.
+// flushing what is staged (acks, and at times waiting callers' message
+// records, whose chunks it then builds and broadcasts on the loop), or the
+// ledger's Close. It takes a.mu, so nothing may call into the ledger
+// holding a.mu. Message records mirror immediately — a publisher is gated
+// on them. Ack records are deferred: they only drive replica-side trimming,
+// and a frame per consumer acknowledgement would double the chunk (and
+// replica fsync) rate, so they ride along in front of the next data chunk,
+// or go out on the beat when the publisher is idle. The hook must not
+// retain cb's slices (the ledger recycles them), so everything is copied
+// here.
 func (a *Agent) onCommit(cb ledger.CommitBatch) {
 	var msgs, acks []byte
 	for off := 0; off < len(cb.Records); {

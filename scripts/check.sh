@@ -106,8 +106,8 @@ go test -run 'TestParseAllocatesNothing|TestMatchMissAllocs|TestInternerParseByt
 echo "==> interest-aggregate gate (Trie.Aggregate == AggregatePatterns(Trie.Patterns()); aggregation only widens)"
 go test -run 'TestTrieAggregateEqualsAggregatePatterns|TestAggregateWidens|TestAggregateKeepsOneElementSubjects' -count=1 ./internal/subject/
 
-echo "==> ledger gate (8 Sync publishers average well under one fsync/message; a stuck message leaves at most 3 segments; a failed commit leaves no trace; Append+Ack allocates only its payload blocks; a reused batch reports each outcome to its own waiters; a commit's leader commits only its own batch; a reopened ledger keeps only its pending payloads)"
-go test -run 'TestGroupCommitFsyncBudget|TestStuckMessageCarried|TestFailedAppendLeavesNoTrace|TestFailedAppendBatchLeavesNoTrace|TestAppendSteadyStateAllocs|TestBatchOutcomeStaysWithItsWaiters|TestLeaderLeadsOnlyItsOwnBatch|TestReopenKeepsOnlyPending' -count=1 ./internal/ledger/
+echo "==> ledger gate (8 Sync publishers average well under one fsync/message, and 8 publishers on a ledger with a commit hook under one hook call/message; a stuck message leaves at most 3 segments; a failed commit leaves no trace; Append+Ack allocates only its payload blocks; a reused batch reports each outcome to its own waiters; a commit's leader commits only its own batch; a reopened ledger keeps only its pending payloads)"
+go test -run 'TestGroupCommitFsyncBudget|TestGroupCommitHookBudget|TestStuckMessageCarried|TestFailedAppendLeavesNoTrace|TestFailedAppendBatchLeavesNoTrace|TestAppendSteadyStateAllocs|TestBatchOutcomeStaysWithItsWaiters|TestLeaderLeadsOnlyItsOwnBatch|TestReopenKeepsOnlyPending' -count=1 ./internal/ledger/
 
 echo "==> wire-bytes gate (steady-state dictionary compression >= 40%; both formats byte-golden)"
 go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/wire/
