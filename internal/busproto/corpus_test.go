@@ -94,7 +94,7 @@ func TestCorpusDecodes(t *testing.T) {
 			t.Errorf("%s decodes to\n%swant\n%s", path, got, want)
 		}
 	}
-	for _, set := range []string{"pr46", "head"} {
+	for _, set := range []string{"epoch64", "head"} {
 		if sets[set] != 11 {
 			t.Errorf("set %s holds %d envelopes, want 11: kinds 1-10 and the run-list ack", set, sets[set])
 		}

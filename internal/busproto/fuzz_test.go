@@ -6,6 +6,8 @@ import (
 )
 
 // FuzzDecode: arbitrary bytes never panic; decodable envelopes round-trip.
+// This fuzzer, FuzzEnvelopePeek and FuzzAppendForward seed from the wire
+// corpus too.
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(Envelope{Kind: KindPublish, Subject: "a.b", Payload: []byte("x")}))
 	f.Add(Encode(Envelope{Kind: KindGuaranteed, ID: 9, Origin: "o", Subject: "s", Payload: nil}))
@@ -25,6 +27,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{KindPublishTraced, 0, 1, 5, 1, 'n', 2})
 	f.Add([]byte{KindGuaranteedTraced, 0, 9, 1, 'o', 1, 1, 0xff, 0xff, 0x03})
 	addAckSeeds(f)
+	addCorpusSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := Decode(data)
 		if err != nil {
@@ -72,6 +75,7 @@ func FuzzEnvelopePeek(f *testing.F) {
 	f.Add([]byte{KindPublishTraced, 0, 1, 5, 1, 'n', 2})
 	f.Add([]byte{KindGuaranteedTraced, 0, 9, 1, 'o', 1, 1, 0xff, 0xff, 0x03})
 	addAckSeeds(f)
+	addCorpusSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, perr := Peek(data)
 		e, derr := Decode(data)
@@ -131,6 +135,7 @@ func FuzzAppendForward(f *testing.F) {
 		}
 		f.Add(Encode(e))
 	}
+	addCorpusSeeds(f)
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		h, err := Peek(frame)
 		if err != nil || (h.Base() != KindPublish && h.Base() != KindGuaranteed) {

@@ -31,21 +31,21 @@ import (
 //   - reliable/: one frame per type, the data frames carrying those envelopes;
 //   - deliveries: the objects an application must receive from them, in order.
 //
-// pr46 is the last build whose epoch was 64 bits and whose origin token was
+// epoch64 is the last build whose epoch was 64 bits and whose origin token was
 // "<address>#<16 hex digits>"; head is this build's. -update rewrites head
 // alone, from this build's producers (a daemon's identity, a reliable
 // machine's frames, the envelope and object encoders); the packages that
 // decode the frames then record what they read:
 //
-//	go test -run TestCorpus -update ./internal/core/
-//	go test -run TestCorpus -update ./internal/busproto/ ./internal/reliable/
+//	go test ./internal/core/ -run TestCorpus -update
+//	go test ./internal/busproto/ ./internal/reliable/ -run TestCorpus -update
 var update = flag.Bool("update", false, "rewrite the head set of testdata/corpus from this build's encoders")
 
 const (
 	corpusDir  = "../../testdata/corpus"
 	corpusHead = "head"
 	// corpusAddr is the address the corpus host writes from: the benchmark
-	// medium's form, so a pr46 origin token is the 28 bytes the benchmark's
+	// medium's form, so an epoch64 origin token is the 28 bytes the benchmark's
 	// guaranteed publications carried.
 	corpusAddr = "mem:a:1:pub"
 	corpusPeer = "mem:b:1:sub"
@@ -73,8 +73,8 @@ func corpusSets(t *testing.T) []string {
 			sets = append(sets, e.Name())
 		}
 	}
-	if !slices.Contains(sets, "pr46") || !slices.Contains(sets, corpusHead) {
-		t.Fatalf("corpus sets %v: want pr46 and %s", sets, corpusHead)
+	if !slices.Contains(sets, "epoch64") || !slices.Contains(sets, corpusHead) {
+		t.Fatalf("corpus sets %v: want epoch64 and %s", sets, corpusHead)
 	}
 	return sets
 }
@@ -227,7 +227,7 @@ func writeCorpus(t *testing.T, dir string) {
 // order from one endpoint through a manual segment, reach an application on
 // a host of this build — the objects of the data envelopes in the order they
 // were published, each once — and its guaranteed publications are
-// acknowledged to their origin as it was written: a pr46 origin is 28 bytes.
+// acknowledged to their origin as it was written: an epoch64 origin is 28 bytes.
 // The control frames (the heartbeat, and a nak, an ack and an envelope ack
 // that name nothing the host sent) are read and ignored.
 func TestCorpusReachesTheApplication(t *testing.T) {
@@ -243,8 +243,8 @@ func TestCorpusReachesTheApplication(t *testing.T) {
 				t.Fatal(err)
 			}
 			origin := string(gh.Origin)
-			if set == "pr46" && len(origin) != 28 {
-				t.Fatalf("pr46 origin %q is %d bytes, want 28", origin, len(origin))
+			if set == "epoch64" && len(origin) != 28 {
+				t.Fatalf("epoch64 origin %q is %d bytes, want 28", origin, len(origin))
 			}
 
 			seg := transport.NewManualSimSegment(netsim.DefaultConfig(), virtualStart)
@@ -275,7 +275,7 @@ func TestCorpusReachesTheApplication(t *testing.T) {
 
 			var got []string
 			acked := map[uint64]bool{}
-			pump(t, seg, func() bool { return len(got) >= len(want) && len(acked) >= 4 }, func(wait <-chan time.Time) {
+			done := pump(seg, func() bool { return len(got) >= len(want) && len(acked) >= 4 }, func(wait <-chan time.Time) {
 				select {
 				case ev := <-sub.C:
 					got = append(got, fmt.Sprintf("%s %s\n", ev.Subject, strconv.Quote(mop.Sprint(ev.Value))))
@@ -293,6 +293,9 @@ func TestCorpusReachesTheApplication(t *testing.T) {
 				case <-wait:
 				}
 			})
+			if !done {
+				t.Errorf("timed out with %d of %d deliveries and ids %v acknowledged", len(got), len(want), acked)
+			}
 			if !slices.Equal(got, want) {
 				t.Errorf("the application received\n%s\nwant\n%s", strings.Join(got, ""), strings.Join(want, ""))
 			}
@@ -306,18 +309,18 @@ func TestCorpusReachesTheApplication(t *testing.T) {
 }
 
 // pump moves a manual segment's clock a millisecond at a time, calling step
-// with a short wait between moves, until done holds or ten seconds of wall
-// time pass. The hosts on it run their own goroutines in wall time; the
-// segment's clock only lets their datagrams arrive.
-func pump(t *testing.T, seg *transport.SimSegment, done func() bool, step func(wait <-chan time.Time)) {
-	t.Helper()
+// with a short wait between moves, until done holds, and reports whether it
+// did within ten seconds of wall time. The hosts on the segment run their
+// own goroutines in wall time; its clock only lets their datagrams arrive.
+func pump(seg *transport.SimSegment, done func() bool, step func(wait <-chan time.Time)) bool {
 	now := seg.Network().Now()
 	for deadline := time.Now().Add(10 * time.Second); !done(); {
 		if time.Now().After(deadline) {
-			t.Fatal("timed out")
+			return false
 		}
 		now = now.Add(time.Millisecond)
 		seg.Network().AdvanceTo(now)
 		step(time.After(100 * time.Microsecond))
 	}
+	return true
 }

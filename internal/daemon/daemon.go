@@ -19,7 +19,6 @@ package daemon
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,7 +156,7 @@ const (
 // Daemon routes publications between the network and local clients.
 type Daemon struct {
 	conn     *reliable.Conn
-	identity string // globally unique origin token for guaranteed acks
+	identity string // origin token of guaranteed publications and their acks; see Identity
 	// tokens is the daemon's seeded random stream (identity, trace bases,
 	// Token); see lanes.go.
 	tokens *tokenSource
@@ -332,7 +331,7 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 	lanes := newLanes(resolveLanes(opts.DeliveryLanes), metrics)
 	d := &Daemon{
 		conn:        reliable.NewSharded(ep, cfg, len(lanes)),
-		identity:    fmt.Sprintf("%s#%016x", ep.Addr(), tokens.Next()),
+		identity:    originToken(ep.Addr(), tokens.Next()),
 		tokens:      tokens,
 		lanes:       lanes,
 		subs:        subject.NewShardedTrie[*Client](len(lanes)),
@@ -394,8 +393,14 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 // Metrics returns the daemon's telemetry registry.
 func (d *Daemon) Metrics() *telemetry.Registry { return d.metrics }
 
-// Identity returns the daemon's unique origin token. Guaranteed-delivery
-// acknowledgements carry it so routers can steer them back to this daemon.
+// Identity returns the daemon's origin token: 8 bytes of binary, not text
+// (print it in hex), drawn from its token stream and its address (lanes.go's
+// originToken), so that it is new at every start unless Seed is fixed, and
+// two hosts with the same Seed still differ. Its guaranteed publications and
+// their acknowledgements carry it, so routers steer the acks back to this
+// daemon and consumers tell its ids from another origin's. Peers read any
+// length up to 256 bytes: a host of an older build, whose tokens were
+// "<address>#<16 hex digits>", shares a segment with this one.
 func (d *Daemon) Identity() string { return d.identity }
 
 // Token draws the next value from the daemon's seeded random-token stream

@@ -1,12 +1,15 @@
 package daemon
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"infobus/internal/reliable"
 	"infobus/internal/telemetry"
 )
 
@@ -149,9 +152,13 @@ func newTokenSource(seed uint64) *tokenSource {
 
 // Next returns the next token (splitmix64: never zero-biased, full
 // period).
-func (t *tokenSource) Next() uint64 {
-	z := t.state.Add(0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+func (t *tokenSource) Next() uint64 { return reliable.Mix(t.state.Add(0x9e3779b97f4a7c15)) }
+
+// originToken is a daemon's origin token (Daemon.Identity): 8 bytes, the Mix
+// of the FNV-1a hash of its endpoint's address and a token, so that two
+// hosts with the same seed still get distinct tokens.
+func originToken(addr string, token uint64) string {
+	h := fnv.New64a()
+	h.Write([]byte(addr))
+	return string(binary.BigEndian.AppendUint64(nil, reliable.Mix(h.Sum64()^token)))
 }

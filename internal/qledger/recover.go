@@ -1,6 +1,7 @@
 package qledger
 
 import (
+	"encoding/hex"
 	"slices"
 	"time"
 
@@ -93,7 +94,7 @@ func (a *Agent) foster(origin string, now time.Time) {
 	}
 	a.ctr.recoveries.Inc()
 	if a.rec != nil {
-		a.rec.Record(telemetry.EventRepl, "recover:"+origin, int64(a.store.PendingCount(origin)), 0)
+		a.rec.Record(telemetry.EventRepl, "recover:"+hex.EncodeToString([]byte(origin)), int64(a.store.PendingCount(origin)), 0)
 	}
 	r := &recovery{led: ol.led}
 	a.recovering[origin] = r

@@ -102,7 +102,7 @@ func (s *Store) open(origin string) (*originLog, error) {
 	}
 	led, err := ledger.Open(s.logPath(origin), ledger.Options{Sync: s.syncLog, Metrics: s.metrics})
 	if err != nil {
-		return nil, fmt.Errorf("qledger: opening replica log for %q: %w", origin, err)
+		return nil, fmt.Errorf("qledger: opening replica log for %x: %w", origin, err)
 	}
 	ol := &originLog{led: led, ahead: make(map[uint64]struct{})}
 	s.origins[origin] = ol

@@ -25,6 +25,17 @@ func corpusFrames(tb testing.TB) []string {
 	return paths
 }
 
+// addCorpusSeeds seeds a fuzzer with every frame in the corpus.
+func addCorpusSeeds(f *testing.F) {
+	for _, path := range corpusFrames(f) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+}
+
 // describe prints a frame field by field, as a corpus .want holds it; a
 // message's payload is its length and first bytes (the envelopes are in the
 // corpus's busproto/ beside it).
@@ -95,7 +106,7 @@ func TestCorpusDecodes(t *testing.T) {
 			t.Errorf("%s decodes to\n%swant\n%s", path, got, want)
 		}
 	}
-	for _, set := range []string{"pr46", "head"} {
+	for _, set := range []string{"epoch64", "head"} {
 		if sets[set] != 6 {
 			t.Errorf("set %s holds %d frames, want 6: data, data-batch, nak, udata, uack, heart", set, sets[set])
 		}

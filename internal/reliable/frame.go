@@ -15,7 +15,18 @@
 // to retransmit the missing range; after GapTimeout the receiver gives up
 // and skips, which is where "at most once" comes from. Unicast streams use
 // positive cumulative ACKs with sender-side retransmission. Sender restarts
-// are detected by a per-connection epoch.
+// are detected by a per-connection epoch that every frame carries: 32 bits,
+// shifted left once and made odd, so at most 5 uvarint bytes (Config.Seed).
+// A frame's whole header around a single message of up to 16 KB with a
+// sequence number below 2^21 is then at most 12 bytes. The price of 32 bits:
+// two incarnations on one address share an epoch with probability 2^-32
+// per restart, about the odds of a TCP initial sequence number collision.
+// If they do, a receiver that still remembers the old incarnation takes the
+// new one's first messages for duplicates and drops them until the sequence
+// passes where the old one stopped: the at-most-once case of a sender crash
+// above. Decoders read any uvarint epoch, so a host of this build and one
+// whose epochs were 64 bits share a segment, each detecting the other's
+// restarts.
 //
 // The appendix's "batch parameter" lives here too: with batching on, small
 // publications are gathered for up to BatchDelay (or until 32 KB) and sent

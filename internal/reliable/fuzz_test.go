@@ -9,7 +9,7 @@ import (
 // Arbitrary bytes never panic it; an accepted data frame holds no message
 // longer than its input (payloads alias the datagram) and no sequence below 1,
 // the first any stream numbers; and every accepted frame survives its own
-// encoding: decode(encode(f)) == f.
+// encoding: decode(encode(f)) == f. It seeds from the wire corpus too.
 func FuzzDecodeFrame(f *testing.F) {
 	data := encodeData(dataFrame{typ: frameData, epoch: 7, msgs: []msg{{seq: 1, payload: []byte("x")}}})
 	f.Add(data)
@@ -25,6 +25,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// One message whose length, added to the read position, overflows an int.
 	f.Add([]byte{frameData, 1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Add([]byte{})
+	addCorpusSeeds(f)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		got, err := decodeFrame(in)
 		if err != nil {

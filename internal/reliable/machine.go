@@ -59,10 +59,12 @@ type Config struct {
 	// events: the steady state records nothing.
 	Recorder *telemetry.Recorder
 	// Seed seeds the connection's epoch (the restart-detection token carried
-	// in every frame). Zero, the default, derives a unique epoch from the
-	// clock plus a process-wide counter. Tests that need reproducible epochs
-	// set distinct nonzero seeds per Conn: the same seed always yields the
-	// same epoch, and two live Conns must never share one.
+	// in every frame: 32 bits, 5 bytes on the wire). Zero, the default,
+	// hashes the clock plus a process-wide counter, so two incarnations on
+	// one address share an epoch with probability 2^-32 (see the package
+	// doc for what that costs). Tests that need reproducible epochs set
+	// distinct nonzero seeds per Conn: the same seed always yields the same
+	// epoch, and distinct seeds below 2^32 never yield the same one.
 	Seed uint64
 }
 
@@ -315,18 +317,29 @@ type ucastSend struct {
 // epochSalt disambiguates auto-seeded machines created within one clock tick.
 var epochSalt atomic.Uint64
 
-// newEpoch derives the connection epoch from seed (splitmix64 finalizer),
-// or from now plus a process-wide counter when seed is zero. The result is
-// always odd, hence nonzero.
-func newEpoch(seed uint64, now time.Time) uint64 {
-	if seed == 0 {
-		seed = uint64(now.UnixNano()) + epochSalt.Add(1)<<32
-	}
-	z := seed + 0x9e3779b97f4a7c15
+// Mix is splitmix64's finalizer: a bijection of uint64 that spreads every
+// input bit over the whole output. The epoch is derived through it, and the
+// daemon draws its token stream and its origin token through it too.
+func Mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return z | 1
+	return z ^ (z >> 31)
+}
+
+// newEpoch derives the connection epoch: 32 bits, shifted left once and made
+// odd, so it is nonzero and at most 5 uvarint bytes on every frame. The
+// seed's low 32 bits go through a two-round Feistel network with Mix as its
+// round function, a bijection of uint32: distinct seeds below 2^32 never
+// share an epoch. Seed zero stands for a hash of the clock plus a
+// process-wide counter.
+func newEpoch(seed uint64, now time.Time) uint64 {
+	if seed == 0 {
+		seed = Mix(uint64(now.UnixNano()) + epochSalt.Add(1)<<32)
+	}
+	x := uint32(seed)
+	x ^= uint32(Mix(uint64(x>>16))) & 0xffff // low half ^= F(high half)
+	x ^= uint32(Mix(uint64(x&0xffff))) << 16 // high half ^= F(low half)
+	return uint64(x)<<1 | 1
 }
 
 // NewMachine returns the protocol state of one endpoint that sends on w,

@@ -109,8 +109,10 @@ go test -run 'TestTrieAggregateEqualsAggregatePatterns|TestAggregateWidens|TestA
 echo "==> ledger gate (8 Sync publishers average well under one fsync/message, and 8 publishers on a ledger with a commit hook under one hook call/message; a stuck message leaves at most 3 segments; a failed commit leaves no trace; Append+Ack allocates only its payload blocks; a reused batch reports each outcome to its own waiters; a commit's leader commits only its own batch; a reopened ledger keeps only its pending payloads)"
 go test -run 'TestGroupCommitFsyncBudget|TestGroupCommitHookBudget|TestStuckMessageCarried|TestFailedAppendLeavesNoTrace|TestFailedAppendBatchLeavesNoTrace|TestAppendSteadyStateAllocs|TestBatchOutcomeStaysWithItsWaiters|TestLeaderLeadsOnlyItsOwnBatch|TestReopenKeepsOnlyPending' -count=1 ./internal/ledger/
 
-echo "==> wire-bytes gate (steady-state dictionary compression >= 40%; both formats byte-golden)"
+echo "==> wire-bytes gate (steady-state dictionary compression >= 40%; both formats byte-golden; the wire corpus, every reliable frame type and busproto kind of the last 64-bit-epoch build and of this one, decodes and reaches an application; a default host's per-frame overhead, origin field and one-id ack within their byte budgets)"
 go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/wire/
+go test -run 'TestCorpusDecodes' -count=1 ./internal/reliable/ ./internal/busproto/
+go test -run 'TestCorpusReachesTheApplication|TestFrameOverheadBudget' -count=1 ./internal/core/
 
 echo "==> alloc gate (steady-state encode 0 allocs; warm decode: one block per object, no box for any value; 0 for any table, definitions or not)"
 go test -run 'TestSendDictSteadyStateAllocs|TestUnmarshalSteadyStateAllocs' -count=1 ./internal/wire/
