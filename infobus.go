@@ -70,7 +70,9 @@ type (
 	// Segment is a broadcast domain (simulated or UDP loopback).
 	Segment = transport.Segment
 	// ReliableConfig tunes the reliable-delivery protocol, including the
-	// appendix's batching parameter.
+	// appendix's batching parameter. Its counters are the node's own: a
+	// host's go in Host.Metrics() as "reliable.*", a router attachment's
+	// as "reliable.<attachment>.*".
 	ReliableConfig = reliable.Config
 )
 
@@ -122,8 +124,11 @@ type (
 
 // Telemetry and self-hosted observability ("_sys.>").
 type (
-	// TelemetryConfig tunes metrics, per-hop tracing, and the periodic
-	// "_sys.stats.<node>" export (HostConfig.Telemetry).
+	// TelemetryConfig tunes per-hop tracing, the periodic
+	// "_sys.stats.<node>" export, the health tier and the history tier
+	// (HostConfig.Telemetry). The host owns its metrics registry
+	// (Host.Metrics()); a history tier sends a digest every
+	// sysagent.DigestSamples (8) sampler ticks.
 	TelemetryConfig = core.TelemetryConfig
 	// TraceHop is one timestamped hop in a sampled publication's trace
 	// (Event.Trace): the publisher daemon, each router crossed, the
@@ -133,9 +138,11 @@ type (
 	Metrics = telemetry.Registry
 	// MetricValue is one exported metric in a registry snapshot.
 	MetricValue = telemetry.Metric
-	// HealthConfig enables and tunes the health tier — slow-consumer,
-	// retransmit-storm, dedup-pressure, and ledger-backlog alarms plus the
-	// flight recorder (TelemetryConfig.Health, RouterOptions.Health).
+	// HealthConfig enables the health tier at its sampling Interval —
+	// slow-consumer, retransmit-storm, dedup-pressure, ledger-backlog and
+	// mesh-flap alarms plus the flight recorder (TelemetryConfig.Health,
+	// RouterOptions.Health). The thresholds are constants: 1024 queued
+	// messages, 500 retransmissions/s and 50 re-advertisements/s.
 	HealthConfig = telemetry.HealthConfig
 	// AlarmEvent is one alarm raise/clear edge (Host.ActiveAlarms()).
 	AlarmEvent = telemetry.AlarmEvent

@@ -3,7 +3,6 @@ package baseline
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 
 	"infobus/internal/subject"
@@ -184,21 +183,6 @@ func (c *BrokerClient) Recv() (string, []byte, bool) {
 		return c.Recv()
 	}
 	return fields[0], []byte(fields[1]), true
-}
-
-// RecvChan exposes the raw receive channel for select-based consumers.
-func (c *BrokerClient) RecvChan() <-chan transport.Datagram { return c.ep.Recv() }
-
-// DecodeDelivery parses a raw datagram from RecvChan.
-func DecodeDelivery(dg transport.Datagram) (subj string, payload []byte, err error) {
-	kind, fields, err := decodeBrokerMsg(dg.Payload)
-	if err != nil {
-		return "", nil, err
-	}
-	if kind != brokerDeliver {
-		return "", nil, fmt.Errorf("kind %c: %w", kind, ErrBadMsg)
-	}
-	return fields[0], []byte(fields[1]), nil
 }
 
 // Close detaches the client.

@@ -112,10 +112,6 @@ type busCounters struct {
 
 // TelemetryConfig tunes the host's self-observation (internal/telemetry).
 type TelemetryConfig struct {
-	// Registry is the host's metrics registry, shared by the daemon, the
-	// reliable protocol, the ledger, and the bus layer. Nil creates one;
-	// retrieve it with Host.Metrics.
-	Registry *telemetry.Registry
 	// TraceSampling is the fraction of publications carrying a per-hop
 	// trace (trace id + a timestamp per daemon/router crossed). 0 disables
 	// tracing — untraced publications are byte-identical on the wire to a
@@ -137,14 +133,11 @@ type TelemetryConfig struct {
 	// host's key rates, queue depths, and latency percentiles into
 	// fixed-window rings every interval (telemetry.History), answers
 	// "_sys.history" probes with the full window as a SysHistory object on
-	// "_sys.history.<node>", and publishes short digests of the same series
-	// there unprompted. 0 disables the tier. Each series keeps the telemetry
+	// "_sys.history.<node>", and publishes there unprompted, every
+	// sysagent.DigestSamples ticks, a digest of the last that many samples
+	// of each series. 0 disables the tier. Each series keeps the telemetry
 	// default of 256 slots (≈ 64 s at a 250 ms interval).
 	HistoryInterval time.Duration
-	// HistoryDigestTicks is how many sampler ticks between unsolicited
-	// digests; 0 selects the default (8 — every 2 s at the default
-	// interval), negative disables digests (probe-only).
-	HistoryDigestTicks int
 }
 
 // tracePeriod converts a sampling fraction to the daemon's every-Nth
@@ -210,35 +203,22 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 		return nil, err
 	}
 	reg := mop.NewRegistry()
-	metrics := cfg.Telemetry.Registry
-	if metrics == nil {
-		metrics = telemetry.NewRegistry()
-	}
-	rcfg := cfg.Reliable
-	if rcfg.Metrics == nil {
-		rcfg.Metrics = metrics
-	}
-	hcfg := cfg.Telemetry.Health
+	metrics := telemetry.NewRegistry()
 	var engine *telemetry.Engine
 	var rec *telemetry.Recorder
-	if hcfg.Enabled() {
-		hcfg = hcfg.WithDefaults()
+	if cfg.Telemetry.Health.Enabled() {
 		rec = telemetry.NewRecorder(0)
 		engine = telemetry.NewEngine(name, metrics, rec)
-		if rcfg.Recorder == nil {
-			rcfg.Recorder = rec
-		}
 	}
 	h := &Host{
 		name: name,
-		daemon: daemon.New(ep, rcfg, daemon.Options{
-			Metrics:           metrics,
-			TracePeriod:       cfg.Telemetry.tracePeriod(),
-			Node:              name,
-			Health:            engine,
-			Recorder:          rec,
-			SlowConsumerDepth: hcfg.SlowConsumerDepth,
-			DeliveryLanes:     cfg.DeliveryLanes,
+		daemon: daemon.New(ep, cfg.Reliable, daemon.Options{
+			Metrics:       metrics,
+			TracePeriod:   cfg.Telemetry.tracePeriod(),
+			Node:          name,
+			Health:        engine,
+			Recorder:      rec,
+			DeliveryLanes: cfg.DeliveryLanes,
 		}),
 		reg:      reg,
 		metrics:  metrics,
@@ -293,11 +273,7 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 		retry = NewRetrier(led, cfg.RetryInterval, h.ctr.guarRetransmits, h.daemon.PublishGuaranteed)
 		h.daemon.OnGuaranteeAck(func(id uint64, _ string) { _ = led.Ack(id) })
 	}
-	prefix := rcfg.MetricsPrefix
-	if prefix == "" {
-		prefix = "reliable"
-	}
-	err = h.startSys(cfg, hcfg, prefix)
+	err = h.startSys(cfg.Telemetry)
 	if err == nil && retry != nil {
 		_, err = h.AddPart(retry)
 	}

@@ -20,10 +20,7 @@ func TestSlowConsumerAlarmE2E(t *testing.T) {
 	seg := fastSeg()
 	defer seg.Close()
 	slow := newHost(t, seg, "slowhost", HostConfig{
-		Telemetry: TelemetryConfig{Health: telemetry.HealthConfig{
-			Interval:          2 * time.Millisecond,
-			SlowConsumerDepth: 64,
-		}},
+		Telemetry: TelemetryConfig{Health: telemetry.HealthConfig{Interval: 2 * time.Millisecond}},
 	})
 	mon := newHost(t, seg, "monhost", HostConfig{})
 	monBus, err := mon.NewBus("monitor")
@@ -83,7 +80,7 @@ publishing:
 		obj.MustGet("target") != "lagging" || obj.MustGet("raised") != true {
 		t.Fatalf("alarm object = %v", obj)
 	}
-	if obj.MustGet("value").(int64) < 64 {
+	if obj.MustGet("value").(int64) < telemetry.SlowConsumerDepth {
 		t.Fatalf("alarm value %v below watermark", obj.MustGet("value"))
 	}
 	if got := slow.ActiveAlarms(); len(got) != 1 || got[0].Kind != "slow-consumer" {
@@ -133,10 +130,7 @@ func TestSlowConsumerAlarmAcrossLanes(t *testing.T) {
 	defer seg.Close()
 	slow := newHost(t, seg, "slowhost", HostConfig{
 		DeliveryLanes: 4,
-		Telemetry: TelemetryConfig{Health: telemetry.HealthConfig{
-			Interval:          2 * time.Millisecond,
-			SlowConsumerDepth: 64,
-		}},
+		Telemetry:     TelemetryConfig{Health: telemetry.HealthConfig{Interval: 2 * time.Millisecond}},
 	})
 	if got := slow.Daemon().Lanes(); got != 4 {
 		t.Fatalf("lanes = %d, want 4", got)

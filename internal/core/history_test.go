@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"infobus/internal/mop"
+	"infobus/internal/sysagent"
 	"infobus/internal/telemetry"
 )
 
@@ -19,12 +20,8 @@ func TestHistoryProbeAndAlarmEdge(t *testing.T) {
 	defer seg.Close()
 	slow := newHost(t, seg, "slowhost", HostConfig{
 		Telemetry: TelemetryConfig{
-			Health: telemetry.HealthConfig{
-				Interval:          2 * time.Millisecond,
-				SlowConsumerDepth: 64,
-			},
-			HistoryInterval:    2 * time.Millisecond,
-			HistoryDigestTicks: -1, // probe answers only: keeps the test deterministic
+			Health:          telemetry.HealthConfig{Interval: 2 * time.Millisecond},
+			HistoryInterval: 2 * time.Millisecond,
 		},
 	})
 	mon := newHost(t, seg, "monhost", HostConfig{})
@@ -75,7 +72,7 @@ publishing:
 		}
 	}
 
-	// Probe until the answer shows the sampler a few ticks past the alarm.
+	// Probe until the answer is a full window past a digest's length.
 	// The probe subject is the third user-publishable "_sys.>" name.
 	var digest telemetry.HistorySnapshot
 	probeDeadline := time.After(15 * time.Second)
@@ -94,7 +91,13 @@ publishing:
 			if !telemetry.SysHistory.Read(obj, &digest) {
 				t.Fatalf("unparseable SysHistory %v", obj)
 			}
-			got = digest.Ticks >= 4
+			// Digests share the subject and carry at most DigestSamples
+			// samples a series: more is the probe's full window.
+			for _, ser := range digest.Series {
+				if ser.Name == "daemon.inbound" {
+					got = len(ser.Samples) > sysagent.DigestSamples
+				}
+			}
 		case <-probeDeadline:
 			t.Fatal("no history answer")
 		case <-time.After(20 * time.Millisecond):

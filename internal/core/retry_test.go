@@ -158,10 +158,7 @@ func TestRetransmitStormAlarmStillFires(t *testing.T) {
 	h := newHost(t, seg, "stormhost", HostConfig{
 		LedgerPath:    filepath.Join(t.TempDir(), "pub.ledger"),
 		RetryInterval: time.Millisecond,
-		Telemetry: TelemetryConfig{Health: telemetry.HealthConfig{
-			Interval:            2 * time.Millisecond,
-			RetransmitStormRate: 100,
-		}},
+		Telemetry:     TelemetryConfig{Health: telemetry.HealthConfig{Interval: 2 * time.Millisecond}},
 	})
 	b, err := h.NewBus("producer")
 	if err != nil {
@@ -176,7 +173,7 @@ func TestRetransmitStormAlarmStillFires(t *testing.T) {
 	for {
 		for _, ev := range h.ActiveAlarms() {
 			if ev.Kind == "retransmit-storm" {
-				if !ev.Raised || ev.Value < 100 {
+				if !ev.Raised || ev.Value < telemetry.RetransmitStormRate {
 					t.Fatalf("storm alarm edge = %+v", ev)
 				}
 				return

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"time"
-
 	"infobus/internal/busproto"
+	"infobus/internal/reliable"
 	"infobus/internal/subject"
 	"infobus/internal/sysagent"
 	"infobus/internal/telemetry"
@@ -49,8 +48,7 @@ func (h *Host) publishSys(subj string, payload []byte) {
 
 // startSys plugs the host's enabled tiers into its "_sys" agent. With every
 // tier off there is none.
-func (h *Host) startSys(cfg HostConfig, hcfg telemetry.HealthConfig, relPrefix string) error {
-	tc := cfg.Telemetry
+func (h *Host) startSys(tc TelemetryConfig) error {
 	if tc.StatsInterval <= 0 && tc.HistoryInterval <= 0 && h.engine == nil {
 		return nil
 	}
@@ -58,20 +56,14 @@ func (h *Host) startSys(cfg HostConfig, hcfg telemetry.HealthConfig, relPrefix s
 	sc.StatsInterval = tc.StatsInterval
 	if tc.HistoryInterval > 0 {
 		h.hist = telemetry.NewHistory(tc.HistoryInterval)
-		h.trackDefaults(relPrefix)
+		h.trackDefaults()
 		sc.History = h.hist
-		ticks := tc.HistoryDigestTicks
-		if ticks == 0 {
-			ticks = sysagent.DigestSamples
-		}
-		if ticks > 0 {
-			sc.DigestEvery = time.Duration(ticks) * h.hist.Interval()
-		}
+		sc.DigestEvery = sysagent.DigestSamples * h.hist.Interval()
 		sc.Families = func() []telemetry.TopKEntry { return h.daemon.TopSubjects(historyFamilies) }
 	}
 	if h.engine != nil {
-		h.watchDefaults(hcfg, relPrefix)
-		sc.Engine, sc.HealthInterval = h.engine, hcfg.Interval
+		h.watchDefaults()
+		sc.Engine, sc.HealthInterval = h.engine, tc.Health.Interval
 	}
 	var err error
 	h.sys, err = sysagent.New(sc)
@@ -83,18 +75,18 @@ func (h *Host) startSys(cfg HostConfig, hcfg telemetry.HealthConfig, relPrefix s
 // it owns those signals; the host registers the retransmission rate of its
 // reliable stream and the guaranteed-delivery ledger backlog, because those
 // layers only expose gauges and counters, not policy.
-func (h *Host) watchDefaults(hcfg telemetry.HealthConfig, relPrefix string) {
+func (h *Host) watchDefaults() {
 	// Retransmit storm: the per-second rate of the host's retransmissions —
 	// the reliable stream's plus the guaranteed-delivery retrier's, since
 	// both re-occupy the medium. A lossy segment, a receiver NAK-looping,
 	// or a guaranteed publication with no live consumer drives this;
 	// sustained storms starve the shared medium (the appendix's throughput
 	// figures assume a lightly loaded Ethernet).
-	relRetrans := h.metrics.Counter(relPrefix + ".retransmits")
+	relRetrans := h.metrics.Counter(reliable.CounterPrefix + ".retransmits")
 	guarRetrans := h.ctr.guarRetransmits
 	h.engine.WatchRateFunc(telemetry.WatchConfig{
 		Kind:  "retransmit-storm",
-		Raise: hcfg.RetransmitStormRate,
+		Raise: telemetry.RetransmitStormRate,
 	}, func() int64 { return int64(relRetrans.Load() + guarRetrans.Load()) })
 	if h.ledger != nil {
 		// Ledger backlog: guaranteed publications no consumer has
@@ -109,14 +101,15 @@ func (h *Host) watchDefaults(hcfg telemetry.HealthConfig, relPrefix string) {
 
 // trackDefaults registers the host's standing history series. Layers above
 // the host register their own on Host.History.
-func (h *Host) trackDefaults(relPrefix string) {
+func (h *Host) trackDefaults() {
 	m, hist := h.metrics, h.hist
 	hist.TrackRate("bus.published", m.Counter("bus.published"))
 	hist.TrackRate("bus.events", m.Counter("bus.events"))
 	hist.TrackRate("bus.published_guaranteed", m.Counter("bus.published_guaranteed"))
 	hist.TrackRate("daemon.inbound", m.Counter("daemon.inbound"))
 	hist.TrackRate("daemon.delivered_local", m.Counter("daemon.delivered_local"))
-	hist.TrackRate(relPrefix+".retransmits", m.Counter(relPrefix+".retransmits"))
+	relRetrans := reliable.CounterPrefix + ".retransmits"
+	hist.TrackRate(relRetrans, m.Counter(relRetrans))
 	// Aggregate delivery backlog across the daemon's lanes: where a slow
 	// consumer's queue actually sits.
 	hist.TrackLevelFunc("daemon.lane_depth", func() int64 {

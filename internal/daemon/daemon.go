@@ -228,7 +228,6 @@ type Daemon struct {
 	// nothing beyond those gauge updates.
 	health        *telemetry.Engine
 	rec           *telemetry.Recorder
-	slowDepth     int64
 	guarSeenGauge *telemetry.Gauge
 	// interestPatterns is the distinct-pattern count behind the last
 	// advertisement: how close the host is to subject.MaxAdvertisedPatterns.
@@ -270,9 +269,10 @@ type counters struct {
 
 // Options tune the daemon beyond the reliable protocol.
 type Options struct {
-	// Metrics is the telemetry registry the daemon's counters live in
-	// (shared with the host's other components so one "_sys.stats.<node>"
-	// object covers the whole host). Nil creates a private registry.
+	// Metrics is the telemetry registry the daemon's counters live in, and
+	// its reliable protocol's under reliable.CounterPrefix (shared with the
+	// host's other components so one "_sys.stats.<node>" object covers the
+	// whole host). Nil creates a private registry.
 	Metrics *telemetry.Registry
 	// TracePeriod enables per-hop message tracing: every TracePeriod-th
 	// local publication is sent as a traced envelope carrying a trace id
@@ -290,14 +290,10 @@ type Options struct {
 	// (per-client queue depth, dedup-ring pressure). Nil disables
 	// detection.
 	Health *telemetry.Engine
-	// Recorder is the process flight recorder; notable daemon events
-	// (corrupt drops, sampled trace completions) are recorded into it.
-	// Nil disables recording.
+	// Recorder is the process flight recorder; notable daemon and protocol
+	// events (corrupt drops, sampled trace completions, gap skips, peer
+	// restarts) are recorded into it. Nil disables recording.
 	Recorder *telemetry.Recorder
-	// SlowConsumerDepth is the client queue depth at which the
-	// "slow-consumer" alarm raises. Zero means the telemetry default
-	// (1024).
-	SlowConsumerDepth int64
 	// DeliveryLanes is the number of delivery lanes (see lanes.go): a lane
 	// is a shard of senders — the inbound worker that handles them, one
 	// column of every client's queue, one set of "daemon.lane<N>" metrics.
@@ -315,22 +311,16 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 	if metrics == nil {
 		metrics = telemetry.NewRegistry()
 	}
-	if cfg.Metrics == nil {
-		// Fold the protocol counters into the same registry so the host's
-		// stats object covers both layers.
-		cfg.Metrics = metrics
-	}
-	if cfg.Recorder == nil {
-		// The protocol layer shares the process flight recorder.
-		cfg.Recorder = opts.Recorder
-	}
 	// The token stream seeds from the same knob as the reliable epoch
 	// (reliable.Config.Seed): a fixed per-host seed makes identities and
 	// trace bases reproducible across netsim runs, zero stays unique.
 	tokens := newTokenSource(cfg.Seed)
 	lanes := newLanes(resolveLanes(opts.DeliveryLanes), metrics)
 	d := &Daemon{
-		conn:        reliable.NewSharded(ep, cfg, len(lanes)),
+		// The protocol counters fold into the daemon's registry, so the
+		// host's stats object covers both layers, and the protocol shares
+		// the process flight recorder.
+		conn:        reliable.NewSharded(ep, cfg, len(lanes), metrics, reliable.CounterPrefix, opts.Recorder),
 		identity:    originToken(ep.Addr(), tokens.Next()),
 		tokens:      tokens,
 		lanes:       lanes,
@@ -345,13 +335,9 @@ func New(ep transport.Endpoint, cfg reliable.Config, opts Options) *Daemon {
 		traceBase:   tokens.Next(),
 		health:      opts.Health,
 		rec:         opts.Recorder,
-		slowDepth:   opts.SlowConsumerDepth,
 	}
 	if d.traceNode == "" {
 		d.traceNode = d.conn.Addr()
-	}
-	if d.slowDepth <= 0 {
-		d.slowDepth = telemetry.HealthConfig{}.WithDefaults().SlowConsumerDepth
 	}
 	d.ctr = counters{
 		publishedLocal: metrics.Counter("daemon.published_local"),
@@ -723,7 +709,7 @@ func (d *Daemon) NewClient(name string) (*Client, error) {
 		c.watch = d.health.Watch(telemetry.WatchConfig{
 			Kind:   "slow-consumer",
 			Target: name,
-			Raise:  d.slowDepth,
+			Raise:  telemetry.SlowConsumerDepth,
 		}, c.depth.Load)
 	}
 	d.clients[c] = struct{}{}

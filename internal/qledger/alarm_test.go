@@ -27,9 +27,8 @@ func TestReplAlarmWatches(t *testing.T) {
 	pub, _ := newReplHost(t, seg, "pub", core.HostConfig{
 		LedgerPath: filepath.Join(dir, "pub.ledger"),
 		Telemetry: core.TelemetryConfig{
-			Health:             telemetry.HealthConfig{Interval: 2 * time.Millisecond},
-			HistoryInterval:    2 * time.Millisecond,
-			HistoryDigestTicks: -1,
+			Health:          telemetry.HealthConfig{Interval: 2 * time.Millisecond},
+			HistoryInterval: 2 * time.Millisecond,
 		},
 	}, qcfg)
 	rcfg := fastRepl(0, filepath.Join(dir, "r1"))

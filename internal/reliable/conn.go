@@ -3,6 +3,7 @@ package reliable
 import (
 	"time"
 
+	"infobus/internal/telemetry"
 	"infobus/internal/transport"
 )
 
@@ -34,16 +35,21 @@ type Conn struct {
 const shardBuffer = 1024
 
 // New layers a reliable connection over ep. The endpoint must not be used
-// directly afterwards.
-func New(ep transport.Endpoint, cfg Config) *Conn { return NewSharded(ep, cfg, 1) }
+// directly afterwards. The connection's counters live in a private registry
+// (Stats reads them) and it records no events.
+func New(ep transport.Endpoint, cfg Config) *Conn {
+	return NewSharded(ep, cfg, 1, telemetry.NewRegistry(), CounterPrefix, nil)
+}
 
 // NewSharded is New with n delivery shards (RecvShard): every message of
 // one sender address, broadcast and unicast, comes out of the same shard,
-// so n consumers can work in parallel without reordering any sender.
-func NewSharded(ep transport.Endpoint, cfg Config, n int) *Conn {
+// so n consumers can work in parallel without reordering any sender. The
+// protocol counters go under prefix in reg, the registry of the node that
+// owns the connection, and its notable events into rec (nil records none).
+func NewSharded(ep transport.Endpoint, cfg Config, n int, reg *telemetry.Registry, prefix string, rec *telemetry.Recorder) *Conn {
 	c := &Conn{
 		ep:     ep,
-		m:      NewMachine(ep, cfg, n, time.Now),
+		m:      newMachine(ep, cfg, n, time.Now, reg, prefix, rec),
 		outs:   make([]chan Message, n),
 		done:   make(chan struct{}),
 		exited: make(chan struct{}),

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"infobus/internal/netsim"
+	"infobus/internal/telemetry"
 	"infobus/internal/transport"
 )
 
@@ -212,7 +213,7 @@ func TestOneGoroutinePerConn(t *testing.T) {
 	if got := connGoroutines(); got != 1 {
 		t.Errorf("New started %d goroutines, want 1", got)
 	}
-	sharded := NewSharded(newStubEndpoint("stub:four"), Config{}, 4)
+	sharded := NewSharded(newStubEndpoint("stub:four"), Config{}, 4, telemetry.NewRegistry(), CounterPrefix, nil)
 	if got := connGoroutines(); got != 2 {
 		t.Errorf("New and NewSharded(4) started %d goroutines, want 2", got)
 	}
@@ -232,7 +233,7 @@ func TestOneGoroutinePerConn(t *testing.T) {
 func TestTimersRunUnderStalledConsumer(t *testing.T) {
 	ep := newStubEndpoint("stub:recv")
 	c := NewSharded(ep, Config{Batching: true, BatchDelay: 2 * time.Millisecond,
-		NakInterval: 4 * time.Millisecond, GapTimeout: time.Minute, HeartbeatInterval: 10 * time.Millisecond}, 2)
+		NakInterval: 4 * time.Millisecond, GapTimeout: time.Minute, HeartbeatInterval: 10 * time.Millisecond}, 2, telemetry.NewRegistry(), CounterPrefix, nil)
 	defer c.Close()
 	senders := sendersOnShards(t, c.m, 2)
 	// Sync both streams, then fill both shards alternately and leave

@@ -50,7 +50,7 @@ func TestRestartAcrossEpochWidths(t *testing.T) {
 	}
 	var b stub
 	rec := telemetry.NewRecorder(64)
-	m := NewMachine(&b, Config{Recorder: rec, HeartbeatInterval: time.Hour}, 1, b.now)
+	m := newMachine(&b, Config{HeartbeatInterval: time.Hour}, 1, b.now, telemetry.NewRegistry(), CounterPrefix, rec)
 	const sender = "stub:sender"
 	for _, typ := range []byte{frameData, frameUData} {
 		for _, epoch := range []uint64{wide, narrow, wide} {

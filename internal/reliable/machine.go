@@ -43,21 +43,6 @@ type Config struct {
 	// re-advertises its highest sequence number, so receivers detect loss
 	// of the final messages of a burst. Default 25ms.
 	HeartbeatInterval time.Duration
-	// Metrics is the telemetry registry the connection's counters live in;
-	// nil gives the connection a private registry (Stats still works, the
-	// counters just are not exported anywhere). The daemon shares its
-	// host's registry here so protocol counters appear in the host's
-	// "_sys.stats.<node>" publications.
-	Metrics *telemetry.Registry
-	// MetricsPrefix namespaces the counter names within Metrics; default
-	// "reliable". Routers give each attachment its own prefix so that
-	// per-attachment streams stay distinguishable in one registry.
-	MetricsPrefix string
-	// Recorder is the process flight recorder; the connection records
-	// notable protocol events into it (gap skips, retransmission bursts,
-	// peer restarts). Nil disables recording. These are failure-path
-	// events: the steady state records nothing.
-	Recorder *telemetry.Recorder
 	// Seed seeds the connection's epoch (the restart-detection token carried
 	// in every frame: 32 bits, 5 bytes on the wire). Zero, the default,
 	// hashes the clock plus a process-wide counter, so two incarnations on
@@ -106,12 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 25 * time.Millisecond
 	}
-	if c.Metrics == nil {
-		c.Metrics = telemetry.NewRegistry()
-	}
-	if c.MetricsPrefix == "" {
-		c.MetricsPrefix = "reliable"
-	}
 	return c
 }
 
@@ -136,6 +115,10 @@ type Stats struct {
 	BatchesFlushed uint64
 	AcksSent       uint64
 }
+
+// CounterPrefix names a host's protocol counters ("reliable.retransmits");
+// a router's attachment appends its own name ("reliable.<attachment>").
+const CounterPrefix = "reliable"
 
 // counters holds the connection's telemetry handles, resolved once at
 // construction so the hot path never touches the registry lock.
@@ -344,7 +327,17 @@ func newEpoch(seed uint64, now time.Time) uint64 {
 
 // NewMachine returns the protocol state of one endpoint that sends on w,
 // sorts what it delivers into shards shards and reads the time from now.
+// Its counters live in a private registry and it records no events; a
+// Conn's owner wires both through NewSharded.
 func NewMachine(w Wire, cfg Config, shards int, now func() time.Time) *Machine {
+	return newMachine(w, cfg, shards, now, telemetry.NewRegistry(), CounterPrefix, nil)
+}
+
+// newMachine is NewMachine with its counters under prefix in reg and its
+// notable events (gap skips, retransmission bursts, peer restarts) recorded
+// in rec, which may be nil.
+func newMachine(w Wire, cfg Config, shards int, now func() time.Time,
+	reg *telemetry.Registry, prefix string, rec *telemetry.Recorder) *Machine {
 	cfg = cfg.withDefaults()
 	return &Machine{
 		w:         w,
@@ -352,8 +345,8 @@ func NewMachine(w Wire, cfg Config, shards int, now func() time.Time) *Machine {
 		epoch:     newEpoch(cfg.Seed, now()),
 		now:       now,
 		expiry:    expireGaps * cfg.GapTimeout,
-		ctr:       newCounters(cfg.Metrics, cfg.MetricsPrefix),
-		rec:       cfg.Recorder,
+		ctr:       newCounters(reg, prefix),
+		rec:       rec,
 		window:    make([]*[]byte, cfg.Window),
 		windowMin: 1,
 		uSend:     make(map[string]*ucastSend),

@@ -23,17 +23,16 @@ func TestHistoryProbeAcrossRouter(t *testing.T) {
 		Attachment{Segment: segB, Name: "B"},
 	)
 	flight := newBus(t, segA, "flighthost", core.HostConfig{
-		Telemetry: core.TelemetryConfig{
-			HistoryInterval:    5 * time.Millisecond,
-			HistoryDigestTicks: -1,
-		},
+		// Sampled hourly, the tier sends no digest during the test: what
+		// crosses the router on _sys.history is the probe's answer.
+		Telemetry: core.TelemetryConfig{HistoryInterval: time.Hour},
 	})
 	prober := newBus(t, segB, "prober", core.HostConfig{})
 	answers, err := prober.Subscribe("_sys.history.>")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Some cross-router traffic so the sampled rates are nonzero.
+	// Cross-router traffic first: the route is up before the first probe.
 	back, err := flight.Subscribe("fab5.>")
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +61,7 @@ func TestHistoryProbeAcrossRouter(t *testing.T) {
 			if digest.Node != "flighthost" {
 				t.Fatalf("digest node = %q", digest.Node)
 			}
-			if digest.IntervalNs != (5 * time.Millisecond).Nanoseconds() {
+			if digest.IntervalNs != time.Hour.Nanoseconds() {
 				t.Fatalf("interval_ns = %d", digest.IntervalNs)
 			}
 			if len(digest.Series) == 0 {

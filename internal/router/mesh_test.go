@@ -436,10 +436,8 @@ func TestMeshFlapAlarm(t *testing.T) {
 	r := newRouter(t, Options{
 		Name: "rh",
 		Mesh: cfg,
-		Health: telemetry.HealthConfig{
-			Interval:     5 * time.Millisecond,
-			MeshFlapRate: 5, // readvertisements/s; flap churn far exceeds it
-		},
+		// telemetry.MeshFlapRate readvertisements/s; flap churn exceeds it.
+		Health: telemetry.HealthConfig{Interval: 5 * time.Millisecond},
 	},
 		Attachment{Segment: s1, Name: "S1"},
 		Attachment{Segment: s2, Name: "S2"},

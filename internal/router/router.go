@@ -238,9 +238,7 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 		done:      make(chan struct{}),
 	}
 	r.typeCache.CountMemo(metrics.Counter("wire.table_memo_miss"), metrics.Counter("wire.table_memo_full"))
-	hcfg := opts.Health
-	if hcfg.Enabled() {
-		hcfg = hcfg.WithDefaults()
+	if opts.Health.Enabled() {
 		r.rec = telemetry.NewRecorder(0)
 		r.engine = telemetry.NewEngine("router-"+opts.Name, metrics, r.rec)
 	}
@@ -261,18 +259,13 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 			r.closeAttachments()
 			return nil, err
 		}
-		rcfg := opts.Reliable
-		if rcfg.Metrics == nil {
-			rcfg.Metrics = metrics
-			rcfg.MetricsPrefix = "reliable." + a.Name
-		}
-		if r.rec != nil && rcfg.Recorder == nil {
-			rcfg.Recorder = r.rec
-		}
+		// Each attachment's protocol counters have their own prefix in the
+		// router's registry, so per-segment streams stay distinguishable.
+		prefix := reliable.CounterPrefix + "." + a.Name
 		att := &attachment{
 			name:    a.Name,
 			index:   len(r.atts),
-			conn:    reliable.New(ep, rcfg),
+			conn:    reliable.NewSharded(ep, opts.Reliable, 1, metrics, prefix, r.rec),
 			rules:   rules[len(r.atts)],
 			hopNode: "router:" + opts.Name + ":" + a.Name,
 		}
@@ -280,15 +273,11 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 		if r.engine != nil {
 			// Per-attachment retransmit storms: each attachment's stream has
 			// its own counter prefix, so storms are attributed to a segment.
-			prefix := rcfg.MetricsPrefix
-			if prefix == "" {
-				prefix = "reliable"
-			}
 			r.engine.WatchRate(telemetry.WatchConfig{
 				Kind:   "retransmit-storm",
 				Target: a.Name,
-				Raise:  hcfg.RetransmitStormRate,
-			}, rcfg.Metrics.Counter(prefix+".retransmits"))
+				Raise:  telemetry.RetransmitStormRate,
+			}, metrics.Counter(prefix+".retransmits"))
 		}
 	}
 	r.agent = newMeshAgent(r, opts.Mesh)
@@ -299,7 +288,7 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 		r.engine.WatchRate(telemetry.WatchConfig{
 			Kind:   "mesh-flap",
 			Target: "mesh",
-			Raise:  hcfg.MeshFlapRate,
+			Raise:  telemetry.MeshFlapRate,
 		}, r.agent.readverts)
 		// Flight-data ring for the mesh churn series: answered on
 		// "_sys.history" probes so a monitor can see a flap window after the
@@ -318,7 +307,7 @@ func New(opts Options, atts ...Attachment) (*Router, error) {
 			Metrics:        metrics,
 			StatsInterval:  opts.StatsInterval,
 			Engine:         r.engine,
-			HealthInterval: hcfg.Interval,
+			HealthInterval: opts.Health.Interval,
 			History:        r.hist,
 		})
 		if err != nil {

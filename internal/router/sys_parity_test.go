@@ -24,11 +24,12 @@ func TestSysProbeParity(t *testing.T) {
 		Attachment{Segment: segA, Name: "A"},
 		Attachment{Segment: segB, Name: "B"},
 	)
+	// Sampled every minute, the history tier sends no digest during the
+	// test: any SysHistory seen below is a probe answer too.
 	newBus(t, segB, "parityhost", core.HostConfig{Telemetry: core.TelemetryConfig{
-		StatsInterval:      time.Minute,
-		Health:             health,
-		HistoryInterval:    5 * time.Millisecond,
-		HistoryDigestTicks: -1,
+		StatsInterval:   time.Minute,
+		Health:          health,
+		HistoryInterval: time.Minute,
 	}})
 	prober := newBus(t, segA, "prober", core.HostConfig{})
 

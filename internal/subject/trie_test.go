@@ -577,6 +577,7 @@ func TestMatchMissAllocs(t *testing.T) {
 		const runs = 100
 		var mallocs uint64
 		var before, after runtime.MemStats
+		runtime.GC() // a collection's own allocations land in the windows less often
 		for range runs {
 			tr.Add(other, 9)
 			tr.Remove(other, 9)

@@ -23,44 +23,30 @@ import (
 // publish on the bus.
 
 // HealthConfig tunes the health tier a Host or router runs. The zero
-// value disables it entirely (Interval == 0); any enabled field left zero
-// gets the stated default.
+// value disables it entirely.
 type HealthConfig struct {
 	// Interval is the alarm-engine sampling period. Zero disables the
 	// health tier (no engine, no recorder, no _sys.alarm publications).
 	Interval time.Duration
-	// SlowConsumerDepth raises "slow-consumer" when a client's undelivered
-	// queue depth reaches it. Default 1024 messages.
-	SlowConsumerDepth int64
-	// RetransmitStormRate raises "retransmit-storm" when the node's
-	// retransmission rate reaches it (messages/second). Default 500.
-	RetransmitStormRate int64
-	// MeshFlapRate raises "mesh-flap" on a mesh-enabled router when its
-	// interest re-advertisement rate reaches it (ads/second): a healthy
-	// mesh is quiet in steady state, so sustained churn means a flapping
-	// subscriber, link, or election fight occupying every segment on the
-	// tree path. Default 50.
-	MeshFlapRate int64
 }
 
 // Enabled reports whether the health tier is on.
 func (c HealthConfig) Enabled() bool { return c.Interval > 0 }
 
-// WithDefaults fills zero fields with the documented defaults. Interval
-// is left alone: zero means disabled, and callers that enable the tier
-// have already chosen a period.
-func (c HealthConfig) WithDefaults() HealthConfig {
-	if c.SlowConsumerDepth <= 0 {
-		c.SlowConsumerDepth = 1024
-	}
-	if c.RetransmitStormRate <= 0 {
-		c.RetransmitStormRate = 500
-	}
-	if c.MeshFlapRate <= 0 {
-		c.MeshFlapRate = 50
-	}
-	return c
-}
+// The raise thresholds of the health tier's standing watches.
+const (
+	// SlowConsumerDepth raises "slow-consumer" when a client's undelivered
+	// queue depth reaches it (messages).
+	SlowConsumerDepth = 1024
+	// RetransmitStormRate raises "retransmit-storm" when the node's
+	// retransmission rate reaches it (messages/second).
+	RetransmitStormRate = 500
+	// MeshFlapRate raises "mesh-flap" on a router when its interest
+	// re-advertisement rate reaches it (ads/second): a healthy mesh is quiet
+	// in steady state, so sustained churn means a flapping subscriber, link,
+	// or election fight occupying every segment on the tree path.
+	MeshFlapRate = 50
+)
 
 // AlarmEvent is one raise or clear edge (the SysAlarm kind).
 type AlarmEvent struct {

@@ -6,17 +6,21 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"infobus/internal/telemetry"
 )
 
 // Knob ceilings: the exported *Config / *Options structs under internal/ and
-// their exported fields. A change that adds a field deletes one, or lowers
-// nothing and raises these in the open.
+// their exported fields. A change that adds a field deletes one, or raises
+// these in the open; a change that deletes one lowers them, since the test
+// also fails on a count below its ceiling.
 const (
 	maxKnobStructs = 16
-	maxKnobFields  = 88
+	maxKnobFields  = 79
 )
 
 // TestKnobBudget counts the settings the internal layers export: every
@@ -69,6 +73,12 @@ func TestKnobBudget(t *testing.T) {
 		t.Errorf("%d Config/Options structs (ceiling %d) with %d exported fields (ceiling %d):\n  %s",
 			len(structs), maxKnobStructs, len(fields), maxKnobFields, strings.Join(fields, "\n  "))
 	}
+	if len(structs) < maxKnobStructs {
+		t.Errorf("%d Config/Options structs: lower the ceiling to %d", len(structs), len(structs))
+	}
+	if len(fields) < maxKnobFields {
+		t.Errorf("%d exported fields: lower the ceiling to %d", len(fields), len(fields))
+	}
 	t.Logf("%d Config/Options structs, %d exported fields", len(structs), len(fields))
 }
 
@@ -83,4 +93,56 @@ func embeddedName(x ast.Expr) string {
 		return x.Name
 	}
 	return ""
+}
+
+// TestFacadeCarriesNoWiring: a facade config holds what an operator sets,
+// never the wiring one layer hands the next. Walking every config type the
+// facade exports, through nested structs, pointers, slices and maps, no
+// exported field may hold a telemetry registry, flight recorder or alarm
+// engine: each of those has one owner, the node that creates it.
+func TestFacadeCarriesNoWiring(t *testing.T) {
+	wiring := map[reflect.Type]bool{
+		reflect.TypeFor[*telemetry.Registry](): true,
+		reflect.TypeFor[*telemetry.Recorder](): true,
+		reflect.TypeFor[*telemetry.Engine]():   true,
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		if wiring[typ] {
+			t.Errorf("%s is a %v: wiring, not a setting", path, typ)
+			return
+		}
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map:
+			walk(path, typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if f := typ.Field(i); f.IsExported() {
+					walk(path+"."+f.Name, f.Type)
+				}
+			}
+		}
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[HostConfig](),
+		reflect.TypeFor[RouterOptions](),
+		reflect.TypeFor[ReplicationConfig](),
+		reflect.TypeFor[NetConfig](),
+		reflect.TypeFor[RMIDialOptions](),
+		reflect.TypeFor[RMIServerOptions](),
+		reflect.TypeFor[DiscoveryOptions](),
+	} {
+		walk(typ.Name(), typ)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeFor[ReliableConfig](), reflect.TypeFor[TelemetryConfig](),
+		reflect.TypeFor[HealthConfig]()} {
+		if !seen[typ] {
+			t.Errorf("%v was not reached from HostConfig", typ)
+		}
+	}
 }

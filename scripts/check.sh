@@ -22,6 +22,28 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# The first CHANGES entry number held to the size limit; the older entries
+# wait for their cut (ROADMAP item 9).
+first_sized=48
+echo "==> CHANGES.md entries numbered $first_sized and up: at most 12 lines, none over 100 characters"
+# An entry runs from its "- PR <n>" line to the next line that starts with
+# "- " or "#". Continuation bytes are dropped before counting, so a line is
+# measured in UTF-8 characters whatever awk the host has.
+LC_ALL=C awk -v first="$first_sized" '
+    /^- |^#/ {
+        entry = 0
+        if (match($0, /^- PR [0-9]+/) && substr($0, 6, RLENGTH - 5) + 0 >= first) {
+            entry = NR; head = substr($0, 1, RLENGTH); lines = 0
+        }
+    }
+    entry {
+        s = $0; gsub(/[\200-\277]/, "", s)
+        if (length(s) > 100) { printf "CHANGES.md:%d: %d characters, at most 100\n", NR, length(s); bad = 1 }
+        if (++lines == 13) { printf "CHANGES.md:%d: the %s entry runs past 12 lines\n", entry, head; bad = 1 }
+    }
+    END { exit bad }
+' CHANGES.md >&2
+
 echo "==> go build ./..."
 go build ./...
 
