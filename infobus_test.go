@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"infobus/internal/sysagent"
 	"infobus/internal/telemetry"
 )
 
@@ -153,9 +154,7 @@ func TestPublicReplicate(t *testing.T) {
 
 	pub, err := NewHost(seg, "pub", HostConfig{
 		LedgerPath: filepath.Join(dir, "pub.ledger"),
-		// Sampled hourly, the history tier sends no digest during the test:
-		// what answers on _sys.history.pub is the probe's answer.
-		Telemetry: TelemetryConfig{HistoryInterval: time.Hour},
+		Telemetry:  TelemetryConfig{HistoryInterval: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +209,13 @@ func TestPublicReplicate(t *testing.T) {
 					t.Fatalf("history answer lacks %s (series %v)", name, have)
 				}
 			}
-			return
+			// Digests share the subject and carry at most DigestSamples
+			// samples a series: more is the probe's full window.
+			for _, s := range snap.Series {
+				if s.Name == "daemon.inbound" && len(s.Samples) > sysagent.DigestSamples {
+					return
+				}
+			}
 		case <-deadline:
 			t.Fatal("no _sys.history answer")
 		case <-time.After(50 * time.Millisecond):

@@ -6,6 +6,7 @@ import (
 
 	"infobus/internal/core"
 	"infobus/internal/mop"
+	"infobus/internal/sysagent"
 	"infobus/internal/telemetry"
 )
 
@@ -23,16 +24,14 @@ func TestHistoryProbeAcrossRouter(t *testing.T) {
 		Attachment{Segment: segB, Name: "B"},
 	)
 	flight := newBus(t, segA, "flighthost", core.HostConfig{
-		// Sampled hourly, the tier sends no digest during the test: what
-		// crosses the router on _sys.history is the probe's answer.
-		Telemetry: core.TelemetryConfig{HistoryInterval: time.Hour},
+		Telemetry: core.TelemetryConfig{HistoryInterval: 5 * time.Millisecond},
 	})
 	prober := newBus(t, segB, "prober", core.HostConfig{})
 	answers, err := prober.Subscribe("_sys.history.>")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cross-router traffic first: the route is up before the first probe.
+	// Some cross-router traffic so the sampled rates are nonzero.
 	back, err := flight.Subscribe("fab5.>")
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +60,7 @@ func TestHistoryProbeAcrossRouter(t *testing.T) {
 			if digest.Node != "flighthost" {
 				t.Fatalf("digest node = %q", digest.Node)
 			}
-			if digest.IntervalNs != time.Hour.Nanoseconds() {
+			if digest.IntervalNs != (5 * time.Millisecond).Nanoseconds() {
 				t.Fatalf("interval_ns = %d", digest.IntervalNs)
 			}
 			if len(digest.Series) == 0 {
@@ -74,10 +73,24 @@ func TestHistoryProbeAcrossRouter(t *testing.T) {
 			if !names["daemon.inbound"] || !names["bus.published"] {
 				t.Fatalf("series round-trip lost names: %v", names)
 			}
-			return
+			if probeWindow(digest) {
+				return
+			}
 		case <-deadline:
 			t.Fatal("history answer never crossed the router")
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
+}
+
+// probeWindow reports whether a host's SysHistory is a probe's full window
+// rather than a periodic digest: digests share the subject and carry at
+// most sysagent.DigestSamples samples a series.
+func probeWindow(snap telemetry.HistorySnapshot) bool {
+	for _, s := range snap.Series {
+		if len(s.Samples) > sysagent.DigestSamples {
+			return true
+		}
+	}
+	return false
 }

@@ -448,11 +448,20 @@ func TestMeshFlapAlarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Synthesize a flapping peer: alternate two interest sets into the mesh
-	// faster than the debounce can fully coalesce. Driving the state
-	// machine directly keeps the churn source deterministic.
+	// faster than the debounce can fully coalesce, until the test ends.
+	// Driving the state machine directly keeps the churn source
+	// deterministic.
+	done := make(chan struct{})
+	defer close(done)
+	start := time.Now()
 	go func() {
 		pats := [][]string{{"flap.a"}, {"flap.b"}}
-		for i := 0; i < 400; i++ {
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
 			r.agent.m.HandleInterest(0, "zz-flapper", pats[i%2], time.Now())
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -464,6 +473,8 @@ func TestMeshFlapAlarm(t *testing.T) {
 			if !strings.Contains(ev.Subject.String(), "mesh-flap") {
 				continue
 			}
+			t.Logf("mesh-flap raised after %d readverts in %v",
+				r.agent.readverts.Load(), time.Since(start))
 			// The churn series must be visible in the flight-data ring once
 			// the sampler has ticked (its period is coarser than the alarm's).
 			for r.hist.Snapshot(0).Ticks == 0 {

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -66,10 +65,35 @@ const quorumStamp = goldenAt + 12345
 func goldenMetrics(m *telemetry.Registry) *telemetry.Registry {
 	m.Counter("golden.counter").Add(42)
 	m.Gauge("golden.gauge").Set(-7)
-	for _, ns := range []int64{1000, 2000, 4000, 1 << 20} {
+	for _, ns := range goldenHistNs {
 		m.Histogram("golden.hist").Observe(time.Duration(ns))
 	}
 	return m
+}
+
+// goldenHistNs are the golden histogram's observations, in nanoseconds.
+var goldenHistNs = []int64{1000, 2000, 4000, 1 << 20}
+
+// goldenFilled reports whether a SysStats payload carries every golden
+// instrument at the value goldenMetrics leaves it: the histogram, filled
+// last, holds all its observations and their whole sum.
+func goldenFilled(payload []byte) bool {
+	v, err := wire.UnmarshalWith(payload, mop.NewRegistry(), nil)
+	o, ok := v.(*mop.Object)
+	var st telemetry.Stats
+	if err != nil || !ok || !telemetry.SysStats.Read(o, &st) {
+		return false
+	}
+	var sum int64
+	for _, ns := range goldenHistNs {
+		sum += ns
+	}
+	for _, m := range st.Metrics {
+		if m.Name == "golden.hist" {
+			return m.Count == uint64(len(goldenHistNs)) && m.MeanNs == float64(sum)/float64(len(goldenHistNs))
+		}
+	}
+	return false
 }
 
 // published returns, in order, the payloads of the data envelopes the
@@ -85,13 +109,16 @@ func (s *captureSegment) published(subj string) [][]byte {
 	return out
 }
 
-// awaitSys waits for the first publication on subj and returns its payload.
-func awaitSys(t *testing.T, seg *captureSegment, subj string) []byte {
+// awaitSys waits for the first publication on subj that want accepts (any,
+// with want nil) and returns its payload.
+func awaitSys(t *testing.T, seg *captureSegment, subj string, want func([]byte) bool) []byte {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if got := seg.published(subj); len(got) > 0 {
-			return got[0]
+		for _, p := range seg.published(subj) {
+			if want == nil || want(p) {
+				return p
+			}
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -101,14 +128,15 @@ func awaitSys(t *testing.T, seg *captureSegment, subj string) []byte {
 
 var dumpStamp = regexp.MustCompile(`\d\d:\d\d:\d\d\.\d{6}`)
 
-// checkSysGolden waits for the node's first publication on subj, decodes
-// its payload, checks it is the wire encoding of its own decoding (so re-encoding after normalisation compares
+// checkSysGolden waits for the node's first publication on subj that want
+// accepts (any, with want nil), decodes its payload, checks it is the wire
+// encoding of its own decoding (so re-encoding after normalisation compares
 // bytes, not structure), range-checks every clock reading against [lo, hi]
 // and normalises it, zeroes the values that depend on protocol timing, and
 // compares subject, length and hash with the golden.
-func checkSysGolden(t *testing.T, seg *captureSegment, key, subj string, lo time.Time) {
+func checkSysGolden(t *testing.T, seg *captureSegment, key, subj string, lo time.Time, want func([]byte) bool) {
 	t.Helper()
-	payload, hi := awaitSys(t, seg, subj), time.Now()
+	payload, hi := awaitSys(t, seg, subj, want), time.Now()
 	v, err := wire.UnmarshalWith(payload, mop.NewRegistry(), nil)
 	if err != nil {
 		t.Fatalf("%s: payload does not decode: %v", key, err)
@@ -240,13 +268,11 @@ func TestSysGoldenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The first stats tick is a StatsInterval after NewHost; a host
-		// stall long enough for it to come before the golden instruments is
-		// not this test's subject.
-		if !bytes.Contains(awaitSys(t, seg, "_sys.stats.golden-host"), []byte("golden.counter")) {
-			t.Skip("the first stats tick ran before the test registered the golden instruments")
-		}
-		checkSysGolden(t, seg, "host/stats", "_sys.stats.golden-host", lo)
+		// The golden instruments go into the host's own registry after
+		// NewHost, so a stats tick may come before they are all in: check
+		// the first object that carries them whole. The snapshot is in name
+		// order, so the object does not depend on when they came in.
+		checkSysGolden(t, seg, "host/stats", "_sys.stats.golden-host", lo, goldenFilled)
 
 		// The interest the host advertises for its probes: the same three
 		// patterns, hence the same frame, from one client as from three.
@@ -263,19 +289,19 @@ func TestSysGoldenBytes(t *testing.T) {
 		}
 
 		raiseGoldenAlarm(h.HealthEngine())
-		checkSysGolden(t, seg, "host/alarm", "_sys.alarm.golden-host.golden-alarm", lo)
+		checkSysGolden(t, seg, "host/alarm", "_sys.alarm.golden-host.golden-alarm", lo, nil)
 
 		if err := bus.Publish(telemetry.DumpSubject, int64(1)); err != nil {
 			t.Fatal(err)
 		}
-		checkSysGolden(t, seg, "host/dump", "_sys.dumped.golden-host", lo)
+		checkSysGolden(t, seg, "host/dump", "_sys.dumped.golden-host", lo, nil)
 
 		h.Metrics().Counter("golden.counter").Add(8)
 		h.History().Tick(goldenTime)
 		if err := bus.Publish(telemetry.HistorySubject, int64(1)); err != nil {
 			t.Fatal(err)
 		}
-		checkSysGolden(t, seg, "host/history", "_sys.history.golden-host", lo)
+		checkSysGolden(t, seg, "host/history", "_sys.history.golden-host", lo, nil)
 
 		// Last: the unacknowledged guaranteed publication keeps the retrier
 		// busy from here on, which the recorder and the rates above would see.
@@ -283,7 +309,7 @@ func TestSysGoldenBytes(t *testing.T) {
 		if _, err := bus.PublishGuaranteed("golden.guar", int64(1)); err != nil {
 			t.Fatal(err)
 		}
-		checkSysGolden(t, seg, "host/trace", "_sys.trace.golden-host", lo)
+		checkSysGolden(t, seg, "host/trace", "_sys.trace.golden-host", lo, nil)
 	})
 
 	goldenRouter := func(t *testing.T, opts Options) (*Router, *captureSegment) {
@@ -328,17 +354,17 @@ func TestSysGoldenBytes(t *testing.T) {
 		}
 		r.hist.TrackRate("golden.rate", r.metrics.Counter("golden.counter"))
 		probe(r, telemetry.PingSubject) // a pong, and the same SysStats a stats tick exports
-		checkSysGolden(t, seg, "router/stats", "_sys.stats.router-golden", lo)
+		checkSysGolden(t, seg, "router/stats", "_sys.stats.router-golden", lo, nil)
 
 		raiseGoldenAlarm(r.engine)
-		checkSysGolden(t, seg, "router/alarm", "_sys.alarm.router-golden.golden-alarm", lo)
+		checkSysGolden(t, seg, "router/alarm", "_sys.alarm.router-golden.golden-alarm", lo, nil)
 
 		probe(r, telemetry.DumpSubject)
-		checkSysGolden(t, seg, "router/dump", "_sys.dumped.router-golden", lo)
+		checkSysGolden(t, seg, "router/dump", "_sys.dumped.router-golden", lo, nil)
 
 		r.metrics.Counter("golden.counter").Add(8)
 		r.hist.Tick(goldenTime)
 		probe(r, telemetry.HistorySubject)
-		checkSysGolden(t, seg, "router/history", "_sys.history.router-golden", lo)
+		checkSysGolden(t, seg, "router/history", "_sys.history.router-golden", lo, nil)
 	})
 }

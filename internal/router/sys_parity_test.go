@@ -24,12 +24,12 @@ func TestSysProbeParity(t *testing.T) {
 		Attachment{Segment: segA, Name: "A"},
 		Attachment{Segment: segB, Name: "B"},
 	)
-	// Sampled every minute, the history tier sends no digest during the
-	// test: any SysHistory seen below is a probe answer too.
+	// The host's history tier also sends digests on the answer subject:
+	// only a full window counts as its answer below.
 	newBus(t, segB, "parityhost", core.HostConfig{Telemetry: core.TelemetryConfig{
 		StatsInterval:   time.Minute,
 		Health:          health,
-		HistoryInterval: time.Minute,
+		HistoryInterval: 5 * time.Millisecond,
 	}})
 	prober := newBus(t, segA, "prober", core.HostConfig{})
 
@@ -77,8 +77,14 @@ func TestSysProbeParity(t *testing.T) {
 					if !expected {
 						continue // an earlier probe's answer, or the probe itself
 					}
-					if obj, ok := ev.Value.(*mop.Object); !ok || obj.Type().Name() != class {
+					obj, ok := ev.Value.(*mop.Object)
+					if !ok || obj.Type().Name() != class {
 						t.Fatalf("%s: answer on %s = %v, want a %s", tc.probe, subj, ev.Value, class)
+					}
+					var snap telemetry.HistorySnapshot
+					if subj == telemetry.HistorySubjectPrefix+".parityhost" &&
+						(!telemetry.SysHistory.Read(obj, &snap) || !probeWindow(snap)) {
+						continue // a digest, or a window still as short as one
 					}
 					delete(want, subj)
 				case <-window:
