@@ -181,6 +181,8 @@ func ZeroValue(t *Type) Value {
 
 // EqualValues reports deep equality of two dynamic values. Objects compare
 // by type identity and attribute-wise equality; times by time.Time.Equal.
+// Equality is reflexive: a float NaN equals any NaN, so a value holding one
+// equals its own clone, and TDL's eq? on two NaNs returns true.
 func EqualValues(a, b Value) bool {
 	switch x := a.(type) {
 	case nil:
@@ -193,7 +195,7 @@ func EqualValues(a, b Value) bool {
 		return ok && x == y
 	case float64:
 		y, ok := b.(float64)
-		return ok && x == y
+		return ok && (x == y || x != x && y != y)
 	case string:
 		y, ok := b.(string)
 		return ok && x == y
