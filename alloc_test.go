@@ -181,8 +181,8 @@ func TestPublishDeliverHistoryAllocBudget(t *testing.T) {
 // marshal, group-committed ledger append, daemon publish, local delivery,
 // ack, ledger ack staging — at its current allocation count so the
 // pipeline cannot silently regain per-message garbage. The batch
-// machinery itself (staging buffers, freelists, the pending map, the
-// ledger's payload blocks) is amortised; what remains is 4 allocations:
+// machinery itself (staging buffers, freelists, the pending map) is
+// amortised, and the ledger keeps no payload copy; what remains is 4 allocations:
 // the box of the []byte payload this test hands PublishGuaranteed as a
 // mop.Value, the medium's copy of the datagram, the local delivery's copy
 // of the envelope, and the box of the []byte the consumer decodes (a whole

@@ -382,8 +382,8 @@ func (h *Host) AddCloseHook(f func()) {
 }
 
 // PendingGuaranteed returns the guaranteed publications not yet
-// acknowledged (from the ledger), including entries recovered after a
-// restart.
+// acknowledged, including entries recovered after a restart, with their
+// payloads read back from the ledger's log (see ledger.Pending).
 func (h *Host) PendingGuaranteed() []ledger.Entry {
 	h.mu.Lock()
 	defer h.mu.Unlock()

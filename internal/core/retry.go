@@ -24,13 +24,17 @@ import (
 // the common case (ack arrives before the first deadline) costs nothing.
 //
 // The retrier is a Part: the host loop, or the part fostering an origin,
-// calls Tick, which walks the ledger once per interval. The walk is
-// allocation-free: the ledger's ForEachPending iterator reuses its
-// snapshot buffer, the visit callback is prebound at construction, and
-// per-entry retry state lives in a map only Tick touches (no locking). State
-// for acked entries is swept by generation stamping: every visit marks the
-// entry with the current walk's generation, and whatever the walk did not
-// touch is deleted afterwards.
+// calls Tick, which walks the ledger once per interval. The walk lists the
+// due entries, then reads their payloads back from the ledger (the log
+// holds them; memory does not) into one buffer the retrier reuses, and
+// publishes them oldest first. An entry acked since the listing, or whose
+// batch is still in flight, is not read and waits for the next walk. Once
+// warm the walk is allocation-free: the ledger's ForEachPending iterator
+// and the due list reuse their buffers, the visit callback is prebound at
+// construction, and per-entry retry state lives in a map only Tick touches
+// (no locking). State for acked entries is swept by generation stamping:
+// every visit marks the entry with the current walk's generation, and
+// whatever the walk did not touch is deleted afterwards.
 type Retrier struct {
 	led *ledger.Ledger
 	// publish re-disseminates one entry (daemon.PublishGuaranteed, or
@@ -47,6 +51,8 @@ type Retrier struct {
 	now     time.Time
 	refused bool                       // this walk stopped at a refused publish
 	visit   func(e *ledger.Entry) bool // prebound: no per-tick closure
+	due     []ledger.Entry             // this walk's due entries
+	buf     []byte                     // their payloads, read back from the ledger
 }
 
 // retryState is one pending entry's schedule.
@@ -82,11 +88,10 @@ func NewRetrier(led *ledger.Ledger, interval time.Duration, retransmits *telemet
 }
 
 // Tick runs one walk when one is due: flush the ledger's staged acks,
-// visit every pending entry (retransmitting the due ones), then sweep
-// retry state whose entry is no longer pending — unless the walk was cut
-// short, when what it did not reach keeps its schedule. It returns when the
-// next walk is due. A walk that finds nothing pending, or nothing due,
-// allocates nothing.
+// visit every pending entry, retransmit the due ones, then sweep retry
+// state whose entry is no longer pending — unless the walk was cut short,
+// when what it did not reach keeps its schedule. It returns when the next
+// walk is due. A warm walk allocates nothing.
 func (r *Retrier) Tick(now time.Time) time.Time {
 	if !r.every.Due(now) {
 		return r.every.At
@@ -95,6 +100,18 @@ func (r *Retrier) Tick(now time.Time) time.Time {
 	r.gen++
 	r.now, r.refused = now, false
 	r.led.ForEachPending(r.visit)
+	if len(r.due) > 0 {
+		// An entry that does not read back is skipped, and stays due.
+		r.due, r.buf, _ = r.led.ReadPayloads(r.due, r.buf)
+		for i := range r.due {
+			if !r.retransmit(&r.due[i]) {
+				r.refused = true
+				break
+			}
+		}
+		clear(r.due)
+		r.due = r.due[:0]
+	}
 	if !r.refused {
 		for id, st := range r.state {
 			if st.gen != r.gen {
@@ -108,8 +125,8 @@ func (r *Retrier) Tick(now time.Time) time.Time {
 // Hear does nothing: a retrier hears no subject.
 func (r *Retrier) Hear(_, _ []byte) {}
 
-// visitPending handles one pending entry during a walk. Returning false
-// aborts the walk (daemon closed or backpressured; the next walk retries).
+// visitPending handles one pending entry during a walk: it marks the entry
+// seen and lists it when it is due.
 func (r *Retrier) visitPending(e *ledger.Entry) bool {
 	st, seen := r.state[e.ID]
 	switch {
@@ -119,21 +136,31 @@ func (r *Retrier) visitPending(e *ledger.Entry) bool {
 		// recovered after a crash were never re-sent, and waiting an interval
 		// for those too keeps restart traffic from bursting the medium.
 		st = retryState{due: r.now.Add(r.every.D), backoff: r.every.D}
-	case r.now.Before(st.due):
-	default:
-		// A subject that does not parse cannot come from PublishGuaranteed:
-		// skipped, but kept marked so its state is not resurrected every walk.
-		if subj, err := subject.Parse(e.Subject); err == nil {
-			if err := r.publish(subj, e.Payload, e.ID); err != nil {
-				r.refused = true
-				return false
-			}
-			r.retransmits.Inc()
-			st.backoff = min(2*st.backoff, r.cap)
-			st.due = r.now.Add(st.backoff)
-		}
+	case !r.now.Before(st.due):
+		r.due = append(r.due, *e)
 	}
 	st.gen = r.gen
+	r.state[e.ID] = st
+	return true
+}
+
+// retransmit re-publishes one due entry and backs its schedule off.
+// Returning false stops the walk (daemon closed or backpressured; the next
+// walk retries). A subject that does not parse cannot come from
+// PublishGuaranteed: skipped, but kept so its state is not resurrected
+// every walk.
+func (r *Retrier) retransmit(e *ledger.Entry) bool {
+	subj, err := subject.Parse(e.Subject)
+	if err != nil {
+		return true
+	}
+	if err := r.publish(subj, e.Payload, e.ID); err != nil {
+		return false
+	}
+	r.retransmits.Inc()
+	st := r.state[e.ID]
+	st.backoff = min(2*st.backoff, r.cap)
+	st.due = r.now.Add(st.backoff)
 	r.state[e.ID] = st
 	return true
 }

@@ -220,6 +220,49 @@ func TestIdleRetrierNoAllocs(t *testing.T) {
 	}
 }
 
+// TestDueRetrierWalkNoAllocs: a warm walk that retransmits one due entry
+// allocates nothing either. Its payload is read back from the ledger into
+// the retrier's reused buffer, byte for byte as it was appended.
+func TestDueRetrierWalkNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	led, err := ledger.Open(filepath.Join(t.TempDir(), "g.log"), ledger.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	payload := []byte("due every walk")
+	if _, err := led.Append("g.s", payload); err != nil {
+		t.Fatal(err)
+	}
+	sent, wrong := 0, 0
+	r := NewRetrier(led, time.Millisecond, telemetry.NewRegistry().Counter("bus.guar_retransmits"),
+		func(_ subject.Subject, p []byte, _ uint64) error {
+			sent++
+			if string(p) != string(payload) {
+				wrong++
+			}
+			return nil
+		})
+	// Each tick lands past the longest backoff, so every walk finds the
+	// entry due.
+	now := virtualStart
+	tick := func() {
+		now = now.Add(DefaultRetryBackoffCap + time.Millisecond)
+		r.Tick(now)
+	}
+	tick() // arms the cadence
+	tick() // first sight
+	tick() // first retransmission: the buffers grow
+	if got := testing.AllocsPerRun(100, tick); got > 0 {
+		t.Fatalf("a walk retransmitting one due entry = %.1f allocs/op, want 0", got)
+	}
+	if sent != 102 || wrong != 0 {
+		t.Fatalf("%d retransmissions, %d with a payload other than the one appended; want 102 and 0", sent, wrong)
+	}
+}
+
 // TestRetrierStatePruned: the per-entry backoff state must not leak once
 // entries are acknowledged (mark-sweep by walk generation).
 func TestRetrierStatePruned(t *testing.T) {

@@ -134,14 +134,17 @@ func (l *Ledger) writeBatch(f *os.File, b *batch) error {
 }
 
 // creditBatchLocked accounts a flushed batch to the segment it was
-// written into: size growth plus the live count of its message records.
-// A message already acked while its batch was in flight stays uncounted —
-// its ack record trails in a later batch and replay nets the two out.
+// written into: size growth plus the live count of its message records,
+// each of which now has its location there (the batch started at the
+// segment's old size). A message already acked while its batch was in
+// flight stays uncounted — its ack record trails in a later batch and
+// replay nets the two out.
 func (l *Ledger) creditBatchLocked(b *batch, seg *segment) {
+	base := seg.size
 	seg.size += int64(len(b.buf))
 	for _, id := range b.msgIDs {
 		if st, ok := l.pending[id]; ok && st.seg == 0 {
-			st.seg = seg.seq
+			st.seg, st.off = seg.seq, base+st.off
 			l.pending[id] = st
 			seg.live++
 		}

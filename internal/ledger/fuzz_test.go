@@ -1,6 +1,8 @@
 package ledger
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,6 +13,10 @@ func FuzzParseRecord(f *testing.F) {
 	f.Add(encodeRecord(record{typ: recMessage, id: 7, subject: "a.b", payload: []byte("x")}))
 	f.Add(encodeRecord(record{typ: recAck, id: 9}))
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 0, 1, 2, 3, 4})
+	// A subject length past MaxInt64, under a valid CRC: as an int it is
+	// negative.
+	body := binary.AppendUvarint([]byte{recMessage, 1}, ^uint64(0))
+	f.Add(append(binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, uint32(len(body))), crc32.ChecksumIEEE(body)), body...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := parseRecord(data)
 		if err != nil {

@@ -24,19 +24,25 @@
 // trace: its messages leave the pending set and the segment is truncated
 // back to what was committed before.
 //
-// After warm-up the append path allocates only the blocks its payloads are
-// kept in: one 8 KB block per 8 KB of kept payload. A flushed batch goes
-// back on a small free list with its buffers once its last waiter has read
-// the outcome, and a kept payload is copied into a shared block (see
-// keepLocked), which the pending set holds by value. Replay keeps only
-// the payloads still pending after the last segment.
+// The log holds every byte a retransmission needs, so memory holds none of
+// them: a pending message is its id, its subject and the location of its
+// committed record (segment, offset, length), and its payload is read back
+// from the segment file where it is needed — the retrier's due entries
+// (ReadPayloads), Pending, PendingRecords and the carry. Each read runs
+// under the ledger's lock, so no carry moves the record meanwhile, and
+// checks the record's CRC again. A message whose batch is still in flight
+// has no location yet and is left out of such a read. After warm-up the
+// append path allocates nothing: a flushed batch goes back on a small free
+// list with its buffers once its last waiter has read the outcome, and the
+// pending set holds its locations by value. A reopened or backlogged
+// ledger holds O(pending) locations, not its pending payloads.
 //
 // Space is reclaimed at rotation, the way a log-structured file system's
 // cleaner does it: fully-acknowledged leading segments are unlinked, and
-// the oldest segments' pending messages are carried (copied from memory)
-// into the new active segment, so the next rotation can unlink those too.
-// The disk holds about three segments plus the pending messages. A carried
-// payload is kept anew, so a stuck message stops pinning its first block.
+// the oldest segments' pending records are carried (read back and written
+// again as they are) into the new active segment, so the next rotation can
+// unlink those too. The disk holds about three segments plus the pending
+// messages.
 package ledger
 
 import (
@@ -64,15 +70,13 @@ const defaultSegmentBytes = 4 << 20
 // leader commits at once.
 const linger = 100 * time.Microsecond
 
-// Kept payloads are carved from shared blocks of blockSize bytes (a larger
-// payload starts a block of its own size). At most maxFreeBatches flushed
-// batches wait on the free list for reuse.
-const (
-	blockSize      = 8 << 10
-	maxFreeBatches = 4
-)
+// maxFreeBatches bounds the flushed batches waiting on the free list for
+// reuse.
+const maxFreeBatches = 4
 
-// Entry is one logged, possibly unacknowledged message.
+// Entry is one logged, possibly unacknowledged message. Payload is read
+// back from the log: Pending and ReadPayloads fill it in, ForEachPending
+// leaves it nil.
 type Entry struct {
 	ID      uint64
 	Subject string
@@ -86,18 +90,24 @@ var (
 	ErrTooBig  = errors.New("ledger: record exceeds size limit")
 )
 
-// entryState is a pending message plus the segment its record lives in
-// (seg == 0 until the record's batch has been committed).
+// entryState is a pending message: its id and subject, and where its record
+// is. Until the record's batch is committed seg is 0 and off is the
+// record's offset in the batch; from then on they locate it in its segment.
 type entryState struct {
-	e   Entry
-	seg uint64
+	id      uint64
+	subject string
+	seg     uint64
+	off     int64
+	n       int // record length
 }
 
-// segment is one log file. segs[len-1] is the active (append) segment;
-// live counts the pending messages whose records it holds.
+// segment is one log file, open for reads (and, as segs[len-1], the active
+// segment, for appends) until it is unlinked or the ledger closes. live
+// counts the pending messages whose records it holds.
 type segment struct {
 	seq     uint64
 	path    string
+	f       *os.File
 	size    int64
 	carried int64 // bytes of size the carry wrote; they do not count toward rotation
 	live    int
@@ -146,10 +156,9 @@ type Ledger struct {
 	nextID     uint64
 	pending    map[uint64]entryState
 	segs       []*segment
-	f          *os.File // active segment, opened O_APPEND
+	f          *os.File // the active segment's f, which commits write to
 	cur        *batch
 	free       []*batch // flushed batches for reuse, at most maxFreeBatches
-	block      []byte   // the shared block kept payloads are carved from
 	iterBuf    []Entry  // ForEachPending's buffer; nil while a walk holds it
 
 	ctr counters
@@ -213,6 +222,7 @@ func Open(path string, opts Options) (*Ledger, error) {
 		groupSize:   reg.Histogram("ledger.group_size"),
 	}
 	if err := l.openSegments(); err != nil {
+		l.closeSegments()
 		return nil, err
 	}
 	l.cur = l.newBatchLocked()
@@ -259,11 +269,12 @@ func (l *Ledger) AppendTimed(subject string, payload []byte) (uint64, AppendTimi
 	id := l.nextID
 	l.nextID++
 	b := l.cur
+	off := len(b.buf)
 	b.buf = appendRecord(b.buf, record{typ: recMessage, id: id, subject: subject, payload: payload})
 	b.msgIDs = append(b.msgIDs, id)
 	b.recs++
 	b.waiters++
-	l.pending[id] = entryState{e: Entry{ID: id, Subject: subject, Payload: l.keepLocked(payload)}}
+	l.pending[id] = entryState{id: id, subject: subject, off: int64(off), n: len(b.buf) - off}
 	l.ctr.appends.Inc()
 	l.ctr.pending.Set(int64(len(l.pending)))
 	err := l.awaitLocked(b, &tm)
@@ -293,21 +304,6 @@ func (l *Ledger) awaitLocked(b *batch, tm *AppendTimings) error {
 		l.freeLocked(b)
 	}
 	return err
-}
-
-// keepLocked returns the ledger's own copy of a payload it keeps pending.
-// The copy is carved from the current shared block; a payload that does
-// not fit starts a new block of blockSize bytes, or of its own size if it
-// is larger. A full block is dropped, never reused, and lives while a
-// payload carved from it is pending. The copy's capacity ends at its
-// length, so a caller's append cannot write into the next payload.
-func (l *Ledger) keepLocked(p []byte) []byte {
-	if len(l.block)+len(p) > cap(l.block) {
-		l.block = make([]byte, 0, max(blockSize, len(p)))
-	}
-	n := len(l.block)
-	l.block = append(l.block, p...)
-	return l.block[n:len(l.block):len(l.block)]
 }
 
 // Ack records that the message with the given ID was acknowledged; it
@@ -352,27 +348,28 @@ func (l *Ledger) Flush() {
 	l.mu.Unlock()
 }
 
-// Pending returns every logged-but-unacknowledged message, oldest first.
-// The returned payload slices are the ledger's own; callers must not
-// mutate them. Their capacity ends at their length, so an append to one
-// copies it.
+// Pending returns every committed, unacknowledged message, oldest first,
+// with its payload read back from the log into one buffer the entries
+// share. Each payload's capacity ends at its length, so an append to one
+// copies it. A message whose batch is still in flight, or whose record no
+// longer reads back intact, is left out; after Close, every one is.
 func (l *Ledger) Pending() []Entry {
-	l.mu.Lock()
-	out := make([]Entry, 0, len(l.pending))
-	for _, st := range l.pending {
-		out = append(out, st.e)
-	}
-	l.mu.Unlock()
-	slices.SortFunc(out, byID)
+	var out []Entry
+	l.ForEachPending(func(e *Entry) bool {
+		out = append(out, *e)
+		return true
+	})
+	out, _, _ = l.ReadPayloads(out, nil)
 	return out
 }
 
 // ForEachPending calls f for every pending message, oldest first, without
-// allocating: the entries are copied into a reused internal buffer under
-// the lock, then f runs with no ledger lock held (so it may Ack, Append,
-// or publish). f returns false to stop early. The *Entry and its payload
-// are only valid during the call; an entry acked concurrently may still
-// be visited once (guaranteed delivery is at-least-once). Concurrent walks
+// allocating: the ids and subjects are copied into a reused internal
+// buffer under the lock, then f runs with no ledger lock held (so it may
+// Ack, Append, or publish). Payload is nil: ReadPayloads reads back the
+// entries that need theirs. f returns false to stop early. The *Entry is
+// only valid during the call; an entry acked concurrently may still be
+// visited once (guaranteed delivery is at-least-once). Concurrent walks
 // are safe: one takes the buffer, the others build their own.
 func (l *Ledger) ForEachPending(f func(e *Entry) bool) {
 	l.mu.Lock()
@@ -383,7 +380,7 @@ func (l *Ledger) ForEachPending(f func(e *Entry) bool) {
 	buf := l.iterBuf[:0]
 	l.iterBuf = nil
 	for _, st := range l.pending {
-		buf = append(buf, st.e)
+		buf = append(buf, Entry{ID: st.id, Subject: st.subject})
 	}
 	l.mu.Unlock()
 	slices.SortFunc(buf, byID)
@@ -392,12 +389,51 @@ func (l *Ledger) ForEachPending(f func(e *Entry) bool) {
 			break
 		}
 	}
-	clear(buf) // a walked entry pins no payload block
+	clear(buf) // a walked entry pins no subject
 	l.mu.Lock()
 	if l.iterBuf == nil {
 		l.iterBuf = buf
 	}
 	l.mu.Unlock()
+}
+
+// ReadPayloads fills in the payload of each entry in es, reading its
+// committed record back from the log into buf, which it grows as needed
+// and returns for reuse. It returns es less the entries it could not fill,
+// in their order: those acknowledged since they were listed, those whose
+// batch is still in flight (the next read finds them committed), and
+// those whose record no longer reads back intact, for which it also
+// returns the first error. The payloads are views of buf, valid until buf
+// is reused. Once buf is large enough it allocates nothing.
+func (l *Ledger) ReadPayloads(es []Entry, buf []byte) ([]Entry, []byte, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// Size buf for every record first, so growing it never moves a payload
+	// already read.
+	total := 0
+	for i := range es {
+		if st, ok := l.pending[es[i].ID]; ok && st.seg != 0 {
+			total += st.n
+		}
+	}
+	buf = slices.Grow(buf[:0], total)
+	var first error
+	k := 0
+	for _, e := range es {
+		st, ok := l.pending[e.ID]
+		if !ok || st.seg == 0 {
+			continue
+		}
+		var err error
+		if buf, e.Payload, err = l.readRecordLocked(buf, st); err != nil {
+			first = cmp.Or(first, err)
+			continue
+		}
+		es[k] = e
+		k++
+	}
+	clear(es[k:])
+	return es[:k], buf, first
 }
 
 func byID(a, b Entry) int { return cmp.Compare(a.ID, b.ID) }
@@ -421,7 +457,16 @@ func (l *Ledger) Close() error {
 	b := l.cur
 	b.waiters++
 	_ = l.awaitLocked(b, nil)
-	return l.f.Close()
+	return l.closeSegments()
+}
+
+// closeSegments closes every segment's file and returns the first error.
+func (l *Ledger) closeSegments() error {
+	var err error
+	for _, s := range l.segs {
+		err = cmp.Or(err, s.f.Close())
+	}
+	return err
 }
 
 // refuseLocked returns why the ledger takes no more records, or nil.

@@ -59,57 +59,71 @@ func encodeRecord(r record) []byte {
 }
 
 // parseRecord decodes one record from the front of data, returning the
-// bytes consumed. The payload is a view of data, capped at its length; the
-// ledger copies only what it keeps pending (keepLocked). errTorn means the
-// data ends mid-record (a crashed append); other errors mean real
-// corruption.
+// bytes consumed. The payload is a view of data, capped at its length.
+// errTorn means the data ends mid-record (a crashed append); other errors
+// mean real corruption.
 func parseRecord(data []byte) (record, int, error) {
+	r, n, err := parseRaw(data)
+	return record{typ: r.typ, id: r.id, subject: string(r.subject), payload: r.payload}, n, err
+}
+
+// rawRecord is a parsed record whose subject is still a view of the data,
+// so a read-back that only checks it allocates nothing.
+type rawRecord struct {
+	typ              byte
+	id               uint64
+	subject, payload []byte
+}
+
+// parseRaw is parseRecord without the subject's copy: every check, the CRC
+// included, is here.
+func parseRaw(data []byte) (rawRecord, int, error) {
 	if len(data) < 8 {
-		return record{}, 0, errTorn
+		return rawRecord{}, 0, errTorn
 	}
 	bodyLen := binary.BigEndian.Uint32(data[0:4])
 	if bodyLen > maxRecord {
-		return record{}, 0, fmt.Errorf("body of %d bytes: %w", bodyLen, ErrTooBig)
+		return rawRecord{}, 0, fmt.Errorf("body of %d bytes: %w", bodyLen, ErrTooBig)
 	}
 	if len(data) < 8+int(bodyLen) {
-		return record{}, 0, errTorn
+		return rawRecord{}, 0, errTorn
 	}
 	body := data[8 : 8+bodyLen]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[4:8]) {
-		return record{}, 0, fmt.Errorf("crc mismatch: %w", ErrCorrupt)
+		return rawRecord{}, 0, fmt.Errorf("crc mismatch: %w", ErrCorrupt)
 	}
 	if len(body) < 1 {
-		return record{}, 0, ErrCorrupt
+		return rawRecord{}, 0, ErrCorrupt
 	}
-	r := record{typ: body[0]}
+	r := rawRecord{typ: body[0]}
 	pos := 1
 	id, n := binary.Uvarint(body[pos:])
 	if n <= 0 {
-		return record{}, 0, ErrCorrupt
+		return rawRecord{}, 0, ErrCorrupt
 	}
 	pos += n
 	r.id = id
 	switch r.typ {
 	case recAck:
 		if pos != len(body) {
-			return record{}, 0, ErrCorrupt
+			return rawRecord{}, 0, ErrCorrupt
 		}
 	case recMessage:
 		slen, n := binary.Uvarint(body[pos:])
-		if n <= 0 || pos+n+int(slen) > len(body) {
-			return record{}, 0, ErrCorrupt
+		if n <= 0 || slen > uint64(len(body)-pos-n) {
+			return rawRecord{}, 0, ErrCorrupt
 		}
 		pos += n
-		r.subject = string(body[pos : pos+int(slen)])
+		r.subject = body[pos : pos+int(slen)]
 		pos += int(slen)
 		plen, n := binary.Uvarint(body[pos:])
 		if n <= 0 || pos+n+int(plen) != len(body) {
-			return record{}, 0, ErrCorrupt
+			return rawRecord{}, 0, ErrCorrupt
 		}
 		pos += n
 		r.payload = body[pos:len(body):len(body)]
 	default:
-		return record{}, 0, fmt.Errorf("type %d: %w", r.typ, ErrCorrupt)
+		return rawRecord{}, 0, fmt.Errorf("type %d: %w", r.typ, ErrCorrupt)
 	}
 	return r, 8 + int(bodyLen), nil
 }

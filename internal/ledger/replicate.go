@@ -1,6 +1,10 @@
 package ledger
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Replication surface. The quorum tier (internal/qledger) mirrors each
 // committed batch to peer replicas; this file is everything it needs from
@@ -43,6 +47,32 @@ func NextRecord(data []byte) (Rec, int, error) {
 		return Rec{}, 0, fmt.Errorf("%v: %w", err, ErrCorrupt)
 	}
 	return Rec{ID: r.id, Subject: r.subject, Payload: r.payload, Ack: r.typ == recAck}, n, nil
+}
+
+// PendingRecords appends the committed records of the pending messages,
+// oldest first, to dst as they are on disk (the encoding
+// AppendMessageRecord writes), read back from the log. It stops before a
+// record that would take what it appends past maxBytes, though it always
+// appends the first. A message still in flight, or whose record does not
+// read back intact, is left out.
+func (l *Ledger) PendingRecords(dst []byte, maxBytes int) []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	sts := make([]entryState, 0, len(l.pending))
+	for _, st := range l.pending {
+		if st.seg != 0 {
+			sts = append(sts, st)
+		}
+	}
+	slices.SortFunc(sts, func(a, b entryState) int { return cmp.Compare(a.id, b.id) })
+	start := len(dst)
+	for _, st := range sts {
+		if len(dst) > start && len(dst)-start+st.n > maxBytes {
+			break
+		}
+		dst, _, _ = l.readRecordLocked(dst, st)
+	}
+	return dst
 }
 
 // CommitBatch describes one durably committed batch to the OnCommit hook.
@@ -107,11 +137,12 @@ func (l *Ledger) AppendBatch(records []byte) error {
 			if _, dup := l.pending[r.id]; dup {
 				continue // already applied: retransmitted frame
 			}
+			off := len(b.buf)
 			b.buf = appendRecord(b.buf, r)
 			b.msgIDs = append(b.msgIDs, r.id)
 			b.recs++
 			staged++
-			l.pending[r.id] = entryState{e: Entry{ID: r.id, Subject: r.subject, Payload: l.keepLocked(r.payload)}}
+			l.pending[r.id] = entryState{id: r.id, subject: r.subject, off: int64(off), n: len(b.buf) - off}
 			l.ctr.appends.Inc()
 		case recAck:
 			st, ok := l.pending[r.id]

@@ -94,21 +94,23 @@ func (l *Ledger) openSegments() error {
 		seqs = []uint64{1}
 	}
 	if len(seqs) == 0 {
-		f, err := os.OpenFile(segPath(l.path, 1), os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
+		f, err := os.OpenFile(segPath(l.path, 1), segFlags|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
 			return fmt.Errorf("ledger: creating %s: %w", segPath(l.path, 1), err)
 		}
-		if err := fsyncDir(l.dir); err != nil {
-			_ = f.Close()
-			return err
-		}
 		l.f = f
-		l.segs = []*segment{{seq: 1, path: segPath(l.path, 1)}}
-		return nil
+		l.segs = []*segment{{seq: 1, path: segPath(l.path, 1), f: f}}
+		return fsyncDir(l.dir)
 	}
 	tornTail := false
 	for i, seq := range seqs {
 		path := segPath(l.path, seq)
+		f, err := os.OpenFile(path, segFlags, 0o644)
+		if err != nil {
+			return fmt.Errorf("ledger: opening %s: %w", path, err)
+		}
+		s := &segment{seq: seq, path: path, f: f}
+		l.segs = append(l.segs, s)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("ledger: reading %s: %w", path, err)
@@ -120,25 +122,16 @@ func (l *Ledger) openSegments() error {
 		if i == len(seqs)-1 && validEnd < len(data) {
 			tornTail = true
 		}
-		l.segs = append(l.segs, &segment{seq: seq, path: path, size: int64(validEnd)})
+		s.size = int64(validEnd)
 	}
-	// Keep each surviving payload (replay left views into the segment
-	// buffers, which are dropped here), so a reopened ledger holds only its
-	// pending bytes, and attribute the entry to its segment's live count.
-	for id, st := range l.pending {
-		st.e.Payload = l.keepLocked(st.e.Payload)
-		l.pending[id] = st
+	for _, st := range l.pending {
 		if s := l.segBySeqLocked(st.seg); s != nil {
 			s.live++
 		}
 	}
 	active := l.segs[len(l.segs)-1]
-	f, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("ledger: reopening %s: %w", active.path, err)
-	}
-	if err := f.Truncate(active.size); err != nil {
-		_ = f.Close()
+	l.f = active.f
+	if err := l.f.Truncate(active.size); err != nil {
 		return fmt.Errorf("ledger: truncating torn tail of %s: %w", active.path, err)
 	}
 	if tornTail {
@@ -148,23 +141,43 @@ func (l *Ledger) openSegments() error {
 		// directory so the metadata change does too. Without this a second
 		// crash could resurrect the torn bytes mid-file once new appends
 		// land beyond them, turning a tolerated tear into real corruption.
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
+		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("ledger: syncing truncated %s: %w", active.path, err)
 		}
 		l.ctr.fsyncs.Inc()
-		if err := fsyncDir(l.dir); err != nil {
-			_ = f.Close()
-			return err
-		}
+		return fsyncDir(l.dir)
 	}
-	l.f = f
 	return nil
 }
 
+// segFlags open a segment for reads and appends: every segment is the
+// active one once, and keeps its handle for reads after it rotates out.
+const segFlags = os.O_RDWR | os.O_APPEND
+
+// readRecordLocked reads st's committed record back from its segment onto
+// dst, and returns dst and a view of the record's payload in it. The record
+// goes through the parser again, so its CRC is checked, and must be st's
+// message; otherwise dst comes back as it was, with ErrCorrupt. Caller
+// holds l.mu, so no carry moves the record meanwhile.
+func (l *Ledger) readRecordLocked(dst []byte, st entryState) ([]byte, []byte, error) {
+	s := l.segBySeqLocked(st.seg)
+	if s == nil {
+		return dst, nil, fmt.Errorf("ledger: message %d: segment %d is gone: %w", st.id, st.seg, ErrCorrupt)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, st.n)[:n+st.n]
+	if _, err := s.f.ReadAt(dst[n:], st.off); err != nil {
+		return dst[:n], nil, fmt.Errorf("ledger: reading message %d from %s: %w", st.id, s.path, err)
+	}
+	r, _, err := parseRaw(dst[n:])
+	if err != nil || r.typ != recMessage || r.id != st.id || string(r.subject) != st.subject {
+		return dst[:n], nil, fmt.Errorf("ledger: message %d in %s at offset %d: %w", st.id, s.path, st.off, ErrCorrupt)
+	}
+	return dst, r.payload, nil
+}
+
 // replaySegment applies one segment's records to the pending set and
-// returns the byte length of the valid prefix. Pending payloads are views
-// of data until openSegments keeps the survivors. A torn trailing record is
+// returns the byte length of the valid prefix. A torn trailing record is
 // tolerated only in the newest segment (a crash mid-commit); anywhere
 // earlier the log was rotated past it, so the tear is real corruption.
 func (l *Ledger) replaySegment(seq uint64, data []byte, newest bool) (int, error) {
@@ -179,10 +192,7 @@ func (l *Ledger) replaySegment(seq uint64, data []byte, newest bool) (int, error
 		}
 		switch rec.typ {
 		case recMessage:
-			l.pending[rec.id] = entryState{
-				e:   Entry{ID: rec.id, Subject: rec.subject, Payload: rec.payload},
-				seg: seq,
-			}
+			l.pending[rec.id] = entryState{id: rec.id, subject: rec.subject, seg: seq, off: int64(off), n: n}
 		case recAck:
 			delete(l.pending, rec.id)
 		}
@@ -207,7 +217,7 @@ func (l *Ledger) rotateLocked() error {
 	l.ctr.fsyncs.Inc()
 	seq := l.segs[len(l.segs)-1].seq + 1
 	path := segPath(l.path, seq)
-	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
+	nf, err := os.OpenFile(path, segFlags|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("ledger: creating %s: %w", path, err)
 	}
@@ -215,9 +225,8 @@ func (l *Ledger) rotateLocked() error {
 		_ = nf.Close()
 		return err
 	}
-	_ = old.Close()
 	l.f = nf
-	l.segs = append(l.segs, &segment{seq: seq, path: path})
+	l.segs = append(l.segs, &segment{seq: seq, path: path, f: nf})
 	l.ctr.rotations.Inc()
 	l.dropAckedLocked()
 	l.carryLocked()
@@ -235,6 +244,7 @@ func (l *Ledger) dropAckedLocked() {
 	for len(l.segs) > 1 && l.segs[0].live == 0 {
 		s := l.segs[0]
 		l.segs = l.segs[1:]
+		_ = s.f.Close()
 		_ = os.Remove(s.path)
 		dropped = true
 	}
@@ -243,18 +253,18 @@ func (l *Ledger) dropAckedLocked() {
 	}
 }
 
-// carryLocked copies pending messages from memory into the new active
-// segment — same id, subject and payload — and moves their live counts
-// there, so the next rotation, which fsyncs the active segment first,
-// unlinks the segments they came from. It takes the oldest segment, then
-// each next one while the copies are smaller than a segment, but never the
-// segment just closed. So a small pending set is rewritten once every two
-// rotations and leaves at most three segments on disk, and a large one
-// costs about a segment of copies per rotation. The copies are not offered
-// to the commit hook (replicas hold those ids already) and do not count
-// toward rotation. A failed write is rewound and retried next rotation.
-// Each carried payload is kept anew, so it no longer pins the block it was
-// first carved from.
+// carryLocked reads pending records back from the oldest segments and
+// writes them again, byte for byte, into the new active segment, and moves
+// their live counts there, so the next rotation, which fsyncs the active
+// segment first, unlinks the segments they came from. It takes the oldest
+// segment, then each next one while the copies are smaller than a segment,
+// but never the segment just closed. So a small pending set is rewritten
+// once every two rotations and leaves at most three segments on disk, and a
+// large one costs about a segment of copies per rotation. The copies are
+// not offered to the commit hook (replicas hold those ids already) and do
+// not count toward rotation. A failed write is rewound and retried next
+// rotation. A record that does not read back intact stays where it is, and
+// keeps its segment on disk.
 func (l *Ledger) carryLocked() {
 	n := len(l.segs)
 	if n < 3 { // dropAckedLocked left nothing older than the segment just closed
@@ -267,31 +277,32 @@ func (l *Ledger) carryLocked() {
 			old = append(old, st)
 		}
 	}
-	slices.SortFunc(old, func(a, b entryState) int { return cmp.Compare(a.seg, b.seg) })
+	slices.SortFunc(old, func(a, b entryState) int { return cmp.Or(cmp.Compare(a.seg, b.seg), cmp.Compare(a.off, b.off)) })
 	var buf []byte
-	k := 0
-	for k < len(old) && (k == 0 || int64(len(buf)) < l.segMax) {
+	moved := old[:0]
+	for k := 0; k < len(old) && (k == 0 || int64(len(buf)) < l.segMax); {
 		for seq := old[k].seg; k < len(old) && old[k].seg == seq; k++ {
-			e := &old[k].e
-			buf = appendRecord(buf, record{typ: recMessage, id: e.ID, subject: e.Subject, payload: e.Payload})
+			st, off := old[k], len(buf)
+			var err error
+			if buf, _, err = l.readRecordLocked(buf, st); err == nil {
+				st.off = int64(off) // in buf, until the write succeeds
+				moved = append(moved, st)
+			}
 		}
 	}
 	if _, err := l.f.Write(buf); err != nil {
 		l.rewindLocked(active)
 		return
 	}
-	for _, s := range l.segs[:n-2] {
-		if k > 0 && s.seq <= old[k-1].seg {
-			s.live = 0
+	for _, st := range moved {
+		if s := l.segBySeqLocked(st.seg); s != nil {
+			s.live--
 		}
-	}
-	for _, st := range old[:k] {
-		st.seg = active.seq
-		st.e.Payload = l.keepLocked(st.e.Payload)
-		l.pending[st.e.ID] = st
+		st.seg, st.off = active.seq, active.size+st.off
+		l.pending[st.id] = st
 	}
 	active.size += int64(len(buf))
 	active.carried += int64(len(buf))
-	active.live += k
+	active.live += len(moved)
 	l.ctr.compactions.Inc()
 }

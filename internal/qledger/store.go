@@ -247,10 +247,10 @@ func (s *Store) Contiguous(origin string) uint64 {
 	return 0
 }
 
-// PendingRecords encodes origin's pending entries as ledger message
-// records for a FrameReadRep, stopping at maxBytes (the coordinator
-// re-scans, so a truncated reply only delays the tail, never loses it).
-// Entries are emitted in id order.
+// PendingRecords returns origin's pending entries as ledger message
+// records for a FrameReadRep, read back from its log in id order, stopping
+// at maxBytes (the coordinator re-scans, so a truncated reply only delays
+// the tail, never loses it).
 func (s *Store) PendingRecords(origin string, maxBytes int) []byte {
 	s.mu.Lock()
 	ol, ok := s.origins[origin]
@@ -258,16 +258,7 @@ func (s *Store) PendingRecords(origin string, maxBytes int) []byte {
 	if !ok {
 		return nil
 	}
-	entries := ol.led.Pending()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	var out []byte
-	for _, e := range entries {
-		if len(out) > 0 && len(out)+len(e.Payload)+len(e.Subject)+32 > maxBytes {
-			break
-		}
-		out = ledger.AppendMessageRecord(out, e.ID, e.Subject, e.Payload)
-	}
-	return out
+	return ol.led.PendingRecords(nil, maxBytes)
 }
 
 // Close closes every replica ledger.

@@ -128,8 +128,8 @@ go test -run 'TestParseAllocatesNothing|TestMatchMissAllocs|TestInternerParseByt
 echo "==> interest-aggregate gate (Trie.Aggregate == AggregatePatterns(Trie.Patterns()); aggregation only widens)"
 go test -run 'TestTrieAggregateEqualsAggregatePatterns|TestAggregateWidens|TestAggregateKeepsOneElementSubjects' -count=1 ./internal/subject/
 
-echo "==> ledger gate (8 Sync publishers average well under one fsync/message, and 8 publishers on a ledger with a commit hook under one hook call/message; a stuck message leaves at most 3 segments; a failed commit leaves no trace; Append+Ack allocates only its payload blocks; a reused batch reports each outcome to its own waiters; a commit's leader commits only its own batch; a reopened ledger keeps only its pending payloads)"
-go test -run 'TestGroupCommitFsyncBudget|TestGroupCommitHookBudget|TestStuckMessageCarried|TestFailedAppendLeavesNoTrace|TestFailedAppendBatchLeavesNoTrace|TestAppendSteadyStateAllocs|TestBatchOutcomeStaysWithItsWaiters|TestLeaderLeadsOnlyItsOwnBatch|TestReopenKeepsOnlyPending' -count=1 ./internal/ledger/
+echo "==> ledger gate (8 Sync publishers average well under one fsync/message, and 8 publishers on a ledger with a commit hook under one hook call/message; a stuck message leaves at most 3 segments; a failed commit leaves no trace; Append+Ack allocates nothing; a reused batch reports each outcome to its own waiters; a commit's leader commits only its own batch; pending messages, appended or reopened, pin no payload; a payload reads back byte for byte after commit, carry and reopen, a damaged record not at all)"
+go test -run 'TestGroupCommitFsyncBudget|TestGroupCommitHookBudget|TestStuckMessageCarried|TestFailedAppendLeavesNoTrace|TestFailedAppendBatchLeavesNoTrace|TestAppendSteadyStateAllocs|TestBatchOutcomeStaysWithItsWaiters|TestLeaderLeadsOnlyItsOwnBatch|TestPendingPinsNoPayload|TestPayloadReadBack' -count=1 ./internal/ledger/
 
 echo "==> wire-bytes gate (steady-state dictionary compression >= 40%; both formats byte-golden; the wire corpus, every reliable frame type and busproto kind of the last 64-bit-epoch build and of this one, decodes and reaches an application; a default host's per-frame overhead, origin field and one-id ack within their byte budgets)"
 go test -run 'TestCompactGoldenBytes|TestLegacyGoldenBytes' -count=1 ./internal/wire/
@@ -194,8 +194,8 @@ if [ "$quick" -eq 0 ]; then
     echo "==> slots carved from lane 0's chunk by local publishers and its inbound work at once, and turns given back exactly (race build, 5 runs)"
     go test -race -count=5 -run 'TestSlotCarveConcurrent|TestSlotTurnsGivenBack' ./internal/daemon/
 
-    echo "==> the ledger's reused batches, the hand-off of a commit's lead, concurrent walks and released payload blocks (race build, 5 runs)"
-    go test -race -count=5 -run 'TestConcurrentAppendAck|TestGroupCommitFsyncBudget|TestForEachPendingConcurrent|TestBatchOutcomeStaysWithItsWaiters|TestLeaderLeadsOnlyItsOwnBatch|TestCarryReleasesBlocks' ./internal/ledger/
+    echo "==> the ledger's reused batches, the hand-off of a commit's lead, concurrent walks and payloads read back from the log (race build, 5 runs)"
+    go test -race -count=5 -run 'TestConcurrentAppendAck|TestGroupCommitFsyncBudget|TestForEachPendingConcurrent|TestBatchOutcomeStaysWithItsWaiters|TestLeaderLeadsOnlyItsOwnBatch|TestPendingPinsNoPayload|TestPayloadReadBack' ./internal/ledger/
 
     echo "==> crash recovery through the host's one retrier: exactly-once after a publisher crash, and a fostered entry nobody acknowledges backs off (race build, 3 runs)"
     go test -race -count=3 -run 'TestCrashRecoveryExactlyOnce|TestFosteredEntriesBackOff' ./internal/qledger/
