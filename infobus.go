@@ -57,7 +57,9 @@ type (
 	ReplicationConfig = qledger.Config
 	// Bus is an application's handle on the Information Bus.
 	Bus = core.Bus
-	// Event is one received publication.
+	// Event is one received publication. A []byte in its Value and its
+	// Trace are views that keep what they view alive (a datagram, a lane's
+	// 4 KB chunk of trace hops): copy one that is kept long.
 	Event = core.Event
 	// Subscription is a live subject subscription.
 	Subscription = core.Subscription

@@ -158,7 +158,7 @@ func FuzzAppendForward(f *testing.F) {
 				env.Subject = edit.subject
 			}
 			if edit.hopNode != "" {
-				env.AppendHop(edit.hopNode, at)
+				env.AppendStageHop(HopNode, edit.hopNode, at)
 			}
 			if want := Encode(env); string(got) != string(want) {
 				t.Fatalf("edit %+v of % x:\nsplice % x\ncodec  % x", edit, frame, got, want)

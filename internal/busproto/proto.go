@@ -191,14 +191,9 @@ func kindCompact(k byte) bool {
 	return false
 }
 
-// AppendHop records a network hop on a traced envelope, dropping the
-// record (not the message) when the trace list is already at MaxTraceHops.
-func (e *Envelope) AppendHop(node string, at int64) {
-	e.AppendStageHop(HopNode, node, at)
-}
-
 // AppendStageHop records a hop of an explicit kind (a guaranteed-path
-// stage or a network hop) under the same cap-and-drop discipline.
+// stage or a network hop) on a traced envelope, dropping the record (not
+// the message) when the trace list is already at MaxTraceHops.
 func (e *Envelope) AppendStageHop(kind byte, node string, at int64) {
 	if !e.Traced() || len(e.Trace) >= MaxTraceHops {
 		return
@@ -547,13 +542,21 @@ func Peek(data []byte) (h Header, err error) {
 }
 
 // AppendTrace appends the header's hop list to dst, materialized: each hop's
-// node is a string of its own. Peek validated the list entry by entry, so
-// re-reading it cannot fail.
-func (h Header) AppendTrace(dst []TraceHop) []TraceHop {
+// node is the string nodeName resolves its bytes to, a string of its own
+// when nodeName is nil. A resolver that interns the names it has heard
+// materializes no string for them. Peek validated the list entry by entry,
+// so re-reading it cannot fail.
+func (h Header) AppendTrace(dst []TraceHop, nodeName func([]byte) string) []TraceHop {
 	r := &envReader{data: h.Trace}
 	for i := uint8(0); i < h.TraceHops; i++ {
 		kind, node, at, _ := r.hop()
-		dst = append(dst, TraceHop{Node: string(node), Kind: kind, At: at})
+		var name string
+		if nodeName != nil {
+			name = nodeName(node)
+		} else {
+			name = string(node)
+		}
+		dst = append(dst, TraceHop{Node: name, Kind: kind, At: at})
 	}
 	return dst
 }
@@ -590,7 +593,7 @@ func Decode(data []byte) (Envelope, error) {
 		Kind: h.Kind, Hops: h.Hops, ID: h.ID, Origin: string(h.Origin),
 		Subject: string(h.Subject), Payload: h.Payload, TraceID: h.TraceID,
 	}
-	e.Trace = h.AppendTrace(nil)
+	e.Trace = h.AppendTrace(nil, nil)
 	if len(h.Runs) > 0 {
 		h.EachAcked(func(id uint64) { e.Acked = append(e.Acked, id) })
 	}

@@ -89,20 +89,19 @@ func TestTracedHelpers(t *testing.T) {
 	if p.Base() != KindPublish || p.Traced() {
 		t.Fatal("plain publish must be its own base and untraced")
 	}
-	p.AppendHop("n", 1)
+	p.AppendStageHop(HopNode, "n", 1)
 	if p.Trace != nil {
-		t.Fatal("AppendHop on untraced envelope must be a no-op")
+		t.Fatal("AppendStageHop on untraced envelope must be a no-op")
 	}
 	for i := 0; i < MaxTraceHops+5; i++ {
-		e.AppendHop("n", int64(i))
+		e.AppendStageHop(HopNode, "n", int64(i))
 	}
 	if len(e.Trace) != MaxTraceHops {
 		t.Fatalf("trace grew to %d, cap is %d", len(e.Trace), MaxTraceHops)
 	}
-	// AppendHop is the HopNode special case of AppendStageHop.
 	s := Envelope{Kind: KindGuaranteedTraced}
 	s.AppendStageHop(HopGroupCommit, "n", 5)
-	s.AppendHop("m", 6)
+	s.AppendStageHop(HopNode, "m", 6)
 	if s.Trace[0].Kind != HopGroupCommit || s.Trace[1].Kind != HopNode {
 		t.Fatalf("stage hop kinds: %+v", s.Trace)
 	}
@@ -125,13 +124,13 @@ func TestTracedHelpers(t *testing.T) {
 	if HopKindByName("a-kind-from-the-future") != HopNode || HopKindByName("") != HopNode {
 		t.Error("HopKindByName default must be HopNode")
 	}
-	// AppendHop must not alias a shared slice (router fan-out).
+	// AppendStageHop must not alias a shared slice (router fan-out).
 	shared := Envelope{Kind: KindPublishTraced, Trace: make([]TraceHop, 1, 8)}
 	a, b := shared, shared
-	a.AppendHop("a", 1)
-	b.AppendHop("b", 2)
+	a.AppendStageHop(HopNode, "a", 1)
+	b.AppendStageHop(HopNode, "b", 2)
 	if a.Trace[1].Node != "a" || b.Trace[1].Node != "b" {
-		t.Fatalf("AppendHop aliased the shared trace: %+v vs %+v", a.Trace, b.Trace)
+		t.Fatalf("AppendStageHop aliased the shared trace: %+v vs %+v", a.Trace, b.Trace)
 	}
 }
 

@@ -72,9 +72,8 @@ type Host struct {
 	// The returned stamp is when the write quorum was reached (unix ns, 0
 	// unknown); it becomes the traced publication's quorum-ack hop.
 	guarGate func(id uint64) (int64, error)
-	// tracing mirrors Telemetry.TraceSampling > 0: the guaranteed path
-	// only assembles stage-hop slices when some publication could carry
-	// them (the untraced path must stay allocation-flat).
+	// tracing mirrors Telemetry.TraceSampling > 0: the history tier tracks
+	// the trace latency histogram only when some publication is traced.
 	tracing bool
 	// closeHooks run first in Close, in reverse registration order, so
 	// layers stacked above the host (replication agents) detach before the
@@ -270,7 +269,7 @@ func NewHost(seg transport.Segment, name string, cfg HostConfig) (*Host, error) 
 		h.ledger = led
 		// The payload is the ledger's pending entry, lent like every payload
 		// a daemon publishes: no local subscriber holds a view of it.
-		retry = NewRetrier(led, cfg.RetryInterval, h.ctr.guarRetransmits, h.daemon.PublishGuaranteed)
+		retry = NewRetrier(led, cfg.RetryInterval, h.ctr.guarRetransmits, rec, h.daemon.PublishGuaranteed)
 		h.daemon.OnGuaranteeAck(func(id uint64, _ string) { _ = led.Ack(id) })
 	}
 	err = h.startSys(cfg.Telemetry)
@@ -495,7 +494,10 @@ type Event struct {
 	// TraceID and Trace carry the per-hop telemetry trace when this
 	// publication was sampled (TelemetryConfig.TraceSampling): one
 	// timestamped hop per daemon and router it crossed. Trace is empty for
-	// unsampled publications.
+	// unsampled publications. Its capacity ends at its length, so an append
+	// to it copies. It is a view of the chunk of hops its daemon's lane
+	// carves traces from, which it keeps alive; slices.Clone one that is
+	// kept long, as with a []byte in Value.
 	TraceID uint64
 	Trace   []busproto.TraceHop
 }
@@ -651,29 +653,12 @@ func (b *Bus) PublishGuaranteed(subj string, value mop.Value) (uint64, error) {
 		return 0, err
 	}
 	b.host.ctr.publishedGuaranteed.Inc()
-	// Guaranteed-path stage hops: only assembled when tracing is enabled
-	// at all; the daemon transmits them only on sampled publications.
-	var pre []busproto.TraceHop
-	if b.host.tracing {
-		pre = make([]busproto.TraceHop, 0, 4)
-		pre = append(pre, busproto.TraceHop{Kind: busproto.HopLedgerStage, Node: b.host.name, At: tm.StagedAt})
-		if tm.CommitAt != 0 {
-			pre = append(pre, busproto.TraceHop{Kind: busproto.HopGroupCommit, Node: b.host.name, At: tm.CommitAt})
-		}
-		if tm.SyncedAt != 0 {
-			pre = append(pre, busproto.TraceHop{Kind: busproto.HopFsync, Node: b.host.name, At: tm.SyncedAt})
-		}
-		if gate != nil {
-			// The ledger's commit hook mirrored the batch as a replication
-			// chunk before AppendTimed returned (the qledger ordering
-			// contract), so now is an upper bound on the chunk broadcast.
-			pre = append(pre, busproto.TraceHop{Kind: busproto.HopReplicaChunk, Node: b.host.name, At: time.Now().UnixNano()})
-		}
-	}
 	if b.host.sendDict != nil {
 		b.host.ctr.compactPublished.Inc()
 	}
-	traceID, err := b.host.daemon.PublishGuaranteedAs(s, *payload, id, b.host.daemon.Identity(), pre)
+	// The daemon makes the guaranteed-path stage hops from the ledger's
+	// timings and the gate, and only for a publication it samples.
+	traceID, err := b.host.daemon.PublishGuaranteedAs(s, *payload, id, b.host.daemon.Identity(), tm, gate != nil)
 	bufpool.Put(payload) // not held through the quorum wait below
 	if err != nil {
 		return id, err
@@ -827,7 +812,7 @@ func (b *Bus) dispatch(dv daemon.Delivery) {
 		From:       dv.From,
 		Guaranteed: dv.Guaranteed,
 		TraceID:    dv.TraceID,
-		Trace:      dv.Trace,
+		Trace:      dv.Trace[:len(dv.Trace):len(dv.Trace)],
 	}
 	b.mu.Lock()
 	targets := b.subs.Match(dv.Subject)

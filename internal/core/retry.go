@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"time"
 
 	"infobus/internal/ledger"
@@ -28,7 +29,11 @@ import (
 // due entries, then reads their payloads back from the ledger (the log
 // holds them; memory does not) into one buffer the retrier reuses, and
 // publishes them oldest first. An entry acked since the listing, or whose
-// batch is still in flight, is not read and waits for the next walk. Once
+// batch is still in flight, is not read and waits for the next walk. An
+// entry whose record does not read back (damaged on disk) stays pending
+// and due, since dropping it would lose a guaranteed message without a
+// trace; the first walk to meet it records a "guar-unreadable" drop event
+// naming its id, and later walks stay silent. Once
 // warm the walk is allocation-free: the ledger's ForEachPending iterator
 // and the due list reuse their buffers, the visit callback is prebound at
 // construction, and per-entry retry state lives in a map only Tick touches
@@ -44,6 +49,7 @@ type Retrier struct {
 	every       sysagent.Every // the walk's cadence: RetryInterval
 	cap         time.Duration
 	retransmits *telemetry.Counter
+	rec         *telemetry.Recorder // nil with the health tier off
 
 	// Owned by Tick, which is never called concurrently.
 	state   map[uint64]retryState
@@ -60,6 +66,8 @@ type retryState struct {
 	due     time.Time     // next retransmission deadline
 	backoff time.Duration // wait to apply after the next retransmission
 	gen     uint64        // last walk that saw the entry pending
+
+	unreadable bool // a walk met its record damaged and recorded so
 }
 
 // DefaultRetryBackoffCap bounds the exponential backoff between
@@ -68,10 +76,11 @@ type retryState struct {
 const DefaultRetryBackoffCap = 5 * time.Second
 
 // NewRetrier returns a retrier over led that walks every interval (100ms
-// when <= 0), counts each retransmission in retransmits, and re-disseminates
+// when <= 0), counts each retransmission in retransmits, records an entry
+// it cannot read back in rec (nil records nothing), and re-disseminates
 // through publish.
 func NewRetrier(led *ledger.Ledger, interval time.Duration, retransmits *telemetry.Counter,
-	publish func(subject.Subject, []byte, uint64) error) *Retrier {
+	rec *telemetry.Recorder, publish func(subject.Subject, []byte, uint64) error) *Retrier {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
@@ -81,6 +90,7 @@ func NewRetrier(led *ledger.Ledger, interval time.Duration, retransmits *telemet
 		every:       sysagent.Every{D: interval},
 		cap:         max(DefaultRetryBackoffCap, interval),
 		retransmits: retransmits,
+		rec:         rec,
 		state:       make(map[uint64]retryState),
 	}
 	r.visit = r.visitPending
@@ -102,7 +112,10 @@ func (r *Retrier) Tick(now time.Time) time.Time {
 	r.led.ForEachPending(r.visit)
 	if len(r.due) > 0 {
 		// An entry that does not read back is skipped, and stays due.
-		r.due, r.buf, _ = r.led.ReadPayloads(r.due, r.buf)
+		var err error
+		if r.due, r.buf, err = r.led.ReadPayloads(r.due, r.buf); err != nil {
+			r.reportUnreadable(err)
+		}
 		for i := range r.due {
 			if !r.retransmit(&r.due[i]) {
 				r.refused = true
@@ -142,6 +155,26 @@ func (r *Retrier) visitPending(e *ledger.Entry) bool {
 	st.gen = r.gen
 	r.state[e.ID] = st
 	return true
+}
+
+// reportUnreadable records each entry err names as unreadable, the first
+// time a walk meets it.
+func (r *Retrier) reportUnreadable(err error) {
+	var refused *ledger.UnreadableError
+	if !errors.As(err, &refused) {
+		return
+	}
+	for _, id := range refused.IDs {
+		st := r.state[id]
+		if st.unreadable {
+			continue
+		}
+		st.unreadable = true
+		r.state[id] = st
+		if r.rec != nil {
+			r.rec.Record(telemetry.EventDrop, "guar-unreadable", 1, int64(id))
+		}
+	}
 }
 
 // retransmit re-publishes one due entry and backs its schedule off.

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +24,8 @@ var virtualStart = time.Unix(1000, 0)
 // retry interval at a time.
 type retrierLab struct {
 	led     *ledger.Ledger
+	path    string // the ledger's
+	rec     *telemetry.Recorder
 	r       *Retrier
 	now     time.Time
 	sent    []string // "id@elapsed" per retransmission
@@ -30,13 +35,15 @@ type retrierLab struct {
 
 func newRetrierLab(t *testing.T, interval time.Duration) *retrierLab {
 	t.Helper()
-	led, err := ledger.Open(filepath.Join(t.TempDir(), "g.log"), ledger.Options{})
+	path := filepath.Join(t.TempDir(), "g.log")
+	led, err := ledger.Open(path, ledger.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = led.Close() })
-	l := &retrierLab{led: led, now: virtualStart, retrans: telemetry.NewRegistry().Counter("bus.guar_retransmits")}
-	l.r = NewRetrier(led, interval, l.retrans, func(_ subject.Subject, _ []byte, id uint64) error {
+	l := &retrierLab{led: led, path: path, rec: telemetry.NewRecorder(0), now: virtualStart,
+		retrans: telemetry.NewRegistry().Counter("bus.guar_retransmits")}
+	l.r = NewRetrier(led, interval, l.retrans, l.rec, func(_ subject.Subject, _ []byte, id uint64) error {
 		if l.refuse != nil && l.refuse(id) {
 			return errors.New("refused")
 		}
@@ -71,6 +78,68 @@ func (l *retrierLab) append(t *testing.T, n int) []uint64 {
 		ids = append(ids, id)
 	}
 	return ids
+}
+
+// TestUnreadableEntryReportedOnce: a pending entry whose record is damaged
+// on disk (TestPayloadReadBack's damage: its last payload byte changed)
+// stays pending and is never retransmitted; the first walk to meet it
+// records one "guar-unreadable" drop event naming it, and the two walks
+// after that record nothing, while its healthy sibling is still
+// retransmitted.
+func TestUnreadableEntryReportedOnce(t *testing.T) {
+	l := newRetrierLab(t, time.Millisecond)
+	body := []byte("damaged on disk")
+	damaged, err := l.led.Append("g.s", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := l.append(t, 1)[0]
+	segs, err := filepath.Glob(l.path + ".*.seg")
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v; want the one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, body)
+	if at < 0 {
+		t.Fatal("the damaged entry's payload is not in the segment")
+	}
+	f, err := os.OpenFile(segs[0], os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0x5A}, int64(at+len(body)-1)); err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Close()
+
+	l.walk(t) // first sight: both due one interval out
+	for walk := 1; walk <= 3; walk++ {
+		l.walk(t)
+		var events []telemetry.Event
+		for _, ev := range l.rec.Events() {
+			if ev.Kind == telemetry.EventDrop && ev.Target == "guar-unreadable" {
+				events = append(events, ev)
+			}
+		}
+		if len(events) != 1 || events[0].A != 1 || events[0].B != int64(damaged) {
+			t.Fatalf("after %d walks meeting the damaged entry: events %+v, want one naming id %d", walk, events, damaged)
+		}
+	}
+	want := fmt.Sprintf("%d@", healthy)
+	if len(l.sent) == 0 {
+		t.Fatal("the healthy sibling was not retransmitted")
+	}
+	for _, s := range l.sent {
+		if !strings.HasPrefix(s, want) {
+			t.Fatalf("retransmitted %v, want the healthy id %d alone", l.sent, healthy)
+		}
+	}
+	if n := l.led.Len(); n != 2 {
+		t.Fatalf("%d entries pending, want both: the damaged one stays", n)
+	}
 }
 
 // TestGuaranteedRetransmitBackoff: a guaranteed publication nobody ever
@@ -237,7 +306,7 @@ func TestDueRetrierWalkNoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent, wrong := 0, 0
-	r := NewRetrier(led, time.Millisecond, telemetry.NewRegistry().Counter("bus.guar_retransmits"),
+	r := NewRetrier(led, time.Millisecond, telemetry.NewRegistry().Counter("bus.guar_retransmits"), nil,
 		func(_ subject.Subject, p []byte, _ uint64) error {
 			sent++
 			if string(p) != string(payload) {
@@ -308,7 +377,7 @@ func TestRetrierTickFlushesAcks(t *testing.T) {
 	defer led.Close()
 	commits := reg.Counter("ledger.commits")
 	const interval = time.Second
-	r := NewRetrier(led, interval, reg.Counter("bus.guar_retransmits"), func(subject.Subject, []byte, uint64) error { return nil })
+	r := NewRetrier(led, interval, reg.Counter("bus.guar_retransmits"), nil, func(subject.Subject, []byte, uint64) error { return nil })
 	r.Tick(virtualStart) // arms the cadence
 	if err := led.Ack(id); err != nil {
 		t.Fatal(err)

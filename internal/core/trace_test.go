@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"infobus/internal/busproto"
 	"infobus/internal/reliable"
+	"infobus/internal/wire"
 )
 
 // TestTraceSampledLocalDelivery turns sampling all the way up and checks
@@ -45,6 +48,71 @@ func TestTraceSampledLocalDelivery(t *testing.T) {
 		}
 		if i > 0 && h.At < ev.Trace[i-1].At {
 			t.Errorf("hop %d timestamp precedes hop %d", i, i-1)
+		}
+	}
+}
+
+// TestTraceAppendStaysWithItsBus: two buses on one host get one traced
+// publication, and an append to one's Event.Trace is seen by no one else:
+// not by the other bus, and not by a second subscription of the same bus,
+// which shares its Event. A trace's capacity ends at its length, so an
+// append copies; that holds too for a trace that arrives one hop short of
+// busproto.MaxTraceHops, whose lane hops are dropped and leave room in the
+// list the daemon carved for them.
+func TestTraceAppendStaysWithItsBus(t *testing.T) {
+	seg := fastSeg()
+	defer seg.Close()
+	h := newHost(t, seg, "con", HostConfig{})
+	a, _ := h.NewBus("a")
+	b, _ := h.NewBus("b")
+	var subs []*Subscription
+	for _, sc := range []struct {
+		bus     *Bus
+		pattern string
+	}{{a, "tr.>"}, {a, "tr.x"}, {b, "tr.>"}} {
+		sub, err := sc.bus.Subscribe(sc.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	ep, err := seg.NewEndpoint("rawpub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := reliable.New(ep, fastReliable())
+	defer pub.Close()
+	payload, err := wire.Marshal(int64(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arrived := range []int{2, busproto.MaxTraceHops - 1} {
+		hops := make([]busproto.TraceHop, arrived)
+		for i := range hops {
+			hops[i] = busproto.TraceHop{Node: fmt.Sprint("n", i), At: int64(i + 1)}
+		}
+		if err := pub.Publish(busproto.Encode(busproto.Envelope{Kind: busproto.KindPublishTraced,
+			TraceID: uint64(arrived), Subject: "tr.x", Payload: payload, Trace: hops})); err != nil {
+			t.Fatal(err)
+		}
+		var evs []Event
+		for _, sub := range subs {
+			ev := recvEvent(t, sub, 5*time.Second)
+			if ev.TraceID != uint64(arrived) || len(ev.Trace) < arrived || cap(ev.Trace) != len(ev.Trace) {
+				t.Fatalf("%d hops arrived: event trace %d, %d hops, capacity %d; want its own, capacity at its length",
+					arrived, ev.TraceID, len(ev.Trace), cap(ev.Trace))
+			}
+			evs = append(evs, ev)
+		}
+		want := [][]busproto.TraceHop{slices.Clone(evs[0].Trace), slices.Clone(evs[2].Trace)}
+		first := append(evs[0].Trace, busproto.TraceHop{Node: "app-a1", At: 100})
+		second := append(evs[1].Trace, busproto.TraceHop{Node: "app-a2", At: 101})
+		_ = append(evs[2].Trace, busproto.TraceHop{Node: "app-b", At: 102})
+		if first[len(first)-1].Node != "app-a1" || second[len(second)-1].Node != "app-a2" {
+			t.Fatalf("%d hops arrived: bus a's subscriptions share where they append: %+v", arrived, first[len(first)-1])
+		}
+		if !slices.Equal(evs[0].Trace, want[0]) || !slices.Equal(evs[2].Trace, want[1]) {
+			t.Fatalf("%d hops arrived: an append changed a delivered trace", arrived)
 		}
 	}
 }

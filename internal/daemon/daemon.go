@@ -25,6 +25,7 @@ import (
 
 	"infobus/internal/bufpool"
 	"infobus/internal/busproto"
+	"infobus/internal/ledger"
 	"infobus/internal/reliable"
 	"infobus/internal/subject"
 	"infobus/internal/telemetry"
@@ -50,6 +51,9 @@ type Delivery struct {
 	// publication was sampled (Options.TracePeriod); Trace is empty
 	// otherwise. The receiving daemon's own hop is already appended,
 	// followed by the intra-daemon stage hops (lane enqueue, lane pop).
+	// Each delivery's list is its own, carved from its lane's chunk of hops
+	// (lane.newHops) with room for the stages still ahead of it, which it
+	// keeps alive.
 	TraceID uint64
 	Trace   []busproto.TraceHop
 	// Slot is shared by the deliveries of one publication fanned out to more
@@ -126,17 +130,16 @@ func (s *Slot) drop() {
 	s.mu.Unlock()
 }
 
-// appendHop records an intra-node stage hop on a traced delivery, with
-// the same copy-on-append and cap-and-drop discipline as
-// busproto.Envelope.AppendStageHop (queued deliveries share the decoded
-// trace slice, so append-in-place would race sibling subscribers).
-func (dv *Delivery) appendHop(kind byte, node string, at int64) {
-	if dv.TraceID == 0 || len(dv.Trace) >= busproto.MaxTraceHops {
-		return
+// appendHop records a hop on a traced delivery's list, dropping the record
+// (not the delivery) when the list is already at busproto.MaxTraceHops. It
+// appends in place: every list is carved with room for the stages ahead of
+// its delivery and held by that delivery alone, so no sibling subscriber
+// sees the write (routeLocal gives each client a list of its own).
+func appendHop(trace []busproto.TraceHop, kind byte, node string, at int64) []busproto.TraceHop {
+	if len(trace) >= busproto.MaxTraceHops {
+		return trace
 	}
-	trace := make([]busproto.TraceHop, len(dv.Trace), len(dv.Trace)+1)
-	copy(trace, dv.Trace)
-	dv.Trace = append(trace, busproto.TraceHop{Kind: kind, Node: node, At: at})
+	return append(trace, busproto.TraceHop{Kind: kind, Node: node, At: at})
 }
 
 // Daemon errors.
@@ -482,8 +485,14 @@ func (d *Daemon) Close() error {
 }
 
 // traceSample decides whether the next local publication carries a trace
-// and, if so, stamps e with the trace id and the publisher hop.
-func (d *Daemon) traceSample(e *busproto.Envelope) {
+// and, if so, stamps e with the trace id and its hop list, carved from lane
+// 0 at its exact length: the guaranteed-path stage hops tm and replicated
+// stand for, then the publisher hop. A stage is the ledger's stage, group
+// commit or fsync, each when its stamp is set, and the replication chunk
+// when the ledger's commit hook replicated the batch: the hook mirrored it
+// before the append returned (the qledger ordering contract), so now is an
+// upper bound on the chunk broadcast.
+func (d *Daemon) traceSample(e *busproto.Envelope, tm ledger.AppendTimings, replicated bool) {
 	if d.tracePeriod == 0 {
 		return
 	}
@@ -504,7 +513,26 @@ func (d *Daemon) traceSample(e *busproto.Envelope) {
 		return
 	}
 	e.TraceID = d.traceBase ^ seq
-	e.AppendHop(d.traceNode, time.Now().UnixNano())
+	now, replicaAt := time.Now().UnixNano(), int64(0)
+	if replicated {
+		replicaAt = now
+	}
+	var hops [5]busproto.TraceHop
+	n := 0
+	for _, hop := range [...]busproto.TraceHop{
+		{Kind: busproto.HopLedgerStage, At: tm.StagedAt},
+		{Kind: busproto.HopGroupCommit, At: tm.CommitAt},
+		{Kind: busproto.HopFsync, At: tm.SyncedAt},
+		{Kind: busproto.HopReplicaChunk, At: replicaAt},
+		{Kind: busproto.HopNode, At: now},
+	} {
+		if hop.At != 0 {
+			hop.Node = d.traceNode
+			hops[n] = hop
+			n++
+		}
+	}
+	e.Trace = append(d.lanes[0].newHops(n), hops[:n]...)
 	d.ctr.traced.Inc()
 }
 
@@ -524,7 +552,7 @@ func (d *Daemon) Publish(subj subject.Subject, payload []byte) error {
 		Kind:    busproto.DataKind(false, wire.IsCompact(payload), false),
 		Subject: subj.String(), Payload: payload,
 	}
-	d.traceSample(&e)
+	d.traceSample(&e, ledger.AppendTimings{}, false)
 	// Pooled encode: Conn.Publish copies the envelope into its retransmit
 	// window before returning, so the buffer can go straight back.
 	buf := bufpool.Get(len(e.Subject) + len(payload) + 16)
@@ -550,9 +578,9 @@ func (d *Daemon) PublishCompact(subj subject.Subject, payload []byte) error {
 }
 
 // PublishGuaranteed is PublishGuaranteedAs under this daemon's own identity,
-// with no pre-hops.
+// with no stage hops: a retransmission's.
 func (d *Daemon) PublishGuaranteed(subj subject.Subject, payload []byte, id uint64) error {
-	_, err := d.PublishGuaranteedAs(subj, payload, id, d.identity, nil)
+	_, err := d.PublishGuaranteedAs(subj, payload, id, d.identity, ledger.AppendTimings{}, false)
 	return err
 }
 
@@ -568,27 +596,22 @@ func (d *Daemon) PublishGuaranteed(subj subject.Subject, payload []byte, id uint
 // come back to this daemon, go to the origin's FosterAcks callback instead
 // of OnGuaranteeAck.
 //
-// pre are the guaranteed-path stage hops recorded before dissemination
-// (ledger stage / group commit / fsync, replication chunk): when this
-// publication is sampled for tracing, they go ahead of the publisher hop.
-// The result is the assigned trace id (0 when unsampled), so the caller can
-// attach late stages — the quorum ack lands after the publish — as a sidecar
-// trace (telemetry.SysTrace).
-func (d *Daemon) PublishGuaranteedAs(subj subject.Subject, payload []byte, id uint64, origin string, pre []busproto.TraceHop) (uint64, error) {
+// tm and replicated are what the guaranteed-path stage hops recorded before
+// dissemination are made from: the ledger's stage timings, and whether its
+// commit hook replicated the batch. Only when this publication is sampled
+// for tracing do they become hops, ahead of the publisher hop; zero
+// timings and false stand for none. The result is the assigned trace id (0
+// when unsampled), so the caller can attach late stages — the quorum ack
+// lands after the publish — as a sidecar trace (telemetry.SysTrace).
+func (d *Daemon) PublishGuaranteedAs(subj subject.Subject, payload []byte, id uint64, origin string,
+	tm ledger.AppendTimings, replicated bool) (uint64, error) {
 	replay := origin != d.identity
 	e := busproto.Envelope{
 		Kind: busproto.DataKind(true, wire.IsCompact(payload), false), ID: id, Origin: origin,
 		Subject: subj.String(), Payload: payload,
 	}
-	// Pre-hops are only transmitted when traceSample picks this
-	// publication: it appends the publisher hop after them, and the
-	// untraced encode ignores Trace entirely.
-	e.Trace = pre
-	d.traceSample(&e)
-	switch {
-	case e.TraceID == 0:
-		e.Trace = nil // unsampled: the local fan-out must not carry pre
-	case replay:
+	d.traceSample(&e, tm, replicated)
+	if e.TraceID != 0 && replay {
 		// Mark the hop as a recovery replay: the timeline downstream
 		// monitors assemble must distinguish a replayed publication from
 		// the origin's own transmission.
@@ -816,7 +839,7 @@ func (c *Client) popLocked() (Delivery, bool) {
 		if dv.TraceID != 0 {
 			// The enqueue→pop delta is the lane residency time (client
 			// backlog included); stamped outside the column lock.
-			dv.appendHop(busproto.HopLanePop, c.d.traceNode, time.Now().UnixNano())
+			dv.Trace = appendHop(dv.Trace, busproto.HopLanePop, c.d.traceNode, time.Now().UnixNano())
 		}
 		return dv, true
 	}
@@ -942,46 +965,57 @@ func (d *Daemon) workerLoop(ln *lane) {
 }
 
 // worker is what one lane's inbound worker owns alone: a subject interner
-// (the shared one is a mutex-guarded map and would re-serialize the pool)
-// and the origin tokens of the guaranteed publications it has handled.
+// (the shared one is a mutex-guarded map and would re-serialize the pool),
+// the origin tokens of the guaranteed publications it has handled and the
+// node names of the traced ones' hops.
 type worker struct {
 	ln       *lane
 	subjects *subject.Interner
 	origins  map[string]string
+	nodes    map[string]string
 }
 
-// maxOrigins bounds a worker's origin table. At the bound the table starts
-// over: a daemon's identity is new at every start, so the tokens of
-// publishers that restarted are never heard again.
-const maxOrigins = 256
+// maxInterned bounds each of a worker's string tables. At the bound a table
+// starts over: a daemon's identity is new at every start, so the tokens of
+// publishers that restarted are never heard again, and a trace names only
+// the few hosts and routers on its path.
+const maxInterned = 256
 
 func (d *Daemon) newWorker(ln *lane) *worker {
 	return &worker{
 		ln:       ln,
 		subjects: subject.NewInterner(0),
 		origins:  make(map[string]string),
+		nodes:    make(map[string]string),
 	}
 }
 
-// origin returns the origin token b names as a string, allocating only the
-// first time the worker sees it.
-func (w *worker) origin(b []byte) string {
-	if s, ok := w.origins[string(b)]; ok {
+// intern returns b as a string from tab, allocating only the first time tab
+// meets it.
+func intern(tab map[string]string, b []byte) string {
+	if s, ok := tab[string(b)]; ok {
 		return s
 	}
-	if len(w.origins) >= maxOrigins {
-		clear(w.origins)
+	if len(tab) >= maxInterned {
+		clear(tab)
 	}
 	s := string(b)
-	w.origins[s] = s
+	tab[s] = s
 	return s
 }
+
+// origin returns the origin token b names as a string.
+func (w *worker) origin(b []byte) string { return intern(w.origins, b) }
+
+// node returns the hop node name b names as a string.
+func (w *worker) node(b []byte) string { return intern(w.nodes, b) }
 
 // handleMessage routes one inbound message off one parse (busproto.Peek): the
 // subject is interned from the frame's own bytes and the payload stays a view
 // of the frame, so an ordinary publication materializes nothing, nor does a
 // guaranteed one from an origin the worker knows. A traced publication
-// materializes its hop list.
+// materializes its hop list into a carve of its lane's chunk, with node
+// names the worker has interned: one allocation per chunk of carves.
 func (d *Daemon) handleMessage(w *worker, m reliable.Message) {
 	h, err := busproto.Peek(m.Payload)
 	if err != nil {
@@ -998,7 +1032,7 @@ func (d *Daemon) handleMessage(w *worker, m reliable.Message) {
 		d.ctr.inbound.Inc()
 		dv := Delivery{Subject: subj, Payload: h.Payload, From: m.From, ID: h.ID, TraceID: h.TraceID}
 		if h.Traced() {
-			d.traceArrival(&dv, h)
+			d.traceArrival(w, &dv, h)
 		}
 		if h.Base() != busproto.KindGuaranteed {
 			d.routeLocal(w.ln, dv, false)
@@ -1043,13 +1077,12 @@ func (d *Daemon) handleMessage(w *worker, m reliable.Message) {
 // traceArrival gives a traced inbound delivery its hop list with this
 // daemon's hop appended, and records, with the publisher's first-hop stamp,
 // the end-to-end network+daemon latency (all simulated nodes share the host
-// clock).
-func (d *Daemon) traceArrival(dv *Delivery, h busproto.Header) {
+// clock). The list is carved from w's lane with room for the hops it
+// arrived with, this daemon's node hop, and the lane enqueue and pop ahead.
+func (d *Daemon) traceArrival(w *worker, dv *Delivery, h busproto.Header) {
 	now := time.Now().UnixNano()
-	trace := h.AppendTrace(make([]busproto.TraceHop, 0, h.TraceHops+1))
-	if len(trace) < busproto.MaxTraceHops {
-		trace = append(trace, busproto.TraceHop{Node: d.traceNode, Kind: busproto.HopNode, At: now})
-	}
+	trace := h.AppendTrace(w.ln.newHops(int(h.TraceHops)+3), w.node)
+	trace = appendHop(trace, busproto.HopNode, d.traceNode, now)
 	if len(trace) > 0 {
 		d.ctr.traceE2E.Observe(time.Duration(now - trace[0].At))
 		if d.rec != nil {
@@ -1107,12 +1140,14 @@ func (d *Daemon) routeGuaranteed(ln *lane, origin string, dv Delivery, local boo
 // it costs one allocation, the copy the deliveries share, and only when some
 // client matches. An inbound payload is a view of a datagram that is this
 // publication's alone, delivered as it is.
+//
+// A traced delivery is stamped after the match, so one no client matches
+// copies no hop. Each matched client gets a hop list of its own, with room
+// for its pop, carved from ln's chunk: the last one the list the delivery
+// arrived with, which traceArrival sized for it; the others, and every
+// client of a local publication, whose list is its envelope's at its exact
+// length, a copy. So no two pops ever write into one array.
 func (d *Daemon) routeLocal(ln *lane, dv Delivery, local bool) int {
-	if dv.TraceID != 0 {
-		// One lane-enqueue hop per publication (not per subscriber): the
-		// fan-out below shares the stamped trace.
-		dv.appendHop(busproto.HopLaneEnqueue, d.traceNode, time.Now().UnixNano())
-	}
 	// Per-subject-family accounting, one note per publication routed on this
 	// lane (a map probe under the lane table's own mutex) — before the
 	// fan-out, so a client that answers a delivery by reading TopSubjects
@@ -1127,8 +1162,23 @@ func (d *Daemon) routeLocal(ln *lane, dv Delivery, local bool) int {
 		// fan-out is still running.
 		dv.Slot = ln.newSlot(len(matches))
 	}
+	traced := dv.TraceID != 0 && len(matches) > 0
+	trace := dv.Trace
+	if traced {
+		if local {
+			trace = append(ln.newHops(len(trace)+2), trace...)
+		}
+		// One lane-enqueue hop per publication, copied to every client.
+		trace = appendHop(trace, busproto.HopLaneEnqueue, d.traceNode, time.Now().UnixNano())
+	}
 	delivered := 0
-	for _, c := range matches {
+	for i, c := range matches {
+		if traced {
+			dv.Trace = trace
+			if i < len(matches)-1 {
+				dv.Trace = append(ln.newHops(len(trace)+1), trace...)
+			}
+		}
 		if c.enqueue(ln, dv) {
 			delivered++
 		} else {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"infobus/internal/busproto"
+	"infobus/internal/ledger"
 	"infobus/internal/netsim"
 	"infobus/internal/reliable"
 	"infobus/internal/subject"
@@ -147,7 +148,7 @@ func TestPublishLentCopiesOnceWhenMatched(t *testing.T) {
 		"PublishCompact":    func(p []byte) error { return da.PublishCompact(subj, p) },
 		"PublishGuaranteed": func(p []byte) error { return da.PublishGuaranteed(subj, p, 7) },
 		"PublishGuaranteedAs": func(p []byte) error {
-			_, err := da.PublishGuaranteedAs(subj, p, 7, "sim:9#dead", nil)
+			_, err := da.PublishGuaranteedAs(subj, p, 7, "sim:9#dead", ledger.AppendTimings{}, false)
 			return err
 		},
 	} {
@@ -642,7 +643,7 @@ func TestEnvelopeKindFollowsPayload(t *testing.T) {
 		{func() error { return d.PublishGuaranteed(s, plain, 1) }, busproto.KindGuaranteed},
 		{func() error { return d.PublishGuaranteed(s, compact, 2) }, busproto.KindGuaranteedCompact},
 		{func() error {
-			_, err := d.PublishGuaranteedAs(s, compact, 3, "sim:9#dead", nil)
+			_, err := d.PublishGuaranteedAs(s, compact, 3, "sim:9#dead", ledger.AppendTimings{}, false)
 			return err
 		}, busproto.KindGuaranteedCompact},
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"infobus/internal/busproto"
 	"infobus/internal/reliable"
 	"infobus/internal/telemetry"
 )
@@ -78,10 +79,12 @@ type lane struct {
 	// deliveries. A family several lanes see is summed by TopSubjects.
 	topk *telemetry.TopK
 	// slots is the chunk this lane's fan-outs carve their Slots from
-	// (newSlot). slotMu guards it: lane 0 is shared by its inbound worker
-	// and every local publisher.
+	// (newSlot), and hops the chunk its traced deliveries carve their hop
+	// lists from (newHops). slotMu guards both: lane 0 is shared by its
+	// inbound worker and every local publisher.
 	slotMu sync.Mutex
 	slots  []Slot
+	hops   []busproto.TraceHop
 	// acks is the guaranteed-delivery acknowledgements the lane's senders
 	// are owed (acks.go), shared by the lane's worker, which records and
 	// sends on drain, and the daemon's TickAcks, which sends what is on the
@@ -105,6 +108,26 @@ func (ln *lane) newSlot(n int) *Slot {
 	s := &ln.slots[len(ln.slots)-1]
 	s.takers = n
 	return s
+}
+
+// hopChunk is the number of trace hops a lane carves from one allocation:
+// 4 KB, some two dozen traced deliveries of a few hops each.
+const hopChunk = 128
+
+// newHops carves an empty hop list with room for n hops from the lane's
+// chunk, under the rule newSlot follows: a chunk too full for n is dropped,
+// never reset, and lives while a delivery still holds a list of it. The
+// list's capacity ends at n, so its holder appends into room no other list
+// shares, and an append past n copies.
+func (ln *lane) newHops(n int) []busproto.TraceHop {
+	ln.slotMu.Lock()
+	defer ln.slotMu.Unlock()
+	k := len(ln.hops)
+	if cap(ln.hops)-k < n {
+		ln.hops, k = make([]busproto.TraceHop, 0, max(hopChunk, n)), 0
+	}
+	ln.hops = ln.hops[:k+n]
+	return ln.hops[k : k : k+n]
 }
 
 // laneTopK bounds each lane's subject-family table. Families beyond the

@@ -48,6 +48,7 @@ package ledger
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -397,14 +398,29 @@ func (l *Ledger) ForEachPending(f func(e *Entry) bool) {
 	l.mu.Unlock()
 }
 
+// UnreadableError names the pending messages whose committed records a read
+// refused: damaged on disk, or not read at all. Err is the first refusal's
+// cause (ErrCorrupt for a damaged record), which errors.Is sees through.
+type UnreadableError struct {
+	IDs []uint64
+	Err error
+}
+
+func (e *UnreadableError) Error() string {
+	return fmt.Sprintf("ledger: %d pending message(s) unreadable, first: %v", len(e.IDs), e.Err)
+}
+
+func (e *UnreadableError) Unwrap() error { return e.Err }
+
 // ReadPayloads fills in the payload of each entry in es, reading its
 // committed record back from the log into buf, which it grows as needed
 // and returns for reuse. It returns es less the entries it could not fill,
 // in their order: those acknowledged since they were listed, those whose
 // batch is still in flight (the next read finds them committed), and
-// those whose record no longer reads back intact, for which it also
-// returns the first error. The payloads are views of buf, valid until buf
-// is reused. Once buf is large enough it allocates nothing.
+// those whose record no longer reads back intact, which the returned
+// *UnreadableError names. The payloads are views of buf, valid until buf
+// is reused. Once buf is large enough it allocates nothing, unless it
+// refuses a record.
 func (l *Ledger) ReadPayloads(es []Entry, buf []byte) ([]Entry, []byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -417,7 +433,7 @@ func (l *Ledger) ReadPayloads(es []Entry, buf []byte) ([]Entry, []byte, error) {
 		}
 	}
 	buf = slices.Grow(buf[:0], total)
-	var first error
+	var refused *UnreadableError
 	k := 0
 	for _, e := range es {
 		st, ok := l.pending[e.ID]
@@ -426,14 +442,20 @@ func (l *Ledger) ReadPayloads(es []Entry, buf []byte) ([]Entry, []byte, error) {
 		}
 		var err error
 		if buf, e.Payload, err = l.readRecordLocked(buf, st); err != nil {
-			first = cmp.Or(first, err)
+			if refused == nil {
+				refused = &UnreadableError{Err: err}
+			}
+			refused.IDs = append(refused.IDs, e.ID)
 			continue
 		}
 		es[k] = e
 		k++
 	}
 	clear(es[k:])
-	return es[:k], buf, first
+	if refused != nil {
+		return es[:k], buf, refused
+	}
+	return es[:k], buf, nil
 }
 
 func byID(a, b Entry) int { return cmp.Compare(a.ID, b.ID) }

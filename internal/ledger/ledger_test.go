@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -1327,7 +1328,7 @@ func TestPendingPinsNoPayload(t *testing.T) {
 // TestPayloadReadBack: a payload read back from the log is the one
 // appended, byte for byte: after its commit, after a rotation carried it
 // into a new segment, and after a reopen. A record damaged on disk is
-// refused, not handed to the retrier.
+// refused, not handed to the retrier, and named.
 func TestPayloadReadBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.log")
 	reg := telemetry.NewRegistry()
@@ -1427,6 +1428,9 @@ func TestPayloadReadBack(t *testing.T) {
 	got, _, err = l.ReadPayloads(listed, nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("ReadPayloads over a damaged record: %v, want ErrCorrupt", err)
+	}
+	if refused := (*UnreadableError)(nil); !errors.As(err, &refused) || !slices.Equal(refused.IDs, []uint64{2}) {
+		t.Errorf("ReadPayloads over a damaged record: %v, want it to name entry 2 alone", err)
 	}
 	for _, e := range got {
 		if e.ID == 2 {

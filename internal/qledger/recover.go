@@ -166,8 +166,8 @@ func (a *Agent) replay(origin string, r *recovery) {
 		r.acked = ledger.AppendAckRecord(r.acked, id)
 		a.mu.Unlock()
 	})
-	r.retry = core.NewRetrier(r.led, a.cfg.RetryInterval, a.ctr.replayedMsgs, func(s subject.Subject, payload []byte, id uint64) error {
-		_, err := a.d.PublishGuaranteedAs(s, payload, id, origin, nil)
+	r.retry = core.NewRetrier(r.led, a.cfg.RetryInterval, a.ctr.replayedMsgs, a.rec, func(s subject.Subject, payload []byte, id uint64) error {
+		_, err := a.d.PublishGuaranteedAs(s, payload, id, origin, ledger.AppendTimings{}, false)
 		return err
 	})
 }

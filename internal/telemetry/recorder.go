@@ -23,7 +23,7 @@ type EventKind uint8
 const (
 	EventAlarmRaise EventKind = iota + 1 // an alarm raise edge; A=value B=threshold
 	EventAlarmClear                      // an alarm clear edge; A=value B=threshold
-	EventDrop                            // messages given up on (gap skip, corrupt frame); A=count
+	EventDrop                            // messages given up on (gap skip, corrupt frame) or unreadable (guar-unreadable: B=ledger id); A=count
 	EventRetransmit                      // a retransmission burst served; A=messages
 	EventRestart                         // a peer came back with a new epoch
 	EventRecover                         // ledger recovery at open; A=entries replayed

@@ -91,14 +91,14 @@ go test ./...
 echo "==> knob budget (exported Config/Options structs and fields under internal/)"
 go test -run TestKnobBudget -count=1 .
 
-echo "==> alloc gate (publish->deliver budget)"
-go test -run TestPublishDeliverAllocBudget -count=1 .
+echo "==> alloc gate (publish->deliver budget, untraced and with every publication traced: the hop lists are carved from lane 0)"
+go test -run 'TestPublishDeliverAllocBudget|TestTracedPublishDeliverAllocBudget' -count=1 .
 
 echo "==> alloc gate (publish->deliver budget with the history tier sampling)"
 go test -run TestPublishDeliverHistoryAllocBudget -count=1 .
 
-echo "==> alloc gate (guaranteed publish budget)"
-go test -run TestGuaranteedPublishAllocBudget -count=1 .
+echo "==> alloc gate (guaranteed publish budget; one in 10 traced reads the untraced count within 0.1: stage hops only for a sampled publication)"
+go test -run 'TestGuaranteedPublishAllocBudget' -count=1 .
 
 echo "==> alloc gate (one host, four applications, one publication: one decode, no slot allocation, no clone)"
 go test -run TestHostFanoutDecodeAllocBudget -count=1 .
@@ -191,8 +191,8 @@ if [ "$quick" -eq 0 ]; then
     go test -race -count=5 -run 'TestStressLossyChurn|TestOneLoopPerHost|TestStalledSubscriberDoesNotStopTheLoop|TestDeliveredObjectIsFrozen|TestClassNakThroughTheSlot' ./internal/core/
     go test -race -count=5 -run 'TestOneLoopPerRouter|TestSysGoldenBytes' ./internal/router/
 
-    echo "==> slots carved from lane 0's chunk by local publishers and its inbound work at once, and turns given back exactly (race build, 5 runs)"
-    go test -race -count=5 -run 'TestSlotCarveConcurrent|TestSlotTurnsGivenBack' ./internal/daemon/
+    echo "==> slots and hop lists carved from lane 0's chunks by local publishers and its inbound work at once, turns given back exactly, and no two deliveries' pop hops in one array (race build, 5 runs)"
+    go test -race -count=5 -run 'TestSlotCarveConcurrent|TestSlotTurnsGivenBack|TestTracedFanoutOwnsItsHops' ./internal/daemon/
 
     echo "==> the ledger's reused batches, the hand-off of a commit's lead, concurrent walks and payloads read back from the log (race build, 5 runs)"
     go test -race -count=5 -run 'TestConcurrentAppendAck|TestGroupCommitFsyncBudget|TestForEachPendingConcurrent|TestBatchOutcomeStaysWithItsWaiters|TestLeaderLeadsOnlyItsOwnBatch|TestPendingPinsNoPayload|TestPayloadReadBack' ./internal/ledger/
