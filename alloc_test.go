@@ -269,14 +269,21 @@ func guaranteedPublishAllocs(t *testing.T, sampling float64) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range sub.C {
-		}
-	}()
+	// Each publish waits for its delivery: with a free-running consumer
+	// a window under load read fewer allocations than the deliveries cost
+	// (3.88), and the traced sub-test, whose windows did not, failed.
 	payload := make([]byte, 256)
+	timeout := time.NewTimer(time.Hour)
+	defer timeout.Stop()
 	publish := func() {
 		if _, err := bus.PublishGuaranteed("alloc.data", payload); err != nil {
 			t.Fatal(err)
+		}
+		timeout.Reset(5 * time.Second)
+		select {
+		case <-sub.C:
+		case <-timeout.C:
+			t.Fatal("guaranteed publication not delivered within 5s")
 		}
 	}
 	for i := 0; i < 1000; i++ {

@@ -517,22 +517,21 @@ func (d *Daemon) traceSample(e *busproto.Envelope, tm ledger.AppendTimings, repl
 	if replicated {
 		replicaAt = now
 	}
-	var hops [5]busproto.TraceHop
-	n := 0
-	for _, hop := range [...]busproto.TraceHop{
+	stages := [...]busproto.TraceHop{
 		{Kind: busproto.HopLedgerStage, At: tm.StagedAt},
 		{Kind: busproto.HopGroupCommit, At: tm.CommitAt},
 		{Kind: busproto.HopFsync, At: tm.SyncedAt},
 		{Kind: busproto.HopReplicaChunk, At: replicaAt},
 		{Kind: busproto.HopNode, At: now},
-	} {
+	}
+	hops := stages[:0]
+	for _, hop := range stages {
 		if hop.At != 0 {
 			hop.Node = d.traceNode
-			hops[n] = hop
-			n++
+			hops = append(hops, hop)
 		}
 	}
-	e.Trace = append(d.lanes[0].newHops(n), hops[:n]...)
+	e.Trace = append(d.lanes[0].newHops(len(hops)), hops...)
 	d.ctr.traced.Inc()
 }
 
